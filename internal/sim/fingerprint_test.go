@@ -1,0 +1,278 @@
+package sim
+
+import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"notebookos/internal/federation"
+	"notebookos/internal/metrics"
+	"notebookos/internal/trace"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/runner_fingerprints.golden from the current behaviour")
+
+// fpLines accumulates one "<scenario> <field>=<value>" line per pinned
+// value, so a golden diff names the runner and the field that moved.
+type fpLines struct {
+	scenario string
+	b        *strings.Builder
+}
+
+func (l fpLines) int(field string, v int) {
+	fmt.Fprintf(l.b, "%s %s=%d\n", l.scenario, field, v)
+}
+
+// float prints the shortest decimal that round-trips, so equal lines mean
+// bit-identical values.
+func (l fpLines) float(field string, v float64) {
+	fmt.Fprintf(l.b, "%s %s=%s\n", l.scenario, field, strconv.FormatFloat(v, 'g', -1, 64))
+}
+
+func (l fpLines) timeline(field string, tl *metrics.Timeline, start, end time.Time) {
+	if tl == nil {
+		l.int(field+".len", -1)
+		return
+	}
+	l.int(field+".len", tl.Len())
+	l.float(field+".integral", tl.Integral(start, end))
+}
+
+func (l fpLines) sample(field string, s *metrics.Sample) {
+	if s == nil {
+		l.int(field+".n", -1)
+		return
+	}
+	l.int(field+".n", s.N())
+	if s.N() > 0 {
+		l.float(field+".p50", s.Percentile(50))
+		l.float(field+".p99", s.Percentile(99))
+	}
+}
+
+func (l fpLines) result(r *Result, start, end time.Time) {
+	l.int("sessions", r.Sessions)
+	l.int("tasks", r.Tasks)
+	l.int("immediate", r.ImmediateCommits)
+	l.int("executorReuse", r.ExecutorReuse)
+	l.int("migrations", r.Migrations)
+	l.int("failedMigrations", r.FailedMigrations)
+	l.int("scaleOuts", r.ScaleOuts)
+	l.int("scaleIns", r.ScaleIns)
+	l.int("coldStarts", r.ColdStarts)
+	l.int("warmStarts", r.WarmStarts)
+	l.int("crashes", r.HostCrashes)
+	l.int("recoveries", r.HostRecoveries)
+	l.int("failovers", r.Failovers)
+	l.int("restarts", r.TaskRestarts)
+	l.int("abandonments", r.Abandonments)
+	l.int("events", len(r.Events))
+	l.float("activeGPUh", r.ActiveGPUHours)
+	l.float("standbyReplicaH", r.StandbyReplicaHours)
+	l.float("reservedGPUh", r.ReservedGPUHours)
+	l.float("serverH", r.ServerHours)
+	l.float("lostGPUh", r.LostGPUHours)
+	l.timeline("provisioned", r.ProvisionedGPUs, start, end)
+	l.timeline("committed", r.CommittedGPUs, start, end)
+	l.timeline("activeSessions", r.ActiveSessions, start, end)
+	l.timeline("activeTrainings", r.ActiveTrainings, start, end)
+	l.timeline("sr", r.SR, start, end)
+	l.timeline("availability", r.Availability, start, end)
+	l.sample("delay", r.Interactivity)
+	l.sample("tct", r.TCT)
+	l.sample("sync", r.SyncLatency)
+	l.sample("read", r.ReadLatency)
+	l.sample("write", r.WriteLatency)
+	l.sample("recovery", r.RecoveryTime)
+	for _, st := range Steps() {
+		l.sample("step["+string(st)+"]", r.StepLatency[st])
+	}
+}
+
+func (l fpLines) fedResult(r *FedResult, start, end time.Time) {
+	l.int("tasks", r.Tasks)
+	l.int("immediate", r.ImmediateCommits)
+	l.int("localPlacements", r.LocalPlacements)
+	l.int("remotePlacements", r.RemotePlacements)
+	l.int("remoteExecutions", r.RemoteExecutions)
+	l.int("migrations", r.Migrations)
+	l.int("crossMigrations", r.CrossMigrations)
+	l.int("scaleOuts", r.ScaleOuts)
+	l.int("scaleIns", r.ScaleIns)
+	l.int("coldStarts", r.ColdStarts)
+	l.int("warmStarts", r.WarmStarts)
+	l.int("crashes", r.HostCrashes)
+	l.int("recoveries", r.HostRecoveries)
+	l.int("failovers", r.Failovers)
+	l.int("restarts", r.TaskRestarts)
+	l.int("abandonments", r.Abandonments)
+	l.float("activeGPUh", r.ActiveGPUHours)
+	l.float("provisionedGPUh", r.ProvisionedGPUHours)
+	l.float("reservedGPUh", r.ReservedGPUHours)
+	l.float("lostGPUh", r.LostGPUHours)
+	l.timeline("provisioned", r.ProvisionedGPUs, start, end)
+	l.timeline("committed", r.CommittedGPUs, start, end)
+	l.timeline("activeSessions", r.ActiveSessions, start, end)
+	l.timeline("availability", r.Availability, start, end)
+	l.sample("delay", r.Interactivity)
+	l.sample("tct", r.TCT)
+	l.sample("recovery", r.RecoveryTime)
+	if r.ClassDelay == nil {
+		l.int("classDelay", -1)
+	} else {
+		for _, cl := range trace.SLOClasses() {
+			l.sample("classDelay["+string(cl)+"]", r.ClassDelay[cl])
+		}
+	}
+	for _, c := range r.Clusters {
+		m := fpLines{scenario: l.scenario, b: l.b}
+		p := "member[" + c.Name + "]."
+		m.int(p+"homeSessions", c.HomeSessions)
+		m.int(p+"placedSessions", c.PlacedSessions)
+		m.int(p+"tasks", c.Tasks)
+		m.int(p+"migrationsIn", c.MigrationsIn)
+		m.int(p+"scaleOuts", c.ScaleOuts)
+		m.int(p+"scaleIns", c.ScaleIns)
+		m.int(p+"finalHosts", c.FinalHosts)
+		m.timeline(p+"provisioned", c.ProvisionedGPUs, start, end)
+		m.timeline(p+"committed", c.CommittedGPUs, start, end)
+	}
+}
+
+// TestRunnerFingerprints is the characterization test of the eight runner
+// entry points: for seed 42 on a 3-day summer trace it pins every counter,
+// integrated-hour field, delay quantile and recorder length of each entry
+// point, fault-free and under trace.HeavyFaultProfile, against
+// testdata/runner_fingerprints.golden. Regenerate with
+// `go test ./internal/sim -run TestRunnerFingerprints -update` — only when
+// a metric is meant to move, and say which in CHANGES.md.
+func TestRunnerFingerprints(t *testing.T) {
+	const seed = 42
+	gcfg := trace.AdobeSummerConfig(seed)
+	gcfg.Duration = 3 * 24 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	start, end := tr.Start, tr.End
+	heavy := trace.HeavyFaultProfile()
+
+	var b strings.Builder
+	for _, fc := range []struct {
+		name   string
+		faults *trace.FaultSpec
+	}{{"nofaults", nil}, {"heavy", &heavy}} {
+		single := func(name string, r *Result, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, fc.name, err)
+			}
+			fpLines{scenario: name + "/" + fc.name, b: &b}.result(r, start, end)
+		}
+		fed := func(name string, r *FedResult, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s/%s: %v", name, fc.name, err)
+			}
+			fpLines{scenario: name + "/" + fc.name, b: &b}.fedResult(r, start, end)
+		}
+		cfg := func(p Policy, sc ShardCapacity) Config {
+			return Config{Trace: tr, Policy: p, Hosts: 30, Seed: seed, ShardCapacity: sc, Faults: fc.faults}
+		}
+		perMember := func(sc ShardCapacity) FedConfig {
+			return FedConfig{Trace: tr, Clusters: DefaultFedClusters(3, 30), Seed: seed, ShardCapacity: sc, Faults: fc.faults}
+		}
+		pooled := func(sc ShardCapacity) FedConfig {
+			return FedConfig{
+				Trace:    tr,
+				Clusters: DefaultFedClusters(4, 30),
+				Route: federation.NewScoredPolicy("composite",
+					federation.WeightedScorer{Scorer: federation.SubscriptionScorer{}, Weight: 1},
+					federation.WeightedScorer{Scorer: federation.LatencyScorer{}, Weight: federation.DefaultLatencyWeight},
+					federation.WeightedScorer{Scorer: federation.QueueDepthScorer{}, Weight: 0.05},
+					federation.WeightedScorer{Scorer: federation.SpreadScorer{}, Weight: 0.25}),
+				Latency:         federation.GeoBandedMatrix(4, 2, 5*time.Millisecond, 40*time.Millisecond),
+				PooledAutoscale: true,
+				SLOAware:        true,
+				Seed:            seed,
+				ShardCapacity:   sc,
+				Faults:          fc.faults,
+			}
+		}
+		streamed := func(c Config) Config {
+			c.Trace = nil
+			return c
+		}
+		fedStreamed := func(c FedConfig) FedConfig {
+			c.Trace = nil
+			return c
+		}
+
+		for _, p := range []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP} {
+			r, err := Run(cfg(p, LegacySplit))
+			single("Run/"+string(p), r, err)
+		}
+		fr, err := RunFederated(perMember(LegacySplit))
+		fed("RunFederated/per-member", fr, err)
+		fr, err = RunFederated(pooled(LegacySplit))
+		fed("RunFederated/pooled-slo", fr, err)
+
+		for _, sc := range []struct {
+			name string
+			mode ShardCapacity
+		}{{"legacy", LegacySplit}, {"lease", LeasePool}} {
+			r, err := RunSharded(cfg(PolicyNotebookOS, sc.mode), 2)
+			single("RunSharded/"+sc.name+"-k2", r, err)
+			fr, err := RunFederatedSharded(perMember(sc.mode), 2)
+			fed("RunFederatedSharded/per-member/"+sc.name+"-k2", fr, err)
+			fr, err = RunFederatedSharded(pooled(sc.mode), 2)
+			fed("RunFederatedSharded/pooled-slo/"+sc.name+"-k2", fr, err)
+
+			scfg := streamed(cfg(PolicyNotebookOS, sc.mode))
+			scfg.LeanMetrics = sc.mode == LegacySplit
+			r, err = RunStreamSharded(gcfg, scfg, 2)
+			single("RunStreamSharded/"+sc.name+"-k2", r, err)
+			fscfg := fedStreamed(pooled(sc.mode))
+			fscfg.LeanMetrics = sc.mode == LegacySplit
+			fr, err = RunFederatedStreamSharded(gcfg, fscfg, 2)
+			fed("RunFederatedStreamSharded/"+sc.name+"-k2", fr, err)
+		}
+	}
+
+	golden := filepath.Join("testdata", "runner_fingerprints.golden")
+	got := b.String()
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	wantBytes, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(wantBytes); got != want {
+		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+		diffs := 0
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				if diffs++; diffs <= 40 {
+					t.Errorf("line %d:\n  golden: %s\n  got:    %s", i+1, w, g)
+				}
+			}
+		}
+		t.Errorf("%d of %d fingerprint lines differ from %s", diffs, len(wl), golden)
+	}
+}
