@@ -6,32 +6,61 @@
 // models calibrated against the live implementation and the paper's
 // reported distributions.
 //
-// Entry points: Run simulates one policy against one cluster;
-// RunFederated simulates the NotebookOS policy against a federation of
-// independently sized clusters (see internal/federation), routing
-// session placement and cross-cluster replica migration under a
-// pluggable federation route policy; RunSharded (and its federated twin
-// RunFederatedSharded) splits a long trace into session-partitioned
-// shards via trace.Split, replays one worker simulation per shard on
-// parallel goroutines with ShardSeed-derived seeds, and merges the
-// results deterministically with MergeResults/MergeFedResults —
-// timelines through metrics.MergeTimelines, samples through
-// metrics.MergeSamples (k-way merges of the shards' sorted runs, so
-// merged quantiles are bit-identical to concatenation), events by a
-// pre-sized k-way merge on their int64 timestamps, counters by
-// summation, always in shard-index order so output never
-// depends on worker completion order. Capacity accounting across shards
-// is Config.ShardCapacity's choice (docs/SHARDING.md): under LeasePool —
-// the default for experiment -shards runs — workers lease hosts from a
-// shared virtual capacity pool backed by a capacity ledger (an unsharded
-// replay running as one more barrier participant), reconciled at every
-// LeaseEpoch boundary, so every cluster-determined metric of a sharded
-// run is byte-identical to the unsharded run at any shard count (pinned
-// by TestLeasePoolCapacityExact); under the zero-value LegacySplit the
-// workers never share capacity after the initial proportional grant and
-// the saved-GPU-hour drift bound documented on RunSharded applies
-// (pinned by TestShardedSavingsDriftBound). Latency distributions are
-// shard-local — unbiased but not sample-identical — in both modes.
+// Runner map — one core, three drivers. Every entry point runs the same
+// simulator core (type sim, sim.go): a federation of member clusters, each
+// with its cluster model, host list, pending-host count and per-member
+// series, replaying one workload through one session type, one host
+// wrapper, one task state machine (taskfsm.go), one streaming injector
+// (stream.go) and one fault layer (faults.go). The entry points differ
+// only in how the core is built and which driver advances its engine:
+//
+//   - Run builds a one-member federation (member "sim") with the full
+//     single-cluster recorder set; the scheduling policy — Reservation,
+//     Batch, NotebookOS, LCP — is a task-pipeline choice on that core.
+//     RunFederated builds the same core with one member per
+//     FedClusterSpec, a federation route policy (never consulted while
+//     there is one member), per-pair WAN charges, and optionally the SLO
+//     wait-queue and the pooled autoscaler; its policy is always
+//     NotebookOS. Result and FedResult are projections of the core's state
+//     taken at finish. What a run records — step latencies, SR, the event
+//     log, async-replication samples and the RNG draws that feed them, or
+//     per-SLO-class delays — follows from which recorders its constructor
+//     created; there is no federated/single switch on the hot path.
+//   - The plain driver (Run, RunFederated, and each LegacySplit worker)
+//     runs the engine in one shot to a day past the window's end. The
+//     barrier-leased driver (runLeased in lease.go, behind
+//     ShardCapacity == LeasePool) advances a capacity ledger — an
+//     unsharded replay of the parent config — and k lease-managed workers
+//     in LeaseEpoch-sized steps, reconciling host leases between steps.
+//     The streaming injector (any runner given a Source) replaces the
+//     up-front event schedule with one self-rescheduling admission event,
+//     so pending events track concurrency rather than workload size; it
+//     composes with either driver.
+//   - RunSharded, RunFederatedSharded (trace.Split shards) and
+//     RunStreamSharded, RunFederatedStreamSharded (trace.StreamSplit
+//     shards) derive per-worker configs with ShardSeed-derived seeds, run
+//     them under the plain or the barrier-leased driver, and merge the
+//     workers deterministically with MergeResults/MergeFedResults —
+//     timelines through metrics.MergeTimelines, samples through
+//     metrics.MergeSamples (k-way merges of the shards' sorted runs, so
+//     merged quantiles are bit-identical to concatenation), events by a
+//     pre-sized k-way merge on their int64 timestamps, counters by
+//     summation, always in shard-index order so output never depends on
+//     worker completion order.
+//
+// Capacity accounting across shards is Config.ShardCapacity's choice
+// (docs/SHARDING.md): under LeasePool — the default for experiment -shards
+// runs — workers lease hosts from a shared virtual capacity pool backed by
+// the capacity ledger, reconciled at every LeaseEpoch boundary, so every
+// cluster-determined metric of a sharded run is byte-identical to the
+// unsharded run at any shard count (pinned by TestLeasePoolCapacityExact);
+// under the zero-value LegacySplit the workers never share capacity after
+// the initial proportional grant and the saved-GPU-hour drift bound
+// documented on RunSharded applies (pinned by
+// TestShardedSavingsDriftBound). Latency distributions are shard-local —
+// unbiased but not sample-identical — in both modes. TestRunnerFingerprints
+// pins every entry point's counters, integrated hours, delay quantiles and
+// recorder lengths against a golden file, fault-free and under faults.
 //
 // Crossing-cost accounting in RunFederated: every federation boundary
 // crossing is charged from federation.Federation.Penalty — either the

@@ -239,18 +239,18 @@ func TestFederatedFaultsDoubleRunByteIdentical(t *testing.T) {
 }
 
 // probeRunningNbosSession steps the simulation forward until some session
-// has an in-flight nbosTask, returning the session and its machine.
-func probeRunningNbosSession(t *testing.T, s *sim) (*simSession, *nbosTask) {
+// has an in-flight task, returning the session and its machine.
+func probeRunningNbosSession(t *testing.T, s *sim) (*session, *runningTask) {
 	t.Helper()
 	for at := 10 * time.Minute; at < s.end.Sub(s.start); at += 10 * time.Minute {
 		s.eng.RunUntil(s.start.Add(at))
-		for _, ss := range s.faultSessions {
-			if nt, ok := ss.cur.(*nbosTask); ok && !nt.dead {
+		for _, ss := range s.live {
+			if nt := ss.cur; nt != nil && !nt.dead {
 				return ss, nt
 			}
 		}
 	}
-	t.Fatal("no session with an in-flight nbosTask found")
+	t.Fatal("no session with an in-flight task found")
 	return nil, nil
 }
 
@@ -272,12 +272,12 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 	defer s.close()
 
 	ss, nt := probeRunningNbosSession(t, s)
-	var victim *simHost
-	for _, sh := range s.hostList {
-		if sh.h == nt.h {
+	var victim *host
+	for _, sh := range s.members[0].hosts {
+		if sh == nt.h {
 			continue // never the executor
 		}
-		if hostsContain(ss.hosts, sh.h) {
+		if hostsContain(ss.hosts, sh) {
 			victim = sh
 			break
 		}
@@ -301,7 +301,7 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 		if h == nil {
 			t.Errorf("replica slot %d not rehomed after failover", i)
 		}
-		if h == victim.h {
+		if h == victim {
 			t.Errorf("replica slot %d still points at the crashed host", i)
 		}
 	}
@@ -331,9 +331,9 @@ func TestExecutorCrashRestartsTask(t *testing.T) {
 	defer s.close()
 
 	_, nt := probeRunningNbosSession(t, s)
-	var victim *simHost
-	for _, sh := range s.hostList {
-		if sh.h == nt.h {
+	var victim *host
+	for _, sh := range s.members[0].hosts {
+		if sh == nt.h {
 			victim = sh
 			break
 		}
@@ -379,19 +379,19 @@ func TestQuorumLossRestartsTask(t *testing.T) {
 	// Knock out one non-executor replica by hand (an unrehomed loss), then
 	// crash a second: 1 alive of 3 is below quorum.
 	downed := false
-	var victim *simHost
+	var victim *host
 	for i, h := range ss.hosts {
 		if h == nt.h || h == nil {
 			continue
 		}
 		if !downed {
-			_ = h.RemoveReplica(ss.replicaKeyFor(i + 1))
+			_ = h.h.RemoveReplica(ss.replicaKeyFor(i + 1))
 			ss.hosts[i] = nil
 			downed = true
 			continue
 		}
-		for _, sh := range s.hostList {
-			if sh.h == h {
+		for _, sh := range s.members[0].hosts {
+			if sh == h {
 				victim = sh
 				break
 			}
@@ -430,7 +430,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 	s.eng.RunUntil(s.start.Add(time.Minute))
 
 	task := trace.Task{Submit: s.now(), Duration: time.Hour, GPUs: 1}
-	inter := &simSession{src: &trace.Session{ID: "probe-i", SLO: trace.SLOInteractive}, running: true}
+	inter := &session{src: &trace.Session{ID: "probe-i", SLO: trace.SLOInteractive}, running: true}
 	s.restartTask(inter, task, s.now())
 	if s.res.TaskRestarts != 1 || s.res.Abandonments != 0 {
 		t.Fatalf("first interactive restart must be granted: restarts=%d abandoned=%d",
@@ -445,7 +445,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 		t.Error("abandonment with an empty queue must leave the session idle")
 	}
 
-	batch := &simSession{src: &trace.Session{ID: "probe-b", SLO: trace.SLOBatch}, running: true}
+	batch := &session{src: &trace.Session{ID: "probe-b", SLO: trace.SLOBatch}, running: true}
 	for i := 0; i < 3; i++ {
 		s.restartTask(batch, task, s.now())
 	}

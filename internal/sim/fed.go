@@ -2,19 +2,13 @@ package sim
 
 import (
 	"fmt"
-	"iter"
-	"math"
-	"math/rand"
 	"time"
 
-	"notebookos/internal/cluster"
-	"notebookos/internal/des"
 	"notebookos/internal/federation"
 	"notebookos/internal/metrics"
 	"notebookos/internal/resources"
 	"notebookos/internal/scheduler"
 	"notebookos/internal/trace"
-	"notebookos/internal/workload"
 )
 
 // FedClusterSpec sizes one member cluster of a federated simulation.
@@ -387,666 +381,117 @@ func (r *FedResult) FinalHosts() int {
 	return n
 }
 
-// fedHost pairs a member host with its cluster index and warm-pool count.
-type fedHost struct {
-	h      *cluster.Host
-	member int
-	warm   int
-}
-
-// fedMember is one member cluster's mutable simulation state.
-type fedMember struct {
-	spec    FedClusterSpec
-	c       *cluster.Cluster
-	hosts   []*fedHost
-	res     *FedClusterResult
-	hostSeq int
-	// pendingHosts counts servers being provisioned for this member.
-	pendingHosts int
-}
-
-// fedSession is the per-session federated simulation state.
-type fedSession struct {
-	src   *trace.Session
-	req   resources.Spec
-	assig workload.Assignment
-	home  int
-
-	// holder is the session's exclusive-commit key ("fed/<id>"), built once;
-	// task serialization (running + FCFS queue) guarantees at most one
-	// outstanding commitment per session, see simSession.holder.
-	holder       string
-	hosts        []*fedHost
-	rkeys        []string
-	lastExecutor int
-	queue        []trace.Task
-	running      bool
-	closed       bool
-	// cur is the in-flight task state machine (nil between tasks), the
-	// handle the fault layer aborts through; restarts counts the current
-	// task's checkpoint-restore resubmissions against its retry budget.
-	cur      runningTask
-	restarts int
-}
-
-func (ss *fedSession) replicaKeyFor(i int) string {
-	if len(ss.rkeys) < i {
-		ss.rkeys = extendReplicaKeys(ss.rkeys, ss.src.ID, i)
-	}
-	return ss.rkeys[i-1]
-}
-
-// fedSim is the mutable federated simulation state.
-type fedSim struct {
-	cfg       FedConfig
-	eng       *des.Engine
-	rng       *rand.Rand
-	fed       *federation.Federation
-	members   []*fedMember
-	placement scheduler.LeastLoaded
-	// byHost resolves the hosts returned by the placement policy back to
-	// their fedHost wrappers (warm counts, member index).
-	byHost map[*cluster.Host]*fedHost
-	// waitq parks tasks blocked on capacity anywhere in the federation;
-	// it is woken by any member's Release/AddHost via the federation's
-	// capacity-notification fan-in.
-	waitq *capacityWaitQueue
-	// autoscaler makes the pooled decisions when cfg.PooledAutoscale is
-	// set; nil in per-member mode.
-	autoscaler *federation.FederatedAutoscaler
-	// loads is the reusable MemberLoad buffer the pooled autoscaler
-	// snapshot fills every interval (one slice for the whole run instead
-	// of one per tick — 90-day runs make tens of thousands of ticks).
-	loads []federation.MemberLoad
-	// route is the reusable ranking scratch for the route policy — the
-	// event loop is single-threaded and ranks clusters on every placement
-	// and remote execution, so one scratch serves the whole run.
-	route federation.RouteScratch
-	// qdepth counts parked capacity waiters per home member — the
-	// QueueDepth signal RoutingSnapshots carry (via SetSnapshotExtras).
-	// Maintained on every park/unpark; it never affects the default path's
-	// event order.
-	qdepth []int
-	res    *FedResult
-
-	// Fault-injection state (see faults.go), live only when cfg.Faults is
-	// enabled; mirrors sim's matching fields.
-	faultsOn      bool
-	frng          *rand.Rand
-	faultSessions []*fedSession
-
-	// Streaming state (see Config.Source and sim's matching fields).
-	start, end time.Time
-	streaming  bool
-	wr         *rand.Rand
-	// homeSeq counts admitted sessions for round-robin home assignment.
-	homeSeq  int
-	pull     func() (*trace.Session, bool)
-	stopPull func()
-	srcErr   error
-	// reserved integrates reserved GPUs online when streaming.
-	reserved gpuHoursAcc
-}
-
 // RunFederated executes a federated simulation and returns its result.
 // Determinism matches Run: a fixed config replays bit-for-bit.
 func RunFederated(cfg FedConfig) (*FedResult, error) {
-	s, err := newFedSim(cfg)
+	s, err := newFederated(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer s.close()
-	s.eng.RunUntil(s.end.Add(24 * time.Hour))
-	return s.finish()
+	s.drain()
+	return s.finishFed()
 }
 
-// newFedSim builds a ready-to-run federated simulation (see newSim):
-// members and hosts in place, events scheduled, ticks armed. Callers
-// drive the engine and collect the result with finish; pair with close.
-func newFedSim(cfg FedConfig) (*fedSim, error) {
-	if err := cfg.withDefaults(); err != nil {
+// newFederated builds a ready-to-run federated simulation (see newSim):
+// the same core with one member per cluster spec, the route policy, the
+// inter-cluster latency model, and — as configured — the SLO-class queue
+// with its per-class recorders and the pooled autoscaler. It creates none
+// of the recorders only Result reports, so a federated run neither records
+// nor draws for them.
+func newFederated(fc FedConfig) (*sim, error) {
+	if err := fc.withDefaults(); err != nil {
 		return nil, err
 	}
-	src := cfg.Source
-	if src == nil {
-		src = cfg.Trace.AsSource()
-	}
-	start, end := src.Window()
-	eng := des.New(start)
-	s := &fedSim{
-		cfg:       cfg,
-		eng:       eng,
-		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
-		fed:       federation.New(cfg.InterClusterPenalty),
-		placement: scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark},
-		byHost:    map[*cluster.Host]*fedHost{},
-		waitq:     newCapacityWaitQueue(eng),
-		start:     start,
-		end:       end,
-		streaming: cfg.Source != nil,
-		wr:        rand.New(rand.NewSource(cfg.Seed + 2)),
-	}
-	s.reserved.lastNS = start.UnixNano()
-	// Lean mode swaps the unbounded recorders for window-bounded ones (see
-	// Run): coalesced timelines, seeded reservoir samples.
-	newTL := metrics.NewTimeline
-	if cfg.LeanMetrics {
-		newTL = func() *metrics.Timeline { return metrics.NewCoalescedTimeline(cfg.SampleEvery) }
-	}
-	sampleSeq := cfg.Seed + 1000
-	newSample := func() *metrics.Sample {
-		sm := metrics.NewSample()
-		if cfg.LeanMetrics {
-			sampleSeq++
-			sm.Reservoir(cfg.LeanSampleCap, sampleSeq)
+	s := newCore(Config{
+		Trace:             fc.Trace,
+		Source:            fc.Source,
+		LeanMetrics:       fc.LeanMetrics,
+		LeanSampleCap:     fc.LeanSampleCap,
+		Policy:            PolicyNotebookOS,
+		ReplicasPerKernel: fc.ReplicasPerKernel,
+		PrewarmPerHost:    fc.PrewarmPerHost,
+		ScaleFactor:       fc.ScaleFactor,
+		AutoscaleInterval: fc.AutoscaleInterval,
+		SRHighWatermark:   fc.SRHighWatermark,
+		Latencies:         fc.Latencies,
+		Seed:              fc.Seed,
+		SampleEvery:       fc.SampleEvery,
+		Faults:            fc.Faults,
+		leaseManaged:      fc.leaseManaged,
+	}, federation.New(fc.InterClusterPenalty))
+	s.route = fc.Route
+	if fc.Latency != nil {
+		// Size was validated against the cluster count in withDefaults.
+		if err := s.fed.SetLatencyMatrix(fc.Latency); err != nil {
+			return nil, err
 		}
-		return sm
 	}
-	s.res = &FedResult{
-		ActiveSessions: newTL(),
-		Interactivity:  newSample(),
-		TCT:            newSample(),
-	}
-	s.qdepth = make([]int, len(cfg.Clusters))
-	if cfg.SLOAware {
-		s.waitq.usePriority(cfg.SLOAgingBound)
+	if fc.SLOAware {
+		s.waitq.usePriority(fc.SLOAgingBound)
 		// Pre-create the per-class samples in SLOClasses order so lean-mode
 		// reservoir seeds are position-independent of the workload.
-		s.res.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
+		s.classDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
 		for _, cl := range trace.SLOClasses() {
-			s.res.ClassDelay[cl] = newSample()
+			s.classDelay[cl] = s.newSample()
 		}
 	}
-	// Fault injection arms before the member clusters build so every host
-	// slot — including each member's initial Hosts — carries a crash
-	// clock, and the availability timeline sees every membership change.
-	s.initFaults()
-	for i, spec := range cfg.Clusters {
-		c := cluster.New(cfg.ReplicasPerKernel)
-		if _, err := s.fed.AddMember(spec.Name, c); err != nil {
-			return nil, err
-		}
-		m := &fedMember{
-			spec: spec,
-			c:    c,
-			res: &FedClusterResult{
-				Name:            spec.Name,
-				ProvisionedGPUs: newTL(),
-				CommittedGPUs:   newTL(),
-			},
-		}
-		s.members = append(s.members, m)
-		s.res.Clusters = append(s.res.Clusters, m.res)
-		for j := 0; j < spec.Hosts; j++ {
-			s.addHost(i)
-		}
-	}
-	if cfg.Latency != nil {
-		// Size was validated against the cluster count in withDefaults.
-		if err := s.fed.SetLatencyMatrix(cfg.Latency); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.PooledAutoscale {
+	if fc.PooledAutoscale {
 		s.autoscaler = &federation.FederatedAutoscaler{
-			ScaleFactor: cfg.ScaleFactor,
-			MinHosts:    cfg.FedMinHosts,
-			Replicas:    cfg.ReplicasPerKernel,
-			Policy:      cfg.ScalePolicy,
+			ScaleFactor: fc.ScaleFactor,
+			MinHosts:    fc.FedMinHosts,
+			Replicas:    fc.ReplicasPerKernel,
+			Policy:      fc.ScalePolicy,
 		}
+		s.loads = make([]federation.MemberLoad, len(fc.Clusters))
 	}
-	// Any member's capacity-freeing transition wakes the shared queue.
-	s.fed.SetCapacityNotifier(s.waitq.Notify)
-	// Routing snapshots read the scheduler-level signals through this
-	// callback: parked-waiter depth by home member, and the retirable
-	// (empty) host count a scale-in could reclaim. Only Snapshot-building
-	// policies (ScoredPolicy) invoke it; the closed-form trio pays nothing.
-	s.fed.SetSnapshotExtras(func(member int) (int, int) {
-		retirable := 0
-		for _, fh := range s.members[member].hosts {
-			if hostEmpty(fh) {
-				retirable++
-			}
-		}
-		return s.qdepth[member], retirable
-	})
-
-	// Pre-size metric columns from the source's expectation (see Run): for
-	// a materialized trace the federation-wide series get exact hints;
-	// per-member delta series split the task total evenly — an estimate, so
-	// a hot member may still grow, but the bulk of the column is allocated
-	// once. Lean recorders bound themselves and skip the hints.
-	exp := src.Expect()
-	sessions, numTasks := exp.Sessions, exp.Tasks
-	ticks := int(end.Sub(start)/cfg.SampleEvery) + 2
-	if !cfg.LeanMetrics {
-		s.res.ActiveSessions.Grow(2 * sessions)
-		s.res.Interactivity.Grow(numTasks)
-		s.res.TCT.Grow(numTasks)
-		for _, m := range s.members {
-			m.res.ProvisionedGPUs.Grow(ticks + 64)
-			m.res.CommittedGPUs.Grow(2*numTasks/len(s.members) + 16)
-		}
-	}
-
-	if s.streaming {
-		// Lazy admission (see the single-cluster injector): one event pulls
-		// session after session, so pending events track concurrency.
-		next, stop := iter.Pull(func(yield func(*trace.Session) bool) {
-			s.srcErr = src.Sessions(yield)
-		})
-		s.stopPull = stop
-		s.pull = next
-		if first, ok := next(); ok {
-			s.eng.ScheduleRunner(first.Start, &fedInjector{s: s, sess: first})
-		}
-	} else {
-		s.eng.Reserve(2*sessions + numTasks + 16)
-		for i, sess := range cfg.Trace.Sessions {
-			sess := sess
-			ss := &fedSession{
-				src:    sess,
-				req:    sess.Request,
-				assig:  workload.Assign(s.wr),
-				home:   i % len(s.members),
-				holder: "fed/" + sess.ID,
-			}
-			s.members[ss.home].res.HomeSessions++
-			s.eng.Schedule(sess.Start, func() { s.sessionStart(ss) })
-			s.eng.Schedule(sess.End, func() { s.sessionEnd(ss) })
-			for _, task := range sess.Tasks {
-				task := task
-				s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
-			}
-		}
-	}
-
-	// A lease-managed worker skips its own autoscale ticks: the pool runs
-	// the same decision once per barrier over the pooled member loads.
-	s.scheduleSampling()
-	if !cfg.leaseManaged {
-		s.scheduleAutoscale()
-	}
-	return s, nil
+	return s, s.build(fc.Clusters)
 }
 
-// close releases the streaming source's iterator; safe to call twice.
-func (s *fedSim) close() {
-	if s.stopPull != nil {
-		s.stopPull()
-		s.stopPull = nil
+// finishFed projects the FedResult: per-member records, the merged
+// federation-wide series, and the counters and recorders the core
+// accumulated. Call once, after drain.
+func (s *sim) finishFed() (*FedResult, error) {
+	provisionedGPUHours, err := s.totals()
+	if err != nil {
+		return nil, err
 	}
-}
-
-// finish surfaces a streaming-source error and computes the merged series
-// and integrated hours. Call once, after the engine has run past the
-// window's end.
-func (s *fedSim) finish() (*FedResult, error) {
-	if s.srcErr != nil {
-		return nil, s.srcErr
+	r := s.res
+	out := &FedResult{
+		ProvisionedGPUs:     r.ProvisionedGPUs,
+		CommittedGPUs:       r.CommittedGPUs,
+		ActiveSessions:      r.ActiveSessions,
+		Interactivity:       r.Interactivity,
+		TCT:                 r.TCT,
+		ClassDelay:          s.classDelay,
+		Tasks:               r.Tasks,
+		ImmediateCommits:    r.ImmediateCommits,
+		LocalPlacements:     s.routed.localPlacements,
+		RemotePlacements:    s.routed.remotePlacements,
+		RemoteExecutions:    s.routed.remoteExecutions,
+		Migrations:          r.Migrations,
+		CrossMigrations:     s.routed.crossMigrations,
+		ScaleOuts:           r.ScaleOuts,
+		ScaleIns:            r.ScaleIns,
+		ColdStarts:          r.ColdStarts,
+		WarmStarts:          r.WarmStarts,
+		ActiveGPUHours:      r.ActiveGPUHours,
+		ProvisionedGPUHours: provisionedGPUHours,
+		ReservedGPUHours:    r.ReservedGPUHours,
+		HostCrashes:         r.HostCrashes,
+		HostRecoveries:      r.HostRecoveries,
+		Failovers:           r.Failovers,
+		TaskRestarts:        r.TaskRestarts,
+		Abandonments:        r.Abandonments,
+		LostGPUHours:        r.LostGPUHours,
+		Availability:        r.Availability,
+		RecoveryTime:        r.RecoveryTime,
 	}
-	s.finalize()
-	return s.res, nil
-}
-
-func (s *fedSim) now() time.Time { return s.eng.Now() }
-
-func (s *fedSim) addHost(member int) *fedHost {
-	m := s.members[member]
-	m.hostSeq++
-	h := cluster.NewHost(fmt.Sprintf("%s-h%04d", m.spec.Name, m.hostSeq), m.spec.HostCapacity)
-	if err := m.c.AddHost(h); err != nil {
-		panic(err)
-	}
-	fh := &fedHost{h: h, member: member, warm: s.cfg.PrewarmPerHost}
-	m.hosts = append(m.hosts, fh)
-	s.byHost[h] = fh
-	if s.faultsOn {
-		s.armHostFaults(fh, m.hostSeq)
-	}
-	return fh
-}
-
-// ---- session lifecycle -------------------------------------------------
-
-// placeSession places the session's R replicas within a single cluster,
-// trying clusters in route-policy order.
-func (s *fedSim) placeSession(ss *fedSession) bool {
-	for _, idx := range s.cfg.Route.Order(s.fed, ss.home, &s.route) {
-		m := s.members[idx]
-		hosts, err := s.placement.SelectHosts(m.c, ss.req, s.cfg.ReplicasPerKernel)
-		if err != nil {
-			continue
-		}
-		ss.hosts = make([]*fedHost, len(hosts))
-		for i, h := range hosts {
-			_ = h.PlaceReplica(ss.replicaKeyFor(i+1), ss.req)
-			ss.hosts[i] = s.byHost[h]
-		}
-		m.res.PlacedSessions++
-		if idx == ss.home {
-			s.res.LocalPlacements++
-		} else {
-			s.res.RemotePlacements++
-		}
-		return true
-	}
-	return false
-}
-
-func (s *fedSim) sessionStart(ss *fedSession) {
-	if s.faultsOn {
-		s.faultSessions = append(s.faultSessions, ss)
-	}
-	s.res.ActiveSessions.Delta(s.now(), 1)
-	s.reserved.bump(s.now().UnixNano(), float64(ss.req.GPUs))
-	if s.placeSession(ss) {
-		return
-	}
-	// No cluster can place the kernel: scale out the home cluster
-	// synchronously (as in the single-cluster simulator, the provisioning
-	// delay is charged to session creation, not to any task).
-	for i := 0; i < s.cfg.ReplicasPerKernel; i++ {
-		s.addHost(ss.home)
-	}
-	s.res.ScaleOuts++
-	s.members[ss.home].res.ScaleOuts++
-	if !s.placeSession(ss) {
-		ss.hosts = nil // pathological request; drop the session
-	}
-}
-
-func (s *fedSim) sessionEnd(ss *fedSession) {
-	if ss.closed {
-		return
-	}
-	ss.closed = true
-	if s.faultsOn {
-		for i, live := range s.faultSessions {
-			if live == ss {
-				s.faultSessions = append(s.faultSessions[:i], s.faultSessions[i+1:]...)
-				break
-			}
-		}
-	}
-	s.res.ActiveSessions.Delta(s.now(), -1)
-	s.reserved.bump(s.now().UnixNano(), -float64(ss.req.GPUs))
-	for i, fh := range ss.hosts {
-		if fh == nil {
-			continue // crash-emptied slot (faults.go)
-		}
-		_ = fh.h.RemoveReplica(ss.replicaKeyFor(i + 1))
-	}
-}
-
-// ---- task pipeline -----------------------------------------------------
-
-func (s *fedSim) taskArrive(ss *fedSession, task trace.Task) {
-	if ss.running {
-		ss.queue = append(ss.queue, task)
-		return
-	}
-	ss.running = true
-	s.runTask(ss, task, s.now())
-}
-
-func (s *fedSim) runTask(ss *fedSession, task trace.Task, submit time.Time) {
-	if s.tryTask(ss, task, submit) {
-		return
-	}
-	// Park until capacity frees anywhere in the federation, keeping the
-	// home member's queue-depth gauge (a RoutingSnapshot signal) current
-	// for the park's whole lifetime.
-	home := ss.home
-	s.qdepth[home]++
-	retry := func() bool {
-		if !s.tryTask(ss, task, submit) {
-			return false
-		}
-		s.qdepth[home]--
-		return true
-	}
-	if s.cfg.SLOAware {
-		s.waitq.WaitClass(ss.src.SLO.Weight(), retry)
-	} else {
-		s.waitq.Wait(retry)
-	}
-}
-
-func (s *fedSim) finishTask(ss *fedSession, submit time.Time, interactivity time.Duration) {
-	s.res.Interactivity.Add(interactivity.Seconds())
-	s.res.TCT.Add(s.now().Sub(submit).Seconds())
-	if s.res.ClassDelay != nil {
-		s.res.ClassDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
-	}
-	s.res.Tasks++
-	ss.running = false
-	ss.cur = nil
-	ss.restarts = 0
-	if len(ss.queue) > 0 {
-		next := ss.queue[0]
-		ss.queue = ss.queue[1:]
-		ss.running = true
-		s.runTask(ss, next, s.now())
-	}
-}
-
-func (s *fedSim) fedTaskReq(ss *fedSession, task trace.Task) resources.Spec {
-	return clampTaskReq(ss.req, task.GPUs)
-}
-
-// tryTask attempts one commit-or-migrate step (the NotebookOS task path
-// generalized across clusters) and reports whether it made progress.
-func (s *fedSim) tryTask(ss *fedSession, task trace.Task, submit time.Time) bool {
-	if len(ss.hosts) == 0 {
-		return true // dropped session: swallow its tasks
-	}
-	lat := s.cfg.Latencies
-	req := s.fedTaskReq(ss, task)
-	migrationDelay := s.now().Sub(submit)
-
-	executor := 0
-	if ss.lastExecutor > 0 && ss.lastExecutor <= len(ss.hosts) &&
-		ss.hosts[ss.lastExecutor-1] != nil &&
-		ss.hosts[ss.lastExecutor-1].h.CanCommit(req) {
-		executor = ss.lastExecutor
-	}
-	if executor == 0 {
-		for i, fh := range ss.hosts {
-			if fh != nil && fh.h.CanCommit(req) {
-				executor = i + 1
-				break
-			}
-		}
-	}
-	if executor == 0 {
-		return s.tryFedMigrate(ss, task, submit)
-	}
-	fh := ss.hosts[executor-1]
-	holder := ss.holder
-	if err := fh.h.Commit(holder, req); err != nil {
-		return s.tryFedMigrate(ss, task, submit)
-	}
-	if migrationDelay == 0 {
-		s.res.ImmediateCommits++
-	}
-	ss.lastExecutor = executor
-	s.members[fh.member].res.Tasks++
-
-	// A replica living outside the session's home cluster serves requests
-	// across the federation boundary: request and reply each pay one
-	// inter-cluster crossing (summed per direction, so asymmetric
-	// matrices charge correctly).
-	var wan time.Duration
-	if fh.member != ss.home {
-		wan = s.fed.RoundTrip(ss.home, fh.member)
-		s.res.RemoteExecutions++
-	}
-
-	delay := migrationDelay +
-		lat.GSProcess(s.rng) +
-		lat.PreProcess(s.rng) +
-		lat.Election(s.rng) +
-		lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs) +
-		lat.Hop(s.rng) + lat.Hop(s.rng) +
-		wan
-
-	// The pipeline runs as a fedTask state machine: one allocation per
-	// task, re-scheduled phase after phase through pooled Runner events.
-	ft := &fedTask{s: s, ss: ss, task: task, submit: submit, fh: fh, delay: delay}
-	ss.cur = ft
-	s.eng.ScheduleRunner(submit.Add(delay), ft)
-	return true
-}
-
-// tryFedMigrate handles the all-YIELD path across the federation: find a
-// target host anywhere (clusters in route-policy order, most-idle host
-// within the chosen cluster), pay container plus checkpoint-restore costs
-// — plus two inter-cluster crossings when the replica changes cluster —
-// swap the replica, and resubmit. With no target anywhere, one scale-out
-// of the home cluster is triggered and the caller parks on the shared
-// wait-queue until *any* cluster frees capacity.
-func (s *fedSim) tryFedMigrate(ss *fedSession, task trace.Task, submit time.Time) bool {
-	lat := s.cfg.Latencies
-	req := s.fedTaskReq(ss, task)
-
-	// The failed election itself costs one election round.
-	electionCost := lat.Election(s.rng)
-
-	var target *fedHost
-	for _, idx := range s.cfg.Route.Order(s.fed, ss.home, &s.route) {
-		bestIdle := -1
-		for _, fh := range s.members[idx].hosts {
-			if fedHostsContain(ss.hosts, fh) || !fh.h.CanCommit(req) {
-				continue
-			}
-			if idle := fh.h.IdleGPUs(); idle > bestIdle {
-				bestIdle = idle
-				target = fh
-			}
-		}
-		if target != nil {
-			break
-		}
-	}
-	if target == nil {
-		// Scale out the home cluster; the AddHost notification wakes the
-		// shared wait-queue (as does a Release in any other cluster).
-		if s.members[ss.home].pendingHosts == 0 {
-			s.provisionHosts(ss.home, 1)
-		}
-		return false
-	}
-
-	// Victim: a crash-emptied slot (faults.go) is refilled first;
-	// otherwise the replica on the fullest host.
-	victim := 0
-	worst := math.MaxInt
-	for i, fh := range ss.hosts {
-		if fh == nil {
-			victim = i
-			break
-		}
-		if idle := fh.h.IdleGPUs(); idle < worst {
-			worst = idle
-			victim = i
-		}
-	}
-	old := ss.hosts[victim]
-	cross := old != nil && old.member != target.member
-
-	var extra time.Duration
-	if target.warm > 0 {
-		target.warm--
-		s.res.WarmStarts++
-		extra += lat.WarmAttach(s.rng)
-		tfh := target
-		s.eng.Defer(lat.ColdStart(s.rng), func() { tfh.warm++ })
-	} else {
-		s.res.ColdStarts++
-		extra += lat.ColdStart(s.rng)
-	}
-	// Persist + restore checkpointed state through the data store; a
-	// cross-cluster move pays the federation boundary in both directions.
-	wrLat := lat.Store.PutLatency(ss.assig.Model.ParamBytes, s.rng)
-	rdLat := lat.Store.GetLatency(ss.assig.Model.ParamBytes, s.rng)
-	extra += wrLat + rdLat + electionCost
-	if cross {
-		extra += s.fed.RoundTrip(old.member, target.member)
-	}
-
-	key := ss.replicaKeyFor(victim + 1)
-	if old != nil {
-		_ = old.h.RemoveReplica(key)
-	}
-	_ = target.h.PlaceReplica(key, ss.req)
-	ss.hosts[victim] = target
-	ss.lastExecutor = victim + 1
-	s.res.Migrations++
-	s.members[target.member].res.MigrationsIn++
-	if cross {
-		s.res.CrossMigrations++
-	}
-
-	s.eng.Defer(extra, func() {
-		s.runTask(ss, task, submit)
-	})
-	return true
-}
-
-// fedHostsContain reports whether fh is one of the session's replica hosts.
-func fedHostsContain(hosts []*fedHost, fh *fedHost) bool {
-	for _, x := range hosts {
-		if x == fh {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *fedSim) markTraining(member int, task trace.Task, start bool) {
-	g := float64(task.GPUs)
-	if !start {
-		g = -g
-	}
-	s.members[member].res.CommittedGPUs.Delta(s.now(), g)
-}
-
-// ---- periodic sampling & autoscaling ------------------------------------
-
-func (s *fedSim) scheduleSampling() {
-	var tick func()
-	tick = func() {
-		s.sampleProvisioned()
-		if s.now().Before(s.end) {
-			s.eng.DeferLate(s.cfg.SampleEvery, tick)
-		}
-	}
-	s.eng.DeferLate(0, tick)
-}
-
-func (s *fedSim) sampleProvisioned() {
-	at := s.now()
 	for _, m := range s.members {
-		m.res.ProvisionedGPUs.Set(at, float64(m.c.TotalGPUs()))
+		m.res.FinalHosts = m.c.NumHosts()
+		out.Clusters = append(out.Clusters, m.res)
 	}
-}
-
-func (s *fedSim) scheduleAutoscale() {
-	var tick func()
-	tick = func() {
-		if s.autoscaler != nil {
-			s.autoscalePooled()
-		} else {
-			for i := range s.members {
-				s.autoscaleMember(i)
-			}
-		}
-		if s.now().Before(s.end) {
-			s.eng.DeferLate(s.cfg.AutoscaleInterval, tick)
-		}
-	}
-	s.eng.DeferLate(s.cfg.AutoscaleInterval, tick)
+	return out, nil
 }
 
 // autoscalePooled runs one pooled evaluation: snapshot every member's O(1)
@@ -1056,155 +501,18 @@ func (s *fedSim) scheduleAutoscale() {
 // hosts from it. Per-member MinHosts floors do not apply here; the
 // autoscaler enforces the federation-wide floor and the placement anchor
 // (some member always keeps R hosts).
-func (s *fedSim) autoscalePooled() {
-	if s.loads == nil {
-		s.loads = make([]federation.MemberLoad, len(s.members))
-	}
-	loads := s.loads
+func (s *sim) autoscalePooled() {
 	for i, m := range s.members {
-		l := federation.MemberLoad{
-			Hosts:          m.c.NumHosts(),
-			PendingHosts:   m.pendingHosts,
-			GPUsPerHost:    m.spec.HostCapacity.GPUs,
-			CommittedGPUs:  m.c.CommittedGPUs(),
-			SubscribedGPUs: m.c.SubscribedGPUs(),
-		}
-		for _, fh := range m.hosts {
-			if hostEmpty(fh) {
-				l.EmptyHosts++
-			}
-		}
-		loads[i] = l
+		s.loads[i] = s.memberLoad(m)
 	}
-	dec := s.autoscaler.Decide(loads)
+	dec := s.autoscaler.Decide(s.loads)
 	switch dec.Action {
 	case federation.ScaleOut:
-		s.provisionHosts(dec.Member, dec.Hosts)
+		s.provision(dec.Member, dec.Hosts, s.cfg.Latencies.HostProvision(s.rng))
 	case federation.ScaleIn:
-		m := s.members[dec.Member]
-		released := 0
-		for i := 0; i < len(m.hosts) && released < dec.Hosts; {
-			if s.removeHostIfEmpty(m, i) {
-				released++
-				continue
-			}
-			i++
-		}
-		if released > 0 {
+		if s.detachEmptyHosts(dec.Member, dec.Hosts) > 0 {
 			s.res.ScaleIns++
-			m.res.ScaleIns++
-			s.sampleProvisioned()
+			s.members[dec.Member].res.ScaleIns++
 		}
-	}
-}
-
-// provisionHosts starts need hosts toward member idx: they count as
-// pending (toward autoscaler capacity) immediately and land after the
-// provisioning latency.
-func (s *fedSim) provisionHosts(idx, need int) {
-	s.provisionHostsAfter(idx, need, s.cfg.Latencies.HostProvision(s.rng))
-}
-
-// provisionHostsAfter is provisionHosts with the provisioning latency as
-// a parameter, so the lease pool can charge a pool-rng draw (one per
-// pooled decision) instead of a worker-rng draw.
-func (s *fedSim) provisionHostsAfter(idx, need int, provision time.Duration) {
-	m := s.members[idx]
-	m.pendingHosts += need
-	s.res.ScaleOuts++
-	m.res.ScaleOuts++
-	s.eng.Defer(provision, func() {
-		for i := 0; i < need; i++ {
-			s.addHost(idx)
-		}
-		m.pendingHosts -= need
-		s.sampleProvisioned()
-	})
-}
-
-// hostEmpty reports whether a host holds no replicas and no commitments —
-// the one definition of "retirable" shared by the scale-in executors and
-// the EmptyHosts gauge the pooled autoscaler decides on, so the gauge can
-// never promise removals the executor refuses.
-func hostEmpty(fh *fedHost) bool {
-	return fh.h.NumReplicas() == 0 && fh.h.Committed().IsZero()
-}
-
-// removeHostIfEmpty retires m.hosts[i] when it is empty, unwiring it from
-// the member and the host index; reports whether it was removed. Both
-// autoscaling modes retire through this so the emptiness predicate and
-// the bookkeeping cannot drift apart.
-func (s *fedSim) removeHostIfEmpty(m *fedMember, i int) bool {
-	fh := m.hosts[i]
-	if !hostEmpty(fh) {
-		return false
-	}
-	if err := m.c.RemoveHost(fh.h.ID); err != nil {
-		return false
-	}
-	m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
-	delete(s.byHost, fh.h)
-	s.noteHosts(-1)
-	return true
-}
-
-// autoscaleMember runs one member's autoscaler evaluation: each cluster
-// scales against its own committed load (federations do not pool
-// autoscaling decisions, only placements).
-func (s *fedSim) autoscaleMember(idx int) {
-	m := s.members[idx]
-	gpusPerHost := m.spec.HostCapacity.GPUs
-	expected := s.cfg.ScaleFactor * float64(m.c.CommittedGPUs())
-	total := m.c.TotalGPUs() + m.pendingHosts*gpusPerHost
-
-	if float64(total) < expected {
-		need := int(math.Ceil((expected - float64(total)) / float64(gpusPerHost)))
-		s.provisionHosts(idx, need)
-		return
-	}
-	// Scale in: release up to 2 idle servers while above the floor.
-	if float64(total)-float64(gpusPerHost) > expected && m.c.NumHosts() > m.spec.MinHosts {
-		released := 0
-		for i := 0; i < len(m.hosts); {
-			if released >= 2 || m.c.NumHosts() <= m.spec.MinHosts {
-				break
-			}
-			removed := s.removeHostIfEmpty(m, i)
-			if removed {
-				released++
-			}
-			if float64(m.c.TotalGPUs())-float64(gpusPerHost) <= expected {
-				break
-			}
-			if !removed {
-				i++
-			}
-		}
-		if released > 0 {
-			s.res.ScaleIns++
-			m.res.ScaleIns++
-			s.sampleProvisioned()
-		}
-	}
-}
-
-// finalize merges the per-cluster series and computes integrated hours.
-func (s *fedSim) finalize() {
-	start, end := s.start, s.end
-	prov := make([]*metrics.Timeline, len(s.members))
-	comm := make([]*metrics.Timeline, len(s.members))
-	for i, m := range s.members {
-		prov[i] = m.res.ProvisionedGPUs
-		comm[i] = m.res.CommittedGPUs
-		m.res.FinalHosts = m.c.NumHosts()
-	}
-	s.res.ProvisionedGPUs = metrics.MergeTimelines(prov...)
-	s.res.CommittedGPUs = metrics.MergeTimelines(comm...)
-	s.res.ActiveGPUHours = s.res.CommittedGPUs.Integral(start, end)
-	s.res.ProvisionedGPUHours = s.res.ProvisionedGPUs.Integral(start, end)
-	if s.streaming {
-		s.res.ReservedGPUHours = s.reserved.finish(end.UnixNano())
-	} else {
-		s.res.ReservedGPUHours = s.cfg.Trace.ReservedGPUs().Integral(start, end)
 	}
 }

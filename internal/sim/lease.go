@@ -2,11 +2,11 @@ package sim
 
 import (
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"notebookos/internal/cluster"
-	"notebookos/internal/des"
 	"notebookos/internal/federation"
 	"notebookos/internal/trace"
 )
@@ -76,21 +76,36 @@ const (
 )
 
 // epochBarrier is a reusable k-party generation barrier. The last
-// arrival runs the barrier action while every other party is parked on
-// the condition variable, then releases the generation — giving the
-// action exclusive access to all workers' state with the mutex providing
-// the happens-before edges the race detector (and the memory model)
-// demand.
+// arrival runs the barrier action while every other party waits, then
+// releases the generation — giving the action exclusive access to all
+// workers' state, with the arrival counter and the generation (both
+// atomics) providing the happens-before edges the race detector (and the
+// memory model) demand.
+//
+// A waiter first yields its processor a bounded number of times and only
+// then parks on the condition variable. At the default epoch (one
+// simulated minute) a 10-day trace crosses ~14k barriers whose epochs hold
+// microseconds of work each; parking at every one of them puts most of a
+// leased run's wall-clock into OS thread sleeps and wake-ups, and makes it
+// as unsteady as the host's wake-up latency. Yielding hands the processor
+// to whichever simulation still has work (there are k+1 of them, often on
+// fewer cores) and notices the release without a system call; long epochs
+// exhaust the budget and park, where a wake-up is noise against the
+// epoch's own length.
 type epochBarrier struct {
+	parties int32
+	arrived atomic.Int32
+	gen     atomic.Uint64
 	mu      sync.Mutex
 	cond    *sync.Cond
-	parties int
-	arrived int
-	gen     uint64
 }
 
+// barrierYields bounds a waiter's yield phase — tens of microseconds of
+// scheduler round-trips — before it parks.
+const barrierYields = 256
+
 func newEpochBarrier(parties int) *epochBarrier {
-	b := &epochBarrier{parties: parties}
+	b := &epochBarrier{parties: int32(parties)}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -98,18 +113,26 @@ func newEpochBarrier(parties int) *epochBarrier {
 // await blocks until all parties arrive; the last arrival runs onLast,
 // then every party proceeds.
 func (b *epochBarrier) await(onLast func()) {
-	b.mu.Lock()
-	gen := b.gen
-	b.arrived++
-	if b.arrived == b.parties {
+	// Read before arriving: the generation cannot advance until this party
+	// has arrived, so every waiter of a generation holds the same value.
+	gen := b.gen.Load()
+	if b.arrived.Add(1) == b.parties {
 		onLast()
-		b.arrived = 0
-		b.gen++
+		b.arrived.Store(0)
+		b.mu.Lock()
+		b.gen.Add(1)
 		b.cond.Broadcast()
 		b.mu.Unlock()
 		return
 	}
-	for gen == b.gen {
+	for i := 0; i < barrierYields; i++ {
+		if b.gen.Load() != gen {
+			return
+		}
+		runtime.Gosched()
+	}
+	b.mu.Lock()
+	for b.gen.Load() == gen {
 		b.cond.Wait()
 	}
 	b.mu.Unlock()
@@ -130,28 +153,62 @@ func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 	}
 }
 
-// runBarriers drives the engines (the ledger's and the workers') in
+// runBarriers drives the simulations (the ledger and the workers) in
 // epoch-sized steps: each engine runs to the next boundary on its own
 // goroutine, all rendezvous, the last arrival runs reconcile, and the
-// generation releases. After the final boundary each engine drains its
-// in-flight tail past the window independently, as Run does.
-func runBarriers(engines []*des.Engine, start, end time.Time, epoch time.Duration, reconcile func()) {
-	bounds := epochBoundaries(start, end, epoch)
-	bar := newEpochBarrier(len(engines))
+// generation releases. After the final boundary each simulation drains its
+// in-flight tail past the window independently, as Run does. The window is
+// the first simulation's (the ledger's).
+func runBarriers(sims []*sim, epoch time.Duration, reconcile func()) {
+	bounds := epochBoundaries(sims[0].start, sims[0].end, epoch)
+	bar := newEpochBarrier(len(sims))
 	var wg sync.WaitGroup
-	for _, eng := range engines {
-		eng := eng
+	for _, s := range sims {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for _, t := range bounds {
-				eng.RunUntil(t)
+				s.eng.RunUntil(t)
 				bar.await(reconcile)
 			}
-			eng.RunUntil(end.Add(24 * time.Hour))
+			s.drain()
 		}()
 	}
 	wg.Wait()
+}
+
+// runLeased is the lease protocol's skeleton, shared by the single-cluster
+// and the federated pool: build the capacity ledger from the parent config
+// (which must be exactly what the unsharded runner would have received —
+// the ledger's result is the unsharded run's, byte for byte) and the
+// lease-managed workers from the prepared worker configs (whose host
+// counts carry the initial lease grants), drive all of them through the
+// epoch barriers with the pool's reconcile as the barrier action, and
+// return the ledger's result and the workers' results in shard order.
+func runLeased[C, R any](cfg C, wcfgs []C, build func(C) (*sim, error), epoch time.Duration,
+	pool func(ledger *sim, workers []*sim) (reconcile func()), finish func(*sim) (R, error),
+) (ledger R, workers []R, err error) {
+	sims := make([]*sim, 0, len(wcfgs)+1)
+	defer func() {
+		for _, s := range sims {
+			s.close()
+		}
+	}()
+	for _, c := range append([]C{cfg}, wcfgs...) {
+		s, err := build(c)
+		if err != nil {
+			return ledger, nil, err
+		}
+		sims = append(sims, s)
+	}
+	runBarriers(sims, epoch, pool(sims[0], sims[1:]))
+	results := make([]R, len(sims))
+	for i, s := range sims {
+		if results[i], err = finish(s); err != nil {
+			return ledger, nil, err
+		}
+	}
+	return results[0], results[1:], nil
 }
 
 // ---- planning (pure) -----------------------------------------------------
@@ -234,7 +291,7 @@ func planLeases(loads []shardLoad, target int, p leaseParams) leasePlan {
 	// shard hosts sessions — and the pool tops deficit shards up from
 	// shards holding idle hosts beyond their own need, *before* the
 	// failure happens. Donors free non-empty idle hosts by rehoming their
-	// idle replicas within the shard (see sim.donateHosts).
+	// idle replicas within the shard (see donateHosts).
 	capPerHost := p.Watermark * float64(p.GPUsPerHost*p.Replicas)
 	needs := make([]int, k)
 	spare := make([]int, k)
@@ -388,13 +445,13 @@ type leasePool struct {
 }
 
 // reconcile runs one barrier's reconciliation; it executes inside the
-// barrier action, so the ledger and every worker are parked and the pool
+// barrier action, so the ledger and every worker are waiting and the pool
 // has exclusive access to all of them.
 func (p *leasePool) reconcile() {
 	for i, w := range p.workers {
 		p.loads[i] = w.leaseLoad()
 	}
-	plan := planLeases(p.loads, p.ledger.cluster.NumHosts(), p.params)
+	plan := planLeases(p.loads, p.ledger.members[0].c.NumHosts(), p.params)
 	if leaseDebug != nil {
 		leaseDebug(p.loads, plan)
 	}
@@ -414,13 +471,13 @@ func (p *leasePool) reconcile() {
 			if g > pot {
 				g = pot
 			}
-			p.workers[i].attachHosts(g)
+			p.workers[i].attachHosts(0, g)
 			pot -= g
 		}
 	}
 	for i, n := range plan.Provision {
 		if n > 0 {
-			p.workers[i].attachHosts(n)
+			p.workers[i].attachHosts(0, n)
 		}
 	}
 	for i, n := range plan.Retire {
@@ -431,21 +488,22 @@ func (p *leasePool) reconcile() {
 }
 
 // leaseLoad snapshots the worker's barrier-time counters for the pool.
-// Only called from the barrier action, while the worker is parked.
+// Only called from the barrier action, while the worker is waiting.
 func (s *sim) leaseLoad() shardLoad {
+	m := s.members[0]
 	l := shardLoad{
-		Hosts:          s.cluster.NumHosts(),
-		PendingHosts:   s.pendingHosts,
+		Hosts:          m.c.NumHosts(),
+		PendingHosts:   m.pendingHosts,
 		Waiters:        s.waitq.Len(),
-		CommittedGPUs:  s.cluster.CommittedGPUs(),
-		SubscribedGPUs: s.cluster.SubscribedGPUs(),
-		MaxReqGPUs:     s.leaseMaxReq,
+		CommittedGPUs:  m.c.CommittedGPUs(),
+		SubscribedGPUs: m.c.SubscribedGPUs(),
+		MaxReqGPUs:     s.maxReq,
 		Floor:          leaseFloor,
 	}
-	for _, sh := range s.hostList {
-		if sh.h.Committed().IsZero() {
+	for _, h := range m.hosts {
+		if h.h.Committed().IsZero() {
 			l.IdleHosts++
-			if sh.h.NumReplicas() == 0 {
+			if h.h.NumReplicas() == 0 {
 				l.EmptyHosts++
 			}
 		}
@@ -453,14 +511,15 @@ func (s *sim) leaseLoad() shardLoad {
 	return l
 }
 
-// attachHosts attaches n leased hosts now: the capacity already exists in
-// the pool, so there is no provisioning latency and no scale-out event
-// (the ledger models both). The cluster's AddHost notification queues a
-// wait-queue drain at the barrier instant — the cross-shard wakeup:
-// tasks parked here retry against capacity the pool just granted.
-func (s *sim) attachHosts(n int) {
+// attachHosts attaches n leased hosts to member mi now: the capacity
+// already exists in the pool, so there is no provisioning latency and no
+// scale-out event (the ledger models both). The cluster's AddHost
+// notification queues a wait-queue drain at the barrier instant — the
+// cross-shard wakeup: tasks parked here retry against capacity the pool
+// just granted.
+func (s *sim) attachHosts(mi, n int) {
 	for i := 0; i < n; i++ {
-		s.addHost()
+		s.addHost(mi)
 	}
 	if n > 0 {
 		s.sampleProvisioned()
@@ -468,19 +527,15 @@ func (s *sim) attachHosts(n int) {
 }
 
 // detachEmptyHosts detaches up to n empty hosts (no replicas, nothing
-// committed) and returns the count removed. No scale-in event: the lease
-// moves, the pool level is the ledger's to change.
-func (s *sim) detachEmptyHosts(n int) int {
+// committed) from member mi and returns the count removed. No scale-in
+// event: the lease moves, the pool level is the ledger's to change.
+func (s *sim) detachEmptyHosts(mi, n int) int {
+	m := s.members[mi]
 	removed := 0
-	for i := 0; i < len(s.hostList) && removed < n; {
-		sh := s.hostList[i]
-		if sh.h.NumReplicas() == 0 && sh.h.Committed().IsZero() {
-			if err := s.cluster.RemoveHost(sh.h.ID); err == nil {
-				s.hostList = append(s.hostList[:i], s.hostList[i+1:]...)
-				s.noteHosts(-1)
-				removed++
-				continue
-			}
+	for i := 0; i < len(m.hosts) && removed < n; {
+		if s.removeHostIfEmpty(m, i) {
+			removed++
+			continue
 		}
 		i++
 	}
@@ -498,7 +553,7 @@ func (s *sim) detachEmptyHosts(n int) int {
 // barrier-time bookkeeping — no latency, no migration event;
 // docs/SHARDING.md spells out this modeling choice.
 func (s *sim) donateHosts(n int) int {
-	removed := s.detachEmptyHosts(n)
+	removed := s.detachEmptyHosts(0, n)
 	for removed < n && s.evictOneHost() {
 		removed++
 	}
@@ -512,40 +567,40 @@ func (s *sim) donateHosts(n int) int {
 // (a replica with no viable target) stays attached with the moves kept —
 // still a valid state; a later barrier may finish the job.
 func (s *sim) evictOneHost() bool {
-	var victim *simHost
-	for _, sh := range s.hostList {
-		if !sh.h.Committed().IsZero() || sh.h.NumReplicas() == 0 {
+	m := s.members[0]
+	var victim *host
+	for _, h := range m.hosts {
+		if !h.h.Committed().IsZero() || h.h.NumReplicas() == 0 {
 			continue
 		}
-		if victim == nil || sh.h.NumReplicas() < victim.h.NumReplicas() {
-			victim = sh
+		if victim == nil || h.h.NumReplicas() < victim.h.NumReplicas() {
+			victim = h
 		}
 	}
 	if victim == nil {
 		return false
 	}
-	gphr := float64(s.cfg.HostCapacity.GPUs * s.cfg.ReplicasPerKernel)
-	for _, ss := range s.leaseSessions {
+	gphr := float64(m.spec.HostCapacity.GPUs * s.cfg.ReplicasPerKernel)
+	for _, ss := range s.live {
 		if ss.closed {
 			continue
 		}
 		for idx, h := range ss.hosts {
-			if h != victim.h {
+			if h != victim {
 				continue
 			}
-			var best *cluster.Host
+			var best *host
 			bestSub := -1
-			for _, cand := range s.hostList {
-				ch := cand.h
-				if ch == victim.h || hostsContain(ss.hosts, ch) || !ss.req.Fits(ch.Capacity) {
+			for _, cand := range m.hosts {
+				if cand == victim || hostsContain(ss.hosts, cand) || !ss.req.Fits(cand.h.Capacity) {
 					continue
 				}
-				sub := ch.SubscribedGPUs()
+				sub := cand.h.SubscribedGPUs()
 				if float64(sub+ss.req.GPUs)/gphr > s.cfg.SRHighWatermark {
 					continue
 				}
 				if sub > bestSub {
-					bestSub, best = sub, ch
+					bestSub, best = sub, cand
 				}
 			}
 			if best == nil {
@@ -553,7 +608,7 @@ func (s *sim) evictOneHost() bool {
 			}
 			key := ss.replicaKeyFor(idx + 1)
 			_ = victim.h.RemoveReplica(key)
-			_ = best.PlaceReplica(key, ss.req)
+			_ = best.h.PlaceReplica(key, ss.req)
 			ss.hosts[idx] = best
 		}
 	}
@@ -561,66 +616,33 @@ func (s *sim) evictOneHost() bool {
 		// Replicas this worker no longer tracks (defensive) block eviction.
 		return false
 	}
-	return s.detachEmptyHosts(1) == 1
+	return s.detachEmptyHosts(0, 1) == 1
 }
 
-// runShardedLeased builds the capacity ledger from the parent config and
-// lease-managed workers from the prepared worker configs (whose Hosts
-// fields carry the initial lease grants), then drives all of them
-// through the barrier protocol. cfg must be exactly what Run would have
-// received — the ledger's result is the unsharded run's, byte for byte.
+// runShardedLeased runs the single-cluster lease protocol (see runLeased)
+// and assembles its result.
 func runShardedLeased(cfg Config, wcfgs []Config) (*Result, error) {
-	ledger, err := newSim(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer ledger.close()
-	workers := make([]*sim, len(wcfgs))
 	for i := range wcfgs {
 		wcfgs[i].leaseManaged = true
-		w, err := newSim(wcfgs[i])
-		if err != nil {
-			for _, b := range workers[:i] {
-				b.close()
-			}
-			return nil, err
+	}
+	pool := func(ledger *sim, workers []*sim) func() {
+		p := &leasePool{
+			ledger:  ledger,
+			workers: workers,
+			params: leaseParams{
+				GPUsPerHost: cfg.HostCapacity.GPUs,
+				Watermark:   cfg.SRHighWatermark,
+				Replicas:    cfg.ReplicasPerKernel,
+			},
+			loads: make([]shardLoad, len(workers)),
 		}
-		workers[i] = w
+		return p.reconcile
 	}
-	defer func() {
-		for _, w := range workers {
-			w.close()
-		}
-	}()
-	pool := &leasePool{
-		ledger:  ledger,
-		workers: workers,
-		params: leaseParams{
-			GPUsPerHost: cfg.HostCapacity.GPUs,
-			Watermark:   cfg.SRHighWatermark,
-			Replicas:    cfg.ReplicasPerKernel,
-		},
-		loads: make([]shardLoad, len(wcfgs)),
-	}
-	engines := make([]*des.Engine, 0, len(workers)+1)
-	engines = append(engines, ledger.eng)
-	for _, w := range workers {
-		engines = append(engines, w.eng)
-	}
-	runBarriers(engines, ledger.start, ledger.end, cfg.LeaseEpoch, pool.reconcile)
-	lres, err := ledger.finish()
+	ledger, workers, err := runLeased(cfg, wcfgs, newSim, cfg.LeaseEpoch, pool, (*sim).finish)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*Result, len(workers))
-	for i, w := range workers {
-		r, err := w.finish()
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	return leasedResult(lres, MergeResults(results...)), nil
+	return leasedResult(ledger, MergeResults(workers...)), nil
 }
 
 // leasedResult assembles the LeasePool result: the ledger is
@@ -652,8 +674,8 @@ func leasedResult(ledger, merged *Result) *Result {
 // federation.FederatedAutoscaler deciding once per tick over the whole
 // (pooled) workload's counters.
 type fedLeasePool struct {
-	ledger   *fedSim
-	workers  []*fedSim
+	ledger   *sim
+	workers  []*sim
 	specs    []FedClusterSpec
 	replicas int
 
@@ -687,12 +709,14 @@ func (p *fedLeasePool) floor(i, m int) int {
 }
 
 // reconcile runs one barrier's reconciliation (inside the barrier
-// action; the ledger and all workers parked). Order is fixed: members
+// action; the ledger and all workers waiting). Order is fixed: members
 // ascending, shards ascending within a member.
 func (p *fedLeasePool) reconcile() {
 	k := len(p.workers)
 	for i, w := range p.workers {
-		w.fillLeaseLoads(p.loads[i])
+		for m, wm := range w.members {
+			p.loads[i][m] = w.memberLoad(wm)
+		}
 	}
 	for m := range p.specs {
 		// Phase 1: rebalance within the member toward the
@@ -733,12 +757,12 @@ func (p *fedLeasePool) reconcile() {
 		planTransfers(p.spare, p.want, p.transfer)
 		for i, d := range p.transfer {
 			if d < 0 {
-				p.workers[i].detachMemberEmpty(m, -d)
+				p.workers[i].detachEmptyHosts(m, -d)
 			}
 		}
 		for i, d := range p.transfer {
 			if d > 0 {
-				p.workers[i].attachMemberHosts(m, d)
+				p.workers[i].attachHosts(m, d)
 			}
 		}
 		for i, d := range p.transfer {
@@ -760,7 +784,7 @@ func (p *fedLeasePool) reconcile() {
 					g = delta
 				}
 				if g > 0 {
-					p.workers[i].attachMemberHosts(m, g)
+					p.workers[i].attachHosts(m, g)
 					p.loads[i][m].Hosts += g
 					delta -= g
 				}
@@ -771,7 +795,7 @@ func (p *fedLeasePool) reconcile() {
 				}
 				for i, n := range trace.ProportionalShares(p.weights, delta, 0) {
 					if n > 0 {
-						p.workers[i].attachMemberHosts(m, n)
+						p.workers[i].attachHosts(m, n)
 						p.loads[i][m].Hosts += n
 					}
 				}
@@ -793,7 +817,7 @@ func (p *fedLeasePool) reconcile() {
 				if avail <= 0 {
 					continue
 				}
-				removed := p.workers[i].detachMemberEmpty(m, avail)
+				removed := p.workers[i].detachEmptyHosts(m, avail)
 				p.loads[i][m].Hosts -= removed
 				p.loads[i][m].EmptyHosts -= removed
 				excess -= removed
@@ -802,61 +826,8 @@ func (p *fedLeasePool) reconcile() {
 	}
 }
 
-// fillLeaseLoads snapshots every member's barrier-time counters. Only
-// called from the barrier action, while the worker is parked.
-func (s *fedSim) fillLeaseLoads(out []federation.MemberLoad) {
-	for i, m := range s.members {
-		l := federation.MemberLoad{
-			Hosts:          m.c.NumHosts(),
-			PendingHosts:   m.pendingHosts,
-			GPUsPerHost:    m.spec.HostCapacity.GPUs,
-			CommittedGPUs:  m.c.CommittedGPUs(),
-			SubscribedGPUs: m.c.SubscribedGPUs(),
-		}
-		for _, fh := range m.hosts {
-			if hostEmpty(fh) {
-				l.EmptyHosts++
-			}
-		}
-		out[i] = l
-	}
-}
-
-// attachMemberHosts attaches n leased hosts to member m now — see
-// sim.attachHosts: no latency, no scale event, and the AddHost
-// notification is the cross-shard wakeup at the boundary.
-func (s *fedSim) attachMemberHosts(m, n int) {
-	for i := 0; i < n; i++ {
-		s.addHost(m)
-	}
-	if n > 0 {
-		s.sampleProvisioned()
-	}
-}
-
-// detachMemberEmpty detaches up to n empty hosts from member mi and
-// returns the count removed — see sim.detachEmptyHosts.
-func (s *fedSim) detachMemberEmpty(mi, n int) int {
-	m := s.members[mi]
-	removed := 0
-	for i := 0; i < len(m.hosts) && removed < n; {
-		if s.removeHostIfEmpty(m, i) {
-			removed++
-			continue
-		}
-		i++
-	}
-	if removed > 0 {
-		s.sampleProvisioned()
-	}
-	return removed
-}
-
-// runFederatedShardedLeased builds the federated capacity ledger from
-// the parent config and lease-managed worker federations from the
-// prepared worker configs, then drives all of them through the barrier
-// protocol. cfg must be exactly what RunFederated would have received —
-// the ledger's result is the unsharded run's, byte for byte.
+// runFederatedShardedLeased runs the federated lease protocol (see
+// runLeased) and assembles its result.
 func runFederatedShardedLeased(cfg FedConfig, wcfgs []FedConfig) (*FedResult, error) {
 	// cfg already went through withDefaults (which normalizes an explicit
 	// NoInterClusterPenalty to 0); restore the sentinel so the ledger's
@@ -864,62 +835,32 @@ func runFederatedShardedLeased(cfg FedConfig, wcfgs []FedConfig) (*FedResult, er
 	if cfg.InterClusterPenalty == 0 {
 		cfg.InterClusterPenalty = NoInterClusterPenalty
 	}
-	ledger, err := newFedSim(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer ledger.close()
-	k := len(wcfgs)
-	workers := make([]*fedSim, k)
 	for i := range wcfgs {
 		wcfgs[i].leaseManaged = true
-		w, err := newFedSim(wcfgs[i])
-		if err != nil {
-			for _, b := range workers[:i] {
-				b.close()
-			}
-			return nil, err
+	}
+	pool := func(ledger *sim, workers []*sim) func() {
+		k := len(workers)
+		p := &fedLeasePool{
+			ledger:   ledger,
+			workers:  workers,
+			specs:    cfg.Clusters,
+			replicas: cfg.ReplicasPerKernel,
+			loads:    make([][]federation.MemberLoad, k),
+			spare:    make([]int, k),
+			want:     make([]int, k),
+			transfer: make([]int, k),
+			weights:  make([]float64, k),
 		}
-		workers[i] = w
-	}
-	defer func() {
-		for _, w := range workers {
-			w.close()
+		for i := range p.loads {
+			p.loads[i] = make([]federation.MemberLoad, len(cfg.Clusters))
 		}
-	}()
-	pool := &fedLeasePool{
-		ledger:   ledger,
-		workers:  workers,
-		specs:    cfg.Clusters,
-		replicas: cfg.ReplicasPerKernel,
-		spare:    make([]int, k),
-		want:     make([]int, k),
-		transfer: make([]int, k),
-		weights:  make([]float64, k),
+		return p.reconcile
 	}
-	pool.loads = make([][]federation.MemberLoad, k)
-	for i := range pool.loads {
-		pool.loads[i] = make([]federation.MemberLoad, len(cfg.Clusters))
-	}
-	engines := make([]*des.Engine, 0, k+1)
-	engines = append(engines, ledger.eng)
-	for _, w := range workers {
-		engines = append(engines, w.eng)
-	}
-	runBarriers(engines, ledger.start, ledger.end, cfg.LeaseEpoch, pool.reconcile)
-	lres, err := ledger.finish()
+	ledger, workers, err := runLeased(cfg, wcfgs, newFederated, cfg.LeaseEpoch, pool, (*sim).finishFed)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*FedResult, k)
-	for i, w := range workers {
-		r, err := w.finish()
-		if err != nil {
-			return nil, err
-		}
-		results[i] = r
-	}
-	return leasedFedResult(lres, MergeFedResults(results...)), nil
+	return leasedFedResult(ledger, MergeFedResults(workers...)), nil
 }
 
 // leasedFedResult assembles the federated LeasePool result — the same

@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -265,5 +266,46 @@ func TestEpochBoundaries(t *testing.T) {
 		if !bounds[i].Equal(want[i]) {
 			t.Errorf("boundary %d: got %v, want %v", i, bounds[i], want[i])
 		}
+	}
+}
+
+// TestEpochBarrierYieldAndPark drives the barrier through both of its
+// waits: generations released while the waiters are still yielding, and
+// ones where a party arrives late enough that the others exhaust their
+// yield budget and park. Each generation's action must run exactly once,
+// after every party arrived and before any proceeds; the parties' plain
+// writes make -race check the barrier's happens-before edges.
+func TestEpochBarrierYieldAndPark(t *testing.T) {
+	const parties, gens = 4, 200
+	bar := newEpochBarrier(parties)
+	var arrived [parties]int
+	actions := 0
+	var wg sync.WaitGroup
+	for p := 0; p < parties; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for g := 1; g <= gens; g++ {
+				if p == 0 && g%50 == 0 {
+					time.Sleep(2 * time.Millisecond)
+				}
+				arrived[p] = g
+				bar.await(func() {
+					actions++
+					for q, a := range arrived {
+						if a != g {
+							t.Errorf("generation %d released with party %d at %d", g, q, a)
+						}
+					}
+				})
+				if actions != g {
+					t.Errorf("party %d left generation %d after %d actions", p, g, actions)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if actions != gens {
+		t.Fatalf("%d actions over %d generations", actions, gens)
 	}
 }

@@ -86,43 +86,60 @@ func RunSharded(cfg Config, shards int) (*Result, error) {
 	for i, p := range parts {
 		weights[i] = p.Weight
 	}
+	wcfgs := shardConfigs(cfg, weights)
+	for i := range wcfgs {
+		wcfgs[i].Trace = parts[i].Trace
+	}
+	if cfg.ShardCapacity == LeasePool {
+		return runShardedLeased(cfg, wcfgs)
+	}
+	return runShards(wcfgs, Run, MergeResults)
+}
+
+// shardConfigs derives the workers' configs from the parent's: capacity
+// split by weight — Hosts floored at 1 per shard, MinHosts through
+// floorShares (a worker's MinHosts=0 would read as "use the default" (4)
+// and multiply the aggregate floor), ScalingBufferHosts unfloored — and
+// worker i seeded with ShardSeed(Seed, i). The caller hands each worker its
+// slice of the workload.
+func shardConfigs(cfg Config, weights []float64) []Config {
 	hosts := trace.ProportionalShares(weights, cfg.Hosts, 1)
-	// The floor split must leave no zero share: a worker's MinHosts=0 would
-	// read as "use the default" (4) and multiply the aggregate floor.
 	minHosts := floorShares(weights, cfg.MinHosts)
 	buffers := trace.ProportionalShares(weights, cfg.ScalingBufferHosts, 0)
-
-	wcfgs := make([]Config, len(parts))
-	for i := range parts {
+	wcfgs := make([]Config, len(weights))
+	for i := range wcfgs {
 		wcfg := cfg
-		wcfg.Trace = parts[i].Trace
 		wcfg.Hosts = hosts[i]
 		wcfg.MinHosts = minHosts[i]
 		wcfg.ScalingBufferHosts = buffers[i]
 		wcfg.Seed = ShardSeed(cfg.Seed, i)
 		wcfgs[i] = wcfg
 	}
-	if cfg.ShardCapacity == LeasePool {
-		return runShardedLeased(cfg, wcfgs)
-	}
+	return wcfgs
+}
 
-	results := make([]*Result, len(parts))
-	errs := make([]error, len(parts))
+// runShards runs one simulation per worker config on parallel goroutines
+// and merges the results in shard order — workers land in a slice indexed
+// by shard, so the merge never depends on which worker finished first.
+func runShards[C, R any](wcfgs []C, run func(C) (R, error), merge func(...R) R) (R, error) {
+	results := make([]R, len(wcfgs))
+	errs := make([]error, len(wcfgs))
 	var wg sync.WaitGroup
 	for i := range wcfgs {
 		wg.Add(1)
-		go func(i int, wcfg Config) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = Run(wcfg)
-		}(i, wcfgs[i])
+			results[i], errs[i] = run(wcfgs[i])
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			var zero R
+			return zero, err
 		}
 	}
-	return MergeResults(results...), nil
+	return merge(results...), nil
 }
 
 // MergeResults combines per-shard worker results into one Result, in the
@@ -221,7 +238,7 @@ func MergeResults(results ...*Result) *Result {
 // mergeFaultTimelines merges the shards' fault recorders while preserving
 // the zero-fault contract: when no shard recorded one (faults disabled)
 // the merged field stays nil, exactly like an unsharded run's.
-func mergeFaultTimelines(results []*Result, get func(*Result) *metrics.Timeline) *metrics.Timeline {
+func mergeFaultTimelines[R any](results []R, get func(R) *metrics.Timeline) *metrics.Timeline {
 	ins := make([]*metrics.Timeline, 0, len(results))
 	for _, r := range results {
 		if tl := get(r); tl != nil {
@@ -235,7 +252,7 @@ func mergeFaultTimelines(results []*Result, get func(*Result) *metrics.Timeline)
 }
 
 // mergeFaultSamples is mergeFaultTimelines for sample recorders.
-func mergeFaultSamples(results []*Result, get func(*Result) *metrics.Sample) *metrics.Sample {
+func mergeFaultSamples[R any](results []R, get func(R) *metrics.Sample) *metrics.Sample {
 	ins := make([]*metrics.Sample, 0, len(results))
 	for _, r := range results {
 		if sm := get(r); sm != nil {
@@ -321,12 +338,24 @@ func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
 	for i, p := range parts {
 		weights[i] = p.Weight
 	}
-	// memberHosts[m] / memberFloors[m] are member m's host count and
-	// scale-in floor split across the shards; fedFloors is the
-	// federation-wide floor's split. Floors keep at least 1 per worker: a
-	// zero would read as "use the default" to the worker's own config
-	// defaulting and silently replace the caller's (or the parent
-	// default's) floor policy.
+	wcfgs := shardFedConfigs(cfg, weights)
+	for i := range wcfgs {
+		wcfgs[i].Trace = parts[i].Trace
+	}
+	if cfg.ShardCapacity == LeasePool {
+		return runFederatedShardedLeased(cfg, wcfgs)
+	}
+	return runShards(wcfgs, RunFederated, MergeFedResults)
+}
+
+// shardFedConfigs derives the worker federations' configs from the
+// (defaulted) parent's: every member's host count and scale-in floor, and
+// the federation-wide floor, split by weight. Floors keep at least 1 per
+// worker: a zero would read as "use the default" to the worker's own
+// config defaulting and silently replace the caller's (or the parent
+// default's) floor policy. The caller hands each worker its slice of the
+// workload.
+func shardFedConfigs(cfg FedConfig, weights []float64) []FedConfig {
 	memberHosts := make([][]int, len(cfg.Clusters))
 	memberFloors := make([][]int, len(cfg.Clusters))
 	for m, spec := range cfg.Clusters {
@@ -335,10 +364,9 @@ func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
 	}
 	fedFloors := floorShares(weights, cfg.FedMinHosts)
 
-	wcfgs := make([]FedConfig, len(parts))
-	for i := range parts {
+	wcfgs := make([]FedConfig, len(weights))
+	for i := range wcfgs {
 		wcfg := cfg
-		wcfg.Trace = parts[i].Trace
 		wcfg.Clusters = make([]FedClusterSpec, len(cfg.Clusters))
 		for m, spec := range cfg.Clusters {
 			spec.Hosts = memberHosts[m][i]
@@ -358,27 +386,7 @@ func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
 		wcfg.Route = federation.FreshPolicy(cfg.Route)
 		wcfgs[i] = wcfg
 	}
-	if cfg.ShardCapacity == LeasePool {
-		return runFederatedShardedLeased(cfg, wcfgs)
-	}
-
-	results := make([]*FedResult, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i := range wcfgs {
-		wg.Add(1)
-		go func(i int, wcfg FedConfig) {
-			defer wg.Done()
-			results[i], errs[i] = RunFederated(wcfg)
-		}(i, wcfgs[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return MergeFedResults(results...), nil
+	return wcfgs
 }
 
 // floorShares splits a scale-in floor across shard weights with every
@@ -486,27 +494,7 @@ func MergeFedResults(results ...*FedResult) *FedResult {
 		out.Abandonments += r.Abandonments
 		out.LostGPUHours += r.LostGPUHours
 	}
-	{
-		ins := make([]*metrics.Timeline, 0, len(results))
-		for _, r := range results {
-			if r.Availability != nil {
-				ins = append(ins, r.Availability)
-			}
-		}
-		if len(ins) > 0 {
-			out.Availability = metrics.MergeTimelines(ins...)
-		}
-	}
-	{
-		ins := make([]*metrics.Sample, 0, len(results))
-		for _, r := range results {
-			if r.RecoveryTime != nil {
-				ins = append(ins, r.RecoveryTime)
-			}
-		}
-		if len(ins) > 0 {
-			out.RecoveryTime = metrics.MergeSamples(ins...)
-		}
-	}
+	out.Availability = mergeFaultTimelines(results, func(r *FedResult) *metrics.Timeline { return r.Availability })
+	out.RecoveryTime = mergeFaultSamples(results, func(r *FedResult) *metrics.Sample { return r.RecoveryTime })
 	return out
 }

@@ -11,6 +11,7 @@ import (
 
 	"notebookos/internal/cluster"
 	"notebookos/internal/des"
+	"notebookos/internal/federation"
 	"notebookos/internal/metrics"
 	"notebookos/internal/resources"
 	"notebookos/internal/scheduler"
@@ -263,14 +264,21 @@ type Result struct {
 	RecoveryTime *metrics.Sample
 }
 
-// simSession is the per-session simulation state.
-type simSession struct {
+// session is the per-session simulation state.
+type session struct {
 	src   *trace.Session
 	req   resources.Spec
 	assig workload.Assignment
+	// home is the member cluster the session is homed at: round-robin in
+	// arrival order, so always 0 in a single-cluster run.
+	home int
 
 	// NotebookOS: replica hosts; Reservation: the single reserved host.
-	hosts []*cluster.Host
+	// Empty for a session no host can fit — its tasks are swallowed. slots
+	// backs hosts for up to the default R replicas, sparing every session a
+	// second allocation.
+	hosts []*host
+	slots [3]*host
 	// holder is the session's exclusive-commit key ("<kind>/<id>"), built
 	// once at session creation. A session's tasks are strictly serialized
 	// (running + FCFS queue), so at most one commitment per session is ever
@@ -283,54 +291,119 @@ type simSession struct {
 	// migration.
 	rkeys        []string
 	lastExecutor int
-	busyUntil    time.Time
 	queue        []trace.Task
 	running      bool
 	closed       bool
 	// cur is the in-flight task state machine (nil between tasks), the
 	// handle the fault layer aborts through; restarts counts the current
 	// task's checkpoint-restore resubmissions against its retry budget.
-	cur      runningTask
+	cur      *runningTask
 	restarts int
 }
 
 // replicaKeyFor returns the cached key for replica i (1-based).
-func (ss *simSession) replicaKeyFor(i int) string {
+func (ss *session) replicaKeyFor(i int) string {
 	if len(ss.rkeys) < i {
 		ss.rkeys = extendReplicaKeys(ss.rkeys, ss.src.ID, i)
 	}
 	return ss.rkeys[i-1]
 }
 
-// simHost pairs a cluster host with the simulator's per-host state (the
-// warm-container count), so the hot placement scans walk one slice
+// host pairs a cluster host with the simulator's per-host state (owning
+// member, warm-container count), so the hot placement scans walk one slice
 // instead of re-fetching the host list and hitting a string-keyed map.
-type simHost struct {
-	h *cluster.Host
+type host struct {
+	h      *cluster.Host
+	member int
 	// warm counts pre-warmed containers available on the host.
 	warm int
 }
 
-// sim is the mutable simulation state.
-type sim struct {
-	cfg     Config
-	eng     *des.Engine
-	rng     *rand.Rand
-	cluster *cluster.Cluster
-	policy  scheduler.PlacementPolicy
-	res     *Result
+// member is one cluster's mutable simulation state. A single-cluster run
+// is a federation of exactly one member, named "sim".
+type member struct {
+	// spec carries the member's name, host shape and scale-in floor.
+	spec FedClusterSpec
+	c    *cluster.Cluster
+	// hosts mirrors the cluster membership in insertion order.
+	hosts   []*host
+	hostSeq int
+	// pendingHosts counts servers being provisioned (scale-out latency).
+	pendingHosts int
+	// res holds the member's series and counters. Run aliases its one
+	// member's two timelines into Result; RunFederated reports every
+	// member's whole record.
+	res *FedClusterResult
+}
 
-	// start/end bound the simulated window (the trace's or the source's).
+// sim is the one simulator core: the mutable state of a federation of
+// member clusters replaying one workload. Run builds it with a single
+// member and the full single-cluster recorder set; RunFederated builds it
+// with N members, a route policy, WAN charges and optionally the pooled
+// autoscaler. What a run records follows from which recorders its
+// constructor created: every recorder that only one of Result and
+// FedResult reports is nil in the other mode, and the recording sites —
+// including the RNG draws that exist only to be recorded — skip nil
+// recorders.
+type sim struct {
+	cfg       Config
+	eng       *des.Engine
+	rng       *rand.Rand
+	fed       *federation.Federation
+	members   []*member
+	placement scheduler.LeastLoaded
+	// byHost resolves the hosts returned by the placement policy back to
+	// their wrappers (warm counts, member index).
+	byHost map[*cluster.Host]*host
+	// waitq parks tasks blocked on capacity anywhere in the federation; it
+	// is woken by any member's Release/AddHost via the federation's
+	// capacity-notification fan-in.
+	waitq *capacityWaitQueue
+	// res accumulates every counter and the single-cluster recorders; it is
+	// what Run returns, and what RunFederated projects its FedResult from.
+	res *Result
+
+	// Federation routing state. route ranks members for placements,
+	// migrations and crash rehoming (never consulted with one member);
+	// scratch is its reusable ranking buffer — the event loop is
+	// single-threaded, so one scratch serves the whole run; sole is the
+	// one-member ranking. qdepth counts parked capacity waiters per home
+	// member, the QueueDepth signal RoutingSnapshots carry. routed counts
+	// what only FedResult reports.
+	route   federation.RoutePolicy
+	scratch federation.RouteScratch
+	sole    [1]int
+	qdepth  []int
+	routed  struct {
+		localPlacements, remotePlacements int
+		remoteExecutions, crossMigrations int
+	}
+	// classDelay is the per-SLO-class queue-delay recorder; nil unless the
+	// run is SLO-aware.
+	classDelay map[trace.SLOClass]*metrics.Sample
+	// autoscaler makes the pooled decisions under PooledAutoscale (nil in
+	// per-member mode); loads is its reusable snapshot buffer (one slice
+	// for the whole run instead of one per tick — 90-day runs make tens of
+	// thousands of ticks).
+	autoscaler *federation.FederatedAutoscaler
+	loads      []federation.MemberLoad
+
+	// src is the workload — cfg.Source, or cfg.Trace adapted — and start/end
+	// the simulated window it spans. streaming is set when sessions arrive
+	// lazily from cfg.Source.
+	src        trace.Source
 	start, end time.Time
-	// streaming is set when sessions arrive lazily from cfg.Source; lean
-	// mirrors cfg.LeanMetrics for the hot recording paths.
-	streaming bool
-	lean      bool
+	streaming  bool
+	// sampleSeq numbers the lean-mode reservoir seeds in recorder creation
+	// order, so merges stay reproducible.
+	sampleSeq int64
 	// kind is the holder-key namespace, wr the workload-assignment stream
 	// (shared by the up-front loop and the lazy injector so both draw in
-	// arrival order).
-	kind string
-	wr   *rand.Rand
+	// arrival order), homeSeq the admitted-session count behind round-robin
+	// home assignment.
+	kind    string
+	wr      *rand.Rand
+	homeSeq int
 	// pull yields the source's next session under streaming; stopPull
 	// releases the iterator (see close); srcErr holds the source's
 	// iteration error once the stream is exhausted.
@@ -341,32 +414,19 @@ type sim struct {
 	// lifetimes) online, replacing the trace-scan integral when streaming.
 	reserved gpuHoursAcc
 
-	hostSeq int
-	// hostList mirrors the cluster membership in insertion order and
-	// carries warm-pool counts.
-	hostList []*simHost
-	// pendingHosts counts servers being provisioned (scale-out latency).
-	pendingHosts int
-	// waitq parks tasks blocked on cluster capacity; it is woken by the
-	// cluster's Release/AddHost notifications.
-	waitq *capacityWaitQueue
-
-	// Fault-injection state (see faults.go), live only when cfg.Faults is
-	// enabled: frng feeds the crash-path draws (elections, container
-	// starts during repair) so fault handling never perturbs the
-	// scheduling RNG; faultSessions tracks live sessions in arrival order
-	// for crash repair.
-	faultsOn      bool
-	frng          *rand.Rand
-	faultSessions []*simSession
-
-	// Lease-pool bookkeeping, maintained only when cfg.leaseManaged: the
-	// live NotebookOS sessions in arrival order (so barrier-time replica
-	// rehoming can find a replica's owner deterministically) and the
-	// largest per-session GPU request seen (the headroom margin the pool
-	// plans with).
-	leaseSessions []*simSession
-	leaseMaxReq   int
+	// live tracks the live sessions in arrival order when something needs
+	// to find a host's tenants deterministically: crash repair (faults.go)
+	// and barrier-time replica rehoming (lease.go). maxReq is the largest
+	// per-session GPU request placed so far — the headroom margin the lease
+	// pool plans with.
+	trackLive bool
+	live      []*session
+	maxReq    int
+	// faultsOn gates the fault layer; frng feeds the crash-path draws
+	// (elections, container starts during repair) so fault handling never
+	// perturbs the scheduling RNG.
+	faultsOn bool
+	frng     *rand.Rand
 }
 
 // holderKind names the exclusive-commit key namespace each policy's task
@@ -432,21 +492,43 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer s.close()
-	s.eng.RunUntil(s.end.Add(24 * time.Hour))
+	s.drain()
 	return s.finish()
 }
 
-// newSim builds a ready-to-run simulation: cluster and hosts in place,
-// every trace (or injector) event scheduled, sampling and autoscale ticks
-// armed. Callers drive the engine themselves — Run in one RunUntil shot to
-// past the window's end, the lease runner (runLeased) in epoch-sized steps
-// with barrier reconciliation between them — and then collect the result
-// with finish. Pair with close, which releases the streaming source's
-// iterator.
+// newSim builds a ready-to-run single-cluster simulation: the core with
+// one member named "sim" — member index 0, so host IDs are "sim-hNNNN" and
+// fault slots the plain host sequence, which the gated baselines pin —
+// plus the recorders only Result reports. Callers drive the engine
+// themselves — Run in one shot to past the window's end, the lease runner
+// in epoch-sized steps with barrier reconciliation between them — and then
+// collect the result with finish. Pair with close.
 func newSim(cfg Config) (*sim, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
+	s := newCore(cfg, federation.New(0))
+	s.res.ActiveTrainings = s.newTimeline()
+	s.res.SR = s.newTimeline()
+	s.res.SyncLatency = s.newSample()
+	s.res.ReadLatency = s.newSample()
+	s.res.WriteLatency = s.newSample()
+	s.res.StepLatency = map[Step]*metrics.Sample{}
+	for _, st := range Steps() {
+		s.res.StepLatency[st] = s.newSample()
+	}
+	if !cfg.LeanMetrics {
+		s.res.Events = []Event{}
+	}
+	return s, s.build([]FedClusterSpec{{
+		Name: "sim", Hosts: cfg.Hosts, HostCapacity: cfg.HostCapacity, MinHosts: cfg.MinHosts,
+	}})
+}
+
+// newCore returns the core every runner shares, with the recorders both
+// result types report; the caller adds its own recorders and federation
+// settings, then calls build.
+func newCore(cfg Config, fed *federation.Federation) *sim {
 	src := cfg.Source
 	if src == nil {
 		src = cfg.Trace.AsSource()
@@ -457,89 +539,133 @@ func newSim(cfg Config) (*sim, error) {
 		cfg:       cfg,
 		eng:       eng,
 		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
-		cluster:   cluster.New(cfg.ReplicasPerKernel),
-		policy:    scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark},
+		fed:       fed,
+		placement: scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark},
+		byHost:    map[*cluster.Host]*host{},
+		waitq:     newCapacityWaitQueue(eng),
+		src:       src,
 		start:     start,
 		end:       end,
 		streaming: cfg.Source != nil,
-		lean:      cfg.LeanMetrics,
+		sampleSeq: cfg.Seed + 1000,
 		kind:      holderKind(cfg.Policy),
 		wr:        rand.New(rand.NewSource(cfg.Seed + 2)),
-		waitq:     newCapacityWaitQueue(eng),
+		trackLive: cfg.leaseManaged,
 	}
 	s.reserved.lastNS = start.UnixNano()
-
-	// Lean mode swaps the unbounded recorders for window-bounded ones:
-	// timelines coalesce at the sampling period, samples keep seeded
-	// reservoirs (each with its own derived seed, so merges stay
-	// reproducible).
-	newTL := metrics.NewTimeline
-	if s.lean {
-		newTL = func() *metrics.Timeline { return metrics.NewCoalescedTimeline(cfg.SampleEvery) }
-	}
-	sampleSeq := cfg.Seed + 1000
-	newSample := func() *metrics.Sample {
-		sm := metrics.NewSample()
-		if s.lean {
-			sampleSeq++
-			sm.Reservoir(cfg.LeanSampleCap, sampleSeq)
-		}
-		return sm
-	}
 	s.res = &Result{
-		Policy:          cfg.Policy,
-		ProvisionedGPUs: newTL(),
-		CommittedGPUs:   newTL(),
-		ActiveSessions:  newTL(),
-		ActiveTrainings: newTL(),
-		SR:              newTL(),
-		Interactivity:   newSample(),
-		TCT:             newSample(),
-		StepLatency:     map[Step]*metrics.Sample{},
-		SyncLatency:     newSample(),
-		ReadLatency:     newSample(),
-		WriteLatency:    newSample(),
+		Policy:         cfg.Policy,
+		ActiveSessions: s.newTimeline(),
+		Interactivity:  s.newSample(),
+		TCT:            s.newSample(),
 	}
-	for _, st := range Steps() {
-		s.res.StepLatency[st] = newSample()
+	return s
+}
+
+// newTimeline returns a recorder timeline; lean mode swaps the unbounded
+// one for one coalescing at the sampling period.
+func (s *sim) newTimeline() *metrics.Timeline {
+	if s.cfg.LeanMetrics {
+		return metrics.NewCoalescedTimeline(s.cfg.SampleEvery)
 	}
-	s.cluster.SetCapacityNotifier(s.waitq.Notify)
-	// Fault injection arms before the initial hosts join so every host
-	// slot — including the first Hosts — carries a crash clock, and the
-	// availability timeline sees every membership change (faults.go).
+	return metrics.NewTimeline()
+}
+
+// newSample returns a recorder sample; in lean mode it keeps a seeded
+// reservoir, each with its own derived seed.
+func (s *sim) newSample() *metrics.Sample {
+	sm := metrics.NewSample()
+	if s.cfg.LeanMetrics {
+		s.sampleSeq++
+		sm.Reservoir(s.cfg.LeanSampleCap, s.sampleSeq)
+	}
+	return sm
+}
+
+// build finishes construction once the caller has created its recorders:
+// fault layer armed, members and their hosts in place, every trace (or
+// injector) event scheduled, sampling and autoscale ticks armed.
+func (s *sim) build(specs []FedClusterSpec) error {
+	cfg := s.cfg
+	// Fault injection arms before the hosts join so every host slot —
+	// including each member's initial Hosts — carries a crash clock, and
+	// the availability timeline sees every membership change (faults.go).
 	s.initFaults()
+	s.qdepth = make([]int, len(specs))
+	for i, spec := range specs {
+		c := cluster.New(cfg.ReplicasPerKernel)
+		if _, err := s.fed.AddMember(spec.Name, c); err != nil {
+			return err
+		}
+		s.members = append(s.members, &member{
+			spec: spec,
+			c:    c,
+			res: &FedClusterResult{
+				Name:            spec.Name,
+				ProvisionedGPUs: s.newTimeline(),
+				CommittedGPUs:   s.newTimeline(),
+			},
+		})
+		for j := 0; j < spec.Hosts; j++ {
+			s.addHost(i)
+		}
+	}
+	// Any member's capacity-freeing transition wakes the shared queue.
+	s.fed.SetCapacityNotifier(s.waitq.Notify)
+	// Routing snapshots read the scheduler-level signals through this
+	// callback: parked-waiter depth by home member, and the retirable
+	// (empty) host count a scale-in could reclaim. Only Snapshot-building
+	// policies (ScoredPolicy) invoke it; the closed-form trio pays nothing.
+	s.fed.SetSnapshotExtras(func(mi int) (int, int) {
+		retirable := 0
+		for _, h := range s.members[mi].hosts {
+			if hostEmpty(h) {
+				retirable++
+			}
+		}
+		return s.qdepth[mi], retirable
+	})
 
 	// Pre-size the metric columns from the source's expectation: delta
 	// series record two points per task (or session), sampled series one
 	// point per period. For a materialized trace the hints are exact upper
 	// bounds (coincident timestamps collapse), so long traces pay one
 	// allocation per column instead of a geometric growth ladder — the
-	// dominant allocation cost of 90-day runs. A streaming source supplies
-	// analytic expectations instead of a trace scan; under LeanMetrics the
-	// recorders bound themselves and the hints are skipped entirely.
-	exp := src.Expect()
+	// dominant allocation cost of 90-day runs. Per-member delta series
+	// split the task total evenly — an estimate, so a hot member may still
+	// grow. A streaming source supplies analytic expectations instead of a
+	// trace scan; under LeanMetrics the recorders bound themselves and the
+	// hints are skipped entirely.
+	exp := s.src.Expect()
 	sessions, numTasks := exp.Sessions, exp.Tasks
-	ticks := int(end.Sub(start)/cfg.SampleEvery) + 2
-	if !s.lean {
-		s.res.ProvisionedGPUs.Grow(ticks + 64)
-		s.res.CommittedGPUs.Grow(2 * numTasks)
-		s.res.ActiveSessions.Grow(2 * sessions)
-		s.res.ActiveTrainings.Grow(2 * numTasks)
-		if cfg.Policy == PolicyNotebookOS || cfg.Policy == PolicyLCP {
-			s.res.SR.Grow(2*sessions + ticks)
+	if !cfg.LeanMetrics {
+		ticks := int(s.end.Sub(s.start)/cfg.SampleEvery) + 2
+		for _, m := range s.members {
+			m.res.ProvisionedGPUs.Grow(ticks + 64)
+			m.res.CommittedGPUs.Grow(2*numTasks/len(s.members) + 16)
 		}
+		s.res.ActiveSessions.Grow(2 * sessions)
 		s.res.Interactivity.Grow(numTasks)
 		s.res.TCT.Grow(numTasks)
-		s.res.SyncLatency.Grow(numTasks)
-		s.res.ReadLatency.Grow(numTasks)
-		s.res.WriteLatency.Grow(numTasks)
-		for _, st := range Steps() {
-			s.res.StepLatency[st].Grow(numTasks) // one observation per executed task
+		if s.res.ActiveTrainings != nil {
+			s.res.ActiveTrainings.Grow(2 * numTasks)
 		}
-		s.res.Events = make([]Event, 0, sessions+64)
-	}
-	for i := 0; i < cfg.Hosts; i++ {
-		s.addHost()
+		if s.res.SR != nil && s.wholeServers() {
+			s.res.SR.Grow(2*sessions + ticks)
+		}
+		for _, sm := range []*metrics.Sample{s.res.SyncLatency, s.res.ReadLatency, s.res.WriteLatency} {
+			if sm != nil {
+				sm.Grow(numTasks)
+			}
+		}
+		if s.res.StepLatency != nil {
+			for _, st := range Steps() {
+				s.res.StepLatency[st].Grow(numTasks) // one observation per executed task
+			}
+		}
+		if s.res.Events != nil {
+			s.res.Events = make([]Event, 0, sessions+64)
+		}
 	}
 
 	if s.streaming {
@@ -548,7 +674,7 @@ func newSim(cfg Config) (*sim, error) {
 		// pulls the next one — pending-event count tracks concurrency, not
 		// workload size.
 		next, stop := iter.Pull(func(yield func(*trace.Session) bool) {
-			s.srcErr = src.Sessions(yield)
+			s.srcErr = s.src.Sessions(yield)
 		})
 		s.stopPull = stop
 		s.pull = next
@@ -560,30 +686,51 @@ func newSim(cfg Config) (*sim, error) {
 		// boundary plus one per task arrival.
 		s.eng.Reserve(2*sessions + numTasks + 16)
 		for _, sess := range cfg.Trace.Sessions {
-			sess := sess
-			ss := &simSession{
-				src:    sess,
-				req:    sess.Request,
-				assig:  workload.Assign(s.wr),
-				holder: s.kind + "/" + sess.ID,
-			}
+			ss := s.newSession(sess)
 			s.eng.Schedule(sess.Start, func() { s.sessionStart(ss) })
-			s.eng.Schedule(sess.End, func() { s.sessionEnd(ss) })
-			for _, task := range sess.Tasks {
-				task := task
-				s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
-			}
+			s.scheduleSession(ss)
 		}
 	}
 
 	// Periodic sampling and autoscaling. A lease-managed worker skips its
-	// own autoscale ticks: the pool runs the same formula once per barrier
+	// own autoscale ticks: the pool runs the same decision once per barrier
 	// over the pooled counters instead.
-	s.scheduleSampling()
-	if (cfg.Policy == PolicyNotebookOS || cfg.Policy == PolicyLCP) && !cfg.leaseManaged {
-		s.scheduleAutoscale()
+	s.scheduleTick(0, cfg.SampleEvery, s.sampleProvisioned)
+	if s.wholeServers() && !cfg.leaseManaged {
+		s.scheduleTick(cfg.AutoscaleInterval, cfg.AutoscaleInterval, s.autoscale)
 	}
-	return s, nil
+	return nil
+}
+
+// wholeServers reports whether the policy provisions whole servers that
+// an autoscaler sizes (NotebookOS and its LCP variant) rather than exactly
+// what sessions reserve or tasks run on.
+func (s *sim) wholeServers() bool {
+	return s.cfg.Policy == PolicyNotebookOS || s.cfg.Policy == PolicyLCP
+}
+
+// newSession admits one session: its workload assignment is the next draw
+// of the arrival-order stream and its home member the next round-robin
+// slot.
+func (s *sim) newSession(sess *trace.Session) *session {
+	ss := &session{
+		src:    sess,
+		req:    sess.Request,
+		assig:  workload.Assign(s.wr),
+		home:   s.homeSeq % len(s.members),
+		holder: s.kind + "/" + sess.ID,
+	}
+	s.homeSeq++
+	s.members[ss.home].res.HomeSessions++
+	return ss
+}
+
+// scheduleSession schedules a session's end and its task arrivals.
+func (s *sim) scheduleSession(ss *session) {
+	s.eng.Schedule(ss.src.End, func() { s.sessionEnd(ss) })
+	for _, task := range ss.src.Tasks {
+		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
+	}
 }
 
 // close releases the streaming source's iterator; safe on any sim and
@@ -595,86 +742,131 @@ func (s *sim) close() {
 	}
 }
 
-// finish surfaces a streaming-source error and computes the integrated
-// metrics. Call once, after the engine has run past the window's end.
-func (s *sim) finish() (*Result, error) {
+// drain runs the engine past the window's end, letting the in-flight tail
+// complete.
+func (s *sim) drain() { s.eng.RunUntil(s.end.Add(24 * time.Hour)) }
+
+// totals surfaces a streaming-source error and fills in what both result
+// projections share — the federation-wide capacity series (member 0's own
+// timelines when it is the only member, a pointwise merge otherwise) and
+// the integrated active and reserved hours — returning the integrated
+// provisioned GPU-hours. Call once, after drain.
+func (s *sim) totals() (provisionedGPUHours float64, err error) {
 	if s.srcErr != nil {
-		return nil, s.srcErr
+		return 0, s.srcErr
 	}
-	s.finalizeIntegrals()
-	return s.res, nil
+	res := s.res
+	res.ProvisionedGPUs, res.CommittedGPUs = s.members[0].res.ProvisionedGPUs, s.members[0].res.CommittedGPUs
+	if len(s.members) > 1 {
+		prov := make([]*metrics.Timeline, len(s.members))
+		comm := make([]*metrics.Timeline, len(s.members))
+		for i, m := range s.members {
+			prov[i], comm[i] = m.res.ProvisionedGPUs, m.res.CommittedGPUs
+		}
+		res.ProvisionedGPUs, res.CommittedGPUs = metrics.MergeTimelines(prov...), metrics.MergeTimelines(comm...)
+	}
+	res.ActiveGPUHours = res.CommittedGPUs.Integral(s.start, s.end)
+	if s.streaming {
+		// No trace to scan: the online accumulator integrated reserved GPUs
+		// as sessions came and went (bit-for-bit it is a different summation
+		// order than the trace-scan timeline, so the two agree to rounding).
+		res.ReservedGPUHours = s.reserved.finish(s.end.UnixNano())
+	} else {
+		res.ReservedGPUHours = s.cfg.Trace.ReservedGPUs().Integral(s.start, s.end)
+	}
+	return res.ProvisionedGPUs.Integral(s.start, s.end), nil
+}
+
+// finish projects the single-cluster Result, computing the integrated
+// hour metrics of the cost model (Fig. 12).
+func (s *sim) finish() (*Result, error) {
+	provisionedGPUHours, err := s.totals()
+	if err != nil {
+		return nil, err
+	}
+	res := s.res
+	res.ServerHours = provisionedGPUHours / float64(s.members[0].spec.HostCapacity.GPUs)
+	if s.cfg.Policy == PolicyNotebookOS {
+		// Each session keeps R standby replicas alive; the executor is
+		// billed as active while training. Replica-hours approximate
+		// R x session-hours.
+		sessHours := res.ActiveSessions.Integral(s.start, s.end)
+		res.StandbyReplicaHours = sessHours * float64(s.cfg.ReplicasPerKernel)
+	}
+	return res, nil
 }
 
 func (s *sim) now() time.Time { return s.eng.Now() }
 
-func (s *sim) addHost() *simHost {
-	s.hostSeq++
-	h := cluster.NewHost(fmt.Sprintf("sim-h%04d", s.hostSeq), s.cfg.HostCapacity)
-	if err := s.cluster.AddHost(h); err != nil {
+// addHost joins a fresh host to member mi: the next slot of that member's
+// host sequence, with a full warm pool and (under faults) its own crash
+// clock.
+func (s *sim) addHost(mi int) *host {
+	m := s.members[mi]
+	m.hostSeq++
+	ch := cluster.NewHost(fmt.Sprintf("%s-h%04d", m.spec.Name, m.hostSeq), m.spec.HostCapacity)
+	if err := m.c.AddHost(ch); err != nil {
 		panic(err)
 	}
-	sh := &simHost{h: h, warm: s.cfg.PrewarmPerHost}
-	s.hostList = append(s.hostList, sh)
+	h := &host{h: ch, member: mi, warm: s.cfg.PrewarmPerHost}
+	m.hosts = append(m.hosts, h)
+	s.byHost[ch] = h
 	if s.faultsOn {
-		s.armHostFaults(sh)
+		s.armHostFaults(h, m.hostSeq)
 	}
-	return sh
+	return h
 }
 
+// recordEvent appends to the Fig. 10 event record, which exists only in
+// non-lean single-cluster runs.
 func (s *sim) recordEvent(kind scheduler.EventKind) {
-	if s.lean {
-		return
+	if s.res.Events != nil {
+		s.res.Events = append(s.res.Events, Event{T: s.now().UnixNano(), Kind: kind})
 	}
-	s.res.Events = append(s.res.Events, Event{T: s.now().UnixNano(), Kind: kind})
+}
+
+// routeOrder ranks the members for work homed at home. With one member
+// there is nothing to rank, so the route policy is never consulted.
+func (s *sim) routeOrder(home int) []int {
+	if len(s.members) == 1 {
+		return s.sole[:]
+	}
+	return s.route.Order(s.fed, home, &s.scratch)
 }
 
 // ---- session lifecycle -------------------------------------------------
 
-func (s *sim) sessionStart(ss *simSession) {
+func (s *sim) sessionStart(ss *session) {
 	s.res.Sessions++
-	if s.faultsOn {
-		s.faultSessions = append(s.faultSessions, ss)
+	if s.trackLive {
+		s.live = append(s.live, ss)
 	}
 	s.res.ActiveSessions.Delta(s.now(), 1)
 	s.reserved.bump(s.now().UnixNano(), float64(ss.req.GPUs))
 	switch s.cfg.Policy {
 	case PolicyReservation:
 		// Bind GPUs for the whole session; grow the cluster when full
-		// (the provider provisions to fit all reservations).
-		sh := s.hostWithIdle(ss.req)
-		if sh == nil {
-			sh = s.addHost()
+		// (the provider provisions to fit all reservations). A request no
+		// host shape can hold is dropped.
+		if h := s.reserveHost(ss); h != nil {
+			ss.hosts = append(ss.slots[:0], h)
 		}
-		if err := sh.h.Commit(ss.holder, ss.req); err != nil {
-			// A fresh host always fits a valid request.
-			panic(err)
-		}
-		ss.hosts = []*cluster.Host{sh.h}
 	case PolicyNotebookOS:
-		hosts, err := s.policy.SelectHosts(s.cluster, ss.req, s.cfg.ReplicasPerKernel)
-		if err != nil {
-			// Scale out synchronously at creation (placement pauses until
-			// the servers are ready; the provisioning delay is charged to
-			// session creation, not to any task).
+		if !s.placeSession(ss) {
+			// No cluster can place the kernel: scale out the home cluster
+			// synchronously (placement pauses until the servers are ready;
+			// the provisioning delay is charged to session creation, not to
+			// any task).
 			for i := 0; i < s.cfg.ReplicasPerKernel; i++ {
-				s.addHost()
+				s.addHost(ss.home)
 			}
-			s.res.ScaleOuts++
-			s.recordEvent(scheduler.EventScaleOut)
-			hosts, err = s.policy.SelectHosts(s.cluster, ss.req, s.cfg.ReplicasPerKernel)
-			if err != nil {
+			s.noteScaleOut(ss.home)
+			if !s.placeSession(ss) {
 				return // pathological request; drop the session
 			}
 		}
-		for i, h := range hosts {
-			_ = h.PlaceReplica(ss.replicaKeyFor(i+1), ss.req)
-		}
-		ss.hosts = hosts
-		if s.cfg.leaseManaged {
-			s.leaseSessions = append(s.leaseSessions, ss)
-			if ss.req.GPUs > s.leaseMaxReq {
-				s.leaseMaxReq = ss.req.GPUs
-			}
+		if ss.req.GPUs > s.maxReq {
+			s.maxReq = ss.req.GPUs
 		}
 		s.recordEvent(scheduler.EventKernelCreated)
 		s.sampleSR()
@@ -683,15 +875,57 @@ func (s *sim) sessionStart(ss *simSession) {
 	}
 }
 
-func (s *sim) sessionEnd(ss *simSession) {
+// placeSession places the session's R replicas within a single cluster,
+// trying clusters in route order.
+func (s *sim) placeSession(ss *session) bool {
+	for _, idx := range s.routeOrder(ss.home) {
+		m := s.members[idx]
+		hosts, err := s.placement.SelectHosts(m.c, ss.req, s.cfg.ReplicasPerKernel)
+		if err != nil {
+			continue
+		}
+		ss.hosts = ss.slots[:0]
+		for i, ch := range hosts {
+			_ = ch.PlaceReplica(ss.replicaKeyFor(i+1), ss.req)
+			ss.hosts = append(ss.hosts, s.byHost[ch])
+		}
+		m.res.PlacedSessions++
+		if idx == ss.home {
+			s.routed.localPlacements++
+		} else {
+			s.routed.remotePlacements++
+		}
+		return true
+	}
+	return false
+}
+
+// reserveHost commits the session's whole request on the most-idle host
+// that fits it, growing the home cluster when none does; nil when even a
+// fresh host cannot hold the request.
+func (s *sim) reserveHost(ss *session) *host {
+	h := s.hostWithIdle(ss.req)
+	if h == nil {
+		if !ss.req.Fits(s.members[ss.home].spec.HostCapacity) {
+			return nil
+		}
+		h = s.addHost(ss.home)
+	}
+	if err := h.h.Commit(ss.holder, ss.req); err != nil {
+		panic(err) // a fresh host always fits a request its shape fits
+	}
+	return h
+}
+
+func (s *sim) sessionEnd(ss *session) {
 	if ss.closed {
 		return
 	}
 	ss.closed = true
-	if s.faultsOn {
-		for i, live := range s.faultSessions {
+	if s.trackLive {
+		for i, live := range s.live {
 			if live == ss {
-				s.faultSessions = append(s.faultSessions[:i], s.faultSessions[i+1:]...)
+				s.live = append(s.live[:i], s.live[i+1:]...)
 				break
 			}
 		}
@@ -701,22 +935,14 @@ func (s *sim) sessionEnd(ss *simSession) {
 	switch s.cfg.Policy {
 	case PolicyReservation:
 		if len(ss.hosts) > 0 && ss.hosts[0] != nil {
-			_ = ss.hosts[0].Release(ss.holder)
+			_ = ss.hosts[0].h.Release(ss.holder)
 		}
 	case PolicyNotebookOS:
 		for i, h := range ss.hosts {
 			if h == nil {
 				continue // crash-emptied slot (faults.go)
 			}
-			_ = h.RemoveReplica(ss.replicaKeyFor(i + 1))
-		}
-		if s.cfg.leaseManaged {
-			for i, live := range s.leaseSessions {
-				if live == ss {
-					s.leaseSessions = append(s.leaseSessions[:i], s.leaseSessions[i+1:]...)
-					break
-				}
-			}
+			_ = h.h.RemoveReplica(ss.replicaKeyFor(i + 1))
 		}
 		s.sampleSR()
 	}
@@ -724,7 +950,7 @@ func (s *sim) sessionEnd(ss *simSession) {
 
 // ---- task pipeline -----------------------------------------------------
 
-func (s *sim) taskArrive(ss *simSession, task trace.Task) {
+func (s *sim) taskArrive(ss *session, task trace.Task) {
 	if ss.running {
 		// IDLT users do not submit concurrent tasks, but platform-induced
 		// delays can push a completion past the next trace submission;
@@ -736,12 +962,8 @@ func (s *sim) taskArrive(ss *simSession, task trace.Task) {
 	s.startTask(ss, task, s.now())
 }
 
-func (s *sim) finishTask(ss *simSession, submit time.Time, interactivity, exec, post time.Duration) {
-	tct := s.now().Sub(submit)
-	s.res.Interactivity.Add(interactivity.Seconds())
-	s.res.TCT.Add(tct.Seconds())
-	s.res.StepLatency[StepE2E].Add(tct.Seconds())
-	s.res.Tasks++
+// startNext moves the session on to its next queued task, if any.
+func (s *sim) startNext(ss *session) {
 	ss.running = false
 	ss.cur = nil
 	ss.restarts = 0
@@ -753,122 +975,194 @@ func (s *sim) finishTask(ss *simSession, submit time.Time, interactivity, exec, 
 	}
 }
 
-func (s *sim) startTask(ss *simSession, task trace.Task, submit time.Time) {
+func (s *sim) finishTask(ss *session, submit time.Time, interactivity time.Duration) {
+	tct := s.now().Sub(submit)
+	s.res.Interactivity.Add(interactivity.Seconds())
+	s.res.TCT.Add(tct.Seconds())
+	s.sampleStep(StepE2E, tct)
+	if s.classDelay != nil {
+		s.classDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
+	}
+	s.res.Tasks++
+	s.startNext(ss)
+}
+
+// startTask runs one attempt of the policy's task pipeline; an attempt
+// that finds the cluster saturated parks on the capacity wait-queue and is
+// retried on the next Release/AddHost notification anywhere in the
+// federation. The retry closure is only built on the park path, which
+// saturation makes rare relative to task count.
+func (s *sim) startTask(ss *session, task trace.Task, submit time.Time) {
+	if s.tryTask(ss, task, submit) {
+		return
+	}
+	// Keep the home member's queue-depth gauge (a RoutingSnapshot signal)
+	// current for the park's whole lifetime.
+	home := ss.home
+	s.qdepth[home]++
+	s.waitq.WaitClass(ss.src.SLO.Weight(), func() bool {
+		if !s.tryTask(ss, task, submit) {
+			return false
+		}
+		s.qdepth[home]--
+		return true
+	})
+}
+
+// tryTask attempts the policy's commit-and-start step and reports whether
+// it made progress (the task is in flight, or a migration is).
+func (s *sim) tryTask(ss *session, task trace.Task, submit time.Time) bool {
 	switch s.cfg.Policy {
 	case PolicyReservation:
-		s.runReservationTask(ss, task, submit)
+		return s.tryReservationTask(ss, task, submit)
 	case PolicyBatch:
-		s.runBatchTask(ss, task, submit)
-	case PolicyNotebookOS:
-		s.runNbosTask(ss, task, submit)
+		return s.tryBatchTask(ss, task, submit)
 	case PolicyLCP:
-		s.runLCPTask(ss, task, submit)
+		return s.tryLCPTask(ss, task, submit)
+	default:
+		return s.tryNbosTask(ss, task, submit)
 	}
 }
 
-func (s *sim) taskReq(ss *simSession, task trace.Task) resources.Spec {
-	return clampTaskReq(ss.req, task.GPUs)
-}
-
-// clampTaskReq shapes a task's exclusive-commit request from its session's
+// taskReq shapes a task's exclusive-commit request from its session's
 // reservation: the task's GPU count (never above the reservation) with
-// VRAM sized at 16 GB per GPU. Shared by the single-cluster and federated
-// simulators so their request shaping cannot drift.
-func clampTaskReq(sessReq resources.Spec, taskGPUs int) resources.Spec {
-	r := sessReq
-	r.GPUs = taskGPUs
-	if r.GPUs > sessReq.GPUs {
-		r.GPUs = sessReq.GPUs
+// VRAM sized at 16 GB per GPU.
+func taskReq(ss *session, task trace.Task) resources.Spec {
+	r := ss.req
+	r.GPUs = task.GPUs
+	if r.GPUs > ss.req.GPUs {
+		r.GPUs = ss.req.GPUs
 	}
 	r.VRAMGB = float64(r.GPUs) * 16
 	return r
 }
 
-func (s *sim) sampleStep(st Step, d time.Duration) time.Duration {
-	s.res.StepLatency[st].Add(d.Seconds())
-	return d
+// sampleStep records one request-path stage (Figs. 16-19); the step
+// recorders exist only in single-cluster runs.
+func (s *sim) sampleStep(st Step, d time.Duration) {
+	if s.res.StepLatency != nil {
+		s.res.StepLatency[st].Add(d.Seconds())
+	}
 }
 
-// runReservationTask: GPUs are already bound; the task starts after
-// framework overhead only. The pipeline runs as a resvTask state machine
-// (one allocation per task): both lead events carry the same Runner, in the
-// same order the closure version scheduled them.
-func (s *sim) runReservationTask(ss *simSession, task trace.Task, submit time.Time) {
-	lat := s.cfg.Latencies
-	step1 := s.sampleStep(StepGSProcess, lat.GSProcess(s.rng))
-	step5 := s.sampleStep(StepPreProcess, lat.PreProcess(s.rng))
-	s.sampleStep(StepElection, 0)
-	step7 := s.sampleStep(StepIntermed, lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs))
+// sampleLead records the four stages ahead of execution (steps 1, 5, 6, 7).
+func (s *sim) sampleLead(gsProcess, preProcess, election, intermed time.Duration) {
+	s.sampleStep(StepGSProcess, gsProcess)
+	s.sampleStep(StepPreProcess, preProcess)
+	s.sampleStep(StepElection, election)
+	s.sampleStep(StepIntermed, intermed)
+}
+
+// launch puts a committed task in flight on h: its state machine (one
+// allocation per task, see taskfsm.go) fires first at start, when training
+// begins; delay is the interactivity delay the task will report.
+func (s *sim) launch(ss *session, task trace.Task, submit time.Time, h *host, delay time.Duration, start time.Time) *runningTask {
+	t := &runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}
+	ss.cur = t
+	s.eng.ScheduleRunner(start, t)
+	return t
+}
+
+// tryReservationTask: GPUs are already bound; the task starts after
+// framework overhead only, so it never parks. Both lead events (training
+// start, completion) are scheduled up front, in that order.
+func (s *sim) tryReservationTask(ss *session, task trace.Task, submit time.Time) bool {
+	if len(ss.hosts) == 0 {
+		return true // dropped session: swallow its tasks
+	}
+	lat := &s.cfg.Latencies
+	step1 := lat.GSProcess(s.rng)
+	step5 := lat.PreProcess(s.rng)
+	step7 := lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs)
+	s.sampleLead(step1, step5, 0, step7)
 	hops := lat.Hop(s.rng) + lat.Hop(s.rng)
 	delay := step1 + step5 + step7 + hops
 
-	rt := &resvTask{s: s, ss: ss, task: task, submit: submit, delay: delay}
-	ss.cur = rt
-	s.eng.ScheduleRunner(submit.Add(delay), rt)
-	s.eng.ScheduleRunner(submit.Add(delay+task.Duration), rt)
-}
-
-// runBatchTask: FCFS on-demand provisioning: wait for free GPUs, cold
-// start a container, download model+dataset, execute, persist, terminate.
-// When the cluster is saturated the task parks on the capacity wait-queue
-// and is retried on the next Release/AddHost notification. The pipeline
-// after commit runs as a batchTask state machine (one allocation per task);
-// the retry closure is only built on the park path, which saturation makes
-// rare relative to task count.
-func (s *sim) runBatchTask(ss *simSession, task trace.Task, submit time.Time) {
-	if s.tryBatchTask(ss, task, submit) {
-		return
-	}
-	s.waitq.Wait(func() bool { return s.tryBatchTask(ss, task, submit) })
-}
-
-// tryBatchTask attempts the commit-and-start step and reports whether the
-// task is now in flight.
-func (s *sim) tryBatchTask(ss *simSession, task trace.Task, submit time.Time) bool {
-	// A batch job requests the session's full configured resources, the
-	// way a slurm submission would, not just the GPUs this task touches.
-	req := ss.req
-	sh := s.hostWithIdle(req)
-	if sh == nil {
-		return false
-	}
-	h := sh.h
-	if err := h.Commit(ss.holder, req); err != nil {
-		return false
-	}
-	queueing := s.now().Sub(submit)
-	cold := s.cfg.Latencies.ColdStart(s.rng)
-	s.res.ColdStarts++
-	fetch := s.cfg.Latencies.Store.GetLatency(ss.assig.Model.ParamBytes+ss.assig.Dataset.SizeBytes/16, s.rng)
-	s.res.ReadLatency.Add(fetch.Seconds())
-	step1 := s.sampleStep(StepGSProcess, queueing+cold+s.cfg.Latencies.GSProcess(s.rng))
-	step5 := s.sampleStep(StepPreProcess, s.cfg.Latencies.PreProcess(s.rng)+fetch)
-	s.sampleStep(StepElection, 0)
-	step7 := s.sampleStep(StepIntermed, s.cfg.Latencies.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs))
-	delay := step1 + step5 + step7
-
-	bt := &batchTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}
-	ss.cur = bt
-	s.eng.DeferRunner(delay, bt)
+	t := s.launch(ss, task, submit, ss.hosts[0], delay, submit.Add(delay))
+	s.eng.ScheduleRunner(submit.Add(delay+task.Duration), t)
 	return true
 }
 
-// runNbosTask: the full NotebookOS path: immediate commit on a replica
-// host when possible, otherwise migration (warm container when available)
-// and resubmission. A task that can neither commit nor migrate parks on
-// the capacity wait-queue until a Release/AddHost notification.
-func (s *sim) runNbosTask(ss *simSession, task trace.Task, submit time.Time) {
-	if s.tryNbosTask(ss, task, submit) {
-		return
+// tryBatchTask: FCFS on-demand provisioning: wait for free GPUs, cold
+// start a container, download model+dataset, execute, persist, terminate.
+func (s *sim) tryBatchTask(ss *session, task trace.Task, submit time.Time) bool {
+	// A batch job requests the session's full configured resources, the
+	// way a slurm submission would, not just the GPUs this task touches.
+	h := s.hostWithIdle(ss.req)
+	if h == nil || h.h.Commit(ss.holder, ss.req) != nil {
+		return false
 	}
-	s.waitq.Wait(func() bool { return s.tryNbosTask(ss, task, submit) })
+	s.res.ColdStarts++
+	s.launchContainer(ss, task, submit, h, s.cfg.Latencies.ColdStart(s.rng))
+	return true
 }
 
-// tryNbosTask attempts one commit-or-migrate step and reports whether it
-// made progress (committed the task or scheduled a migration).
-func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) bool {
-	lat := s.cfg.Latencies
-	req := s.taskReq(ss, task)
+// tryLCPTask: take a warm container from the pool (or cold start), warm
+// it up by downloading model + dataset (on the critical path, which is
+// what stretches LCP's TCT in Fig. 9b), execute, return the container.
+func (s *sim) tryLCPTask(ss *session, task trace.Task, submit time.Time) bool {
+	req := taskReq(ss, task)
+	var target *host
+	// Prefer hosts with both idle GPUs and a warm container.
+scan:
+	for _, m := range s.members {
+		for _, h := range m.hosts {
+			if !h.h.CanCommit(req) {
+				continue
+			}
+			if h.warm > 0 {
+				target = h
+				break scan
+			}
+			if target == nil {
+				target = h
+			}
+		}
+	}
+	if target == nil || target.h.Commit(ss.holder, req) != nil {
+		return false
+	}
+	var start time.Duration
+	if target.warm > 0 {
+		target.warm--
+		s.res.WarmStarts++
+		start = s.cfg.Latencies.WarmAttach(s.rng)
+	} else {
+		s.res.ColdStarts++
+		start = s.cfg.Latencies.ColdStart(s.rng)
+	}
+	s.launchContainer(ss, task, submit, target, start)
+	return true
+}
+
+// launchContainer is the shared tail of the per-task-container pipelines
+// (Batch, LCP) once GPUs are committed on h and the container start cost
+// is drawn: fetch model parameters and dataset into the container, then
+// put the task in flight.
+func (s *sim) launchContainer(ss *session, task trace.Task, submit time.Time, h *host, start time.Duration) {
+	lat := &s.cfg.Latencies
+	queueing := s.now().Sub(submit)
+	fetch := lat.Store.GetLatency(ss.assig.Model.ParamBytes+ss.assig.Dataset.SizeBytes/16, s.rng)
+	s.res.ReadLatency.Add(fetch.Seconds())
+	step1 := queueing + start + lat.GSProcess(s.rng)
+	step5 := lat.PreProcess(s.rng) + fetch
+	step7 := lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs)
+	s.sampleLead(step1, step5, 0, step7)
+	delay := step1 + step5 + step7
+	s.launch(ss, task, submit, h, delay, s.now().Add(delay))
+}
+
+// tryNbosTask is the full NotebookOS path, generalized across clusters:
+// immediate commit on a replica host when possible, otherwise migration
+// (warm container when available) and resubmission. It reports whether it
+// made progress — committed the task or scheduled a migration; a task that
+// can do neither parks until capacity frees anywhere in the federation.
+func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
+	if len(ss.hosts) == 0 {
+		return true // dropped session: swallow its tasks
+	}
+	lat := &s.cfg.Latencies
+	req := taskReq(ss, task)
 	migrationDelay := s.now().Sub(submit)
 
 	// Prefer the previous executor's host (the paper reuses the same
@@ -876,12 +1170,12 @@ func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) boo
 	executor := 0
 	if ss.lastExecutor > 0 && ss.lastExecutor <= len(ss.hosts) &&
 		ss.hosts[ss.lastExecutor-1] != nil &&
-		ss.hosts[ss.lastExecutor-1].CanCommit(req) {
+		ss.hosts[ss.lastExecutor-1].h.CanCommit(req) {
 		executor = ss.lastExecutor
 	}
 	if executor == 0 {
 		for i, h := range ss.hosts {
-			if h != nil && h.CanCommit(req) {
+			if h != nil && h.h.CanCommit(req) {
 				executor = i + 1
 				break
 			}
@@ -891,8 +1185,7 @@ func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) boo
 		return s.tryMigrate(ss, task, submit)
 	}
 	h := ss.hosts[executor-1]
-	holder := ss.holder
-	if err := h.Commit(holder, req); err != nil {
+	if err := h.h.Commit(ss.holder, req); err != nil {
 		return s.tryMigrate(ss, task, submit)
 	}
 	if migrationDelay == 0 {
@@ -902,55 +1195,49 @@ func (s *sim) tryNbosTask(ss *simSession, task trace.Task, submit time.Time) boo
 		}
 	}
 	ss.lastExecutor = executor
+	s.members[h.member].res.Tasks++
 
-	step1 := s.sampleStep(StepGSProcess, lat.GSProcess(s.rng))
-	step5 := s.sampleStep(StepPreProcess, lat.PreProcess(s.rng))
-	step6 := s.sampleStep(StepElection, lat.Election(s.rng))
-	step7 := s.sampleStep(StepIntermed, lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs))
+	// A replica living outside the session's home cluster serves requests
+	// across the federation boundary: request and reply each pay one
+	// inter-cluster crossing (summed per direction, so asymmetric
+	// matrices charge correctly).
+	var wan time.Duration
+	if h.member != ss.home {
+		wan = s.fed.RoundTrip(ss.home, h.member)
+		s.routed.remoteExecutions++
+	}
+
+	step1 := lat.GSProcess(s.rng)
+	step5 := lat.PreProcess(s.rng)
+	step6 := lat.Election(s.rng)
+	step7 := lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs)
+	s.sampleLead(step1, step5, step6, step7)
 	hops := lat.Hop(s.rng) + lat.Hop(s.rng)
-	delay := migrationDelay + step1 + step5 + step6 + step7 + hops
-
-	nt := &nbosTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}
-	ss.cur = nt
-	s.eng.ScheduleRunner(submit.Add(delay), nt)
+	delay := migrationDelay + step1 + step5 + step6 + step7 + hops + wan
+	s.launch(ss, task, submit, h, delay, submit.Add(delay))
 	return true
 }
 
-// tryMigrate handles the all-YIELD path (§3.2.3): find a target with idle
-// resources, pay warm/cold container plus checkpoint-restore costs, swap
-// the replica, and resubmit. When no target exists it triggers a scale-out
-// (at most one in flight) and reports false so the caller parks on the
-// wait-queue until new capacity arrives.
-func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool {
-	lat := s.cfg.Latencies
-	req := s.taskReq(ss, task)
+// tryMigrate handles the all-YIELD path (§3.2.3): find a target host with
+// idle resources anywhere (clusters in route order, most-idle host within
+// the chosen cluster), pay warm/cold container plus checkpoint-restore
+// costs — plus two inter-cluster crossings when the replica changes
+// cluster — swap the replica, and resubmit. When no target exists it
+// triggers a scale-out of the home cluster (at most one in flight) and
+// reports false so the caller parks on the wait-queue until new capacity
+// arrives in any cluster.
+func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
+	lat := &s.cfg.Latencies
+	req := taskReq(ss, task)
 
 	// The failed election itself costs one election round.
 	electionCost := lat.Election(s.rng)
 
-	var target *simHost
-	bestIdle := -1
-	for _, sh := range s.hostList {
-		h := sh.h
-		if hostsContain(ss.hosts, h) || !h.CanCommit(req) {
-			continue
-		}
-		if idle := h.IdleGPUs(); idle > bestIdle {
-			bestIdle = idle
-			target = sh
-		}
-	}
+	target := s.mostIdleHost(ss, &req)
 	if target == nil {
 		// Scale out; the AddHost notification wakes the wait-queue.
-		if s.pendingHosts == 0 {
-			s.pendingHosts++
-			s.res.ScaleOuts++
-			s.recordEvent(scheduler.EventScaleOut)
-			provision := lat.HostProvision(s.rng)
-			s.eng.Defer(provision, func() {
-				s.addHost()
-				s.pendingHosts--
-			})
+		if s.members[ss.home].pendingHosts == 0 {
+			s.provision(ss.home, 1, lat.HostProvision(s.rng))
 		}
 		return false
 	}
@@ -962,8 +1249,7 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 		s.res.WarmStarts++
 		extra += lat.WarmAttach(s.rng)
 		// Pool replenishes in the background.
-		tsh := target
-		s.eng.Defer(lat.ColdStart(s.rng), func() { tsh.warm++ })
+		s.eng.Defer(lat.ColdStart(s.rng), func() { target.warm++ })
 	} else {
 		s.res.ColdStarts++
 		extra += lat.ColdStart(s.rng)
@@ -971,8 +1257,10 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 	// Persist + restore checkpointed state through the data store.
 	wr := lat.Store.PutLatency(ss.assig.Model.ParamBytes, s.rng)
 	rd := lat.Store.GetLatency(ss.assig.Model.ParamBytes, s.rng)
-	s.res.WriteLatency.Add(wr.Seconds())
-	s.res.ReadLatency.Add(rd.Seconds())
+	if s.res.WriteLatency != nil {
+		s.res.WriteLatency.Add(wr.Seconds())
+		s.res.ReadLatency.Add(rd.Seconds())
+	}
 	extra += wr + rd + electionCost
 
 	// Move the replica: a crash-emptied slot (faults.go) is refilled
@@ -984,32 +1272,60 @@ func (s *sim) tryMigrate(ss *simSession, task trace.Task, submit time.Time) bool
 			victim = i
 			break
 		}
-		if idle := h.IdleGPUs(); idle < worst {
+		if idle := h.h.IdleGPUs(); idle < worst {
 			worst = idle
 			victim = i
 		}
 	}
-	oldHost := ss.hosts[victim]
+	old := ss.hosts[victim]
 	key := ss.replicaKeyFor(victim + 1)
-	if oldHost != nil {
-		_ = oldHost.RemoveReplica(key)
+	if old != nil {
+		_ = old.h.RemoveReplica(key)
+		if old.member != target.member {
+			// A cross-cluster move pays the federation boundary in both
+			// directions for the checkpoint transfer.
+			extra += s.fed.RoundTrip(old.member, target.member)
+			s.routed.crossMigrations++
+		}
 	}
 	_ = target.h.PlaceReplica(key, ss.req)
-	ss.hosts[victim] = target.h
+	ss.hosts[victim] = target
 	ss.lastExecutor = victim + 1
 	s.res.Migrations++
+	s.members[target.member].res.MigrationsIn++
 	s.recordEvent(scheduler.EventMigration)
 	s.sampleSR()
 
-	s.eng.Defer(extra, func() {
-		s.runNbosTask(ss, task, submit)
-	})
+	s.eng.Defer(extra, func() { s.startTask(ss, task, submit) })
 	return true
+}
+
+// mostIdleHost returns the most-idle host outside the session's replica
+// set — one that can commit *need right now, when need is given — from the
+// first cluster in route order that has one.
+func (s *sim) mostIdleHost(ss *session, need *resources.Spec) *host {
+	for _, idx := range s.routeOrder(ss.home) {
+		var best *host
+		bestIdle := -1
+		for _, h := range s.members[idx].hosts {
+			if hostsContain(ss.hosts, h) || (need != nil && !h.h.CanCommit(*need)) {
+				continue
+			}
+			if idle := h.h.IdleGPUs(); idle > bestIdle {
+				bestIdle = idle
+				best = h
+			}
+		}
+		if best != nil {
+			return best
+		}
+	}
+	return nil
 }
 
 // hostsContain reports whether h is one of the session's replica hosts
 // (len <= R, so a linear scan beats building a set).
-func hostsContain(hosts []*cluster.Host, h *cluster.Host) bool {
+func hostsContain(hosts []*host, h *host) bool {
 	for _, x := range hosts {
 		if x == h {
 			return true
@@ -1018,177 +1334,125 @@ func hostsContain(hosts []*cluster.Host, h *cluster.Host) bool {
 	return false
 }
 
-// runLCPTask: take a warm container from the pool (or cold start), warm
-// it up by downloading model + dataset (on the critical path, which is
-// what stretches LCP's TCT in Fig. 9b), execute, return the container.
-// Saturation parks the task on the capacity wait-queue. The pipeline after
-// commit runs as an lcpTask state machine (one allocation per task); the
-// retry closure is only built on the park path.
-func (s *sim) runLCPTask(ss *simSession, task trace.Task, submit time.Time) {
-	if s.tryLCPTask(ss, task, submit) {
-		return
+// markTraining steps the training series at a task's training start/end:
+// committed GPUs on the executor's member, and the active-training count
+// where the run records one.
+func (s *sim) markTraining(t *runningTask, start bool) {
+	d := 1.0
+	if !start {
+		d = -1
 	}
-	s.waitq.Wait(func() bool { return s.tryLCPTask(ss, task, submit) })
-}
-
-// tryLCPTask attempts the commit-and-warm-up step and reports whether the
-// task is now in flight.
-func (s *sim) tryLCPTask(ss *simSession, task trace.Task, submit time.Time) bool {
-	req := s.taskReq(ss, task)
-	var target *simHost
-	warm := false
-	// Prefer hosts with both idle GPUs and a warm container.
-	for _, sh := range s.hostList {
-		if !sh.h.CanCommit(req) {
-			continue
-		}
-		if sh.warm > 0 {
-			target = sh
-			warm = true
-			break
-		}
-		if target == nil {
-			target = sh
-		}
+	at := s.now()
+	if s.res.ActiveTrainings != nil {
+		s.res.ActiveTrainings.Delta(at, d)
 	}
-	if target == nil {
-		return false
-	}
-	if err := target.h.Commit(ss.holder, req); err != nil {
-		return false
-	}
-	var start time.Duration
-	if warm {
-		target.warm--
-		s.res.WarmStarts++
-		start = s.cfg.Latencies.WarmAttach(s.rng)
-	} else {
-		s.res.ColdStarts++
-		start = s.cfg.Latencies.ColdStart(s.rng)
-	}
-	queueing := s.now().Sub(submit)
-	// Warm-up: fetch model parameters and dataset into the container.
-	fetch := s.cfg.Latencies.Store.GetLatency(ss.assig.Model.ParamBytes+ss.assig.Dataset.SizeBytes/16, s.rng)
-	s.res.ReadLatency.Add(fetch.Seconds())
-	step1 := s.sampleStep(StepGSProcess, queueing+start+s.cfg.Latencies.GSProcess(s.rng))
-	step5 := s.sampleStep(StepPreProcess, s.cfg.Latencies.PreProcess(s.rng)+fetch)
-	s.sampleStep(StepElection, 0)
-	step7 := s.sampleStep(StepIntermed, s.cfg.Latencies.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs))
-	delay := step1 + step5 + step7
-
-	lt := &lcpTask{s: s, ss: ss, task: task, submit: submit, target: target, delay: delay}
-	ss.cur = lt
-	s.eng.DeferRunner(delay, lt)
-	return true
-}
-
-func (s *sim) markTraining(ss *simSession, task trace.Task, at time.Time, start bool) {
-	g := float64(task.GPUs)
-	if start {
-		s.res.ActiveTrainings.Delta(at, 1)
-		s.res.CommittedGPUs.Delta(at, g)
-	} else {
-		s.res.ActiveTrainings.Delta(at, -1)
-		s.res.CommittedGPUs.Delta(at, -g)
-	}
+	s.members[t.h.member].res.CommittedGPUs.Delta(at, d*float64(t.task.GPUs))
 }
 
 // hostWithIdle returns a host that can commit req right now (most idle
 // first), or nil.
-func (s *sim) hostWithIdle(req resources.Spec) *simHost {
-	var best *simHost
+func (s *sim) hostWithIdle(req resources.Spec) *host {
+	var best *host
 	bestIdle := -1
-	for _, sh := range s.hostList {
-		if !sh.h.CanCommit(req) {
-			continue
-		}
-		if idle := sh.h.IdleGPUs(); idle > bestIdle {
-			bestIdle = idle
-			best = sh
+	for _, m := range s.members {
+		for _, h := range m.hosts {
+			if !h.h.CanCommit(req) {
+				continue
+			}
+			if idle := h.h.IdleGPUs(); idle > bestIdle {
+				bestIdle = idle
+				best = h
+			}
 		}
 	}
 	return best
 }
 
+// sampleSR records the subscription ratio where the run keeps that series.
 func (s *sim) sampleSR() {
-	s.res.SR.Set(s.now(), s.cluster.ClusterSR())
+	if s.res.SR != nil {
+		s.res.SR.Set(s.now(), s.fed.SR())
+	}
 }
 
 // ---- periodic sampling & autoscaling ------------------------------------
 
-func (s *sim) scheduleSampling() {
+// scheduleTick arms a periodic observer: fn runs first after `first`, then
+// every period until the window ends, always in the engine's late
+// tie-break class (see stream.go).
+func (s *sim) scheduleTick(first, period time.Duration, fn func()) {
 	var tick func()
 	tick = func() {
-		s.sampleProvisioned()
+		fn()
 		if s.now().Before(s.end) {
-			s.eng.DeferLate(s.cfg.SampleEvery, tick)
+			s.eng.DeferLate(period, tick)
 		}
 	}
-	s.eng.DeferLate(0, tick)
+	s.eng.DeferLate(first, tick)
 }
 
-// sampleProvisioned records the provisioned-GPU series whose meaning is
-// policy-dependent (Fig. 8): Reservation provisions what sessions reserve;
-// Batch provisions what runs; NotebookOS/(LCP) provision whole servers.
+// sampleProvisioned records every member's provisioned-GPU series, whose
+// meaning is policy-dependent (Fig. 8): Reservation provisions what
+// sessions reserve; Batch provisions what runs; NotebookOS/(LCP) provision
+// whole servers.
 func (s *sim) sampleProvisioned() {
-	switch s.cfg.Policy {
-	case PolicyReservation:
-		s.res.ProvisionedGPUs.Set(s.now(), float64(s.cluster.CommittedGPUs()))
-	case PolicyBatch:
-		s.res.ProvisionedGPUs.Set(s.now(), float64(s.cluster.CommittedGPUs()))
-	default:
-		s.res.ProvisionedGPUs.Set(s.now(), float64(s.cluster.TotalGPUs()))
-		s.sampleSR()
-	}
-}
-
-func (s *sim) scheduleAutoscale() {
-	var tick func()
-	tick = func() {
-		s.autoscaleOnce()
-		if s.now().Before(s.end) {
-			s.eng.DeferLate(s.cfg.AutoscaleInterval, tick)
+	at := s.now()
+	if !s.wholeServers() {
+		for _, m := range s.members {
+			m.res.ProvisionedGPUs.Set(at, float64(m.c.CommittedGPUs()))
 		}
+		return
 	}
-	s.eng.DeferLate(s.cfg.AutoscaleInterval, tick)
+	for _, m := range s.members {
+		m.res.ProvisionedGPUs.Set(at, float64(m.c.TotalGPUs()))
+	}
+	s.sampleSR()
 }
 
-func (s *sim) autoscaleOnce() {
-	committed := s.cluster.CommittedGPUs()
-	gpusPerHost := s.cfg.HostCapacity.GPUs
-	expected := s.cfg.ScaleFactor*float64(committed) + float64(s.cfg.ScalingBufferHosts*gpusPerHost)
+// autoscale is one autoscaler tick: the pooled decision when the run has a
+// federated autoscaler, otherwise one evaluation per member.
+func (s *sim) autoscale() {
+	if s.autoscaler != nil {
+		s.autoscalePooled()
+		return
+	}
+	for i := range s.members {
+		s.autoscaleMember(i)
+	}
+}
+
+// autoscaleMember runs one member's autoscaler evaluation: each cluster
+// scales against its own committed load (§3.4.2).
+func (s *sim) autoscaleMember(idx int) {
+	m := s.members[idx]
+	gpusPerHost := m.spec.HostCapacity.GPUs
+	expected := s.cfg.ScaleFactor*float64(m.c.CommittedGPUs()) + float64(s.cfg.ScalingBufferHosts*gpusPerHost)
 	if s.cfg.Policy == PolicyLCP {
 		// The LCP baseline keeps a large warm-container pool sized to the
 		// session population, trading resource cost for interactivity
 		// (§5.1.1); reserve roughly one GPU of capacity per live session.
 		expected += 0.75 * s.res.ActiveSessions.Last()
 	}
-	total := s.cluster.TotalGPUs() + s.pendingHosts*gpusPerHost
+	total := m.c.TotalGPUs() + m.pendingHosts*gpusPerHost
 
 	if float64(total) < expected {
 		need := int(math.Ceil((expected - float64(total)) / float64(gpusPerHost)))
-		s.provisionAt(need, s.cfg.Latencies.HostProvision(s.rng))
+		s.provision(idx, need, s.cfg.Latencies.HostProvision(s.rng))
 		return
 	}
 	// Scale in: release up to 2 idle servers (no replicas, nothing
 	// committed) while above the floor.
-	if float64(total)-float64(gpusPerHost) > expected && s.cluster.NumHosts() > s.cfg.MinHosts {
+	if float64(total)-float64(gpusPerHost) > expected && m.c.NumHosts() > m.spec.MinHosts {
 		released := 0
-		for i := 0; i < len(s.hostList); {
-			if released >= 2 || s.cluster.NumHosts() <= s.cfg.MinHosts {
+		for i := 0; i < len(m.hosts); {
+			if released >= 2 || m.c.NumHosts() <= m.spec.MinHosts {
 				break
 			}
-			sh := s.hostList[i]
-			removed := false
-			if sh.h.NumReplicas() == 0 && sh.h.Committed().IsZero() {
-				if err := s.cluster.RemoveHost(sh.h.ID); err == nil {
-					s.hostList = append(s.hostList[:i], s.hostList[i+1:]...)
-					s.noteHosts(-1)
-					released++
-					removed = true
-				}
+			removed := s.removeHostIfEmpty(m, i)
+			if removed {
+				released++
 			}
-			if float64(s.cluster.TotalGPUs())-float64(gpusPerHost) <= expected {
+			if float64(m.c.TotalGPUs())-float64(gpusPerHost) <= expected {
 				break
 			}
 			if !removed {
@@ -1196,50 +1460,87 @@ func (s *sim) autoscaleOnce() {
 			}
 		}
 		if released > 0 {
-			s.res.ScaleIns++
-			s.recordEvent(scheduler.EventScaleIn)
-			s.sampleProvisioned()
+			s.noteScaleIn(idx)
 		}
 	}
 }
 
-// provisionAt starts a scale-out of need hosts: they count as pending
-// immediately and land after the given provisioning latency. The latency
-// is a parameter, not a draw, so the lease pool can charge its own rng's
-// draw (one per pooled decision, like the unsharded autoscaler's one per
-// tick) while the worker's local paths pass a worker-rng draw.
-func (s *sim) provisionAt(need int, provision time.Duration) {
-	s.pendingHosts += need
+// noteScaleOut counts one scale-out decision for member idx.
+func (s *sim) noteScaleOut(idx int) {
 	s.res.ScaleOuts++
+	s.members[idx].res.ScaleOuts++
 	s.recordEvent(scheduler.EventScaleOut)
-	s.eng.Defer(provision, func() {
+}
+
+// noteScaleIn counts one scale-in that retired hosts from member idx and
+// samples the shrunken fleet.
+func (s *sim) noteScaleIn(idx int) {
+	s.res.ScaleIns++
+	s.members[idx].res.ScaleIns++
+	s.recordEvent(scheduler.EventScaleIn)
+	s.sampleProvisioned()
+}
+
+// provision starts a scale-out of need hosts toward member idx: they count
+// as pending (toward autoscaler capacity) immediately and land — and reach
+// the provisioned series — after the given provisioning latency. The
+// latency is a parameter, not a draw, so the lease pool can charge its own
+// rng's draw (one per pooled decision, like the unsharded autoscaler's one
+// per tick) while local paths pass a scheduling-rng draw.
+func (s *sim) provision(idx, need int, latency time.Duration) {
+	m := s.members[idx]
+	m.pendingHosts += need
+	s.noteScaleOut(idx)
+	s.eng.Defer(latency, func() {
 		for i := 0; i < need; i++ {
-			s.addHost()
+			s.addHost(idx)
 		}
-		s.pendingHosts -= need
+		m.pendingHosts -= need
 		s.sampleProvisioned()
 	})
 }
 
-// finalizeIntegrals computes the integrated hour metrics for the cost
-// model (Fig. 12).
-func (s *sim) finalizeIntegrals() {
-	start, end := s.start, s.end
-	s.res.ActiveGPUHours = s.res.CommittedGPUs.Integral(start, end)
-	s.res.ServerHours = s.res.ProvisionedGPUs.Integral(start, end) / float64(s.cfg.HostCapacity.GPUs)
-	if s.streaming {
-		// No trace to scan: the online accumulator integrated reserved GPUs
-		// as sessions came and went (bit-for-bit it is a different summation
-		// order than the trace-scan timeline, so the two agree to rounding).
-		s.res.ReservedGPUHours = s.reserved.finish(end.UnixNano())
-	} else {
-		s.res.ReservedGPUHours = s.cfg.Trace.ReservedGPUs().Integral(start, end)
+// hostEmpty reports whether a host holds no replicas and no commitments —
+// the one definition of "retirable" shared by the scale-in executors and
+// the EmptyHosts gauge the pooled autoscaler decides on, so the gauge can
+// never promise removals the executor refuses.
+func hostEmpty(h *host) bool {
+	return h.h.NumReplicas() == 0 && h.h.Committed().IsZero()
+}
+
+// removeHostIfEmpty retires m.hosts[i] when it is empty, unwiring it from
+// the member and the host index; reports whether it was removed. Every
+// scale-in and lease return retires through this so the emptiness
+// predicate and the bookkeeping cannot drift apart.
+func (s *sim) removeHostIfEmpty(m *member, i int) bool {
+	h := m.hosts[i]
+	if !hostEmpty(h) {
+		return false
 	}
-	if s.cfg.Policy == PolicyNotebookOS {
-		// Each session keeps R standby replicas alive; the executor is
-		// billed as active while training. Replica-hours approximate
-		// R x session-hours.
-		sessHours := s.res.ActiveSessions.Integral(start, end)
-		s.res.StandbyReplicaHours = sessHours * float64(s.cfg.ReplicasPerKernel)
+	if err := m.c.RemoveHost(h.h.ID); err != nil {
+		return false
 	}
+	m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
+	delete(s.byHost, h.h)
+	s.noteHosts(-1)
+	return true
+}
+
+// memberLoad snapshots one member's O(1) counters plus its empty-host
+// count — what the pooled autoscaler and the federated lease pool decide
+// on.
+func (s *sim) memberLoad(m *member) federation.MemberLoad {
+	l := federation.MemberLoad{
+		Hosts:          m.c.NumHosts(),
+		PendingHosts:   m.pendingHosts,
+		GPUsPerHost:    m.spec.HostCapacity.GPUs,
+		CommittedGPUs:  m.c.CommittedGPUs(),
+		SubscribedGPUs: m.c.SubscribedGPUs(),
+	}
+	for _, h := range m.hosts {
+		if hostEmpty(h) {
+			l.EmptyHosts++
+		}
+	}
+	return l
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"notebookos/internal/resources"
 	"notebookos/internal/trace"
 )
 
@@ -47,6 +48,62 @@ func TestAllPoliciesCompleteAllTasks(t *testing.T) {
 			t.Errorf("%s samples: tct=%d delay=%d", p, res.TCT.N(), res.Interactivity.N())
 		}
 	}
+
+	// Hostile config: a host shape most sessions' requests cannot fit. No
+	// runner may panic; sessions that fit nowhere are dropped and their
+	// tasks swallowed, the rest complete.
+	small := resources.Spec{Millicpus: 16_000, MemoryMB: 122 * 1024, GPUs: 2, VRAMGB: 32}
+	fits := 0
+	for _, sess := range tr.Sessions {
+		if sess.Request.Fits(small) {
+			fits++
+		}
+	}
+	if fits == 0 || fits == len(tr.Sessions) {
+		t.Fatalf("want a trace where only some sessions fit a 2-GPU host, got %d/%d", fits, len(tr.Sessions))
+	}
+	hostile := func(p Policy, sc ShardCapacity) Config {
+		return Config{Trace: tr, Policy: p, Hosts: 30, HostCapacity: small, Seed: 7, ShardCapacity: sc}
+	}
+	clusters := DefaultFedClusters(2, 30)
+	for i := range clusters {
+		clusters[i].HostCapacity = small
+	}
+	cases := []struct {
+		name string
+		run  func() (int, error)
+	}{
+		{"Run/reservation", func() (int, error) { return tasksOf(Run(hostile(PolicyReservation, LegacySplit))) }},
+		{"Run/batch", func() (int, error) { return tasksOf(Run(hostile(PolicyBatch, LegacySplit))) }},
+		{"Run/notebookos", func() (int, error) { return tasksOf(Run(hostile(PolicyNotebookOS, LegacySplit))) }},
+		{"Run/lcp", func() (int, error) { return tasksOf(Run(hostile(PolicyLCP, LegacySplit))) }},
+		{"RunSharded/legacy", func() (int, error) { return tasksOf(RunSharded(hostile(PolicyNotebookOS, LegacySplit), 2)) }},
+		{"RunSharded/lease", func() (int, error) { return tasksOf(RunSharded(hostile(PolicyNotebookOS, LeasePool), 2)) }},
+		{"RunFederated", func() (int, error) {
+			r, err := RunFederated(FedConfig{Trace: tr, Clusters: clusters, Seed: 7})
+			if err != nil {
+				return 0, err
+			}
+			return r.Tasks, nil
+		}},
+	}
+	for _, c := range cases {
+		tasks, err := c.run()
+		if err != nil {
+			t.Errorf("%s on 2-GPU hosts: %v", c.name, err)
+			continue
+		}
+		if tasks == 0 || tasks >= want {
+			t.Errorf("%s on 2-GPU hosts completed %d of %d tasks; want only the fitting sessions' tasks", c.name, tasks, want)
+		}
+	}
+}
+
+func tasksOf(r *Result, err error) (int, error) {
+	if err != nil {
+		return 0, err
+	}
+	return r.Tasks, nil
 }
 
 func TestDeterminism(t *testing.T) {

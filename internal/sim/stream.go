@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"sync"
 	"time"
 
-	"notebookos/internal/federation"
 	"notebookos/internal/trace"
-	"notebookos/internal/workload"
 )
 
 // Streaming simulation
@@ -58,8 +55,11 @@ func (a *gpuHoursAcc) finish(endNS int64) float64 {
 	return a.hours
 }
 
-// injector is the single-cluster streaming admitter: one event, re-scheduled
-// (allocation-free, via ScheduleRunner) from each session start to the next.
+// injector is the streaming admitter: one event, re-scheduled
+// (allocation-free, via ScheduleRunner) from each session start to the
+// next. Sessions are admitted — workload assignment drawn, home member
+// assigned round-robin — in arrival order, exactly as the up-front loop
+// does.
 type injector struct {
 	s    *sim
 	sess *trace.Session
@@ -67,52 +67,9 @@ type injector struct {
 
 func (in *injector) Fire() {
 	s := in.s
-	sess := in.sess
-	ss := &simSession{
-		src:    sess,
-		req:    sess.Request,
-		assig:  workload.Assign(s.wr),
-		holder: s.kind + "/" + sess.ID,
-	}
+	ss := s.newSession(in.sess)
 	s.sessionStart(ss)
-	s.eng.Schedule(sess.End, func() { s.sessionEnd(ss) })
-	for _, task := range sess.Tasks {
-		task := task
-		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
-	}
-	if next, ok := s.pull(); ok {
-		in.sess = next
-		s.eng.ScheduleRunner(next.Start, in)
-	} else {
-		in.sess = nil
-	}
-}
-
-// fedInjector is the federated streaming admitter; home clusters are
-// assigned round-robin in arrival order, exactly as the up-front loop does.
-type fedInjector struct {
-	s    *fedSim
-	sess *trace.Session
-}
-
-func (in *fedInjector) Fire() {
-	s := in.s
-	sess := in.sess
-	ss := &fedSession{
-		src:    sess,
-		req:    sess.Request,
-		assig:  workload.Assign(s.wr),
-		home:   s.homeSeq % len(s.members),
-		holder: "fed/" + sess.ID,
-	}
-	s.homeSeq++
-	s.members[ss.home].res.HomeSessions++
-	s.sessionStart(ss)
-	s.eng.Schedule(sess.End, func() { s.sessionEnd(ss) })
-	for _, task := range sess.Tasks {
-		task := task
-		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
-	}
+	s.scheduleSession(ss)
 	if next, ok := s.pull(); ok {
 		in.sess = next
 		s.eng.ScheduleRunner(next.Start, in)
@@ -153,20 +110,9 @@ func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, er
 		cfg.Source = gens[0]
 		return Run(cfg)
 	}
-	weights := uniformWeights(shards)
-	hosts := trace.ProportionalShares(weights, cfg.Hosts, 1)
-	minHosts := floorShares(weights, cfg.MinHosts)
-	buffers := trace.ProportionalShares(weights, cfg.ScalingBufferHosts, 0)
-
-	wcfgs := make([]Config, shards)
-	for i := range gens {
-		wcfg := cfg
-		wcfg.Source = gens[i]
-		wcfg.Hosts = hosts[i]
-		wcfg.MinHosts = minHosts[i]
-		wcfg.ScalingBufferHosts = buffers[i]
-		wcfg.Seed = ShardSeed(cfg.Seed, i)
-		wcfgs[i] = wcfg
+	wcfgs := shardConfigs(cfg, uniformWeights(shards))
+	for i := range wcfgs {
+		wcfgs[i].Source = gens[i]
 	}
 	if cfg.ShardCapacity == LeasePool {
 		// The capacity ledger replays the whole workload: give it its own
@@ -179,24 +125,7 @@ func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, er
 		cfg.Source = full
 		return runShardedLeased(cfg, wcfgs)
 	}
-
-	results := make([]*Result, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := range wcfgs {
-		wg.Add(1)
-		go func(i int, wcfg Config) {
-			defer wg.Done()
-			results[i], errs[i] = Run(wcfg)
-		}(i, wcfgs[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return MergeResults(results...), nil
+	return runShards(wcfgs, Run, MergeResults)
 }
 
 // RunFederatedStreamSharded is RunFederatedSharded against streaming
@@ -227,31 +156,9 @@ func RunFederatedStreamSharded(gcfg trace.GenConfig, cfg FedConfig, shards int) 
 		cfg.Source = gens[0]
 		return RunFederated(cfg)
 	}
-	weights := uniformWeights(shards)
-	memberHosts := make([][]int, len(cfg.Clusters))
-	memberFloors := make([][]int, len(cfg.Clusters))
-	for m, spec := range cfg.Clusters {
-		memberHosts[m] = trace.ProportionalShares(weights, spec.Hosts, 1)
-		memberFloors[m] = floorShares(weights, spec.MinHosts)
-	}
-	fedFloors := floorShares(weights, cfg.FedMinHosts)
-
-	wcfgs := make([]FedConfig, shards)
-	for i := range gens {
-		wcfg := cfg
-		wcfg.Source = gens[i]
-		wcfg.Clusters = make([]FedClusterSpec, len(cfg.Clusters))
-		for m, spec := range cfg.Clusters {
-			spec.Hosts = memberHosts[m][i]
-			spec.MinHosts = memberFloors[m][i]
-			wcfg.Clusters[m] = spec
-		}
-		wcfg.FedMinHosts = fedFloors[i]
-		wcfg.Seed = ShardSeed(cfg.Seed, i)
-		// Stateful route policies (round-robin's rotation counter) must
-		// not be shared across the parallel workers.
-		wcfg.Route = federation.FreshPolicy(cfg.Route)
-		wcfgs[i] = wcfg
+	wcfgs := shardFedConfigs(cfg, uniformWeights(shards))
+	for i := range wcfgs {
+		wcfgs[i].Source = gens[i]
 	}
 	if cfg.ShardCapacity == LeasePool {
 		full, err := trace.NewStreamGen(gcfg, 0, 1)
@@ -261,24 +168,7 @@ func RunFederatedStreamSharded(gcfg trace.GenConfig, cfg FedConfig, shards int) 
 		cfg.Source = full
 		return runFederatedShardedLeased(cfg, wcfgs)
 	}
-
-	results := make([]*FedResult, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for i := range wcfgs {
-		wg.Add(1)
-		go func(i int, wcfg FedConfig) {
-			defer wg.Done()
-			results[i], errs[i] = RunFederated(wcfg)
-		}(i, wcfgs[i])
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return MergeFedResults(results...), nil
+	return runShards(wcfgs, RunFederated, MergeFedResults)
 }
 
 // streamShards runs the shared setup of the streaming sharded runners:

@@ -3,316 +3,123 @@ package sim
 import (
 	"time"
 
-	"notebookos/internal/cluster"
 	"notebookos/internal/trace"
 )
 
-// Task state machines
+// Task state machine
 //
-// Each policy's task pipeline used to be a chain of nested closures: the
-// commit handler allocated the training-start closure, which allocated the
+// A task's pipeline used to be a chain of nested closures: the commit
+// handler allocated the training-start closure, which allocated the
 // completion closure, which allocated the return closure — three to four
 // heap allocations (plus captured-variable boxes) per executed task, the
-// last per-task allocation source left in the hot path. Each pipeline is
+// last per-task allocation source left in the hot path. The pipeline is
 // now a single struct implementing des.Runner: one allocation per task,
 // re-scheduled phase after phase through the engine's pooled-event
 // ScheduleRunner/DeferRunner (which allocate nothing).
 //
-// Byte-identity contract: these machines replicate the closure chains they
+// Byte-identity contract: the machine replicates the closure chains it
 // replaced exactly — same event-scheduling topology (so engine sequence
 // numbers, and therefore tie-breaks, are unchanged) and same RNG draw order
-// within each phase. CI's benchsnap gated metrics pin this.
+// within each phase. CI's benchsnap gated metrics and TestRunnerFingerprints
+// pin this.
 //
-// Each machine also implements the fault layer's runningTask interface
-// (faults.go): abort marks the machine dead — already-scheduled phase
-// events no-op when they fire — unwinds any in-progress training
-// accounting into LostGPUHours, releases the task's exclusive commit, and
-// hands the task back for checkpoint-restore resubmission. The dead flag
-// and tstartNS stamp cost nothing on the fault-free path and change no
-// scheduling, preserving the byte-identity contract.
+// The machine is also the fault layer's handle on an in-flight task
+// (faults.go): abort marks it dead — already-scheduled phase events no-op
+// when they fire — unwinds any in-progress training accounting into
+// LostGPUHours, releases the task's exclusive commit, and hands the task
+// back for checkpoint-restore resubmission. The dead flag and tstart stamp
+// cost nothing on the fault-free path and change no scheduling.
 
-// resvTask drives the Reservation pipeline. Its two lead events (training
-// start at submit+delay, completion at submit+delay+duration) are both
-// scheduled up front, in that order, exactly as the closure version did;
-// task durations are strictly positive, so the phases fire in order.
-type resvTask struct {
+// runningTask drives every policy's pipeline from the training-start event on
+// (executor or container selection, the commit, WAN charging and the delay
+// draws happen in the policy's try*Task). The policies differ in three
+// places: Reservation schedules its completion event up front and never
+// releases GPUs per task (the session holds them); NotebookOS returns after
+// the GPU offload while Batch and LCP persist state synchronously; LCP
+// hands its container back to the warm pool.
+type runningTask struct {
 	s      *sim
-	ss     *simSession
+	ss     *session
 	task   trace.Task
 	submit time.Time
+	// h is the host the task's GPUs are committed on.
+	h      *host
 	delay  time.Duration
-	post   time.Duration
 	tstart int64
 	phase  uint8
 	dead   bool
 }
 
-func (t *resvTask) Fire() {
+func (t *runningTask) Fire() {
 	if t.dead {
 		return
 	}
 	s := t.s
+	lat := &s.cfg.Latencies
 	switch t.phase {
 	case 0: // training starts
 		t.phase = 1
 		t.tstart = s.now().UnixNano()
-		s.markTraining(t.ss, t.task, s.now(), true)
-	case 1: // execution done: persist state synchronously (Fig. 16 step 9)
-		t.phase = 2
-		post := s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rng)
-		s.res.WriteLatency.Add(post.Seconds())
-		s.sampleStep(StepPostProc, post)
-		s.sampleStep(StepExec, t.task.Duration)
-		ret := s.sampleStep(StepReturn, s.cfg.Latencies.Hop(s.rng))
-		t.post = post
-		s.eng.DeferRunner(post+ret, t)
-	case 2: // reply returned
-		s.markTraining(t.ss, t.task, s.now(), false)
-		s.finishTask(t.ss, t.submit, t.delay, t.task.Duration, t.post)
-	}
-}
-
-// runsOn: a reservation task always executes on the session's reserved
-// host.
-func (t *resvTask) runsOn(h *cluster.Host) bool {
-	return len(t.ss.hosts) > 0 && t.ss.hosts[0] == h
-}
-
-// abort kills the machine. The session-lifetime GPU commitment stays with
-// the session (repairReservation re-binds it), so nothing releases here.
-func (t *resvTask) abort() (trace.Task, time.Time) {
-	t.dead = true
-	if t.phase >= 1 {
-		t.s.markTraining(t.ss, t.task, t.s.now(), false)
-		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
-	}
-	return t.task, t.submit
-}
-
-// batchTask drives the Batch pipeline from the training-start event on
-// (commit, cold start, and the delay draws happen in tryBatchTask).
-type batchTask struct {
-	s      *sim
-	ss     *simSession
-	task   trace.Task
-	submit time.Time
-	h      *cluster.Host
-	delay  time.Duration
-	post   time.Duration
-	tstart int64
-	phase  uint8
-	dead   bool
-}
-
-func (t *batchTask) Fire() {
-	if t.dead {
-		return
-	}
-	s := t.s
-	switch t.phase {
-	case 0: // training starts
-		t.phase = 1
-		t.tstart = s.now().UnixNano()
-		s.markTraining(t.ss, t.task, s.now(), true)
-		s.eng.DeferRunner(t.task.Duration, t)
-	case 1: // execution done: persist, then return
-		t.phase = 2
-		s.sampleStep(StepExec, t.task.Duration)
-		post := s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rng)
-		s.res.WriteLatency.Add(post.Seconds())
-		s.sampleStep(StepPostProc, post)
-		ret := s.sampleStep(StepReturn, s.cfg.Latencies.Hop(s.rng))
-		t.post = post
-		s.eng.DeferRunner(post+ret, t)
-	case 2: // reply returned; container terminates
-		s.markTraining(t.ss, t.task, s.now(), false)
-		_ = t.h.Release(t.ss.holder)
-		s.finishTask(t.ss, t.submit, t.delay, t.task.Duration, t.post)
-	}
-}
-
-func (t *batchTask) runsOn(h *cluster.Host) bool { return t.h == h }
-
-// abort kills the machine: the per-task commit releases (a no-op charge
-// on a crashed host — the cluster already dropped its aggregates) and any
-// started training unwinds.
-func (t *batchTask) abort() (trace.Task, time.Time) {
-	t.dead = true
-	if t.phase >= 1 {
-		t.s.markTraining(t.ss, t.task, t.s.now(), false)
-		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
-	}
-	_ = t.h.Release(t.ss.holder)
-	return t.task, t.submit
-}
-
-// nbosTask drives the NotebookOS pipeline from the training-start event on
-// (executor selection, commit, and the delay draws happen in tryNbosTask).
-type nbosTask struct {
-	s      *sim
-	ss     *simSession
-	task   trace.Task
-	submit time.Time
-	h      *cluster.Host
-	delay  time.Duration
-	off    time.Duration
-	tstart int64
-	phase  uint8
-	dead   bool
-}
-
-func (t *nbosTask) Fire() {
-	if t.dead {
-		return
-	}
-	s := t.s
-	switch t.phase {
-	case 0: // training starts
-		t.phase = 1
-		t.tstart = s.now().UnixNano()
-		s.markTraining(t.ss, t.task, s.now(), true)
-		s.eng.DeferRunner(t.task.Duration, t)
+		s.markTraining(t, true)
+		if s.cfg.Policy != PolicyReservation {
+			// Reservation scheduled its completion alongside the start;
+			// task durations are strictly positive, so the phases fire in
+			// order.
+			s.eng.DeferRunner(t.task.Duration, t)
+		}
 	case 1: // execution done
 		t.phase = 2
 		s.sampleStep(StepExec, t.task.Duration)
-		// State replication is off the critical path (§3.2.4): the reply
-		// returns after the GPU offload only.
-		off := s.cfg.Latencies.Transfer.OffloadTime(t.ss.assig.Model.ParamBytes)
-		s.sampleStep(StepPostProc, off)
-		ret := s.sampleStep(StepReturn, s.cfg.Latencies.Hop(s.rng))
-		// Record the async replication costs for Fig. 11.
-		s.res.SyncLatency.Add(s.cfg.Latencies.Sync(s.rng).Seconds())
-		s.res.WriteLatency.Add(s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rng).Seconds())
-		t.off = off
-		s.eng.DeferRunner(off+ret, t)
-	case 2: // reply returned
-		s.markTraining(t.ss, t.task, s.now(), false)
-		_ = t.h.Release(t.ss.holder)
-		s.finishTask(t.ss, t.submit, t.delay, t.task.Duration, t.off)
-	}
-}
-
-func (t *nbosTask) runsOn(h *cluster.Host) bool { return t.h == h }
-
-// abort kills the machine (executor death or quorum loss — the repair
-// logic in faults.go decides which): the executor's commit releases and
-// any started training unwinds.
-func (t *nbosTask) abort() (trace.Task, time.Time) {
-	t.dead = true
-	if t.phase >= 1 {
-		t.s.markTraining(t.ss, t.task, t.s.now(), false)
-		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
-	}
-	_ = t.h.Release(t.ss.holder)
-	return t.task, t.submit
-}
-
-// lcpTask drives the LCP pipeline from the training-start event on (warm
-// container attach and the delay draws happen in tryLCPTask). It holds the
-// simHost, not just the cluster host, because the container returns to the
-// target's warm pool at completion.
-type lcpTask struct {
-	s      *sim
-	ss     *simSession
-	task   trace.Task
-	submit time.Time
-	target *simHost
-	delay  time.Duration
-	post   time.Duration
-	tstart int64
-	phase  uint8
-	dead   bool
-}
-
-func (t *lcpTask) Fire() {
-	if t.dead {
-		return
-	}
-	s := t.s
-	switch t.phase {
-	case 0: // training starts
-		t.phase = 1
-		t.tstart = s.now().UnixNano()
-		s.markTraining(t.ss, t.task, s.now(), true)
-		s.eng.DeferRunner(t.task.Duration, t)
-	case 1: // execution done: persist, then return
-		t.phase = 2
-		s.sampleStep(StepExec, t.task.Duration)
-		post := s.cfg.Latencies.Store.PutLatency(t.ss.assig.Model.ParamBytes, s.rng)
-		s.res.WriteLatency.Add(post.Seconds())
+		params := t.ss.assig.Model.ParamBytes
+		var post time.Duration
+		if s.cfg.Policy == PolicyNotebookOS {
+			// State replication is off the critical path (§3.2.4): the reply
+			// returns after the GPU offload only.
+			post = lat.Transfer.OffloadTime(params)
+		} else {
+			// Persist state synchronously (Fig. 16 step 9).
+			post = lat.Store.PutLatency(params, s.rng)
+			s.res.WriteLatency.Add(post.Seconds())
+		}
 		s.sampleStep(StepPostProc, post)
-		ret := s.sampleStep(StepReturn, s.cfg.Latencies.Hop(s.rng))
-		t.post = post
+		ret := lat.Hop(s.rng)
+		s.sampleStep(StepReturn, ret)
+		if s.cfg.Policy == PolicyNotebookOS && s.res.SyncLatency != nil {
+			// Record the async replication costs for Fig. 11; runs that do
+			// not report them draw nothing.
+			s.res.SyncLatency.Add(lat.Sync(s.rng).Seconds())
+			s.res.WriteLatency.Add(lat.Store.PutLatency(params, s.rng).Seconds())
+		}
 		s.eng.DeferRunner(post+ret, t)
-	case 2: // reply returned; container goes back to the warm pool
-		s.markTraining(t.ss, t.task, s.now(), false)
-		_ = t.target.h.Release(t.ss.holder)
-		t.target.warm++
-		s.finishTask(t.ss, t.submit, t.delay, t.task.Duration, t.post)
-	}
-}
-
-func (t *lcpTask) runsOn(h *cluster.Host) bool { return t.target.h == h }
-
-// abort kills the machine: the commit releases, training unwinds, and the
-// container does NOT return to the warm pool — it died with its host.
-func (t *lcpTask) abort() (trace.Task, time.Time) {
-	t.dead = true
-	if t.phase >= 1 {
-		t.s.markTraining(t.ss, t.task, t.s.now(), false)
-		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
-	}
-	_ = t.target.h.Release(t.ss.holder)
-	return t.task, t.submit
-}
-
-// fedTask drives the federated pipeline from the training-start event on
-// (placement, commit, WAN charging, and the delay draws happen in tryTask).
-type fedTask struct {
-	s      *fedSim
-	ss     *fedSession
-	task   trace.Task
-	submit time.Time
-	fh     *fedHost
-	delay  time.Duration
-	tstart int64
-	phase  uint8
-	dead   bool
-}
-
-func (t *fedTask) Fire() {
-	if t.dead {
-		return
-	}
-	s := t.s
-	switch t.phase {
-	case 0: // training starts
-		t.phase = 1
-		t.tstart = s.now().UnixNano()
-		s.markTraining(t.fh.member, t.task, true)
-		s.eng.DeferRunner(t.task.Duration, t)
-	case 1: // execution done
-		t.phase = 2
-		off := s.cfg.Latencies.Transfer.OffloadTime(t.ss.assig.Model.ParamBytes)
-		ret := s.cfg.Latencies.Hop(s.rng)
-		s.eng.DeferRunner(off+ret, t)
 	case 2: // reply returned
-		s.markTraining(t.fh.member, t.task, false)
-		_ = t.fh.h.Release(t.ss.holder)
+		s.markTraining(t, false)
+		t.release()
+		if s.cfg.Policy == PolicyLCP {
+			t.h.warm++ // the container goes back to the warm pool
+		}
 		s.finishTask(t.ss, t.submit, t.delay)
 	}
 }
 
-func (t *fedTask) runsOn(h *cluster.Host) bool { return t.fh.h == h }
+// release drops the task's exclusive commit. A Reservation task holds
+// none: its GPUs stay bound to the session for its whole lifetime.
+func (t *runningTask) release() {
+	if t.s.cfg.Policy != PolicyReservation {
+		_ = t.h.h.Release(t.ss.holder)
+	}
+}
 
-// abort kills the machine: the executor's commit releases and any started
-// training unwinds against the executor's member cluster.
-func (t *fedTask) abort() (trace.Task, time.Time) {
+// abort kills the machine (executor death or quorum loss — the repair
+// logic in faults.go decides which): later Fire events no-op, any started
+// training unwinds into LostGPUHours, and the commit releases (a no-op
+// charge on a crashed host — the cluster already dropped its aggregates).
+// An LCP container does not return to the warm pool: it died with its
+// host.
+func (t *runningTask) abort() {
 	t.dead = true
 	if t.phase >= 1 {
-		t.s.markTraining(t.fh.member, t.task, false)
-		t.s.noteLostGPUHours(t.tstart, t.task.GPUs)
+		t.s.markTraining(t, false)
+		t.s.res.LostGPUHours += time.Duration(t.s.now().UnixNano()-t.tstart).Hours() * float64(t.task.GPUs)
 	}
-	_ = t.fh.h.Release(t.ss.holder)
-	return t.task, t.submit
+	t.release()
 }
