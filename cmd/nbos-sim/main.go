@@ -16,6 +16,7 @@
 //	nbos-sim -scenario campus-diurnal -faults heavy  # ... under a chaos schedule
 //	nbos-sim -exp fault-sweep           # fault intensity x policy x federation
 //	nbos-sim -exp all [-jobs 8]
+//	nbos-sim -exp stream-scale -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -23,13 +24,18 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"runtime/pprof"
 	"time"
 
 	"notebookos/internal/experiments"
 	"notebookos/internal/trace"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is main behind an exit code, so the deferred profile writers run on
+// every path out.
+func run() int {
 	var (
 		exp      = flag.String("exp", "", "experiment id (e.g. fig8), or 'all'")
 		seed     = flag.Int64("seed", 42, "random seed")
@@ -41,19 +47,28 @@ func main() {
 		stream   = flag.Bool("stream", false, "synthesize sessions lazily per shard (sim.RunStreamSharded) instead of replaying a materialized trace; identical output at -shards 1, bounded memory at any scale")
 		scenario = flag.String("scenario", "", "run one declarative workload scenario through every policy: a built-in name (see trace.BuiltinScenarios) or a JSON trace.ScenarioSpec file; honors -seed/-quick/-shards/-stream")
 		faults   = flag.String("faults", "", "with -scenario: inject a deterministic fault schedule — a built-in profile (light, heavy, az-outage) or a JSON trace.FaultSpec file; overrides the scenario's own faults block (docs/FAULTS.md)")
+		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof -top nbos-sim <file>; docs/PERFORMANCE.md)")
+		memprof  = flag.String("memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof -sample_index=alloc_space)")
 	)
 	flag.Parse()
+
+	stop, err := startProfiles(*cpuprof, *memprof)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
+	}
+	defer stop()
 
 	o := experiments.Options{Seed: *seed, Quick: *quick, Shards: *shards, LegacyShards: *legacy, Stream: *stream}
 	if *faults != "" {
 		if *scenario == "" {
 			fmt.Fprintln(os.Stderr, "-faults requires -scenario (fault sweeps over the figure experiments run via -exp fault-sweep)")
-			os.Exit(2)
+			return 2
 		}
 		f, err := trace.ResolveFaults(*faults)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "faults %s: %v\n", *faults, err)
-			os.Exit(1)
+			return 1
 		}
 		o.Faults = &f
 	}
@@ -62,11 +77,11 @@ func main() {
 		out, err := experiments.ScenarioReport(*scenario, o)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "scenario %s: %v\n", *scenario, err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(out)
 		fmt.Printf("[scenario %s completed in %.1fs]\n\n", *scenario, time.Since(t0).Seconds())
-		return
+		return 0
 	}
 
 	if *list || *exp == "" {
@@ -75,28 +90,66 @@ func main() {
 			fmt.Printf("  %-18s %s\n", e.ID, e.Title)
 		}
 		if *exp == "" && !*list {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
 
 	if *exp == "all" {
-		runAll(o, *jobs)
-		return
+		return runAll(o, *jobs)
 	}
 	e, ok := experiments.ByID(*exp)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
-		os.Exit(2)
+		return 2
 	}
 	t0 := time.Now()
 	out, err := e.Run(o)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
-		os.Exit(1)
+		return 1
 	}
 	fmt.Print(out)
 	fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, time.Since(t0).Seconds())
+	return 0
+}
+
+// startProfiles starts the CPU profile and returns the function that stops
+// it and writes the allocation profile; either path may be empty.
+func startProfiles(cpuPath, memPath string) (stop func(), err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("cpuprofile: %w", err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "memprofile:", err)
+			return
+		}
+		runtime.GC() // flush the last cycle's frees into the profile
+		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+			fmt.Fprintln(os.Stderr, "memprofile:", err)
+		}
+		if err := f.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "memprofile:", err)
+		}
+	}, nil
 }
 
 // runAll executes every experiment with up to jobs running concurrently.
@@ -104,7 +157,8 @@ func main() {
 // sequential run (simulations are seed-deterministic regardless of
 // scheduling) — and stream as soon as every earlier experiment has
 // printed, rather than buffering behind the slowest of the whole suite.
-func runAll(o experiments.Options, jobs int) {
+// It returns the process exit code.
+func runAll(o experiments.Options, jobs int) int {
 	all := experiments.All()
 	if jobs < 1 {
 		jobs = 1
@@ -135,9 +189,10 @@ func runAll(o experiments.Options, jobs int) {
 		r := results[i]
 		if r.err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, r.err)
-			os.Exit(1)
+			return 1
 		}
 		fmt.Print(r.out)
 		fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, r.took.Seconds())
 	}
+	return 0
 }

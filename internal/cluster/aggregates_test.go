@@ -34,54 +34,118 @@ func checkAggregates(t *testing.T, c *Cluster, step string) {
 	}
 }
 
+// checkLockFreeReads compares every lock-free read with a recount taken
+// under the locks: each host's counters against its replica map and pool,
+// the membership snapshot against the host map and against members, the
+// caller's own model of the insertion order.
+func checkLockFreeReads(t *testing.T, c *Cluster, members, all []*Host) bool {
+	t.Helper()
+	ok := true
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Errorf(format, args...)
+		ok = false
+	}
+	for _, h := range all {
+		ids := h.Replicas()
+		subscribed := 0
+		for _, id := range ids {
+			req, _ := h.ReplicaRequest(id)
+			subscribed += req.GPUs
+		}
+		if got := h.SubscribedGPUs(); got != subscribed || got != h.Subscribed().GPUs {
+			fail("%s: SubscribedGPUs = %d, replicas sum to %d, Subscribed() = %d", h.ID, got, subscribed, h.Subscribed().GPUs)
+		}
+		if got := h.NumReplicas(); got != len(ids) {
+			fail("%s: NumReplicas = %d, len(Replicas()) = %d", h.ID, got, len(ids))
+		}
+		if got, want := h.IdleGPUs(), h.Capacity.GPUs-h.Committed().GPUs; got != want {
+			fail("%s: IdleGPUs = %d, capacity - Committed() = %d", h.ID, got, want)
+		}
+		if got, want := h.SubscriptionRatio(3), float64(subscribed)/float64(h.Capacity.GPUs*3); got != want {
+			fail("%s: SubscriptionRatio = %g, want %g", h.ID, got, want)
+		}
+		if got, want := h.Empty(), len(ids) == 0 && h.Committed().IsZero(); got != want {
+			fail("%s: Empty = %v, want %v", h.ID, got, want)
+		}
+	}
+	c.mu.Lock()
+	mapped := len(c.hosts)
+	c.mu.Unlock()
+	locked := c.Hosts()
+	if got := c.NumHosts(); got != mapped || got != len(locked) || got != len(members) {
+		fail("NumHosts = %d, host map has %d, Hosts() %d, model %d", got, mapped, len(locked), len(members))
+	}
+	i := 0
+	c.ForEachHost(func(h *Host) bool {
+		if i >= len(members) || h != members[i] || h != locked[i] {
+			fail("ForEachHost position %d is %s, differs from Hosts() or the model", i, h.ID)
+			return false
+		}
+		if got, _ := c.Host(h.ID); got != h {
+			fail("ForEachHost yields %s, absent from the host map", h.ID)
+		}
+		i++
+		return true
+	})
+	if ok && i != len(members) {
+		fail("ForEachHost visited %d hosts, want %d", i, len(members))
+	}
+	return ok
+}
+
 // TestAggregatesMatchRecountProperty drives a random operation sequence
-// (add/remove hosts, place/remove replicas, commit/release) and asserts
-// after every step that the O(1) incremental counters equal a from-scratch
-// recount.
+// (add/remove/crash/re-add hosts, place/remove replicas, commit/release,
+// on members and on detached hosts alike) and asserts after every step
+// that the O(1) incremental counters and every lock-free read equal a
+// from-scratch recount.
 func TestAggregatesMatchRecountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := New(3)
-		cap8 := resources.Spec{Millicpus: 64000, MemoryMB: 488 << 10, GPUs: 8, VRAMGB: 128}
-		var hosts []*Host
+		caps := []resources.Spec{
+			{Millicpus: 64000, MemoryMB: 488 << 10, GPUs: 8, VRAMGB: 128},
+			{Millicpus: 32000, MemoryMB: 244 << 10, GPUs: 4, VRAMGB: 64},
+		}
+		// members models the cluster's insertion order; detached holds
+		// removed and crashed hosts, which keep taking operations.
+		var members, detached, all []*Host
 		type placement struct {
 			h   *Host
 			key string
 		}
 		var replicas, commits []placement
-		nextID := 0
+		anyHost := func() *Host {
+			if len(all) == 0 {
+				return nil
+			}
+			return all[r.Intn(len(all))]
+		}
+		leave := func(i int) {
+			detached = append(detached, members[i])
+			members = append(members[:i], members[i+1:]...)
+		}
 
-		for step := 0; step < 300; step++ {
-			switch op := r.Intn(6); op {
+		for step := 0; step < 400; step++ {
+			switch op := r.Intn(8); op {
 			case 0: // add host
-				nextID++
-				h := NewHost(fmt.Sprintf("h%03d", nextID), cap8)
+				h := NewHost(fmt.Sprintf("h%03d", len(all)+1), caps[r.Intn(len(caps))])
 				if err := c.AddHost(h); err != nil {
 					return false
 				}
-				hosts = append(hosts, h)
-			case 1: // remove a replica-free host
-				for i, h := range hosts {
+				members, all = append(members, h), append(all, h)
+			case 1: // remove a replica-free host; its commitments stay on it
+				for i, h := range members {
 					if h.NumReplicas() == 0 {
 						if err := c.RemoveHost(h.ID); err != nil {
 							return false
 						}
-						hosts = append(hosts[:i], hosts[i+1:]...)
-						// Drop bookkeeping for commitments on the removed
-						// host (they no longer count toward the cluster).
-						kept := commits[:0]
-						for _, p := range commits {
-							if p.h != h {
-								kept = append(kept, p)
-							}
-						}
-						commits = kept
+						leave(i)
 						break
 					}
 				}
 			case 2: // place replica
-				if len(hosts) > 0 {
-					h := hosts[r.Intn(len(hosts))]
+				if h := anyHost(); h != nil {
 					key := fmt.Sprintf("k%d/r%d", step, r.Intn(3)+1)
 					req := resources.Spec{Millicpus: 4000, MemoryMB: 16 << 10, GPUs: r.Intn(4) + 1, VRAMGB: 16}
 					if err := h.PlaceReplica(key, req); err == nil {
@@ -98,8 +162,7 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 					replicas = append(replicas[:i], replicas[i+1:]...)
 				}
 			case 4: // commit
-				if len(hosts) > 0 {
-					h := hosts[r.Intn(len(hosts))]
+				if h := anyHost(); h != nil {
 					key := fmt.Sprintf("c%d", step)
 					req := resources.Spec{Millicpus: 4000, MemoryMB: 16 << 10, GPUs: r.Intn(4) + 1, VRAMGB: 16}
 					if h.Commit(key, req) == nil {
@@ -115,9 +178,30 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 					}
 					commits = append(commits[:i], commits[i+1:]...)
 				}
+			case 6: // crash a host, replicas and commitments included
+				if len(members) > 0 {
+					i := r.Intn(len(members))
+					if err := c.CrashHost(members[i].ID); err != nil {
+						return false
+					}
+					leave(i)
+				}
+			case 7: // re-add a detached host with whatever it still carries
+				if len(detached) > 0 {
+					i := r.Intn(len(detached))
+					h := detached[i]
+					if err := c.AddHost(h); err != nil {
+						return false
+					}
+					detached = append(detached[:i], detached[i+1:]...)
+					members = append(members, h)
+				}
 			}
 			total, subscribed, committed := recount(c)
 			if c.TotalGPUs() != total || c.SubscribedGPUs() != subscribed || c.CommittedGPUs() != committed {
+				return false
+			}
+			if !checkLockFreeReads(t, c, members, all) {
 				return false
 			}
 		}

@@ -39,13 +39,21 @@ type Host struct {
 	mu         sync.Mutex
 	subscribed resources.Spec
 	replicas   map[string]resources.Spec
+	// subscribedGPUs and numReplicas republish subscribed.GPUs and
+	// len(replicas) for lock-free readers: a placement scan reads them on
+	// every host for every session, and a Spec or a map cannot itself be
+	// read atomically. Stored under mu by the only two writers
+	// (PlaceReplica, RemoveReplica), straight from the guarded fields.
+	subscribedGPUs atomic.Int64
+	numReplicas    atomic.Int64
 	// committedGPUs is the host's own ledger of committed GPUs, updated
 	// under mu by the pool observers. attach/detach read it (also under
 	// mu) instead of snapshotting the pool, so a commit/release delta and
 	// a membership change can never interleave in a way that makes the
 	// cluster counters drift: every delta lands in the ledger exactly
 	// once, and in the aggregates exactly when the host is attached.
-	committedGPUs int
+	// Atomic so IdleGPUs can read it without mu.
+	committedGPUs atomic.Int64
 	// agg points at the owning cluster's counters while the host is a
 	// member; nil otherwise.
 	agg *aggregates
@@ -78,7 +86,7 @@ func (h *Host) Devices() *gpu.Pool {
 
 func (h *Host) onCommitted(req resources.Spec) {
 	h.mu.Lock()
-	h.committedGPUs += req.GPUs
+	h.committedGPUs.Add(int64(req.GPUs))
 	if h.agg != nil {
 		h.agg.committedGPUs.Add(int64(req.GPUs))
 	}
@@ -87,7 +95,7 @@ func (h *Host) onCommitted(req resources.Spec) {
 
 func (h *Host) onReleased(req resources.Spec) {
 	h.mu.Lock()
-	h.committedGPUs -= req.GPUs
+	h.committedGPUs.Add(-int64(req.GPUs))
 	if h.agg != nil {
 		h.agg.committedGPUs.Add(-int64(req.GPUs))
 	}
@@ -106,7 +114,7 @@ func (h *Host) attach(agg *aggregates, released func()) {
 	h.released = released
 	agg.totalGPUs.Add(int64(h.Capacity.GPUs))
 	agg.subscribedGPUs.Add(int64(h.subscribed.GPUs))
-	agg.committedGPUs.Add(int64(h.committedGPUs))
+	agg.committedGPUs.Add(h.committedGPUs.Load())
 	h.mu.Unlock()
 }
 
@@ -116,7 +124,7 @@ func (h *Host) detach() {
 	if agg := h.agg; agg != nil {
 		agg.totalGPUs.Add(-int64(h.Capacity.GPUs))
 		agg.subscribedGPUs.Add(-int64(h.subscribed.GPUs))
-		agg.committedGPUs.Add(-int64(h.committedGPUs))
+		agg.committedGPUs.Add(-h.committedGPUs.Load())
 	}
 	h.agg = nil
 	h.released = nil
@@ -138,6 +146,7 @@ func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 	}
 	h.replicas[replicaID] = req
 	h.subscribed = h.subscribed.Add(req)
+	h.publishSubscription()
 	if h.agg != nil {
 		h.agg.subscribedGPUs.Add(int64(req.GPUs))
 	}
@@ -154,10 +163,18 @@ func (h *Host) RemoveReplica(replicaID string) error {
 	}
 	delete(h.replicas, replicaID)
 	h.subscribed = h.subscribed.Sub(req)
+	h.publishSubscription()
 	if h.agg != nil {
 		h.agg.subscribedGPUs.Add(-int64(req.GPUs))
 	}
 	return nil
+}
+
+// publishSubscription republishes the guarded subscription state to the
+// lock-free read side. Caller holds h.mu.
+func (h *Host) publishSubscription() {
+	h.subscribedGPUs.Store(int64(h.subscribed.GPUs))
+	h.numReplicas.Store(int64(len(h.replicas)))
 }
 
 // HasReplica reports whether the replica is subscribed on this host.
@@ -188,12 +205,8 @@ func (h *Host) Replicas() []string {
 	return out
 }
 
-// NumReplicas returns the number of subscribed replicas.
-func (h *Host) NumReplicas() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.replicas)
-}
+// NumReplicas returns the number of subscribed replicas. Lock-free.
+func (h *Host) NumReplicas() int { return int(h.numReplicas.Load()) }
 
 // Subscribed returns the sum of subscribed resource requests.
 func (h *Host) Subscribed() resources.Spec {
@@ -202,24 +215,18 @@ func (h *Host) Subscribed() resources.Spec {
 	return h.subscribed
 }
 
-// SubscribedGPUs returns the host's subscribed GPU count.
-func (h *Host) SubscribedGPUs() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.subscribed.GPUs
-}
+// SubscribedGPUs returns the host's subscribed GPU count. Lock-free.
+func (h *Host) SubscribedGPUs() int { return int(h.subscribedGPUs.Load()) }
 
 // SubscriptionRatio returns S/(G*R) for this host (paper §3.4.1), where S
 // is subscribed GPUs, G the host's GPU count, and R replicas per kernel.
+// Lock-free.
 func (h *Host) SubscriptionRatio(replicasPerKernel int) float64 {
-	h.mu.Lock()
-	s := h.subscribed.GPUs
-	h.mu.Unlock()
 	g := h.Capacity.GPUs
 	if g == 0 || replicasPerKernel == 0 {
 		return 0
 	}
-	return float64(s) / float64(g*replicasPerKernel)
+	return float64(h.SubscribedGPUs()) / float64(g*replicasPerKernel)
 }
 
 // Commit exclusively binds req to holder for the duration of a cell
@@ -245,24 +252,36 @@ func (h *Host) Committed() resources.Spec {
 	return h.committed.Committed()
 }
 
-// IdleGPUs returns GPUs not exclusively committed right now.
+// IdleGPUs returns GPUs not exclusively committed right now. Lock-free:
+// it reads the host's committed-GPU ledger, which trails the pool only
+// while a concurrent Commit or Release is between its two locks, so it is
+// a ranking hint and Commit stays the authority on what fits.
 func (h *Host) IdleGPUs() int {
-	return h.Capacity.GPUs - h.committed.Committed().GPUs
+	return h.Capacity.GPUs - int(h.committedGPUs.Load())
+}
+
+// Empty reports whether the host holds no replicas and no commitments —
+// the one definition of "retirable" shared by every scale-in executor and
+// by the EmptyHosts gauge the pooled autoscaler decides on, so the gauge
+// can never promise removals an executor refuses.
+func (h *Host) Empty() bool {
+	return h.NumReplicas() == 0 && h.Committed().IsZero()
 }
 
 // Cluster is the set of hosts plus cluster-wide SR accounting.
 type Cluster struct {
 	mu    sync.Mutex
 	hosts map[string]*Host
-	// list holds the member hosts in insertion order. It is an immutable
-	// snapshot, rebuilt on every membership change, so iteration never
-	// holds the cluster lock.
-	list              []*Host
+	// list holds the member hosts in insertion order. Each snapshot is
+	// immutable: a membership change builds a new one and publishes it
+	// under mu, so NumHosts and ForEachHost read it without the lock.
+	list              atomic.Pointer[[]*Host]
 	replicasPerKernel int
 	agg               aggregates
 	// notifier is invoked after every capacity-freeing transition
-	// (AddHost, or any member host's Release).
-	notifier func()
+	// (AddHost, or any member host's Release); every Release loads it, so
+	// it is published atomically instead of under mu.
+	notifier atomic.Pointer[func()]
 }
 
 // New returns an empty cluster with the given replication factor R.
@@ -270,10 +289,12 @@ func New(replicasPerKernel int) *Cluster {
 	if replicasPerKernel <= 0 {
 		replicasPerKernel = DefaultReplicasPerKernel
 	}
-	return &Cluster{
+	c := &Cluster{
 		hosts:             map[string]*Host{},
 		replicasPerKernel: replicasPerKernel,
 	}
+	c.list.Store(new([]*Host))
+	return c
 }
 
 // ReplicasPerKernel returns R.
@@ -283,20 +304,29 @@ func (c *Cluster) ReplicasPerKernel() int { return c.replicasPerKernel }
 // transition: a host joining the cluster or a member host releasing a
 // commitment. The simulator points this at its capacity wait-queue so a
 // saturated cluster costs O(waiters) wakeup events instead of polling.
-// Must be set before the cluster is shared between goroutines.
 func (c *Cluster) SetCapacityNotifier(fn func()) {
-	c.mu.Lock()
-	c.notifier = fn
-	c.mu.Unlock()
+	c.notifier.Store(&fn)
 }
 
 func (c *Cluster) capacityFreed() {
-	c.mu.Lock()
-	fn := c.notifier
-	c.mu.Unlock()
-	if fn != nil {
-		fn()
+	if fn := c.notifier.Load(); fn != nil && *fn != nil {
+		(*fn)()
 	}
+}
+
+// setList publishes a new membership snapshot. Caller holds c.mu.
+func (c *Cluster) setList(list []*Host) { c.list.Store(&list) }
+
+// without returns the current snapshot minus h. Caller holds c.mu.
+func (c *Cluster) without(h *Host) []*Host {
+	cur := *c.list.Load()
+	list := make([]*Host, 0, len(cur)-1)
+	for _, lh := range cur {
+		if lh != h {
+			list = append(list, lh)
+		}
+	}
+	return list
 }
 
 // AddHost adds a host; the ID must be unique.
@@ -307,7 +337,8 @@ func (c *Cluster) AddHost(h *Host) error {
 		return fmt.Errorf("cluster: host %s already present", h.ID)
 	}
 	c.hosts[h.ID] = h
-	c.list = append(append(make([]*Host, 0, len(c.list)+1), c.list...), h)
+	cur := *c.list.Load()
+	c.setList(append(append(make([]*Host, 0, len(cur)+1), cur...), h))
 	c.mu.Unlock()
 	h.attach(&c.agg, c.capacityFreed)
 	c.capacityFreed()
@@ -322,18 +353,17 @@ func (c *Cluster) RemoveHost(id string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: host %s not present", id)
 	}
-	if n := h.NumReplicas(); n > 0 {
+	// A writer's check: read the map under the host lock like every other
+	// writer, not through the advisory NumReplicas.
+	h.mu.Lock()
+	n := len(h.replicas)
+	h.mu.Unlock()
+	if n > 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: host %s still has %d replicas", id, n)
 	}
 	delete(c.hosts, id)
-	list := make([]*Host, 0, len(c.list)-1)
-	for _, lh := range c.list {
-		if lh != h {
-			list = append(list, lh)
-		}
-	}
-	c.list = list
+	c.setList(c.without(h))
 	c.mu.Unlock()
 	h.detach()
 	return nil
@@ -355,13 +385,7 @@ func (c *Cluster) CrashHost(id string) error {
 		return fmt.Errorf("cluster: host %s not present", id)
 	}
 	delete(c.hosts, id)
-	list := make([]*Host, 0, len(c.list)-1)
-	for _, lh := range c.list {
-		if lh != h {
-			list = append(list, lh)
-		}
-	}
-	c.list = list
+	c.setList(c.without(h))
 	c.mu.Unlock()
 	h.detach()
 	return nil
@@ -380,31 +404,25 @@ func (c *Cluster) Host(id string) (*Host, bool) {
 func (c *Cluster) Hosts() []*Host {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*Host, len(c.list))
-	copy(out, c.list)
+	list := *c.list.Load()
+	out := make([]*Host, len(list))
+	copy(out, list)
 	return out
 }
 
 // ForEachHost calls fn for every host in insertion order until fn returns
-// false. It iterates a membership snapshot without allocating, so fn may
-// add or remove hosts (the iteration still sees the snapshot).
+// false. It iterates a membership snapshot without locking or allocating,
+// so fn may add or remove hosts (the iteration still sees the snapshot).
 func (c *Cluster) ForEachHost(fn func(*Host) bool) {
-	c.mu.Lock()
-	list := c.list
-	c.mu.Unlock()
-	for _, h := range list {
+	for _, h := range *c.list.Load() {
 		if !fn(h) {
 			return
 		}
 	}
 }
 
-// NumHosts returns the number of hosts.
-func (c *Cluster) NumHosts() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.hosts)
-}
+// NumHosts returns the number of hosts. Lock-free.
+func (c *Cluster) NumHosts() int { return len(*c.list.Load()) }
 
 // TotalGPUs returns the cluster GPU capacity (sum of G). O(1): maintained
 // incrementally on AddHost/RemoveHost.

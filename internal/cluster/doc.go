@@ -12,4 +12,14 @@
 // SubscribedGPUs, CommittedGPUs, and SRLimit are O(1) instead of O(hosts)
 // scans. The invariant — counters always equal a from-scratch recount over
 // the member hosts — is enforced by a property test.
+//
+// Concurrency contract: every write, and every read of a map entry or a
+// whole Spec, takes the host or cluster lock. The single-word reads a
+// placement or autoscale scan makes on every host — Host.SubscribedGPUs,
+// IdleGPUs, NumReplicas, SubscriptionRatio, Cluster.NumHosts, ForEachHost
+// and the aggregates — are lock-free: atomics stored under the lock that
+// serialises their writers, and an immutable membership snapshot behind an
+// atomic.Pointer. They are exact at quiescent points (the same property
+// test recounts them under the locks after every step) and advisory under
+// concurrent writers: Commit stays the authority on what fits.
 package cluster

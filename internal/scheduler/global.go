@@ -792,7 +792,7 @@ func (gs *GlobalScheduler) AutoscaleOnce() {
 			if released >= 2 || c.NumHosts() <= gs.cfg.MinHosts {
 				break
 			}
-			if h.NumReplicas() == 0 && h.Committed().IsZero() {
+			if h.Empty() {
 				if err := c.RemoveHost(h.ID); err == nil {
 					gs.mu.Lock()
 					delete(gs.locals, h.ID)

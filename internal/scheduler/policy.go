@@ -64,19 +64,20 @@ func (a scored) better(b scored) bool {
 // topN keeps the n best candidates in selection order via insertion into a
 // small sorted array — a partial selection that replaces the former
 // collect-everything-then-sort.Slice pass, doing O(hosts·n) comparisons
-// with no per-host allocation.
+// with no per-host allocation. buf is the caller's scratch, n long; insert
+// never stores a slice header, so a stack-allocated scratch stays there.
 type topN struct {
-	buf []scored
-	cap int
+	buf  []scored
+	kept int
 }
 
 func (t *topN) insert(s scored) {
-	if len(t.buf) == t.cap && t.buf[len(t.buf)-1].better(s) {
+	if t.kept == len(t.buf) && t.buf[t.kept-1].better(s) {
 		return
 	}
-	i := len(t.buf)
-	if i < t.cap {
-		t.buf = append(t.buf, s)
+	i := t.kept
+	if i < len(t.buf) {
+		t.kept++
 	} else {
 		i--
 	}
@@ -86,6 +87,10 @@ func (t *topN) insert(s scored) {
 	}
 	t.buf[i] = s
 }
+
+// stackSelect is the largest n whose candidate scratch LeastLoaded keeps on
+// the stack: R is 3 everywhere but the replica-count ablation.
+const stackSelect = 4
 
 // SelectHosts implements PlacementPolicy. It streams over the cluster's
 // hosts exactly once, maintaining two partial selections: hosts whose
@@ -100,10 +105,15 @@ func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) 
 	r := c.ReplicasPerKernel()
 	limit := c.SRLimit()
 
-	// One backing array serves both candidate heaps.
-	scratch := make([]scored, 2*n)
-	balanced := topN{buf: scratch[:0:n], cap: n}
-	viable := topN{buf: scratch[n : n : 2*n], cap: n}
+	// One backing array serves both candidate selections; up to
+	// stackSelect hosts per call it lives on the stack.
+	var stack [2 * stackSelect]scored
+	scratch := stack[:]
+	if n > stackSelect {
+		scratch = make([]scored, 2*n)
+	}
+	balanced := topN{buf: scratch[:n]}
+	viable := topN{buf: scratch[n : 2*n]}
 	balancedCount := 0
 	c.ForEachHost(func(h *cluster.Host) bool {
 		if !req.Fits(h.Capacity) {
@@ -129,9 +139,9 @@ func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) 
 	})
 	// Prefer balanced hosts; fall back to all viable ones if the balance
 	// rule leaves too few candidates.
-	sel := balanced.buf
+	sel := balanced.buf[:balanced.kept]
 	if balancedCount < n {
-		sel = viable.buf
+		sel = viable.buf[:viable.kept]
 	}
 	if len(sel) < n {
 		return nil, fmt.Errorf("%w: need %d, found %d viable (req %v)",
@@ -196,7 +206,9 @@ func (p Packed) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*c
 		watermark = DefaultSRHighWatermark
 	}
 	r := c.ReplicasPerKernel()
-	var viable []*cluster.Host
+	// Idle GPUs are read once per candidate: the sort must see one
+	// consistent key per host even if a commit lands while it runs.
+	var viable []scored
 	c.ForEachHost(func(h *cluster.Host) bool {
 		if !req.Fits(h.Capacity) {
 			return true
@@ -209,7 +221,7 @@ func (p Packed) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*c
 		if postSR > watermark {
 			return true
 		}
-		viable = append(viable, h)
+		viable = append(viable, scored{h: h, idle: h.IdleGPUs()})
 		return true
 	})
 	if len(viable) < n {
@@ -217,10 +229,14 @@ func (p Packed) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*c
 	}
 	sort.Slice(viable, func(i, j int) bool {
 		// Most loaded first: fewest idle GPUs.
-		if viable[i].IdleGPUs() != viable[j].IdleGPUs() {
-			return viable[i].IdleGPUs() < viable[j].IdleGPUs()
+		if viable[i].idle != viable[j].idle {
+			return viable[i].idle < viable[j].idle
 		}
-		return viable[i].ID < viable[j].ID
+		return viable[i].h.ID < viable[j].h.ID
 	})
-	return viable[:n], nil
+	out := make([]*cluster.Host, n)
+	for i := range out {
+		out[i] = viable[i].h
+	}
+	return out, nil
 }

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -114,6 +115,36 @@ func TestRandomAndPackedPolicies(t *testing.T) {
 	}
 	if got[0].ID != "h03" {
 		t.Fatalf("packed picked %s, want h03", got[0].ID)
+	}
+	// Full packed order: fewest idle GPUs first, ties by host ID, hosts
+	// over the SR watermark or too small for the request left out.
+	c.Hosts()[4].Commit("busy", gpuReq(6))
+	c.Hosts()[0].Commit("warm", gpuReq(2))
+	for i := 0; i < 5; i++ {
+		c.Hosts()[3].PlaceReplica(fmt.Sprintf("fat/%d", i), gpuReq(8))
+	}
+	for _, tc := range []struct {
+		name string
+		pol  Packed
+		req  resources.Spec
+		n    int
+		want string
+	}{
+		{"tie broken by ID", Packed{}, gpuReq(1), 5, "h03 h05 h01 h02 h04"},
+		{"prefix of the same order", Packed{}, gpuReq(1), 2, "h03 h05"},
+		{"watermark drops the oversubscribed host", Packed{SRHighWatermark: 1.5}, gpuReq(1), 4, "h03 h05 h01 h02"},
+		{"request larger than any host", Packed{}, gpuReq(9), 1, ""},
+	} {
+		got, err := tc.pol.SelectHosts(c, tc.req, tc.n)
+		if tc.want == "" {
+			if !errors.Is(err, ErrInsufficientHosts) {
+				t.Errorf("%s: err = %v, want ErrInsufficientHosts", tc.name, err)
+			}
+			continue
+		}
+		if err != nil || strings.Join(ids(got), " ") != tc.want {
+			t.Errorf("%s: got %v (%v), want %s", tc.name, ids(got), err, tc.want)
+		}
 	}
 	if r.Name() != "random" || pk.Name() != "packed" || (LeastLoaded{}).Name() != "least-loaded" {
 		t.Fatal("policy names")

@@ -619,7 +619,7 @@ func (s *sim) build(specs []FedClusterSpec) error {
 	s.fed.SetSnapshotExtras(func(mi int) (int, int) {
 		retirable := 0
 		for _, h := range s.members[mi].hosts {
-			if hostEmpty(h) {
+			if h.h.Empty() {
 				retirable++
 			}
 		}
@@ -1500,21 +1500,13 @@ func (s *sim) provision(idx, need int, latency time.Duration) {
 	})
 }
 
-// hostEmpty reports whether a host holds no replicas and no commitments —
-// the one definition of "retirable" shared by the scale-in executors and
-// the EmptyHosts gauge the pooled autoscaler decides on, so the gauge can
-// never promise removals the executor refuses.
-func hostEmpty(h *host) bool {
-	return h.h.NumReplicas() == 0 && h.h.Committed().IsZero()
-}
-
 // removeHostIfEmpty retires m.hosts[i] when it is empty, unwiring it from
 // the member and the host index; reports whether it was removed. Every
 // scale-in and lease return retires through this so the emptiness
 // predicate and the bookkeeping cannot drift apart.
 func (s *sim) removeHostIfEmpty(m *member, i int) bool {
 	h := m.hosts[i]
-	if !hostEmpty(h) {
+	if !h.h.Empty() {
 		return false
 	}
 	if err := m.c.RemoveHost(h.h.ID); err != nil {
@@ -1538,7 +1530,7 @@ func (s *sim) memberLoad(m *member) federation.MemberLoad {
 		SubscribedGPUs: m.c.SubscribedGPUs(),
 	}
 	for _, h := range m.hosts {
-		if hostEmpty(h) {
+		if h.h.Empty() {
 			l.EmptyHosts++
 		}
 	}
