@@ -24,10 +24,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"time"
 
 	"notebookos/internal/experiments"
+	"notebookos/internal/prof"
 	"notebookos/internal/trace"
 )
 
@@ -52,7 +52,7 @@ func run() int {
 	)
 	flag.Parse()
 
-	stop, err := startProfiles(*cpuprof, *memprof)
+	stop, err := prof.Start(*cpuprof, *memprof)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -112,44 +112,6 @@ func run() int {
 	fmt.Print(out)
 	fmt.Printf("[%s completed in %.1fs]\n\n", e.ID, time.Since(t0).Seconds())
 	return 0
-}
-
-// startProfiles starts the CPU profile and returns the function that stops
-// it and writes the allocation profile; either path may be empty.
-func startProfiles(cpuPath, memPath string) (stop func(), err error) {
-	var cpu *os.File
-	if cpuPath != "" {
-		if cpu, err = os.Create(cpuPath); err != nil {
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-		if err = pprof.StartCPUProfile(cpu); err != nil {
-			cpu.Close()
-			return nil, fmt.Errorf("cpuprofile: %w", err)
-		}
-	}
-	return func() {
-		if cpu != nil {
-			pprof.StopCPUProfile()
-			if err := cpu.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "cpuprofile:", err)
-			}
-		}
-		if memPath == "" {
-			return
-		}
-		f, err := os.Create(memPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-			return
-		}
-		runtime.GC() // flush the last cycle's frees into the profile
-		if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "memprofile:", err)
-		}
-	}, nil
 }
 
 // runAll executes every experiment with up to jobs running concurrently.

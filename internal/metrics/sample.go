@@ -111,7 +111,12 @@ func (s *Sample) N() int {
 	return len(s.xs)
 }
 
-func (s *Sample) sort() {
+// Sort puts the observations in order, in place, unless they already are.
+// Every order-statistic query and MergeSamples call does this on first use;
+// calling it earlier changes no answer and moves the O(n log n) step to the
+// caller's goroutine — the one that owns the sample — ahead of a serial
+// merge.
+func (s *Sample) Sort() {
 	if !s.sorted {
 		sort.Float64s(s.xs)
 		s.sorted = true
@@ -124,7 +129,7 @@ func (s *Sample) Percentile(p float64) float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
-	s.sort()
+	s.Sort()
 	if p <= 0 {
 		return s.xs[0]
 	}
@@ -183,7 +188,7 @@ func (s *Sample) FracBelow(x float64) float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
-	s.sort()
+	s.Sort()
 	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(s.xs))
 }
@@ -200,7 +205,7 @@ func (s *Sample) CDF(n int) []CDFPoint {
 	if len(s.xs) == 0 || n <= 0 {
 		return nil
 	}
-	s.sort()
+	s.Sort()
 	pts := make([]CDFPoint, 0, n)
 	for i := 0; i < n; i++ {
 		p := float64(i+1) / float64(n)
@@ -226,7 +231,7 @@ func (s *Sample) Summary(unit string) string {
 
 // Values returns a copy of the observations in sorted order.
 func (s *Sample) Values() []float64 {
-	s.sort()
+	s.Sort()
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out
@@ -247,7 +252,7 @@ func MergeSamples(samples ...*Sample) *Sample {
 		if s == nil || len(s.xs) == 0 {
 			continue
 		}
-		s.sort()
+		s.Sort()
 		runs = append(runs, s.xs)
 		total += len(s.xs)
 	}

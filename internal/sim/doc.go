@@ -29,9 +29,14 @@
 //   - The plain driver (Run, RunFederated, and each LegacySplit worker)
 //     runs the engine in one shot to a day past the window's end. The
 //     barrier-leased driver (runLeased in lease.go, behind
-//     ShardCapacity == LeasePool) advances a capacity ledger — an
-//     unsharded replay of the parent config — and k lease-managed workers
-//     in LeaseEpoch-sized steps, reconciling host leases between steps.
+//     ShardCapacity == LeasePool) runs a capacity ledger — an unsharded
+//     replay of the parent config — as a free-running producer that
+//     publishes its host count at every LeaseEpoch boundary, and k
+//     lease-managed workers in LeaseEpoch-sized steps with a barrier among
+//     themselves, whose last arrival reconciles the host leases against
+//     that boundary's published count. The ledger never waits and reads
+//     nothing from the workers; builds, drains, result projection and the
+//     workers' sample sorts each run on the simulation's own goroutine.
 //     The streaming injector (any runner given a Source) replaces the
 //     up-front event schedule with one self-rescheduling admission event,
 //     so pending events track concurrency rather than workload size; it
@@ -46,7 +51,9 @@
 //     merged quantiles are bit-identical to concatenation), events by a
 //     pre-sized k-way merge on their int64 timestamps, counters by
 //     summation, always in shard-index order so output never depends on
-//     worker completion order.
+//     worker completion order. Under the barrier-leased driver only the
+//     merge's latency half runs (samples and session/task counts); the
+//     capacity half of the result is the ledger's, unmerged.
 //
 // Capacity accounting across shards is Config.ShardCapacity's choice
 // (docs/SHARDING.md): under LeasePool — the default for experiment -shards

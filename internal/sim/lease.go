@@ -25,21 +25,23 @@ import (
 // The lease pool therefore keeps ONE source of capacity truth: a
 // capacity ledger, which is a full single-cluster (or single-federation)
 // simulation of the parent config — the exact run `Run(cfg)` would have
-// executed — advanced epoch-by-epoch in lockstep with the shard workers.
-// The ledger makes every capacity decision (formula autoscaling,
-// emergency scale-outs, empty-host scale-ins, migrations) the way the
-// unsharded run makes it, because it *is* the unsharded run; the shards
-// never decide capacity, they lease it:
+// executed — running beside the shard workers. The ledger makes every
+// capacity decision (formula autoscaling, emergency scale-outs,
+// empty-host scale-ins, migrations) the way the unsharded run makes it,
+// because it *is* the unsharded run; the shards never decide capacity,
+// they lease it:
 //
 //  1. trace.ProportionalShares still sizes the workers' clusters, but as
 //     the *initial lease grant* only;
-//  2. at every epoch boundary (default: the autoscale interval) the
-//     ledger and all workers rendezvous at a barrier, where the pool
-//     re-apportions the ledger's live host count across the shards —
-//     topping up shards whose next arrival would no longer place
-//     (draining their capacity wait-queues: the attach notification is
-//     the cross-shard wakeup), reclaiming idle hosts from shards holding
-//     more than they need;
+//  2. the ledger runs freely, one epoch (default: the autoscale interval)
+//     at a time, and after each epoch publishes its live host count per
+//     member to the ledger feed; it reads nothing from the workers and
+//     never waits for them. The workers rendezvous among themselves at
+//     every epoch boundary, where the pool re-apportions that epoch's
+//     published count across the shards — topping up shards whose next
+//     arrival would no longer place (draining their capacity wait-queues:
+//     the attach notification is the cross-shard wakeup), reclaiming idle
+//     hosts from shards holding more than they need;
 //  3. the merged Result reports the ledger's capacity metrics —
 //     provisioned/committed timelines, scale events and counters,
 //     integrated hours — which are byte-identical to the unsharded run's
@@ -48,14 +50,15 @@ import (
 //     latency distributions, which retain a small, documented
 //     shard-local placement approximation.
 //
-// Between barriers the ledger and the workers are fully independent
-// single-threaded simulations, so determinism survives: each one's
-// randomness is a pure function of (seed, shard index), the barrier
-// provides the happens-before edges, and reconciliation order is fixed
-// by shard index. k <= 1 never enters this file and stays byte-identical
-// to Run. See docs/SHARDING.md for the full protocol, the cost model
-// (the ledger is a serial spine — Amdahl applies), and the measured
-// before/after drift.
+// The ledger and the workers are independent single-threaded simulations,
+// so determinism survives: each one's randomness is a pure function of
+// (seed, shard index), the feed hands epoch e's reconciliation the
+// ledger's count at boundary e however far ahead the ledger has run, the
+// barrier and the feed's counter provide the happens-before edges, and
+// reconciliation order is fixed by shard index. k <= 1 never enters this
+// file and stays byte-identical to Run. See docs/SHARDING.md for the full
+// protocol, the cost model (the ledger is a serial spine — Amdahl
+// applies), and the measured before/after drift.
 
 // ShardCapacity selects how sharded runners treat cluster capacity; see
 // Config.ShardCapacity.
@@ -75,39 +78,77 @@ const (
 	LeasePool
 )
 
-// epochBarrier is a reusable k-party generation barrier. The last
-// arrival runs the barrier action while every other party waits, then
-// releases the generation — giving the action exclusive access to all
-// workers' state, with the arrival counter and the generation (both
-// atomics) providing the happens-before edges the race detector (and the
-// memory model) demand.
+// epochGate is a counter that only rises, with the lease protocol's one
+// way of waiting on it: yield the processor a bounded number of times,
+// then park on the condition variable. The barrier's generation and the
+// feed's published-epoch count are both gates.
 //
-// A waiter first yields its processor a bounded number of times and only
-// then parks on the condition variable. At the default epoch (one
-// simulated minute) a 10-day trace crosses ~14k barriers whose epochs hold
-// microseconds of work each; parking at every one of them puts most of a
-// leased run's wall-clock into OS thread sleeps and wake-ups, and makes it
-// as unsteady as the host's wake-up latency. Yielding hands the processor
-// to whichever simulation still has work (there are k+1 of them, often on
-// fewer cores) and notices the release without a system call; long epochs
-// exhaust the budget and park, where a wake-up is noise against the
-// epoch's own length.
+// At the default epoch (one simulated minute) a 10-day trace crosses ~14k
+// boundaries whose epochs hold microseconds of work each; parking at every
+// one of them puts most of a leased run's wall-clock into OS thread sleeps
+// and wake-ups, and makes it as unsteady as the host's wake-up latency.
+// Yielding hands the processor to whichever simulation still has work
+// (there are k+1 of them, often on fewer cores — on one core it is the
+// only way the awaited simulation runs at all) and notices the advance
+// without a system call; long epochs exhaust the budget and park, where a
+// wake-up is noise against the epoch's own length. The counter is atomic,
+// so what the advancing side wrote before advance happens before what a
+// waiter reads after waitPast.
+type epochGate struct {
+	n    atomic.Uint64
+	mu   sync.Mutex
+	cond *sync.Cond
+}
+
+// gateYields bounds a waiter's yield phase — tens of microseconds of
+// scheduler round-trips — before it parks.
+const gateYields = 256
+
+func newEpochGate() *epochGate {
+	g := &epochGate{}
+	g.cond = sync.NewCond(&g.mu)
+	return g
+}
+
+// advance raises the counter by one and wakes every parked waiter. The
+// increment happens under the mutex so a waiter that has checked the
+// counter and is about to park cannot miss it.
+func (g *epochGate) advance() {
+	g.mu.Lock()
+	g.n.Add(1)
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+// waitPast blocks until the counter exceeds v.
+func (g *epochGate) waitPast(v uint64) {
+	for i := 0; i < gateYields; i++ {
+		if g.n.Load() > v {
+			return
+		}
+		runtime.Gosched()
+	}
+	g.mu.Lock()
+	for g.n.Load() <= v {
+		g.cond.Wait()
+	}
+	g.mu.Unlock()
+}
+
+// epochBarrier is a reusable k-party generation barrier. The last
+// arrival runs the barrier action while every other party waits on the
+// generation gate, then advances it — giving the action exclusive access
+// to all parties' state, with the arrival counter and the gate providing
+// the happens-before edges the race detector (and the memory model)
+// demand.
 type epochBarrier struct {
 	parties int32
 	arrived atomic.Int32
-	gen     atomic.Uint64
-	mu      sync.Mutex
-	cond    *sync.Cond
+	gen     *epochGate
 }
 
-// barrierYields bounds a waiter's yield phase — tens of microseconds of
-// scheduler round-trips — before it parks.
-const barrierYields = 256
-
 func newEpochBarrier(parties int) *epochBarrier {
-	b := &epochBarrier{parties: int32(parties)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &epochBarrier{parties: int32(parties), gen: newEpochGate()}
 }
 
 // await blocks until all parties arrive; the last arrival runs onLast,
@@ -115,33 +156,55 @@ func newEpochBarrier(parties int) *epochBarrier {
 func (b *epochBarrier) await(onLast func()) {
 	// Read before arriving: the generation cannot advance until this party
 	// has arrived, so every waiter of a generation holds the same value.
-	gen := b.gen.Load()
+	gen := b.gen.n.Load()
 	if b.arrived.Add(1) == b.parties {
 		onLast()
 		b.arrived.Store(0)
-		b.mu.Lock()
-		b.gen.Add(1)
-		b.cond.Broadcast()
-		b.mu.Unlock()
+		b.gen.advance()
 		return
 	}
-	for i := 0; i < barrierYields; i++ {
-		if b.gen.Load() != gen {
-			return
-		}
-		runtime.Gosched()
+	b.gen.waitPast(gen)
+}
+
+// ledgerFeed carries the capacity ledger's only output the lease protocol
+// consumes — its live host count per member at every epoch boundary — from
+// the ledger's goroutine to the workers' barrier action. The ledger is the
+// sole writer: it fills epoch e's slots and then advances the gate to e+1,
+// however far behind the workers are; a reader of epoch e waits only when
+// the workers have outrun the ledger. The slots are pre-sized for the whole
+// run (4 bytes per member per epoch), so publishing never allocates and a
+// published epoch is never rewritten.
+type ledgerFeed struct {
+	members   int
+	hosts     []int32
+	published *epochGate
+}
+
+func newLedgerFeed(epochs, members int) *ledgerFeed {
+	return &ledgerFeed{members: members, hosts: make([]int32, epochs*members), published: newEpochGate()}
+}
+
+// publish records the ledger's per-member host counts as the next epoch's
+// and releases them to the readers.
+func (f *ledgerFeed) publish(ledger *sim) {
+	e := int(f.published.n.Load()) // the ledger is the only writer
+	for m, lm := range ledger.members {
+		f.hosts[e*f.members+m] = int32(lm.c.NumHosts())
 	}
-	b.mu.Lock()
-	for b.gen.Load() == gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
+	f.published.advance()
+}
+
+// epoch returns the ledger's per-member host counts at boundary e, waiting
+// for the ledger to publish them if it has not yet.
+func (f *ledgerFeed) epoch(e int) []int32 {
+	f.published.waitPast(uint64(e))
+	return f.hosts[e*f.members : (e+1)*f.members]
 }
 
 // epochBoundaries lists the barrier instants — start+epoch, start+2·epoch,
 // …, ending at the first boundary >= end. These are exactly the virtual
 // times the unsharded autoscaler ticks at, so the ledger's state at a
-// barrier is its state just after the tick the unsharded run would have
+// boundary is its state just after the tick the unsharded run would have
 // taken there.
 func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 	var ts []time.Time
@@ -153,60 +216,70 @@ func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 	}
 }
 
-// runBarriers drives the simulations (the ledger and the workers) in
-// epoch-sized steps: each engine runs to the next boundary on its own
-// goroutine, all rendezvous, the last arrival runs reconcile, and the
-// generation releases. After the final boundary each simulation drains its
-// in-flight tail past the window independently, as Run does. The window is
-// the first simulation's (the ledger's).
-func runBarriers(sims []*sim, epoch time.Duration, reconcile func()) {
-	bounds := epochBoundaries(sims[0].start, sims[0].end, epoch)
-	bar := newEpochBarrier(len(sims))
-	var wg sync.WaitGroup
-	for _, s := range sims {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, t := range bounds {
-				s.eng.RunUntil(t)
-				bar.await(reconcile)
-			}
-			s.drain()
-		}()
-	}
-	wg.Wait()
-}
-
-// runLeased is the lease protocol's skeleton, shared by the single-cluster
-// and the federated pool: build the capacity ledger from the parent config
-// (which must be exactly what the unsharded runner would have received —
-// the ledger's result is the unsharded run's, byte for byte) and the
-// lease-managed workers from the prepared worker configs (whose host
-// counts carry the initial lease grants), drive all of them through the
-// epoch barriers with the pool's reconcile as the barrier action, and
-// return the ledger's result and the workers' results in shard order.
-func runLeased[C, R any](cfg C, wcfgs []C, build func(C) (*sim, error), epoch time.Duration,
-	pool func(ledger *sim, workers []*sim) (reconcile func()), finish func(*sim) (R, error),
+// runLeased is the lease protocol's driver, shared by the single-cluster
+// and the federated pool. Every simulation's private work runs on a
+// goroutine of its own, in two parallel phases with the shared set-up
+// between them:
+//
+//   - build: the capacity ledger from the parent config (which must be
+//     exactly what the unsharded runner would have received — the ledger's
+//     result is the unsharded run's, byte for byte) and the lease-managed
+//     workers from the prepared worker configs (whose host counts carry the
+//     initial lease grants). A failed build returns here, before any
+//     goroutine can wait on a barrier or a feed that would never advance.
+//   - run: the ledger steps its engine boundary by boundary and publishes
+//     each epoch's host counts to the feed, never waiting; each worker
+//     steps to the same boundary and meets the other workers at a k-party
+//     barrier, whose last arrival reconciles the leases against that
+//     epoch's published counts. After the final boundary each simulation
+//     drains its in-flight tail past the window independently, as Run
+//     does, and projects its result; a worker also sorts its latency
+//     samples, so the merge finds sorted runs.
+//
+// The window is the ledger's. The ledger's result and the workers' results
+// (in shard order) are returned; on failure, the first error in
+// ledger-then-shard order. Every simulation that was built is closed.
+func runLeased[C any, R interface{ sortLatency() }](cfg C, wcfgs []C, build func(C) (*sim, error),
+	epoch time.Duration, pool func(workers []*sim) (reconcile func(ledgerHosts []int32)),
+	finish func(*sim) (R, error),
 ) (ledger R, workers []R, err error) {
-	sims := make([]*sim, 0, len(wcfgs)+1)
+	cfgs := append([]C{cfg}, wcfgs...)
+	sims := make([]*sim, len(cfgs))
+	errs := make([]error, len(cfgs))
 	defer func() {
 		for _, s := range sims {
-			s.close()
+			if s != nil {
+				s.close()
+			}
 		}
 	}()
-	for _, c := range append([]C{cfg}, wcfgs...) {
-		s, err := build(c)
-		if err != nil {
-			return ledger, nil, err
-		}
-		sims = append(sims, s)
+	inParallel(len(cfgs), func(i int) { sims[i], errs[i] = build(cfgs[i]) })
+	if err := firstError(errs); err != nil {
+		return ledger, nil, err
 	}
-	runBarriers(sims, epoch, pool(sims[0], sims[1:]))
+
+	bounds := epochBoundaries(sims[0].start, sims[0].end, epoch)
+	feed := newLedgerFeed(len(bounds), len(sims[0].members))
+	bar := newEpochBarrier(len(wcfgs))
+	reconcile := pool(sims[1:])
 	results := make([]R, len(sims))
-	for i, s := range sims {
-		if results[i], err = finish(s); err != nil {
-			return ledger, nil, err
+	inParallel(len(sims), func(i int) {
+		s := sims[i]
+		for e, t := range bounds {
+			s.eng.RunUntil(t)
+			if i == 0 {
+				feed.publish(s)
+			} else {
+				bar.await(func() { reconcile(feed.epoch(e)) })
+			}
 		}
+		s.drain()
+		if results[i], errs[i] = finish(s); errs[i] == nil && i > 0 {
+			results[i].sortLatency()
+		}
+	})
+	if err := firstError(errs); err != nil {
+		return ledger, nil, err
 	}
 	return results[0], results[1:], nil
 }
@@ -218,13 +291,13 @@ func runLeased[C, R any](cfg C, wcfgs []C, build func(C) (*sim, error), epoch ti
 // running simulations (see TestLeaseConservation).
 type shardLoad struct {
 	// Hosts and PendingHosts are the shard's attached and in-flight host
-	// counts. EmptyHosts counts hosts with no replicas and no commitments
-	// (detachable as-is); IdleHosts counts hosts with no commitments
-	// (superset of empty: their idle replicas can be rehomed within the
-	// shard to free the host for return to the pool).
+	// counts. IdleHosts counts hosts with no commitments: their idle
+	// replicas can be rehomed within the shard to free the host for return
+	// to the pool. It is the one counter that costs a host scan, and the
+	// plan reads it only when some shard wants a host (wantsHosts), so the
+	// pool leaves it zero on every other barrier.
 	Hosts        int
 	PendingHosts int
-	EmptyHosts   int
 	IdleHosts    int
 	// Waiters counts tasks parked on the shard's capacity wait-queue.
 	Waiters int
@@ -248,6 +321,55 @@ type leaseParams struct {
 	Replicas    int
 }
 
+// need is the host count at which the shard's *next* arrival still
+// places: its subscribed GPUs plus a worst-seen-request margin, divided by
+// the per-host watermark budget, never below R while the shard hosts
+// sessions, never below its structural floor.
+func (p leaseParams) need(l shardLoad) int {
+	need := 1
+	if l.SubscribedGPUs > 0 {
+		denom := p.Watermark*float64(p.GPUsPerHost*p.Replicas) - float64(l.MaxReqGPUs)
+		if denom < 1 {
+			denom = 1
+		}
+		need = int(math.Ceil(float64(l.SubscribedGPUs) / denom))
+		if need < p.Replicas {
+			need = p.Replicas
+		}
+	}
+	if need < l.Floor {
+		need = l.Floor
+	}
+	return need
+}
+
+// want is how many hosts the shard asks the pool for at this barrier, given
+// its need: the gap to it, at least one per parked waiter, never negative.
+func (l shardLoad) want(need int) int {
+	w := need - (l.Hosts + l.PendingHosts)
+	if w < l.Waiters {
+		w = l.Waiters
+	}
+	if w < 0 {
+		w = 0
+	}
+	return w
+}
+
+// wantsHosts reports whether any shard asks for a host. Only then can a
+// transfer happen, and transfers are the plan's only reader of IdleHosts:
+// when it reports false the plan is the same whatever IdleHosts holds
+// (TestLeaseConservation), which is what lets the pool skip the idle-host
+// scan on the barriers — most of them — where nobody wants anything.
+func (p leaseParams) wantsHosts(loads []shardLoad) bool {
+	for _, l := range loads {
+		if l.want(p.need(l)) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // leasePlan is one barrier's reconciliation, in hosts per shard. All
 // three moves are lease bookkeeping — instant, no scale events: the pool
 // level they track is owned by the ledger, which models provisioning
@@ -268,70 +390,66 @@ type leasePlan struct {
 	Retire []int
 }
 
+// leasePlanner plans barriers into buffers it owns: a leased run crosses
+// one barrier per epoch, most of them planning nothing, and none of them
+// should pay for six slices to find that out.
+type leasePlanner struct {
+	plan    leasePlan
+	needs   []int
+	spare   []int
+	want    []int
+	weights []float64
+}
+
+func newLeasePlanner(shards int) *leasePlanner {
+	return &leasePlanner{
+		plan: leasePlan{
+			Transfer:  make([]int, shards),
+			Provision: make([]int, shards),
+			Retire:    make([]int, shards),
+		},
+		needs:   make([]int, shards),
+		spare:   make([]int, shards),
+		want:    make([]int, shards),
+		weights: make([]float64, shards),
+	}
+}
+
 // planLeases computes one barrier's reconciliation from the shards'
 // snapshots and the ledger's live host count: first the rebalance
 // (idle hosts toward shards near placement failure), then grants or
 // returns to pin the shards' total to the ledger's. Pure function of its
-// inputs; all tie-breaks resolve toward the lower shard index.
-func planLeases(loads []shardLoad, target int, p leaseParams) leasePlan {
-	k := len(loads)
-	plan := leasePlan{
-		Transfer:  make([]int, k),
-		Provision: make([]int, k),
-		Retire:    make([]int, k),
-	}
+// arguments — nothing carries over from the previous barrier — with all
+// tie-breaks resolved toward the lower shard index. The returned plan
+// aliases the planner's buffers and is valid until the next call.
+func (pl *leasePlanner) planLeases(loads []shardLoad, target int, p leaseParams) leasePlan {
+	plan := pl.plan
+	clear(plan.Provision)
+	clear(plan.Retire)
 	// Phase 1: rebalance by placement headroom. The residual shard-local
 	// distortion in a split is the emergency scale-out: session creation
 	// needs R hosts under the SR watermark, a hot shard runs out of
 	// watermark headroom the pool still had globally, and the shard
-	// instantly provisions R hosts the ledger never charged. So each
-	// shard's need is the host count at which the *next* arrival still
-	// places — its subscribed GPUs plus a worst-seen-request margin,
-	// divided by the per-host watermark budget, never below R while the
-	// shard hosts sessions — and the pool tops deficit shards up from
-	// shards holding idle hosts beyond their own need, *before* the
-	// failure happens. Donors free non-empty idle hosts by rehoming their
-	// idle replicas within the shard (see donateHosts).
-	capPerHost := p.Watermark * float64(p.GPUsPerHost*p.Replicas)
-	needs := make([]int, k)
-	spare := make([]int, k)
-	want := make([]int, k)
+	// instantly provisions R hosts the ledger never charged. So the pool
+	// tops shards below their need (leaseParams.need) up from shards
+	// holding idle hosts beyond their own, *before* the failure happens.
+	// Donors free non-empty idle hosts by rehoming their idle replicas
+	// within the shard (see donateHosts).
 	total := 0
 	for i, l := range loads {
 		total += l.Hosts + l.PendingHosts
-		need := 1
-		if l.SubscribedGPUs > 0 {
-			denom := capPerHost - float64(l.MaxReqGPUs)
-			if denom < 1 {
-				denom = 1
-			}
-			need = int(math.Ceil(float64(l.SubscribedGPUs) / denom))
-			if need < p.Replicas {
-				need = p.Replicas
-			}
-		}
-		if need < l.Floor {
-			need = l.Floor
-		}
-		needs[i] = need
-		w := need - (l.Hosts + l.PendingHosts)
-		if w < l.Waiters {
-			w = l.Waiters
-		}
-		if w < 0 {
-			w = 0
-		}
-		want[i] = w
+		pl.needs[i] = p.need(l)
+		pl.want[i] = l.want(pl.needs[i])
 		s := l.IdleHosts
-		if m := l.Hosts - need; s > m {
+		if m := l.Hosts - pl.needs[i]; s > m {
 			s = m
 		}
 		if s < 0 {
 			s = 0
 		}
-		spare[i] = s
+		pl.spare[i] = s
 	}
-	planTransfers(spare, want, plan.Transfer)
+	planTransfers(pl.spare, pl.want, plan.Transfer)
 
 	// Phase 2: pin the shards' total to the ledger's level. A deficit
 	// becomes fresh grants — unmet wants first (transfers ran out of
@@ -342,8 +460,8 @@ func planLeases(loads []shardLoad, target int, p leaseParams) leasePlan {
 	// need or structural floor, and never from a shard with parked
 	// waiters.
 	if delta := target - total; delta > 0 {
-		for i := 0; i < k && delta > 0; i++ {
-			g := want[i]
+		for i := 0; i < len(loads) && delta > 0; i++ {
+			g := pl.want[i]
 			if g > delta {
 				g = delta
 			}
@@ -351,11 +469,10 @@ func planLeases(loads []shardLoad, target int, p leaseParams) leasePlan {
 			delta -= g
 		}
 		if delta > 0 {
-			weights := make([]float64, k)
 			for i, l := range loads {
-				weights[i] = float64(l.CommittedGPUs)
+				pl.weights[i] = float64(l.CommittedGPUs)
 			}
-			for i, n := range trace.ProportionalShares(weights, delta, 0) {
+			for i, n := range trace.ProportionalShares(pl.weights, delta, 0) {
 				plan.Provision[i] += n
 			}
 		}
@@ -368,11 +485,7 @@ func planLeases(loads []shardLoad, target int, p leaseParams) leasePlan {
 			if l.Waiters > 0 {
 				continue
 			}
-			floor := needs[i]
-			if floor < l.Floor {
-				floor = l.Floor
-			}
-			avail := l.Hosts + plan.Transfer[i] - floor
+			avail := l.Hosts + plan.Transfer[i] - pl.needs[i]
 			if avail > excess {
 				avail = excess
 			}
@@ -431,30 +544,28 @@ const leaseFloor = 1
 
 // ---- single-cluster pool -------------------------------------------------
 
-// leaseDebug, when non-nil, observes every barrier's snapshot and plan
-// (test instrumentation only).
-var leaseDebug func([]shardLoad, leasePlan)
-
-// leasePool coordinates the capacity ledger and k single-cluster workers
-// at epoch barriers.
+// leasePool re-apportions the capacity ledger's host count across k
+// single-cluster workers at epoch barriers.
 type leasePool struct {
-	ledger  *sim
 	workers []*sim
 	params  leaseParams
 	loads   []shardLoad
+	planner *leasePlanner
 }
 
-// reconcile runs one barrier's reconciliation; it executes inside the
-// barrier action, so the ledger and every worker are waiting and the pool
-// has exclusive access to all of them.
-func (p *leasePool) reconcile() {
+// reconcile runs one barrier's reconciliation against the ledger's host
+// count at that boundary; it executes inside the barrier action, so every
+// worker is waiting and the pool has exclusive access to all of them.
+func (p *leasePool) reconcile(ledgerHosts []int32) {
 	for i, w := range p.workers {
 		p.loads[i] = w.leaseLoad()
 	}
-	plan := planLeases(p.loads, p.ledger.members[0].c.NumHosts(), p.params)
-	if leaseDebug != nil {
-		leaseDebug(p.loads, plan)
+	if p.params.wantsHosts(p.loads) {
+		for i, w := range p.workers {
+			p.loads[i].IdleHosts = w.idleHosts()
+		}
 	}
+	plan := p.planner.planLeases(p.loads, int(ledgerHosts[0]), p.params)
 	// Detach before attach, and attach only what donors actually freed
 	// (an eviction can fail when the remaining hosts lack watermark room
 	// for a replica), so transfers conserve the shards' total by
@@ -487,11 +598,12 @@ func (p *leasePool) reconcile() {
 	}
 }
 
-// leaseLoad snapshots the worker's barrier-time counters for the pool.
-// Only called from the barrier action, while the worker is waiting.
+// leaseLoad snapshots the worker's O(1) barrier-time counters for the
+// pool; IdleHosts is left for idleHosts to fill when the plan will read
+// it. Only called from the barrier action, while the worker is waiting.
 func (s *sim) leaseLoad() shardLoad {
 	m := s.members[0]
-	l := shardLoad{
+	return shardLoad{
 		Hosts:          m.c.NumHosts(),
 		PendingHosts:   m.pendingHosts,
 		Waiters:        s.waitq.Len(),
@@ -500,15 +612,19 @@ func (s *sim) leaseLoad() shardLoad {
 		MaxReqGPUs:     s.maxReq,
 		Floor:          leaseFloor,
 	}
-	for _, h := range m.hosts {
+}
+
+// idleHosts counts the worker's hosts with nothing committed — the hosts
+// donateHosts can free. One read per host, so the pool asks only on
+// barriers where some shard wants a host.
+func (s *sim) idleHosts() int {
+	n := 0
+	for _, h := range s.members[0].hosts {
 		if h.h.Committed().IsZero() {
-			l.IdleHosts++
-			if h.h.NumReplicas() == 0 {
-				l.EmptyHosts++
-			}
+			n++
 		}
 	}
-	return l
+	return n
 }
 
 // attachHosts attaches n leased hosts to member mi now: the capacity
@@ -620,21 +736,28 @@ func (s *sim) evictOneHost() bool {
 }
 
 // runShardedLeased runs the single-cluster lease protocol (see runLeased)
-// and assembles its result.
+// and assembles its result: the ledger is authoritative for everything the
+// cluster determines — capacity and commitment timelines, scale/migration
+// events and counters, integrated hours — all byte-identical to the
+// unsharded run. The workers are authoritative for what sharding
+// parallelizes (mergeLatency): the task-level latency distributions (which
+// keep the shard-local placement approximation) and the session/task
+// counts proving no work was lost in the split. The workers' capacity
+// series are not merged; nothing reports them.
 func runShardedLeased(cfg Config, wcfgs []Config) (*Result, error) {
 	for i := range wcfgs {
 		wcfgs[i].leaseManaged = true
 	}
-	pool := func(ledger *sim, workers []*sim) func() {
+	pool := func(workers []*sim) func([]int32) {
 		p := &leasePool{
-			ledger:  ledger,
 			workers: workers,
 			params: leaseParams{
 				GPUsPerHost: cfg.HostCapacity.GPUs,
 				Watermark:   cfg.SRHighWatermark,
 				Replicas:    cfg.ReplicasPerKernel,
 			},
-			loads: make([]shardLoad, len(workers)),
+			loads:   make([]shardLoad, len(workers)),
+			planner: newLeasePlanner(len(workers)),
 		}
 		return p.reconcile
 	}
@@ -642,39 +765,20 @@ func runShardedLeased(cfg Config, wcfgs []Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return leasedResult(ledger, MergeResults(workers...)), nil
-}
-
-// leasedResult assembles the LeasePool result: the ledger is
-// authoritative for everything the cluster determines — capacity and
-// commitment timelines, scale/migration events and counters, integrated
-// hours — all byte-identical to the unsharded run. The workers are
-// authoritative for what sharding parallelizes: the task-level latency
-// distributions (which keep the shard-local placement approximation) and
-// the session/task counts proving no work was lost in the split.
-func leasedResult(ledger, merged *Result) *Result {
 	out := *ledger
-	out.Interactivity = merged.Interactivity
-	out.TCT = merged.TCT
-	out.StepLatency = merged.StepLatency
-	out.SyncLatency = merged.SyncLatency
-	out.ReadLatency = merged.ReadLatency
-	out.WriteLatency = merged.WriteLatency
-	out.Sessions = merged.Sessions
-	out.Tasks = merged.Tasks
-	return &out
+	mergeLatency(&out, workers)
+	return &out, nil
 }
 
 // ---- federated pool ------------------------------------------------------
 
-// fedLeasePool coordinates the federated capacity ledger and k worker
-// federations at epoch barriers. Host shapes differ across members, so
-// leases move between shards only within a member; the ledger carries
-// the parent's autoscaling — including, under PooledAutoscale, the
-// federation.FederatedAutoscaler deciding once per tick over the whole
-// (pooled) workload's counters.
+// fedLeasePool re-apportions the federated capacity ledger's per-member
+// host counts across k worker federations at epoch barriers. Host shapes
+// differ across members, so leases move between shards only within a
+// member; the ledger carries the parent's autoscaling — including, under
+// PooledAutoscale, the federation.FederatedAutoscaler deciding once per
+// tick over the whole (pooled) workload's counters.
 type fedLeasePool struct {
-	ledger   *sim
 	workers  []*sim
 	specs    []FedClusterSpec
 	replicas int
@@ -708,10 +812,11 @@ func (p *fedLeasePool) floor(i, m int) int {
 	return f
 }
 
-// reconcile runs one barrier's reconciliation (inside the barrier
-// action; the ledger and all workers waiting). Order is fixed: members
-// ascending, shards ascending within a member.
-func (p *fedLeasePool) reconcile() {
+// reconcile runs one barrier's reconciliation against the ledger's
+// per-member host counts at that boundary (inside the barrier action; all
+// workers waiting). Order is fixed: members ascending, shards ascending
+// within a member.
+func (p *fedLeasePool) reconcile(ledgerHosts []int32) {
 	k := len(p.workers)
 	for i, w := range p.workers {
 		for m, wm := range w.members {
@@ -777,7 +882,7 @@ func (p *fedLeasePool) reconcile() {
 		for i := 0; i < k; i++ {
 			total += p.loads[i][m].Hosts + p.loads[i][m].PendingHosts
 		}
-		if delta := p.ledger.members[m].c.NumHosts() - total; delta > 0 {
+		if delta := int(ledgerHosts[m]) - total; delta > 0 {
 			for i := 0; i < k && delta > 0; i++ {
 				g := p.want[i]
 				if g > delta {
@@ -827,7 +932,11 @@ func (p *fedLeasePool) reconcile() {
 }
 
 // runFederatedShardedLeased runs the federated lease protocol (see
-// runLeased) and assembles its result.
+// runLeased) and assembles its result — the same split as
+// runShardedLeased: the ledger owns the per-cluster and federation-wide
+// capacity series, routing and scale counters, and integrated hours
+// (byte-identical to RunFederated); the workers own the latency
+// distributions and the task count (mergeFedLatency).
 func runFederatedShardedLeased(cfg FedConfig, wcfgs []FedConfig) (*FedResult, error) {
 	// cfg already went through withDefaults (which normalizes an explicit
 	// NoInterClusterPenalty to 0); restore the sentinel so the ledger's
@@ -838,10 +947,9 @@ func runFederatedShardedLeased(cfg FedConfig, wcfgs []FedConfig) (*FedResult, er
 	for i := range wcfgs {
 		wcfgs[i].leaseManaged = true
 	}
-	pool := func(ledger *sim, workers []*sim) func() {
+	pool := func(workers []*sim) func([]int32) {
 		k := len(workers)
 		p := &fedLeasePool{
-			ledger:   ledger,
 			workers:  workers,
 			specs:    cfg.Clusters,
 			replicas: cfg.ReplicasPerKernel,
@@ -860,19 +968,7 @@ func runFederatedShardedLeased(cfg FedConfig, wcfgs []FedConfig) (*FedResult, er
 	if err != nil {
 		return nil, err
 	}
-	return leasedFedResult(ledger, MergeFedResults(workers...)), nil
-}
-
-// leasedFedResult assembles the federated LeasePool result — the same
-// split as leasedResult: the ledger owns the per-cluster and
-// federation-wide capacity series, routing and scale counters, and
-// integrated hours (byte-identical to RunFederated); the workers own the
-// latency distributions and the task count.
-func leasedFedResult(ledger, merged *FedResult) *FedResult {
 	out := *ledger
-	out.Interactivity = merged.Interactivity
-	out.TCT = merged.TCT
-	out.ClassDelay = merged.ClassDelay
-	out.Tasks = merged.Tasks
-	return &out
+	mergeFedLatency(&out, workers)
+	return &out, nil
 }

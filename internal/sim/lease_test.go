@@ -1,13 +1,19 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"notebookos/internal/cluster"
 	"notebookos/internal/federation"
+	"notebookos/internal/resources"
 	"notebookos/internal/trace"
 )
 
@@ -190,22 +196,34 @@ func TestLeasePoolStreamCapacityExact(t *testing.T) {
 // give the barrier invariant: outstanding leases + the plan's net grant
 // equal the ledger's capacity whenever the ledger is at or above the
 // shards' total.
+//
+// It also pins the two properties the pool's per-barrier economy rests
+// on. Planning into a planner's reused buffers equals planning into fresh
+// ones, whatever the previous barrier left in them. And when no shard
+// wants a host the plan does not depend on IdleHosts — which is why the
+// pool may skip the idle-host scan on those barriers.
 func TestLeaseConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	p := leaseParams{GPUsPerHost: 8, Watermark: 3.0, Replicas: 3}
+	const maxShards = 6
+	reused := make([]*leasePlanner, maxShards+1)
+	for k := range reused {
+		reused[k] = newLeasePlanner(k)
+	}
+	samePlan := func(a, b leasePlan) bool {
+		return slices.Equal(a.Transfer, b.Transfer) && slices.Equal(a.Provision, b.Provision) &&
+			slices.Equal(a.Retire, b.Retire)
+	}
 	for iter := 0; iter < 2000; iter++ {
-		k := 1 + rng.Intn(6)
+		k := 1 + rng.Intn(maxShards)
 		loads := make([]shardLoad, k)
 		total := 0
 		for i := range loads {
 			hosts := rng.Intn(20)
-			idle := rng.Intn(hosts + 1)
-			empty := rng.Intn(idle + 1)
 			loads[i] = shardLoad{
 				Hosts:          hosts,
 				PendingHosts:   rng.Intn(3),
-				EmptyHosts:     empty,
-				IdleHosts:      idle,
+				IdleHosts:      rng.Intn(hosts + 1),
 				Waiters:        rng.Intn(3),
 				CommittedGPUs:  rng.Intn(100),
 				SubscribedGPUs: rng.Intn(400),
@@ -215,7 +233,10 @@ func TestLeaseConservation(t *testing.T) {
 			total += hosts + loads[i].PendingHosts
 		}
 		target := rng.Intn(2 * (total + 5))
-		plan := planLeases(loads, target, p)
+		plan := reused[k].planLeases(loads, target, p)
+		if fresh := newLeasePlanner(k).planLeases(loads, target, p); !samePlan(plan, fresh) {
+			t.Fatalf("iter %d: reused buffers changed the plan:\n  reused: %+v\n  fresh:  %+v", iter, plan, fresh)
+		}
 
 		sumT, sumP, sumR := 0, 0, 0
 		for i := range loads {
@@ -247,6 +268,33 @@ func TestLeaseConservation(t *testing.T) {
 		} else {
 			if sumR > total-target {
 				t.Fatalf("iter %d: retired past the excess: %d > %d", iter, sumR, total-target)
+			}
+		}
+
+		// The same snapshot with every want forced to zero (no waiters,
+		// nothing pending, hosts at or above the need), planned under three
+		// readings of IdleHosts: as drawn, redrawn, and unscanned.
+		quiet := slices.Clone(loads)
+		for i := range quiet {
+			l := &quiet[i]
+			l.Waiters, l.PendingHosts = 0, 0
+			if need := p.need(*l); l.Hosts < need {
+				l.Hosts = need
+			}
+		}
+		if p.wantsHosts(quiet) {
+			t.Fatalf("iter %d: quiet snapshot still wants hosts: %+v", iter, quiet)
+		}
+		want := newLeasePlanner(k).planLeases(quiet, target, p)
+		for _, idle := range []func(hosts int) int{
+			func(hosts int) int { return rng.Intn(hosts + 1) },
+			func(int) int { return 0 },
+		} {
+			for i := range quiet {
+				quiet[i].IdleHosts = idle(quiet[i].Hosts)
+			}
+			if got := reused[k].planLeases(quiet, target, p); !samePlan(got, want) {
+				t.Fatalf("iter %d: no shard wants a host, yet the plan read IdleHosts:\n  got:  %+v\n  want: %+v", iter, got, want)
 			}
 		}
 	}
@@ -307,5 +355,198 @@ func TestEpochBarrierYieldAndPark(t *testing.T) {
 	wg.Wait()
 	if actions != gens {
 		t.Fatalf("%d actions over %d generations", actions, gens)
+	}
+}
+
+// TestLedgerFeedSlowAndFastLedger drives the feed the way runLeased does —
+// one ledger goroutine publishing, k workers meeting at a barrier whose
+// last arrival reads the epoch's counts — with the ledger as the slow side
+// (it stalls long enough that the reader and the barrier's waiters exhaust
+// their yields and park, so a lost wake-up would hang the test) and as the
+// fast side (it runs to the end while the workers dawdle, so every read
+// finds its epoch already published). The ledger gains a host per epoch:
+// reading epoch e must see e+1 hosts however far ahead the ledger is.
+func TestLedgerFeedSlowAndFastLedger(t *testing.T) {
+	const workers, epochs = 3, 300
+	for _, tc := range []struct {
+		name                   string
+		ledgerStall, workStall bool
+	}{
+		{name: "slow ledger", ledgerStall: true},
+		{name: "fast ledger", workStall: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ledger := &sim{members: []*member{{c: cluster.New(3)}}}
+			feed := newLedgerFeed(epochs, len(ledger.members))
+			bar := newEpochBarrier(workers)
+			reads := 0
+			inParallel(workers+1, func(i int) {
+				for e := 0; e < epochs; e++ {
+					if e%60 == 59 && (i == 0 && tc.ledgerStall || i == 1 && tc.workStall) {
+						time.Sleep(2 * time.Millisecond)
+					}
+					if i == 0 {
+						h := cluster.NewHost(fmt.Sprintf("h%d", e), resources.P316xlarge())
+						if err := ledger.members[0].c.AddHost(h); err != nil {
+							t.Error(err)
+						}
+						feed.publish(ledger)
+						continue
+					}
+					bar.await(func() {
+						reads++
+						if got := feed.epoch(e); len(got) != 1 || got[0] != int32(e+1) {
+							t.Errorf("epoch %d: read host counts %v, want [%d]", e, got, e+1)
+						}
+					})
+				}
+			})
+			if reads != epochs {
+				t.Errorf("%d reads over %d epochs", reads, epochs)
+			}
+		})
+	}
+}
+
+// leasedRunnerFingerprints runs the three leased sharded runners once and
+// returns everything TestRunnerFingerprints pins about each, as text.
+func leasedRunnerFingerprints(t *testing.T) string {
+	t.Helper()
+	tr := shardQuickTrace(t, 61)
+	var b strings.Builder
+	res, err := RunSharded(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpLines{"sharded", &b}.result(res, tr.Start, tr.End)
+	fed, err := RunFederatedSharded(FedConfig{
+		Trace: tr, Clusters: DefaultFedClusters(4, 30), Route: federation.LeastSubscribed{},
+		PooledAutoscale: true, Seed: 17, ShardCapacity: LeasePool,
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpLines{"fed-sharded", &b}.fedResult(fed, tr.Start, tr.End)
+	gcfg := trace.AdobeExcerptConfig(47)
+	gcfg.Duration = 4 * time.Hour
+	res, err = RunStreamSharded(gcfg, Config{
+		Policy: PolicyNotebookOS, Hosts: 30, LeanMetrics: true, Seed: 11, ShardCapacity: LeasePool,
+	}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fpLines{"stream-sharded", &b}.result(res, gcfg.Start, gcfg.Start.Add(gcfg.Duration))
+	return b.String()
+}
+
+// TestLeasePoolAnyGOMAXPROCS: the leased runners finish on one processor —
+// a worker waiting on the feed or the barrier must hand its processor to
+// the simulation it waits for, not spin on it — and produce there exactly
+// what they produce on four.
+func TestLeasePoolAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	one := leasedRunnerFingerprints(t)
+	runtime.GOMAXPROCS(4)
+	if four := leasedRunnerFingerprints(t); four != one {
+		t.Errorf("leased runs differ between GOMAXPROCS 1 and 4:\n--- 1\n%s--- 4\n%s", one, four)
+	}
+}
+
+// TestLeasePoolOneHotShard runs the protocol with the ledger as the fast
+// side for a whole run: every session sits in shard 0, so that worker does
+// all of the ledger's work plus the leasing while shard 1 idles at its
+// floor. The capacity metrics must still be the unsharded run's and no
+// work may be lost.
+func TestLeasePoolOneHotShard(t *testing.T) {
+	tr := shardQuickTrace(t, 61)
+	cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}
+	base, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.withDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	wcfgs := shardConfigs(cfg, []float64{1, 1})
+	wcfgs[0].Trace = tr
+	wcfgs[1].Trace = &trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End, Granularity: tr.Granularity}
+	res, err := runShardedLeased(cfg, wcfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := capacityFingerprintOf(tr, res), capacityFingerprintOf(tr, base); got != want {
+		t.Errorf("capacity metrics diverged from the unsharded run:\n  base:  %+v\n  shard: %+v", want, got)
+	}
+	if res.Tasks != base.Tasks || res.Sessions != base.Sessions {
+		t.Errorf("lost work: %d/%d tasks, %d/%d sessions", res.Tasks, base.Tasks, res.Sessions, base.Sessions)
+	}
+}
+
+// TestLeasePoolQuietBarrierAllocatesNothing: a barrier at which no shard
+// wants a host and the shards' total already matches the ledger's — five
+// barriers in six on the summer trace — costs the single-cluster pool no
+// allocation: the snapshot, the plan and its scratch all live in buffers
+// the pool owns.
+func TestLeasePoolQuietBarrierAllocatesNothing(t *testing.T) {
+	tr := shardQuickTrace(t, 61)
+	cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7}
+	if err := cfg.withDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	parts := tr.Split(2)
+	wcfgs := shardConfigs(cfg, []float64{parts[0].Weight, parts[1].Weight})
+	pool := &leasePool{
+		params:  leaseParams{GPUsPerHost: cfg.HostCapacity.GPUs, Watermark: cfg.SRHighWatermark, Replicas: cfg.ReplicasPerKernel},
+		loads:   make([]shardLoad, len(wcfgs)),
+		planner: newLeasePlanner(len(wcfgs)),
+	}
+	total := 0
+	for i := range wcfgs {
+		wcfgs[i].Trace = parts[i].Trace
+		wcfgs[i].leaseManaged = true
+		w, err := newSim(wcfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.close()
+		pool.workers = append(pool.workers, w)
+		total += w.members[0].c.NumHosts()
+	}
+	ledgerHosts := []int32{int32(total)}
+	if allocs := testing.AllocsPerRun(100, func() { pool.reconcile(ledgerHosts) }); allocs != 0 {
+		t.Errorf("a barrier that plans nothing allocated %.0f times", allocs)
+	}
+	if got := pool.workers[0].members[0].c.NumHosts() + pool.workers[1].members[0].c.NumHosts(); got != total {
+		t.Errorf("a quiet barrier moved hosts: %d -> %d", total, got)
+	}
+}
+
+// TestLeasedBuildFailure: a worker that cannot be built fails the run with
+// that worker's error — nothing is left waiting on a barrier or a feed
+// that will never advance (the test's -timeout is the detector) — and when
+// the ledger cannot be built either, the ledger's error wins: errors
+// report in ledger-then-shard order, not in completion order.
+func TestLeasedBuildFailure(t *testing.T) {
+	tr := shardQuickTrace(t, 61)
+	cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}
+	if err := cfg.withDefaults(); err != nil {
+		t.Fatal(err)
+	}
+	workerConfigs := func() []Config {
+		parts := tr.Split(3)
+		wcfgs := shardConfigs(cfg, []float64{parts[0].Weight, parts[1].Weight, parts[2].Weight})
+		for i := range wcfgs {
+			wcfgs[i].Trace = parts[i].Trace
+		}
+		wcfgs[1].Trace = nil // neither Trace nor Source: newSim refuses
+		return wcfgs
+	}
+	if _, err := runShardedLeased(cfg, workerConfigs()); err == nil || !strings.Contains(err.Error(), "requires Trace or Source") {
+		t.Errorf("worker build failure: got error %v", err)
+	}
+	bad := cfg
+	bad.Source = tr.AsSource() // both Trace and Source: a different refusal
+	if _, err := runShardedLeased(bad, workerConfigs()); err == nil || !strings.Contains(err.Error(), "exactly one of") {
+		t.Errorf("ledger and worker build failures: got error %v, want the ledger's", err)
 	}
 }

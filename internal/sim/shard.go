@@ -124,22 +124,37 @@ func shardConfigs(cfg Config, weights []float64) []Config {
 func runShards[C, R any](wcfgs []C, run func(C) (R, error), merge func(...R) R) (R, error) {
 	results := make([]R, len(wcfgs))
 	errs := make([]error, len(wcfgs))
+	inParallel(len(wcfgs), func(i int) { results[i], errs[i] = run(wcfgs[i]) })
+	if err := firstError(errs); err != nil {
+		var zero R
+		return zero, err
+	}
+	return merge(results...), nil
+}
+
+// inParallel runs fn(0) … fn(n-1), each on its own goroutine, and returns
+// when all have: what the calls wrote happens before the return.
+func inParallel(n int, fn func(i int)) {
 	var wg sync.WaitGroup
-	for i := range wcfgs {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[i], errs[i] = run(wcfgs[i])
+			fn(i)
 		}()
 	}
 	wg.Wait()
+}
+
+// firstError returns the first non-nil error in index order, so which
+// error a sharded run reports never depends on goroutine scheduling.
+func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
-			var zero R
-			return zero, err
+			return err
 		}
 	}
-	return merge(results...), nil
+	return nil
 }
 
 // MergeResults combines per-shard worker results into one Result, in the
@@ -168,14 +183,57 @@ func runShards[C, R any](wcfgs []C, run func(C) (R, error), merge func(...R) R) 
 //     and the merge is a pre-sized sweep; equal-time events keep shard
 //     order, matching the stable sort this replaces.
 //   - Counters and integrated hours sum.
+//
+// The merge has two halves. The latency half (mergeLatency: the samples
+// and the session/task counts) is what sharding parallelizes and all a
+// LeasePool run takes from its workers; the capacity half (mergeCapacity:
+// timelines, events, every other counter, the fault recorders) is what a
+// LeasePool run takes from its ledger instead.
 func MergeResults(results ...*Result) *Result {
 	if len(results) == 0 {
 		return nil
 	}
-	out := &Result{
-		Policy:      results[0].Policy,
-		StepLatency: map[Step]*metrics.Sample{},
+	out := &Result{Policy: results[0].Policy}
+	mergeCapacity(out, results)
+	mergeLatency(out, results)
+	return out
+}
+
+// mergeLatency sets out's latency samples and session/task counts to the
+// merge of the results'.
+func mergeLatency(out *Result, results []*Result) {
+	out.Interactivity = mergeSamples(results, func(r *Result) *metrics.Sample { return r.Interactivity })
+	out.TCT = mergeSamples(results, func(r *Result) *metrics.Sample { return r.TCT })
+	out.SyncLatency = mergeSamples(results, func(r *Result) *metrics.Sample { return r.SyncLatency })
+	out.ReadLatency = mergeSamples(results, func(r *Result) *metrics.Sample { return r.ReadLatency })
+	out.WriteLatency = mergeSamples(results, func(r *Result) *metrics.Sample { return r.WriteLatency })
+	out.StepLatency = map[Step]*metrics.Sample{}
+	for _, st := range Steps() {
+		out.StepLatency[st] = mergeSamples(results, func(r *Result) *metrics.Sample { return r.StepLatency[st] })
 	}
+	out.Sessions, out.Tasks = 0, 0
+	for _, r := range results {
+		out.Sessions += r.Sessions
+		out.Tasks += r.Tasks
+	}
+}
+
+// sortLatency sorts, in place, every sample mergeLatency reads — the
+// per-result part of that merge, which a worker can do on its own
+// goroutine before the results meet.
+func (r *Result) sortLatency() {
+	for _, sm := range []*metrics.Sample{r.Interactivity, r.TCT, r.SyncLatency, r.ReadLatency, r.WriteLatency} {
+		sm.Sort()
+	}
+	for _, sm := range r.StepLatency {
+		sm.Sort()
+	}
+}
+
+// mergeCapacity sets out's cluster-determined fields — timelines, event
+// log, scale/migration/fault counters, integrated hours — to the merge of
+// the results'.
+func mergeCapacity(out *Result, results []*Result) {
 	prov := make([]*metrics.Timeline, len(results))
 	comm := make([]*metrics.Timeline, len(results))
 	sess := make([]*metrics.Timeline, len(results))
@@ -196,21 +254,9 @@ func MergeResults(results ...*Result) *Result {
 	out.ActiveTrainings = metrics.MergeTimelines(train...)
 	out.SR = metrics.MergeTimelines(srs...)
 
-	out.Interactivity = mergeSamples(results, func(r *Result) *metrics.Sample { return r.Interactivity })
-	out.TCT = mergeSamples(results, func(r *Result) *metrics.Sample { return r.TCT })
-	out.SyncLatency = mergeSamples(results, func(r *Result) *metrics.Sample { return r.SyncLatency })
-	out.ReadLatency = mergeSamples(results, func(r *Result) *metrics.Sample { return r.ReadLatency })
-	out.WriteLatency = mergeSamples(results, func(r *Result) *metrics.Sample { return r.WriteLatency })
-	for _, st := range Steps() {
-		st := st
-		out.StepLatency[st] = mergeSamples(results, func(r *Result) *metrics.Sample { return r.StepLatency[st] })
-	}
-
 	out.Events = mergeEvents(results, events)
 
 	for _, r := range results {
-		out.Sessions += r.Sessions
-		out.Tasks += r.Tasks
 		out.ImmediateCommits += r.ImmediateCommits
 		out.ExecutorReuse += r.ExecutorReuse
 		out.Migrations += r.Migrations
@@ -232,7 +278,6 @@ func MergeResults(results ...*Result) *Result {
 	}
 	out.Availability = mergeFaultTimelines(results, func(r *Result) *metrics.Timeline { return r.Availability })
 	out.RecoveryTime = mergeFaultSamples(results, func(r *Result) *metrics.Sample { return r.RecoveryTime })
-	return out
 }
 
 // mergeFaultTimelines merges the shards' fault recorders while preserving
@@ -415,6 +460,57 @@ func MergeFedResults(results ...*FedResult) *FedResult {
 		return nil
 	}
 	out := &FedResult{}
+	mergeFedCapacity(out, results)
+	mergeFedLatency(out, results)
+	return out
+}
+
+// mergeFedLatency is mergeLatency for federated results: the delay
+// samples, per SLO class where recorded, and the task count.
+func mergeFedLatency(out *FedResult, results []*FedResult) {
+	inter := make([]*metrics.Sample, len(results))
+	tct := make([]*metrics.Sample, len(results))
+	for i, r := range results {
+		inter[i] = r.Interactivity
+		tct[i] = r.TCT
+	}
+	out.Interactivity = metrics.MergeSamples(inter...)
+	out.TCT = metrics.MergeSamples(tct...)
+	// ClassDelay merges per class when any shard recorded it (all shards
+	// share the parent's SLOAware flag, so presence is uniform in
+	// practice); trace.SLOClasses() fixes the class iteration order.
+	out.ClassDelay = nil
+	if results[0].ClassDelay != nil {
+		out.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, len(results[0].ClassDelay))
+		for _, cl := range trace.SLOClasses() {
+			ins := make([]*metrics.Sample, len(results))
+			for i, r := range results {
+				if r.ClassDelay != nil {
+					ins[i] = r.ClassDelay[cl]
+				}
+			}
+			out.ClassDelay[cl] = metrics.MergeSamples(ins...)
+		}
+	}
+	out.Tasks = 0
+	for _, r := range results {
+		out.Tasks += r.Tasks
+	}
+}
+
+// sortLatency is (*Result).sortLatency for federated results.
+func (r *FedResult) sortLatency() {
+	r.Interactivity.Sort()
+	r.TCT.Sort()
+	for _, sm := range r.ClassDelay {
+		sm.Sort()
+	}
+}
+
+// mergeFedCapacity is mergeCapacity for federated results: per-member and
+// federation-wide series, routing, scale and fault counters, integrated
+// hours.
+func mergeFedCapacity(out *FedResult, results []*FedResult) {
 	members := len(results[0].Clusters)
 	for m := 0; m < members; m++ {
 		prov := make([]*metrics.Timeline, len(results))
@@ -449,31 +545,7 @@ func MergeFedResults(results ...*FedResult) *FedResult {
 	out.CommittedGPUs = metrics.MergeTimelines(comm...)
 	out.ActiveSessions = metrics.MergeTimelines(sess...)
 
-	inter := make([]*metrics.Sample, len(results))
-	tct := make([]*metrics.Sample, len(results))
-	for i, r := range results {
-		inter[i] = r.Interactivity
-		tct[i] = r.TCT
-	}
-	out.Interactivity = metrics.MergeSamples(inter...)
-	out.TCT = metrics.MergeSamples(tct...)
-	// ClassDelay merges per class when any shard recorded it (all shards
-	// share the parent's SLOAware flag, so presence is uniform in
-	// practice); trace.SLOClasses() fixes the class iteration order.
-	if results[0].ClassDelay != nil {
-		out.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, len(results[0].ClassDelay))
-		for _, cl := range trace.SLOClasses() {
-			ins := make([]*metrics.Sample, len(results))
-			for i, r := range results {
-				if r.ClassDelay != nil {
-					ins[i] = r.ClassDelay[cl]
-				}
-			}
-			out.ClassDelay[cl] = metrics.MergeSamples(ins...)
-		}
-	}
 	for _, r := range results {
-		out.Tasks += r.Tasks
 		out.ImmediateCommits += r.ImmediateCommits
 		out.LocalPlacements += r.LocalPlacements
 		out.RemotePlacements += r.RemotePlacements
@@ -496,5 +568,4 @@ func MergeFedResults(results ...*FedResult) *FedResult {
 	}
 	out.Availability = mergeFaultTimelines(results, func(r *FedResult) *metrics.Timeline { return r.Availability })
 	out.RecoveryTime = mergeFaultSamples(results, func(r *FedResult) *metrics.Sample { return r.RecoveryTime })
-	return out
 }
