@@ -6,54 +6,70 @@
 // models calibrated against the live implementation and the paper's
 // reported distributions.
 //
-// Runner map — one core, three drivers. Every entry point runs the same
-// simulator core (type sim, sim.go): a federation of member clusters, each
-// with its cluster model, host list, pending-host count and per-member
-// series, replaying one workload through one session type, one host
-// wrapper, one task state machine (taskfsm.go), one streaming injector
-// (stream.go) and one fault layer (faults.go). The entry points differ
-// only in how the core is built and which driver advances its engine:
+// Runner map — one plan, one core, three drivers. Every exported entry point
+// is a short adapter: public config → plan → driver → projection.
 //
-//   - Run builds a one-member federation (member "sim") with the full
-//     single-cluster recorder set; the scheduling policy — Reservation,
-//     Batch, NotebookOS, LCP — is a task-pipeline choice on that core.
-//     RunFederated builds the same core with one member per
-//     FedClusterSpec, a federation route policy (never consulted while
-//     there is one member), per-pair WAN charges, and optionally the SLO
-//     wait-queue and the pooled autoscaler; its policy is always
-//     NotebookOS. Result and FedResult are projections of the core's state
-//     taken at finish. What a run records — step latencies, SR, the event
-//     log, async-replication samples and the RNG draws that feed them, or
-//     per-SLO-class delays — follows from which recorders its constructor
-//     created; there is no federated/single switch on the hot path.
-//   - The plain driver (Run, RunFederated, and each LegacySplit worker)
-//     runs the engine in one shot to a day past the window's end. The
-//     barrier-leased driver (runLeased in lease.go, behind
-//     ShardCapacity == LeasePool) runs a capacity ledger — an unsharded
-//     replay of the parent config — as a free-running producer that
+//   - The plan (plan.go) is the one internal description of a run. Config
+//     and FedConfig each compile into it exactly once per public call
+//     (Config.plan, FedConfig.plan → plan.defaults, the only defaulting
+//     pass): the core knobs, the member specs — Run's cluster is the one
+//     member "sim" — and the federation settings (route, penalty or latency
+//     matrix, pooled autoscale, SLO queue), all fully defaulted and
+//     validated. Nothing below the adapters sees a public config, so no
+//     simulation — worker or ledger — is defaulted twice and a zero in a
+//     plan means zero (FedConfig.InterClusterPenalty's "zero means default"
+//     and its explicit-zero sentinel end at plan.defaults).
+//   - The core (type sim, sim.go; newSim builds it from a plan) is a
+//     federation of member clusters, each with its cluster model, host
+//     list, pending-host count and per-member series, replaying one
+//     workload through one session type, one host wrapper, one task state
+//     machine (taskfsm.go), one streaming injector (stream.go) and one fault
+//     layer (faults.go). The scheduling policy — Reservation, Batch,
+//     NotebookOS, LCP — is a task-pipeline choice on that core; the route
+//     policy is never consulted while there is one member. The core
+//     accumulates one result record (type record); Result and FedResult are
+//     its two projections and share the CoreResult block they both embed.
+//     What a run records — step latencies, SR, the event log,
+//     async-replication samples and the RNG draws that feed them, or
+//     per-SLO-class delays — follows from which recorders newSim created
+//     for the plan's form; there is no federated/single switch on the hot
+//     path.
+//   - The plain driver (plan.run: Run, RunFederated, each LegacySplit
+//     worker, and any sharded runner at k <= 1) runs the engine in one shot
+//     to a day past the window's end. The barrier-leased driver (runLeased
+//     in lease.go, behind ShardCapacity == LeasePool) runs a capacity ledger
+//     — the parent plan itself, unsharded — as a free-running producer that
 //     publishes its host count at every LeaseEpoch boundary, and k
 //     lease-managed workers in LeaseEpoch-sized steps with a barrier among
 //     themselves, whose last arrival reconciles the host leases against
 //     that boundary's published count. The ledger never waits and reads
-//     nothing from the workers; builds, drains, result projection and the
+//     nothing from the workers; builds, drains, record completion and the
 //     workers' sample sorts each run on the simulation's own goroutine.
-//     The streaming injector (any runner given a Source) replaces the
-//     up-front event schedule with one self-rescheduling admission event,
-//     so pending events track concurrency rather than workload size; it
-//     composes with either driver.
-//   - RunSharded, RunFederatedSharded (trace.Split shards) and
-//     RunStreamSharded, RunFederatedStreamSharded (trace.StreamSplit
-//     shards) derive per-worker configs with ShardSeed-derived seeds, run
-//     them under the plain or the barrier-leased driver, and merge the
-//     workers deterministically with MergeResults/MergeFedResults —
-//     timelines through metrics.MergeTimelines, samples through
-//     metrics.MergeSamples (k-way merges of the shards' sorted runs, so
-//     merged quantiles are bit-identical to concatenation), events by a
+//     The streaming injector (any plan with a Source) replaces the up-front
+//     event schedule with one self-rescheduling admission event, so pending
+//     events track concurrency rather than workload size; it composes with
+//     either driver.
+//   - The sharded driver (plan.runSharded in shard.go) sits on top of those
+//     two. RunSharded and RunFederatedSharded hand it trace.Split's parts
+//     with their reserved-GPU-hour weights (plan.traceParts);
+//     RunStreamSharded and RunFederatedStreamSharded hand it
+//     trace.StreamSplit's generators with equal weights (streamParts),
+//     their own plan replaying the unsplit generator. The driver clamps the
+//     shard count to the smallest member, derives the worker plans (plan.shard: capacity split by weight,
+//     ShardSeed-derived seeds, a private route-policy instance each), and
+//     branches once on ShardCapacity: runLeased, or k plain runs merged
+//     with mergeRecords — timelines through metrics.MergeTimelines, samples
+//     through metrics.MergeSamples (k-way merges of the shards' sorted runs,
+//     so merged quantiles are bit-identical to concatenation), events by a
 //     pre-sized k-way merge on their int64 timestamps, counters by
 //     summation, always in shard-index order so output never depends on
-//     worker completion order. Under the barrier-leased driver only the
-//     merge's latency half runs (samples and session/task counts); the
-//     capacity half of the result is the ledger's, unmerged.
+//     worker completion order. MergeResults and MergeFedResults are that
+//     same merge over caller-held results. Under the barrier-leased driver
+//     only the merge's latency half runs (samples and session/task counts);
+//     the capacity half of the record is the ledger's, unmerged. The lease
+//     pool still has two planners — leasePool for a plan compiled from a
+//     Config, fedLeasePool for one from a FedConfig — chosen in
+//     newLeasePool.
 //
 // Capacity accounting across shards is Config.ShardCapacity's choice
 // (docs/SHARDING.md): under LeasePool — the default for experiment -shards

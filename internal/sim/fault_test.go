@@ -238,6 +238,16 @@ func TestFederatedFaultsDoubleRunByteIdentical(t *testing.T) {
 	}
 }
 
+// simOf builds the simulation Run(cfg) would run, for tests that drive the
+// engine themselves.
+func simOf(cfg Config) (*sim, error) {
+	p, err := cfg.plan()
+	if err != nil {
+		return nil, err
+	}
+	return newSim(p)
+}
+
 // probeRunningNbosSession steps the simulation forward until some session
 // has an in-flight task, returning the session and its machine.
 func probeRunningNbosSession(t *testing.T, s *sim) (*session, *runningTask) {
@@ -265,7 +275,7 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 	// Enabled spec with astronomically rare natural crashes: the only crash
 	// in this run is the one the test injects.
 	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
-	s, err := newSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
+	s, err := simOf(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +334,7 @@ func TestExecutorCrashRestartsTask(t *testing.T) {
 	gcfg.Duration = 4 * time.Hour
 	tr := trace.MustGenerate(gcfg)
 	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
-	s, err := newSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
+	s, err := simOf(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +379,7 @@ func TestQuorumLossRestartsTask(t *testing.T) {
 	gcfg.Duration = 4 * time.Hour
 	tr := trace.MustGenerate(gcfg)
 	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
-	s, err := newSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
+	s, err := simOf(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +432,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 	gcfg.Duration = 2 * time.Hour
 	tr := trace.MustGenerate(gcfg)
 	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1, MaxRetries: 3}
-	s, err := newSim(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
+	s, err := simOf(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"notebookos/internal/federation"
 	"notebookos/internal/metrics"
 	"notebookos/internal/resources"
-	"notebookos/internal/scheduler"
 	"notebookos/internal/trace"
 )
 
@@ -179,111 +178,6 @@ type FedConfig struct {
 	// inter-cluster penalty for their window. Nil or empty means a
 	// failure-free world and leaves the run byte-identical.
 	Faults *trace.FaultSpec
-
-	// leaseManaged marks a sharded worker federation whose capacity is
-	// governed by a lease pool at epoch barriers: the worker's own
-	// autoscale ticks (pooled or per-member) are suppressed. Set only by
-	// the lease runner, never by callers.
-	leaseManaged bool
-}
-
-func (c *FedConfig) withDefaults() error {
-	if c.Trace == nil && c.Source == nil {
-		return fmt.Errorf("sim: federated config requires Trace or Source")
-	}
-	if c.Trace != nil && c.Source != nil {
-		return fmt.Errorf("sim: federated config requires exactly one of Trace and Source")
-	}
-	if c.LeanMetrics && c.LeanSampleCap <= 0 {
-		c.LeanSampleCap = 4096
-	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
-	}
-	if len(c.Clusters) == 0 {
-		c.Clusters = DefaultFedClusters(2, 30)
-	} else {
-		// Defaults are filled in place below; copy the slice so a caller's
-		// spec slice shared across (possibly concurrent) runs is never
-		// mutated.
-		c.Clusters = append([]FedClusterSpec(nil), c.Clusters...)
-	}
-	if c.ReplicasPerKernel <= 0 {
-		c.ReplicasPerKernel = 3
-	}
-	for i := range c.Clusters {
-		spec := &c.Clusters[i]
-		if spec.Name == "" {
-			spec.Name = fmt.Sprintf("c%d", i)
-		}
-		if spec.Hosts <= 0 {
-			spec.Hosts = 15
-		}
-		if spec.HostCapacity.IsZero() {
-			spec.HostCapacity = resources.P316xlarge()
-		}
-		if spec.MinHosts <= 0 {
-			// Per-member scale-in must never leave a cluster unable to host
-			// one kernel's R replicas (the clamp rule lives in
-			// scheduler.MinHostsFloor).
-			spec.MinHosts = scheduler.MinHostsFloor(spec.Hosts/4, c.ReplicasPerKernel)
-			if spec.MinHosts > spec.Hosts {
-				spec.MinHosts = spec.Hosts
-			}
-		}
-	}
-	if c.Latency != nil {
-		if err := c.Latency.Validate(); err != nil {
-			return err
-		}
-		if c.Latency.Size() != len(c.Clusters) {
-			return fmt.Errorf("sim: latency matrix covers %d members, federation has %d clusters",
-				c.Latency.Size(), len(c.Clusters))
-		}
-	}
-	if c.FedMinHosts <= 0 {
-		total := 0
-		for _, spec := range c.Clusters {
-			total += spec.Hosts
-		}
-		c.FedMinHosts = scheduler.MinHostsFloor(total/4, c.ReplicasPerKernel)
-	}
-	if c.Route == nil {
-		c.Route = federation.LocalFirst{}
-	}
-	if c.ScalePolicy == nil {
-		c.ScalePolicy = federation.GreedyScalePolicy{}
-	}
-	if c.InterClusterPenalty < 0 {
-		c.InterClusterPenalty = 0
-	} else if c.InterClusterPenalty == 0 {
-		c.InterClusterPenalty = 25 * time.Millisecond
-	}
-	if c.PrewarmPerHost <= 0 {
-		c.PrewarmPerHost = 1
-	}
-	if c.SRHighWatermark <= 0 {
-		c.SRHighWatermark = scheduler.DefaultSRHighWatermark
-	}
-	if c.ScaleFactor <= 0 {
-		c.ScaleFactor = 1.05
-	}
-	if c.AutoscaleInterval <= 0 {
-		c.AutoscaleInterval = time.Minute
-	}
-	if c.LeaseEpoch <= 0 {
-		c.LeaseEpoch = c.AutoscaleInterval
-	}
-	if c.Latencies.GSProcess == nil {
-		c.Latencies = DefaultLatencies()
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 5 * time.Minute
-	}
-	if c.SLOAware && c.SLOAgingBound <= 0 {
-		c.SLOAgingBound = defaultAgingBound
-	}
-	return nil
 }
 
 // FedClusterResult is one member cluster's share of a federated run.
@@ -311,58 +205,62 @@ type FedClusterResult struct {
 }
 
 // FedResult carries the outcome of a federated simulation: per-cluster
-// series plus federation-wide merges and counters.
+// series plus the federation-wide CoreResult block and what only a
+// federation records.
 type FedResult struct {
 	Clusters []*FedClusterResult
+	CoreResult
 
-	// Merged federation-wide series (pointwise sums of the per-cluster
-	// series; Integral equals the sum of per-cluster Integrals).
-	ProvisionedGPUs *metrics.Timeline
-	CommittedGPUs   *metrics.Timeline
-	ActiveSessions  *metrics.Timeline
-
-	// Distributions.
-	Interactivity *metrics.Sample // seconds
-	TCT           *metrics.Sample // seconds
 	// ClassDelay is the per-SLO-class queue-delay distribution (the same
 	// interactivity delay, split by each task's session class with the
 	// unclassified zero value folded into batch). Nil unless the run was
 	// SLOAware; iterate trace.SLOClasses() for a deterministic order.
 	ClassDelay map[trace.SLOClass]*metrics.Sample // seconds
 
-	// Counters.
-	Tasks            int
-	ImmediateCommits int
+	// Routing counters.
 	LocalPlacements  int // sessions placed on their home cluster
 	RemotePlacements int // sessions spilled to another cluster
 	RemoteExecutions int // tasks executed on a non-home-cluster replica
-	Migrations       int
 	CrossMigrations  int // migrations that changed cluster
-	ScaleOuts        int
-	ScaleIns         int
-	ColdStarts       int
-	WarmStarts       int
 
-	// Integrated hours over the trace window.
-	ActiveGPUHours      float64
+	// ProvisionedGPUHours integrates ProvisionedGPUs over the trace window.
 	ProvisionedGPUHours float64
-	ReservedGPUHours    float64
+}
 
-	// Fault-injection outcomes (see Result's matching block and
-	// docs/FAULTS.md). All zero — and the two recorders nil — unless
-	// FedConfig.Faults is enabled.
-	HostCrashes    int
-	HostRecoveries int
-	Failovers      int
-	TaskRestarts   int
-	Abandonments   int
-	LostGPUHours   float64
-	// Availability tracks the federation-wide live host count as a delta
-	// timeline; its integral over any window is the fleet's up-host-hours.
-	Availability *metrics.Timeline
-	// RecoveryTime samples every recovery charge paid: failover elections
-	// and checkpoint-restore restart penalties, in seconds.
-	RecoveryTime *metrics.Sample
+// fedResult projects the record onto FedResult.
+func (r *record) fedResult() *FedResult {
+	return &FedResult{
+		Clusters:            r.clusters,
+		CoreResult:          r.CoreResult,
+		ClassDelay:          r.classDelay,
+		LocalPlacements:     r.localPlacements,
+		RemotePlacements:    r.remotePlacements,
+		RemoteExecutions:    r.remoteExecutions,
+		CrossMigrations:     r.crossMigrations,
+		ProvisionedGPUHours: r.provisionedGPUHours,
+	}
+}
+
+// fedRecord is fedResult's inverse, for merging results the caller holds.
+func fedRecord(r *FedResult) *record {
+	return &record{
+		Result:              Result{CoreResult: r.CoreResult},
+		clusters:            r.Clusters,
+		classDelay:          r.ClassDelay,
+		localPlacements:     r.LocalPlacements,
+		remotePlacements:    r.RemotePlacements,
+		remoteExecutions:    r.RemoteExecutions,
+		crossMigrations:     r.CrossMigrations,
+		provisionedGPUHours: r.ProvisionedGPUHours,
+	}
+}
+
+// federated projects a driver's record onto FedResult.
+func federated(rec *record, err error) (*FedResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	return rec.fedResult(), nil
 }
 
 // GPUHoursSaved returns the headline federation saving: reserved GPU-hours
@@ -384,114 +282,11 @@ func (r *FedResult) FinalHosts() int {
 // RunFederated executes a federated simulation and returns its result.
 // Determinism matches Run: a fixed config replays bit-for-bit.
 func RunFederated(cfg FedConfig) (*FedResult, error) {
-	s, err := newFederated(cfg)
+	p, err := cfg.plan()
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
-	s.drain()
-	return s.finishFed()
-}
-
-// newFederated builds a ready-to-run federated simulation (see newSim):
-// the same core with one member per cluster spec, the route policy, the
-// inter-cluster latency model, and — as configured — the SLO-class queue
-// with its per-class recorders and the pooled autoscaler. It creates none
-// of the recorders only Result reports, so a federated run neither records
-// nor draws for them.
-func newFederated(fc FedConfig) (*sim, error) {
-	if err := fc.withDefaults(); err != nil {
-		return nil, err
-	}
-	s := newCore(Config{
-		Trace:             fc.Trace,
-		Source:            fc.Source,
-		LeanMetrics:       fc.LeanMetrics,
-		LeanSampleCap:     fc.LeanSampleCap,
-		Policy:            PolicyNotebookOS,
-		ReplicasPerKernel: fc.ReplicasPerKernel,
-		PrewarmPerHost:    fc.PrewarmPerHost,
-		ScaleFactor:       fc.ScaleFactor,
-		AutoscaleInterval: fc.AutoscaleInterval,
-		SRHighWatermark:   fc.SRHighWatermark,
-		Latencies:         fc.Latencies,
-		Seed:              fc.Seed,
-		SampleEvery:       fc.SampleEvery,
-		Faults:            fc.Faults,
-		leaseManaged:      fc.leaseManaged,
-	}, federation.New(fc.InterClusterPenalty))
-	s.route = fc.Route
-	if fc.Latency != nil {
-		// Size was validated against the cluster count in withDefaults.
-		if err := s.fed.SetLatencyMatrix(fc.Latency); err != nil {
-			return nil, err
-		}
-	}
-	if fc.SLOAware {
-		s.waitq.usePriority(fc.SLOAgingBound)
-		// Pre-create the per-class samples in SLOClasses order so lean-mode
-		// reservoir seeds are position-independent of the workload.
-		s.classDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
-		for _, cl := range trace.SLOClasses() {
-			s.classDelay[cl] = s.newSample()
-		}
-	}
-	if fc.PooledAutoscale {
-		s.autoscaler = &federation.FederatedAutoscaler{
-			ScaleFactor: fc.ScaleFactor,
-			MinHosts:    fc.FedMinHosts,
-			Replicas:    fc.ReplicasPerKernel,
-			Policy:      fc.ScalePolicy,
-		}
-		s.loads = make([]federation.MemberLoad, len(fc.Clusters))
-	}
-	return s, s.build(fc.Clusters)
-}
-
-// finishFed projects the FedResult: per-member records, the merged
-// federation-wide series, and the counters and recorders the core
-// accumulated. Call once, after drain.
-func (s *sim) finishFed() (*FedResult, error) {
-	provisionedGPUHours, err := s.totals()
-	if err != nil {
-		return nil, err
-	}
-	r := s.res
-	out := &FedResult{
-		ProvisionedGPUs:     r.ProvisionedGPUs,
-		CommittedGPUs:       r.CommittedGPUs,
-		ActiveSessions:      r.ActiveSessions,
-		Interactivity:       r.Interactivity,
-		TCT:                 r.TCT,
-		ClassDelay:          s.classDelay,
-		Tasks:               r.Tasks,
-		ImmediateCommits:    r.ImmediateCommits,
-		LocalPlacements:     s.routed.localPlacements,
-		RemotePlacements:    s.routed.remotePlacements,
-		RemoteExecutions:    s.routed.remoteExecutions,
-		Migrations:          r.Migrations,
-		CrossMigrations:     s.routed.crossMigrations,
-		ScaleOuts:           r.ScaleOuts,
-		ScaleIns:            r.ScaleIns,
-		ColdStarts:          r.ColdStarts,
-		WarmStarts:          r.WarmStarts,
-		ActiveGPUHours:      r.ActiveGPUHours,
-		ProvisionedGPUHours: provisionedGPUHours,
-		ReservedGPUHours:    r.ReservedGPUHours,
-		HostCrashes:         r.HostCrashes,
-		HostRecoveries:      r.HostRecoveries,
-		Failovers:           r.Failovers,
-		TaskRestarts:        r.TaskRestarts,
-		Abandonments:        r.Abandonments,
-		LostGPUHours:        r.LostGPUHours,
-		Availability:        r.Availability,
-		RecoveryTime:        r.RecoveryTime,
-	}
-	for _, m := range s.members {
-		m.res.FinalHosts = m.c.NumHosts()
-		out.Clusters = append(out.Clusters, m.res)
-	}
-	return out, nil
+	return federated(p.run())
 }
 
 // autoscalePooled runs one pooled evaluation: snapshot every member's O(1)

@@ -216,36 +216,39 @@ func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 	}
 }
 
-// runLeased is the lease protocol's driver, shared by the single-cluster
-// and the federated pool. Every simulation's private work runs on a
-// goroutine of its own, in two parallel phases with the shared set-up
-// between them:
+// runLeased is the lease protocol's driver, and its assembly of the
+// result. Every simulation's private work runs on a goroutine of its own,
+// in two parallel phases with the shared set-up between them:
 //
-//   - build: the capacity ledger from the parent config (which must be
-//     exactly what the unsharded runner would have received — the ledger's
-//     result is the unsharded run's, byte for byte) and the lease-managed
-//     workers from the prepared worker configs (whose host counts carry the
-//     initial lease grants). A failed build returns here, before any
-//     goroutine can wait on a barrier or a feed that would never advance.
+//   - build: the capacity ledger from the parent plan (exactly what the
+//     unsharded runner would have run — the ledger's record is the
+//     unsharded run's, byte for byte) and the lease-managed workers from
+//     the worker plans (whose host counts carry the initial lease grants).
+//     A failed build returns here, before any goroutine can wait on a
+//     barrier or a feed that would never advance.
 //   - run: the ledger steps its engine boundary by boundary and publishes
 //     each epoch's host counts to the feed, never waiting; each worker
 //     steps to the same boundary and meets the other workers at a k-party
 //     barrier, whose last arrival reconciles the leases against that
 //     epoch's published counts. After the final boundary each simulation
-//     drains its in-flight tail past the window independently, as Run
-//     does, and projects its result; a worker also sorts its latency
-//     samples, so the merge finds sorted runs.
+//     drains its in-flight tail past the window independently, as the plain
+//     driver does, and completes its record; a worker also sorts its
+//     latency samples, so the merge finds sorted runs.
 //
-// The window is the ledger's. The ledger's result and the workers' results
-// (in shard order) are returned; on failure, the first error in
-// ledger-then-shard order. Every simulation that was built is closed.
-func runLeased[C any, R interface{ sortLatency() }](cfg C, wcfgs []C, build func(C) (*sim, error),
-	epoch time.Duration, pool func(workers []*sim) (reconcile func(ledgerHosts []int32)),
-	finish func(*sim) (R, error),
-) (ledger R, workers []R, err error) {
-	cfgs := append([]C{cfg}, wcfgs...)
-	sims := make([]*sim, len(cfgs))
-	errs := make([]error, len(cfgs))
+// The window is the ledger's. The ledger is authoritative for everything
+// the clusters determine — per-member and federation-wide capacity and
+// commitment timelines, scale/migration/routing events and counters,
+// integrated hours — all byte-identical to the unsharded run. The workers
+// are authoritative for what sharding parallelizes (mergeLatency): the
+// task-level latency distributions (which keep the shard-local placement
+// approximation) and the session/task counts proving no work was lost in
+// the split. The workers' capacity series are not merged; nothing reports
+// them. On failure the first error in ledger-then-shard order is returned;
+// every simulation that was built is closed.
+func runLeased(p *plan, workers []*plan) (*record, error) {
+	plans := append([]*plan{p}, workers...)
+	sims := make([]*sim, len(plans))
+	errs := make([]error, len(plans))
 	defer func() {
 		for _, s := range sims {
 			if s != nil {
@@ -253,16 +256,19 @@ func runLeased[C any, R interface{ sortLatency() }](cfg C, wcfgs []C, build func
 			}
 		}
 	}()
-	inParallel(len(cfgs), func(i int) { sims[i], errs[i] = build(cfgs[i]) })
+	for _, w := range workers {
+		w.leaseManaged = true
+	}
+	inParallel(len(plans), func(i int) { sims[i], errs[i] = newSim(plans[i]) })
 	if err := firstError(errs); err != nil {
-		return ledger, nil, err
+		return nil, err
 	}
 
-	bounds := epochBoundaries(sims[0].start, sims[0].end, epoch)
+	bounds := epochBoundaries(sims[0].start, sims[0].end, p.LeaseEpoch)
 	feed := newLedgerFeed(len(bounds), len(sims[0].members))
-	bar := newEpochBarrier(len(wcfgs))
-	reconcile := pool(sims[1:])
-	results := make([]R, len(sims))
+	bar := newEpochBarrier(len(workers))
+	reconcile := newLeasePool(p, sims[1:])
+	recs := make([]*record, len(sims))
 	inParallel(len(sims), func(i int) {
 		s := sims[i]
 		for e, t := range bounds {
@@ -274,14 +280,52 @@ func runLeased[C any, R interface{ sortLatency() }](cfg C, wcfgs []C, build func
 			}
 		}
 		s.drain()
-		if results[i], errs[i] = finish(s); errs[i] == nil && i > 0 {
-			results[i].sortLatency()
+		if recs[i], errs[i] = s.finish(); errs[i] == nil && i > 0 {
+			recs[i].sortLatency()
 		}
 	})
 	if err := firstError(errs); err != nil {
-		return ledger, nil, err
+		return nil, err
 	}
-	return results[0], results[1:], nil
+	out := *recs[0]
+	mergeLatency(&out, recs[1:])
+	return &out, nil
+}
+
+// newLeasePool returns the barrier action of the pool that re-apportions
+// the ledger's host counts across the workers: the single-cluster planner
+// for a plan compiled from a Config, the per-member federated planner for
+// one compiled from a FedConfig. The two plan differently (the first evicts
+// idle replicas to free hosts, the second moves only natural empties), and
+// the pinned worker-latency numbers depend on which one ran.
+func newLeasePool(p *plan, workers []*sim) (reconcile func(ledgerHosts []int32)) {
+	k := len(workers)
+	if !p.federated {
+		return (&leasePool{
+			workers: workers,
+			params: leaseParams{
+				GPUsPerHost: p.members[0].HostCapacity.GPUs,
+				Watermark:   p.SRHighWatermark,
+				Replicas:    p.ReplicasPerKernel,
+			},
+			loads:   make([]shardLoad, k),
+			planner: newLeasePlanner(k),
+		}).reconcile
+	}
+	pool := &fedLeasePool{
+		workers:  workers,
+		specs:    p.members,
+		replicas: p.ReplicasPerKernel,
+		loads:    make([][]federation.MemberLoad, k),
+		spare:    make([]int, k),
+		want:     make([]int, k),
+		transfer: make([]int, k),
+		weights:  make([]float64, k),
+	}
+	for i := range pool.loads {
+		pool.loads[i] = make([]federation.MemberLoad, len(p.members))
+	}
+	return pool.reconcile
 }
 
 // ---- planning (pure) -----------------------------------------------------
@@ -735,41 +779,6 @@ func (s *sim) evictOneHost() bool {
 	return s.detachEmptyHosts(0, 1) == 1
 }
 
-// runShardedLeased runs the single-cluster lease protocol (see runLeased)
-// and assembles its result: the ledger is authoritative for everything the
-// cluster determines — capacity and commitment timelines, scale/migration
-// events and counters, integrated hours — all byte-identical to the
-// unsharded run. The workers are authoritative for what sharding
-// parallelizes (mergeLatency): the task-level latency distributions (which
-// keep the shard-local placement approximation) and the session/task
-// counts proving no work was lost in the split. The workers' capacity
-// series are not merged; nothing reports them.
-func runShardedLeased(cfg Config, wcfgs []Config) (*Result, error) {
-	for i := range wcfgs {
-		wcfgs[i].leaseManaged = true
-	}
-	pool := func(workers []*sim) func([]int32) {
-		p := &leasePool{
-			workers: workers,
-			params: leaseParams{
-				GPUsPerHost: cfg.HostCapacity.GPUs,
-				Watermark:   cfg.SRHighWatermark,
-				Replicas:    cfg.ReplicasPerKernel,
-			},
-			loads:   make([]shardLoad, len(workers)),
-			planner: newLeasePlanner(len(workers)),
-		}
-		return p.reconcile
-	}
-	ledger, workers, err := runLeased(cfg, wcfgs, newSim, cfg.LeaseEpoch, pool, (*sim).finish)
-	if err != nil {
-		return nil, err
-	}
-	out := *ledger
-	mergeLatency(&out, workers)
-	return &out, nil
-}
-
 // ---- federated pool ------------------------------------------------------
 
 // fedLeasePool re-apportions the federated capacity ledger's per-member
@@ -929,46 +938,4 @@ func (p *fedLeasePool) reconcile(ledgerHosts []int32) {
 			}
 		}
 	}
-}
-
-// runFederatedShardedLeased runs the federated lease protocol (see
-// runLeased) and assembles its result — the same split as
-// runShardedLeased: the ledger owns the per-cluster and federation-wide
-// capacity series, routing and scale counters, and integrated hours
-// (byte-identical to RunFederated); the workers own the latency
-// distributions and the task count (mergeFedLatency).
-func runFederatedShardedLeased(cfg FedConfig, wcfgs []FedConfig) (*FedResult, error) {
-	// cfg already went through withDefaults (which normalizes an explicit
-	// NoInterClusterPenalty to 0); restore the sentinel so the ledger's
-	// own defaulting pass keeps it zero instead of re-defaulting.
-	if cfg.InterClusterPenalty == 0 {
-		cfg.InterClusterPenalty = NoInterClusterPenalty
-	}
-	for i := range wcfgs {
-		wcfgs[i].leaseManaged = true
-	}
-	pool := func(workers []*sim) func([]int32) {
-		k := len(workers)
-		p := &fedLeasePool{
-			workers:  workers,
-			specs:    cfg.Clusters,
-			replicas: cfg.ReplicasPerKernel,
-			loads:    make([][]federation.MemberLoad, k),
-			spare:    make([]int, k),
-			want:     make([]int, k),
-			transfer: make([]int, k),
-			weights:  make([]float64, k),
-		}
-		for i := range p.loads {
-			p.loads[i] = make([]federation.MemberLoad, len(cfg.Clusters))
-		}
-		return p.reconcile
-	}
-	ledger, workers, err := runLeased(cfg, wcfgs, newFederated, cfg.LeaseEpoch, pool, (*sim).finishFed)
-	if err != nil {
-		return nil, err
-	}
-	out := *ledger
-	mergeFedLatency(&out, workers)
-	return &out, nil
 }

@@ -464,16 +464,18 @@ func TestLeasePoolOneHotShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.withDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	wcfgs := shardConfigs(cfg, []float64{1, 1})
-	wcfgs[0].Trace = tr
-	wcfgs[1].Trace = &trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End, Granularity: tr.Granularity}
-	res, err := runShardedLeased(cfg, wcfgs)
+	p, err := cfg.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
+	workers := p.shard([]float64{1, 1})
+	workers[0].input = input{Trace: tr}
+	workers[1].input = input{Trace: &trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End, Granularity: tr.Granularity}}
+	rec, err := runLeased(p, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &rec.Result
 	if got, want := capacityFingerprintOf(tr, res), capacityFingerprintOf(tr, base); got != want {
 		t.Errorf("capacity metrics diverged from the unsharded run:\n  base:  %+v\n  shard: %+v", want, got)
 	}
@@ -489,34 +491,30 @@ func TestLeasePoolOneHotShard(t *testing.T) {
 // the pool owns.
 func TestLeasePoolQuietBarrierAllocatesNothing(t *testing.T) {
 	tr := shardQuickTrace(t, 61)
-	cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7}
-	if err := cfg.withDefaults(); err != nil {
+	p, err := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7}.plan()
+	if err != nil {
 		t.Fatal(err)
 	}
 	parts := tr.Split(2)
-	wcfgs := shardConfigs(cfg, []float64{parts[0].Weight, parts[1].Weight})
-	pool := &leasePool{
-		params:  leaseParams{GPUsPerHost: cfg.HostCapacity.GPUs, Watermark: cfg.SRHighWatermark, Replicas: cfg.ReplicasPerKernel},
-		loads:   make([]shardLoad, len(wcfgs)),
-		planner: newLeasePlanner(len(wcfgs)),
-	}
+	var sims []*sim
 	total := 0
-	for i := range wcfgs {
-		wcfgs[i].Trace = parts[i].Trace
-		wcfgs[i].leaseManaged = true
-		w, err := newSim(wcfgs[i])
+	for i, wp := range p.shard([]float64{parts[0].Weight, parts[1].Weight}) {
+		wp.input = input{Trace: parts[i].Trace}
+		wp.leaseManaged = true
+		w, err := newSim(wp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer w.close()
-		pool.workers = append(pool.workers, w)
+		sims = append(sims, w)
 		total += w.members[0].c.NumHosts()
 	}
+	reconcile := newLeasePool(p, sims)
 	ledgerHosts := []int32{int32(total)}
-	if allocs := testing.AllocsPerRun(100, func() { pool.reconcile(ledgerHosts) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { reconcile(ledgerHosts) }); allocs != 0 {
 		t.Errorf("a barrier that plans nothing allocated %.0f times", allocs)
 	}
-	if got := pool.workers[0].members[0].c.NumHosts() + pool.workers[1].members[0].c.NumHosts(); got != total {
+	if got := sims[0].members[0].c.NumHosts() + sims[1].members[0].c.NumHosts(); got != total {
 		t.Errorf("a quiet barrier moved hosts: %d -> %d", total, got)
 	}
 }
@@ -525,28 +523,32 @@ func TestLeasePoolQuietBarrierAllocatesNothing(t *testing.T) {
 // that worker's error — nothing is left waiting on a barrier or a feed
 // that will never advance (the test's -timeout is the detector) — and when
 // the ledger cannot be built either, the ledger's error wins: errors
-// report in ledger-then-shard order, not in completion order.
+// report in ledger-then-shard order, not in completion order. Plans are
+// validated when they are compiled, so the failures are injected into
+// compiled plans: a member name the federation refuses as a duplicate, a
+// latency matrix too small for the members.
 func TestLeasedBuildFailure(t *testing.T) {
 	tr := shardQuickTrace(t, 61)
-	cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}
-	if err := cfg.withDefaults(); err != nil {
-		t.Fatal(err)
-	}
-	workerConfigs := func() []Config {
-		parts := tr.Split(3)
-		wcfgs := shardConfigs(cfg, []float64{parts[0].Weight, parts[1].Weight, parts[2].Weight})
-		for i := range wcfgs {
-			wcfgs[i].Trace = parts[i].Trace
+	parts := tr.Split(3)
+	plans := func() (*plan, []*plan) {
+		p, err := FedConfig{Trace: tr, Clusters: DefaultFedClusters(2, 30), Seed: 7, ShardCapacity: LeasePool}.plan()
+		if err != nil {
+			t.Fatal(err)
 		}
-		wcfgs[1].Trace = nil // neither Trace nor Source: newSim refuses
-		return wcfgs
+		workers := p.shard([]float64{parts[0].Weight, parts[1].Weight, parts[2].Weight})
+		for i, w := range workers {
+			w.input = input{Trace: parts[i].Trace}
+		}
+		workers[1].members[1].Name = workers[1].members[0].Name
+		return p, workers
 	}
-	if _, err := runShardedLeased(cfg, workerConfigs()); err == nil || !strings.Contains(err.Error(), "requires Trace or Source") {
+	p, workers := plans()
+	if _, err := runLeased(p, workers); err == nil || !strings.Contains(err.Error(), "already present") {
 		t.Errorf("worker build failure: got error %v", err)
 	}
-	bad := cfg
-	bad.Source = tr.AsSource() // both Trace and Source: a different refusal
-	if _, err := runShardedLeased(bad, workerConfigs()); err == nil || !strings.Contains(err.Error(), "exactly one of") {
+	p, workers = plans()
+	p.Latency = federation.UniformMatrix(1, 0)
+	if _, err := runLeased(p, workers); err == nil || !strings.Contains(err.Error(), "latency matrix") {
 		t.Errorf("ledger and worker build failures: got error %v, want the ledger's", err)
 	}
 }

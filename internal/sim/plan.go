@@ -1,0 +1,290 @@
+package sim
+
+import (
+	"fmt"
+	"time"
+
+	"notebookos/internal/federation"
+	"notebookos/internal/resources"
+	"notebookos/internal/scheduler"
+	"notebookos/internal/trace"
+)
+
+// input is what one simulation replays: a materialized trace or a lazy
+// session source, exactly one of them set.
+type input struct {
+	Trace  *trace.Trace
+	Source trace.Source
+}
+
+// plan is the one internal description of a run. Every exported runner
+// compiles its public config — Config or FedConfig — into a plan exactly
+// once (Config.plan, FedConfig.plan), and everything below the adapters —
+// newSim, sharding, streaming, the lease driver — reads only the plan: no
+// simulation is ever built from a public config, so defaults are applied
+// once and a zero in a plan always means zero. A single cluster is the
+// one-member case: Run's plan has one member named "sim" and the
+// federation-only settings at values a one-member federation never reads.
+//
+// Fields are named after the public config fields they are compiled from.
+type plan struct {
+	input
+
+	// Core knobs, shared by both public forms.
+	LeanMetrics        bool
+	LeanSampleCap      int
+	Policy             Policy
+	ReplicasPerKernel  int
+	PrewarmPerHost     int
+	ScaleFactor        float64
+	ScalingBufferHosts int
+	AutoscaleInterval  time.Duration
+	SRHighWatermark    float64
+	Latencies          Latencies
+	Seed               int64
+	SampleEvery        time.Duration
+	ShardCapacity      ShardCapacity
+	LeaseEpoch         time.Duration
+	Faults             *trace.FaultSpec
+
+	// members are the member clusters, fully sized: Config's Hosts,
+	// HostCapacity and MinHosts for the one member of a single-cluster run,
+	// FedConfig.Clusters otherwise. The slice is the plan's own.
+	members []FedClusterSpec
+
+	// Federation settings (see the FedConfig fields of the same names).
+	// InterClusterPenalty is the resolved one-way cost: zero is free.
+	Route               federation.RoutePolicy
+	InterClusterPenalty time.Duration
+	Latency             federation.LatencyMatrix
+	PooledAutoscale     bool
+	FedMinHosts         int
+	ScalePolicy         federation.ScalePolicy
+	SLOAware            bool
+	SLOAgingBound       time.Duration
+
+	// federated records which public form compiled the plan. It selects the
+	// recorder set (what only Result or only FedResult reports) and the
+	// lease pool's planner, nothing else.
+	federated bool
+	// leaseManaged marks a sharded worker whose capacity a lease pool governs
+	// at epoch barriers: the worker's own autoscale ticks are suppressed (the
+	// ledger makes the one decision per tick). Set only by runLeased.
+	leaseManaged bool
+}
+
+// plan compiles a single-cluster config: the cluster becomes the one member
+// "sim" — member index 0, so host IDs are "sim-hNNNN" and fault slots the
+// plain host sequence, which the gated baselines pin.
+func (c Config) plan() (*plan, error) {
+	m := FedClusterSpec{Name: "sim", Hosts: c.Hosts, HostCapacity: c.HostCapacity, MinHosts: c.MinHosts}
+	if m.Hosts <= 0 {
+		m.Hosts = 30
+	}
+	if m.MinHosts <= 0 {
+		m.MinHosts = 4
+	}
+	p := &plan{
+		input:              input{c.Trace, c.Source},
+		LeanMetrics:        c.LeanMetrics,
+		LeanSampleCap:      c.LeanSampleCap,
+		Policy:             c.Policy,
+		ReplicasPerKernel:  c.ReplicasPerKernel,
+		PrewarmPerHost:     c.PrewarmPerHost,
+		ScaleFactor:        c.ScaleFactor,
+		ScalingBufferHosts: c.ScalingBufferHosts,
+		AutoscaleInterval:  c.AutoscaleInterval,
+		SRHighWatermark:    c.SRHighWatermark,
+		Latencies:          c.Latencies,
+		Seed:               c.Seed,
+		SampleEvery:        c.SampleEvery,
+		ShardCapacity:      c.ShardCapacity,
+		LeaseEpoch:         c.LeaseEpoch,
+		Faults:             c.Faults,
+		members:            []FedClusterSpec{m},
+	}
+	if p.Policy == "" {
+		p.Policy = PolicyNotebookOS
+	}
+	return p, p.defaults()
+}
+
+// plan compiles a federated config. The member specs are copied, so a
+// caller's slice shared across (possibly concurrent) runs is never mutated.
+func (c FedConfig) plan() (*plan, error) {
+	p := &plan{
+		input:               input{c.Trace, c.Source},
+		LeanMetrics:         c.LeanMetrics,
+		LeanSampleCap:       c.LeanSampleCap,
+		Policy:              PolicyNotebookOS,
+		ReplicasPerKernel:   c.ReplicasPerKernel,
+		PrewarmPerHost:      max(c.PrewarmPerHost, 0),
+		ScaleFactor:         c.ScaleFactor,
+		AutoscaleInterval:   c.AutoscaleInterval,
+		SRHighWatermark:     c.SRHighWatermark,
+		Latencies:           c.Latencies,
+		Seed:                c.Seed,
+		SampleEvery:         c.SampleEvery,
+		ShardCapacity:       c.ShardCapacity,
+		LeaseEpoch:          c.LeaseEpoch,
+		Faults:              c.Faults,
+		members:             append([]FedClusterSpec(nil), c.Clusters...),
+		Route:               c.Route,
+		InterClusterPenalty: c.InterClusterPenalty,
+		Latency:             c.Latency,
+		PooledAutoscale:     c.PooledAutoscale,
+		FedMinHosts:         c.FedMinHosts,
+		ScalePolicy:         c.ScalePolicy,
+		SLOAware:            c.SLOAware,
+		SLOAgingBound:       c.SLOAgingBound,
+		federated:           true,
+	}
+	if len(p.members) == 0 {
+		p.members = DefaultFedClusters(2, 30)
+	}
+	return p, p.defaults()
+}
+
+// defaults validates the plan and fills every unset knob. It is the only
+// defaulting pass a run ever sees.
+func (p *plan) defaults() error {
+	if (p.Trace == nil) == (p.Source == nil) {
+		return fmt.Errorf("sim: config requires exactly one of Trace and Source")
+	}
+	if err := p.Faults.Validate(); err != nil {
+		return err
+	}
+	if p.LeanMetrics && p.LeanSampleCap <= 0 {
+		p.LeanSampleCap = 4096
+	}
+	if p.ReplicasPerKernel <= 0 {
+		p.ReplicasPerKernel = 3
+	}
+	total := 0
+	for i := range p.members {
+		spec := &p.members[i]
+		if spec.Name == "" {
+			spec.Name = fmt.Sprintf("c%d", i)
+		}
+		if spec.Hosts <= 0 {
+			spec.Hosts = 15
+		}
+		if spec.HostCapacity.IsZero() {
+			spec.HostCapacity = resources.P316xlarge()
+		}
+		if spec.MinHosts <= 0 {
+			// Per-member scale-in must never leave a cluster unable to host
+			// one kernel's R replicas (the clamp rule lives in
+			// scheduler.MinHostsFloor).
+			spec.MinHosts = min(scheduler.MinHostsFloor(spec.Hosts/4, p.ReplicasPerKernel), spec.Hosts)
+		}
+		total += spec.Hosts
+	}
+	if p.Latency != nil {
+		if err := p.Latency.Validate(); err != nil {
+			return err
+		}
+		if p.Latency.Size() != len(p.members) {
+			return fmt.Errorf("sim: Latency matrix covers %d members, federation has %d Clusters",
+				p.Latency.Size(), len(p.members))
+		}
+	}
+	if p.FedMinHosts <= 0 {
+		p.FedMinHosts = scheduler.MinHostsFloor(total/4, p.ReplicasPerKernel)
+	}
+	if p.Route == nil {
+		p.Route = federation.LocalFirst{}
+	}
+	if p.ScalePolicy == nil {
+		p.ScalePolicy = federation.GreedyScalePolicy{}
+	}
+	// The public zero value means "default"; NoInterClusterPenalty (negative)
+	// is the explicit zero. From here on the plan holds the resolved cost.
+	if p.InterClusterPenalty < 0 {
+		p.InterClusterPenalty = 0
+	} else if p.InterClusterPenalty == 0 {
+		p.InterClusterPenalty = 25 * time.Millisecond
+	}
+	if p.PrewarmPerHost == 0 {
+		switch p.Policy {
+		case PolicyLCP:
+			p.PrewarmPerHost = 6
+		case PolicyNotebookOS:
+			p.PrewarmPerHost = 1
+		}
+	}
+	if p.SRHighWatermark <= 0 {
+		p.SRHighWatermark = scheduler.DefaultSRHighWatermark
+	}
+	if p.ScaleFactor <= 0 {
+		p.ScaleFactor = 1.05
+	}
+	if p.AutoscaleInterval <= 0 {
+		p.AutoscaleInterval = time.Minute
+	}
+	if p.LeaseEpoch <= 0 {
+		p.LeaseEpoch = p.AutoscaleInterval
+	}
+	if p.Latencies.GSProcess == nil {
+		p.Latencies = DefaultLatencies()
+	}
+	if p.SampleEvery <= 0 {
+		p.SampleEvery = 5 * time.Minute
+	}
+	if p.SLOAware && p.SLOAgingBound <= 0 {
+		p.SLOAgingBound = defaultAgingBound
+	}
+	return nil
+}
+
+// shard derives the workers' plans, one per weight: every member's host
+// count (floored at 1 per shard, so every worker can place something) and
+// scale-in floor, the federation-wide floor and the scaling buffer (no
+// floor; its zero is a real zero) split proportionally to the weights via
+// trace.ProportionalShares, worker i seeded with ShardSeed(Seed, i). The
+// host shares are only the initial lease grant under LeasePool. The caller
+// hands each worker its slice of the workload.
+func (p *plan) shard(weights []float64) []*plan {
+	hosts := make([][]int, len(p.members))
+	floors := make([][]int, len(p.members))
+	for m, spec := range p.members {
+		hosts[m] = trace.ProportionalShares(weights, spec.Hosts, 1)
+		floors[m] = floorShares(weights, spec.MinHosts)
+	}
+	fedFloors := floorShares(weights, p.FedMinHosts)
+	buffers := trace.ProportionalShares(weights, p.ScalingBufferHosts, 0)
+
+	workers := make([]*plan, len(weights))
+	for i := range workers {
+		w := *p
+		w.members = make([]FedClusterSpec, len(p.members))
+		for m, spec := range p.members {
+			spec.Hosts = hosts[m][i]
+			spec.MinHosts = floors[m][i]
+			w.members[m] = spec
+		}
+		w.FedMinHosts = fedFloors[i]
+		w.ScalingBufferHosts = buffers[i]
+		w.Seed = ShardSeed(p.Seed, i)
+		// Stateful route policies (round-robin's rotation counter) must
+		// not be shared across the parallel workers.
+		w.Route = federation.FreshPolicy(p.Route)
+		workers[i] = &w
+	}
+	return workers
+}
+
+// floorShares splits a scale-in floor across shard weights with every
+// share at least 1: a worker always keeps a floor of its own. The workers'
+// floors may sum to slightly more than the parent's when the floor is
+// smaller than the shard count — conservative: shards can only drain less,
+// never more, than the configured policy allows.
+func floorShares(weights []float64, floor int) []int {
+	shares := trace.ProportionalShares(weights, floor, 1)
+	for i, s := range shares {
+		if s < 1 {
+			shares[i] = 1
+		}
+	}
+	return shares
+}

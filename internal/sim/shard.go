@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"sync"
 
-	"notebookos/internal/federation"
 	"notebookos/internal/metrics"
 	"notebookos/internal/trace"
 )
@@ -19,29 +19,19 @@ func ShardSeed(seed int64, shard int) int64 {
 	return trace.ShardSeed(seed, shard)
 }
 
-// splitmix64 is the finalizer of Vigna's SplitMix64 generator — a cheap,
-// well-mixed 64-bit hash. It decorrelates consecutive shard indices; the
-// raw XOR of a small index would only flip low bits and keep the shards'
-// rand streams nearly in lockstep. Kept here (mirroring trace.splitmix64)
-// so sim's own tests pin the hash this package's seeds depend on.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // RunSharded partitions the config's trace into k session-partitioned
 // shards (trace.Split), runs one worker simulation per shard on parallel
 // goroutines, and merges the workers deterministically with MergeResults.
 // k <= 1 is exactly Run — byte-identical output, same seed.
 //
 // Capacity splits proportionally to each shard's reserved-GPU-hour weight
-// via trace.ProportionalShares: Hosts (floored at 1 per shard, so every
-// worker can place something), MinHosts (via floorShares, so every worker
-// keeps an explicit floor of at least 1 and never falls back to the
-// default), and ScalingBufferHosts (no floor; its zero is a real zero).
-// Worker i runs with ShardSeed(Seed, i).
+// via trace.ProportionalShares (plan.shard): Hosts (floored at 1 per shard,
+// so every worker can place something), MinHosts (via floorShares, so every
+// worker keeps a floor of at least 1), and ScalingBufferHosts (no floor).
+// Worker i runs with ShardSeed(Seed, i). More shards than hosts cannot each
+// hold a host, so k clamps to Hosts. The config must carry a Trace: a
+// Source cannot be split, and k > 1 with one is an error (see
+// RunStreamSharded).
 //
 // Capacity semantics depend on cfg.ShardCapacity (see docs/SHARDING.md
 // for the full story and measured drift):
@@ -66,70 +56,73 @@ func splitmix64(x uint64) uint64 {
 // Interactivity and TCT distributions are unbiased by construction under
 // either mode: every task runs under the same policy code.
 func RunSharded(cfg Config, shards int) (*Result, error) {
-	if shards <= 1 {
-		return Run(cfg)
-	}
-	if err := cfg.withDefaults(); err != nil {
+	p, err := cfg.plan()
+	if err != nil {
 		return nil, err
 	}
-	// Each worker needs at least one real host: a zero share would read as
-	// "use the default" to the worker's own config defaulting and invent
-	// capacity. More shards than hosts cannot each hold a host, so clamp.
-	if shards > cfg.Hosts {
-		shards = cfg.Hosts
+	return single(p.runSharded(shards, p.traceParts))
+}
+
+// part is one shard of a sharded run: the worker's workload and its
+// capacity weight.
+type part struct {
+	input
+	weight float64
+}
+
+// traceParts is the materialized split: trace.Split's k session partitions
+// with their reserved-GPU-hour weights.
+func (p *plan) traceParts(k int) ([]part, error) {
+	if p.Trace == nil {
+		return nil, fmt.Errorf("sim: a sharded run splits Trace, and the config sets Source instead; RunStreamSharded and RunFederatedStreamSharded shard a streamed workload")
+	}
+	split := p.Trace.Split(k)
+	parts := make([]part, len(split))
+	for i, sh := range split {
+		parts[i] = part{input{Trace: sh.Trace}, sh.Weight}
+	}
+	return parts, nil
+}
+
+// runSharded is the one sharded driver. The shard count clamps to what the
+// capacity can hold — every worker keeps the configured topology, so each
+// member needs at least one real host in every shard and the smallest
+// member bounds the count — and one shard is the plain run. Otherwise split
+// yields the k parts; the driver derives a worker plan per part
+// (plan.shard), hands each its workload, and runs them under the plan's
+// capacity mode: the lease protocol (runLeased), or k plain runs on
+// parallel goroutines merged in shard order — workers land in a slice
+// indexed by shard, so the merge never depends on which worker finished
+// first.
+func (p *plan) runSharded(shards int, split func(k int) ([]part, error)) (*record, error) {
+	for _, spec := range p.members {
+		shards = min(shards, spec.Hosts)
 	}
 	if shards <= 1 {
-		return Run(cfg) // Config defaulting is idempotent
+		return p.run()
 	}
-	parts := cfg.Trace.Split(shards)
+	parts, err := split(shards)
+	if err != nil {
+		return nil, err
+	}
 	weights := make([]float64, len(parts))
-	for i, p := range parts {
-		weights[i] = p.Weight
+	for i, pt := range parts {
+		weights[i] = pt.weight
 	}
-	wcfgs := shardConfigs(cfg, weights)
-	for i := range wcfgs {
-		wcfgs[i].Trace = parts[i].Trace
+	workers := p.shard(weights)
+	for i, w := range workers {
+		w.input = parts[i].input
 	}
-	if cfg.ShardCapacity == LeasePool {
-		return runShardedLeased(cfg, wcfgs)
+	if p.ShardCapacity == LeasePool {
+		return runLeased(p, workers)
 	}
-	return runShards(wcfgs, Run, MergeResults)
-}
-
-// shardConfigs derives the workers' configs from the parent's: capacity
-// split by weight — Hosts floored at 1 per shard, MinHosts through
-// floorShares (a worker's MinHosts=0 would read as "use the default" (4)
-// and multiply the aggregate floor), ScalingBufferHosts unfloored — and
-// worker i seeded with ShardSeed(Seed, i). The caller hands each worker its
-// slice of the workload.
-func shardConfigs(cfg Config, weights []float64) []Config {
-	hosts := trace.ProportionalShares(weights, cfg.Hosts, 1)
-	minHosts := floorShares(weights, cfg.MinHosts)
-	buffers := trace.ProportionalShares(weights, cfg.ScalingBufferHosts, 0)
-	wcfgs := make([]Config, len(weights))
-	for i := range wcfgs {
-		wcfg := cfg
-		wcfg.Hosts = hosts[i]
-		wcfg.MinHosts = minHosts[i]
-		wcfg.ScalingBufferHosts = buffers[i]
-		wcfg.Seed = ShardSeed(cfg.Seed, i)
-		wcfgs[i] = wcfg
-	}
-	return wcfgs
-}
-
-// runShards runs one simulation per worker config on parallel goroutines
-// and merges the results in shard order — workers land in a slice indexed
-// by shard, so the merge never depends on which worker finished first.
-func runShards[C, R any](wcfgs []C, run func(C) (R, error), merge func(...R) R) (R, error) {
-	results := make([]R, len(wcfgs))
-	errs := make([]error, len(wcfgs))
-	inParallel(len(wcfgs), func(i int) { results[i], errs[i] = run(wcfgs[i]) })
+	recs := make([]*record, len(workers))
+	errs := make([]error, len(workers))
+	inParallel(len(workers), func(i int) { recs[i], errs[i] = workers[i].run() })
 	if err := firstError(errs); err != nil {
-		var zero R
-		return zero, err
+		return nil, err
 	}
-	return merge(results...), nil
+	return mergeRecords(recs), nil
 }
 
 // inParallel runs fn(0) … fn(n-1), each on its own goroutine, and returns
@@ -155,6 +148,34 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
+}
+
+// RunFederatedSharded is RunSharded for the federated simulator: the
+// trace splits into k session-partitioned shards, each shard runs a full
+// federation whose member clusters carry a proportional slice of the
+// configured hosts (floored at 1 host per member per shard, so every
+// worker federation keeps the configured topology), and the per-shard
+// FedResults merge with MergeFedResults. Worker i runs with
+// ShardSeed(Seed, i); per-member MinHosts and the federation-wide
+// FedMinHosts floor — whether caller-set or defaulted by the parent
+// config — split proportionally across the shards like the hosts do
+// (floored at 1 per worker), so the configured scale-in policy survives
+// sharding. k <= 1 is exactly RunFederated, and k clamps to the smallest
+// member's host count. Capacity semantics follow
+// cfg.ShardCapacity as in RunSharded, applied per member: under LeasePool
+// a ledger federation replays the whole cfg (including PooledAutoscale's
+// one-decision-per-tick over the pooled counters), leases move between
+// shards within a member (host shapes differ across members), and each
+// member's lease total is pinned to the ledger member's live host count —
+// so per-member capacity series and the federation-wide savings are exact
+// (TestLeasePoolFederatedCapacityExact); under LegacySplit shard
+// federations never share capacity.
+func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
+	p, err := cfg.plan()
+	if err != nil {
+		return nil, err
+	}
+	return federated(p.runSharded(shards, p.traceParts))
 }
 
 // MergeResults combines per-shard worker results into one Result, in the
@@ -184,79 +205,132 @@ func firstError(errs []error) error {
 //     order, matching the stable sort this replaces.
 //   - Counters and integrated hours sum.
 //
-// The merge has two halves. The latency half (mergeLatency: the samples
-// and the session/task counts) is what sharding parallelizes and all a
-// LeasePool run takes from its workers; the capacity half (mergeCapacity:
-// timelines, events, every other counter, the fault recorders) is what a
-// LeasePool run takes from its ledger instead.
+// The merge is mergeRecords, the one merge every sharded runner uses, and
+// has two halves. The latency half (mergeLatency: the samples and the
+// session/task counts) is what sharding parallelizes and all a LeasePool
+// run takes from its workers; the capacity half (mergeCapacity: timelines,
+// events, every other counter, the fault recorders) is what a LeasePool run
+// takes from its ledger instead.
 func MergeResults(results ...*Result) *Result {
 	if len(results) == 0 {
 		return nil
 	}
-	out := &Result{Policy: results[0].Policy}
-	mergeCapacity(out, results)
-	mergeLatency(out, results)
+	recs := make([]*record, len(results))
+	for i, r := range results {
+		recs[i] = &record{Result: *r}
+	}
+	return &mergeRecords(recs).Result
+}
+
+// MergeFedResults combines per-shard federated results in argument order,
+// under the same rules as MergeResults: timelines merge pointwise (both
+// federation-wide and per member cluster, matched by member index — every
+// shard federation has the same member list), samples concatenate,
+// counters and integrated hours sum. FinalHosts sums across shards: it is
+// the total live fleet the k worker federations ended with.
+func MergeFedResults(results ...*FedResult) *FedResult {
+	if len(results) == 0 {
+		return nil
+	}
+	recs := make([]*record, len(results))
+	for i, r := range results {
+		recs[i] = fedRecord(r)
+	}
+	return mergeRecords(recs).fedResult()
+}
+
+// mergeRecords merges records in argument order; see MergeResults for the
+// rules. A recorder no input carries (fault recorders without faults, what
+// only the other projection reports) stays nil in the merge, exactly like
+// an unsharded run's.
+func mergeRecords(recs []*record) *record {
+	out := &record{Result: Result{Policy: recs[0].Policy}}
+	mergeCapacity(out, recs)
+	mergeLatency(out, recs)
 	return out
 }
 
-// mergeLatency sets out's latency samples and session/task counts to the
-// merge of the results'.
-func mergeLatency(out *Result, results []*Result) {
-	out.Interactivity = mergeSamples(results, func(r *Result) *metrics.Sample { return r.Interactivity })
-	out.TCT = mergeSamples(results, func(r *Result) *metrics.Sample { return r.TCT })
-	out.SyncLatency = mergeSamples(results, func(r *Result) *metrics.Sample { return r.SyncLatency })
-	out.ReadLatency = mergeSamples(results, func(r *Result) *metrics.Sample { return r.ReadLatency })
-	out.WriteLatency = mergeSamples(results, func(r *Result) *metrics.Sample { return r.WriteLatency })
-	out.StepLatency = map[Step]*metrics.Sample{}
-	for _, st := range Steps() {
-		out.StepLatency[st] = mergeSamples(results, func(r *Result) *metrics.Sample { return r.StepLatency[st] })
+// mergeLatency sets out's latency samples — per step and per SLO class
+// where recorded — and session/task counts to the merge of the records'.
+func mergeLatency(out *record, recs []*record) {
+	out.Interactivity = mergeSamples(recs, func(r *record) *metrics.Sample { return r.Interactivity })
+	out.TCT = mergeSamples(recs, func(r *record) *metrics.Sample { return r.TCT })
+	out.SyncLatency = mergeSamples(recs, func(r *record) *metrics.Sample { return r.SyncLatency })
+	out.ReadLatency = mergeSamples(recs, func(r *record) *metrics.Sample { return r.ReadLatency })
+	out.WriteLatency = mergeSamples(recs, func(r *record) *metrics.Sample { return r.WriteLatency })
+	// Every shard runs the parent's form and SLOAware flag, so the first
+	// record says which maps exist; Steps() and trace.SLOClasses() fix the
+	// iteration order.
+	out.StepLatency, out.classDelay = nil, nil
+	if recs[0].StepLatency != nil {
+		out.StepLatency = map[Step]*metrics.Sample{}
+		for _, st := range Steps() {
+			out.StepLatency[st] = mergeSamples(recs, func(r *record) *metrics.Sample { return r.StepLatency[st] })
+		}
+	}
+	if recs[0].classDelay != nil {
+		out.classDelay = map[trace.SLOClass]*metrics.Sample{}
+		for _, cl := range trace.SLOClasses() {
+			out.classDelay[cl] = mergeSamples(recs, func(r *record) *metrics.Sample { return r.classDelay[cl] })
+		}
 	}
 	out.Sessions, out.Tasks = 0, 0
-	for _, r := range results {
+	for _, r := range recs {
 		out.Sessions += r.Sessions
 		out.Tasks += r.Tasks
 	}
 }
 
 // sortLatency sorts, in place, every sample mergeLatency reads — the
-// per-result part of that merge, which a worker can do on its own
-// goroutine before the results meet.
-func (r *Result) sortLatency() {
+// per-record part of that merge, which a worker can do on its own
+// goroutine before the records meet.
+func (r *record) sortLatency() {
 	for _, sm := range []*metrics.Sample{r.Interactivity, r.TCT, r.SyncLatency, r.ReadLatency, r.WriteLatency} {
-		sm.Sort()
+		if sm != nil {
+			sm.Sort()
+		}
 	}
 	for _, sm := range r.StepLatency {
 		sm.Sort()
 	}
+	for _, sm := range r.classDelay {
+		sm.Sort()
+	}
 }
 
-// mergeCapacity sets out's cluster-determined fields — timelines, event
-// log, scale/migration/fault counters, integrated hours — to the merge of
-// the results'.
-func mergeCapacity(out *Result, results []*Result) {
-	prov := make([]*metrics.Timeline, len(results))
-	comm := make([]*metrics.Timeline, len(results))
-	sess := make([]*metrics.Timeline, len(results))
-	train := make([]*metrics.Timeline, len(results))
-	srs := make([]*metrics.Timeline, len(results))
-	events := 0
-	for i, r := range results {
-		prov[i] = r.ProvisionedGPUs
-		comm[i] = r.CommittedGPUs
-		sess[i] = r.ActiveSessions
-		train[i] = r.ActiveTrainings
-		srs[i] = r.SR
-		events += len(r.Events)
+// mergeCapacity sets out's cluster-determined fields — federation-wide and
+// per-member timelines, event log, scale/migration/routing/fault counters,
+// integrated hours — to the merge of the records'. Members match by index:
+// every shard federation has the same member list. FinalHosts sums across
+// shards: the total live fleet the k worker federations ended with.
+func mergeCapacity(out *record, recs []*record) {
+	out.ProvisionedGPUs = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.ProvisionedGPUs })
+	out.CommittedGPUs = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.CommittedGPUs })
+	out.ActiveSessions = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.ActiveSessions })
+	out.ActiveTrainings = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.ActiveTrainings })
+	out.SR = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.SR })
+	out.Availability = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.Availability })
+	out.RecoveryTime = mergeSamples(recs, func(r *record) *metrics.Sample { return r.RecoveryTime })
+	out.Events = mergeEvents(recs)
+
+	for m := range recs[0].clusters {
+		merged := &FedClusterResult{Name: recs[0].clusters[m].Name}
+		for _, r := range recs {
+			c := r.clusters[m]
+			merged.HomeSessions += c.HomeSessions
+			merged.PlacedSessions += c.PlacedSessions
+			merged.Tasks += c.Tasks
+			merged.MigrationsIn += c.MigrationsIn
+			merged.ScaleOuts += c.ScaleOuts
+			merged.ScaleIns += c.ScaleIns
+			merged.FinalHosts += c.FinalHosts
+		}
+		merged.ProvisionedGPUs = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.clusters[m].ProvisionedGPUs })
+		merged.CommittedGPUs = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.clusters[m].CommittedGPUs })
+		out.clusters = append(out.clusters, merged)
 	}
-	out.ProvisionedGPUs = metrics.MergeTimelines(prov...)
-	out.CommittedGPUs = metrics.MergeTimelines(comm...)
-	out.ActiveSessions = metrics.MergeTimelines(sess...)
-	out.ActiveTrainings = metrics.MergeTimelines(train...)
-	out.SR = metrics.MergeTimelines(srs...)
 
-	out.Events = mergeEvents(results, events)
-
-	for _, r := range results {
+	for _, r := range recs {
 		out.ImmediateCommits += r.ImmediateCommits
 		out.ExecutorReuse += r.ExecutorReuse
 		out.Migrations += r.Migrations
@@ -275,17 +349,19 @@ func mergeCapacity(out *Result, results []*Result) {
 		out.TaskRestarts += r.TaskRestarts
 		out.Abandonments += r.Abandonments
 		out.LostGPUHours += r.LostGPUHours
+		out.localPlacements += r.localPlacements
+		out.remotePlacements += r.remotePlacements
+		out.remoteExecutions += r.remoteExecutions
+		out.crossMigrations += r.crossMigrations
+		out.provisionedGPUHours += r.provisionedGPUHours
 	}
-	out.Availability = mergeFaultTimelines(results, func(r *Result) *metrics.Timeline { return r.Availability })
-	out.RecoveryTime = mergeFaultSamples(results, func(r *Result) *metrics.Sample { return r.RecoveryTime })
 }
 
-// mergeFaultTimelines merges the shards' fault recorders while preserving
-// the zero-fault contract: when no shard recorded one (faults disabled)
-// the merged field stays nil, exactly like an unsharded run's.
-func mergeFaultTimelines[R any](results []R, get func(R) *metrics.Timeline) *metrics.Timeline {
-	ins := make([]*metrics.Timeline, 0, len(results))
-	for _, r := range results {
+// mergeTimelines merges one timeline per record with
+// metrics.MergeTimelines; nil when no record carries one.
+func mergeTimelines(recs []*record, get func(*record) *metrics.Timeline) *metrics.Timeline {
+	ins := make([]*metrics.Timeline, 0, len(recs))
+	for _, r := range recs {
 		if tl := get(r); tl != nil {
 			ins = append(ins, tl)
 		}
@@ -296,10 +372,11 @@ func mergeFaultTimelines[R any](results []R, get func(R) *metrics.Timeline) *met
 	return metrics.MergeTimelines(ins...)
 }
 
-// mergeFaultSamples is mergeFaultTimelines for sample recorders.
-func mergeFaultSamples[R any](results []R, get func(R) *metrics.Sample) *metrics.Sample {
-	ins := make([]*metrics.Sample, 0, len(results))
-	for _, r := range results {
+// mergeSamples is mergeTimelines for sample recorders: a k-way merge via
+// metrics.MergeSamples.
+func mergeSamples(recs []*record, get func(*record) *metrics.Sample) *metrics.Sample {
+	ins := make([]*metrics.Sample, 0, len(recs))
+	for _, r := range recs {
 		if sm := get(r); sm != nil {
 			ins = append(ins, sm)
 		}
@@ -310,262 +387,17 @@ func mergeFaultSamples[R any](results []R, get func(R) *metrics.Sample) *metrics
 	return metrics.MergeSamples(ins...)
 }
 
-// mergeSamples k-way merges one sample per result via metrics.MergeSamples
-// (nil samples are skipped there; a shard's StepLatency map always covers
-// Steps(), but be defensive).
-func mergeSamples(results []*Result, get func(*Result) *metrics.Sample) *metrics.Sample {
-	ins := make([]*metrics.Sample, len(results))
-	for i, r := range results {
-		ins[i] = get(r)
-	}
-	return metrics.MergeSamples(ins...)
-}
-
 // mergeEvents k-way merges the per-shard event slices, which are each
 // time-ordered (recorded at a monotone sim clock), into one pre-sized
 // slice. metrics.MergeSorted resolves ties toward the lowest shard index —
 // the order the previous concat-and-stable-sort produced.
-func mergeEvents(results []*Result, total int) []Event {
-	runs := make([][]Event, len(results))
-	for i, r := range results {
+func mergeEvents(recs []*record) []Event {
+	runs := make([][]Event, len(recs))
+	total := 0
+	for i, r := range recs {
 		runs[i] = r.Events
+		total += len(r.Events)
 	}
 	return metrics.MergeSorted(make([]Event, 0, total),
 		func(a, b Event) bool { return a.T < b.T }, runs...)
-}
-
-// RunFederatedSharded is RunSharded for the federated simulator: the
-// trace splits into k session-partitioned shards, each shard runs a full
-// federation whose member clusters carry a proportional slice of the
-// configured hosts (floored at 1 host per member per shard, so every
-// worker federation keeps the configured topology), and the per-shard
-// FedResults merge with MergeFedResults. Worker i runs with
-// ShardSeed(Seed, i); per-member MinHosts and the federation-wide
-// FedMinHosts floor — whether caller-set or defaulted by the parent
-// config — split proportionally across the shards like the hosts do
-// (floored at 1 per worker), so the configured scale-in policy survives
-// sharding. k <= 1 is exactly RunFederated. Capacity semantics follow
-// cfg.ShardCapacity as in RunSharded, applied per member: under LeasePool
-// a ledger federation replays the whole cfg (including PooledAutoscale's
-// one-decision-per-tick over the pooled counters), leases move between
-// shards within a member (host shapes differ across members), and each
-// member's lease total is pinned to the ledger member's live host count —
-// so per-member capacity series and the federation-wide savings are exact
-// (TestLeasePoolFederatedCapacityExact); under LegacySplit shard
-// federations never share capacity.
-func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
-	if shards <= 1 {
-		return RunFederated(cfg)
-	}
-	if err := cfg.withDefaults(); err != nil {
-		return nil, err
-	}
-	// Every worker federation keeps the configured topology, so each
-	// member needs at least one host in every shard (a zero share would
-	// read as "use the default" to the worker's own config defaulting and
-	// invent capacity). The smallest member therefore bounds the shard
-	// count.
-	for _, spec := range cfg.Clusters {
-		if shards > spec.Hosts {
-			shards = spec.Hosts
-		}
-	}
-	if shards <= 1 {
-		// Re-entering RunFederated after withDefaults: restore the explicit
-		// no-penalty sentinel so the second defaulting pass keeps it zero.
-		if cfg.InterClusterPenalty == 0 {
-			cfg.InterClusterPenalty = NoInterClusterPenalty
-		}
-		return RunFederated(cfg)
-	}
-	parts := cfg.Trace.Split(shards)
-	weights := make([]float64, len(parts))
-	for i, p := range parts {
-		weights[i] = p.Weight
-	}
-	wcfgs := shardFedConfigs(cfg, weights)
-	for i := range wcfgs {
-		wcfgs[i].Trace = parts[i].Trace
-	}
-	if cfg.ShardCapacity == LeasePool {
-		return runFederatedShardedLeased(cfg, wcfgs)
-	}
-	return runShards(wcfgs, RunFederated, MergeFedResults)
-}
-
-// shardFedConfigs derives the worker federations' configs from the
-// (defaulted) parent's: every member's host count and scale-in floor, and
-// the federation-wide floor, split by weight. Floors keep at least 1 per
-// worker: a zero would read as "use the default" to the worker's own
-// config defaulting and silently replace the caller's (or the parent
-// default's) floor policy. The caller hands each worker its slice of the
-// workload.
-func shardFedConfigs(cfg FedConfig, weights []float64) []FedConfig {
-	memberHosts := make([][]int, len(cfg.Clusters))
-	memberFloors := make([][]int, len(cfg.Clusters))
-	for m, spec := range cfg.Clusters {
-		memberHosts[m] = trace.ProportionalShares(weights, spec.Hosts, 1)
-		memberFloors[m] = floorShares(weights, spec.MinHosts)
-	}
-	fedFloors := floorShares(weights, cfg.FedMinHosts)
-
-	wcfgs := make([]FedConfig, len(weights))
-	for i := range wcfgs {
-		wcfg := cfg
-		wcfg.Clusters = make([]FedClusterSpec, len(cfg.Clusters))
-		for m, spec := range cfg.Clusters {
-			spec.Hosts = memberHosts[m][i]
-			spec.MinHosts = memberFloors[m][i]
-			wcfg.Clusters[m] = spec
-		}
-		wcfg.FedMinHosts = fedFloors[i]
-		if wcfg.InterClusterPenalty == 0 {
-			// The parent withDefaults normalized an explicit
-			// NoInterClusterPenalty to 0; keep it an explicit zero for the
-			// worker's own withDefaults pass instead of re-defaulting to 25ms.
-			wcfg.InterClusterPenalty = NoInterClusterPenalty
-		}
-		wcfg.Seed = ShardSeed(cfg.Seed, i)
-		// Stateful route policies (round-robin's rotation counter) must
-		// not be shared across the parallel workers.
-		wcfg.Route = federation.FreshPolicy(cfg.Route)
-		wcfgs[i] = wcfg
-	}
-	return wcfgs
-}
-
-// floorShares splits a scale-in floor across shard weights with every
-// share at least 1 (see the floor comment in RunFederatedSharded). The
-// workers' floors may sum to slightly more than the parent's when the
-// floor is smaller than the shard count — conservative: shards can only
-// drain less, never more, than the configured policy allows.
-func floorShares(weights []float64, floor int) []int {
-	shares := trace.ProportionalShares(weights, floor, 1)
-	for i, s := range shares {
-		if s < 1 {
-			shares[i] = 1
-		}
-	}
-	return shares
-}
-
-// MergeFedResults combines per-shard federated results in argument order,
-// under the same rules as MergeResults: timelines merge pointwise (both
-// federation-wide and per member cluster, matched by member index — every
-// shard federation has the same member list), samples concatenate,
-// counters and integrated hours sum. FinalHosts sums across shards: it is
-// the total live fleet the k worker federations ended with.
-func MergeFedResults(results ...*FedResult) *FedResult {
-	if len(results) == 0 {
-		return nil
-	}
-	out := &FedResult{}
-	mergeFedCapacity(out, results)
-	mergeFedLatency(out, results)
-	return out
-}
-
-// mergeFedLatency is mergeLatency for federated results: the delay
-// samples, per SLO class where recorded, and the task count.
-func mergeFedLatency(out *FedResult, results []*FedResult) {
-	inter := make([]*metrics.Sample, len(results))
-	tct := make([]*metrics.Sample, len(results))
-	for i, r := range results {
-		inter[i] = r.Interactivity
-		tct[i] = r.TCT
-	}
-	out.Interactivity = metrics.MergeSamples(inter...)
-	out.TCT = metrics.MergeSamples(tct...)
-	// ClassDelay merges per class when any shard recorded it (all shards
-	// share the parent's SLOAware flag, so presence is uniform in
-	// practice); trace.SLOClasses() fixes the class iteration order.
-	out.ClassDelay = nil
-	if results[0].ClassDelay != nil {
-		out.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, len(results[0].ClassDelay))
-		for _, cl := range trace.SLOClasses() {
-			ins := make([]*metrics.Sample, len(results))
-			for i, r := range results {
-				if r.ClassDelay != nil {
-					ins[i] = r.ClassDelay[cl]
-				}
-			}
-			out.ClassDelay[cl] = metrics.MergeSamples(ins...)
-		}
-	}
-	out.Tasks = 0
-	for _, r := range results {
-		out.Tasks += r.Tasks
-	}
-}
-
-// sortLatency is (*Result).sortLatency for federated results.
-func (r *FedResult) sortLatency() {
-	r.Interactivity.Sort()
-	r.TCT.Sort()
-	for _, sm := range r.ClassDelay {
-		sm.Sort()
-	}
-}
-
-// mergeFedCapacity is mergeCapacity for federated results: per-member and
-// federation-wide series, routing, scale and fault counters, integrated
-// hours.
-func mergeFedCapacity(out *FedResult, results []*FedResult) {
-	members := len(results[0].Clusters)
-	for m := 0; m < members; m++ {
-		prov := make([]*metrics.Timeline, len(results))
-		comm := make([]*metrics.Timeline, len(results))
-		merged := &FedClusterResult{Name: results[0].Clusters[m].Name}
-		for i, r := range results {
-			c := r.Clusters[m]
-			prov[i] = c.ProvisionedGPUs
-			comm[i] = c.CommittedGPUs
-			merged.HomeSessions += c.HomeSessions
-			merged.PlacedSessions += c.PlacedSessions
-			merged.Tasks += c.Tasks
-			merged.MigrationsIn += c.MigrationsIn
-			merged.ScaleOuts += c.ScaleOuts
-			merged.ScaleIns += c.ScaleIns
-			merged.FinalHosts += c.FinalHosts
-		}
-		merged.ProvisionedGPUs = metrics.MergeTimelines(prov...)
-		merged.CommittedGPUs = metrics.MergeTimelines(comm...)
-		out.Clusters = append(out.Clusters, merged)
-	}
-
-	prov := make([]*metrics.Timeline, len(results))
-	comm := make([]*metrics.Timeline, len(results))
-	sess := make([]*metrics.Timeline, len(results))
-	for i, r := range results {
-		prov[i] = r.ProvisionedGPUs
-		comm[i] = r.CommittedGPUs
-		sess[i] = r.ActiveSessions
-	}
-	out.ProvisionedGPUs = metrics.MergeTimelines(prov...)
-	out.CommittedGPUs = metrics.MergeTimelines(comm...)
-	out.ActiveSessions = metrics.MergeTimelines(sess...)
-
-	for _, r := range results {
-		out.ImmediateCommits += r.ImmediateCommits
-		out.LocalPlacements += r.LocalPlacements
-		out.RemotePlacements += r.RemotePlacements
-		out.RemoteExecutions += r.RemoteExecutions
-		out.Migrations += r.Migrations
-		out.CrossMigrations += r.CrossMigrations
-		out.ScaleOuts += r.ScaleOuts
-		out.ScaleIns += r.ScaleIns
-		out.ColdStarts += r.ColdStarts
-		out.WarmStarts += r.WarmStarts
-		out.ActiveGPUHours += r.ActiveGPUHours
-		out.ProvisionedGPUHours += r.ProvisionedGPUHours
-		out.ReservedGPUHours += r.ReservedGPUHours
-		out.HostCrashes += r.HostCrashes
-		out.HostRecoveries += r.HostRecoveries
-		out.Failovers += r.Failovers
-		out.TaskRestarts += r.TaskRestarts
-		out.Abandonments += r.Abandonments
-		out.LostGPUHours += r.LostGPUHours
-	}
-	out.Availability = mergeFaultTimelines(results, func(r *FedResult) *metrics.Timeline { return r.Availability })
-	out.RecoveryTime = mergeFaultSamples(results, func(r *FedResult) *metrics.Sample { return r.RecoveryTime })
 }

@@ -18,9 +18,15 @@ func shardQuickTrace(t testing.TB, seed int64) *trace.Trace {
 }
 
 // TestShardSeedHelper pins the shared seed-derivation helper: it is a
-// pure function of (seed, shard), distinct across shard indices, and
-// exactly the documented seed ^ splitmix64(index) formula.
+// pure function of (seed, shard), distinct across shard indices, exactly
+// trace.ShardSeed, and — by value, for the first four shards — the
+// documented seed ^ splitmix64(index) every pinned sharded number hangs on.
 func TestShardSeedHelper(t *testing.T) {
+	for i, want := range []int64{-2152535657050944123, -7995527694508729109, -7541218347953203484, 2092789425003139015} {
+		if s := ShardSeed(42, i); s != want {
+			t.Fatalf("ShardSeed(42, %d) = %d, want %d", i, s, want)
+		}
+	}
 	seen := map[int64]int{}
 	for i := 0; i < 16; i++ {
 		s := ShardSeed(42, i)
@@ -31,8 +37,8 @@ func TestShardSeedHelper(t *testing.T) {
 			t.Fatalf("ShardSeed collision between shards %d and %d", prev, i)
 		}
 		seen[s] = i
-		if want := 42 ^ int64(splitmix64(uint64(i))); s != want {
-			t.Fatalf("ShardSeed(42, %d) = %d, want seed^splitmix64 = %d", i, s, want)
+		if want := trace.ShardSeed(42, i); s != want {
+			t.Fatalf("ShardSeed(42, %d) = %d, want trace.ShardSeed = %d", i, s, want)
 		}
 	}
 }
@@ -120,7 +126,8 @@ func TestRunShardedDoubleRunByteIdentical(t *testing.T) {
 // RunSharded does, returning the per-worker results for merge tests.
 func shardWorkerResults(t *testing.T, tr *trace.Trace, cfg Config, k int) []*Result {
 	t.Helper()
-	if err := cfg.withDefaults(); err != nil {
+	p, err := cfg.plan()
+	if err != nil {
 		t.Fatal(err)
 	}
 	parts := tr.Split(k)
@@ -128,8 +135,8 @@ func shardWorkerResults(t *testing.T, tr *trace.Trace, cfg Config, k int) []*Res
 	for i, p := range parts {
 		weights[i] = p.Weight
 	}
-	hosts := trace.ProportionalShares(weights, cfg.Hosts, 1)
-	minHosts := trace.ProportionalShares(weights, cfg.MinHosts, 1)
+	hosts := trace.ProportionalShares(weights, p.members[0].Hosts, 1)
+	minHosts := trace.ProportionalShares(weights, p.members[0].MinHosts, 1)
 	results := make([]*Result, len(parts))
 	for i := range parts {
 		wcfg := cfg

@@ -125,69 +125,6 @@ type Config struct {
 	// failure-free world and leaves the run byte-identical to builds
 	// without fault injection; see trace.FaultSpec and docs/FAULTS.md.
 	Faults *trace.FaultSpec
-
-	// leaseManaged marks a sharded worker whose capacity is governed by a
-	// lease pool at epoch barriers: the worker's own autoscale ticks are
-	// suppressed (the pool makes one global decision per barrier with the
-	// unsharded formula). Set only by the lease runner, never by callers.
-	leaseManaged bool
-}
-
-func (c *Config) withDefaults() error {
-	if c.Trace == nil && c.Source == nil {
-		return fmt.Errorf("sim: config requires Trace or Source")
-	}
-	if c.Trace != nil && c.Source != nil {
-		return fmt.Errorf("sim: config requires exactly one of Trace and Source")
-	}
-	if c.LeanMetrics && c.LeanSampleCap <= 0 {
-		c.LeanSampleCap = 4096
-	}
-	if err := c.Faults.Validate(); err != nil {
-		return err
-	}
-	if c.Policy == "" {
-		c.Policy = PolicyNotebookOS
-	}
-	if c.Hosts <= 0 {
-		c.Hosts = 30
-	}
-	if c.HostCapacity.IsZero() {
-		c.HostCapacity = resources.P316xlarge()
-	}
-	if c.ReplicasPerKernel <= 0 {
-		c.ReplicasPerKernel = 3
-	}
-	if c.ScaleFactor <= 0 {
-		c.ScaleFactor = 1.05
-	}
-	if c.AutoscaleInterval <= 0 {
-		c.AutoscaleInterval = time.Minute
-	}
-	if c.LeaseEpoch <= 0 {
-		c.LeaseEpoch = c.AutoscaleInterval
-	}
-	if c.MinHosts <= 0 {
-		c.MinHosts = 4
-	}
-	if c.SRHighWatermark <= 0 {
-		c.SRHighWatermark = scheduler.DefaultSRHighWatermark
-	}
-	if c.Latencies.GSProcess == nil {
-		c.Latencies = DefaultLatencies()
-	}
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = 5 * time.Minute
-	}
-	if c.PrewarmPerHost == 0 {
-		switch c.Policy {
-		case PolicyLCP:
-			c.PrewarmPerHost = 6
-		case PolicyNotebookOS:
-			c.PrewarmPerHost = 1
-		}
-	}
-	return nil
 }
 
 // Event mirrors scheduler events for the Fig. 10 timeline. T is the event
@@ -202,48 +139,35 @@ type Event struct {
 // Time returns the event time as a time.Time in UTC.
 func (e Event) Time() time.Time { return time.Unix(0, e.T).UTC() }
 
-// Result carries everything the experiment harness needs to regenerate
-// the paper's tables and figures.
-type Result struct {
-	Policy Policy
-
-	// Timelines (Figs. 7, 8, 10, 14, 20).
+// CoreResult is the block of a run's outcome that every runner reports:
+// Result and FedResult both embed it, so its fields read as their own.
+type CoreResult struct {
+	// Capacity and population timelines (Figs. 7, 8, 10, 14, 20). In a
+	// federated run the two GPU series are the pointwise sums of the
+	// per-cluster series (Integral equals the sum of per-cluster Integrals).
 	ProvisionedGPUs *metrics.Timeline
 	CommittedGPUs   *metrics.Timeline
 	ActiveSessions  *metrics.Timeline
-	ActiveTrainings *metrics.Timeline
-	SR              *metrics.Timeline
 
-	// Distributions (Figs. 9, 11, 16-19).
-	Interactivity *metrics.Sample          // seconds
-	TCT           *metrics.Sample          // seconds
-	StepLatency   map[Step]*metrics.Sample // seconds
-	SyncLatency   *metrics.Sample          // seconds
-	ReadLatency   *metrics.Sample          // seconds
-	WriteLatency  *metrics.Sample          // seconds
+	// Distributions (Figs. 9, 11).
+	Interactivity *metrics.Sample // seconds
+	TCT           *metrics.Sample // seconds
 
-	// Events and counters (Fig. 10, §5.3.2). Events is nil under
-	// Config.LeanMetrics.
-	Events           []Event
-	Sessions         int
+	// Counters (§5.3.2).
 	Tasks            int
 	ImmediateCommits int
-	ExecutorReuse    int
 	Migrations       int
-	FailedMigrations int
 	ScaleOuts        int
 	ScaleIns         int
 	ColdStarts       int
 	WarmStarts       int
 
-	// Revenue inputs (Fig. 12): integrated GPU/replica hours.
-	ActiveGPUHours      float64
-	StandbyReplicaHours float64
-	ReservedGPUHours    float64
-	ServerHours         float64
+	// Integrated hours over the trace window (Fig. 12).
+	ActiveGPUHours   float64
+	ReservedGPUHours float64
 
 	// Fault-injection outcomes (docs/FAULTS.md). All zero — and the two
-	// recorders nil — unless Config.Faults is enabled. HostCrashes and
+	// recorders nil — unless the config's Faults is enabled. HostCrashes and
 	// HostRecoveries count crash/repair events; Failovers counts quorum-
 	// preserving replica losses absorbed at one election cost;
 	// TaskRestarts counts checkpoint-restore resubmissions after quorum
@@ -256,12 +180,60 @@ type Result struct {
 	TaskRestarts   int
 	Abandonments   int
 	LostGPUHours   float64
-	// Availability tracks the live host count as a delta timeline — its
-	// integral over any window is exactly the fleet's up-host-hours.
+	// Availability tracks the live host count (federation-wide) as a delta
+	// timeline — its integral over any window is exactly the fleet's
+	// up-host-hours.
 	Availability *metrics.Timeline
 	// RecoveryTime samples every recovery charge paid: failover election
 	// rounds and checkpoint-restore restart penalties, in seconds.
 	RecoveryTime *metrics.Sample
+}
+
+// Result carries everything the experiment harness needs to regenerate
+// the paper's tables and figures: the CoreResult block plus what only a
+// single-cluster run records.
+type Result struct {
+	Policy Policy
+	CoreResult
+
+	// Timelines (Figs. 10, 14).
+	ActiveTrainings *metrics.Timeline
+	SR              *metrics.Timeline
+
+	// Distributions (Figs. 11, 16-19).
+	StepLatency  map[Step]*metrics.Sample // seconds
+	SyncLatency  *metrics.Sample          // seconds
+	ReadLatency  *metrics.Sample          // seconds
+	WriteLatency *metrics.Sample          // seconds
+
+	// Events and counters (Fig. 10, §5.3.2). Events is nil under
+	// Config.LeanMetrics.
+	Events           []Event
+	Sessions         int
+	ExecutorReuse    int
+	FailedMigrations int
+
+	// Revenue inputs (Fig. 12): integrated replica and server hours.
+	StandbyReplicaHours float64
+	ServerHours         float64
+}
+
+// record is the core's one result record: everything a simulation
+// accumulates, whichever runner built it. Result and FedResult are its two
+// projections (&r.Result and r.fedResult()), and the merges are written
+// once, on records. A recorder only one projection reports is nil in runs
+// of the other form.
+type record struct {
+	Result
+
+	// What only FedResult reports; clusters is filled at finish.
+	clusters            []*FedClusterResult
+	classDelay          map[trace.SLOClass]*metrics.Sample
+	localPlacements     int
+	remotePlacements    int
+	remoteExecutions    int
+	crossMigrations     int
+	provisionedGPUHours float64
 }
 
 // session is the per-session simulation state.
@@ -337,16 +309,16 @@ type member struct {
 }
 
 // sim is the one simulator core: the mutable state of a federation of
-// member clusters replaying one workload. Run builds it with a single
-// member and the full single-cluster recorder set; RunFederated builds it
-// with N members, a route policy, WAN charges and optionally the pooled
-// autoscaler. What a run records follows from which recorders its
-// constructor created: every recorder that only one of Result and
-// FedResult reports is nil in the other mode, and the recording sites —
-// including the RNG draws that exist only to be recorded — skip nil
-// recorders.
+// member clusters replaying one workload, built from a plan (newSim). Run's
+// plan has a single member and asks for the full single-cluster recorder
+// set; RunFederated's has N members, a route policy, WAN charges and
+// optionally the SLO queue and the pooled autoscaler. What a run records
+// follows from which recorders newSim created: every recorder that only one
+// of Result and FedResult reports is nil in the other form, and the
+// recording sites — including the RNG draws that exist only to be recorded
+// — skip nil recorders.
 type sim struct {
-	cfg       Config
+	cfg       plan
 	eng       *des.Engine
 	rng       *rand.Rand
 	fed       *federation.Federation
@@ -359,28 +331,19 @@ type sim struct {
 	// is woken by any member's Release/AddHost via the federation's
 	// capacity-notification fan-in.
 	waitq *capacityWaitQueue
-	// res accumulates every counter and the single-cluster recorders; it is
-	// what Run returns, and what RunFederated projects its FedResult from.
-	res *Result
+	// res accumulates every counter and recorder; finish completes and
+	// returns it.
+	res *record
 
-	// Federation routing state. route ranks members for placements,
+	// Federation routing state. cfg.Route ranks members for placements,
 	// migrations and crash rehoming (never consulted with one member);
 	// scratch is its reusable ranking buffer — the event loop is
 	// single-threaded, so one scratch serves the whole run; sole is the
 	// one-member ranking. qdepth counts parked capacity waiters per home
-	// member, the QueueDepth signal RoutingSnapshots carry. routed counts
-	// what only FedResult reports.
-	route   federation.RoutePolicy
+	// member, the QueueDepth signal RoutingSnapshots carry.
 	scratch federation.RouteScratch
 	sole    [1]int
 	qdepth  []int
-	routed  struct {
-		localPlacements, remotePlacements int
-		remoteExecutions, crossMigrations int
-	}
-	// classDelay is the per-SLO-class queue-delay recorder; nil unless the
-	// run is SLO-aware.
-	classDelay map[trace.SLOClass]*metrics.Sample
 	// autoscaler makes the pooled decisions under PooledAutoscale (nil in
 	// per-member mode); loads is its reusable snapshot buffer (one slice
 	// for the whole run instead of one per tick — 90-day runs make tens of
@@ -487,7 +450,25 @@ func decimalDigits(i int) int {
 
 // Run executes the simulation and returns its result.
 func Run(cfg Config) (*Result, error) {
-	s, err := newSim(cfg)
+	p, err := cfg.plan()
+	if err != nil {
+		return nil, err
+	}
+	return single(p.run())
+}
+
+// single projects a driver's record onto Result.
+func single(rec *record, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &rec.Result, nil
+}
+
+// run is the plain driver: build the plan's simulation, run its engine in
+// one shot to past the window's end, collect the record.
+func (p *plan) run() (*record, error) {
+	s, err := newSim(p)
 	if err != nil {
 		return nil, err
 	}
@@ -496,70 +477,84 @@ func Run(cfg Config) (*Result, error) {
 	return s.finish()
 }
 
-// newSim builds a ready-to-run single-cluster simulation: the core with
-// one member named "sim" — member index 0, so host IDs are "sim-hNNNN" and
-// fault slots the plain host sequence, which the gated baselines pin —
-// plus the recorders only Result reports. Callers drive the engine
-// themselves — Run in one shot to past the window's end, the lease runner
-// in epoch-sized steps with barrier reconciliation between them — and then
-// collect the result with finish. Pair with close.
-func newSim(cfg Config) (*sim, error) {
-	if err := cfg.withDefaults(); err != nil {
-		return nil, err
-	}
-	s := newCore(cfg, federation.New(0))
-	s.res.ActiveTrainings = s.newTimeline()
-	s.res.SR = s.newTimeline()
-	s.res.SyncLatency = s.newSample()
-	s.res.ReadLatency = s.newSample()
-	s.res.WriteLatency = s.newSample()
-	s.res.StepLatency = map[Step]*metrics.Sample{}
-	for _, st := range Steps() {
-		s.res.StepLatency[st] = s.newSample()
-	}
-	if !cfg.LeanMetrics {
-		s.res.Events = []Event{}
-	}
-	return s, s.build([]FedClusterSpec{{
-		Name: "sim", Hosts: cfg.Hosts, HostCapacity: cfg.HostCapacity, MinHosts: cfg.MinHosts,
-	}})
-}
-
-// newCore returns the core every runner shares, with the recorders both
-// result types report; the caller adds its own recorders and federation
-// settings, then calls build.
-func newCore(cfg Config, fed *federation.Federation) *sim {
-	src := cfg.Source
+// newSim builds a ready-to-run simulation of the plan: one member per
+// member spec, the recorders the plan's form reports (a federated run
+// creates none of the recorders only Result reports, so it neither records
+// nor draws for them), and — as the plan says — the per-pair latency
+// matrix, the SLO-class queue with its per-class recorders, and the pooled
+// autoscaler. Callers drive the engine themselves — run in one shot to past
+// the window's end, the lease runner in epoch-sized steps with barrier
+// reconciliation between them — and then collect the record with finish.
+// Pair with close.
+func newSim(p *plan) (*sim, error) {
+	src := p.Source
 	if src == nil {
-		src = cfg.Trace.AsSource()
+		src = p.Trace.AsSource()
 	}
 	start, end := src.Window()
 	eng := des.New(start)
 	s := &sim{
-		cfg:       cfg,
+		cfg:       *p,
 		eng:       eng,
-		rng:       rand.New(rand.NewSource(cfg.Seed + 1)),
-		fed:       fed,
-		placement: scheduler.LeastLoaded{SRHighWatermark: cfg.SRHighWatermark},
+		rng:       rand.New(rand.NewSource(p.Seed + 1)),
+		fed:       federation.New(p.InterClusterPenalty),
+		placement: scheduler.LeastLoaded{SRHighWatermark: p.SRHighWatermark},
 		byHost:    map[*cluster.Host]*host{},
 		waitq:     newCapacityWaitQueue(eng),
 		src:       src,
 		start:     start,
 		end:       end,
-		streaming: cfg.Source != nil,
-		sampleSeq: cfg.Seed + 1000,
-		kind:      holderKind(cfg.Policy),
-		wr:        rand.New(rand.NewSource(cfg.Seed + 2)),
-		trackLive: cfg.leaseManaged,
+		streaming: p.Source != nil,
+		sampleSeq: p.Seed + 1000,
+		kind:      holderKind(p.Policy),
+		wr:        rand.New(rand.NewSource(p.Seed + 2)),
+		trackLive: p.leaseManaged,
 	}
 	s.reserved.lastNS = start.UnixNano()
-	s.res = &Result{
-		Policy:         cfg.Policy,
-		ActiveSessions: s.newTimeline(),
-		Interactivity:  s.newSample(),
-		TCT:            s.newSample(),
+	s.res = &record{Result: Result{Policy: p.Policy}}
+	s.res.ActiveSessions = s.newTimeline()
+	s.res.Interactivity = s.newSample()
+	s.res.TCT = s.newSample()
+	if !p.federated {
+		s.res.ActiveTrainings = s.newTimeline()
+		s.res.SR = s.newTimeline()
+		s.res.SyncLatency = s.newSample()
+		s.res.ReadLatency = s.newSample()
+		s.res.WriteLatency = s.newSample()
+		s.res.StepLatency = map[Step]*metrics.Sample{}
+		for _, st := range Steps() {
+			s.res.StepLatency[st] = s.newSample()
+		}
+		if !p.LeanMetrics {
+			s.res.Events = []Event{}
+		}
 	}
-	return s
+	if p.Latency != nil {
+		// Size was validated against the member count when the plan was
+		// compiled.
+		if err := s.fed.SetLatencyMatrix(p.Latency); err != nil {
+			return nil, err
+		}
+	}
+	if p.SLOAware {
+		s.waitq.usePriority(p.SLOAgingBound)
+		// Pre-create the per-class samples in SLOClasses order so lean-mode
+		// reservoir seeds are position-independent of the workload.
+		s.res.classDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
+		for _, cl := range trace.SLOClasses() {
+			s.res.classDelay[cl] = s.newSample()
+		}
+	}
+	if p.PooledAutoscale {
+		s.autoscaler = &federation.FederatedAutoscaler{
+			ScaleFactor: p.ScaleFactor,
+			MinHosts:    p.FedMinHosts,
+			Replicas:    p.ReplicasPerKernel,
+			Policy:      p.ScalePolicy,
+		}
+		s.loads = make([]federation.MemberLoad, len(p.members))
+	}
+	return s, s.build()
 }
 
 // newTimeline returns a recorder timeline; lean mode swaps the unbounded
@@ -582,11 +577,11 @@ func (s *sim) newSample() *metrics.Sample {
 	return sm
 }
 
-// build finishes construction once the caller has created its recorders:
-// fault layer armed, members and their hosts in place, every trace (or
-// injector) event scheduled, sampling and autoscale ticks armed.
-func (s *sim) build(specs []FedClusterSpec) error {
-	cfg := s.cfg
+// build finishes construction once newSim has created the recorders: fault
+// layer armed, members and their hosts in place, every trace (or injector)
+// event scheduled, sampling and autoscale ticks armed.
+func (s *sim) build() error {
+	cfg, specs := &s.cfg, s.cfg.members
 	// Fault injection arms before the hosts join so every host slot —
 	// including each member's initial Hosts — carries a crash clock, and
 	// the availability timeline sees every membership change (faults.go).
@@ -746,14 +741,15 @@ func (s *sim) close() {
 // complete.
 func (s *sim) drain() { s.eng.RunUntil(s.end.Add(24 * time.Hour)) }
 
-// totals surfaces a streaming-source error and fills in what both result
-// projections share — the federation-wide capacity series (member 0's own
-// timelines when it is the only member, a pointwise merge otherwise) and
-// the integrated active and reserved hours — returning the integrated
-// provisioned GPU-hours. Call once, after drain.
-func (s *sim) totals() (provisionedGPUHours float64, err error) {
+// finish surfaces a streaming-source error and completes the record: the
+// federation-wide capacity series (member 0's own timelines when it is the
+// only member, a pointwise merge otherwise), the integrated hours, and what
+// only one projection reports — the per-member records of a federated run,
+// the cost-model hours (Fig. 12) of a single-cluster one. Call once, after
+// drain.
+func (s *sim) finish() (*record, error) {
 	if s.srcErr != nil {
-		return 0, s.srcErr
+		return nil, s.srcErr
 	}
 	res := s.res
 	res.ProvisionedGPUs, res.CommittedGPUs = s.members[0].res.ProvisionedGPUs, s.members[0].res.CommittedGPUs
@@ -774,18 +770,15 @@ func (s *sim) totals() (provisionedGPUHours float64, err error) {
 	} else {
 		res.ReservedGPUHours = s.cfg.Trace.ReservedGPUs().Integral(s.start, s.end)
 	}
-	return res.ProvisionedGPUs.Integral(s.start, s.end), nil
-}
-
-// finish projects the single-cluster Result, computing the integrated
-// hour metrics of the cost model (Fig. 12).
-func (s *sim) finish() (*Result, error) {
-	provisionedGPUHours, err := s.totals()
-	if err != nil {
-		return nil, err
+	res.provisionedGPUHours = res.ProvisionedGPUs.Integral(s.start, s.end)
+	if s.cfg.federated {
+		for _, m := range s.members {
+			m.res.FinalHosts = m.c.NumHosts()
+			res.clusters = append(res.clusters, m.res)
+		}
+		return res, nil
 	}
-	res := s.res
-	res.ServerHours = provisionedGPUHours / float64(s.members[0].spec.HostCapacity.GPUs)
+	res.ServerHours = res.provisionedGPUHours / float64(s.members[0].spec.HostCapacity.GPUs)
 	if s.cfg.Policy == PolicyNotebookOS {
 		// Each session keeps R standby replicas alive; the executor is
 		// billed as active while training. Replica-hours approximate
@@ -831,7 +824,7 @@ func (s *sim) routeOrder(home int) []int {
 	if len(s.members) == 1 {
 		return s.sole[:]
 	}
-	return s.route.Order(s.fed, home, &s.scratch)
+	return s.cfg.Route.Order(s.fed, home, &s.scratch)
 }
 
 // ---- session lifecycle -------------------------------------------------
@@ -891,9 +884,9 @@ func (s *sim) placeSession(ss *session) bool {
 		}
 		m.res.PlacedSessions++
 		if idx == ss.home {
-			s.routed.localPlacements++
+			s.res.localPlacements++
 		} else {
-			s.routed.remotePlacements++
+			s.res.remotePlacements++
 		}
 		return true
 	}
@@ -980,8 +973,8 @@ func (s *sim) finishTask(ss *session, submit time.Time, interactivity time.Durat
 	s.res.Interactivity.Add(interactivity.Seconds())
 	s.res.TCT.Add(tct.Seconds())
 	s.sampleStep(StepE2E, tct)
-	if s.classDelay != nil {
-		s.classDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
+	if s.res.classDelay != nil {
+		s.res.classDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
 	}
 	s.res.Tasks++
 	s.startNext(ss)
@@ -1204,7 +1197,7 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 	var wan time.Duration
 	if h.member != ss.home {
 		wan = s.fed.RoundTrip(ss.home, h.member)
-		s.routed.remoteExecutions++
+		s.res.remoteExecutions++
 	}
 
 	step1 := lat.GSProcess(s.rng)
@@ -1285,7 +1278,7 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 			// A cross-cluster move pays the federation boundary in both
 			// directions for the checkpoint transfer.
 			extra += s.fed.RoundTrip(old.member, target.member)
-			s.routed.crossMigrations++
+			s.res.crossMigrations++
 		}
 	}
 	_ = target.h.PlaceReplica(key, ss.req)

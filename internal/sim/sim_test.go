@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
+	"notebookos/internal/federation"
 	"notebookos/internal/resources"
 	"notebookos/internal/trace"
 )
@@ -49,9 +52,104 @@ func TestAllPoliciesCompleteAllTasks(t *testing.T) {
 		}
 	}
 
-	// Hostile config: a host shape most sessions' requests cannot fit. No
-	// runner may panic; sessions that fit nowhere are dropped and their
-	// tasks swallowed, the rest complete.
+}
+
+// runnerEntry names one of the eight exported entry points.
+type runnerEntry struct {
+	name                   string
+	fed, sharded, streamed bool
+}
+
+var runnerEntries = []runnerEntry{
+	{name: "Run"},
+	{name: "RunFederated", fed: true},
+	{name: "RunSharded", sharded: true},
+	{name: "RunFederatedSharded", fed: true, sharded: true},
+	{name: "RunStreamSharded", sharded: true, streamed: true},
+	{name: "RunFederatedStreamSharded", fed: true, sharded: true, streamed: true},
+}
+
+// hostileCase is one call of an entry point, described without saying
+// whether the config is a Config or a FedConfig.
+type hostileCase struct {
+	tr       *trace.Trace
+	src      trace.Source
+	capacity resources.Spec
+	hosts    int              // Config.Hosts
+	clusters []FedClusterSpec // FedConfig.Clusters
+	latency  federation.LatencyMatrix
+	faults   *trace.FaultSpec
+	sc       ShardCapacity
+	shards   int
+	// plain calls the entry's unsharded counterpart on the same config — Run
+	// or RunFederated, a streamed entry's with the whole-workload generator
+	// as its Source.
+	plain bool
+}
+
+// call runs the case through the entry point and returns the run's full
+// fingerprint (every counter, integral and quantile TestRunnerFingerprints
+// pins) and its task count.
+func (e runnerEntry) call(gcfg trace.GenConfig, h hostileCase) (fp string, tasks int, err error) {
+	if h.plain && e.streamed {
+		if h.src, err = trace.NewStreamGen(gcfg, 0, 1); err != nil {
+			return "", 0, err
+		}
+	}
+	start, end := gcfg.Start, gcfg.Start.Add(gcfg.Duration)
+	var b strings.Builder
+	if e.fed {
+		clusters := append([]FedClusterSpec(nil), h.clusters...)
+		for i := range clusters {
+			clusters[i].HostCapacity = h.capacity
+		}
+		cfg := FedConfig{Trace: h.tr, Source: h.src, Clusters: clusters, Latency: h.latency,
+			Route: federation.LeastSubscribed{}, Faults: h.faults, Seed: 7, ShardCapacity: h.sc}
+		var r *FedResult
+		switch {
+		case h.plain || !e.sharded:
+			r, err = RunFederated(cfg)
+		case e.streamed:
+			r, err = RunFederatedStreamSharded(gcfg, cfg, h.shards)
+		default:
+			r, err = RunFederatedSharded(cfg, h.shards)
+		}
+		if err != nil {
+			return "", 0, err
+		}
+		fpLines{e.name, &b}.fedResult(r, start, end)
+		return b.String(), r.Tasks, nil
+	}
+	cfg := Config{Trace: h.tr, Source: h.src, Policy: PolicyNotebookOS, Hosts: h.hosts, HostCapacity: h.capacity,
+		Faults: h.faults, Seed: 7, ShardCapacity: h.sc}
+	var r *Result
+	switch {
+	case h.plain || !e.sharded:
+		r, err = Run(cfg)
+	case e.streamed:
+		r, err = RunStreamSharded(gcfg, cfg, h.shards)
+	default:
+		r, err = RunSharded(cfg, h.shards)
+	}
+	if err != nil {
+		return "", 0, err
+	}
+	fpLines{e.name, &b}.result(r, start, end)
+	return b.String(), r.Tasks, nil
+}
+
+// TestHostileConfigs drives every exported entry point, under both
+// capacity modes, with configs a careless caller could write. None may
+// panic: a config that cannot run returns an error naming the offending
+// fields, and one the docs promise to clamp or default runs exactly like
+// its clamped or defaulted spelling — in particular k <= 1 through any
+// sharded runner is the unsharded call, byte for byte.
+func TestHostileConfigs(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(21)
+	gcfg.Duration = 4 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	// A host shape most sessions' requests cannot fit: sessions that fit
+	// nowhere are dropped and their tasks swallowed, the rest complete.
 	small := resources.Spec{Millicpus: 16_000, MemoryMB: 122 * 1024, GPUs: 2, VRAMGB: 32}
 	fits := 0
 	for _, sess := range tr.Sessions {
@@ -62,48 +160,116 @@ func TestAllPoliciesCompleteAllTasks(t *testing.T) {
 	if fits == 0 || fits == len(tr.Sessions) {
 		t.Fatalf("want a trace where only some sessions fit a 2-GPU host, got %d/%d", fits, len(tr.Sessions))
 	}
-	hostile := func(p Policy, sc ShardCapacity) Config {
-		return Config{Trace: tr, Policy: p, Hosts: 30, HostCapacity: small, Seed: 7, ShardCapacity: sc}
-	}
-	clusters := DefaultFedClusters(2, 30)
-	for i := range clusters {
-		clusters[i].HostCapacity = small
-	}
-	cases := []struct {
-		name string
-		run  func() (int, error)
-	}{
-		{"Run/reservation", func() (int, error) { return tasksOf(Run(hostile(PolicyReservation, LegacySplit))) }},
-		{"Run/batch", func() (int, error) { return tasksOf(Run(hostile(PolicyBatch, LegacySplit))) }},
-		{"Run/notebookos", func() (int, error) { return tasksOf(Run(hostile(PolicyNotebookOS, LegacySplit))) }},
-		{"Run/lcp", func() (int, error) { return tasksOf(Run(hostile(PolicyLCP, LegacySplit))) }},
-		{"RunSharded/legacy", func() (int, error) { return tasksOf(RunSharded(hostile(PolicyNotebookOS, LegacySplit), 2)) }},
-		{"RunSharded/lease", func() (int, error) { return tasksOf(RunSharded(hostile(PolicyNotebookOS, LeasePool), 2)) }},
-		{"RunFederated", func() (int, error) {
-			r, err := RunFederated(FedConfig{Trace: tr, Clusters: clusters, Seed: 7})
-			if err != nil {
-				return 0, err
-			}
-			return r.Tasks, nil
-		}},
-	}
-	for _, c := range cases {
-		tasks, err := c.run()
-		if err != nil {
-			t.Errorf("%s on 2-GPU hosts: %v", c.name, err)
-			continue
-		}
-		if tasks == 0 || tasks >= want {
-			t.Errorf("%s on 2-GPU hosts completed %d of %d tasks; want only the fitting sessions' tasks", c.name, tasks, want)
-		}
-	}
-}
 
-func tasksOf(r *Result, err error) (int, error) {
-	if err != nil {
-		return 0, err
+	for _, e := range runnerEntries {
+		for _, sc := range []ShardCapacity{LegacySplit, LeasePool} {
+			name := e.name + map[ShardCapacity]string{LegacySplit: "/legacy", LeasePool: "/lease"}[sc]
+			// valid is a config the entry accepts; each case below breaks it
+			// one way.
+			valid := func() hostileCase {
+				h := hostileCase{tr: tr, hosts: 30, clusters: DefaultFedClusters(3, 30), sc: sc, shards: 2}
+				if e.streamed {
+					h.tr = nil
+				}
+				return h
+			}
+			run := func(label string, h hostileCase) (string, int) {
+				t.Helper()
+				fp, tasks, err := e.call(gcfg, h)
+				if err != nil {
+					t.Fatalf("%s, %s: %v", name, label, err)
+				}
+				return fp, tasks
+			}
+			refuses := func(label string, h hostileCase, naming ...string) {
+				t.Helper()
+				_, _, err := e.call(gcfg, h)
+				if err == nil {
+					t.Errorf("%s, %s: accepted", name, label)
+					return
+				}
+				for _, field := range naming {
+					if !strings.Contains(err.Error(), field) {
+						t.Errorf("%s, %s: error %q does not name %s", name, label, err, field)
+					}
+				}
+			}
+			same := func(label string, a, b hostileCase) {
+				t.Helper()
+				fa, _ := run(label, a)
+				if fb, _ := run(label, b); fa != fb {
+					t.Errorf("%s, %s: runs differ:\n--- got\n%s--- want\n%s", name, label, fa, fb)
+				}
+			}
+
+			h := valid()
+			h.capacity = small
+			if _, tasks := run("2-GPU hosts", h); tasks == 0 || tasks >= tr.NumTasks() {
+				t.Errorf("%s on 2-GPU hosts completed %d of %d tasks; want only the fitting sessions' tasks", name, tasks, tr.NumTasks())
+			}
+
+			// Workload slots: exactly one of Trace and Source, except that a
+			// streamed entry generates its workload and takes neither.
+			h = valid()
+			h.tr, h.src = tr, tr.AsSource()
+			refuses("Trace and Source both set", h, "Trace", "Source")
+			if e.streamed {
+				h = valid()
+				h.tr = tr
+				refuses("Trace set", h, "Trace", "Source")
+				h = valid()
+				h.src = tr.AsSource()
+				refuses("Source set", h, "Trace", "Source")
+			} else {
+				h = valid()
+				h.tr = nil
+				refuses("neither Trace nor Source", h, "Trace", "Source")
+			}
+			if e.sharded && !e.streamed {
+				h = valid()
+				h.tr, h.src = nil, tr.AsSource()
+				refuses("Source at k=2", h, "Source", "RunStreamSharded")
+				h.shards = 1
+				plain := h
+				plain.plain = true
+				same("Source at k=1", h, plain)
+			}
+
+			h = valid()
+			h.faults = &trace.FaultSpec{HostMTBFHours: 10}
+			refuses("crash churn without a repair time", h, "host_mttr_hours")
+
+			if e.fed {
+				h = valid()
+				h.latency = federation.UniformMatrix(len(h.clusters)+1, time.Millisecond)
+				refuses("latency matrix larger than the federation", h, "Latency", "Clusters")
+				h.latency = federation.UniformMatrix(len(h.clusters)-1, time.Millisecond)
+				refuses("latency matrix smaller than the federation", h, "Latency", "Clusters")
+				h, def := valid(), valid()
+				h.clusters, def.clusters = nil, DefaultFedClusters(2, 30)
+				same("empty Clusters is the documented default", h, def)
+			}
+
+			if e.sharded {
+				plain := valid()
+				plain.plain = true
+				for _, k := range []int{1, 0, -3} {
+					h = valid()
+					h.shards = k
+					same(fmt.Sprintf("k=%d is the unsharded call", k), h, plain)
+				}
+				// More shards than the smallest member has hosts clamps to that
+				// count (3 single-cluster hosts; members of 6, 4 and 2).
+				h, clamped := valid(), valid()
+				h.hosts, h.clusters, h.shards = 3, DefaultFedClusters(3, 12), 10
+				clamped.hosts, clamped.clusters, clamped.shards = 3, DefaultFedClusters(3, 12), 3
+				if e.fed {
+					clamped.shards = 2
+				}
+				same("k=10 clamps to the smallest member", h, clamped)
+			}
+		}
 	}
-	return r.Tasks, nil
 }
 
 func TestDeterminism(t *testing.T) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"time"
 
 	"notebookos/internal/trace"
@@ -96,36 +97,21 @@ func (in *injector) Fire() {
 // and merged task counts are near-equal rather than identical
 // (docs/SHARDING.md, "Streaming").
 //
-// cfg.Trace and cfg.Source must be nil; each worker gets its shard's
-// generator as its Source. Pass cfg.LeanMetrics to keep the workers'
-// results window-bounded — with it, peak memory is governed by session
-// *concurrency* and the simulated window, not by total session count.
+// cfg.Trace and cfg.Source must be nil (an error otherwise: the workload is
+// gcfg); each worker gets its shard's generator as its Source. Pass
+// cfg.LeanMetrics to keep the workers' results window-bounded — with it,
+// peak memory is governed by session *concurrency* and the simulated
+// window, not by total session count.
 func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, error) {
-	gens, err := streamShards(gcfg, &cfg.Trace, &cfg.Source, func() error { return cfg.withDefaults() },
-		func() int { return cfg.Hosts }, &shards)
+	var err error
+	if cfg.Source, err = streamSource(gcfg, cfg.Trace, cfg.Source); err != nil {
+		return nil, err
+	}
+	p, err := cfg.plan()
 	if err != nil {
 		return nil, err
 	}
-	if shards <= 1 {
-		cfg.Source = gens[0]
-		return Run(cfg)
-	}
-	wcfgs := shardConfigs(cfg, uniformWeights(shards))
-	for i := range wcfgs {
-		wcfgs[i].Source = gens[i]
-	}
-	if cfg.ShardCapacity == LeasePool {
-		// The capacity ledger replays the whole workload: give it its own
-		// unsplit stream of gcfg (same seed, same sessions the shard
-		// generators partition among themselves).
-		full, err := trace.NewStreamGen(gcfg, 0, 1)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Source = full
-		return runShardedLeased(cfg, wcfgs)
-	}
-	return runShards(wcfgs, Run, MergeResults)
+	return single(p.runSharded(shards, streamParts(gcfg)))
 }
 
 // RunFederatedStreamSharded is RunFederatedSharded against streaming
@@ -133,81 +119,42 @@ func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, er
 // exact Poisson split of gcfg. The smallest member bounds the shard count,
 // as in the materialized version.
 func RunFederatedStreamSharded(gcfg trace.GenConfig, cfg FedConfig, shards int) (*FedResult, error) {
-	smallest := func() int {
-		min := cfg.Clusters[0].Hosts
-		for _, spec := range cfg.Clusters {
-			if spec.Hosts < min {
-				min = spec.Hosts
-			}
-		}
-		return min
+	var err error
+	if cfg.Source, err = streamSource(gcfg, cfg.Trace, cfg.Source); err != nil {
+		return nil, err
 	}
-	gens, err := streamShards(gcfg, &cfg.Trace, &cfg.Source, func() error { return cfg.withDefaults() },
-		smallest, &shards)
+	p, err := cfg.plan()
 	if err != nil {
 		return nil, err
 	}
-	// The parent withDefaults normalized an explicit NoInterClusterPenalty
-	// to 0; keep it an explicit zero for the workers' own defaulting pass.
-	if cfg.InterClusterPenalty == 0 {
-		cfg.InterClusterPenalty = NoInterClusterPenalty
+	return federated(p.runSharded(shards, streamParts(gcfg)))
+}
+
+// streamSource returns the whole-workload stream of gcfg — what a streaming
+// sharded runner's plan replays itself: the single run at k <= 1, the
+// capacity ledger under LeasePool (same seed, same sessions the shard
+// generators partition among themselves). The config's own workload slots
+// must be empty.
+func streamSource(gcfg trace.GenConfig, tr *trace.Trace, src trace.Source) (trace.Source, error) {
+	if tr != nil || src != nil {
+		return nil, fmt.Errorf("sim: a streaming sharded run generates its workload from the GenConfig; Trace and Source must be nil")
 	}
-	if shards <= 1 {
-		cfg.Source = gens[0]
-		return RunFederated(cfg)
-	}
-	wcfgs := shardFedConfigs(cfg, uniformWeights(shards))
-	for i := range wcfgs {
-		wcfgs[i].Source = gens[i]
-	}
-	if cfg.ShardCapacity == LeasePool {
-		full, err := trace.NewStreamGen(gcfg, 0, 1)
+	return trace.NewStreamGen(gcfg, 0, 1)
+}
+
+// streamParts is the streaming split of gcfg: trace.StreamSplit's k
+// generators, with equal weights — the exact-splitting invariant that
+// every streaming shard has identical expected load.
+func streamParts(gcfg trace.GenConfig) func(k int) ([]part, error) {
+	return func(k int) ([]part, error) {
+		gens, err := trace.StreamSplit(gcfg, k)
 		if err != nil {
 			return nil, err
 		}
-		cfg.Source = full
-		return runFederatedShardedLeased(cfg, wcfgs)
+		parts := make([]part, len(gens))
+		for i, g := range gens {
+			parts[i] = part{input{Source: g}, 1}
+		}
+		return parts, nil
 	}
-	return runShards(wcfgs, RunFederated, MergeFedResults)
-}
-
-// streamShards runs the shared setup of the streaming sharded runners:
-// defaulting the config against a one-shard probe source (so the capacity
-// split sees the same defaults the workers will), clamping the shard count
-// to the capacity bound, and building the final shard generators. The
-// trace/source slots are passed by pointer so the probe source can be
-// installed and withdrawn in place.
-func streamShards(gcfg trace.GenConfig, tr **trace.Trace, src *trace.Source,
-	withDefaults func() error, capacityBound func() int, shards *int) ([]*trace.StreamGen, error) {
-	*tr = nil
-	probe, err := trace.NewStreamGen(gcfg, 0, 1)
-	if err != nil {
-		return nil, err
-	}
-	*src = probe
-	if err := withDefaults(); err != nil {
-		*src = nil
-		return nil, err
-	}
-	*src = nil
-	if *shards < 1 {
-		*shards = 1
-	}
-	// Every worker needs at least one real host (a zero share would read as
-	// "use the default" to the worker's own config defaulting and invent
-	// capacity), so capacity bounds the shard count.
-	if bound := capacityBound(); *shards > bound {
-		*shards = bound
-	}
-	return trace.StreamSplit(gcfg, *shards)
-}
-
-// uniformWeights returns n equal shares — the exact-splitting invariant
-// that every streaming shard has identical expected load.
-func uniformWeights(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
 }
