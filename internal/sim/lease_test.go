@@ -525,30 +525,40 @@ func TestLeasePoolQuietBarrierAllocatesNothing(t *testing.T) {
 // the ledger cannot be built either, the ledger's error wins: errors
 // report in ledger-then-shard order, not in completion order. Plans are
 // validated when they are compiled, so the failures are injected into
-// compiled plans: a member name the federation refuses as a duplicate, a
-// latency matrix too small for the members.
+// compiled plans of both forms: a second member under a name the
+// federation already has, a ragged latency matrix.
 func TestLeasedBuildFailure(t *testing.T) {
 	tr := shardQuickTrace(t, 61)
 	parts := tr.Split(3)
-	plans := func() (*plan, []*plan) {
-		p, err := FedConfig{Trace: tr, Clusters: DefaultFedClusters(2, 30), Seed: 7, ShardCapacity: LeasePool}.plan()
-		if err != nil {
-			t.Fatal(err)
-		}
-		workers := p.shard([]float64{parts[0].Weight, parts[1].Weight, parts[2].Weight})
-		for i, w := range workers {
-			w.input = input{Trace: parts[i].Trace}
-		}
-		workers[1].members[1].Name = workers[1].members[0].Name
-		return p, workers
+	forms := map[string]func() (*plan, error){
+		"Config": func() (*plan, error) {
+			return Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}.plan()
+		},
+		"FedConfig": func() (*plan, error) {
+			return FedConfig{Trace: tr, Clusters: DefaultFedClusters(2, 30), Seed: 7, ShardCapacity: LeasePool}.plan()
+		},
 	}
-	p, workers := plans()
-	if _, err := runLeased(p, workers); err == nil || !strings.Contains(err.Error(), "already present") {
-		t.Errorf("worker build failure: got error %v", err)
-	}
-	p, workers = plans()
-	p.Latency = federation.UniformMatrix(1, 0)
-	if _, err := runLeased(p, workers); err == nil || !strings.Contains(err.Error(), "latency matrix") {
-		t.Errorf("ledger and worker build failures: got error %v, want the ledger's", err)
+	for form, compile := range forms {
+		plans := func() (*plan, []*plan) {
+			p, err := compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers := p.shard([]float64{parts[0].Weight, parts[1].Weight, parts[2].Weight})
+			for i, w := range workers {
+				w.input = input{Trace: parts[i].Trace}
+			}
+			workers[1].members = append(workers[1].members, workers[1].members[0])
+			return p, workers
+		}
+		p, workers := plans()
+		if _, err := runLeased(p, workers); err == nil || !strings.Contains(err.Error(), "already present") {
+			t.Errorf("%s, worker build failure: got error %v", form, err)
+		}
+		p, workers = plans()
+		p.Latency = federation.LatencyMatrix{{0, 0}}
+		if _, err := runLeased(p, workers); err == nil || !strings.Contains(err.Error(), "latency matrix") {
+			t.Errorf("%s, ledger and worker build failures: got error %v, want the ledger's", form, err)
+		}
 	}
 }

@@ -204,6 +204,10 @@ func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
 //     and the merge is a pre-sized sweep; equal-time events keep shard
 //     order, matching the stable sort this replaces.
 //   - Counters and integrated hours sum.
+//   - Every merged timeline and sample is non-nil (empty when no input
+//     carries it) and StepLatency covers Steps(), so hand-built or partial
+//     results merge safely; only the fault recorders stay nil when no input
+//     has them, as in a fault-free run.
 //
 // The merge is mergeRecords, the one merge every sharded runner uses, and
 // has two halves. The latency half (mergeLatency: the samples and the
@@ -240,9 +244,11 @@ func MergeFedResults(results ...*FedResult) *FedResult {
 }
 
 // mergeRecords merges records in argument order; see MergeResults for the
-// rules. A recorder no input carries (fault recorders without faults, what
-// only the other projection reports) stays nil in the merge, exactly like
-// an unsharded run's.
+// rules. Every series either projection reports merges to a non-nil
+// recorder, empty when no input carries it (a federated record gains empty
+// single-cluster recorders its projection drops). Only the optional ones —
+// the fault recorders and the per-class delays — stay nil when absent,
+// exactly like an unsharded run's.
 func mergeRecords(recs []*record) *record {
 	out := &record{Result: Result{Policy: recs[0].Policy}}
 	mergeCapacity(out, recs)
@@ -258,16 +264,14 @@ func mergeLatency(out *record, recs []*record) {
 	out.SyncLatency = mergeSamples(recs, func(r *record) *metrics.Sample { return r.SyncLatency })
 	out.ReadLatency = mergeSamples(recs, func(r *record) *metrics.Sample { return r.ReadLatency })
 	out.WriteLatency = mergeSamples(recs, func(r *record) *metrics.Sample { return r.WriteLatency })
-	// Every shard runs the parent's form and SLOAware flag, so the first
-	// record says which maps exist; Steps() and trace.SLOClasses() fix the
-	// iteration order.
-	out.StepLatency, out.classDelay = nil, nil
-	if recs[0].StepLatency != nil {
-		out.StepLatency = map[Step]*metrics.Sample{}
-		for _, st := range Steps() {
-			out.StepLatency[st] = mergeSamples(recs, func(r *record) *metrics.Sample { return r.StepLatency[st] })
-		}
+	out.StepLatency = map[Step]*metrics.Sample{}
+	for _, st := range Steps() {
+		out.StepLatency[st] = mergeSamples(recs, func(r *record) *metrics.Sample { return r.StepLatency[st] })
 	}
+	// Every shard runs the parent's SLOAware flag, so the first record says
+	// whether the per-class delays exist; trace.SLOClasses() fixes the
+	// iteration order.
+	out.classDelay = nil
 	if recs[0].classDelay != nil {
 		out.classDelay = map[trace.SLOClass]*metrics.Sample{}
 		for _, cl := range trace.SLOClasses() {
@@ -309,8 +313,14 @@ func mergeCapacity(out *record, recs []*record) {
 	out.ActiveSessions = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.ActiveSessions })
 	out.ActiveTrainings = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.ActiveTrainings })
 	out.SR = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.SR })
-	out.Availability = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.Availability })
-	out.RecoveryTime = mergeSamples(recs, func(r *record) *metrics.Sample { return r.RecoveryTime })
+	// The fault recorders exist only under Faults, which creates both.
+	for _, r := range recs {
+		if r.Availability != nil {
+			out.Availability = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.Availability })
+			out.RecoveryTime = mergeSamples(recs, func(r *record) *metrics.Sample { return r.RecoveryTime })
+			break
+		}
+	}
 	out.Events = mergeEvents(recs)
 
 	for m := range recs[0].clusters {
@@ -358,16 +368,11 @@ func mergeCapacity(out *record, recs []*record) {
 }
 
 // mergeTimelines merges one timeline per record with
-// metrics.MergeTimelines; nil when no record carries one.
+// metrics.MergeTimelines, which skips nil inputs and never returns nil.
 func mergeTimelines(recs []*record, get func(*record) *metrics.Timeline) *metrics.Timeline {
-	ins := make([]*metrics.Timeline, 0, len(recs))
-	for _, r := range recs {
-		if tl := get(r); tl != nil {
-			ins = append(ins, tl)
-		}
-	}
-	if len(ins) == 0 {
-		return nil
+	ins := make([]*metrics.Timeline, len(recs))
+	for i, r := range recs {
+		ins[i] = get(r)
 	}
 	return metrics.MergeTimelines(ins...)
 }
@@ -375,14 +380,9 @@ func mergeTimelines(recs []*record, get func(*record) *metrics.Timeline) *metric
 // mergeSamples is mergeTimelines for sample recorders: a k-way merge via
 // metrics.MergeSamples.
 func mergeSamples(recs []*record, get func(*record) *metrics.Sample) *metrics.Sample {
-	ins := make([]*metrics.Sample, 0, len(recs))
-	for _, r := range recs {
-		if sm := get(r); sm != nil {
-			ins = append(ins, sm)
-		}
-	}
-	if len(ins) == 0 {
-		return nil
+	ins := make([]*metrics.Sample, len(recs))
+	for i, r := range recs {
+		ins[i] = get(r)
 	}
 	return metrics.MergeSamples(ins...)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"notebookos/internal/federation"
+	"notebookos/internal/metrics"
 	"notebookos/internal/trace"
 )
 
@@ -447,5 +448,51 @@ func TestMergeFedResultsIntegralEqualsShardSum(t *testing.T) {
 	}
 	if merged.ProvisionedGPUHours <= 0 {
 		t.Error("merged federated run provisioned nothing")
+	}
+}
+
+// TestMergePartialResults: the two exported merges — the entry points
+// TestHostileConfigs cannot reach, as they take no config — accept no
+// results (nil) and hand-built results that carry no recorders. Every core
+// series merges to an empty, usable recorder; only the optional ones — the
+// fault recorders, and ClassDelay without SLOAware — stay nil.
+func TestMergePartialResults(t *testing.T) {
+	if MergeResults() != nil || MergeFedResults() != nil {
+		t.Error("a merge of no results is not nil")
+	}
+	r := MergeResults(&Result{CoreResult: CoreResult{Tasks: 1}}, &Result{CoreResult: CoreResult{Tasks: 2}})
+	if r.Tasks != 3 {
+		t.Errorf("merged %d tasks, want 3", r.Tasks)
+	}
+	for name, sm := range map[string]*metrics.Sample{"Interactivity": r.Interactivity, "TCT": r.TCT,
+		"SyncLatency": r.SyncLatency, "ReadLatency": r.ReadLatency, "WriteLatency": r.WriteLatency} {
+		if sm == nil || sm.N() != 0 {
+			t.Errorf("Result.%s = %v, want an empty sample", name, sm)
+		}
+	}
+	for _, st := range Steps() {
+		if sm := r.StepLatency[st]; sm == nil || sm.N() != 0 {
+			t.Errorf("Result.StepLatency[%s] = %v, want an empty sample", st, sm)
+		}
+	}
+	for name, tl := range map[string]*metrics.Timeline{"ProvisionedGPUs": r.ProvisionedGPUs, "CommittedGPUs": r.CommittedGPUs,
+		"ActiveSessions": r.ActiveSessions, "ActiveTrainings": r.ActiveTrainings, "SR": r.SR} {
+		if tl == nil || tl.Max() != 0 {
+			t.Errorf("Result.%s = %v, want an empty timeline", name, tl)
+		}
+	}
+	if r.Availability != nil || r.RecoveryTime != nil {
+		t.Error("fault recorders appeared in a merge of fault-free results")
+	}
+
+	f := MergeFedResults(&FedResult{CoreResult: CoreResult{Tasks: 1}}, &FedResult{CoreResult: CoreResult{Tasks: 2}})
+	if f.Tasks != 3 {
+		t.Errorf("merged %d federated tasks, want 3", f.Tasks)
+	}
+	if f.Interactivity == nil || f.TCT == nil || f.ProvisionedGPUs == nil || f.CommittedGPUs == nil || f.ActiveSessions == nil {
+		t.Errorf("federated merge left a core recorder nil: %+v", f)
+	}
+	if f.ClassDelay != nil || f.Availability != nil || f.RecoveryTime != nil {
+		t.Error("optional recorders appeared in a merge of results without them")
 	}
 }

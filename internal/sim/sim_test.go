@@ -74,6 +74,7 @@ var runnerEntries = []runnerEntry{
 type hostileCase struct {
 	tr       *trace.Trace
 	src      trace.Source
+	policy   Policy // Config.Policy; "" is PolicyNotebookOS (a federation runs only that)
 	capacity resources.Spec
 	hosts    int              // Config.Hosts
 	clusters []FedClusterSpec // FedConfig.Clusters
@@ -120,7 +121,10 @@ func (e runnerEntry) call(gcfg trace.GenConfig, h hostileCase) (fp string, tasks
 		fpLines{e.name, &b}.fedResult(r, start, end)
 		return b.String(), r.Tasks, nil
 	}
-	cfg := Config{Trace: h.tr, Source: h.src, Policy: PolicyNotebookOS, Hosts: h.hosts, HostCapacity: h.capacity,
+	if h.policy == "" {
+		h.policy = PolicyNotebookOS
+	}
+	cfg := Config{Trace: h.tr, Source: h.src, Policy: h.policy, Hosts: h.hosts, HostCapacity: h.capacity,
 		Faults: h.faults, Seed: 7, ShardCapacity: h.sc}
 	var r *Result
 	switch {
@@ -202,15 +206,23 @@ func TestHostileConfigs(t *testing.T) {
 				}
 			}
 
-			h := valid()
-			h.capacity = small
-			if _, tasks := run("2-GPU hosts", h); tasks == 0 || tasks >= tr.NumTasks() {
-				t.Errorf("%s on 2-GPU hosts completed %d of %d tasks; want only the fitting sessions' tasks", name, tasks, tr.NumTasks())
+			// Every policy has its own does-not-fit path; the federation and
+			// the sharded runners are exercised under NotebookOS.
+			policies := []Policy{PolicyNotebookOS}
+			if !e.fed && !e.sharded {
+				policies = []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP}
+			}
+			for _, p := range policies {
+				h := valid()
+				h.policy, h.capacity = p, small
+				if _, tasks := run("2-GPU hosts", h); tasks == 0 || tasks >= tr.NumTasks() {
+					t.Errorf("%s/%s on 2-GPU hosts completed %d of %d tasks; want only the fitting sessions' tasks", name, p, tasks, tr.NumTasks())
+				}
 			}
 
 			// Workload slots: exactly one of Trace and Source, except that a
 			// streamed entry generates its workload and takes neither.
-			h = valid()
+			h := valid()
 			h.tr, h.src = tr, tr.AsSource()
 			refuses("Trace and Source both set", h, "Trace", "Source")
 			if e.streamed {
