@@ -16,6 +16,7 @@ import (
 	"notebookos/internal/federation"
 	"notebookos/internal/platform"
 	"notebookos/internal/resources"
+	"notebookos/internal/scheduler"
 	"notebookos/internal/sim"
 	"notebookos/internal/trace"
 )
@@ -297,6 +298,40 @@ func BenchmarkScoredRouting(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		policy.Order(f, i%4, &scratch)
+	}
+}
+
+// BenchmarkSelectHostsTied measures one least-loaded selection (n = 3) on
+// the fleet the streaming runs actually build: 400 hosts per worker, nine
+// in ten of them with nothing committed — tied on idle GPUs — and
+// subscriptions spread over 9 to 15 GPUs, so most hosts are decided on the
+// post-placement SR and the rest on the host ID. The repository
+// benchmark's scheduler.select_us_* kernels stop at 384 lightly tied hosts.
+func BenchmarkSelectHostsTied(b *testing.B) {
+	c := cluster.New(3)
+	oneGPU := resources.Spec{Millicpus: 1000, MemoryMB: 4096, GPUs: 1, VRAMGB: 16}
+	for i := 0; i < 400; i++ {
+		h := cluster.NewHost(fmt.Sprintf("sim-h%04d", i+1), resources.P316xlarge())
+		if err := c.AddHost(h); err != nil {
+			b.Fatal(err)
+		}
+		for r := 0; r < 9+(i*5)%7; r++ {
+			if err := h.PlaceReplica(fmt.Sprintf("k%d", r), oneGPU); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i%10 == 0 {
+			if err := h.Commit("t", oneGPU); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (scheduler.LeastLoaded{}).SelectHosts(c, oneGPU, 3); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

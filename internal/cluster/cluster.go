@@ -15,7 +15,7 @@ import (
 const DefaultReplicasPerKernel = 3
 
 // aggregates holds the cluster-wide incremental GPU counters. Mutations
-// happen under the owning host's lock (see Host.committedGPUs); atomics
+// happen under the owning host's lock (see Host.row); atomics
 // make the reads lock-free without taking host or cluster locks.
 type aggregates struct {
 	totalGPUs      atomic.Int64
@@ -39,21 +39,22 @@ type Host struct {
 	mu         sync.Mutex
 	subscribed resources.Spec
 	replicas   map[string]resources.Spec
-	// subscribedGPUs and numReplicas republish subscribed.GPUs and
-	// len(replicas) for lock-free readers: a placement scan reads them on
-	// every host for every session, and a Spec or a map cannot itself be
-	// read atomically. Stored under mu by the only two writers
-	// (PlaceReplica, RemoveReplica), straight from the guarded fields.
-	subscribedGPUs atomic.Int64
-	numReplicas    atomic.Int64
-	// committedGPUs is the host's own ledger of committed GPUs, updated
-	// under mu by the pool observers. attach/detach read it (also under
-	// mu) instead of snapshotting the pool, so a commit/release delta and
-	// a membership change can never interleave in a way that makes the
-	// cluster counters drift: every delta lands in the ledger exactly
-	// once, and in the aggregates exactly when the host is attached.
-	// Atomic so IdleGPUs can read it without mu.
-	committedGPUs atomic.Int64
+	// row is where the host's counters live for lock-free readers: its row
+	// of its cluster's dense table (slot is the row's index) while it is a
+	// member, where a placement scan finds it next to every other member's;
+	// own (slot -1) while it is not. Every write republishes
+	// subscribed.GPUs and len(replicas) into it under mu — a Spec and a map
+	// cannot themselves be read atomically. The row's committed count is
+	// the host's only ledger of committed GPUs, moved under mu by the pool
+	// observers; attach/detach read it (also under mu) instead of
+	// snapshotting the pool, so a commit/release delta and a membership
+	// change can never interleave in a way that makes the cluster counters
+	// drift: every delta lands in the ledger exactly once, and in the
+	// aggregates exactly when the host is attached. attach and detach move
+	// the counters between the two rows, under mu.
+	row  atomic.Pointer[Row]
+	slot atomic.Int32
+	own  Row
 	// agg points at the owning cluster's counters while the host is a
 	// member; nil otherwise.
 	agg *aggregates
@@ -71,6 +72,8 @@ func NewHost(id string, capacity resources.Spec) *Host {
 		committed: resources.NewPool(capacity),
 		replicas:  map[string]resources.Spec{},
 	}
+	h.row.Store(&h.own)
+	h.slot.Store(-1)
 	h.committed.Observe(h.onCommitted, h.onReleased)
 	return h
 }
@@ -86,19 +89,13 @@ func (h *Host) Devices() *gpu.Pool {
 
 func (h *Host) onCommitted(req resources.Spec) {
 	h.mu.Lock()
-	h.committedGPUs.Add(int64(req.GPUs))
-	if h.agg != nil {
-		h.agg.committedGPUs.Add(int64(req.GPUs))
-	}
+	h.commitDelta(req.GPUs)
 	h.mu.Unlock()
 }
 
 func (h *Host) onReleased(req resources.Spec) {
 	h.mu.Lock()
-	h.committedGPUs.Add(-int64(req.GPUs))
-	if h.agg != nil {
-		h.agg.committedGPUs.Add(-int64(req.GPUs))
-	}
+	h.commitDelta(-req.GPUs)
 	released := h.released
 	h.mu.Unlock()
 	if released != nil {
@@ -106,29 +103,46 @@ func (h *Host) onReleased(req resources.Spec) {
 	}
 }
 
-// attach makes the host contribute to a cluster's aggregate counters and
-// wires its release notifier. Called by Cluster.AddHost.
-func (h *Host) attach(agg *aggregates, released func()) {
+// commitDelta lands one commit or release in the host's ledger and, while
+// it is a member, in the cluster aggregate. Caller holds h.mu.
+func (h *Host) commitDelta(gpus int) {
+	h.row.Load().committed.Add(int32(gpus))
+	if h.agg != nil {
+		h.agg.committedGPUs.Add(int64(gpus))
+	}
+}
+
+// attach makes the host contribute to a cluster's aggregate counters,
+// moves whatever it already carries into its table row and wires its
+// release notifier. Called by Cluster.seat.
+func (h *Host) attach(agg *aggregates, released func(), row *Row, slot int) {
 	h.mu.Lock()
 	h.agg = agg
 	h.released = released
-	agg.totalGPUs.Add(int64(h.Capacity.GPUs))
-	agg.subscribedGPUs.Add(int64(h.subscribed.GPUs))
-	agg.committedGPUs.Add(h.committedGPUs.Load())
+	h.moveTo(row, slot, 1)
 	h.mu.Unlock()
 }
 
-// detach reverses attach. Called by Cluster.RemoveHost.
+// detach reverses attach. Called by Cluster.unseat.
 func (h *Host) detach() {
 	h.mu.Lock()
-	if agg := h.agg; agg != nil {
-		agg.totalGPUs.Add(-int64(h.Capacity.GPUs))
-		agg.subscribedGPUs.Add(-int64(h.subscribed.GPUs))
-		agg.committedGPUs.Add(-h.committedGPUs.Load())
-	}
+	h.moveTo(&h.own, -1, -1)
 	h.agg = nil
 	h.released = nil
 	h.mu.Unlock()
+}
+
+// moveTo makes row the home of the host's counters and adds (sign 1) or
+// withdraws (sign -1) them from the cluster aggregates. Caller holds h.mu.
+func (h *Host) moveTo(row *Row, slot int, sign int64) {
+	committed := h.row.Load().committed.Load()
+	h.agg.totalGPUs.Add(sign * int64(h.Capacity.GPUs))
+	h.agg.subscribedGPUs.Add(sign * int64(h.subscribed.GPUs))
+	h.agg.committedGPUs.Add(sign * int64(committed))
+	row.committed.Store(committed)
+	h.row.Store(row)
+	h.slot.Store(int32(slot))
+	h.publishSubscription()
 }
 
 // PlaceReplica subscribes a kernel replica's resource request on the host.
@@ -170,11 +184,12 @@ func (h *Host) RemoveReplica(replicaID string) error {
 	return nil
 }
 
-// publishSubscription republishes the guarded subscription state to the
-// lock-free read side. Caller holds h.mu.
+// publishSubscription republishes the guarded subscription state into the
+// host's row. Caller holds h.mu.
 func (h *Host) publishSubscription() {
-	h.subscribedGPUs.Store(int64(h.subscribed.GPUs))
-	h.numReplicas.Store(int64(len(h.replicas)))
+	row := h.row.Load()
+	row.subscribed.Store(int32(h.subscribed.GPUs))
+	row.replicas.Store(int32(len(h.replicas)))
 }
 
 // HasReplica reports whether the replica is subscribed on this host.
@@ -205,8 +220,12 @@ func (h *Host) Replicas() []string {
 	return out
 }
 
+// Slot returns the host's slot in its cluster's dense table (Cluster.Table),
+// or -1 while it is not a member of one. Lock-free.
+func (h *Host) Slot() int { return int(h.slot.Load()) }
+
 // NumReplicas returns the number of subscribed replicas. Lock-free.
-func (h *Host) NumReplicas() int { return int(h.numReplicas.Load()) }
+func (h *Host) NumReplicas() int { return int(h.row.Load().replicas.Load()) }
 
 // Subscribed returns the sum of subscribed resource requests.
 func (h *Host) Subscribed() resources.Spec {
@@ -216,7 +235,7 @@ func (h *Host) Subscribed() resources.Spec {
 }
 
 // SubscribedGPUs returns the host's subscribed GPU count. Lock-free.
-func (h *Host) SubscribedGPUs() int { return int(h.subscribedGPUs.Load()) }
+func (h *Host) SubscribedGPUs() int { return h.row.Load().SubscribedGPUs() }
 
 // SubscriptionRatio returns S/(G*R) for this host (paper §3.4.1), where S
 // is subscribed GPUs, G the host's GPU count, and R replicas per kernel.
@@ -257,7 +276,7 @@ func (h *Host) Committed() resources.Spec {
 // while a concurrent Commit or Release is between its two locks, so it is
 // a ranking hint and Commit stays the authority on what fits.
 func (h *Host) IdleGPUs() int {
-	return h.Capacity.GPUs - int(h.committedGPUs.Load())
+	return h.Capacity.GPUs - h.row.Load().CommittedGPUs()
 }
 
 // Empty reports whether the host holds no replicas and no commitments —
@@ -275,7 +294,16 @@ type Cluster struct {
 	// list holds the member hosts in insertion order. Each snapshot is
 	// immutable: a membership change builds a new one and publishes it
 	// under mu, so NumHosts and ForEachHost read it without the lock.
-	list              atomic.Pointer[[]*Host]
+	list atomic.Pointer[[]*Host]
+	// table is the current view of the dense host table (table.go): each
+	// member's scan state in cluster-owned rows. free holds, per host
+	// shape, the unoccupied slots of that shape's chunks; byID lists the
+	// members in host-ID order, which is what row ordinals follow. A new
+	// view is published under mu when a chunk is added; the other two are
+	// only touched under mu.
+	table             atomic.Pointer[Table]
+	free              [][]int
+	byID              []*Host
 	replicasPerKernel int
 	agg               aggregates
 	// notifier is invoked after every capacity-freeing transition
@@ -294,6 +322,7 @@ func New(replicasPerKernel int) *Cluster {
 		replicasPerKernel: replicasPerKernel,
 	}
 	c.list.Store(new([]*Host))
+	c.table.Store(new(Table))
 	return c
 }
 
@@ -339,8 +368,8 @@ func (c *Cluster) AddHost(h *Host) error {
 	c.hosts[h.ID] = h
 	cur := *c.list.Load()
 	c.setList(append(append(make([]*Host, 0, len(cur)+1), cur...), h))
+	c.seat(h)
 	c.mu.Unlock()
-	h.attach(&c.agg, c.capacityFreed)
 	c.capacityFreed()
 	return nil
 }
@@ -364,8 +393,8 @@ func (c *Cluster) RemoveHost(id string) error {
 	}
 	delete(c.hosts, id)
 	c.setList(c.without(h))
+	c.unseat(h)
 	c.mu.Unlock()
-	h.detach()
 	return nil
 }
 
@@ -386,8 +415,8 @@ func (c *Cluster) CrashHost(id string) error {
 	}
 	delete(c.hosts, id)
 	c.setList(c.without(h))
+	c.unseat(h)
 	c.mu.Unlock()
-	h.detach()
 	return nil
 }
 

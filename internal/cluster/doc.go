@@ -13,13 +13,29 @@
 // scans. The invariant — counters always equal a from-scratch recount over
 // the member hosts — is enforced by a property test.
 //
+// The dense host table (table.go): each member host owns one slot of a
+// cluster-owned table, and the numbers a placement scan ranks on — its
+// subscribed and committed GPUs, plus an ordinal that sorts as its ID does —
+// live in that slot's Row, in chunks of TableChunk rows per host shape, so
+// a scan walks contiguous integers (Cluster.Table) instead of chasing one
+// pointer per host. A host's row is the only place its counters are
+// published while it is a member; outside a cluster they live in the Host
+// itself. Ordinals follow the string order of host IDs, whatever order
+// hosts join in: the simulator names hosts "<member>-h%04d", which sorts as
+// the join sequence only up to a member's 9,999th host ("h10000" <
+// "h9999"), and nothing relies on it sorting that way.
+//
 // Concurrency contract: every write, and every read of a map entry or a
 // whole Spec, takes the host or cluster lock. The single-word reads a
-// placement or autoscale scan makes on every host — Host.SubscribedGPUs,
-// IdleGPUs, NumReplicas, SubscriptionRatio, Cluster.NumHosts, ForEachHost
-// and the aggregates — are lock-free: atomics stored under the lock that
-// serialises their writers, and an immutable membership snapshot behind an
-// atomic.Pointer. They are exact at quiescent points (the same property
-// test recounts them under the locks after every step) and advisory under
-// concurrent writers: Commit stays the authority on what fits.
+// placement or autoscale scan makes on every host — the Rows of the table,
+// Host.SubscribedGPUs, IdleGPUs, NumReplicas, SubscriptionRatio and Slot,
+// Cluster.NumHosts, ForEachHost and the aggregates — are lock-free: row
+// counters are atomics stored under the lock of the host that occupies the
+// row, a chunk's occupancy mask, host pointers and ordinals under the
+// cluster lock, and the membership list and the table's chunk list are
+// immutable snapshots behind an atomic.Pointer. They are exact at quiescent
+// points (the same property test recounts them under the locks after every
+// step) and advisory under concurrent writers: Commit stays the authority
+// on what fits, and a scan racing a membership change may rank a slot whose
+// occupant just changed.
 package cluster

@@ -3,6 +3,9 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"notebookos/internal/cluster"
@@ -42,62 +45,134 @@ type LeastLoaded struct {
 // Name implements PlacementPolicy.
 func (LeastLoaded) Name() string { return "least-loaded" }
 
-// scored is one placement candidate with its selection keys.
-type scored struct {
-	h      *cluster.Host
-	postSR float64
-	idle   int
+// shapeTerms is what one selection resolves once per host shape, so the
+// scan over the hosts compares integers only.
+type shapeTerms struct {
+	// gpus is the shape's GPU count: idle GPUs are gpus minus committed.
+	gpus int32
+	// srDenom is G*R, the denominator of the post-placement SR
+	// S/(G*R); 0 for a shape whose SR is identically 0 (no GPUs). subMask
+	// keeps a subscribed-GPU count as it is, or zeroes it for such a shape,
+	// so that its hosts tie on SR.
+	srDenom int
+	subMask int32
+	// maxSub and balSub are the largest post-placement subscribed-GPU
+	// counts whose SR stays within the high watermark and within the
+	// dynamic cluster-wide limit. A shape the request does not fit has
+	// maxSub math.MinInt32, and its chunks are skipped.
+	maxSub, balSub int32
 }
 
-// better reports whether a ranks strictly before b in least-loaded order:
-// most idle GPUs first, then lowest post-placement SR, then host ID.
-func (a scored) better(b scored) bool {
+// maxWithin returns the largest subscribed-GPU count s for which
+// float64(s)/float64(denom) <= bound — the very expression the SR rules
+// are written in, evaluated at the boundary, so comparing a count with the
+// result decides exactly as evaluating the expression on it would
+// (correctly rounded division is monotone in its numerator).
+func maxWithin(bound float64, denom int) int32 {
+	d := float64(denom)
+	if x := bound * d; x < math.MaxInt32 {
+		s := int32(x)
+		for s < math.MaxInt32 && float64(s+1)/d <= bound {
+			s++
+		}
+		for float64(s)/d > bound {
+			s--
+		}
+		return s
+	}
+	return math.MaxInt32 // every count is within the bound
+}
+
+// candidate is one viable host with its selection keys, all integers: idle
+// GPUs, post-placement subscribed GPUs (0 on a shape whose SR is
+// identically 0) with the shape that turns them into an SR, and the host's
+// ordinal, which sorts as its ID does.
+type candidate struct {
+	idle, sub, shape, ord, slot int32
+}
+
+// before reports whether a ranks strictly before b in least-loaded order:
+// most idle GPUs first, then lowest post-placement SR, then host ID. On one
+// shape the SRs order as their numerators do (they are distinct floats:
+// the counts are int32); across shapes they are computed and compared as
+// floats, which a uniform cluster never reaches.
+func (a candidate) before(b *candidate, terms []shapeTerms) bool {
 	if a.idle != b.idle {
 		return a.idle > b.idle
 	}
-	if a.postSR != b.postSR {
-		return a.postSR < b.postSR
+	if a.shape == b.shape {
+		if a.sub != b.sub {
+			return a.sub < b.sub
+		}
+	} else if x, y := a.postSR(terms), b.postSR(terms); x != y {
+		return x < y
 	}
-	return a.h.ID < b.h.ID
+	return a.ord < b.ord
+}
+
+func (a candidate) postSR(terms []shapeTerms) float64 {
+	if d := terms[a.shape].srDenom; d != 0 {
+		return float64(a.sub) / float64(d)
+	}
+	return 0
 }
 
 // topN keeps the n best candidates in selection order via insertion into a
-// small sorted array — a partial selection that replaces the former
-// collect-everything-then-sort.Slice pass, doing O(hosts·n) comparisons
-// with no per-host allocation. buf is the caller's scratch, n long; insert
-// never stores a slice header, so a stack-allocated scratch stays there.
+// small sorted array: O(hosts·n) comparisons at worst, and — since most
+// hosts rank after the n-th best already kept — one comparison for most.
+// buf is the caller's scratch, n long; offer never stores a slice header,
+// so a stack-allocated scratch stays there.
 type topN struct {
-	buf  []scored
+	buf  []candidate
 	kept int
 }
 
-func (t *topN) insert(s scored) {
-	if t.kept == len(t.buf) && t.buf[t.kept-1].better(s) {
-		return
-	}
+func (t *topN) offer(c candidate, terms []shapeTerms) {
 	i := t.kept
 	if i < len(t.buf) {
 		t.kept++
-	} else {
-		i--
+	} else if i--; !c.before(&t.buf[i], terms) {
+		return
 	}
-	for i > 0 && s.better(t.buf[i-1]) {
+	for i > 0 && c.before(&t.buf[i-1], terms) {
 		t.buf[i] = t.buf[i-1]
 		i--
 	}
-	t.buf[i] = s
+	t.buf[i] = c
 }
 
 // stackSelect is the largest n whose candidate scratch LeastLoaded keeps on
-// the stack: R is 3 everywhere but the replica-count ablation.
-const stackSelect = 4
+// the stack: R is 3 everywhere but the replica-count ablation. stackShapes
+// is the same for the per-shape terms: clusters are built from a handful of
+// instance types.
+const (
+	stackSelect = 4
+	stackShapes = 8
+)
 
-// SelectHosts implements PlacementPolicy. It streams over the cluster's
-// hosts exactly once, maintaining two partial selections: hosts whose
+// SelectHosts implements PlacementPolicy.
+func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*cluster.Host, error) {
+	out := make([]*cluster.Host, n)
+	if err := p.SelectInto(c, req, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SelectInto is SelectHosts into the caller's buffer: it picks len(out)
+// distinct hosts, allocating nothing up to stackSelect hosts on
+// stackShapes host shapes. It makes one pass over the cluster's dense host
+// table (cluster.Table), maintaining two partial selections: hosts whose
 // post-placement SR stays within the dynamic cluster-wide limit
 // ("balanced"), and all viable hosts as a fallback when the balance rule
-// leaves fewer than n candidates.
-func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*cluster.Host, error) {
+// leaves fewer than n candidates. What depends only on the request and a
+// host's shape — whether it fits, and where the watermark and the limit
+// fall — is settled once per shape before the pass.
+func (p LeastLoaded) SelectInto(c *cluster.Cluster, req resources.Spec, out []*cluster.Host) error {
+	n := len(out)
+	if n == 0 {
+		return nil
+	}
 	watermark := p.SRHighWatermark
 	if watermark <= 0 {
 		watermark = DefaultSRHighWatermark
@@ -105,53 +180,149 @@ func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) 
 	r := c.ReplicasPerKernel()
 	limit := c.SRLimit()
 
-	// One backing array serves both candidate selections; up to
-	// stackSelect hosts per call it lives on the stack.
-	var stack [2 * stackSelect]scored
-	scratch := stack[:]
+	tab := c.Table()
+	var termStack [stackShapes]shapeTerms
+	terms := termStack[:0]
+	for _, shape := range tab.Shapes() {
+		t := shapeTerms{gpus: int32(shape.GPUs), srDenom: shape.GPUs * r, maxSub: math.MinInt32}
+		if req.Fits(shape) {
+			t.maxSub, t.balSub = math.MaxInt32, math.MaxInt32
+			if t.srDenom > 0 {
+				t.subMask = -1
+				t.maxSub = maxWithin(watermark, t.srDenom)
+				// The dynamic limit only constrains once the cluster has
+				// subscriptions; at bootstrap (limit 0) every host balances.
+				if limit != 0 {
+					t.balSub = maxWithin(limit, t.srDenom)
+				}
+			}
+		}
+		terms = append(terms, t)
+	}
+
+	// One backing array serves both candidate selections.
+	var candStack [2 * stackSelect]candidate
+	scratch := candStack[:]
 	if n > stackSelect {
-		scratch = make([]scored, 2*n)
+		scratch = make([]candidate, 2*n)
 	}
-	balanced := topN{buf: scratch[:n]}
-	viable := topN{buf: scratch[n : 2*n]}
-	balancedCount := 0
-	c.ForEachHost(func(h *cluster.Host) bool {
-		if !req.Fits(h.Capacity) {
-			return true
+	for {
+		pass := pass{
+			terms:    terms,
+			reqGPUs:  int32(req.GPUs),
+			balanced: topN{buf: scratch[:n]},
+			viable:   topN{buf: scratch[n : 2*n]},
 		}
-		postSubscribed := h.SubscribedGPUs() + req.GPUs
-		postSR := 0.0
-		if h.Capacity.GPUs > 0 && r > 0 {
-			postSR = float64(postSubscribed) / float64(h.Capacity.GPUs*r)
+		for j := 0; j < tab.Chunks(); j++ {
+			if shape := tab.Shape(j); terms[shape].maxSub != math.MinInt32 {
+				pass.scan(tab.Rows(j), tab.Live(j), int32(shape), int32(j*cluster.TableChunk))
+			}
 		}
-		if postSR > watermark {
-			return true
+		// Prefer balanced hosts; fall back to all viable ones if the balance
+		// rule leaves too few candidates.
+		sel := pass.balanced.buf[:pass.balanced.kept]
+		if pass.balanced.kept < n {
+			sel = pass.viable.buf[:pass.viable.kept]
 		}
-		s := scored{h: h, postSR: postSR, idle: h.IdleGPUs()}
-		viable.insert(s)
-		// The dynamic limit only constrains once the cluster has
-		// subscriptions; at bootstrap (limit 0) every host balances.
-		if limit == 0 || postSR <= limit {
-			balancedCount++
-			balanced.insert(s)
+		if len(sel) < n {
+			return fmt.Errorf("%w: need %d, found %d viable (req %v)",
+				ErrInsufficientHosts, n, len(sel), req)
 		}
-		return true
-	})
-	// Prefer balanced hosts; fall back to all viable ones if the balance
-	// rule leaves too few candidates.
-	sel := balanced.buf[:balanced.kept]
-	if balancedCount < n {
-		sel = viable.buf[:viable.kept]
+		if resolve(tab, sel, out) {
+			return nil
+		}
 	}
-	if len(sel) < n {
-		return nil, fmt.Errorf("%w: need %d, found %d viable (req %v)",
-			ErrInsufficientHosts, n, len(sel), req)
+}
+
+// pass is the state of one pass over the host table.
+type pass struct {
+	terms            []shapeTerms
+	reqGPUs          int32
+	balanced, viable topN
+	// bar is the n-th best of the selection that decides as things stand,
+	// barred whether there is one yet: the balanced selection once n hosts
+	// balance (full) — from then on the fallback is moot: it is read only
+	// if fewer than n hosts balance in the end, and then that held at every
+	// host of the pass — and until then the fallback, once it holds n.
+	bar          candidate
+	barred, full bool
+}
+
+// beats reports whether b, the n-th best a selection already keeps, ranks
+// before a host with these keys — decided on integers alone, and exactly
+// unless the two are of different shapes, where it leaves the verdict to
+// candidate.before. Nearly every host of a pass ends here.
+func (b *candidate) beats(idle, sub, shape int32, row *cluster.Row) bool {
+	if idle != b.idle {
+		return idle < b.idle
 	}
-	out := make([]*cluster.Host, n)
-	for i := 0; i < n; i++ {
-		out[i] = sel[i].h
+	if shape != b.shape {
+		return false
 	}
-	return out, nil
+	if sub != b.sub {
+		return sub > b.sub
+	}
+	return int32(row.Ord()) > b.ord
+}
+
+// scan offers the viable hosts of one chunk — hosts of one shape, in the
+// live slots of rows, the first of which is slot base — to the selections.
+// The loop is kept to what turns a host away, so that its few variables
+// stay in registers; a host that may be selected goes to consider.
+func (p *pass) scan(rows *[cluster.TableChunk]cluster.Row, live uint32, shape, base int32) {
+	t := &p.terms[shape]
+	for ; live != 0; live &= live - 1 {
+		i := bits.TrailingZeros32(live) % cluster.TableChunk // live != 0, so the remainder only spares a bounds check
+		row := &rows[i]
+		sub := int32(row.SubscribedGPUs()) + p.reqGPUs
+		if sub > t.maxSub {
+			continue
+		}
+		inBalance := sub <= t.balSub
+		if p.full && !inBalance {
+			continue
+		}
+		sub &= t.subMask
+		idle := t.gpus - int32(row.CommittedGPUs())
+		beaten := p.barred && p.bar.beats(idle, sub, shape, row)
+		if beaten && (p.full || !inBalance) {
+			continue
+		}
+		p.consider(candidate{idle: idle, sub: sub, shape: shape, ord: int32(row.Ord()), slot: base + int32(i)}, inBalance, beaten)
+	}
+}
+
+// consider offers a host scan could not turn away to the selections, and
+// moves the bar.
+func (p *pass) consider(c candidate, inBalance, beaten bool) {
+	if inBalance {
+		p.balanced.offer(c, p.terms)
+		if t := &p.balanced; t.kept == len(t.buf) {
+			p.bar, p.barred, p.full = t.buf[t.kept-1], true, true
+			return
+		}
+	}
+	if !beaten {
+		p.viable.offer(c, p.terms)
+		if t := &p.viable; t.kept == len(t.buf) {
+			p.bar, p.barred = t.buf[t.kept-1], true
+		}
+	}
+}
+
+// resolve turns the selected slots into hosts and reports whether they are
+// n distinct members. Only a membership change racing the pass can make
+// them otherwise — a selected host left, or left and rejoined in a second
+// slot — and then the pass is simply made again.
+func resolve(tab *cluster.Table, sel []candidate, out []*cluster.Host) bool {
+	for i := range out {
+		h := tab.Host(int(sel[i].slot))
+		if h == nil || slices.Contains(out[:i], h) {
+			return false
+		}
+		out[i] = h
+	}
+	return true
 }
 
 // Random places replicas on uniformly random viable hosts; a baseline for
@@ -208,7 +379,11 @@ func (p Packed) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*c
 	r := c.ReplicasPerKernel()
 	// Idle GPUs are read once per candidate: the sort must see one
 	// consistent key per host even if a commit lands while it runs.
-	var viable []scored
+	type loaded struct {
+		h    *cluster.Host
+		idle int
+	}
+	var viable []loaded
 	c.ForEachHost(func(h *cluster.Host) bool {
 		if !req.Fits(h.Capacity) {
 			return true
@@ -221,7 +396,7 @@ func (p Packed) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*c
 		if postSR > watermark {
 			return true
 		}
-		viable = append(viable, scored{h: h, idle: h.IdleGPUs()})
+		viable = append(viable, loaded{h, h.IdleGPUs()})
 		return true
 	})
 	if len(viable) < n {

@@ -395,7 +395,7 @@ func TestQuorumLossRestartsTask(t *testing.T) {
 			continue
 		}
 		if !downed {
-			_ = h.h.RemoveReplica(ss.replicaKeyFor(i + 1))
+			_ = h.h.RemoveReplica(ss.src.ID)
 			ss.hosts[i] = nil
 			downed = true
 			continue

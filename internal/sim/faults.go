@@ -120,11 +120,12 @@ func (s *sim) crashHost(h *host, down time.Duration) {
 	if idx < 0 {
 		return
 	}
+	slot := h.h.Slot()
 	if err := m.c.CrashHost(h.h.ID); err != nil {
 		return
 	}
 	m.hosts = append(m.hosts[:idx], m.hosts[idx+1:]...)
-	delete(s.byHost, h.h)
+	m.bySlot[slot] = nil
 	s.res.HostCrashes++
 	s.noteHosts(-1)
 	s.repairSessions(h)
@@ -253,7 +254,7 @@ func (s *sim) rehomeReplica(ss *session, slot int) bool {
 	} else {
 		s.res.ColdStarts++
 	}
-	_ = target.h.PlaceReplica(ss.replicaKeyFor(slot+1), ss.req)
+	ss.subscribe(target)
 	ss.hosts[slot] = target
 	return true
 }

@@ -766,9 +766,8 @@ func (s *sim) evictOneHost() bool {
 			if best == nil {
 				return false
 			}
-			key := ss.replicaKeyFor(idx + 1)
-			_ = victim.h.RemoveReplica(key)
-			_ = best.h.PlaceReplica(key, ss.req)
+			_ = victim.h.RemoveReplica(ss.src.ID)
+			ss.subscribe(best)
 			ss.hosts[idx] = best
 		}
 	}

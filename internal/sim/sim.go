@@ -5,8 +5,6 @@ import (
 	"iter"
 	"math"
 	"math/rand"
-	"strconv"
-	"strings"
 	"time"
 
 	"notebookos/internal/cluster"
@@ -238,9 +236,11 @@ type record struct {
 
 // session is the per-session simulation state.
 type session struct {
-	src   *trace.Session
-	req   resources.Spec
-	assig workload.Assignment
+	src *trace.Session
+	req resources.Spec
+	// paramBytes and datasetBytes size the session's model and dataset, one
+	// workload.Assign draw.
+	paramBytes, datasetBytes int64
 	// home is the member cluster the session is homed at: round-robin in
 	// arrival order, so always 0 in a single-cluster run.
 	home int
@@ -251,17 +251,12 @@ type session struct {
 	// second allocation.
 	hosts []*host
 	slots [3]*host
-	// holder is the session's exclusive-commit key ("<kind>/<id>"), built
-	// once at session creation. A session's tasks are strictly serialized
-	// (running + FCFS queue), so at most one commitment per session is ever
-	// outstanding and one key can serve every task — the per-attempt
-	// "<kind>/<id>/<nanos>" keys were the task path's largest allocation
-	// source on long traces.
-	holder string
-	// rkeys caches the session's replica subscription keys ("<id>/r<i>"),
-	// built once at kernel creation and reused at shutdown and on every
-	// migration.
-	rkeys        []string
+	// The session ID (src.ID) is the key of everything the session holds on
+	// a host. As exclusive-commit holder: a session's tasks are strictly
+	// serialized (running + FCFS queue), so at most one commitment per
+	// session is ever outstanding. As replica subscription key: a session's
+	// replicas always sit on distinct hosts (every placement excludes
+	// hosts), and subscribe checks it.
 	lastExecutor int
 	queue        []trace.Task
 	running      bool
@@ -273,12 +268,14 @@ type session struct {
 	restarts int
 }
 
-// replicaKeyFor returns the cached key for replica i (1-based).
-func (ss *session) replicaKeyFor(i int) string {
-	if len(ss.rkeys) < i {
-		ss.rkeys = extendReplicaKeys(ss.rkeys, ss.src.ID, i)
+// subscribe places one of the session's replicas on h, a host the caller
+// just selected outside the session's replica set. A refusal can only be a
+// second replica of the session on h, which would silently drop a
+// subscription from every counter.
+func (ss *session) subscribe(h *host) {
+	if err := h.h.PlaceReplica(ss.src.ID, ss.req); err != nil {
+		panic(fmt.Sprintf("sim: session %s: replica refused by selected host %s: %v", ss.src.ID, h.h.ID, err))
 	}
-	return ss.rkeys[i-1]
 }
 
 // host pairs a cluster host with the simulator's per-host state (owning
@@ -297,8 +294,11 @@ type member struct {
 	// spec carries the member's name, host shape and scale-in floor.
 	spec FedClusterSpec
 	c    *cluster.Cluster
-	// hosts mirrors the cluster membership in insertion order.
+	// hosts mirrors the cluster membership in insertion order; bySlot
+	// resolves the hosts a placement selects back to their wrappers, by
+	// cluster table slot.
 	hosts   []*host
+	bySlot  []*host
 	hostSeq int
 	// pendingHosts counts servers being provisioned (scale-out latency).
 	pendingHosts int
@@ -324,9 +324,8 @@ type sim struct {
 	fed       *federation.Federation
 	members   []*member
 	placement scheduler.LeastLoaded
-	// byHost resolves the hosts returned by the placement policy back to
-	// their wrappers (warm counts, member index).
-	byHost map[*cluster.Host]*host
+	// selected is the placement's output buffer, R long.
+	selected []*cluster.Host
 	// waitq parks tasks blocked on capacity anywhere in the federation; it
 	// is woken by any member's Release/AddHost via the federation's
 	// capacity-notification fan-in.
@@ -360,11 +359,9 @@ type sim struct {
 	// sampleSeq numbers the lean-mode reservoir seeds in recorder creation
 	// order, so merges stay reproducible.
 	sampleSeq int64
-	// kind is the holder-key namespace, wr the workload-assignment stream
-	// (shared by the up-front loop and the lazy injector so both draw in
-	// arrival order), homeSeq the admitted-session count behind round-robin
-	// home assignment.
-	kind    string
+	// wr is the workload-assignment stream (shared by the up-front loop and
+	// the lazy injector so both draw in arrival order), homeSeq the
+	// admitted-session count behind round-robin home assignment.
 	wr      *rand.Rand
 	homeSeq int
 	// pull yields the source's next session under streaming; stopPull
@@ -390,62 +387,6 @@ type sim struct {
 	// perturbs the scheduling RNG.
 	faultsOn bool
 	frng     *rand.Rand
-}
-
-// holderKind names the exclusive-commit key namespace each policy's task
-// path uses; Reservation holds for whole sessions under "sess".
-func holderKind(p Policy) string {
-	switch p {
-	case PolicyReservation:
-		return "sess"
-	case PolicyBatch:
-		return "batch"
-	case PolicyLCP:
-		return "lcp"
-	default:
-		return "nbos"
-	}
-}
-
-// extendReplicaKeys grows keys to n entries of "<id>/r<i>" (1-based),
-// carving every new key out of one backing buffer: a kernel's R keys cost
-// two allocations (buffer + slice) instead of one per key.
-func extendReplicaKeys(keys []string, id string, n int) []string {
-	if cap(keys) < n {
-		nk := make([]string, len(keys), n)
-		copy(nk, keys)
-		keys = nk
-	}
-	start := len(keys)
-	size := 0
-	for i := start + 1; i <= n; i++ {
-		size += len(id) + 2 + decimalDigits(i)
-	}
-	var b strings.Builder
-	b.Grow(size)
-	for i := start + 1; i <= n; i++ {
-		b.WriteString(id)
-		b.WriteString("/r")
-		b.WriteString(strconv.Itoa(i))
-	}
-	blob := b.String()
-	pos := 0
-	for i := start + 1; i <= n; i++ {
-		l := len(id) + 2 + decimalDigits(i)
-		keys = append(keys, blob[pos:pos+l])
-		pos += l
-	}
-	return keys
-}
-
-// decimalDigits returns the number of base-10 digits of i > 0.
-func decimalDigits(i int) int {
-	d := 1
-	for i >= 10 {
-		i /= 10
-		d++
-	}
-	return d
 }
 
 // Run executes the simulation and returns its result.
@@ -499,14 +440,13 @@ func newSim(p *plan) (*sim, error) {
 		rng:       rand.New(rand.NewSource(p.Seed + 1)),
 		fed:       federation.New(p.InterClusterPenalty),
 		placement: scheduler.LeastLoaded{SRHighWatermark: p.SRHighWatermark},
-		byHost:    map[*cluster.Host]*host{},
+		selected:  make([]*cluster.Host, p.ReplicasPerKernel),
 		waitq:     newCapacityWaitQueue(eng),
 		src:       src,
 		start:     start,
 		end:       end,
 		streaming: p.Source != nil,
 		sampleSeq: p.Seed + 1000,
-		kind:      holderKind(p.Policy),
 		wr:        rand.New(rand.NewSource(p.Seed + 2)),
 		trackLive: p.leaseManaged,
 	}
@@ -708,12 +648,13 @@ func (s *sim) wholeServers() bool {
 // of the arrival-order stream and its home member the next round-robin
 // slot.
 func (s *sim) newSession(sess *trace.Session) *session {
+	assig := workload.Assign(s.wr)
 	ss := &session{
-		src:    sess,
-		req:    sess.Request,
-		assig:  workload.Assign(s.wr),
-		home:   s.homeSeq % len(s.members),
-		holder: s.kind + "/" + sess.ID,
+		src:          sess,
+		req:          sess.Request,
+		paramBytes:   assig.Model.ParamBytes,
+		datasetBytes: assig.Dataset.SizeBytes,
+		home:         s.homeSeq % len(s.members),
 	}
 	s.homeSeq++
 	s.members[ss.home].res.HomeSessions++
@@ -803,7 +744,10 @@ func (s *sim) addHost(mi int) *host {
 	}
 	h := &host{h: ch, member: mi, warm: s.cfg.PrewarmPerHost}
 	m.hosts = append(m.hosts, h)
-	s.byHost[ch] = h
+	for len(m.bySlot) <= ch.Slot() {
+		m.bySlot = append(m.bySlot, nil)
+	}
+	m.bySlot[ch.Slot()] = h
 	if s.faultsOn {
 		s.armHostFaults(h, m.hostSeq)
 	}
@@ -873,14 +817,14 @@ func (s *sim) sessionStart(ss *session) {
 func (s *sim) placeSession(ss *session) bool {
 	for _, idx := range s.routeOrder(ss.home) {
 		m := s.members[idx]
-		hosts, err := s.placement.SelectHosts(m.c, ss.req, s.cfg.ReplicasPerKernel)
-		if err != nil {
+		if s.placement.SelectInto(m.c, ss.req, s.selected) != nil {
 			continue
 		}
 		ss.hosts = ss.slots[:0]
-		for i, ch := range hosts {
-			_ = ch.PlaceReplica(ss.replicaKeyFor(i+1), ss.req)
-			ss.hosts = append(ss.hosts, s.byHost[ch])
+		for _, ch := range s.selected {
+			h := m.bySlot[ch.Slot()]
+			ss.subscribe(h)
+			ss.hosts = append(ss.hosts, h)
 		}
 		m.res.PlacedSessions++
 		if idx == ss.home {
@@ -904,7 +848,7 @@ func (s *sim) reserveHost(ss *session) *host {
 		}
 		h = s.addHost(ss.home)
 	}
-	if err := h.h.Commit(ss.holder, ss.req); err != nil {
+	if err := h.h.Commit(ss.src.ID, ss.req); err != nil {
 		panic(err) // a fresh host always fits a request its shape fits
 	}
 	return h
@@ -928,14 +872,14 @@ func (s *sim) sessionEnd(ss *session) {
 	switch s.cfg.Policy {
 	case PolicyReservation:
 		if len(ss.hosts) > 0 && ss.hosts[0] != nil {
-			_ = ss.hosts[0].h.Release(ss.holder)
+			_ = ss.hosts[0].h.Release(ss.src.ID)
 		}
 	case PolicyNotebookOS:
-		for i, h := range ss.hosts {
+		for _, h := range ss.hosts {
 			if h == nil {
 				continue // crash-emptied slot (faults.go)
 			}
-			_ = h.h.RemoveReplica(ss.replicaKeyFor(i + 1))
+			_ = h.h.RemoveReplica(ss.src.ID)
 		}
 		s.sampleSR()
 	}
@@ -1066,7 +1010,7 @@ func (s *sim) tryReservationTask(ss *session, task trace.Task, submit time.Time)
 	lat := &s.cfg.Latencies
 	step1 := lat.GSProcess(s.rng)
 	step5 := lat.PreProcess(s.rng)
-	step7 := lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs)
+	step7 := lat.Transfer.LoadTime(ss.paramBytes, task.GPUs)
 	s.sampleLead(step1, step5, 0, step7)
 	hops := lat.Hop(s.rng) + lat.Hop(s.rng)
 	delay := step1 + step5 + step7 + hops
@@ -1082,7 +1026,7 @@ func (s *sim) tryBatchTask(ss *session, task trace.Task, submit time.Time) bool 
 	// A batch job requests the session's full configured resources, the
 	// way a slurm submission would, not just the GPUs this task touches.
 	h := s.hostWithIdle(ss.req)
-	if h == nil || h.h.Commit(ss.holder, ss.req) != nil {
+	if h == nil || h.h.Commit(ss.src.ID, ss.req) != nil {
 		return false
 	}
 	s.res.ColdStarts++
@@ -1112,7 +1056,7 @@ scan:
 			}
 		}
 	}
-	if target == nil || target.h.Commit(ss.holder, req) != nil {
+	if target == nil || target.h.Commit(ss.src.ID, req) != nil {
 		return false
 	}
 	var start time.Duration
@@ -1135,11 +1079,11 @@ scan:
 func (s *sim) launchContainer(ss *session, task trace.Task, submit time.Time, h *host, start time.Duration) {
 	lat := &s.cfg.Latencies
 	queueing := s.now().Sub(submit)
-	fetch := lat.Store.GetLatency(ss.assig.Model.ParamBytes+ss.assig.Dataset.SizeBytes/16, s.rng)
+	fetch := lat.Store.GetLatency(ss.paramBytes+ss.datasetBytes/16, s.rng)
 	s.res.ReadLatency.Add(fetch.Seconds())
 	step1 := queueing + start + lat.GSProcess(s.rng)
 	step5 := lat.PreProcess(s.rng) + fetch
-	step7 := lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs)
+	step7 := lat.Transfer.LoadTime(ss.paramBytes, task.GPUs)
 	s.sampleLead(step1, step5, 0, step7)
 	delay := step1 + step5 + step7
 	s.launch(ss, task, submit, h, delay, s.now().Add(delay))
@@ -1178,7 +1122,7 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 		return s.tryMigrate(ss, task, submit)
 	}
 	h := ss.hosts[executor-1]
-	if err := h.h.Commit(ss.holder, req); err != nil {
+	if err := h.h.Commit(ss.src.ID, req); err != nil {
 		return s.tryMigrate(ss, task, submit)
 	}
 	if migrationDelay == 0 {
@@ -1203,7 +1147,7 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 	step1 := lat.GSProcess(s.rng)
 	step5 := lat.PreProcess(s.rng)
 	step6 := lat.Election(s.rng)
-	step7 := lat.Transfer.LoadTime(ss.assig.Model.ParamBytes, task.GPUs)
+	step7 := lat.Transfer.LoadTime(ss.paramBytes, task.GPUs)
 	s.sampleLead(step1, step5, step6, step7)
 	hops := lat.Hop(s.rng) + lat.Hop(s.rng)
 	delay := migrationDelay + step1 + step5 + step6 + step7 + hops + wan
@@ -1248,8 +1192,8 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 		extra += lat.ColdStart(s.rng)
 	}
 	// Persist + restore checkpointed state through the data store.
-	wr := lat.Store.PutLatency(ss.assig.Model.ParamBytes, s.rng)
-	rd := lat.Store.GetLatency(ss.assig.Model.ParamBytes, s.rng)
+	wr := lat.Store.PutLatency(ss.paramBytes, s.rng)
+	rd := lat.Store.GetLatency(ss.paramBytes, s.rng)
 	if s.res.WriteLatency != nil {
 		s.res.WriteLatency.Add(wr.Seconds())
 		s.res.ReadLatency.Add(rd.Seconds())
@@ -1271,9 +1215,8 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 		}
 	}
 	old := ss.hosts[victim]
-	key := ss.replicaKeyFor(victim + 1)
 	if old != nil {
-		_ = old.h.RemoveReplica(key)
+		_ = old.h.RemoveReplica(ss.src.ID)
 		if old.member != target.member {
 			// A cross-cluster move pays the federation boundary in both
 			// directions for the checkpoint transfer.
@@ -1281,7 +1224,7 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 			s.res.crossMigrations++
 		}
 	}
-	_ = target.h.PlaceReplica(key, ss.req)
+	ss.subscribe(target)
 	ss.hosts[victim] = target
 	ss.lastExecutor = victim + 1
 	s.res.Migrations++
@@ -1502,11 +1445,12 @@ func (s *sim) removeHostIfEmpty(m *member, i int) bool {
 	if !h.h.Empty() {
 		return false
 	}
+	slot := h.h.Slot()
 	if err := m.c.RemoveHost(h.h.ID); err != nil {
 		return false
 	}
 	m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
-	delete(s.byHost, h.h)
+	m.bySlot[slot] = nil
 	s.noteHosts(-1)
 	return true
 }

@@ -70,7 +70,7 @@ func (t *runningTask) Fire() {
 	case 1: // execution done
 		t.phase = 2
 		s.sampleStep(StepExec, t.task.Duration)
-		params := t.ss.assig.Model.ParamBytes
+		params := t.ss.paramBytes
 		var post time.Duration
 		if s.cfg.Policy == PolicyNotebookOS {
 			// State replication is off the critical path (§3.2.4): the reply
@@ -105,7 +105,7 @@ func (t *runningTask) Fire() {
 // none: its GPUs stay bound to the session for its whole lifetime.
 func (t *runningTask) release() {
 	if t.s.cfg.Policy != PolicyReservation {
-		_ = t.h.h.Release(t.ss.holder)
+		_ = t.h.h.Release(t.ss.src.ID)
 	}
 }
 

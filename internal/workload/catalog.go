@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Domain is an application domain from Table 1.
@@ -30,9 +31,16 @@ type Dataset struct {
 	Domain    Domain
 }
 
-// Models returns the Table 1 models with representative sizes.
-func Models() []Model {
-	return []Model{
+// domainCatalog is one domain's share of the catalog.
+type domainCatalog struct {
+	domain   Domain
+	models   []Model
+	datasets []Dataset
+}
+
+// The Table 1 catalog. Read-only after package initialisation.
+var (
+	models = []Model{
 		{Name: "vgg16", ParamBytes: 528 << 20, Domain: ComputerVision},
 		{Name: "resnet18", ParamBytes: 45 << 20, Domain: ComputerVision},
 		{Name: "inception_v3", ParamBytes: 92 << 20, Domain: ComputerVision},
@@ -40,11 +48,7 @@ func Models() []Model {
 		{Name: "gpt2", ParamBytes: 548 << 20, Domain: NLP},
 		{Name: "deepspeech2", ParamBytes: 349 << 20, Domain: SpeechRecognition},
 	}
-}
-
-// Datasets returns the Table 1 datasets with representative sizes.
-func Datasets() []Dataset {
-	return []Dataset{
+	datasets = []Dataset{
 		{Name: "cifar10", SizeBytes: 163 << 20, Domain: ComputerVision},
 		{Name: "cifar100", SizeBytes: 161 << 20, Domain: ComputerVision},
 		{Name: "tiny-imagenet", SizeBytes: 237 << 20, Domain: ComputerVision},
@@ -52,11 +56,35 @@ func Datasets() []Dataset {
 		{Name: "cola", SizeBytes: 1 << 20, Domain: NLP},
 		{Name: "librispeech", SizeBytes: 60 << 30, Domain: SpeechRecognition},
 	}
-}
+	// byDomain holds, for each domain in Assign's draw order, its models
+	// and datasets in catalog order.
+	byDomain = func() (out [3]domainCatalog) {
+		for i, d := range [...]Domain{ComputerVision, NLP, SpeechRecognition} {
+			out[i].domain = d
+			for _, m := range models {
+				if m.Domain == d {
+					out[i].models = append(out[i].models, m)
+				}
+			}
+			for _, ds := range datasets {
+				if ds.Domain == d {
+					out[i].datasets = append(out[i].datasets, ds)
+				}
+			}
+		}
+		return out
+	}()
+)
+
+// Models returns the Table 1 models with representative sizes.
+func Models() []Model { return slices.Clone(models) }
+
+// Datasets returns the Table 1 datasets with representative sizes.
+func Datasets() []Dataset { return slices.Clone(datasets) }
 
 // ModelByName finds a model in the catalog.
 func ModelByName(name string) (Model, bool) {
-	for _, m := range Models() {
+	for _, m := range models {
 		if m.Name == name {
 			return m, true
 		}
@@ -66,7 +94,7 @@ func ModelByName(name string) (Model, bool) {
 
 // DatasetByName finds a dataset in the catalog.
 func DatasetByName(name string) (Dataset, bool) {
-	for _, d := range Datasets() {
+	for _, d := range datasets {
 		if d.Name == name {
 			return d, true
 		}
@@ -84,26 +112,15 @@ type Assignment struct {
 	Dataset Dataset
 }
 
-// Assign draws a random domain-consistent model/dataset pair.
+// Assign draws a random domain-consistent model/dataset pair: three draws,
+// for the domain, then the model, then the dataset. It allocates nothing;
+// the simulator calls it once per session.
 func Assign(r *rand.Rand) Assignment {
-	domains := []Domain{ComputerVision, NLP, SpeechRecognition}
-	d := domains[r.Intn(len(domains))]
-	var models []Model
-	for _, m := range Models() {
-		if m.Domain == d {
-			models = append(models, m)
-		}
-	}
-	var datasets []Dataset
-	for _, ds := range Datasets() {
-		if ds.Domain == d {
-			datasets = append(datasets, ds)
-		}
-	}
+	d := &byDomain[r.Intn(len(byDomain))]
 	return Assignment{
-		Domain:  d,
-		Model:   models[r.Intn(len(models))],
-		Dataset: datasets[r.Intn(len(datasets))],
+		Domain:  d.domain,
+		Model:   d.models[r.Intn(len(d.models))],
+		Dataset: d.datasets[r.Intn(len(d.datasets))],
 	}
 }
 

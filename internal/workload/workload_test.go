@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 
@@ -45,6 +47,28 @@ func TestAssignIsDomainConsistent(t *testing.T) {
 		if a.Model.Domain != a.Domain || a.Dataset.Domain != a.Domain {
 			t.Fatalf("cross-domain assignment: %+v", a)
 		}
+	}
+}
+
+// TestAssignGolden pins Assign's draw sequence — the simulator's workload
+// stream — against the first 64 results the per-call catalog filtering it
+// replaced produced for seed 42, and pins that a draw allocates nothing.
+func TestAssignGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/assign_seed42.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(42))
+	var got strings.Builder
+	for i := 0; i < 64; i++ {
+		a := Assign(r)
+		fmt.Fprintf(&got, "%s %s %d %s %d\n", a.Domain, a.Model.Name, a.Model.ParamBytes, a.Dataset.Name, a.Dataset.SizeBytes)
+	}
+	if got.String() != string(want) {
+		t.Errorf("Assign(seed 42) drew\n%swant\n%s", got.String(), want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Assign(r) }); allocs != 0 {
+		t.Errorf("Assign allocates %v times per call, want 0", allocs)
 	}
 }
 
