@@ -269,7 +269,7 @@ func BenchmarkFaultSweep(b *testing.B) { runExperiment(b, "fault-sweep") }
 // path: snapshot every member, run the composite four-scorer sum, and
 // sort — with a reused RouteScratch the whole decision must allocate
 // nothing (0 allocs/op is the pinned expectation; see also
-// TestDeploymentRouteAllocs for the live-platform path).
+// federation's TestRouteScratchReuse).
 func BenchmarkScoredRouting(b *testing.B) {
 	f := federation.New(25 * time.Millisecond)
 	for i := 0; i < 4; i++ {
@@ -336,8 +336,8 @@ func BenchmarkSelectHostsTied(b *testing.B) {
 }
 
 // BenchmarkFederationShardedSim measures one 2-shard federated run: two
-// worker federations over split member clusters, merged with
-// sim.MergeFedResults.
+// worker federations over split member clusters, merged by
+// sim.RunFederatedSharded.
 func BenchmarkFederationShardedSim(b *testing.B) {
 	cfg := trace.AdobeExcerptConfig(42)
 	cfg.Duration = 4 * time.Hour

@@ -2,7 +2,7 @@
 // hosts with fixed capacities, the replicas subscribed to each host, the
 // resources exclusively committed during cell execution, and the
 // subscription-ratio (SR) arithmetic of paper §3.4.1. Both the live
-// schedulers (internal/scheduler) and the discrete-event simulator
+// schedulers (internal/control) and the discrete-event simulator
 // (internal/sim) operate on this state, so placement decisions cannot
 // drift between the two.
 //

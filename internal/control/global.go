@@ -1,4 +1,4 @@
-package scheduler
+package control
 
 import (
 	"fmt"
@@ -13,25 +13,15 @@ import (
 	"notebookos/internal/pynb"
 	"notebookos/internal/raft"
 	"notebookos/internal/resources"
+	"notebookos/internal/scheduler"
 	"notebookos/internal/simclock"
 	"notebookos/internal/store"
-)
-
-// EventKind labels scheduler events for the Fig. 10 timeline.
-type EventKind string
-
-// Scheduler event kinds.
-const (
-	EventKernelCreated EventKind = "kernel-created"
-	EventMigration     EventKind = "kernel-migration"
-	EventScaleOut      EventKind = "scale-out"
-	EventScaleIn       EventKind = "scale-in"
 )
 
 // Event is one recorded scheduler event.
 type Event struct {
 	Time   time.Time
-	Kind   EventKind
+	Kind   scheduler.EventKind
 	Detail string
 }
 
@@ -59,7 +49,7 @@ type Config struct {
 	// AddHost or scale-out.
 	Cluster *cluster.Cluster
 	// Policy is the placement policy (default LeastLoaded).
-	Policy PlacementPolicy
+	Policy scheduler.PlacementPolicy
 	// Clock drives all timing.
 	Clock simclock.Clock
 	// Store is the distributed data store shared by all kernels.
@@ -103,32 +93,6 @@ type Config struct {
 	Seed int64
 	// Logger receives diagnostics; may be nil.
 	Logger raft.Logger
-}
-
-// MinHostsFloor is the one place the scale-in floor rule lives; every
-// autoscaling path (the live GlobalScheduler, the simulator's per-member
-// federated scaling, and the pooled federated autoscaler) clamps its
-// configured MinHosts through it. The rule: the effective floor is the
-// configured value, raised to at least replicas when the caller's floor
-// must keep R-replica placement feasible (replicas of one kernel live on
-// R distinct hosts, so dropping the floored tier below R hosts makes
-// placement permanently infeasible), and to at least 1 host otherwise.
-// The per-member federated floors pass replicas = R per cluster; the
-// pooled federated autoscaler passes replicas = R for its single
-// federation-wide floor (its per-member floors are replaced by the
-// placement anchor, which keeps one member at >= R hosts). The live
-// scheduler passes replicas = 0 and keeps its configured floor, because a
-// failed placement there recovers by scaling back out through its
-// HostFactory.
-func MinHostsFloor(configured, replicas int) int {
-	floor := configured
-	if floor < replicas {
-		floor = replicas
-	}
-	if floor < 1 {
-		floor = 1
-	}
-	return floor
 }
 
 type nopLogger struct{}
@@ -185,7 +149,7 @@ func New(cfg Config) (*GlobalScheduler, error) {
 		return nil, fmt.Errorf("scheduler: config requires Cluster")
 	}
 	if cfg.Policy == nil {
-		cfg.Policy = LeastLoaded{}
+		cfg.Policy = scheduler.LeastLoaded{}
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
@@ -197,8 +161,8 @@ func New(cfg Config) (*GlobalScheduler, error) {
 		cfg.ScaleFactor = 1.05
 	}
 	// replicas = 0: a failed placement triggers scale-out via the host
-	// factory, so the live scheduler need not floor at R (see MinHostsFloor).
-	cfg.MinHosts = MinHostsFloor(cfg.MinHosts, 0)
+	// factory, so the live scheduler need not floor at R (see scheduler.MinHostsFloor).
+	cfg.MinHosts = scheduler.MinHostsFloor(cfg.MinHosts, 0)
 	if cfg.MigrationRetries <= 0 {
 		cfg.MigrationRetries = 3
 	}
@@ -307,7 +271,7 @@ func (gs *GlobalScheduler) Stats() Stats {
 	return gs.stats
 }
 
-func (gs *GlobalScheduler) recordEvent(kind EventKind, detail string) {
+func (gs *GlobalScheduler) recordEvent(kind scheduler.EventKind, detail string) {
 	gs.mu.Lock()
 	gs.events = append(gs.events, Event{Time: gs.cfg.Clock.Now(), Kind: kind, Detail: detail})
 	gs.mu.Unlock()
@@ -393,7 +357,7 @@ func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.S
 	gs.mu.Lock()
 	gs.kernels[kernelID] = ks
 	gs.mu.Unlock()
-	gs.recordEvent(EventKernelCreated, kernelID)
+	gs.recordEvent(scheduler.EventKernelCreated, kernelID)
 	return nil
 }
 
@@ -448,7 +412,7 @@ func (gs *GlobalScheduler) ScaleOut(n int) {
 	gs.mu.Lock()
 	gs.stats.ScaleOuts++
 	gs.mu.Unlock()
-	gs.recordEvent(EventScaleOut, fmt.Sprintf("+%d hosts", len(newHosts)))
+	gs.recordEvent(scheduler.EventScaleOut, fmt.Sprintf("+%d hosts", len(newHosts)))
 }
 
 // StopKernel terminates a kernel and releases its subscriptions.
@@ -670,7 +634,7 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 	gs.mu.Lock()
 	gs.stats.Migrations++
 	gs.mu.Unlock()
-	gs.recordEvent(EventMigration, fmt.Sprintf("%s r%d -> %s", ks.id, victim, target.ID))
+	gs.recordEvent(scheduler.EventMigration, fmt.Sprintf("%s r%d -> %s", ks.id, victim, target.ID))
 
 	// Resubmit pinned to the migrated replica (Fig. 5 would now elect it).
 	newTerm := ks.k.NextTerm()
@@ -798,7 +762,7 @@ func (gs *GlobalScheduler) AutoscaleOnce() {
 					delete(gs.locals, h.ID)
 					gs.stats.ScaleIns++
 					gs.mu.Unlock()
-					gs.recordEvent(EventScaleIn, h.ID)
+					gs.recordEvent(scheduler.EventScaleIn, h.ID)
 					released++
 				}
 			}

@@ -1,4 +1,4 @@
-package scheduler
+package control
 
 import (
 	"fmt"

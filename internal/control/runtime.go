@@ -1,4 +1,4 @@
-package workload
+package control
 
 import (
 	"fmt"
@@ -9,6 +9,7 @@ import (
 	"notebookos/internal/kernel"
 	"notebookos/internal/pynb"
 	"notebookos/internal/simclock"
+	"notebookos/internal/workload"
 )
 
 // RuntimeOptions tunes the notebook runtime installed into kernels.
@@ -27,7 +28,7 @@ type RuntimeOptions struct {
 // interpreter. It has the signature of kernel.Config.InstallRuntime, so a
 // scheduler configures kernels with:
 //
-//	InstallRuntime: workload.NewRuntime(opts).Install
+//	InstallRuntime: NewRuntime(opts).Install
 type Runtime struct {
 	opts RuntimeOptions
 }
@@ -57,7 +58,7 @@ func (rt *Runtime) Install(in *pynb.Interp, r *kernel.Replica) {
 		if !ok {
 			return nil, fmt.Errorf("load_dataset expects a dataset name string")
 		}
-		ds, ok := DatasetByName(string(name))
+		ds, ok := workload.DatasetByName(string(name))
 		if !ok {
 			return nil, fmt.Errorf("unknown dataset %q", name)
 		}
@@ -77,7 +78,7 @@ func (rt *Runtime) Install(in *pynb.Interp, r *kernel.Replica) {
 		if !ok {
 			return nil, fmt.Errorf("create_model expects a model name string")
 		}
-		m, ok := ModelByName(string(name))
+		m, ok := workload.ModelByName(string(name))
 		if !ok {
 			return nil, fmt.Errorf("unknown model %q", name)
 		}

@@ -1,7 +1,6 @@
-package scheduler
+package control
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -13,8 +12,8 @@ import (
 	"notebookos/internal/kernel"
 	"notebookos/internal/pynb"
 	"notebookos/internal/resources"
+	"notebookos/internal/scheduler"
 	"notebookos/internal/simclock"
-	"notebookos/internal/workload"
 )
 
 func gpuReq(n int) resources.Spec {
@@ -32,129 +31,10 @@ func newCluster(t *testing.T, hosts int) *cluster.Cluster {
 	return c
 }
 
-func TestLeastLoadedSelectsIdlest(t *testing.T) {
-	c := newCluster(t, 4)
-	hosts := c.Hosts()
-	// Commit GPUs on h1 and h2 so they look busy.
-	hosts[0].Commit("x", gpuReq(6))
-	hosts[1].Commit("y", gpuReq(4))
-
-	p := LeastLoaded{}
-	got, err := p.SelectHosts(c, gpuReq(2), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("got %d hosts", len(got))
-	}
-	// The two untouched hosts must come first; busiest (h1) excluded.
-	for _, h := range got {
-		if h.ID == "h01" {
-			t.Fatalf("busiest host selected: %v", ids(got))
-		}
-	}
-}
-
-func ids(hs []*cluster.Host) []string {
-	out := make([]string, len(hs))
-	for i, h := range hs {
-		out[i] = h.ID
-	}
-	return out
-}
-
-func TestLeastLoadedInsufficientHosts(t *testing.T) {
-	c := newCluster(t, 2)
-	p := LeastLoaded{}
-	if _, err := p.SelectHosts(c, gpuReq(1), 3); err == nil {
-		t.Fatal("2 hosts cannot serve 3 replicas")
-	}
-	// Requests beyond physical capacity are never viable.
-	if _, err := p.SelectHosts(c, gpuReq(9), 1); err == nil {
-		t.Fatal("9-GPU request cannot fit an 8-GPU host")
-	}
-}
-
-func TestLeastLoadedHonorsWatermark(t *testing.T) {
-	c := newCluster(t, 3)
-	// Saturate subscriptions on every host up to the watermark.
-	p := LeastLoaded{SRHighWatermark: 0.5}
-	// watermark 0.5 with R=3, G=8 means subscribed <= 12 GPUs per host.
-	for i := 0; i < 3; i++ {
-		for _, h := range c.Hosts() {
-			h.PlaceReplica(fmt.Sprintf("k%d/%s", i, h.ID), gpuReq(4))
-		}
-	}
-	// Each host now has 12 subscribed GPUs = exactly at watermark for a
-	// 0-GPU addition, over it for any more.
-	if _, err := p.SelectHosts(c, gpuReq(4), 3); err == nil {
-		t.Fatal("watermark should reject all hosts")
-	}
-}
-
-func TestRandomAndPackedPolicies(t *testing.T) {
-	c := newCluster(t, 5)
-	r := &Random{Seed: 42}
-	got, err := r.SelectHosts(c, gpuReq(1), 3)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("random: %v %v", ids(got), err)
-	}
-	seen := map[string]bool{}
-	for _, h := range got {
-		if seen[h.ID] {
-			t.Fatal("random selected duplicate host")
-		}
-		seen[h.ID] = true
-	}
-	// Packed prefers busiest viable host.
-	c.Hosts()[2].Commit("busy", gpuReq(6))
-	pk := Packed{}
-	got, err = pk.SelectHosts(c, gpuReq(1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].ID != "h03" {
-		t.Fatalf("packed picked %s, want h03", got[0].ID)
-	}
-	// Full packed order: fewest idle GPUs first, ties by host ID, hosts
-	// over the SR watermark or too small for the request left out.
-	c.Hosts()[4].Commit("busy", gpuReq(6))
-	c.Hosts()[0].Commit("warm", gpuReq(2))
-	for i := 0; i < 5; i++ {
-		c.Hosts()[3].PlaceReplica(fmt.Sprintf("fat/%d", i), gpuReq(8))
-	}
-	for _, tc := range []struct {
-		name string
-		pol  Packed
-		req  resources.Spec
-		n    int
-		want string
-	}{
-		{"tie broken by ID", Packed{}, gpuReq(1), 5, "h03 h05 h01 h02 h04"},
-		{"prefix of the same order", Packed{}, gpuReq(1), 2, "h03 h05"},
-		{"watermark drops the oversubscribed host", Packed{SRHighWatermark: 1.5}, gpuReq(1), 4, "h03 h05 h01 h02"},
-		{"request larger than any host", Packed{}, gpuReq(9), 1, ""},
-	} {
-		got, err := tc.pol.SelectHosts(c, tc.req, tc.n)
-		if tc.want == "" {
-			if !errors.Is(err, ErrInsufficientHosts) {
-				t.Errorf("%s: err = %v, want ErrInsufficientHosts", tc.name, err)
-			}
-			continue
-		}
-		if err != nil || strings.Join(ids(got), " ") != tc.want {
-			t.Errorf("%s: got %v (%v), want %s", tc.name, ids(got), err, tc.want)
-		}
-	}
-	if r.Name() != "random" || pk.Name() != "packed" || (LeastLoaded{}).Name() != "least-loaded" {
-		t.Fatal("policy names")
-	}
-}
-
 func newGS(t *testing.T, hosts int, opts ...func(*Config)) *GlobalScheduler {
 	t.Helper()
 	c := newCluster(t, hosts)
-	rt := workload.NewRuntime(workload.RuntimeOptions{TimeScale: 0.001})
+	rt := NewRuntime(RuntimeOptions{TimeScale: 0.001})
 	cfg := Config{
 		Cluster:             c,
 		KernelTickInterval:  4 * time.Millisecond,
@@ -217,7 +97,7 @@ func TestStartKernelPlacesThreeReplicas(t *testing.T) {
 		t.Fatalf("subscribed = %d", got)
 	}
 	events := gs.Events()
-	if len(events) != 1 || events[0].Kind != EventKernelCreated {
+	if len(events) != 1 || events[0].Kind != scheduler.EventKernelCreated {
 		t.Fatalf("events = %+v", events)
 	}
 }

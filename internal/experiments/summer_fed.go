@@ -14,7 +14,7 @@ import (
 // (the fed-scale topology) under least-subscribed routing with pooled
 // autoscaling, and the whole thing honors Options.Shards: with -shards N
 // each k runs as N session-partitioned worker federations merged by
-// sim.MergeFedResults, which is what makes the 90-day replay parallel
+// sim.RunFederatedSharded, which is what makes the 90-day replay parallel
 // within a single configuration rather than only across configurations.
 func SummerFederation(o Options) (string, error) {
 	tr := summerTrace(o)

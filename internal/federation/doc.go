@@ -23,10 +23,9 @@
 //     per-pair LatencyMatrix (UniformMatrix, HubSpokeMatrix,
 //     GeoBandedMatrix), the actual pair cost. Penalty is the single choke
 //     point every consumer shares: the LatencyAware route policy's cost
-//     term, the federated simulator's crossing charges (remote executions
+//     term and the federated simulator's crossing charges (remote executions
 //     pay two crossings per request/reply; cross-cluster migrations pay
-//     two crossings for the checkpoint transfer), and
-//     Deployment.CrossingCost on the live-platform side.
+//     two crossings for the checkpoint transfer).
 //
 // RoutePolicy implementations rank member clusters for a placement
 // originating at a session's home cluster; ranking is deterministic (ties
@@ -61,10 +60,6 @@
 // replay — so sharding preserves its one-decision-per-tick semantics
 // over the whole workload exactly (docs/SHARDING.md).
 //
-// Deployment is the federated tier above scheduler.GlobalScheduler for the
-// live platform half: it owns one Global Scheduler per member, starts each
-// kernel on the first cluster its route policy can place it on, routes
-// Execute/StopKernel to the owning cluster, and reports each kernel's
-// round-trip crossing cost (CrossingCost) from the same Penalty source the
-// simulator charges.
+// The package imports only cluster and scheduler: it is part of the
+// simulator half and links nothing of the live platform.
 package federation

@@ -7,7 +7,6 @@ import (
 
 	"notebookos/internal/cluster"
 	"notebookos/internal/resources"
-	"notebookos/internal/scheduler"
 )
 
 func gpuReq(n int) resources.Spec {
@@ -162,74 +161,6 @@ func TestLatencyAwareTradesLoadAgainstPenalty(t *testing.T) {
 	f = build(200 * time.Millisecond)
 	if got := (LatencyAware{}).Order(f, 0, nil); got[0] != 0 {
 		t.Errorf("expensive penalty: Order = %v, want home first", got)
-	}
-}
-
-// TestDeploymentRoutesAcrossGlobalSchedulers exercises the live federated
-// tier: two single-host clusters with real Global Schedulers; once the
-// first cluster's host is filled by one kernel's replicas, the next
-// kernel must land on the second cluster, and Execute must route to it.
-func TestDeploymentRoutesAcrossGlobalSchedulers(t *testing.T) {
-	f := New(25 * time.Millisecond)
-	d := NewDeployment(f, LocalFirst{})
-	clusters := make([]*cluster.Cluster, 2)
-	for i := range clusters {
-		name := fmt.Sprintf("c%d", i)
-		// Single host per cluster; R=1 so one kernel fully subscribes it
-		// under a tight watermark.
-		c := cluster.New(1)
-		if err := c.AddHost(cluster.NewHost(name+"-h01", resources.P316xlarge())); err != nil {
-			t.Fatal(err)
-		}
-		clusters[i] = c
-		if _, err := f.AddMember(name, c); err != nil {
-			t.Fatal(err)
-		}
-		gs, err := scheduler.New(scheduler.Config{
-			Cluster: c,
-			Policy:  scheduler.LeastLoaded{SRHighWatermark: 1.0},
-			Seed:    int64(i + 1),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.AddCluster(gs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer d.Stop()
-
-	// First kernel fills cluster 0 (8 GPUs subscribed = SR 1.0 at R=1).
-	owner, err := d.StartKernel(0, "k1", "sess1", gpuReq(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owner != 0 {
-		t.Fatalf("k1 owner = %d, want 0", owner)
-	}
-	// Second kernel homed at 0 cannot fit there; must spill to cluster 1.
-	owner, err = d.StartKernel(0, "k2", "sess2", gpuReq(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owner != 1 {
-		t.Fatalf("k2 owner = %d, want 1 (spill)", owner)
-	}
-	if got, ok := d.Owner("k2"); !ok || got != 1 {
-		t.Fatalf("Owner(k2) = %d,%v", got, ok)
-	}
-	// Execute routes to the owning cluster's scheduler without error.
-	if _, _, err := d.Execute("k2", "x = 1\n"); err != nil {
-		t.Fatalf("Execute via federation: %v", err)
-	}
-	if err := d.StopKernel("k2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.Owner("k2"); ok {
-		t.Fatal("k2 still routed after StopKernel")
-	}
-	if _, _, err := d.Execute("k2", "x"); err == nil {
-		t.Fatal("Execute on stopped kernel succeeded")
 	}
 }
 

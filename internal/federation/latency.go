@@ -13,9 +13,9 @@ import (
 //
 // A federation carrying a matrix answers Penalty(i, j) from it instead of
 // the legacy single symmetric penalty, so everything built on Penalty —
-// the LatencyAware route policy, the federated simulator's remote-execution
-// and cross-migration crossing charges, and Deployment.CrossingCost — pays
-// the actual pair cost.
+// the LatencyAware route policy and the federated simulator's
+// remote-execution and cross-migration crossing charges — pays the actual
+// pair cost.
 type LatencyMatrix [][]time.Duration
 
 // Size returns the member count the matrix covers.

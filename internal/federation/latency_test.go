@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"notebookos/internal/cluster"
-	"notebookos/internal/resources"
-	"notebookos/internal/scheduler"
 )
 
 func checkMatrixShape(t *testing.T, name string, m LatencyMatrix, n int) {
@@ -151,56 +149,5 @@ func TestRoundTripSumsDirections(t *testing.T) {
 	}
 	if f.RoundTrip(1, 1) != 0 {
 		t.Error("intra-cluster round trip not free")
-	}
-}
-
-// TestDeploymentCrossingCost pins the live-platform half of the matrix
-// threading: a kernel placed off its home cluster reports the round-trip
-// pair cost.
-func TestDeploymentCrossingCost(t *testing.T) {
-	f := New(0)
-	if err := f.SetLatencyMatrix(GeoBandedMatrix(2, 1, 5*time.Millisecond, 30*time.Millisecond)); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDeployment(f, LocalFirst{})
-	for _, name := range []string{"home", "away"} {
-		c := cluster.New(1)
-		if name == "away" {
-			// Only the away cluster has capacity, forcing a remote placement.
-			if err := c.AddHost(cluster.NewHost("h1", resources.P316xlarge())); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := f.AddMember(name, c); err != nil {
-			t.Fatal(err)
-		}
-		gs, err := scheduler.New(scheduler.Config{Cluster: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer gs.Stop()
-		if _, err := d.AddCluster(gs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := d.CrossingCost("nope"); ok {
-		t.Error("unknown kernel reported a crossing cost")
-	}
-	owner, err := d.StartKernel(0, "k1", "sess", resources.Spec{GPUs: 1, VRAMGB: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owner != 1 {
-		t.Fatalf("owner = %d, want the away cluster", owner)
-	}
-	cost, ok := d.CrossingCost("k1")
-	if !ok || cost != 2*35*time.Millisecond {
-		t.Errorf("crossing cost = %v ok=%v, want 70ms (2 crossings at the pair cost)", cost, ok)
-	}
-	if err := d.StopKernel("k1"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := d.CrossingCost("k1"); ok {
-		t.Error("stopped kernel still reports a crossing cost")
 	}
 }

@@ -294,31 +294,3 @@ func TestSnapshotCapturesState(t *testing.T) {
 		t.Fatal("zero-capacity SR must be 0")
 	}
 }
-
-// TestDeploymentRouteAllocs pins the satellite fix: Deployment.route
-// reuses the deployment's scratch and the caller's buffer, so the steady
-// state allocates nothing — for a legacy closed-form policy and for a
-// scored one.
-func TestDeploymentRouteAllocs(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		policy RoutePolicy
-	}{
-		{"legacy", LatencyAware{}},
-		{"scored", LeastSubscribedScored()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			f := newFed(t, 10*time.Millisecond, 2, 1, 3)
-			d := NewDeployment(f, tc.policy)
-			buf := d.route(1, nil)
-			if allocs := testing.AllocsPerRun(200, func() {
-				buf = d.route(1, buf)
-			}); allocs != 0 {
-				t.Fatalf("route allocates %.1f per run, want 0", allocs)
-			}
-			if len(buf) != 3 {
-				t.Fatalf("route returned %v, want all 3 members", buf)
-			}
-		})
-	}
-}

@@ -158,6 +158,10 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request, id string) {
+	if _, ok := s.p.Session(id); !ok {
+		httpError(w, http.StatusNotFound, "unknown session %s", id)
+		return
+	}
 	var req executeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad JSON: %v", err)

@@ -136,8 +136,8 @@ func TestSessionCRUDAndExecute(t *testing.T) {
 func TestExecuteErrors(t *testing.T) {
 	srv, _ := newServer(t)
 	resp := postJSON(t, srv.URL+"/api/sessions/unknown/execute", map[string]any{"code": "x=1\n"})
-	if resp.StatusCode == http.StatusOK {
-		t.Fatal("unknown session should not execute")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown session execute status = %d, want 404", resp.StatusCode)
 	}
 	resp.Body.Close()
 

@@ -7,12 +7,12 @@ import (
 
 	"notebookos/internal/cluster"
 	"notebookos/internal/container"
+	"notebookos/internal/control"
 	"notebookos/internal/jupyter"
 	"notebookos/internal/resources"
 	"notebookos/internal/scheduler"
 	"notebookos/internal/simclock"
 	"notebookos/internal/store"
-	"notebookos/internal/workload"
 )
 
 // Config configures an in-process NotebookOS deployment.
@@ -64,7 +64,7 @@ type Platform struct {
 	cfg Config
 
 	Cluster   *cluster.Cluster
-	Scheduler *scheduler.GlobalScheduler
+	Scheduler *control.GlobalScheduler
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -113,11 +113,11 @@ func New(cfg Config) (*Platform, error) {
 		sessions: map[string]*Session{},
 		subs:     map[string]map[int]chan jupyter.Message{},
 	}
-	rt := workload.NewRuntime(workload.RuntimeOptions{
+	rt := control.NewRuntime(control.RuntimeOptions{
 		Clock:     cfg.Clock,
 		TimeScale: cfg.TimeScale,
 	})
-	scfg := scheduler.Config{
+	scfg := control.Config{
 		Cluster:            c,
 		Policy:             cfg.Policy,
 		Clock:              cfg.Clock,
@@ -134,12 +134,12 @@ func New(cfg Config) (*Platform, error) {
 		NetMaxDelay:        2 * time.Millisecond,
 		Seed:               cfg.Seed,
 	}
-	gs, err := scheduler.New(scfg)
+	gs, err := control.New(scfg)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.EnableScaleOut {
-		gs.SetHostFactory(scheduler.StandardHostFactory(gs))
+		gs.SetHostFactory(control.StandardHostFactory(gs))
 	}
 	p.Scheduler = gs
 	return p, nil
@@ -162,7 +162,9 @@ func (p *Platform) fanOut(session string, msg jupyter.Message) {
 }
 
 // Subscribe returns a channel of the session's replies and a cancel
-// function. The gateway's SSE endpoint uses it.
+// function. The gateway's SSE endpoint uses it. A session's entry in the
+// subscriber table goes when its last subscriber cancels or when the
+// session closes, so the table holds only sessions someone listens to.
 func (p *Platform) Subscribe(sessionID string) (<-chan jupyter.Message, func()) {
 	ch := make(chan jupyter.Message, 64)
 	p.mu.Lock()
@@ -176,6 +178,9 @@ func (p *Platform) Subscribe(sessionID string) (<-chan jupyter.Message, func()) 
 	return ch, func() {
 		p.mu.Lock()
 		delete(p.subs[sessionID], id)
+		if len(p.subs[sessionID]) == 0 {
+			delete(p.subs, sessionID)
+		}
 		p.mu.Unlock()
 	}
 }
@@ -235,6 +240,7 @@ func (p *Platform) CloseSession(id string) error {
 	p.mu.Lock()
 	s, ok := p.sessions[id]
 	delete(p.sessions, id)
+	delete(p.subs, id)
 	p.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("platform: unknown session %s", id)
@@ -255,9 +261,13 @@ func (p *Platform) ExecuteAsync(sessionID, code string) (string, error) {
 
 // ExecuteSync submits a cell and waits for the executor's reply.
 func (p *Platform) ExecuteSync(sessionID, code string, timeout time.Duration) (jupyter.ExecuteReplyContent, error) {
+	s, ok := p.Session(sessionID)
+	if !ok {
+		return jupyter.ExecuteReplyContent{}, fmt.Errorf("platform: unknown session %s", sessionID)
+	}
 	ch, cancel := p.Subscribe(sessionID)
 	defer cancel()
-	msgID, err := p.ExecuteAsync(sessionID, code)
+	_, msgID, err := p.Scheduler.Execute(s.KernelID, code)
 	if err != nil {
 		return jupyter.ExecuteReplyContent{}, err
 	}
@@ -290,14 +300,14 @@ type HostStatus struct {
 
 // Status is a cluster-wide status snapshot for the gateway.
 type Status struct {
-	Hosts             []HostStatus    `json:"hosts"`
-	TotalGPUs         int             `json:"total_gpus"`
-	CommittedGPUs     int             `json:"committed_gpus"`
-	SubscribedGPUs    int             `json:"subscribed_gpus"`
-	ClusterSR         float64         `json:"cluster_sr"`
-	Sessions          int             `json:"sessions"`
-	SchedulerStats    scheduler.Stats `json:"scheduler_stats"`
-	ReplicasPerKernel int             `json:"replicas_per_kernel"`
+	Hosts             []HostStatus  `json:"hosts"`
+	TotalGPUs         int           `json:"total_gpus"`
+	CommittedGPUs     int           `json:"committed_gpus"`
+	SubscribedGPUs    int           `json:"subscribed_gpus"`
+	ClusterSR         float64       `json:"cluster_sr"`
+	Sessions          int           `json:"sessions"`
+	SchedulerStats    control.Stats `json:"scheduler_stats"`
+	ReplicasPerKernel int           `json:"replicas_per_kernel"`
 }
 
 // Status reports the platform's current state.

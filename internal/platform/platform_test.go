@@ -1,7 +1,9 @@
 package platform
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -161,5 +163,103 @@ func TestUnknownSessionErrors(t *testing.T) {
 	}
 	if _, err := p.CreateSession("x", resources.Spec{GPUs: -1}); err == nil {
 		t.Fatal("invalid request must fail")
+	}
+}
+
+func (p *Platform) numSubs() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.subs)
+}
+
+// TestUnknownSessionsLeaveNoSubscribers: executing against session IDs
+// that do not exist must not grow the subscriber table.
+func TestUnknownSessionsLeaveNoSubscribers(t *testing.T) {
+	p := newPlatform(t)
+	for i := 0; i < 100; i++ {
+		if _, err := p.ExecuteSync(fmt.Sprintf("ghost-%d", i), "x=1\n", time.Second); err == nil {
+			t.Fatal("unknown session must fail")
+		}
+	}
+	if n := p.numSubs(); n != 0 {
+		t.Fatalf("subscriber table holds %d sessions after 100 unknown IDs, want 0", n)
+	}
+}
+
+// TestSubscriberTableFollowsSessions: an entry goes when its last
+// subscriber cancels, and when its session closes with subscribers
+// still attached.
+func TestSubscriberTableFollowsSessions(t *testing.T) {
+	p := newPlatform(t)
+	s, err := p.CreateSession("erin", gpuReq(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cancel1 := p.Subscribe(s.ID)
+	_, cancel2 := p.Subscribe(s.ID)
+	cancel1()
+	if n := p.numSubs(); n != 1 {
+		t.Fatalf("one subscriber left: table holds %d sessions, want 1", n)
+	}
+	cancel2()
+	if n := p.numSubs(); n != 0 {
+		t.Fatalf("last subscriber cancelled: table holds %d sessions, want 0", n)
+	}
+	_, cancel3 := p.Subscribe(s.ID)
+	if err := p.CloseSession(s.ID); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.numSubs(); n != 0 {
+		t.Fatalf("session closed: table holds %d sessions, want 0", n)
+	}
+	cancel3() // cancelling after the close is harmless
+	if n := p.numSubs(); n != 0 {
+		t.Fatalf("cancel after close: table holds %d sessions, want 0", n)
+	}
+}
+
+// TestConcurrentSessions: several sessions created, executed and closed
+// at the same time on one platform leave nothing subscribed or committed.
+func TestConcurrentSessions(t *testing.T) {
+	p := newPlatform(t)
+	var wg sync.WaitGroup
+	errs := make(chan error, 6*3)
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			gpus := 1 + i%2
+			s, err := p.CreateSession(fmt.Sprintf("user-%d", i), gpuReq(gpus))
+			if err != nil {
+				errs <- err
+				return
+			}
+			code := fmt.Sprintf("m = create_model(\"resnet18\")\nd = load_dataset(\"cifar10\")\nr = train(m, d, epochs=1, gpus=%d, seconds=2)\nprint(r.loss)\n", gpus)
+			for task := 0; task < 2; task++ {
+				reply, err := p.ExecuteSync(s.ID, code, 60*time.Second)
+				if err != nil {
+					errs <- err
+				} else if reply.Status != "ok" {
+					errs <- fmt.Errorf("session %s task %d: reply %+v", s.ID, task, reply)
+				}
+			}
+			if err := p.CloseSession(s.ID); err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if got := p.Cluster.SubscribedGPUs(); got != 0 {
+		t.Errorf("subscribed GPUs after every session closed = %d, want 0", got)
+	}
+	if got := p.Cluster.CommittedGPUs(); got != 0 {
+		t.Errorf("committed GPUs after every session closed = %d, want 0", got)
+	}
+	if n := p.numSubs(); n != 0 {
+		t.Errorf("subscriber table holds %d sessions, want 0", n)
 	}
 }

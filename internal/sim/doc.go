@@ -63,8 +63,8 @@
 //     so merged quantiles are bit-identical to concatenation), events by a
 //     pre-sized k-way merge on their int64 timestamps, counters by
 //     summation, always in shard-index order so output never depends on
-//     worker completion order. MergeResults and MergeFedResults are that
-//     same merge over caller-held results. Under the barrier-leased driver
+//     worker completion order. MergeResults is that same merge over
+//     caller-held results. Under the barrier-leased driver
 //     only the merge's latency half runs (samples and session/task counts);
 //     the capacity half of the record is the ledger's, unmerged. The lease
 //     pool still has two planners — leasePool for a plan compiled from a

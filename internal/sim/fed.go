@@ -241,20 +241,6 @@ func (r *record) fedResult() *FedResult {
 	}
 }
 
-// fedRecord is fedResult's inverse, for merging results the caller holds.
-func fedRecord(r *FedResult) *record {
-	return &record{
-		Result:              Result{CoreResult: r.CoreResult},
-		clusters:            r.Clusters,
-		classDelay:          r.ClassDelay,
-		localPlacements:     r.LocalPlacements,
-		remotePlacements:    r.RemotePlacements,
-		remoteExecutions:    r.RemoteExecutions,
-		crossMigrations:     r.CrossMigrations,
-		provisionedGPUHours: r.ProvisionedGPUHours,
-	}
-}
-
 // federated projects a driver's record onto FedResult.
 func federated(rec *record, err error) (*FedResult, error) {
 	if err != nil {

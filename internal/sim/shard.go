@@ -155,7 +155,9 @@ func firstError(errs []error) error {
 // federation whose member clusters carry a proportional slice of the
 // configured hosts (floored at 1 host per member per shard, so every
 // worker federation keeps the configured topology), and the per-shard
-// FedResults merge with MergeFedResults. Worker i runs with
+// records merge under MergeResults' rules — federation-wide and per member
+// cluster, matched by member index; FinalHosts sums to the fleet the k
+// worker federations ended with. Worker i runs with
 // ShardSeed(Seed, i); per-member MinHosts and the federation-wide
 // FedMinHosts floor — whether caller-set or defaulted by the parent
 // config — split proportionally across the shards like the hosts do
@@ -224,23 +226,6 @@ func MergeResults(results ...*Result) *Result {
 		recs[i] = &record{Result: *r}
 	}
 	return &mergeRecords(recs).Result
-}
-
-// MergeFedResults combines per-shard federated results in argument order,
-// under the same rules as MergeResults: timelines merge pointwise (both
-// federation-wide and per member cluster, matched by member index — every
-// shard federation has the same member list), samples concatenate,
-// counters and integrated hours sum. FinalHosts sums across shards: it is
-// the total live fleet the k worker federations ended with.
-func MergeFedResults(results ...*FedResult) *FedResult {
-	if len(results) == 0 {
-		return nil
-	}
-	recs := make([]*record, len(results))
-	for i, r := range results {
-		recs[i] = fedRecord(r)
-	}
-	return mergeRecords(recs).fedResult()
 }
 
 // mergeRecords merges records in argument order; see MergeResults for the

@@ -451,13 +451,13 @@ func TestMergeFedResultsIntegralEqualsShardSum(t *testing.T) {
 	}
 }
 
-// TestMergePartialResults: the two exported merges — the entry points
-// TestHostileConfigs cannot reach, as they take no config — accept no
+// TestMergePartialResults: the exported merge — the entry point
+// TestHostileConfigs cannot reach, as it takes no config — accepts no
 // results (nil) and hand-built results that carry no recorders. Every core
-// series merges to an empty, usable recorder; only the optional ones — the
-// fault recorders, and ClassDelay without SLOAware — stay nil.
+// series merges to an empty, usable recorder; only the fault recorders
+// stay nil.
 func TestMergePartialResults(t *testing.T) {
-	if MergeResults() != nil || MergeFedResults() != nil {
+	if MergeResults() != nil {
 		t.Error("a merge of no results is not nil")
 	}
 	r := MergeResults(&Result{CoreResult: CoreResult{Tasks: 1}}, &Result{CoreResult: CoreResult{Tasks: 2}})
@@ -483,16 +483,5 @@ func TestMergePartialResults(t *testing.T) {
 	}
 	if r.Availability != nil || r.RecoveryTime != nil {
 		t.Error("fault recorders appeared in a merge of fault-free results")
-	}
-
-	f := MergeFedResults(&FedResult{CoreResult: CoreResult{Tasks: 1}}, &FedResult{CoreResult: CoreResult{Tasks: 2}})
-	if f.Tasks != 3 {
-		t.Errorf("merged %d federated tasks, want 3", f.Tasks)
-	}
-	if f.Interactivity == nil || f.TCT == nil || f.ProvisionedGPUs == nil || f.CommittedGPUs == nil || f.ActiveSessions == nil {
-		t.Errorf("federated merge left a core recorder nil: %+v", f)
-	}
-	if f.ClassDelay != nil || f.Availability != nil || f.RecoveryTime != nil {
-		t.Error("optional recorders appeared in a merge of results without them")
 	}
 }

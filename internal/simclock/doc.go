@@ -1,5 +1,5 @@
-// Package simclock abstracts time so the live platform runs on the wall
-// clock while tests and the simulator run on a virtual clock that can be
-// advanced deterministically. Evaluation workloads span 17.5 hours to 90
-// days (paper §5), so virtual time is essential for fast reproduction.
+// Package simclock abstracts time for the live platform: deployments run
+// on the wall clock while tests run on a virtual clock that can be
+// advanced deterministically. The simulator does not use it — its time is
+// the event clock of internal/des.
 package simclock

@@ -2,10 +2,7 @@ package store
 
 import (
 	"math/rand"
-	"sync"
 	"time"
-
-	"notebookos/internal/simclock"
 )
 
 // LatencyModel describes a backend's transfer-time behaviour: a fixed
@@ -74,73 +71,4 @@ func (m LatencyModel) jittered(d time.Duration, r *rand.Rand) time.Duration {
 	}
 	f := 1 + m.Jitter*(2*r.Float64()-1)
 	return time.Duration(float64(d) * f)
-}
-
-// Timed wraps a Store, sleeping on the provided clock according to a
-// LatencyModel and recording per-operation latencies. The live platform
-// passes a real clock; unit tests pass a virtual one.
-type Timed struct {
-	inner Store
-	model LatencyModel
-	clock simclock.Clock
-
-	mu       sync.Mutex
-	rng      *rand.Rand
-	putSecs  []float64
-	getSecs  []float64
-	putBytes int64
-	getBytes int64
-}
-
-// NewTimed wraps inner with the given latency model.
-func NewTimed(inner Store, model LatencyModel, clock simclock.Clock, seed int64) *Timed {
-	return &Timed{inner: inner, model: model, clock: clock, rng: rand.New(rand.NewSource(seed))}
-}
-
-// Put implements Store with modeled latency.
-func (t *Timed) Put(key string, data []byte) error {
-	t.mu.Lock()
-	d := t.model.PutLatency(int64(len(data)), t.rng)
-	t.putSecs = append(t.putSecs, d.Seconds())
-	t.putBytes += int64(len(data))
-	t.mu.Unlock()
-	t.clock.Sleep(d)
-	return t.inner.Put(key, data)
-}
-
-// Get implements Store with modeled latency.
-func (t *Timed) Get(key string) ([]byte, error) {
-	data, err := t.inner.Get(key)
-	if err != nil {
-		return nil, err
-	}
-	t.mu.Lock()
-	d := t.model.GetLatency(int64(len(data)), t.rng)
-	t.getSecs = append(t.getSecs, d.Seconds())
-	t.getBytes += int64(len(data))
-	t.mu.Unlock()
-	t.clock.Sleep(d)
-	return data, nil
-}
-
-// Delete implements Store with modeled latency.
-func (t *Timed) Delete(key string) error {
-	t.clock.Sleep(t.model.DeleteBase)
-	return t.inner.Delete(key)
-}
-
-// Latencies returns copies of the recorded put and get latencies (seconds).
-func (t *Timed) Latencies() (puts, gets []float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	puts = append([]float64(nil), t.putSecs...)
-	gets = append([]float64(nil), t.getSecs...)
-	return puts, gets
-}
-
-// Traffic returns total bytes written and read.
-func (t *Timed) Traffic() (putBytes, getBytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.putBytes, t.getBytes
 }

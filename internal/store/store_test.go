@@ -1,17 +1,14 @@
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"notebookos/internal/metrics"
-	"notebookos/internal/simclock"
 )
 
 func TestMemBasics(t *testing.T) {
@@ -106,45 +103,6 @@ func TestMemMapEquivalenceProperty(t *testing.T) {
 	}
 }
 
-func TestTimedLatencyModel(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	ts := NewTimed(NewMem(), LatencyModel{
-		Name: "test", PutBase: 10 * time.Millisecond, PutPerMB: time.Millisecond,
-		GetBase: 5 * time.Millisecond, GetPerMB: time.Millisecond,
-	}, clock, 1)
-
-	done := make(chan error, 1)
-	go func() { done <- ts.Put("k", make([]byte, 2<<20)) }()
-	// The put must block until virtual time advances by 10ms + 2MB*1ms/MB.
-	deadline := time.Now().Add(time.Second)
-	for clock.PendingTimers() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	clock.Advance(12 * time.Millisecond)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	puts, gets := ts.Latencies()
-	if len(puts) != 1 || len(gets) != 0 {
-		t.Fatalf("latencies = %v/%v", puts, gets)
-	}
-	if puts[0] != 0.012 {
-		t.Fatalf("put latency = %vs, want 0.012", puts[0])
-	}
-	pb, gb := ts.Traffic()
-	if pb != 2<<20 || gb != 0 {
-		t.Fatalf("traffic = %d/%d", pb, gb)
-	}
-}
-
-func TestTimedGetMissingSkipsSleep(t *testing.T) {
-	clock := simclock.NewVirtual(time.Unix(0, 0))
-	ts := NewTimed(NewMem(), S3Model(), clock, 1)
-	if _, err := ts.Get("nope"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func TestLatencyPresetsMatchFig11(t *testing.T) {
 	// Checkpointing the paper's large models must land inside the Fig. 11
 	// envelope: 99% of reads < ~3.95s, writes < ~7.07s.
@@ -162,150 +120,5 @@ func TestLatencyPresetsMatchFig11(t *testing.T) {
 	}
 	if p99 := reads.Percentile(99); p99 > 4.6 || p99 < 1.8 {
 		t.Errorf("read p99 = %.2fs, want ~3.95s", p99)
-	}
-}
-
-func TestCacheHitsAndEviction(t *testing.T) {
-	mem := NewMem()
-	c := NewCache(mem, 100)
-	c.Put("a", make([]byte, 40))
-	c.Put("b", make([]byte, 40))
-	if _, err := c.Get("a"); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses, used := c.Stats()
-	if hits != 1 || misses != 0 || used != 80 {
-		t.Fatalf("stats = %d/%d/%d", hits, misses, used)
-	}
-	// Inserting 40 more bytes must evict LRU ("b", since "a" was touched).
-	c.Put("c", make([]byte, 40))
-	if _, _, used := c.Stats(); used > 100 {
-		t.Fatalf("used = %d exceeds capacity", used)
-	}
-	// "b" now misses in cache but hits the backend.
-	if _, err := c.Get("b"); err != nil {
-		t.Fatal(err)
-	}
-	hits, misses, _ = c.Stats()
-	if misses != 1 {
-		t.Fatalf("misses = %d, want 1", misses)
-	}
-}
-
-func TestCacheOversizedObjectBypasses(t *testing.T) {
-	c := NewCache(NewMem(), 10)
-	c.Put("big", make([]byte, 100))
-	if _, _, used := c.Stats(); used != 0 {
-		t.Fatalf("oversized object cached: used=%d", used)
-	}
-	got, err := c.Get("big")
-	if err != nil || len(got) != 100 {
-		t.Fatalf("backend read failed: %v", err)
-	}
-}
-
-func TestCacheDeleteInvalidates(t *testing.T) {
-	c := NewCache(NewMem(), 1000)
-	c.Put("k", []byte("v"))
-	if err := c.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get after delete = %v", err)
-	}
-}
-
-func TestKVNetRoundTrip(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", NewMem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	payload := bytes.Repeat([]byte("x"), 1<<16)
-	if err := c.Put("model/ckpt-1", payload); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
-	got, err := c.Get("model/ckpt-1")
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("Get: %v (len %d)", err, len(got))
-	}
-	if _, err := c.Get("missing"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(missing) = %v", err)
-	}
-	c.Put("model/ckpt-2", []byte("y"))
-	keys, err := c.List("model/")
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("List = %v, %v", keys, err)
-	}
-	if err := c.Delete("model/ckpt-1"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if err := c.Delete("model/ckpt-1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("double delete = %v", err)
-	}
-}
-
-func TestKVNetConcurrentClients(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", NewMem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	errs := make(chan error, 8)
-	for i := 0; i < 8; i++ {
-		go func(i int) {
-			c, err := Dial(srv.Addr())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			key := fmt.Sprintf("k%d", i)
-			for j := 0; j < 50; j++ {
-				val := []byte(fmt.Sprintf("v%d-%d", i, j))
-				if err := c.Put(key, val); err != nil {
-					errs <- err
-					return
-				}
-				got, err := c.Get(key)
-				if err != nil || !bytes.Equal(got, val) {
-					errs <- fmt.Errorf("get %s: %v", key, err)
-					return
-				}
-			}
-			errs <- nil
-		}(i)
-	}
-	for i := 0; i < 8; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestKVNetServerClose(t *testing.T) {
-	srv, err := NewServer("127.0.0.1:0", NewMem())
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	if err := c.Put("k", []byte("v")); err == nil {
-		t.Error("Put after server close should fail")
-	}
-	c.Close()
-	if err := srv.Close(); err != nil {
-		t.Errorf("double close: %v", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"notebookos/internal/pynb"
-	"notebookos/internal/simclock"
 )
 
 func TestCatalogIntegrity(t *testing.T) {
@@ -81,81 +80,5 @@ func TestTrainingCellParses(t *testing.T) {
 	}
 	if !strings.Contains(cell, a.Model.Name) || !strings.Contains(cell, a.Dataset.Name) {
 		t.Fatalf("cell missing assignment: %s", cell)
-	}
-}
-
-func newRuntimeInterp(t *testing.T) *pynb.Interp {
-	t.Helper()
-	in := pynb.New()
-	rt := NewRuntime(RuntimeOptions{Clock: simclock.Real{}, TimeScale: 1e-6})
-	rt.Install(in, nil)
-	return in
-}
-
-func TestRuntimeTrainFlow(t *testing.T) {
-	in := newRuntimeInterp(t)
-	out, err := in.Run(`
-model = create_model("bert")
-data = load_dataset("imdb")
-r1 = train(model, data, epochs=1, gpus=2, seconds=10)
-r2 = train(model, data, epochs=3, gpus=2, seconds=10)
-print(model.epochs_trained)
-print(r2.loss < r1.loss)
-e = evaluate(model, data)
-print(e.accuracy > 0)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "4") || !strings.Contains(out, "True") {
-		t.Fatalf("output = %q", out)
-	}
-}
-
-func TestRuntimeErrors(t *testing.T) {
-	in := newRuntimeInterp(t)
-	bad := []string{
-		"m = create_model(\"not-a-model\")\n",
-		"d = load_dataset(\"not-a-dataset\")\n",
-		"m = create_model(5)\n",
-		"d = load_dataset(5)\n",
-		"r = train(1, 2)\n",
-		"m = create_model(\"bert\")\nr = train(m, m)\n",
-		"m = create_model(\"bert\")\nd = load_dataset(\"imdb\")\nr = train(m, d, epochs=0)\n",
-		"m = create_model(\"bert\")\nd = load_dataset(\"imdb\")\nr = train(m, d, gpus=0)\n",
-		"e = evaluate(5, 6)\n",
-	}
-	for _, src := range bad {
-		if _, err := in.Run(src); err == nil {
-			t.Errorf("%q should fail", src)
-		}
-	}
-}
-
-func TestTrainDefaultDuration(t *testing.T) {
-	in := newRuntimeInterp(t)
-	// No seconds kwarg: duration derived from dataset size/epochs/gpus.
-	out, err := in.Run(`
-m = create_model("resnet18")
-d = load_dataset("cifar10")
-r = train(m, d, epochs=1, gpus=1)
-print(r.seconds > 0)
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "True") {
-		t.Fatalf("output = %q", out)
-	}
-}
-
-func TestModelIsLargeObject(t *testing.T) {
-	in := newRuntimeInterp(t)
-	if _, err := in.Run("m = create_model(\"vgg16\")\n"); err != nil {
-		t.Fatal(err)
-	}
-	m := in.Globals["m"]
-	if m.SizeBytes() < 500<<20 {
-		t.Fatalf("vgg16 object size = %d, want >500MB (drives large-object path)", m.SizeBytes())
 	}
 }
