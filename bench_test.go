@@ -214,6 +214,29 @@ func BenchmarkShardedLeaseSim(b *testing.B) {
 	b.ReportMetric(saved, "GPUh-saved")
 }
 
+// BenchmarkFederationShardedLeaseSim is the federated leased run no
+// bench/ workload covers: a 10-day summer trace over four pooled clusters,
+// two workers leasing every member's hosts from the ledger federation. Run
+// it with -benchmem: allocations per run are what the barrier action costs.
+func BenchmarkFederationShardedLeaseSim(b *testing.B) {
+	gcfg := trace.AdobeSummerConfig(42)
+	gcfg.Duration = 10 * 24 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	var saved float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := sim.RunFederatedSharded(sim.FedConfig{
+			Trace: tr, Clusters: sim.DefaultFedClusters(4, 30), PooledAutoscale: true,
+			Seed: 42, ShardCapacity: sim.LeasePool,
+		}, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		saved = res.GPUHoursSaved()
+	}
+	b.ReportMetric(saved, "GPUh-saved")
+}
+
 // BenchmarkShardDrift runs the shard-drift experiment end-to-end at
 // quick scale: the legacy-split vs lease-pool drift table for
 // k in {1,2,4,8} that docs/SHARDING.md quotes.

@@ -28,9 +28,10 @@ type MemberLoad struct {
 	// EmptyHosts counts hosts with no replicas and no commitments — the
 	// only ones scale-in may retire. Unlike the counters above it is a
 	// driver-maintained gauge (the simulator derives it from its host
-	// lists); without it the scale-in policy would keep targeting an
-	// "emptiest" member whose few hosts all hold replicas, stalling the
-	// drain while retirable hosts sit elsewhere.
+	// lists, once per pooled decision — the lease pool does not read it);
+	// without it scale-in would keep targeting an "emptiest" member whose
+	// few hosts all hold replicas, stalling the drain while retirable hosts
+	// sit elsewhere.
 	EmptyHosts int
 }
 
@@ -64,35 +65,12 @@ type ScaleDecision struct {
 	Hosts int
 }
 
-// ScalePolicy picks which member a pooled scaling decision lands on. Both
-// methods must be deterministic functions of loads (ties broken by member
-// index) so federated simulations replay bit-for-bit.
-type ScalePolicy interface {
-	// Name identifies the policy in experiment output.
-	Name() string
-	// ScaleOutTarget returns the member new capacity should land on.
-	ScaleOutTarget(loads []MemberLoad) int
-	// ScaleInTarget returns the member capacity should be retired from, or
-	// -1 when no member can give up a host without breaking the floor
-	// invariant: after any scale-in, at least one member must retain >=
-	// replicas hosts, so an R-replica kernel homed anywhere stays placeable
-	// (via routing) somewhere in the federation.
-	ScaleInTarget(loads []MemberLoad, replicas int) int
-}
-
-// GreedyScalePolicy is the default pooled policy: scale out onto the
-// most-pressured member (highest committed-to-capacity ratio, so new
-// capacity lands where load is), scale in from the emptiest member that is
-// still above the placement floor (fewest committed GPUs, then fewest
-// subscribed — typically a small member, which pooling lets drain to
-// near-zero instead of pinning at an R-host floor).
-type GreedyScalePolicy struct{}
-
-// Name implements ScalePolicy.
-func (GreedyScalePolicy) Name() string { return "greedy" }
-
-// ScaleOutTarget implements ScalePolicy.
-func (GreedyScalePolicy) ScaleOutTarget(loads []MemberLoad) int {
+// scaleOutTarget returns the member new capacity lands on: the
+// most-pressured one (highest committed-to-capacity ratio, then highest
+// subscribed-to-capacity), so hosts arrive where the load is. Like
+// scaleInTarget it is a deterministic function of loads, ties toward the
+// lower member index, so federated simulations replay bit-for-bit.
+func scaleOutTarget(loads []MemberLoad) int {
 	best, bestPressure, bestSub := 0, -1.0, -1.0
 	for i, l := range loads {
 		cap := l.capacityGPUs()
@@ -112,8 +90,15 @@ func (GreedyScalePolicy) ScaleOutTarget(loads []MemberLoad) int {
 	return best
 }
 
-// ScaleInTarget implements ScalePolicy.
-func (GreedyScalePolicy) ScaleInTarget(loads []MemberLoad, replicas int) int {
+// scaleInTarget returns the member capacity is retired from: the emptiest
+// one that has an empty host and is still above the placement floor (fewest
+// committed GPUs, then fewest subscribed — typically a small member, which
+// pooling lets drain to near-zero instead of pinning at an R-host floor).
+// It returns -1 when no member can give up a host without breaking the
+// floor invariant: after any scale-in, at least one member must retain >=
+// replicas hosts, so an R-replica kernel homed anywhere stays placeable
+// (via routing) somewhere in the federation.
+func scaleInTarget(loads []MemberLoad, replicas int) int {
 	best := -1
 	for i, l := range loads {
 		if l.EmptyHosts < 1 || !retirable(loads, i, 1, replicas) {
@@ -150,9 +135,10 @@ func retirable(loads []MemberLoad, m, n, replicas int) bool {
 // interval for a whole federation, replacing the per-member autoscalers
 // (each scaling on its own committed load) that pin every member at its
 // own R-host floor. Capacity is compared federation-wide — total GPUs
-// against ScaleFactor × total committed GPUs — and the winning member is
-// chosen by the ScalePolicy, so a small member's idle hosts are retired
-// even while a large member is busy.
+// against ScaleFactor × total committed GPUs — and the decision lands on
+// the most-pressured member (scale-out) or the emptiest one (scale-in), so a
+// small member's idle hosts are retired even while a large member is busy.
+// One decision retires at most maxRetire hosts.
 //
 // Two floors replace the per-member ones:
 //
@@ -173,13 +159,11 @@ type FederatedAutoscaler struct {
 	MinHosts int
 	// Replicas is R, the replication factor placements need (default 3).
 	Replicas int
-	// Policy picks the member each decision lands on (default
-	// GreedyScalePolicy).
-	Policy ScalePolicy
-	// MaxRetirePerDecision caps how many hosts one ScaleIn retires
-	// (default 2, matching the per-member autoscalers' gradual drain).
-	MaxRetirePerDecision int
 }
+
+// maxRetire caps how many hosts one ScaleIn retires, matching the
+// per-member autoscalers' gradual drain.
+const maxRetire = 2
 
 // Decide returns the pooled decision for one interval given every member's
 // observed load.
@@ -195,14 +179,6 @@ func (a *FederatedAutoscaler) Decide(loads []MemberLoad) ScaleDecision {
 	if r <= 0 {
 		r = cluster.DefaultReplicasPerKernel
 	}
-	policy := a.Policy
-	if policy == nil {
-		policy = GreedyScalePolicy{}
-	}
-	maxRetire := a.MaxRetirePerDecision
-	if maxRetire <= 0 {
-		maxRetire = 2
-	}
 
 	totalHosts, totalGPUs, committed := 0, 0, 0
 	for _, l := range loads {
@@ -213,7 +189,7 @@ func (a *FederatedAutoscaler) Decide(loads []MemberLoad) ScaleDecision {
 	expected := f * float64(committed)
 
 	if float64(totalGPUs) < expected {
-		target := policy.ScaleOutTarget(loads)
+		target := scaleOutTarget(loads)
 		gph := loads[target].GPUsPerHost
 		if gph <= 0 {
 			gph = 8
@@ -226,7 +202,7 @@ func (a *FederatedAutoscaler) Decide(loads []MemberLoad) ScaleDecision {
 	if totalHosts <= floor {
 		return ScaleDecision{}
 	}
-	target := policy.ScaleInTarget(loads, r)
+	target := scaleInTarget(loads, r)
 	if target < 0 {
 		return ScaleDecision{}
 	}

@@ -49,7 +49,7 @@ func TestPooledScaleInFloorInvariant(t *testing.T) {
 		// one it promises to repair.
 		loads[rng.Intn(k)].Hosts += r
 		loads[0].EmptyHosts = loads[0].Hosts
-		a := &FederatedAutoscaler{Replicas: r, MinHosts: minHosts, Policy: GreedyScalePolicy{}}
+		a := &FederatedAutoscaler{Replicas: r, MinHosts: minHosts}
 		floor := scheduler.MinHostsFloor(minHosts, r)
 
 		steps := 0

@@ -44,10 +44,9 @@
 // FederatedAutoscaler pools capacity decisions across members: one
 // scale-out/scale-in decision per interval for the whole federation,
 // computed from every member's O(1) committed/subscribed counters (plus a
-// driver-maintained empty-host gauge) and landed on the member a pluggable
-// ScalePolicy chooses — most-pressured for scale-out, emptiest-above-floor
-// for scale-in, in the default GreedyScalePolicy. It replaces the
-// per-member MinHosts floors (which pin a k-member federation at k×R
+// driver-maintained empty-host gauge) and landed on the most-pressured
+// member for scale-out, the emptiest one above the floor for scale-in. It
+// replaces the per-member MinHosts floors (which pin a k-member federation at k×R
 // hosts) with a single federation-wide floor plus the placement-anchor
 // invariant: no scale-in may leave every member below R hosts, so an
 // R-replica kernel homed anywhere stays placeable on some member while

@@ -18,7 +18,11 @@
 //     validated. Nothing below the adapters sees a public config, so no
 //     simulation — worker or ledger — is defaulted twice and a zero in a
 //     plan means zero (FedConfig.InterClusterPenalty's "zero means default"
-//     and its explicit-zero sentinel end at plan.defaults).
+//     and its explicit-zero sentinel end at plan.defaults). What no caller
+//     ever set — sampling period, autoscale interval, reservoir size,
+//     latency models, aging bound — is a constant beside the plan, not a
+//     field of it; root TestConfigOptionsHaveSetters keeps every public
+//     config field one that something sets.
 //   - The core (type sim, sim.go; newSim builds it from a plan) is a
 //     federation of member clusters, each with its cluster model, host
 //     list, pending-host count and per-member series, replaying one
@@ -39,10 +43,10 @@
 //     to a day past the window's end. The barrier-leased driver (runLeased
 //     in lease.go, behind ShardCapacity == LeasePool) runs a capacity ledger
 //     — the parent plan itself, unsharded — as a free-running producer that
-//     publishes its host count at every LeaseEpoch boundary, and k
-//     lease-managed workers in LeaseEpoch-sized steps with a barrier among
-//     themselves, whose last arrival reconciles the host leases against
-//     that boundary's published count. The ledger never waits and reads
+//     publishes its host counts at every epoch boundary (an epoch is the
+//     autoscale interval), and k lease-managed workers in epoch-sized steps
+//     with a barrier among themselves, whose last arrival reconciles the
+//     host leases against that boundary's published counts. The ledger never waits and reads
 //     nothing from the workers; builds, drains, record completion and the
 //     workers' sample sorts each run on the simulation's own goroutine.
 //     The streaming injector (any plan with a Source) replaces the up-front
@@ -66,15 +70,16 @@
 //     worker completion order. MergeResults is that same merge over
 //     caller-held results. Under the barrier-leased driver
 //     only the merge's latency half runs (samples and session/task counts);
-//     the capacity half of the record is the ledger's, unmerged. The lease
-//     pool still has two planners — leasePool for a plan compiled from a
-//     Config, fedLeasePool for one from a FedConfig — chosen in
-//     newLeasePool.
+//     the capacity half of the record is the ledger's, unmerged. There is
+//     one lease pool (leasePool): it plans and executes member by member
+//     with one pure planner (leasePlanner.planLeases), and a single cluster
+//     is its one-member case; plan.federated selects the recorder set and
+//     the result projection, nothing else.
 //
 // Capacity accounting across shards is Config.ShardCapacity's choice
 // (docs/SHARDING.md): under LeasePool — the default for experiment -shards
 // runs — workers lease hosts from a shared virtual capacity pool backed by
-// the capacity ledger, reconciled at every LeaseEpoch boundary, so every
+// the capacity ledger, reconciled at every epoch boundary, so every
 // cluster-determined metric of a sharded run is byte-identical to the
 // unsharded run at any shard count (pinned by TestLeasePoolCapacityExact);
 // under the zero-value LegacySplit the workers never share capacity after
@@ -120,8 +125,8 @@
 //     Run, RunFederated, and the pooled/matrix federated path.
 //   - SLO-aware scheduling is opt-in: FedConfig.SLOAware switches the
 //     wait-queue to class-weighted priority order (rank = waited×weight,
-//     FIFO within a class, waiters past FedConfig.SLOAgingBound promoted
-//     ahead of everything so best-effort cannot starve) and records
+//     FIFO within a class, waiters parked past 30 minutes promoted ahead
+//     of everything so best-effort cannot starve) and records
 //     per-class queue delays in FedResult.ClassDelay; the default FIFO
 //     path is untouched and replays every existing workload
 //     byte-identically. The priority drain's comparator is a total order

@@ -93,9 +93,6 @@ type FedConfig struct {
 	// LeanMetrics bounds the result's memory by the simulated window (see
 	// Config.LeanMetrics): coalesced timelines, reservoir samples.
 	LeanMetrics bool
-	// LeanSampleCap is the per-distribution reservoir size under
-	// LeanMetrics (default 4096).
-	LeanSampleCap int
 	// Clusters are the member clusters (default: two 15-host clusters).
 	Clusters []FedClusterSpec
 	// Route ranks clusters for placements and migrations (default
@@ -118,9 +115,9 @@ type FedConfig struct {
 	// PooledAutoscale switches autoscaling from one evaluation per member
 	// (each scaling on its own committed load, pinned at its own MinHosts
 	// floor) to one federation.FederatedAutoscaler decision per interval:
-	// federation-wide expected capacity, ScalePolicy-chosen target member,
-	// and a single federation-wide floor so small members can drain to
-	// near-zero.
+	// federation-wide expected capacity, scale-out onto the most-pressured
+	// member and scale-in from the emptiest, and a single federation-wide
+	// floor so small members can drain to near-zero.
 	PooledAutoscale bool
 	// FedMinHosts is the federation-wide scale-in floor under
 	// PooledAutoscale, clamped through scheduler.MinHostsFloor to at least
@@ -130,9 +127,6 @@ type FedConfig struct {
 	// flat as the cluster count grows. A bare R-host floor is legal but
 	// causes drain/re-provision churn at low cluster counts.
 	FedMinHosts int
-	// ScalePolicy picks the member each pooled decision lands on (default
-	// federation.GreedyScalePolicy).
-	ScalePolicy federation.ScalePolicy
 	// ReplicasPerKernel is R (default 3). A session's replicas are placed
 	// within a single cluster at creation; migration may later move a
 	// replica to another cluster.
@@ -141,37 +135,25 @@ type FedConfig struct {
 	PrewarmPerHost int
 	// SRHighWatermark caps per-host subscription (default 3.0).
 	SRHighWatermark float64
-	// ScaleFactor is each member's autoscaler factor f (default 1.05).
+	// ScaleFactor is each member's autoscaler factor f (default 1.05),
+	// evaluated once a simulated minute.
 	ScaleFactor float64
-	// AutoscaleInterval is the per-member autoscaler period (default 60s).
-	AutoscaleInterval time.Duration
-	// Latencies are the protocol latency models.
-	Latencies Latencies
 	// SLOAware switches the capacity wait-queue from strict FIFO to
 	// SLO-class-weighted priority order: parked tasks retry by
 	// waited×class-weight (trace.SLOClass.Weight — interactive 4, batch 2,
 	// best-effort 1), FIFO within a class, with waiters parked longer than
-	// SLOAgingBound promoted ahead of everything so best-effort cannot
+	// 30 minutes promoted ahead of everything so best-effort cannot
 	// starve. Off by default — the FIFO path replays byte-identically.
 	// Per-class queue-delay samples land in FedResult.ClassDelay.
 	SLOAware bool
-	// SLOAgingBound is the priority queue's starvation-freedom bound
-	// (default 30 min; only meaningful with SLOAware).
-	SLOAgingBound time.Duration
 	// Seed drives all randomness.
 	Seed int64
-	// SampleEvery is the metrics sampling period (default 5 min).
-	SampleEvery time.Duration
 	// ShardCapacity selects how the sharded federated runners treat member
 	// capacity (RunFederated itself ignores it): LegacySplit (the zero
 	// value) keeps the static proportional split, LeasePool reconciles a
 	// shared per-member capacity pool at epoch barriers. See
 	// RunFederatedSharded and docs/SHARDING.md.
 	ShardCapacity ShardCapacity
-	// LeaseEpoch is the barrier period of the LeasePool capacity protocol
-	// (default AutoscaleInterval). Only meaningful with
-	// ShardCapacity == LeasePool.
-	LeaseEpoch time.Duration
 	// Faults declares the deterministic fault model (see Config.Faults):
 	// per-host crash/recover churn, outage windows — scopable to one
 	// member by name — and network-degradation episodes that scale every
@@ -276,15 +258,28 @@ func RunFederated(cfg FedConfig) (*FedResult, error) {
 }
 
 // autoscalePooled runs one pooled evaluation: snapshot every member's O(1)
-// counters, let the FederatedAutoscaler make the single federation-wide
-// decision, and execute it — provision hosts on the chosen member after
-// the provisioning latency, or retire up to the decided number of empty
-// hosts from it. Per-member MinHosts floors do not apply here; the
-// autoscaler enforces the federation-wide floor and the placement anchor
-// (some member always keeps R hosts).
+// counters plus its empty-host count (one pass over its hosts), let the
+// FederatedAutoscaler make the single federation-wide decision, and execute
+// it — provision hosts on the chosen member after the provisioning latency,
+// or retire up to the decided number of empty hosts from it. Per-member
+// MinHosts floors do not apply here; the autoscaler enforces the
+// federation-wide floor and the placement anchor (some member always keeps
+// R hosts).
 func (s *sim) autoscalePooled() {
 	for i, m := range s.members {
-		s.loads[i] = s.memberLoad(m)
+		l := federation.MemberLoad{
+			Hosts:          m.c.NumHosts(),
+			PendingHosts:   m.pendingHosts,
+			GPUsPerHost:    m.spec.HostCapacity.GPUs,
+			CommittedGPUs:  m.c.CommittedGPUs(),
+			SubscribedGPUs: m.c.SubscribedGPUs(),
+		}
+		for _, h := range m.hosts {
+			if h.h.Empty() {
+				l.EmptyHosts++
+			}
+		}
+		s.loads[i] = l
 	}
 	dec := s.autoscaler.Decide(s.loads)
 	switch dec.Action {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"notebookos/internal/federation"
+	"notebookos/internal/resources"
 	"notebookos/internal/trace"
 )
 
@@ -170,5 +171,91 @@ func TestDefaultFedClustersConserveHosts(t *testing.T) {
 			t.Errorf("k=%d: expected heterogeneous sizes, got %d..%d",
 				k, specs[0].Hosts, specs[k-1].Hosts)
 		}
+	}
+}
+
+// halfHost is a p3.16xlarge cut in half: a shape the trace's 8-GPU sessions
+// do not fit.
+func halfHost() resources.Spec { return resources.P316xlarge().Scale(0.5) }
+
+// TestHeterogeneousFederationPlacesWhatFits: every request of the excerpt
+// fits a p3.16xlarge, so a federation that has p3.16xlarge members must
+// place every session and run every task, whichever member a session is
+// homed at: an emergency scale-out for a session homed at the half-size
+// member must grow a member whose hosts hold the request.
+func TestHeterogeneousFederationPlacesWhatFits(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(5)
+	gcfg.Duration = 6 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	for _, route := range []federation.RoutePolicy{federation.LatencyAware{}, federation.LeastSubscribed{}} {
+		res, err := RunFederated(FedConfig{
+			Trace: tr,
+			Clusters: []FedClusterSpec{
+				{Name: "big", Hosts: 10},
+				{Name: "small", Hosts: 12, HostCapacity: halfHost()},
+				{Name: "tiny", Hosts: 3},
+			},
+			PooledAutoscale: true,
+			Route:           route,
+			Seed:            9,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if placed := res.LocalPlacements + res.RemotePlacements; placed != len(tr.Sessions) || res.Tasks != tr.NumTasks() {
+			t.Errorf("%s: placed %d of %d sessions, ran %d of %d tasks", route.Name(),
+				placed, len(tr.Sessions), res.Tasks, tr.NumTasks())
+		}
+	}
+}
+
+// TestScaleOutGrowsAMemberThatFits drives the two emergency scale-out sites
+// by hand on a federation whose home member's hosts are too small for the
+// request: kernel creation with no member able to place R replicas, then a
+// migration with no idle target anywhere. Both must grow the member whose
+// shape holds the request, not the home member.
+func TestScaleOutGrowsAMemberThatFits(t *testing.T) {
+	start := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
+	p, err := FedConfig{
+		Trace: &trace.Trace{Name: "empty", Start: start, End: start.Add(time.Hour)},
+		Clusters: []FedClusterSpec{
+			{Name: "small", Hosts: 3, HostCapacity: halfHost()},
+			{Name: "big", Hosts: 2}, // fewer than R hosts: cannot place a kernel yet
+		},
+		Seed: 1,
+	}.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	small, big := s.members[0], s.members[1]
+	req := resources.P316xlarge()
+	ss := &session{src: &trace.Session{ID: "s1", Start: start, End: start.Add(time.Hour), Request: req}, req: req}
+
+	s.sessionStart(ss)
+	if len(ss.hosts) != 3 || small.c.NumHosts() != 3 || big.c.NumHosts() != 5 {
+		t.Fatalf("kernel creation: session on %d hosts, small has %d hosts, big %d; want 3, 3, 5",
+			len(ss.hosts), small.c.NumHosts(), big.c.NumHosts())
+	}
+	for _, h := range ss.hosts {
+		if h.member != 1 {
+			t.Errorf("replica placed on member %d, whose hosts cannot hold the request", h.member)
+		}
+	}
+
+	for _, h := range big.hosts {
+		if err := h.h.Commit("hog", req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.tryMigrate(ss, trace.Task{Submit: start, Duration: time.Minute, GPUs: 8}, start) {
+		t.Fatal("migration found a target on a saturated federation")
+	}
+	if small.pendingHosts != 0 || big.pendingHosts != 1 {
+		t.Errorf("migration scale-out: %d hosts pending on small, %d on big; want 0 and 1", small.pendingHosts, big.pendingHosts)
 	}
 }

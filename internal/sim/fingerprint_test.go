@@ -15,7 +15,24 @@ import (
 	"notebookos/internal/trace"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/runner_fingerprints.golden from the current behaviour")
+var updateGolden = flag.Bool("update", false, "rewrite the golden files under testdata from the current behaviour")
+
+// goldenFile returns what testdata/name pins. Under -update it first
+// rewrites the file with got, so the comparison that follows passes.
+func goldenFile(t *testing.T, name, got string) string {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(want)
+}
 
 // fpLines accumulates one "<scenario> <field>=<value>" line per pinned
 // value, so a golden diff names the runner and the field that moved.
@@ -241,22 +258,9 @@ func TestRunnerFingerprints(t *testing.T) {
 		}
 	}
 
-	golden := filepath.Join("testdata", "runner_fingerprints.golden")
+	const golden = "testdata/runner_fingerprints.golden"
 	got := b.String()
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	wantBytes, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := string(wantBytes); got != want {
+	if want := goldenFile(t, "runner_fingerprints.golden", got); got != want {
 		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
 		diffs := 0
 		for i := 0; i < len(gl) || i < len(wl); i++ {

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"notebookos/internal/federation"
 	"notebookos/internal/trace"
 )
 
@@ -33,15 +32,15 @@ import (
 //
 //  1. trace.ProportionalShares still sizes the workers' clusters, but as
 //     the *initial lease grant* only;
-//  2. the ledger runs freely, one epoch (default: the autoscale interval)
-//     at a time, and after each epoch publishes its live host count per
-//     member to the ledger feed; it reads nothing from the workers and
-//     never waits for them. The workers rendezvous among themselves at
-//     every epoch boundary, where the pool re-apportions that epoch's
-//     published count across the shards — topping up shards whose next
-//     arrival would no longer place (draining their capacity wait-queues:
-//     the attach notification is the cross-shard wakeup), reclaiming idle
-//     hosts from shards holding more than they need;
+//  2. the ledger runs freely, one epoch (the autoscale interval) at a
+//     time, and after each epoch publishes its live host count per member
+//     to the ledger feed; it reads nothing from the workers and never
+//     waits for them. The workers rendezvous among themselves at every
+//     epoch boundary, where the pool re-apportions that epoch's published
+//     counts across the shards, member by member — topping up shards
+//     whose next arrival would no longer place (draining their capacity
+//     wait-queues: the attach notification is the cross-shard wakeup),
+//     reclaiming idle hosts from shards holding more than they need;
 //  3. the merged Result reports the ledger's capacity metrics —
 //     provisioned/committed timelines, scale events and counters,
 //     integrated hours — which are byte-identical to the unsharded run's
@@ -83,7 +82,7 @@ const (
 // then park on the condition variable. The barrier's generation and the
 // feed's published-epoch count are both gates.
 //
-// At the default epoch (one simulated minute) a 10-day trace crosses ~14k
+// An epoch is one simulated minute, so a 10-day trace crosses ~14k
 // boundaries whose epochs hold microseconds of work each; parking at every
 // one of them puts most of a leased run's wall-clock into OS thread sleeps
 // and wake-ups, and makes it as unsteady as the host's wake-up latency.
@@ -202,10 +201,10 @@ func (f *ledgerFeed) epoch(e int) []int32 {
 }
 
 // epochBoundaries lists the barrier instants — start+epoch, start+2·epoch,
-// …, ending at the first boundary >= end. These are exactly the virtual
-// times the unsharded autoscaler ticks at, so the ledger's state at a
-// boundary is its state just after the tick the unsharded run would have
-// taken there.
+// …, ending at the first boundary >= end. The epoch is the autoscale
+// interval, so these are exactly the virtual times the unsharded autoscaler
+// ticks at, and the ledger's state at a boundary is its state just after
+// the tick the unsharded run would have taken there.
 func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 	var ts []time.Time
 	for t := start.Add(epoch); ; t = t.Add(epoch) {
@@ -264,7 +263,7 @@ func runLeased(p *plan, workers []*plan) (*record, error) {
 		return nil, err
 	}
 
-	bounds := epochBoundaries(sims[0].start, sims[0].end, p.LeaseEpoch)
+	bounds := epochBoundaries(sims[0].start, sims[0].end, autoscaleInterval)
 	feed := newLedgerFeed(len(bounds), len(sims[0].members))
 	bar := newEpochBarrier(len(workers))
 	reconcile := newLeasePool(p, sims[1:])
@@ -293,46 +292,31 @@ func runLeased(p *plan, workers []*plan) (*record, error) {
 }
 
 // newLeasePool returns the barrier action of the pool that re-apportions
-// the ledger's host counts across the workers: the single-cluster planner
-// for a plan compiled from a Config, the per-member federated planner for
-// one compiled from a FedConfig. The two plan differently (the first evicts
-// idle replicas to free hosts, the second moves only natural empties), and
-// the pinned worker-latency numbers depend on which one ran.
+// the ledger's host counts across the workers, one member at a time: each
+// member has its own host shape, hence its own placement-headroom constants.
 func newLeasePool(p *plan, workers []*sim) (reconcile func(ledgerHosts []int32)) {
-	k := len(workers)
-	if !p.federated {
-		return (&leasePool{
-			workers: workers,
-			params: leaseParams{
-				GPUsPerHost: p.members[0].HostCapacity.GPUs,
-				Watermark:   p.SRHighWatermark,
-				Replicas:    p.ReplicasPerKernel,
-			},
-			loads:   make([]shardLoad, k),
-			planner: newLeasePlanner(k),
-		}).reconcile
+	pool := &leasePool{
+		workers: workers,
+		params:  make([]leaseParams, len(p.members)),
+		loads:   make([]shardLoad, len(workers)),
+		planner: newLeasePlanner(len(workers)),
 	}
-	pool := &fedLeasePool{
-		workers:  workers,
-		specs:    p.members,
-		replicas: p.ReplicasPerKernel,
-		loads:    make([][]federation.MemberLoad, k),
-		spare:    make([]int, k),
-		want:     make([]int, k),
-		transfer: make([]int, k),
-		weights:  make([]float64, k),
-	}
-	for i := range pool.loads {
-		pool.loads[i] = make([]federation.MemberLoad, len(p.members))
+	for m, spec := range p.members {
+		pool.params[m] = leaseParams{
+			GPUsPerHost: spec.HostCapacity.GPUs,
+			Watermark:   p.SRHighWatermark,
+			Replicas:    p.ReplicasPerKernel,
+		}
 	}
 	return pool.reconcile
 }
 
 // ---- planning (pure) -----------------------------------------------------
 
-// shardLoad is one worker's barrier-time capacity snapshot — plain
-// counters, so the planning step is a pure function testable without
-// running simulations (see TestLeaseConservation).
+// shardLoad is one worker's barrier-time capacity snapshot of the member
+// being planned ("the shard" below is that worker's slice of the member) —
+// plain counters, so the planning step is a pure function testable without
+// running simulations (see TestLeaseConservation, TestLeasePlanGolden).
 type shardLoad struct {
 	// Hosts and PendingHosts are the shard's attached and in-flight host
 	// counts. IdleHosts counts hosts with no commitments: their idle
@@ -343,7 +327,8 @@ type shardLoad struct {
 	Hosts        int
 	PendingHosts int
 	IdleHosts    int
-	// Waiters counts tasks parked on the shard's capacity wait-queue.
+	// Waiters counts tasks parked on the shard's capacity wait-queue that
+	// are homed at the member.
 	Waiters int
 	// CommittedGPUs weights where fresh grants land; SubscribedGPUs and
 	// MaxReqGPUs drive the placement-headroom targets (MaxReqGPUs is the
@@ -586,71 +571,75 @@ func planTransfers(spare, want []int, transfer []int) {
 // its MinHosts level.
 const leaseFloor = 1
 
-// ---- single-cluster pool -------------------------------------------------
+// ---- the pool -----------------------------------------------------------
 
-// leasePool re-apportions the capacity ledger's host count across k
-// single-cluster workers at epoch barriers.
+// leasePool re-apportions the capacity ledger's per-member host counts
+// across k workers at epoch barriers. Host shapes differ across members, so
+// a lease moves between shards only within a member, and each member is
+// planned on its own: params[m] holds member m's constants, while the load
+// snapshot and the planner's buffers are reused from member to member. A
+// single cluster is the one-member case.
 type leasePool struct {
 	workers []*sim
-	params  leaseParams
+	params  []leaseParams
 	loads   []shardLoad
 	planner *leasePlanner
 }
 
 // reconcile runs one barrier's reconciliation against the ledger's host
-// count at that boundary; it executes inside the barrier action, so every
-// worker is waiting and the pool has exclusive access to all of them.
+// counts at that boundary; it executes inside the barrier action, so every
+// worker is waiting and the pool has exclusive access to all of them. Order
+// is fixed: members ascending, shards ascending within a member.
 func (p *leasePool) reconcile(ledgerHosts []int32) {
-	for i, w := range p.workers {
-		p.loads[i] = w.leaseLoad()
-	}
-	if p.params.wantsHosts(p.loads) {
+	for m, params := range p.params {
 		for i, w := range p.workers {
-			p.loads[i].IdleHosts = w.idleHosts()
+			p.loads[i] = w.leaseLoad(m)
 		}
-	}
-	plan := p.planner.planLeases(p.loads, int(ledgerHosts[0]), p.params)
-	// Detach before attach, and attach only what donors actually freed
-	// (an eviction can fail when the remaining hosts lack watermark room
-	// for a replica), so transfers conserve the shards' total by
-	// construction.
-	pot := 0
-	for i, d := range plan.Transfer {
-		if d < 0 {
-			pot += p.workers[i].donateHosts(-d)
-		}
-	}
-	for i, d := range plan.Transfer {
-		if d > 0 && pot > 0 {
-			g := d
-			if g > pot {
-				g = pot
+		if params.wantsHosts(p.loads) {
+			for i, w := range p.workers {
+				p.loads[i].IdleHosts = w.idleHosts(m)
 			}
-			p.workers[i].attachHosts(0, g)
-			pot -= g
 		}
-	}
-	for i, n := range plan.Provision {
-		if n > 0 {
-			p.workers[i].attachHosts(0, n)
+		plan := p.planner.planLeases(p.loads, int(ledgerHosts[m]), params)
+		// Detach before attach, and attach only what donors actually freed
+		// (an eviction can fail when the remaining hosts lack watermark room
+		// for a replica), so transfers conserve the shards' total by
+		// construction.
+		pot := 0
+		for i, d := range plan.Transfer {
+			if d < 0 {
+				pot += p.workers[i].donateHosts(m, -d)
+			}
 		}
-	}
-	for i, n := range plan.Retire {
-		if n > 0 {
-			p.workers[i].donateHosts(n)
+		for i, d := range plan.Transfer {
+			if d > 0 && pot > 0 {
+				g := min(d, pot)
+				p.workers[i].attachHosts(m, g)
+				pot -= g
+			}
+		}
+		for i, n := range plan.Provision {
+			p.workers[i].attachHosts(m, n)
+		}
+		for i, n := range plan.Retire {
+			if n > 0 {
+				p.workers[i].donateHosts(m, n)
+			}
 		}
 	}
 }
 
-// leaseLoad snapshots the worker's O(1) barrier-time counters for the
-// pool; IdleHosts is left for idleHosts to fill when the plan will read
-// it. Only called from the barrier action, while the worker is waiting.
-func (s *sim) leaseLoad() shardLoad {
-	m := s.members[0]
+// leaseLoad snapshots the O(1) barrier-time counters of the worker's member
+// mi for the pool; IdleHosts is left for idleHosts to fill when the plan
+// will read it. Waiters are the parked tasks homed at the member — with one
+// member, the whole wait-queue. Only called from the barrier action, while
+// the worker is waiting.
+func (s *sim) leaseLoad(mi int) shardLoad {
+	m := s.members[mi]
 	return shardLoad{
 		Hosts:          m.c.NumHosts(),
 		PendingHosts:   m.pendingHosts,
-		Waiters:        s.waitq.Len(),
+		Waiters:        s.qdepth[mi],
 		CommittedGPUs:  m.c.CommittedGPUs(),
 		SubscribedGPUs: m.c.SubscribedGPUs(),
 		MaxReqGPUs:     s.maxReq,
@@ -658,12 +647,12 @@ func (s *sim) leaseLoad() shardLoad {
 	}
 }
 
-// idleHosts counts the worker's hosts with nothing committed — the hosts
+// idleHosts counts member mi's hosts with nothing committed — the hosts
 // donateHosts can free. One read per host, so the pool asks only on
 // barriers where some shard wants a host.
-func (s *sim) idleHosts() int {
+func (s *sim) idleHosts(mi int) int {
 	n := 0
-	for _, h := range s.members[0].hosts {
+	for _, h := range s.members[mi].hosts {
 		if h.h.Committed().IsZero() {
 			n++
 		}
@@ -705,29 +694,30 @@ func (s *sim) detachEmptyHosts(mi, n int) int {
 	return removed
 }
 
-// donateHosts frees up to n hosts for return to the pool (or transfer to
-// another shard) and reports the count actually detached: natural
-// empties first, then committed-free hosts whose idle replicas rehome
-// onto this shard's remaining hosts. An idle replica holds no execution
-// state (its checkpoints live in the remote store), so the rehoming is
-// barrier-time bookkeeping — no latency, no migration event;
-// docs/SHARDING.md spells out this modeling choice.
-func (s *sim) donateHosts(n int) int {
-	removed := s.detachEmptyHosts(0, n)
-	for removed < n && s.evictOneHost() {
+// donateHosts frees up to n of member mi's hosts for return to the pool (or
+// transfer to another shard) and reports the count actually detached:
+// natural empties first, then committed-free hosts whose idle replicas
+// rehome onto the member's remaining hosts in this shard. An idle replica
+// holds no execution state (its checkpoints live in the remote store), so
+// the rehoming is barrier-time bookkeeping — no latency, no migration
+// event; docs/SHARDING.md spells out this modeling choice.
+func (s *sim) donateHosts(mi, n int) int {
+	removed := s.detachEmptyHosts(mi, n)
+	for removed < n && s.evictOneHost(mi) {
 		removed++
 	}
 	return removed
 }
 
-// evictOneHost picks the committed-free host with the fewest replicas,
-// rehomes each replica onto another host (most-subscribed candidate
-// under the SR watermark, never two replicas of one session together),
-// detaches the emptied host, and reports success. A half-evicted host
-// (a replica with no viable target) stays attached with the moves kept —
-// still a valid state; a later barrier may finish the job.
-func (s *sim) evictOneHost() bool {
-	m := s.members[0]
+// evictOneHost picks member mi's committed-free host with the fewest
+// replicas, rehomes each replica onto another host of the member (the
+// most-subscribed candidate whose shape fits the session and stays under
+// the SR watermark, never two replicas of one session together), detaches
+// the emptied host, and reports success. A half-evicted host (a replica
+// with no viable target) stays attached with the moves kept — still a valid
+// state; a later barrier may finish the job.
+func (s *sim) evictOneHost(mi int) bool {
+	m := s.members[mi]
 	var victim *host
 	for _, h := range m.hosts {
 		if !h.h.Committed().IsZero() || h.h.NumReplicas() == 0 {
@@ -775,166 +765,5 @@ func (s *sim) evictOneHost() bool {
 		// Replicas this worker no longer tracks (defensive) block eviction.
 		return false
 	}
-	return s.detachEmptyHosts(0, 1) == 1
-}
-
-// ---- federated pool ------------------------------------------------------
-
-// fedLeasePool re-apportions the federated capacity ledger's per-member
-// host counts across k worker federations at epoch barriers. Host shapes
-// differ across members, so leases move between shards only within a
-// member; the ledger carries the parent's autoscaling — including, under
-// PooledAutoscale, the federation.FederatedAutoscaler deciding once per
-// tick over the whole (pooled) workload's counters.
-type fedLeasePool struct {
-	workers  []*sim
-	specs    []FedClusterSpec
-	replicas int
-
-	// Reusable buffers: loads[i][m] is shard i's snapshot of member m.
-	loads    [][]federation.MemberLoad
-	spare    []int
-	want     []int
-	transfer []int
-	weights  []float64
-}
-
-// floor returns the hosts member m of shard i must keep: one host (the
-// worker-topology invariant — every worker federation keeps every
-// member), raised to R when m is the shard's only member with R hosts —
-// the placement anchor: a shard whose every member is below R cannot
-// place any kernel and would emergency-scale on each arrival.
-func (p *fedLeasePool) floor(i, m int) int {
-	f := 1
-	if r := p.replicas; r > f && p.loads[i][m].Hosts >= r {
-		anchored := 0
-		for mm := range p.specs {
-			if p.loads[i][mm].Hosts >= r {
-				anchored++
-			}
-		}
-		if anchored == 1 {
-			f = r
-		}
-	}
-	return f
-}
-
-// reconcile runs one barrier's reconciliation against the ledger's
-// per-member host counts at that boundary (inside the barrier action; all
-// workers waiting). Order is fixed: members ascending, shards ascending
-// within a member.
-func (p *fedLeasePool) reconcile(ledgerHosts []int32) {
-	k := len(p.workers)
-	for i, w := range p.workers {
-		for m, wm := range w.members {
-			p.loads[i][m] = w.memberLoad(wm)
-		}
-	}
-	for m := range p.specs {
-		// Phase 1: rebalance within the member toward the
-		// subscription-proportional ideal (equal shard SRs reproduce what
-		// global placement would have seen and prevent emergency
-		// scale-outs), with waiters homed at the member raising a shard's
-		// ask further. The federated pool moves only natural empties — no
-		// replica eviction (docs/SHARDING.md records the simplification).
-		totalHosts := 0
-		for i := 0; i < k; i++ {
-			totalHosts += p.loads[i][m].Hosts
-			p.weights[i] = float64(p.loads[i][m].SubscribedGPUs)
-		}
-		ideal := trace.ProportionalShares(p.weights, totalHosts, 1)
-		for i := 0; i < k; i++ {
-			l := p.loads[i][m]
-			target := ideal[i]
-			if f := p.floor(i, m); target < f {
-				target = f
-			}
-			w := target - l.Hosts
-			if d := p.workers[i].qdepth[m]; w < d {
-				w = d
-			}
-			if w < 0 {
-				w = 0
-			}
-			p.want[i] = w
-			s := l.EmptyHosts
-			if max := l.Hosts - target; s > max {
-				s = max
-			}
-			if s < 0 {
-				s = 0
-			}
-			p.spare[i] = s
-		}
-		planTransfers(p.spare, p.want, p.transfer)
-		for i, d := range p.transfer {
-			if d < 0 {
-				p.workers[i].detachEmptyHosts(m, -d)
-			}
-		}
-		for i, d := range p.transfer {
-			if d > 0 {
-				p.workers[i].attachHosts(m, d)
-			}
-		}
-		for i, d := range p.transfer {
-			p.loads[i][m].Hosts += d
-			p.loads[i][m].EmptyHosts += d // transfers move only empties
-		}
-		// Phase 2: pin the shards' member-m total to the ledger's level —
-		// grants toward unmet wants first, then largest-remainder over
-		// committed load; returns in shard-index order from natural
-		// empties above the floor.
-		total := 0
-		for i := 0; i < k; i++ {
-			total += p.loads[i][m].Hosts + p.loads[i][m].PendingHosts
-		}
-		if delta := int(ledgerHosts[m]) - total; delta > 0 {
-			for i := 0; i < k && delta > 0; i++ {
-				g := p.want[i]
-				if g > delta {
-					g = delta
-				}
-				if g > 0 {
-					p.workers[i].attachHosts(m, g)
-					p.loads[i][m].Hosts += g
-					delta -= g
-				}
-			}
-			if delta > 0 {
-				for i := 0; i < k; i++ {
-					p.weights[i] = float64(p.loads[i][m].CommittedGPUs)
-				}
-				for i, n := range trace.ProportionalShares(p.weights, delta, 0) {
-					if n > 0 {
-						p.workers[i].attachHosts(m, n)
-						p.loads[i][m].Hosts += n
-					}
-				}
-			}
-		} else if delta < 0 {
-			excess := -delta
-			for i := 0; i < k && excess > 0; i++ {
-				if p.workers[i].qdepth[m] > 0 {
-					continue
-				}
-				l := p.loads[i][m]
-				avail := l.EmptyHosts
-				if max := l.Hosts - p.floor(i, m); avail > max {
-					avail = max
-				}
-				if avail > excess {
-					avail = excess
-				}
-				if avail <= 0 {
-					continue
-				}
-				removed := p.workers[i].detachEmptyHosts(m, avail)
-				p.loads[i][m].Hosts -= removed
-				p.loads[i][m].EmptyHosts -= removed
-				excess -= removed
-			}
-		}
-	}
+	return s.detachEmptyHosts(mi, 1) == 1
 }

@@ -86,51 +86,62 @@ func TestLeasePoolCapacityExact(t *testing.T) {
 // series, routing counters, scale counters, and the saved-GPU-hours
 // headline all match RunFederated exactly under LeasePool, including the
 // PooledAutoscale path (the ledger's FederatedAutoscaler decides once
-// per tick over the whole — pooled — workload).
+// per tick over the whole — pooled — workload) and a federation whose
+// members differ in host shape (each member is leased with its own
+// GPUs-per-host, and replicas rehome only onto hosts that hold them).
 func TestLeasePoolFederatedCapacityExact(t *testing.T) {
 	tr := shardQuickTrace(t, 55)
-	cfg := FedConfig{
-		Trace:           tr,
-		Clusters:        DefaultFedClusters(4, 30),
-		Route:           federation.LeastSubscribed{},
-		PooledAutoscale: true,
-		Seed:            17,
-	}
-	base, err := RunFederated(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := cfg
-	c.ShardCapacity = LeasePool
-	for _, k := range []int{2, 3} {
-		res, err := RunFederatedSharded(c, k)
+	for name, clusters := range map[string][]FedClusterSpec{
+		"ramp of four": DefaultFedClusters(4, 30),
+		"mixed shapes": {
+			{Name: "big", Hosts: 12},
+			{Name: "small", Hosts: 12, HostCapacity: halfHost()},
+			{Name: "tiny", Hosts: 6},
+		},
+	} {
+		cfg := FedConfig{
+			Trace:           tr,
+			Clusters:        clusters,
+			Route:           federation.LeastSubscribed{},
+			PooledAutoscale: true,
+			Seed:            17,
+		}
+		base, err := RunFederated(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a, b := base.GPUHoursSaved(), res.GPUHoursSaved(); math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
-			t.Errorf("k=%d: saved GPU-hours diverged: base %.3f, sharded %.3f", k, a, b)
-		}
-		if res.ScaleOuts != base.ScaleOuts || res.ScaleIns != base.ScaleIns {
-			t.Errorf("k=%d: scale counters diverged: so=%d/%d si=%d/%d",
-				k, res.ScaleOuts, base.ScaleOuts, res.ScaleIns, base.ScaleIns)
-		}
-		if res.LocalPlacements != base.LocalPlacements || res.RemotePlacements != base.RemotePlacements {
-			t.Errorf("k=%d: routing counters diverged", k)
-		}
-		for m := range base.Clusters {
-			bc, rc := base.Clusters[m], res.Clusters[m]
-			if rc.FinalHosts != bc.FinalHosts || rc.ScaleOuts != bc.ScaleOuts || rc.ScaleIns != bc.ScaleIns {
-				t.Errorf("k=%d member %d: per-cluster capacity diverged: hosts=%d/%d so=%d/%d si=%d/%d",
-					k, m, rc.FinalHosts, bc.FinalHosts, rc.ScaleOuts, bc.ScaleOuts, rc.ScaleIns, bc.ScaleIns)
+		c := cfg
+		c.ShardCapacity = LeasePool
+		for _, k := range []int{2, 3} {
+			res, err := RunFederatedSharded(c, k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			a := bc.ProvisionedGPUs.Integral(tr.Start, tr.End)
-			b := rc.ProvisionedGPUs.Integral(tr.Start, tr.End)
-			if math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
-				t.Errorf("k=%d member %d: provisioned integral diverged: %.3f vs %.3f", k, m, a, b)
+			if a, b := base.GPUHoursSaved(), res.GPUHoursSaved(); math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
+				t.Errorf("%s, k=%d: saved GPU-hours diverged: base %.3f, sharded %.3f", name, k, a, b)
 			}
-		}
-		if res.Tasks != base.Tasks {
-			t.Errorf("k=%d: task count diverged: %d vs %d", k, res.Tasks, base.Tasks)
+			if res.ScaleOuts != base.ScaleOuts || res.ScaleIns != base.ScaleIns {
+				t.Errorf("%s, k=%d: scale counters diverged: so=%d/%d si=%d/%d",
+					name, k, res.ScaleOuts, base.ScaleOuts, res.ScaleIns, base.ScaleIns)
+			}
+			if res.LocalPlacements != base.LocalPlacements || res.RemotePlacements != base.RemotePlacements {
+				t.Errorf("%s, k=%d: routing counters diverged", name, k)
+			}
+			for m := range base.Clusters {
+				bc, rc := base.Clusters[m], res.Clusters[m]
+				if rc.FinalHosts != bc.FinalHosts || rc.ScaleOuts != bc.ScaleOuts || rc.ScaleIns != bc.ScaleIns {
+					t.Errorf("%s, k=%d member %d: per-cluster capacity diverged: hosts=%d/%d so=%d/%d si=%d/%d",
+						name, k, m, rc.FinalHosts, bc.FinalHosts, rc.ScaleOuts, bc.ScaleOuts, rc.ScaleIns, bc.ScaleIns)
+				}
+				a := bc.ProvisionedGPUs.Integral(tr.Start, tr.End)
+				b := rc.ProvisionedGPUs.Integral(tr.Start, tr.End)
+				if math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
+					t.Errorf("%s, k=%d member %d: provisioned integral diverged: %.3f vs %.3f", name, k, m, a, b)
+				}
+			}
+			if res.Tasks != base.Tasks {
+				t.Errorf("%s, k=%d: task count diverged: %d vs %d", name, k, res.Tasks, base.Tasks)
+			}
 		}
 	}
 }
@@ -484,38 +495,159 @@ func TestLeasePoolOneHotShard(t *testing.T) {
 	}
 }
 
-// TestLeasePoolQuietBarrierAllocatesNothing: a barrier at which no shard
-// wants a host and the shards' total already matches the ledger's — five
-// barriers in six on the summer trace — costs the single-cluster pool no
-// allocation: the snapshot, the plan and its scratch all live in buffers
-// the pool owns.
-func TestLeasePoolQuietBarrierAllocatesNothing(t *testing.T) {
-	tr := shardQuickTrace(t, 61)
-	p, err := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7}.plan()
+// leasedWorkers builds the k lease-managed workers runLeased would build for
+// compile's plan over tr — without a ledger, for tests that drive the pool's
+// barrier action by hand — and returns them with the parent plan.
+func leasedWorkers(t *testing.T, tr *trace.Trace, k int, compile func() (*plan, error)) (*plan, []*sim) {
+	t.Helper()
+	p, err := compile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := tr.Split(2)
+	parts := tr.Split(k)
+	weights := make([]float64, k)
+	for i, part := range parts {
+		weights[i] = part.Weight
+	}
 	var sims []*sim
-	total := 0
-	for i, wp := range p.shard([]float64{parts[0].Weight, parts[1].Weight}) {
+	for i, wp := range p.shard(weights) {
 		wp.input = input{Trace: parts[i].Trace}
 		wp.leaseManaged = true
 		w, err := newSim(wp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer w.close()
+		t.Cleanup(w.close)
 		sims = append(sims, w)
-		total += w.members[0].c.NumHosts()
 	}
-	reconcile := newLeasePool(p, sims)
-	ledgerHosts := []int32{int32(total)}
-	if allocs := testing.AllocsPerRun(100, func() { reconcile(ledgerHosts) }); allocs != 0 {
-		t.Errorf("a barrier that plans nothing allocated %.0f times", allocs)
+	return p, sims
+}
+
+// memberHosts sums the workers' live hosts per member — what a ledger at
+// exactly the shards' level would publish.
+func memberHosts(sims []*sim) []int32 {
+	hosts := make([]int32, len(sims[0].members))
+	for _, w := range sims {
+		for m, wm := range w.members {
+			hosts[m] += int32(wm.c.NumHosts())
+		}
 	}
-	if got := sims[0].members[0].c.NumHosts() + sims[1].members[0].c.NumHosts(); got != total {
-		t.Errorf("a quiet barrier moved hosts: %d -> %d", total, got)
+	return hosts
+}
+
+// TestLeasePoolQuietBarrierAllocatesNothing: a barrier at which no shard
+// wants a host and the shards' total already matches the ledger's — five
+// barriers in six on the summer trace — costs the pool no allocation,
+// whichever form the plan was compiled from and however many members it
+// has: the snapshot, the plan and its scratch all live in buffers the pool
+// owns and reuses from member to member.
+func TestLeasePoolQuietBarrierAllocatesNothing(t *testing.T) {
+	tr := shardQuickTrace(t, 61)
+	for form, compile := range map[string]func() (*plan, error){
+		"Config":    Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7}.plan,
+		"FedConfig": FedConfig{Trace: tr, Clusters: DefaultFedClusters(4, 30), PooledAutoscale: true, Seed: 7}.plan,
+	} {
+		p, sims := leasedWorkers(t, tr, 2, compile)
+		reconcile := newLeasePool(p, sims)
+		ledgerHosts := memberHosts(sims)
+		if allocs := testing.AllocsPerRun(100, func() { reconcile(ledgerHosts) }); allocs != 0 {
+			t.Errorf("%s: a barrier that plans nothing allocated %.0f times", form, allocs)
+		}
+		if got := memberHosts(sims); !slices.Equal(got, ledgerHosts) {
+			t.Errorf("%s: a quiet barrier moved hosts: %v -> %v", form, ledgerHosts, got)
+		}
+	}
+}
+
+// TestLeasePoolFederatedDonatesIdleHosts: on a worker federation whose two
+// members have different host shapes, donateHosts(m, n) frees hosts of member
+// m that hold replicas but no commitment by rehoming those replicas inside m.
+// Afterwards no session has two replicas on one host, every replica sits on
+// a live host whose shape holds the session's request, the clusters'
+// counters equal a recount from the sessions, and the other member is as it
+// was.
+func TestLeasePoolFederatedDonatesIdleHosts(t *testing.T) {
+	tr := shardQuickTrace(t, 61)
+	p, err := FedConfig{Trace: tr, Seed: 7, Clusters: []FedClusterSpec{
+		{Name: "big", Hosts: 10},
+		{Name: "small", Hosts: 10, HostCapacity: halfHost()},
+	}}.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.leaseManaged = true
+	s, err := newSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	s.eng.RunUntil(tr.Start.Add(2 * time.Hour))
+
+	type hostState struct {
+		h          *host
+		subscribed int
+	}
+	snapshot := func(m *member) []hostState {
+		var st []hostState
+		for _, h := range m.hosts {
+			st = append(st, hostState{h, h.h.SubscribedGPUs()})
+		}
+		return st
+	}
+	for mi, m := range s.members {
+		other := s.members[1-mi]
+		before, subscribed := snapshot(other), m.c.SubscribedGPUs()
+		empties := 0
+		for _, h := range m.hosts {
+			if h.h.Empty() {
+				empties++
+			}
+		}
+		hosts, want := m.c.NumHosts(), empties+2
+		if got := s.donateHosts(mi, want); got != want {
+			t.Fatalf("%s: donated %d hosts, want %d (%d of them empty to begin with)", m.spec.Name, got, want, empties)
+		}
+		if m.c.NumHosts() != hosts-want || len(m.hosts) != hosts-want {
+			t.Errorf("%s: %d hosts in the cluster, %d tracked; want %d", m.spec.Name, m.c.NumHosts(), len(m.hosts), hosts-want)
+		}
+		if m.c.SubscribedGPUs() != subscribed {
+			t.Errorf("%s: rehoming changed the member's subscribed GPUs: %d -> %d", m.spec.Name, subscribed, m.c.SubscribedGPUs())
+		}
+		if !slices.Equal(snapshot(other), before) {
+			t.Errorf("donating from %s touched %s", m.spec.Name, other.spec.Name)
+		}
+	}
+
+	// Recount both members from the live sessions.
+	recount := map[*host]int{}
+	for _, ss := range s.live {
+		for i, h := range ss.hosts {
+			if hostsContain(ss.hosts[:i], h) {
+				t.Errorf("session %s has two replicas on %s", ss.src.ID, h.h.ID)
+			}
+			if !ss.req.Fits(h.h.Capacity) {
+				t.Errorf("session %s (%d GPUs) has a replica on %s, whose shape cannot hold it", ss.src.ID, ss.req.GPUs, h.h.ID)
+			}
+			if !slices.Contains(s.members[h.member].hosts, h) {
+				t.Errorf("session %s has a replica on detached host %s", ss.src.ID, h.h.ID)
+			}
+			recount[h] += ss.req.GPUs
+		}
+	}
+	if len(s.live) == 0 {
+		t.Fatal("no live sessions two hours in")
+	}
+	for _, m := range s.members {
+		total := 0
+		for _, h := range m.hosts {
+			if h.h.SubscribedGPUs() != recount[h] {
+				t.Errorf("host %s reports %d subscribed GPUs, its sessions' replicas add to %d", h.h.ID, h.h.SubscribedGPUs(), recount[h])
+			}
+			total += recount[h]
+		}
+		if m.c.SubscribedGPUs() != total {
+			t.Errorf("%s reports %d subscribed GPUs, a recount finds %d", m.spec.Name, m.c.SubscribedGPUs(), total)
+		}
 	}
 }
 
@@ -560,5 +692,72 @@ func TestLeasedBuildFailure(t *testing.T) {
 		if _, err := runLeased(p, workers); err == nil || !strings.Contains(err.Error(), "latency matrix") {
 			t.Errorf("%s, ledger and worker build failures: got error %v, want the ledger's", form, err)
 		}
+	}
+}
+
+// TestLeasePlanGolden pins the planner's decisions as readable fixtures:
+// testdata/lease_plans.golden holds one named barrier snapshot per case —
+// the planner's constants, the ledger's host count, one line per shard —
+// followed by the plan it must produce. The cases are the situations the
+// protocol is built around; TestLeaseConservation checks the invariants over
+// random snapshots, this file shows what the planner actually does.
+// Regenerate with -update only when the planner is meant to change.
+func TestLeasePlanGolden(t *testing.T) {
+	params := leaseParams{GPUsPerHost: 8, Watermark: 3.0, Replicas: 3}
+	// shard builds a snapshot; every shard has seen an 8-GPU request, so one
+	// host absorbs 3·8·3 − 8 = 64 subscribed GPUs of placement need.
+	shard := func(hosts, idle, waiters, committed, subscribed int) shardLoad {
+		return shardLoad{Hosts: hosts, IdleHosts: idle, Waiters: waiters, CommittedGPUs: committed,
+			SubscribedGPUs: subscribed, MaxReqGPUs: 8, Floor: leaseFloor}
+	}
+	pending := func(l shardLoad, n int) shardLoad { l.PendingHosts = n; return l }
+	cases := []struct {
+		name, why string
+		ledger    int
+		loads     []shardLoad
+	}{
+		{"quiet", "every shard holds its need and the ledger equals their total: nothing moves",
+			12, []shardLoad{shard(6, 2, 0, 16, 300), shard(6, 3, 0, 8, 250)}},
+		{"one-hot-shard", "shard 0 is two hosts short of its need; shard 1 donates idle hosts it holds beyond its own",
+			12, []shardLoad{shard(4, 0, 0, 30, 380), shard(8, 5, 0, 4, 120)}},
+		{"donor-keeps-its-need", "shard 1 is idle throughout but gives only what it holds above its own need",
+			12, []shardLoad{shard(4, 0, 0, 30, 500), shard(8, 8, 0, 0, 440)}},
+		{"waiters-with-spare", "parked waiters ask for a host each even at the placement need; a donor has them",
+			12, []shardLoad{shard(6, 0, 2, 48, 200), shard(6, 4, 0, 2, 100)}},
+		{"waiters-without-spare", "nobody holds an idle host and the ledger has no more: the waiters stay parked",
+			12, []shardLoad{shard(6, 0, 2, 48, 200), shard(6, 0, 0, 40, 100)}},
+		{"waiters-serve-themselves", "a shard with waiters and idle hosts of its own takes nothing from the others",
+			12, []shardLoad{shard(6, 2, 2, 40, 200), shard(6, 3, 0, 8, 100)}},
+		{"pending-counts", "hosts already in flight cover the gap to the need",
+			12, []shardLoad{pending(shard(3, 0, 0, 20, 380), 3), shard(6, 4, 0, 2, 100)}},
+		{"ledger-above-unmet-wants-first", "the grant covers what transfers could not, lowest shard first, then follows committed load",
+			15, []shardLoad{shard(4, 0, 3, 32, 380), shard(3, 0, 0, 8, 100), shard(3, 0, 1, 24, 150)}},
+		{"ledger-above-by-committed", "nobody wants a host: the grant lands in proportion to committed GPUs",
+			16, []shardLoad{shard(6, 1, 0, 30, 300), shard(6, 1, 0, 10, 250)}},
+		{"ledger-above-nothing-committed", "no commitments to weigh: an even split, the odd host to the lower index",
+			15, []shardLoad{shard(6, 6, 0, 0, 0), shard(6, 6, 0, 0, 0)}},
+		{"ledger-below-retire-in-order", "the excess returns in shard order",
+			9, []shardLoad{shard(6, 4, 0, 4, 120), shard(6, 4, 0, 4, 120)}},
+		{"retire-capped-by-need", "a shard returns only what it holds above its placement need; the rest waits for a later barrier",
+			6, []shardLoad{shard(6, 1, 0, 16, 300), shard(6, 1, 0, 16, 260)}},
+		{"retire-skips-waiters", "a shard with parked waiters returns nothing — it is handed a host instead",
+			10, []shardLoad{shard(6, 0, 1, 48, 100), shard(6, 3, 0, 4, 100)}},
+		{"transfer-then-retire", "a donor's transfer comes off what it may still return",
+			10, []shardLoad{shard(3, 0, 0, 20, 300), shard(9, 6, 0, 4, 100)}},
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "params gpusPerHost=%d watermark=%g replicas=%d (every shard: maxReq=8, floor=%d)\n",
+		params.GPUsPerHost, params.Watermark, params.Replicas, leaseFloor)
+	for _, tc := range cases {
+		fmt.Fprintf(&b, "\n%s: %s\n  ledger hosts=%d\n", tc.name, tc.why, tc.ledger)
+		for i, l := range tc.loads {
+			fmt.Fprintf(&b, "  shard %d hosts=%d pending=%d idle=%d waiters=%d committed=%d subscribed=%d (need %d)\n",
+				i, l.Hosts, l.PendingHosts, l.IdleHosts, l.Waiters, l.CommittedGPUs, l.SubscribedGPUs, params.need(l))
+		}
+		plan := newLeasePlanner(len(tc.loads)).planLeases(tc.loads, tc.ledger, params)
+		fmt.Fprintf(&b, "  => transfer=%v provision=%v retire=%v\n", plan.Transfer, plan.Provision, plan.Retire)
+	}
+	if got, want := b.String(), goldenFile(t, "lease_plans.golden", b.String()); got != want {
+		t.Errorf("lease plans differ from testdata/lease_plans.golden:\n--- got\n%s--- want\n%s", got, want)
 	}
 }

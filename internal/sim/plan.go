@@ -10,6 +10,18 @@ import (
 	"notebookos/internal/trace"
 )
 
+// What no caller ever set differently is a constant, not a knob.
+const (
+	// leanSampleCap is the per-distribution reservoir size under LeanMetrics.
+	leanSampleCap = 4096
+	// sampleEvery is the metrics sampling period.
+	sampleEvery = 5 * time.Minute
+	// autoscaleInterval is the autoscaler period, and with it the lease
+	// protocol's epoch: barriers fall on the instants the unsharded
+	// autoscaler ticks at.
+	autoscaleInterval = time.Minute
+)
+
 // input is what one simulation replays: a materialized trace or a lazy
 // session source, exactly one of them set.
 type input struct {
@@ -31,21 +43,17 @@ type plan struct {
 	input
 
 	// Core knobs, shared by both public forms.
-	LeanMetrics        bool
-	LeanSampleCap      int
-	Policy             Policy
-	ReplicasPerKernel  int
-	PrewarmPerHost     int
-	ScaleFactor        float64
-	ScalingBufferHosts int
-	AutoscaleInterval  time.Duration
-	SRHighWatermark    float64
-	Latencies          Latencies
-	Seed               int64
-	SampleEvery        time.Duration
-	ShardCapacity      ShardCapacity
-	LeaseEpoch         time.Duration
-	Faults             *trace.FaultSpec
+	LeanMetrics       bool
+	Policy            Policy
+	ReplicasPerKernel int
+	PrewarmPerHost    int
+	ScaleFactor       float64
+	SRHighWatermark   float64
+	Seed              int64
+	ShardCapacity     ShardCapacity
+	Faults            *trace.FaultSpec
+	// Latencies are the protocol latency models: DefaultLatencies, always.
+	Latencies Latencies
 
 	// members are the member clusters, fully sized: Config's Hosts,
 	// HostCapacity and MinHosts for the one member of a single-cluster run,
@@ -59,13 +67,11 @@ type plan struct {
 	Latency             federation.LatencyMatrix
 	PooledAutoscale     bool
 	FedMinHosts         int
-	ScalePolicy         federation.ScalePolicy
 	SLOAware            bool
-	SLOAgingBound       time.Duration
 
 	// federated records which public form compiled the plan. It selects the
-	// recorder set (what only Result or only FedResult reports) and the
-	// lease pool's planner, nothing else.
+	// recorder set (what only Result or only FedResult reports) and nothing
+	// else.
 	federated bool
 	// leaseManaged marks a sharded worker whose capacity a lease pool governs
 	// at epoch barriers: the worker's own autoscale ticks are suppressed (the
@@ -85,23 +91,17 @@ func (c Config) plan() (*plan, error) {
 		m.MinHosts = 4
 	}
 	p := &plan{
-		input:              input{c.Trace, c.Source},
-		LeanMetrics:        c.LeanMetrics,
-		LeanSampleCap:      c.LeanSampleCap,
-		Policy:             c.Policy,
-		ReplicasPerKernel:  c.ReplicasPerKernel,
-		PrewarmPerHost:     c.PrewarmPerHost,
-		ScaleFactor:        c.ScaleFactor,
-		ScalingBufferHosts: c.ScalingBufferHosts,
-		AutoscaleInterval:  c.AutoscaleInterval,
-		SRHighWatermark:    c.SRHighWatermark,
-		Latencies:          c.Latencies,
-		Seed:               c.Seed,
-		SampleEvery:        c.SampleEvery,
-		ShardCapacity:      c.ShardCapacity,
-		LeaseEpoch:         c.LeaseEpoch,
-		Faults:             c.Faults,
-		members:            []FedClusterSpec{m},
+		input:             input{c.Trace, c.Source},
+		LeanMetrics:       c.LeanMetrics,
+		Policy:            c.Policy,
+		ReplicasPerKernel: c.ReplicasPerKernel,
+		PrewarmPerHost:    c.PrewarmPerHost,
+		ScaleFactor:       c.ScaleFactor,
+		SRHighWatermark:   c.SRHighWatermark,
+		Seed:              c.Seed,
+		ShardCapacity:     c.ShardCapacity,
+		Faults:            c.Faults,
+		members:           []FedClusterSpec{m},
 	}
 	if p.Policy == "" {
 		p.Policy = PolicyNotebookOS
@@ -115,18 +115,13 @@ func (c FedConfig) plan() (*plan, error) {
 	p := &plan{
 		input:               input{c.Trace, c.Source},
 		LeanMetrics:         c.LeanMetrics,
-		LeanSampleCap:       c.LeanSampleCap,
 		Policy:              PolicyNotebookOS,
 		ReplicasPerKernel:   c.ReplicasPerKernel,
 		PrewarmPerHost:      max(c.PrewarmPerHost, 0),
 		ScaleFactor:         c.ScaleFactor,
-		AutoscaleInterval:   c.AutoscaleInterval,
 		SRHighWatermark:     c.SRHighWatermark,
-		Latencies:           c.Latencies,
 		Seed:                c.Seed,
-		SampleEvery:         c.SampleEvery,
 		ShardCapacity:       c.ShardCapacity,
-		LeaseEpoch:          c.LeaseEpoch,
 		Faults:              c.Faults,
 		members:             append([]FedClusterSpec(nil), c.Clusters...),
 		Route:               c.Route,
@@ -134,9 +129,7 @@ func (c FedConfig) plan() (*plan, error) {
 		Latency:             c.Latency,
 		PooledAutoscale:     c.PooledAutoscale,
 		FedMinHosts:         c.FedMinHosts,
-		ScalePolicy:         c.ScalePolicy,
 		SLOAware:            c.SLOAware,
-		SLOAgingBound:       c.SLOAgingBound,
 		federated:           true,
 	}
 	if len(p.members) == 0 {
@@ -153,9 +146,6 @@ func (p *plan) defaults() error {
 	}
 	if err := p.Faults.Validate(); err != nil {
 		return err
-	}
-	if p.LeanMetrics && p.LeanSampleCap <= 0 {
-		p.LeanSampleCap = 4096
 	}
 	if p.ReplicasPerKernel <= 0 {
 		p.ReplicasPerKernel = 3
@@ -195,9 +185,6 @@ func (p *plan) defaults() error {
 	if p.Route == nil {
 		p.Route = federation.LocalFirst{}
 	}
-	if p.ScalePolicy == nil {
-		p.ScalePolicy = federation.GreedyScalePolicy{}
-	}
 	// The public zero value means "default"; NoInterClusterPenalty (negative)
 	// is the explicit zero. From here on the plan holds the resolved cost.
 	if p.InterClusterPenalty < 0 {
@@ -219,31 +206,16 @@ func (p *plan) defaults() error {
 	if p.ScaleFactor <= 0 {
 		p.ScaleFactor = 1.05
 	}
-	if p.AutoscaleInterval <= 0 {
-		p.AutoscaleInterval = time.Minute
-	}
-	if p.LeaseEpoch <= 0 {
-		p.LeaseEpoch = p.AutoscaleInterval
-	}
-	if p.Latencies.GSProcess == nil {
-		p.Latencies = DefaultLatencies()
-	}
-	if p.SampleEvery <= 0 {
-		p.SampleEvery = 5 * time.Minute
-	}
-	if p.SLOAware && p.SLOAgingBound <= 0 {
-		p.SLOAgingBound = defaultAgingBound
-	}
+	p.Latencies = DefaultLatencies()
 	return nil
 }
 
 // shard derives the workers' plans, one per weight: every member's host
 // count (floored at 1 per shard, so every worker can place something) and
-// scale-in floor, the federation-wide floor and the scaling buffer (no
-// floor; its zero is a real zero) split proportionally to the weights via
-// trace.ProportionalShares, worker i seeded with ShardSeed(Seed, i). The
-// host shares are only the initial lease grant under LeasePool. The caller
-// hands each worker its slice of the workload.
+// scale-in floor and the federation-wide floor split proportionally to the
+// weights via trace.ProportionalShares, worker i seeded with
+// ShardSeed(Seed, i). The host shares are only the initial lease grant
+// under LeasePool. The caller hands each worker its slice of the workload.
 func (p *plan) shard(weights []float64) []*plan {
 	hosts := make([][]int, len(p.members))
 	floors := make([][]int, len(p.members))
@@ -252,7 +224,6 @@ func (p *plan) shard(weights []float64) []*plan {
 		floors[m] = floorShares(weights, spec.MinHosts)
 	}
 	fedFloors := floorShares(weights, p.FedMinHosts)
-	buffers := trace.ProportionalShares(weights, p.ScalingBufferHosts, 0)
 
 	workers := make([]*plan, len(weights))
 	for i := range workers {
@@ -264,7 +235,6 @@ func (p *plan) shard(weights []float64) []*plan {
 			w.members[m] = spec
 		}
 		w.FedMinHosts = fedFloors[i]
-		w.ScalingBufferHosts = buffers[i]
 		w.Seed = ShardSeed(p.Seed, i)
 		// Stateful route policies (round-robin's rotation counter) must
 		// not be shared across the parallel workers.

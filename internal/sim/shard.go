@@ -26,9 +26,9 @@ func ShardSeed(seed int64, shard int) int64 {
 //
 // Capacity splits proportionally to each shard's reserved-GPU-hour weight
 // via trace.ProportionalShares (plan.shard): Hosts (floored at 1 per shard,
-// so every worker can place something), MinHosts (via floorShares, so every
-// worker keeps a floor of at least 1), and ScalingBufferHosts (no floor).
-// Worker i runs with ShardSeed(Seed, i). More shards than hosts cannot each
+// so every worker can place something) and MinHosts (via floorShares, so
+// every worker keeps a floor of at least 1). Worker i runs with
+// ShardSeed(Seed, i). More shards than hosts cannot each
 // hold a host, so k clamps to Hosts. The config must carry a Trace: a
 // Source cannot be split, and k > 1 with one is an error (see
 // RunStreamSharded).
@@ -38,10 +38,9 @@ func ShardSeed(seed int64, shard int) int64 {
 //
 //   - LeasePool (recommended): the proportional split is only the initial
 //     lease grant. A capacity ledger — a full unsharded replay of cfg —
-//     runs alongside the workers, and at every epoch boundary
-//     (cfg.LeaseEpoch, default the autoscale interval) the workers'
-//     leases are re-apportioned to sum exactly to the ledger's live host
-//     count. The merged result reports the ledger's capacity metrics, so
+//     runs alongside the workers, and at every epoch boundary (one per
+//     autoscale interval) the workers' leases are re-apportioned to sum
+//     exactly to the ledger's live host count. The merged result reports the ledger's capacity metrics, so
 //     saved-GPU-hours, scale events, and every other cluster-determined
 //     number are byte-identical to the unsharded run at every k — drift
 //     exactly 0.000% (pinned by TestLeasePoolCapacityExact and, at ≤1%,

@@ -69,15 +69,12 @@ type Config struct {
 	// synthesizes the sessions on the fly.
 	Source trace.Source
 	// LeanMetrics bounds the result's memory by the simulated window instead
-	// of the workload size: delta timelines coalesce at SampleEvery
-	// resolution, distribution samples keep a seeded reservoir of
-	// LeanSampleCap observations (min/max/N stay exact), and the Fig. 10
-	// event record is skipped. Required for bounded-memory million-session
-	// streaming runs; off by default.
+	// of the workload size: delta timelines coalesce at the 5-minute
+	// sampling resolution, distribution samples keep a seeded reservoir of
+	// 4096 observations (min/max/N stay exact), and the Fig. 10 event record
+	// is skipped. Required for bounded-memory million-session streaming
+	// runs; off by default.
 	LeanMetrics bool
-	// LeanSampleCap is the per-distribution reservoir size under LeanMetrics
-	// (default 4096).
-	LeanSampleCap int
 	// Policy is the baseline to simulate.
 	Policy Policy
 	// Hosts is the initial server count (paper: 30 8-GPU VMs).
@@ -89,22 +86,15 @@ type Config struct {
 	// PrewarmPerHost sizes the warm pool (NotebookOS: small, for
 	// migrations; LCP: large).
 	PrewarmPerHost int
-	// ScaleFactor is the autoscaler's f (default 1.05).
+	// ScaleFactor is the autoscaler's f (default 1.05); it is evaluated
+	// once a simulated minute.
 	ScaleFactor float64
-	// ScalingBufferHosts keeps spare servers for bursts.
-	ScalingBufferHosts int
-	// AutoscaleInterval is the autoscaler period (default 60s).
-	AutoscaleInterval time.Duration
 	// MinHosts floors scale-in (default 4).
 	MinHosts int
 	// SRHighWatermark caps per-host subscription (default 3.0).
 	SRHighWatermark float64
-	// Latencies are the protocol latency models.
-	Latencies Latencies
 	// Seed drives all randomness.
 	Seed int64
-	// SampleEvery is the metrics sampling period (default 5 min).
-	SampleEvery time.Duration
 	// ShardCapacity selects how the sharded runners treat cluster capacity.
 	// Run itself ignores it: the choice only exists when a trace is split
 	// across workers. LegacySplit (the zero value) keeps the static
@@ -112,11 +102,6 @@ type Config struct {
 	// pool at epoch barriers so k>1 tracks the unsharded run to ~1%. See
 	// RunSharded and docs/SHARDING.md.
 	ShardCapacity ShardCapacity
-	// LeaseEpoch is the barrier period of the LeasePool capacity protocol
-	// (default AutoscaleInterval, so pooled capacity decisions keep the
-	// unsharded autoscaler's cadence). Only meaningful with
-	// ShardCapacity == LeasePool.
-	LeaseEpoch time.Duration
 	// Faults declares the deterministic fault model: per-host exponential
 	// crash/recover churn, scheduled outage windows, and (in federated
 	// runs) network-degradation episodes. Nil or empty means a
@@ -477,7 +462,7 @@ func newSim(p *plan) (*sim, error) {
 		}
 	}
 	if p.SLOAware {
-		s.waitq.usePriority(p.SLOAgingBound)
+		s.waitq.usePriority(defaultAgingBound)
 		// Pre-create the per-class samples in SLOClasses order so lean-mode
 		// reservoir seeds are position-independent of the workload.
 		s.res.classDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
@@ -490,7 +475,6 @@ func newSim(p *plan) (*sim, error) {
 			ScaleFactor: p.ScaleFactor,
 			MinHosts:    p.FedMinHosts,
 			Replicas:    p.ReplicasPerKernel,
-			Policy:      p.ScalePolicy,
 		}
 		s.loads = make([]federation.MemberLoad, len(p.members))
 	}
@@ -501,7 +485,7 @@ func newSim(p *plan) (*sim, error) {
 // one for one coalescing at the sampling period.
 func (s *sim) newTimeline() *metrics.Timeline {
 	if s.cfg.LeanMetrics {
-		return metrics.NewCoalescedTimeline(s.cfg.SampleEvery)
+		return metrics.NewCoalescedTimeline(sampleEvery)
 	}
 	return metrics.NewTimeline()
 }
@@ -512,7 +496,7 @@ func (s *sim) newSample() *metrics.Sample {
 	sm := metrics.NewSample()
 	if s.cfg.LeanMetrics {
 		s.sampleSeq++
-		sm.Reservoir(s.cfg.LeanSampleCap, s.sampleSeq)
+		sm.Reservoir(leanSampleCap, s.sampleSeq)
 	}
 	return sm
 }
@@ -574,7 +558,7 @@ func (s *sim) build() error {
 	exp := s.src.Expect()
 	sessions, numTasks := exp.Sessions, exp.Tasks
 	if !cfg.LeanMetrics {
-		ticks := int(s.end.Sub(s.start)/cfg.SampleEvery) + 2
+		ticks := int(s.end.Sub(s.start)/sampleEvery) + 2
 		for _, m := range s.members {
 			m.res.ProvisionedGPUs.Grow(ticks + 64)
 			m.res.CommittedGPUs.Grow(2*numTasks/len(s.members) + 16)
@@ -630,9 +614,9 @@ func (s *sim) build() error {
 	// Periodic sampling and autoscaling. A lease-managed worker skips its
 	// own autoscale ticks: the pool runs the same decision once per barrier
 	// over the pooled counters instead.
-	s.scheduleTick(0, cfg.SampleEvery, s.sampleProvisioned)
+	s.scheduleTick(0, sampleEvery, s.sampleProvisioned)
 	if s.wholeServers() && !cfg.leaseManaged {
-		s.scheduleTick(cfg.AutoscaleInterval, cfg.AutoscaleInterval, s.autoscale)
+		s.scheduleTick(autoscaleInterval, autoscaleInterval, s.autoscale)
 	}
 	return nil
 }
@@ -790,16 +774,17 @@ func (s *sim) sessionStart(ss *session) {
 		}
 	case PolicyNotebookOS:
 		if !s.placeSession(ss) {
-			// No cluster can place the kernel: scale out the home cluster
-			// synchronously (placement pauses until the servers are ready;
-			// the provisioning delay is charged to session creation, not to
-			// any task).
+			// No cluster can place the kernel: scale one out synchronously
+			// (placement pauses until the servers are ready; the
+			// provisioning delay is charged to session creation, not to any
+			// task).
+			grow := s.scaleOutMember(ss.home, ss.req)
 			for i := 0; i < s.cfg.ReplicasPerKernel; i++ {
-				s.addHost(ss.home)
+				s.addHost(grow)
 			}
-			s.noteScaleOut(ss.home)
+			s.noteScaleOut(grow)
 			if !s.placeSession(ss) {
-				return // pathological request; drop the session
+				return // a request no member's host shape holds; drop the session
 			}
 		}
 		if ss.req.GPUs > s.maxReq {
@@ -810,6 +795,24 @@ func (s *sim) sessionStart(ss *session) {
 	case PolicyBatch, PolicyLCP:
 		// No per-session provisioning: containers come per task.
 	}
+}
+
+// scaleOutMember picks the member an emergency scale-out for req grows: the
+// home member when its host shape holds req, otherwise the first member in
+// route order whose shape does — fresh hosts of a shape too small for req
+// would leave it as unplaceable as before. When no shape holds req the
+// answer stays the home member; the request is dropped (or parks) wherever
+// the hosts land.
+func (s *sim) scaleOutMember(home int, req resources.Spec) int {
+	if req.Fits(s.members[home].spec.HostCapacity) {
+		return home
+	}
+	for _, idx := range s.routeOrder(home) {
+		if req.Fits(s.members[idx].spec.HostCapacity) {
+			return idx
+		}
+	}
+	return home
 }
 
 // placeSession places the session's R replicas within a single cluster,
@@ -1160,9 +1163,10 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 // the chosen cluster), pay warm/cold container plus checkpoint-restore
 // costs — plus two inter-cluster crossings when the replica changes
 // cluster — swap the replica, and resubmit. When no target exists it
-// triggers a scale-out of the home cluster (at most one in flight) and
-// reports false so the caller parks on the wait-queue until new capacity
-// arrives in any cluster.
+// triggers a scale-out of the home cluster — or, when its hosts are too
+// small for the task, of the cluster scaleOutMember picks — (at most one in
+// flight) and reports false so the caller parks on the wait-queue until new
+// capacity arrives in any cluster.
 func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 	lat := &s.cfg.Latencies
 	req := taskReq(ss, task)
@@ -1173,8 +1177,8 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 	target := s.mostIdleHost(ss, &req)
 	if target == nil {
 		// Scale out; the AddHost notification wakes the wait-queue.
-		if s.members[ss.home].pendingHosts == 0 {
-			s.provision(ss.home, 1, lat.HostProvision(s.rng))
+		if grow := s.scaleOutMember(ss.home, req); s.members[grow].pendingHosts == 0 {
+			s.provision(grow, 1, lat.HostProvision(s.rng))
 		}
 		return false
 	}
@@ -1362,7 +1366,7 @@ func (s *sim) autoscale() {
 func (s *sim) autoscaleMember(idx int) {
 	m := s.members[idx]
 	gpusPerHost := m.spec.HostCapacity.GPUs
-	expected := s.cfg.ScaleFactor*float64(m.c.CommittedGPUs()) + float64(s.cfg.ScalingBufferHosts*gpusPerHost)
+	expected := s.cfg.ScaleFactor * float64(m.c.CommittedGPUs())
 	if s.cfg.Policy == PolicyLCP {
 		// The LCP baseline keeps a large warm-container pool sized to the
 		// session population, trading resource cost for interactivity
@@ -1453,23 +1457,4 @@ func (s *sim) removeHostIfEmpty(m *member, i int) bool {
 	m.bySlot[slot] = nil
 	s.noteHosts(-1)
 	return true
-}
-
-// memberLoad snapshots one member's O(1) counters plus its empty-host
-// count — what the pooled autoscaler and the federated lease pool decide
-// on.
-func (s *sim) memberLoad(m *member) federation.MemberLoad {
-	l := federation.MemberLoad{
-		Hosts:          m.c.NumHosts(),
-		PendingHosts:   m.pendingHosts,
-		GPUsPerHost:    m.spec.HostCapacity.GPUs,
-		CommittedGPUs:  m.c.CommittedGPUs(),
-		SubscribedGPUs: m.c.SubscribedGPUs(),
-	}
-	for _, h := range m.hosts {
-		if h.h.Empty() {
-			l.EmptyHosts++
-		}
-	}
-	return l
 }

@@ -63,18 +63,13 @@ func newCapacityWaitQueue(eng *des.Engine) *capacityWaitQueue {
 	return w
 }
 
-// defaultAgingBound is the priority queue's promotion bound when
-// usePriority is given a non-positive one.
+// defaultAgingBound is the promotion bound every SLO-aware run uses.
 const defaultAgingBound = 30 * time.Minute
 
 // usePriority switches the queue into class-weighted priority mode with
-// the given aging bound (non-positive selects defaultAgingBound). Must be
-// called before any waiter parks; the FIFO path is untouched when this is
-// never called.
+// the given aging bound. Must be called before any waiter parks; the FIFO
+// path is untouched when this is never called.
 func (w *capacityWaitQueue) usePriority(aging time.Duration) {
-	if aging <= 0 {
-		aging = defaultAgingBound
-	}
 	w.prio = true
 	w.agingNS = aging.Nanoseconds()
 }
