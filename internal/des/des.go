@@ -86,9 +86,9 @@ func (e *Engine) Now() time.Time { return e.now }
 
 // Reserve pre-sizes the engine for an expected peak of n pending events:
 // the heap gets capacity n and the pooled-event arena is pre-filled to n
-// events in a single block. Simulations that schedule a whole trace up
-// front (one event per session boundary and task arrival) call it once, so
-// neither the heap nor the arena pays a geometric growth ladder.
+// events in a single block. A client that knows its peak ahead of time
+// calls it once, so neither the heap nor the arena pays a geometric growth
+// ladder.
 func (e *Engine) Reserve(n int) {
 	if cap(e.pq) < n {
 		pq := make(eventHeap, len(e.pq), n)
@@ -188,9 +188,9 @@ const lateBias = int64(1) << 62
 // class: at equal timestamps it fires after every normally scheduled
 // event, and after earlier-scheduled late events. Periodic observers
 // (sampling, autoscaling ticks) use it so that their position relative to
-// model events at the same instant does not depend on when the tick
-// happened to be scheduled — a simulation that schedules its workload up
-// front and one that schedules it lazily then interleave identically.
+// model events at the same instant does not depend on when the tick, or
+// the model event, happened to be scheduled: a tick observes an instant
+// after everything the model does in it.
 func (e *Engine) ScheduleLate(t time.Time, fn Handler) {
 	if t.Before(e.now) {
 		t = e.now

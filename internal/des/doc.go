@@ -22,7 +22,7 @@
 // heap index, and no-handle Schedule/Defer recycle event allocations from
 // a pool refilled in geometrically growing arena blocks (O(log peak)
 // allocations for any pending-event peak). Engine.Reserve pre-sizes both
-// the heap and the arena from a caller's peak hint — simulations that
-// schedule a whole trace up front pass one event per session boundary and
-// task arrival.
+// the heap and the arena from a caller's peak hint, for a client that knows
+// its pending-event peak ahead of time; internal/sim does not (its pending
+// events follow the sessions alive at once) and grows both on demand.
 package des

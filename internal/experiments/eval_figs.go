@@ -15,7 +15,7 @@ import (
 // 23.52 % fewer GPUs than NotebookOS but 18.18 % more than Batch.
 func Fig8(o Options) (string, error) {
 	tr := excerptTrace(o)
-	results, err := runSims(o, "excerpt", tr, sim.PolicyBatch, sim.PolicyNotebookOS, sim.PolicyLCP)
+	results, err := runSims(o, "excerpt", sim.PolicyBatch, sim.PolicyNotebookOS, sim.PolicyLCP)
 	if err != nil {
 		return "", err
 	}
@@ -52,8 +52,7 @@ func Fig8(o Options) (string, error) {
 // fourPolicies runs the excerpt under all four baselines, one goroutine
 // per policy.
 func fourPolicies(o Options) (reserv, batch, nbos, lcp *sim.Result, err error) {
-	tr := excerptTrace(o)
-	results, err := runSims(o, "excerpt", tr,
+	results, err := runSims(o, "excerpt",
 		sim.PolicyReservation, sim.PolicyBatch, sim.PolicyNotebookOS, sim.PolicyLCP)
 	if err != nil {
 		return nil, nil, nil, nil, err
@@ -115,7 +114,7 @@ func Fig9b(o Options) (string, error) {
 // migration, and scale-out events.
 func Fig10(o Options) (string, error) {
 	tr := excerptTrace(o)
-	nbos, err := runSim(o, "excerpt", tr, sim.PolicyNotebookOS)
+	nbos, err := runSim(o, "excerpt", sim.PolicyNotebookOS)
 	if err != nil {
 		return "", err
 	}
@@ -163,7 +162,7 @@ func Fig10(o Options) (string, error) {
 // ~3.95/7.07 s; shortest event IAT 240 s, so replication hides inside IATs.
 func Fig11(o Options) (string, error) {
 	tr := excerptTrace(o)
-	nbos, err := runSim(o, "excerpt", tr, sim.PolicyNotebookOS)
+	nbos, err := runSim(o, "excerpt", sim.PolicyNotebookOS)
 	if err != nil {
 		return "", err
 	}
@@ -189,8 +188,7 @@ func Fig11(o Options) (string, error) {
 
 // breakdown renders a Fig. 16-19 style per-step latency table.
 func breakdown(id, title string, o Options, policy sim.Policy) (string, error) {
-	tr := excerptTrace(o)
-	res, err := runSim(o, "excerpt", tr, policy)
+	res, err := runSim(o, "excerpt", policy)
 	if err != nil {
 		return "", err
 	}

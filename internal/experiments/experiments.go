@@ -40,14 +40,14 @@ type Options struct {
 	// sim.RunStreamSharded: workers synthesize their sessions lazily from
 	// the trace's generating config instead of replaying a materialized
 	// trace. At Shards <= 1 the output is identical to the materialized
-	// path (the streaming generator is byte-equivalent and the simulator's
-	// event order is pinned by test); at Shards > 1 results differ from
-	// materialized sharding because exact Poisson splitting partitions
-	// sessions differently than trace.Split. Experiments that render the
-	// trace itself (workload CDFs, reserved-GPU timelines) still
-	// materialize it; Stream governs how the simulations consume sessions.
-	// Parameter sweeps (ablations, federation grids) keep the materialized
-	// path regardless.
+	// path (trace.Generate collects the same generator, and both enter a run
+	// through the one injector; TestStreamFlagIsIdentityAtOneShard); at
+	// Shards > 1 results differ from materialized sharding because exact
+	// Poisson splitting partitions sessions differently than trace.Split.
+	// Experiments that render the trace itself (workload CDFs, reserved-GPU
+	// timelines) still materialize it; Stream governs how the simulations
+	// consume sessions. Parameter sweeps (ablations, federation grids) keep
+	// the materialized path regardless.
 	Stream bool
 	// Faults optionally injects a deterministic fault schedule into
 	// scenario runs (cmd/nbos-sim -faults; see trace.FaultSpec and
@@ -144,7 +144,63 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// ---- shared trace/simulation caches -------------------------------------
+// ---- workloads and the shared simulation cache ----------------------------
+
+// simWorkload is what an experiment's simulations replay: a generating config
+// and its materialization, generated at most once and shared read-only —
+// also across the parallel harness's goroutines. run and runFed are the one
+// place that reads Options.Stream: a streamed run hands the config to sim's
+// streaming sharded runners and materializes nothing; any other run replays
+// the trace through the materialized ones. Two pairs of runners because
+// trace.Split and trace.StreamSplit are different splits at Shards > 1; at
+// one shard the choice changes nothing a run reports
+// (TestStreamFlagIsIdentityAtOneShard).
+type simWorkload struct {
+	gcfg trace.GenConfig
+	once sync.Once
+	tr   *trace.Trace
+	err  error
+}
+
+// trace materializes the workload. Singleflight: concurrent callers
+// generate once and share the result.
+func (w *simWorkload) trace() (*trace.Trace, error) {
+	w.once.Do(func() { w.tr, w.err = trace.Generate(w.gcfg) })
+	return w.tr, w.err
+}
+
+// run runs one single-cluster simulation of the workload at the options'
+// shard count and capacity mode (Shards <= 1 is exactly sim.Run).
+func (w *simWorkload) run(o Options, cfg sim.Config) (*sim.Result, error) {
+	cfg.ShardCapacity = o.capacity()
+	if o.Stream {
+		return sim.RunStreamSharded(w.gcfg, cfg, o.shards())
+	}
+	var err error
+	if cfg.Trace, err = w.trace(); err != nil {
+		return nil, err
+	}
+	return sim.RunSharded(cfg, o.shards())
+}
+
+// runPolicy runs one policy over the workload on the paper's 30-host
+// cluster, under fault spec f (nil: a failure-free run).
+func (w *simWorkload) runPolicy(o Options, policy sim.Policy, f *trace.FaultSpec) (*sim.Result, error) {
+	return w.run(o, sim.Config{Policy: policy, Hosts: 30, Seed: o.seed(), Faults: f})
+}
+
+// runFed is run for a federation.
+func (w *simWorkload) runFed(o Options, cfg sim.FedConfig) (*sim.FedResult, error) {
+	cfg.ShardCapacity = o.capacity()
+	if o.Stream {
+		return sim.RunFederatedStreamSharded(w.gcfg, cfg, o.shards())
+	}
+	var err error
+	if cfg.Trace, err = w.trace(); err != nil {
+		return nil, err
+	}
+	return sim.RunFederatedSharded(cfg, o.shards())
+}
 
 type traceKey struct {
 	kind  string
@@ -152,22 +208,20 @@ type traceKey struct {
 	quick bool
 }
 
-// traceEntry is a singleflight cache slot for generated traces.
-type traceEntry struct {
-	once sync.Once
-	tr   *trace.Trace
-}
-
 var (
-	traceMu    sync.Mutex
-	traceCache = map[traceKey]*traceEntry{}
+	workloadMu sync.Mutex
+	workloads  = map[traceKey]*simWorkload{}
 )
 
-// genConfig returns the generating config behind a named trace kind — the
-// single place the kind → GenConfig mapping lives, shared by the
-// materializing trace getters below and the streaming path in runSim
-// (which hands the config to sim.RunStreamSharded instead of generating).
-func genConfig(o Options, kind string) (trace.GenConfig, bool) {
+// namedWorkload returns the shared workload of a trace kind at the options'
+// seed and scale: the one place the kind → GenConfig mapping lives.
+func namedWorkload(o Options, kind string) *simWorkload {
+	key := traceKey{kind, o.seed(), o.Quick}
+	workloadMu.Lock()
+	defer workloadMu.Unlock()
+	if w, ok := workloads[key]; ok {
+		return w
+	}
 	var cfg trace.GenConfig
 	switch kind {
 	case "excerpt":
@@ -193,73 +247,45 @@ func genConfig(o Options, kind string) (trace.GenConfig, bool) {
 			cfg.Duration = 7 * 24 * time.Hour
 		}
 	default:
-		return cfg, false
-	}
-	return cfg, true
-}
-
-// mustGenConfig is genConfig for the kinds the trace getters own.
-func mustGenConfig(o Options, kind string) trace.GenConfig {
-	cfg, ok := genConfig(o, kind)
-	if !ok {
 		panic("experiments: unknown trace kind " + kind)
 	}
-	return cfg
+	w := &simWorkload{gcfg: cfg}
+	workloads[key] = w
+	return w
+}
+
+// namedTrace materializes a named workload; the built-in configs generate
+// without error.
+func namedTrace(o Options, kind string) *trace.Trace {
+	tr, err := namedWorkload(o, kind).trace()
+	if err != nil {
+		panic(err)
+	}
+	return tr
 }
 
 // excerptTrace returns the 17.5-hour excerpt (4 h in quick mode).
-func excerptTrace(o Options) *trace.Trace {
-	return cachedTrace(traceKey{"excerpt", o.seed(), o.Quick}, func() *trace.Trace {
-		return trace.MustGenerate(mustGenConfig(o, "excerpt"))
-	})
-}
+func excerptTrace(o Options) *trace.Trace { return namedTrace(o, "excerpt") }
 
 // summerTrace returns the 92-day summer trace (10 days in quick mode).
-func summerTrace(o Options) *trace.Trace {
-	return cachedTrace(traceKey{"summer", o.seed(), o.Quick}, func() *trace.Trace {
-		return trace.MustGenerate(mustGenConfig(o, "summer"))
-	})
-}
+func summerTrace(o Options) *trace.Trace { return namedTrace(o, "summer") }
 
-func phillyTrace(o Options) *trace.Trace {
-	return cachedTrace(traceKey{"philly", o.seed(), o.Quick}, func() *trace.Trace {
-		return trace.MustGenerate(mustGenConfig(o, "philly"))
-	})
-}
+func phillyTrace(o Options) *trace.Trace { return namedTrace(o, "philly") }
 
-func alibabaTrace(o Options) *trace.Trace {
-	return cachedTrace(traceKey{"alibaba", o.seed(), o.Quick}, func() *trace.Trace {
-		return trace.MustGenerate(mustGenConfig(o, "alibaba"))
-	})
-}
+func alibabaTrace(o Options) *trace.Trace { return namedTrace(o, "alibaba") }
 
-func cachedTrace(key traceKey, gen func() *trace.Trace) *trace.Trace {
-	traceMu.Lock()
-	e, ok := traceCache[key]
-	if !ok {
-		e = &traceEntry{}
-		traceCache[key] = e
-	}
-	traceMu.Unlock()
-	// Singleflight: concurrent callers for the same trace generate once
-	// and share the result.
-	e.once.Do(func() { e.tr = gen() })
-	return e.tr
-}
-
+// simKey names one cached figure simulation. It carries the options whole:
+// a run under different options — shard count, capacity mode, stream — is a
+// different run.
 type simKey struct {
 	kind   string
 	policy sim.Policy
-	seed   int64
-	quick  bool
-	shards int
-	mode   sim.ShardCapacity
-	stream bool
+	o      Options
 }
 
 // simEntry is a singleflight cache slot: when figures run their policy
 // simulations on parallel goroutines, concurrent requests for the same
-// (trace, policy, seed) run the simulation exactly once.
+// (trace, policy, options) run the simulation exactly once.
 type simEntry struct {
 	once sync.Once
 	res  *sim.Result
@@ -271,18 +297,10 @@ var (
 	simCache = map[simKey]*simEntry{}
 )
 
-// runSim runs (with caching) one policy over the named trace. With
-// Options.Shards > 1 the run goes through sim.RunSharded; the shard count
-// is part of the cache key because sharded results are a documented
-// approximation of the unsharded ones. With Options.Stream the run goes
-// through sim.RunStreamSharded on the trace kind's generating config —
-// sessions are synthesized lazily by each worker rather than replayed
-// from tr (identical output at shards <= 1, differently partitioned
-// shards otherwise).
-func runSim(o Options, kind string, tr *trace.Trace, policy sim.Policy) (*sim.Result, error) {
-	gcfg, streamable := genConfig(o, kind)
-	stream := o.Stream && streamable
-	key := simKey{kind, policy, o.seed(), o.Quick, o.shards(), o.capacity(), stream}
+// runSim runs (with caching) one policy over the named workload.
+func runSim(o Options, kind string, policy sim.Policy) (*sim.Result, error) {
+	o.Seed = o.seed()
+	key := simKey{kind, policy, o}
 	simMu.Lock()
 	e, ok := simCache[key]
 	if !ok {
@@ -291,19 +309,7 @@ func runSim(o Options, kind string, tr *trace.Trace, policy sim.Policy) (*sim.Re
 	}
 	simMu.Unlock()
 	e.once.Do(func() {
-		cfg := sim.Config{
-			Trace:         tr,
-			Policy:        policy,
-			Hosts:         30,
-			Seed:          o.seed(),
-			ShardCapacity: o.capacity(),
-		}
-		if stream {
-			cfg.Trace = nil
-			e.res, e.err = sim.RunStreamSharded(gcfg, cfg, o.shards())
-			return
-		}
-		e.res, e.err = sim.RunSharded(cfg, o.shards())
+		e.res, e.err = namedWorkload(o, kind).runPolicy(o, policy, nil)
 	})
 	return e.res, e.err
 }
@@ -311,7 +317,7 @@ func runSim(o Options, kind string, tr *trace.Trace, policy sim.Policy) (*sim.Re
 // runSims runs one simulation per policy on parallel goroutines (each
 // sim.Run owns its RNGs, seeded only by the config, so results are
 // independent of scheduling) and returns results in argument order.
-func runSims(o Options, kind string, tr *trace.Trace, policies ...sim.Policy) ([]*sim.Result, error) {
+func runSims(o Options, kind string, policies ...sim.Policy) ([]*sim.Result, error) {
 	results := make([]*sim.Result, len(policies))
 	errs := make([]error, len(policies))
 	var wg sync.WaitGroup
@@ -319,7 +325,7 @@ func runSims(o Options, kind string, tr *trace.Trace, policies ...sim.Policy) ([
 		wg.Add(1)
 		go func(i int, p sim.Policy) {
 			defer wg.Done()
-			results[i], errs[i] = runSim(o, kind, tr, p)
+			results[i], errs[i] = runSim(o, kind, p)
 		}(i, p)
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -21,6 +22,38 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			}
 			if len(out) < 100 {
 				t.Errorf("%s output suspiciously short: %q", e.ID, out)
+			}
+		})
+	}
+}
+
+// TestStreamFlagIsIdentityAtOneShard: at one shard Options.Stream changes how
+// a run's sessions come to exist — generated as the run pulls them, or
+// collected into a trace first — and nothing a run reports. Every experiment
+// prints the same text either way, once the header's stream flag is masked
+// and stream-scale's wall-clock line ("completed in …") is dropped.
+func TestStreamFlagIsIdentityAtOneShard(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every experiment twice is slow under -short (the race job); the plain test step runs it")
+	}
+	flag := strings.NewReplacer("stream: true", "stream: -", "stream: false", "stream: -")
+	mask := func(out string) string {
+		lines := strings.Split(flag.Replace(out), "\n")
+		lines = slices.DeleteFunc(lines, func(l string) bool { return strings.Contains(l, "completed in") })
+		return strings.Join(lines, "\n")
+	}
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			materialized, err := e.Run(Options{Seed: 42, Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed, err := e.Run(Options{Seed: 42, Quick: true, Stream: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := mask(materialized), mask(streamed); a != b {
+				t.Errorf("-stream changed the output at one shard:\n--- materialized\n%s--- streamed\n%s", a, b)
 			}
 		})
 	}

@@ -38,26 +38,6 @@ func faultProfile(name string) (*trace.FaultSpec, error) {
 	return &f, nil
 }
 
-// runFaultSim is runScenarioSim with a fault spec threaded into the
-// simulation config; the materialized trace is shared across policies and
-// profiles (the fault stream is workload-independent, so one trace serves
-// every cell of the sweep).
-func runFaultSim(o Options, gcfg trace.GenConfig, tr **trace.Trace, policy sim.Policy, f *trace.FaultSpec) (*sim.Result, error) {
-	cfg := sim.Config{Policy: policy, Hosts: 30, Seed: o.seed(), ShardCapacity: o.capacity(), Faults: f}
-	if o.Stream {
-		return sim.RunStreamSharded(gcfg, cfg, o.shards())
-	}
-	if *tr == nil {
-		t, err := trace.Generate(gcfg)
-		if err != nil {
-			return nil, err
-		}
-		*tr = t
-	}
-	cfg.Trace = *tr
-	return sim.RunSharded(cfg, o.shards())
-}
-
 // meanUpHosts is the availability headline: the time-average live host
 // count over the trace window (the Availability timeline's integral).
 // Returns ok=false for zero-fault runs, where the timeline is nil by the
@@ -87,7 +67,9 @@ func FaultSweep(o Options) (string, error) {
 	fmt.Fprintf(&b, "workload: %s (%.0fh window); profiles: %s\n",
 		spec.Name, gcfg.Duration.Hours(), strings.Join(faultProfileOrder, ", "))
 
-	var tr *trace.Trace
+	// The fault stream is workload-independent, so one workload serves every
+	// policy and profile of the sweep.
+	w := &simWorkload{gcfg: gcfg}
 	for _, name := range faultProfileOrder {
 		f, err := faultProfile(name)
 		if err != nil {
@@ -102,7 +84,7 @@ func FaultSweep(o Options) (string, error) {
 		fmt.Fprintf(&b, "   %-14s %9s %9s %11s %7s %8s %8s %7s %9s %11s\n",
 			"policy", "delay-p99", "avail", "GPUh-saved", "crashes", "failover", "restarts", "abandon", "lost-GPUh", "failed-migr")
 		for _, p := range scenarioPolicies {
-			r, err := runFaultSim(o, gcfg, &tr, p, f)
+			r, err := w.runPolicy(o, p, f)
 			if err != nil {
 				return "", err
 			}
@@ -126,26 +108,13 @@ func FaultSweep(o Options) (string, error) {
 	fmt.Fprintf(&b, "   %-14s %9s %11s %7s %8s %8s %7s %8s\n",
 		"federation", "delay-p99", "GPUh-saved", "crashes", "failover", "restarts", "abandon", "final")
 	for _, k := range []int{1, 2, 4} {
-		fcfg := sim.FedConfig{
+		fres, err := w.runFed(o, sim.FedConfig{
 			Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
 			Route:           federation.LeastSubscribed{},
 			PooledAutoscale: true,
 			Seed:            o.seed(),
-			ShardCapacity:   o.capacity(),
 			Faults:          heavy,
-		}
-		var fres *sim.FedResult
-		if o.Stream {
-			fres, err = sim.RunFederatedStreamSharded(gcfg, fcfg, o.shards())
-		} else {
-			if tr == nil {
-				if tr, err = trace.Generate(gcfg); err != nil {
-					return "", err
-				}
-			}
-			fcfg.Trace = tr
-			fres, err = sim.RunFederatedSharded(fcfg, o.shards())
-		}
+		})
 		if err != nil {
 			return "", err
 		}

@@ -104,7 +104,7 @@ func classP50(r *sim.FedResult, cl trace.SLOClass) float64 {
 // parallel goroutines (each run owns its federation, RNGs, and a fresh
 // policy instance, so results are independent of scheduling) and returns
 // them in entry order.
-func runTournamentCells(o Options, gcfg trace.GenConfig, tr *trace.Trace, k int) ([]*sim.FedResult, error) {
+func runTournamentCells(o Options, w *simWorkload, k int) ([]*sim.FedResult, error) {
 	entries := tournamentEntries()
 	results := make([]*sim.FedResult, len(entries))
 	errs := make([]error, len(entries))
@@ -113,14 +113,7 @@ func runTournamentCells(o Options, gcfg trace.GenConfig, tr *trace.Trace, k int)
 		wg.Add(1)
 		go func(i int, e tournamentEntry) {
 			defer wg.Done()
-			fcfg := tournamentFedConfig(o, k, e.build())
-			fcfg.ShardCapacity = o.capacity()
-			if o.Stream {
-				results[i], errs[i] = sim.RunFederatedStreamSharded(gcfg, fcfg, o.shards())
-				return
-			}
-			fcfg.Trace = tr
-			results[i], errs[i] = sim.RunFederatedSharded(fcfg, o.shards())
+			results[i], errs[i] = w.runFed(o, tournamentFedConfig(o, k, e.build()))
 		}(i, e)
 	}
 	wg.Wait()
@@ -230,17 +223,10 @@ func PolicyTournament(o Options) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		var tr *trace.Trace
-		if !o.Stream {
-			// Materialize once; the parallel cell runs share the read-only
-			// trace.
-			if tr, err = trace.Generate(gcfg); err != nil {
-				return "", err
-			}
-		}
+		w := &simWorkload{gcfg: gcfg}
 		fmt.Fprintf(&b, "\n-- %s: %s\n", spec.Name, spec.Description)
 		for _, k := range tournamentKs {
-			results, err := runTournamentCells(o, gcfg, tr, k)
+			results, err := runTournamentCells(o, w, k)
 			if err != nil {
 				return "", err
 			}

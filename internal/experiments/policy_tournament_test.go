@@ -22,11 +22,7 @@ func runFullCells(t *testing.T, scenario string, k int) map[string]*sim.FedResul
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, err := trace.Generate(gcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results, err := runTournamentCells(o, gcfg, tr, k)
+		results, err := runTournamentCells(o, &simWorkload{gcfg: gcfg}, k)
 		if err != nil {
 			t.Fatal(err)
 		}

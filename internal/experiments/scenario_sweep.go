@@ -16,8 +16,7 @@ import (
 // ScenarioReport renders one scenario (built-in or JSON file, via
 // cmd/nbos-sim -scenario) through the same machinery. Both honor
 // Options.Stream and Options.Shards — a compiled spec is an ordinary
-// GenConfig, so the materialized and streaming sharded paths consume it
-// without special cases.
+// GenConfig, so it runs as a simWorkload like the paper's traces.
 
 // scenarioPolicies is the policy axis of the sweep, in paper order.
 var scenarioPolicies = []sim.Policy{
@@ -50,25 +49,6 @@ func scenarioConfig(o Options, s trace.ScenarioSpec) (trace.GenConfig, error) {
 		s = quickScenario(s)
 	}
 	return s.Config(o.seed())
-}
-
-// runScenarioSim runs one policy over a compiled scenario, streaming the
-// sessions when Options.Stream is set and materializing them otherwise
-// (tr caches the materialization across policies; pass the same pointer).
-func runScenarioSim(o Options, gcfg trace.GenConfig, tr **trace.Trace, policy sim.Policy) (*sim.Result, error) {
-	cfg := sim.Config{Policy: policy, Hosts: 30, Seed: o.seed(), ShardCapacity: o.capacity()}
-	if o.Stream {
-		return sim.RunStreamSharded(gcfg, cfg, o.shards())
-	}
-	if *tr == nil {
-		t, err := trace.Generate(gcfg)
-		if err != nil {
-			return nil, err
-		}
-		*tr = t
-	}
-	cfg.Trace = *tr
-	return sim.RunSharded(cfg, o.shards())
 }
 
 // scenarioSaved is the sweep's headline metric: reserved GPU-hours (the
@@ -125,10 +105,10 @@ func ScenarioSweep(o Options) (string, error) {
 		fmt.Fprintf(&b, "   window %.0fh, expect ~%d sessions, ~%d tasks, %.0f reserved GPUh\n",
 			gcfg.Duration.Hours(), exp.Sessions, exp.Tasks, exp.ReservedGPUHours)
 
-		var tr *trace.Trace
+		w := &simWorkload{gcfg: gcfg}
 		results := make([]*sim.Result, len(scenarioPolicies))
 		for i, p := range scenarioPolicies {
-			if results[i], err = runScenarioSim(o, gcfg, &tr, p); err != nil {
+			if results[i], err = w.runPolicy(o, p, nil); err != nil {
 				return "", err
 			}
 		}
@@ -144,25 +124,12 @@ func ScenarioSweep(o Options) (string, error) {
 		fmt.Fprintf(&b, "   %-14s %10s %10s %12s %8s %8s\n",
 			"federation", "delay-p50", "delay-p99", "GPUh-saved", "remote%", "final")
 		for _, k := range []int{1, 2, 4} {
-			fcfg := sim.FedConfig{
+			fres, err := w.runFed(o, sim.FedConfig{
 				Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
 				Route:           federation.LeastSubscribed{},
 				PooledAutoscale: true,
 				Seed:            o.seed(),
-				ShardCapacity:   o.capacity(),
-			}
-			var fres *sim.FedResult
-			if o.Stream {
-				fres, err = sim.RunFederatedStreamSharded(gcfg, fcfg, o.shards())
-			} else {
-				if tr == nil {
-					if tr, err = trace.Generate(gcfg); err != nil {
-						return "", err
-					}
-				}
-				fcfg.Trace = tr
-				fres, err = sim.RunFederatedSharded(fcfg, o.shards())
-			}
+			})
 			if err != nil {
 				return "", err
 			}
@@ -226,12 +193,12 @@ func ScenarioReport(nameOrPath string, o Options) (string, error) {
 			faults.RetryBudget(trace.SLOInteractive), faults.RetryBudget(trace.SLOBatch), faults.RetryBudget(trace.SLOBestEffort))
 	}
 
-	var tr *trace.Trace
+	w := &simWorkload{gcfg: gcfg}
 	var nbos *sim.Result
 	fmt.Fprintf(&b, "%-14s %10s %10s %12s %8s %8s\n",
 		"policy", "delay-p50", "delay-p99", "GPUh-saved", "sessions", "tasks")
 	for _, p := range scenarioPolicies {
-		r, err := runFaultSim(o, gcfg, &tr, p, faults)
+		r, err := w.runPolicy(o, p, faults)
 		if err != nil {
 			return "", err
 		}

@@ -38,7 +38,7 @@ func ShardDrift(o Options) (string, error) {
 	}
 	sweeps := []sweep{{"excerpt", excerptTrace(o)}}
 	if !o.Quick {
-		cfg := mustGenConfig(o, "summer")
+		cfg := namedWorkload(o, "summer").gcfg
 		cfg.Duration = 10 * 24 * time.Hour
 		sweeps = append(sweeps, sweep{"summer-10d", trace.MustGenerate(cfg)})
 	}

@@ -15,7 +15,7 @@ import (
 // 69.87 % versus Reservation by the end of the trace, with higher margin.
 func Fig12a(o Options) (string, error) {
 	tr := summerTrace(o)
-	nbos, err := runSim(o, "summer", tr, sim.PolicyNotebookOS)
+	nbos, err := runSim(o, "summer", sim.PolicyNotebookOS)
 	if err != nil {
 		return "", err
 	}
@@ -57,7 +57,7 @@ func Fig12a(o Options) (string, error) {
 // Fig12b reproduces the profit-margin timeline.
 func Fig12b(o Options) (string, error) {
 	tr := summerTrace(o)
-	nbos, err := runSim(o, "summer", tr, sim.PolicyNotebookOS)
+	nbos, err := runSim(o, "summer", sim.PolicyNotebookOS)
 	if err != nil {
 		return "", err
 	}
@@ -129,7 +129,7 @@ func reexecutionSavings(tr *trace.Trace, interval time.Duration) (gpuHours float
 // Fig14a reproduces the simulated cluster-wide allocatable-GPU timeline.
 func Fig14a(o Options) (string, error) {
 	tr := summerTrace(o)
-	results, err := runSims(o, "summer", tr, sim.PolicyNotebookOS, sim.PolicyLCP)
+	results, err := runSims(o, "summer", sim.PolicyNotebookOS, sim.PolicyLCP)
 	if err != nil {
 		return "", err
 	}
@@ -154,7 +154,7 @@ func Fig14a(o Options) (string, error) {
 // provisioned GPUs than Reservation.
 func Fig14b(o Options) (string, error) {
 	tr := summerTrace(o)
-	nbos, err := runSim(o, "summer", tr, sim.PolicyNotebookOS)
+	nbos, err := runSim(o, "summer", sim.PolicyNotebookOS)
 	if err != nil {
 		return "", err
 	}

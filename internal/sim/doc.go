@@ -12,10 +12,12 @@
 //   - The plan (plan.go) is the one internal description of a run. Config
 //     and FedConfig each compile into it exactly once per public call
 //     (Config.plan, FedConfig.plan → plan.defaults, the only defaulting
-//     pass): the core knobs, the member specs — Run's cluster is the one
-//     member "sim" — and the federation settings (route, penalty or latency
-//     matrix, pooled autoscale, SLO queue), all fully defaulted and
-//     validated. Nothing below the adapters sees a public config, so no
+//     pass): the workload as one trace.Source (a Trace is adapted there,
+//     after a check that its sessions are in arrival order), the core
+//     knobs, the member specs — Run's cluster is the one member "sim" — and
+//     the federation settings (route, penalty or latency matrix, pooled
+//     autoscale, SLO queue), all fully defaulted and validated. Nothing
+//     below the adapters sees a public config, so no
 //     simulation — worker or ledger — is defaulted twice and a zero in a
 //     plan means zero (FedConfig.InterClusterPenalty's "zero means default"
 //     and its explicit-zero sentinel end at plan.defaults). What no caller
@@ -27,8 +29,13 @@
 //     federation of member clusters, each with its cluster model, host
 //     list, pending-host count and per-member series, replaying one
 //     workload through one session type, one host wrapper, one task state
-//     machine (taskfsm.go), one streaming injector (stream.go) and one fault
-//     layer (faults.go). The scheduling policy — Reservation, Batch,
+//     machine (taskfsm.go), one injector (stream.go) and one fault layer
+//     (faults.go). The injector is the only way in: one self-rescheduling
+//     event admits a session at its start, schedules its end and task
+//     arrivals and pulls the next from the plan's Source, so in every run
+//     pending events track concurrency rather than workload size, and a
+//     session that starts before the one admitted ahead of it fails the
+//     run. The scheduling policy — Reservation, Batch,
 //     NotebookOS, LCP — is a task-pipeline choice on that core; the route
 //     policy is never consulted while there is one member. The core
 //     accumulates one result record (type record); Result and FedResult are
@@ -49,13 +56,10 @@
 //     host leases against that boundary's published counts. The ledger never waits and reads
 //     nothing from the workers; builds, drains, record completion and the
 //     workers' sample sorts each run on the simulation's own goroutine.
-//     The streaming injector (any plan with a Source) replaces the up-front
-//     event schedule with one self-rescheduling admission event, so pending
-//     events track concurrency rather than workload size; it composes with
-//     either driver.
 //   - The sharded driver (plan.runSharded in shard.go) sits on top of those
 //     two. RunSharded and RunFederatedSharded hand it trace.Split's parts
-//     with their reserved-GPU-hour weights (plan.traceParts);
+//     with their reserved-GPU-hour weights (traceParts(cfg.Trace): the
+//     splitter is the one reader of a *trace.Trace past plan.defaults);
 //     RunStreamSharded and RunFederatedStreamSharded hand it
 //     trace.StreamSplit's generators with equal weights (streamParts),
 //     their own plan replaying the unsplit generator. The driver clamps the

@@ -213,11 +213,14 @@ func TestHeterogeneousFederationPlacesWhatFits(t *testing.T) {
 // by hand on a federation whose home member's hosts are too small for the
 // request: kernel creation with no member able to place R replicas, then a
 // migration with no idle target anywhere. Both must grow the member whose
-// shape holds the request, not the home member.
+// shape holds the request, not the home member — and a request no member's
+// shape holds grows nothing: the session is dropped before the scale-out,
+// not after it.
 func TestScaleOutGrowsAMemberThatFits(t *testing.T) {
 	start := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
+	empty := &trace.Trace{Name: "empty", Start: start, End: start.Add(time.Hour)}
 	p, err := FedConfig{
-		Trace: &trace.Trace{Name: "empty", Start: start, End: start.Add(time.Hour)},
+		Trace: empty,
 		Clusters: []FedClusterSpec{
 			{Name: "small", Hosts: 3, HostCapacity: halfHost()},
 			{Name: "big", Hosts: 2}, // fewer than R hosts: cannot place a kernel yet
@@ -257,5 +260,19 @@ func TestScaleOutGrowsAMemberThatFits(t *testing.T) {
 	}
 	if small.pendingHosts != 0 || big.pendingHosts != 1 {
 		t.Errorf("migration scale-out: %d hosts pending on small, %d on big; want 0 and 1", small.pendingHosts, big.pendingHosts)
+	}
+
+	// No member fits: a single cluster of half-size hosts, which also keeps
+	// the event log a federated run does not.
+	one, err := simOf(Config{Trace: empty, Hosts: 3, HostCapacity: halfHost(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.close()
+	dropped := &session{src: ss.src, req: req}
+	one.sessionStart(dropped)
+	if n := one.members[0].c.NumHosts(); len(dropped.hosts) != 0 || n != 3 || one.res.ScaleOuts != 0 || len(one.res.Events) != 0 {
+		t.Errorf("no member fits: session on %d hosts, fleet of %d, %d scale-outs, %d events; want 0, 3, 0, 0",
+			len(dropped.hosts), n, one.res.ScaleOuts, len(one.res.Events))
 	}
 }

@@ -480,8 +480,8 @@ func TestLeasePoolOneHotShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	workers := p.shard([]float64{1, 1})
-	workers[0].input = input{Trace: tr}
-	workers[1].input = input{Trace: &trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End, Granularity: tr.Granularity}}
+	workers[0].Source = tr.AsSource()
+	workers[1].Source = (&trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End}).AsSource()
 	rec, err := runLeased(p, workers)
 	if err != nil {
 		t.Fatal(err)
@@ -511,7 +511,7 @@ func leasedWorkers(t *testing.T, tr *trace.Trace, k int, compile func() (*plan, 
 	}
 	var sims []*sim
 	for i, wp := range p.shard(weights) {
-		wp.input = input{Trace: parts[i].Trace}
+		wp.Source = parts[i].Trace.AsSource()
 		wp.leaseManaged = true
 		w, err := newSim(wp)
 		if err != nil {
@@ -678,7 +678,7 @@ func TestLeasedBuildFailure(t *testing.T) {
 			}
 			workers := p.shard([]float64{parts[0].Weight, parts[1].Weight, parts[2].Weight})
 			for i, w := range workers {
-				w.input = input{Trace: parts[i].Trace}
+				w.Source = parts[i].Trace.AsSource()
 			}
 			workers[1].members = append(workers[1].members, workers[1].members[0])
 			return p, workers

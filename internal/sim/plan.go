@@ -22,17 +22,10 @@ const (
 	autoscaleInterval = time.Minute
 )
 
-// input is what one simulation replays: a materialized trace or a lazy
-// session source, exactly one of them set.
-type input struct {
-	Trace  *trace.Trace
-	Source trace.Source
-}
-
 // plan is the one internal description of a run. Every exported runner
 // compiles its public config — Config or FedConfig — into a plan exactly
 // once (Config.plan, FedConfig.plan), and everything below the adapters —
-// newSim, sharding, streaming, the lease driver — reads only the plan: no
+// newSim, sharding, the lease driver — reads only the plan: no
 // simulation is ever built from a public config, so defaults are applied
 // once and a zero in a plan always means zero. A single cluster is the
 // one-member case: Run's plan has one member named "sim" and the
@@ -40,7 +33,9 @@ type input struct {
 //
 // Fields are named after the public config fields they are compiled from.
 type plan struct {
-	input
+	// Source is the workload the simulation replays: the config's Source, or
+	// its Trace adapted (plan.defaults). A sharded worker's is its shard.
+	Source trace.Source
 
 	// Core knobs, shared by both public forms.
 	LeanMetrics       bool
@@ -91,7 +86,6 @@ func (c Config) plan() (*plan, error) {
 		m.MinHosts = 4
 	}
 	p := &plan{
-		input:             input{c.Trace, c.Source},
 		LeanMetrics:       c.LeanMetrics,
 		Policy:            c.Policy,
 		ReplicasPerKernel: c.ReplicasPerKernel,
@@ -106,14 +100,13 @@ func (c Config) plan() (*plan, error) {
 	if p.Policy == "" {
 		p.Policy = PolicyNotebookOS
 	}
-	return p, p.defaults()
+	return p, p.defaults(c.Trace, c.Source)
 }
 
 // plan compiles a federated config. The member specs are copied, so a
 // caller's slice shared across (possibly concurrent) runs is never mutated.
 func (c FedConfig) plan() (*plan, error) {
 	p := &plan{
-		input:               input{c.Trace, c.Source},
 		LeanMetrics:         c.LeanMetrics,
 		Policy:              PolicyNotebookOS,
 		ReplicasPerKernel:   c.ReplicasPerKernel,
@@ -135,14 +128,28 @@ func (c FedConfig) plan() (*plan, error) {
 	if len(p.members) == 0 {
 		p.members = DefaultFedClusters(2, 30)
 	}
-	return p, p.defaults()
+	return p, p.defaults(c.Trace, c.Source)
 }
 
 // defaults validates the plan and fills every unset knob. It is the only
-// defaulting pass a run ever sees.
-func (p *plan) defaults() error {
-	if (p.Trace == nil) == (p.Source == nil) {
+// defaulting pass a run ever sees, and the one place a config's workload
+// slots are read: a Trace becomes its Source adapter here, after the only
+// check of session order that can run before a worker starts — trace.Split
+// keeps relative order, so two swapped sessions that land in different shards
+// would look sorted to both workers' injectors. A Source can only be checked
+// as it is pulled (injector.Fire).
+func (p *plan) defaults(tr *trace.Trace, src trace.Source) error {
+	if (tr == nil) == (src == nil) {
 		return fmt.Errorf("sim: config requires exactly one of Trace and Source")
+	}
+	p.Source = src
+	if tr != nil {
+		for i := 1; i < len(tr.Sessions); i++ {
+			if err := arrivalOrder(tr.Sessions[i-1], tr.Sessions[i]); err != nil {
+				return err
+			}
+		}
+		p.Source = tr.AsSource()
 	}
 	if err := p.Faults.Validate(); err != nil {
 		return err

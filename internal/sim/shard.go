@@ -59,28 +59,32 @@ func RunSharded(cfg Config, shards int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return single(p.runSharded(shards, p.traceParts))
+	return single(p.runSharded(shards, traceParts(cfg.Trace)))
 }
 
 // part is one shard of a sharded run: the worker's workload and its
 // capacity weight.
 type part struct {
-	input
+	src    trace.Source
 	weight float64
 }
 
-// traceParts is the materialized split: trace.Split's k session partitions
-// with their reserved-GPU-hour weights.
-func (p *plan) traceParts(k int) ([]part, error) {
-	if p.Trace == nil {
-		return nil, fmt.Errorf("sim: a sharded run splits Trace, and the config sets Source instead; RunStreamSharded and RunFederatedStreamSharded shard a streamed workload")
+// traceParts is the materialized split of a config's Trace: trace.Split's k
+// session partitions with their reserved-GPU-hour weights. It is the one
+// reader of a *trace.Trace below the plan adapters; the plan itself replays
+// the trace's Source adapter.
+func traceParts(tr *trace.Trace) func(k int) ([]part, error) {
+	return func(k int) ([]part, error) {
+		if tr == nil {
+			return nil, fmt.Errorf("sim: a sharded run splits Trace, and the config sets Source instead; RunStreamSharded and RunFederatedStreamSharded shard a streamed workload")
+		}
+		split := tr.Split(k)
+		parts := make([]part, len(split))
+		for i, sh := range split {
+			parts[i] = part{sh.Trace.AsSource(), sh.Weight}
+		}
+		return parts, nil
 	}
-	split := p.Trace.Split(k)
-	parts := make([]part, len(split))
-	for i, sh := range split {
-		parts[i] = part{input{Trace: sh.Trace}, sh.Weight}
-	}
-	return parts, nil
 }
 
 // runSharded is the one sharded driver. The shard count clamps to what the
@@ -110,7 +114,7 @@ func (p *plan) runSharded(shards int, split func(k int) ([]part, error)) (*recor
 	}
 	workers := p.shard(weights)
 	for i, w := range workers {
-		w.input = parts[i].input
+		w.Source = parts[i].src
 	}
 	if p.ShardCapacity == LeasePool {
 		return runLeased(p, workers)
@@ -176,7 +180,7 @@ func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return federated(p.runSharded(shards, p.traceParts))
+	return federated(p.runSharded(shards, traceParts(cfg.Trace)))
 }
 
 // MergeResults combines per-shard worker results into one Result, in the

@@ -59,14 +59,16 @@ func Steps() []Step {
 // Config parameterizes one simulation run.
 type Config struct {
 	// Trace is the workload to replay. Exactly one of Trace and Source must
-	// be set.
+	// be set. Its sessions must be in non-decreasing Start order (Generate,
+	// Split and Window keep it); a trace that is not is refused.
 	Trace *trace.Trace
 	// Source is a lazily-iterated session stream (see trace.Source) used in
-	// place of Trace: sessions are admitted into the simulation one at a
-	// time, in arrival order, as virtual time reaches them, so the full
-	// workload never needs to exist in memory. A materialized Trace and its
-	// AsSource adapter produce byte-identical results; a trace.StreamGen
-	// synthesizes the sessions on the fly.
+	// place of Trace. Either way sessions are admitted into the simulation
+	// one at a time, in arrival order, as virtual time reaches them (a Trace
+	// replays through its AsSource adapter), so with a trace.StreamGen, which
+	// synthesizes the sessions on the fly, the full workload never exists in
+	// memory. A run whose Source yields a session that starts before the one
+	// it yielded last fails with an error naming both.
 	Source trace.Source
 	// LeanMetrics bounds the result's memory by the simulated window instead
 	// of the workload size: delta timelines coalesce at the 5-minute
@@ -335,28 +337,24 @@ type sim struct {
 	autoscaler *federation.FederatedAutoscaler
 	loads      []federation.MemberLoad
 
-	// src is the workload — cfg.Source, or cfg.Trace adapted — and start/end
-	// the simulated window it spans. streaming is set when sessions arrive
-	// lazily from cfg.Source.
-	src        trace.Source
+	// start and end are the simulated window the workload (cfg.Source) spans.
 	start, end time.Time
-	streaming  bool
 	// sampleSeq numbers the lean-mode reservoir seeds in recorder creation
 	// order, so merges stay reproducible.
 	sampleSeq int64
-	// wr is the workload-assignment stream (shared by the up-front loop and
-	// the lazy injector so both draw in arrival order), homeSeq the
-	// admitted-session count behind round-robin home assignment.
+	// wr is the workload-assignment stream, drawn in arrival order; homeSeq
+	// the admitted-session count behind round-robin home assignment.
 	wr      *rand.Rand
 	homeSeq int
-	// pull yields the source's next session under streaming; stopPull
-	// releases the iterator (see close); srcErr holds the source's
-	// iteration error once the stream is exhausted.
+	// pull yields the source's next session to the injector (stream.go);
+	// stopPull releases the iterator (see close); srcErr holds what fails the
+	// run from finish: the source's iteration error once the stream is
+	// exhausted, or the injector's on a session that goes back in time.
 	pull     func() (*trace.Session, bool)
 	stopPull func()
 	srcErr   error
 	// reserved integrates reserved GPUs (session request sizes over session
-	// lifetimes) online, replacing the trace-scan integral when streaming.
+	// lifetimes) online.
 	reserved gpuHoursAcc
 
 	// live tracks the live sessions in arrival order when something needs
@@ -413,11 +411,7 @@ func (p *plan) run() (*record, error) {
 // reconciliation between them — and then collect the record with finish.
 // Pair with close.
 func newSim(p *plan) (*sim, error) {
-	src := p.Source
-	if src == nil {
-		src = p.Trace.AsSource()
-	}
-	start, end := src.Window()
+	start, end := p.Source.Window()
 	eng := des.New(start)
 	s := &sim{
 		cfg:       *p,
@@ -427,10 +421,8 @@ func newSim(p *plan) (*sim, error) {
 		placement: scheduler.LeastLoaded{SRHighWatermark: p.SRHighWatermark},
 		selected:  make([]*cluster.Host, p.ReplicasPerKernel),
 		waitq:     newCapacityWaitQueue(eng),
-		src:       src,
 		start:     start,
 		end:       end,
-		streaming: p.Source != nil,
 		sampleSeq: p.Seed + 1000,
 		wr:        rand.New(rand.NewSource(p.Seed + 2)),
 		trackLive: p.leaseManaged,
@@ -502,8 +494,8 @@ func (s *sim) newSample() *metrics.Sample {
 }
 
 // build finishes construction once newSim has created the recorders: fault
-// layer armed, members and their hosts in place, every trace (or injector)
-// event scheduled, sampling and autoscale ticks armed.
+// layer armed, members and their hosts in place, the injector armed at the
+// first session's start, sampling and autoscale ticks armed.
 func (s *sim) build() error {
 	cfg, specs := &s.cfg, s.cfg.members
 	// Fault injection arms before the hosts join so every host slot —
@@ -552,10 +544,10 @@ func (s *sim) build() error {
 	// allocation per column instead of a geometric growth ladder — the
 	// dominant allocation cost of 90-day runs. Per-member delta series
 	// split the task total evenly — an estimate, so a hot member may still
-	// grow. A streaming source supplies analytic expectations instead of a
-	// trace scan; under LeanMetrics the recorders bound themselves and the
-	// hints are skipped entirely.
-	exp := s.src.Expect()
+	// grow. A generator supplies analytic expectations instead of counts;
+	// under LeanMetrics the recorders bound themselves and the hints are
+	// skipped entirely.
+	exp := cfg.Source.Expect()
 	sessions, numTasks := exp.Sessions, exp.Tasks
 	if !cfg.LeanMetrics {
 		ticks := int(s.end.Sub(s.start)/sampleEvery) + 2
@@ -587,28 +579,15 @@ func (s *sim) build() error {
 		}
 	}
 
-	if s.streaming {
-		// Sessions are admitted lazily: the injector event at each session's
-		// start materializes it, schedules its end and task arrivals, and
-		// pulls the next one — pending-event count tracks concurrency, not
-		// workload size.
-		next, stop := iter.Pull(func(yield func(*trace.Session) bool) {
-			s.srcErr = s.src.Sessions(yield)
-		})
-		s.stopPull = stop
-		s.pull = next
-		if first, ok := next(); ok {
-			s.eng.ScheduleRunner(first.Start, &injector{s: s, sess: first})
-		}
-	} else {
-		// The whole trace is scheduled up front: one event per session
-		// boundary plus one per task arrival.
-		s.eng.Reserve(2*sessions + numTasks + 16)
-		for _, sess := range cfg.Trace.Sessions {
-			ss := s.newSession(sess)
-			s.eng.Schedule(sess.Start, func() { s.sessionStart(ss) })
-			s.scheduleSession(ss)
-		}
+	// Sessions are admitted lazily: the injector event at each session's
+	// start materializes it, schedules its end and task arrivals, and pulls
+	// the next one — pending-event count tracks concurrency, not workload
+	// size.
+	s.pull, s.stopPull = iter.Pull(func(yield func(*trace.Session) bool) {
+		s.srcErr = cfg.Source.Sessions(yield)
+	})
+	if first, ok := s.pull(); ok {
+		s.eng.ScheduleRunner(first.Start, &injector{s: s, sess: first})
 	}
 
 	// Periodic sampling and autoscaling. A lease-managed worker skips its
@@ -645,16 +624,8 @@ func (s *sim) newSession(sess *trace.Session) *session {
 	return ss
 }
 
-// scheduleSession schedules a session's end and its task arrivals.
-func (s *sim) scheduleSession(ss *session) {
-	s.eng.Schedule(ss.src.End, func() { s.sessionEnd(ss) })
-	for _, task := range ss.src.Tasks {
-		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
-	}
-}
-
-// close releases the streaming source's iterator; safe on any sim and
-// safe to call more than once.
+// close releases the source's iterator; safe on any sim and safe to call
+// more than once.
 func (s *sim) close() {
 	if s.stopPull != nil {
 		s.stopPull()
@@ -666,12 +637,12 @@ func (s *sim) close() {
 // complete.
 func (s *sim) drain() { s.eng.RunUntil(s.end.Add(24 * time.Hour)) }
 
-// finish surfaces a streaming-source error and completes the record: the
-// federation-wide capacity series (member 0's own timelines when it is the
-// only member, a pointwise merge otherwise), the integrated hours, and what
-// only one projection reports — the per-member records of a federated run,
-// the cost-model hours (Fig. 12) of a single-cluster one. Call once, after
-// drain.
+// finish surfaces a source or arrival-order error and completes the record:
+// the federation-wide capacity series (member 0's own timelines when it is
+// the only member, a pointwise merge otherwise), the integrated hours, and
+// what only one projection reports — the per-member records of a federated
+// run, the cost-model hours (Fig. 12) of a single-cluster one. Call once,
+// after drain.
 func (s *sim) finish() (*record, error) {
 	if s.srcErr != nil {
 		return nil, s.srcErr
@@ -687,14 +658,7 @@ func (s *sim) finish() (*record, error) {
 		res.ProvisionedGPUs, res.CommittedGPUs = metrics.MergeTimelines(prov...), metrics.MergeTimelines(comm...)
 	}
 	res.ActiveGPUHours = res.CommittedGPUs.Integral(s.start, s.end)
-	if s.streaming {
-		// No trace to scan: the online accumulator integrated reserved GPUs
-		// as sessions came and went (bit-for-bit it is a different summation
-		// order than the trace-scan timeline, so the two agree to rounding).
-		res.ReservedGPUHours = s.reserved.finish(s.end.UnixNano())
-	} else {
-		res.ReservedGPUHours = s.cfg.Trace.ReservedGPUs().Integral(s.start, s.end)
-	}
+	res.ReservedGPUHours = s.reserved.finish(s.end.UnixNano())
 	res.provisionedGPUHours = res.ProvisionedGPUs.Integral(s.start, s.end)
 	if s.cfg.federated {
 		for _, m := range s.members {
@@ -777,14 +741,18 @@ func (s *sim) sessionStart(ss *session) {
 			// No cluster can place the kernel: scale one out synchronously
 			// (placement pauses until the servers are ready; the
 			// provisioning delay is charged to session creation, not to any
-			// task).
-			grow := s.scaleOutMember(ss.home, ss.req)
+			// task). A request no member's host shape holds is dropped, with
+			// nothing grown for it.
+			grow, ok := s.scaleOutMember(ss.home, ss.req)
+			if !ok {
+				return
+			}
 			for i := 0; i < s.cfg.ReplicasPerKernel; i++ {
 				s.addHost(grow)
 			}
 			s.noteScaleOut(grow)
 			if !s.placeSession(ss) {
-				return // a request no member's host shape holds; drop the session
+				return // only a watermark below one replica's share of an empty host refuses
 			}
 		}
 		if ss.req.GPUs > s.maxReq {
@@ -800,19 +768,18 @@ func (s *sim) sessionStart(ss *session) {
 // scaleOutMember picks the member an emergency scale-out for req grows: the
 // home member when its host shape holds req, otherwise the first member in
 // route order whose shape does — fresh hosts of a shape too small for req
-// would leave it as unplaceable as before. When no shape holds req the
-// answer stays the home member; the request is dropped (or parks) wherever
-// the hosts land.
-func (s *sim) scaleOutMember(home int, req resources.Spec) int {
+// would leave it as unplaceable as before. ok is false when no member's
+// shape holds req: growing any of them would be futile.
+func (s *sim) scaleOutMember(home int, req resources.Spec) (idx int, ok bool) {
 	if req.Fits(s.members[home].spec.HostCapacity) {
-		return home
+		return home, true
 	}
 	for _, idx := range s.routeOrder(home) {
 		if req.Fits(s.members[idx].spec.HostCapacity) {
-			return idx
+			return idx, true
 		}
 	}
-	return home
+	return home, false
 }
 
 // placeSession places the session's R replicas within a single cluster,
@@ -1176,8 +1143,9 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 
 	target := s.mostIdleHost(ss, &req)
 	if target == nil {
-		// Scale out; the AddHost notification wakes the wait-queue.
-		if grow := s.scaleOutMember(ss.home, req); s.members[grow].pendingHosts == 0 {
+		// Scale out; the AddHost notification wakes the wait-queue. (Some
+		// member holds req: the session's replicas sit on hosts that do.)
+		if grow, ok := s.scaleOutMember(ss.home, req); ok && s.members[grow].pendingHosts == 0 {
 			s.provision(grow, 1, lat.HostProvision(s.rng))
 		}
 		return false

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -164,6 +165,24 @@ func TestHostileConfigs(t *testing.T) {
 	if fits == 0 || fits == len(tr.Sessions) {
 		t.Fatalf("want a trace where only some sessions fit a 2-GPU host, got %d/%d", fits, len(tr.Sessions))
 	}
+	// The trace with two neighbouring sessions swapped, a pair trace.Split(2)
+	// sends to different shards: each shard is then in order on its own, so
+	// only a check of the whole trace, before it is split, can refuse it.
+	var swapped *trace.Trace
+	var early, late *trace.Session
+	for i := 0; i+1 < len(tr.Sessions) && swapped == nil; i++ {
+		if early, late = tr.Sessions[i], tr.Sessions[i+1]; !early.Start.Before(late.Start) {
+			continue
+		}
+		cand := &trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End, Sessions: slices.Clone(tr.Sessions)}
+		cand.Sessions[i], cand.Sessions[i+1] = late, early
+		if parts := cand.Split(2); parts[0].Trace.Validate() == nil && parts[1].Trace.Validate() == nil {
+			swapped = cand
+		}
+	}
+	if swapped == nil || swapped.Validate() == nil {
+		t.Fatal("want two neighbouring sessions that land in different shards, swapped")
+	}
 
 	for _, e := range runnerEntries {
 		for _, sc := range []ShardCapacity{LegacySplit, LeasePool} {
@@ -245,6 +264,19 @@ func TestHostileConfigs(t *testing.T) {
 				plain := h
 				plain.plain = true
 				same("Source at k=1", h, plain)
+			}
+
+			// Sessions that go back in time. A Trace is refused where the plan
+			// is compiled, before any worker starts; a Source — here the
+			// swapped trace behind its adapter, which the plan cannot see
+			// through — when the injector pulls the late session.
+			if !e.streamed {
+				h = valid()
+				h.tr = swapped
+				refuses("two sessions swapped in Trace", h, early.ID, late.ID, "order")
+				h = valid()
+				h.tr, h.src, h.shards = nil, swapped.AsSource(), 1
+				refuses("two sessions swapped in Source", h, early.ID, late.ID, "order")
 			}
 
 			h = valid()

@@ -7,33 +7,28 @@ import (
 	"notebookos/internal/trace"
 )
 
-// Streaming simulation
+// Admission
 //
-// The materialized path schedules a whole trace's events up front — one
-// event per session boundary plus one per task arrival — which makes the
-// engine's pending-event count (and the trace itself) linear in workload
-// size. The streaming path replaces both with a single injector event: it
-// fires at each session's start, materializes that session from the lazy
-// trace.Source, schedules its end and task arrivals, and pulls the next
-// session. Pending events then track *concurrency* (live sessions and their
-// in-flight tasks), so a 90-day million-session run holds only the few
-// thousand sessions alive at once.
+// Every run admits its sessions through one self-rescheduling injector
+// event, whatever its workload is — a materialized trace behind its adapter
+// or a generator. The injector fires at a session's start, admits it,
+// schedules its end and task arrivals, and pulls the next session from the
+// plan's trace.Source. Pending events therefore track *concurrency* (live
+// sessions and their in-flight tasks), never workload size: a 90-day
+// million-session run holds only the few thousand sessions alive at once.
 //
-// Event-order equivalence with the up-front loop: sessions arrive in
-// non-decreasing start order, so every event of an earlier session is
-// scheduled at an earlier (or equal) virtual time and carries a lower engine
-// sequence number — the same tie-break order the up-front loop produced.
-// The remaining tie class — a trace event landing on the same nanosecond
-// as a periodic sampling or autoscale tick, common under coarse trace
-// granularities — is closed by scheduling the ticks in the engine's late
-// tie-break class (des.DeferLate): ticks lose every same-instant tie to
-// model events in both paths, exactly as the up-front loop's scheduling
-// order already made them. TestStreamingMatchesMaterialized pins the
-// equivalence for every policy.
+// Sessions arrive in non-decreasing start order, so every event of an
+// earlier session carries a lower engine sequence number than the events of a
+// later one at the same instant. One tie class is left — a trace event
+// landing on the same nanosecond as a periodic sampling or autoscale tick,
+// common under coarse trace granularities — and it is closed by scheduling
+// the ticks in the engine's late tie-break class (des.DeferLate): a tick
+// loses every same-instant tie to model events, so what it observes does not
+// depend on how far ahead of it the events of that instant were scheduled.
 
 // gpuHoursAcc integrates a step function of GPU counts online, in
-// value-hours — the streaming replacement for building a reserved-GPUs
-// timeline from a trace scan and integrating it afterwards.
+// value-hours: the reserved-GPU integral of a run, fed as sessions come and
+// go. The arithmetic is metrics.Timeline.Integral's, segment by segment.
 type gpuHoursAcc struct {
 	lastNS int64
 	level  float64
@@ -56,11 +51,10 @@ func (a *gpuHoursAcc) finish(endNS int64) float64 {
 	return a.hours
 }
 
-// injector is the streaming admitter: one event, re-scheduled
-// (allocation-free, via ScheduleRunner) from each session start to the
-// next. Sessions are admitted — workload assignment drawn, home member
-// assigned round-robin — in arrival order, exactly as the up-front loop
-// does.
+// injector is the admitter: one event, re-scheduled (allocation-free, via
+// ScheduleRunner) from each session start to the next. Sessions are admitted
+// — workload assignment drawn, home member assigned round-robin — in arrival
+// order.
 type injector struct {
 	s    *sim
 	sess *trace.Session
@@ -70,13 +64,33 @@ func (in *injector) Fire() {
 	s := in.s
 	ss := s.newSession(in.sess)
 	s.sessionStart(ss)
-	s.scheduleSession(ss)
-	if next, ok := s.pull(); ok {
-		in.sess = next
-		s.eng.ScheduleRunner(next.Start, in)
-	} else {
-		in.sess = nil
+	s.eng.Schedule(ss.src.End, func() { s.sessionEnd(ss) })
+	for _, task := range ss.src.Tasks {
+		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
 	}
+	next, ok := s.pull()
+	if !ok {
+		return
+	}
+	if err := arrivalOrder(in.sess, next); err != nil {
+		// The engine would clamp the late session to now and run on with a
+		// wrong start; stop admitting and fail the run from finish instead.
+		s.close()
+		s.srcErr = err
+		return
+	}
+	in.sess = next
+	s.eng.ScheduleRunner(next.Start, in)
+}
+
+// arrivalOrder is the trace.Source contract a replay relies on: next may not
+// start before prev, the session yielded just ahead of it.
+func arrivalOrder(prev, next *trace.Session) error {
+	if next.Start.Before(prev.Start) {
+		return fmt.Errorf("sim: sessions out of arrival order: %s starts at %v, before %s at %v",
+			next.ID, next.Start, prev.ID, prev.Start)
+	}
+	return nil
 }
 
 // RunStreamSharded is RunSharded without the trace: shard i of k runs
@@ -153,7 +167,7 @@ func streamParts(gcfg trace.GenConfig) func(k int) ([]part, error) {
 		}
 		parts := make([]part, len(gens))
 		for i, g := range gens {
-			parts[i] = part{input{Source: g}, 1}
+			parts[i] = part{g, 1}
 		}
 		return parts, nil
 	}

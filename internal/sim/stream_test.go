@@ -8,12 +8,12 @@ import (
 	"notebookos/internal/trace"
 )
 
-// TestStreamingMatchesMaterialized pins the streaming path's event-order
-// equivalence argument: simulating a lazily-injected StreamGen(k=1) source
-// produces the same result as materializing the same GenConfig and
-// replaying it up front — for every policy. (StreamGen(k=1) emits
-// byte-identical sessions, so any divergence here would be the injector's
-// event ordering, not the generator.)
+// TestStreamingMatchesMaterialized is adapter vs generator on the one
+// admission path: the injector pulling a materialized trace through its
+// AsSource adapter and the injector pulling the StreamGen(k=1) that trace was
+// collected from produce the same result, for every policy — the sessions
+// are the same, and so are the sizing hints' effects on everything reported
+// (the adapter counts, the generator estimates).
 func TestStreamingMatchesMaterialized(t *testing.T) {
 	gcfg := trace.AdobeExcerptConfig(41)
 	tr := trace.MustGenerate(gcfg)
@@ -41,7 +41,8 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// TestStreamingFederatedMatchesMaterialized is the federated analogue.
+// TestStreamingFederatedMatchesMaterialized is the federated analogue:
+// adapter vs generator through RunFederated.
 func TestStreamingFederatedMatchesMaterialized(t *testing.T) {
 	gcfg := trace.AdobeExcerptConfig(43)
 	gcfg.Duration = 8 * time.Hour
@@ -74,6 +75,37 @@ func TestStreamingFederatedMatchesMaterialized(t *testing.T) {
 	if p50m, p50s := mat.TCT.Percentile(50), str.TCT.Percentile(50); p50m != p50s {
 		t.Errorf("TCT p50 diverged: %.6f vs %.6f", p50m, p50s)
 	}
+}
+
+// TestEveryRunAdmitsLazily: a materialized trace enters a simulation the way
+// a generator does, a session at a time. Right after build the engine holds
+// the injector and the first ticks, not an event per session boundary and
+// task arrival, and over the run its pending events follow the sessions alive
+// at once (a session's task arrivals are scheduled when it is admitted), well
+// below the 2·sessions + tasks a schedule built up front starts from.
+func TestEveryRunAdmitsLazily(t *testing.T) {
+	gcfg := trace.AdobeSummerConfig(42)
+	gcfg.Duration = 10 * 24 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	s, err := simOf(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	upFront := 2*len(tr.Sessions) + tr.NumTasks()
+	built := s.eng.Len()
+	if built > 8 {
+		t.Errorf("%d events pending after build, want at most 8 (a schedule built up front holds %d)", built, upFront)
+	}
+	peak := 0
+	for at := s.start; at.Before(s.end); at = at.Add(time.Hour) {
+		s.eng.RunUntil(at)
+		peak = max(peak, s.eng.Len())
+	}
+	if 3*peak >= 2*upFront {
+		t.Errorf("pending events peak at %d, want under two thirds of %d", peak, upFront)
+	}
+	t.Logf("pending events: %d after build, hourly peak %d, of %d scheduled over the run", built, peak, upFront)
 }
 
 // TestRunStreamShardedDeterministic double-runs the streaming sharded path

@@ -33,6 +33,16 @@
 // tests against the spec's own analytic forms (ArrivalSpec.
 // ExpectedArrivals, the samplers' closed-form quantiles).
 //
+// There is one arrival loop: StreamGen.Sessions, a thinned non-homogeneous
+// Poisson process that builds a session at a time. Generate collects the
+// whole-workload stream (NewStreamGen(cfg, 0, 1)) into a Trace;
+// testdata/trace_digests.golden pins what it emits for the paper's configs
+// and the built-in scenarios. Source is the interface a replay pulls
+// sessions through — Window, Sessions, Expect, what the simulator calls and
+// no more — implemented by StreamGen and by (*Trace).AsSource. Its contract
+// is non-decreasing Start order; the simulator checks it as it pulls, and
+// Trace.Validate checks it for a materialized trace.
+//
 // Cohorts optionally carry an SLOClass ("interactive", "batch",
 // "best-effort" — each a scheduling weight plus a max-queue-delay
 // target) stamped onto their generated Sessions; stamping consumes no

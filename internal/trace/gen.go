@@ -204,9 +204,8 @@ func (co Cohort) shape() sessionShape {
 
 // pickShape draws the arriving session's cohort. The draw is the FIRST
 // randomness genSession consumes, and single-population configs consume
-// none here, which is what keeps (a) cohortless generation bit-identical
-// to the pre-cohort generator and (b) the k=1 stream in lockstep with the
-// materialized path for every config shape.
+// none here, which keeps cohortless generation bit-identical to the
+// pre-cohort generator (testdata/trace_digests.golden).
 func (c GenConfig) pickShape(r *rand.Rand) sessionShape {
 	if len(c.Cohorts) == 0 {
 		return c.baseShape()
@@ -225,39 +224,23 @@ func (c GenConfig) pickShape(r *rand.Rand) sessionShape {
 	return c.Cohorts[len(c.Cohorts)-1].shape()
 }
 
-// Generate produces a synthetic trace from cfg. The same config and seed
-// always produce the identical trace.
+// Generate produces a synthetic trace from cfg: the whole-workload stream
+// (NewStreamGen(cfg, 0, 1)) collected into a slice, so the arrival process is
+// written once, in StreamGen.Sessions. The same config and seed always
+// produce the identical trace.
 func Generate(cfg GenConfig) (*Trace, error) {
-	if err := cfg.validate(); err != nil {
+	g, err := NewStreamGen(cfg, 0, 1)
+	if err != nil {
 		return nil, err
 	}
-	r := rand.New(rand.NewSource(cfg.Seed))
-	tr := &Trace{
-		Name:        cfg.Name,
-		Start:       cfg.Start,
-		End:         cfg.Start.Add(cfg.Duration),
-		Granularity: cfg.Granularity,
-	}
-
-	// Non-homogeneous Poisson arrivals by thinning.
-	t := cfg.Start
-	id := 0
-	for {
-		gapHours := r.ExpFloat64() / cfg.MaxSessionsPerHour
-		t = t.Add(time.Duration(gapHours * float64(time.Hour)))
-		if !t.Before(tr.End) {
-			break
-		}
-		rate := cfg.SessionsPerHour(t.Sub(cfg.Start))
-		if rate > cfg.MaxSessionsPerHour {
-			return nil, fmt.Errorf("trace: intensity %v exceeds MaxSessionsPerHour %v", rate, cfg.MaxSessionsPerHour)
-		}
-		if r.Float64()*cfg.MaxSessionsPerHour > rate {
-			continue // thinned
-		}
-		id++
-		sess := genSession(cfg, r, sessionID(cfg.Name, id), t, tr.End)
-		tr.Sessions = append(tr.Sessions, sess)
+	tr := &Trace{Name: cfg.Name}
+	tr.Start, tr.End = g.Window()
+	err = g.Sessions(func(s *Session) bool {
+		tr.Sessions = append(tr.Sessions, s)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return tr, nil
 }
@@ -266,8 +249,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 // (wider ids print in full) — the format fmt.Sprintf("%s-s%05d", ...)
 // produced, built with strconv appends instead: one string allocation per
 // session instead of Sprintf's verb parsing and interface boxing, which is
-// measurable at million-session scale. Shared by Generate and StreamGen so
-// the two paths cannot drift.
+// measurable at million-session scale.
 func sessionID(name string, id int) string {
 	digits := 1
 	for v := id; v >= 10; v /= 10 {

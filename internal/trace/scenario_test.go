@@ -103,7 +103,7 @@ func TestScenarioStreamUnionMatchesExpectation(t *testing.T) {
 			sessions := collect(t, g)
 			total += len(sessions)
 			if len(sessions) == 0 {
-				t.Errorf("%s: shard %s empty", s.Name, g.Name())
+				t.Errorf("%s: shard %s empty", s.Name, g.prefix)
 			}
 			ws, we := g.Window()
 			prev := time.Time{}
@@ -145,9 +145,6 @@ func TestScenarioExpectShardConservation(t *testing.T) {
 				t.Errorf("%s: %d shards reserve %v GPUh total, whole expects %v",
 					s.Name, k, got, whole.ReservedGPUHours)
 			}
-		}
-		if whole.Exact {
-			t.Errorf("%s: analytic expectation claims to be exact", s.Name)
 		}
 	}
 }

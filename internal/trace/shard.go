@@ -60,10 +60,9 @@ func (tr *Trace) Split(k int) []Shard {
 			Index: i,
 			Count: k,
 			Trace: &Trace{
-				Name:        fmt.Sprintf("%s/shard%d-of-%d", tr.Name, i, k),
-				Start:       tr.Start,
-				End:         tr.End,
-				Granularity: tr.Granularity,
+				Name:  fmt.Sprintf("%s/shard%d-of-%d", tr.Name, i, k),
+				Start: tr.Start,
+				End:   tr.End,
 			},
 		}
 	}

@@ -10,28 +10,25 @@ import (
 // memory: sessions are emitted lazily, one at a time, in non-decreasing
 // Start order. A Source is deterministic — iterating it twice yields the
 // identical session sequence — which is what lets sharded runs and CI
-// baselines reproduce bit-for-bit.
+// baselines reproduce bit-for-bit. The interface is what the simulator
+// calls, nothing more.
 //
-// Two implementations exist: (*Trace).AsSource adapts a materialized trace
-// (every current byte preserved), and StreamGen synthesizes one shard of a
-// generated workload on the fly so the full trace never exists at once.
+// Two implementations exist: (*Trace).AsSource adapts a materialized trace,
+// and StreamGen synthesizes one shard of a generated workload on the fly so
+// the full trace never exists at once.
 type Source interface {
-	// Name identifies the workload (trace name or shard-qualified name).
-	Name() string
 	// Window returns the workload's [start, end) time range.
 	Window() (start, end time.Time)
-	// Granularity is the source's sampling granularity (zero if none).
-	Granularity() time.Duration
 	// Sessions iterates the workload's sessions in non-decreasing Start
-	// order, stopping early if yield returns false. The yielded *Session
-	// is owned by the caller from that point on; the Source retains no
-	// reference, so a consumer that drops it after use keeps peak memory
-	// proportional to concurrent sessions, not total sessions.
+	// order, stopping early if yield returns false. The order is the
+	// consumer's to check as it pulls: the simulator fails a run whose source
+	// yields a session that starts before the one it yielded last. The
+	// yielded *Session is owned by the caller from that point on; the Source
+	// retains no reference, so a consumer that drops it after use keeps peak
+	// memory proportional to concurrent sessions, not total sessions.
 	Sessions(yield func(*Session) bool) error
 	// Expect returns sizing expectations for the workload, used for
-	// pre-allocation hints and proportional capacity shares. Exact is true
-	// when the counts are actual (materialized trace) rather than analytic
-	// expectations.
+	// pre-allocation hints and proportional capacity shares.
 	Expect() Expectation
 }
 
@@ -48,22 +45,16 @@ type Expectation struct {
 	// is the Reservation-baseline demand, the same weight Split balances,
 	// so capacity shares derived from it match the materialized path.
 	ReservedGPUHours float64
-	// Exact reports whether the counts are actual rather than expected.
-	Exact bool
 }
 
 // AsSource adapts the materialized trace to the Source interface. The
 // iteration yields the trace's own *Session pointers in trace order
-// (Generate and Split both emit sessions in arrival order), so a simulation
-// fed through the adapter sees byte-for-byte what it would see scanning
-// tr.Sessions directly.
+// (Generate, Split and Window all keep arrival order).
 func (tr *Trace) AsSource() Source { return traceSource{tr} }
 
 type traceSource struct{ tr *Trace }
 
-func (s traceSource) Name() string                   { return s.tr.Name }
 func (s traceSource) Window() (time.Time, time.Time) { return s.tr.Start, s.tr.End }
-func (s traceSource) Granularity() time.Duration     { return s.tr.Granularity }
 func (s traceSource) Sessions(yield func(*Session) bool) error {
 	for _, sess := range s.tr.Sessions {
 		if !yield(sess) {
@@ -82,7 +73,6 @@ func (s traceSource) Expect() Expectation {
 		Sessions:         len(s.tr.Sessions),
 		Tasks:            s.tr.NumTasks(),
 		ReservedGPUHours: gpuh,
-		Exact:            true,
 	}
 }
 
@@ -94,7 +84,7 @@ func (s traceSource) Expect() Expectation {
 // materialized trace's measured value as the session count grows, without
 // ever generating a session.
 //
-// The derivation mirrors Generate step for step:
+// The derivation mirrors the generator step for step:
 //
 //   - Arrivals: the expected session count is the integral of the Poisson
 //     intensity SessionsPerHour over the window (midpoint rule — exact for

@@ -39,24 +39,21 @@ func splitmix64(x uint64) uint64 {
 // shard's sessions. The union of k shards is statistically the full
 // workload (expected counts and reserved GPU-hours match), but it is NOT
 // the byte-for-byte session set of Generate followed by Split: those two
-// draw different random numbers. The k=1 stream IS byte-identical to
-// Generate — same seed, same draw order, same IDs — which is what pins the
-// streaming path against the materialized one in tests.
+// draw different random numbers. The k=1 stream is what Generate collects.
 type StreamGen struct {
-	cfg       GenConfig
-	shard, of int
-	name      string
-	// prefix names the shard's sessions. For k=1 it is cfg.Name, making IDs
-	// byte-identical to Generate's; for k>1 each shard gets a disjoint
-	// prefix, since per-shard session counters would otherwise collide.
+	cfg GenConfig
+	of  int
+	// prefix names the shard's sessions. For k=1 it is cfg.Name; for k>1 each
+	// shard gets a disjoint prefix, since per-shard session counters would
+	// otherwise collide.
 	prefix string
 	seed   int64
 }
 
 // NewStreamGen returns the Source for shard `shard` of `of` of the workload
-// cfg generates. of <= 1 yields the whole workload, byte-identical to
-// Generate(cfg) with the same seed; of > 1 yields shard `shard`'s exact
-// Poisson split, seeded with ShardSeed(cfg.Seed, shard).
+// cfg generates. of <= 1 yields the whole workload, seeded with cfg.Seed —
+// the sessions of Generate(cfg); of > 1 yields shard `shard`'s exact Poisson
+// split, seeded with ShardSeed(cfg.Seed, shard).
 func NewStreamGen(cfg GenConfig, shard, of int) (*StreamGen, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -67,13 +64,8 @@ func NewStreamGen(cfg GenConfig, shard, of int) (*StreamGen, error) {
 	if shard < 0 || shard >= of {
 		return nil, fmt.Errorf("trace: shard %d out of range [0,%d)", shard, of)
 	}
-	g := &StreamGen{cfg: cfg, shard: shard, of: of}
-	if of == 1 {
-		g.name = cfg.Name
-		g.prefix = cfg.Name
-		g.seed = cfg.Seed
-	} else {
-		g.name = fmt.Sprintf("%s/stream%d-of-%d", cfg.Name, shard, of)
+	g := &StreamGen{cfg: cfg, of: of, prefix: cfg.Name, seed: cfg.Seed}
+	if of > 1 {
 		g.prefix = fmt.Sprintf("%s-p%d", cfg.Name, shard)
 		g.seed = ShardSeed(cfg.Seed, shard)
 	}
@@ -97,30 +89,19 @@ func StreamSplit(cfg GenConfig, k int) ([]*StreamGen, error) {
 	return out, nil
 }
 
-// Name implements Source.
-func (g *StreamGen) Name() string { return g.name }
-
 // Window implements Source.
 func (g *StreamGen) Window() (time.Time, time.Time) {
 	return g.cfg.Start, g.cfg.Start.Add(g.cfg.Duration)
 }
 
-// Granularity implements Source.
-func (g *StreamGen) Granularity() time.Duration { return g.cfg.Granularity }
-
-// Seed returns the shard's derived RNG seed.
-func (g *StreamGen) Seed() int64 { return g.seed }
-
 // Expect implements Source with the config's analytic expectations divided
 // across the shard count.
 func (g *StreamGen) Expect() Expectation { return g.cfg.Expect(g.of) }
 
-// Sessions implements Source: the same thinned non-homogeneous Poisson loop
-// as Generate — for of == 1 literally the same draws in the same order —
-// with the candidate rate divided by the shard count. The acceptance test
-// is unchanged because the ratio (rate/k)/(max/k) equals rate/max; keeping
-// the comparison against the undivided MaxSessionsPerHour also keeps the
-// k=1 float arithmetic bit-identical to Generate's.
+// Sessions implements Source: non-homogeneous Poisson arrivals by thinning,
+// the one arrival loop of the package, with the candidate rate divided by the
+// shard count. The acceptance test compares against the undivided
+// MaxSessionsPerHour because the ratio (rate/k)/(max/k) equals rate/max.
 func (g *StreamGen) Sessions(yield func(*Session) bool) error {
 	cfg := g.cfg
 	r := rand.New(rand.NewSource(g.seed))

@@ -70,13 +70,12 @@ func (s *Session) ActiveFraction() float64 {
 	return float64(s.GPUBusy()) / float64(lt)
 }
 
-// Trace is a workload trace: a set of sessions over a time range, with the
-// sampling granularity of the source (15 s for AdobeTrace).
+// Trace is a workload trace: a set of sessions, in non-decreasing Start
+// order, over a time range.
 type Trace struct {
-	Name        string
-	Start, End  time.Time
-	Granularity time.Duration
-	Sessions    []*Session
+	Name       string
+	Start, End time.Time
+	Sessions   []*Session
 
 	// Derived timelines are immutable once built (a Trace is read-only
 	// after generation), so they are computed at most once per trace and
@@ -250,10 +249,9 @@ func (tr *Trace) UtilizationCDF(step time.Duration) *metrics.Sample {
 // the paper's 17.5-hour excerpt methodology (§5.1.2).
 func (tr *Trace) Window(from, to time.Time) *Trace {
 	out := &Trace{
-		Name:        fmt.Sprintf("%s[%s,%s)", tr.Name, from.Format("01-02T15:04"), to.Format("01-02T15:04")),
-		Start:       from,
-		End:         to,
-		Granularity: tr.Granularity,
+		Name:  fmt.Sprintf("%s[%s,%s)", tr.Name, from.Format("01-02T15:04"), to.Format("01-02T15:04")),
+		Start: from,
+		End:   to,
 	}
 	for _, s := range tr.Sessions {
 		if s.Start.Before(from) || !s.Start.Before(to) {
@@ -277,13 +275,21 @@ func (tr *Trace) Window(from, to time.Time) *Trace {
 	return out
 }
 
-// Validate checks internal consistency: sessions within the trace range,
+// Validate checks internal consistency: sessions within the trace range and
+// in non-decreasing Start order (the Source contract a replay relies on),
 // tasks within their session, positive durations, tasks ordered, and no
 // task requesting more GPUs than its session reserved.
 func (tr *Trace) Validate() error {
-	for _, s := range tr.Sessions {
+	for n, s := range tr.Sessions {
 		if s.End.Before(s.Start) {
 			return fmt.Errorf("trace: session %s ends before it starts", s.ID)
+		}
+		if s.Start.Before(tr.Start) || s.End.After(tr.End) {
+			return fmt.Errorf("trace: session %s [%v, %v] outside the trace range [%v, %v]", s.ID, s.Start, s.End, tr.Start, tr.End)
+		}
+		if n > 0 && s.Start.Before(tr.Sessions[n-1].Start) {
+			return fmt.Errorf("trace: sessions out of order: %s starts at %v, before %s at %v",
+				s.ID, s.Start, tr.Sessions[n-1].ID, tr.Sessions[n-1].Start)
 		}
 		prev := time.Time{}
 		for i, t := range s.Tasks {

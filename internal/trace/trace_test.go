@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -299,6 +300,18 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	tr.Sessions[0].Tasks[0].Submit = TraceEpoch.Add(-time.Minute)
 	if tr.Validate() == nil {
 		t.Error("task outside session not caught")
+	}
+	tr = base()
+	tr.Sessions[0].End = tr.End.Add(time.Minute)
+	if tr.Validate() == nil {
+		t.Error("session outside the trace range not caught")
+	}
+	tr = base()
+	late := *tr.Sessions[0]
+	late.ID, late.Start = "s2", late.Start.Add(time.Minute)
+	tr.Sessions = []*Session{&late, tr.Sessions[0]}
+	if err := tr.Validate(); err == nil || !strings.Contains(err.Error(), "s1") || !strings.Contains(err.Error(), "s2") {
+		t.Errorf("sessions out of Start order: error %v, want one naming s1 and s2", err)
 	}
 }
 
