@@ -150,10 +150,10 @@ func BenchmarkFederationPooledSim(b *testing.B) {
 	cfg := trace.AdobeExcerptConfig(42)
 	cfg.Duration = 4 * time.Hour
 	tr := trace.MustGenerate(cfg)
-	var res *sim.FedResult
+	var res *sim.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = sim.RunFederated(sim.FedConfig{
+		res, err = sim.Run(sim.Config{
 			Trace:           tr,
 			Clusters:        sim.DefaultFedClusters(6, 30),
 			Route:           federation.LeastSubscribed{},
@@ -225,7 +225,7 @@ func BenchmarkFederationShardedLeaseSim(b *testing.B) {
 	var saved float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.RunFederatedSharded(sim.FedConfig{
+		res, err := sim.RunSharded(sim.Config{
 			Trace: tr, Clusters: sim.DefaultFedClusters(4, 30), PooledAutoscale: true,
 			Seed: 42, ShardCapacity: sim.LeasePool,
 		}, 2)
@@ -360,15 +360,15 @@ func BenchmarkSelectHostsTied(b *testing.B) {
 
 // BenchmarkFederationShardedSim measures one 2-shard federated run: two
 // worker federations over split member clusters, merged by
-// sim.RunFederatedSharded.
+// sim.RunSharded.
 func BenchmarkFederationShardedSim(b *testing.B) {
 	cfg := trace.AdobeExcerptConfig(42)
 	cfg.Duration = 4 * time.Hour
 	tr := trace.MustGenerate(cfg)
-	var res *sim.FedResult
+	var res *sim.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = sim.RunFederatedSharded(sim.FedConfig{
+		res, err = sim.RunSharded(sim.Config{
 			Trace:           tr,
 			Clusters:        sim.DefaultFedClusters(4, 30),
 			Route:           federation.LeastSubscribed{},
@@ -389,10 +389,10 @@ func BenchmarkFederationSim(b *testing.B) {
 	cfg := trace.AdobeExcerptConfig(42)
 	cfg.Duration = 4 * time.Hour
 	tr := trace.MustGenerate(cfg)
-	var res *sim.FedResult
+	var res *sim.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = sim.RunFederated(sim.FedConfig{
+		res, err = sim.Run(sim.Config{
 			Trace:    tr,
 			Clusters: sim.DefaultFedClusters(4, 30),
 			Route:    federation.LeastSubscribed{},

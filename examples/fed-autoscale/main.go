@@ -36,8 +36,8 @@ func main() {
 	fmt.Println(" (30 hosts total)")
 	fmt.Println()
 
-	run := func(label string, mutate func(*sim.FedConfig)) *sim.FedResult {
-		fc := sim.FedConfig{
+	run := func(label string, mutate func(*sim.Config)) *sim.Result {
+		fc := sim.Config{
 			Trace:    tr,
 			Clusters: clusters,
 			Route:    federation.LeastSubscribed{},
@@ -46,7 +46,7 @@ func main() {
 		if mutate != nil {
 			mutate(&fc)
 		}
-		res, err := sim.RunFederated(fc)
+		res, err := sim.Run(fc)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func main() {
 	//    federation-wide expected capacity, one federation-wide floor
 	//    (total/4, clamped to R) plus the placement anchor. Small members
 	//    drain to near-zero; the saving survives.
-	pooled := run("pooled autoscaler", func(fc *sim.FedConfig) {
+	pooled := run("pooled autoscaler", func(fc *sim.Config) {
 		fc.PooledAutoscale = true
 	})
 
@@ -79,7 +79,7 @@ func main() {
 	//    2-3, and 4-5 form bands; crossing one band boundary costs
 	//    5ms+40ms, two cost 5ms+80ms. Remote executions and migrations pay
 	//    the pair's price, and latency-aware routing ranks on it.
-	run("pooled + geo-banded matrix", func(fc *sim.FedConfig) {
+	run("pooled + geo-banded matrix", func(fc *sim.Config) {
 		fc.PooledAutoscale = true
 		fc.Route = federation.LatencyAware{}
 		fc.Latency = federation.GeoBandedMatrix(6, 2, 5*time.Millisecond, 40*time.Millisecond)

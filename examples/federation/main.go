@@ -40,7 +40,7 @@ func main() {
 		federation.LeastSubscribed{},
 		federation.LatencyAware{},
 	} {
-		res, err := sim.RunFederated(sim.FedConfig{
+		res, err := sim.Run(sim.Config{
 			Trace:               tr,
 			Clusters:            clusters,
 			Route:               route,

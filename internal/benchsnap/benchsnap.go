@@ -141,10 +141,10 @@ func scenarios() []scenario {
 			return map[string]float64{"gpuh_saved": saved, "tasks": tasks}
 		}},
 		{"federation-4-clusters", func(b *testing.B, tr, _ *trace.Trace) map[string]float64 {
-			var res *sim.FedResult
+			var res *sim.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = sim.RunFederated(sim.FedConfig{
+				res, err = sim.Run(sim.Config{
 					Trace:    tr,
 					Clusters: sim.DefaultFedClusters(4, 30),
 					Route:    federation.LeastSubscribed{},
@@ -160,10 +160,10 @@ func scenarios() []scenario {
 			}
 		}},
 		{"federation-pooled-autoscale-6-clusters", func(b *testing.B, tr, _ *trace.Trace) map[string]float64 {
-			var res *sim.FedResult
+			var res *sim.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = sim.RunFederated(sim.FedConfig{
+				res, err = sim.Run(sim.Config{
 					Trace:           tr,
 					Clusters:        sim.DefaultFedClusters(6, 30),
 					Route:           federation.LeastSubscribed{},
@@ -275,10 +275,10 @@ func scenarios() []scenario {
 			cfg := trace.FlashCrowdScenario().MustConfig(42)
 			cfg.Duration = 6 * time.Hour
 			flash := trace.MustGenerate(cfg)
-			var res *sim.FedResult
+			var res *sim.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = sim.RunFederated(sim.FedConfig{
+				res, err = sim.Run(sim.Config{
 					Trace:    flash,
 					Clusters: sim.DefaultFedClusters(4, 30),
 					Route: federation.NewScoredPolicy("composite",
@@ -362,10 +362,10 @@ func scenarios() []scenario {
 			}
 		}},
 		{"summer-fed-10d-4clusters-2shards", func(b *testing.B, _, summer *trace.Trace) map[string]float64 {
-			var res *sim.FedResult
+			var res *sim.Result
 			for i := 0; i < b.N; i++ {
 				var err error
-				res, err = sim.RunFederatedSharded(sim.FedConfig{
+				res, err = sim.RunSharded(sim.Config{
 					Trace:           summer,
 					Clusters:        sim.DefaultFedClusters(4, 30),
 					Route:           federation.LeastSubscribed{},

@@ -7,7 +7,8 @@
 // Beyond the paper's figures, the "federation" experiment family explores
 // multi-cluster scenarios the paper's single-cluster evaluation does not:
 // cluster-count and inter-cluster-penalty sweeps plus a route-policy
-// comparison over federated simulations (internal/sim.RunFederated).
+// comparison over federated simulations (internal/sim.Run with
+// Config.Clusters).
 // The fault-sweep experiment crosses deterministic fault intensity
 // (trace.FaultSpec profiles) with every policy and with federation
 // sizes — the availability-vs-throughput table of docs/FAULTS.md.

@@ -18,17 +18,16 @@ type Options struct {
 	// Quick runs a reduced-scale version (shorter traces) for benchmarks
 	// and CI; full scale matches the paper (17.5 h excerpt, 92-day trace).
 	Quick bool
-	// Shards > 1 routes every policy simulation through sim.RunSharded
-	// (and the federated experiments through sim.RunFederatedSharded): the
-	// trace splits into session-partitioned shards replayed by parallel
-	// worker simulations and merged deterministically. This includes the
-	// ablation and federation sweeps, which shard each point of their
-	// parameter grid (sweeps whose cluster topology cannot hold a shard per
-	// member clamp back toward the unsharded path automatically). Shards
-	// <= 1 is the plain unsharded path, byte-identical to pre-sharding
+	// Shards > 1 routes every simulation, of one cluster or of a federation,
+	// through sim.RunSharded: the trace splits into session-partitioned shards
+	// replayed by parallel worker simulations and merged deterministically.
+	// This includes the ablation and federation sweeps, which shard each point
+	// of their parameter grid (sweeps whose cluster topology cannot hold a
+	// shard per member clamp back toward the unsharded path automatically).
+	// Shards <= 1 is the plain unsharded path, byte-identical to pre-sharding
 	// output. Sharded runs use the shared virtual capacity pool
-	// (sim.LeasePool) unless LegacyShards opts out, so capacity metrics
-	// match the unsharded run exactly (docs/SHARDING.md).
+	// (sim.LeasePool) unless LegacyShards opts out, so capacity metrics match
+	// the unsharded run exactly (docs/SHARDING.md).
 	Shards int
 	// LegacyShards opts sharded runs back into the legacy static capacity
 	// split (sim.LegacySplit): shards never share capacity after the
@@ -148,13 +147,12 @@ func ByID(id string) (Experiment, bool) {
 
 // simWorkload is what an experiment's simulations replay: a generating config
 // and its materialization, generated at most once and shared read-only —
-// also across the parallel harness's goroutines. run and runFed are the one
-// place that reads Options.Stream: a streamed run hands the config to sim's
-// streaming sharded runners and materializes nothing; any other run replays
-// the trace through the materialized ones. Two pairs of runners because
-// trace.Split and trace.StreamSplit are different splits at Shards > 1; at
-// one shard the choice changes nothing a run reports
-// (TestStreamFlagIsIdentityAtOneShard).
+// also across the parallel harness's goroutines. run is the one place that
+// reads Options.Stream: a streamed run hands the config to sim's streaming
+// sharded runner and materializes nothing; any other run replays the trace
+// through the materialized one. Two runners because trace.Split and
+// trace.StreamSplit are different splits at Shards > 1; at one shard the
+// choice changes nothing a run reports (TestStreamFlagIsIdentityAtOneShard).
 type simWorkload struct {
 	gcfg trace.GenConfig
 	once sync.Once
@@ -169,8 +167,9 @@ func (w *simWorkload) trace() (*trace.Trace, error) {
 	return w.tr, w.err
 }
 
-// run runs one single-cluster simulation of the workload at the options'
-// shard count and capacity mode (Shards <= 1 is exactly sim.Run).
+// run runs one simulation of the workload — one cluster or a federation, as
+// cfg says — at the options' shard count and capacity mode (Shards <= 1 is
+// exactly sim.Run).
 func (w *simWorkload) run(o Options, cfg sim.Config) (*sim.Result, error) {
 	cfg.ShardCapacity = o.capacity()
 	if o.Stream {
@@ -187,19 +186,6 @@ func (w *simWorkload) run(o Options, cfg sim.Config) (*sim.Result, error) {
 // cluster, under fault spec f (nil: a failure-free run).
 func (w *simWorkload) runPolicy(o Options, policy sim.Policy, f *trace.FaultSpec) (*sim.Result, error) {
 	return w.run(o, sim.Config{Policy: policy, Hosts: 30, Seed: o.seed(), Faults: f})
-}
-
-// runFed is run for a federation.
-func (w *simWorkload) runFed(o Options, cfg sim.FedConfig) (*sim.FedResult, error) {
-	cfg.ShardCapacity = o.capacity()
-	if o.Stream {
-		return sim.RunFederatedStreamSharded(w.gcfg, cfg, o.shards())
-	}
-	var err error
-	if cfg.Trace, err = w.trace(); err != nil {
-		return nil, err
-	}
-	return sim.RunFederatedSharded(cfg, o.shards())
 }
 
 type traceKey struct {
@@ -318,15 +304,22 @@ func runSim(o Options, kind string, policy sim.Policy) (*sim.Result, error) {
 // sim.Run owns its RNGs, seeded only by the config, so results are
 // independent of scheduling) and returns results in argument order.
 func runSims(o Options, kind string, policies ...sim.Policy) ([]*sim.Result, error) {
-	results := make([]*sim.Result, len(policies))
-	errs := make([]error, len(policies))
+	return inParallel(len(policies), func(i int) (*sim.Result, error) { return runSim(o, kind, policies[i]) })
+}
+
+// inParallel runs one simulation per index, each on its own goroutine, and
+// returns the results in index order, or the first error in that order:
+// neither depends on which goroutine finished first.
+func inParallel(n int, run func(i int) (*sim.Result, error)) ([]*sim.Result, error) {
+	results := make([]*sim.Result, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, p := range policies {
+	for i := range n {
 		wg.Add(1)
-		go func(i int, p sim.Policy) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = runSim(o, kind, p)
-		}(i, p)
+			results[i], errs[i] = run(i)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -337,34 +330,18 @@ func runSims(o Options, kind string, policies ...sim.Policy) ([]*sim.Result, err
 	return results, nil
 }
 
-// parallelSims runs uncached per-config simulations (ablation sweeps) on
-// parallel goroutines, returning results in input order. Per-run seeds
-// live in the configs, so output is byte-identical to a sequential sweep.
-// With Options.Shards > 1 every sweep point additionally splits its trace
-// across that many worker simulations (sim.RunSharded; shards <= 1 is
-// exactly sim.Run).
+// parallelSims runs uncached per-config simulations (ablation and
+// federation sweeps) on parallel goroutines, returning results in input
+// order. Per-run seeds live in the configs, so output is byte-identical to a
+// sequential sweep. With Options.Shards > 1 every sweep point additionally
+// splits its trace across that many worker simulations (sim.RunSharded;
+// shards <= 1 is exactly sim.Run) under Options' capacity mode — the shared
+// lease pool unless LegacyShards opts out.
 func parallelSims(o Options, cfgs []sim.Config) ([]*sim.Result, error) {
-	shards := o.shards()
-	for i := range cfgs {
+	return inParallel(len(cfgs), func(i int) (*sim.Result, error) {
 		cfgs[i].ShardCapacity = o.capacity()
-	}
-	results := make([]*sim.Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i := range cfgs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = sim.RunSharded(cfgs[i], shards)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+		return sim.RunSharded(cfgs[i], o.shards())
+	})
 }
 
 // header renders a standard experiment banner.

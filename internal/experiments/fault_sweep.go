@@ -94,7 +94,7 @@ func FaultSweep(o Options) (string, error) {
 			}
 			fmt.Fprintf(&b, "   %-14s %9s %9s %11.1f %7d %8d %8d %7d %9.1f %11d\n",
 				p, fmtSeconds(r.Interactivity.Percentile(99)), avail,
-				scenarioSaved(r, gcfg), r.HostCrashes, r.Failovers,
+				r.GPUHoursSaved(), r.HostCrashes, r.Failovers,
 				r.TaskRestarts, r.Abandonments, r.LostGPUHours, r.FailedMigrations)
 		}
 	}
@@ -108,7 +108,7 @@ func FaultSweep(o Options) (string, error) {
 	fmt.Fprintf(&b, "   %-14s %9s %11s %7s %8s %8s %7s %8s\n",
 		"federation", "delay-p99", "GPUh-saved", "crashes", "failover", "restarts", "abandon", "final")
 	for _, k := range []int{1, 2, 4} {
-		fres, err := w.runFed(o, sim.FedConfig{
+		fres, err := w.run(o, sim.Config{
 			Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
 			Route:           federation.LeastSubscribed{},
 			PooledAutoscale: true,

@@ -18,9 +18,9 @@ import (
 func FederationAutoscale(o Options) (string, error) {
 	tr := excerptTrace(o)
 	ks := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	cfgs := make([]sim.FedConfig, 0, 2*len(ks))
+	cfgs := make([]sim.Config, 0, 2*len(ks))
 	for _, k := range ks {
-		base := sim.FedConfig{
+		base := sim.Config{
 			Trace:    tr,
 			Clusters: sim.DefaultFedClusters(k, fedTotalHosts),
 			Route:    federation.LeastSubscribed{},
@@ -30,7 +30,7 @@ func FederationAutoscale(o Options) (string, error) {
 		pooled.PooledAutoscale = true
 		cfgs = append(cfgs, base, pooled)
 	}
-	results, err := parallelFedSims(o, cfgs)
+	results, err := parallelSims(o, cfgs)
 	if err != nil {
 		return "", err
 	}
@@ -87,9 +87,9 @@ func FederationMatrix(o Options) (string, error) {
 		{"geo-2bands", federation.GeoBandedMatrix(k, 2, 5*time.Millisecond, 60*time.Millisecond)},
 		{"geo-4bands", federation.GeoBandedMatrix(k, 1, 5*time.Millisecond, 30*time.Millisecond)},
 	}
-	cfgs := make([]sim.FedConfig, len(shapes))
+	cfgs := make([]sim.Config, len(shapes))
 	for i, sh := range shapes {
-		cfgs[i] = sim.FedConfig{
+		cfgs[i] = sim.Config{
 			Trace:           tr,
 			Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
 			Route:           federation.LatencyAware{},
@@ -98,7 +98,7 @@ func FederationMatrix(o Options) (string, error) {
 			Seed:            o.seed(),
 		}
 	}
-	results, err := parallelFedSims(o, cfgs)
+	results, err := parallelSims(o, cfgs)
 	if err != nil {
 		return "", err
 	}

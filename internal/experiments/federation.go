@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"notebookos/internal/federation"
@@ -14,36 +13,7 @@ import (
 // across its clusters, so sweeps compare equal capacity.
 const fedTotalHosts = 30
 
-// parallelFedSims runs uncached federated simulations on parallel
-// goroutines, returning results in input order. Per-run seeds live in the
-// configs, so output is byte-identical to a sequential sweep. With
-// Options.Shards > 1 each run's trace additionally splits across that
-// many worker federations (sim.RunFederatedSharded; shards <= 1 is
-// exactly sim.RunFederated) under Options' capacity mode — the shared
-// lease pool unless LegacyShards opts out.
-func parallelFedSims(o Options, cfgs []sim.FedConfig) ([]*sim.FedResult, error) {
-	shards := o.shards()
-	results := make([]*sim.FedResult, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i := range cfgs {
-		cfgs[i].ShardCapacity = o.capacity()
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = sim.RunFederatedSharded(cfgs[i], shards)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}
-
-func fedRemotePct(r *sim.FedResult) float64 {
+func fedRemotePct(r *sim.Result) float64 {
 	if r.Tasks == 0 {
 		return 0
 	}
@@ -56,16 +26,16 @@ func fedRemotePct(r *sim.FedResult) float64 {
 func FederationScale(o Options) (string, error) {
 	tr := excerptTrace(o)
 	ks := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	cfgs := make([]sim.FedConfig, len(ks))
+	cfgs := make([]sim.Config, len(ks))
 	for i, k := range ks {
-		cfgs[i] = sim.FedConfig{
+		cfgs[i] = sim.Config{
 			Trace:    tr,
 			Clusters: sim.DefaultFedClusters(k, fedTotalHosts),
 			Route:    federation.LeastSubscribed{},
 			Seed:     o.seed(),
 		}
 	}
-	results, err := parallelFedSims(o, cfgs)
+	results, err := parallelSims(o, cfgs)
 	if err != nil {
 		return "", err
 	}
@@ -112,9 +82,9 @@ func FederationPenalty(o Options) (string, error) {
 		5 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
 		100 * time.Millisecond, 250 * time.Millisecond,
 	}
-	cfgs := make([]sim.FedConfig, len(penalties))
+	cfgs := make([]sim.Config, len(penalties))
 	for i, p := range penalties {
-		cfgs[i] = sim.FedConfig{
+		cfgs[i] = sim.Config{
 			Trace:               tr,
 			Clusters:            sim.DefaultFedClusters(4, fedTotalHosts),
 			Route:               federation.LatencyAware{},
@@ -122,7 +92,7 @@ func FederationPenalty(o Options) (string, error) {
 			Seed:                o.seed(),
 		}
 	}
-	results, err := parallelFedSims(o, cfgs)
+	results, err := parallelSims(o, cfgs)
 	if err != nil {
 		return "", err
 	}
@@ -152,9 +122,9 @@ func FederationPolicy(o Options) (string, error) {
 		federation.LeastSubscribed{},
 		federation.LatencyAware{},
 	}
-	cfgs := make([]sim.FedConfig, len(routes))
+	cfgs := make([]sim.Config, len(routes))
 	for i, route := range routes {
-		cfgs[i] = sim.FedConfig{
+		cfgs[i] = sim.Config{
 			Trace:               tr,
 			Clusters:            sim.DefaultFedClusters(4, fedTotalHosts),
 			Route:               route,
@@ -162,7 +132,7 @@ func FederationPolicy(o Options) (string, error) {
 			Seed:                o.seed(),
 		}
 	}
-	results, err := parallelFedSims(o, cfgs)
+	results, err := parallelSims(o, cfgs)
 	if err != nil {
 		return "", err
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"time"
 
 	"notebookos/internal/federation"
@@ -74,8 +73,8 @@ var tournamentKs = []int{2, 4}
 // the same single viable cluster). The per-member MinHosts=R floor keeps
 // all k members placeable for the whole run, so the tournament isolates
 // the one variable under test: how the route policy spreads load.
-func tournamentFedConfig(o Options, k int, policy federation.RoutePolicy) sim.FedConfig {
-	return sim.FedConfig{
+func tournamentFedConfig(o Options, k int, policy federation.RoutePolicy) sim.Config {
+	return sim.Config{
 		Clusters: sim.DefaultFedClusters(k, fedTotalHosts),
 		Route:    policy,
 		Latency:  federation.GeoBandedMatrix(k, 2, 5*time.Millisecond, 40*time.Millisecond),
@@ -89,11 +88,11 @@ type tournamentCell struct {
 	scenario string
 	k        int
 	policy   string
-	res      *sim.FedResult
+	res      *sim.Result
 }
 
 // classP50 reads one SLO class's median queue delay in seconds.
-func classP50(r *sim.FedResult, cl trace.SLOClass) float64 {
+func classP50(r *sim.Result, cl trace.SLOClass) float64 {
 	if r.ClassDelay == nil {
 		return 0
 	}
@@ -104,25 +103,11 @@ func classP50(r *sim.FedResult, cl trace.SLOClass) float64 {
 // parallel goroutines (each run owns its federation, RNGs, and a fresh
 // policy instance, so results are independent of scheduling) and returns
 // them in entry order.
-func runTournamentCells(o Options, w *simWorkload, k int) ([]*sim.FedResult, error) {
+func runTournamentCells(o Options, w *simWorkload, k int) ([]*sim.Result, error) {
 	entries := tournamentEntries()
-	results := make([]*sim.FedResult, len(entries))
-	errs := make([]error, len(entries))
-	var wg sync.WaitGroup
-	for i, e := range entries {
-		wg.Add(1)
-		go func(i int, e tournamentEntry) {
-			defer wg.Done()
-			results[i], errs[i] = w.runFed(o, tournamentFedConfig(o, k, e.build()))
-		}(i, e)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
+	return inParallel(len(entries), func(i int) (*sim.Result, error) {
+		return w.run(o, tournamentFedConfig(o, k, entries[i].build()))
+	})
 }
 
 // edgeSign classifies a round-robin-minus-composite edge with a
@@ -154,7 +139,7 @@ func tournamentVerdict(b *strings.Builder, cells []tournamentCell) {
 	b.WriteString("\nverdict (round-robin vs composite on flash-crowd, the saturated scenario):\n")
 	reproduced, refuted, total := 0, 0, 0
 	for _, k := range tournamentKs {
-		var rr, comp *sim.FedResult
+		var rr, comp *sim.Result
 		for _, c := range cells {
 			if c.scenario != "flash-crowd" || c.k != k {
 				continue

@@ -11,7 +11,7 @@ import (
 
 // runFullCells runs one full-scale (scenario, k) tournament cell set at
 // the ledger seed and returns the results keyed by policy name.
-func runFullCells(t *testing.T, scenario string, k int) map[string]*sim.FedResult {
+func runFullCells(t *testing.T, scenario string, k int) map[string]*sim.Result {
 	t.Helper()
 	o := Options{Seed: 42}
 	for _, spec := range trace.BuiltinScenarios() {
@@ -26,7 +26,7 @@ func runFullCells(t *testing.T, scenario string, k int) map[string]*sim.FedResul
 		if err != nil {
 			t.Fatal(err)
 		}
-		byKey := make(map[string]*sim.FedResult, len(results))
+		byKey := make(map[string]*sim.Result, len(results))
 		for i, e := range tournamentEntries() {
 			byKey[e.key] = results[i]
 		}

@@ -51,14 +51,6 @@ func scenarioConfig(o Options, s trace.ScenarioSpec) (trace.GenConfig, error) {
 	return s.Config(o.seed())
 }
 
-// scenarioSaved is the sweep's headline metric: reserved GPU-hours (the
-// Reservation-baseline demand) minus the policy's provisioned integral.
-func scenarioSaved(res *sim.Result, gcfg trace.GenConfig) float64 {
-	start := gcfg.Start
-	end := start.Add(gcfg.Duration)
-	return res.ReservedGPUHours - res.ProvisionedGPUs.Integral(start, end)
-}
-
 // scenarioLine describes a spec's arrival shape in one line.
 func scenarioLine(s trace.ScenarioSpec) string {
 	parts := []string{fmt.Sprintf("base %.1f/h", s.Arrival.BaseSessionsPerHour)}
@@ -118,13 +110,13 @@ func ScenarioSweep(o Options) (string, error) {
 			r := results[i]
 			fmt.Fprintf(&b, "   %-14s %10s %10s %12.1f %8d %8d\n",
 				p, fmtSeconds(r.Interactivity.Percentile(50)), fmtSeconds(r.Interactivity.Percentile(99)),
-				scenarioSaved(r, gcfg), r.Sessions, r.Tasks)
+				r.GPUHoursSaved(), r.Sessions, r.Tasks)
 		}
 
 		fmt.Fprintf(&b, "   %-14s %10s %10s %12s %8s %8s\n",
 			"federation", "delay-p50", "delay-p99", "GPUh-saved", "remote%", "final")
 		for _, k := range []int{1, 2, 4} {
-			fres, err := w.runFed(o, sim.FedConfig{
+			fres, err := w.run(o, sim.Config{
 				Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
 				Route:           federation.LeastSubscribed{},
 				PooledAutoscale: true,
@@ -207,7 +199,7 @@ func ScenarioReport(nameOrPath string, o Options) (string, error) {
 		}
 		fmt.Fprintf(&b, "%-14s %10s %10s %12.1f %8d %8d\n",
 			p, fmtSeconds(r.Interactivity.Percentile(50)), fmtSeconds(r.Interactivity.Percentile(99)),
-			scenarioSaved(r, gcfg), r.Sessions, r.Tasks)
+			r.GPUHoursSaved(), r.Sessions, r.Tasks)
 	}
 	if faults.Enabled() && nbos != nil {
 		fmt.Fprintf(&b, "fault churn (nbos): crashes=%d failovers=%d restarts=%d abandoned=%d lost GPUh=%.1f failed migrations=%d\n",

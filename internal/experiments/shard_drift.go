@@ -22,12 +22,12 @@ import (
 // shard's hosts, so the interactivity-delay quantiles differ from the
 // unsharded run's in both modes — the columns show by how much.
 //
-// Every trace is swept twice: as one 30-host cluster (sim.RunSharded, k up
-// to 8) and as a federation of four clusters under pooled autoscaling
-// (sim.RunFederatedSharded, k up to the smallest member's three hosts),
-// where the pool leases each member's hosts on their own. Quick mode sweeps the excerpt only; full mode adds the 10-day
-// summer prefix (the trace TestShardedSavingsDriftBound pins its contract
-// on).
+// Every trace is swept twice through sim.RunSharded: as one 30-host cluster
+// (k up to 8) and as a federation of four clusters under pooled autoscaling
+// (k up to the smallest member's three hosts), where the pool leases each
+// member's hosts on their own. Quick mode sweeps the excerpt only; full mode
+// adds the 10-day summer prefix (the trace TestShardedSavingsDriftBound pins
+// its contract on).
 func ShardDrift(o Options) (string, error) {
 	var b strings.Builder
 	b.WriteString(header("shard-drift", "Sharded capacity drift: legacy split vs lease pool", o))
@@ -53,31 +53,21 @@ func ShardDrift(o Options) (string, error) {
 	for _, sw := range sweeps {
 		tr := sw.tr
 		reserved := tr.ReservedGPUs().Integral(tr.Start, tr.End)
-		// Both forms report the CoreResult block, which holds every column.
 		forms := []struct {
 			name   string
 			shards []int
-			run    func(mode sim.ShardCapacity, k int) (*sim.CoreResult, error)
+			cfg    sim.Config
 		}{
-			{"one cluster", []int{1, 2, 4, 8}, func(mode sim.ShardCapacity, k int) (*sim.CoreResult, error) {
-				res, err := sim.RunSharded(sim.Config{Trace: tr, Policy: sim.PolicyNotebookOS, Hosts: 30,
-					Seed: o.seed(), ShardCapacity: mode}, k)
-				if err != nil {
-					return nil, err
-				}
-				return &res.CoreResult, nil
-			}},
-			{"4 clusters, pooled autoscale", []int{1, 2, 3}, func(mode sim.ShardCapacity, k int) (*sim.CoreResult, error) {
-				res, err := sim.RunFederatedSharded(sim.FedConfig{Trace: tr, Clusters: sim.DefaultFedClusters(4, 30),
-					PooledAutoscale: true, Seed: o.seed(), ShardCapacity: mode}, k)
-				if err != nil {
-					return nil, err
-				}
-				return &res.CoreResult, nil
-			}},
+			{"one cluster", []int{1, 2, 4, 8}, sim.Config{Policy: sim.PolicyNotebookOS, Hosts: 30}},
+			{"4 clusters, pooled autoscale", []int{1, 2, 3}, sim.Config{Clusters: sim.DefaultFedClusters(4, 30), PooledAutoscale: true}},
 		}
 		for _, f := range forms {
-			base, err := f.run(sim.LegacySplit, 1)
+			run := func(mode sim.ShardCapacity, k int) (*sim.Result, error) {
+				cfg := f.cfg
+				cfg.Trace, cfg.Seed, cfg.ShardCapacity = tr, o.seed(), mode
+				return sim.RunSharded(cfg, k)
+			}
+			base, err := run(sim.LegacySplit, 1)
 			if err != nil {
 				return "", err
 			}
@@ -88,7 +78,7 @@ func ShardDrift(o Options) (string, error) {
 				"mode", "k", "saved GPU-h", "drift", "so", "si", "delay p50", "p90", "p99")
 			for _, m := range modes {
 				for _, k := range f.shards {
-					res, err := f.run(m.mode, k)
+					res, err := run(m.mode, k)
 					if err != nil {
 						return "", err
 					}

@@ -14,14 +14,14 @@ import (
 // (the fed-scale topology) under least-subscribed routing with pooled
 // autoscaling, and the whole thing honors Options.Shards: with -shards N
 // each k runs as N session-partitioned worker federations merged by
-// sim.RunFederatedSharded, which is what makes the 90-day replay parallel
-// within a single configuration rather than only across configurations.
+// sim.RunSharded, which is what makes the 90-day replay parallel within a
+// single configuration rather than only across configurations.
 func SummerFederation(o Options) (string, error) {
 	tr := summerTrace(o)
 	ks := []int{1, 2, 4}
-	cfgs := make([]sim.FedConfig, len(ks))
+	cfgs := make([]sim.Config, len(ks))
 	for i, k := range ks {
-		cfgs[i] = sim.FedConfig{
+		cfgs[i] = sim.Config{
 			Trace:           tr,
 			Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
 			Route:           federation.LeastSubscribed{},
@@ -29,7 +29,7 @@ func SummerFederation(o Options) (string, error) {
 			Seed:            o.seed(),
 		}
 	}
-	results, err := parallelFedSims(o, cfgs)
+	results, err := parallelSims(o, cfgs)
 	if err != nil {
 		return "", err
 	}

@@ -319,7 +319,7 @@ func (*RoundRobinScorer) fresh() Scorer { return &RoundRobinScorer{} }
 
 // Fresh returns an independent copy of the policy with every stateful
 // scorer reset to its initial state. Sharded simulation drivers fan one
-// FedConfig out to parallel workers; without a per-worker copy a
+// sim.Config out to parallel workers; without a per-worker copy a
 // RoundRobinScorer's rotation counter would be shared — and mutated —
 // across goroutines. Stateless scorers are shared by value unchanged.
 func (p *ScoredPolicy) Fresh() RoutePolicy {

@@ -6,79 +6,79 @@
 // models calibrated against the live implementation and the paper's
 // reported distributions.
 //
-// Runner map — one plan, one core, three drivers. Every exported entry point
-// is a short adapter: public config → plan → driver → projection.
+// Runner map — one config, one plan, one core, three drivers, one result. The
+// three exported entry points — Run, RunSharded, RunStreamSharded — are short
+// adapters: Config → plan → driver → Result. A single cluster is the
+// one-member federation at every layer: Config sizes it with Hosts, or lists
+// the members of a federation in Clusters, and the two forms differ only in
+// which settings they accept and which recorders the run keeps.
 //
-//   - The plan (plan.go) is the one internal description of a run. Config
-//     and FedConfig each compile into it exactly once per public call
-//     (Config.plan, FedConfig.plan → plan.defaults, the only defaulting
-//     pass): the workload as one trace.Source (a Trace is adapted there,
-//     after a check that its sessions are in arrival order), the core
-//     knobs, the member specs — Run's cluster is the one member "sim" — and
-//     the federation settings (route, penalty or latency matrix, pooled
-//     autoscale, SLO queue), all fully defaulted and validated. Nothing
-//     below the adapters sees a public config, so no
-//     simulation — worker or ledger — is defaulted twice and a zero in a
-//     plan means zero (FedConfig.InterClusterPenalty's "zero means default"
-//     and its explicit-zero sentinel end at plan.defaults). What no caller
-//     ever set — sampling period, autoscale interval, reservoir size,
-//     latency models, aging bound — is a constant beside the plan, not a
-//     field of it; root TestConfigOptionsHaveSetters keeps every public
-//     config field one that something sets.
+//   - The plan (plan.go) is the one internal description of a run: the Config,
+//     compiled exactly once per public call (Config.plan → plan.defaults, the
+//     only validation and defaulting pass). Compiled, the workload is one
+//     trace.Source (a Trace is adapted there, after a check that its sessions
+//     are in arrival order), Clusters lists the member specs — a config
+//     without them becomes the one member "sim" — and every knob and
+//     federation setting (route, penalty or latency matrix, pooled autoscale,
+//     SLO queue) is defaulted and validated; a config that mixes the two
+//     forms, a host shape without GPUs and an outage scoped to a cluster no
+//     member has are refused there. Nothing below the adapters sees a public
+//     config, so no simulation — worker or ledger — is defaulted twice and a
+//     zero in a plan means zero (Config.InterClusterPenalty's "zero means
+//     default" and its explicit-zero sentinel end at plan.defaults). What no
+//     caller ever set — sampling period, autoscale interval, reservoir size,
+//     latency models, aging bound — is a constant beside the plan, not a field
+//     of it; root TestConfigOptionsHaveSetters keeps every public config field
+//     one that something sets.
 //   - The core (type sim, sim.go; newSim builds it from a plan) is a
-//     federation of member clusters, each with its cluster model, host
-//     list, pending-host count and per-member series, replaying one
-//     workload through one session type, one host wrapper, one task state
-//     machine (taskfsm.go), one injector (stream.go) and one fault layer
-//     (faults.go). The injector is the only way in: one self-rescheduling
-//     event admits a session at its start, schedules its end and task
-//     arrivals and pulls the next from the plan's Source, so in every run
-//     pending events track concurrency rather than workload size, and a
-//     session that starts before the one admitted ahead of it fails the
-//     run. The scheduling policy — Reservation, Batch,
+//     federation of member clusters, each with its cluster model, host list,
+//     pending-host count and per-member series, replaying one workload through
+//     one session type, one host wrapper, one task state machine (taskfsm.go),
+//     one injector (stream.go) and one fault layer (faults.go). The injector
+//     is the only way in: one self-rescheduling event admits a session at its
+//     start, schedules its end and task arrivals and pulls the next from the
+//     plan's Source, so in every run pending events track concurrency rather
+//     than workload size, and a session that starts before the one admitted
+//     ahead of it fails the run. The scheduling policy — Reservation, Batch,
 //     NotebookOS, LCP — is a task-pipeline choice on that core; the route
 //     policy is never consulted while there is one member. The core
-//     accumulates one result record (type record); Result and FedResult are
-//     its two projections and share the CoreResult block they both embed.
-//     What a run records — step latencies, SR, the event log,
-//     async-replication samples and the RNG draws that feed them, or
-//     per-SLO-class delays — follows from which recorders newSim created
-//     for the plan's form; there is no federated/single switch on the hot
-//     path.
-//   - The plain driver (plan.run: Run, RunFederated, each LegacySplit
-//     worker, and any sharded runner at k <= 1) runs the engine in one shot
-//     to a day past the window's end. The barrier-leased driver (runLeased
-//     in lease.go, behind ShardCapacity == LeasePool) runs a capacity ledger
-//     — the parent plan itself, unsharded — as a free-running producer that
-//     publishes its host counts at every epoch boundary (an epoch is the
-//     autoscale interval), and k lease-managed workers in epoch-sized steps
-//     with a barrier among themselves, whose last arrival reconciles the
-//     host leases against that boundary's published counts. The ledger never waits and reads
-//     nothing from the workers; builds, drains, record completion and the
-//     workers' sample sorts each run on the simulation's own goroutine.
+//     accumulates its outcome in the Result it returns. What a run records —
+//     step latencies, SR, the event log, async-replication samples and the RNG
+//     draws that feed them, or per-member records and per-SLO-class delays —
+//     follows from which recorders newSim created for the config's form
+//     (plan.federated: whether it listed Clusters); there is no
+//     federated/single switch on the hot path.
+//   - The plain driver (plan.run: Run, each LegacySplit worker, and any
+//     sharded runner at k <= 1) runs the engine in one shot to a day past the
+//     window's end. The barrier-leased driver (runLeased in lease.go, behind
+//     ShardCapacity == LeasePool) runs a capacity ledger — the parent plan
+//     itself, unsharded — as a free-running producer that publishes its host
+//     counts at every epoch boundary (an epoch is the autoscale interval), and
+//     k lease-managed workers in epoch-sized steps with a barrier among
+//     themselves, whose last arrival reconciles the host leases against that
+//     boundary's published counts. The ledger never waits and reads nothing
+//     from the workers; builds, drains, result completion and the workers'
+//     sample sorts each run on the simulation's own goroutine.
 //   - The sharded driver (plan.runSharded in shard.go) sits on top of those
-//     two. RunSharded and RunFederatedSharded hand it trace.Split's parts
-//     with their reserved-GPU-hour weights (traceParts(cfg.Trace): the
-//     splitter is the one reader of a *trace.Trace past plan.defaults);
-//     RunStreamSharded and RunFederatedStreamSharded hand it
-//     trace.StreamSplit's generators with equal weights (streamParts),
-//     their own plan replaying the unsplit generator. The driver clamps the
-//     shard count to the smallest member, derives the worker plans (plan.shard: capacity split by weight,
-//     ShardSeed-derived seeds, a private route-policy instance each), and
-//     branches once on ShardCapacity: runLeased, or k plain runs merged
-//     with mergeRecords — timelines through metrics.MergeTimelines, samples
-//     through metrics.MergeSamples (k-way merges of the shards' sorted runs,
-//     so merged quantiles are bit-identical to concatenation), events by a
-//     pre-sized k-way merge on their int64 timestamps, counters by
-//     summation, always in shard-index order so output never depends on
-//     worker completion order. MergeResults is that same merge over
-//     caller-held results. Under the barrier-leased driver
-//     only the merge's latency half runs (samples and session/task counts);
-//     the capacity half of the record is the ledger's, unmerged. There is
-//     one lease pool (leasePool): it plans and executes member by member
-//     with one pure planner (leasePlanner.planLeases), and a single cluster
-//     is its one-member case; plan.federated selects the recorder set and
-//     the result projection, nothing else.
+//     two. RunSharded hands it trace.Split's parts with their
+//     reserved-GPU-hour weights (traceParts(cfg.Trace): the splitter is the
+//     one reader of a *trace.Trace past plan.defaults); RunStreamSharded hands
+//     it trace.StreamSplit's generators with equal weights (streamParts), its
+//     own plan replaying the unsplit generator. The driver clamps the shard
+//     count to the smallest member, derives the worker plans (plan.shard:
+//     capacity split by weight, ShardSeed-derived seeds, a private
+//     route-policy instance each), and branches once on ShardCapacity:
+//     runLeased, or k plain runs merged with MergeResults — timelines through
+//     metrics.MergeTimelines, samples through metrics.MergeSamples (k-way
+//     merges of the shards' sorted runs, so merged quantiles are bit-identical
+//     to concatenation), events by a pre-sized k-way merge on their int64
+//     timestamps, counters by summation, always in shard-index order so output
+//     never depends on worker completion order. Under the barrier-leased
+//     driver only the merge's latency half runs (samples and session/task
+//     counts); the capacity half of the result is the ledger's, unmerged.
+//     There is one lease pool (leasePool): it plans and executes member by
+//     member with one pure planner (leasePlanner.planLeases), and a single
+//     cluster is its one-member case.
 //
 // Capacity accounting across shards is Config.ShardCapacity's choice
 // (docs/SHARDING.md): under LeasePool — the default for experiment -shards
@@ -94,23 +94,23 @@
 // pins every entry point's counters, integrated hours, delay quantiles and
 // recorder lengths against a golden file, fault-free and under faults.
 //
-// Crossing-cost accounting in RunFederated: every federation boundary
+// Crossing-cost accounting in a federation: every boundary
 // crossing is charged from federation.Federation.Penalty — either the
-// symmetric FedConfig.InterClusterPenalty or, when FedConfig.Latency
+// symmetric Config.InterClusterPenalty or, when Config.Latency
 // installs a per-pair latency matrix, the actual (home, remote) pair
 // cost. A task served by a replica outside its session's home cluster
 // pays two crossings (request and reply); a migration that moves a
 // replica between clusters pays two crossings for the checkpoint
 // transfer (persist + restore through the data store).
 //
-// Autoscaling in RunFederated runs in one of two modes. Per-member (the
+// Autoscaling in a federation runs in one of two modes. Per-member (the
 // default): each member scales on its own committed load, floored at its
 // own FedClusterSpec.MinHosts — which is clamped to at least R, because a
 // member that places R-replica kernels locally becomes permanently
-// unplaceable below R hosts. Pooled (FedConfig.PooledAutoscale): one
+// unplaceable below R hosts. Pooled (Config.PooledAutoscale): one
 // federation.FederatedAutoscaler decision per interval, observed over the
 // members' O(1) counters, with the per-member floors replaced by a single
-// federation-wide floor (FedConfig.FedMinHosts, default a quarter of the
+// federation-wide floor (Config.FedMinHosts, default a quarter of the
 // initial fleet, clamped to R) plus the placement anchor — scale-in never
 // leaves every member below R hosts, so kernels homed at drained members
 // still place somewhere via routing. The clamp rule lives in
@@ -126,12 +126,12 @@
 //     polling timers; nothing iterates Go maps on result-affecting paths;
 //     and pooled autoscaling decisions are pure functions of the observed
 //     loads. Double-run equality is enforced by determinism tests for
-//     Run, RunFederated, and the pooled/matrix federated path.
-//   - SLO-aware scheduling is opt-in: FedConfig.SLOAware switches the
+//     both forms of the config, and the pooled/matrix federated path.
+//   - SLO-aware scheduling is opt-in: Config.SLOAware switches the
 //     wait-queue to class-weighted priority order (rank = waited×weight,
 //     FIFO within a class, waiters parked past 30 minutes promoted ahead
 //     of everything so best-effort cannot starve) and records
-//     per-class queue delays in FedResult.ClassDelay; the default FIFO
+//     per-class queue delays in Result.ClassDelay; the default FIFO
 //     path is untouched and replays every existing workload
 //     byte-identically. The priority drain's comparator is a total order
 //     (arrival sequences are unique), so SLO-aware runs replay
@@ -139,7 +139,7 @@
 //   - Saturation costs O(waiters) events: the cluster's capacity notifier
 //     (Release/AddHost) wakes the wait-queue; there are no retry polls.
 //   - Fault injection is opt-in and identity-preserving: Config.Faults
-//     (and FedConfig.Faults) replays a deterministic fault schedule —
+//     replays a deterministic fault schedule —
 //     exponential host crash/recover churn, correlated outage windows,
 //     degraded-network episodes — as first-class DES events (faults.go;
 //     docs/FAULTS.md). The stream derives from (FaultSpec, Seed) alone

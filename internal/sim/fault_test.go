@@ -198,12 +198,12 @@ func TestFederatedFaultsDoubleRunByteIdentical(t *testing.T) {
 		Outages:       []trace.OutageSpec{{StartHour: 3, DurationHours: 1, HostFraction: 0.5, Cluster: "c0"}},
 		Degradations:  []trace.DegradeSpec{{StartHour: 2, DurationHours: 2, Factor: 6}},
 	}
-	cfg := FedConfig{Trace: tr, Clusters: DefaultFedClusters(3, 30), Seed: 7, Faults: &faults}
-	a, err := RunFederated(cfg)
+	cfg := Config{Trace: tr, Clusters: DefaultFedClusters(3, 30), Seed: 7, Faults: &faults}
+	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFederated(cfg)
+	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,11 +220,11 @@ func TestFederatedFaultsDoubleRunByteIdentical(t *testing.T) {
 	}
 
 	// Zero-fault identity for the federated runner.
-	base, err := RunFederated(FedConfig{Trace: tr, Clusters: DefaultFedClusters(3, 30), Seed: 7})
+	base, err := Run(Config{Trace: tr, Clusters: DefaultFedClusters(3, 30), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	empty, err := RunFederated(FedConfig{Trace: tr, Clusters: DefaultFedClusters(3, 30), Seed: 7, Faults: &trace.FaultSpec{}})
+	empty, err := Run(Config{Trace: tr, Clusters: DefaultFedClusters(3, 30), Seed: 7, Faults: &trace.FaultSpec{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 // identical results.
 func TestFederatedPooledSameSeedBitForBit(t *testing.T) {
 	tr := fedQuickTrace(33)
-	cfg := FedConfig{
+	cfg := Config{
 		Trace:           tr,
 		Clusters:        DefaultFedClusters(5, 30),
 		Route:           federation.LatencyAware{},
@@ -22,7 +22,7 @@ func TestFederatedPooledSameSeedBitForBit(t *testing.T) {
 		Seed:            7,
 	}
 	run := func() fedFingerprint {
-		res, err := RunFederated(cfg)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestFederatedPooledSameSeedBitForBit(t *testing.T) {
 // GPU-hours than it.
 func TestFederatedPooledDrainsBelowPerMemberFloors(t *testing.T) {
 	tr := fedQuickTrace(42)
-	base := FedConfig{
+	base := Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(6, 30),
 		Route:    federation.LeastSubscribed{},
@@ -49,11 +49,11 @@ func TestFederatedPooledDrainsBelowPerMemberFloors(t *testing.T) {
 	}
 	pooledCfg := base
 	pooledCfg.PooledAutoscale = true
-	member, err := RunFederated(base)
+	member, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := RunFederated(pooledCfg)
+	pooled, err := Run(pooledCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFederatedPooledDrainsBelowPerMemberFloors(t *testing.T) {
 // member count must be rejected, not silently mis-indexed.
 func TestFedConfigLatencyMatrixValidation(t *testing.T) {
 	tr := fedQuickTrace(42)
-	_, err := RunFederated(FedConfig{
+	_, err := Run(Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(4, 30),
 		Latency:  federation.UniformMatrix(3, 25*time.Millisecond),

@@ -16,9 +16,9 @@ func fedQuickTrace(seed int64) *trace.Trace {
 	return trace.MustGenerate(cfg)
 }
 
-func runFed(t *testing.T, tr *trace.Trace, k int, route federation.RoutePolicy) *FedResult {
+func runFed(t *testing.T, tr *trace.Trace, k int, route federation.RoutePolicy) *Result {
 	t.Helper()
-	res, err := RunFederated(FedConfig{
+	res, err := Run(Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(k, 30),
 		Route:    route,
@@ -62,7 +62,7 @@ func closeRel(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9*scale
 }
 
-// fedFingerprint collapses a FedResult into comparable values.
+// fedFingerprint collapses a Result into comparable values.
 type fedFingerprint struct {
 	tasks, immediate          int
 	localPl, remotePl         int
@@ -78,7 +78,7 @@ type fedFingerprint struct {
 	perClusterCommitted       [8]float64
 }
 
-func fedFingerprintOf(tr *trace.Trace, r *FedResult) fedFingerprint {
+func fedFingerprintOf(tr *trace.Trace, r *Result) fedFingerprint {
 	fp := fedFingerprint{
 		tasks: r.Tasks, immediate: r.ImmediateCommits,
 		localPl: r.LocalPlacements, remotePl: r.RemotePlacements,
@@ -188,7 +188,7 @@ func TestHeterogeneousFederationPlacesWhatFits(t *testing.T) {
 	gcfg.Duration = 6 * time.Hour
 	tr := trace.MustGenerate(gcfg)
 	for _, route := range []federation.RoutePolicy{federation.LatencyAware{}, federation.LeastSubscribed{}} {
-		res, err := RunFederated(FedConfig{
+		res, err := Run(Config{
 			Trace: tr,
 			Clusters: []FedClusterSpec{
 				{Name: "big", Hosts: 10},
@@ -219,7 +219,7 @@ func TestHeterogeneousFederationPlacesWhatFits(t *testing.T) {
 func TestScaleOutGrowsAMemberThatFits(t *testing.T) {
 	start := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	empty := &trace.Trace{Name: "empty", Start: start, End: start.Add(time.Hour)}
-	p, err := FedConfig{
+	p, err := Config{
 		Trace: empty,
 		Clusters: []FedClusterSpec{
 			{Name: "small", Hosts: 3, HostCapacity: halfHost()},

@@ -72,13 +72,19 @@ func (l fpLines) sample(field string, s *metrics.Sample) {
 	}
 }
 
+// result prints every field of r, in one order for every run: a recorder the
+// run's form does not keep prints as absent (-1).
 func (l fpLines) result(r *Result, start, end time.Time) {
 	l.int("sessions", r.Sessions)
 	l.int("tasks", r.Tasks)
 	l.int("immediate", r.ImmediateCommits)
 	l.int("executorReuse", r.ExecutorReuse)
+	l.int("localPlacements", r.LocalPlacements)
+	l.int("remotePlacements", r.RemotePlacements)
+	l.int("remoteExecutions", r.RemoteExecutions)
 	l.int("migrations", r.Migrations)
 	l.int("failedMigrations", r.FailedMigrations)
+	l.int("crossMigrations", r.CrossMigrations)
 	l.int("scaleOuts", r.ScaleOuts)
 	l.int("scaleIns", r.ScaleIns)
 	l.int("coldStarts", r.ColdStarts)
@@ -91,6 +97,7 @@ func (l fpLines) result(r *Result, start, end time.Time) {
 	l.int("events", len(r.Events))
 	l.float("activeGPUh", r.ActiveGPUHours)
 	l.float("standbyReplicaH", r.StandbyReplicaHours)
+	l.float("provisionedGPUh", r.ProvisionedGPUHours)
 	l.float("reservedGPUh", r.ReservedGPUHours)
 	l.float("serverH", r.ServerHours)
 	l.float("lostGPUh", r.LostGPUHours)
@@ -109,36 +116,6 @@ func (l fpLines) result(r *Result, start, end time.Time) {
 	for _, st := range Steps() {
 		l.sample("step["+string(st)+"]", r.StepLatency[st])
 	}
-}
-
-func (l fpLines) fedResult(r *FedResult, start, end time.Time) {
-	l.int("tasks", r.Tasks)
-	l.int("immediate", r.ImmediateCommits)
-	l.int("localPlacements", r.LocalPlacements)
-	l.int("remotePlacements", r.RemotePlacements)
-	l.int("remoteExecutions", r.RemoteExecutions)
-	l.int("migrations", r.Migrations)
-	l.int("crossMigrations", r.CrossMigrations)
-	l.int("scaleOuts", r.ScaleOuts)
-	l.int("scaleIns", r.ScaleIns)
-	l.int("coldStarts", r.ColdStarts)
-	l.int("warmStarts", r.WarmStarts)
-	l.int("crashes", r.HostCrashes)
-	l.int("recoveries", r.HostRecoveries)
-	l.int("failovers", r.Failovers)
-	l.int("restarts", r.TaskRestarts)
-	l.int("abandonments", r.Abandonments)
-	l.float("activeGPUh", r.ActiveGPUHours)
-	l.float("provisionedGPUh", r.ProvisionedGPUHours)
-	l.float("reservedGPUh", r.ReservedGPUHours)
-	l.float("lostGPUh", r.LostGPUHours)
-	l.timeline("provisioned", r.ProvisionedGPUs, start, end)
-	l.timeline("committed", r.CommittedGPUs, start, end)
-	l.timeline("activeSessions", r.ActiveSessions, start, end)
-	l.timeline("availability", r.Availability, start, end)
-	l.sample("delay", r.Interactivity)
-	l.sample("tct", r.TCT)
-	l.sample("recovery", r.RecoveryTime)
 	if r.ClassDelay == nil {
 		l.int("classDelay", -1)
 	} else {
@@ -147,24 +124,24 @@ func (l fpLines) fedResult(r *FedResult, start, end time.Time) {
 		}
 	}
 	for _, c := range r.Clusters {
-		m := fpLines{scenario: l.scenario, b: l.b}
 		p := "member[" + c.Name + "]."
-		m.int(p+"homeSessions", c.HomeSessions)
-		m.int(p+"placedSessions", c.PlacedSessions)
-		m.int(p+"tasks", c.Tasks)
-		m.int(p+"migrationsIn", c.MigrationsIn)
-		m.int(p+"scaleOuts", c.ScaleOuts)
-		m.int(p+"scaleIns", c.ScaleIns)
-		m.int(p+"finalHosts", c.FinalHosts)
-		m.timeline(p+"provisioned", c.ProvisionedGPUs, start, end)
-		m.timeline(p+"committed", c.CommittedGPUs, start, end)
+		l.int(p+"homeSessions", c.HomeSessions)
+		l.int(p+"placedSessions", c.PlacedSessions)
+		l.int(p+"tasks", c.Tasks)
+		l.int(p+"migrationsIn", c.MigrationsIn)
+		l.int(p+"scaleOuts", c.ScaleOuts)
+		l.int(p+"scaleIns", c.ScaleIns)
+		l.int(p+"finalHosts", c.FinalHosts)
+		l.timeline(p+"provisioned", c.ProvisionedGPUs, start, end)
+		l.timeline(p+"committed", c.CommittedGPUs, start, end)
 	}
 }
 
-// TestRunnerFingerprints is the characterization test of the eight runner
+// TestRunnerFingerprints is the characterization test of the three runner
 // entry points: for seed 42 on a 3-day summer trace it pins every counter,
 // integrated-hour field, delay quantile and recorder length of each entry
-// point, fault-free and under trace.HeavyFaultProfile, against
+// point, with both forms of the config, fault-free and under
+// trace.HeavyFaultProfile, against
 // testdata/runner_fingerprints.golden. Regenerate with
 // `go test ./internal/sim -run TestRunnerFingerprints -update` — only when
 // a metric is meant to move, and say which in CHANGES.md.
@@ -181,28 +158,21 @@ func TestRunnerFingerprints(t *testing.T) {
 		name   string
 		faults *trace.FaultSpec
 	}{{"nofaults", nil}, {"heavy", &heavy}} {
-		single := func(name string, r *Result, err error) {
+		pin := func(name string, r *Result, err error) {
 			t.Helper()
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, fc.name, err)
 			}
 			fpLines{scenario: name + "/" + fc.name, b: &b}.result(r, start, end)
 		}
-		fed := func(name string, r *FedResult, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, fc.name, err)
-			}
-			fpLines{scenario: name + "/" + fc.name, b: &b}.fedResult(r, start, end)
-		}
 		cfg := func(p Policy, sc ShardCapacity) Config {
 			return Config{Trace: tr, Policy: p, Hosts: 30, Seed: seed, ShardCapacity: sc, Faults: fc.faults}
 		}
-		perMember := func(sc ShardCapacity) FedConfig {
-			return FedConfig{Trace: tr, Clusters: DefaultFedClusters(3, 30), Seed: seed, ShardCapacity: sc, Faults: fc.faults}
+		perMember := func(sc ShardCapacity) Config {
+			return Config{Trace: tr, Clusters: DefaultFedClusters(3, 30), Seed: seed, ShardCapacity: sc, Faults: fc.faults}
 		}
-		pooled := func(sc ShardCapacity) FedConfig {
-			return FedConfig{
+		pooled := func(sc ShardCapacity) Config {
+			return Config{
 				Trace:    tr,
 				Clusters: DefaultFedClusters(4, 30),
 				Route: federation.NewScoredPolicy("composite",
@@ -218,43 +188,40 @@ func TestRunnerFingerprints(t *testing.T) {
 				Faults:          fc.faults,
 			}
 		}
-		streamed := func(c Config) Config {
-			c.Trace = nil
-			return c
-		}
-		fedStreamed := func(c FedConfig) FedConfig {
-			c.Trace = nil
-			return c
-		}
-
+		// The Clusters-form cases keep the labels they were pinned under, from
+		// when a federation had runners of its own.
 		for _, p := range []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP} {
 			r, err := Run(cfg(p, LegacySplit))
-			single("Run/"+string(p), r, err)
+			pin("Run/"+string(p), r, err)
 		}
-		fr, err := RunFederated(perMember(LegacySplit))
-		fed("RunFederated/per-member", fr, err)
-		fr, err = RunFederated(pooled(LegacySplit))
-		fed("RunFederated/pooled-slo", fr, err)
+		r, err := Run(perMember(LegacySplit))
+		pin("RunFederated/per-member", r, err)
+		r, err = Run(pooled(LegacySplit))
+		pin("RunFederated/pooled-slo", r, err)
 
 		for _, sc := range []struct {
 			name string
 			mode ShardCapacity
 		}{{"legacy", LegacySplit}, {"lease", LeasePool}} {
 			r, err := RunSharded(cfg(PolicyNotebookOS, sc.mode), 2)
-			single("RunSharded/"+sc.name+"-k2", r, err)
-			fr, err := RunFederatedSharded(perMember(sc.mode), 2)
-			fed("RunFederatedSharded/per-member/"+sc.name+"-k2", fr, err)
-			fr, err = RunFederatedSharded(pooled(sc.mode), 2)
-			fed("RunFederatedSharded/pooled-slo/"+sc.name+"-k2", fr, err)
+			pin("RunSharded/"+sc.name+"-k2", r, err)
+			r, err = RunSharded(perMember(sc.mode), 2)
+			pin("RunFederatedSharded/per-member/"+sc.name+"-k2", r, err)
+			r, err = RunSharded(pooled(sc.mode), 2)
+			pin("RunFederatedSharded/pooled-slo/"+sc.name+"-k2", r, err)
 
-			scfg := streamed(cfg(PolicyNotebookOS, sc.mode))
-			scfg.LeanMetrics = sc.mode == LegacySplit
-			r, err = RunStreamSharded(gcfg, scfg, 2)
-			single("RunStreamSharded/"+sc.name+"-k2", r, err)
-			fscfg := fedStreamed(pooled(sc.mode))
-			fscfg.LeanMetrics = sc.mode == LegacySplit
-			fr, err = RunFederatedStreamSharded(gcfg, fscfg, 2)
-			fed("RunFederatedStreamSharded/"+sc.name+"-k2", fr, err)
+			for _, c := range []struct {
+				label string
+				cfg   Config
+			}{
+				{"RunStreamSharded/", cfg(PolicyNotebookOS, sc.mode)},
+				{"RunFederatedStreamSharded/", pooled(sc.mode)},
+			} {
+				c.cfg.Trace = nil
+				c.cfg.LeanMetrics = sc.mode == LegacySplit
+				r, err = RunStreamSharded(gcfg, c.cfg, 2)
+				pin(c.label+sc.name+"-k2", r, err)
+			}
 		}
 	}
 

@@ -220,7 +220,7 @@ func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 // in two parallel phases with the shared set-up between them:
 //
 //   - build: the capacity ledger from the parent plan (exactly what the
-//     unsharded runner would have run — the ledger's record is the
+//     unsharded runner would have run — the ledger's result is the
 //     unsharded run's, byte for byte) and the lease-managed workers from
 //     the worker plans (whose host counts carry the initial lease grants).
 //     A failed build returns here, before any goroutine can wait on a
@@ -231,7 +231,7 @@ func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 //     barrier, whose last arrival reconciles the leases against that
 //     epoch's published counts. After the final boundary each simulation
 //     drains its in-flight tail past the window independently, as the plain
-//     driver does, and completes its record; a worker also sorts its
+//     driver does, and completes its result; a worker also sorts its
 //     latency samples, so the merge finds sorted runs.
 //
 // The window is the ledger's. The ledger is authoritative for everything
@@ -244,7 +244,7 @@ func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 // the split. The workers' capacity series are not merged; nothing reports
 // them. On failure the first error in ledger-then-shard order is returned;
 // every simulation that was built is closed.
-func runLeased(p *plan, workers []*plan) (*record, error) {
+func runLeased(p *plan, workers []*plan) (*Result, error) {
 	plans := append([]*plan{p}, workers...)
 	sims := make([]*sim, len(plans))
 	errs := make([]error, len(plans))
@@ -267,7 +267,7 @@ func runLeased(p *plan, workers []*plan) (*record, error) {
 	feed := newLedgerFeed(len(bounds), len(sims[0].members))
 	bar := newEpochBarrier(len(workers))
 	reconcile := newLeasePool(p, sims[1:])
-	recs := make([]*record, len(sims))
+	recs := make([]*Result, len(sims))
 	inParallel(len(sims), func(i int) {
 		s := sims[i]
 		for e, t := range bounds {
@@ -297,11 +297,11 @@ func runLeased(p *plan, workers []*plan) (*record, error) {
 func newLeasePool(p *plan, workers []*sim) (reconcile func(ledgerHosts []int32)) {
 	pool := &leasePool{
 		workers: workers,
-		params:  make([]leaseParams, len(p.members)),
+		params:  make([]leaseParams, len(p.Clusters)),
 		loads:   make([]shardLoad, len(workers)),
 		planner: newLeasePlanner(len(workers)),
 	}
-	for m, spec := range p.members {
+	for m, spec := range p.Clusters {
 		pool.params[m] = leaseParams{
 			GPUsPerHost: spec.HostCapacity.GPUs,
 			Watermark:   p.SRHighWatermark,

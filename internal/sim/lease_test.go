@@ -84,7 +84,7 @@ func TestLeasePoolCapacityExact(t *testing.T) {
 
 // TestLeasePoolFederatedCapacityExact is the federated twin: per-cluster
 // series, routing counters, scale counters, and the saved-GPU-hours
-// headline all match RunFederated exactly under LeasePool, including the
+// headline all match Run exactly under LeasePool, including the
 // PooledAutoscale path (the ledger's FederatedAutoscaler decides once
 // per tick over the whole — pooled — workload) and a federation whose
 // members differ in host shape (each member is leased with its own
@@ -99,21 +99,21 @@ func TestLeasePoolFederatedCapacityExact(t *testing.T) {
 			{Name: "tiny", Hosts: 6},
 		},
 	} {
-		cfg := FedConfig{
+		cfg := Config{
 			Trace:           tr,
 			Clusters:        clusters,
 			Route:           federation.LeastSubscribed{},
 			PooledAutoscale: true,
 			Seed:            17,
 		}
-		base, err := RunFederated(cfg)
+		base, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := cfg
 		c.ShardCapacity = LeasePool
 		for _, k := range []int{2, 3} {
-			res, err := RunFederatedSharded(c, k)
+			res, err := RunSharded(c, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -430,14 +430,14 @@ func leasedRunnerFingerprints(t *testing.T) string {
 		t.Fatal(err)
 	}
 	fpLines{"sharded", &b}.result(res, tr.Start, tr.End)
-	fed, err := RunFederatedSharded(FedConfig{
+	fed, err := RunSharded(Config{
 		Trace: tr, Clusters: DefaultFedClusters(4, 30), Route: federation.LeastSubscribed{},
 		PooledAutoscale: true, Seed: 17, ShardCapacity: LeasePool,
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpLines{"fed-sharded", &b}.fedResult(fed, tr.Start, tr.End)
+	fpLines{"fed-sharded", &b}.result(fed, tr.Start, tr.End)
 	gcfg := trace.AdobeExcerptConfig(47)
 	gcfg.Duration = 4 * time.Hour
 	res, err = RunStreamSharded(gcfg, Config{
@@ -482,11 +482,10 @@ func TestLeasePoolOneHotShard(t *testing.T) {
 	workers := p.shard([]float64{1, 1})
 	workers[0].Source = tr.AsSource()
 	workers[1].Source = (&trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End}).AsSource()
-	rec, err := runLeased(p, workers)
+	res, err := runLeased(p, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := &rec.Result
 	if got, want := capacityFingerprintOf(tr, res), capacityFingerprintOf(tr, base); got != want {
 		t.Errorf("capacity metrics diverged from the unsharded run:\n  base:  %+v\n  shard: %+v", want, got)
 	}
@@ -544,8 +543,8 @@ func memberHosts(sims []*sim) []int32 {
 func TestLeasePoolQuietBarrierAllocatesNothing(t *testing.T) {
 	tr := shardQuickTrace(t, 61)
 	for form, compile := range map[string]func() (*plan, error){
-		"Config":    Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7}.plan,
-		"FedConfig": FedConfig{Trace: tr, Clusters: DefaultFedClusters(4, 30), PooledAutoscale: true, Seed: 7}.plan,
+		"Hosts":    Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7}.plan,
+		"Clusters": Config{Trace: tr, Clusters: DefaultFedClusters(4, 30), PooledAutoscale: true, Seed: 7}.plan,
 	} {
 		p, sims := leasedWorkers(t, tr, 2, compile)
 		reconcile := newLeasePool(p, sims)
@@ -568,7 +567,7 @@ func TestLeasePoolQuietBarrierAllocatesNothing(t *testing.T) {
 // was.
 func TestLeasePoolFederatedDonatesIdleHosts(t *testing.T) {
 	tr := shardQuickTrace(t, 61)
-	p, err := FedConfig{Trace: tr, Seed: 7, Clusters: []FedClusterSpec{
+	p, err := Config{Trace: tr, Seed: 7, Clusters: []FedClusterSpec{
 		{Name: "big", Hosts: 10},
 		{Name: "small", Hosts: 10, HostCapacity: halfHost()},
 	}}.plan()
@@ -663,11 +662,11 @@ func TestLeasedBuildFailure(t *testing.T) {
 	tr := shardQuickTrace(t, 61)
 	parts := tr.Split(3)
 	forms := map[string]func() (*plan, error){
-		"Config": func() (*plan, error) {
+		"Hosts": func() (*plan, error) {
 			return Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}.plan()
 		},
-		"FedConfig": func() (*plan, error) {
-			return FedConfig{Trace: tr, Clusters: DefaultFedClusters(2, 30), Seed: 7, ShardCapacity: LeasePool}.plan()
+		"Clusters": func() (*plan, error) {
+			return Config{Trace: tr, Clusters: DefaultFedClusters(2, 30), Seed: 7, ShardCapacity: LeasePool}.plan()
 		},
 	}
 	for form, compile := range forms {
@@ -680,7 +679,7 @@ func TestLeasedBuildFailure(t *testing.T) {
 			for i, w := range workers {
 				w.Source = parts[i].Trace.AsSource()
 			}
-			workers[1].members = append(workers[1].members, workers[1].members[0])
+			workers[1].Clusters = append(workers[1].Clusters, workers[1].Clusters[0])
 			return p, workers
 		}
 		p, workers := plans()

@@ -11,7 +11,7 @@ import (
 
 // TestNoInterClusterPenaltyIsAZeroMatrix pins the explicit-zero sentinel
 // through every federated runner that can reach it more than one way:
-// FedConfig.InterClusterPenalty's zero value means "default 25 ms", so a
+// Config.InterClusterPenalty's zero value means "default 25 ms", so a
 // free crossing is spelled NoInterClusterPenalty, and however many
 // simulations a runner builds from the config (one; k workers; a ledger plus
 // k workers) each must see a zero, never the re-applied default. The
@@ -25,31 +25,31 @@ func TestNoInterClusterPenaltyIsAZeroMatrix(t *testing.T) {
 	tr := trace.MustGenerate(gcfg)
 	start, end := gcfg.Start, gcfg.Start.Add(gcfg.Duration)
 
-	base := func(sc ShardCapacity) FedConfig {
-		return FedConfig{
+	base := func(sc ShardCapacity) Config {
+		return Config{
 			Clusters: DefaultFedClusters(n, 30), Route: federation.LeastSubscribed{},
 			Seed: 29, ShardCapacity: sc,
 		}
 	}
 	type runner struct {
 		name string
-		run  func(FedConfig) (*FedResult, error)
+		run  func(Config) (*Result, error)
 	}
-	materialized := func(run func(FedConfig) (*FedResult, error)) func(FedConfig) (*FedResult, error) {
-		return func(c FedConfig) (*FedResult, error) {
+	materialized := func(run func(Config) (*Result, error)) func(Config) (*Result, error) {
+		return func(c Config) (*Result, error) {
 			c.Trace = tr
 			return run(c)
 		}
 	}
 	runners := []runner{
-		{"RunFederated", materialized(RunFederated)},
-		{"RunFederatedSharded", materialized(func(c FedConfig) (*FedResult, error) { return RunFederatedSharded(c, 2) })},
-		{"RunFederatedStreamSharded", func(c FedConfig) (*FedResult, error) { return RunFederatedStreamSharded(gcfg, c, 2) }},
+		{"Run", materialized(Run)},
+		{"RunSharded", materialized(func(c Config) (*Result, error) { return RunSharded(c, 2) })},
+		{"RunStreamSharded", func(c Config) (*Result, error) { return RunStreamSharded(gcfg, c, 2) }},
 	}
 	for _, r := range runners {
 		for _, sc := range []ShardCapacity{LegacySplit, LeasePool} {
 			name := r.name + "/" + map[ShardCapacity]string{LegacySplit: "legacy", LeasePool: "lease"}[sc]
-			fp := func(mutate func(*FedConfig)) string {
+			fp := func(mutate func(*Config)) string {
 				cfg := base(sc)
 				mutate(&cfg)
 				res, err := r.run(cfg)
@@ -57,12 +57,12 @@ func TestNoInterClusterPenaltyIsAZeroMatrix(t *testing.T) {
 					t.Fatalf("%s: %v", name, err)
 				}
 				var b strings.Builder
-				fpLines{scenario: name, b: &b}.fedResult(res, start, end)
+				fpLines{scenario: name, b: &b}.result(res, start, end)
 				return b.String()
 			}
-			sentinel := fp(func(c *FedConfig) { c.InterClusterPenalty = NoInterClusterPenalty })
-			zero := fp(func(c *FedConfig) { c.Latency = federation.UniformMatrix(n, 0) })
-			def := fp(func(c *FedConfig) {})
+			sentinel := fp(func(c *Config) { c.InterClusterPenalty = NoInterClusterPenalty })
+			zero := fp(func(c *Config) { c.Latency = federation.UniformMatrix(n, 0) })
+			def := fp(func(c *Config) {})
 			if sentinel != zero {
 				t.Errorf("%s: NoInterClusterPenalty differs from an all-zero latency matrix:\n--- sentinel\n%s--- zero matrix\n%s", name, sentinel, zero)
 			}

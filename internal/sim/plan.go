@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"notebookos/internal/federation"
@@ -22,51 +24,26 @@ const (
 	autoscaleInterval = time.Minute
 )
 
-// plan is the one internal description of a run. Every exported runner
-// compiles its public config — Config or FedConfig — into a plan exactly
-// once (Config.plan, FedConfig.plan), and everything below the adapters —
-// newSim, sharding, the lease driver — reads only the plan: no
-// simulation is ever built from a public config, so defaults are applied
-// once and a zero in a plan always means zero. A single cluster is the
-// one-member case: Run's plan has one member named "sim" and the
-// federation-only settings at values a one-member federation never reads.
-//
-// Fields are named after the public config fields they are compiled from.
+// plan is the one internal description of a run: the public Config,
+// compiled. Every exported runner compiles its config exactly once
+// (Config.plan), and everything below — newSim, sharding, the lease driver —
+// reads only the plan: no simulation is ever built from a public config, so
+// defaults are applied once and a zero in a plan always means zero. What
+// compiling (plan.defaults) changes in the embedded Config: Source is the
+// workload and Trace is nil; Clusters lists the members fully sized, in a
+// slice of the plan's own — a config without Clusters has its Hosts,
+// HostCapacity and MinHosts folded into the one member "sim" and those three
+// cleared; every other knob holds its default where it was unset, and
+// InterClusterPenalty the resolved one-way cost (zero is free). With one
+// member the federation settings are at values nothing reads. A sharded
+// worker's Source is its shard.
 type plan struct {
-	// Source is the workload the simulation replays: the config's Source, or
-	// its Trace adapted (plan.defaults). A sharded worker's is its shard.
-	Source trace.Source
-
-	// Core knobs, shared by both public forms.
-	LeanMetrics       bool
-	Policy            Policy
-	ReplicasPerKernel int
-	PrewarmPerHost    int
-	ScaleFactor       float64
-	SRHighWatermark   float64
-	Seed              int64
-	ShardCapacity     ShardCapacity
-	Faults            *trace.FaultSpec
+	Config
 	// Latencies are the protocol latency models: DefaultLatencies, always.
 	Latencies Latencies
 
-	// members are the member clusters, fully sized: Config's Hosts,
-	// HostCapacity and MinHosts for the one member of a single-cluster run,
-	// FedConfig.Clusters otherwise. The slice is the plan's own.
-	members []FedClusterSpec
-
-	// Federation settings (see the FedConfig fields of the same names).
-	// InterClusterPenalty is the resolved one-way cost: zero is free.
-	Route               federation.RoutePolicy
-	InterClusterPenalty time.Duration
-	Latency             federation.LatencyMatrix
-	PooledAutoscale     bool
-	FedMinHosts         int
-	SLOAware            bool
-
-	// federated records which public form compiled the plan. It selects the
-	// recorder set (what only Result or only FedResult reports) and nothing
-	// else.
+	// federated reports whether the config listed Clusters. It selects which
+	// recorders newSim creates and what finish completes, and nothing else.
 	federated bool
 	// leaseManaged marks a sharded worker whose capacity a lease pool governs
 	// at epoch barriers: the worker's own autoscale ticks are suppressed (the
@@ -74,92 +51,71 @@ type plan struct {
 	leaseManaged bool
 }
 
-// plan compiles a single-cluster config: the cluster becomes the one member
-// "sim" — member index 0, so host IDs are "sim-hNNNN" and fault slots the
-// plain host sequence, which the gated baselines pin.
+// plan compiles the config.
 func (c Config) plan() (*plan, error) {
-	m := FedClusterSpec{Name: "sim", Hosts: c.Hosts, HostCapacity: c.HostCapacity, MinHosts: c.MinHosts}
-	if m.Hosts <= 0 {
-		m.Hosts = 30
-	}
-	if m.MinHosts <= 0 {
-		m.MinHosts = 4
-	}
-	p := &plan{
-		LeanMetrics:       c.LeanMetrics,
-		Policy:            c.Policy,
-		ReplicasPerKernel: c.ReplicasPerKernel,
-		PrewarmPerHost:    c.PrewarmPerHost,
-		ScaleFactor:       c.ScaleFactor,
-		SRHighWatermark:   c.SRHighWatermark,
-		Seed:              c.Seed,
-		ShardCapacity:     c.ShardCapacity,
-		Faults:            c.Faults,
-		members:           []FedClusterSpec{m},
-	}
-	if p.Policy == "" {
-		p.Policy = PolicyNotebookOS
-	}
-	return p, p.defaults(c.Trace, c.Source)
-}
-
-// plan compiles a federated config. The member specs are copied, so a
-// caller's slice shared across (possibly concurrent) runs is never mutated.
-func (c FedConfig) plan() (*plan, error) {
-	p := &plan{
-		LeanMetrics:         c.LeanMetrics,
-		Policy:              PolicyNotebookOS,
-		ReplicasPerKernel:   c.ReplicasPerKernel,
-		PrewarmPerHost:      max(c.PrewarmPerHost, 0),
-		ScaleFactor:         c.ScaleFactor,
-		SRHighWatermark:     c.SRHighWatermark,
-		Seed:                c.Seed,
-		ShardCapacity:       c.ShardCapacity,
-		Faults:              c.Faults,
-		members:             append([]FedClusterSpec(nil), c.Clusters...),
-		Route:               c.Route,
-		InterClusterPenalty: c.InterClusterPenalty,
-		Latency:             c.Latency,
-		PooledAutoscale:     c.PooledAutoscale,
-		FedMinHosts:         c.FedMinHosts,
-		SLOAware:            c.SLOAware,
-		federated:           true,
-	}
-	if len(p.members) == 0 {
-		p.members = DefaultFedClusters(2, 30)
-	}
-	return p, p.defaults(c.Trace, c.Source)
+	p := &plan{Config: c, Latencies: DefaultLatencies(), federated: len(c.Clusters) > 0}
+	return p, p.defaults()
 }
 
 // defaults validates the plan and fills every unset knob. It is the only
-// defaulting pass a run ever sees, and the one place a config's workload
-// slots are read: a Trace becomes its Source adapter here, after the only
-// check of session order that can run before a worker starts — trace.Split
-// keeps relative order, so two swapped sessions that land in different shards
-// would look sorted to both workers' injectors. A Source can only be checked
-// as it is pulled (injector.Fire).
-func (p *plan) defaults(tr *trace.Trace, src trace.Source) error {
-	if (tr == nil) == (src == nil) {
+// validation and defaulting pass a run ever sees, and the one place a config's
+// workload slots are read: a Trace becomes its Source adapter here, after the
+// only check of session order that can run before a worker starts —
+// trace.Split keeps relative order, so two swapped sessions that land in
+// different shards would look sorted to both workers' injectors. A Source can
+// only be checked as it is pulled (injector.Fire).
+func (p *plan) defaults() error {
+	if (p.Trace == nil) == (p.Source == nil) {
 		return fmt.Errorf("sim: config requires exactly one of Trace and Source")
 	}
-	p.Source = src
-	if tr != nil {
+	if tr := p.Trace; tr != nil {
 		for i := 1; i < len(tr.Sessions); i++ {
 			if err := arrivalOrder(tr.Sessions[i-1], tr.Sessions[i]); err != nil {
 				return err
 			}
 		}
-		p.Source = tr.AsSource()
+		p.Source, p.Trace = tr.AsSource(), nil
 	}
 	if err := p.Faults.Validate(); err != nil {
 		return err
+	}
+	if p.federated {
+		if p.Hosts != 0 || !p.HostCapacity.IsZero() || p.MinHosts != 0 || (p.Policy != "" && p.Policy != PolicyNotebookOS) {
+			return fmt.Errorf("sim: Clusters sizes every member and a federation runs only %q: Hosts, HostCapacity, MinHosts and any other Policy must be unset", PolicyNotebookOS)
+		}
+		// Copied, so a caller's slice shared across (possibly concurrent) runs
+		// is never mutated.
+		p.Clusters = slices.Clone(p.Clusters)
+		// In this form a negative pool means the default; in the other, no
+		// pool. Neither is documented, both are what the form always did.
+		p.PrewarmPerHost = max(p.PrewarmPerHost, 0)
+	} else {
+		if p.Route != nil || p.InterClusterPenalty != 0 || p.Latency != nil || p.PooledAutoscale || p.FedMinHosts != 0 || p.SLOAware {
+			return fmt.Errorf("sim: Route, InterClusterPenalty, Latency, PooledAutoscale, FedMinHosts and SLOAware configure a federation: list its members in Clusters")
+		}
+		// The cluster becomes the one member "sim" — member index 0, so host
+		// IDs are "sim-hNNNN" and fault slots the plain host sequence, which the
+		// gated baselines pin.
+		m := FedClusterSpec{Name: "sim", Hosts: p.Hosts, HostCapacity: p.HostCapacity, MinHosts: p.MinHosts}
+		if m.Hosts <= 0 {
+			m.Hosts = 30
+		}
+		if m.MinHosts <= 0 {
+			m.MinHosts = 4
+		}
+		p.Clusters = []FedClusterSpec{m}
+		p.Hosts, p.HostCapacity, p.MinHosts = 0, resources.Spec{}, 0
+	}
+	if p.Policy == "" {
+		p.Policy = PolicyNotebookOS
 	}
 	if p.ReplicasPerKernel <= 0 {
 		p.ReplicasPerKernel = 3
 	}
 	total := 0
-	for i := range p.members {
-		spec := &p.members[i]
+	names := make([]string, len(p.Clusters))
+	for i := range p.Clusters {
+		spec := &p.Clusters[i]
 		if spec.Name == "" {
 			spec.Name = fmt.Sprintf("c%d", i)
 		}
@@ -169,6 +125,15 @@ func (p *plan) defaults(tr *trace.Trace, src trace.Source) error {
 		if spec.HostCapacity.IsZero() {
 			spec.HostCapacity = resources.P316xlarge()
 		}
+		if spec.HostCapacity.GPUs <= 0 {
+			// Sessions reserve GPUs and the autoscaler counts hosts in them: a
+			// GPU-less fleet would drop every session and report NaN hours.
+			field := "HostCapacity"
+			if p.federated {
+				field = fmt.Sprintf("Clusters[%d].HostCapacity", i)
+			}
+			return fmt.Errorf("sim: %s has %d GPUs; a host shape needs at least one", field, spec.HostCapacity.GPUs)
+		}
 		if spec.MinHosts <= 0 {
 			// Per-member scale-in must never leave a cluster unable to host
 			// one kernel's R replicas (the clamp rule lives in
@@ -176,14 +141,27 @@ func (p *plan) defaults(tr *trace.Trace, src trace.Source) error {
 			spec.MinHosts = min(scheduler.MinHostsFloor(spec.Hosts/4, p.ReplicasPerKernel), spec.Hosts)
 		}
 		total += spec.Hosts
+		names[i] = spec.Name
+	}
+	// outageStrike skips every member an outage's scope does not name, so a
+	// mistyped name would run fault-free without a word. A run without
+	// Clusters keeps the documented rule instead — it applies only unscoped
+	// outages — so one FaultSpec can serve both forms of a sweep.
+	if p.federated && p.Faults != nil {
+		for i, o := range p.Faults.Outages {
+			if o.Cluster != "" && !slices.Contains(names, o.Cluster) {
+				return fmt.Errorf("sim: Faults.Outages[%d] is scoped to cluster %q; Clusters names %s",
+					i, o.Cluster, strings.Join(names, ", "))
+			}
+		}
 	}
 	if p.Latency != nil {
 		if err := p.Latency.Validate(); err != nil {
 			return err
 		}
-		if p.Latency.Size() != len(p.members) {
+		if p.Latency.Size() != len(p.Clusters) {
 			return fmt.Errorf("sim: Latency matrix covers %d members, federation has %d Clusters",
-				p.Latency.Size(), len(p.members))
+				p.Latency.Size(), len(p.Clusters))
 		}
 	}
 	if p.FedMinHosts <= 0 {
@@ -213,7 +191,6 @@ func (p *plan) defaults(tr *trace.Trace, src trace.Source) error {
 	if p.ScaleFactor <= 0 {
 		p.ScaleFactor = 1.05
 	}
-	p.Latencies = DefaultLatencies()
 	return nil
 }
 
@@ -224,9 +201,9 @@ func (p *plan) defaults(tr *trace.Trace, src trace.Source) error {
 // ShardSeed(Seed, i). The host shares are only the initial lease grant
 // under LeasePool. The caller hands each worker its slice of the workload.
 func (p *plan) shard(weights []float64) []*plan {
-	hosts := make([][]int, len(p.members))
-	floors := make([][]int, len(p.members))
-	for m, spec := range p.members {
+	hosts := make([][]int, len(p.Clusters))
+	floors := make([][]int, len(p.Clusters))
+	for m, spec := range p.Clusters {
 		hosts[m] = trace.ProportionalShares(weights, spec.Hosts, 1)
 		floors[m] = floorShares(weights, spec.MinHosts)
 	}
@@ -235,11 +212,11 @@ func (p *plan) shard(weights []float64) []*plan {
 	workers := make([]*plan, len(weights))
 	for i := range workers {
 		w := *p
-		w.members = make([]FedClusterSpec, len(p.members))
-		for m, spec := range p.members {
+		w.Clusters = make([]FedClusterSpec, len(p.Clusters))
+		for m, spec := range p.Clusters {
 			spec.Hosts = hosts[m][i]
 			spec.MinHosts = floors[m][i]
-			w.members[m] = spec
+			w.Clusters[m] = spec
 		}
 		w.FedMinHosts = fedFloors[i]
 		w.Seed = ShardSeed(p.Seed, i)

@@ -10,7 +10,7 @@ import (
 
 // ShardSeed derives the seed for shard index i from a run seed as
 // seed ^ splitmix64(i) — the one shared helper every sharded path
-// (RunSharded, RunFederatedSharded, and the streaming generators via
+// (RunSharded, RunStreamSharded, and the streaming generators via
 // trace.ShardSeed, which now owns the implementation) uses, so sharded
 // experiment output is reproducible under any worker scheduling: the
 // shard's randomness is a pure function of (run seed, shard index), never
@@ -21,36 +21,44 @@ func ShardSeed(seed int64, shard int) int64 {
 
 // RunSharded partitions the config's trace into k session-partitioned
 // shards (trace.Split), runs one worker simulation per shard on parallel
-// goroutines, and merges the workers deterministically with MergeResults.
-// k <= 1 is exactly Run — byte-identical output, same seed.
+// goroutines, and merges the workers deterministically with MergeResults —
+// federation-wide and, in a run that lists Clusters, per member cluster,
+// matched by member index. k <= 1 is exactly Run — byte-identical output,
+// same seed.
 //
-// Capacity splits proportionally to each shard's reserved-GPU-hour weight
-// via trace.ProportionalShares (plan.shard): Hosts (floored at 1 per shard,
-// so every worker can place something) and MinHosts (via floorShares, so
-// every worker keeps a floor of at least 1). Worker i runs with
-// ShardSeed(Seed, i). More shards than hosts cannot each
-// hold a host, so k clamps to Hosts. The config must carry a Trace: a
-// Source cannot be split, and k > 1 with one is an error (see
-// RunStreamSharded).
+// Every worker keeps the configured topology: each member's Hosts (floored
+// at 1 per shard, so every worker can place something) and MinHosts, and the
+// federation-wide FedMinHosts — caller-set or defaulted — split
+// proportionally to each shard's reserved-GPU-hour weight via
+// trace.ProportionalShares (plan.shard; the floors via floorShares, so every
+// worker keeps a floor of at least 1 and the configured scale-in policy
+// survives sharding). Worker i runs with ShardSeed(Seed, i). More shards than
+// hosts cannot each hold a host, so k clamps to the smallest member's host
+// count. The config must carry a Trace: a Source cannot be split, and k > 1
+// with one is an error (see RunStreamSharded).
 //
-// Capacity semantics depend on cfg.ShardCapacity (see docs/SHARDING.md
-// for the full story and measured drift):
+// Capacity semantics depend on cfg.ShardCapacity, applied per member (see
+// docs/SHARDING.md for the full story and measured drift):
 //
 //   - LeasePool (recommended): the proportional split is only the initial
-//     lease grant. A capacity ledger — a full unsharded replay of cfg —
-//     runs alongside the workers, and at every epoch boundary (one per
-//     autoscale interval) the workers' leases are re-apportioned to sum
-//     exactly to the ledger's live host count. The merged result reports the ledger's capacity metrics, so
-//     saved-GPU-hours, scale events, and every other cluster-determined
-//     number are byte-identical to the unsharded run at every k — drift
-//     exactly 0.000% (pinned by TestLeasePoolCapacityExact and, at ≤1%,
-//     by TestShardedSavingsDriftBound).
+//     lease grant. A capacity ledger — a full unsharded replay of cfg,
+//     including PooledAutoscale's one decision per tick over the pooled
+//     counters — runs alongside the workers, and at every epoch boundary (one
+//     per autoscale interval) the workers' leases are re-apportioned, within
+//     each member (host shapes differ across members), to sum exactly to the
+//     ledger member's live host count. The merged result reports the ledger's
+//     capacity metrics, so saved-GPU-hours, scale events, and every other
+//     cluster-determined number are byte-identical to the unsharded run at
+//     every k — drift exactly 0.000% (pinned by TestLeasePoolCapacityExact,
+//     TestLeasePoolFederatedCapacityExact and, at ≤1%, by
+//     TestShardedSavingsDriftBound).
 //   - LegacySplit (the zero value): shards never share capacity after the
 //     initial grant. A worker saturates or autoscales on its own shard's
 //     load, so transient peaks the unsharded cluster absorbed with another
 //     shard's idle GPUs instead trigger per-shard scale-outs, and merged
 //     saved-GPU-hours drift below the unsharded run — measured 7-8% at
 //     k=2 and 19-22% at k=4 (bounded at 12% / 25% by the same test).
+//     FinalHosts sums to the fleet the k workers ended with.
 //
 // Interactivity and TCT distributions are unbiased by construction under
 // either mode: every task runs under the same policy code.
@@ -59,7 +67,7 @@ func RunSharded(cfg Config, shards int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return single(p.runSharded(shards, traceParts(cfg.Trace)))
+	return p.runSharded(shards, traceParts(cfg.Trace))
 }
 
 // part is one shard of a sharded run: the worker's workload and its
@@ -76,7 +84,7 @@ type part struct {
 func traceParts(tr *trace.Trace) func(k int) ([]part, error) {
 	return func(k int) ([]part, error) {
 		if tr == nil {
-			return nil, fmt.Errorf("sim: a sharded run splits Trace, and the config sets Source instead; RunStreamSharded and RunFederatedStreamSharded shard a streamed workload")
+			return nil, fmt.Errorf("sim: a sharded run splits Trace, and the config sets Source instead; RunStreamSharded shards a streamed workload")
 		}
 		split := tr.Split(k)
 		parts := make([]part, len(split))
@@ -97,8 +105,8 @@ func traceParts(tr *trace.Trace) func(k int) ([]part, error) {
 // parallel goroutines merged in shard order — workers land in a slice
 // indexed by shard, so the merge never depends on which worker finished
 // first.
-func (p *plan) runSharded(shards int, split func(k int) ([]part, error)) (*record, error) {
-	for _, spec := range p.members {
+func (p *plan) runSharded(shards int, split func(k int) ([]part, error)) (*Result, error) {
+	for _, spec := range p.Clusters {
 		shards = min(shards, spec.Hosts)
 	}
 	if shards <= 1 {
@@ -119,13 +127,13 @@ func (p *plan) runSharded(shards int, split func(k int) ([]part, error)) (*recor
 	if p.ShardCapacity == LeasePool {
 		return runLeased(p, workers)
 	}
-	recs := make([]*record, len(workers))
+	results := make([]*Result, len(workers))
 	errs := make([]error, len(workers))
-	inParallel(len(workers), func(i int) { recs[i], errs[i] = workers[i].run() })
+	inParallel(len(workers), func(i int) { results[i], errs[i] = workers[i].run() })
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
-	return mergeRecords(recs), nil
+	return MergeResults(results...), nil
 }
 
 // inParallel runs fn(0) … fn(n-1), each on its own goroutine, and returns
@@ -151,36 +159,6 @@ func firstError(errs []error) error {
 		}
 	}
 	return nil
-}
-
-// RunFederatedSharded is RunSharded for the federated simulator: the
-// trace splits into k session-partitioned shards, each shard runs a full
-// federation whose member clusters carry a proportional slice of the
-// configured hosts (floored at 1 host per member per shard, so every
-// worker federation keeps the configured topology), and the per-shard
-// records merge under MergeResults' rules — federation-wide and per member
-// cluster, matched by member index; FinalHosts sums to the fleet the k
-// worker federations ended with. Worker i runs with
-// ShardSeed(Seed, i); per-member MinHosts and the federation-wide
-// FedMinHosts floor — whether caller-set or defaulted by the parent
-// config — split proportionally across the shards like the hosts do
-// (floored at 1 per worker), so the configured scale-in policy survives
-// sharding. k <= 1 is exactly RunFederated, and k clamps to the smallest
-// member's host count. Capacity semantics follow
-// cfg.ShardCapacity as in RunSharded, applied per member: under LeasePool
-// a ledger federation replays the whole cfg (including PooledAutoscale's
-// one-decision-per-tick over the pooled counters), leases move between
-// shards within a member (host shapes differ across members), and each
-// member's lease total is pinned to the ledger member's live host count —
-// so per-member capacity series and the federation-wide savings are exact
-// (TestLeasePoolFederatedCapacityExact); under LegacySplit shard
-// federations never share capacity.
-func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
-	p, err := cfg.plan()
-	if err != nil {
-		return nil, err
-	}
-	return federated(p.runSharded(shards, traceParts(cfg.Trace)))
 }
 
 // MergeResults combines per-shard worker results into one Result, in the
@@ -209,74 +187,64 @@ func RunFederatedSharded(cfg FedConfig, shards int) (*FedResult, error) {
 //     and the merge is a pre-sized sweep; equal-time events keep shard
 //     order, matching the stable sort this replaces.
 //   - Counters and integrated hours sum.
+//   - Members (Clusters) match by index — every shard runs the same member
+//     list — and merge under the same rules; FinalHosts sums.
 //   - Every merged timeline and sample is non-nil (empty when no input
-//     carries it) and StepLatency covers Steps(), so hand-built or partial
-//     results merge safely; only the fault recorders stay nil when no input
-//     has them, as in a fault-free run.
+//     carries it: a federated merge gains empty single-cluster recorders) and
+//     StepLatency covers Steps(), so hand-built or partial results merge
+//     safely; only the optional recorders — the fault recorders and the
+//     per-class delays — stay nil when no input has them, as in an unsharded
+//     run.
 //
-// The merge is mergeRecords, the one merge every sharded runner uses, and
-// has two halves. The latency half (mergeLatency: the samples and the
-// session/task counts) is what sharding parallelizes and all a LeasePool
-// run takes from its workers; the capacity half (mergeCapacity: timelines,
-// events, every other counter, the fault recorders) is what a LeasePool run
-// takes from its ledger instead.
+// Every sharded runner merges with this function, and it has two halves. The
+// latency half (mergeLatency: the samples and the session/task counts) is
+// what sharding parallelizes and all a LeasePool run takes from its workers;
+// the capacity half (mergeCapacity: timelines, events, every other counter,
+// the per-member records, the fault recorders) is what a LeasePool run takes
+// from its ledger instead.
 func MergeResults(results ...*Result) *Result {
 	if len(results) == 0 {
 		return nil
 	}
-	recs := make([]*record, len(results))
-	for i, r := range results {
-		recs[i] = &record{Result: *r}
-	}
-	return &mergeRecords(recs).Result
-}
-
-// mergeRecords merges records in argument order; see MergeResults for the
-// rules. Every series either projection reports merges to a non-nil
-// recorder, empty when no input carries it (a federated record gains empty
-// single-cluster recorders its projection drops). Only the optional ones —
-// the fault recorders and the per-class delays — stay nil when absent,
-// exactly like an unsharded run's.
-func mergeRecords(recs []*record) *record {
-	out := &record{Result: Result{Policy: recs[0].Policy}}
-	mergeCapacity(out, recs)
-	mergeLatency(out, recs)
+	out := &Result{Policy: results[0].Policy}
+	mergeCapacity(out, results)
+	mergeLatency(out, results)
 	return out
 }
 
 // mergeLatency sets out's latency samples — per step and per SLO class
-// where recorded — and session/task counts to the merge of the records'.
-func mergeLatency(out *record, recs []*record) {
-	out.Interactivity = mergeSamples(recs, func(r *record) *metrics.Sample { return r.Interactivity })
-	out.TCT = mergeSamples(recs, func(r *record) *metrics.Sample { return r.TCT })
-	out.SyncLatency = mergeSamples(recs, func(r *record) *metrics.Sample { return r.SyncLatency })
-	out.ReadLatency = mergeSamples(recs, func(r *record) *metrics.Sample { return r.ReadLatency })
-	out.WriteLatency = mergeSamples(recs, func(r *record) *metrics.Sample { return r.WriteLatency })
+// where recorded — and session/task counts to the merge of the results'.
+func mergeLatency(out *Result, rs []*Result) {
+	out.Interactivity = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.Interactivity })
+	out.TCT = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.TCT })
+	out.SyncLatency = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.SyncLatency })
+	out.ReadLatency = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.ReadLatency })
+	out.WriteLatency = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.WriteLatency })
 	out.StepLatency = map[Step]*metrics.Sample{}
 	for _, st := range Steps() {
-		out.StepLatency[st] = mergeSamples(recs, func(r *record) *metrics.Sample { return r.StepLatency[st] })
+		out.StepLatency[st] = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.StepLatency[st] })
 	}
-	// Every shard runs the parent's SLOAware flag, so the first record says
+	// Every shard runs the parent's SLOAware flag, so the first result says
 	// whether the per-class delays exist; trace.SLOClasses() fixes the
 	// iteration order.
-	out.classDelay = nil
-	if recs[0].classDelay != nil {
-		out.classDelay = map[trace.SLOClass]*metrics.Sample{}
+	out.ClassDelay = nil
+	if rs[0].ClassDelay != nil {
+		out.ClassDelay = map[trace.SLOClass]*metrics.Sample{}
 		for _, cl := range trace.SLOClasses() {
-			out.classDelay[cl] = mergeSamples(recs, func(r *record) *metrics.Sample { return r.classDelay[cl] })
+			out.ClassDelay[cl] = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.ClassDelay[cl] })
 		}
 	}
 	out.Sessions, out.Tasks = 0, 0
-	for _, r := range recs {
+	for _, r := range rs {
 		out.Sessions += r.Sessions
 		out.Tasks += r.Tasks
 	}
 }
 
 // sortLatency sorts, in place, every sample mergeLatency reads — the
-// per-record part of that merge, which a worker can do on its own
-// goroutine before the records meet.
-func (r *record) sortLatency() {
+// per-result part of that merge, which a worker can do on its own
+// goroutine before the results meet.
+func (r *Result) sortLatency() {
 	for _, sm := range []*metrics.Sample{r.Interactivity, r.TCT, r.SyncLatency, r.ReadLatency, r.WriteLatency} {
 		if sm != nil {
 			sm.Sort()
@@ -285,36 +253,36 @@ func (r *record) sortLatency() {
 	for _, sm := range r.StepLatency {
 		sm.Sort()
 	}
-	for _, sm := range r.classDelay {
+	for _, sm := range r.ClassDelay {
 		sm.Sort()
 	}
 }
 
 // mergeCapacity sets out's cluster-determined fields — federation-wide and
 // per-member timelines, event log, scale/migration/routing/fault counters,
-// integrated hours — to the merge of the records'. Members match by index:
+// integrated hours — to the merge of the results'. Members match by index:
 // every shard federation has the same member list. FinalHosts sums across
 // shards: the total live fleet the k worker federations ended with.
-func mergeCapacity(out *record, recs []*record) {
-	out.ProvisionedGPUs = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.ProvisionedGPUs })
-	out.CommittedGPUs = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.CommittedGPUs })
-	out.ActiveSessions = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.ActiveSessions })
-	out.ActiveTrainings = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.ActiveTrainings })
-	out.SR = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.SR })
+func mergeCapacity(out *Result, rs []*Result) {
+	out.ProvisionedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ProvisionedGPUs })
+	out.CommittedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.CommittedGPUs })
+	out.ActiveSessions = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ActiveSessions })
+	out.ActiveTrainings = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ActiveTrainings })
+	out.SR = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.SR })
 	// The fault recorders exist only under Faults, which creates both.
-	for _, r := range recs {
+	for _, r := range rs {
 		if r.Availability != nil {
-			out.Availability = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.Availability })
-			out.RecoveryTime = mergeSamples(recs, func(r *record) *metrics.Sample { return r.RecoveryTime })
+			out.Availability = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.Availability })
+			out.RecoveryTime = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.RecoveryTime })
 			break
 		}
 	}
-	out.Events = mergeEvents(recs)
+	out.Events = mergeEvents(rs)
 
-	for m := range recs[0].clusters {
-		merged := &FedClusterResult{Name: recs[0].clusters[m].Name}
-		for _, r := range recs {
-			c := r.clusters[m]
+	for m := range rs[0].Clusters {
+		merged := &FedClusterResult{Name: rs[0].Clusters[m].Name}
+		for _, r := range rs {
+			c := r.Clusters[m]
 			merged.HomeSessions += c.HomeSessions
 			merged.PlacedSessions += c.PlacedSessions
 			merged.Tasks += c.Tasks
@@ -323,12 +291,12 @@ func mergeCapacity(out *record, recs []*record) {
 			merged.ScaleIns += c.ScaleIns
 			merged.FinalHosts += c.FinalHosts
 		}
-		merged.ProvisionedGPUs = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.clusters[m].ProvisionedGPUs })
-		merged.CommittedGPUs = mergeTimelines(recs, func(r *record) *metrics.Timeline { return r.clusters[m].CommittedGPUs })
-		out.clusters = append(out.clusters, merged)
+		merged.ProvisionedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.Clusters[m].ProvisionedGPUs })
+		merged.CommittedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.Clusters[m].CommittedGPUs })
+		out.Clusters = append(out.Clusters, merged)
 	}
 
-	for _, r := range recs {
+	for _, r := range rs {
 		out.ImmediateCommits += r.ImmediateCommits
 		out.ExecutorReuse += r.ExecutorReuse
 		out.Migrations += r.Migrations
@@ -347,19 +315,19 @@ func mergeCapacity(out *record, recs []*record) {
 		out.TaskRestarts += r.TaskRestarts
 		out.Abandonments += r.Abandonments
 		out.LostGPUHours += r.LostGPUHours
-		out.localPlacements += r.localPlacements
-		out.remotePlacements += r.remotePlacements
-		out.remoteExecutions += r.remoteExecutions
-		out.crossMigrations += r.crossMigrations
-		out.provisionedGPUHours += r.provisionedGPUHours
+		out.LocalPlacements += r.LocalPlacements
+		out.RemotePlacements += r.RemotePlacements
+		out.RemoteExecutions += r.RemoteExecutions
+		out.CrossMigrations += r.CrossMigrations
+		out.ProvisionedGPUHours += r.ProvisionedGPUHours
 	}
 }
 
 // mergeTimelines merges one timeline per record with
 // metrics.MergeTimelines, which skips nil inputs and never returns nil.
-func mergeTimelines(recs []*record, get func(*record) *metrics.Timeline) *metrics.Timeline {
-	ins := make([]*metrics.Timeline, len(recs))
-	for i, r := range recs {
+func mergeTimelines(rs []*Result, get func(*Result) *metrics.Timeline) *metrics.Timeline {
+	ins := make([]*metrics.Timeline, len(rs))
+	for i, r := range rs {
 		ins[i] = get(r)
 	}
 	return metrics.MergeTimelines(ins...)
@@ -367,9 +335,9 @@ func mergeTimelines(recs []*record, get func(*record) *metrics.Timeline) *metric
 
 // mergeSamples is mergeTimelines for sample recorders: a k-way merge via
 // metrics.MergeSamples.
-func mergeSamples(recs []*record, get func(*record) *metrics.Sample) *metrics.Sample {
-	ins := make([]*metrics.Sample, len(recs))
-	for i, r := range recs {
+func mergeSamples(rs []*Result, get func(*Result) *metrics.Sample) *metrics.Sample {
+	ins := make([]*metrics.Sample, len(rs))
+	for i, r := range rs {
 		ins[i] = get(r)
 	}
 	return metrics.MergeSamples(ins...)
@@ -379,10 +347,10 @@ func mergeSamples(recs []*record, get func(*record) *metrics.Sample) *metrics.Sa
 // time-ordered (recorded at a monotone sim clock), into one pre-sized
 // slice. metrics.MergeSorted resolves ties toward the lowest shard index —
 // the order the previous concat-and-stable-sort produced.
-func mergeEvents(recs []*record) []Event {
-	runs := make([][]Event, len(recs))
+func mergeEvents(rs []*Result) []Event {
+	runs := make([][]Event, len(rs))
 	total := 0
-	for i, r := range recs {
+	for i, r := range rs {
 		runs[i] = r.Events
 		total += len(r.Events)
 	}

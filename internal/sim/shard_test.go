@@ -136,8 +136,8 @@ func shardWorkerResults(t *testing.T, tr *trace.Trace, cfg Config, k int) []*Res
 	for i, p := range parts {
 		weights[i] = p.Weight
 	}
-	hosts := trace.ProportionalShares(weights, p.members[0].Hosts, 1)
-	minHosts := trace.ProportionalShares(weights, p.members[0].MinHosts, 1)
+	hosts := trace.ProportionalShares(weights, p.Clusters[0].Hosts, 1)
+	minHosts := trace.ProportionalShares(weights, p.Clusters[0].MinHosts, 1)
 	results := make([]*Result, len(parts))
 	for i := range parts {
 		wcfg := cfg
@@ -302,21 +302,21 @@ func TestShardedSavingsDriftBound(t *testing.T) {
 }
 
 // TestFederatedShardedDoubleRunByteIdentical: the sharded federated path
-// replays bit-for-bit, and its k<=1 form is exactly RunFederated.
+// replays bit-for-bit, and its k<=1 form is exactly Run.
 func TestFederatedShardedDoubleRunByteIdentical(t *testing.T) {
 	tr := shardQuickTrace(t, 55)
-	cfg := FedConfig{
+	cfg := Config{
 		Trace:           tr,
 		Clusters:        DefaultFedClusters(4, 30),
 		Route:           federation.LeastSubscribed{},
 		PooledAutoscale: true,
 		Seed:            17,
 	}
-	a, err := RunFederatedSharded(cfg, 2)
+	a, err := RunSharded(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunFederatedSharded(cfg, 2)
+	b, err := RunSharded(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,16 +325,16 @@ func TestFederatedShardedDoubleRunByteIdentical(t *testing.T) {
 		t.Errorf("sharded federated double run diverged:\n  run1: %+v\n  run2: %+v", fa, fb)
 	}
 
-	plain, err := RunFederated(cfg)
+	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := RunFederatedSharded(cfg, 1)
+	one, err := RunSharded(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fp, f1 := fedFingerprintOf(tr, plain), fedFingerprintOf(tr, one); fp != f1 {
-		t.Errorf("k=1 sharded federated diverged from RunFederated:\n  plain:   %+v\n  sharded: %+v", fp, f1)
+		t.Errorf("k=1 sharded federated diverged from Run:\n  plain:   %+v\n  sharded: %+v", fp, f1)
 	}
 }
 
@@ -382,17 +382,17 @@ func TestRunShardedClampsToHostCount(t *testing.T) {
 
 	// Federated: the smallest member of a 6-cluster split of 30 hosts has
 	// a single host, so any k>1 clamps all the way down to the plain run.
-	fcfg := FedConfig{
+	fcfg := Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(6, 30),
 		Route:    federation.LeastSubscribed{},
 		Seed:     21,
 	}
-	fOver, err := RunFederatedSharded(fcfg, 4)
+	fOver, err := RunSharded(fcfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fPlain, err := RunFederated(fcfg)
+	fPlain, err := Run(fcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +408,7 @@ func TestRunShardedClampsToHostCount(t *testing.T) {
 func TestFederatedShardedPreservesExplicitFloor(t *testing.T) {
 	tr := shardQuickTrace(t, 58)
 	const floor = 20
-	res, err := RunFederatedSharded(FedConfig{
+	res, err := RunSharded(Config{
 		Trace:           tr,
 		Clusters:        DefaultFedClusters(4, 30),
 		Route:           federation.LeastSubscribed{},
@@ -428,13 +428,13 @@ func TestFederatedShardedPreservesExplicitFloor(t *testing.T) {
 // the MergeTimelines invariant federation-wide and per member cluster.
 func TestMergeFedResultsIntegralEqualsShardSum(t *testing.T) {
 	tr := shardQuickTrace(t, 56)
-	cfg := FedConfig{
+	cfg := Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(3, 30),
 		Route:    federation.LeastSubscribed{},
 		Seed:     19,
 	}
-	merged, err := RunFederatedSharded(cfg, 3)
+	merged, err := RunSharded(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestMergePartialResults(t *testing.T) {
 	if MergeResults() != nil {
 		t.Error("a merge of no results is not nil")
 	}
-	r := MergeResults(&Result{CoreResult: CoreResult{Tasks: 1}}, &Result{CoreResult: CoreResult{Tasks: 2}})
+	r := MergeResults(&Result{Tasks: 1}, &Result{Tasks: 2})
 	if r.Tasks != 3 {
 		t.Errorf("merged %d tasks, want 3", r.Tasks)
 	}

@@ -56,7 +56,14 @@ func Steps() []Step {
 	return []Step{StepE2E, StepGSProcess, StepPreProcess, StepElection, StepIntermed, StepExec, StepPostProc, StepReturn}
 }
 
-// Config parameterizes one simulation run.
+// Config parameterizes one simulation run: of one cluster (Hosts,
+// HostCapacity, MinHosts) or, when Clusters lists members, of a federation of
+// them. The core runs the first as the one-member case of the second; the two
+// spellings differ in what the run records (see Result) and in the settings
+// each accepts, and mixing them is refused: Clusters with Hosts, HostCapacity,
+// MinHosts or a Policy other than NotebookOS, and any of Route,
+// InterClusterPenalty, Latency, PooledAutoscale, FedMinHosts and SLOAware
+// without Clusters.
 type Config struct {
 	// Trace is the workload to replay. Exactly one of Trace and Source must
 	// be set. Its sessions must be in non-decreasing Start order (Generate,
@@ -77,37 +84,87 @@ type Config struct {
 	// is skipped. Required for bounded-memory million-session streaming
 	// runs; off by default.
 	LeanMetrics bool
-	// Policy is the baseline to simulate.
+	// Policy is the baseline to simulate (default PolicyNotebookOS, the only
+	// one a federation runs: it exists to re-commit idle-reclaimed GPUs
+	// wherever capacity exists, and the Reservation and Batch baselines have
+	// nothing to route).
 	Policy Policy
-	// Hosts is the initial server count (paper: 30 8-GPU VMs).
+	// Hosts is the initial server count (default 30, the paper's 8-GPU VMs).
 	Hosts int
-	// HostCapacity defaults to p3.16xlarge.
+	// HostCapacity defaults to p3.16xlarge. A shape without GPUs is refused.
 	HostCapacity resources.Spec
-	// ReplicasPerKernel is R (default 3).
-	ReplicasPerKernel int
-	// PrewarmPerHost sizes the warm pool (NotebookOS: small, for
-	// migrations; LCP: large).
-	PrewarmPerHost int
-	// ScaleFactor is the autoscaler's f (default 1.05); it is evaluated
-	// once a simulated minute.
-	ScaleFactor float64
 	// MinHosts floors scale-in (default 4).
 	MinHosts int
+	// Clusters are the member clusters of a federated run, each sized by its
+	// own spec. Sessions are homed round-robin in arrival order; a session's
+	// replicas are placed within a single cluster at creation, and migration
+	// may later move a replica to another.
+	Clusters []FedClusterSpec
+	// Route ranks clusters for placements and migrations (default
+	// federation.LocalFirst).
+	Route federation.RoutePolicy
+	// InterClusterPenalty is the one-way latency between any two distinct
+	// clusters (default 25 ms; pass NoInterClusterPenalty for an explicit
+	// zero — the zero value means "use the default", as elsewhere in this
+	// config). Remote executions pay two crossings per request/reply;
+	// cross-cluster migrations pay two crossings for the checkpoint
+	// transfer. Ignored when Latency is set.
+	InterClusterPenalty time.Duration
+	// Latency is a per-pair inter-cluster latency matrix (see
+	// federation.UniformMatrix / HubSpokeMatrix / GeoBandedMatrix). When
+	// set it replaces InterClusterPenalty: every crossing — remote
+	// execution request/reply, cross-cluster checkpoint transfer, and the
+	// LatencyAware route policy's cost term — pays the actual pair cost.
+	// Its size must equal the cluster count.
+	Latency federation.LatencyMatrix
+	// PooledAutoscale switches autoscaling from one evaluation per member
+	// (each scaling on its own committed load, pinned at its own MinHosts
+	// floor) to one federation.FederatedAutoscaler decision per interval:
+	// federation-wide expected capacity, scale-out onto the most-pressured
+	// member and scale-in from the emptiest, and a single federation-wide
+	// floor so small members can drain to near-zero.
+	PooledAutoscale bool
+	// FedMinHosts is the federation-wide scale-in floor under
+	// PooledAutoscale, clamped through scheduler.MinHostsFloor to at least
+	// R. It defaults to a quarter of the initial federation-wide host
+	// count — the same floor rule a single cluster uses, applied once to
+	// the whole federation instead of once per member, so the floor stays
+	// flat as the cluster count grows. A bare R-host floor is legal but
+	// causes drain/re-provision churn at low cluster counts.
+	FedMinHosts int
+	// ReplicasPerKernel is R (default 3).
+	ReplicasPerKernel int
+	// PrewarmPerHost sizes each host's warm-container pool (NotebookOS:
+	// small, for migrations, default 1; LCP: large, default 6).
+	PrewarmPerHost int
+	// ScaleFactor is the autoscaler's f (default 1.05), each member's under
+	// per-member autoscaling; it is evaluated once a simulated minute.
+	ScaleFactor float64
 	// SRHighWatermark caps per-host subscription (default 3.0).
 	SRHighWatermark float64
+	// SLOAware switches the capacity wait-queue from strict FIFO to
+	// SLO-class-weighted priority order: parked tasks retry by
+	// waited×class-weight (trace.SLOClass.Weight — interactive 4, batch 2,
+	// best-effort 1), FIFO within a class, with waiters parked longer than
+	// 30 minutes promoted ahead of everything so best-effort cannot
+	// starve. Off by default — the FIFO path replays byte-identically.
+	// Per-class queue-delay samples land in Result.ClassDelay.
+	SLOAware bool
 	// Seed drives all randomness.
 	Seed int64
-	// ShardCapacity selects how the sharded runners treat cluster capacity.
-	// Run itself ignores it: the choice only exists when a trace is split
-	// across workers. LegacySplit (the zero value) keeps the static
-	// proportional split; LeasePool reconciles a shared virtual capacity
-	// pool at epoch barriers so k>1 tracks the unsharded run to ~1%. See
-	// RunSharded and docs/SHARDING.md.
+	// ShardCapacity selects how the sharded runners treat capacity, member
+	// by member. Run itself ignores it: the choice only exists when a
+	// workload is split across workers. LegacySplit (the zero value) keeps
+	// the static proportional split; LeasePool reconciles a shared virtual
+	// capacity pool at epoch barriers so k>1 tracks the unsharded run to
+	// ~1%. See RunSharded and docs/SHARDING.md.
 	ShardCapacity ShardCapacity
 	// Faults declares the deterministic fault model: per-host exponential
-	// crash/recover churn, scheduled outage windows, and (in federated
-	// runs) network-degradation episodes. Nil or empty means a
-	// failure-free world and leaves the run byte-identical to builds
+	// crash/recover churn, scheduled outage windows — scopable to one member
+	// by name; a name no member has is refused, and a run without Clusters
+	// applies only unscoped outages — and network-degradation episodes that
+	// scale every inter-cluster penalty for their window. Nil or empty means
+	// a failure-free world and leaves the run byte-identical to builds
 	// without fault injection; see trace.FaultSpec and docs/FAULTS.md.
 	Faults *trace.FaultSpec
 }
@@ -124,32 +181,72 @@ type Event struct {
 // Time returns the event time as a time.Time in UTC.
 func (e Event) Time() time.Time { return time.Unix(0, e.T).UTC() }
 
-// CoreResult is the block of a run's outcome that every runner reports:
-// Result and FedResult both embed it, so its fields read as their own.
-type CoreResult struct {
-	// Capacity and population timelines (Figs. 7, 8, 10, 14, 20). In a
-	// federated run the two GPU series are the pointwise sums of the
-	// per-cluster series (Integral equals the sum of per-cluster Integrals).
+// Result is a run's outcome, and the record the core accumulates it in:
+// everything the experiment harness needs to regenerate the paper's tables
+// and figures. Every run counts every counter; which recorders it keeps
+// follows the config's form. What is marked "single cluster" below only a run
+// that lists no Clusters records (nil or zero otherwise), and only a run that
+// lists them reports Clusters. A merge of sharded workers (MergeResults)
+// replaces every nil recorder but the optional ones — ClassDelay and the
+// fault recorders — with an empty one.
+type Result struct {
+	Policy Policy
+	// Clusters holds every member's share, in member order. Nil unless the
+	// config listed Clusters.
+	Clusters []*FedClusterResult
+
+	// Capacity and population timelines (Figs. 7, 8, 10, 14, 20). With several
+	// members the two GPU series are the pointwise sums of the per-cluster
+	// series (Integral equals the sum of per-cluster Integrals).
+	// ActiveTrainings and SR: single cluster.
 	ProvisionedGPUs *metrics.Timeline
 	CommittedGPUs   *metrics.Timeline
 	ActiveSessions  *metrics.Timeline
+	ActiveTrainings *metrics.Timeline
+	SR              *metrics.Timeline
 
-	// Distributions (Figs. 9, 11).
-	Interactivity *metrics.Sample // seconds
-	TCT           *metrics.Sample // seconds
+	// Distributions (Figs. 9, 11, 16-19), in seconds. All but Interactivity
+	// and TCT: single cluster.
+	Interactivity *metrics.Sample
+	TCT           *metrics.Sample
+	StepLatency   map[Step]*metrics.Sample
+	SyncLatency   *metrics.Sample
+	ReadLatency   *metrics.Sample
+	WriteLatency  *metrics.Sample
+	// ClassDelay is the per-SLO-class queue-delay distribution (the same
+	// interactivity delay, split by each task's session class with the
+	// unclassified zero value folded into batch). Nil unless the run was
+	// SLOAware; iterate trace.SLOClasses() for a deterministic order.
+	ClassDelay map[trace.SLOClass]*metrics.Sample
 
-	// Counters (§5.3.2).
+	// Events and counters (Fig. 10, §5.3.2). Events: single cluster, and nil
+	// under Config.LeanMetrics.
+	Events           []Event
+	Sessions         int
 	Tasks            int
 	ImmediateCommits int
+	ExecutorReuse    int
 	Migrations       int
+	FailedMigrations int
 	ScaleOuts        int
 	ScaleIns         int
 	ColdStarts       int
 	WarmStarts       int
 
-	// Integrated hours over the trace window (Fig. 12).
-	ActiveGPUHours   float64
-	ReservedGPUHours float64
+	// Routing counters.
+	LocalPlacements  int // sessions placed on their home cluster
+	RemotePlacements int // sessions spilled to another cluster
+	RemoteExecutions int // tasks executed on a non-home-cluster replica
+	CrossMigrations  int // migrations that changed cluster
+
+	// Integrated hours over the trace window (Fig. 12). ProvisionedGPUHours
+	// integrates ProvisionedGPUs. The revenue inputs StandbyReplicaHours and
+	// ServerHours: single cluster.
+	ActiveGPUHours      float64
+	ReservedGPUHours    float64
+	ProvisionedGPUHours float64
+	StandbyReplicaHours float64
+	ServerHours         float64
 
 	// Fault-injection outcomes (docs/FAULTS.md). All zero — and the two
 	// recorders nil — unless the config's Faults is enabled. HostCrashes and
@@ -174,51 +271,20 @@ type CoreResult struct {
 	RecoveryTime *metrics.Sample
 }
 
-// Result carries everything the experiment harness needs to regenerate
-// the paper's tables and figures: the CoreResult block plus what only a
-// single-cluster run records.
-type Result struct {
-	Policy Policy
-	CoreResult
-
-	// Timelines (Figs. 10, 14).
-	ActiveTrainings *metrics.Timeline
-	SR              *metrics.Timeline
-
-	// Distributions (Figs. 11, 16-19).
-	StepLatency  map[Step]*metrics.Sample // seconds
-	SyncLatency  *metrics.Sample          // seconds
-	ReadLatency  *metrics.Sample          // seconds
-	WriteLatency *metrics.Sample          // seconds
-
-	// Events and counters (Fig. 10, §5.3.2). Events is nil under
-	// Config.LeanMetrics.
-	Events           []Event
-	Sessions         int
-	ExecutorReuse    int
-	FailedMigrations int
-
-	// Revenue inputs (Fig. 12): integrated replica and server hours.
-	StandbyReplicaHours float64
-	ServerHours         float64
+// GPUHoursSaved returns the headline saving: reserved GPU-hours (what the
+// Reservation baseline would bind) minus provisioned GPU-hours.
+func (r *Result) GPUHoursSaved() float64 {
+	return r.ReservedGPUHours - r.ProvisionedGPUHours
 }
 
-// record is the core's one result record: everything a simulation
-// accumulates, whichever runner built it. Result and FedResult are its two
-// projections (&r.Result and r.fedResult()), and the merges are written
-// once, on records. A recorder only one projection reports is nil in runs
-// of the other form.
-type record struct {
-	Result
-
-	// What only FedResult reports; clusters is filled at finish.
-	clusters            []*FedClusterResult
-	classDelay          map[trace.SLOClass]*metrics.Sample
-	localPlacements     int
-	remotePlacements    int
-	remoteExecutions    int
-	crossMigrations     int
-	provisionedGPUHours float64
+// FinalHosts returns the federation-wide live host count when the run
+// ended (the sum of the per-cluster FinalHosts).
+func (r *Result) FinalHosts() int {
+	n := 0
+	for _, c := range r.Clusters {
+		n += c.FinalHosts
+	}
+	return n
 }
 
 // session is the per-session simulation state.
@@ -289,21 +355,21 @@ type member struct {
 	hostSeq int
 	// pendingHosts counts servers being provisioned (scale-out latency).
 	pendingHosts int
-	// res holds the member's series and counters. Run aliases its one
-	// member's two timelines into Result; RunFederated reports every
-	// member's whole record.
+	// res holds the member's series and counters. A run of one member
+	// aliases its two timelines into Result; a run that listed Clusters also
+	// reports every member's whole record.
 	res *FedClusterResult
 }
 
 // sim is the one simulator core: the mutable state of a federation of
-// member clusters replaying one workload, built from a plan (newSim). Run's
-// plan has a single member and asks for the full single-cluster recorder
-// set; RunFederated's has N members, a route policy, WAN charges and
-// optionally the SLO queue and the pooled autoscaler. What a run records
-// follows from which recorders newSim created: every recorder that only one
-// of Result and FedResult reports is nil in the other form, and the
-// recording sites — including the RNG draws that exist only to be recorded
-// — skip nil recorders.
+// member clusters replaying one workload, built from a plan (newSim). A
+// config without Clusters compiles to a single member and asks for the full
+// single-cluster recorder set; one with Clusters has N members, a route
+// policy, WAN charges and optionally the SLO queue and the pooled autoscaler.
+// What a run records follows from which recorders newSim created: a recorder
+// the config's form does not keep is nil, and the recording sites —
+// including the RNG draws that exist only to be recorded — skip nil
+// recorders.
 type sim struct {
 	cfg       plan
 	eng       *des.Engine
@@ -319,7 +385,7 @@ type sim struct {
 	waitq *capacityWaitQueue
 	// res accumulates every counter and recorder; finish completes and
 	// returns it.
-	res *record
+	res *Result
 
 	// Federation routing state. cfg.Route ranks members for placements,
 	// migrations and crash rehoming (never consulted with one member);
@@ -372,26 +438,19 @@ type sim struct {
 	frng     *rand.Rand
 }
 
-// Run executes the simulation and returns its result.
+// Run executes the simulation and returns its result. A fixed config replays
+// bit-for-bit.
 func Run(cfg Config) (*Result, error) {
 	p, err := cfg.plan()
 	if err != nil {
 		return nil, err
 	}
-	return single(p.run())
-}
-
-// single projects a driver's record onto Result.
-func single(rec *record, err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	return &rec.Result, nil
+	return p.run()
 }
 
 // run is the plain driver: build the plan's simulation, run its engine in
-// one shot to past the window's end, collect the record.
-func (p *plan) run() (*record, error) {
+// one shot to past the window's end, collect the result.
+func (p *plan) run() (*Result, error) {
 	s, err := newSim(p)
 	if err != nil {
 		return nil, err
@@ -402,13 +461,13 @@ func (p *plan) run() (*record, error) {
 }
 
 // newSim builds a ready-to-run simulation of the plan: one member per
-// member spec, the recorders the plan's form reports (a federated run
-// creates none of the recorders only Result reports, so it neither records
-// nor draws for them), and — as the plan says — the per-pair latency
+// member spec, the recorders the plan's form keeps (a federated run creates
+// none of the single-cluster recorders, so it neither records nor draws for
+// them), and — as the plan says — the per-pair latency
 // matrix, the SLO-class queue with its per-class recorders, and the pooled
 // autoscaler. Callers drive the engine themselves — run in one shot to past
 // the window's end, the lease runner in epoch-sized steps with barrier
-// reconciliation between them — and then collect the record with finish.
+// reconciliation between them — and then collect the result with finish.
 // Pair with close.
 func newSim(p *plan) (*sim, error) {
 	start, end := p.Source.Window()
@@ -428,7 +487,7 @@ func newSim(p *plan) (*sim, error) {
 		trackLive: p.leaseManaged,
 	}
 	s.reserved.lastNS = start.UnixNano()
-	s.res = &record{Result: Result{Policy: p.Policy}}
+	s.res = &Result{Policy: p.Policy}
 	s.res.ActiveSessions = s.newTimeline()
 	s.res.Interactivity = s.newSample()
 	s.res.TCT = s.newSample()
@@ -457,9 +516,9 @@ func newSim(p *plan) (*sim, error) {
 		s.waitq.usePriority(defaultAgingBound)
 		// Pre-create the per-class samples in SLOClasses order so lean-mode
 		// reservoir seeds are position-independent of the workload.
-		s.res.classDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
+		s.res.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
 		for _, cl := range trace.SLOClasses() {
-			s.res.classDelay[cl] = s.newSample()
+			s.res.ClassDelay[cl] = s.newSample()
 		}
 	}
 	if p.PooledAutoscale {
@@ -468,7 +527,7 @@ func newSim(p *plan) (*sim, error) {
 			MinHosts:    p.FedMinHosts,
 			Replicas:    p.ReplicasPerKernel,
 		}
-		s.loads = make([]federation.MemberLoad, len(p.members))
+		s.loads = make([]federation.MemberLoad, len(p.Clusters))
 	}
 	return s, s.build()
 }
@@ -497,7 +556,7 @@ func (s *sim) newSample() *metrics.Sample {
 // layer armed, members and their hosts in place, the injector armed at the
 // first session's start, sampling and autoscale ticks armed.
 func (s *sim) build() error {
-	cfg, specs := &s.cfg, s.cfg.members
+	cfg, specs := &s.cfg, s.cfg.Clusters
 	// Fault injection arms before the hosts join so every host slot —
 	// including each member's initial Hosts — carries a crash clock, and
 	// the availability timeline sees every membership change (faults.go).
@@ -637,13 +696,13 @@ func (s *sim) close() {
 // complete.
 func (s *sim) drain() { s.eng.RunUntil(s.end.Add(24 * time.Hour)) }
 
-// finish surfaces a source or arrival-order error and completes the record:
+// finish surfaces a source or arrival-order error and completes the result:
 // the federation-wide capacity series (member 0's own timelines when it is
 // the only member, a pointwise merge otherwise), the integrated hours, and
-// what only one projection reports — the per-member records of a federated
-// run, the cost-model hours (Fig. 12) of a single-cluster one. Call once,
-// after drain.
-func (s *sim) finish() (*record, error) {
+// what only one form reports — the per-member records of a federated run,
+// the cost-model hours (Fig. 12) of a single-cluster one. Call once, after
+// drain.
+func (s *sim) finish() (*Result, error) {
 	if s.srcErr != nil {
 		return nil, s.srcErr
 	}
@@ -659,15 +718,15 @@ func (s *sim) finish() (*record, error) {
 	}
 	res.ActiveGPUHours = res.CommittedGPUs.Integral(s.start, s.end)
 	res.ReservedGPUHours = s.reserved.finish(s.end.UnixNano())
-	res.provisionedGPUHours = res.ProvisionedGPUs.Integral(s.start, s.end)
+	res.ProvisionedGPUHours = res.ProvisionedGPUs.Integral(s.start, s.end)
 	if s.cfg.federated {
 		for _, m := range s.members {
 			m.res.FinalHosts = m.c.NumHosts()
-			res.clusters = append(res.clusters, m.res)
+			res.Clusters = append(res.Clusters, m.res)
 		}
 		return res, nil
 	}
-	res.ServerHours = res.provisionedGPUHours / float64(s.members[0].spec.HostCapacity.GPUs)
+	res.ServerHours = res.ProvisionedGPUHours / float64(s.members[0].spec.HostCapacity.GPUs)
 	if s.cfg.Policy == PolicyNotebookOS {
 		// Each session keeps R standby replicas alive; the executor is
 		// billed as active while training. Replica-hours approximate
@@ -798,9 +857,9 @@ func (s *sim) placeSession(ss *session) bool {
 		}
 		m.res.PlacedSessions++
 		if idx == ss.home {
-			s.res.localPlacements++
+			s.res.LocalPlacements++
 		} else {
-			s.res.remotePlacements++
+			s.res.RemotePlacements++
 		}
 		return true
 	}
@@ -887,8 +946,8 @@ func (s *sim) finishTask(ss *session, submit time.Time, interactivity time.Durat
 	s.res.Interactivity.Add(interactivity.Seconds())
 	s.res.TCT.Add(tct.Seconds())
 	s.sampleStep(StepE2E, tct)
-	if s.res.classDelay != nil {
-		s.res.classDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
+	if s.res.ClassDelay != nil {
+		s.res.ClassDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
 	}
 	s.res.Tasks++
 	s.startNext(ss)
@@ -1111,7 +1170,7 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 	var wan time.Duration
 	if h.member != ss.home {
 		wan = s.fed.RoundTrip(ss.home, h.member)
-		s.res.remoteExecutions++
+		s.res.RemoteExecutions++
 	}
 
 	step1 := lat.GSProcess(s.rng)
@@ -1193,7 +1252,7 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 			// A cross-cluster move pays the federation boundary in both
 			// directions for the checkpoint transfer.
 			extra += s.fed.RoundTrip(old.member, target.member)
-			s.res.crossMigrations++
+			s.res.CrossMigrations++
 		}
 	}
 	ss.subscribe(target)

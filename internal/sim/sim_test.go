@@ -55,38 +55,47 @@ func TestAllPoliciesCompleteAllTasks(t *testing.T) {
 
 }
 
-// runnerEntry names one of the eight exported entry points.
+// runnerEntry names one of the three exported entry points, called with one
+// of the config's two forms: fed lists Clusters, otherwise Hosts sizes the
+// one cluster.
 type runnerEntry struct {
 	name                   string
 	fed, sharded, streamed bool
 }
 
-var runnerEntries = []runnerEntry{
-	{name: "Run"},
-	{name: "RunFederated", fed: true},
-	{name: "RunSharded", sharded: true},
-	{name: "RunFederatedSharded", fed: true, sharded: true},
-	{name: "RunStreamSharded", sharded: true, streamed: true},
-	{name: "RunFederatedStreamSharded", fed: true, sharded: true, streamed: true},
+// runnerEntries is every entry point with each form of the config.
+func runnerEntries() []runnerEntry {
+	var entries []runnerEntry
+	for _, e := range []runnerEntry{
+		{name: "Run"},
+		{name: "RunSharded", sharded: true},
+		{name: "RunStreamSharded", sharded: true, streamed: true},
+	} {
+		entries = append(entries,
+			runnerEntry{e.name + "/Hosts", false, e.sharded, e.streamed},
+			runnerEntry{e.name + "/Clusters", true, e.sharded, e.streamed})
+	}
+	return entries
 }
 
 // hostileCase is one call of an entry point, described without saying
-// whether the config is a Config or a FedConfig.
+// which form the config takes.
 type hostileCase struct {
 	tr       *trace.Trace
 	src      trace.Source
-	policy   Policy // Config.Policy; "" is PolicyNotebookOS (a federation runs only that)
+	policy   Policy // Hosts form only; "" is PolicyNotebookOS (a federation runs only that)
 	capacity resources.Spec
-	hosts    int              // Config.Hosts
-	clusters []FedClusterSpec // FedConfig.Clusters
+	hosts    int              // Hosts form
+	clusters []FedClusterSpec // Clusters form
 	latency  federation.LatencyMatrix
 	faults   *trace.FaultSpec
 	sc       ShardCapacity
 	shards   int
-	// plain calls the entry's unsharded counterpart on the same config — Run
-	// or RunFederated, a streamed entry's with the whole-workload generator
-	// as its Source.
+	// plain calls Run on the same config — a streamed entry's with the
+	// whole-workload generator as its Source.
 	plain bool
+	// mix edits the finished config, to set a field of the other form.
+	mix func(*Config)
 }
 
 // call runs the case through the entry point and returns the run's full
@@ -98,35 +107,22 @@ func (e runnerEntry) call(gcfg trace.GenConfig, h hostileCase) (fp string, tasks
 			return "", 0, err
 		}
 	}
-	start, end := gcfg.Start, gcfg.Start.Add(gcfg.Duration)
-	var b strings.Builder
+	cfg := Config{Trace: h.tr, Source: h.src, Faults: h.faults, Seed: 7, ShardCapacity: h.sc}
 	if e.fed {
-		clusters := append([]FedClusterSpec(nil), h.clusters...)
-		for i := range clusters {
-			clusters[i].HostCapacity = h.capacity
+		cfg.Clusters = append([]FedClusterSpec(nil), h.clusters...)
+		for i := range cfg.Clusters {
+			cfg.Clusters[i].HostCapacity = h.capacity
 		}
-		cfg := FedConfig{Trace: h.tr, Source: h.src, Clusters: clusters, Latency: h.latency,
-			Route: federation.LeastSubscribed{}, Faults: h.faults, Seed: 7, ShardCapacity: h.sc}
-		var r *FedResult
-		switch {
-		case h.plain || !e.sharded:
-			r, err = RunFederated(cfg)
-		case e.streamed:
-			r, err = RunFederatedStreamSharded(gcfg, cfg, h.shards)
-		default:
-			r, err = RunFederatedSharded(cfg, h.shards)
+		cfg.Latency, cfg.Route = h.latency, federation.LeastSubscribed{}
+	} else {
+		if h.policy == "" {
+			h.policy = PolicyNotebookOS
 		}
-		if err != nil {
-			return "", 0, err
-		}
-		fpLines{e.name, &b}.fedResult(r, start, end)
-		return b.String(), r.Tasks, nil
+		cfg.Policy, cfg.Hosts, cfg.HostCapacity = h.policy, h.hosts, h.capacity
 	}
-	if h.policy == "" {
-		h.policy = PolicyNotebookOS
+	if h.mix != nil {
+		h.mix(&cfg)
 	}
-	cfg := Config{Trace: h.tr, Source: h.src, Policy: h.policy, Hosts: h.hosts, HostCapacity: h.capacity,
-		Faults: h.faults, Seed: 7, ShardCapacity: h.sc}
 	var r *Result
 	switch {
 	case h.plain || !e.sharded:
@@ -139,12 +135,14 @@ func (e runnerEntry) call(gcfg trace.GenConfig, h hostileCase) (fp string, tasks
 	if err != nil {
 		return "", 0, err
 	}
-	fpLines{e.name, &b}.result(r, start, end)
+	var b strings.Builder
+	fpLines{e.name, &b}.result(r, gcfg.Start, gcfg.Start.Add(gcfg.Duration))
 	return b.String(), r.Tasks, nil
 }
 
-// TestHostileConfigs drives every exported entry point, under both
-// capacity modes, with configs a careless caller could write. None may
+// TestHostileConfigs drives every exported entry point, with both forms of
+// the config and under both capacity modes, with configs a careless caller
+// could write. None may
 // panic: a config that cannot run returns an error naming the offending
 // fields, and one the docs promise to clamp or default runs exactly like
 // its clamped or defaulted spelling — in particular k <= 1 through any
@@ -184,7 +182,7 @@ func TestHostileConfigs(t *testing.T) {
 		t.Fatal("want two neighbouring sessions that land in different shards, swapped")
 	}
 
-	for _, e := range runnerEntries {
+	for _, e := range runnerEntries() {
 		for _, sc := range []ShardCapacity{LegacySplit, LeasePool} {
 			name := e.name + map[ShardCapacity]string{LegacySplit: "/legacy", LeasePool: "/lease"}[sc]
 			// valid is a config the entry accepts; each case below breaks it
@@ -289,9 +287,54 @@ func TestHostileConfigs(t *testing.T) {
 				refuses("latency matrix larger than the federation", h, "Latency", "Clusters")
 				h.latency = federation.UniformMatrix(len(h.clusters)-1, time.Millisecond)
 				refuses("latency matrix smaller than the federation", h, "Latency", "Clusters")
-				h, def := valid(), valid()
-				h.clusters, def.clusters = nil, DefaultFedClusters(2, 30)
-				same("empty Clusters is the documented default", h, def)
+			}
+
+			// One config, two forms: a field of the form the config does not
+			// take is refused, not ignored.
+			other := map[string]func(*Config){
+				"Route":               func(c *Config) { c.Route = federation.LeastSubscribed{} },
+				"InterClusterPenalty": func(c *Config) { c.InterClusterPenalty = NoInterClusterPenalty },
+				"Latency":             func(c *Config) { c.Latency = federation.UniformMatrix(1, 0) },
+				"PooledAutoscale":     func(c *Config) { c.PooledAutoscale = true },
+				"FedMinHosts":         func(c *Config) { c.FedMinHosts = 3 },
+				"SLOAware":            func(c *Config) { c.SLOAware = true },
+			}
+			if e.fed {
+				other = map[string]func(*Config){
+					"Hosts":        func(c *Config) { c.Hosts = 30 },
+					"HostCapacity": func(c *Config) { c.HostCapacity = small },
+					"MinHosts":     func(c *Config) { c.MinHosts = 4 },
+					"Policy":       func(c *Config) { c.Policy = PolicyBatch },
+				}
+			}
+			for field, set := range other {
+				h = valid()
+				h.mix = set
+				refuses("a field of the other form, "+field, h, field, "Clusters")
+			}
+
+			// A host shape without GPUs places nothing and divides the
+			// provisioned hours by zero.
+			h = valid()
+			h.capacity = resources.Spec{Millicpus: 64_000, MemoryMB: 488 * 1024}
+			refuses("GPU-less hosts", h, map[bool]string{false: "HostCapacity", true: "Clusters[0].HostCapacity"}[e.fed])
+
+			// An outage scoped to a cluster hits the member of that name. A
+			// federation refuses a name none of its members has; a single
+			// cluster applies only unscoped outages, whatever the name.
+			outage := func(cluster string) *trace.FaultSpec {
+				return &trace.FaultSpec{Outages: []trace.OutageSpec{{StartHour: 1, DurationHours: 1, HostFraction: 1, Cluster: cluster}}}
+			}
+			h = valid()
+			h.faults = outage("c9-typo")
+			if e.fed {
+				refuses("outage in a cluster no member has", h, "Outages[0]", "c9-typo", "c0, c1, c2")
+				h.faults = outage("c1")
+				if fp, _ := run("outage in c1", h); strings.Contains(fp, " crashes=0\n") {
+					t.Errorf("%s: an outage of every host of c1 crashed none", name)
+				}
+			} else if fp, _ := run("scoped outage, no Clusters", h); !strings.Contains(fp, " crashes=0\n") {
+				t.Errorf("%s: a scoped outage hit a run without Clusters:\n%s", name, fp)
 			}
 
 			if e.sharded {

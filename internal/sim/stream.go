@@ -101,11 +101,12 @@ func arrivalOrder(prev, next *trace.Session) error {
 // analytic GenConfig.Expect, not a trace scan), so the proportional-share
 // weights are uniform by construction. Worker i simulates with
 // ShardSeed(Seed, i), mirroring RunSharded; k <= 1 runs a single streaming
-// simulation of the whole config. Capacity semantics follow
-// cfg.ShardCapacity as in RunSharded: under LeasePool the capacity ledger
-// streams its own unsplit generator of gcfg, so capacity metrics equal
-// the unsharded streaming run's exactly (TestLeasePoolStreamCapacityExact);
-// the zero-value LegacySplit keeps the static equal split. One streaming
+// simulation of the whole config, and the smallest member bounds the shard
+// count. Capacity semantics follow cfg.ShardCapacity as in RunSharded: under
+// LeasePool the capacity ledger streams its own unsplit generator of gcfg,
+// so capacity metrics equal the unsharded streaming run's exactly
+// (TestLeasePoolStreamCapacityExact); the zero-value LegacySplit keeps the
+// static equal split. One streaming
 // caveat: the shard generators draw per-shard seeds, so the workers'
 // union is distributionally — not samplewise — the ledger's workload,
 // and merged task counts are near-equal rather than identical
@@ -117,43 +118,21 @@ func arrivalOrder(prev, next *trace.Session) error {
 // peak memory is governed by session *concurrency* and the simulated
 // window, not by total session count.
 func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, error) {
-	var err error
-	if cfg.Source, err = streamSource(gcfg, cfg.Trace, cfg.Source); err != nil {
-		return nil, err
-	}
-	p, err := cfg.plan()
-	if err != nil {
-		return nil, err
-	}
-	return single(p.runSharded(shards, streamParts(gcfg)))
-}
-
-// RunFederatedStreamSharded is RunFederatedSharded against streaming
-// shards (see RunStreamSharded): each worker federation replays its own
-// exact Poisson split of gcfg. The smallest member bounds the shard count,
-// as in the materialized version.
-func RunFederatedStreamSharded(gcfg trace.GenConfig, cfg FedConfig, shards int) (*FedResult, error) {
-	var err error
-	if cfg.Source, err = streamSource(gcfg, cfg.Trace, cfg.Source); err != nil {
-		return nil, err
-	}
-	p, err := cfg.plan()
-	if err != nil {
-		return nil, err
-	}
-	return federated(p.runSharded(shards, streamParts(gcfg)))
-}
-
-// streamSource returns the whole-workload stream of gcfg — what a streaming
-// sharded runner's plan replays itself: the single run at k <= 1, the
-// capacity ledger under LeasePool (same seed, same sessions the shard
-// generators partition among themselves). The config's own workload slots
-// must be empty.
-func streamSource(gcfg trace.GenConfig, tr *trace.Trace, src trace.Source) (trace.Source, error) {
-	if tr != nil || src != nil {
+	if cfg.Trace != nil || cfg.Source != nil {
 		return nil, fmt.Errorf("sim: a streaming sharded run generates its workload from the GenConfig; Trace and Source must be nil")
 	}
-	return trace.NewStreamGen(gcfg, 0, 1)
+	// The plan itself replays the whole-workload stream: the single run at
+	// k <= 1, the capacity ledger under LeasePool (same seed, same sessions
+	// the shard generators partition among themselves).
+	var err error
+	if cfg.Source, err = trace.NewStreamGen(gcfg, 0, 1); err != nil {
+		return nil, err
+	}
+	p, err := cfg.plan()
+	if err != nil {
+		return nil, err
+	}
+	return p.runSharded(shards, streamParts(gcfg))
 }
 
 // streamParts is the streaming split of gcfg: trace.StreamSplit's k

@@ -42,7 +42,7 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 }
 
 // TestStreamingFederatedMatchesMaterialized is the federated analogue:
-// adapter vs generator through RunFederated.
+// adapter vs generator through Run.
 func TestStreamingFederatedMatchesMaterialized(t *testing.T) {
 	gcfg := trace.AdobeExcerptConfig(43)
 	gcfg.Duration = 8 * time.Hour
@@ -51,11 +51,11 @@ func TestStreamingFederatedMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := RunFederated(FedConfig{Trace: tr, Seed: 5})
+	mat, err := Run(Config{Trace: tr, Clusters: DefaultFedClusters(2, 30), Seed: 5})
 	if err != nil {
 		t.Fatalf("materialized: %v", err)
 	}
-	str, err := RunFederated(FedConfig{Source: gen, Seed: 5})
+	str, err := Run(Config{Source: gen, Clusters: DefaultFedClusters(2, 30), Seed: 5})
 	if err != nil {
 		t.Fatalf("streaming: %v", err)
 	}

@@ -251,8 +251,8 @@ func TestFederatedSLOAwareSameSeedBitForBit(t *testing.T) {
 		federation.LeastSubscribedScored(),
 		federation.RoundRobin(),
 	} {
-		run := func() (*FedResult, fedFingerprint) {
-			res, err := RunFederated(FedConfig{
+		run := func() (*Result, fedFingerprint) {
+			res, err := Run(Config{
 				Trace:    tr,
 				Clusters: DefaultFedClusters(2, 30),
 				Route:    route,
@@ -283,13 +283,13 @@ func TestFederatedSLOAwareSameSeedBitForBit(t *testing.T) {
 // ClassDelay nil — the classed accounting is strictly opt-in.
 func TestFederatedSLOAwareClassDelays(t *testing.T) {
 	tr := sloQuickTrace(t, 11)
-	cfg := FedConfig{
+	cfg := Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(2, 30),
 		Route:    federation.LocalFirst{},
 		Seed:     7,
 	}
-	fifo, err := RunFederated(cfg)
+	fifo, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestFederatedSLOAwareClassDelays(t *testing.T) {
 		t.Fatal("FIFO run must not allocate ClassDelay")
 	}
 	cfg.SLOAware = true
-	slo, err := RunFederated(cfg)
+	slo, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@
 // "best-effort" — each a scheduling weight plus a max-queue-delay
 // target) stamped onto their generated Sessions; stamping consumes no
 // randomness, so classing a workload never perturbs it. The federated
-// simulator's SLO-aware wait-queue (sim.FedConfig.SLOAware) is the
+// simulator's SLO-aware wait-queue (sim.Config.SLOAware) is the
 // consumer.
 //
 // FaultSpec (faults.go) is the workload's chaos counterpart: a

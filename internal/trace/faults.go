@@ -61,7 +61,8 @@ type OutageSpec struct {
 	// HostFraction in (0, 1] is the per-host kill probability.
 	HostFraction float64 `json:"host_fraction"`
 	// Cluster names the federated member the outage hits ("" hits every
-	// member; single-cluster runs apply only unscoped outages).
+	// member; a federation with no member of that name is refused;
+	// single-cluster runs apply only unscoped outages).
 	Cluster string `json:"cluster,omitempty"`
 }
 

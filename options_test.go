@@ -11,18 +11,23 @@ import (
 	"testing"
 )
 
-// TestConfigOptionsHaveSetters keeps the simulator's public configs honest:
-// every exported field of sim.Config, sim.FedConfig and sim.FedClusterSpec
-// must be set somewhere — as a composite-literal key or an assignment target
-// — by code that uses the package: any file importing
-// notebookos/internal/sim (commands, experiments, examples, the bench/
-// module, tests) or internal/sim's own tests. A field nothing sets is an
+// TestConfigOptionsHaveSetters keeps the simulator's public config honest:
+// every exported field of sim.Config and sim.FedClusterSpec must be set
+// somewhere — as a composite-literal key or an assignment target — by code
+// that uses the package: any file importing notebookos/internal/sim
+// (commands, experiments, examples, the bench/ module, tests) or
+// internal/sim's own tests. A field nothing sets is an
 // option with one value in use; make it a constant instead. The package's
 // non-test files only plumb the fields, and the live half's platform and
 // control configs reuse some of the names, so neither is scanned. The match
 // is by field name within those files, not by type.
+//
+// The same walk keeps the config the only one: the three names
+// internal/sim/compat.go keeps for the frozen bench/ module appear as
+// identifiers in no other Go file outside bench/.
 func TestConfigOptionsHaveSetters(t *testing.T) {
 	const simPkg, simDir = "notebookos/internal/sim", "internal/sim"
+	compat := map[string]bool{"FedConfig": true, "FedResult": true, "RunFederated": true}
 	fset := token.NewFileSet()
 
 	fields := map[string]string{} // field name -> the config type declaring it
@@ -43,6 +48,14 @@ func TestConfigOptionsHaveSetters(t *testing.T) {
 		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		if slash := filepath.ToSlash(path); slash != simDir+"/compat.go" && !strings.HasPrefix(slash, "bench/") {
+			ast.Inspect(file, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && compat[id.Name] {
+					t.Errorf("%s uses sim.%s, a name kept only for bench/: use Config, Result and Run", fset.Position(id.Pos()), id.Name)
+				}
+				return true
+			})
 		}
 		inSim := filepath.ToSlash(filepath.Dir(path)) == simDir
 		if inSim && !strings.HasSuffix(path, "_test.go") {
@@ -73,7 +86,7 @@ func TestConfigOptionsHaveSetters(t *testing.T) {
 	}
 }
 
-// collectConfigFields records the exported fields of the three public config
+// collectConfigFields records the exported fields of the two public config
 // structs declared in file.
 func collectConfigFields(file *ast.File, fields map[string]string) {
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -82,7 +95,7 @@ func collectConfigFields(file *ast.File, fields map[string]string) {
 			return true
 		}
 		st, ok := ts.Type.(*ast.StructType)
-		if !ok || (ts.Name.Name != "Config" && ts.Name.Name != "FedConfig" && ts.Name.Name != "FedClusterSpec") {
+		if !ok || (ts.Name.Name != "Config" && ts.Name.Name != "FedClusterSpec") {
 			return true
 		}
 		for _, f := range st.Fields.List {
