@@ -324,13 +324,11 @@ func BenchmarkScoredRouting(b *testing.B) {
 	}
 }
 
-// BenchmarkSelectHostsTied measures one least-loaded selection (n = 3) on
-// the fleet the streaming runs actually build: 400 hosts per worker, nine
-// in ten of them with nothing committed — tied on idle GPUs — and
-// subscriptions spread over 9 to 15 GPUs, so most hosts are decided on the
-// post-placement SR and the rest on the host ID. The repository
-// benchmark's scheduler.select_us_* kernels stop at 384 lightly tied hosts.
-func BenchmarkSelectHostsTied(b *testing.B) {
+// tiedFleet builds the fleet the streaming runs actually build: 400 hosts
+// per worker, nine in ten of them with nothing committed — tied on idle
+// GPUs — and subscriptions spread over 9 to 15 GPUs, so most hosts are
+// decided on the post-placement SR and the rest on the host ID.
+func tiedFleet(b *testing.B) (*cluster.Cluster, resources.Spec) {
 	c := cluster.New(3)
 	oneGPU := resources.Spec{Millicpus: 1000, MemoryMB: 4096, GPUs: 1, VRAMGB: 16}
 	for i := 0; i < 400; i++ {
@@ -349,11 +347,54 @@ func BenchmarkSelectHostsTied(b *testing.B) {
 			}
 		}
 	}
+	return c, oneGPU
+}
+
+// BenchmarkSelectHostsTied measures one least-loaded selection (n = 3) on
+// tiedFleet, a table nobody writes. The repository benchmark's
+// scheduler.select_us_* kernels stop at 384 lightly tied hosts.
+func BenchmarkSelectHostsTied(b *testing.B) {
+	c, oneGPU := tiedFleet(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (scheduler.LeastLoaded{}).SelectHosts(c, oneGPU, 3); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPlaceCycleTied is BenchmarkSelectHostsTied with the writers'
+// bill: one operation admits a session on tiedFleet as the simulator does —
+// SelectInto(n = 3), a replica placed on each selected host — and retires
+// the oldest of the 64 sessions alive, so what keeping the table's chunk
+// summaries current costs PlaceReplica and RemoveReplica is timed together
+// with what it saves the selection.
+func BenchmarkPlaceCycleTied(b *testing.B) {
+	c, oneGPU := tiedFleet(b)
+	var alive [64][3]*cluster.Host
+	ids := make([]string, len(alive))
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s%02d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, hosts := ids[i%len(alive)], &alive[i%len(alive)]
+		for _, h := range hosts {
+			if h != nil {
+				if err := h.RemoveReplica(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := (scheduler.LeastLoaded{}).SelectInto(c, oneGPU, hosts[:]); err != nil {
+			b.Fatal(err)
+		}
+		for _, h := range hosts {
+			if err := h.PlaceReplica(id, oneGPU); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -11,18 +11,24 @@ import (
 
 // recount recomputes the cluster aggregates from scratch by scanning every
 // member host — the ground truth the incremental counters must track.
-func recount(c *Cluster) (total, subscribed, committed int) {
+func recount(c *Cluster) (total, subscribed, committed, replicaFree int) {
 	for _, h := range c.Hosts() {
 		total += h.Capacity.GPUs
 		subscribed += h.Subscribed().GPUs
 		committed += h.Committed().GPUs
+		if len(h.Replicas()) == 0 {
+			replicaFree++
+		}
 	}
 	return
 }
 
 func checkAggregates(t *testing.T, c *Cluster, step string) {
 	t.Helper()
-	total, subscribed, committed := recount(c)
+	total, subscribed, committed, replicaFree := recount(c)
+	if got := c.ReplicaFreeHosts(); got != replicaFree {
+		t.Fatalf("%s: ReplicaFreeHosts = %d, recount = %d", step, got, replicaFree)
+	}
 	if got := c.TotalGPUs(); got != total {
 		t.Fatalf("%s: TotalGPUs = %d, recount = %d", step, got, total)
 	}
@@ -97,8 +103,8 @@ func checkLockFreeReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 // TestAggregatesMatchRecountProperty drives a random operation sequence
 // (add/remove/crash/re-add hosts, place/remove replicas, commit/release,
 // on members and on detached hosts alike) and asserts after every step
-// that the O(1) incremental counters and every lock-free read equal a
-// from-scratch recount.
+// that the O(1) incremental counters, every lock-free read and the dense
+// table with its chunk summaries equal a from-scratch recount.
 func TestAggregatesMatchRecountProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -197,11 +203,11 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 					members = append(members, h)
 				}
 			}
-			total, subscribed, committed := recount(c)
-			if c.TotalGPUs() != total || c.SubscribedGPUs() != subscribed || c.CommittedGPUs() != committed {
+			total, subscribed, committed, replicaFree := recount(c)
+			if c.TotalGPUs() != total || c.SubscribedGPUs() != subscribed || c.CommittedGPUs() != committed || c.ReplicaFreeHosts() != replicaFree {
 				return false
 			}
-			if !checkLockFreeReads(t, c, members, all) {
+			if checkTable(t, c); !checkLockFreeReads(t, c, members, all) {
 				return false
 			}
 		}

@@ -21,6 +21,8 @@ type aggregates struct {
 	totalGPUs      atomic.Int64
 	subscribedGPUs atomic.Int64
 	committedGPUs  atomic.Int64
+	// replicaFree counts the member hosts with no replica subscribed.
+	replicaFree atomic.Int64
 }
 
 // Host is one GPU server.
@@ -36,22 +38,31 @@ type Host struct {
 	devicesOnce sync.Once
 	devices     *gpu.Pool
 
+	// mu guards everything below while the host belongs to no cluster. A
+	// member is guarded by the mutex of the table chunk it is seated in
+	// instead (chunk, nil otherwise): whatever changes a member's counters
+	// also moves its chunk's summary, and one lock for both makes a write
+	// cost what it did without a summary. lock picks the one that applies;
+	// attach and detach switch between them holding both.
 	mu         sync.Mutex
+	chunk      atomic.Pointer[chunk]
 	subscribed resources.Spec
 	replicas   map[string]resources.Spec
 	// row is where the host's counters live for lock-free readers: its row
 	// of its cluster's dense table (slot is the row's index) while it is a
 	// member, where a placement scan finds it next to every other member's;
 	// own (slot -1) while it is not. Every write republishes
-	// subscribed.GPUs and len(replicas) into it under mu — a Spec and a map
-	// cannot themselves be read atomically. The row's committed count is
-	// the host's only ledger of committed GPUs, moved under mu by the pool
-	// observers; attach/detach read it (also under mu) instead of
-	// snapshotting the pool, so a commit/release delta and a membership
-	// change can never interleave in a way that makes the cluster counters
-	// drift: every delta lands in the ledger exactly once, and in the
-	// aggregates exactly when the host is attached. attach and detach move
-	// the counters between the two rows, under mu.
+	// subscribed.GPUs and len(replicas) into it under the lock — a Spec and
+	// a map cannot themselves be read atomically — and a member's chunk
+	// brings its summary up to date with the row in the same critical
+	// section. The row's committed count is the host's only ledger of
+	// committed GPUs, moved under the lock by the pool observers;
+	// attach/detach read it (also under the lock) instead of snapshotting
+	// the pool, so a commit/release delta and a membership change can never
+	// interleave in a way that makes the cluster counters drift: every
+	// delta lands in the ledger exactly once, and in the aggregates exactly
+	// when the host is attached. attach and detach move the counters
+	// between the two rows.
 	row  atomic.Pointer[Row]
 	slot atomic.Int32
 	own  Row
@@ -87,26 +98,44 @@ func (h *Host) Devices() *gpu.Pool {
 	return h.devices
 }
 
+// lock takes the lock that guards the host as things stand — its chunk's
+// while it is a member, its own otherwise — and returns it for the caller to
+// release. A membership change needs both locks, so whichever lock a caller
+// holds while chunk still names it is the right one.
+func (h *Host) lock() *sync.Mutex {
+	for {
+		ch, mu := h.chunk.Load(), &h.mu
+		if ch != nil {
+			mu = &ch.mu
+		}
+		mu.Lock()
+		if h.chunk.Load() == ch {
+			return mu
+		}
+		mu.Unlock()
+	}
+}
+
 func (h *Host) onCommitted(req resources.Spec) {
-	h.mu.Lock()
+	mu := h.lock()
 	h.commitDelta(req.GPUs)
-	h.mu.Unlock()
+	mu.Unlock()
 }
 
 func (h *Host) onReleased(req resources.Spec) {
-	h.mu.Lock()
+	mu := h.lock()
 	h.commitDelta(-req.GPUs)
 	released := h.released
-	h.mu.Unlock()
+	mu.Unlock()
 	if released != nil {
 		released()
 	}
 }
 
 // commitDelta lands one commit or release in the host's ledger and, while
-// it is a member, in the cluster aggregate. Caller holds h.mu.
+// it is a member, in the cluster aggregate. Caller holds the host's lock.
 func (h *Host) commitDelta(gpus int) {
-	h.row.Load().committed.Add(int32(gpus))
+	h.publish(h.row.Load().committed.Load() + int32(gpus))
 	if h.agg != nil {
 		h.agg.committedGPUs.Add(int64(gpus))
 	}
@@ -114,35 +143,41 @@ func (h *Host) commitDelta(gpus int) {
 
 // attach makes the host contribute to a cluster's aggregate counters,
 // moves whatever it already carries into its table row and wires its
-// release notifier. Called by Cluster.seat.
-func (h *Host) attach(agg *aggregates, released func(), row *Row, slot int) {
+// release notifier. Called by Cluster.seat, which holds ch.mu: with h.mu
+// taken here both of the host's locks are held while it changes hands.
+func (h *Host) attach(agg *aggregates, released func(), ch *chunk, slot int) {
 	h.mu.Lock()
 	h.agg = agg
 	h.released = released
-	h.moveTo(row, slot, 1)
+	h.moveTo(&ch.rows[slot%TableChunk], ch, slot, 1)
 	h.mu.Unlock()
 }
 
-// detach reverses attach. Called by Cluster.unseat.
+// detach reverses attach. Called by Cluster.unseat, which holds the mutex
+// of the chunk the host is leaving.
 func (h *Host) detach() {
 	h.mu.Lock()
-	h.moveTo(&h.own, -1, -1)
+	h.moveTo(&h.own, nil, -1, -1)
 	h.agg = nil
 	h.released = nil
 	h.mu.Unlock()
 }
 
-// moveTo makes row the home of the host's counters and adds (sign 1) or
-// withdraws (sign -1) them from the cluster aggregates. Caller holds h.mu.
-func (h *Host) moveTo(row *Row, slot int, sign int64) {
+// moveTo makes row — slot of ch, or the host's own — the home of the host's
+// counters and adds (sign 1) or withdraws (sign -1) them from the cluster
+// aggregates. Caller holds h.mu and the mutex of the chunk involved.
+func (h *Host) moveTo(row *Row, ch *chunk, slot int, sign int64) {
 	committed := h.row.Load().committed.Load()
 	h.agg.totalGPUs.Add(sign * int64(h.Capacity.GPUs))
 	h.agg.subscribedGPUs.Add(sign * int64(h.subscribed.GPUs))
 	h.agg.committedGPUs.Add(sign * int64(committed))
-	row.committed.Store(committed)
+	if len(h.replicas) == 0 {
+		h.agg.replicaFree.Add(sign)
+	}
 	h.row.Store(row)
+	h.chunk.Store(ch)
 	h.slot.Store(int32(slot))
-	h.publishSubscription()
+	h.publish(committed)
 }
 
 // PlaceReplica subscribes a kernel replica's resource request on the host.
@@ -153,8 +188,7 @@ func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.lock().Unlock()
 	if _, ok := h.replicas[replicaID]; ok {
 		return fmt.Errorf("cluster: replica %s already on host %s", replicaID, h.ID)
 	}
@@ -163,14 +197,16 @@ func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 	h.publishSubscription()
 	if h.agg != nil {
 		h.agg.subscribedGPUs.Add(int64(req.GPUs))
+		if len(h.replicas) == 1 {
+			h.agg.replicaFree.Add(-1)
+		}
 	}
 	return nil
 }
 
 // RemoveReplica unsubscribes a replica (kernel shutdown or migration).
 func (h *Host) RemoveReplica(replicaID string) error {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.lock().Unlock()
 	req, ok := h.replicas[replicaID]
 	if !ok {
 		return fmt.Errorf("cluster: replica %s not on host %s", replicaID, h.ID)
@@ -180,38 +216,46 @@ func (h *Host) RemoveReplica(replicaID string) error {
 	h.publishSubscription()
 	if h.agg != nil {
 		h.agg.subscribedGPUs.Add(-int64(req.GPUs))
+		if len(h.replicas) == 0 {
+			h.agg.replicaFree.Add(1)
+		}
 	}
 	return nil
 }
 
 // publishSubscription republishes the guarded subscription state into the
-// host's row. Caller holds h.mu.
-func (h *Host) publishSubscription() {
-	row := h.row.Load()
-	row.subscribed.Store(int32(h.subscribed.GPUs))
-	row.replicas.Store(int32(len(h.replicas)))
+// host's row. Caller holds the host's lock.
+func (h *Host) publishSubscription() { h.publish(h.row.Load().committed.Load()) }
+
+// publish stores the host's counters — this committed-GPU count and the
+// guarded subscription state — into its row: through the chunk while it is
+// a member, so the chunk's summary follows. Caller holds the host's lock.
+func (h *Host) publish(committed int32) {
+	subscribed, replicas := int32(h.subscribed.GPUs), int32(len(h.replicas))
+	if ch := h.chunk.Load(); ch != nil {
+		ch.write(int(h.slot.Load())%TableChunk, committed, subscribed, replicas)
+		return
+	}
+	h.own.set(committed, subscribed, replicas)
 }
 
 // HasReplica reports whether the replica is subscribed on this host.
 func (h *Host) HasReplica(replicaID string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.lock().Unlock()
 	_, ok := h.replicas[replicaID]
 	return ok
 }
 
 // ReplicaRequest returns the subscribed request of a replica.
 func (h *Host) ReplicaRequest(replicaID string) (resources.Spec, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.lock().Unlock()
 	req, ok := h.replicas[replicaID]
 	return req, ok
 }
 
 // Replicas returns the IDs of replicas subscribed on the host, sorted.
 func (h *Host) Replicas() []string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.lock().Unlock()
 	out := make([]string, 0, len(h.replicas))
 	for id := range h.replicas {
 		out = append(out, id)
@@ -225,12 +269,11 @@ func (h *Host) Replicas() []string {
 func (h *Host) Slot() int { return int(h.slot.Load()) }
 
 // NumReplicas returns the number of subscribed replicas. Lock-free.
-func (h *Host) NumReplicas() int { return int(h.row.Load().replicas.Load()) }
+func (h *Host) NumReplicas() int { return int(h.row.Load().replicas()) }
 
 // Subscribed returns the sum of subscribed resource requests.
 func (h *Host) Subscribed() resources.Spec {
-	h.mu.Lock()
-	defer h.mu.Unlock()
+	defer h.lock().Unlock()
 	return h.subscribed
 }
 
@@ -384,9 +427,9 @@ func (c *Cluster) RemoveHost(id string) error {
 	}
 	// A writer's check: read the map under the host lock like every other
 	// writer, not through the advisory NumReplicas.
-	h.mu.Lock()
+	mu := h.lock()
 	n := len(h.replicas)
-	h.mu.Unlock()
+	mu.Unlock()
 	if n > 0 {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: host %s still has %d replicas", id, n)
@@ -463,6 +506,14 @@ func (c *Cluster) TotalGPUs() int {
 // O(1): maintained incrementally on PlaceReplica/RemoveReplica.
 func (c *Cluster) SubscribedGPUs() int {
 	return int(c.agg.subscribedGPUs.Load())
+}
+
+// ReplicaFreeHosts returns how many member hosts have no replica subscribed
+// — an upper bound on the hosts for which Empty holds, so a scale-in walk
+// is needless while it reads 0. O(1): maintained incrementally where a
+// host's replica count crosses zero and on AddHost/RemoveHost/CrashHost.
+func (c *Cluster) ReplicaFreeHosts() int {
+	return int(c.agg.replicaFree.Load())
 }
 
 // CommittedGPUs returns the GPUs actively committed to executing replicas

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -18,7 +20,8 @@ func rowOf(c *Cluster, h *Host) *Row {
 
 // checkTable compares the dense table with the cluster it belongs to, at a
 // quiescent point: every member sits in exactly one live slot of a chunk of
-// its shape, its row equals a recount under the host lock, and the
+// its shape, its row equals a recount under the host lock, every chunk's
+// summary equals one recomputed from its occupants' locked reads, and the
 // ordinals sort the members exactly as their ID strings do.
 func checkTable(t *testing.T, c *Cluster) {
 	t.Helper()
@@ -27,8 +30,16 @@ func checkTable(t *testing.T, c *Cluster) {
 	live := 0
 	for j := 0; j < tab.Chunks(); j++ {
 		live += bits.OnesCount32(tab.Live(j))
+		best, minSub := [3]int{keyMax, keyMax, math.MaxInt32}, math.MaxInt32
 		for i := 0; i < TableChunk; i++ {
 			h := tab.Host(j*TableChunk + i)
+			if h != nil {
+				key := [3]int{min(h.Committed().GPUs, keyMax), min(h.Subscribed().GPUs, keyMax), tab.Rows(j)[i].Ord()}
+				if slices.Compare(key[:], best[:]) < 0 {
+					best = key
+				}
+				minSub = min(minSub, h.Subscribed().GPUs)
+			}
 			if occupied := tab.Live(j)>>i&1 == 1; occupied != (h != nil) {
 				t.Errorf("slot %d: live bit %v, host %v", j*TableChunk+i, occupied, h)
 			}
@@ -36,6 +47,10 @@ func checkTable(t *testing.T, c *Cluster) {
 				t.Errorf("slot %d holds %s, whose Slot() is %d and capacity %v (chunk shape %v)",
 					j*TableChunk+i, h.ID, h.Slot(), h.Capacity, tab.Shapes()[tab.Shape(j)])
 			}
+		}
+		if c, s, o, m := tab.Summary(j); [3]int{c, s, o} != best || m != minSub {
+			t.Errorf("chunk %d: summary is key %v, fewest subscribed %d; its occupants' best key is %v, fewest subscribed %d",
+				j, [3]int{c, s, o}, m, best, minSub)
 		}
 	}
 	if live != len(members) {
@@ -244,6 +259,10 @@ func TestTableUnderChurn(t *testing.T) {
 		for j := 0; j < tab.Chunks(); j++ {
 			gpus := tab.Shapes()[tab.Shape(j)].GPUs
 			rows := tab.Rows(j)
+			if c, s, o, m := tab.Summary(j); c < 0 || s < 0 || o < 0 || m < 0 {
+				t.Errorf("chunk %d: summary is key (%d, %d, %d), fewest subscribed %d", j, c, s, o, m)
+				return
+			}
 			for live := tab.Live(j); live != 0; live &= live - 1 {
 				i := bits.TrailingZeros32(live)
 				row := &rows[i]

@@ -162,12 +162,13 @@ func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) 
 // SelectInto is SelectHosts into the caller's buffer: it picks len(out)
 // distinct hosts, allocating nothing up to stackSelect hosts on
 // stackShapes host shapes. It makes one pass over the cluster's dense host
-// table (cluster.Table), maintaining two partial selections: hosts whose
-// post-placement SR stays within the dynamic cluster-wide limit
-// ("balanced"), and all viable hosts as a fallback when the balance rule
-// leaves fewer than n candidates. What depends only on the request and a
-// host's shape — whether it fits, and where the watermark and the limit
-// fall — is settled once per shape before the pass.
+// table (cluster.Table) — chunk by chunk, scanning those whose summary does
+// not already rule every host out (turnsAway) — maintaining two partial
+// selections: hosts whose post-placement SR stays within the dynamic
+// cluster-wide limit ("balanced"), and all viable hosts as a fallback when
+// the balance rule leaves fewer than n candidates. What depends only on the
+// request and a host's shape — whether it fits, and where the watermark and
+// the limit fall — is settled once per shape before the pass.
 func (p LeastLoaded) SelectInto(c *cluster.Cluster, req resources.Spec, out []*cluster.Host) error {
 	n := len(out)
 	if n == 0 {
@@ -214,8 +215,9 @@ func (p LeastLoaded) SelectInto(c *cluster.Cluster, req resources.Spec, out []*c
 			viable:   topN{buf: scratch[n : 2*n]},
 		}
 		for j := 0; j < tab.Chunks(); j++ {
-			if shape := tab.Shape(j); terms[shape].maxSub != math.MinInt32 {
-				pass.scan(tab.Rows(j), tab.Live(j), int32(shape), int32(j*cluster.TableChunk))
+			shape, live := int32(tab.Shape(j)), tab.Live(j)
+			if live != 0 && !pass.turnsAway(tab, j, shape) {
+				pass.scan(tab.Rows(j), live, shape, int32(j*cluster.TableChunk))
 			}
 		}
 		// Prefer balanced hosts; fall back to all viable ones if the balance
@@ -252,7 +254,7 @@ type pass struct {
 // before a host with these keys — decided on integers alone, and exactly
 // unless the two are of different shapes, where it leaves the verdict to
 // candidate.before. Nearly every host of a pass ends here.
-func (b *candidate) beats(idle, sub, shape int32, row *cluster.Row) bool {
+func (b *candidate) beats(idle, sub, shape, ord int32) bool {
 	if idle != b.idle {
 		return idle < b.idle
 	}
@@ -262,7 +264,41 @@ func (b *candidate) beats(idle, sub, shape int32, row *cluster.Row) bool {
 	if sub != b.sub {
 		return sub > b.sub
 	}
-	return int32(row.Ord()) > b.ord
+	return ord > b.ord
+}
+
+// turnsAway reports whether scan would turn every host of chunk j away as
+// the pass stands, decided on the chunk's summary (cluster.Table.Summary)
+// alone. Either none can pass the SR rules: the request does not fit the
+// shape, or the fewest subscribed GPUs among them plus the request exceed
+// the watermark — or the limit, once only balanced hosts count. Or the bar
+// beats them all: a chunk is one shape, and hosts of one shape rank by
+// committed GPUs, then subscribed GPUs, then ordinal whatever the request,
+// so a bar that beats the summary's key beats every host — unless a
+// balanced selection still short of n hosts could want one that is within
+// the limit regardless. A shape without GPUs ranks its hosts on committed
+// GPUs and ordinal alone, not in the summary's order, and is always
+// scanned. The test is exact: a pass selects the same hosts with it as
+// without.
+func (p *pass) turnsAway(tab *cluster.Table, j int, shape int32) bool {
+	t := &p.terms[shape]
+	if t.maxSub == math.MinInt32 {
+		return true
+	}
+	if t.subMask == 0 {
+		return false
+	}
+	committed, subscribed, ord, minSub := tab.Summary(j)
+	if sub := int32(minSub) + p.reqGPUs; sub > t.maxSub {
+		return true
+	} else if sub <= t.balSub {
+		if !p.full {
+			return false
+		}
+	} else if p.full {
+		return true
+	}
+	return p.barred && p.bar.beats(t.gpus-int32(committed), int32(subscribed)+p.reqGPUs, shape, int32(ord))
 }
 
 // scan offers the viable hosts of one chunk — hosts of one shape, in the
@@ -284,7 +320,7 @@ func (p *pass) scan(rows *[cluster.TableChunk]cluster.Row, live uint32, shape, b
 		}
 		sub &= t.subMask
 		idle := t.gpus - int32(row.CommittedGPUs())
-		beaten := p.barred && p.bar.beats(idle, sub, shape, row)
+		beaten := p.barred && p.bar.beats(idle, sub, shape, int32(row.Ord()))
 		if beaten && (p.full || !inBalance) {
 			continue
 		}

@@ -191,8 +191,13 @@ func referenceLeastLoaded(c *cluster.Cluster, req resources.Spec, n int, waterma
 }
 
 // TestLeastLoadedMatchesReference compares SelectHosts with the reference
-// on seeded random clusters of mixed host sizes, and requires that the
-// trials reached every branch of the selection.
+// on seeded random clusters of mixed host sizes — one of them without GPUs —
+// after every step of a random history: replicas placed and removed, GPUs
+// committed and released, hosts joining under IDs that rank into the middle
+// of the members, leaving by RemoveHost and CrashHost, and coming back. Every
+// tenth cluster spans five chunks or more. It requires that the trials
+// reached every branch of the selection and every kind of table upkeep a
+// chunk summary has to survive.
 func TestLeastLoadedMatchesReference(t *testing.T) {
 	sizes := []resources.Spec{
 		resources.P316xlarge(),
@@ -200,50 +205,151 @@ func TestLeastLoadedMatchesReference(t *testing.T) {
 		{Millicpus: 16_000, MemoryMB: 122 << 10, GPUs: 2, VRAMGB: 32},
 		{Millicpus: 16_000, MemoryMB: 64 << 10}, // CPU-only
 	}
+	type held struct {
+		h   *cluster.Host
+		key string
+	}
 	hit := map[string]int{}
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		c := cluster.New(1 + rng.Intn(4))
-		hosts := make([]*cluster.Host, 1+rng.Intn(40))
-		for i := range hosts {
-			// Random IDs, so ID order is not insertion order.
-			hosts[i] = cluster.NewHost(fmt.Sprintf("h%05d", rng.Intn(1000)*100+i), sizes[rng.Intn(len(sizes))])
-			if err := c.AddHost(hosts[i]); err != nil {
+		shapes := sizes
+		if seed%10 == 0 {
+			shapes = sizes[rng.Intn(3):] // … through CPU-only: two shapes at least
+		}
+		var members, detached []*cluster.Host
+		var replicas, commits []held
+		vacated := map[int]bool{}
+		keys := 0
+		key := func() string { keys++; return fmt.Sprintf("k%d", keys) }
+		ord := func(h *cluster.Host) int {
+			return c.Table().Rows(h.Slot() / cluster.TableChunk)[h.Slot()%cluster.TableChunk].Ord()
+		}
+		join := func(h *cluster.Host) {
+			ords := make([]int, len(members))
+			for i, m := range members {
+				ords[i] = ord(m)
+			}
+			if err := c.AddHost(h); err != nil {
 				t.Fatal(err)
 			}
+			for i, m := range members {
+				if ord(m) != ords[i] {
+					hit["a join shifted ordinals"]++
+					break
+				}
+			}
+			if vacated[h.Slot()] {
+				hit["a freed slot was reused"]++
+				delete(vacated, h.Slot())
+			}
+			members = append(members, h)
 		}
-		if seed%8 != 0 { // every eighth cluster stays unsubscribed: limit == 0
-			for i := rng.Intn(12 * len(hosts)); i > 0; i-- {
-				h := hosts[rng.Intn(len(hosts))]
-				_ = h.PlaceReplica(fmt.Sprintf("k%d", i), gpuReq(1+rng.Intn(4)))
+		leave := func(i int, how func(string) error) {
+			h := members[i]
+			vacated[h.Slot()] = true
+			if err := how(h.ID); err != nil {
+				t.Fatal(err)
+			}
+			members = append(members[:i], members[i+1:]...)
+			detached = append(detached, h)
+		}
+		place := func() {
+			h := members[rng.Intn(len(members))]
+			k := key()
+			if h.PlaceReplica(k, gpuReq(1+rng.Intn(4))) == nil {
+				replicas = append(replicas, held{h, k})
 			}
 		}
-		for i := rng.Intn(3 * len(hosts)); i > 0; i-- {
-			_ = hosts[rng.Intn(len(hosts))].Commit(fmt.Sprintf("t%d", i), gpuReq(1+rng.Intn(3)))
+		commit := func() {
+			h := members[rng.Intn(len(members))]
+			k := key()
+			if h.Commit(k, gpuReq(1+rng.Intn(3))) == nil {
+				commits = append(commits, held{h, k})
+			}
+		}
+
+		size := 1 + rng.Intn(40)
+		if seed%10 == 0 {
+			size = 5*cluster.TableChunk + rng.Intn(3*cluster.TableChunk)
+		}
+		for i := 0; i < size; i++ {
+			// Random IDs, so ID order is not insertion order.
+			join(cluster.NewHost(fmt.Sprintf("h%03d-%d", rng.Intn(1000), i), shapes[rng.Intn(len(shapes))]))
+		}
+		bootstrap := seed%8 == 0 // every eighth cluster stays unsubscribed: limit == 0
+		if !bootstrap {
+			for i := rng.Intn(12 * size); i > 0; i-- {
+				place()
+			}
+		}
+		for i := rng.Intn(3 * size); i > 0; i-- {
+			commit()
+		}
+		if c.Table().Chunks() >= 5 {
+			hit["five chunks or more"]++
 		}
 		watermark := []float64{DefaultSRHighWatermark, 1.0, 0.6}[rng.Intn(3)]
-		for trial := 0; trial < 8; trial++ {
+		for trial := 0; trial < 16; trial++ {
+			switch op := rng.Intn(9); {
+			case trial == 0 || len(members) == 0:
+			case op == 0 && !bootstrap:
+				place()
+			case op == 1 && len(replicas) > 0:
+				i := rng.Intn(len(replicas))
+				if err := replicas[i].h.RemoveReplica(replicas[i].key); err != nil {
+					t.Fatal(err)
+				}
+				replicas = append(replicas[:i], replicas[i+1:]...)
+			case op == 2:
+				commit()
+			case op == 3 && len(commits) > 0:
+				i := rng.Intn(len(commits))
+				if err := commits[i].h.Release(commits[i].key); err != nil {
+					t.Fatal(err)
+				}
+				commits = append(commits[:i], commits[i+1:]...)
+			case op == 4:
+				join(cluster.NewHost(fmt.Sprintf("h%03d-j%d", rng.Intn(1000), trial), shapes[rng.Intn(len(shapes))]))
+			case op == 5 && len(detached) > 0: // comes back with whatever it still carries
+				i := rng.Intn(len(detached))
+				h := detached[i]
+				detached = append(detached[:i], detached[i+1:]...)
+				join(h)
+			case op == 6:
+				leave(rng.Intn(len(members)), c.CrashHost)
+			case op >= 7: // the first replica-free host, if any, retires
+				for i, h := range members {
+					if h.NumReplicas() == 0 {
+						leave(i, c.RemoveHost)
+						break
+					}
+				}
+			}
 			req := gpuReq(rng.Intn(9))
 			n := 1 + rng.Intn(6)
 			want, branch := referenceLeastLoaded(c, req, n, watermark)
 			got, err := LeastLoaded{SRHighWatermark: watermark}.SelectHosts(c, req, n)
 			hit[branch]++
+			if c.Table().Chunks() >= 5 {
+				hit[branch+" over five chunks"]++
+			}
 			if want == nil {
 				if !errors.Is(err, ErrInsufficientHosts) {
-					t.Fatalf("seed %d: req %v n %d: got %v (%v), reference finds too few hosts", seed, req, n, ids(got), err)
+					t.Fatalf("seed %d trial %d: req %v n %d: got %v (%v), reference finds too few hosts", seed, trial, req, n, ids(got), err)
 				}
 				continue
 			}
 			if err != nil || fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) {
-				t.Fatalf("seed %d: req %v n %d watermark %g: got %v (%v), reference %v", seed, req, n, watermark, ids(got), err, ids(want))
+				t.Fatalf("seed %d trial %d: req %v n %d watermark %g: got %v (%v), reference %v", seed, trial, req, n, watermark, ids(got), err, ids(want))
 			}
 			fits := 0
-			for _, h := range hosts {
+			for _, h := range members {
 				if req.Fits(h.Capacity) {
 					fits++
 				}
 			}
-			if fits < len(hosts) {
+			if fits < len(members) {
 				hit["request fits only some hosts"]++
 			}
 			if n > stackSelect {
@@ -252,9 +358,37 @@ func TestLeastLoadedMatchesReference(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"bootstrap", "balanced", "fallback", "insufficient",
-		"request fits only some hosts", "n above the stack scratch"} {
+		"bootstrap over five chunks", "balanced over five chunks", "fallback over five chunks", "insufficient over five chunks",
+		"request fits only some hosts", "n above the stack scratch", "five chunks or more",
+		"a join shifted ordinals", "a freed slot was reused"} {
 		if hit[name] == 0 {
 			t.Errorf("no trial exercised: %s", name)
+		}
+	}
+}
+
+// TestLeastLoadedBeyondSummaryRange: a chunk summary holds GPU counts up to
+// 65,535 and reads larger ones as that, which may flatter a chunk but must
+// not hide it. Every host here is subscribed beyond the range; the second
+// chunk's are the least subscribed, and the third's lift the cluster-wide
+// limit above both, so the first chunk sets a bar the second has to beat.
+func TestLeastLoadedBeyondSummaryRange(t *testing.T) {
+	c := cluster.New(3)
+	for i := 0; i < 3*cluster.TableChunk; i++ {
+		h := cluster.NewHost(fmt.Sprintf("h%02d", i), resources.P316xlarge())
+		subscribed := []int{75_000, 70_000 - i%7*500, 500_000}[i/cluster.TableChunk]
+		if err := h.PlaceReplica("k", gpuReq(subscribed)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.AddHost(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 1; n <= 5; n++ {
+		want, branch := referenceLeastLoaded(c, gpuReq(1), n, 1e6)
+		got, err := LeastLoaded{SRHighWatermark: 1e6}.SelectHosts(c, gpuReq(1), n)
+		if err != nil || fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) || branch != "balanced" || got[0].SubscribedGPUs() != 67_000 {
+			t.Errorf("n %d: got %v (%v), reference %v (%s)", n, ids(got), err, ids(want), branch)
 		}
 	}
 }

@@ -101,7 +101,7 @@ type FedClusterResult struct {
 }
 
 // autoscalePooled runs one pooled evaluation: snapshot every member's O(1)
-// counters plus its empty-host count (one pass over its hosts), let the
+// counters plus its empty-host count (member.emptyHosts), let the
 // FederatedAutoscaler make the single federation-wide decision, and execute
 // it — provision hosts on the chosen member after the provisioning latency,
 // or retire up to the decided number of empty hosts from it. Per-member
@@ -110,19 +110,14 @@ type FedClusterResult struct {
 // R hosts).
 func (s *sim) autoscalePooled() {
 	for i, m := range s.members {
-		l := federation.MemberLoad{
+		s.loads[i] = federation.MemberLoad{
 			Hosts:          m.c.NumHosts(),
 			PendingHosts:   m.pendingHosts,
 			GPUsPerHost:    m.spec.HostCapacity.GPUs,
 			CommittedGPUs:  m.c.CommittedGPUs(),
 			SubscribedGPUs: m.c.SubscribedGPUs(),
+			EmptyHosts:     m.emptyHosts(),
 		}
-		for _, h := range m.hosts {
-			if h.h.Empty() {
-				l.EmptyHosts++
-			}
-		}
-		s.loads[i] = l
 	}
 	dec := s.autoscaler.Decide(s.loads)
 	switch dec.Action {

@@ -679,15 +679,7 @@ func (s *sim) attachHosts(mi, n int) {
 // committed) from member mi and returns the count removed. No scale-in
 // event: the lease moves, the pool level is the ledger's to change.
 func (s *sim) detachEmptyHosts(mi, n int) int {
-	m := s.members[mi]
-	removed := 0
-	for i := 0; i < len(m.hosts) && removed < n; {
-		if s.removeHostIfEmpty(m, i) {
-			removed++
-			continue
-		}
-		i++
-	}
+	removed := s.retireEmpty(s.members[mi], n, func() bool { return false })
 	if removed > 0 {
 		s.sampleProvisioned()
 	}
@@ -756,7 +748,7 @@ func (s *sim) evictOneHost(mi int) bool {
 			if best == nil {
 				return false
 			}
-			_ = victim.h.RemoveReplica(ss.src.ID)
+			ss.unsubscribe(victim)
 			ss.subscribe(best)
 			ss.hosts[idx] = best
 		}

@@ -287,8 +287,10 @@ func (r *Result) FinalHosts() int {
 	return n
 }
 
-// session is the per-session simulation state.
+// session is the per-session simulation state, and the event that ends the
+// session (Fire), so admitting one schedules its end without a closure.
 type session struct {
+	s   *sim
 	src *trace.Session
 	req resources.Spec
 	// paramBytes and datasetBytes size the session's model and dataset, one
@@ -321,13 +323,33 @@ type session struct {
 	restarts int
 }
 
+// Fire implements des.Runner: the session's end.
+func (ss *session) Fire() { ss.s.sessionEnd(ss) }
+
 // subscribe places one of the session's replicas on h, a host the caller
 // just selected outside the session's replica set. A refusal can only be a
 // second replica of the session on h, which would silently drop a
 // subscription from every counter.
 func (ss *session) subscribe(h *host) {
-	if err := h.h.PlaceReplica(ss.src.ID, ss.req); err != nil {
-		panic(fmt.Sprintf("sim: session %s: replica refused by selected host %s: %v", ss.src.ID, h.h.ID, err))
+	ss.must(h.h.PlaceReplica(ss.src.ID, ss.req), "replica refused by selected", h)
+}
+
+// unsubscribe takes the session's replica off h, and uncommit returns what
+// its running task (Reservation: the session itself) committed there. Both
+// are held by construction, so a refusal means the simulator lost track of
+// a host's state — and would leave the cluster's counters, its replica-free
+// host count and its table's summaries counting something that is gone.
+func (ss *session) unsubscribe(h *host) {
+	ss.must(h.h.RemoveReplica(ss.src.ID), "replica not found on", h)
+}
+
+func (ss *session) uncommit(h *host) {
+	ss.must(h.h.Release(ss.src.ID), "commitment not found on", h)
+}
+
+func (ss *session) must(err error, what string, h *host) {
+	if err != nil {
+		panic(fmt.Sprintf("sim: session %s: %s host %s: %v", ss.src.ID, what, h.h.ID, err))
 	}
 }
 
@@ -359,6 +381,20 @@ type member struct {
 	// aliases its two timelines into Result; a run that listed Clusters also
 	// reports every member's whole record.
 	res *FedClusterResult
+}
+
+// emptyHosts counts the member's retirable hosts (cluster.Host.Empty). The
+// cluster's O(1) count of replica-free hosts bounds that from above, so
+// while it reads 0 — on a busy cluster, nearly always — no host is walked.
+func (m *member) emptyHosts() (n int) {
+	if m.c.ReplicaFreeHosts() > 0 {
+		for _, h := range m.hosts {
+			if h.h.Empty() {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // sim is the one simulator core: the mutable state of a federation of
@@ -586,15 +622,7 @@ func (s *sim) build() error {
 	// callback: parked-waiter depth by home member, and the retirable
 	// (empty) host count a scale-in could reclaim. Only Snapshot-building
 	// policies (ScoredPolicy) invoke it; the closed-form trio pays nothing.
-	s.fed.SetSnapshotExtras(func(mi int) (int, int) {
-		retirable := 0
-		for _, h := range s.members[mi].hosts {
-			if h.h.Empty() {
-				retirable++
-			}
-		}
-		return s.qdepth[mi], retirable
-	})
+	s.fed.SetSnapshotExtras(func(mi int) (int, int) { return s.qdepth[mi], s.members[mi].emptyHosts() })
 
 	// Pre-size the metric columns from the source's expectation: delta
 	// series record two points per task (or session), sampled series one
@@ -672,6 +700,7 @@ func (s *sim) wholeServers() bool {
 func (s *sim) newSession(sess *trace.Session) *session {
 	assig := workload.Assign(s.wr)
 	ss := &session{
+		s:            s,
 		src:          sess,
 		req:          sess.Request,
 		paramBytes:   assig.Model.ParamBytes,
@@ -901,14 +930,14 @@ func (s *sim) sessionEnd(ss *session) {
 	switch s.cfg.Policy {
 	case PolicyReservation:
 		if len(ss.hosts) > 0 && ss.hosts[0] != nil {
-			_ = ss.hosts[0].h.Release(ss.src.ID)
+			ss.uncommit(ss.hosts[0])
 		}
 	case PolicyNotebookOS:
 		for _, h := range ss.hosts {
 			if h == nil {
 				continue // crash-emptied slot (faults.go)
 			}
-			_ = h.h.RemoveReplica(ss.src.ID)
+			ss.unsubscribe(h)
 		}
 		s.sampleSR()
 	}
@@ -1246,16 +1275,21 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 		}
 	}
 	old := ss.hosts[victim]
-	if old != nil {
-		_ = old.h.RemoveReplica(ss.src.ID)
-		if old.member != target.member {
-			// A cross-cluster move pays the federation boundary in both
-			// directions for the checkpoint transfer.
-			extra += s.fed.RoundTrip(old.member, target.member)
-			s.res.CrossMigrations++
-		}
+	if old != nil && old.member != target.member {
+		// A cross-cluster move pays the federation boundary in both
+		// directions for the checkpoint transfer.
+		extra += s.fed.RoundTrip(old.member, target.member)
+		s.res.CrossMigrations++
 	}
-	ss.subscribe(target)
+	// A task can outlive its session (parked, or pushed past the end by
+	// delays); sessionEnd has dropped the subscriptions by then, and only
+	// the task moves.
+	if !ss.closed {
+		if old != nil {
+			ss.unsubscribe(old)
+		}
+		ss.subscribe(target)
+	}
 	ss.hosts[victim] = target
 	ss.lastExecutor = victim + 1
 	s.res.Migrations++
@@ -1410,23 +1444,9 @@ func (s *sim) autoscaleMember(idx int) {
 	// Scale in: release up to 2 idle servers (no replicas, nothing
 	// committed) while above the floor.
 	if float64(total)-float64(gpusPerHost) > expected && m.c.NumHosts() > m.spec.MinHosts {
-		released := 0
-		for i := 0; i < len(m.hosts); {
-			if released >= 2 || m.c.NumHosts() <= m.spec.MinHosts {
-				break
-			}
-			removed := s.removeHostIfEmpty(m, i)
-			if removed {
-				released++
-			}
-			if float64(m.c.TotalGPUs())-float64(gpusPerHost) <= expected {
-				break
-			}
-			if !removed {
-				i++
-			}
-		}
-		if released > 0 {
+		if s.retireEmpty(m, 2, func() bool {
+			return m.c.NumHosts() <= m.spec.MinHosts || float64(m.c.TotalGPUs())-float64(gpusPerHost) <= expected
+		}) > 0 {
 			s.noteScaleIn(idx)
 		}
 	}
@@ -1467,17 +1487,32 @@ func (s *sim) provision(idx, need int, latency time.Duration) {
 	})
 }
 
+// retireEmpty walks the member's hosts in order and retires the empty ones,
+// up to n of them, until done — asked after every host tried — says so; it
+// returns how many it retired. Like emptyHosts it walks only while the
+// cluster counts a replica-free host: when none is left, none is empty.
+func (s *sim) retireEmpty(m *member, n int, done func() bool) (retired int) {
+	for i := 0; i < len(m.hosts) && retired < n && m.c.ReplicaFreeHosts() > 0; {
+		if s.removeHostIfEmpty(m, i) {
+			retired++
+		} else {
+			i++
+		}
+		if done() {
+			break
+		}
+	}
+	return retired
+}
+
 // removeHostIfEmpty retires m.hosts[i] when it is empty, unwiring it from
 // the member and the host index; reports whether it was removed. Every
 // scale-in and lease return retires through this so the emptiness
 // predicate and the bookkeeping cannot drift apart.
 func (s *sim) removeHostIfEmpty(m *member, i int) bool {
 	h := m.hosts[i]
-	if !h.h.Empty() {
-		return false
-	}
 	slot := h.h.Slot()
-	if err := m.c.RemoveHost(h.h.ID); err != nil {
+	if !h.h.Empty() || m.c.RemoveHost(h.h.ID) != nil {
 		return false
 	}
 	m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)

@@ -64,7 +64,7 @@ func (in *injector) Fire() {
 	s := in.s
 	ss := s.newSession(in.sess)
 	s.sessionStart(ss)
-	s.eng.Schedule(ss.src.End, func() { s.sessionEnd(ss) })
+	s.eng.ScheduleRunner(ss.src.End, ss)
 	for _, task := range ss.src.Tasks {
 		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
 	}

@@ -105,7 +105,7 @@ func (t *runningTask) Fire() {
 // none: its GPUs stay bound to the session for its whole lifetime.
 func (t *runningTask) release() {
 	if t.s.cfg.Policy != PolicyReservation {
-		_ = t.h.h.Release(t.ss.src.ID)
+		t.ss.uncommit(t.h)
 	}
 }
 

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -248,13 +249,19 @@ func TestExpectMatchesGenerate(t *testing.T) {
 }
 
 // TestSessionIDFormat pins the strconv builder against the fmt format it
-// replaced.
+// replaced — on both sides of every padding width, and for a name that
+// outgrows the stack buffer — and at one allocation, the string itself.
 func TestSessionIDFormat(t *testing.T) {
-	for _, id := range []int{1, 9, 10, 99, 12345, 99999, 100000, 1234567} {
-		got := sessionID("adobe", id)
-		want := fmtSessionID("adobe", id)
-		if got != want {
-			t.Errorf("sessionID(%d) = %q, want %q", id, got, want)
+	for _, name := range []string{"adobe", strings.Repeat("a-long-scenario-name-", 4)} {
+		for _, id := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 12345, 99999, 100000, 1234567} {
+			got := sessionID(name, id)
+			want := fmtSessionID(name, id)
+			if got != want {
+				t.Errorf("sessionID(%q, %d) = %q, want %q", name, id, got, want)
+			}
 		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = sessionID("million", 123456) }); allocs != 1 {
+		t.Errorf("sessionID allocates %v times per call, want 1", allocs)
 	}
 }
