@@ -135,6 +135,18 @@ func (e *Engine) Steps() int64 { return e.steps }
 // events are reaped eagerly and are not counted.
 func (e *Engine) Len() int { return len(e.pq) }
 
+// ReserveSeq sets aside n consecutive tie-break sequence numbers — the ones
+// the next n Schedule calls would have drawn — and returns the first. The
+// reserver spends them through ScheduleRunnerSeq: a chain that schedules its
+// i-th event only when event i-1 fires orders against every other event
+// exactly as if all n had been scheduled here, up front. A reserved number
+// may be used once, and only by the reserver; the engine does not check.
+func (e *Engine) ReserveSeq(n int) int64 {
+	first := e.seq + 1
+	e.seq += int64(n)
+	return first
+}
+
 // At schedules fn at absolute time t and returns a cancellable handle.
 // Scheduling in the past schedules at the current time (it will still run
 // strictly after the current event).
@@ -142,8 +154,7 @@ func (e *Engine) At(t time.Time, fn Handler) *Event {
 	if t.Before(e.now) {
 		t = e.now
 	}
-	e.seq++
-	ev := &Event{at: t, atns: t.UnixNano(), seq: e.seq, fn: fn, eng: e}
+	ev := &Event{at: t, atns: t.UnixNano(), seq: e.ReserveSeq(1), fn: fn, eng: e}
 	e.push(ev)
 	return ev
 }
@@ -153,14 +164,14 @@ func (e *Engine) After(d time.Duration, fn Handler) *Event {
 	return e.At(e.now.Add(d), fn)
 }
 
-// Schedule schedules fn at absolute time t without returning a handle.
-// The event cannot be cancelled, which lets the engine recycle its
-// allocation once fired. Prefer this in hot paths that never cancel.
-func (e *Engine) Schedule(t time.Time, fn Handler) {
+// schedule is the one body behind every no-handle scheduling call: it pops a
+// pooled event, which the engine recycles once fired, and queues it at
+// (t, seq) carrying fn or, when fn is nil, run. Scheduling in the past
+// schedules at the current time.
+func (e *Engine) schedule(t time.Time, seq int64, fn Handler, run Runner) {
 	if t.Before(e.now) {
 		t = e.now
 	}
-	e.seq++
 	if len(e.free) == 0 {
 		e.refill()
 	}
@@ -168,9 +179,16 @@ func (e *Engine) Schedule(t time.Time, fn Handler) {
 	ev := e.free[n]
 	e.free[n] = nil
 	e.free = e.free[:n]
-	ev.at, ev.atns, ev.seq, ev.fn, ev.canceled = t, t.UnixNano(), e.seq, fn, false
+	ev.at, ev.atns, ev.seq, ev.fn, ev.run, ev.canceled = t, t.UnixNano(), seq, fn, run, false
 	ev.pooled = true
 	e.push(ev)
+}
+
+// Schedule schedules fn at absolute time t without returning a handle.
+// The event cannot be cancelled, which lets the engine recycle its
+// allocation once fired. Prefer this in hot paths that never cancel.
+func (e *Engine) Schedule(t time.Time, fn Handler) {
+	e.schedule(t, e.ReserveSeq(1), fn, nil)
 }
 
 // Defer schedules fn d from now without returning a handle (see Schedule).
@@ -192,20 +210,7 @@ const lateBias = int64(1) << 62
 // the model event, happened to be scheduled: a tick observes an instant
 // after everything the model does in it.
 func (e *Engine) ScheduleLate(t time.Time, fn Handler) {
-	if t.Before(e.now) {
-		t = e.now
-	}
-	e.seq++
-	if len(e.free) == 0 {
-		e.refill()
-	}
-	n := len(e.free) - 1
-	ev := e.free[n]
-	e.free[n] = nil
-	e.free = e.free[:n]
-	ev.at, ev.atns, ev.seq, ev.fn, ev.canceled = t, t.UnixNano(), e.seq+lateBias, fn, false
-	ev.pooled = true
-	e.push(ev)
+	e.schedule(t, e.ReserveSeq(1)+lateBias, fn, nil)
 }
 
 // DeferLate schedules fn d from now in the late tie-break class (see
@@ -219,20 +224,13 @@ func (e *Engine) DeferLate(d time.Duration, fn Handler) {
 // interface value directly, so re-scheduling a long-lived Runner allocates
 // nothing.
 func (e *Engine) ScheduleRunner(t time.Time, r Runner) {
-	if t.Before(e.now) {
-		t = e.now
-	}
-	e.seq++
-	if len(e.free) == 0 {
-		e.refill()
-	}
-	n := len(e.free) - 1
-	ev := e.free[n]
-	e.free[n] = nil
-	e.free = e.free[:n]
-	ev.at, ev.atns, ev.seq, ev.fn, ev.run, ev.canceled = t, t.UnixNano(), e.seq, nil, r, false
-	ev.pooled = true
-	e.push(ev)
+	e.schedule(t, e.ReserveSeq(1), nil, r)
+}
+
+// ScheduleRunnerSeq is ScheduleRunner with a tie-break number the caller
+// reserved earlier (see ReserveSeq) in place of a fresh one.
+func (e *Engine) ScheduleRunnerSeq(t time.Time, seq int64, r Runner) {
+	e.schedule(t, seq, nil, r)
 }
 
 // DeferRunner schedules r.Fire d from now without returning a handle (see

@@ -1,11 +1,15 @@
 package sim
 
-// FedConfig, FedResult and RunFederated are the names the frozen bench/ module
-// (bench/workloads.go) still calls a federated run by, and this file's only
-// content. Nothing else in the repository may use them (root
-// TestConfigOptionsHaveSetters checks); the benchmark PR that re-points bench/
-// at Config, Run and Result deletes the file, as it retires LegacySplit
-// (ROADMAP, ledger item, step 4).
+import "notebookos/internal/trace"
+
+// FedConfig, FedResult, RunFederated and ShardSeed are the names the frozen
+// bench/ module (bench/workloads.go, bench/measure.go) still calls a federated
+// run and the shard-seed derivation by, and this file's only content. Nothing
+// else in the repository may use the first three (root
+// TestConfigOptionsHaveSetters checks) and nothing outside this package's
+// TestShardSeedHelper uses the fourth; the benchmark PR that re-points bench/
+// at Config, Run, Result and trace.ShardSeed deletes the file, as it retires
+// LegacySplit (ROADMAP, ledger item, step 4).
 type (
 	FedConfig = Config
 	FedResult = Result
@@ -13,3 +17,6 @@ type (
 
 // RunFederated is Run; see FedConfig.
 func RunFederated(cfg Config) (*Result, error) { return Run(cfg) }
+
+// ShardSeed is trace.ShardSeed, which every sharded path calls directly.
+func ShardSeed(seed int64, shard int) int64 { return trace.ShardSeed(seed, shard) }

@@ -36,10 +36,12 @@
 //     one session type, one host wrapper, one task state machine (taskfsm.go),
 //     one injector (stream.go) and one fault layer (faults.go). The injector
 //     is the only way in: one self-rescheduling event admits a session at its
-//     start, schedules its end and task arrivals and pulls the next from the
-//     plan's Source, so in every run pending events track concurrency rather
-//     than workload size, and a session that starts before the one admitted
-//     ahead of it fails the run. The scheduling policy — Reservation, Batch,
+//     start, schedules its end and first task arrival and pulls the next from
+//     the plan's Source; the session then submits its own tasks, each arrival
+//     scheduling the next under a sequence number reserved at admission. So in
+//     every run pending events track concurrency rather than workload size,
+//     and a session that starts before the one admitted ahead of it, or whose
+//     tasks are not in submission order from its start on, fails the run. The scheduling policy — Reservation, Batch,
 //     NotebookOS, LCP — is a task-pipeline choice on that core; the route
 //     policy is never consulted while there is one member. The core
 //     accumulates its outcome in the Result it returns. What a run records —

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -287,7 +288,7 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 		if sh == nt.h {
 			continue // never the executor
 		}
-		if hostsContain(ss.hosts, sh) {
+		if slices.Contains(ss.hosts, sh) {
 			victim = sh
 			break
 		}
@@ -577,4 +578,55 @@ func TestAvailabilityIntegralMatchesRenewalChain(t *testing.T) {
 	if res.HostCrashes != crashes {
 		t.Errorf("crash count diverged from renewal replay: sim %d, replay %d", res.HostCrashes, crashes)
 	}
+}
+
+// TestAbortedMachineIsNeverReused pins the recycling rule of taskfsm.go, the
+// reason behind what the heavy-fault fingerprints pin as an outcome: launch
+// reuses the machines of tasks that completed, never one the fault layer
+// aborted — a phase event of its old task may still be in the heap. A summer
+// run under heavy faults is watched minute by minute: a machine seen in a
+// session's hands and later found dead was aborted; from then on it may
+// appear neither on the idle list nor in a session's hands, and — launch
+// resets the flag, abort alone sets it — it must still be dead when the run
+// ends. The run must have done both things the rule tells apart.
+func TestAbortedMachineIsNeverReused(t *testing.T) {
+	gcfg := trace.AdobeSummerConfig(42)
+	gcfg.Duration = 4 * 24 * time.Hour
+	faults := trace.HeavyFaultProfile()
+	s, err := simOf(Config{Trace: trace.MustGenerate(gcfg), Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	seen, aborted := map[*runningTask]bool{}, map[*runningTask]bool{}
+	for at := s.start; at.Before(s.end); at = at.Add(time.Minute) {
+		s.eng.RunUntil(at)
+		for m := range seen {
+			if m.dead {
+				aborted[m] = true
+			}
+		}
+		for _, m := range s.idle {
+			if m.dead || aborted[m] {
+				t.Fatalf("%v: an aborted machine is on the idle list", at)
+			}
+		}
+		for _, ss := range s.live {
+			if m := ss.cur; m != nil {
+				if aborted[m] {
+					t.Fatalf("%v: session %s runs its task on a machine that was aborted", at, ss.src.ID)
+				}
+				seen[m] = true
+			}
+		}
+	}
+	for m := range aborted {
+		if !m.dead {
+			t.Fatal("a machine that was aborted has been launched again")
+		}
+	}
+	if len(aborted) == 0 || len(seen) >= s.res.Tasks {
+		t.Errorf("%d machines aborted and %d tasks completed on %d machines: the run must both abort and recycle", len(aborted), s.res.Tasks, len(seen))
+	}
+	t.Logf("%d tasks completed and %d were restarted on %d machines, %d of them aborted", s.res.Tasks, s.res.TaskRestarts, len(seen), len(aborted))
 }

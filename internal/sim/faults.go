@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"notebookos/internal/metrics"
@@ -110,13 +111,7 @@ func (s *sim) armHostFaults(h *host, seq int) {
 // crash a no-op: its clock died with it.
 func (s *sim) crashHost(h *host, down time.Duration) {
 	m := s.members[h.member]
-	idx := -1
-	for i, x := range m.hosts {
-		if x == h {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(m.hosts, h)
 	if idx < 0 {
 		return
 	}

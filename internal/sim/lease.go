@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -375,14 +376,7 @@ func (p leaseParams) need(l shardLoad) int {
 // want is how many hosts the shard asks the pool for at this barrier, given
 // its need: the gap to it, at least one per parked waiter, never negative.
 func (l shardLoad) want(need int) int {
-	w := need - (l.Hosts + l.PendingHosts)
-	if w < l.Waiters {
-		w = l.Waiters
-	}
-	if w < 0 {
-		w = 0
-	}
-	return w
+	return max(need-(l.Hosts+l.PendingHosts), l.Waiters, 0)
 }
 
 // wantsHosts reports whether any shard asks for a host. Only then can a
@@ -469,14 +463,7 @@ func (pl *leasePlanner) planLeases(loads []shardLoad, target int, p leaseParams)
 		total += l.Hosts + l.PendingHosts
 		pl.needs[i] = p.need(l)
 		pl.want[i] = l.want(pl.needs[i])
-		s := l.IdleHosts
-		if m := l.Hosts - pl.needs[i]; s > m {
-			s = m
-		}
-		if s < 0 {
-			s = 0
-		}
-		pl.spare[i] = s
+		pl.spare[i] = max(min(l.IdleHosts, l.Hosts-pl.needs[i]), 0)
 	}
 	planTransfers(pl.spare, pl.want, plan.Transfer)
 
@@ -734,7 +721,7 @@ func (s *sim) evictOneHost(mi int) bool {
 			var best *host
 			bestSub := -1
 			for _, cand := range m.hosts {
-				if cand == victim || hostsContain(ss.hosts, cand) || !ss.req.Fits(cand.h.Capacity) {
+				if cand == victim || slices.Contains(ss.hosts, cand) || !ss.req.Fits(cand.h.Capacity) {
 					continue
 				}
 				sub := cand.h.SubscribedGPUs()

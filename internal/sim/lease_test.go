@@ -621,7 +621,7 @@ func TestLeasePoolFederatedDonatesIdleHosts(t *testing.T) {
 	recount := map[*host]int{}
 	for _, ss := range s.live {
 		for i, h := range ss.hosts {
-			if hostsContain(ss.hosts[:i], h) {
+			if slices.Contains(ss.hosts[:i], h) {
 				t.Errorf("session %s has two replicas on %s", ss.src.ID, h.h.ID)
 			}
 			if !ss.req.Fits(h.h.Capacity) {

@@ -198,7 +198,7 @@ func (p *plan) defaults() error {
 // count (floored at 1 per shard, so every worker can place something) and
 // scale-in floor and the federation-wide floor split proportionally to the
 // weights via trace.ProportionalShares, worker i seeded with
-// ShardSeed(Seed, i). The host shares are only the initial lease grant
+// trace.ShardSeed(Seed, i). The host shares are only the initial lease grant
 // under LeasePool. The caller hands each worker its slice of the workload.
 func (p *plan) shard(weights []float64) []*plan {
 	hosts := make([][]int, len(p.Clusters))
@@ -219,7 +219,7 @@ func (p *plan) shard(weights []float64) []*plan {
 			w.Clusters[m] = spec
 		}
 		w.FedMinHosts = fedFloors[i]
-		w.Seed = ShardSeed(p.Seed, i)
+		w.Seed = trace.ShardSeed(p.Seed, i)
 		// Stateful route policies (round-robin's rotation counter) must
 		// not be shared across the parallel workers.
 		w.Route = federation.FreshPolicy(p.Route)

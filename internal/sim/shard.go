@@ -8,17 +8,6 @@ import (
 	"notebookos/internal/trace"
 )
 
-// ShardSeed derives the seed for shard index i from a run seed as
-// seed ^ splitmix64(i) — the one shared helper every sharded path
-// (RunSharded, RunStreamSharded, and the streaming generators via
-// trace.ShardSeed, which now owns the implementation) uses, so sharded
-// experiment output is reproducible under any worker scheduling: the
-// shard's randomness is a pure function of (run seed, shard index), never
-// of which goroutine ran first.
-func ShardSeed(seed int64, shard int) int64 {
-	return trace.ShardSeed(seed, shard)
-}
-
 // RunSharded partitions the config's trace into k session-partitioned
 // shards (trace.Split), runs one worker simulation per shard on parallel
 // goroutines, and merges the workers deterministically with MergeResults —
@@ -32,7 +21,7 @@ func ShardSeed(seed int64, shard int) int64 {
 // proportionally to each shard's reserved-GPU-hour weight via
 // trace.ProportionalShares (plan.shard; the floors via floorShares, so every
 // worker keeps a floor of at least 1 and the configured scale-in policy
-// survives sharding). Worker i runs with ShardSeed(Seed, i). More shards than
+// survives sharding). Worker i runs with trace.ShardSeed(Seed, i). More shards than
 // hosts cannot each hold a host, so k clamps to the smallest member's host
 // count. The config must carry a Trace: a Source cannot be split, and k > 1
 // with one is an error (see RunStreamSharded).

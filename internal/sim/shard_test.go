@@ -144,7 +144,7 @@ func shardWorkerResults(t *testing.T, tr *trace.Trace, cfg Config, k int) []*Res
 		wcfg.Trace = parts[i].Trace
 		wcfg.Hosts = hosts[i]
 		wcfg.MinHosts = minHosts[i]
-		wcfg.Seed = ShardSeed(cfg.Seed, i)
+		wcfg.Seed = trace.ShardSeed(cfg.Seed, i)
 		res, err := Run(wcfg)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"iter"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"notebookos/internal/cluster"
@@ -313,9 +314,14 @@ type session struct {
 	// replicas always sit on distinct hosts (every placement excludes
 	// hosts), and subscribe checks it.
 	lastExecutor int
-	queue        []trace.Task
 	running      bool
 	closed       bool
+	// The arrival cursor (arrivals, stream.go): seq0 is the engine sequence
+	// number reserved for the arrival of src.Tasks[0], task i's is seq0+i;
+	// arrived counts the tasks submitted so far and started those handed to
+	// the pipeline, so src.Tasks[started:arrived] is the FCFS queue.
+	seq0             int64
+	arrived, started int
 	// cur is the in-flight task state machine (nil between tasks), the
 	// handle the fault layer aborts through; restarts counts the current
 	// task's checkpoint-restore resubmissions against its retry budget.
@@ -467,6 +473,9 @@ type sim struct {
 	trackLive bool
 	live      []*session
 	maxReq    int
+	// idle holds the task state machines that completed, for launch to reuse
+	// (taskfsm.go).
+	idle []*runningTask
 	// faultsOn gates the fault layer; frng feeds the crash-path draws
 	// (elections, container starts during repair) so fault handling never
 	// perturbs the scheduling RNG.
@@ -667,14 +676,14 @@ func (s *sim) build() error {
 	}
 
 	// Sessions are admitted lazily: the injector event at each session's
-	// start materializes it, schedules its end and task arrivals, and pulls
-	// the next one — pending-event count tracks concurrency, not workload
-	// size.
+	// start materializes it, schedules its end and first task arrival, and
+	// pulls the next one — pending-event count tracks concurrency, not
+	// workload size.
 	s.pull, s.stopPull = iter.Pull(func(yield func(*trace.Session) bool) {
 		s.srcErr = cfg.Source.Sessions(yield)
 	})
 	if first, ok := s.pull(); ok {
-		s.eng.ScheduleRunner(first.Start, &injector{s: s, sess: first})
+		(&injector{s: s}).arm(first)
 	}
 
 	// Periodic sampling and autoscaling. A lease-managed worker skips its
@@ -917,13 +926,8 @@ func (s *sim) sessionEnd(ss *session) {
 		return
 	}
 	ss.closed = true
-	if s.trackLive {
-		for i, live := range s.live {
-			if live == ss {
-				s.live = append(s.live[:i], s.live[i+1:]...)
-				break
-			}
-		}
+	if i := slices.Index(s.live, ss); i >= 0 {
+		s.live = slices.Delete(s.live, i, i+1)
 	}
 	s.res.ActiveSessions.Delta(s.now(), -1)
 	s.reserved.bump(s.now().UnixNano(), -float64(ss.req.GPUs))
@@ -945,26 +949,15 @@ func (s *sim) sessionEnd(ss *session) {
 
 // ---- task pipeline -----------------------------------------------------
 
-func (s *sim) taskArrive(ss *session, task trace.Task) {
-	if ss.running {
-		// IDLT users do not submit concurrent tasks, but platform-induced
-		// delays can push a completion past the next trace submission;
-		// those tasks queue FCFS within the session.
-		ss.queue = append(ss.queue, task)
-		return
-	}
-	ss.running = true
-	s.startTask(ss, task, s.now())
-}
-
-// startNext moves the session on to its next queued task, if any.
+// startNext moves the session on to its next submitted task, if one is
+// waiting (see arrivals).
 func (s *sim) startNext(ss *session) {
 	ss.running = false
 	ss.cur = nil
 	ss.restarts = 0
-	if len(ss.queue) > 0 {
-		next := ss.queue[0]
-		ss.queue = ss.queue[1:]
+	if ss.started < ss.arrived {
+		next := ss.src.Tasks[ss.started]
+		ss.started++
 		ss.running = true
 		s.startTask(ss, next, s.now())
 	}
@@ -1024,10 +1017,7 @@ func (s *sim) tryTask(ss *session, task trace.Task, submit time.Time) bool {
 // VRAM sized at 16 GB per GPU.
 func taskReq(ss *session, task trace.Task) resources.Spec {
 	r := ss.req
-	r.GPUs = task.GPUs
-	if r.GPUs > ss.req.GPUs {
-		r.GPUs = ss.req.GPUs
-	}
+	r.GPUs = min(task.GPUs, ss.req.GPUs)
 	r.VRAMGB = float64(r.GPUs) * 16
 	return r
 }
@@ -1048,11 +1038,18 @@ func (s *sim) sampleLead(gsProcess, preProcess, election, intermed time.Duration
 	s.sampleStep(StepIntermed, intermed)
 }
 
-// launch puts a committed task in flight on h: its state machine (one
-// allocation per task, see taskfsm.go) fires first at start, when training
-// begins; delay is the interactivity delay the task will report.
+// launch puts a committed task in flight on h: its state machine — drawn
+// from the idle list, so none is allocated in steady state (see taskfsm.go)
+// — fires first at start, when training begins; delay is the interactivity
+// delay the task will report.
 func (s *sim) launch(ss *session, task trace.Task, submit time.Time, h *host, delay time.Duration, start time.Time) *runningTask {
-	t := &runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}
+	var t *runningTask
+	if n := len(s.idle) - 1; n >= 0 {
+		t, s.idle = s.idle[n], s.idle[:n]
+	} else {
+		t = new(runningTask)
+	}
+	*t = runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}
 	ss.cur = t
 	s.eng.ScheduleRunner(start, t)
 	return t
@@ -1309,7 +1306,7 @@ func (s *sim) mostIdleHost(ss *session, need *resources.Spec) *host {
 		var best *host
 		bestIdle := -1
 		for _, h := range s.members[idx].hosts {
-			if hostsContain(ss.hosts, h) || (need != nil && !h.h.CanCommit(*need)) {
+			if slices.Contains(ss.hosts, h) || (need != nil && !h.h.CanCommit(*need)) {
 				continue
 			}
 			if idle := h.h.IdleGPUs(); idle > bestIdle {
@@ -1322,17 +1319,6 @@ func (s *sim) mostIdleHost(ss *session, need *resources.Spec) *host {
 		}
 	}
 	return nil
-}
-
-// hostsContain reports whether h is one of the session's replica hosts
-// (len <= R, so a linear scan beats building a set).
-func hostsContain(hosts []*host, h *host) bool {
-	for _, x := range hosts {
-		if x == h {
-			return true
-		}
-	}
-	return false
 }
 
 // markTraining steps the training series at a task's training start/end:

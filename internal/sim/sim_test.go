@@ -182,6 +182,40 @@ func TestHostileConfigs(t *testing.T) {
 		t.Fatal("want two neighbouring sessions that land in different shards, swapped")
 	}
 
+	// The trace with one session's tasks mangled, a session from the middle of
+	// the window, so the run — and, leased, its barriers — is well under way
+	// when the injector pulls it.
+	mangle := func(edit func(*trace.Session) bool) (*trace.Trace, string) {
+		cand := &trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End, Sessions: slices.Clone(tr.Sessions)}
+		for i := len(cand.Sessions) / 2; i < len(cand.Sessions); i++ {
+			sess := *cand.Sessions[i]
+			sess.Tasks = slices.Clone(sess.Tasks)
+			if edit(&sess) {
+				cand.Sessions[i] = &sess
+				return cand, sess.ID
+			}
+		}
+		t.Fatal("want a session to mangle in the second half of the trace")
+		return nil, ""
+	}
+	unsorted, unsortedID := mangle(func(sess *trace.Session) bool {
+		if n := len(sess.Tasks); n < 3 || !sess.Tasks[1].Submit.Before(sess.Tasks[2].Submit) {
+			return false
+		}
+		sess.Tasks[1], sess.Tasks[2] = sess.Tasks[2], sess.Tasks[1]
+		return true
+	})
+	premature, prematureID := mangle(func(sess *trace.Session) bool {
+		if len(sess.Tasks) == 0 {
+			return false
+		}
+		sess.Tasks[0].Submit = sess.Start.Add(-time.Second)
+		return true
+	})
+	if unsorted.Validate() == nil || premature.Validate() == nil {
+		t.Fatal("want two traces trace.Validate refuses")
+	}
+
 	for _, e := range runnerEntries() {
 		for _, sc := range []ShardCapacity{LegacySplit, LeasePool} {
 			name := e.name + map[ShardCapacity]string{LegacySplit: "/legacy", LeasePool: "/lease"}[sc]
@@ -275,6 +309,27 @@ func TestHostileConfigs(t *testing.T) {
 				h = valid()
 				h.tr, h.src, h.shards = nil, swapped.AsSource(), 1
 				refuses("two sessions swapped in Source", h, early.ID, late.ID, "order")
+
+				// A session that breaks the contract on its own: tasks out of
+				// submission order, which the arrival cursor would replay in
+				// slice order, and a first task ahead of the session's start,
+				// which the engine would move to the start. Whichever slot the
+				// workload is in, the injector that pulls the session fails the
+				// run, and a leased run's other simulations still reach every
+				// barrier.
+				for _, c := range []struct {
+					label, id, task string
+					tr              *trace.Trace
+				}{
+					{"a session's tasks out of submission order", unsortedID, "task 2", unsorted},
+					{"a task submitted before its session starts", prematureID, "task 0", premature},
+				} {
+					h = valid()
+					h.tr = c.tr
+					refuses(c.label+", Trace", h, c.id, c.task, "submission order")
+					h.tr, h.src, h.shards = nil, c.tr.AsSource(), 1
+					refuses(c.label+", Source", h, c.id, c.task, "submission order")
+				}
 			}
 
 			h = valid()

@@ -12,14 +12,21 @@ import (
 // Every run admits its sessions through one self-rescheduling injector
 // event, whatever its workload is — a materialized trace behind its adapter
 // or a generator. The injector fires at a session's start, admits it,
-// schedules its end and task arrivals, and pulls the next session from the
-// plan's trace.Source. Pending events therefore track *concurrency* (live
-// sessions and their in-flight tasks), never workload size: a 90-day
-// million-session run holds only the few thousand sessions alive at once.
+// schedules its end and its first task arrival, and pulls the next session
+// from the plan's trace.Source. A session submits its own tasks from there:
+// its arrival cursor (arrivals) schedules task i+1 when task i arrives, so a
+// live session holds two pending events — its end and its next arrival —
+// however many tasks it has. Pending events therefore track *concurrency*
+// (live sessions and their in-flight tasks), never workload size: a 90-day
+// million-session run holds only the few thousand sessions alive at once,
+// and a 10-day summer run whose sessions submit 17k tasks peaks under 200.
 //
 // Sessions arrive in non-decreasing start order, so every event of an
 // earlier session carries a lower engine sequence number than the events of a
-// later one at the same instant. One tie class is left — a trace event
+// later one at the same instant — the cursor included: at admission the
+// injector reserves one number per task (des.ReserveSeq), the ones an event
+// per task scheduled on the spot would have drawn, and arrival i fires with
+// the i-th of them. One tie class is left — a trace event
 // landing on the same nanosecond as a periodic sampling or autoscale tick,
 // common under coarse trace granularities — and it is closed by scheduling
 // the ticks in the engine's late tie-break class (des.DeferLate): a tick
@@ -65,22 +72,31 @@ func (in *injector) Fire() {
 	ss := s.newSession(in.sess)
 	s.sessionStart(ss)
 	s.eng.ScheduleRunner(ss.src.End, ss)
-	for _, task := range ss.src.Tasks {
-		s.eng.Schedule(task.Submit, func() { s.taskArrive(ss, task) })
+	ss.seq0 = s.eng.ReserveSeq(len(ss.src.Tasks))
+	(*arrivals)(ss).next()
+	if next, ok := s.pull(); ok {
+		in.arm(next)
 	}
-	next, ok := s.pull()
-	if !ok {
-		return
+}
+
+// arm schedules the admission of next, the session the source just yielded
+// (in.sess is the one it yielded before, nil ahead of the first) — unless
+// next breaks the trace.Source contract. The engine would clamp a late
+// session, or a task submitted before its session starts, to now and run on
+// with a wrong time, and the arrival cursor would replay unsorted tasks in
+// slice order; stop admitting and fail the run from finish instead.
+func (in *injector) arm(next *trace.Session) {
+	err := taskOrder(next)
+	if err == nil && in.sess != nil {
+		err = arrivalOrder(in.sess, next)
 	}
-	if err := arrivalOrder(in.sess, next); err != nil {
-		// The engine would clamp the late session to now and run on with a
-		// wrong start; stop admitting and fail the run from finish instead.
-		s.close()
-		s.srcErr = err
+	if err != nil {
+		in.s.close()
+		in.s.srcErr = err
 		return
 	}
 	in.sess = next
-	s.eng.ScheduleRunner(next.Start, in)
+	in.s.eng.ScheduleRunner(next.Start, in)
 }
 
 // arrivalOrder is the trace.Source contract a replay relies on: next may not
@@ -93,6 +109,46 @@ func arrivalOrder(prev, next *trace.Session) error {
 	return nil
 }
 
+// taskOrder is the contract within a session: tasks in submission order,
+// none submitted before the session starts.
+func taskOrder(sess *trace.Session) error {
+	prev := sess.Start
+	for i := range sess.Tasks {
+		at := sess.Tasks[i].Submit
+		if at.Before(prev) {
+			return fmt.Errorf("sim: session %s: task %d is submitted at %v, before %v: tasks must be in submission order, the first no earlier than the session's start",
+				sess.ID, i, at, prev)
+		}
+		prev = at
+	}
+	return nil
+}
+
+// arrivals is a session's task-arrival cursor: a second des.Runner view of
+// the session record, so it costs no allocation. It fires when task number
+// arrived is submitted, schedules the next arrival, and then lets the task
+// arrive. IDLT users do not submit concurrent tasks, but platform-induced
+// delays can push a completion past the next trace submission; such a task
+// waits its turn, FCFS within the session: src.Tasks[started:arrived] is the
+// queue.
+type arrivals session
+
+func (a *arrivals) Fire() {
+	a.arrived++
+	a.next()
+	if ss := (*session)(a); !ss.running {
+		ss.s.startNext(ss)
+	}
+}
+
+// next schedules the arrival of the session's next task, if it has one left,
+// under the sequence number the injector reserved for that task.
+func (a *arrivals) next() {
+	if i := a.arrived; i < len(a.src.Tasks) {
+		a.s.eng.ScheduleRunnerSeq(a.src.Tasks[i].Submit, a.seq0+int64(i), a)
+	}
+}
+
 // RunStreamSharded is RunSharded without the trace: shard i of k runs
 // against its own trace.StreamGen — an exact Poisson split of gcfg, so no
 // shard ever sees (or stores) another shard's sessions and the full trace
@@ -100,7 +156,7 @@ func arrivalOrder(prev, next *trace.Session) error {
 // exact splitting every shard has the same expected reserved-GPU-hours (the
 // analytic GenConfig.Expect, not a trace scan), so the proportional-share
 // weights are uniform by construction. Worker i simulates with
-// ShardSeed(Seed, i), mirroring RunSharded; k <= 1 runs a single streaming
+// trace.ShardSeed(Seed, i), mirroring RunSharded; k <= 1 runs a single streaming
 // simulation of the whole config, and the smallest member bounds the shard
 // count. Capacity semantics follow cfg.ShardCapacity as in RunSharded: under
 // LeasePool the capacity ledger streams its own unsplit generator of gcfg,

@@ -13,9 +13,22 @@ import (
 // completion closure, which allocated the return closure — three to four
 // heap allocations (plus captured-variable boxes) per executed task, the
 // last per-task allocation source left in the hot path. The pipeline is
-// now a single struct implementing des.Runner: one allocation per task,
-// re-scheduled phase after phase through the engine's pooled-event
-// ScheduleRunner/DeferRunner (which allocate nothing).
+// now a single struct implementing des.Runner, re-scheduled phase after phase
+// through the engine's pooled-event ScheduleRunner/DeferRunner (which
+// allocate nothing) — and itself recycled: a machine whose reply returned
+// goes on the sim's idle list and sim.launch draws the next task's from
+// there, so a run allocates as many machines as it has tasks in flight at
+// once, none per task in steady state.
+//
+// The recycling rule: only normal completion (phase 2) recycles. By then
+// every phase event of the machine has fired and finishTask has cleared the
+// session's handle on it, so nothing can still reach it. An aborted machine
+// is never reused — a phase event scheduled before the abort may still sit
+// in the engine's heap, and must find the machine dead when it fires, not
+// running someone else's task; it is left to the garbage collector
+// (TestAbortedMachineIsNeverReused). An idle machine keeps its last
+// session reachable until it is reused; the list is as short as the run's
+// peak of concurrent tasks.
 //
 // Byte-identity contract: the machine replicates the closure chains it
 // replaced exactly — same event-scheduling topology (so engine sequence
@@ -98,6 +111,9 @@ func (t *runningTask) Fire() {
 			t.h.warm++ // the container goes back to the warm pool
 		}
 		s.finishTask(t.ss, t.submit, t.delay)
+		// The last phase event has fired and the session has moved on: nothing
+		// refers to the machine any more.
+		s.idle = append(s.idle, t)
 	}
 }
 

@@ -22,7 +22,11 @@ type Source interface {
 	// Sessions iterates the workload's sessions in non-decreasing Start
 	// order, stopping early if yield returns false. The order is the
 	// consumer's to check as it pulls: the simulator fails a run whose source
-	// yields a session that starts before the one it yielded last. The
+	// yields a session that starts before the one it yielded last. A
+	// session's Tasks are in submission order, the first no earlier than
+	// Start — the simulator submits them one after the other, each scheduled
+	// when the one before arrives, and fails the run on a session that breaks
+	// this, naming it and the task (Trace.Validate makes the same checks). The
 	// yielded *Session is owned by the caller from that point on; the Source
 	// retains no reference, so a consumer that drops it after use keeps peak
 	// memory proportional to concurrent sessions, not total sessions.
