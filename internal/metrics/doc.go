@@ -34,13 +34,16 @@
 // inputs are individually sorted: a pre-sized k-way sweep with ties to
 // the lowest input index, no intermediate records, no sort.
 //
-// MergeSamples preserves sortedness rather than discovering it: each
-// input sample is sorted in place (exactly what its first percentile
-// query would have forced) and the sorted runs k-way merge into an
-// output that is born sorted. Merging sorted runs produces exactly the
-// sequence a concatenate-then-sort would, so every order statistic of a
-// merged sample is bit-identical to the concatenation's and independent
-// of the order the inputs finished in — the contract the sharded
-// simulation merges rely on. Sample.Min and Sample.Max are tracked
-// incrementally on Add and never trigger a sort.
+// MergeSamples preserves sortedness rather than creating it: it never
+// sorts an input. When every input is already sorted the sorted runs k-way
+// merge into an output that is sorted too; otherwise the output is their
+// concatenation and sorts once, on its first order-statistic query, as
+// every sample does. A sorted multiset is unique, so every order statistic
+// of a merged sample is bit-identical to a concatenate-then-sort's and
+// independent of the order the inputs finished in — the contract the
+// sharded simulation merges rely on — and a distribution nobody queries is
+// never sorted at all. The merge's N, Min and Max cover every observation
+// its inputs saw, reservoir evictions included. Sample.Min and Sample.Max
+// are tracked incrementally on Add and never trigger a sort; Sum and Mean
+// sort first, so their last bits do not depend on which query came first.
 package metrics

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -104,46 +105,147 @@ func TestSummaryAndTable(t *testing.T) {
 	}
 }
 
-// TestMergeSamplesMatchesConcat pins the sortedness-preservation contract:
-// a k-way merge of sorted shard samples answers every query exactly like
-// the concatenation of the raw observations.
+// TestMergeSamplesMatchesConcat pins the merge contract: whatever mix of
+// sorted, unsorted, empty and nil inputs it is given, the merge answers every
+// query bit-for-bit like the concatenation of the raw observations, is sorted
+// iff every non-empty input was, and leaves every input's storage as it found
+// it.
 func TestMergeSamplesMatchesConcat(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
+	for seed := int64(0); seed < 60; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		k := 1 + r.Intn(5)
-		parts := make([]*Sample, 0, k+1)
+		parts := make([]*Sample, 0, k)
 		concat := NewSample()
+		allSorted := true
 		for i := 0; i < k; i++ {
-			if r.Intn(5) == 0 {
-				parts = append(parts, nil) // nil inputs must be harmless
+			switch r.Intn(6) {
+			case 0:
+				parts = append(parts, nil)
+				continue
+			case 1:
+				parts = append(parts, NewSample())
 				continue
 			}
 			s := NewSample()
-			for j := r.Intn(200); j > 0; j-- {
+			for j := 1 + r.Intn(200); j > 0; j-- {
 				x := math.Floor(r.ExpFloat64()*1e5) / 16
 				s.Add(x)
 				concat.Add(x)
 			}
+			// seed%3 == 0: every input sorted; 1: none; 2: a mix.
+			if seed%3 == 0 || (seed%3 == 2 && r.Intn(2) == 0) {
+				s.Sort()
+			}
+			allSorted = allSorted && s.sorted
 			parts = append(parts, s)
 		}
+		before := make([][]float64, len(parts))
+		for i, s := range parts {
+			if s != nil {
+				before[i] = append([]float64(nil), s.xs...)
+			}
+		}
 		m := MergeSamples(parts...)
+		for i, s := range parts {
+			if s != nil && !slices.Equal(s.xs, before[i]) {
+				t.Fatalf("seed %d: the merge reordered input %d", seed, i)
+			}
+		}
+		if m.sorted != allSorted {
+			t.Fatalf("seed %d: merge sorted = %v with inputs all sorted = %v", seed, m.sorted, allSorted)
+		}
 		if m.N() != concat.N() {
 			t.Fatalf("seed %d: N = %d, want %d", seed, m.N(), concat.N())
 		}
 		if m.N() == 0 {
-			if !math.IsNaN(m.Min()) || !math.IsNaN(m.Max()) || !math.IsNaN(m.Percentile(50)) {
+			if !math.IsNaN(m.Min()) || !math.IsNaN(m.Max()) || !math.IsNaN(m.Percentile(50)) || !math.IsNaN(m.Mean()) {
 				t.Fatalf("seed %d: empty merge must answer NaN", seed)
 			}
 			continue
+		}
+		// Extrema and the mean first: none may depend on a sort having run.
+		if m.Min() != concat.Min() || m.Max() != concat.Max() {
+			t.Fatalf("seed %d: min/max %v/%v, want %v/%v",
+				seed, m.Min(), m.Max(), concat.Min(), concat.Max())
+		}
+		if got, want := m.Mean(), concat.Mean(); got != want {
+			t.Fatalf("seed %d: mean = %v, want %v", seed, got, want)
 		}
 		for _, p := range []float64{0, 12.5, 50, 90, 99, 100} {
 			if got, want := m.Percentile(p), concat.Percentile(p); got != want {
 				t.Fatalf("seed %d: p%v = %v, want %v", seed, p, got, want)
 			}
 		}
-		if m.Min() != concat.Min() || m.Max() != concat.Max() {
-			t.Fatalf("seed %d: min/max %v/%v, want %v/%v",
-				seed, m.Min(), m.Max(), concat.Min(), concat.Max())
+		for _, x := range []float64{-1, 0, concat.Percentile(30), concat.Max()} {
+			if got, want := m.FracBelow(x), concat.FracBelow(x); got != want {
+				t.Fatalf("seed %d: FracBelow(%v) = %v, want %v", seed, x, got, want)
+			}
+		}
+		if !slices.Equal(m.CDF(17), concat.CDF(17)) || !slices.Equal(m.Values(), concat.Values()) {
+			t.Fatalf("seed %d: CDF or Values differ from the concatenation's", seed)
+		}
+	}
+}
+
+// TestMergeSamplesOfReservoirs: a merge of reservoirs counts, and takes its
+// extrema over, every observation its inputs saw — not only those they kept.
+func TestMergeSamplesOfReservoirs(t *testing.T) {
+	a, b := NewSample(), NewSample()
+	a.Reservoir(16, 1)
+	b.Reservoir(16, 2)
+	for i := 0; i < 1000; i++ {
+		a.Add(float64(i))
+	}
+	for i := 0; i < 10; i++ {
+		b.Add(float64(-i))
+	}
+	m := MergeSamples(a, b)
+	if m.N() != 1010 || m.Min() != -9 || m.Max() != 999 {
+		t.Errorf("merged reservoirs: N=%d min=%v max=%v, want 1010, -9, 999", m.N(), m.Min(), m.Max())
+	}
+	if got := len(m.Values()); got != 26 {
+		t.Errorf("merged reservoirs keep %d observations, want 16+10", got)
+	}
+}
+
+// TestSampleSumIndependentOfQueryOrder: Sum and Mean answer the same bits
+// whether or not an order statistic was asked first, on a plain sample, a
+// reservoir and an unsorted merge. Summing storage as found fails this: the
+// first sort reorders storage, and float addition is not associative.
+func TestSampleSumIndependentOfQueryOrder(t *testing.T) {
+	build := map[string]func() *Sample{
+		"plain": func() *Sample {
+			r := rand.New(rand.NewSource(7))
+			s := NewSample()
+			for i := 0; i < 5000; i++ {
+				s.Add(r.ExpFloat64() * 1e-3 * math.Pow(10, float64(r.Intn(9))))
+			}
+			return s
+		},
+	}
+	build["reservoir"] = func() *Sample {
+		s := NewSample()
+		s.Reservoir(512, 3)
+		s.Add(build["plain"]().xs...)
+		return s
+	}
+	build["merged"] = func() *Sample {
+		xs := build["plain"]().xs
+		return MergeSamples(NewSample(xs[:2000]...), NewSample(xs[2000:]...))
+	}
+	for name, mk := range build {
+		first, after := mk(), mk()
+		after.Percentile(50)
+		if first.sorted || !after.sorted {
+			t.Fatalf("%s: the test needs one unsorted and one sorted copy", name)
+		}
+		if a, b := first.Sum(), after.Sum(); a != b {
+			t.Errorf("%s: Sum = %v before a percentile query, %v after", name, a, b)
+		}
+		first, after = mk(), mk()
+		after.Percentile(50)
+		if a, b := first.Mean(), after.Mean(); a != b {
+			t.Errorf("%s: Mean = %v before a percentile query, %v after", name, a, b)
 		}
 	}
 }

@@ -12,19 +12,26 @@ import (
 // queries. It is not safe for concurrent use; each goroutine should own its
 // own Sample or callers must synchronize.
 //
+// A nil *Sample is the recorder of a distribution nobody keeps: Add and Grow
+// do nothing on it, so a simulation decides what it records where it creates
+// its recorders, not at every site that writes one. Queries need a sample.
+//
 // Min and max are tracked incrementally on Add, so reading an extremum
 // never forces the O(n log n) sort that percentile queries need. Order
-// statistics still sort lazily, once, on first query; a Sample produced by
-// MergeSamples is born sorted and never pays that sort at all.
+// statistics sort lazily, once, on first query; a Sample produced by
+// MergeSamples is sorted iff its inputs were, and otherwise sorts on its
+// first query like any other.
 type Sample struct {
 	xs     []float64
 	sorted bool
 	min    float64
 	max    float64
-	// Reservoir mode (see Reservoir): resCap bounds len(xs), resN counts
-	// every observation ever Added, resRng drives the eviction draws.
+	// n counts every observation ever Added: len(xs), except for a reservoir
+	// that has evicted and for a merge of such reservoirs.
+	n int
+	// Reservoir mode (see Reservoir): resCap bounds len(xs), resRng drives
+	// the eviction draws.
 	resCap int
-	resN   int
 	resRng *rand.Rand
 }
 
@@ -39,7 +46,7 @@ func NewSample(xs ...float64) *Sample {
 // reallocating — the pre-size hint simulations derive from their trace's
 // task count.
 func (s *Sample) Grow(n int) {
-	if n <= 0 {
+	if s == nil || n <= 0 {
 		return
 	}
 	need := len(s.xs) + n
@@ -72,10 +79,10 @@ func (s *Sample) Reservoir(cap int, seed int64) {
 
 // Add records one or more observations.
 func (s *Sample) Add(xs ...float64) {
-	if len(xs) == 0 {
+	if s == nil || len(xs) == 0 {
 		return
 	}
-	if len(s.xs) == 0 && (s.resCap == 0 || s.resN == 0) {
+	if s.n == 0 {
 		s.min, s.max = xs[0], xs[0]
 	}
 	for _, x := range xs {
@@ -88,34 +95,29 @@ func (s *Sample) Add(xs ...float64) {
 	}
 	if s.resCap > 0 {
 		for _, x := range xs {
-			s.resN++
+			s.n++
 			if len(s.xs) < s.resCap {
 				s.xs = append(s.xs, x)
-			} else if j := s.resRng.Intn(s.resN); j < s.resCap {
+			} else if j := s.resRng.Intn(s.n); j < s.resCap {
 				s.xs[j] = x
 			}
 		}
 		s.sorted = false
 		return
 	}
+	s.n += len(xs)
 	s.xs = append(s.xs, xs...)
 	s.sorted = false
 }
 
 // N returns the number of observations (every observation ever Added, even
 // those a reservoir evicted).
-func (s *Sample) N() int {
-	if s.resCap > 0 {
-		return s.resN
-	}
-	return len(s.xs)
-}
+func (s *Sample) N() int { return s.n }
 
 // Sort puts the observations in order, in place, unless they already are.
-// Every order-statistic query and MergeSamples call does this on first use;
-// calling it earlier changes no answer and moves the O(n log n) step to the
-// caller's goroutine — the one that owns the sample — ahead of a serial
-// merge.
+// Every query that depends on order does this on first use — the order
+// statistics, and Sum and Mean, whose last bits follow the order of addition;
+// calling it earlier changes no answer.
 func (s *Sample) Sort() {
 	if !s.sorted {
 		sort.Float64s(s.xs)
@@ -146,16 +148,13 @@ func (s *Sample) Percentile(p float64) float64 {
 	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
 }
 
-// Mean returns the arithmetic mean, or NaN on an empty sample.
+// Mean returns the arithmetic mean of the stored observations, or NaN on an
+// empty sample.
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
-	var sum float64
-	for _, x := range s.xs {
-		sum += x
-	}
-	return sum / float64(len(s.xs))
+	return s.Sum() / float64(len(s.xs))
 }
 
 // Min returns the smallest observation, or NaN on an empty sample.
@@ -174,8 +173,12 @@ func (s *Sample) Max() float64 {
 	return s.max
 }
 
-// Sum returns the sum of all observations.
+// Sum returns the sum of the stored observations, added in sorted order:
+// floating-point addition is not associative, and storage order changes with
+// the first sort, so summing it as found would make the last bits depend on
+// which query came first.
 func (s *Sample) Sum() float64 {
+	s.Sort()
 	var sum float64
 	for _, x := range s.xs {
 		sum += x
@@ -237,31 +240,45 @@ func (s *Sample) Values() []float64 {
 	return out
 }
 
-// MergeSamples combines samples into one, pre-sized to the exact total and
-// already sorted: each input is sorted in place (exactly what a percentile
-// query would have forced anyway), then the sorted runs are k-way merged
-// with ties resolved in input order. Because merging sorted runs yields the
-// same sorted sequence a concat-then-sort would, every order statistic of
-// the merged sample is bit-identical to the concatenation's — without the
-// copy-concat-resort allocation ladder the shard merges used to pay. Nil
-// inputs are skipped.
+// MergeSamples combines samples into one, pre-sized to the exact total,
+// without touching any input: it never sorts one in place. The result is
+// sorted iff every non-empty input already was — then the sorted runs are
+// k-way merged with ties resolved in input order — and otherwise it is the
+// plain concatenation, which sorts once on its first order-statistic query
+// like any sample. A sorted multiset is unique, so either way every order
+// statistic is bit-identical to a concat-then-sort's, and a reader of one
+// distribution out of many pays for one sort, not for all of them. N, Min
+// and Max are exact over every observation the inputs ever saw. Merging
+// reservoirs concatenates what each kept, so quantiles weight the inputs by
+// what they kept, not by what they saw: equal weights for unequally filled
+// reservoirs that have both evicted. Nil inputs are skipped.
 func MergeSamples(samples ...*Sample) *Sample {
+	out := &Sample{sorted: true}
 	runs := make([][]float64, 0, len(samples))
 	total := 0
 	for _, s := range samples {
-		if s == nil || len(s.xs) == 0 {
+		if s == nil || s.n == 0 {
 			continue
 		}
-		s.Sort()
+		if out.n == 0 || s.min < out.min {
+			out.min = s.min
+		}
+		if out.n == 0 || s.max > out.max {
+			out.max = s.max
+		}
+		out.n += s.n
+		out.sorted = out.sorted && s.sorted
 		runs = append(runs, s.xs)
 		total += len(s.xs)
 	}
-	out := &Sample{xs: make([]float64, 0, total), sorted: true}
-	if total == 0 {
+	out.xs = make([]float64, 0, total)
+	if out.sorted {
+		out.xs = MergeSorted(out.xs, func(a, b float64) bool { return a < b }, runs...)
 		return out
 	}
-	out.xs = MergeSorted(out.xs, func(a, b float64) bool { return a < b }, runs...)
-	out.min, out.max = out.xs[0], out.xs[total-1]
+	for _, r := range runs {
+		out.xs = append(out.xs, r...)
+	}
 	return out
 }
 

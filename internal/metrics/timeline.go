@@ -22,6 +22,9 @@ import (
 // wall-clock timestamps equals the difference of their UnixNano keys.
 // Timestamps must lie in int64-nanosecond range (years 1678-2262), which
 // every simulated trace does.
+//
+// A nil *Timeline is the recorder of a series nobody keeps: Set, Delta and
+// Grow do nothing on it (see Sample). Queries need a timeline.
 type Timeline struct {
 	times  []int64 // Unix nanoseconds, non-decreasing
 	values []float64
@@ -57,7 +60,7 @@ func NewCoalescedTimeline(g time.Duration) *Timeline {
 // long-trace runs pay one allocation per column instead of a geometric
 // growth ladder.
 func (tl *Timeline) Grow(n int) {
-	if n <= 0 {
+	if tl == nil || n <= 0 {
 		return
 	}
 	need := len(tl.times) + n
@@ -76,7 +79,9 @@ func (tl *Timeline) Grow(n int) {
 // Set records value v at time t. Times must be non-decreasing; setting at
 // the same timestamp overwrites the previous value at that timestamp.
 func (tl *Timeline) Set(t time.Time, v float64) {
-	tl.set(t.UnixNano(), v)
+	if tl != nil {
+		tl.set(t.UnixNano(), v)
+	}
 }
 
 func (tl *Timeline) set(tns int64, v float64) {
@@ -106,7 +111,9 @@ func (tl *Timeline) set(tns int64, v float64) {
 
 // Delta adds d to the current value at time t (starting from 0).
 func (tl *Timeline) Delta(t time.Time, d float64) {
-	tl.set(t.UnixNano(), tl.Last()+d)
+	if tl != nil {
+		tl.set(t.UnixNano(), tl.Last()+d)
+	}
 }
 
 // Last returns the most recent value, or 0 if empty.

@@ -48,19 +48,21 @@
 //     step latencies, SR, the event log, async-replication samples and the RNG
 //     draws that feed them, or per-member records and per-SLO-class delays —
 //     follows from which recorders newSim created for the config's form
-//     (plan.federated: whether it listed Clusters); there is no
-//     federated/single switch on the hot path.
+//     (plan.federated: whether it listed Clusters) and, in a leased run, for
+//     the simulation's role (plan.ledger keeps no latency samples,
+//     plan.leaseManaged no capacity series); a nil recorder records nothing,
+//     so there is no federated/single or role switch on the hot path.
 //   - The plain driver (plan.run: Run, each LegacySplit worker, and any
 //     sharded runner at k <= 1) runs the engine in one shot to a day past the
 //     window's end. The barrier-leased driver (runLeased in lease.go, behind
 //     ShardCapacity == LeasePool) runs a capacity ledger — the parent plan
 //     itself, unsharded — as a free-running producer that publishes its host
 //     counts at every epoch boundary (an epoch is the autoscale interval), and
-//     k lease-managed workers in epoch-sized steps with a barrier among
-//     themselves, whose last arrival reconciles the host leases against that
-//     boundary's published counts. The ledger never waits and reads nothing
-//     from the workers; builds, drains, result completion and the workers'
-//     sample sorts each run on the simulation's own goroutine.
+//     k lease-managed workers in epoch-sized steps, dealt to at most
+//     GOMAXPROCS-1 goroutines with a barrier among those, whose last arrival
+//     reconciles the host leases against that boundary's published counts.
+//     The ledger never waits and reads nothing from the workers; builds,
+//     drains and result completion each run on a goroutine per simulation.
 //   - The sharded driver (plan.runSharded in shard.go) sits on top of those
 //     two. RunSharded hands it trace.Split's parts with their
 //     reserved-GPU-hour weights (traceParts(cfg.Trace): the splitter is the
@@ -71,9 +73,10 @@
 //     capacity split by weight, ShardSeed-derived seeds, a private
 //     route-policy instance each), and branches once on ShardCapacity:
 //     runLeased, or k plain runs merged with MergeResults — timelines through
-//     metrics.MergeTimelines, samples through metrics.MergeSamples (k-way
-//     merges of the shards' sorted runs, so merged quantiles are bit-identical
-//     to concatenation), events by a pre-sized k-way merge on their int64
+//     metrics.MergeTimelines, samples through metrics.MergeSamples (the
+//     pre-sized concatenation, sorted when first queried, so merged quantiles
+//     are bit-identical to concat-then-sort), events by a pre-sized k-way
+//     merge on their int64
 //     timestamps, counters by summation, always in shard-index order so output
 //     never depends on worker completion order. Under the barrier-leased
 //     driver only the merge's latency half runs (samples and session/task

@@ -58,8 +58,10 @@ func (s *sim) initFaults() {
 	s.faultsOn = true
 	s.trackLive = true
 	s.frng = rand.New(rand.NewSource(s.cfg.Seed + 3))
-	s.res.Availability = metrics.NewTimeline()
-	s.res.RecoveryTime = metrics.NewSample()
+	if !s.cfg.leaseManaged {
+		s.res.Availability = metrics.NewTimeline()
+		s.res.RecoveryTime = metrics.NewSample()
+	}
 	for i, o := range f.Outages {
 		s.eng.Schedule(s.start.Add(hoursDur(o.StartHour)), func() { s.outageStrike(i, o) })
 	}
@@ -75,13 +77,9 @@ func hoursDur(h float64) time.Duration {
 	return time.Duration(h * float64(time.Hour))
 }
 
-// noteHosts records a host-count change on the availability timeline.
-// Nil-safe: a no-op unless faults are enabled.
-func (s *sim) noteHosts(d float64) {
-	if s.res.Availability != nil {
-		s.res.Availability.Delta(s.now(), d)
-	}
-}
+// noteHosts records a host-count change on the availability timeline, which
+// only a run under faults keeps.
+func (s *sim) noteHosts(d float64) { s.res.Availability.Delta(s.now(), d) }
 
 // faultSlot builds the unique fault-stream key for a member's host: member
 // index in the high bits, the member's own host sequence in the low bits —

@@ -125,8 +125,7 @@ func (s *sim) autoscalePooled() {
 		s.provision(dec.Member, dec.Hosts, s.cfg.Latencies.HostProvision(s.rng))
 	case federation.ScaleIn:
 		if s.detachEmptyHosts(dec.Member, dec.Hosts) > 0 {
-			s.res.ScaleIns++
-			s.members[dec.Member].res.ScaleIns++
+			s.noteScaleIn(dec.Member)
 		}
 	}
 }

@@ -87,10 +87,12 @@ const (
 // boundaries whose epochs hold microseconds of work each; parking at every
 // one of them puts most of a leased run's wall-clock into OS thread sleeps
 // and wake-ups, and makes it as unsteady as the host's wake-up latency.
-// Yielding hands the processor to whichever simulation still has work
-// (there are k+1 of them, often on fewer cores — on one core it is the
-// only way the awaited simulation runs at all) and notices the advance
-// without a system call; long epochs exhaust the budget and park, where a
+// Yielding hands the processor to whichever goroutine still has work (the
+// driver starts no more of them than there are processors, so a yield is
+// what a waiter needs only when something else took one — and on one
+// processor, where the ledger and the workers share it, it is the only way
+// the awaited side runs at all) and notices the advance without a system
+// call; long epochs exhaust the budget and park, where a
 // wake-up is noise against the epoch's own length. The counter is atomic,
 // so what the advancing side wrote before advance happens before what a
 // waiter reads after waitPast.
@@ -152,7 +154,8 @@ func newEpochBarrier(parties int) *epochBarrier {
 }
 
 // await blocks until all parties arrive; the last arrival runs onLast,
-// then every party proceeds.
+// then every party proceeds. A lone party is always the last: it runs
+// onLast inline and never waits.
 func (b *epochBarrier) await(onLast func()) {
 	// Read before arriving: the generation cannot advance until this party
 	// has arrived, so every waiter of a generation holds the same value.
@@ -216,24 +219,41 @@ func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 	}
 }
 
+// leaseRoles assigns a leased run's roles and returns its plans, ledger
+// first: a copy of the parent plan as the ledger — exactly what the unsharded
+// runner would have run, less the latency recorders — and the worker plans
+// (whose host counts carry the initial lease grants), lease-managed.
+func leaseRoles(p *plan, workers []*plan) []*plan {
+	ledger := *p
+	ledger.ledger = true
+	for _, w := range workers {
+		w.leaseManaged = true
+	}
+	return append([]*plan{&ledger}, workers...)
+}
+
 // runLeased is the lease protocol's driver, and its assembly of the
-// result. Every simulation's private work runs on a goroutine of its own,
-// in two parallel phases with the shared set-up between them:
+// result, in two parallel phases with the shared set-up between them:
 //
-//   - build: the capacity ledger from the parent plan (exactly what the
-//     unsharded runner would have run — the ledger's result is the
-//     unsharded run's, byte for byte) and the lease-managed workers from
-//     the worker plans (whose host counts carry the initial lease grants).
-//     A failed build returns here, before any goroutine can wait on a
-//     barrier or a feed that would never advance.
-//   - run: the ledger steps its engine boundary by boundary and publishes
-//     each epoch's host counts to the feed, never waiting; each worker
-//     steps to the same boundary and meets the other workers at a k-party
-//     barrier, whose last arrival reconciles the leases against that
-//     epoch's published counts. After the final boundary each simulation
-//     drains its in-flight tail past the window independently, as the plain
-//     driver does, and completes its result; a worker also sorts its
-//     latency samples, so the merge finds sorted runs.
+//   - build: every simulation on a goroutine of its own, from the plans
+//     leaseRoles returns; each role creates only the recorders the merge
+//     takes from it. A failed build returns here, before any goroutine can
+//     wait on a barrier or a feed that would never advance.
+//   - run: at most GOMAXPROCS simulations are ever runnable. The ledger has
+//     a goroutine of its own: it steps its engine boundary by boundary and
+//     publishes each epoch's host counts to the feed, never waiting. The k
+//     workers are dealt round-robin to g = min(k, max(1, GOMAXPROCS-1))
+//     goroutines; each steps its workers to the boundary one after another
+//     and meets the others at a g-party barrier, whose last arrival
+//     reconciles the leases against that epoch's published counts. With
+//     GOMAXPROCS > k that is a goroutine per worker; with g = 1 the barrier
+//     action runs inline and nothing ever waits at the barrier — a spare
+//     goroutine per extra worker would only pass the processor back and
+//     forth at each of ~14k boundaries. Which goroutine steps a worker
+//     changes nothing it computes: workers share no state between barriers.
+//     After the final boundary each simulation, again on a goroutine of its
+//     own, drains its in-flight tail past the window as the plain driver
+//     does, and completes its result.
 //
 // The window is the ledger's. The ledger is authoritative for everything
 // the clusters determine — per-member and federation-wide capacity and
@@ -241,12 +261,12 @@ func epochBoundaries(start, end time.Time, epoch time.Duration) []time.Time {
 // integrated hours — all byte-identical to the unsharded run. The workers
 // are authoritative for what sharding parallelizes (mergeLatency): the
 // task-level latency distributions (which keep the shard-local placement
-// approximation) and the session/task counts proving no work was lost in
-// the split. The workers' capacity series are not merged; nothing reports
-// them. On failure the first error in ledger-then-shard order is returned;
-// every simulation that was built is closed.
+// approximation; merged unsorted, each sorts when first queried) and the
+// session/task counts proving no work was lost in the split. Neither side
+// records the other's half. On failure the first error in ledger-then-shard
+// order is returned; every simulation that was built is closed.
 func runLeased(p *plan, workers []*plan) (*Result, error) {
-	plans := append([]*plan{p}, workers...)
+	plans := leaseRoles(p, workers)
 	sims := make([]*sim, len(plans))
 	errs := make([]error, len(plans))
 	defer func() {
@@ -256,9 +276,6 @@ func runLeased(p *plan, workers []*plan) (*Result, error) {
 			}
 		}
 	}()
-	for _, w := range workers {
-		w.leaseManaged = true
-	}
 	inParallel(len(plans), func(i int) { sims[i], errs[i] = newSim(plans[i]) })
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -266,23 +283,49 @@ func runLeased(p *plan, workers []*plan) (*Result, error) {
 
 	bounds := epochBoundaries(sims[0].start, sims[0].end, autoscaleInterval)
 	feed := newLedgerFeed(len(bounds), len(sims[0].members))
-	bar := newEpochBarrier(len(workers))
+	groups := min(len(workers), max(1, runtime.GOMAXPROCS(0)-1))
+	bar := newEpochBarrier(groups)
 	reconcile := newLeasePool(p, sims[1:])
 	recs := make([]*Result, len(sims))
-	inParallel(len(sims), func(i int) {
-		s := sims[i]
-		for e, t := range bounds {
-			s.eng.RunUntil(t)
-			if i == 0 {
-				feed.publish(s)
-			} else {
-				bar.await(func() { reconcile(feed.epoch(e)) })
+	tail := func(i int) {
+		sims[i].drain()
+		recs[i], errs[i] = sims[i].finish()
+	}
+	// The clock is read only when someone listens (plan.leaseStats).
+	now, report := func() (t time.Time) { return }, func(int, time.Duration, int, int) {}
+	if p.leaseStats != nil {
+		now, report = time.Now, p.leaseStats
+	}
+	inParallel(1+groups, func(g int) {
+		if g == 0 {
+			began := now()
+			for _, t := range bounds {
+				sims[0].eng.RunUntil(t)
+				feed.publish(sims[0])
 			}
+			report(0, now().Sub(began), 0, 0)
+			tail(0)
+			return
 		}
-		s.drain()
-		if recs[i], errs[i] = s.finish(); errs[i] == nil && i > 0 {
-			recs[i].sortLatency()
+		// Goroutine g steps workers g, g+groups, … — sims[0] is the ledger.
+		var busy time.Duration
+		feedWaits, last := 0, 0
+		for e, t := range bounds {
+			began := now()
+			for i := g; i < len(sims); i += groups {
+				sims[i].eng.RunUntil(t)
+			}
+			busy += now().Sub(began)
+			bar.await(func() {
+				last++
+				if feed.published.n.Load() <= uint64(e) {
+					feedWaits++
+				}
+				reconcile(feed.epoch(e))
+			})
 		}
+		report(g, busy, feedWaits, len(bounds)-last)
+		inParallel((len(workers)-g)/groups+1, func(n int) { tail(g + n*groups) })
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -657,20 +700,14 @@ func (s *sim) attachHosts(mi, n int) {
 	for i := 0; i < n; i++ {
 		s.addHost(mi)
 	}
-	if n > 0 {
-		s.sampleProvisioned()
-	}
 }
 
 // detachEmptyHosts detaches up to n empty hosts (no replicas, nothing
 // committed) from member mi and returns the count removed. No scale-in
-// event: the lease moves, the pool level is the ledger's to change.
+// event and no sample: the lease moves, the pool level is the ledger's to
+// change and to record.
 func (s *sim) detachEmptyHosts(mi, n int) int {
-	removed := s.retireEmpty(s.members[mi], n, func() bool { return false })
-	if removed > 0 {
-		s.sampleProvisioned()
-	}
-	return removed
+	return s.retireEmpty(s.members[mi], n, func() bool { return false })
 }
 
 // donateHosts frees up to n of member mi's hosts for return to the pool (or

@@ -419,13 +419,14 @@ func TestLedgerFeedSlowAndFastLedger(t *testing.T) {
 	}
 }
 
-// leasedRunnerFingerprints runs the three leased sharded runners once and
-// returns everything TestRunnerFingerprints pins about each, as text.
-func leasedRunnerFingerprints(t *testing.T) string {
+// leasedRunnerFingerprints runs the three leased sharded runners once, k
+// shards each, and returns everything TestRunnerFingerprints pins about
+// each, as text.
+func leasedRunnerFingerprints(t *testing.T, k int) string {
 	t.Helper()
 	tr := shardQuickTrace(t, 61)
 	var b strings.Builder
-	res, err := RunSharded(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}, 3)
+	res, err := RunSharded(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +434,7 @@ func leasedRunnerFingerprints(t *testing.T) string {
 	fed, err := RunSharded(Config{
 		Trace: tr, Clusters: DefaultFedClusters(4, 30), Route: federation.LeastSubscribed{},
 		PooledAutoscale: true, Seed: 17, ShardCapacity: LeasePool,
-	}, 2)
+	}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +443,7 @@ func leasedRunnerFingerprints(t *testing.T) string {
 	gcfg.Duration = 4 * time.Hour
 	res, err = RunStreamSharded(gcfg, Config{
 		Policy: PolicyNotebookOS, Hosts: 30, LeanMetrics: true, Seed: 11, ShardCapacity: LeasePool,
-	}, 3)
+	}, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,16 +452,191 @@ func leasedRunnerFingerprints(t *testing.T) string {
 }
 
 // TestLeasePoolAnyGOMAXPROCS: the leased runners finish on one processor —
-// a worker waiting on the feed or the barrier must hand its processor to
-// the simulation it waits for, not spin on it — and produce there exactly
-// what they produce on four.
+// a goroutine waiting on the feed or the barrier must hand its processor to
+// the one it waits for, not spin on it — and produce there exactly what they
+// produce on any other count. The driver deals the k workers to
+// min(k, max(1, GOMAXPROCS-1)) goroutines, so the counts below reach one
+// goroutine for all workers (1 and 2 processors), several workers on each of
+// several (3 processors, k = 4) and a goroutine per worker (k+1).
 func TestLeasePoolAnyGOMAXPROCS(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	one := leasedRunnerFingerprints(t)
-	runtime.GOMAXPROCS(4)
-	if four := leasedRunnerFingerprints(t); four != one {
-		t.Errorf("leased runs differ between GOMAXPROCS 1 and 4:\n--- 1\n%s--- 4\n%s", one, four)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	tr := shardQuickTrace(t, 61)
+	for _, k := range []int{2, 4} {
+		var first string
+		for _, procs := range []int{1, 2, 3, k + 1} {
+			runtime.GOMAXPROCS(procs)
+			got := leasedRunnerFingerprints(t, k)
+			if first == "" {
+				first = got
+			} else if got != first {
+				t.Errorf("k=%d: leased runs differ between GOMAXPROCS 1 and %d:\n--- 1\n%s--- %d\n%s", k, procs, first, procs, got)
+			}
+			// The grouping itself, as the stats hook reports it.
+			p, err := Config{Trace: tr, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}.plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			groups, waits := make([]bool, k+1), make([]int, k+1)
+			p.leaseStats = func(g int, _ time.Duration, _, barrierWaits int) { groups[g], waits[g] = true, barrierWaits }
+			if _, err := p.runSharded(k, traceParts(tr)); err != nil {
+				t.Fatal(err)
+			}
+			want := make([]bool, k+1)
+			for g := 0; g <= min(k, max(1, procs-1)); g++ {
+				want[g] = true // the ledger, then the worker goroutines
+			}
+			if !slices.Equal(groups, want) {
+				t.Errorf("k=%d on %d processors: goroutines %v reported, want %v", k, procs, groups, want)
+			}
+			if !want[2] && waits[1] != 0 {
+				t.Errorf("k=%d on %d processors: the one worker goroutine waited at %d barriers", k, procs, waits[1])
+			}
+		}
 	}
+}
+
+// TestLeasedRolesRecordOnlyTheirHalf builds the plans runLeased builds and
+// runs each simulation on its own: the ledger keeps no latency recorder and
+// a worker no capacity recorder and no periodic tick, while the ledger is
+// still the unsharded run — same capacity fingerprint, and its RNGs end in
+// the unsharded run's state. That last check is the reason the Fig. 11 draws
+// (taskfsm.go) follow the plan's form: gate them on the recorder again and
+// the ledger, which has none, leaves the unsharded stream at its first task.
+func TestLeasedRolesRecordOnlyTheirHalf(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(62)
+	gcfg.Duration = 8 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	faults := trace.HeavyFaultProfile()
+	faults.HostMTBFHours = 8
+	for name, cfg := range map[string]Config{
+		"plain":  {Trace: tr, Hosts: 30, Seed: 7},
+		"faults": {Trace: tr, Hosts: 30, Seed: 7, Faults: &faults},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p, err := cfg.plan()
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts, err := traceParts(tr)(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers := p.shard([]float64{parts[0].weight, parts[1].weight})
+			for i, w := range workers {
+				w.Source = parts[i].src
+			}
+			run := func(p *plan) (*sim, *Result) {
+				s, err := newSim(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.close()
+				// Fault-free, what is pending at build is the injector and the
+				// periodic ticks: sampling and autoscale, or neither.
+				wantTicks := 2
+				if p.leaseManaged {
+					wantTicks = 0
+				}
+				if ticks := s.eng.Len() - 1; cfg.Faults == nil && ticks != wantTicks {
+					t.Errorf("ledger=%v worker=%v: %d periodic ticks armed beside the injector, want %d", p.ledger, p.leaseManaged, ticks, wantTicks)
+				}
+				s.drain()
+				res, err := s.finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s, res
+			}
+			whole, want := run(p)
+			plans := leaseRoles(p, workers)
+
+			ledger, got := run(plans[0])
+			if got.Interactivity != nil || got.TCT != nil || got.SyncLatency != nil || got.ReadLatency != nil ||
+				got.WriteLatency != nil || got.StepLatency != nil || got.ClassDelay != nil {
+				t.Errorf("the ledger keeps latency recorders: %+v", got)
+			}
+			if a, b := capacityFingerprintOf(tr, got), capacityFingerprintOf(tr, want); a != b {
+				t.Errorf("the ledger is not the unsharded run:\n ledger:    %+v\n unsharded: %+v", a, b)
+			}
+			if cfg.Faults != nil {
+				faultsOf := func(r *Result) [9]float64 {
+					return [9]float64{float64(r.HostCrashes), float64(r.HostRecoveries), float64(r.Failovers),
+						float64(r.TaskRestarts), float64(r.Abandonments), r.LostGPUHours,
+						r.Availability.Integral(tr.Start, tr.End), float64(r.RecoveryTime.N()), r.RecoveryTime.Percentile(99)}
+				}
+				if a, b := faultsOf(got), faultsOf(want); a != b || a[0] == 0 || a[7] == 0 {
+					t.Errorf("the ledger's fault record is not the unsharded run's, or is empty:\n ledger:    %v\n unsharded: %v", a, b)
+				}
+			}
+			if ledger.rng.Int63() != whole.rng.Int63() || ledger.wr.Int63() != whole.wr.Int63() {
+				t.Error("the ledger's RNG streams ended elsewhere than the unsharded run's: it drew differently")
+			}
+			if cfg.Faults != nil && ledger.frng.Int63() != whole.frng.Int63() {
+				t.Error("the ledger's crash-path RNG ended elsewhere than the unsharded run's")
+			}
+
+			for i, wp := range plans[1:] {
+				w, res := run(wp)
+				if res.Interactivity.N() == 0 || res.Interactivity.N() != res.Tasks || res.StepLatency[StepE2E].N() != res.Tasks || res.SyncLatency.N() != res.Tasks {
+					t.Errorf("worker %d lost latency observations: %d tasks, %d delays", i, res.Tasks, res.Interactivity.N())
+				}
+				if res.ProvisionedGPUs != nil || res.CommittedGPUs != nil || res.ActiveTrainings != nil || res.SR != nil ||
+					res.Events != nil || res.Availability != nil || res.RecoveryTime != nil {
+					t.Errorf("worker %d keeps capacity recorders: %+v", i, res)
+				}
+				for _, m := range w.members {
+					if m.res.ProvisionedGPUs != nil || m.res.CommittedGPUs != nil {
+						t.Errorf("worker %d keeps member %s's capacity series", i, m.spec.Name)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkShardedLeaseSim is the benchmark's lease-summer-k2 operation — a
+// 10-day summer trace, RunSharded under LeasePool at k = 2 — with the
+// driver's own account of the run (leaseStats) reported beside the time: per
+// run, the ledger's busy time, the busiest worker goroutine's, and the
+// boundaries (of ~14.4k) at which some worker goroutine waited on the feed
+// or at the barrier. Run it with -cpu 1,2,4: the grouping follows GOMAXPROCS.
+// The root package's benchmark of the same name is the 4-hour, k = 4 smoke CI
+// runs; it cannot reach the hook.
+func BenchmarkShardedLeaseSim(b *testing.B) {
+	gcfg := trace.AdobeSummerConfig(42)
+	gcfg.Duration = 10 * 24 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	const k = 2
+	// Each goroutine of a run reports once, from itself, into its own slot.
+	var busy [k + 1]time.Duration
+	var feedWaits, barrierWaits [k + 1]int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := Config{Trace: tr, Hosts: 30, Seed: 42, ShardCapacity: LeasePool}.plan()
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.leaseStats = func(g int, d time.Duration, feed, barrier int) {
+			busy[g] += d
+			feedWaits[g] += feed
+			barrierWaits[g] += barrier
+		}
+		if _, err := p.runSharded(k, traceParts(tr)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	n := float64(b.N)
+	sum := func(xs []int) (t float64) {
+		for _, x := range xs {
+			t += float64(x)
+		}
+		return t
+	}
+	b.ReportMetric(busy[0].Seconds()*1e3/n, "ledger-busy-ms/op")
+	b.ReportMetric(slices.Max(busy[1:]).Seconds()*1e3/n, "max-group-busy-ms/op")
+	b.ReportMetric(sum(feedWaits[:])/n, "feed-waits/op")
+	b.ReportMetric(sum(barrierWaits[:])/n, "barrier-waits/op")
 }
 
 // TestLeasePoolOneHotShard runs the protocol with the ledger as the fast

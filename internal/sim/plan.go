@@ -43,12 +43,29 @@ type plan struct {
 	Latencies Latencies
 
 	// federated reports whether the config listed Clusters. It selects which
-	// recorders newSim creates and what finish completes, and nothing else.
+	// recorders newSim creates, whether a task draws the Fig. 11 replication
+	// costs those recorders report, and what finish completes — nothing else.
 	federated bool
-	// leaseManaged marks a sharded worker whose capacity a lease pool governs
-	// at epoch barriers: the worker's own autoscale ticks are suppressed (the
-	// ledger makes the one decision per tick). Set only by runLeased.
-	leaseManaged bool
+	// ledger and leaseManaged are the two roles of a leased run (runLeased sets
+	// them, nothing else does), and each role records only the half of the
+	// result the merge takes from it. The ledger is the unsharded run minus the
+	// latency recorders (what mergeLatency owns): same events, same draws. A
+	// lease-managed worker's capacity the pool governs at epoch barriers, so it
+	// runs no autoscale tick of its own (the ledger makes the one decision per
+	// tick), and it keeps no capacity recorders (what mergeCapacity owns) and
+	// so no sampling tick.
+	ledger, leaseManaged bool
+	// leaseStats, when a test or benchmark sets it, hears from every goroutine
+	// of a leased run's boundary loop as it leaves the loop — g = 0 the ledger,
+	// g ≥ 1 the worker goroutines, each from its own goroutine — how it spent
+	// it: busy is its time stepping its simulations (for the ledger, which
+	// never waits, the whole loop; a worker goroutine's waits and barrier
+	// actions are the rest of its loop); feedWaits counts the boundaries at
+	// which its barrier action found the epoch unpublished (the workers had
+	// outrun the ledger), barrierWaits those at which it arrived ahead of
+	// another goroutine and waited for it. Nil in every run a command makes,
+	// and then the run reads no clock and allocates nothing for it.
+	leaseStats func(g int, busy time.Duration, feedWaits, barrierWaits int)
 }
 
 // plan compiles the config.

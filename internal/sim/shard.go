@@ -165,11 +165,12 @@ func firstError(errs []error) error {
 //     sum of per-shard ratios: useful as a saturation indicator, not a
 //     cluster-wide subscription ratio.
 //   - Samples (interactivity, TCT, per-step latencies, sync/read/write)
-//     combine with metrics.MergeSamples: each shard's sample is sorted in
-//     place (what the first percentile query would have forced anyway) and
-//     the sorted runs k-way merge into a pre-sized, already-sorted result.
-//     Merging sorted runs yields exactly the sequence a concat-then-sort
-//     would, so every quantile is bit-identical and completion-order
+//     combine with metrics.MergeSamples, which sorts nothing: a worker's
+//     samples have never been queried, so the merge is their pre-sized
+//     concatenation, and it sorts once, when a reader first asks it for an
+//     order statistic — one sort for each distribution somebody reads, none
+//     for the rest. A sorted multiset is unique, so every quantile is
+//     bit-identical to a concat-then-sort's and completion-order
 //     independent.
 //   - Events k-way merge by time: each worker records events at its own
 //     non-decreasing sim clock, so the per-shard slices are already sorted
@@ -216,7 +217,6 @@ func mergeLatency(out *Result, rs []*Result) {
 	// Every shard runs the parent's SLOAware flag, so the first result says
 	// whether the per-class delays exist; trace.SLOClasses() fixes the
 	// iteration order.
-	out.ClassDelay = nil
 	if rs[0].ClassDelay != nil {
 		out.ClassDelay = map[trace.SLOClass]*metrics.Sample{}
 		for _, cl := range trace.SLOClasses() {
@@ -227,23 +227,6 @@ func mergeLatency(out *Result, rs []*Result) {
 	for _, r := range rs {
 		out.Sessions += r.Sessions
 		out.Tasks += r.Tasks
-	}
-}
-
-// sortLatency sorts, in place, every sample mergeLatency reads — the
-// per-result part of that merge, which a worker can do on its own
-// goroutine before the results meet.
-func (r *Result) sortLatency() {
-	for _, sm := range []*metrics.Sample{r.Interactivity, r.TCT, r.SyncLatency, r.ReadLatency, r.WriteLatency} {
-		if sm != nil {
-			sm.Sort()
-		}
-	}
-	for _, sm := range r.StepLatency {
-		sm.Sort()
-	}
-	for _, sm := range r.ClassDelay {
-		sm.Sort()
 	}
 }
 
@@ -322,7 +305,7 @@ func mergeTimelines(rs []*Result, get func(*Result) *metrics.Timeline) *metrics.
 	return metrics.MergeTimelines(ins...)
 }
 
-// mergeSamples is mergeTimelines for sample recorders: a k-way merge via
+// mergeSamples is mergeTimelines for sample recorders, via
 // metrics.MergeSamples.
 func mergeSamples(rs []*Result, get func(*Result) *metrics.Sample) *metrics.Sample {
 	ins := make([]*metrics.Sample, len(rs))

@@ -409,9 +409,11 @@ func (m *member) emptyHosts() (n int) {
 // single-cluster recorder set; one with Clusters has N members, a route
 // policy, WAN charges and optionally the SLO queue and the pooled autoscaler.
 // What a run records follows from which recorders newSim created: a recorder
-// the config's form does not keep is nil, and the recording sites —
-// including the RNG draws that exist only to be recorded — skip nil
-// recorders.
+// the config's form, or the run's role in a leased run, does not keep is nil,
+// and a nil recorder records nothing (metrics.Sample, metrics.Timeline), so
+// the recording sites ask no questions. What a run draws does not follow: the
+// one draw that exists only to be recorded (Fig. 11's, taskfsm.go) goes by the
+// form alone, so a role changes no RNG stream.
 type sim struct {
 	cfg       plan
 	eng       *des.Engine
@@ -506,14 +508,14 @@ func (p *plan) run() (*Result, error) {
 }
 
 // newSim builds a ready-to-run simulation of the plan: one member per
-// member spec, the recorders the plan's form keeps (a federated run creates
-// none of the single-cluster recorders, so it neither records nor draws for
-// them), and — as the plan says — the per-pair latency
-// matrix, the SLO-class queue with its per-class recorders, and the pooled
-// autoscaler. Callers drive the engine themselves — run in one shot to past
-// the window's end, the lease runner in epoch-sized steps with barrier
-// reconciliation between them — and then collect the result with finish.
-// Pair with close.
+// member spec, the recorders the plan's form and role keep (a federated run
+// creates none of the single-cluster recorders; a leased run's ledger none of
+// the latency samples, its workers none of the capacity series), and — as the
+// plan says — the per-pair latency matrix, the SLO-class queue with its
+// per-class recorders, and the pooled autoscaler. Callers drive the engine
+// themselves — run in one shot to past the window's end, the lease runner in
+// epoch-sized steps with barrier reconciliation between them — and then
+// collect the result with finish. Pair with close.
 func newSim(p *plan) (*sim, error) {
 	start, end := p.Source.Window()
 	eng := des.New(start)
@@ -534,18 +536,32 @@ func newSim(p *plan) (*sim, error) {
 	s.reserved.lastNS = start.UnixNano()
 	s.res = &Result{Policy: p.Policy}
 	s.res.ActiveSessions = s.newTimeline()
-	s.res.Interactivity = s.newSample()
-	s.res.TCT = s.newSample()
-	if !p.federated {
+	// A leased run's two roles each keep half of the recorders: latency is
+	// the workers' (plan.ledger keeps none), capacity the ledger's
+	// (plan.leaseManaged keeps none). The samples are created in one order
+	// whatever the form, so lean-mode reservoir seeds do not depend on it.
+	if !p.ledger {
+		s.res.Interactivity = s.newSample()
+		s.res.TCT = s.newSample()
+		if !p.federated {
+			s.res.SyncLatency = s.newSample()
+			s.res.ReadLatency = s.newSample()
+			s.res.WriteLatency = s.newSample()
+			s.res.StepLatency = map[Step]*metrics.Sample{}
+			for _, st := range Steps() {
+				s.res.StepLatency[st] = s.newSample()
+			}
+		}
+		if p.SLOAware {
+			s.res.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
+			for _, cl := range trace.SLOClasses() {
+				s.res.ClassDelay[cl] = s.newSample()
+			}
+		}
+	}
+	if !p.leaseManaged && !p.federated {
 		s.res.ActiveTrainings = s.newTimeline()
 		s.res.SR = s.newTimeline()
-		s.res.SyncLatency = s.newSample()
-		s.res.ReadLatency = s.newSample()
-		s.res.WriteLatency = s.newSample()
-		s.res.StepLatency = map[Step]*metrics.Sample{}
-		for _, st := range Steps() {
-			s.res.StepLatency[st] = s.newSample()
-		}
 		if !p.LeanMetrics {
 			s.res.Events = []Event{}
 		}
@@ -559,12 +575,6 @@ func newSim(p *plan) (*sim, error) {
 	}
 	if p.SLOAware {
 		s.waitq.usePriority(defaultAgingBound)
-		// Pre-create the per-class samples in SLOClasses order so lean-mode
-		// reservoir seeds are position-independent of the workload.
-		s.res.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
-		for _, cl := range trace.SLOClasses() {
-			s.res.ClassDelay[cl] = s.newSample()
-		}
 	}
 	if p.PooledAutoscale {
 		s.autoscaler = &federation.FederatedAutoscaler{
@@ -612,15 +622,11 @@ func (s *sim) build() error {
 		if _, err := s.fed.AddMember(spec.Name, c); err != nil {
 			return err
 		}
-		s.members = append(s.members, &member{
-			spec: spec,
-			c:    c,
-			res: &FedClusterResult{
-				Name:            spec.Name,
-				ProvisionedGPUs: s.newTimeline(),
-				CommittedGPUs:   s.newTimeline(),
-			},
-		})
+		res := &FedClusterResult{Name: spec.Name}
+		if !cfg.leaseManaged {
+			res.ProvisionedGPUs, res.CommittedGPUs = s.newTimeline(), s.newTimeline()
+		}
+		s.members = append(s.members, &member{spec: spec, c: c, res: res})
 		for j := 0; j < spec.Hosts; j++ {
 			s.addHost(i)
 		}
@@ -642,7 +648,7 @@ func (s *sim) build() error {
 	// split the task total evenly — an estimate, so a hot member may still
 	// grow. A generator supplies analytic expectations instead of counts;
 	// under LeanMetrics the recorders bound themselves and the hints are
-	// skipped entirely.
+	// skipped entirely. A recorder the run does not keep (nil) takes none.
 	exp := cfg.Source.Expect()
 	sessions, numTasks := exp.Sessions, exp.Tasks
 	if !cfg.LeanMetrics {
@@ -652,23 +658,16 @@ func (s *sim) build() error {
 			m.res.CommittedGPUs.Grow(2*numTasks/len(s.members) + 16)
 		}
 		s.res.ActiveSessions.Grow(2 * sessions)
-		s.res.Interactivity.Grow(numTasks)
-		s.res.TCT.Grow(numTasks)
-		if s.res.ActiveTrainings != nil {
-			s.res.ActiveTrainings.Grow(2 * numTasks)
-		}
-		if s.res.SR != nil && s.wholeServers() {
+		s.res.ActiveTrainings.Grow(2 * numTasks)
+		if s.wholeServers() {
 			s.res.SR.Grow(2*sessions + ticks)
 		}
-		for _, sm := range []*metrics.Sample{s.res.SyncLatency, s.res.ReadLatency, s.res.WriteLatency} {
-			if sm != nil {
-				sm.Grow(numTasks)
-			}
+		// One observation per executed task in each of these.
+		for _, sm := range []*metrics.Sample{s.res.Interactivity, s.res.TCT, s.res.SyncLatency, s.res.ReadLatency, s.res.WriteLatency} {
+			sm.Grow(numTasks)
 		}
-		if s.res.StepLatency != nil {
-			for _, st := range Steps() {
-				s.res.StepLatency[st].Grow(numTasks) // one observation per executed task
-			}
+		for _, sm := range s.res.StepLatency {
+			sm.Grow(numTasks)
 		}
 		if s.res.Events != nil {
 			s.res.Events = make([]Event, 0, sessions+64)
@@ -686,12 +685,14 @@ func (s *sim) build() error {
 		(&injector{s: s}).arm(first)
 	}
 
-	// Periodic sampling and autoscaling. A lease-managed worker skips its
-	// own autoscale ticks: the pool runs the same decision once per barrier
-	// over the pooled counters instead.
-	s.scheduleTick(0, sampleEvery, s.sampleProvisioned)
-	if s.wholeServers() && !cfg.leaseManaged {
-		s.scheduleTick(autoscaleInterval, autoscaleInterval, s.autoscale)
+	// Periodic sampling and autoscaling. A lease-managed worker does neither:
+	// it keeps no series to sample, and the ledger makes the one autoscale
+	// decision per tick.
+	if !cfg.leaseManaged {
+		s.scheduleTick(0, sampleEvery, s.sampleProvisioned)
+		if s.wholeServers() {
+			s.scheduleTick(autoscaleInterval, autoscaleInterval, s.autoscale)
+		}
 	}
 	return nil
 }
@@ -745,6 +746,9 @@ func (s *sim) finish() (*Result, error) {
 		return nil, s.srcErr
 	}
 	res := s.res
+	if s.cfg.leaseManaged {
+		return res, nil // the capacity half is the ledger's to report
+	}
 	res.ProvisionedGPUs, res.CommittedGPUs = s.members[0].res.ProvisionedGPUs, s.members[0].res.CommittedGPUs
 	if len(s.members) > 1 {
 		prov := make([]*metrics.Timeline, len(s.members))
@@ -968,9 +972,7 @@ func (s *sim) finishTask(ss *session, submit time.Time, interactivity time.Durat
 	s.res.Interactivity.Add(interactivity.Seconds())
 	s.res.TCT.Add(tct.Seconds())
 	s.sampleStep(StepE2E, tct)
-	if s.res.ClassDelay != nil {
-		s.res.ClassDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
-	}
+	s.res.ClassDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
 	s.res.Tasks++
 	s.startNext(ss)
 }
@@ -1023,7 +1025,7 @@ func taskReq(ss *session, task trace.Task) resources.Spec {
 }
 
 // sampleStep records one request-path stage (Figs. 16-19); the step
-// recorders exist only in single-cluster runs.
+// recorders exist only in single-cluster runs that keep latency.
 func (s *sim) sampleStep(st Step, d time.Duration) {
 	if s.res.StepLatency != nil {
 		s.res.StepLatency[st].Add(d.Seconds())
@@ -1251,10 +1253,8 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 	// Persist + restore checkpointed state through the data store.
 	wr := lat.Store.PutLatency(ss.paramBytes, s.rng)
 	rd := lat.Store.GetLatency(ss.paramBytes, s.rng)
-	if s.res.WriteLatency != nil {
-		s.res.WriteLatency.Add(wr.Seconds())
-		s.res.ReadLatency.Add(rd.Seconds())
-	}
+	s.res.WriteLatency.Add(wr.Seconds())
+	s.res.ReadLatency.Add(rd.Seconds())
 	extra += wr + rd + electionCost
 
 	// Move the replica: a crash-emptied slot (faults.go) is refilled
@@ -1330,9 +1330,7 @@ func (s *sim) markTraining(t *runningTask, start bool) {
 		d = -1
 	}
 	at := s.now()
-	if s.res.ActiveTrainings != nil {
-		s.res.ActiveTrainings.Delta(at, d)
-	}
+	s.res.ActiveTrainings.Delta(at, d)
 	s.members[t.h.member].res.CommittedGPUs.Delta(at, d*float64(t.task.GPUs))
 }
 

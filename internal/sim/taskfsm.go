@@ -97,9 +97,11 @@ func (t *runningTask) Fire() {
 		s.sampleStep(StepPostProc, post)
 		ret := lat.Hop(s.rng)
 		s.sampleStep(StepReturn, ret)
-		if s.cfg.Policy == PolicyNotebookOS && s.res.SyncLatency != nil {
-			// Record the async replication costs for Fig. 11; runs that do
-			// not report them draw nothing.
+		if s.cfg.Policy == PolicyNotebookOS && !s.cfg.federated {
+			// The async replication costs of Fig. 11. Whether a run draws them
+			// is a fact of its form, not of a recorder's existence: a lease
+			// ledger keeps neither recorder, and must stay on the unsharded
+			// run's RNG stream to remain the unsharded run.
 			s.res.SyncLatency.Add(lat.Sync(s.rng).Seconds())
 			s.res.WriteLatency.Add(lat.Store.PutLatency(params, s.rng).Seconds())
 		}
