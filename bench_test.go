@@ -156,7 +156,7 @@ func BenchmarkFederationPooledSim(b *testing.B) {
 		res, err = sim.Run(sim.Config{
 			Trace:           tr,
 			Clusters:        sim.DefaultFedClusters(6, 30),
-			Route:           federation.LeastSubscribed{},
+			Route:           federation.LeastSubscribed(),
 			Latency:         federation.GeoBandedMatrix(6, 2, 5*time.Millisecond, 40*time.Millisecond),
 			PooledAutoscale: true,
 			Seed:            42,
@@ -309,7 +309,7 @@ func BenchmarkScoredRouting(b *testing.B) {
 	if err := f.SetLatencyMatrix(federation.GeoBandedMatrix(4, 2, 5*time.Millisecond, 40*time.Millisecond)); err != nil {
 		b.Fatal(err)
 	}
-	f.SetSnapshotExtras(func(m int) (int, int) { return m, 0 })
+	f.SetSnapshotExtras(func(m int) int { return m })
 	policy := federation.NewScoredPolicy("bench",
 		federation.WeightedScorer{Scorer: federation.SubscriptionScorer{}, Weight: 1},
 		federation.WeightedScorer{Scorer: federation.LatencyScorer{}, Weight: federation.DefaultLatencyWeight},
@@ -412,7 +412,7 @@ func BenchmarkFederationShardedSim(b *testing.B) {
 		res, err = sim.RunSharded(sim.Config{
 			Trace:           tr,
 			Clusters:        sim.DefaultFedClusters(4, 30),
-			Route:           federation.LeastSubscribed{},
+			Route:           federation.LeastSubscribed(),
 			PooledAutoscale: true,
 			Seed:            42,
 		}, 2)
@@ -436,7 +436,7 @@ func BenchmarkFederationSim(b *testing.B) {
 		res, err = sim.Run(sim.Config{
 			Trace:    tr,
 			Clusters: sim.DefaultFedClusters(4, 30),
-			Route:    federation.LeastSubscribed{},
+			Route:    federation.LeastSubscribed(),
 			Seed:     42,
 		})
 		if err != nil {

@@ -40,7 +40,7 @@ func main() {
 		fc := sim.Config{
 			Trace:    tr,
 			Clusters: clusters,
-			Route:    federation.LeastSubscribed{},
+			Route:    federation.LeastSubscribed(),
 			Seed:     42,
 		}
 		if mutate != nil {
@@ -81,7 +81,7 @@ func main() {
 	//    the pair's price, and latency-aware routing ranks on it.
 	run("pooled + geo-banded matrix", func(fc *sim.Config) {
 		fc.PooledAutoscale = true
-		fc.Route = federation.LatencyAware{}
+		fc.Route = federation.LatencyAware(0)
 		fc.Latency = federation.GeoBandedMatrix(6, 2, 5*time.Millisecond, 40*time.Millisecond)
 	})
 

@@ -35,10 +35,10 @@ func main() {
 	reserved := tr.ReservedGPUs().Integral(tr.Start, tr.End)
 	fmt.Printf("reservation baseline would bind %.1f GPU-hours\n\n", reserved)
 
-	for _, route := range []federation.RoutePolicy{
-		federation.LocalFirst{},
-		federation.LeastSubscribed{},
-		federation.LatencyAware{},
+	for _, route := range []*federation.ScoredPolicy{
+		federation.LocalFirst(),
+		federation.LeastSubscribed(),
+		federation.LatencyAware(0),
 	} {
 		res, err := sim.Run(sim.Config{
 			Trace:               tr,

@@ -147,7 +147,7 @@ func scenarios() []scenario {
 				res, err = sim.Run(sim.Config{
 					Trace:    tr,
 					Clusters: sim.DefaultFedClusters(4, 30),
-					Route:    federation.LeastSubscribed{},
+					Route:    federation.LeastSubscribed(),
 					Seed:     42,
 				})
 				if err != nil {
@@ -166,7 +166,7 @@ func scenarios() []scenario {
 				res, err = sim.Run(sim.Config{
 					Trace:           tr,
 					Clusters:        sim.DefaultFedClusters(6, 30),
-					Route:           federation.LeastSubscribed{},
+					Route:           federation.LeastSubscribed(),
 					Latency:         federation.GeoBandedMatrix(6, 2, 5*time.Millisecond, 40*time.Millisecond),
 					PooledAutoscale: true,
 					Seed:            42,
@@ -368,7 +368,7 @@ func scenarios() []scenario {
 				res, err = sim.RunSharded(sim.Config{
 					Trace:           summer,
 					Clusters:        sim.DefaultFedClusters(4, 30),
-					Route:           federation.LeastSubscribed{},
+					Route:           federation.LeastSubscribed(),
 					PooledAutoscale: true,
 					Seed:            42,
 				}, 2)

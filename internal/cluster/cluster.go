@@ -239,20 +239,6 @@ func (h *Host) publish(committed int32) {
 	h.own.set(committed, subscribed, replicas)
 }
 
-// HasReplica reports whether the replica is subscribed on this host.
-func (h *Host) HasReplica(replicaID string) bool {
-	defer h.lock().Unlock()
-	_, ok := h.replicas[replicaID]
-	return ok
-}
-
-// ReplicaRequest returns the subscribed request of a replica.
-func (h *Host) ReplicaRequest(replicaID string) (resources.Spec, bool) {
-	defer h.lock().Unlock()
-	req, ok := h.replicas[replicaID]
-	return req, ok
-}
-
 // Replicas returns the IDs of replicas subscribed on the host, sorted.
 func (h *Host) Replicas() []string {
 	defer h.lock().Unlock()
@@ -336,7 +322,7 @@ type Cluster struct {
 	hosts map[string]*Host
 	// list holds the member hosts in insertion order. Each snapshot is
 	// immutable: a membership change builds a new one and publishes it
-	// under mu, so NumHosts and ForEachHost read it without the lock.
+	// under mu, so NumHosts reads it without the lock.
 	list atomic.Pointer[[]*Host]
 	// table is the current view of the dense host table (table.go): each
 	// member's scan state in cluster-owned rows. free holds, per host
@@ -471,8 +457,7 @@ func (c *Cluster) Host(id string) (*Host, bool) {
 	return h, ok
 }
 
-// Hosts returns a copy of all hosts in insertion order. Prefer ForEachHost
-// in hot paths: it does not allocate.
+// Hosts returns a copy of all hosts in insertion order.
 func (c *Cluster) Hosts() []*Host {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -480,17 +465,6 @@ func (c *Cluster) Hosts() []*Host {
 	out := make([]*Host, len(list))
 	copy(out, list)
 	return out
-}
-
-// ForEachHost calls fn for every host in insertion order until fn returns
-// false. It iterates a membership snapshot without locking or allocating,
-// so fn may add or remove hosts (the iteration still sees the snapshot).
-func (c *Cluster) ForEachHost(fn func(*Host) bool) {
-	for _, h := range *c.list.Load() {
-		if !fn(h) {
-			return
-		}
-	}
 }
 
 // NumHosts returns the number of hosts. Lock-free.

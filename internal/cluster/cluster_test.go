@@ -25,11 +25,8 @@ func TestHostSubscription(t *testing.T) {
 	if got := h.Subscribed().GPUs; got != 8 {
 		t.Fatalf("subscribed = %d", got)
 	}
-	if !h.HasReplica("k1/r1") || h.NumReplicas() != 2 {
+	if h.NumReplicas() != 2 || h.replicas["k2/r1"].GPUs != 4 {
 		t.Fatal("replica bookkeeping")
-	}
-	if r, ok := h.ReplicaRequest("k2/r1"); !ok || r.GPUs != 4 {
-		t.Fatal("ReplicaRequest")
 	}
 	if got := h.Replicas(); len(got) != 2 || got[0] != "k1/r1" {
 		t.Fatalf("Replicas = %v", got)

@@ -37,7 +37,7 @@
 // a host's counters, its row and its chunk's summary. The single-word
 // reads a placement or autoscale scan makes on every host — the Rows of the
 // table, a chunk's summary, Host.SubscribedGPUs, IdleGPUs, NumReplicas,
-// SubscriptionRatio and Slot, Cluster.NumHosts, ForEachHost and the
+// SubscriptionRatio and Slot, Cluster.NumHosts and the
 // aggregates — are lock-free: row counters and summaries are atomics stored
 // under the chunk lock — by the occupant's writers, and by the cluster when
 // it gives out ordinals or flips an occupancy bit, cluster lock held as

@@ -220,7 +220,7 @@ func TestTableFollowsMembership(t *testing.T) {
 }
 
 // TestTableUnderChurn reads the dense table the way a placement scan does,
-// and walks ForEachHost, while other goroutines place, remove, commit and
+// and walks the member hosts, while other goroutines place, remove, commit and
 // release on member hosts and hosts of two shapes join and leave by
 // RemoveHost and CrashHost. Under -race it checks every table access; in
 // any mode, once the writers are done the table must equal a recount under
@@ -279,13 +279,12 @@ func TestTableUnderChurn(t *testing.T) {
 	})
 	reader(func() {
 		seen := 0
-		c.ForEachHost(func(h *Host) bool {
+		for _, h := range c.Hosts() {
 			seen++
 			_ = h.SubscribedGPUs() + h.IdleGPUs() + h.NumReplicas() + h.Slot()
-			return true
-		})
-		if seen < stable {
-			t.Errorf("ForEachHost saw %d hosts, the %d stable ones never leave", seen, stable)
+		}
+		if seen < stable || c.NumHosts() < stable {
+			t.Errorf("Hosts() has %d hosts, NumHosts %d; the %d stable ones never leave", seen, c.NumHosts(), stable)
 		}
 	})
 	for w := 0; w < 2; w++ {

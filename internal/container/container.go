@@ -98,29 +98,16 @@ func (c *Container) Terminate() {
 	c.setState(Terminated)
 }
 
-// LatencyModel samples provisioning latencies. Defaults follow the paper's
-// observations: on-demand (cold) Docker container provisioning takes tens
-// of seconds (the long tails of Figs. 9a and 17), while a pre-warmed
-// container only pays a sub-second attach cost.
+// LatencyModel samples provisioning latencies. The paper observes that
+// on-demand (cold) Docker container provisioning takes tens of seconds (the
+// long tails of Figs. 9a and 17), while a pre-warmed container only pays a
+// sub-second attach cost; the simulator's calibration of both is
+// sim.DefaultLatencies.
 type LatencyModel struct {
 	// ColdStart samples a full container provisioning delay.
 	ColdStart func(r *rand.Rand) time.Duration
 	// WarmAttach samples the cost of binding a pre-warmed container.
 	WarmAttach func(r *rand.Rand) time.Duration
-}
-
-// DefaultLatency returns the production-calibrated model.
-func DefaultLatency() LatencyModel {
-	return LatencyModel{
-		ColdStart: func(r *rand.Rand) time.Duration {
-			// 18–45 s uniform: image pull + runtime init + dependency load.
-			return 18*time.Second + time.Duration(r.Int63n(int64(27*time.Second)))
-		},
-		WarmAttach: func(r *rand.Rand) time.Duration {
-			// 80–400 ms.
-			return 80*time.Millisecond + time.Duration(r.Int63n(int64(320*time.Millisecond)))
-		},
-	}
 }
 
 // FastLatency returns a millisecond-scale model for tests and examples.

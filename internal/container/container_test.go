@@ -2,6 +2,7 @@ package container
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -51,7 +52,10 @@ func TestStateString(t *testing.T) {
 
 func TestProvisionerLatencyOnVirtualClock(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	p := NewProvisioner(clock, DefaultLatency(), 7)
+	coldStart := func(r *rand.Rand) time.Duration {
+		return 18*time.Second + time.Duration(r.Int63n(int64(27*time.Second)))
+	}
+	p := NewProvisioner(clock, LatencyModel{ColdStart: coldStart}, 7)
 	done := make(chan *Container, 1)
 	go func() { done <- p.Provision("h1") }()
 	// Cold start is 18-45s: nothing before 18s of virtual time.

@@ -7,8 +7,8 @@
 // create_model, train, evaluate) the Global Scheduler installs into every
 // kernel replica so cell code can perform simulated IDLT tasks.
 //
-// It decides nothing about placement itself: replicas land where a
-// scheduler.PlacementPolicy puts them on the shared cluster model, and
+// It decides nothing about placement itself: replicas land where
+// scheduler.LeastLoaded puts them on the shared cluster model, and
 // scale-in floors through scheduler.MinHostsFloor — the same code the
 // simulator runs. Only internal/platform imports this package; the
 // simulator half must not (docs/ARCHITECTURE.md, "Link graph").

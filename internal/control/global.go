@@ -48,8 +48,6 @@ type Config struct {
 	// Cluster is the host inventory; hosts may also be added later via
 	// AddHost or scale-out.
 	Cluster *cluster.Cluster
-	// Policy is the placement policy (default LeastLoaded).
-	Policy scheduler.PlacementPolicy
 	// Clock drives all timing.
 	Clock simclock.Clock
 	// Store is the distributed data store shared by all kernels.
@@ -147,9 +145,6 @@ type GlobalScheduler struct {
 func New(cfg Config) (*GlobalScheduler, error) {
 	if cfg.Cluster == nil {
 		return nil, fmt.Errorf("scheduler: config requires Cluster")
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = scheduler.LeastLoaded{}
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
@@ -361,10 +356,10 @@ func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.S
 	return nil
 }
 
-// selectHostsScalingOut runs the placement policy, triggering a scale-out
-// and retrying when there are not enough viable candidates (§3.4.2).
+// selectHostsScalingOut places least-loaded, triggering a scale-out and
+// retrying when there are not enough viable candidates (§3.4.2).
 func (gs *GlobalScheduler) selectHostsScalingOut(req resources.Spec, n int) ([]*cluster.Host, error) {
-	hosts, err := gs.cfg.Policy.SelectHosts(gs.cfg.Cluster, req, n)
+	hosts, err := scheduler.LeastLoaded{}.SelectHosts(gs.cfg.Cluster, req, n)
 	if err == nil {
 		return hosts, nil
 	}
@@ -376,7 +371,7 @@ func (gs *GlobalScheduler) selectHostsScalingOut(req resources.Spec, n int) ([]*
 		missing = 1
 	}
 	gs.ScaleOut(missing)
-	return gs.cfg.Policy.SelectHosts(gs.cfg.Cluster, req, n)
+	return scheduler.LeastLoaded{}.SelectHosts(gs.cfg.Cluster, req, n)
 }
 
 // SetHostFactory installs (or replaces) the scale-out host factory after

@@ -13,65 +13,38 @@ type Handler func()
 // time; a Runner is typically a pointer to a struct that lives for a whole
 // task and is re-scheduled phase after phase, so a multi-phase task costs
 // one allocation total. The interface value itself is pointer-shaped, so
-// storing it in the pooled Event allocates nothing.
+// storing it in the pooled event allocates nothing.
 type Runner interface {
 	Fire()
 }
 
-// Event is a scheduled occurrence. Cancel removes a not-yet-fired event
-// from the engine's queue; cancelling a fired event is a no-op.
-type Event struct {
+// event is a scheduled occurrence: fn, or when fn is nil run.Fire, at
+// (at, seq).
+type event struct {
 	at time.Time
 	// atns caches at.UnixNano(): heap comparisons are the engine's hottest
 	// operation and integer compares beat time.Time's wall/monotonic
 	// decoding. Simulation timestamps stay well within int64-nanosecond
 	// range (years 1678-2262).
-	atns     int64
-	seq      int64
-	fn       Handler
-	run      Runner
-	canceled bool
-	pooled   bool
-	index    int // heap index, -1 once popped
-	eng      *Engine
+	atns int64
+	seq  int64
+	fn   Handler
+	run  Runner
 }
-
-// At returns the time the event is scheduled to fire.
-func (e *Event) At() time.Time { return e.at }
-
-// Cancel prevents the event from firing and immediately reaps it from the
-// engine's queue (via the maintained heap index), so long simulations do
-// not accumulate dead heap entries.
-func (e *Event) Cancel() {
-	if e.canceled {
-		return
-	}
-	e.canceled = true
-	if e.index >= 0 && e.eng != nil {
-		e.eng.remove(e.index)
-		e.fn = nil
-		e.run = nil
-	}
-}
-
-// Canceled reports whether Cancel was called.
-func (e *Event) Canceled() bool { return e.canceled }
 
 // Engine is a discrete-event executor with a virtual clock.
 type Engine struct {
-	now     time.Time
-	pq      eventHeap
-	seq     int64
-	steps   int64
-	stopped bool
-	// free recycles events scheduled through Schedule/Defer, which hand
-	// out no handle and therefore cannot be retained or cancelled by the
-	// caller. The simulator's hot path schedules hundreds of thousands of
-	// such fire-and-forget events per run. When the list runs dry it is
-	// refilled from a freshly allocated block (geometrically growing, see
-	// blockSize) rather than one Event at a time, so a long run costs
-	// O(log peak) event allocations instead of O(peak).
-	free []*Event
+	now   time.Time
+	pq    eventHeap
+	seq   int64
+	steps int64
+	// free recycles events: every scheduling call hands out no handle, so an
+	// event can be reused once it has fired. The simulator's hot path
+	// schedules hundreds of thousands of events per run. When the list runs
+	// dry it is refilled from a freshly allocated block (geometrically
+	// growing, see blockSize) rather than one event at a time, so a long run
+	// costs O(log peak) event allocations instead of O(peak).
+	free []*event
 	// blockSize is the size of the next arena block handed to free.
 	blockSize int
 }
@@ -96,14 +69,13 @@ func (e *Engine) Reserve(n int) {
 		e.pq = pq
 	}
 	if extra := n - len(e.free); extra > 0 {
-		block := make([]Event, extra)
+		block := make([]event, extra)
 		if cap(e.free) < n {
-			free := make([]*Event, len(e.free), n)
+			free := make([]*event, len(e.free), n)
 			copy(free, e.free)
 			e.free = free
 		}
 		for i := range block {
-			block[i].eng = e
 			e.free = append(e.free, &block[i])
 		}
 	}
@@ -118,12 +90,11 @@ func (e *Engine) refill() {
 	} else if e.blockSize < 8192 {
 		e.blockSize *= 2
 	}
-	block := make([]Event, e.blockSize)
+	block := make([]event, e.blockSize)
 	if cap(e.free) < e.blockSize {
-		e.free = make([]*Event, 0, e.blockSize)
+		e.free = make([]*event, 0, e.blockSize)
 	}
 	for i := range block {
-		block[i].eng = e
 		e.free = append(e.free, &block[i])
 	}
 }
@@ -131,8 +102,7 @@ func (e *Engine) refill() {
 // Steps returns the number of events executed so far.
 func (e *Engine) Steps() int64 { return e.steps }
 
-// Len returns the number of pending (not yet fired) events. Cancelled
-// events are reaped eagerly and are not counted.
+// Len returns the number of pending (not yet fired) events.
 func (e *Engine) Len() int { return len(e.pq) }
 
 // ReserveSeq sets aside n consecutive tie-break sequence numbers — the ones
@@ -147,27 +117,10 @@ func (e *Engine) ReserveSeq(n int) int64 {
 	return first
 }
 
-// At schedules fn at absolute time t and returns a cancellable handle.
-// Scheduling in the past schedules at the current time (it will still run
-// strictly after the current event).
-func (e *Engine) At(t time.Time, fn Handler) *Event {
-	if t.Before(e.now) {
-		t = e.now
-	}
-	ev := &Event{at: t, atns: t.UnixNano(), seq: e.ReserveSeq(1), fn: fn, eng: e}
-	e.push(ev)
-	return ev
-}
-
-// After schedules fn d from now and returns a cancellable handle.
-func (e *Engine) After(d time.Duration, fn Handler) *Event {
-	return e.At(e.now.Add(d), fn)
-}
-
-// schedule is the one body behind every no-handle scheduling call: it pops a
-// pooled event, which the engine recycles once fired, and queues it at
-// (t, seq) carrying fn or, when fn is nil, run. Scheduling in the past
-// schedules at the current time.
+// schedule is the one body behind every scheduling call: it pops a pooled
+// event, which the engine recycles once fired, and queues it at (t, seq)
+// carrying fn or, when fn is nil, run. Scheduling in the past schedules at
+// the current time (it still runs strictly after the current event).
 func (e *Engine) schedule(t time.Time, seq int64, fn Handler, run Runner) {
 	if t.Before(e.now) {
 		t = e.now
@@ -179,19 +132,16 @@ func (e *Engine) schedule(t time.Time, seq int64, fn Handler, run Runner) {
 	ev := e.free[n]
 	e.free[n] = nil
 	e.free = e.free[:n]
-	ev.at, ev.atns, ev.seq, ev.fn, ev.run, ev.canceled = t, t.UnixNano(), seq, fn, run, false
-	ev.pooled = true
+	ev.at, ev.atns, ev.seq, ev.fn, ev.run = t, t.UnixNano(), seq, fn, run
 	e.push(ev)
 }
 
-// Schedule schedules fn at absolute time t without returning a handle.
-// The event cannot be cancelled, which lets the engine recycle its
-// allocation once fired. Prefer this in hot paths that never cancel.
+// Schedule schedules fn at absolute time t.
 func (e *Engine) Schedule(t time.Time, fn Handler) {
 	e.schedule(t, e.ReserveSeq(1), fn, nil)
 }
 
-// Defer schedules fn d from now without returning a handle (see Schedule).
+// Defer schedules fn d from now.
 func (e *Engine) Defer(d time.Duration, fn Handler) {
 	e.Schedule(e.now.Add(d), fn)
 }
@@ -219,10 +169,9 @@ func (e *Engine) DeferLate(d time.Duration, fn Handler) {
 	e.ScheduleLate(e.now.Add(d), fn)
 }
 
-// ScheduleRunner schedules r.Fire at absolute time t without returning a
-// handle — Schedule for Runner state machines: the pooled event carries the
-// interface value directly, so re-scheduling a long-lived Runner allocates
-// nothing.
+// ScheduleRunner schedules r.Fire at absolute time t — Schedule for Runner
+// state machines: the pooled event carries the interface value directly, so
+// re-scheduling a long-lived Runner allocates nothing.
 func (e *Engine) ScheduleRunner(t time.Time, r Runner) {
 	e.schedule(t, e.ReserveSeq(1), nil, r)
 }
@@ -233,49 +182,37 @@ func (e *Engine) ScheduleRunnerSeq(t time.Time, seq int64, r Runner) {
 	e.schedule(t, seq, nil, r)
 }
 
-// DeferRunner schedules r.Fire d from now without returning a handle (see
-// ScheduleRunner).
+// DeferRunner schedules r.Fire d from now (see ScheduleRunner).
 func (e *Engine) DeferRunner(d time.Duration, r Runner) {
 	e.ScheduleRunner(e.now.Add(d), r)
 }
 
-// Stop makes Run/RunUntil return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Run executes events until the queue is empty or Stop is called.
+// Run executes events until the queue is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for len(e.pq) > 0 && !e.stopped {
+	for len(e.pq) > 0 {
 		e.step()
 	}
 }
 
-// RunUntil executes events with firing time <= deadline (or until Stop),
-// then advances the clock to deadline.
+// RunUntil executes events with firing time <= deadline, then advances the
+// clock to deadline.
 func (e *Engine) RunUntil(deadline time.Time) {
-	e.stopped = false
 	dns := deadline.UnixNano()
-	for len(e.pq) > 0 && !e.stopped && e.pq[0].atns <= dns {
+	for len(e.pq) > 0 && e.pq[0].atns <= dns {
 		e.step()
 	}
-	if !e.stopped && deadline.After(e.now) {
+	if deadline.After(e.now) {
 		e.now = deadline
 	}
 }
 
 func (e *Engine) step() {
 	ev := e.pop()
-	if ev.canceled {
-		return
-	}
 	e.now = ev.at
 	e.steps++
 	fn, run := ev.fn, ev.run
-	if ev.pooled {
-		ev.fn = nil
-		ev.run = nil
-		e.free = append(e.free, ev)
-	}
+	ev.fn, ev.run = nil, nil
+	e.free = append(e.free, ev)
 	if fn != nil {
 		fn()
 	} else {
@@ -289,23 +226,22 @@ func (e *Engine) step() {
 // Hand-rolling (instead of container/heap) removes interface dispatch
 // from the engine's hottest loop, and the wider fan-out halves sift depth
 // — swaps, not compares, dominate once the ordering key is an integer.
-type eventHeap []*Event
+type eventHeap []*event
 
 // eventBefore is the strict (time, sequence) ordering.
-func eventBefore(a, b *Event) bool {
+func eventBefore(a, b *event) bool {
 	if a.atns != b.atns {
 		return a.atns < b.atns
 	}
 	return a.seq < b.seq
 }
 
-func (e *Engine) push(ev *Event) {
-	ev.index = len(e.pq)
+func (e *Engine) push(ev *event) {
 	e.pq = append(e.pq, ev)
-	e.pq.siftUp(ev.index)
+	e.pq.siftUp(len(e.pq) - 1)
 }
 
-func (e *Engine) pop() *Event {
+func (e *Engine) pop() *event {
 	h := e.pq
 	ev := h[0]
 	n := len(h) - 1
@@ -313,29 +249,10 @@ func (e *Engine) pop() *Event {
 	h[n] = nil
 	e.pq = h[:n]
 	if n > 0 {
-		last.index = 0
 		e.pq[0] = last
 		e.pq.siftDown(0)
 	}
-	ev.index = -1
 	return ev
-}
-
-// remove deletes the event at heap index i.
-func (e *Engine) remove(i int) {
-	h := e.pq
-	ev := h[i]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	e.pq = h[:n]
-	if i < n {
-		last.index = i
-		e.pq[i] = last
-		e.pq.siftDown(i)
-		e.pq.siftUp(last.index)
-	}
-	ev.index = -1
 }
 
 func (h eventHeap) siftUp(i int) {
@@ -346,11 +263,9 @@ func (h eventHeap) siftUp(i int) {
 			break
 		}
 		h[i] = h[p]
-		h[i].index = i
 		i = p
 	}
 	h[i] = ev
-	ev.index = i
 }
 
 func (h eventHeap) siftDown(i int) {
@@ -375,9 +290,7 @@ func (h eventHeap) siftDown(i int) {
 			break
 		}
 		h[i] = h[best]
-		h[i].index = i
 		i = best
 	}
 	h[i] = ev
-	ev.index = i
 }

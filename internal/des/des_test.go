@@ -12,9 +12,9 @@ var t0 = time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
 func TestRunExecutesInTimeOrder(t *testing.T) {
 	e := New(t0)
 	var order []int
-	e.After(3*time.Second, func() { order = append(order, 3) })
-	e.After(1*time.Second, func() { order = append(order, 1) })
-	e.After(2*time.Second, func() { order = append(order, 2) })
+	e.Defer(3*time.Second, func() { order = append(order, 3) })
+	e.Defer(1*time.Second, func() { order = append(order, 1) })
+	e.Defer(2*time.Second, func() { order = append(order, 2) })
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -32,7 +32,7 @@ func TestTieBreakIsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.After(time.Second, func() { order = append(order, i) })
+		e.Defer(time.Second, func() { order = append(order, i) })
 	}
 	e.Run()
 	for i, v := range order {
@@ -45,9 +45,9 @@ func TestTieBreakIsFIFO(t *testing.T) {
 func TestEventsCanScheduleEvents(t *testing.T) {
 	e := New(t0)
 	var fired []time.Duration
-	e.After(time.Second, func() {
+	e.Defer(time.Second, func() {
 		fired = append(fired, e.Now().Sub(t0))
-		e.After(time.Second, func() {
+		e.Defer(time.Second, func() {
 			fired = append(fired, e.Now().Sub(t0))
 		})
 	})
@@ -57,29 +57,15 @@ func TestEventsCanScheduleEvents(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New(t0)
-	ran := false
-	ev := e.After(time.Second, func() { ran = true })
-	ev.Cancel()
-	e.Run()
-	if ran {
-		t.Fatal("cancelled event ran")
-	}
-	if !ev.Canceled() {
-		t.Fatal("Canceled() should be true")
-	}
-}
-
 func TestRunUntil(t *testing.T) {
 	e := New(t0)
 	var fired int
 	for i := 1; i <= 10; i++ {
-		e.After(time.Duration(i)*time.Minute, func() { fired++ })
+		e.Defer(time.Duration(i)*time.Minute, func() { fired++ })
 	}
 	e.RunUntil(t0.Add(5 * time.Minute))
-	if fired != 5 {
-		t.Fatalf("fired = %d, want 5", fired)
+	if fired != 5 || e.Len() != 5 {
+		t.Fatalf("fired = %d with %d pending, want 5 and 5", fired, e.Len())
 	}
 	if !e.Now().Equal(t0.Add(5 * time.Minute)) {
 		t.Fatalf("Now = %v", e.Now())
@@ -90,26 +76,11 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := New(t0)
-	var fired int
-	e.After(time.Second, func() { fired++; e.Stop() })
-	e.After(2*time.Second, func() { fired++ })
-	e.Run()
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (stopped)", fired)
-	}
-	e.Run() // resume
-	if fired != 2 {
-		t.Fatalf("fired = %d, want 2 after resume", fired)
-	}
-}
-
 func TestSchedulingInPastClampsToNow(t *testing.T) {
 	e := New(t0)
 	var at time.Time
-	e.After(time.Hour, func() {
-		e.At(t0, func() { at = e.Now() }) // t0 is in the past by then
+	e.Defer(time.Hour, func() {
+		e.Schedule(t0, func() { at = e.Now() }) // t0 is in the past by then
 	})
 	e.Run()
 	if !at.Equal(t0.Add(time.Hour)) {
@@ -118,24 +89,19 @@ func TestSchedulingInPastClampsToNow(t *testing.T) {
 }
 
 // Property: regardless of insertion order, events fire in non-decreasing
-// time order and the engine executes exactly the non-cancelled ones.
+// time order and the engine executes every one of them.
 func TestOrderProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := New(t0)
 		n := 50 + r.Intn(100)
-		canceled := 0
 		var fireTimes []time.Time
 		for i := 0; i < n; i++ {
 			d := time.Duration(r.Intn(10_000)) * time.Millisecond
-			ev := e.After(d, func() { fireTimes = append(fireTimes, e.Now()) })
-			if r.Intn(5) == 0 {
-				ev.Cancel()
-				canceled++
-			}
+			e.Defer(d, func() { fireTimes = append(fireTimes, e.Now()) })
 		}
 		e.Run()
-		if len(fireTimes) != n-canceled {
+		if len(fireTimes) != n {
 			return false
 		}
 		for i := 1; i < len(fireTimes); i++ {
@@ -150,37 +116,7 @@ func TestOrderProperty(t *testing.T) {
 	}
 }
 
-// TestCancelReapsImmediately: cancelling removes the event from the queue
-// right away, so Len reflects only live events and long runs do not
-// accumulate dead heap entries.
-func TestCancelReapsImmediately(t *testing.T) {
-	e := New(t0)
-	evs := make([]*Event, 100)
-	for i := range evs {
-		evs[i] = e.After(time.Duration(i+1)*time.Second, func() {})
-	}
-	if e.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", e.Len())
-	}
-	for i, ev := range evs {
-		if i%2 == 0 {
-			ev.Cancel()
-		}
-	}
-	if e.Len() != 50 {
-		t.Fatalf("Len after cancelling half = %d, want 50", e.Len())
-	}
-	fired := 0
-	e.Run()
-	if fired = int(e.Steps()); fired != 50 {
-		t.Fatalf("fired %d events, want 50", fired)
-	}
-	if e.Len() != 0 {
-		t.Fatalf("Len after run = %d, want 0", e.Len())
-	}
-}
-
-// TestScheduleRecyclesDeterministically: the no-handle Schedule/Defer path
+// TestScheduleRecyclesDeterministically: the Schedule/Defer path
 // recycles event allocations without disturbing (time, seq) ordering.
 func TestScheduleRecyclesDeterministically(t *testing.T) {
 	run := func() []int {
@@ -220,36 +156,6 @@ func TestScheduleRecyclesDeterministically(t *testing.T) {
 		if v != i {
 			t.Fatalf("tie order = %v, want FIFO", tie)
 		}
-	}
-}
-
-// TestCancelInterleavedWithPooled: cancellable and pooled events coexist
-// on one queue; removal keeps the heap invariant intact.
-func TestCancelInterleavedWithPooled(t *testing.T) {
-	e := New(t0)
-	var fired []int
-	var cancels []*Event
-	for i := 0; i < 200; i++ {
-		i := i
-		d := time.Duration((i*131)%977) * time.Millisecond
-		if i%2 == 0 {
-			cancels = append(cancels, e.After(d, func() { fired = append(fired, i) }))
-		} else {
-			e.Schedule(t0.Add(d), func() { fired = append(fired, i) })
-		}
-	}
-	for i, ev := range cancels {
-		if i%2 == 0 {
-			ev.Cancel()
-		}
-	}
-	e.Run()
-	want := 200 - (len(cancels)+1)/2
-	if len(fired) != want {
-		t.Fatalf("fired %d events, want %d", len(fired), want)
-	}
-	if e.Len() != 0 {
-		t.Fatalf("Len = %d after run", e.Len())
 	}
 }
 

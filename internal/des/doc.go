@@ -23,10 +23,10 @@
 //     goroutines.
 //
 // Internally the ready queue is a hand-rolled 4-ary heap keyed by an
-// int64-nanosecond (time, sequence) pair; Cancel reaps via a maintained
-// heap index, and the no-handle calls (Schedule, ScheduleLate,
-// ScheduleRunner, ScheduleRunnerSeq and their Defer forms — one body,
-// Engine.schedule) recycle event allocations from a pool refilled in
+// int64-nanosecond (time, sequence) pair. No scheduling call returns a
+// handle, so a fired event can be reused: every call (Schedule,
+// ScheduleLate, ScheduleRunner, ScheduleRunnerSeq and their Defer forms —
+// one body, Engine.schedule) takes its event from a pool refilled in
 // geometrically growing arena blocks (O(log peak) allocations for any
 // pending-event peak). FuzzEngineOrder holds all of it to a reference that
 // scans a slice for the least (time, late class, sequence). Engine.Reserve

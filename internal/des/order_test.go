@@ -9,8 +9,8 @@ import (
 // The firing order is the engine's contract: least (time, late class,
 // sequence number) first, where a sequence number is drawn when an event is
 // scheduled — or reserved ahead of time and spent later. This file checks
-// the 4-ary heap, the event pool, eager cancellation and the reserved
-// numbers against the slowest honest implementation of that sentence.
+// the 4-ary heap, the event pool and the reserved numbers against the
+// slowest honest implementation of that sentence.
 
 // scheduler is what a fuzz program drives: Engine's scheduling surface.
 type scheduler interface {
@@ -19,15 +19,12 @@ type scheduler interface {
 	ScheduleRunner(time.Time, Runner)
 	ScheduleRunnerSeq(time.Time, int64, Runner)
 	ReserveSeq(int) int64
-	at(time.Time, Handler) interface{ Cancel() }
 	Run()
 }
 
-func (e *Engine) at(t time.Time, fn Handler) interface{ Cancel() } { return e.At(t, fn) }
-
 // refEngine is the executable specification: pending events in a slice, the
 // next one found by scanning for the least (time, late class, sequence
-// number), a cancelled one skipped when its turn comes.
+// number).
 type refEngine struct {
 	now     time.Time
 	seq     int64
@@ -35,14 +32,11 @@ type refEngine struct {
 }
 
 type refEvent struct {
-	at       time.Time
-	late     bool
-	seq      int64
-	fire     func()
-	canceled bool
+	at   time.Time
+	late bool
+	seq  int64
+	fire func()
 }
-
-func (ev *refEvent) Cancel() { ev.canceled = true }
 
 func (ev *refEvent) before(o *refEvent) bool {
 	if !ev.at.Equal(o.at) {
@@ -54,13 +48,11 @@ func (ev *refEvent) before(o *refEvent) bool {
 	return ev.seq < o.seq
 }
 
-func (r *refEngine) add(t time.Time, late bool, seq int64, fire func()) *refEvent {
+func (r *refEngine) add(t time.Time, late bool, seq int64, fire func()) {
 	if t.Before(r.now) {
 		t = r.now
 	}
-	ev := &refEvent{at: t, late: late, seq: seq, fire: fire}
-	r.pending = append(r.pending, ev)
-	return ev
+	r.pending = append(r.pending, &refEvent{at: t, late: late, seq: seq, fire: fire})
 }
 
 func (r *refEngine) ReserveSeq(n int) int64 {
@@ -81,10 +73,6 @@ func (r *refEngine) ScheduleRunnerSeq(t time.Time, seq int64, run Runner) {
 	r.add(t, false, seq, run.Fire)
 }
 
-func (r *refEngine) at(t time.Time, fn Handler) interface{ Cancel() } {
-	return r.add(t, false, r.ReserveSeq(1), fn)
-}
-
 func (r *refEngine) Run() {
 	for len(r.pending) > 0 {
 		next := 0
@@ -95,10 +83,8 @@ func (r *refEngine) Run() {
 		}
 		ev := r.pending[next]
 		r.pending = slices.Delete(r.pending, next, next+1)
-		if !ev.canceled {
-			r.now = ev.at
-			ev.fire()
-		}
+		r.now = ev.at
+		ev.fire()
 	}
 }
 
@@ -138,11 +124,9 @@ func (n noter) Fire() { n() }
 // (the argument's low three bits), so ties are the rule:
 //
 //	0  Schedule            1  ScheduleLate          2  ScheduleRunner
-//	3  At, handle kept     4  Cancel a kept handle, now
-//	5  Schedule an event that cancels a kept handle when it fires
-//	6  a reserved chain of 2-5 links; each further link is one more byte,
+//	3  a reserved chain of 2-5 links; each further link is one more byte,
 //	   whose low two bits are its distance from the link before
-//	7  Schedule an event that schedules another when it fires, at an instant
+//	4  Schedule an event that schedules another when it fires, at an instant
 //	   that may by then be in the past
 func runProgram(s scheduler, prog []byte) (fired []int) {
 	ids := 0
@@ -152,9 +136,8 @@ func runProgram(s scheduler, prog []byte) (fired []int) {
 		return func() { fired = append(fired, id) }
 	}
 	instant := func(b byte) time.Time { return t0.Add(time.Duration(b & 7)) }
-	var handles []interface{ Cancel() }
 	for len(prog) >= 2 {
-		kind, arg := prog[0]%8, prog[1]
+		kind, arg := prog[0]%5, prog[1]
 		prog = prog[2:]
 		at, pick := instant(arg), int(arg>>3)
 		switch kind {
@@ -165,19 +148,6 @@ func runProgram(s scheduler, prog []byte) (fired []int) {
 		case 2:
 			s.ScheduleRunner(at, noter(note()))
 		case 3:
-			handles = append(handles, s.at(at, note()))
-		case 4:
-			if len(handles) > 0 {
-				handles[int(arg)%len(handles)].Cancel()
-			}
-		case 5:
-			fn := note()
-			if len(handles) > 0 {
-				target := handles[pick%len(handles)]
-				fn = func(noted Handler) Handler { return func() { noted(); target.Cancel() } }(fn)
-			}
-			s.Schedule(at, fn)
-		case 6:
 			c := &chain{s: s, times: []time.Time{at}}
 			for links := 1 + pick%4; links > 0 && len(prog) > 0; links-- {
 				at = at.Add(time.Duration(prog[0] & 3))
@@ -188,7 +158,7 @@ func runProgram(s scheduler, prog []byte) (fired []int) {
 			ids += len(c.times)
 			c.fired = func(link int) { fired = append(fired, first+link) }
 			c.start()
-		case 7:
+		case 4:
 			parent, child, childAt := note(), note(), instant(byte(pick))
 			s.Schedule(at, func() { parent(); s.Schedule(childAt, child) })
 		}
@@ -205,15 +175,13 @@ func FuzzEngineOrder(f *testing.F) {
 	// A chain's second link and a later Schedule meet at 7 ns: the link fires
 	// first only under the number reserved for it before the Schedule drew
 	// its own.
-	f.Add([]byte{6, 5, 2, 0, 7})
+	f.Add([]byte{3, 5, 2, 0, 7})
 	// Two chains interleaved link for link on the same nanoseconds.
-	f.Add([]byte{6, 1 | 2<<3, 0, 1, 0, 6, 1 | 2<<3, 0, 1, 0, 0, 1, 0, 2})
-	// Late, normal, Runner and cancellable events tied at 3 ns; one handle
-	// cancelled at once, one by an event that fires at 3 ns ahead of it, one
-	// by an event that comes too late.
-	f.Add([]byte{1, 3, 3, 3, 0, 3, 3, 3, 2, 3, 3, 3, 4, 0, 5, 3 | 1<<3, 5, 4 | 2<<3})
+	f.Add([]byte{3, 1 | 2<<3, 0, 1, 0, 3, 1 | 2<<3, 0, 1, 0, 0, 1, 0, 2})
+	// Late, normal and Runner events tied at 3 ns, a late one first.
+	f.Add([]byte{1, 3, 0, 3, 2, 3, 1, 3, 0, 3, 2, 3})
 	// A child scheduled in the past lands on now, behind what is already there.
-	f.Add([]byte{7, 5 | 2<<3, 0, 5, 1, 5, 6, 5, 0})
+	f.Add([]byte{4, 5 | 2<<3, 0, 5, 1, 5, 3, 5, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			prog = prog[:512] // the reference is quadratic

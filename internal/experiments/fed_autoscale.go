@@ -23,7 +23,7 @@ func FederationAutoscale(o Options) (string, error) {
 		base := sim.Config{
 			Trace:    tr,
 			Clusters: sim.DefaultFedClusters(k, fedTotalHosts),
-			Route:    federation.LeastSubscribed{},
+			Route:    federation.LeastSubscribed(),
 			Seed:     o.seed(),
 		}
 		pooled := base
@@ -92,7 +92,7 @@ func FederationMatrix(o Options) (string, error) {
 		cfgs[i] = sim.Config{
 			Trace:           tr,
 			Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
-			Route:           federation.LatencyAware{},
+			Route:           federation.LatencyAware(0),
 			Latency:         sh.m,
 			PooledAutoscale: true,
 			Seed:            o.seed(),

@@ -31,7 +31,7 @@ func FederationScale(o Options) (string, error) {
 		cfgs[i] = sim.Config{
 			Trace:    tr,
 			Clusters: sim.DefaultFedClusters(k, fedTotalHosts),
-			Route:    federation.LeastSubscribed{},
+			Route:    federation.LeastSubscribed(),
 			Seed:     o.seed(),
 		}
 	}
@@ -87,7 +87,7 @@ func FederationPenalty(o Options) (string, error) {
 		cfgs[i] = sim.Config{
 			Trace:               tr,
 			Clusters:            sim.DefaultFedClusters(4, fedTotalHosts),
-			Route:               federation.LatencyAware{},
+			Route:               federation.LatencyAware(0),
 			InterClusterPenalty: p,
 			Seed:                o.seed(),
 		}
@@ -117,10 +117,10 @@ func FederationPenalty(o Options) (string, error) {
 // 25 ms-penalty federation.
 func FederationPolicy(o Options) (string, error) {
 	tr := excerptTrace(o)
-	routes := []federation.RoutePolicy{
-		federation.LocalFirst{},
-		federation.LeastSubscribed{},
-		federation.LatencyAware{},
+	routes := []*federation.ScoredPolicy{
+		federation.LocalFirst(),
+		federation.LeastSubscribed(),
+		federation.LatencyAware(0),
 	}
 	cfgs := make([]sim.Config, len(routes))
 	for i, route := range routes {

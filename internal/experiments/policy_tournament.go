@@ -26,19 +26,19 @@ import (
 // cell goroutines) would leak state between them.
 type tournamentEntry struct {
 	key   string
-	build func() federation.RoutePolicy
+	build func() *federation.ScoredPolicy
 }
 
-// tournamentEntries is the policy axis: the legacy baseline, the
-// round-robin null hypothesis, the two single-signal scored adapters, and
-// the composite scored policy mixing all four snapshot signals.
+// tournamentEntries is the policy axis: the local-first baseline, the
+// round-robin null hypothesis, the two single-signal orders, and the
+// composite scored policy mixing all four snapshot signals.
 func tournamentEntries() []tournamentEntry {
 	return []tournamentEntry{
-		{"local-first", func() federation.RoutePolicy { return federation.LocalFirst{} }},
-		{"round-robin", func() federation.RoutePolicy { return federation.RoundRobin() }},
-		{"least-sub", func() federation.RoutePolicy { return federation.LeastSubscribedScored() }},
-		{"latency-aware", func() federation.RoutePolicy { return federation.LatencyAwareScored(0) }},
-		{"composite", func() federation.RoutePolicy { return compositePolicy() }},
+		{"local-first", federation.LocalFirst},
+		{"round-robin", federation.RoundRobin},
+		{"least-sub", federation.LeastSubscribed},
+		{"latency-aware", func() *federation.ScoredPolicy { return federation.LatencyAware(0) }},
+		{"composite", compositePolicy},
 	}
 }
 
@@ -73,7 +73,7 @@ var tournamentKs = []int{2, 4}
 // the same single viable cluster). The per-member MinHosts=R floor keeps
 // all k members placeable for the whole run, so the tournament isolates
 // the one variable under test: how the route policy spreads load.
-func tournamentFedConfig(o Options, k int, policy federation.RoutePolicy) sim.Config {
+func tournamentFedConfig(o Options, k int, policy *federation.ScoredPolicy) sim.Config {
 	return sim.Config{
 		Clusters: sim.DefaultFedClusters(k, fedTotalHosts),
 		Route:    policy,

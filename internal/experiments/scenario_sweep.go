@@ -118,7 +118,7 @@ func ScenarioSweep(o Options) (string, error) {
 		for _, k := range []int{1, 2, 4} {
 			fres, err := w.run(o, sim.Config{
 				Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
-				Route:           federation.LeastSubscribed{},
+				Route:           federation.LeastSubscribed(),
 				PooledAutoscale: true,
 				Seed:            o.seed(),
 			})

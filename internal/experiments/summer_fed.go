@@ -24,7 +24,7 @@ func SummerFederation(o Options) (string, error) {
 		cfgs[i] = sim.Config{
 			Trace:           tr,
 			Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
-			Route:           federation.LeastSubscribed{},
+			Route:           federation.LeastSubscribed(),
 			PooledAutoscale: true,
 			Seed:            o.seed(),
 		}

@@ -22,24 +22,21 @@
 //     penalty (the legacy knob) or, when SetLatencyMatrix installs a
 //     per-pair LatencyMatrix (UniformMatrix, HubSpokeMatrix,
 //     GeoBandedMatrix), the actual pair cost. Penalty is the single choke
-//     point every consumer shares: the LatencyAware route policy's cost
-//     term and the federated simulator's crossing charges (remote executions
-//     pay two crossings per request/reply; cross-cluster migrations pay
-//     two crossings for the checkpoint transfer).
+//     point every consumer shares: the LatencyScorer's cost term and the
+//     federated simulator's crossing charges (remote executions pay two
+//     crossings per request/reply; cross-cluster migrations pay two
+//     crossings for the checkpoint transfer).
 //
-// RoutePolicy implementations rank member clusters for a placement
-// originating at a session's home cluster; ranking is deterministic (ties
-// break toward the home cluster, then by member index) so federated
-// simulations replay bit-for-bit. The closed-form trio (LocalFirst,
-// LeastSubscribed, LatencyAware) is joined by the composable scored
-// layer: every decision snapshots each member (RoutingSnapshot — O(1)
-// cluster counters, SnapshotExtras-supplied queue depth and retirable
-// hosts, pair round-trip latency), weighted pluggable Scorers turn
-// snapshots into costs, and a ScoredPolicy sums and sorts with the same
-// tie-break. Single-scorer configurations (LocalFirstScored,
-// LeastSubscribedScored, LatencyAwareScored) reproduce the legacy
-// policies bit-for-bit; RoundRobin is the signal-blind null hypothesis
-// the policy-tournament experiment measures the others against.
+// A ScoredPolicy ranks member clusters for a placement originating at a
+// session's home cluster: every decision snapshots each member
+// (RoutingSnapshot — O(1) cluster counters, the SnapshotExtras-supplied
+// queue depth, pair round-trip latency), weighted pluggable Scorers turn
+// snapshots into costs, and the policy sums and sorts them. Ranking is
+// deterministic (ties break toward the home cluster, then by member index)
+// so federated simulations replay bit-for-bit. LocalFirst (no scorers),
+// LeastSubscribed and LatencyAware are the named configurations; RoundRobin
+// is the signal-blind null hypothesis the policy-tournament experiment
+// measures the others against.
 //
 // FederatedAutoscaler pools capacity decisions across members: one
 // scale-out/scale-in decision per interval for the whole federation,

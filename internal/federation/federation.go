@@ -31,8 +31,8 @@ type Federation struct {
 	// notifier receives the fan-in of every member's capacity notifier.
 	notifier func()
 	// extras, when non-nil, supplies the scheduler-level RoutingSnapshot
-	// fields (queue depth, retirable hosts); read without locking under the
-	// same set-before-share contract as matrix.
+	// field (queue depth); read without locking under the same
+	// set-before-share contract as matrix.
 	extras SnapshotExtras
 	// penaltyScale multiplies every non-zero Penalty while a
 	// network-degradation episode is active (sim fault injection). 0 (the
@@ -67,14 +67,6 @@ func (f *Federation) SetLatencyMatrix(m LatencyMatrix) error {
 	}
 	f.matrix = m
 	return nil
-}
-
-// LatencyMatrix returns the installed matrix (nil when the federation uses
-// the symmetric penalty).
-func (f *Federation) LatencyMatrix() LatencyMatrix {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.matrix
 }
 
 // AddMember adds a cluster to the federation and wires its capacity
@@ -116,8 +108,7 @@ func (f *Federation) capacityFreed() {
 }
 
 // SetSnapshotExtras installs the callback that fills a RoutingSnapshot's
-// scheduler-level fields (capacity wait-queue depth and retirable-host
-// count per member). Like SetLatencyMatrix's matrix, the callback is read
+// scheduler-level field (capacity wait-queue depth per member). Like SetLatencyMatrix's matrix, the callback is read
 // without locking by Snapshot — install it before the federation is
 // shared between goroutines.
 func (f *Federation) SetSnapshotExtras(fn SnapshotExtras) {
@@ -136,17 +127,8 @@ func (f *Federation) SetCapacityNotifier(fn func()) {
 	f.mu.Unlock()
 }
 
-// Members returns the member list in index order. The returned slice is a
-// copy; the *Member values are shared.
-func (f *Federation) Members() []*Member {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]*Member(nil), f.members...)
-}
-
 // AppendMembers appends the member list in index order to buf and returns
-// it — Members for callers that reuse a buffer and cannot afford the
-// per-call copy allocation.
+// it; the *Member values are shared.
 func (f *Federation) AppendMembers(buf []*Member) []*Member {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -161,13 +143,6 @@ func (f *Federation) Member(i int) (*Member, bool) {
 		return nil, false
 	}
 	return f.members[i], true
-}
-
-// NumMembers returns the number of member clusters.
-func (f *Federation) NumMembers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.members)
 }
 
 // Penalty returns the one-way inter-cluster latency cost of a crossing

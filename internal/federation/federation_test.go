@@ -112,7 +112,7 @@ func TestPenaltyZeroWithinCluster(t *testing.T) {
 
 func TestLocalFirstOrder(t *testing.T) {
 	f := newFed(t, 0, 1, 1, 1)
-	got := LocalFirst{}.Order(f, 1, nil)
+	got := LocalFirst().Order(f, 1, nil)
 	want := []int{1, 0, 2}
 	for i := range want {
 		if got[i] != want[i] {
@@ -129,13 +129,13 @@ func TestLeastSubscribedPrefersIdleCluster(t *testing.T) {
 	if err := h.PlaceReplica("k/r1", gpuReq(8)); err != nil {
 		t.Fatal(err)
 	}
-	got := LeastSubscribed{}.Order(f, 0, nil)
+	got := LeastSubscribed().Order(f, 0, nil)
 	if got[0] != 1 {
 		t.Errorf("Order(home=0) = %v, want member 1 first", got)
 	}
 	// Equal SRs tie-break toward home.
 	f2 := newFed(t, 0, 1, 1)
-	if got := (LeastSubscribed{}).Order(f2, 1, nil); got[0] != 1 {
+	if got := LeastSubscribed().Order(f2, 1, nil); got[0] != 1 {
 		t.Errorf("tie Order(home=1) = %v, want home first", got)
 	}
 }
@@ -154,12 +154,12 @@ func TestLatencyAwareTradesLoadAgainstPenalty(t *testing.T) {
 	}
 	// Small penalty (10 ms × weight 5 = 0.05 SR points < 1/3): remote wins.
 	f := build(10 * time.Millisecond)
-	if got := (LatencyAware{}).Order(f, 0, nil); got[0] != 1 {
+	if got := LatencyAware(0).Order(f, 0, nil); got[0] != 1 {
 		t.Errorf("cheap penalty: Order = %v, want remote first", got)
 	}
 	// Huge penalty (200 ms × 5 = 1.0 SR point > 1/3): home wins.
 	f = build(200 * time.Millisecond)
-	if got := (LatencyAware{}).Order(f, 0, nil); got[0] != 0 {
+	if got := LatencyAware(0).Order(f, 0, nil); got[0] != 0 {
 		t.Errorf("expensive penalty: Order = %v, want home first", got)
 	}
 }
@@ -173,7 +173,7 @@ func TestRouteScratchReuse(t *testing.T) {
 	if err := m0.Cluster.Hosts()[0].PlaceReplica("k/r1", gpuReq(8)); err != nil {
 		t.Fatal(err)
 	}
-	policies := []RoutePolicy{LocalFirst{}, LeastSubscribed{}, LatencyAware{}}
+	policies := []*ScoredPolicy{LocalFirst(), LeastSubscribed(), LatencyAware(0)}
 	var scratch RouteScratch
 	for _, p := range policies {
 		for home := 0; home < 3; home++ {

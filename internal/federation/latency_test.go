@@ -118,7 +118,7 @@ func TestFederationPenaltyUsesMatrix(t *testing.T) {
 	}
 	// LatencyAware ranks on the pair cost: from spoke 1, the hub (10 ms
 	// away) must outrank the other spoke (20 ms away) when load is equal.
-	order := LatencyAware{}.Order(f, 1, nil)
+	order := LatencyAware(0).Order(f, 1, nil)
 	if len(order) != 3 || order[0] != 1 || order[1] != 0 || order[2] != 2 {
 		t.Errorf("latency-aware order from spoke = %v, want [1 0 2]", order)
 	}

@@ -1,32 +1,9 @@
 package federation
 
-import "sort"
-
-// RoutePolicy ranks member clusters for a placement (session creation,
-// task re-commit, or replica migration) originating at a session's home
-// cluster. Order must be deterministic for a given federation state:
-// federated simulations replay bit-for-bit only if cluster ranking does.
-type RoutePolicy interface {
-	// Name identifies the policy in experiment output.
-	Name() string
-	// Order returns every member index in preference order for work homed
-	// at member home. Callers try members in this order and skip those
-	// that cannot serve the request.
-	//
-	// scratch, when non-nil, provides the buffers the ranking is built in:
-	// the returned slice aliases scratch and is valid only until the next
-	// Order call with the same scratch. Hot paths that rank on every task
-	// (the federated simulator routes hundreds of thousands of placements
-	// per run) pass a per-caller scratch and never allocate; one-shot or
-	// concurrent callers pass nil and get a fresh slice. A scratch must not
-	// be shared across goroutines.
-	Order(f *Federation, home int, scratch *RouteScratch) []int
-}
-
-// RouteScratch holds the reusable buffers a RoutePolicy ranks in — the
-// index permutation, the per-member scores, and the sort.Interface state —
-// so repeated Order calls on a hot path allocate nothing after the first.
-// The zero value is ready to use.
+// RouteScratch holds the reusable buffers a ScoredPolicy ranks in — the
+// index permutation, the per-member scores, the snapshots and the
+// sort.Interface state — so repeated Order calls on a hot path allocate
+// nothing after the first. The zero value is ready to use.
 type RouteScratch struct {
 	sorter  scoreSorter
 	members []*Member
@@ -53,10 +30,11 @@ func (s *RouteScratch) growSnaps(n int) []RoutingSnapshot {
 	return s.snaps
 }
 
-// scoreSorter is the stable sort.Interface behind orderByScore. Sorting
-// through a *scoreSorter held inside a RouteScratch keeps sort.Stable
-// allocation-free: the interface value is a pointer to long-lived state,
-// unlike sort.SliceStable's per-call closure.
+// scoreSorter is the stable sort.Interface behind ScoredPolicy.Order: lower
+// score first, then the home member, then the lower index. Sorting through a
+// *scoreSorter held inside a RouteScratch keeps sort.Stable allocation-free:
+// the interface value is a pointer to long-lived state, unlike
+// sort.SliceStable's per-call closure.
 type scoreSorter struct {
 	idx  []int
 	vals []float64
@@ -74,112 +52,4 @@ func (s *scoreSorter) Less(a, b int) bool {
 		return i == s.home
 	}
 	return i < j
-}
-
-// LocalFirst routes to the home cluster first and only spills to other
-// clusters (in index order) when the home cluster cannot serve — the
-// conservative default that minimizes cross-cluster traffic.
-type LocalFirst struct{}
-
-// Name implements RoutePolicy.
-func (LocalFirst) Name() string { return "local-first" }
-
-// Order implements RoutePolicy.
-func (LocalFirst) Order(f *Federation, home int, scratch *RouteScratch) []int {
-	if scratch == nil {
-		scratch = &RouteScratch{}
-	}
-	n := f.NumMembers()
-	out := scratch.grow(n)[:0]
-	if home >= 0 && home < n {
-		out = append(out, home)
-	}
-	for i := 0; i < n; i++ {
-		if i != home {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// LeastSubscribed routes to the member with the lowest subscription ratio,
-// ignoring locality — a pure load-balancing policy. Ties prefer the home
-// cluster, then the lower member index.
-type LeastSubscribed struct{}
-
-// Name implements RoutePolicy.
-func (LeastSubscribed) Name() string { return "least-subscribed" }
-
-// Order implements RoutePolicy.
-func (LeastSubscribed) Order(f *Federation, home int, scratch *RouteScratch) []int {
-	return orderByScore(f, home, scratch, func(m *Member) float64 {
-		return clusterSR(m)
-	})
-}
-
-// LatencyAware trades load balance against the inter-cluster crossing
-// cost: a remote cluster is preferred only when its subscription ratio
-// undercuts the home cluster's by more than the crossing is worth. The
-// score is
-//
-//	SR(cluster) + Weight × RoundTrip(home, cluster)/2 per second
-//
-// — the average one-way cost, which equals Penalty(home, cluster) for
-// symmetric matrices and stays consistent with what remote executions
-// actually pay (the round trip) when an asymmetric matrix is installed.
-// With the default weight, a 100 ms crossing costs 0.5 SR points —
-// remote clusters need substantially more headroom to win.
-type LatencyAware struct {
-	// Weight converts one second of inter-cluster penalty into
-	// subscription-ratio points. Zero or negative selects
-	// DefaultLatencyWeight; to ignore latency entirely use
-	// LeastSubscribed instead (it is exactly the Weight→0 limit).
-	Weight float64
-}
-
-// DefaultLatencyWeight is LatencyAware's default SR-points-per-second.
-const DefaultLatencyWeight = 5.0
-
-// Name implements RoutePolicy.
-func (LatencyAware) Name() string { return "latency-aware" }
-
-// Order implements RoutePolicy.
-func (p LatencyAware) Order(f *Federation, home int, scratch *RouteScratch) []int {
-	w := p.Weight
-	if w <= 0 {
-		w = DefaultLatencyWeight
-	}
-	return orderByScore(f, home, scratch, func(m *Member) float64 {
-		return clusterSR(m) + w*f.RoundTrip(home, m.Index).Seconds()/2
-	})
-}
-
-// clusterSR is a member's current subscription ratio (sum of subscribed
-// GPUs over G×R), the load signal the balancing policies rank on.
-func clusterSR(m *Member) float64 {
-	g := m.Cluster.TotalGPUs()
-	r := m.Cluster.ReplicasPerKernel()
-	if g == 0 || r == 0 {
-		return 0
-	}
-	return float64(m.Cluster.SubscribedGPUs()) / float64(g*r)
-}
-
-// orderByScore sorts member indexes by ascending score with deterministic
-// tie-breaking: home first, then lower index. The result lives in scratch
-// (a fresh one when nil).
-func orderByScore(f *Federation, home int, scratch *RouteScratch, score func(*Member) float64) []int {
-	if scratch == nil {
-		scratch = &RouteScratch{}
-	}
-	scratch.members = f.AppendMembers(scratch.members[:0])
-	members := scratch.members
-	out := scratch.grow(len(members))
-	for i, m := range members {
-		out[i] = i
-		scratch.sorter.vals[i] = score(m)
-	}
-	scratch.sorter.home = home
-	sort.Stable(&scratch.sorter)
-	return out
 }

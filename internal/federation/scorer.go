@@ -2,21 +2,18 @@ package federation
 
 import "sort"
 
-// This file is the composable routing layer that replaces closed-form
-// route policies: every routing decision captures one RoutingSnapshot per
-// member, a set of weighted pluggable Scorers turns the snapshots into
-// per-member costs, and a ScoredPolicy sums the weighted costs and sorts
-// with exactly the tie-break the legacy policies used (lower score, then
-// home, then lower index). Each legacy policy is a single-scorer
-// configuration — see LocalFirstScored, LeastSubscribedScored, and
-// LatencyAwareScored for the bit-identity argument.
+// This file is the routing layer: every routing decision captures one
+// RoutingSnapshot per member, a set of weighted pluggable Scorers turns the
+// snapshots into per-member costs, and a ScoredPolicy sums the weighted costs
+// and sorts them (lower score, then home, then lower index). The named orders
+// — LocalFirst, LeastSubscribed, LatencyAware, RoundRobin — are
+// configurations of it.
 
 // RoutingSnapshot is one member cluster's state as seen at a routing
-// decision: the O(1) cluster counters, the two scheduler-level signals a
-// SnapshotExtras callback supplies (capacity wait-queue depth and
-// retirable-host count), and the round-trip latency from the decision's
-// home member. Scorers read snapshots instead of live clusters, so a
-// scorer can never perturb the state it ranks and custom scorers stay
+// decision: the O(1) cluster counters, the capacity wait-queue depth a
+// SnapshotExtras callback supplies, and the round-trip latency from the
+// decision's home member. Scorers read snapshots instead of live clusters,
+// so a scorer can never perturb the state it ranks and custom scorers stay
 // trivially testable from literal snapshot slices.
 type RoutingSnapshot struct {
 	// Member is the snapshotted member (shared, not copied).
@@ -33,17 +30,13 @@ type RoutingSnapshot struct {
 	// QueueDepth counts capacity-wait-queue waiters homed at this member;
 	// zero when no SnapshotExtras callback is installed.
 	QueueDepth int
-	// RetirableHosts counts hosts with no replicas and no commitments —
-	// the hosts a scale-in could remove; zero without SnapshotExtras.
-	RetirableHosts int
 	// RoundTripSeconds is Federation.RoundTrip(Home, Member.Index) in
 	// seconds: the request/reply crossing cost a remote execution pays.
 	RoundTripSeconds float64
 }
 
-// SR returns the snapshot's subscription ratio, S/(G×R) — the same
-// expression (and zero-capacity guard) as the legacy policies' clusterSR,
-// so SubscriptionScorer reproduces them bit-for-bit.
+// SR returns the snapshot's subscription ratio, S/(G×R), and 0 for a member
+// without GPUs.
 func (s RoutingSnapshot) SR() float64 {
 	if s.TotalGPUs == 0 || s.Replicas == 0 {
 		return 0
@@ -51,13 +44,13 @@ func (s RoutingSnapshot) SR() float64 {
 	return float64(s.SubscribedGPUs) / float64(s.TotalGPUs*s.Replicas)
 }
 
-// SnapshotExtras supplies the per-member snapshot fields the federation's
+// SnapshotExtras supplies the per-member snapshot field the federation's
 // own counters cannot answer: the capacity wait-queue depth attributed to
-// the member and its retirable (empty) host count. The federated
-// simulator installs one; without a callback both fields stay zero. Like
-// the latency matrix, install before the federation is shared between
-// goroutines — snapshots read the callback without locking.
-type SnapshotExtras func(member int) (queueDepth, retirableHosts int)
+// the member. The federated simulator installs one; without a callback the
+// field stays zero. Like the latency matrix, install before the federation
+// is shared between goroutines — snapshots read the callback without
+// locking.
+type SnapshotExtras func(member int) (queueDepth int)
 
 // Scorer scores one member of a snapshot set; lower is better. Score must
 // be a pure function of the snapshots (plus any internal decision counter
@@ -87,10 +80,14 @@ type WeightedScorer struct {
 	Weight float64
 }
 
-// ScoredPolicy is a RoutePolicy that ranks members by the weighted sum of
-// its scorers' costs, ascending, with the legacy tie-break (home first,
-// then lower index). The zero-scorer policy therefore *is* LocalFirst:
-// all costs are zero and the tie-break alone decides.
+// ScoredPolicy ranks member clusters for a placement (session creation, task
+// re-commit, or replica migration) originating at a session's home cluster,
+// by the weighted sum of its scorers' costs, ascending, home first and then
+// the lower index on ties. The zero-scorer policy is therefore LocalFirst:
+// all costs are zero and the tie-break alone decides. The ranking is a
+// deterministic function of the federation state (and of a stateful
+// scorer's decision count): federated simulations replay bit-for-bit only
+// if cluster ranking does.
 type ScoredPolicy struct {
 	// Scorers are summed as Σ Weight×Score per member.
 	Scorers []WeightedScorer
@@ -107,14 +104,21 @@ func NewScoredPolicy(name string, scorers ...WeightedScorer) *ScoredPolicy {
 	return &ScoredPolicy{name: name, Scorers: scorers}
 }
 
-// Name implements RoutePolicy.
+// Name identifies the policy in experiment output.
 func (p *ScoredPolicy) Name() string { return p.name }
 
-// Order implements RoutePolicy: snapshot every member, sum the weighted
-// scorer costs, sort ascending with the shared scoreSorter (stable, home
-// then lower index on ties), then advance any stateful scorers. With a
-// reused scratch the whole decision allocates nothing (pinned by
-// BenchmarkScoredRouting).
+// Order returns every member index in preference order for work homed at
+// member home; callers try members in this order and skip those that cannot
+// serve the request. It snapshots every member, sums the weighted scorer
+// costs, sorts ascending with the scoreSorter (stable, home then lower index
+// on ties), then advances any stateful scorers.
+//
+// scratch, when non-nil, provides the buffers the ranking is built in: the
+// returned slice aliases scratch and is valid only until the next Order call
+// with the same scratch. Hot paths that rank on every task pass a per-caller
+// scratch and never allocate (pinned by BenchmarkScoredRouting); one-shot
+// callers pass nil and get a fresh slice. A scratch must not be shared
+// across goroutines.
 func (p *ScoredPolicy) Order(f *Federation, home int, scratch *RouteScratch) []int {
 	if scratch == nil {
 		scratch = &RouteScratch{}
@@ -165,7 +169,7 @@ func Snapshot(f *Federation, home int, scratch *RouteScratch) []RoutingSnapshot 
 			RoundTripSeconds: f.RoundTrip(home, m.Index).Seconds(),
 		}
 		if extras != nil {
-			snap.QueueDepth, snap.RetirableHosts = extras(m.Index)
+			snap.QueueDepth = extras(m.Index)
 		}
 		snaps[i] = snap
 	}
@@ -175,8 +179,7 @@ func Snapshot(f *Federation, home int, scratch *RouteScratch) []RoutingSnapshot 
 // ---- scorers -------------------------------------------------------------
 
 // SubscriptionScorer scores a member by its subscription ratio — the load
-// signal LeastSubscribed ranks on. Weight 1 alone reproduces
-// LeastSubscribed bit-for-bit: 0 + 1.0×SR is exactly SR in IEEE-754.
+// signal LeastSubscribed ranks on.
 type SubscriptionScorer struct{}
 
 // Name implements Scorer.
@@ -186,10 +189,10 @@ func (SubscriptionScorer) Name() string { return "subscription" }
 func (SubscriptionScorer) Score(snaps []RoutingSnapshot, i int) float64 { return snaps[i].SR() }
 
 // LatencyScorer scores a member by the average one-way crossing cost from
-// home, RoundTrip/2 in seconds — the cost term LatencyAware adds.
-// Combined with SubscriptionScorer at weight 1, a LatencyScorer at weight
-// w reproduces LatencyAware{Weight: w} bit-for-bit: halving is exact in
-// IEEE-754, so w×(rt/2) and (w×rt)/2 round identically.
+// home, RoundTrip/2 in seconds — the cost term LatencyAware adds. It equals
+// Penalty(home, member) for symmetric matrices and stays consistent with
+// what remote executions actually pay (the round trip) when an asymmetric
+// matrix is installed.
 type LatencyScorer struct{}
 
 // Name implements Scorer.
@@ -264,39 +267,46 @@ func (r *RoundRobinScorer) advance(members int) {
 	}
 }
 
-// ---- legacy adapters -----------------------------------------------------
+// ---- named orders ----------------------------------------------------------
 
-// LocalFirstScored returns the ScoredPolicy that reproduces LocalFirst
-// bit-for-bit: with no scorers every member costs 0 and the stable sort's
-// tie-break (home first, then index order) is exactly LocalFirst's
-// ordering — including the out-of-range-home case, where no index equals
-// home and plain index order remains.
-func LocalFirstScored() *ScoredPolicy {
-	return NewScoredPolicy("local-first-scored")
+// LocalFirst routes to the home cluster first and only spills to other
+// clusters, in index order, when the home cluster cannot serve — the
+// conservative default that minimizes cross-cluster traffic. It has no
+// scorers: every member costs 0 and the tie-break alone decides, which also
+// leaves plain index order for a home no member has.
+func LocalFirst() *ScoredPolicy {
+	return NewScoredPolicy("local-first")
 }
 
-// LeastSubscribedScored returns the ScoredPolicy that reproduces
-// LeastSubscribed bit-for-bit: a single SubscriptionScorer at weight 1.
-// The cost is 0 + 1.0×SR(m) — both operations exact in IEEE-754 — and the
-// sorter tie-break matches orderByScore's, so every ordering is
-// identical.
-func LeastSubscribedScored() *ScoredPolicy {
-	return NewScoredPolicy("least-subscribed-scored",
+// LeastSubscribed routes to the member with the lowest subscription ratio,
+// ignoring locality — a pure load-balancing policy: a single
+// SubscriptionScorer at weight 1. Ties prefer the home cluster, then the
+// lower member index.
+func LeastSubscribed() *ScoredPolicy {
+	return NewScoredPolicy("least-subscribed",
 		WeightedScorer{Scorer: SubscriptionScorer{}, Weight: 1})
 }
 
-// LatencyAwareScored returns the ScoredPolicy that reproduces
-// LatencyAware{Weight: weight} bit-for-bit (weight ≤ 0 selects
-// DefaultLatencyWeight, as there): SubscriptionScorer at 1 plus
-// LatencyScorer at weight. The sum accumulates as (0 + SR) + w×(rt/2);
-// 0+SR is exact, and w×(rt/2) equals the legacy (w×rt)/2 because
-// multiplication and division by 2 are exact rescalings that commute with
-// rounding — so every member cost, and hence every ordering, matches.
-func LatencyAwareScored(weight float64) *ScoredPolicy {
+// DefaultLatencyWeight is LatencyAware's default SR-points-per-second.
+const DefaultLatencyWeight = 5.0
+
+// LatencyAware trades load balance against the inter-cluster crossing cost:
+// a remote cluster is preferred only when its subscription ratio undercuts
+// the home cluster's by more than the crossing is worth. It is
+// SubscriptionScorer at weight 1 plus LatencyScorer at weight, so a member
+// costs
+//
+//	SR(cluster) + weight × RoundTrip(home, cluster)/2 per second.
+//
+// weight converts one second of crossing into subscription-ratio points;
+// zero or negative selects DefaultLatencyWeight, with which a 100 ms
+// crossing costs 0.5 SR points. To ignore latency use LeastSubscribed (the
+// weight→0 limit).
+func LatencyAware(weight float64) *ScoredPolicy {
 	if weight <= 0 {
 		weight = DefaultLatencyWeight
 	}
-	return NewScoredPolicy("latency-aware-scored",
+	return NewScoredPolicy("latency-aware",
 		WeightedScorer{Scorer: SubscriptionScorer{}, Weight: 1},
 		WeightedScorer{Scorer: LatencyScorer{}, Weight: weight})
 }
@@ -322,7 +332,7 @@ func (*RoundRobinScorer) fresh() Scorer { return &RoundRobinScorer{} }
 // sim.Config out to parallel workers; without a per-worker copy a
 // RoundRobinScorer's rotation counter would be shared — and mutated —
 // across goroutines. Stateless scorers are shared by value unchanged.
-func (p *ScoredPolicy) Fresh() RoutePolicy {
+func (p *ScoredPolicy) Fresh() *ScoredPolicy {
 	scorers := make([]WeightedScorer, len(p.Scorers))
 	for i, ws := range p.Scorers {
 		if f, ok := ws.Scorer.(freshScorer); ok {
@@ -331,17 +341,4 @@ func (p *ScoredPolicy) Fresh() RoutePolicy {
 		scorers[i] = ws
 	}
 	return &ScoredPolicy{name: p.name, Scorers: scorers}
-}
-
-// FreshPolicy returns a worker-private instance of p: a policy carrying
-// per-run mutable state (one implementing Fresh) returns a reset copy,
-// while the stateless closed-form policies pass through shared — they
-// rank from cluster counters alone and are safe to share. Every driver
-// that runs several simulations from one config concurrently must route
-// the policy through this before handing it to a worker.
-func FreshPolicy(p RoutePolicy) RoutePolicy {
-	if f, ok := p.(interface{ Fresh() RoutePolicy }); ok {
-		return f.Fresh()
-	}
-	return p
 }

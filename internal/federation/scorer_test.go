@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // randFed builds a randomized federation state for the property tests:
 // 1–6 members with 0–4 hosts each, random replica placements (about half
 // of them committed), a random latency matrix shape, and optionally a
-// SnapshotExtras callback with random queue depths and retirable counts.
+// SnapshotExtras callback with random queue depths.
 // All randomness comes from r, so a fixed seed reproduces every case.
 func randFed(t *testing.T, r *rand.Rand) *Federation {
 	t.Helper()
@@ -62,17 +63,16 @@ func randFed(t *testing.T, r *rand.Rand) *Federation {
 	}
 	if r.Intn(2) == 0 {
 		depth := make([]int, n)
-		retir := make([]int, n)
 		for i := range depth {
-			depth[i], retir[i] = r.Intn(12), r.Intn(3)
+			depth[i] = r.Intn(12)
 		}
-		f.SetSnapshotExtras(func(m int) (int, int) { return depth[m], retir[m] })
+		f.SetSnapshotExtras(func(m int) int { return depth[m] })
 	}
 	return f
 }
 
 // randHome picks a decision home, occasionally out of range (-1 or n) —
-// Order must handle both exactly like the legacy policies do.
+// Order must handle both exactly like the closed-form references do.
 func randHome(r *rand.Rand, n int) int {
 	h := r.Intn(n+2) - 1
 	return h
@@ -90,44 +90,83 @@ func equalOrder(a, b []int) bool {
 	return true
 }
 
+// refLocalFirst is the closed-form local-first order: home, when it is a
+// member, then every other member in index order.
+func refLocalFirst(f *Federation, home int) []int {
+	n := len(f.AppendMembers(nil))
+	var out []int
+	if home >= 0 && home < n {
+		out = append(out, home)
+	}
+	for i := 0; i < n; i++ {
+		if i != home {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// refByScore is the closed-form order by a per-member cost read straight off
+// the live clusters: ascending cost, then home, then lower index.
+func refByScore(f *Federation, home int, cost func(*Member) float64) []int {
+	members := f.AppendMembers(nil)
+	out := make([]int, len(members))
+	costs := make([]float64, len(members))
+	for i, m := range members {
+		out[i], costs[i] = i, cost(m)
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		i, j := out[a], out[b]
+		if costs[i] != costs[j] {
+			return costs[i] < costs[j]
+		}
+		if (i == home) != (j == home) {
+			return i == home
+		}
+		return i < j
+	})
+	return out
+}
+
+// refSR is a member's subscription ratio S/(G×R) from its cluster's
+// counters, 0 without GPUs.
+func refSR(m *Member) float64 {
+	g, r := m.Cluster.TotalGPUs(), m.Cluster.ReplicasPerKernel()
+	if g == 0 || r == 0 {
+		return 0
+	}
+	return float64(m.Cluster.SubscribedGPUs()) / float64(g*r)
+}
+
 // TestScoredAdaptersMatchLegacyPolicies is the bit-identity property: on
-// ≥2000 randomized federation states, each single-scorer adapter orders
-// members exactly like its closed-form legacy policy. This is what lets
-// the simulator swap ScoredPolicy in under the legacy names with 0.0000%
-// drift on every gated bench metric.
+// 2,500 randomized federation states, each named order (LocalFirst,
+// LeastSubscribed, LatencyAware at the default and a random weight) ranks
+// members exactly like its closed-form reference above, which computes the
+// cost in one expression from the live clusters — SR + w×RoundTrip/2 for
+// LatencyAware — where the policy sums weighted scorer costs over snapshots,
+// (0 + 1×SR) + w×(RoundTrip/2). The two round alike: 0 + 1×SR is SR, and
+// halving is exact, so w×(rt/2) equals (w×rt)/2.
 func TestScoredAdaptersMatchLegacyPolicies(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
-	pairs := []struct {
-		name   string
-		legacy func(r *rand.Rand) RoutePolicy
-		scored func(r *rand.Rand) RoutePolicy
-	}{
-		{"local-first", func(*rand.Rand) RoutePolicy { return LocalFirst{} },
-			func(*rand.Rand) RoutePolicy { return LocalFirstScored() }},
-		{"least-subscribed", func(*rand.Rand) RoutePolicy { return LeastSubscribed{} },
-			func(*rand.Rand) RoutePolicy { return LeastSubscribedScored() }},
-		{"latency-aware-default", func(*rand.Rand) RoutePolicy { return LatencyAware{} },
-			func(*rand.Rand) RoutePolicy { return LatencyAwareScored(0) }},
-		{"latency-aware-weighted", func(r *rand.Rand) RoutePolicy { return LatencyAware{Weight: 1 + 9*r.Float64()} },
-			nil}, // scored built from the same weight below
-	}
 	const cases = 2500
 	for i := 0; i < cases; i++ {
 		f := randFed(t, r)
-		n := f.NumMembers()
-		home := randHome(r, n)
-		for _, p := range pairs {
-			legacy := p.legacy(r)
-			var scored RoutePolicy
-			if p.scored != nil {
-				scored = p.scored(r)
-			} else {
-				scored = LatencyAwareScored(legacy.(LatencyAware).Weight)
-			}
-			want := legacy.Order(f, home, nil)
-			got := scored.Order(f, home, nil)
-			if !equalOrder(want, got) {
-				t.Fatalf("case %d %s home=%d: legacy %v != scored %v", i, p.name, home, want, got)
+		home := randHome(r, len(f.AppendMembers(nil)))
+		w := 1 + 9*r.Float64()
+		latency := func(w float64) func(*Member) float64 {
+			return func(m *Member) float64 { return refSR(m) + w*f.RoundTrip(home, m.Index).Seconds()/2 }
+		}
+		for _, c := range []struct {
+			policy *ScoredPolicy
+			want   []int
+		}{
+			{LocalFirst(), refLocalFirst(f, home)},
+			{LeastSubscribed(), refByScore(f, home, refSR)},
+			{LatencyAware(0), refByScore(f, home, latency(DefaultLatencyWeight))},
+			{LatencyAware(w), refByScore(f, home, latency(w))},
+		} {
+			if got := c.policy.Order(f, home, nil); !equalOrder(c.want, got) {
+				t.Fatalf("case %d %s home=%d: closed form %v != scored %v", i, c.policy.Name(), home, c.want, got)
 			}
 		}
 	}
@@ -166,7 +205,7 @@ func TestScoredZeroWeightAbsent(t *testing.T) {
 	}
 	for i := 0; i < 400; i++ {
 		f := randFed(t, r)
-		home := randHome(r, f.NumMembers())
+		home := randHome(r, len(f.AppendMembers(nil)))
 		base := bases[r.Intn(len(bases))]
 		pad := padding[r.Intn(len(padding))]()
 		bare := NewScoredPolicy("bare", base()...)
@@ -193,7 +232,7 @@ func TestScoredWeightScalingPreservesOrdering(t *testing.T) {
 	scales := []float64{0.25, 0.5, 2, 4, 1024}
 	for i := 0; i < 400; i++ {
 		f := randFed(t, r)
-		home := randHome(r, f.NumMembers())
+		home := randHome(r, len(f.AppendMembers(nil)))
 		weights := []float64{r.Float64() * 2, r.Float64() * 8, r.Float64() / 4, r.Float64()}
 		build := func(scale float64) *ScoredPolicy {
 			return NewScoredPolicy("scaled",
@@ -218,7 +257,7 @@ func TestScoredWeightScalingPreservesOrdering(t *testing.T) {
 // committed load to a member leaves the sequence unchanged).
 func TestRoundRobinRotation(t *testing.T) {
 	f := newFed(t, 10*time.Millisecond, 2, 2, 2, 2)
-	n := f.NumMembers()
+	n := len(f.AppendMembers(nil))
 	load := func() {
 		m := f.AppendMembers(nil)[1]
 		h := cluster.NewHost("rr-extra", resources.P316xlarge())
@@ -268,7 +307,7 @@ func TestSnapshotCapturesState(t *testing.T) {
 	if err := f.SetLatencyMatrix(UniformMatrix(2, 15*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
-	f.SetSnapshotExtras(func(i int) (int, int) { return 3 * i, i + 1 })
+	f.SetSnapshotExtras(func(i int) int { return 3 * i })
 
 	snaps := Snapshot(f, 0, nil)
 	if len(snaps) != 2 {
@@ -281,8 +320,8 @@ func TestSnapshotCapturesState(t *testing.T) {
 	if s.TotalGPUs != 2*8 || s.SubscribedGPUs != 4 || s.CommittedGPUs != 4 || s.Replicas != 3 {
 		t.Fatalf("counters: total=%d sub=%d com=%d R=%d", s.TotalGPUs, s.SubscribedGPUs, s.CommittedGPUs, s.Replicas)
 	}
-	if s.QueueDepth != 3 || s.RetirableHosts != 2 {
-		t.Fatalf("extras: depth=%d retirable=%d, want 3, 2", s.QueueDepth, s.RetirableHosts)
+	if s.QueueDepth != 3 {
+		t.Fatalf("extras: depth=%d, want 3", s.QueueDepth)
 	}
 	if want := (30 * time.Millisecond).Seconds(); s.RoundTripSeconds != want {
 		t.Fatalf("round trip %v, want %v", s.RoundTripSeconds, want)

@@ -13,12 +13,11 @@ type Pool struct {
 	mu      sync.Mutex
 	free    []int            // free device IDs, LIFO
 	holders map[string][]int // holder -> allocated device IDs
-	total   int
 }
 
 // NewPool returns a pool of n devices (IDs 0..n-1) on the named host.
 func NewPool(host string, n int) *Pool {
-	p := &Pool{host: host, holders: make(map[string][]int), total: n}
+	p := &Pool{host: host, holders: make(map[string][]int)}
 	for i := n - 1; i >= 0; i-- {
 		p.free = append(p.free, i)
 	}
@@ -27,23 +26,6 @@ func NewPool(host string, n int) *Pool {
 
 // Host returns the owning server's name.
 func (p *Pool) Host() string { return p.host }
-
-// Total returns the number of devices on the server.
-func (p *Pool) Total() int { return p.total }
-
-// Free returns the number of unallocated devices.
-func (p *Pool) Free() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.free)
-}
-
-// InUse returns the number of allocated devices.
-func (p *Pool) InUse() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.total - len(p.free)
-}
 
 // Allocate exclusively binds n devices to holder and returns their IDs —
 // the device IDs the Global Scheduler embeds in request metadata.

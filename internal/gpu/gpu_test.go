@@ -13,8 +13,8 @@ func TestAllocateRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 4 || p.Free() != 4 || p.InUse() != 4 {
-		t.Fatalf("ids=%v free=%d inuse=%d", ids, p.Free(), p.InUse())
+	if len(ids) != 4 {
+		t.Fatalf("ids=%v", ids)
 	}
 	seen := map[int]bool{}
 	for _, id := range ids {
@@ -38,8 +38,8 @@ func TestAllocateRelease(t *testing.T) {
 	if err := p.Release("replica-a"); err == nil {
 		t.Fatal("double release must fail")
 	}
-	if p.Free() != 8 {
-		t.Fatalf("free = %d after release", p.Free())
+	if _, err := p.Allocate("all", 8); err != nil {
+		t.Fatalf("all 8 devices after release: %v", err)
 	}
 }
 
@@ -51,37 +51,50 @@ func TestAllocateValidation(t *testing.T) {
 	if _, err := p.Allocate("x", -1); err == nil {
 		t.Error("negative allocation must fail")
 	}
-	if p.Host() != "h" || p.Total() != 2 {
-		t.Error("accessors")
+	if _, err := p.Allocate("x", 3); err == nil {
+		t.Error("3 devices from a 2-device pool must fail")
+	}
+	if p.Host() != "h" {
+		t.Error("Host")
 	}
 }
 
 // Property: any sequence of allocations and releases conserves devices:
-// free + in-use == total, and no device is held twice.
+// exactly the devices no holder holds can be allocated, and no device is
+// held twice.
 func TestPoolConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := NewPool("h", 8)
-		holders := map[string]bool{}
+		holders := map[string]int{}
+		free := 8
 		names := []string{"a", "b", "c", "d", "e"}
 		for i := 0; i < 200; i++ {
 			name := names[r.Intn(len(names))]
-			if holders[name] {
+			if n, ok := holders[name]; ok {
 				if err := p.Release(name); err != nil {
 					return false
 				}
 				delete(holders, name)
+				free += n
 			} else {
 				n := 1 + r.Intn(4)
-				if n <= p.Free() {
+				if n <= free {
 					if _, err := p.Allocate(name, n); err != nil {
 						return false
 					}
-					holders[name] = true
+					holders[name] = n
+					free -= n
 				}
 			}
-			if p.Free()+p.InUse() != 8 {
+			// The free devices, and no more, can be allocated.
+			if _, err := p.Allocate("probe", free+1); err == nil {
 				return false
+			}
+			if free > 0 {
+				if _, err := p.Allocate("probe", free); err != nil || p.Release("probe") != nil {
+					return false
+				}
 			}
 			// No device held twice.
 			seen := map[int]bool{}

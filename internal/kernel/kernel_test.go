@@ -134,8 +134,7 @@ func TestLargeObjectGoesToStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		keys, _ := st.List("k1/state/")
-		if len(keys) == 0 {
+		if st.Len() == 0 {
 			return false
 		}
 		// Standbys must fetch the pointer target.

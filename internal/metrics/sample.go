@@ -196,31 +196,6 @@ func (s *Sample) FracBelow(x float64) float64 {
 	return float64(i) / float64(len(s.xs))
 }
 
-// CDFPoint is one point of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // cumulative probability in [0, 1]
-}
-
-// CDF returns n evenly spaced (in probability) points of the empirical CDF,
-// suitable for plotting the paper's CDF figures.
-func (s *Sample) CDF(n int) []CDFPoint {
-	if len(s.xs) == 0 || n <= 0 {
-		return nil
-	}
-	s.Sort()
-	pts := make([]CDFPoint, 0, n)
-	for i := 0; i < n; i++ {
-		p := float64(i+1) / float64(n)
-		idx := int(p*float64(len(s.xs))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		pts = append(pts, CDFPoint{X: s.xs[idx], P: p})
-	}
-	return pts
-}
-
 // Summary renders the canonical percentile row used across EXPERIMENTS.md.
 func (s *Sample) Summary(unit string) string {
 	if s.N() == 0 {

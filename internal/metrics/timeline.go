@@ -196,27 +196,6 @@ func (tl *Timeline) MeanOver(from, to time.Time) float64 {
 	return tl.Integral(from, to) / h
 }
 
-// SamplePoint is one downsampled timeline point.
-type SamplePoint struct {
-	T time.Time
-	V float64
-}
-
-// Downsample returns the timeline evaluated at n evenly spaced instants in
-// [from, to], for compact textual plots.
-func (tl *Timeline) Downsample(from, to time.Time, n int) []SamplePoint {
-	if n <= 1 || !to.After(from) {
-		return nil
-	}
-	step := to.Sub(from) / time.Duration(n-1)
-	out := make([]SamplePoint, 0, n)
-	for i := 0; i < n; i++ {
-		t := from.Add(step * time.Duration(i))
-		out = append(out, SamplePoint{T: t, V: tl.At(t)})
-	}
-	return out
-}
-
 // FormatSeries renders named timelines sampled at n instants as a table
 // whose first column is hours since from — the textual analogue of the
 // paper's timeline figures.

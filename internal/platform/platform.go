@@ -10,7 +10,6 @@ import (
 	"notebookos/internal/control"
 	"notebookos/internal/jupyter"
 	"notebookos/internal/resources"
-	"notebookos/internal/scheduler"
 	"notebookos/internal/simclock"
 	"notebookos/internal/store"
 )
@@ -23,8 +22,6 @@ type Config struct {
 	HostCapacity resources.Spec
 	// ReplicasPerKernel is R (default 3).
 	ReplicasPerKernel int
-	// Policy is the placement policy (default least-loaded).
-	Policy scheduler.PlacementPolicy
 	// Clock drives the deployment (default wall clock).
 	Clock simclock.Clock
 	// Store is the large-object store (default in-memory).
@@ -119,7 +116,6 @@ func New(cfg Config) (*Platform, error) {
 	})
 	scfg := control.Config{
 		Cluster:            c,
-		Policy:             cfg.Policy,
 		Clock:              cfg.Clock,
 		Store:              cfg.Store,
 		ContainerLatency:   cfg.ContainerLatency,

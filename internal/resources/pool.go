@@ -53,13 +53,6 @@ func (p *Pool) Committed() Spec {
 	return p.committed
 }
 
-// Idle returns capacity minus commitments.
-func (p *Pool) Idle() Spec {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.capacity.Sub(p.committed)
-}
-
 // CanCommit reports whether req currently fits in the pool's idle capacity.
 func (p *Pool) CanCommit(req Spec) bool {
 	p.mu.Lock()
@@ -116,11 +109,4 @@ func (p *Pool) Holding(holder string) (Spec, bool) {
 	defer p.mu.Unlock()
 	s, ok := p.holders[holder]
 	return s, ok
-}
-
-// Holders returns the number of active commitments.
-func (p *Pool) Holders() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.holders)
 }

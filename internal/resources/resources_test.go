@@ -161,8 +161,11 @@ func TestPoolCommitRelease(t *testing.T) {
 	if got := p.Committed(); got != spec(0, 0, 4, 0) {
 		t.Fatalf("after release Committed = %v", got)
 	}
-	if p.Holders() != 1 {
-		t.Fatalf("Holders = %d, want 1", p.Holders())
+	if _, ok := p.Holding("k1"); ok {
+		t.Fatal("k1 still holds a commitment after Release")
+	}
+	if got, ok := p.Holding("k2"); !ok || got != spec(0, 0, 4, 0) {
+		t.Fatalf("Holding(k2) = %v,%v", got, ok)
 	}
 }
 
@@ -187,7 +190,8 @@ func TestPoolRejectsNegative(t *testing.T) {
 }
 
 // Property: a random sequence of commits and releases never drives the
-// committed vector negative or past capacity, and idle+committed==capacity.
+// committed vector negative or past capacity, and it is always the sum of
+// what the live holders hold.
 func TestPoolInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -219,7 +223,15 @@ func TestPoolInvariantProperty(t *testing.T) {
 			if c.Validate() != nil || !c.Fits(capSpec) {
 				return false
 			}
-			if got := p.Idle().Add(c); got != capSpec {
+			var held Spec
+			for id := range live {
+				h, ok := p.Holding(id)
+				if !ok {
+					return false
+				}
+				held = held.Add(h)
+			}
+			if held != c {
 				return false
 			}
 		}

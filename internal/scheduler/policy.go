@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"notebookos/internal/cluster"
 	"notebookos/internal/resources"
@@ -22,28 +21,15 @@ var ErrInsufficientHosts = errors.New("scheduler: insufficient candidate hosts")
 // high watermark that prevents excessive over-subscription").
 const DefaultSRHighWatermark = 3.0
 
-// PlacementPolicy selects hosts for kernel replicas. Implementations must
-// return n distinct hosts or ErrInsufficientHosts.
-type PlacementPolicy interface {
-	// Name identifies the policy in logs and experiment output.
-	Name() string
-	// SelectHosts picks n distinct hosts able to host a replica with the
-	// given resource request.
-	SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*cluster.Host, error)
-}
-
-// LeastLoaded is NotebookOS's default placement policy (§3.4.1): it
-// prefers hosts with the most idle GPUs, subject to (1) physical
-// capacity, (2) the per-host SR high watermark, and (3) the dynamic
-// cluster-wide SR limit — hosts whose post-placement SR would exceed the
-// cluster-wide limit are rejected in favor of others when possible.
+// LeastLoaded is NotebookOS's placement policy (§3.4.1): it prefers hosts
+// with the most idle GPUs, subject to (1) physical capacity, (2) the
+// per-host SR high watermark, and (3) the dynamic cluster-wide SR limit —
+// hosts whose post-placement SR would exceed the cluster-wide limit are
+// rejected in favor of others when possible.
 type LeastLoaded struct {
 	// SRHighWatermark overrides DefaultSRHighWatermark when > 0.
 	SRHighWatermark float64
 }
-
-// Name implements PlacementPolicy.
-func (LeastLoaded) Name() string { return "least-loaded" }
 
 // shapeTerms is what one selection resolves once per host shape, so the
 // scan over the hosts compares integers only.
@@ -150,7 +136,8 @@ const (
 	stackShapes = 8
 )
 
-// SelectHosts implements PlacementPolicy.
+// SelectHosts picks n distinct hosts able to host a replica with the given
+// resource request, or fails with ErrInsufficientHosts.
 func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*cluster.Host, error) {
 	out := make([]*cluster.Host, n)
 	if err := p.SelectInto(c, req, out); err != nil {
@@ -359,95 +346,4 @@ func resolve(tab *cluster.Table, sel []candidate, out []*cluster.Host) bool {
 		out[i] = h
 	}
 	return true
-}
-
-// Random places replicas on uniformly random viable hosts; a baseline for
-// the placement ablation.
-type Random struct {
-	// Seed drives the deterministic shuffle sequence.
-	Seed int64
-	used int64
-}
-
-// Name implements PlacementPolicy.
-func (*Random) Name() string { return "random" }
-
-// SelectHosts implements PlacementPolicy.
-func (p *Random) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*cluster.Host, error) {
-	var viable []*cluster.Host
-	c.ForEachHost(func(h *cluster.Host) bool {
-		if req.Fits(h.Capacity) {
-			viable = append(viable, h)
-		}
-		return true
-	})
-	if len(viable) < n {
-		return nil, fmt.Errorf("%w: need %d, found %d viable", ErrInsufficientHosts, n, len(viable))
-	}
-	// xorshift-style deterministic shuffle seeded per call.
-	s := uint64(p.Seed) + uint64(p.used)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	p.used++
-	for i := len(viable) - 1; i > 0; i-- {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		j := int(s % uint64(i+1))
-		viable[i], viable[j] = viable[j], viable[i]
-	}
-	return viable[:n], nil
-}
-
-// Packed prefers the most-loaded viable hosts (bin-packing); used by the
-// placement ablation to show why least-loaded preserves interactivity.
-type Packed struct {
-	SRHighWatermark float64
-}
-
-// Name implements PlacementPolicy.
-func (Packed) Name() string { return "packed" }
-
-// SelectHosts implements PlacementPolicy.
-func (p Packed) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) ([]*cluster.Host, error) {
-	watermark := p.SRHighWatermark
-	if watermark <= 0 {
-		watermark = DefaultSRHighWatermark
-	}
-	r := c.ReplicasPerKernel()
-	// Idle GPUs are read once per candidate: the sort must see one
-	// consistent key per host even if a commit lands while it runs.
-	type loaded struct {
-		h    *cluster.Host
-		idle int
-	}
-	var viable []loaded
-	c.ForEachHost(func(h *cluster.Host) bool {
-		if !req.Fits(h.Capacity) {
-			return true
-		}
-		postSubscribed := h.SubscribedGPUs() + req.GPUs
-		postSR := 0.0
-		if h.Capacity.GPUs > 0 && r > 0 {
-			postSR = float64(postSubscribed) / float64(h.Capacity.GPUs*r)
-		}
-		if postSR > watermark {
-			return true
-		}
-		viable = append(viable, loaded{h, h.IdleGPUs()})
-		return true
-	})
-	if len(viable) < n {
-		return nil, fmt.Errorf("%w: need %d, found %d viable", ErrInsufficientHosts, n, len(viable))
-	}
-	sort.Slice(viable, func(i, j int) bool {
-		// Most loaded first: fewest idle GPUs.
-		if viable[i].idle != viable[j].idle {
-			return viable[i].idle < viable[j].idle
-		}
-		return viable[i].h.ID < viable[j].h.ID
-	})
-	out := make([]*cluster.Host, n)
-	for i := range out {
-		out[i] = viable[i].h
-	}
-	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 
@@ -85,65 +84,6 @@ func TestLeastLoadedHonorsWatermark(t *testing.T) {
 	// 0-GPU addition, over it for any more.
 	if _, err := p.SelectHosts(c, gpuReq(4), 3); err == nil {
 		t.Fatal("watermark should reject all hosts")
-	}
-}
-
-func TestRandomAndPackedPolicies(t *testing.T) {
-	c := newCluster(t, 5)
-	r := &Random{Seed: 42}
-	got, err := r.SelectHosts(c, gpuReq(1), 3)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("random: %v %v", ids(got), err)
-	}
-	seen := map[string]bool{}
-	for _, h := range got {
-		if seen[h.ID] {
-			t.Fatal("random selected duplicate host")
-		}
-		seen[h.ID] = true
-	}
-	// Packed prefers busiest viable host.
-	c.Hosts()[2].Commit("busy", gpuReq(6))
-	pk := Packed{}
-	got, err = pk.SelectHosts(c, gpuReq(1), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].ID != "h03" {
-		t.Fatalf("packed picked %s, want h03", got[0].ID)
-	}
-	// Full packed order: fewest idle GPUs first, ties by host ID, hosts
-	// over the SR watermark or too small for the request left out.
-	c.Hosts()[4].Commit("busy", gpuReq(6))
-	c.Hosts()[0].Commit("warm", gpuReq(2))
-	for i := 0; i < 5; i++ {
-		c.Hosts()[3].PlaceReplica(fmt.Sprintf("fat/%d", i), gpuReq(8))
-	}
-	for _, tc := range []struct {
-		name string
-		pol  Packed
-		req  resources.Spec
-		n    int
-		want string
-	}{
-		{"tie broken by ID", Packed{}, gpuReq(1), 5, "h03 h05 h01 h02 h04"},
-		{"prefix of the same order", Packed{}, gpuReq(1), 2, "h03 h05"},
-		{"watermark drops the oversubscribed host", Packed{SRHighWatermark: 1.5}, gpuReq(1), 4, "h03 h05 h01 h02"},
-		{"request larger than any host", Packed{}, gpuReq(9), 1, ""},
-	} {
-		got, err := tc.pol.SelectHosts(c, tc.req, tc.n)
-		if tc.want == "" {
-			if !errors.Is(err, ErrInsufficientHosts) {
-				t.Errorf("%s: err = %v, want ErrInsufficientHosts", tc.name, err)
-			}
-			continue
-		}
-		if err != nil || strings.Join(ids(got), " ") != tc.want {
-			t.Errorf("%s: got %v (%v), want %s", tc.name, ids(got), err, tc.want)
-		}
-	}
-	if r.Name() != "random" || pk.Name() != "packed" || (LeastLoaded{}).Name() != "least-loaded" {
-		t.Fatal("policy names")
 	}
 }
 
@@ -412,9 +352,9 @@ func TestLeastLoadedSelectAllocatesOnce(t *testing.T) {
 	}
 }
 
-// TestSelectHostsUnderChurn scans with both ranking policies while other
-// goroutines place, remove, commit, release and change membership — the
-// live control plane's pattern. Under -race it checks the lock-free reads;
+// TestSelectHostsUnderChurn scans with LeastLoaded while other goroutines
+// place, remove, commit, release and change membership — the live control
+// plane's pattern. Under -race it checks the lock-free reads;
 // in any mode every selection must succeed with n distinct hosts, and at
 // quiescence the lock-free reads must equal a locked recount.
 func TestSelectHostsUnderChurn(t *testing.T) {
@@ -424,28 +364,26 @@ func TestSelectHostsUnderChurn(t *testing.T) {
 
 	var writers, readers sync.WaitGroup
 	stop := make(chan struct{})
-	for _, pol := range []PlacementPolicy{LeastLoaded{}, Packed{}} {
-		readers.Add(1)
-		go func(pol PlacementPolicy) {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				got, err := pol.SelectHosts(c, gpuReq(1), 3)
-				if err != nil {
-					t.Errorf("%s: %v", pol.Name(), err)
-					return
-				}
-				if len(got) != 3 || got[0] == got[1] || got[0] == got[2] || got[1] == got[2] {
-					t.Errorf("%s: selection %v is not 3 distinct hosts", pol.Name(), ids(got))
-					return
-				}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}(pol)
-	}
+			got, err := LeastLoaded{}.SelectHosts(c, gpuReq(1), 3)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(got) != 3 || got[0] == got[1] || got[0] == got[2] || got[1] == got[2] {
+				t.Errorf("selection %v is not 3 distinct hosts", ids(got))
+				return
+			}
+		}
+	}()
 	// Subscriptions and commitments on the stable hosts, always far below
 	// the SR watermark so the readers never run out of candidates.
 	for w := 0; w < 2; w++ {

@@ -7,9 +7,9 @@ import "notebookos/internal/trace"
 // run and the shard-seed derivation by, and this file's only content. Nothing
 // else in the repository may use the first three (root
 // TestConfigOptionsHaveSetters checks) and nothing outside this package's
-// TestShardSeedHelper uses the fourth; the benchmark PR that re-points bench/
-// at Config, Run, Result and trace.ShardSeed deletes the file, as it retires
-// LegacySplit (ROADMAP, ledger item, step 4).
+// TestShardSeedHelper uses the fourth. ROADMAP item 3, the benchmark change
+// that re-points bench/ at Config, Run, Result and trace.ShardSeed, deletes
+// the file; LegacySplit stays (docs/SHARDING.md, "The decision").
 type (
 	FedConfig = Config
 	FedResult = Result

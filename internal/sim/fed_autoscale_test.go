@@ -16,7 +16,7 @@ func TestFederatedPooledSameSeedBitForBit(t *testing.T) {
 	cfg := Config{
 		Trace:           tr,
 		Clusters:        DefaultFedClusters(5, 30),
-		Route:           federation.LatencyAware{},
+		Route:           federation.LatencyAware(0),
 		Latency:         federation.GeoBandedMatrix(5, 2, 5*time.Millisecond, 40*time.Millisecond),
 		PooledAutoscale: true,
 		Seed:            7,
@@ -44,7 +44,7 @@ func TestFederatedPooledDrainsBelowPerMemberFloors(t *testing.T) {
 	base := Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(6, 30),
-		Route:    federation.LeastSubscribed{},
+		Route:    federation.LeastSubscribed(),
 		Seed:     42,
 	}
 	pooledCfg := base

@@ -16,7 +16,7 @@ func fedQuickTrace(seed int64) *trace.Trace {
 	return trace.MustGenerate(cfg)
 }
 
-func runFed(t *testing.T, tr *trace.Trace, k int, route federation.RoutePolicy) *Result {
+func runFed(t *testing.T, tr *trace.Trace, k int, route *federation.ScoredPolicy) *Result {
 	t.Helper()
 	res, err := Run(Config{
 		Trace:    tr,
@@ -36,7 +36,7 @@ func runFed(t *testing.T, tr *trace.Trace, k int, route federation.RoutePolicy) 
 func TestFederatedMergedIntegralEqualsSum(t *testing.T) {
 	tr := fedQuickTrace(42)
 	for _, k := range []int{2, 3, 4} {
-		res := runFed(t, tr, k, federation.LeastSubscribed{})
+		res := runFed(t, tr, k, federation.LeastSubscribed())
 		var comm, prov float64
 		for _, c := range res.Clusters {
 			comm += c.CommittedGPUs.Integral(tr.Start, tr.End)
@@ -109,10 +109,10 @@ func fedFingerprintOf(tr *trace.Trace, r *Result) fedFingerprint {
 // must preserve.
 func TestFederatedSameSeedBitForBit(t *testing.T) {
 	tr := fedQuickTrace(33)
-	for _, route := range []federation.RoutePolicy{
-		federation.LocalFirst{},
-		federation.LeastSubscribed{},
-		federation.LatencyAware{},
+	for _, route := range []*federation.ScoredPolicy{
+		federation.LocalFirst(),
+		federation.LeastSubscribed(),
+		federation.LatencyAware(0),
 	} {
 		a := runFed(t, tr, 4, route)
 		b := runFed(t, tr, 4, route)
@@ -128,7 +128,7 @@ func TestFederatedSameSeedBitForBit(t *testing.T) {
 // executions must cross the home-cluster boundary.
 func TestFederatedSpillsAcrossClusters(t *testing.T) {
 	tr := fedQuickTrace(42)
-	res := runFed(t, tr, 4, federation.LeastSubscribed{})
+	res := runFed(t, tr, 4, federation.LeastSubscribed())
 	if res.RemotePlacements == 0 && res.RemoteExecutions == 0 && res.CrossMigrations == 0 {
 		t.Error("4-cluster least-subscribed run never crossed a cluster boundary")
 	}
@@ -187,7 +187,7 @@ func TestHeterogeneousFederationPlacesWhatFits(t *testing.T) {
 	gcfg := trace.AdobeExcerptConfig(5)
 	gcfg.Duration = 6 * time.Hour
 	tr := trace.MustGenerate(gcfg)
-	for _, route := range []federation.RoutePolicy{federation.LatencyAware{}, federation.LeastSubscribed{}} {
+	for _, route := range []*federation.ScoredPolicy{federation.LatencyAware(0), federation.LeastSubscribed()} {
 		res, err := Run(Config{
 			Trace: tr,
 			Clusters: []FedClusterSpec{

@@ -102,7 +102,7 @@ func TestLeasePoolFederatedCapacityExact(t *testing.T) {
 		cfg := Config{
 			Trace:           tr,
 			Clusters:        clusters,
-			Route:           federation.LeastSubscribed{},
+			Route:           federation.LeastSubscribed(),
 			PooledAutoscale: true,
 			Seed:            17,
 		}
@@ -432,7 +432,7 @@ func leasedRunnerFingerprints(t *testing.T, k int) string {
 	}
 	fpLines{"sharded", &b}.result(res, tr.Start, tr.End)
 	fed, err := RunSharded(Config{
-		Trace: tr, Clusters: DefaultFedClusters(4, 30), Route: federation.LeastSubscribed{},
+		Trace: tr, Clusters: DefaultFedClusters(4, 30), Route: federation.LeastSubscribed(),
 		PooledAutoscale: true, Seed: 17, ShardCapacity: LeasePool,
 	}, k)
 	if err != nil {

@@ -27,7 +27,7 @@ func TestNoInterClusterPenaltyIsAZeroMatrix(t *testing.T) {
 
 	base := func(sc ShardCapacity) Config {
 		return Config{
-			Clusters: DefaultFedClusters(n, 30), Route: federation.LeastSubscribed{},
+			Clusters: DefaultFedClusters(n, 30), Route: federation.LeastSubscribed(),
 			Seed: 29, ShardCapacity: sc,
 		}
 	}

@@ -103,9 +103,6 @@ func (p *plan) defaults() error {
 		// Copied, so a caller's slice shared across (possibly concurrent) runs
 		// is never mutated.
 		p.Clusters = slices.Clone(p.Clusters)
-		// In this form a negative pool means the default; in the other, no
-		// pool. Neither is documented, both are what the form always did.
-		p.PrewarmPerHost = max(p.PrewarmPerHost, 0)
 	} else {
 		if p.Route != nil || p.InterClusterPenalty != 0 || p.Latency != nil || p.PooledAutoscale || p.FedMinHosts != 0 || p.SLOAware {
 			return fmt.Errorf("sim: Route, InterClusterPenalty, Latency, PooledAutoscale, FedMinHosts and SLOAware configure a federation: list its members in Clusters")
@@ -185,7 +182,7 @@ func (p *plan) defaults() error {
 		p.FedMinHosts = scheduler.MinHostsFloor(total/4, p.ReplicasPerKernel)
 	}
 	if p.Route == nil {
-		p.Route = federation.LocalFirst{}
+		p.Route = federation.LocalFirst()
 	}
 	// The public zero value means "default"; NoInterClusterPenalty (negative)
 	// is the explicit zero. From here on the plan holds the resolved cost.
@@ -194,7 +191,9 @@ func (p *plan) defaults() error {
 	} else if p.InterClusterPenalty == 0 {
 		p.InterClusterPenalty = 25 * time.Millisecond
 	}
-	if p.PrewarmPerHost == 0 {
+	if p.PrewarmPerHost < 0 {
+		return fmt.Errorf("sim: PrewarmPerHost is %d; a warm pool cannot be negative", p.PrewarmPerHost)
+	} else if p.PrewarmPerHost == 0 {
 		switch p.Policy {
 		case PolicyLCP:
 			p.PrewarmPerHost = 6
@@ -239,7 +238,7 @@ func (p *plan) shard(weights []float64) []*plan {
 		w.Seed = trace.ShardSeed(p.Seed, i)
 		// Stateful route policies (round-robin's rotation counter) must
 		// not be shared across the parallel workers.
-		w.Route = federation.FreshPolicy(p.Route)
+		w.Route = p.Route.Fresh()
 		workers[i] = &w
 	}
 	return workers

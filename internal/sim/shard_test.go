@@ -308,7 +308,7 @@ func TestFederatedShardedDoubleRunByteIdentical(t *testing.T) {
 	cfg := Config{
 		Trace:           tr,
 		Clusters:        DefaultFedClusters(4, 30),
-		Route:           federation.LeastSubscribed{},
+		Route:           federation.LeastSubscribed(),
 		PooledAutoscale: true,
 		Seed:            17,
 	}
@@ -385,7 +385,7 @@ func TestRunShardedClampsToHostCount(t *testing.T) {
 	fcfg := Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(6, 30),
-		Route:    federation.LeastSubscribed{},
+		Route:    federation.LeastSubscribed(),
 		Seed:     21,
 	}
 	fOver, err := RunSharded(fcfg, 4)
@@ -411,7 +411,7 @@ func TestFederatedShardedPreservesExplicitFloor(t *testing.T) {
 	res, err := RunSharded(Config{
 		Trace:           tr,
 		Clusters:        DefaultFedClusters(4, 30),
-		Route:           federation.LeastSubscribed{},
+		Route:           federation.LeastSubscribed(),
 		PooledAutoscale: true,
 		FedMinHosts:     floor,
 		Seed:            23,
@@ -431,7 +431,7 @@ func TestMergeFedResultsIntegralEqualsShardSum(t *testing.T) {
 	cfg := Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(3, 30),
-		Route:    federation.LeastSubscribed{},
+		Route:    federation.LeastSubscribed(),
 		Seed:     19,
 	}
 	merged, err := RunSharded(cfg, 3)

@@ -102,8 +102,8 @@ type Config struct {
 	// may later move a replica to another.
 	Clusters []FedClusterSpec
 	// Route ranks clusters for placements and migrations (default
-	// federation.LocalFirst).
-	Route federation.RoutePolicy
+	// federation.LocalFirst()).
+	Route *federation.ScoredPolicy
 	// InterClusterPenalty is the one-way latency between any two distinct
 	// clusters (default 25 ms; pass NoInterClusterPenalty for an explicit
 	// zero — the zero value means "use the default", as elsewhere in this
@@ -136,7 +136,8 @@ type Config struct {
 	// ReplicasPerKernel is R (default 3).
 	ReplicasPerKernel int
 	// PrewarmPerHost sizes each host's warm-container pool (NotebookOS:
-	// small, for migrations, default 1; LCP: large, default 6).
+	// small, for migrations, default 1; LCP: large, default 6). A negative
+	// pool is refused.
 	PrewarmPerHost int
 	// ScaleFactor is the autoscaler's f (default 1.05), each member's under
 	// per-member autoscaling; it is evaluated once a simulated minute.
@@ -178,9 +179,6 @@ type Event struct {
 	T    int64
 	Kind scheduler.EventKind
 }
-
-// Time returns the event time as a time.Time in UTC.
-func (e Event) Time() time.Time { return time.Unix(0, e.T).UTC() }
 
 // Result is a run's outcome, and the record the core accumulates it in:
 // everything the experiment harness needs to regenerate the paper's tables
@@ -633,11 +631,9 @@ func (s *sim) build() error {
 	}
 	// Any member's capacity-freeing transition wakes the shared queue.
 	s.fed.SetCapacityNotifier(s.waitq.Notify)
-	// Routing snapshots read the scheduler-level signals through this
-	// callback: parked-waiter depth by home member, and the retirable
-	// (empty) host count a scale-in could reclaim. Only Snapshot-building
-	// policies (ScoredPolicy) invoke it; the closed-form trio pays nothing.
-	s.fed.SetSnapshotExtras(func(mi int) (int, int) { return s.qdepth[mi], s.members[mi].emptyHosts() })
+	// Routing snapshots read the parked-waiter depth by home member through
+	// this callback.
+	s.fed.SetSnapshotExtras(func(mi int) int { return s.qdepth[mi] })
 
 	// Pre-size the metric columns from the source's expectation: delta
 	// series record two points per task (or session), sampled series one

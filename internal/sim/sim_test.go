@@ -113,7 +113,7 @@ func (e runnerEntry) call(gcfg trace.GenConfig, h hostileCase) (fp string, tasks
 		for i := range cfg.Clusters {
 			cfg.Clusters[i].HostCapacity = h.capacity
 		}
-		cfg.Latency, cfg.Route = h.latency, federation.LeastSubscribed{}
+		cfg.Latency, cfg.Route = h.latency, federation.LeastSubscribed()
 	} else {
 		if h.policy == "" {
 			h.policy = PolicyNotebookOS
@@ -347,7 +347,7 @@ func TestHostileConfigs(t *testing.T) {
 			// One config, two forms: a field of the form the config does not
 			// take is refused, not ignored.
 			other := map[string]func(*Config){
-				"Route":               func(c *Config) { c.Route = federation.LeastSubscribed{} },
+				"Route":               func(c *Config) { c.Route = federation.LeastSubscribed() },
 				"InterClusterPenalty": func(c *Config) { c.InterClusterPenalty = NoInterClusterPenalty },
 				"Latency":             func(c *Config) { c.Latency = federation.UniformMatrix(1, 0) },
 				"PooledAutoscale":     func(c *Config) { c.PooledAutoscale = true },
@@ -373,6 +373,12 @@ func TestHostileConfigs(t *testing.T) {
 			h = valid()
 			h.capacity = resources.Spec{Millicpus: 64_000, MemoryMB: 488 * 1024}
 			refuses("GPU-less hosts", h, map[bool]string{false: "HostCapacity", true: "Clusters[0].HostCapacity"}[e.fed])
+
+			// A negative warm pool is refused, in both forms: it is neither "no
+			// pool" nor "the default".
+			h = valid()
+			h.mix = func(c *Config) { c.PrewarmPerHost = -1 }
+			refuses("a negative warm pool", h, "PrewarmPerHost")
 
 			// An outage scoped to a cluster hits the member of that name. A
 			// federation refuses a name none of its members has; a single

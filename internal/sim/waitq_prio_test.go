@@ -122,9 +122,9 @@ func TestWaitQueuePriorityOrdering(t *testing.T) {
 			h := newPrioHarness(eng, time.Hour)
 			for _, p := range tc.parks {
 				p := p
-				eng.After(p.at, func() { h.park(p.label, p.weight) })
+				eng.Defer(p.at, func() { h.park(p.label, p.weight) })
 			}
-			eng.After(tc.drain, func() { h.free(len(tc.parks)) })
+			eng.Defer(tc.drain, func() { h.free(len(tc.parks)) })
 			eng.Run()
 			if !equalStrings(h.served, tc.want) {
 				t.Fatalf("drain order %v, want %v", h.served, tc.want)
@@ -145,13 +145,13 @@ func TestWaitQueuePriorityPromotionPreventsStarvation(t *testing.T) {
 	run := func(aging time.Duration) []string {
 		eng := des.New(wqT0)
 		h := newPrioHarness(eng, aging)
-		eng.After(0, func() { h.park("be", 1) })
+		eng.Defer(0, func() { h.park("be", 1) })
 		for j := 3; j <= 8; j++ {
 			j := j
-			eng.After(time.Duration(j)*time.Second-2600*time.Millisecond, func() {
+			eng.Defer(time.Duration(j)*time.Second-2600*time.Millisecond, func() {
 				h.park("int", 4)
 			})
-			eng.After(time.Duration(j)*time.Second, func() { h.free(1) })
+			eng.Defer(time.Duration(j)*time.Second, func() { h.free(1) })
 		}
 		eng.Run()
 		return h.served
@@ -176,7 +176,7 @@ func TestWaitQueuePriorityFailedWaitersKeepAge(t *testing.T) {
 	eng := des.New(wqT0)
 	h := newPrioHarness(eng, time.Hour)
 	spawned := false
-	eng.After(0, func() {
+	eng.Defer(0, func() {
 		h.wq.WaitClass(1, func() bool {
 			if h.capacity == 0 {
 				if !spawned {
@@ -192,8 +192,8 @@ func TestWaitQueuePriorityFailedWaitersKeepAge(t *testing.T) {
 			return true
 		})
 	})
-	eng.After(time.Second, func() { h.free(0) })   // drain with no capacity: original fails, spawns
-	eng.After(2*time.Second, func() { h.free(2) }) // both served, original first
+	eng.Defer(time.Second, func() { h.free(0) })   // drain with no capacity: original fails, spawns
+	eng.Defer(2*time.Second, func() { h.free(2) }) // both served, original first
 	eng.Run()
 	if !equalStrings(h.served, []string{"original", "spawned"}) {
 		t.Fatalf("order %v, want [original spawned]", h.served)
@@ -206,7 +206,7 @@ func TestWaitQueuePriorityFailedWaitersKeepAge(t *testing.T) {
 func TestWaitQueuePriorityPlainWaitIsWeightOne(t *testing.T) {
 	eng := des.New(wqT0)
 	h := newPrioHarness(eng, time.Hour)
-	eng.After(0, func() {
+	eng.Defer(0, func() {
 		h.wq.Wait(func() bool {
 			if h.capacity == 0 {
 				return false
@@ -218,7 +218,7 @@ func TestWaitQueuePriorityPlainWaitIsWeightOne(t *testing.T) {
 		h.park("clamped", -3)
 		h.park("classed", 1)
 	})
-	eng.After(time.Second, func() { h.free(3) })
+	eng.Defer(time.Second, func() { h.free(3) })
 	eng.Run()
 	if !equalStrings(h.served, []string{"plain", "clamped", "classed"}) {
 		t.Fatalf("order %v, want arrival order at equal effective weight", h.served)
@@ -246,9 +246,9 @@ func sloQuickTrace(t *testing.T, seed int64) *trace.Trace {
 // must be as deterministic as the FIFO path it replaces.
 func TestFederatedSLOAwareSameSeedBitForBit(t *testing.T) {
 	tr := sloQuickTrace(t, 33)
-	for _, route := range []federation.RoutePolicy{
-		federation.LocalFirst{},
-		federation.LeastSubscribedScored(),
+	for _, route := range []*federation.ScoredPolicy{
+		federation.LocalFirst(),
+		federation.LeastSubscribed(),
 		federation.RoundRobin(),
 	} {
 		run := func() (*Result, fedFingerprint) {
@@ -286,7 +286,7 @@ func TestFederatedSLOAwareClassDelays(t *testing.T) {
 	cfg := Config{
 		Trace:    tr,
 		Clusters: DefaultFedClusters(2, 30),
-		Route:    federation.LocalFirst{},
+		Route:    federation.LocalFirst(),
 		Seed:     7,
 	}
 	fifo, err := Run(cfg)

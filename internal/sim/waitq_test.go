@@ -19,7 +19,7 @@ func TestWaitQueueFIFOWakeupOrder(t *testing.T) {
 		i := i
 		wq.Wait(func() bool { order = append(order, i); return true })
 	}
-	eng.After(time.Second, wq.Notify)
+	eng.Defer(time.Second, wq.Notify)
 	eng.Run()
 	if len(order) != 5 {
 		t.Fatalf("woke %d waiters, want 5", len(order))
@@ -53,13 +53,13 @@ func TestWaitQueueBlockedWaitersStayQueued(t *testing.T) {
 		})
 	}
 	// First notification frees one unit: only waiter 0 proceeds.
-	eng.After(time.Second, func() { capacity = 1; wq.Notify() })
+	eng.Defer(time.Second, func() { capacity = 1; wq.Notify() })
 	eng.RunUntil(wqT0.Add(2 * time.Second))
 	if len(acquired) != 1 || acquired[0] != 0 || wq.Len() != 2 {
 		t.Fatalf("after 1 unit: acquired=%v queued=%d", acquired, wq.Len())
 	}
 	// Second notification frees two: waiters 1 and 2 proceed in order.
-	eng.After(time.Second, func() { capacity = 2; wq.Notify() })
+	eng.Defer(time.Second, func() { capacity = 2; wq.Notify() })
 	eng.Run()
 	if len(acquired) != 3 || acquired[1] != 1 || acquired[2] != 2 {
 		t.Fatalf("final acquisition order = %v, want [0 1 2]", acquired)
@@ -74,7 +74,7 @@ func TestWaitQueueNoLostWakeups(t *testing.T) {
 	wq := newCapacityWaitQueue(eng)
 	capacity := 0
 	woke := false
-	eng.After(time.Second, func() {
+	eng.Defer(time.Second, func() {
 		// Attempt fails; park.
 		wq.Wait(func() bool {
 			if capacity == 0 {
@@ -84,7 +84,7 @@ func TestWaitQueueNoLostWakeups(t *testing.T) {
 			return true
 		})
 		// Capacity frees later within the same virtual second.
-		eng.After(0, func() { capacity = 1; wq.Notify() })
+		eng.Defer(0, func() { capacity = 1; wq.Notify() })
 	})
 	eng.Run()
 	if !woke {
@@ -99,7 +99,7 @@ func TestWaitQueueCoalescesNotifies(t *testing.T) {
 	wq := newCapacityWaitQueue(eng)
 	attempts := 0
 	wq.Wait(func() bool { attempts++; return false })
-	eng.After(time.Second, func() {
+	eng.Defer(time.Second, func() {
 		for i := 0; i < 10; i++ {
 			wq.Notify()
 		}
@@ -131,8 +131,8 @@ func TestWaitQueueWaitersAddedDuringDrain(t *testing.T) {
 		order = append(order, "original")
 		return true
 	})
-	eng.After(time.Second, wq.Notify)
-	eng.After(2*time.Second, wq.Notify)
+	eng.Defer(time.Second, wq.Notify)
+	eng.Defer(2*time.Second, wq.Notify)
 	eng.Run()
 	if len(order) != 2 || order[0] != "original" || order[1] != "spawned" {
 		t.Fatalf("order = %v, want [original spawned] (FIFO across drains)", order)

@@ -7,7 +7,7 @@ import (
 
 // LatencyModel describes a backend's transfer-time behaviour: a fixed
 // per-operation base cost plus a throughput term, with multiplicative
-// jitter. The presets below are calibrated so that checkpointing the
+// jitter. The preset below is calibrated so that checkpointing the
 // paper's models (45 MB ResNet-18 up to ~550 MB GPT-2) reproduces the
 // Fig. 11 distribution: 99 % of reads within ~3.95 s and writes within
 // ~7.07 s.
@@ -30,28 +30,6 @@ func S3Model() LatencyModel {
 		GetBase: 30 * time.Millisecond, GetPerMB: 6500 * time.Microsecond,
 		DeleteBase: 25 * time.Millisecond,
 		Jitter:     0.25,
-	}
-}
-
-// RedisModel models a Redis deployment on the cluster network.
-func RedisModel() LatencyModel {
-	return LatencyModel{
-		Name:    "redis",
-		PutBase: 1 * time.Millisecond, PutPerMB: 9 * time.Millisecond,
-		GetBase: 800 * time.Microsecond, GetPerMB: 5 * time.Millisecond,
-		DeleteBase: 500 * time.Microsecond,
-		Jitter:     0.15,
-	}
-}
-
-// HDFSModel models an HDFS deployment.
-func HDFSModel() LatencyModel {
-	return LatencyModel{
-		Name:    "hdfs",
-		PutBase: 20 * time.Millisecond, PutPerMB: 14 * time.Millisecond,
-		GetBase: 12 * time.Millisecond, GetPerMB: 8 * time.Millisecond,
-		DeleteBase: 8 * time.Millisecond,
-		Jitter:     0.3,
 	}
 }
 

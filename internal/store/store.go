@@ -3,11 +3,10 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
-// ErrNotFound is returned by Get/Delete for missing keys.
+// ErrNotFound is returned by Get for missing keys.
 var ErrNotFound = errors.New("store: key not found")
 
 // Store is the pluggable large-object store interface.
@@ -16,14 +15,6 @@ type Store interface {
 	Put(key string, data []byte) error
 	// Get returns the data stored under key.
 	Get(key string) ([]byte, error)
-	// Delete removes key. Deleting a missing key returns ErrNotFound.
-	Delete(key string) error
-}
-
-// Lister is implemented by stores that can enumerate keys.
-type Lister interface {
-	// List returns the sorted keys with the given prefix.
-	List(prefix string) ([]string, error)
 }
 
 // Mem is an in-memory Store, safe for concurrent use.
@@ -58,45 +49,9 @@ func (s *Mem) Get(key string) ([]byte, error) {
 	return cp, nil
 }
 
-// Delete implements Store.
-func (s *Mem) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	delete(s.m, key)
-	return nil
-}
-
-// List implements Lister.
-func (s *Mem) List(prefix string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var keys []string
-	for k := range s.m {
-		if len(k) >= len(prefix) && k[:len(prefix)] == prefix {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
 // Len returns the number of stored keys.
 func (s *Mem) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return len(s.m)
-}
-
-// Bytes returns the total stored payload size.
-func (s *Mem) Bytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var n int64
-	for _, v := range s.m {
-		n += int64(len(v))
-	}
-	return n
 }

@@ -1,28 +1,24 @@
 package trace
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // SLOClass is a session's service-level objective class: the scheduling
-// priority its tasks carry when they contend for saturated capacity, plus
-// the queue-delay target the class is held to in reports. The zero value
-// means "unclassified" and schedules as SLOBatch — pre-SLO traces replay
-// under exactly the middle class's behavior.
+// priority its tasks carry when they contend for saturated capacity. The
+// zero value means "unclassified" and schedules as SLOBatch — pre-SLO traces
+// replay under exactly the middle class's behavior.
 type SLOClass string
 
 // The SLO classes, from most to least latency-sensitive.
 const (
 	// SLOInteractive marks sessions a human is waiting on: highest queue
-	// weight, tightest queue-delay target.
+	// weight.
 	SLOInteractive SLOClass = "interactive"
-	// SLOBatch marks throughput-oriented work with a relaxed delay target
-	// — and is what unclassified sessions schedule as.
+	// SLOBatch marks throughput-oriented work — and is what unclassified
+	// sessions schedule as.
 	SLOBatch SLOClass = "batch"
-	// SLOBestEffort marks preemptible filler load: lowest weight, hours-
-	// scale delay target; the priority wait-queue's aging bound is what
-	// keeps it from starving outright.
+	// SLOBestEffort marks preemptible filler load: lowest weight; the
+	// priority wait-queue's aging bound is what keeps it from starving
+	// outright.
 	SLOBestEffort SLOClass = "best-effort"
 )
 
@@ -62,21 +58,6 @@ func (c SLOClass) Weight() int {
 		return 1
 	default:
 		return 2
-	}
-}
-
-// MaxQueueDelay is the class's queue-delay target — the per-class bound
-// experiment reports and SLO-attainment checks compare delay percentiles
-// against. It is a reporting target, not an admission deadline: the
-// scheduler never drops work for exceeding it.
-func (c SLOClass) MaxQueueDelay() time.Duration {
-	switch c.OrDefault() {
-	case SLOInteractive:
-		return 30 * time.Second
-	case SLOBestEffort:
-		return 2 * time.Hour
-	default:
-		return 10 * time.Minute
 	}
 }
 

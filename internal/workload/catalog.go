@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
 )
@@ -122,12 +121,4 @@ func Assign(r *rand.Rand) Assignment {
 		Model:   d.models[r.Intn(len(d.models))],
 		Dataset: d.datasets[r.Intn(len(d.datasets))],
 	}
-}
-
-// TrainingCell renders the pynb cell a workload client submits for one
-// training task.
-func (a Assignment) TrainingCell(epochs int, gpus int, seconds float64) string {
-	return fmt.Sprintf(
-		"model = create_model(%q)\ndata = load_dataset(%q)\nresult = train(model, data, epochs=%d, gpus=%d, seconds=%g)\nprint(result.loss)\n",
-		a.Model.Name, a.Dataset.Name, epochs, gpus, seconds)
 }

@@ -6,8 +6,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"notebookos/internal/pynb"
 )
 
 func TestCatalogIntegrity(t *testing.T) {
@@ -68,17 +66,5 @@ func TestAssignGolden(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { Assign(r) }); allocs != 0 {
 		t.Errorf("Assign allocates %v times per call, want 0", allocs)
-	}
-}
-
-func TestTrainingCellParses(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	a := Assign(r)
-	cell := a.TrainingCell(2, 4, 30)
-	if _, err := pynb.Parse(cell); err != nil {
-		t.Fatalf("generated cell does not parse: %v\n%s", err, cell)
-	}
-	if !strings.Contains(cell, a.Model.Name) || !strings.Contains(cell, a.Dataset.Name) {
-		t.Fatalf("cell missing assignment: %s", cell)
 	}
 }
