@@ -41,11 +41,10 @@ func main() {
 		federation.LatencyAware(0),
 	} {
 		res, err := sim.Run(sim.Config{
-			Trace:               tr,
-			Clusters:            clusters,
-			Route:               route,
-			InterClusterPenalty: 25 * time.Millisecond,
-			Seed:                42,
+			Trace:    tr,
+			Clusters: clusters,
+			Route:    route,
+			Seed:     42,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -78,18 +78,17 @@ func FederationScale(o Options) (string, error) {
 func FederationPenalty(o Options) (string, error) {
 	tr := excerptTrace(o)
 	penalties := []time.Duration{
-		sim.NoInterClusterPenalty,
-		5 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
+		0, 5 * time.Millisecond, 25 * time.Millisecond, 50 * time.Millisecond,
 		100 * time.Millisecond, 250 * time.Millisecond,
 	}
 	cfgs := make([]sim.Config, len(penalties))
 	for i, p := range penalties {
 		cfgs[i] = sim.Config{
-			Trace:               tr,
-			Clusters:            sim.DefaultFedClusters(4, fedTotalHosts),
-			Route:               federation.LatencyAware(0),
-			InterClusterPenalty: p,
-			Seed:                o.seed(),
+			Trace:    tr,
+			Clusters: sim.DefaultFedClusters(4, fedTotalHosts),
+			Route:    federation.LatencyAware(0),
+			Latency:  federation.UniformMatrix(4, p),
+			Seed:     o.seed(),
 		}
 	}
 	results, err := parallelSims(o, cfgs)
@@ -101,9 +100,6 @@ func FederationPenalty(o Options) (string, error) {
 	fmt.Fprintf(&b, "%-10s %12s %12s %10s %10s %10s %12s\n",
 		"penalty", "delay-p50", "delay-p99", "remote%", "migr", "cross", "GPUh-saved")
 	for i, p := range penalties {
-		if p < 0 {
-			p = 0
-		}
 		r := results[i]
 		fmt.Fprintf(&b, "%-10s %12s %12s %10.1f %10d %10d %12.1f\n",
 			p, fmtSeconds(r.Interactivity.Percentile(50)), fmtSeconds(r.Interactivity.Percentile(99)),
@@ -113,8 +109,8 @@ func FederationPenalty(o Options) (string, error) {
 	return b.String(), nil
 }
 
-// FederationPolicy compares the route policies at a fixed 4-cluster,
-// 25 ms-penalty federation.
+// FederationPolicy compares the route policies at a fixed 4-cluster
+// federation with the default 25 ms crossings.
 func FederationPolicy(o Options) (string, error) {
 	tr := excerptTrace(o)
 	routes := []*federation.ScoredPolicy{
@@ -125,11 +121,10 @@ func FederationPolicy(o Options) (string, error) {
 	cfgs := make([]sim.Config, len(routes))
 	for i, route := range routes {
 		cfgs[i] = sim.Config{
-			Trace:               tr,
-			Clusters:            sim.DefaultFedClusters(4, fedTotalHosts),
-			Route:               route,
-			InterClusterPenalty: 25 * time.Millisecond,
-			Seed:                o.seed(),
+			Trace:    tr,
+			Clusters: sim.DefaultFedClusters(4, fedTotalHosts),
+			Route:    route,
+			Seed:     o.seed(),
 		}
 	}
 	results, err := parallelSims(o, cfgs)

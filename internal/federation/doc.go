@@ -18,10 +18,10 @@
 //     is woken when *any* member frees capacity — the property the
 //     federated simulator's wait-queue relies on.
 //   - Inter-cluster crossing costs. Penalty(i, j) is the one-way latency
-//     of a crossing from member i to member j: either one symmetric
-//     penalty (the legacy knob) or, when SetLatencyMatrix installs a
-//     per-pair LatencyMatrix (UniformMatrix, HubSpokeMatrix,
-//     GeoBandedMatrix), the actual pair cost. Penalty is the single choke
+//     of a crossing from member i to member j: the pair cost of the
+//     LatencyMatrix SetLatencyMatrix installs (UniformMatrix,
+//     HubSpokeMatrix, GeoBandedMatrix), which the simulator always does,
+//     or else the symmetric penalty New was given. Penalty is the single choke
 //     point every consumer shares: the LatencyScorer's cost term and the
 //     federated simulator's crossing charges (remote executions pay two
 //     crossings per request/reply; cross-cluster migrations pay two

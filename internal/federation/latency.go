@@ -12,7 +12,7 @@ import (
 // asymmetric ones (e.g. measured RTT halves that differ by direction).
 //
 // A federation carrying a matrix answers Penalty(i, j) from it instead of
-// the legacy single symmetric penalty, so everything built on Penalty —
+// the symmetric penalty it was built with, so everything built on Penalty —
 // the LatencyAware route policy and the federated simulator's
 // remote-execution and cross-migration crossing charges — pays the actual
 // pair cost.
@@ -69,8 +69,8 @@ func newMatrix(n int) LatencyMatrix {
 	return m
 }
 
-// UniformMatrix returns the matrix equivalent of the legacy symmetric
-// penalty: every distinct pair costs d.
+// UniformMatrix returns the matrix of one symmetric penalty: every distinct
+// pair costs d. The simulator's default is UniformMatrix(n, 25 ms).
 func UniformMatrix(n int, d time.Duration) LatencyMatrix {
 	m := newMatrix(n)
 	for i := range m {

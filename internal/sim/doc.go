@@ -19,13 +19,12 @@
 //     trace.Source (a Trace is adapted there, after a check that its sessions
 //     are in arrival order), Clusters lists the member specs — a config
 //     without them becomes the one member "sim" — and every knob and
-//     federation setting (route, penalty or latency matrix, pooled autoscale,
-//     SLO queue) is defaulted and validated; a config that mixes the two
-//     forms, a host shape without GPUs and an outage scoped to a cluster no
-//     member has are refused there. Nothing below the adapters sees a public
-//     config, so no simulation — worker or ledger — is defaulted twice and a
-//     zero in a plan means zero (Config.InterClusterPenalty's "zero means
-//     default" and its explicit-zero sentinel end at plan.defaults). What no
+//     federation setting (route, latency matrix, pooled autoscale, SLO
+//     weights) is defaulted and validated; a config that mixes the two
+//     forms, a negative or NaN numeric knob, a host shape without GPUs and an
+//     outage scoped to a cluster no member has are refused there. Nothing
+//     below the adapters sees a public config, so no simulation — worker or
+//     ledger — is defaulted twice and a zero in a plan means zero. What no
 //     caller ever set — sampling period, autoscale interval, reservoir size,
 //     latency models, aging bound — is a constant beside the plan, not a field
 //     of it; root TestConfigOptionsHaveSetters keeps every public config field
@@ -100,10 +99,9 @@
 // recorder lengths against a golden file, fault-free and under faults.
 //
 // Crossing-cost accounting in a federation: every boundary
-// crossing is charged from federation.Federation.Penalty — either the
-// symmetric Config.InterClusterPenalty or, when Config.Latency
-// installs a per-pair latency matrix, the actual (home, remote) pair
-// cost. A task served by a replica outside its session's home cluster
+// crossing is charged from federation.Federation.Penalty — the
+// (home, remote) pair cost of Config.Latency, a uniform 25 ms matrix unless
+// the config sets one. A task served by a replica outside its session's home cluster
 // pays two crossings (request and reply); a migration that moves a
 // replica between clusters pays two crossings for the checkpoint
 // transfer (persist + restore through the data store).
@@ -126,21 +124,19 @@
 //   - Determinism: a fixed Config (including Seed) replays bit-for-bit,
 //     regardless of goroutine scheduling in the surrounding experiment
 //     harness. All randomness comes from rand.Rand instances seeded only
-//     by the config; tasks blocked on capacity park on a FIFO wait-queue
+//     by the config; tasks blocked on capacity park on one wait-queue
 //     drained as a single DES event (see capacityWaitQueue), never on
 //     polling timers; nothing iterates Go maps on result-affecting paths;
 //     and pooled autoscaling decisions are pure functions of the observed
 //     loads. Double-run equality is enforced by determinism tests for
 //     both forms of the config, and the pooled/matrix federated path.
-//   - SLO-aware scheduling is opt-in: Config.SLOAware switches the
-//     wait-queue to class-weighted priority order (rank = waited×weight,
-//     FIFO within a class, waiters parked past 30 minutes promoted ahead
-//     of everything so best-effort cannot starve) and records
-//     per-class queue delays in Result.ClassDelay; the default FIFO
-//     path is untouched and replays every existing workload
-//     byte-identically. The priority drain's comparator is a total order
-//     (arrival sequences are unique), so SLO-aware runs replay
-//     bit-for-bit too.
+//   - The wait-queue has one order: rank = waited×weight, arrival order
+//     among equals, waiters parked past 30 minutes promoted ahead of
+//     everything so a light class cannot starve. Every task parks at weight
+//     1, where that order is arrival order, unless Config.SLOAware parks it
+//     at its session's class weight and records per-class queue delays in
+//     Result.ClassDelay. The comparator is a total order (arrival sequences
+//     are unique), so every drain replays bit-for-bit.
 //   - Saturation costs O(waiters) events: the cluster's capacity notifier
 //     (Release/AddHost) wakes the wait-queue; there are no retry polls.
 //   - Fault injection is opt-in and identity-preserving: Config.Faults

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -629,4 +630,42 @@ func TestAbortedMachineIsNeverReused(t *testing.T) {
 		t.Errorf("%d machines aborted and %d tasks completed on %d machines: the run must both abort and recycle", len(aborted), s.res.Tasks, len(seen))
 	}
 	t.Logf("%d tasks completed and %d were restarted on %d machines, %d of them aborted", s.res.Tasks, s.res.TaskRestarts, len(seen), len(aborted))
+}
+
+// TestDegradationEpisodesHandOverInTimeOrder reads the federation's penalty
+// inside each of two touching episodes listed out of order: the earlier
+// episode's end must land before the later one's start, or the later one's
+// window runs at the undegraded cost. An overlapping pair, which one scale
+// cannot represent, is refused.
+func TestDegradationEpisodesHandOverInTimeOrder(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(5)
+	gcfg.Duration = 11 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	cfg := Config{Trace: tr, Clusters: DefaultFedClusters(2, 30), Seed: 3}
+	cfg.Faults = &trace.FaultSpec{Degradations: []trace.DegradeSpec{{StartHour: 8, DurationHours: 1, Factor: 8}, {StartHour: 6, DurationHours: 2, Factor: 4}}}
+	p, err := cfg.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	want := map[float64]time.Duration{5.5: 25, 6.5: 100, 7.5: 100, 8: 200, 8.5: 200, 9: 25, 9.5: 25}
+	got := map[float64]time.Duration{}
+	for h := range want {
+		s.eng.Schedule(tr.Start.Add(hoursDur(h)), func() { got[h] = s.fed.Penalty(0, 1) })
+	}
+	s.drain()
+	for h, ms := range want {
+		if got[h] != ms*time.Millisecond {
+			t.Errorf("Penalty(0, 1) at hour %v = %v, want %v", h, got[h], ms*time.Millisecond)
+		}
+	}
+
+	cfg.Faults = &trace.FaultSpec{Degradations: []trace.DegradeSpec{{StartHour: 6, DurationHours: 4, Factor: 8}, {StartHour: 7, DurationHours: 1, Factor: 4}}}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "degradations 0 and 1 overlap") {
+		t.Errorf("overlapping episodes: got error %v", err)
+	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"time"
@@ -65,7 +66,10 @@ func (s *sim) initFaults() {
 	for i, o := range f.Outages {
 		s.eng.Schedule(s.start.Add(hoursDur(o.StartHour)), func() { s.outageStrike(i, o) })
 	}
-	for _, d := range f.Degradations {
+	// The episodes share one scale, so they are set in start order: where one
+	// ends as the next begins, the end fires first (Validate refuses overlaps).
+	byStart := func(a, b trace.DegradeSpec) int { return cmp.Compare(a.StartHour, b.StartHour) }
+	for _, d := range slices.SortedFunc(slices.Values(f.Degradations), byStart) {
 		at := s.start.Add(hoursDur(d.StartHour))
 		s.eng.Schedule(at, func() { s.fed.SetPenaltyScale(d.Factor) })
 		s.eng.Schedule(at.Add(hoursDur(d.DurationHours)), func() { s.fed.SetPenaltyScale(1) })

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"notebookos/internal/federation"
 	"notebookos/internal/metrics"
@@ -71,10 +70,6 @@ func DefaultFedClusters(n, totalHosts int) []FedClusterSpec {
 	}
 	return specs
 }
-
-// NoInterClusterPenalty selects an explicitly free cluster crossing in
-// Config.InterClusterPenalty (whose zero value means "default").
-const NoInterClusterPenalty time.Duration = -1
 
 // FedClusterResult is one member cluster's share of a federated run.
 type FedClusterResult struct {

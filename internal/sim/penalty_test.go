@@ -9,16 +9,13 @@ import (
 	"notebookos/internal/trace"
 )
 
-// TestNoInterClusterPenaltyIsAZeroMatrix pins the explicit-zero sentinel
-// through every federated runner that can reach it more than one way:
-// Config.InterClusterPenalty's zero value means "default 25 ms", so a
-// free crossing is spelled NoInterClusterPenalty, and however many
+// TestDefaultLatencyIsAUniformMatrix pins Config.Latency's default through
+// every federated runner that can reach it more than one way: however many
 // simulations a runner builds from the config (one; k workers; a ledger plus
-// k workers) each must see a zero, never the re-applied default. The
-// reference is the same run under an all-zero latency matrix, which no
-// defaulting touches; the 25 ms run must differ, or the comparison proves
-// nothing.
-func TestNoInterClusterPenaltyIsAZeroMatrix(t *testing.T) {
+// k workers), a nil matrix must run exactly as the spelled-out
+// UniformMatrix(n, 25 ms). An all-zero matrix must differ, or the workload
+// never crosses clusters and the comparison proves nothing.
+func TestDefaultLatencyIsAUniformMatrix(t *testing.T) {
 	const n = 3
 	gcfg := trace.AdobeExcerptConfig(63)
 	gcfg.Duration = 4 * time.Hour
@@ -60,14 +57,14 @@ func TestNoInterClusterPenaltyIsAZeroMatrix(t *testing.T) {
 				fpLines{scenario: name, b: &b}.result(res, start, end)
 				return b.String()
 			}
-			sentinel := fp(func(c *Config) { c.InterClusterPenalty = NoInterClusterPenalty })
-			zero := fp(func(c *Config) { c.Latency = federation.UniformMatrix(n, 0) })
 			def := fp(func(c *Config) {})
-			if sentinel != zero {
-				t.Errorf("%s: NoInterClusterPenalty differs from an all-zero latency matrix:\n--- sentinel\n%s--- zero matrix\n%s", name, sentinel, zero)
+			uniform := fp(func(c *Config) { c.Latency = federation.UniformMatrix(n, 25*time.Millisecond) })
+			zero := fp(func(c *Config) { c.Latency = federation.UniformMatrix(n, 0) })
+			if def != uniform {
+				t.Errorf("%s: a nil Latency differs from UniformMatrix(%d, 25ms):\n--- nil\n%s--- uniform\n%s", name, n, def, uniform)
 			}
-			if sentinel == def {
-				t.Errorf("%s: NoInterClusterPenalty equals the default-penalty run; the workload never crosses clusters", name)
+			if def == zero {
+				t.Errorf("%s: the default latency equals an all-zero matrix; the workload never crosses clusters", name)
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"time"
@@ -33,10 +35,9 @@ const (
 // workload and Trace is nil; Clusters lists the members fully sized, in a
 // slice of the plan's own — a config without Clusters has its Hosts,
 // HostCapacity and MinHosts folded into the one member "sim" and those three
-// cleared; every other knob holds its default where it was unset, and
-// InterClusterPenalty the resolved one-way cost (zero is free). With one
-// member the federation settings are at values nothing reads. A sharded
-// worker's Source is its shard.
+// cleared; every other knob holds its default where it was unset, Latency
+// included. With one member the federation settings are at values nothing
+// reads. A sharded worker's Source is its shard.
 type plan struct {
 	Config
 	// Latencies are the protocol latency models: DefaultLatencies, always.
@@ -96,6 +97,17 @@ func (p *plan) defaults() error {
 	if err := p.Faults.Validate(); err != nil {
 		return err
 	}
+	// Zero means "the default" throughout Config, so no negative value — nor
+	// a NaN, which every comparison would pass over — means anything.
+	if err := errors.Join(
+		nonNegative("ReplicasPerKernel", float64(p.ReplicasPerKernel)),
+		nonNegative("PrewarmPerHost", float64(p.PrewarmPerHost)),
+		nonNegative("FedMinHosts", float64(p.FedMinHosts)),
+		nonNegative("ScaleFactor", p.ScaleFactor),
+		nonNegative("SRHighWatermark", p.SRHighWatermark),
+	); err != nil {
+		return err
+	}
 	if p.federated {
 		if p.Hosts != 0 || !p.HostCapacity.IsZero() || p.MinHosts != 0 || (p.Policy != "" && p.Policy != PolicyNotebookOS) {
 			return fmt.Errorf("sim: Clusters sizes every member and a federation runs only %q: Hosts, HostCapacity, MinHosts and any other Policy must be unset", PolicyNotebookOS)
@@ -104,17 +116,17 @@ func (p *plan) defaults() error {
 		// is never mutated.
 		p.Clusters = slices.Clone(p.Clusters)
 	} else {
-		if p.Route != nil || p.InterClusterPenalty != 0 || p.Latency != nil || p.PooledAutoscale || p.FedMinHosts != 0 || p.SLOAware {
-			return fmt.Errorf("sim: Route, InterClusterPenalty, Latency, PooledAutoscale, FedMinHosts and SLOAware configure a federation: list its members in Clusters")
+		if p.Route != nil || p.Latency != nil || p.PooledAutoscale || p.FedMinHosts != 0 || p.SLOAware {
+			return fmt.Errorf("sim: Route, Latency, PooledAutoscale, FedMinHosts and SLOAware configure a federation: list its members in Clusters")
 		}
 		// The cluster becomes the one member "sim" — member index 0, so host
 		// IDs are "sim-hNNNN" and fault slots the plain host sequence, which the
 		// gated baselines pin.
 		m := FedClusterSpec{Name: "sim", Hosts: p.Hosts, HostCapacity: p.HostCapacity, MinHosts: p.MinHosts}
-		if m.Hosts <= 0 {
+		if m.Hosts == 0 {
 			m.Hosts = 30
 		}
-		if m.MinHosts <= 0 {
+		if m.MinHosts == 0 {
 			m.MinHosts = 4
 		}
 		p.Clusters = []FedClusterSpec{m}
@@ -123,17 +135,29 @@ func (p *plan) defaults() error {
 	if p.Policy == "" {
 		p.Policy = PolicyNotebookOS
 	}
-	if p.ReplicasPerKernel <= 0 {
+	if p.ReplicasPerKernel == 0 {
 		p.ReplicasPerKernel = 3
 	}
 	total := 0
 	names := make([]string, len(p.Clusters))
 	for i := range p.Clusters {
 		spec := &p.Clusters[i]
+		// A run without Clusters names its one member's fields as its own: a
+		// negative Hosts or MinHosts is refused here.
+		field := ""
+		if p.federated {
+			field = fmt.Sprintf("Clusters[%d].", i)
+		}
+		if err := errors.Join(
+			nonNegative(field+"Hosts", float64(spec.Hosts)),
+			nonNegative(field+"MinHosts", float64(spec.MinHosts)),
+		); err != nil {
+			return err
+		}
 		if spec.Name == "" {
 			spec.Name = fmt.Sprintf("c%d", i)
 		}
-		if spec.Hosts <= 0 {
+		if spec.Hosts == 0 {
 			spec.Hosts = 15
 		}
 		if spec.HostCapacity.IsZero() {
@@ -142,13 +166,9 @@ func (p *plan) defaults() error {
 		if spec.HostCapacity.GPUs <= 0 {
 			// Sessions reserve GPUs and the autoscaler counts hosts in them: a
 			// GPU-less fleet would drop every session and report NaN hours.
-			field := "HostCapacity"
-			if p.federated {
-				field = fmt.Sprintf("Clusters[%d].HostCapacity", i)
-			}
-			return fmt.Errorf("sim: %s has %d GPUs; a host shape needs at least one", field, spec.HostCapacity.GPUs)
+			return fmt.Errorf("sim: %sHostCapacity has %d GPUs; a host shape needs at least one", field, spec.HostCapacity.GPUs)
 		}
-		if spec.MinHosts <= 0 {
+		if spec.MinHosts == 0 {
 			// Per-member scale-in must never leave a cluster unable to host
 			// one kernel's R replicas (the clamp rule lives in
 			// scheduler.MinHostsFloor).
@@ -169,31 +189,23 @@ func (p *plan) defaults() error {
 			}
 		}
 	}
-	if p.Latency != nil {
-		if err := p.Latency.Validate(); err != nil {
-			return err
-		}
-		if p.Latency.Size() != len(p.Clusters) {
-			return fmt.Errorf("sim: Latency matrix covers %d members, federation has %d Clusters",
-				p.Latency.Size(), len(p.Clusters))
-		}
+	if p.Latency == nil {
+		p.Latency = federation.UniformMatrix(len(p.Clusters), 25*time.Millisecond)
 	}
-	if p.FedMinHosts <= 0 {
+	if err := p.Latency.Validate(); err != nil {
+		return err
+	}
+	if p.Latency.Size() != len(p.Clusters) {
+		return fmt.Errorf("sim: Latency matrix covers %d members, federation has %d Clusters",
+			p.Latency.Size(), len(p.Clusters))
+	}
+	if p.FedMinHosts == 0 {
 		p.FedMinHosts = scheduler.MinHostsFloor(total/4, p.ReplicasPerKernel)
 	}
 	if p.Route == nil {
 		p.Route = federation.LocalFirst()
 	}
-	// The public zero value means "default"; NoInterClusterPenalty (negative)
-	// is the explicit zero. From here on the plan holds the resolved cost.
-	if p.InterClusterPenalty < 0 {
-		p.InterClusterPenalty = 0
-	} else if p.InterClusterPenalty == 0 {
-		p.InterClusterPenalty = 25 * time.Millisecond
-	}
-	if p.PrewarmPerHost < 0 {
-		return fmt.Errorf("sim: PrewarmPerHost is %d; a warm pool cannot be negative", p.PrewarmPerHost)
-	} else if p.PrewarmPerHost == 0 {
+	if p.PrewarmPerHost == 0 {
 		switch p.Policy {
 		case PolicyLCP:
 			p.PrewarmPerHost = 6
@@ -201,11 +213,19 @@ func (p *plan) defaults() error {
 			p.PrewarmPerHost = 1
 		}
 	}
-	if p.SRHighWatermark <= 0 {
+	if p.SRHighWatermark == 0 {
 		p.SRHighWatermark = scheduler.DefaultSRHighWatermark
 	}
-	if p.ScaleFactor <= 0 {
+	if p.ScaleFactor == 0 {
 		p.ScaleFactor = 1.05
+	}
+	return nil
+}
+
+// nonNegative refuses a knob below zero or NaN, naming it.
+func nonNegative(field string, v float64) error {
+	if v < 0 || math.IsNaN(v) {
+		return fmt.Errorf("sim: %s is %v; zero means the default, and a knob cannot be negative", field, v)
 	}
 	return nil
 }

@@ -62,9 +62,9 @@ func Steps() []Step {
 // them. The core runs the first as the one-member case of the second; the two
 // spellings differ in what the run records (see Result) and in the settings
 // each accepts, and mixing them is refused: Clusters with Hosts, HostCapacity,
-// MinHosts or a Policy other than NotebookOS, and any of Route,
-// InterClusterPenalty, Latency, PooledAutoscale, FedMinHosts and SLOAware
-// without Clusters.
+// MinHosts or a Policy other than NotebookOS, and any of Route, Latency,
+// PooledAutoscale, FedMinHosts and SLOAware without Clusters. Zero means the
+// default for every numeric knob, and a negative one is refused.
 type Config struct {
 	// Trace is the workload to replay. Exactly one of Trace and Source must
 	// be set. Its sessions must be in non-decreasing Start order (Generate,
@@ -104,19 +104,13 @@ type Config struct {
 	// Route ranks clusters for placements and migrations (default
 	// federation.LocalFirst()).
 	Route *federation.ScoredPolicy
-	// InterClusterPenalty is the one-way latency between any two distinct
-	// clusters (default 25 ms; pass NoInterClusterPenalty for an explicit
-	// zero — the zero value means "use the default", as elsewhere in this
-	// config). Remote executions pay two crossings per request/reply;
-	// cross-cluster migrations pay two crossings for the checkpoint
-	// transfer. Ignored when Latency is set.
-	InterClusterPenalty time.Duration
-	// Latency is a per-pair inter-cluster latency matrix (see
-	// federation.UniformMatrix / HubSpokeMatrix / GeoBandedMatrix). When
-	// set it replaces InterClusterPenalty: every crossing — remote
-	// execution request/reply, cross-cluster checkpoint transfer, and the
-	// LatencyAware route policy's cost term — pays the actual pair cost.
-	// Its size must equal the cluster count.
+	// Latency is the one-way inter-cluster latency of every ordered pair of
+	// members (see federation.UniformMatrix / HubSpokeMatrix /
+	// GeoBandedMatrix; default UniformMatrix(len(Clusters), 25 ms)). Every
+	// crossing pays the actual pair cost: a remote execution two per
+	// request/reply, a cross-cluster migration two for the checkpoint
+	// transfer, and the LatencyAware route policy weighs it. Its size must
+	// equal the cluster count; an all-zero matrix makes crossings free.
 	Latency federation.LatencyMatrix
 	// PooledAutoscale switches autoscaling from one evaluation per member
 	// (each scaling on its own committed load, pinned at its own MinHosts
@@ -144,13 +138,13 @@ type Config struct {
 	ScaleFactor float64
 	// SRHighWatermark caps per-host subscription (default 3.0).
 	SRHighWatermark float64
-	// SLOAware switches the capacity wait-queue from strict FIFO to
-	// SLO-class-weighted priority order: parked tasks retry by
-	// waited×class-weight (trace.SLOClass.Weight — interactive 4, batch 2,
-	// best-effort 1), FIFO within a class, with waiters parked longer than
-	// 30 minutes promoted ahead of everything so best-effort cannot
-	// starve. Off by default — the FIFO path replays byte-identically.
-	// Per-class queue-delay samples land in Result.ClassDelay.
+	// SLOAware parks each task blocked on capacity at its session's
+	// SLO-class weight (trace.SLOClass.Weight — interactive 4, batch 2,
+	// best-effort 1) instead of 1. Parked tasks retry by waited×weight,
+	// arrival order among equals, with waiters parked longer than 30 minutes
+	// promoted ahead of everything so best-effort cannot starve; at one
+	// weight that order is arrival order. Per-class queue-delay samples land
+	// in Result.ClassDelay.
 	SLOAware bool
 	// Seed drives all randomness.
 	Seed int64
@@ -508,9 +502,9 @@ func (p *plan) run() (*Result, error) {
 // newSim builds a ready-to-run simulation of the plan: one member per
 // member spec, the recorders the plan's form and role keep (a federated run
 // creates none of the single-cluster recorders; a leased run's ledger none of
-// the latency samples, its workers none of the capacity series), and — as the
-// plan says — the per-pair latency matrix, the SLO-class queue with its
-// per-class recorders, and the pooled autoscaler. Callers drive the engine
+// the latency samples, its workers none of the capacity series), the latency
+// matrix, and — as the plan says — the per-class recorders of an SLO-aware
+// run and the pooled autoscaler. Callers drive the engine
 // themselves — run in one shot to past the window's end, the lease runner in
 // epoch-sized steps with barrier reconciliation between them — and then
 // collect the result with finish. Pair with close.
@@ -521,7 +515,7 @@ func newSim(p *plan) (*sim, error) {
 		cfg:       *p,
 		eng:       eng,
 		rng:       rand.New(rand.NewSource(p.Seed + 1)),
-		fed:       federation.New(p.InterClusterPenalty),
+		fed:       federation.New(0),
 		placement: scheduler.LeastLoaded{SRHighWatermark: p.SRHighWatermark},
 		selected:  make([]*cluster.Host, p.ReplicasPerKernel),
 		waitq:     newCapacityWaitQueue(eng),
@@ -564,15 +558,10 @@ func newSim(p *plan) (*sim, error) {
 			s.res.Events = []Event{}
 		}
 	}
-	if p.Latency != nil {
-		// Size was validated against the member count when the plan was
-		// compiled.
-		if err := s.fed.SetLatencyMatrix(p.Latency); err != nil {
-			return nil, err
-		}
-	}
-	if p.SLOAware {
-		s.waitq.usePriority(defaultAgingBound)
+	// Size was validated against the member count when the plan was
+	// compiled.
+	if err := s.fed.SetLatencyMatrix(p.Latency); err != nil {
+		return nil, err
 	}
 	if p.PooledAutoscale {
 		s.autoscaler = &federation.FederatedAutoscaler{
@@ -908,7 +897,7 @@ func (s *sim) placeSession(ss *session) bool {
 // that fits it, growing the home cluster when none does; nil when even a
 // fresh host cannot hold the request.
 func (s *sim) reserveHost(ss *session) *host {
-	h := s.hostWithIdle(ss.req)
+	h := s.mostIdleHost(ss, &ss.req)
 	if h == nil {
 		if !ss.req.Fits(s.members[ss.home].spec.HostCapacity) {
 			return nil
@@ -986,7 +975,11 @@ func (s *sim) startTask(ss *session, task trace.Task, submit time.Time) {
 	// current for the park's whole lifetime.
 	home := ss.home
 	s.qdepth[home]++
-	s.waitq.WaitClass(ss.src.SLO.Weight(), func() bool {
+	weight := 1
+	if s.cfg.SLOAware {
+		weight = ss.src.SLO.Weight()
+	}
+	s.waitq.Wait(weight, func() bool {
 		if !s.tryTask(ss, task, submit) {
 			return false
 		}
@@ -1078,7 +1071,7 @@ func (s *sim) tryReservationTask(ss *session, task trace.Task, submit time.Time)
 func (s *sim) tryBatchTask(ss *session, task trace.Task, submit time.Time) bool {
 	// A batch job requests the session's full configured resources, the
 	// way a slurm submission would, not just the GPUs this task touches.
-	h := s.hostWithIdle(ss.req)
+	h := s.mostIdleHost(ss, &ss.req)
 	if h == nil || h.h.Commit(ss.src.ID, ss.req) != nil {
 		return false
 	}
@@ -1296,7 +1289,9 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 
 // mostIdleHost returns the most-idle host outside the session's replica
 // set — one that can commit *need right now, when need is given — from the
-// first cluster in route order that has one.
+// first cluster in route order that has one. Reservation and Batch, which
+// run only single-cluster, pick their hosts here too: a Batch session holds
+// no host, and a Reservation session's crashed host has left its member.
 func (s *sim) mostIdleHost(ss *session, need *resources.Spec) *host {
 	for _, idx := range s.routeOrder(ss.home) {
 		var best *host
@@ -1328,25 +1323,6 @@ func (s *sim) markTraining(t *runningTask, start bool) {
 	at := s.now()
 	s.res.ActiveTrainings.Delta(at, d)
 	s.members[t.h.member].res.CommittedGPUs.Delta(at, d*float64(t.task.GPUs))
-}
-
-// hostWithIdle returns a host that can commit req right now (most idle
-// first), or nil.
-func (s *sim) hostWithIdle(req resources.Spec) *host {
-	var best *host
-	bestIdle := -1
-	for _, m := range s.members {
-		for _, h := range m.hosts {
-			if !h.h.CanCommit(req) {
-				continue
-			}
-			if idle := h.h.IdleGPUs(); idle > bestIdle {
-				bestIdle = idle
-				best = h
-			}
-		}
-	}
-	return best
 }
 
 // sampleSR records the subscription ratio where the run keeps that series.

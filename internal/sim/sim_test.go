@@ -347,12 +347,11 @@ func TestHostileConfigs(t *testing.T) {
 			// One config, two forms: a field of the form the config does not
 			// take is refused, not ignored.
 			other := map[string]func(*Config){
-				"Route":               func(c *Config) { c.Route = federation.LeastSubscribed() },
-				"InterClusterPenalty": func(c *Config) { c.InterClusterPenalty = NoInterClusterPenalty },
-				"Latency":             func(c *Config) { c.Latency = federation.UniformMatrix(1, 0) },
-				"PooledAutoscale":     func(c *Config) { c.PooledAutoscale = true },
-				"FedMinHosts":         func(c *Config) { c.FedMinHosts = 3 },
-				"SLOAware":            func(c *Config) { c.SLOAware = true },
+				"Route":           func(c *Config) { c.Route = federation.LeastSubscribed() },
+				"Latency":         func(c *Config) { c.Latency = federation.UniformMatrix(1, 0) },
+				"PooledAutoscale": func(c *Config) { c.PooledAutoscale = true },
+				"FedMinHosts":     func(c *Config) { c.FedMinHosts = 3 },
+				"SLOAware":        func(c *Config) { c.SLOAware = true },
 			}
 			if e.fed {
 				other = map[string]func(*Config){
@@ -374,11 +373,36 @@ func TestHostileConfigs(t *testing.T) {
 			h.capacity = resources.Spec{Millicpus: 64_000, MemoryMB: 488 * 1024}
 			refuses("GPU-less hosts", h, map[bool]string{false: "HostCapacity", true: "Clusters[0].HostCapacity"}[e.fed])
 
-			// A negative warm pool is refused, in both forms: it is neither "no
-			// pool" nor "the default".
-			h = valid()
-			h.mix = func(c *Config) { c.PrewarmPerHost = -1 }
-			refuses("a negative warm pool", h, "PrewarmPerHost")
+			// Zero means the default for every numeric knob, so a negative one —
+			// or a NaN, which no comparison catches — is refused in both forms,
+			// naming the field: it is neither "none" nor "the default".
+			type knob struct {
+				field string
+				set   func(*Config)
+			}
+			knobs := []knob{
+				{"ReplicasPerKernel", func(c *Config) { c.ReplicasPerKernel = -1 }},
+				{"PrewarmPerHost", func(c *Config) { c.PrewarmPerHost = -1 }},
+				{"ScaleFactor", func(c *Config) { c.ScaleFactor = -1.05 }},
+				{"ScaleFactor", func(c *Config) { c.ScaleFactor = math.NaN() }},
+				{"SRHighWatermark", func(c *Config) { c.SRHighWatermark = -3 }},
+				{"SRHighWatermark", func(c *Config) { c.SRHighWatermark = math.NaN() }},
+			}
+			if e.fed {
+				knobs = append(knobs,
+					knob{"Clusters[1].Hosts", func(c *Config) { c.Clusters[1].Hosts = -1 }},
+					knob{"Clusters[1].MinHosts", func(c *Config) { c.Clusters[1].MinHosts = -1 }},
+					knob{"FedMinHosts", func(c *Config) { c.FedMinHosts = -1 }})
+			} else {
+				knobs = append(knobs,
+					knob{"Hosts", func(c *Config) { c.Hosts = -30 }},
+					knob{"MinHosts", func(c *Config) { c.MinHosts = -4 }})
+			}
+			for _, k := range knobs {
+				h = valid()
+				h.mix = k.set
+				refuses("a negative or NaN "+k.field, h, k.field)
+			}
 
 			// An outage scoped to a cluster hits the member of that name. A
 			// federation refuses a name none of its members has; a single

@@ -9,23 +9,21 @@ import (
 	"notebookos/internal/trace"
 )
 
-// prioHarness parks labeled waiters on a priority-mode queue and records
-// the order capacity is granted in: each waiter consumes one unit when
-// available and fails (stays parked) otherwise.
+// prioHarness parks labeled, weighted waiters and records the order
+// capacity is granted in: each waiter consumes one unit when available and
+// fails (stays parked) otherwise.
 type prioHarness struct {
 	wq       *capacityWaitQueue
 	capacity int
 	served   []string
 }
 
-func newPrioHarness(eng *des.Engine, aging time.Duration) *prioHarness {
-	h := &prioHarness{wq: newCapacityWaitQueue(eng)}
-	h.wq.usePriority(aging)
-	return h
+func newPrioHarness(eng *des.Engine) *prioHarness {
+	return &prioHarness{wq: newCapacityWaitQueue(eng)}
 }
 
 func (h *prioHarness) park(label string, weight int) {
-	h.wq.WaitClass(weight, func() bool {
+	h.wq.Wait(weight, func() bool {
 		if h.capacity == 0 {
 			return false
 		}
@@ -119,7 +117,7 @@ func TestWaitQueuePriorityOrdering(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := des.New(wqT0)
-			h := newPrioHarness(eng, time.Hour)
+			h := newPrioHarness(eng)
 			for _, p := range tc.parks {
 				p := p
 				eng.Defer(p.at, func() { h.park(p.label, p.weight) })
@@ -134,50 +132,38 @@ func TestWaitQueuePriorityOrdering(t *testing.T) {
 }
 
 // TestWaitQueuePriorityPromotionPreventsStarvation is the
-// starvation-freedom property. The adversary is a sustained interactive
-// stream: a fresh weight-4 waiter parks 2.6 s before every drain (rank
-// 10.4 s), each drain frees exactly one unit, and the lone best-effort
-// waiter's rank (its age) never catches up within the horizon. With a
-// huge aging bound the best-effort waiter is starved through every drain;
-// with a 3 s bound it is promoted at the first drain past the bound and
-// served ahead of the entire unpromoted stream.
+// starvation-freedom property at the 30-minute aging bound. The adversary
+// is a sustained interactive stream: a fresh weight-4 waiter parks 8 min
+// before every drain (rank 32 min), drains fall every 5 min from minute 10,
+// and each frees exactly one unit. The lone best-effort waiter, parked at 0,
+// ranks by its age alone, so it loses every drain before minute 30; at
+// minute 30 its rank (30 min) still loses to the stream's, but it has
+// waited the bound, is promoted, and is served ahead of the whole
+// unpromoted stream.
 func TestWaitQueuePriorityPromotionPreventsStarvation(t *testing.T) {
-	run := func(aging time.Duration) []string {
-		eng := des.New(wqT0)
-		h := newPrioHarness(eng, aging)
-		eng.Defer(0, func() { h.park("be", 1) })
-		for j := 3; j <= 8; j++ {
-			j := j
-			eng.Defer(time.Duration(j)*time.Second-2600*time.Millisecond, func() {
-				h.park("int", 4)
-			})
-			eng.Defer(time.Duration(j)*time.Second, func() { h.free(1) })
-		}
-		eng.Run()
-		return h.served
+	eng := des.New(wqT0)
+	h := newPrioHarness(eng)
+	eng.Defer(0, func() { h.park("be", 1) })
+	for at := 10 * time.Minute; at <= 40*time.Minute; at += 5 * time.Minute {
+		eng.Defer(at-8*time.Minute, func() { h.park("int", 4) })
+		eng.Defer(at, func() { h.free(1) })
 	}
-
-	starved := run(time.Hour)
-	for i, label := range starved {
-		if label == "be" {
-			t.Fatalf("control run: best-effort served at drain %d despite the interactive stream (order %v)", i, starved)
-		}
-	}
-	fair := run(3 * time.Second)
-	if len(fair) == 0 || fair[0] != "be" {
-		t.Fatalf("aging run: best-effort not served first once promoted (order %v)", fair)
+	eng.Run()
+	want := []string{"int", "int", "int", "int", "be", "int", "int"}
+	if !equalStrings(h.served, want) {
+		t.Fatalf("served at the drains of minutes 10, 15, ..., 40: %v, want %v", h.served, want)
 	}
 }
 
 // TestWaitQueuePriorityFailedWaitersKeepAge: a waiter that fails a drain
 // keeps its original enqueue time — its rank keeps growing — and retries
-// ahead of waiters that arrived mid-drain, like the FIFO path's splice.
+// ahead of waiters that arrived mid-drain.
 func TestWaitQueuePriorityFailedWaitersKeepAge(t *testing.T) {
 	eng := des.New(wqT0)
-	h := newPrioHarness(eng, time.Hour)
+	h := newPrioHarness(eng)
 	spawned := false
 	eng.Defer(0, func() {
-		h.wq.WaitClass(1, func() bool {
+		h.wq.Wait(1, func() bool {
 			if h.capacity == 0 {
 				if !spawned {
 					spawned = true
@@ -200,31 +186,6 @@ func TestWaitQueuePriorityFailedWaitersKeepAge(t *testing.T) {
 	}
 }
 
-// TestWaitQueuePriorityPlainWaitIsWeightOne: Wait on a priority-mode
-// queue parks at weight 1, interchangeable with WaitClass(1, ...) — and
-// weights below 1 clamp up to 1.
-func TestWaitQueuePriorityPlainWaitIsWeightOne(t *testing.T) {
-	eng := des.New(wqT0)
-	h := newPrioHarness(eng, time.Hour)
-	eng.Defer(0, func() {
-		h.wq.Wait(func() bool {
-			if h.capacity == 0 {
-				return false
-			}
-			h.capacity--
-			h.served = append(h.served, "plain")
-			return true
-		})
-		h.park("clamped", -3)
-		h.park("classed", 1)
-	})
-	eng.Defer(time.Second, func() { h.free(3) })
-	eng.Run()
-	if !equalStrings(h.served, []string{"plain", "clamped", "classed"}) {
-		t.Fatalf("order %v, want arrival order at equal effective weight", h.served)
-	}
-}
-
 // sloQuickTrace is a classed trace for the SLO-aware federated tests: the
 // flash-crowd scenario carries all three SLO classes (researcher =
 // interactive, batch-heavy = batch, student = best-effort) and its spikes
@@ -242,8 +203,8 @@ func sloQuickTrace(t *testing.T, seed int64) *trace.Trace {
 
 // TestFederatedSLOAwareSameSeedBitForBit double-runs an SLO-aware
 // federated simulation per route policy and asserts bit-identical results
-// including every per-class delay distribution — the priority wait-queue
-// must be as deterministic as the FIFO path it replaces.
+// including every per-class delay distribution — a weighted drain must be
+// as deterministic as an arrival-order one.
 func TestFederatedSLOAwareSameSeedBitForBit(t *testing.T) {
 	tr := sloQuickTrace(t, 33)
 	for _, route := range []*federation.ScoredPolicy{
@@ -279,7 +240,7 @@ func TestFederatedSLOAwareSameSeedBitForBit(t *testing.T) {
 }
 
 // TestFederatedSLOAwareClassDelays: an SLO-aware run on a classed trace
-// populates every class's delay sample, and a FIFO (default) run leaves
+// populates every class's delay sample, and a default run leaves
 // ClassDelay nil — the classed accounting is strictly opt-in.
 func TestFederatedSLOAwareClassDelays(t *testing.T) {
 	tr := sloQuickTrace(t, 11)
@@ -289,12 +250,12 @@ func TestFederatedSLOAwareClassDelays(t *testing.T) {
 		Route:    federation.LocalFirst(),
 		Seed:     7,
 	}
-	fifo, err := Run(cfg)
+	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fifo.ClassDelay != nil {
-		t.Fatal("FIFO run must not allocate ClassDelay")
+	if plain.ClassDelay != nil {
+		t.Fatal("a run that is not SLOAware must not allocate ClassDelay")
 	}
 	cfg.SLOAware = true
 	slo, err := Run(cfg)

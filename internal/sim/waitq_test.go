@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +19,7 @@ func TestWaitQueueFIFOWakeupOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		wq.Wait(func() bool { order = append(order, i); return true })
+		wq.Wait(1, func() bool { order = append(order, i); return true })
 	}
 	eng.Defer(time.Second, wq.Notify)
 	eng.Run()
@@ -43,7 +45,7 @@ func TestWaitQueueBlockedWaitersStayQueued(t *testing.T) {
 	var acquired []int
 	for i := 0; i < 3; i++ {
 		i := i
-		wq.Wait(func() bool {
+		wq.Wait(1, func() bool {
 			if capacity == 0 {
 				return false
 			}
@@ -76,7 +78,7 @@ func TestWaitQueueNoLostWakeups(t *testing.T) {
 	woke := false
 	eng.Defer(time.Second, func() {
 		// Attempt fails; park.
-		wq.Wait(func() bool {
+		wq.Wait(1, func() bool {
 			if capacity == 0 {
 				return false
 			}
@@ -98,7 +100,7 @@ func TestWaitQueueCoalescesNotifies(t *testing.T) {
 	eng := des.New(wqT0)
 	wq := newCapacityWaitQueue(eng)
 	attempts := 0
-	wq.Wait(func() bool { attempts++; return false })
+	wq.Wait(1, func() bool { attempts++; return false })
 	eng.Defer(time.Second, func() {
 		for i := 0; i < 10; i++ {
 			wq.Notify()
@@ -121,11 +123,11 @@ func TestWaitQueueWaitersAddedDuringDrain(t *testing.T) {
 	wq := newCapacityWaitQueue(eng)
 	var order []string
 	blockedOnce := false
-	wq.Wait(func() bool {
+	wq.Wait(1, func() bool {
 		if !blockedOnce {
 			blockedOnce = true
 			// Spawn a new waiter mid-drain.
-			wq.Wait(func() bool { order = append(order, "spawned"); return true })
+			wq.Wait(1, func() bool { order = append(order, "spawned"); return true })
 			return false
 		}
 		order = append(order, "original")
@@ -136,5 +138,105 @@ func TestWaitQueueWaitersAddedDuringDrain(t *testing.T) {
 	eng.Run()
 	if len(order) != 2 || order[0] != "original" || order[1] != "spawned" {
 		t.Fatalf("order = %v, want [original spawned] (FIFO across drains)", order)
+	}
+}
+
+// fifoRef is the arrival-order wait-queue the weighted drain must reproduce
+// at one weight: retry every parked waiter in arrival order, keep the ones
+// that fail ahead of those that parked during the drain.
+type fifoRef struct {
+	eng       *des.Engine
+	q         []func() bool
+	scheduled bool
+}
+
+func (r *fifoRef) Wait(fn func() bool) { r.q = append(r.q, fn) }
+
+func (r *fifoRef) Notify() {
+	if r.scheduled || len(r.q) == 0 {
+		return
+	}
+	r.scheduled = true
+	r.eng.Defer(0, func() {
+		r.scheduled = false
+		pending := r.q
+		r.q = nil
+		var kept []func() bool
+		for _, fn := range pending {
+			if !fn() {
+				kept = append(kept, fn)
+			}
+		}
+		r.q = append(kept, r.q...)
+	})
+}
+
+// TestWaitQueueWeightOneIsFIFO drives random schedules of weight-1 parks
+// and notifications — minutes apart, so waiters outlive the aging bound —
+// through the queue and through fifoRef side by side. A waiter's outcome on
+// each retry (succeed, fail, or fail and park a new waiter mid-drain) is a
+// function of its number and attempt, so the two logs of retries match only
+// if both queues retry the same waiters in the same order.
+func TestWaitQueueWeightOneIsFIFO(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		salt := rng.Uint64()
+		outcome := func(id, attempt int) uint64 {
+			x := salt ^ uint64(id)<<20 ^ uint64(attempt)
+			x *= 0x9e3779b97f4a7c15
+			return x ^ x>>29
+		}
+		eng := des.New(wqT0)
+		type side struct {
+			wait   func(fn func() bool)
+			notify func()
+			log    [][2]int
+			ids    int
+			parked func() int
+		}
+		wq := newCapacityWaitQueue(eng)
+		ref := &fifoRef{eng: eng}
+		sides := []*side{
+			{wait: func(fn func() bool) { wq.Wait(1, fn) }, notify: wq.Notify, parked: wq.Len},
+			{wait: ref.Wait, notify: ref.Notify, parked: func() int { return len(ref.q) }},
+		}
+		var park func(sd *side)
+		park = func(sd *side) {
+			sd.ids++
+			id, attempts := sd.ids, 0
+			sd.wait(func() bool {
+				attempts++
+				sd.log = append(sd.log, [2]int{id, attempts})
+				switch o := outcome(id, attempts) % 6; {
+				case o == 0 && sd.ids < 400:
+					park(sd)
+					return false
+				case o < 3:
+					return false
+				}
+				return true
+			})
+		}
+		at := time.Duration(0)
+		for step := 0; step < 40; step++ {
+			at += time.Duration(rng.Intn(20)) * time.Minute
+			n, notify := rng.Intn(3), rng.Intn(2) == 0
+			eng.Schedule(wqT0.Add(at), func() {
+				for _, sd := range sides {
+					for i := 0; i < n; i++ {
+						park(sd)
+					}
+					if notify {
+						sd.notify()
+					}
+				}
+			})
+		}
+		eng.Run()
+		got, want := sides[0], sides[1]
+		if !slices.Equal(got.log, want.log) || got.parked() != want.parked() {
+			t.Fatalf("trial %d: weight-1 retries %v (%d left parked), arrival-order reference %v (%d left)",
+				trial, got.log, got.parked(), want.log, want.parked())
+		}
 	}
 }

@@ -130,41 +130,44 @@ func AdobeSummerConfig(seed int64) GenConfig {
 			return 0.9 + 0.9*frac
 		},
 		MaxSessionsPerHour: 1.8,
-		// Lifetimes: median ~6 days, heavy tail of weeks-long notebooks.
-		SessionLifetime: MustQuantile(
-			Knot{0, 3600},
-			Knot{0.25, 2 * 86400},
-			Knot{0.50, 6 * 86400},
-			Knot{0.75, 14 * 86400},
-			Knot{0.95, 35 * 86400},
-			Knot{1, 70 * 86400},
-		),
-		PNeverTrains: 0.55,
-		ThinkTime:    adobeThink(),
-		TaskDuration: adobeDuration(),
-		// Light users: short rare bursts with day-scale gaps.
-		PBurstEnd: 0.30,
-		BurstGap: MustQuantile(
-			Knot{0, 3600},
-			Knot{0.50, 24 * 3600},
-			Knot{0.75, 2 * 86400},
-			Knot{0.95, 6 * 86400},
-			Knot{1, 14 * 86400},
-		),
-		// Heavy users (most of the training population) run long
-		// near-continuous campaigns: they produce the bulk of Fig. 20's
-		// concurrent trainings while light users reproduce Fig. 2(c)'s
-		// low per-session activity.
-		PHeavy:         0.8,
-		HeavyPBurstEnd: 0.015,
-		HeavyBurstGap: MustQuantile(
-			Knot{0, 900},
-			Knot{0.50, 5400},
-			Knot{0.90, 6 * 3600},
-			Knot{1, 24 * 3600},
-		),
-		RequestGPUs: adobeRequestGPUs(),
-		TaskGPUs:    adobeTaskGPUs(),
+		Cohorts: []Cohort{{
+			Weight: 1,
+			// Lifetimes: median ~6 days, heavy tail of weeks-long notebooks.
+			SessionLifetime: MustQuantile(
+				Knot{0, 3600},
+				Knot{0.25, 2 * 86400},
+				Knot{0.50, 6 * 86400},
+				Knot{0.75, 14 * 86400},
+				Knot{0.95, 35 * 86400},
+				Knot{1, 70 * 86400},
+			),
+			PNeverTrains: 0.55,
+			ThinkTime:    adobeThink(),
+			TaskDuration: adobeDuration(),
+			// Light users: short rare bursts with day-scale gaps.
+			PBurstEnd: 0.30,
+			BurstGap: MustQuantile(
+				Knot{0, 3600},
+				Knot{0.50, 24 * 3600},
+				Knot{0.75, 2 * 86400},
+				Knot{0.95, 6 * 86400},
+				Knot{1, 14 * 86400},
+			),
+			// Heavy users (most of the training population) run long
+			// near-continuous campaigns: they produce the bulk of Fig. 20's
+			// concurrent trainings while light users reproduce Fig. 2(c)'s
+			// low per-session activity.
+			PHeavy:         0.8,
+			HeavyPBurstEnd: 0.015,
+			HeavyBurstGap: MustQuantile(
+				Knot{0, 900},
+				Knot{0.50, 5400},
+				Knot{0.90, 6 * 3600},
+				Knot{1, 24 * 3600},
+			),
+			RequestGPUs: adobeRequestGPUs(),
+			TaskGPUs:    adobeTaskGPUs(),
+		}},
 		Granularity: AdobeGranularity,
 	}
 }
@@ -192,21 +195,24 @@ func AdobeExcerptConfig(seed int64) GenConfig {
 			return 3.5
 		},
 		MaxSessionsPerHour: 9,
-		// Sessions outlive the excerpt: the paper's excerpt ends with 87
-		// still-active sessions.
-		SessionLifetime: Fixed(48 * 3600),
-		PNeverTrains:    0.26,
-		ThinkTime:       adobeThink(),
-		TaskDuration:    adobeDuration(),
-		PBurstEnd:       0.045,
-		BurstGap: MustQuantile(
-			Knot{0, 1800},
-			Knot{0.50, 2 * 3600},
-			Knot{0.95, 6 * 3600},
-			Knot{1, 12 * 3600},
-		),
-		RequestGPUs: adobeRequestGPUs(),
-		TaskGPUs:    adobeTaskGPUs(),
+		Cohorts: []Cohort{{
+			Weight: 1,
+			// Sessions outlive the excerpt: the paper's excerpt ends with 87
+			// still-active sessions.
+			SessionLifetime: Fixed(48 * 3600),
+			PNeverTrains:    0.26,
+			ThinkTime:       adobeThink(),
+			TaskDuration:    adobeDuration(),
+			PBurstEnd:       0.045,
+			BurstGap: MustQuantile(
+				Knot{0, 1800},
+				Knot{0.50, 2 * 3600},
+				Knot{0.95, 6 * 3600},
+				Knot{1, 12 * 3600},
+			),
+			RequestGPUs: adobeRequestGPUs(),
+			TaskGPUs:    adobeTaskGPUs(),
+		}},
 		Granularity: AdobeGranularity,
 	}
 }
@@ -230,24 +236,27 @@ func MillionSessionConfig(seed int64) GenConfig {
 		Seed:               seed,
 		SessionsPerHour:    func(time.Duration) float64 { return 463 },
 		MaxSessionsPerHour: 463,
-		SessionLifetime: MustQuantile(
-			Knot{0, 900},
-			Knot{0.50, 6 * 3600},
-			Knot{0.75, 12 * 3600},
-			Knot{0.95, 48 * 3600},
-			Knot{1, 96 * 3600},
-		),
-		PNeverTrains: 0.9,
-		ThinkTime:    adobeThink(),
-		TaskDuration: adobeDuration(),
-		PBurstEnd:    0.5,
-		BurstGap: MustQuantile(
-			Knot{0, 3600},
-			Knot{0.50, 24 * 3600},
-			Knot{1, 4 * 86400},
-		),
-		RequestGPUs: adobeRequestGPUs(),
-		TaskGPUs:    adobeTaskGPUs(),
+		Cohorts: []Cohort{{
+			Weight: 1,
+			SessionLifetime: MustQuantile(
+				Knot{0, 900},
+				Knot{0.50, 6 * 3600},
+				Knot{0.75, 12 * 3600},
+				Knot{0.95, 48 * 3600},
+				Knot{1, 96 * 3600},
+			),
+			PNeverTrains: 0.9,
+			ThinkTime:    adobeThink(),
+			TaskDuration: adobeDuration(),
+			PBurstEnd:    0.5,
+			BurstGap: MustQuantile(
+				Knot{0, 3600},
+				Knot{0.50, 24 * 3600},
+				Knot{1, 4 * 86400},
+			),
+			RequestGPUs: adobeRequestGPUs(),
+			TaskGPUs:    adobeTaskGPUs(),
+		}},
 		Granularity: AdobeGranularity,
 	}
 }
@@ -262,23 +271,26 @@ func PhillyConfig(seed int64) GenConfig {
 		Seed:               seed,
 		SessionsPerHour:    func(time.Duration) float64 { return 2 },
 		MaxSessionsPerHour: 2,
-		SessionLifetime: MustQuantile(
-			Knot{0, 3600},
-			Knot{0.50, 2 * 86400},
-			Knot{0.95, 20 * 86400},
-			Knot{1, 40 * 86400},
-		),
-		PNeverTrains: 0.02,
-		ThinkTime:    phillyIAT(),
-		TaskDuration: phillyDuration(),
-		PBurstEnd:    0.05,
-		BurstGap: MustQuantile(
-			Knot{0, 600},
-			Knot{0.50, 4 * 3600},
-			Knot{1, 2 * 86400},
-		),
-		RequestGPUs:          MustIntWeights([]int{1, 2, 4, 8}, []float64{0.5, 0.2, 0.2, 0.1}),
-		TaskGPUs:             MustIntWeights([]int{1, 2, 4, 8}, []float64{0.5, 0.2, 0.2, 0.1}),
+		Cohorts: []Cohort{{
+			Weight: 1,
+			SessionLifetime: MustQuantile(
+				Knot{0, 3600},
+				Knot{0.50, 2 * 86400},
+				Knot{0.95, 20 * 86400},
+				Knot{1, 40 * 86400},
+			),
+			PNeverTrains: 0.02,
+			ThinkTime:    phillyIAT(),
+			TaskDuration: phillyDuration(),
+			PBurstEnd:    0.05,
+			BurstGap: MustQuantile(
+				Knot{0, 600},
+				Knot{0.50, 4 * 3600},
+				Knot{1, 2 * 86400},
+			),
+			RequestGPUs: MustIntWeights([]int{1, 2, 4, 8}, []float64{0.5, 0.2, 0.2, 0.1}),
+			TaskGPUs:    MustIntWeights([]int{1, 2, 4, 8}, []float64{0.5, 0.2, 0.2, 0.1}),
+		}},
 		Granularity:          time.Second,
 		ConcurrentSubmission: true,
 	}
@@ -294,23 +306,26 @@ func AlibabaConfig(seed int64) GenConfig {
 		Seed:               seed,
 		SessionsPerHour:    func(time.Duration) float64 { return 3 },
 		MaxSessionsPerHour: 3,
-		SessionLifetime: MustQuantile(
-			Knot{0, 3600},
-			Knot{0.50, 3 * 86400},
-			Knot{0.95, 25 * 86400},
-			Knot{1, 50 * 86400},
-		),
-		PNeverTrains: 0.05,
-		ThinkTime:    alibabaIAT(),
-		TaskDuration: alibabaDuration(),
-		PBurstEnd:    0.05,
-		BurstGap: MustQuantile(
-			Knot{0, 600},
-			Knot{0.50, 6 * 3600},
-			Knot{1, 2 * 86400},
-		),
-		RequestGPUs:          MustIntWeights([]int{1, 2, 4, 8}, []float64{0.45, 0.25, 0.2, 0.1}),
-		TaskGPUs:             MustIntWeights([]int{1, 2, 4, 8}, []float64{0.45, 0.25, 0.2, 0.1}),
+		Cohorts: []Cohort{{
+			Weight: 1,
+			SessionLifetime: MustQuantile(
+				Knot{0, 3600},
+				Knot{0.50, 3 * 86400},
+				Knot{0.95, 25 * 86400},
+				Knot{1, 50 * 86400},
+			),
+			PNeverTrains: 0.05,
+			ThinkTime:    alibabaIAT(),
+			TaskDuration: alibabaDuration(),
+			PBurstEnd:    0.05,
+			BurstGap: MustQuantile(
+				Knot{0, 600},
+				Knot{0.50, 6 * 3600},
+				Knot{1, 2 * 86400},
+			),
+			RequestGPUs: MustIntWeights([]int{1, 2, 4, 8}, []float64{0.45, 0.25, 0.2, 0.1}),
+			TaskGPUs:    MustIntWeights([]int{1, 2, 4, 8}, []float64{0.45, 0.25, 0.2, 0.1}),
+		}},
 		Granularity:          time.Second,
 		ConcurrentSubmission: true,
 	}

@@ -68,7 +68,8 @@ type OutageSpec struct {
 
 // DegradeSpec is one network-degradation episode: between StartHour and
 // StartHour+DurationHours every inter-cluster penalty is multiplied by
-// Factor (through federation.SetPenaltyScale). Single-cluster runs have
+// Factor (through federation.SetPenaltyScale). The scale is one value, so
+// a spec's episodes may touch but not overlap. Single-cluster runs have
 // no inter-cluster links and ignore these.
 type DegradeSpec struct {
 	StartHour     float64 `json:"start_hour"`
@@ -124,6 +125,11 @@ func (f *FaultSpec) Validate() error {
 		}
 		if d.Factor < 1 {
 			return fmt.Errorf("trace: degradation %d factor %v below 1", i, d.Factor)
+		}
+		for j, p := range f.Degradations[:i] {
+			if d.StartHour < p.StartHour+p.DurationHours && p.StartHour < d.StartHour+d.DurationHours {
+				return fmt.Errorf("trace: degradations %d and %d overlap", j, i)
+			}
 		}
 	}
 	return nil

@@ -13,8 +13,10 @@ import (
 //
 //   - Sessions arrive by a non-homogeneous Poisson process with intensity
 //     SessionsPerHour(elapsed).
-//   - Each session lives for SessionLifetime seconds and reserves
-//     RequestGPUs GPUs (plus proportional CPU/memory/VRAM).
+//   - Each arrival draws its Cohort (probability Weight / sum of Weights; no
+//     draw when there is one), then lives for the cohort's SessionLifetime
+//     seconds and reserves RequestGPUs GPUs (plus proportional CPU/memory/
+//     VRAM).
 //   - With probability PNeverTrains the session never submits a GPU task
 //     (the paper finds ~70 % of reserved GPUs are never used, §2.3.3).
 //   - A training session works in bursts: within a burst, tasks are
@@ -34,34 +36,6 @@ type GenConfig struct {
 	// elapsed time since Start. It must be bounded by MaxSessionsPerHour.
 	SessionsPerHour    func(elapsed time.Duration) float64
 	MaxSessionsPerHour float64
-	// SessionLifetime samples session lifetimes, in seconds.
-	SessionLifetime Sampler
-	// PNeverTrains is the probability a session submits no GPU tasks.
-	PNeverTrains float64
-	// ThinkTime samples the user's think time between a task's completion
-	// and the next submission within a burst, in seconds.
-	ThinkTime Sampler
-	// TaskDuration samples task execution times, in seconds.
-	TaskDuration Sampler
-	// PBurstEnd is the probability that a completed task ends the burst.
-	PBurstEnd float64
-	// BurstGap samples the idle gap between bursts, in seconds.
-	BurstGap Sampler
-	// PHeavy splits training sessions into heavy and light users: a
-	// heavy session (probability PHeavy) uses HeavyPBurstEnd/HeavyBurstGap
-	// instead of the base burst parameters. Real IDLT activity is highly
-	// skewed: a minority of sessions trains nearly continuously while the
-	// majority barely touches its GPUs (paper Fig. 2(c) vs Fig. 20).
-	// Zero or negative disables the split (all sessions use the base).
-	PHeavy float64
-	// HeavyPBurstEnd is the burst-end probability for heavy sessions.
-	HeavyPBurstEnd float64
-	// HeavyBurstGap samples inter-burst gaps for heavy sessions.
-	HeavyBurstGap Sampler
-	// RequestGPUs samples the per-session GPU reservation.
-	RequestGPUs *IntWeights
-	// TaskGPUs samples per-task GPU counts, capped at the session request.
-	TaskGPUs *IntWeights
 	// ConcurrentSubmission models BDLT batch queues (Philly/Alibaba):
 	// the next task is submitted ThinkTime after the previous *submission*
 	// rather than after its completion, so jobs overlap. IDLT users "do
@@ -71,24 +45,17 @@ type GenConfig struct {
 	// Granularity quantizes task submit times and durations (15 s for
 	// AdobeTrace); zero disables quantization.
 	Granularity time.Duration
-	// Cohorts splits the arriving population into weighted user classes,
-	// each with its own session-shape distributions: every arrival first
-	// draws a cohort (probability Weight / sum of Weights), then samples
-	// its lifetime, GPU demand, and burst behavior from that cohort's
-	// distributions. When non-empty, the base session-shape fields above
-	// (SessionLifetime .. TaskGPUs, PHeavy and the heavy split included)
-	// are ignored and may be nil; when empty, generation draws exactly as
-	// it always did — no extra randomness is consumed, so single-population
-	// configs stay bit-identical to their pre-cohort output.
+	// Cohorts is the arriving population: weighted user classes, each with
+	// its own session-shape distributions, interleaved on the one arrival
+	// process. A workload needs at least one.
 	Cohorts []Cohort
 }
 
-// Cohort is one user-population class of a multi-cohort workload: students
-// vs researchers vs batch-heavy pipelines, each with its own session
-// lifetime, idle-gap, and GPU-demand distributions (heavy-tailed Pareto and
-// LogNormal samplers included). Cohort membership is drawn per arrival, so
-// the classes interleave on the same arrival process rather than running as
-// separate workloads.
+// Cohort is one user-population class of a workload: students vs
+// researchers vs batch-heavy pipelines, each with its own session lifetime,
+// idle-gap, and GPU-demand distributions (heavy-tailed Pareto and LogNormal
+// samplers included). A single-population workload is one cohort of any
+// weight.
 type Cohort struct {
 	// Name tags generated sessions (Session.Cohort) for mix verification.
 	Name string
@@ -111,6 +78,17 @@ type Cohort struct {
 	PBurstEnd float64
 	// BurstGap samples the idle gap between bursts, in seconds.
 	BurstGap Sampler
+	// PHeavy splits the cohort's training sessions into heavy and light
+	// users: a heavy session (probability PHeavy, drawn after the lifetime
+	// and GPU draws) uses HeavyPBurstEnd/HeavyBurstGap instead of the base
+	// burst parameters. Real IDLT activity is highly skewed: a minority of
+	// sessions trains nearly continuously while the majority barely touches
+	// its GPUs (paper Fig. 2(c) vs Fig. 20). Zero disables the split.
+	PHeavy float64
+	// HeavyPBurstEnd is the burst-end probability for heavy sessions.
+	HeavyPBurstEnd float64
+	// HeavyBurstGap samples inter-burst gaps for heavy sessions.
+	HeavyBurstGap Sampler
 	// RequestGPUs samples the per-session GPU reservation.
 	RequestGPUs *IntWeights
 	// TaskGPUs samples per-task GPU counts, capped at the session request.
@@ -125,15 +103,8 @@ func (c GenConfig) validate() error {
 		return fmt.Errorf("trace: MaxSessionsPerHour must be positive")
 	case c.Duration <= 0:
 		return fmt.Errorf("trace: non-positive duration")
-	}
-	if len(c.Cohorts) == 0 {
-		switch {
-		case c.SessionLifetime == nil || c.ThinkTime == nil || c.TaskDuration == nil || c.BurstGap == nil:
-			return fmt.Errorf("trace: all samplers required")
-		case c.RequestGPUs == nil || c.TaskGPUs == nil:
-			return fmt.Errorf("trace: GPU samplers required")
-		}
-		return nil
+	case len(c.Cohorts) == 0:
+		return fmt.Errorf("trace: Cohorts required: a workload needs at least one cohort")
 	}
 	var total float64
 	for i, co := range c.Cohorts {
@@ -153,62 +124,13 @@ func (c GenConfig) validate() error {
 	return nil
 }
 
-// sessionShape is the effective per-session distribution set — the base
-// config's fields, or the drawn cohort's in a multi-cohort workload.
-type sessionShape struct {
-	cohort         string
-	slo            SLOClass
-	lifetime       Sampler
-	pNever         float64
-	think          Sampler
-	taskDur        Sampler
-	pBurstEnd      float64
-	burstGap       Sampler
-	pHeavy         float64
-	heavyPBurstEnd float64
-	heavyBurstGap  Sampler
-	reqGPUs        *IntWeights
-	taskGPUs       *IntWeights
-}
-
-func (c GenConfig) baseShape() sessionShape {
-	return sessionShape{
-		lifetime:       c.SessionLifetime,
-		pNever:         c.PNeverTrains,
-		think:          c.ThinkTime,
-		taskDur:        c.TaskDuration,
-		pBurstEnd:      c.PBurstEnd,
-		burstGap:       c.BurstGap,
-		pHeavy:         c.PHeavy,
-		heavyPBurstEnd: c.HeavyPBurstEnd,
-		heavyBurstGap:  c.HeavyBurstGap,
-		reqGPUs:        c.RequestGPUs,
-		taskGPUs:       c.TaskGPUs,
-	}
-}
-
-func (co Cohort) shape() sessionShape {
-	return sessionShape{
-		cohort:    co.Name,
-		slo:       co.SLO,
-		lifetime:  co.SessionLifetime,
-		pNever:    co.PNeverTrains,
-		think:     co.ThinkTime,
-		taskDur:   co.TaskDuration,
-		pBurstEnd: co.PBurstEnd,
-		burstGap:  co.BurstGap,
-		reqGPUs:   co.RequestGPUs,
-		taskGPUs:  co.TaskGPUs,
-	}
-}
-
-// pickShape draws the arriving session's cohort. The draw is the FIRST
-// randomness genSession consumes, and single-population configs consume
-// none here, which keeps cohortless generation bit-identical to the
-// pre-cohort generator (testdata/trace_digests.golden).
-func (c GenConfig) pickShape(r *rand.Rand) sessionShape {
-	if len(c.Cohorts) == 0 {
-		return c.baseShape()
+// pick draws the arriving session's cohort. The draw is the FIRST
+// randomness genSession consumes, and a one-cohort workload draws nothing
+// here, which keeps the built-in configs' output pinned
+// (testdata/trace_digests.golden).
+func (c GenConfig) pick(r *rand.Rand) *Cohort {
+	if len(c.Cohorts) == 1 {
+		return &c.Cohorts[0]
 	}
 	var total float64
 	for _, co := range c.Cohorts {
@@ -218,10 +140,10 @@ func (c GenConfig) pickShape(r *rand.Rand) sessionShape {
 	for i := range c.Cohorts {
 		u -= c.Cohorts[i].Weight
 		if u < 0 {
-			return c.Cohorts[i].shape()
+			return &c.Cohorts[i]
 		}
 	}
-	return c.Cohorts[len(c.Cohorts)-1].shape()
+	return &c.Cohorts[len(c.Cohorts)-1]
 }
 
 // Generate produces a synthetic trace from cfg: the whole-workload stream
@@ -271,17 +193,17 @@ func MustGenerate(cfg GenConfig) *Trace {
 }
 
 func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Time) *Session {
-	sh := cfg.pickShape(r)
-	life := time.Duration(sh.lifetime.Sample(r) * float64(time.Second))
+	co := cfg.pick(r)
+	life := time.Duration(co.SessionLifetime.Sample(r) * float64(time.Second))
 	end := start.Add(life)
 	if end.After(traceEnd) {
 		end = traceEnd
 	}
-	gpus := sh.reqGPUs.SampleInt(r)
+	gpus := co.RequestGPUs.SampleInt(r)
 	sess := &Session{
 		ID:     id,
-		Cohort: sh.cohort,
-		SLO:    sh.slo,
+		Cohort: co.Name,
+		SLO:    co.SLO,
 		Start:  start,
 		End:    end,
 		Request: resources.Spec{
@@ -291,24 +213,24 @@ func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Tim
 			VRAMGB:    float64(gpus) * 16,
 		},
 	}
-	if gpus == 0 || r.Float64() < sh.pNever {
+	if gpus == 0 || r.Float64() < co.PNeverTrains {
 		return sess
 	}
-	pBurstEnd := sh.pBurstEnd
-	burstGap := sh.burstGap
-	if sh.pHeavy > 0 && r.Float64() < sh.pHeavy {
-		if sh.heavyPBurstEnd > 0 {
-			pBurstEnd = sh.heavyPBurstEnd
+	pBurstEnd := co.PBurstEnd
+	burstGap := co.BurstGap
+	if co.PHeavy > 0 && r.Float64() < co.PHeavy {
+		if co.HeavyPBurstEnd > 0 {
+			pBurstEnd = co.HeavyPBurstEnd
 		}
-		if sh.heavyBurstGap != nil {
-			burstGap = sh.heavyBurstGap
+		if co.HeavyBurstGap != nil {
+			burstGap = co.HeavyBurstGap
 		}
 	}
 
 	// First submission happens after an initial think time.
-	cur := start.Add(cfg.sampleDur(r, sh.think))
+	cur := start.Add(cfg.sampleDur(r, co.ThinkTime))
 	for cur.Before(end) {
-		d := cfg.quantize(cfg.sampleDur(r, sh.taskDur))
+		d := cfg.quantize(cfg.sampleDur(r, co.TaskDuration))
 		if cur.Add(d).After(end) {
 			// Truncate the final task to the session end; drop slivers.
 			d = end.Sub(cur)
@@ -316,7 +238,7 @@ func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Tim
 				break
 			}
 		}
-		tg := sh.taskGPUs.SampleInt(r)
+		tg := co.TaskGPUs.SampleInt(r)
 		if tg > gpus {
 			tg = gpus
 		}
@@ -338,7 +260,7 @@ func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Tim
 		if r.Float64() < pBurstEnd {
 			cur = cur.Add(cfg.sampleDur(r, burstGap))
 		} else {
-			cur = cur.Add(cfg.sampleDur(r, sh.think))
+			cur = cur.Add(cfg.sampleDur(r, co.ThinkTime))
 		}
 	}
 	return sess

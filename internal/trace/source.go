@@ -112,30 +112,23 @@ func (c GenConfig) Expect(shards int) Expectation {
 	if shards < 1 {
 		shards = 1
 	}
-	// A multi-cohort workload is a probability-weighted mixture of session
-	// populations on one shared arrival process, so every per-session
-	// expectation blends linearly across the classes. A single-population
-	// config is the one-class mixture — same arithmetic, weight 1.
+	// The workload is a probability-weighted mixture of session populations
+	// on one shared arrival process, so every per-session expectation blends
+	// linearly across the cohorts.
+	var total float64
+	for _, co := range c.Cohorts {
+		total += co.Weight
+	}
 	type class struct {
 		w            float64 // probability of the class, sums to 1
-		shape        sessionShape
+		co           *Cohort
 		lifeGrid     []float64
 		lifeWeighted float64
 	}
-	var classes []class
-	if len(c.Cohorts) == 0 {
-		classes = []class{{w: 1, shape: c.baseShape()}}
-	} else {
-		var total float64
-		for _, co := range c.Cohorts {
-			total += co.Weight
-		}
-		for _, co := range c.Cohorts {
-			classes = append(classes, class{w: co.Weight / total, shape: co.shape()})
-		}
-	}
+	classes := make([]class, len(c.Cohorts))
 	for k := range classes {
-		classes[k].lifeGrid = samplerGrid(classes[k].shape.lifetime, 256)
+		co := &c.Cohorts[k]
+		classes[k] = class{w: co.Weight / total, co: co, lifeGrid: samplerGrid(co.SessionLifetime, 256)}
 	}
 
 	const steps = 1024
@@ -162,18 +155,18 @@ func (c GenConfig) Expect(shards int) Expectation {
 	var reserved, tasks float64
 	for k := range classes {
 		cl := &classes[k]
-		sh := cl.shape
+		co := cl.co
 		meanLife := 0.0 // arrival-weighted E[min(L, window remaining)], seconds
 		if lambda > 0 {
 			meanLife = cl.lifeWeighted / lambda
 		}
-		reserved += cl.w * sessions * (meanLife / 3600) * sh.reqGPUs.Mean()
+		reserved += cl.w * sessions * (meanLife / 3600) * co.RequestGPUs.Mean()
 
-		pNever := math.Min(math.Max(sh.pNever, 0), 1)
-		pTrain := (1 - sh.reqGPUs.Prob(0)) * (1 - pNever)
+		pNever := math.Min(math.Max(co.PNeverTrains, 0), 1)
+		pTrain := (1 - co.RequestGPUs.Prob(0)) * (1 - pNever)
 
-		meanThink := SamplerMean(sh.think)
-		meanDur := SamplerMean(sh.taskDur)
+		meanThink := SamplerMean(co.ThinkTime)
+		meanDur := SamplerMean(co.TaskDuration)
 		cycle := func(pEnd, gap float64) float64 {
 			cy := pEnd*gap + (1-pEnd)*meanThink
 			if !c.ConcurrentSubmission {
@@ -183,17 +176,17 @@ func (c GenConfig) Expect(shards int) Expectation {
 		}
 		// Blend per-class task RATES, not cycle lengths: heavy sessions'
 		// short cycles dominate the task count, and E[1/cycle] != 1/E[cycle].
-		rate := 1 / cycle(sh.pBurstEnd, SamplerMean(sh.burstGap))
-		if sh.pHeavy > 0 {
-			hEnd := sh.pBurstEnd
-			if sh.heavyPBurstEnd > 0 {
-				hEnd = sh.heavyPBurstEnd
+		rate := 1 / cycle(co.PBurstEnd, SamplerMean(co.BurstGap))
+		if co.PHeavy > 0 {
+			hEnd := co.PBurstEnd
+			if co.HeavyPBurstEnd > 0 {
+				hEnd = co.HeavyPBurstEnd
 			}
-			hGap := SamplerMean(sh.burstGap)
-			if sh.heavyBurstGap != nil {
-				hGap = SamplerMean(sh.heavyBurstGap)
+			hGap := SamplerMean(co.BurstGap)
+			if co.HeavyBurstGap != nil {
+				hGap = SamplerMean(co.HeavyBurstGap)
 			}
-			p := math.Min(sh.pHeavy, 1)
+			p := math.Min(co.PHeavy, 1)
 			rate = (1-p)*rate + p/cycle(hEnd, hGap)
 		}
 		tasks += cl.w * sessions * pTrain * meanLife * rate

@@ -30,7 +30,8 @@ func (t Task) End() time.Time { return t.Submit.Add(t.Duration) }
 type Session struct {
 	ID string
 	// Cohort names the user-population class the session was generated
-	// from (GenConfig.Cohorts); empty for single-population workloads.
+	// from (GenConfig.Cohorts); empty for an unnamed cohort, as in the
+	// built-in single-population configs.
 	// Purely descriptive — the simulator ignores it — but it lets
 	// statistical tests and reports verify cohort mixes on real streams.
 	Cohort string
@@ -136,43 +137,23 @@ func (tr *Trace) ActiveFractions() *metrics.Sample {
 // ActiveSessions returns the timeline of concurrently live sessions
 // (secondary axis of Figs. 7 and 20).
 func (tr *Trace) ActiveSessions() *metrics.Timeline {
-	type ev struct {
-		t time.Time
-		d float64
-	}
-	evs := make([]ev, 0, 2*len(tr.Sessions))
-	for _, s := range tr.Sessions {
-		evs = append(evs, ev{s.Start, 1}, ev{s.End, -1})
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].t.Before(evs[j].t) })
-	tl := metrics.NewTimeline()
-	tl.Grow(len(evs))
-	for _, e := range evs {
-		tl.Delta(e.t, e.d)
-	}
-	return tl
+	return spanTimeline(len(tr.Sessions), func(add spanFunc) {
+		for _, s := range tr.Sessions {
+			add(s.Start, s.End, 1)
+		}
+	})
 }
 
 // ActiveTasks returns the timeline of concurrently executing training
 // tasks (primary axis of Figs. 7 and 20), assuming zero platform delay.
 func (tr *Trace) ActiveTasks() *metrics.Timeline {
-	type ev struct {
-		t time.Time
-		d float64
-	}
-	evs := make([]ev, 0, 2*tr.NumTasks())
-	for _, s := range tr.Sessions {
-		for _, t := range s.Tasks {
-			evs = append(evs, ev{t.Submit, 1}, ev{t.End(), -1})
+	return spanTimeline(tr.NumTasks(), func(add spanFunc) {
+		for _, s := range tr.Sessions {
+			for _, t := range s.Tasks {
+				add(t.Submit, t.End(), 1)
+			}
 		}
-	}
-	sort.Slice(evs, func(i, j int) bool { return evs[i].t.Before(evs[j].t) })
-	tl := metrics.NewTimeline()
-	tl.Grow(len(evs))
-	for _, e := range evs {
-		tl.Delta(e.t, e.d)
-	}
-	return tl
+	})
 }
 
 // ReservedGPUs returns the timeline of GPUs reserved by live sessions —
@@ -180,22 +161,11 @@ func (tr *Trace) ActiveTasks() *metrics.Timeline {
 // The timeline is built once and cached; callers must not mutate it.
 func (tr *Trace) ReservedGPUs() *metrics.Timeline {
 	tr.reservedOnce.Do(func() {
-		type ev struct {
-			t time.Time
-			d float64
-		}
-		evs := make([]ev, 0, 2*len(tr.Sessions))
-		for _, s := range tr.Sessions {
-			g := float64(s.Request.GPUs)
-			evs = append(evs, ev{s.Start, g}, ev{s.End, -g})
-		}
-		sort.Slice(evs, func(i, j int) bool { return evs[i].t.Before(evs[j].t) })
-		tl := metrics.NewTimeline()
-		tl.Grow(len(evs))
-		for _, e := range evs {
-			tl.Delta(e.t, e.d)
-		}
-		tr.reservedTL = tl
+		tr.reservedTL = spanTimeline(len(tr.Sessions), func(add spanFunc) {
+			for _, s := range tr.Sessions {
+				add(s.Start, s.End, float64(s.Request.GPUs))
+			}
+		})
 	})
 	return tr.reservedTL
 }
@@ -206,26 +176,39 @@ func (tr *Trace) ReservedGPUs() *metrics.Timeline {
 // built once and cached; callers must not mutate it.
 func (tr *Trace) UtilizedGPUs() *metrics.Timeline {
 	tr.utilizedOnce.Do(func() {
-		type ev struct {
-			t time.Time
-			d float64
-		}
-		evs := make([]ev, 0, 2*tr.NumTasks())
-		for _, s := range tr.Sessions {
-			for _, t := range s.Tasks {
-				g := float64(t.GPUs)
-				evs = append(evs, ev{t.Submit, g}, ev{t.End(), -g})
+		tr.utilizedTL = spanTimeline(tr.NumTasks(), func(add spanFunc) {
+			for _, s := range tr.Sessions {
+				for _, t := range s.Tasks {
+					add(t.Submit, t.End(), float64(t.GPUs))
+				}
 			}
-		}
-		sort.Slice(evs, func(i, j int) bool { return evs[i].t.Before(evs[j].t) })
-		tl := metrics.NewTimeline()
-		tl.Grow(len(evs))
-		for _, e := range evs {
-			tl.Delta(e.t, e.d)
-		}
-		tr.utilizedTL = tl
+		})
 	})
 	return tr.utilizedTL
+}
+
+// spanFunc adds one span: d from `from` until `to`.
+type spanFunc func(from, to time.Time, d float64)
+
+// spanTimeline is the delta timeline of the spans spans adds: a step of +d
+// at each span's start and -d at its end, applied in time order. n (the span
+// count) sizes the buffers.
+func spanTimeline(n int, spans func(add spanFunc)) *metrics.Timeline {
+	type ev struct {
+		t time.Time
+		d float64
+	}
+	evs := make([]ev, 0, 2*n)
+	spans(func(from, to time.Time, d float64) {
+		evs = append(evs, ev{from, d}, ev{to, -d})
+	})
+	sort.Slice(evs, func(i, j int) bool { return evs[i].t.Before(evs[j].t) })
+	tl := metrics.NewTimeline()
+	tl.Grow(len(evs))
+	for _, e := range evs {
+		tl.Delta(e.t, e.d)
+	}
+	return tl
 }
 
 // UtilizationCDF returns the cluster GPU-utilization sample (solid series of

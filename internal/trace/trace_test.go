@@ -184,6 +184,11 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 	if _, err := Generate(cfg); err == nil {
 		t.Error("intensity above max should fail")
 	}
+	cfg = AdobeExcerptConfig(1)
+	cfg.Cohorts = nil
+	if _, err := Generate(cfg); err == nil || !strings.Contains(err.Error(), "Cohorts") {
+		t.Errorf("a config with no cohort: got error %v, want one naming Cohorts", err)
+	}
 }
 
 func TestAdobeDurationPercentiles(t *testing.T) {
