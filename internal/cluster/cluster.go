@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -320,10 +321,11 @@ func (h *Host) Empty() bool {
 type Cluster struct {
 	mu    sync.Mutex
 	hosts map[string]*Host
-	// list holds the member hosts in insertion order. Each snapshot is
-	// immutable: a membership change builds a new one and publishes it
-	// under mu, so NumHosts reads it without the lock.
-	list atomic.Pointer[[]*Host]
+	// list holds the member hosts in insertion order, under mu: a membership
+	// change edits it in place. n counts them, stored under mu, so NumHosts
+	// reads without the lock.
+	list []*Host
+	n    atomic.Int32
 	// table is the current view of the dense host table (table.go): each
 	// member's scan state in cluster-owned rows. free holds, per host
 	// shape, the unoccupied slots of that shape's chunks; byID lists the
@@ -337,8 +339,11 @@ type Cluster struct {
 	agg               aggregates
 	// notifier is invoked after every capacity-freeing transition
 	// (AddHost, or any member host's Release); every Release loads it, so
-	// it is published atomically instead of under mu.
+	// it is published atomically instead of under mu. freed is the method
+	// value capacityFreed that each joining host keeps, built once so that
+	// joining allocates nothing.
 	notifier atomic.Pointer[func()]
+	freed    func()
 }
 
 // New returns an empty cluster with the given replication factor R.
@@ -350,8 +355,8 @@ func New(replicasPerKernel int) *Cluster {
 		hosts:             map[string]*Host{},
 		replicasPerKernel: replicasPerKernel,
 	}
-	c.list.Store(new([]*Host))
 	c.table.Store(new(Table))
+	c.freed = c.capacityFreed
 	return c
 }
 
@@ -372,19 +377,11 @@ func (c *Cluster) capacityFreed() {
 	}
 }
 
-// setList publishes a new membership snapshot. Caller holds c.mu.
-func (c *Cluster) setList(list []*Host) { c.list.Store(&list) }
-
-// without returns the current snapshot minus h. Caller holds c.mu.
-func (c *Cluster) without(h *Host) []*Host {
-	cur := *c.list.Load()
-	list := make([]*Host, 0, len(cur)-1)
-	for _, lh := range cur {
-		if lh != h {
-			list = append(list, lh)
-		}
-	}
-	return list
+// setList stores the membership list and republishes its length. Caller
+// holds c.mu.
+func (c *Cluster) setList(list []*Host) {
+	c.list = list
+	c.n.Store(int32(len(list)))
 }
 
 // AddHost adds a host; the ID must be unique.
@@ -395,8 +392,7 @@ func (c *Cluster) AddHost(h *Host) error {
 		return fmt.Errorf("cluster: host %s already present", h.ID)
 	}
 	c.hosts[h.ID] = h
-	cur := *c.list.Load()
-	c.setList(append(append(make([]*Host, 0, len(cur)+1), cur...), h))
+	c.setList(append(c.list, h))
 	c.seat(h)
 	c.mu.Unlock()
 	c.capacityFreed()
@@ -420,11 +416,18 @@ func (c *Cluster) RemoveHost(id string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: host %s still has %d replicas", id, n)
 	}
-	delete(c.hosts, id)
-	c.setList(c.without(h))
-	c.unseat(h)
+	c.leave(h)
 	c.mu.Unlock()
 	return nil
+}
+
+// leave takes member h out of the cluster: the ID index, the membership list
+// (closing the gap in place) and its table slot. Caller holds c.mu.
+func (c *Cluster) leave(h *Host) {
+	delete(c.hosts, h.ID)
+	i := slices.Index(c.list, h)
+	c.setList(slices.Delete(c.list, i, i+1))
+	c.unseat(h)
 }
 
 // CrashHost forcibly removes a host, replicas and commitments included —
@@ -442,9 +445,7 @@ func (c *Cluster) CrashHost(id string) error {
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: host %s not present", id)
 	}
-	delete(c.hosts, id)
-	c.setList(c.without(h))
-	c.unseat(h)
+	c.leave(h)
 	c.mu.Unlock()
 	return nil
 }
@@ -461,14 +462,13 @@ func (c *Cluster) Host(id string) (*Host, bool) {
 func (c *Cluster) Hosts() []*Host {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	list := *c.list.Load()
-	out := make([]*Host, len(list))
-	copy(out, list)
+	out := make([]*Host, len(c.list))
+	copy(out, c.list)
 	return out
 }
 
 // NumHosts returns the number of hosts. Lock-free.
-func (c *Cluster) NumHosts() int { return len(*c.list.Load()) }
+func (c *Cluster) NumHosts() int { return int(c.n.Load()) }
 
 // TotalGPUs returns the cluster GPU capacity (sum of G). O(1): maintained
 // incrementally on AddHost/RemoveHost.

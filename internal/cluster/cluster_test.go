@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"notebookos/internal/resources"
@@ -137,6 +140,79 @@ func TestClusterAccounting(t *testing.T) {
 	}
 	if got := len(c.Hosts()); got != 1 {
 		t.Fatalf("hosts = %d", got)
+	}
+}
+
+// TestMembershipChurn drives a random sequence of joins, removals and
+// crashes over a pool of hosts and checks after every step that the
+// lock-free NumHosts equals len(Hosts()) and the number of members, while a
+// reader goroutine calls both throughout (for the race detector). Then it
+// checks that once the list has room, a host leaving and rejoining allocates
+// nothing: the membership list is edited in place, not rebuilt per change.
+func TestMembershipChurn(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	c := New(3)
+	pool := make([]*Host, 40)
+	for i := range pool {
+		pool[i] = NewHost(fmt.Sprintf("m%02d", i), resources.P316xlarge())
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				if n := c.NumHosts(); n < 0 || n > len(pool) || len(c.Hosts()) > len(pool) {
+					t.Errorf("NumHosts = %d outside [0, %d]", n, len(pool))
+				}
+			}
+		}
+	}()
+	member := map[*Host]bool{}
+	for step := range 3000 {
+		h := pool[r.Intn(len(pool))]
+		var err error
+		switch {
+		case !member[h]:
+			err = c.AddHost(h)
+		case r.Intn(2) == 0:
+			err = c.RemoveHost(h.ID)
+		default:
+			err = c.CrashHost(h.ID)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+		member[h] = !member[h]
+		n := 0
+		for _, in := range member {
+			if in {
+				n++
+			}
+		}
+		if got, listed := c.NumHosts(), len(c.Hosts()); got != listed || got != n {
+			t.Fatalf("step %d: NumHosts = %d, len(Hosts()) = %d, members = %d", step, got, listed, n)
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	h := pool[0]
+	if !member[h] {
+		if err := c.AddHost(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if c.CrashHost(h.ID) != nil || c.AddHost(h) != nil {
+			t.Fatal("churn refused")
+		}
+	}); allocs != 0 {
+		t.Errorf("a host leaving and rejoining allocates %v times, want 0", allocs)
 	}
 }
 

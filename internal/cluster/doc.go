@@ -41,8 +41,9 @@
 // aggregates — are lock-free: row counters and summaries are atomics stored
 // under the chunk lock — by the occupant's writers, and by the cluster when
 // it gives out ordinals or flips an occupancy bit, cluster lock held as
-// well — host pointers under the cluster lock, and the membership list and
-// the table's chunk list are immutable snapshots behind an atomic.Pointer.
+// well — host pointers and the member count under the cluster lock, and the
+// table's chunk list is an immutable snapshot behind an atomic.Pointer. The
+// membership list itself is the cluster lock's (Hosts copies it).
 // Between a row's store and its summary's, the summary errs only towards
 // the better: a reader scans a chunk it could have skipped, never skips a
 // host it would have kept. All of these reads are exact at quiescent points

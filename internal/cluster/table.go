@@ -252,7 +252,7 @@ func (c *Cluster) seat(h *Host) {
 	row := &ch.rows[i]
 	c.rank(h, row)
 	ch.mu.Lock()
-	h.attach(&c.agg, c.capacityFreed, ch, slot)
+	h.attach(&c.agg, c.freed, ch, slot)
 	ch.hosts[i].Store(h)
 	ch.enter(i, row.key(), row.subscribed())
 	ch.post()

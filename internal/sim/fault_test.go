@@ -655,7 +655,7 @@ func TestDegradationEpisodesHandOverInTimeOrder(t *testing.T) {
 	want := map[float64]time.Duration{5.5: 25, 6.5: 100, 7.5: 100, 8: 200, 8.5: 200, 9: 25, 9.5: 25}
 	got := map[float64]time.Duration{}
 	for h := range want {
-		s.eng.Schedule(tr.Start.Add(hoursDur(h)), func() { got[h] = s.fed.Penalty(0, 1) })
+		s.eng.Schedule(tr.Start.Add(trace.Hours(h)), func() { got[h] = s.fed.Penalty(0, 1) })
 	}
 	s.drain()
 	for h, ms := range want {

@@ -64,21 +64,27 @@ func (s *sim) initFaults() {
 		s.res.RecoveryTime = metrics.NewSample()
 	}
 	for i, o := range f.Outages {
-		s.eng.Schedule(s.start.Add(hoursDur(o.StartHour)), func() { s.outageStrike(i, o) })
+		s.armFault(s.start.Add(trace.Hours(o.StartHour)), func() { s.outageStrike(i, o) })
 	}
 	// The episodes share one scale, so they are set in start order: where one
 	// ends as the next begins, the end fires first (Validate refuses overlaps).
 	byStart := func(a, b trace.DegradeSpec) int { return cmp.Compare(a.StartHour, b.StartHour) }
 	for _, d := range slices.SortedFunc(slices.Values(f.Degradations), byStart) {
-		at := s.start.Add(hoursDur(d.StartHour))
-		s.eng.Schedule(at, func() { s.fed.SetPenaltyScale(d.Factor) })
-		s.eng.Schedule(at.Add(hoursDur(d.DurationHours)), func() { s.fed.SetPenaltyScale(1) })
+		at := s.start.Add(trace.Hours(d.StartHour))
+		s.armFault(at, func() { s.fed.SetPenaltyScale(d.Factor) })
+		s.armFault(at.Add(trace.Hours(d.DurationHours)), func() { s.fed.SetPenaltyScale(1) })
 	}
 }
 
-// hoursDur converts a spec's fractional hours to a duration.
-func hoursDur(h float64) time.Duration {
-	return time.Duration(h * float64(time.Hour))
+// armFault schedules a fault-layer event at `at` unless that lies past the
+// drain horizon: such an event could never fire, and leaving it out keeps
+// every other event's relative order, since sequence numbers stay monotone.
+// It also keeps a saturated draw (trace.Hours) away from the engine, whose
+// int64 clock would wrap it into the past and fire it at once.
+func (s *sim) armFault(at time.Time, fn func()) {
+	if !at.After(s.horizon()) {
+		s.eng.Schedule(at, fn)
+	}
 }
 
 // noteHosts records a host-count change on the availability timeline, which
@@ -101,7 +107,7 @@ func faultSlot(member, seq int) uint64 {
 func (s *sim) armHostFaults(h *host, seq int) {
 	s.noteHosts(1)
 	if up, down := s.cfg.Faults.HostFault(s.cfg.Seed, faultSlot(h.member, seq)); up > 0 {
-		s.eng.Defer(up, func() { s.crashHost(h, down) })
+		s.armFault(s.now().Add(up), func() { s.crashHost(h, down) })
 	}
 }
 
@@ -127,7 +133,7 @@ func (s *sim) crashHost(h *host, down time.Duration) {
 	s.noteHosts(-1)
 	s.repairSessions(h)
 	s.sampleProvisioned()
-	s.eng.Defer(down, func() {
+	s.armFault(s.now().Add(down), func() {
 		// The replacement is a fresh host slot with its own crash clock
 		// (armed in addHost), never the crashed host re-attached —
 		// re-attachment would double-count its stale commitments.
@@ -157,7 +163,7 @@ func (s *sim) outageStrike(idx int, o trace.OutageSpec) {
 			}
 		}
 	}
-	down := hoursDur(o.DurationHours)
+	down := trace.Hours(o.DurationHours)
 	for _, h := range victims {
 		s.crashHost(h, down)
 	}

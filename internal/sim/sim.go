@@ -52,10 +52,16 @@ const (
 	StepE2E        Step = "E2E"
 )
 
-// Steps lists the recorded steps in display order.
+// Steps lists the recorded steps in display order, which is also the order
+// of a run's step recorders (sim.steps).
 func Steps() []Step {
 	return []Step{StepE2E, StepGSProcess, StepPreProcess, StepElection, StepIntermed, StepExec, StepPostProc, StepReturn}
 }
+
+// Where sampleSteps starts in Steps(): end to end, the request path's lead
+// (steps 1, 5, 6 and 7) and its tail (8, 9 and 10); and how many steps there
+// are.
+const stepE2E, stepLead, stepTail, numSteps = 0, 1, 5, 8
 
 // Config parameterizes one simulation run: of one cluster (Hosts,
 // HostCapacity, MinHosts) or, when Clusters lists members, of a federation of
@@ -292,6 +298,9 @@ type session struct {
 	// home is the member cluster the session is homed at: round-robin in
 	// arrival order, so always 0 in a single-cluster run.
 	home int
+	// classDelay is the Result.ClassDelay sample of the session's SLO class,
+	// looked up once at admission (nil unless the run is SLOAware).
+	classDelay *metrics.Sample
 
 	// NotebookOS: replica hosts; Reservation: the single reserved host.
 	// Empty for a session no host can fit — its tasks are swallowed. slots
@@ -420,8 +429,11 @@ type sim struct {
 	// capacity-notification fan-in.
 	waitq *capacityWaitQueue
 	// res accumulates every counter and recorder; finish completes and
-	// returns it.
-	res *Result
+	// returns it. steps holds res.StepLatency's samples in Steps() order (nil
+	// where the run keeps none), so recording a step indexes an array instead
+	// of hashing its name.
+	res   *Result
+	steps [numSteps]*metrics.Sample
 
 	// Federation routing state. cfg.Route ranks members for placements,
 	// migrations and crash rehoming (never consulted with one member);
@@ -540,8 +552,9 @@ func newSim(p *plan) (*sim, error) {
 			s.res.ReadLatency = s.newSample()
 			s.res.WriteLatency = s.newSample()
 			s.res.StepLatency = map[Step]*metrics.Sample{}
-			for _, st := range Steps() {
-				s.res.StepLatency[st] = s.newSample()
+			for i, st := range Steps() {
+				s.steps[i] = s.newSample()
+				s.res.StepLatency[st] = s.steps[i]
 			}
 		}
 		if p.SLOAware {
@@ -651,7 +664,7 @@ func (s *sim) build() error {
 		for _, sm := range []*metrics.Sample{s.res.Interactivity, s.res.TCT, s.res.SyncLatency, s.res.ReadLatency, s.res.WriteLatency} {
 			sm.Grow(numTasks)
 		}
-		for _, sm := range s.res.StepLatency {
+		for _, sm := range s.steps {
 			sm.Grow(numTasks)
 		}
 		if s.res.Events != nil {
@@ -701,6 +714,7 @@ func (s *sim) newSession(sess *trace.Session) *session {
 		paramBytes:   assig.Model.ParamBytes,
 		datasetBytes: assig.Dataset.SizeBytes,
 		home:         s.homeSeq % len(s.members),
+		classDelay:   s.res.ClassDelay[sess.SLO.OrDefault()],
 	}
 	s.homeSeq++
 	s.members[ss.home].res.HomeSessions++
@@ -716,9 +730,11 @@ func (s *sim) close() {
 	}
 }
 
-// drain runs the engine past the window's end, letting the in-flight tail
-// complete.
-func (s *sim) drain() { s.eng.RunUntil(s.end.Add(24 * time.Hour)) }
+// drain runs the engine to the horizon, a day past the window's end, letting
+// the in-flight tail complete.
+func (s *sim) drain() { s.eng.RunUntil(s.horizon()) }
+
+func (s *sim) horizon() time.Time { return s.end.Add(24 * time.Hour) }
 
 // finish surfaces a source or arrival-order error and completes the result:
 // the federation-wide capacity series (member 0's own timelines when it is
@@ -956,8 +972,8 @@ func (s *sim) finishTask(ss *session, submit time.Time, interactivity time.Durat
 	tct := s.now().Sub(submit)
 	s.res.Interactivity.Add(interactivity.Seconds())
 	s.res.TCT.Add(tct.Seconds())
-	s.sampleStep(StepE2E, tct)
-	s.res.ClassDelay[ss.src.SLO.OrDefault()].Add(interactivity.Seconds())
+	s.sampleSteps(stepE2E, tct)
+	ss.classDelay.Add(interactivity.Seconds())
 	s.res.Tasks++
 	s.startNext(ss)
 }
@@ -1013,20 +1029,14 @@ func taskReq(ss *session, task trace.Task) resources.Spec {
 	return r
 }
 
-// sampleStep records one request-path stage (Figs. 16-19); the step
-// recorders exist only in single-cluster runs that keep latency.
-func (s *sim) sampleStep(st Step, d time.Duration) {
-	if s.res.StepLatency != nil {
-		s.res.StepLatency[st].Add(d.Seconds())
+// sampleSteps records consecutive request-path stages (Figs. 16-19), the
+// first at position first of Steps(): stepLead takes the four stages ahead of
+// execution (steps 1, 5, 6, 7), stepTail the three from execution on. The
+// step recorders exist only in single-cluster runs that keep latency.
+func (s *sim) sampleSteps(first int, ds ...time.Duration) {
+	for i, d := range ds {
+		s.steps[first+i].Add(d.Seconds())
 	}
-}
-
-// sampleLead records the four stages ahead of execution (steps 1, 5, 6, 7).
-func (s *sim) sampleLead(gsProcess, preProcess, election, intermed time.Duration) {
-	s.sampleStep(StepGSProcess, gsProcess)
-	s.sampleStep(StepPreProcess, preProcess)
-	s.sampleStep(StepElection, election)
-	s.sampleStep(StepIntermed, intermed)
 }
 
 // launch puts a committed task in flight on h: its state machine — drawn
@@ -1057,7 +1067,7 @@ func (s *sim) tryReservationTask(ss *session, task trace.Task, submit time.Time)
 	step1 := lat.GSProcess(s.rng)
 	step5 := lat.PreProcess(s.rng)
 	step7 := lat.Transfer.LoadTime(ss.paramBytes, task.GPUs)
-	s.sampleLead(step1, step5, 0, step7)
+	s.sampleSteps(stepLead, step1, step5, 0, step7)
 	hops := lat.Hop(s.rng) + lat.Hop(s.rng)
 	delay := step1 + step5 + step7 + hops
 
@@ -1130,7 +1140,7 @@ func (s *sim) launchContainer(ss *session, task trace.Task, submit time.Time, h 
 	step1 := queueing + start + lat.GSProcess(s.rng)
 	step5 := lat.PreProcess(s.rng) + fetch
 	step7 := lat.Transfer.LoadTime(ss.paramBytes, task.GPUs)
-	s.sampleLead(step1, step5, 0, step7)
+	s.sampleSteps(stepLead, step1, step5, 0, step7)
 	delay := step1 + step5 + step7
 	s.launch(ss, task, submit, h, delay, s.now().Add(delay))
 }
@@ -1194,7 +1204,7 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 	step5 := lat.PreProcess(s.rng)
 	step6 := lat.Election(s.rng)
 	step7 := lat.Transfer.LoadTime(ss.paramBytes, task.GPUs)
-	s.sampleLead(step1, step5, step6, step7)
+	s.sampleSteps(stepLead, step1, step5, step6, step7)
 	hops := lat.Hop(s.rng) + lat.Hop(s.rng)
 	delay := migrationDelay + step1 + step5 + step6 + step7 + hops + wan
 	s.launch(ss, task, submit, h, delay, submit.Add(delay))

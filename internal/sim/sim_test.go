@@ -140,6 +140,20 @@ func (e runnerEntry) call(gcfg trace.GenConfig, h hostileCase) (fp string, tasks
 	return b.String(), r.Tasks, nil
 }
 
+// fpInt reads one integer field of a fingerprint call returned (-1 when the
+// fingerprint has no such field).
+func fpInt(fp, field string) int {
+	for _, line := range strings.Split(fp, "\n") {
+		if _, v, ok := strings.Cut(line, " "+field+"="); ok {
+			var n int
+			if _, err := fmt.Sscan(v, &n); err == nil {
+				return n
+			}
+		}
+	}
+	return -1
+}
+
 // TestHostileConfigs drives every exported entry point, with both forms of
 // the config and under both capacity modes, with configs a careless caller
 // could write. None may
@@ -335,6 +349,39 @@ func TestHostileConfigs(t *testing.T) {
 			h = valid()
 			h.faults = &trace.FaultSpec{HostMTBFHours: 10}
 			refuses("crash churn without a repair time", h, "host_mttr_hours")
+
+			// Numbers only a Go caller can write: a NaN MTBF would switch churn
+			// off without a word, a NaN or infinite MTTR would schedule every
+			// repair in the past.
+			for _, f := range []struct {
+				spec  trace.FaultSpec
+				field string
+			}{
+				{trace.FaultSpec{HostMTBFHours: math.NaN(), HostMTTRHours: 1}, "host_mtbf_hours"},
+				{trace.FaultSpec{HostMTBFHours: 24, HostMTTRHours: math.NaN()}, "host_mttr_hours"},
+				{trace.FaultSpec{HostMTBFHours: 24, HostMTTRHours: math.Inf(1)}, "host_mttr_hours"},
+			} {
+				h = valid()
+				h.faults = &f.spec
+				refuses(fmt.Sprintf("%s %v", f.field, f.spec), h, f.field)
+			}
+			// Hours too large for a duration run, saturated: a repair drawn past
+			// the drain horizon never arrives — where a wrapped one arrived at
+			// once — exactly as a repair a finite 100,000 h away; an uptime drawn
+			// past it never ends.
+			hours := func(mtbf, mttr float64) hostileCase {
+				h := valid()
+				h.faults = &trace.FaultSpec{HostMTBFHours: mtbf, HostMTTRHours: mttr}
+				return h
+			}
+			if fp, _ := run("MTTR 1e12 h", hours(24, 1e12)); fpInt(fp, "crashes") == 0 || fpInt(fp, "recoveries") != 0 {
+				t.Errorf("%s, MTTR 1e12 h: %d crashes, %d recoveries; want crashes and no recovery", name, fpInt(fp, "crashes"), fpInt(fp, "recoveries"))
+			}
+			same("MTTR 1e12 h", hours(24, 1e12), hours(24, 1e5))
+			if fp, _ := run("MTBF 1e12 h", hours(1e12, 1)); fpInt(fp, "crashes") != 0 {
+				t.Errorf("%s, MTBF 1e12 h: %d crashes, want none", name, fpInt(fp, "crashes"))
+			}
+			same("MTBF 1e12 h", hours(1e12, 1), hours(1e5, 1))
 
 			if e.fed {
 				h = valid()
@@ -585,6 +632,17 @@ func TestStepBreakdownShapes(t *testing.T) {
 	reserv := runPolicy(t, tr, PolicyReservation)
 	if max := reserv.StepLatency[StepElection].Max(); max != 0 {
 		t.Errorf("reservation election max = %v, want 0", max)
+	}
+	// The positions sampleSteps records at are where Steps() lists those
+	// steps, and every step records once per task.
+	steps := Steps()
+	if len(steps) != numSteps || steps[stepE2E] != StepE2E || steps[stepLead] != StepGSProcess || steps[stepTail] != StepExec {
+		t.Errorf("Steps() = %q does not put E2E at %d, the lead at %d and the tail at %d of %d", steps, stepE2E, stepLead, stepTail, numSteps)
+	}
+	for _, st := range steps {
+		if n := nbos.StepLatency[st].N(); n != nbos.Tasks {
+			t.Errorf("step %q recorded %d times, want once per task (%d)", st, n, nbos.Tasks)
+		}
 	}
 }
 

@@ -82,7 +82,6 @@ func (t *runningTask) Fire() {
 		}
 	case 1: // execution done
 		t.phase = 2
-		s.sampleStep(StepExec, t.task.Duration)
 		params := t.ss.paramBytes
 		var post time.Duration
 		if s.cfg.Policy == PolicyNotebookOS {
@@ -94,9 +93,8 @@ func (t *runningTask) Fire() {
 			post = lat.Store.PutLatency(params, s.rng)
 			s.res.WriteLatency.Add(post.Seconds())
 		}
-		s.sampleStep(StepPostProc, post)
 		ret := lat.Hop(s.rng)
-		s.sampleStep(StepReturn, ret)
+		s.sampleSteps(stepTail, t.task.Duration, post, ret)
 		if s.cfg.Policy == PolicyNotebookOS && !s.cfg.federated {
 			// The async replication costs of Fig. 11. Whether a run draws them
 			// is a fact of its form, not of a recorder's existence: a lease

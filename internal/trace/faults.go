@@ -1,12 +1,13 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"time"
+
+	"notebookos/internal/randprefix"
 )
 
 // This file is the declarative fault layer: a FaultSpec describes a
@@ -95,10 +96,15 @@ func (f *FaultSpec) Enabled() bool {
 	return f.HostMTBFHours > 0 || len(f.Outages) > 0 || len(f.Degradations) > 0
 }
 
-// Validate checks the spec's internal consistency.
+// Validate checks the spec's internal consistency. Hours too large for a
+// duration are legal: they convert to the largest one (Hours), which lies
+// past the horizon any run drains to.
 func (f *FaultSpec) Validate() error {
 	if f == nil {
 		return nil
+	}
+	if err := f.finite(); err != nil {
+		return err
 	}
 	if f.HostMTBFHours < 0 || f.HostMTTRHours < 0 {
 		return fmt.Errorf("trace: faults need non-negative MTBF/MTTR, got %v/%v",
@@ -135,6 +141,32 @@ func (f *FaultSpec) Validate() error {
 	return nil
 }
 
+// finite names the first number in the spec that is NaN or infinite. No JSON
+// spec carries one, but a Go caller can, and every range check in Validate
+// passes a NaN over: a NaN MTBF would switch churn off without a word.
+func (f *FaultSpec) finite() error {
+	type field struct {
+		name string
+		v    float64
+	}
+	fields := []field{{"host_mtbf_hours", f.HostMTBFHours}, {"host_mttr_hours", f.HostMTTRHours},
+		{"checkpoint_restore_seconds", f.CheckpointRestoreSeconds}, {"retry_backoff_seconds", f.RetryBackoffSeconds}}
+	for i, o := range f.Outages {
+		p := fmt.Sprintf("outages[%d].", i)
+		fields = append(fields, field{p + "start_hour", o.StartHour}, field{p + "duration_hours", o.DurationHours}, field{p + "host_fraction", o.HostFraction})
+	}
+	for i, d := range f.Degradations {
+		p := fmt.Sprintf("degradations[%d].", i)
+		fields = append(fields, field{p + "start_hour", d.StartHour}, field{p + "duration_hours", d.DurationHours}, field{p + "factor", d.Factor})
+	}
+	for _, x := range fields {
+		if math.IsNaN(x.v) || math.IsInf(x.v, 0) {
+			return fmt.Errorf("trace: faults %s is %v; it must be a finite number", x.name, x.v)
+		}
+	}
+	return nil
+}
+
 // faultSalt decorrelates the fault stream from every other seed-derived
 // stream in the system (shard seeds, the simulator's scheduling and
 // workload RNGs, lean-metrics reservoirs): the same run seed feeds them
@@ -143,9 +175,15 @@ const faultSalt = 0x5fa1700d5eed5a17
 
 // faultRNG derives the deterministic RNG for one fault stream keyed by
 // (seed, key): splitmix64 over the salted seed plus the key, so nearby
-// keys (consecutive host slots, outage indexes) decorrelate fully.
-func faultRNG(seed int64, key uint64) *rand.Rand {
-	return rand.New(rand.NewSource(int64(splitmix64(splitmix64(uint64(seed)^faultSalt) + key))))
+// keys (consecutive host slots, outage indexes) decorrelate fully. The
+// stream is rand.NewSource's for that seed; randprefix computes the few
+// draws a host slot reads straight from the seed instead of building the
+// generator's 4.9 KB state for them. It is small enough to inline, so
+// HostFault, which keeps no RNG, holds the *rand.Rand on its stack.
+func faultRNG(seed int64, key uint64) *rand.Rand { return rand.New(faultSource(seed, key)) }
+
+func faultSource(seed int64, key uint64) *randprefix.Source {
+	return randprefix.New(int64(splitmix64(splitmix64(uint64(seed)^faultSalt) + key)))
 }
 
 // HostFault returns the deterministic (uptime, downtime) pair for host
@@ -156,14 +194,14 @@ func faultRNG(seed int64, key uint64) *rand.Rand {
 // with its own pair, so host lifecycles form an alternating renewal
 // process whose long-run down fraction is MTTR/(MTBF+MTTR) (pinned by
 // TestHostFaultDowntimeFraction). Returns (0, 0) when crash churn is
-// disabled.
+// disabled. A draw too long for a duration saturates (Hours).
 func (f *FaultSpec) HostFault(seed int64, slot uint64) (up, down time.Duration) {
 	if f == nil || f.HostMTBFHours <= 0 {
 		return 0, 0
 	}
 	r := faultRNG(seed, slot)
-	up = time.Duration(r.ExpFloat64() * f.HostMTBFHours * float64(time.Hour))
-	down = time.Duration(r.ExpFloat64() * f.HostMTTRHours * float64(time.Hour))
+	up = Hours(r.ExpFloat64() * f.HostMTBFHours)
+	down = Hours(r.ExpFloat64() * f.HostMTTRHours)
 	return up, down
 }
 
@@ -216,19 +254,9 @@ func (f *FaultSpec) RetryBudget(class SLOClass) int {
 	}
 }
 
-// ParseFaults decodes a JSON FaultSpec, rejecting unknown fields so
-// typos in hand-written chaos files fail loudly.
+// ParseFaults decodes and validates a JSON FaultSpec (see parseSpec).
 func ParseFaults(data []byte) (FaultSpec, error) {
-	var f FaultSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
-		return FaultSpec{}, fmt.Errorf("trace: parse faults: %w", err)
-	}
-	if err := f.Validate(); err != nil {
-		return FaultSpec{}, err
-	}
-	return f, nil
+	return parseSpec(data, "faults", (*FaultSpec).Validate)
 }
 
 // LoadFaults reads and parses a JSON FaultSpec file.
@@ -243,15 +271,7 @@ func LoadFaults(path string) (FaultSpec, error) {
 // ResolveFaults returns the built-in fault profile of that name, or —
 // when no built-in matches — treats the argument as a JSON spec file.
 func ResolveFaults(nameOrPath string) (FaultSpec, error) {
-	if f, ok := BuiltinFaultProfile(nameOrPath); ok {
-		return f, nil
-	}
-	f, err := LoadFaults(nameOrPath)
-	if err != nil {
-		return FaultSpec{}, fmt.Errorf("%w (and %q names no built-in fault profile; built-ins: %v)",
-			err, nameOrPath, BuiltinFaultProfileNames())
-	}
-	return f, nil
+	return resolveSpec(nameOrPath, "fault profile", BuiltinFaultProfile, BuiltinFaultProfileNames, LoadFaults)
 }
 
 // ---- built-in fault profiles ---------------------------------------------
@@ -284,20 +304,17 @@ func AZOutageFaultProfile() FaultSpec {
 	}
 }
 
-// BuiltinFaultProfiles returns the registered fault profiles with their
-// registry names, in listing order.
-func BuiltinFaultProfiles() map[string]FaultSpec {
-	return map[string]FaultSpec{
-		"light":     LightFaultProfile(),
-		"heavy":     HeavyFaultProfile(),
-		"az-outage": AZOutageFaultProfile(),
-	}
-}
-
 // BuiltinFaultProfile finds a registered fault profile by name.
 func BuiltinFaultProfile(name string) (FaultSpec, bool) {
-	f, ok := BuiltinFaultProfiles()[name]
-	return f, ok
+	switch name {
+	case "light":
+		return LightFaultProfile(), true
+	case "heavy":
+		return HeavyFaultProfile(), true
+	case "az-outage":
+		return AZOutageFaultProfile(), true
+	}
+	return FaultSpec{}, false
 }
 
 // BuiltinFaultProfileNames lists the registered profile names.

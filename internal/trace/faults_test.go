@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestDegradationEpisodesMayTouchButNotOverlap: the episodes of a spec share
@@ -31,5 +34,132 @@ func TestDegradationEpisodesMayTouchButNotOverlap(t *testing.T) {
 		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
 			t.Errorf("%s: got error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestValidateRefusesNonFiniteNumbers: a NaN or an infinity in any float
+// field of a FaultSpec is refused with an error naming the field — every
+// range check would pass a NaN over, and a NaN MTBF would switch churn off
+// without a word. Hours too large for a duration stay legal: ParseFaults
+// accepts them and HostFault saturates instead of wrapping to a negative
+// downtime.
+func TestValidateRefusesNonFiniteNumbers(t *testing.T) {
+	window := func() ([]OutageSpec, []DegradeSpec) {
+		return []OutageSpec{{StartHour: 1, DurationHours: 1, HostFraction: 0.5}},
+			[]DegradeSpec{{StartHour: 1, DurationHours: 1, Factor: 2}}
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		cases := []struct {
+			field string
+			set   func(*FaultSpec)
+		}{
+			{"host_mtbf_hours", func(f *FaultSpec) { f.HostMTBFHours = bad }},
+			{"host_mttr_hours", func(f *FaultSpec) { f.HostMTTRHours = bad }},
+			{"checkpoint_restore_seconds", func(f *FaultSpec) { f.CheckpointRestoreSeconds = bad }},
+			{"retry_backoff_seconds", func(f *FaultSpec) { f.RetryBackoffSeconds = bad }},
+			{"outages[0].start_hour", func(f *FaultSpec) { f.Outages[0].StartHour = bad }},
+			{"outages[0].duration_hours", func(f *FaultSpec) { f.Outages[0].DurationHours = bad }},
+			{"outages[0].host_fraction", func(f *FaultSpec) { f.Outages[0].HostFraction = bad }},
+			{"degradations[0].start_hour", func(f *FaultSpec) { f.Degradations[0].StartHour = bad }},
+			{"degradations[0].duration_hours", func(f *FaultSpec) { f.Degradations[0].DurationHours = bad }},
+			{"degradations[0].factor", func(f *FaultSpec) { f.Degradations[0].Factor = bad }},
+		}
+		for _, c := range cases {
+			f := FaultSpec{HostMTBFHours: 24, HostMTTRHours: 1}
+			f.Outages, f.Degradations = window()
+			if err := f.Validate(); err != nil {
+				t.Fatalf("the base spec is refused: %v", err)
+			}
+			c.set(&f)
+			err := f.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.field) {
+				t.Errorf("%s = %v: got %v, want an error naming the field", c.field, bad, err)
+			}
+		}
+	}
+
+	f, err := ParseFaults([]byte(`{"host_mtbf_hours": 1e12, "host_mttr_hours": 1e12}`))
+	if err != nil {
+		t.Fatalf("hours too large for a duration are legal: %v", err)
+	}
+	for slot := uint64(0); slot < 64; slot++ {
+		if up, down := f.HostFault(42, slot); up != math.MaxInt64 || down != math.MaxInt64 {
+			t.Fatalf("slot %d: HostFault = (%v, %v), want both saturated at %v", slot, up, down, time.Duration(math.MaxInt64))
+		}
+	}
+	for _, c := range []struct {
+		hours float64
+		want  time.Duration
+	}{
+		{0, 0}, {1.5, 90 * time.Minute}, {2.5e6, 2_500_000 * time.Hour},
+		{2.6e6, math.MaxInt64}, {1e12, math.MaxInt64}, {math.Inf(1), math.MaxInt64},
+	} {
+		if got := Hours(c.hours); got != c.want {
+			t.Errorf("Hours(%v) = %v, want %v", c.hours, got, c.want)
+		}
+	}
+}
+
+// referenceFaultRNG is the fault stream built the plain way, on the standard
+// library's seeded source: what faultRNG must reproduce draw for draw.
+func referenceFaultRNG(seed int64, key uint64) *rand.Rand {
+	return rand.New(rand.NewSource(int64(splitmix64(splitmix64(uint64(seed)^faultSalt) + key))))
+}
+
+// TestFaultStreamsMatchStdlib: HostFault and OutageRNG give, for every
+// (seed, slot) pair tried, exactly what the same draws over rand.NewSource
+// give — the crash clocks' bits, and an outage's per-host draws well past
+// the part of the stream computed from the seed.
+func TestFaultStreamsMatchStdlib(t *testing.T) {
+	f := FaultSpec{HostMTBFHours: 24, HostMTTRHours: 1}
+	seeds := []int64{0, 1, -1, 42, 7, math.MaxInt64, math.MinInt64, 1<<31 - 1}
+	r := rand.New(rand.NewSource(3))
+	for range 200 {
+		seeds = append(seeds, int64(r.Uint64()))
+	}
+	for _, seed := range seeds {
+		for slot := uint64(0); slot < 64; slot++ {
+			key := slot
+			if slot >= 48 {
+				key = uint64(r.Intn(1<<20))<<40 | uint64(r.Intn(1<<16)) // a federated member's slot
+			}
+			ref := referenceFaultRNG(seed, key)
+			wantUp := time.Duration(ref.ExpFloat64() * f.HostMTBFHours * float64(time.Hour))
+			wantDown := time.Duration(ref.ExpFloat64() * f.HostMTTRHours * float64(time.Hour))
+			if up, down := f.HostFault(seed, key); up != wantUp || down != wantDown {
+				t.Fatalf("seed %d slot %#x: HostFault = (%v, %v), want (%v, %v)", seed, key, up, down, wantUp, wantDown)
+			}
+		}
+		for i := range 3 {
+			got, want := f.OutageRNG(seed, i), referenceFaultRNG(seed, uint64(1<<32)+uint64(i))
+			for h := range 100 {
+				if g, w := got.Float64(), want.Float64(); g != w {
+					t.Fatalf("seed %d outage %d host %d: %v, want %v", seed, i, h, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestHostFaultAllocatesOnce: a crash clock costs one small allocation (the
+// stream's source), not the standard generator's 4.9 KB state.
+func TestHostFaultAllocatesOnce(t *testing.T) {
+	f := HeavyFaultProfile()
+	slot := uint64(0)
+	if allocs := testing.AllocsPerRun(200, func() {
+		slot++
+		f.HostFault(42, slot)
+	}); allocs > 1 {
+		t.Errorf("HostFault allocates %v times per call, want ≤ 1", allocs)
+	}
+}
+
+// BenchmarkHostFault prices one host slot's crash clock under the heavy
+// profile.
+func BenchmarkHostFault(b *testing.B) {
+	f := HeavyFaultProfile()
+	b.ReportAllocs()
+	for i := range b.N {
+		f.HostFault(42, uint64(i))
 	}
 }

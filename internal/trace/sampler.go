@@ -88,18 +88,6 @@ func (q *Quantile) Sample(r *rand.Rand) float64 {
 	return q.Value(r.Float64())
 }
 
-// Mean numerically estimates the distribution mean from n quantile strips.
-func (q *Quantile) Mean(n int) float64 {
-	if n <= 0 {
-		n = 1000
-	}
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += q.Value((float64(i) + 0.5) / float64(n))
-	}
-	return sum / float64(n)
-}
-
 // Fixed always samples the same value.
 type Fixed float64
 
@@ -237,16 +225,22 @@ func (iw *IntWeights) Prob(v int) float64 {
 	return sum / iw.total
 }
 
+// quantiler is a sampler with a quantile function: Quantile, LogNormal and
+// Pareto.
+type quantiler interface {
+	Value(p float64) float64
+}
+
 // SamplerMean returns the distribution mean of s: closed-form for the known
-// sampler types, numeric for Quantile, and a fixed-seed Monte Carlo estimate
-// for unknown implementations (deterministic across runs, so capacity plans
-// built from it are reproducible).
+// sampler types, and otherwise an estimate over 4096 points — the quantile
+// function's strip midpoints for Quantile and an infinite-mean Pareto (the
+// midpoints never reach q=1, so capacity plans stay usable), fixed-seed Monte
+// Carlo draws for unknown implementations. Either estimate is deterministic
+// across runs, so capacity plans built from it are reproducible.
 func SamplerMean(s Sampler) float64 {
 	switch v := s.(type) {
 	case Fixed:
 		return float64(v)
-	case *Quantile:
-		return v.Mean(4096)
 	case Uniform:
 		return (v.Lo + v.Hi) / 2
 	case Exponential:
@@ -257,23 +251,20 @@ func SamplerMean(s Sampler) float64 {
 		if m := v.Mean(); !math.IsInf(m, 1) {
 			return m
 		}
-		// Infinite-mean tail: fall back to a finite quantile-grid estimate
-		// (midpoints never reach q=1) so capacity plans stay usable.
-		var sum float64
-		const n = 4096
-		for i := 0; i < n; i++ {
-			sum += v.Value((float64(i) + 0.5) / n)
+	}
+	const n = 4096
+	var sum float64
+	if q, ok := s.(quantiler); ok {
+		for i := range n {
+			sum += q.Value((float64(i) + 0.5) / n)
 		}
-		return sum / n
-	default:
+	} else {
 		r := rand.New(rand.NewSource(1))
-		const n = 4096
-		var sum float64
-		for i := 0; i < n; i++ {
+		for range n {
 			sum += s.Sample(r)
 		}
-		return sum / n
 	}
+	return sum / n
 }
 
 // SampleInt draws one integer.

@@ -133,8 +133,14 @@ type ArrivalSpec struct {
 
 const dayHours = 24 * time.Hour
 
-func hoursDur(h float64) time.Duration {
-	return time.Duration(h * float64(time.Hour))
+// Hours converts a spec's fractional hours to a duration. Hours past the
+// largest duration (about 2.56 million) saturate at it, where a plain
+// conversion would wrap them to a negative one.
+func Hours(h float64) time.Duration {
+	if ns := h * float64(time.Hour); ns < math.MaxInt64 {
+		return time.Duration(ns)
+	}
+	return math.MaxInt64
 }
 
 // Rate returns the composed intensity at the given elapsed time.
@@ -220,13 +226,13 @@ func (a ArrivalSpec) nextBreak(t, to time.Duration) time.Duration {
 	consider(dayStart + dayHours)
 	for _, w := range a.Diurnal {
 		for _, base := range []time.Duration{dayStart, dayStart + dayHours} {
-			consider(base + hoursDur(w.StartHour))
-			consider(base + hoursDur(w.EndHour))
+			consider(base + Hours(w.StartHour))
+			consider(base + Hours(w.EndHour))
 		}
 	}
 	for _, sp := range a.Spikes {
-		consider(hoursDur(sp.StartHour))
-		consider(hoursDur(sp.EndHour))
+		consider(Hours(sp.StartHour))
+		consider(Hours(sp.EndHour))
 	}
 	return next
 }
@@ -383,8 +389,10 @@ func (s ScenarioSpec) Config(seed int64) (GenConfig, error) {
 	if s.Name == "" {
 		return GenConfig{}, fmt.Errorf("trace: scenario needs a name")
 	}
-	if s.DurationHours <= 0 {
-		return GenConfig{}, fmt.Errorf("trace: scenario %q needs positive duration_hours, got %v", s.Name, s.DurationHours)
+	// Hours saturates, so a window too long for a duration — or a NaN — is
+	// refused here; accepted, it would be generated for centuries.
+	if !(s.DurationHours > 0) || Hours(s.DurationHours) == math.MaxInt64 {
+		return GenConfig{}, fmt.Errorf("trace: scenario %q needs positive duration_hours a time.Duration holds, got %v", s.Name, s.DurationHours)
 	}
 	if s.GranularitySeconds < 0 {
 		return GenConfig{}, fmt.Errorf("trace: scenario %q negative granularity", s.Name)
@@ -410,7 +418,7 @@ func (s ScenarioSpec) Config(seed int64) (GenConfig, error) {
 	return GenConfig{
 		Name:               s.Name,
 		Start:              TraceEpoch,
-		Duration:           hoursDur(s.DurationHours),
+		Duration:           Hours(s.DurationHours),
 		Seed:               seed,
 		SessionsPerHour:    arrival.Rate,
 		MaxSessionsPerHour: arrival.MaxRate(),
@@ -428,19 +436,25 @@ func (s ScenarioSpec) MustConfig(seed int64) GenConfig {
 	return cfg
 }
 
-// ParseScenario decodes a JSON spec, rejecting unknown fields so typos in
-// hand-written scenario files fail loudly instead of silently defaulting.
+// ParseScenario decodes and validates a JSON spec (see parseSpec).
 func ParseScenario(data []byte) (ScenarioSpec, error) {
-	var s ScenarioSpec
+	return parseSpec(data, "scenario", (*ScenarioSpec).Validate)
+}
+
+// parseSpec decodes a JSON spec of the given kind — rejecting unknown
+// fields, so typos in hand-written spec files fail loudly instead of
+// silently defaulting — and validates it.
+func parseSpec[T any](data []byte, kind string, validate func(*T) error) (T, error) {
+	var v, zero T
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return ScenarioSpec{}, fmt.Errorf("trace: parse scenario: %w", err)
+	if err := dec.Decode(&v); err != nil {
+		return zero, fmt.Errorf("trace: parse %s: %w", kind, err)
 	}
-	if err := s.Validate(); err != nil {
-		return ScenarioSpec{}, err
+	if err := validate(&v); err != nil {
+		return zero, err
 	}
-	return s, nil
+	return v, nil
 }
 
 // LoadScenario reads and parses a JSON spec file.
@@ -455,15 +469,20 @@ func LoadScenario(path string) (ScenarioSpec, error) {
 // ResolveScenario returns the built-in spec of that name, or — when no
 // built-in matches — treats the argument as a JSON spec file path.
 func ResolveScenario(nameOrPath string) (ScenarioSpec, error) {
-	if s, ok := BuiltinScenario(nameOrPath); ok {
-		return s, nil
+	return resolveSpec(nameOrPath, "scenario", BuiltinScenario, BuiltinScenarioNames, LoadScenario)
+}
+
+// resolveSpec returns the built-in of that name, or what load makes of the
+// argument as a path; a load that fails also lists the built-ins by name.
+func resolveSpec[T any](nameOrPath, kind string, builtin func(string) (T, bool), names func() []string, load func(string) (T, error)) (T, error) {
+	if v, ok := builtin(nameOrPath); ok {
+		return v, nil
 	}
-	s, err := LoadScenario(nameOrPath)
+	v, err := load(nameOrPath)
 	if err != nil {
-		return ScenarioSpec{}, fmt.Errorf("%w (and %q names no built-in scenario; built-ins: %v)",
-			err, nameOrPath, BuiltinScenarioNames())
+		return v, fmt.Errorf("%w (and %q names no built-in %s; built-ins: %v)", err, nameOrPath, kind, names())
 	}
-	return s, nil
+	return v, nil
 }
 
 // ---- built-in scenario family -------------------------------------------

@@ -49,8 +49,8 @@ func TestArrivalRateFollowsDiurnalWindows(t *testing.T) {
 		var expected float64
 		observed := 0
 		for d := 0; d < days; d++ {
-			from := time.Duration(d)*dayHours + hoursDur(w.StartHour)
-			to := time.Duration(d)*dayHours + hoursDur(w.EndHour)
+			from := time.Duration(d)*dayHours + Hours(w.StartHour)
+			to := time.Duration(d)*dayHours + Hours(w.EndHour)
 			expected += s.Arrival.ExpectedArrivals(from, to)
 			observed += countArrivals(tr, from, to)
 		}
@@ -65,9 +65,9 @@ func TestArrivalRateFollowsDiurnalWindows(t *testing.T) {
 	night := 0
 	for d := 0; d < days; d++ {
 		base := time.Duration(d) * dayHours
-		night += countArrivals(tr, base, base+hoursDur(8))
-		peak += countArrivals(tr, base+hoursDur(8), base+hoursDur(12))
-		peak += countArrivals(tr, base+hoursDur(14), base+hoursDur(18))
+		night += countArrivals(tr, base, base+Hours(8))
+		peak += countArrivals(tr, base+Hours(8), base+Hours(12))
+		peak += countArrivals(tr, base+Hours(14), base+Hours(18))
 	}
 	perHourPeak := float64(peak) / (float64(days) * 8)
 	perHourNight := float64(night) / (float64(days) * 8)
@@ -106,7 +106,7 @@ func TestArrivalRateFollowsSpikes(t *testing.T) {
 	s := FlashCrowdScenario()
 	tr := genScenario(t, s, 3)
 	for si, sp := range s.Arrival.Spikes {
-		from, to := hoursDur(sp.StartHour), hoursDur(sp.EndHour)
+		from, to := Hours(sp.StartHour), Hours(sp.EndHour)
 		expected := s.Arrival.ExpectedArrivals(from, to)
 		observed := countArrivals(tr, from, to)
 		if z := poissonZ(observed, expected); math.Abs(z) > 4 {
@@ -121,7 +121,7 @@ func TestArrivalRateFollowsSpikes(t *testing.T) {
 				si, observed, before)
 		}
 	}
-	quiet := countArrivals(tr, 0, hoursDur(30))
+	quiet := countArrivals(tr, 0, Hours(30))
 	expectedQuiet := s.Arrival.BaseSessionsPerHour * 30
 	if z := poissonZ(quiet, expectedQuiet); math.Abs(z) > 4 {
 		t.Errorf("pre-spike stretch: %d arrivals vs expected %.1f (z=%.1f)", quiet, expectedQuiet, z)

@@ -120,7 +120,7 @@ func TestScenarioStreamUnionMatchesExpectation(t *testing.T) {
 				}
 			}
 		}
-		lambda := s.Arrival.ExpectedArrivals(0, hoursDur(s.DurationHours))
+		lambda := s.Arrival.ExpectedArrivals(0, Hours(s.DurationHours))
 		if dev := math.Abs(float64(total) - lambda); dev > 5*math.Sqrt(lambda) {
 			t.Errorf("%s: union of %d shards has %d sessions, expected %.1f +- %.1f",
 				s.Name, k, total, lambda, 5*math.Sqrt(lambda))
@@ -233,6 +233,8 @@ func TestScenarioValidationErrors(t *testing.T) {
 	}{
 		{"no-name", func(s *ScenarioSpec) { s.Name = "" }, "name"},
 		{"zero-duration", func(s *ScenarioSpec) { s.DurationHours = 0 }, "duration"},
+		{"NaN-duration", func(s *ScenarioSpec) { s.DurationHours = math.NaN() }, "duration_hours"},
+		{"duration-past-any-duration", func(s *ScenarioSpec) { s.DurationHours = 1e12 }, "duration_hours"},
 		{"negative-granularity", func(s *ScenarioSpec) { s.GranularitySeconds = -1 }, "granularity"},
 		{"zero-base-rate", func(s *ScenarioSpec) { s.Arrival.BaseSessionsPerHour = 0 }, "base_sessions_per_hour"},
 		{"inverted-window", func(s *ScenarioSpec) { s.Arrival.Diurnal[0] = RateWindow{StartHour: 9, EndHour: 8, Factor: 1} }, "window"},

@@ -212,10 +212,6 @@ func samplerGrid(s Sampler, n int) []float64 {
 		for i := range out {
 			out[i] = float64(v)
 		}
-	case *Quantile:
-		for i := range out {
-			out[i] = v.Value(p(i))
-		}
 	case Uniform:
 		for i := range out {
 			out[i] = v.Lo + p(i)*(v.Hi-v.Lo)
@@ -224,11 +220,7 @@ func samplerGrid(s Sampler, n int) []float64 {
 		for i := range out {
 			out[i] = -v.MeanVal * math.Log(1-p(i))
 		}
-	case LogNormal:
-		for i := range out {
-			out[i] = v.Value(p(i))
-		}
-	case Pareto:
+	case quantiler:
 		for i := range out {
 			out[i] = v.Value(p(i))
 		}
