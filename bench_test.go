@@ -189,57 +189,9 @@ func BenchmarkShardedSim(b *testing.B) {
 	b.ReportMetric(saved, "GPUh-saved")
 }
 
-// BenchmarkShardedLeaseSim is BenchmarkShardedSim with the shared
-// virtual capacity pool enabled (ShardCapacity == LeasePool): the four
-// workers lease hosts from a capacity ledger at epoch barriers, so the
-// reported GPUh-saved is exactly the unsharded fig8 headline rather than
-// the legacy split's approximation. The timing delta against
-// BenchmarkShardedSim is the price of the ledger's serial spine.
-func BenchmarkShardedLeaseSim(b *testing.B) {
-	cfg := trace.AdobeExcerptConfig(42)
-	cfg.Duration = 4 * time.Hour
-	tr := trace.MustGenerate(cfg)
-	var saved float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunSharded(sim.Config{
-			Trace: tr, Policy: sim.PolicyNotebookOS, Hosts: 30,
-			Seed: 42, ShardCapacity: sim.LeasePool,
-		}, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reserved := tr.ReservedGPUs().Integral(tr.Start, tr.End)
-		saved = reserved - res.ProvisionedGPUs.Integral(tr.Start, tr.End)
-	}
-	b.ReportMetric(saved, "GPUh-saved")
-}
-
-// BenchmarkFederationShardedLeaseSim is the federated leased run no
-// bench/ workload covers: a 10-day summer trace over four pooled clusters,
-// two workers leasing every member's hosts from the ledger federation. Run
-// it with -benchmem: allocations per run are what the barrier action costs.
-func BenchmarkFederationShardedLeaseSim(b *testing.B) {
-	gcfg := trace.AdobeSummerConfig(42)
-	gcfg.Duration = 10 * 24 * time.Hour
-	tr := trace.MustGenerate(gcfg)
-	var saved float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.RunSharded(sim.Config{
-			Trace: tr, Clusters: sim.DefaultFedClusters(4, 30), PooledAutoscale: true,
-			Seed: 42, ShardCapacity: sim.LeasePool,
-		}, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		saved = res.GPUHoursSaved()
-	}
-	b.ReportMetric(saved, "GPUh-saved")
-}
-
 // BenchmarkShardDrift runs the shard-drift experiment end-to-end at
-// quick scale: the legacy-split vs lease-pool drift table for
-// k in {1,2,4,8} that docs/SHARDING.md quotes.
+// quick scale: the static split's drift table for k in {1,2,4,8} that
+// docs/SHARDING.md quotes.
 func BenchmarkShardDrift(b *testing.B) { runExperiment(b, "shard-drift") }
 
 // BenchmarkStreamSharded measures the bounded-memory streaming sharded

@@ -42,8 +42,7 @@ func run() int {
 		quick    = flag.Bool("quick", false, "reduced-scale run")
 		list     = flag.Bool("list", false, "list experiments")
 		jobs     = flag.Int("jobs", runtime.NumCPU(), "concurrent experiments for -exp all (output stays in paper order)")
-		shards   = flag.Int("shards", 1, "session-partitioned trace shards per simulation (1 = unsharded; >1 merges parallel workers that lease capacity from a shared pool, so capacity metrics match the unsharded run exactly — see docs/SHARDING.md)")
-		legacy   = flag.Bool("legacy-split", false, "with -shards N: use the legacy static capacity split instead of the shared lease pool (independent workers, documented saved-GPUh drift)")
+		shards   = flag.Int("shards", 1, "session-partitioned trace shards per simulation (1 = unsharded and exact; >1 merges parallel workers over a static capacity split, with the saved-GPUh drift docs/SHARDING.md documents)")
 		stream   = flag.Bool("stream", false, "synthesize sessions lazily per shard (sim.RunStreamSharded) instead of replaying a materialized trace; identical output at -shards 1, bounded memory at any scale")
 		scenario = flag.String("scenario", "", "run one declarative workload scenario through every policy: a built-in name (see trace.BuiltinScenarios) or a JSON trace.ScenarioSpec file; honors -seed/-quick/-shards/-stream")
 		faults   = flag.String("faults", "", "with -scenario: inject a deterministic fault schedule — a built-in profile (light, heavy, az-outage) or a JSON trace.FaultSpec file; overrides the scenario's own faults block (docs/FAULTS.md)")
@@ -59,7 +58,7 @@ func run() int {
 	}
 	defer stop()
 
-	o := experiments.Options{Seed: *seed, Quick: *quick, Shards: *shards, LegacyShards: *legacy, Stream: *stream}
+	o := experiments.Options{Seed: *seed, Quick: *quick, Shards: *shards, Stream: *stream}
 	if *faults != "" {
 		if *scenario == "" {
 			fmt.Fprintln(os.Stderr, "-faults requires -scenario (fault sweeps over the figure experiments run via -exp fault-sweep)")

@@ -301,13 +301,11 @@ func scenarios() []scenario {
 				"tasks":      float64(res.Tasks),
 			}
 		}},
-		// sharded-lease-summer-10d-4shards pins the shared virtual
-		// capacity pool: a 4-shard run over the 10-day summer trace with
-		// ShardCapacity == LeasePool must save exactly as many GPU-hours
-		// as the unsharded run (the capacity ledger replays it), so
-		// gpuh_saved gates at the default 0.1% with zero expected drift —
-		// compare summer-10d-quick, whose legacy static split drifts by
-		// design. scale_outs/scale_ins pin the ledger's event stream.
+		// sharded-lease-summer-10d-4shards is RunSharded at k = 4 under
+		// ShardCapacity == LeasePool over the 10-day summer trace, which runs
+		// the trace unsharded: gpuh_saved, scale_outs and scale_ins gate the
+		// unsharded run's values at the default 0.1%. The name keys
+		// BENCH_BASELINE.json.
 		{"sharded-lease-summer-10d-4shards", func(b *testing.B, _, summer *trace.Trace) map[string]float64 {
 			var saved, tasks, so, si float64
 			for i := 0; i < b.N; i++ {
@@ -331,11 +329,11 @@ func scenarios() []scenario {
 		// fault-heavy-campus-lease-2shards pins the deterministic fault
 		// layer end-to-end: the heavy built-in profile (daily crashes plus
 		// a WAN degradation window) over the campus-diurnal scenario,
-		// sharded through the lease pool. failovers and restarts gate the
-		// fault stream and the repair state machine at the default 0.1%
-		// (exact-replay integers, zero expected drift); gpuh_saved gates
-		// the capacity ledger's fault replay — a sharded run's churn must
-		// be the unsharded ledger's, exactly.
+		// through RunSharded at k = 2 under ShardCapacity == LeasePool,
+		// which runs it unsharded. failovers and restarts gate the fault
+		// stream and the repair state machine at the default 0.1%
+		// (exact-replay integers, zero expected drift), gpuh_saved the
+		// capacity the churn leaves. The name keys BENCH_BASELINE.json.
 		{"fault-heavy-campus-lease-2shards", func(b *testing.B, _, _ *trace.Trace) map[string]float64 {
 			gcfg := trace.CampusDiurnalScenario().MustConfig(42)
 			gcfg.Duration = 24 * time.Hour

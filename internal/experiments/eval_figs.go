@@ -84,8 +84,8 @@ func Fig9a(o Options) (string, error) {
 	}
 	fmt.Fprintf(&b, "nbos immediate GPU commit: %.1f%% (paper 89.6%%)\n", rate)
 	fmt.Fprintf(&b, "nbos executor reuse: %.1f%% (paper 89.45%%)\n", reuse)
-	fmt.Fprintf(&b, "nbos migrations=%d failed migrations=%d cold starts=%d warm starts=%d\n",
-		nbos.Migrations, nbos.FailedMigrations, nbos.ColdStarts, nbos.WarmStarts)
+	fmt.Fprintf(&b, "nbos migrations=%d cold starts=%d warm starts=%d\n",
+		nbos.Migrations, nbos.ColdStarts, nbos.WarmStarts)
 	return b.String(), nil
 }
 

@@ -25,16 +25,11 @@ type Options struct {
 	// of their parameter grid (sweeps whose cluster topology cannot hold a
 	// shard per member clamp back toward the unsharded path automatically).
 	// Shards <= 1 is the plain unsharded path, byte-identical to pre-sharding
-	// output. Sharded runs use the shared virtual capacity pool
-	// (sim.LeasePool) unless LegacyShards opts out, so capacity metrics match
-	// the unsharded run exactly (docs/SHARDING.md).
+	// output. Capacity splits statically: shards never share it after the
+	// initial proportional grant, so saved-GPU-hours drift below the
+	// unsharded run as Shards grows (docs/SHARDING.md; the shard-drift
+	// experiment measures it). Exact numbers come from Shards <= 1.
 	Shards int
-	// LegacyShards opts sharded runs back into the legacy static capacity
-	// split (sim.LegacySplit): shards never share capacity after the
-	// initial proportional grant, trading the lease pool's exactness for
-	// fully independent workers. Saved-GPU-hours then drift below the
-	// unsharded run as Shards grows (see the shard-drift experiment).
-	LegacyShards bool
 	// Stream routes the figure experiments' policy simulations through
 	// sim.RunStreamSharded: workers synthesize their sessions lazily from
 	// the trace's generating config instead of replaying a materialized
@@ -70,17 +65,6 @@ func (o Options) shards() int {
 		return 1
 	}
 	return o.Shards
-}
-
-// capacity is the ShardCapacity mode sharded simulations run under: the
-// shared lease pool by default — sharded capacity metrics match the
-// unsharded run exactly (docs/SHARDING.md) — or the legacy static split
-// when LegacyShards opts out. Irrelevant at shards <= 1.
-func (o Options) capacity() sim.ShardCapacity {
-	if o.LegacyShards {
-		return sim.LegacySplit
-	}
-	return sim.LeasePool
 }
 
 // Experiment regenerates one table or figure.
@@ -126,7 +110,7 @@ func All() []Experiment {
 		{"fed-matrix", "Federation: latency-matrix shape ablation", FederationMatrix},
 		{"summer-fed", "Federation: 90-day summer trace, federated", SummerFederation},
 		{"stream-scale", "Streaming 1M-session workload, bounded memory", StreamScale},
-		{"shard-drift", "Sharded capacity drift: legacy split vs lease pool", ShardDrift},
+		{"shard-drift", "Sharded capacity drift against the unsharded run", ShardDrift},
 		{"scenario-sweep", "Scenario lab: arrival shape x policy x federation", ScenarioSweep},
 		{"policy-tournament", "Policy lab: scorer configs x scenarios x federation k", PolicyTournament},
 		{"fault-sweep", "Fault injection: intensity x policy x federation", FaultSweep},
@@ -168,10 +152,8 @@ func (w *simWorkload) trace() (*trace.Trace, error) {
 }
 
 // run runs one simulation of the workload — one cluster or a federation, as
-// cfg says — at the options' shard count and capacity mode (Shards <= 1 is
-// exactly sim.Run).
+// cfg says — at the options' shard count (Shards <= 1 is exactly sim.Run).
 func (w *simWorkload) run(o Options, cfg sim.Config) (*sim.Result, error) {
-	cfg.ShardCapacity = o.capacity()
 	if o.Stream {
 		return sim.RunStreamSharded(w.gcfg, cfg, o.shards())
 	}
@@ -261,8 +243,7 @@ func phillyTrace(o Options) *trace.Trace { return namedTrace(o, "philly") }
 func alibabaTrace(o Options) *trace.Trace { return namedTrace(o, "alibaba") }
 
 // simKey names one cached figure simulation. It carries the options whole:
-// a run under different options — shard count, capacity mode, stream — is a
-// different run.
+// a run under different options — shard count, stream — is a different run.
 type simKey struct {
 	kind   string
 	policy sim.Policy
@@ -335,11 +316,9 @@ func inParallel(n int, run func(i int) (*sim.Result, error)) ([]*sim.Result, err
 // order. Per-run seeds live in the configs, so output is byte-identical to a
 // sequential sweep. With Options.Shards > 1 every sweep point additionally
 // splits its trace across that many worker simulations (sim.RunSharded;
-// shards <= 1 is exactly sim.Run) under Options' capacity mode — the shared
-// lease pool unless LegacyShards opts out.
+// shards <= 1 is exactly sim.Run).
 func parallelSims(o Options, cfgs []sim.Config) ([]*sim.Result, error) {
 	return inParallel(len(cfgs), func(i int) (*sim.Result, error) {
-		cfgs[i].ShardCapacity = o.capacity()
 		return sim.RunSharded(cfgs[i], o.shards())
 	})
 }

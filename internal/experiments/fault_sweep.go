@@ -18,8 +18,7 @@ import (
 // intensity order: none (the byte-identity baseline), light (rare
 // crashes), heavy (daily crashes plus a WAN degradation window), and
 // az-outage (a correlated mass failure). Every run honors Options.Shards
-// (lease-pool capacity by default, so sharded fault metrics replay the
-// unsharded ledger exactly) and Options.Stream.
+// and Options.Stream.
 
 // faultProfileOrder is the intensity axis, mildest first. "none" is the
 // nil spec: the fault layer stays inert and the row doubles as the
@@ -81,8 +80,8 @@ func FaultSweep(o Options) (string, error) {
 				f.HostMTBFHours, f.HostMTTRHours, len(f.Outages), len(f.Degradations))
 		}
 		b.WriteString("\n")
-		fmt.Fprintf(&b, "   %-14s %9s %9s %11s %7s %8s %8s %7s %9s %11s\n",
-			"policy", "delay-p99", "avail", "GPUh-saved", "crashes", "failover", "restarts", "abandon", "lost-GPUh", "failed-migr")
+		fmt.Fprintf(&b, "   %-14s %9s %9s %11s %7s %8s %8s %7s %9s\n",
+			"policy", "delay-p99", "avail", "GPUh-saved", "crashes", "failover", "restarts", "abandon", "lost-GPUh")
 		for _, p := range scenarioPolicies {
 			r, err := w.runPolicy(o, p, f)
 			if err != nil {
@@ -92,10 +91,10 @@ func FaultSweep(o Options) (string, error) {
 			if up, ok := meanUpHosts(r, gcfg); ok {
 				avail = fmt.Sprintf("%.1f", up)
 			}
-			fmt.Fprintf(&b, "   %-14s %9s %9s %11.1f %7d %8d %8d %7d %9.1f %11d\n",
+			fmt.Fprintf(&b, "   %-14s %9s %9s %11.1f %7d %8d %8d %7d %9.1f\n",
 				p, fmtSeconds(r.Interactivity.Percentile(99)), avail,
 				r.GPUHoursSaved(), r.HostCrashes, r.Failovers,
-				r.TaskRestarts, r.Abandonments, r.LostGPUHours, r.FailedMigrations)
+				r.TaskRestarts, r.Abandonments, r.LostGPUHours)
 		}
 	}
 

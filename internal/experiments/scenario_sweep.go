@@ -202,9 +202,8 @@ func ScenarioReport(nameOrPath string, o Options) (string, error) {
 			r.GPUHoursSaved(), r.Sessions, r.Tasks)
 	}
 	if faults.Enabled() && nbos != nil {
-		fmt.Fprintf(&b, "fault churn (nbos): crashes=%d failovers=%d restarts=%d abandoned=%d lost GPUh=%.1f failed migrations=%d\n",
-			nbos.HostCrashes, nbos.Failovers, nbos.TaskRestarts, nbos.Abandonments,
-			nbos.LostGPUHours, nbos.FailedMigrations)
+		fmt.Fprintf(&b, "fault churn (nbos): crashes=%d failovers=%d restarts=%d abandoned=%d lost GPUh=%.1f\n",
+			nbos.HostCrashes, nbos.Failovers, nbos.TaskRestarts, nbos.Abandonments, nbos.LostGPUHours)
 	}
 	return b.String(), nil
 }

@@ -34,11 +34,10 @@ func StreamScale(o Options) (string, error) {
 		shards = 2
 	}
 	cfg := sim.Config{
-		Policy:        sim.PolicyNotebookOS,
-		Hosts:         128,
-		LeanMetrics:   true,
-		Seed:          o.seed(),
-		ShardCapacity: o.capacity(),
+		Policy:      sim.PolicyNotebookOS,
+		Hosts:       128,
+		LeanMetrics: true,
+		Seed:        o.seed(),
 	}
 
 	var (

@@ -28,7 +28,7 @@ type MemberLoad struct {
 	// EmptyHosts counts hosts with no replicas and no commitments — the
 	// only ones scale-in may retire. Unlike the counters above it is a
 	// driver-maintained gauge (the simulator derives it from its host
-	// lists, once per pooled decision — the lease pool does not read it);
+	// lists, once per pooled decision);
 	// without it scale-in would keep targeting an "emptiest" member whose
 	// few hosts all hold replicas, stalling the drain while retirable hosts
 	// sit elsewhere.

@@ -51,10 +51,7 @@
 // observed loads — no clock, no randomness — so the simulator drives it
 // deterministically; the floor invariant is property-tested from random
 // federation states. The MinHosts clamp rule itself lives in
-// scheduler.MinHostsFloor. Under sim's sharded lease pool the pooled
-// autoscaler runs inside the capacity ledger — the unsharded federated
-// replay — so sharding preserves its one-decision-per-tick semantics
-// over the whole workload exactly (docs/SHARDING.md).
+// scheduler.MinHostsFloor.
 //
 // The package imports only cluster and scheduler: it is part of the
 // simulator half and links nothing of the live platform.

@@ -6,7 +6,7 @@
 // models calibrated against the live implementation and the paper's
 // reported distributions.
 //
-// Runner map — one config, one plan, one core, three drivers, one result. The
+// Runner map — one config, one plan, one core, two drivers, one result. The
 // three exported entry points — Run, RunSharded, RunStreamSharded — are short
 // adapters: Config → plan → driver → Result. A single cluster is the
 // one-member federation at every layer: Config sizes it with Hosts, or lists
@@ -23,8 +23,8 @@
 //     weights) is defaulted and validated; a config that mixes the two
 //     forms, a negative or NaN numeric knob, a host shape without GPUs and an
 //     outage scoped to a cluster no member has are refused there. Nothing
-//     below the adapters sees a public config, so no simulation — worker or
-//     ledger — is defaulted twice and a zero in a plan means zero. What no
+//     below the adapters sees a public config, so no simulation is defaulted
+//     twice and a zero in a plan means zero. What no
 //     caller ever set — sampling period, autoscale interval, reservoir size,
 //     latency models, aging bound — is a constant beside the plan, not a field
 //     of it; root TestConfigOptionsHaveSetters keeps every public config field
@@ -47,56 +47,38 @@
 //     step latencies, SR, the event log, async-replication samples and the RNG
 //     draws that feed them, or per-member records and per-SLO-class delays —
 //     follows from which recorders newSim created for the config's form
-//     (plan.federated: whether it listed Clusters) and, in a leased run, for
-//     the simulation's role (plan.ledger keeps no latency samples,
-//     plan.leaseManaged no capacity series); a nil recorder records nothing,
-//     so there is no federated/single or role switch on the hot path.
-//   - The plain driver (plan.run: Run, each LegacySplit worker, and any
-//     sharded runner at k <= 1) runs the engine in one shot to a day past the
-//     window's end. The barrier-leased driver (runLeased in lease.go, behind
-//     ShardCapacity == LeasePool) runs a capacity ledger — the parent plan
-//     itself, unsharded — as a free-running producer that publishes its host
-//     counts at every epoch boundary (an epoch is the autoscale interval), and
-//     k lease-managed workers in epoch-sized steps, dealt to at most
-//     GOMAXPROCS-1 goroutines with a barrier among those, whose last arrival
-//     reconciles the host leases against that boundary's published counts.
-//     The ledger never waits and reads nothing from the workers; builds,
-//     drains and result completion each run on a goroutine per simulation.
-//   - The sharded driver (plan.runSharded in shard.go) sits on top of those
-//     two. RunSharded hands it trace.Split's parts with their
-//     reserved-GPU-hour weights (traceParts(cfg.Trace): the splitter is the
-//     one reader of a *trace.Trace past plan.defaults); RunStreamSharded hands
-//     it trace.StreamSplit's generators with equal weights (streamParts), its
+//     (plan.federated: whether it listed Clusters); a nil recorder records
+//     nothing, so there is no federated/single switch on the hot path.
+//   - The plain driver (plan.run: Run, each sharded worker, and any sharded
+//     runner at k <= 1 or under LeasePool) runs the engine in one shot to a
+//     day past the window's end.
+//   - The sharded driver (plan.runSharded in shard.go) sits on top of it.
+//     RunSharded hands it trace.Split's parts with their reserved-GPU-hour
+//     weights (traceParts(cfg.Trace): the splitter is the one reader of a
+//     *trace.Trace past plan.defaults); RunStreamSharded hands it
+//     trace.StreamSplit's generators with equal weights (streamParts), its
 //     own plan replaying the unsplit generator. The driver clamps the shard
 //     count to the smallest member, derives the worker plans (plan.shard:
 //     capacity split by weight, ShardSeed-derived seeds, a private
-//     route-policy instance each), and branches once on ShardCapacity:
-//     runLeased, or k plain runs merged with MergeResults — timelines through
+//     route-policy instance each), and runs k plain runs on the goroutines of
+//     inParallel, merged with MergeResults — timelines through
 //     metrics.MergeTimelines, samples through metrics.MergeSamples (the
 //     pre-sized concatenation, sorted when first queried, so merged quantiles
 //     are bit-identical to concat-then-sort), events by a pre-sized k-way
-//     merge on their int64
-//     timestamps, counters by summation, always in shard-index order so output
-//     never depends on worker completion order. Under the barrier-leased
-//     driver only the merge's latency half runs (samples and session/task
-//     counts); the capacity half of the result is the ledger's, unmerged.
-//     There is one lease pool (leasePool): it plans and executes member by
-//     member with one pure planner (leasePlanner.planLeases), and a single
-//     cluster is its one-member case.
+//     merge on their int64 timestamps, counters by summation, always in
+//     shard-index order so output never depends on worker completion order.
 //
-// Capacity accounting across shards is Config.ShardCapacity's choice
-// (docs/SHARDING.md): under LeasePool — the default for experiment -shards
-// runs — workers lease hosts from a shared virtual capacity pool backed by
-// the capacity ledger, reconciled at every epoch boundary, so every
-// cluster-determined metric of a sharded run is byte-identical to the
-// unsharded run at any shard count (pinned by TestLeasePoolCapacityExact);
-// under the zero-value LegacySplit the workers never share capacity after
-// the initial proportional grant and the saved-GPU-hour drift bound
-// documented on RunSharded applies (pinned by
+// Capacity across shards is a static split (docs/SHARDING.md): the workers
+// never share capacity after the initial proportional grant, and the
+// saved-GPU-hour drift bound documented on RunSharded applies (pinned by
 // TestShardedSavingsDriftBound). Latency distributions are shard-local —
-// unbiased but not sample-identical — in both modes. TestRunnerFingerprints
-// pins every entry point's counters, integrated hours, delay quantiles and
-// recorder lengths against a golden file, fault-free and under faults.
+// unbiased but not sample-identical. A sharded run that must equal the
+// unsharded one is the unsharded run: Config.ShardCapacity == LeasePool, the
+// name the frozen bench/ module uses for it, runs the plan unsharded
+// (TestLeasePoolIsRun). TestRunnerFingerprints pins every entry point's
+// counters, integrated hours, delay quantiles and recorder lengths against a
+// golden file, fault-free and under faults, and TestRunnersConserveTasks holds
+// each of those runs to the tasks its workload generated.
 //
 // Crossing-cost accounting in a federation: every boundary
 // crossing is charged from federation.Federation.Penalty — the
@@ -113,8 +95,8 @@
 // unplaceable below R hosts. Pooled (Config.PooledAutoscale): one
 // federation.FederatedAutoscaler decision per interval, observed over the
 // members' O(1) counters, with the per-member floors replaced by a single
-// federation-wide floor (Config.FedMinHosts, default a quarter of the
-// initial fleet, clamped to R) plus the placement anchor — scale-in never
+// federation-wide floor (a quarter of the initial fleet, clamped to R:
+// plan.fedMinHosts) plus the placement anchor — scale-in never
 // leaves every member below R hosts, so kernels homed at drained members
 // still place somewhere via routing. The clamp rule lives in
 // scheduler.MinHostsFloor.
@@ -146,9 +128,8 @@
 //     docs/FAULTS.md). The stream derives from (FaultSpec, Seed) alone
 //     and its RNGs are disjoint from every workload stream, so a nil or
 //     empty spec is byte-identical to the fault layer not existing
-//     (TestZeroFaultSpecIsIdentity) and the lease pool's capacity ledger
-//     replays the identical crash sequence — sharded fault metrics are
-//     exact at any shard count (TestFaultRunsDoubleRunByteIdentical).
+//     (TestZeroFaultSpecIsIdentity), and a fault run replays bit-for-bit
+//     on every runner (TestFaultRunsDoubleRunByteIdentical).
 //     Quorum-preserving replica loss fails over without interrupting the
 //     running task; executor death or quorum loss aborts into
 //     checkpoint-restore resubmission under SLO-class retry budgets.

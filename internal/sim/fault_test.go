@@ -46,7 +46,7 @@ func faultFingerprintOf(tr *trace.Trace, r *Result) faultFingerprint {
 // TestZeroFaultSpecIsIdentity pins the zero-fault contract: a nil Faults
 // pointer and an explicit empty FaultSpec produce byte-identical results
 // (no extra RNG draws, no extra events, recorders left nil) on the plain,
-// lease-pool sharded, and streaming paths, for every policy.
+// sharded, and streaming paths, for every policy.
 func TestZeroFaultSpecIsIdentity(t *testing.T) {
 	gcfg := trace.AdobeExcerptConfig(61)
 	gcfg.Duration = 4 * time.Hour
@@ -74,9 +74,8 @@ func TestZeroFaultSpecIsIdentity(t *testing.T) {
 		}
 	}
 
-	// Lease-pool sharded path: the ledger replays the parent config, so the
-	// identity must hold through the barrier protocol too.
-	cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}
+	// Sharded path: every worker keeps the identity.
+	cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7}
 	a, err := RunSharded(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -87,10 +86,10 @@ func TestZeroFaultSpecIsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fa, fb := fingerprintOf(tr, a), fingerprintOf(tr, b); fa != fb {
-		t.Errorf("lease k=2: empty FaultSpec changed the run:\n  nil:   %+v\n  empty: %+v", fa, fb)
+		t.Errorf("sharded k=2: empty FaultSpec changed the run:\n  nil:   %+v\n  empty: %+v", fa, fb)
 	}
 	if b.Availability != nil || b.RecoveryTime != nil {
-		t.Error("lease k=2: fault recorders must stay nil without faults")
+		t.Error("sharded k=2: fault recorders must stay nil without faults")
 	}
 
 	// Streaming path.
@@ -117,8 +116,8 @@ func TestZeroFaultSpecIsIdentity(t *testing.T) {
 
 // TestFaultRunsDoubleRunByteIdentical pins fault-stream determinism: two
 // runs of the same config under a heavy fault profile are byte-identical —
-// fault counters included — on the plain, lease-pool sharded, and
-// streaming sharded paths.
+// fault counters included — on the plain, sharded, and streaming sharded
+// paths.
 func TestFaultRunsDoubleRunByteIdentical(t *testing.T) {
 	gcfg := trace.AdobeExcerptConfig(62)
 	gcfg.Duration = 8 * time.Hour
@@ -147,30 +146,16 @@ func TestFaultRunsDoubleRunByteIdentical(t *testing.T) {
 		t.Fatal("fault recorders must be live under faults")
 	}
 
-	lcfg := cfg
-	lcfg.ShardCapacity = LeasePool
-	la, err := RunSharded(lcfg, 3)
+	ka, err := RunSharded(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb, err := RunSharded(lcfg, 3)
+	kb, err := RunSharded(cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fla, flb := faultFingerprintOf(tr, la), faultFingerprintOf(tr, lb); fla != flb {
-		t.Errorf("lease k=3 double run diverged:\n  run1: %+v\n  run2: %+v", fla, flb)
-	}
-	// The lease pool's capacity ledger replays the parent config unsharded,
-	// so its fault stream — and every capacity metric derived from it — is
-	// exactly the plain run's.
-	if la.HostCrashes != a.HostCrashes || la.Failovers != a.Failovers ||
-		la.TaskRestarts != a.TaskRestarts || la.Abandonments != a.Abandonments {
-		t.Errorf("lease ledger fault counters diverged from unsharded: sharded %d/%d/%d/%d, plain %d/%d/%d/%d",
-			la.HostCrashes, la.Failovers, la.TaskRestarts, la.Abandonments,
-			a.HostCrashes, a.Failovers, a.TaskRestarts, a.Abandonments)
-	}
-	if got, want := la.Availability.Integral(tr.Start, tr.End), a.Availability.Integral(tr.Start, tr.End); got != want {
-		t.Errorf("lease ledger availability integral diverged: sharded %v, plain %v", got, want)
+	if fka, fkb := faultFingerprintOf(tr, ka), faultFingerprintOf(tr, kb); fka != fkb {
+		t.Errorf("sharded k=3 double run diverged:\n  run1: %+v\n  run2: %+v", fka, fkb)
 	}
 
 	scfg := Config{Policy: PolicyNotebookOS, Hosts: 30, LeanMetrics: true, Seed: 7, Faults: &faults}

@@ -23,9 +23,8 @@ import (
 //     schedules no events, draws no randomness, and allocates nothing, so
 //     failure-free runs stay byte-identical to builds without this file.
 //   - Fault timing is a pure function of (FaultSpec, Seed, host slot) via
-//     trace.HostFault/OutageRNG — workload-independent, so the lease
-//     pool's capacity ledger (a full replay of the parent config) sees the
-//     identical fault stream and sharded capacity metrics stay exact.
+//     trace.HostFault/OutageRNG — workload-independent, so a fault stream
+//     does not depend on which sessions a run replays.
 //   - Crash-path randomness (failover elections, container starts during
 //     replica rehoming) comes from a dedicated RNG (Seed+3), never from
 //     the scheduling or workload streams.
@@ -57,12 +56,9 @@ func (s *sim) initFaults() {
 		return
 	}
 	s.faultsOn = true
-	s.trackLive = true
 	s.frng = rand.New(rand.NewSource(s.cfg.Seed + 3))
-	if !s.cfg.leaseManaged {
-		s.res.Availability = metrics.NewTimeline()
-		s.res.RecoveryTime = metrics.NewSample()
-	}
+	s.res.Availability = metrics.NewTimeline()
+	s.res.RecoveryTime = metrics.NewSample()
 	for i, o := range f.Outages {
 		s.armFault(s.start.Add(trace.Hours(o.StartHour)), func() { s.outageStrike(i, o) })
 	}
@@ -102,8 +98,7 @@ func faultSlot(member, seq int) uint64 {
 
 // armHostFaults gives a freshly joined host its availability tick and its
 // deterministic crash clock: the (uptime, downtime) pair is a pure
-// function of (spec, seed, host slot), so replays — in particular the
-// lease pool's capacity ledger — see the identical stream.
+// function of (spec, seed, host slot), so replays see the identical stream.
 func (s *sim) armHostFaults(h *host, seq int) {
 	s.noteHosts(1)
 	if up, down := s.cfg.Faults.HostFault(s.cfg.Seed, faultSlot(h.member, seq)); up > 0 {
@@ -115,7 +110,7 @@ func (s *sim) armHostFaults(h *host, seq int) {
 // removal — resident replicas die with it), affected sessions repair
 // (failover or abort+restart) across the federation, and a fresh
 // replacement host joins the same member after the repair time. A host
-// that already left the cluster — scale-in, lease donation — makes the
+// that already left the cluster by scale-in makes the
 // crash a no-op: its clock died with it.
 func (s *sim) crashHost(h *host, down time.Duration) {
 	m := s.members[h.member]

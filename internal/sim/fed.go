@@ -119,7 +119,7 @@ func (s *sim) autoscalePooled() {
 	case federation.ScaleOut:
 		s.provision(dec.Member, dec.Hosts, s.cfg.Latencies.HostProvision(s.rng))
 	case federation.ScaleIn:
-		if s.detachEmptyHosts(dec.Member, dec.Hosts) > 0 {
+		if s.retireEmpty(s.members[dec.Member], dec.Hosts, func() bool { return false }) > 0 {
 			s.noteScaleIn(dec.Member)
 		}
 	}

@@ -137,33 +137,69 @@ func (l fpLines) result(r *Result, start, end time.Time) {
 	}
 }
 
-// TestRunnerFingerprints is the characterization test of the three runner
-// entry points: for seed 42 on a 3-day summer trace it pins every counter,
-// integrated-hour field, delay quantile and recorder length of each entry
-// point, with both forms of the config, fault-free and under
-// trace.HeavyFaultProfile, against
-// testdata/runner_fingerprints.golden. Regenerate with
-// `go test ./internal/sim -run TestRunnerFingerprints -update` — only when
-// a metric is meant to move, and say which in CHANGES.md.
-func TestRunnerFingerprints(t *testing.T) {
-	const seed = 42
-	gcfg := trace.AdobeSummerConfig(seed)
-	gcfg.Duration = 3 * 24 * time.Hour
-	tr := trace.MustGenerate(gcfg)
-	start, end := tr.Start, tr.End
-	heavy := trace.HeavyFaultProfile()
+// runnerCase is one run of the runner characterization: its label, the call,
+// and the sessions and tasks its workload generated.
+type runnerCase struct {
+	label string
+	// lease marks a run under ShardCapacity == LeasePool, which the golden
+	// does not pin: it is the unsharded run (TestLeasePoolIsRun).
+	lease           bool
+	run             func() (*Result, error)
+	sessions, tasks int
+}
 
-	var b strings.Builder
+// fingerprintGenConfig is the workload of the runner characterization: the
+// first 3 days of the seed-42 summer trace.
+func fingerprintGenConfig() trace.GenConfig {
+	gcfg := trace.AdobeSummerConfig(42)
+	gcfg.Duration = 3 * 24 * time.Hour
+	return gcfg
+}
+
+// runnerCases lists the runs TestRunnerFingerprints pins and
+// TestRunnersConserveTasks checks, in golden order: fault-free and then under
+// trace.HeavyFaultProfile, every entry point with both forms of the config,
+// the sharded ones at k = 2 under both capacity modes.
+func runnerCases(t *testing.T) []runnerCase {
+	t.Helper()
+	const seed = 42
+	gcfg := fingerprintGenConfig()
+	tr := trace.MustGenerate(gcfg)
+	// count drains what a run replays: the trace, or its streamed workload.
+	count := func(srcs ...trace.Source) (sessions, tasks int) {
+		for _, src := range srcs {
+			if err := src.Sessions(func(s *trace.Session) bool {
+				sessions++
+				tasks += len(s.Tasks)
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sessions, tasks
+	}
+	// A streamed run replays the whole generator unsharded (k = 1, or
+	// LeasePool), and the shard generators' union otherwise.
+	whole, err := trace.NewStreamGen(gcfg, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := streamParts(gcfg)(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamSrcs := map[ShardCapacity][]trace.Source{LeasePool: {whole}, LegacySplit: {parts[0].src, parts[1].src}}
+
+	heavy := trace.HeavyFaultProfile()
+	var cases []runnerCase
 	for _, fc := range []struct {
 		name   string
 		faults *trace.FaultSpec
 	}{{"nofaults", nil}, {"heavy", &heavy}} {
-		pin := func(name string, r *Result, err error) {
-			t.Helper()
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, fc.name, err)
-			}
-			fpLines{scenario: name + "/" + fc.name, b: &b}.result(r, start, end)
+		add := func(label string, sc ShardCapacity, run func() (*Result, error), srcs ...trace.Source) {
+			c := runnerCase{label: label + "/" + fc.name, lease: sc == LeasePool, run: run}
+			c.sessions, c.tasks = count(srcs...)
+			cases = append(cases, c)
 		}
 		cfg := func(p Policy, sc ShardCapacity) Config {
 			return Config{Trace: tr, Policy: p, Hosts: 30, Seed: seed, ShardCapacity: sc, Faults: fc.faults}
@@ -188,41 +224,72 @@ func TestRunnerFingerprints(t *testing.T) {
 				Faults:          fc.faults,
 			}
 		}
+		run := func(c Config) func() (*Result, error) { return func() (*Result, error) { return Run(c) } }
+		sharded := func(c Config) func() (*Result, error) { return func() (*Result, error) { return RunSharded(c, 2) } }
+		streamed := func(c Config) func() (*Result, error) {
+			c.Trace, c.LeanMetrics = nil, c.ShardCapacity == LegacySplit
+			return func() (*Result, error) { return RunStreamSharded(gcfg, c, 2) }
+		}
+
 		// The Clusters-form cases keep the labels they were pinned under, from
 		// when a federation had runners of its own.
 		for _, p := range []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP} {
-			r, err := Run(cfg(p, LegacySplit))
-			pin("Run/"+string(p), r, err)
+			add("Run/"+string(p), LegacySplit, run(cfg(p, LegacySplit)), tr.AsSource())
 		}
-		r, err := Run(perMember(LegacySplit))
-		pin("RunFederated/per-member", r, err)
-		r, err = Run(pooled(LegacySplit))
-		pin("RunFederated/pooled-slo", r, err)
-
-		for _, sc := range []struct {
-			name string
-			mode ShardCapacity
-		}{{"legacy", LegacySplit}, {"lease", LeasePool}} {
-			r, err := RunSharded(cfg(PolicyNotebookOS, sc.mode), 2)
-			pin("RunSharded/"+sc.name+"-k2", r, err)
-			r, err = RunSharded(perMember(sc.mode), 2)
-			pin("RunFederatedSharded/per-member/"+sc.name+"-k2", r, err)
-			r, err = RunSharded(pooled(sc.mode), 2)
-			pin("RunFederatedSharded/pooled-slo/"+sc.name+"-k2", r, err)
-
-			for _, c := range []struct {
-				label string
-				cfg   Config
-			}{
-				{"RunStreamSharded/", cfg(PolicyNotebookOS, sc.mode)},
-				{"RunFederatedStreamSharded/", pooled(sc.mode)},
-			} {
-				c.cfg.Trace = nil
-				c.cfg.LeanMetrics = sc.mode == LegacySplit
-				r, err = RunStreamSharded(gcfg, c.cfg, 2)
-				pin(c.label+sc.name+"-k2", r, err)
-			}
+		add("RunFederated/per-member", LegacySplit, run(perMember(LegacySplit)), tr.AsSource())
+		add("RunFederated/pooled-slo", LegacySplit, run(pooled(LegacySplit)), tr.AsSource())
+		for _, sc := range []ShardCapacity{LegacySplit, LeasePool} {
+			mode := map[ShardCapacity]string{LegacySplit: "legacy", LeasePool: "lease"}[sc] + "-k2"
+			add("RunSharded/"+mode, sc, sharded(cfg(PolicyNotebookOS, sc)), tr.AsSource())
+			add("RunFederatedSharded/per-member/"+mode, sc, sharded(perMember(sc)), tr.AsSource())
+			add("RunFederatedSharded/pooled-slo/"+mode, sc, sharded(pooled(sc)), tr.AsSource())
+			add("RunStreamSharded/"+mode, sc, streamed(cfg(PolicyNotebookOS, sc)), streamSrcs[sc]...)
+			add("RunFederatedStreamSharded/"+mode, sc, streamed(pooled(sc)), streamSrcs[sc]...)
 		}
+	}
+	return cases
+}
+
+// TestRunnersConserveTasks holds every run of the runner characterization to
+// the check the repository benchmark applies to each operation: it admits
+// every session its workload generated, and its completed tasks plus its
+// abandoned ones are no more than the tasks generated.
+func TestRunnersConserveTasks(t *testing.T) {
+	for _, c := range runnerCases(t) {
+		r, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		if r.Tasks+r.Abandonments > c.tasks {
+			t.Errorf("%s: %d tasks + %d abandonments exceed the %d generated", c.label, r.Tasks, r.Abandonments, c.tasks)
+		}
+		if r.Sessions != c.sessions {
+			t.Errorf("%s: %d sessions admitted, %d generated", c.label, r.Sessions, c.sessions)
+		}
+	}
+}
+
+// TestRunnerFingerprints is the characterization test of the three runner
+// entry points: for seed 42 on a 3-day summer trace it pins every counter,
+// integrated-hour field, delay quantile and recorder length of each entry
+// point, with both forms of the config, fault-free and under
+// trace.HeavyFaultProfile, against
+// testdata/runner_fingerprints.golden. Regenerate with
+// `go test ./internal/sim -run TestRunnerFingerprints -update` — only when
+// a metric is meant to move, and say which in CHANGES.md.
+func TestRunnerFingerprints(t *testing.T) {
+	gcfg := fingerprintGenConfig()
+	start, end := gcfg.Start, gcfg.Start.Add(gcfg.Duration)
+	var b strings.Builder
+	for _, c := range runnerCases(t) {
+		if c.lease {
+			continue
+		}
+		r, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		fpLines{scenario: c.label, b: &b}.result(r, start, end)
 	}
 
 	const golden = "testdata/runner_fingerprints.golden"

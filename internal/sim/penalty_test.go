@@ -11,8 +11,8 @@ import (
 
 // TestDefaultLatencyIsAUniformMatrix pins Config.Latency's default through
 // every federated runner that can reach it more than one way: however many
-// simulations a runner builds from the config (one; k workers; a ledger plus
-// k workers), a nil matrix must run exactly as the spelled-out
+// simulations a runner builds from the config (one, or k workers), a nil
+// matrix must run exactly as the spelled-out
 // UniformMatrix(n, 25 ms). An all-zero matrix must differ, or the workload
 // never crosses clusters and the comparison proves nothing.
 func TestDefaultLatencyIsAUniformMatrix(t *testing.T) {
@@ -22,12 +22,6 @@ func TestDefaultLatencyIsAUniformMatrix(t *testing.T) {
 	tr := trace.MustGenerate(gcfg)
 	start, end := gcfg.Start, gcfg.Start.Add(gcfg.Duration)
 
-	base := func(sc ShardCapacity) Config {
-		return Config{
-			Clusters: DefaultFedClusters(n, 30), Route: federation.LeastSubscribed(),
-			Seed: 29, ShardCapacity: sc,
-		}
-	}
 	type runner struct {
 		name string
 		run  func(Config) (*Result, error)
@@ -44,28 +38,25 @@ func TestDefaultLatencyIsAUniformMatrix(t *testing.T) {
 		{"RunStreamSharded", func(c Config) (*Result, error) { return RunStreamSharded(gcfg, c, 2) }},
 	}
 	for _, r := range runners {
-		for _, sc := range []ShardCapacity{LegacySplit, LeasePool} {
-			name := r.name + "/" + map[ShardCapacity]string{LegacySplit: "legacy", LeasePool: "lease"}[sc]
-			fp := func(mutate func(*Config)) string {
-				cfg := base(sc)
-				mutate(&cfg)
-				res, err := r.run(cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				var b strings.Builder
-				fpLines{scenario: name, b: &b}.result(res, start, end)
-				return b.String()
+		fp := func(mutate func(*Config)) string {
+			cfg := Config{Clusters: DefaultFedClusters(n, 30), Route: federation.LeastSubscribed(), Seed: 29}
+			mutate(&cfg)
+			res, err := r.run(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
 			}
-			def := fp(func(c *Config) {})
-			uniform := fp(func(c *Config) { c.Latency = federation.UniformMatrix(n, 25*time.Millisecond) })
-			zero := fp(func(c *Config) { c.Latency = federation.UniformMatrix(n, 0) })
-			if def != uniform {
-				t.Errorf("%s: a nil Latency differs from UniformMatrix(%d, 25ms):\n--- nil\n%s--- uniform\n%s", name, n, def, uniform)
-			}
-			if def == zero {
-				t.Errorf("%s: the default latency equals an all-zero matrix; the workload never crosses clusters", name)
-			}
+			var b strings.Builder
+			fpLines{scenario: r.name, b: &b}.result(res, start, end)
+			return b.String()
+		}
+		def := fp(func(c *Config) {})
+		uniform := fp(func(c *Config) { c.Latency = federation.UniformMatrix(n, 25*time.Millisecond) })
+		zero := fp(func(c *Config) { c.Latency = federation.UniformMatrix(n, 0) })
+		if def != uniform {
+			t.Errorf("%s: a nil Latency differs from UniformMatrix(%d, 25ms):\n--- nil\n%s--- uniform\n%s", r.name, n, def, uniform)
+		}
+		if def == zero {
+			t.Errorf("%s: the default latency equals an all-zero matrix; the workload never crosses clusters", r.name)
 		}
 	}
 }

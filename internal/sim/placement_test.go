@@ -15,10 +15,9 @@ import (
 // selected host can refuse — must stop the run with the session and the
 // host named, not lose a subscription, and so must a removal the host does
 // not know of, which would leave the cluster counting what is gone. It then
-// replays the runs that reach all four placement
-// sites (kernel creation, migration, crash rehoming, lease eviction) with
-// the check in place: hard crash churn unsharded, and the same under the
-// lease pool, whose shards also shrink by evicting replicas.
+// replays a run that reaches all three placement sites (kernel creation,
+// migration, crash rehoming) with the check in place: hard crash churn,
+// unsharded and split across three workers.
 func TestReplicaPlacementIsChecked(t *testing.T) {
 	gcfg := trace.AdobeExcerptConfig(62)
 	gcfg.Duration = 8 * time.Hour
@@ -68,7 +67,6 @@ func TestReplicaPlacementIsChecked(t *testing.T) {
 	if res.Migrations == 0 || res.Failovers == 0 {
 		t.Errorf("unsharded run made %d migrations and %d failovers; both placement paths must run", res.Migrations, res.Failovers)
 	}
-	cfg.ShardCapacity = LeasePool
 	if _, err := RunSharded(cfg, 3); err != nil {
 		t.Fatal(err)
 	}

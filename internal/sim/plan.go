@@ -20,16 +20,14 @@ const (
 	leanSampleCap = 4096
 	// sampleEvery is the metrics sampling period.
 	sampleEvery = 5 * time.Minute
-	// autoscaleInterval is the autoscaler period, and with it the lease
-	// protocol's epoch: barriers fall on the instants the unsharded
-	// autoscaler ticks at.
+	// autoscaleInterval is the autoscaler period.
 	autoscaleInterval = time.Minute
 )
 
 // plan is the one internal description of a run: the public Config,
 // compiled. Every exported runner compiles its config exactly once
-// (Config.plan), and everything below — newSim, sharding, the lease driver —
-// reads only the plan: no simulation is ever built from a public config, so
+// (Config.plan), and everything below — newSim, sharding — reads only the
+// plan: no simulation is ever built from a public config, so
 // defaults are applied once and a zero in a plan always means zero. What
 // compiling (plan.defaults) changes in the embedded Config: Source is the
 // workload and Trace is nil; Clusters lists the members fully sized, in a
@@ -47,26 +45,13 @@ type plan struct {
 	// recorders newSim creates, whether a task draws the Fig. 11 replication
 	// costs those recorders report, and what finish completes — nothing else.
 	federated bool
-	// ledger and leaseManaged are the two roles of a leased run (runLeased sets
-	// them, nothing else does), and each role records only the half of the
-	// result the merge takes from it. The ledger is the unsharded run minus the
-	// latency recorders (what mergeLatency owns): same events, same draws. A
-	// lease-managed worker's capacity the pool governs at epoch barriers, so it
-	// runs no autoscale tick of its own (the ledger makes the one decision per
-	// tick), and it keeps no capacity recorders (what mergeCapacity owns) and
-	// so no sampling tick.
-	ledger, leaseManaged bool
-	// leaseStats, when a test or benchmark sets it, hears from every goroutine
-	// of a leased run's boundary loop as it leaves the loop — g = 0 the ledger,
-	// g ≥ 1 the worker goroutines, each from its own goroutine — how it spent
-	// it: busy is its time stepping its simulations (for the ledger, which
-	// never waits, the whole loop; a worker goroutine's waits and barrier
-	// actions are the rest of its loop); feedWaits counts the boundaries at
-	// which its barrier action found the epoch unpublished (the workers had
-	// outrun the ledger), barrierWaits those at which it arrived ahead of
-	// another goroutine and waited for it. Nil in every run a command makes,
-	// and then the run reads no clock and allocates nothing for it.
-	leaseStats func(g int, busy time.Duration, feedWaits, barrierWaits int)
+	// fedMinHosts is the federation-wide scale-in floor under PooledAutoscale:
+	// a quarter of the initial federation-wide host count, clamped through
+	// scheduler.MinHostsFloor to at least R — the floor rule a single cluster
+	// uses, applied once to the whole federation instead of once per member,
+	// so the floor stays flat as the cluster count grows. A sharded worker's
+	// is its share of the parent's (plan.shard).
+	fedMinHosts int
 }
 
 // plan compiles the config.
@@ -102,7 +87,6 @@ func (p *plan) defaults() error {
 	if err := errors.Join(
 		nonNegative("ReplicasPerKernel", float64(p.ReplicasPerKernel)),
 		nonNegative("PrewarmPerHost", float64(p.PrewarmPerHost)),
-		nonNegative("FedMinHosts", float64(p.FedMinHosts)),
 		nonNegative("ScaleFactor", p.ScaleFactor),
 		nonNegative("SRHighWatermark", p.SRHighWatermark),
 	); err != nil {
@@ -116,8 +100,8 @@ func (p *plan) defaults() error {
 		// is never mutated.
 		p.Clusters = slices.Clone(p.Clusters)
 	} else {
-		if p.Route != nil || p.Latency != nil || p.PooledAutoscale || p.FedMinHosts != 0 || p.SLOAware {
-			return fmt.Errorf("sim: Route, Latency, PooledAutoscale, FedMinHosts and SLOAware configure a federation: list its members in Clusters")
+		if p.Route != nil || p.Latency != nil || p.PooledAutoscale || p.SLOAware {
+			return fmt.Errorf("sim: Route, Latency, PooledAutoscale and SLOAware configure a federation: list its members in Clusters")
 		}
 		// The cluster becomes the one member "sim" — member index 0, so host
 		// IDs are "sim-hNNNN" and fault slots the plain host sequence, which the
@@ -199,9 +183,7 @@ func (p *plan) defaults() error {
 		return fmt.Errorf("sim: Latency matrix covers %d members, federation has %d Clusters",
 			p.Latency.Size(), len(p.Clusters))
 	}
-	if p.FedMinHosts == 0 {
-		p.FedMinHosts = scheduler.MinHostsFloor(total/4, p.ReplicasPerKernel)
-	}
+	p.fedMinHosts = scheduler.MinHostsFloor(total/4, p.ReplicasPerKernel)
 	if p.Route == nil {
 		p.Route = federation.LocalFirst()
 	}
@@ -234,8 +216,8 @@ func nonNegative(field string, v float64) error {
 // count (floored at 1 per shard, so every worker can place something) and
 // scale-in floor and the federation-wide floor split proportionally to the
 // weights via trace.ProportionalShares, worker i seeded with
-// trace.ShardSeed(Seed, i). The host shares are only the initial lease grant
-// under LeasePool. The caller hands each worker its slice of the workload.
+// trace.ShardSeed(Seed, i). The caller hands each worker its slice of the
+// workload.
 func (p *plan) shard(weights []float64) []*plan {
 	hosts := make([][]int, len(p.Clusters))
 	floors := make([][]int, len(p.Clusters))
@@ -243,7 +225,7 @@ func (p *plan) shard(weights []float64) []*plan {
 		hosts[m] = trace.ProportionalShares(weights, spec.Hosts, 1)
 		floors[m] = floorShares(weights, spec.MinHosts)
 	}
-	fedFloors := floorShares(weights, p.FedMinHosts)
+	fedFloors := floorShares(weights, p.fedMinHosts)
 
 	workers := make([]*plan, len(weights))
 	for i := range workers {
@@ -254,7 +236,7 @@ func (p *plan) shard(weights []float64) []*plan {
 			spec.MinHosts = floors[m][i]
 			w.Clusters[m] = spec
 		}
-		w.FedMinHosts = fedFloors[i]
+		w.fedMinHosts = fedFloors[i]
 		w.Seed = trace.ShardSeed(p.Seed, i)
 		// Stateful route policies (round-robin's rotation counter) must
 		// not be shared across the parallel workers.

@@ -17,40 +17,25 @@ import (
 //
 // Every worker keeps the configured topology: each member's Hosts (floored
 // at 1 per shard, so every worker can place something) and MinHosts, and the
-// federation-wide FedMinHosts — caller-set or defaulted — split
-// proportionally to each shard's reserved-GPU-hour weight via
-// trace.ProportionalShares (plan.shard; the floors via floorShares, so every
-// worker keeps a floor of at least 1 and the configured scale-in policy
-// survives sharding). Worker i runs with trace.ShardSeed(Seed, i). More shards than
-// hosts cannot each hold a host, so k clamps to the smallest member's host
-// count. The config must carry a Trace: a Source cannot be split, and k > 1
-// with one is an error (see RunStreamSharded).
+// federation-wide pooled-autoscale floor, split proportionally to each
+// shard's reserved-GPU-hour weight via trace.ProportionalShares (plan.shard;
+// the floors via floorShares, so every worker keeps a floor of at least 1 and
+// the configured scale-in policy survives sharding). Worker i runs with
+// trace.ShardSeed(Seed, i). More shards than hosts cannot each hold a host,
+// so k clamps to the smallest member's host count. The config must carry a
+// Trace: a Source cannot be split, and k > 1 with one is an error (see
+// RunStreamSharded).
 //
-// Capacity semantics depend on cfg.ShardCapacity, applied per member (see
-// docs/SHARDING.md for the full story and measured drift):
-//
-//   - LeasePool (recommended): the proportional split is only the initial
-//     lease grant. A capacity ledger — a full unsharded replay of cfg,
-//     including PooledAutoscale's one decision per tick over the pooled
-//     counters — runs alongside the workers, and at every epoch boundary (one
-//     per autoscale interval) the workers' leases are re-apportioned, within
-//     each member (host shapes differ across members), to sum exactly to the
-//     ledger member's live host count. The merged result reports the ledger's
-//     capacity metrics, so saved-GPU-hours, scale events, and every other
-//     cluster-determined number are byte-identical to the unsharded run at
-//     every k — drift exactly 0.000% (pinned by TestLeasePoolCapacityExact,
-//     TestLeasePoolFederatedCapacityExact and, at ≤1%, by
-//     TestShardedSavingsDriftBound).
-//   - LegacySplit (the zero value): shards never share capacity after the
-//     initial grant. A worker saturates or autoscales on its own shard's
-//     load, so transient peaks the unsharded cluster absorbed with another
-//     shard's idle GPUs instead trigger per-shard scale-outs, and merged
-//     saved-GPU-hours drift below the unsharded run — measured 7-8% at
-//     k=2 and 19-22% at k=4 (bounded at 12% / 25% by the same test).
-//     FinalHosts sums to the fleet the k workers ended with.
-//
-// Interactivity and TCT distributions are unbiased by construction under
-// either mode: every task runs under the same policy code.
+// The split is static: shards never share capacity after it. A worker
+// saturates or autoscales on its own shard's load, so transient peaks the
+// unsharded cluster absorbed with another shard's idle GPUs instead trigger
+// per-shard scale-outs, and merged saved-GPU-hours drift below the unsharded
+// run — measured 7-8% at k=2 and 19-22% at k=4 (bounded at 12% / 25% by
+// TestShardedSavingsDriftBound). FinalHosts sums to the fleet the k workers
+// ended with. Interactivity and TCT distributions are unbiased by
+// construction: every task runs under the same policy code. A run that must
+// match the unsharded one exactly is the unsharded run: ShardCapacity ==
+// LeasePool runs cfg unsharded at every k (docs/SHARDING.md).
 func RunSharded(cfg Config, shards int) (*Result, error) {
 	p, err := cfg.plan()
 	if err != nil {
@@ -87,10 +72,9 @@ func traceParts(tr *trace.Trace) func(k int) ([]part, error) {
 // runSharded is the one sharded driver. The shard count clamps to what the
 // capacity can hold — every worker keeps the configured topology, so each
 // member needs at least one real host in every shard and the smallest
-// member bounds the count — and one shard is the plain run. Otherwise split
-// yields the k parts; the driver derives a worker plan per part
-// (plan.shard), hands each its workload, and runs them under the plan's
-// capacity mode: the lease protocol (runLeased), or k plain runs on
+// member bounds the count — and one shard, like LeasePool, is the plain run.
+// Otherwise split yields the k parts; the driver derives a worker plan per
+// part (plan.shard), hands each its workload, and runs k plain runs on
 // parallel goroutines merged in shard order — workers land in a slice
 // indexed by shard, so the merge never depends on which worker finished
 // first.
@@ -98,7 +82,7 @@ func (p *plan) runSharded(shards int, split func(k int) ([]part, error)) (*Resul
 	for _, spec := range p.Clusters {
 		shards = min(shards, spec.Hosts)
 	}
-	if shards <= 1 {
+	if shards <= 1 || p.ShardCapacity == LeasePool {
 		return p.run()
 	}
 	parts, err := split(shards)
@@ -112,9 +96,6 @@ func (p *plan) runSharded(shards int, split func(k int) ([]part, error)) (*Resul
 	workers := p.shard(weights)
 	for i, w := range workers {
 		w.Source = parts[i].src
-	}
-	if p.ShardCapacity == LeasePool {
-		return runLeased(p, workers)
 	}
 	results := make([]*Result, len(workers))
 	errs := make([]error, len(workers))
@@ -176,35 +157,37 @@ func firstError(errs []error) error {
 //     non-decreasing sim clock, so the per-shard slices are already sorted
 //     and the merge is a pre-sized sweep; equal-time events keep shard
 //     order, matching the stable sort this replaces.
-//   - Counters and integrated hours sum.
+//   - Counters and integrated hours sum, except FailedMigrations, which no
+//     run counts.
 //   - Members (Clusters) match by index — every shard runs the same member
-//     list — and merge under the same rules; FinalHosts sums.
+//     list — and merge under the same rules; FinalHosts sums to the fleet the
+//     k workers ended with.
 //   - Every merged timeline and sample is non-nil (empty when no input
 //     carries it: a federated merge gains empty single-cluster recorders) and
 //     StepLatency covers Steps(), so hand-built or partial results merge
 //     safely; only the optional recorders — the fault recorders and the
 //     per-class delays — stay nil when no input has them, as in an unsharded
 //     run.
-//
-// Every sharded runner merges with this function, and it has two halves. The
-// latency half (mergeLatency: the samples and the session/task counts) is
-// what sharding parallelizes and all a LeasePool run takes from its workers;
-// the capacity half (mergeCapacity: timelines, events, every other counter,
-// the per-member records, the fault recorders) is what a LeasePool run takes
-// from its ledger instead.
-func MergeResults(results ...*Result) *Result {
-	if len(results) == 0 {
+func MergeResults(rs ...*Result) *Result {
+	if len(rs) == 0 {
 		return nil
 	}
-	out := &Result{Policy: results[0].Policy}
-	mergeCapacity(out, results)
-	mergeLatency(out, results)
-	return out
-}
+	out := &Result{Policy: rs[0].Policy}
+	out.ProvisionedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ProvisionedGPUs })
+	out.CommittedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.CommittedGPUs })
+	out.ActiveSessions = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ActiveSessions })
+	out.ActiveTrainings = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ActiveTrainings })
+	out.SR = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.SR })
+	// The fault recorders exist only under Faults, which creates both.
+	for _, r := range rs {
+		if r.Availability != nil {
+			out.Availability = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.Availability })
+			out.RecoveryTime = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.RecoveryTime })
+			break
+		}
+	}
+	out.Events = mergeEvents(rs)
 
-// mergeLatency sets out's latency samples — per step and per SLO class
-// where recorded — and session/task counts to the merge of the results'.
-func mergeLatency(out *Result, rs []*Result) {
 	out.Interactivity = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.Interactivity })
 	out.TCT = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.TCT })
 	out.SyncLatency = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.SyncLatency })
@@ -223,33 +206,6 @@ func mergeLatency(out *Result, rs []*Result) {
 			out.ClassDelay[cl] = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.ClassDelay[cl] })
 		}
 	}
-	out.Sessions, out.Tasks = 0, 0
-	for _, r := range rs {
-		out.Sessions += r.Sessions
-		out.Tasks += r.Tasks
-	}
-}
-
-// mergeCapacity sets out's cluster-determined fields — federation-wide and
-// per-member timelines, event log, scale/migration/routing/fault counters,
-// integrated hours — to the merge of the results'. Members match by index:
-// every shard federation has the same member list. FinalHosts sums across
-// shards: the total live fleet the k worker federations ended with.
-func mergeCapacity(out *Result, rs []*Result) {
-	out.ProvisionedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ProvisionedGPUs })
-	out.CommittedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.CommittedGPUs })
-	out.ActiveSessions = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ActiveSessions })
-	out.ActiveTrainings = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ActiveTrainings })
-	out.SR = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.SR })
-	// The fault recorders exist only under Faults, which creates both.
-	for _, r := range rs {
-		if r.Availability != nil {
-			out.Availability = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.Availability })
-			out.RecoveryTime = mergeSamples(rs, func(r *Result) *metrics.Sample { return r.RecoveryTime })
-			break
-		}
-	}
-	out.Events = mergeEvents(rs)
 
 	for m := range rs[0].Clusters {
 		merged := &FedClusterResult{Name: rs[0].Clusters[m].Name}
@@ -269,10 +225,11 @@ func mergeCapacity(out *Result, rs []*Result) {
 	}
 
 	for _, r := range rs {
+		out.Sessions += r.Sessions
+		out.Tasks += r.Tasks
 		out.ImmediateCommits += r.ImmediateCommits
 		out.ExecutorReuse += r.ExecutorReuse
 		out.Migrations += r.Migrations
-		out.FailedMigrations += r.FailedMigrations
 		out.ScaleOuts += r.ScaleOuts
 		out.ScaleIns += r.ScaleIns
 		out.ColdStarts += r.ColdStarts
@@ -293,6 +250,7 @@ func mergeCapacity(out *Result, rs []*Result) {
 		out.CrossMigrations += r.CrossMigrations
 		out.ProvisionedGPUHours += r.ProvisionedGPUHours
 	}
+	return out
 }
 
 // mergeTimelines merges one timeline per record with

@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -226,24 +230,16 @@ func TestMergeResultsOrderIndependentQuantiles(t *testing.T) {
 	}
 }
 
-// TestShardedSavingsDriftBound quantifies both capacity contracts on
-// mid-size traces (the full 17.5 h excerpt and, outside -short, the
-// 10-day summer prefix), as drift of sharded saved-GPU-hours from the
-// unsharded run, relative to the trace's reserved GPU-hours.
-//
-// Under LegacySplit, shards do not share cluster capacity — each worker
-// autoscales on its own shard's load, pays host-granularity rounding
-// alone, and scales out when its smaller cluster cannot place R distinct
-// replicas — so savings drift below the unsharded run: at most 12 % at
-// k=2 and 25 % at k=4 (measured: 8.2 %/22.4 % on the excerpt,
-// 7.0 %/18.7 % on the 10-day summer, seed 42). The drift grows with k
-// and shrinks as shards get larger.
-//
-// Under LeasePool, the shared virtual capacity pool's ledger replays the
-// unsharded run's capacity decisions, so the drift is exactly zero at
-// every k (measured 0.000 % on both traces at k=2 and k=4; the 1 %
-// bound pinned here is the documented contract, with the slack covering
-// nothing but float summation order). See docs/SHARDING.md.
+// TestShardedSavingsDriftBound quantifies the static split's capacity
+// contract on mid-size traces (the full 17.5 h excerpt and, outside -short,
+// the 10-day summer prefix), as drift of sharded saved-GPU-hours from the
+// unsharded run, relative to the trace's reserved GPU-hours. Shards do not
+// share cluster capacity — each worker autoscales on its own shard's load,
+// pays host-granularity rounding alone, and scales out when its smaller
+// cluster cannot place R distinct replicas — so savings drift below the
+// unsharded run: at most 12 % at k=2 and 25 % at k=4 (measured: 8.2 %/22.4 %
+// on the excerpt, 7.0 %/18.7 % on the 10-day summer, seed 42). The drift grows
+// with k and shrinks as shards get larger. See docs/SHARDING.md.
 func TestShardedSavingsDriftBound(t *testing.T) {
 	traces := []struct {
 		name string
@@ -259,11 +255,7 @@ func TestShardedSavingsDriftBound(t *testing.T) {
 			tr   *trace.Trace
 		}{"summer-10d", trace.MustGenerate(cfg)})
 	}
-	bounds := map[ShardCapacity]map[int]float64{
-		LegacySplit: {2: 0.12, 4: 0.25},
-		LeasePool:   {2: 0.01, 4: 0.01},
-	}
-	modeName := map[ShardCapacity]string{LegacySplit: "legacy-split", LeasePool: "lease-pool"}
+	bounds := map[int]float64{2: 0.12, 4: 0.25}
 	for _, tc := range traces {
 		tr := tc.tr
 		cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 42}
@@ -276,26 +268,21 @@ func TestShardedSavingsDriftBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		baseSaved := reserved - base.ProvisionedGPUs.Integral(tr.Start, tr.End)
-		for _, mode := range []ShardCapacity{LegacySplit, LeasePool} {
-			for _, k := range []int{2, 4} {
-				c := cfg
-				c.ShardCapacity = mode
-				res, err := RunSharded(c, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				saved := reserved - res.ProvisionedGPUs.Integral(tr.Start, tr.End)
-				drift := math.Abs(saved-baseSaved) / reserved
-				t.Logf("%s %s k=%d: saved %.1f vs unsharded %.1f (reserved %.1f) — drift %.3f%%",
-					tc.name, modeName[mode], k, saved, baseSaved, reserved, drift*100)
-				if bound := bounds[mode][k]; drift > bound {
-					t.Errorf("%s %s k=%d: sharded savings drift %.3f%% of reserved GPU-hours exceeds the %g%% contract",
-						tc.name, modeName[mode], k, drift*100, bound*100)
-				}
-				if res.Tasks != base.Tasks {
-					t.Errorf("%s %s k=%d: sharding changed the task count: %d vs %d",
-						tc.name, modeName[mode], k, res.Tasks, base.Tasks)
-				}
+		for _, k := range []int{2, 4} {
+			res, err := RunSharded(cfg, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			saved := reserved - res.ProvisionedGPUs.Integral(tr.Start, tr.End)
+			drift := math.Abs(saved-baseSaved) / reserved
+			t.Logf("%s k=%d: saved %.1f vs unsharded %.1f (reserved %.1f) — drift %.3f%%",
+				tc.name, k, saved, baseSaved, reserved, drift*100)
+			if bound := bounds[k]; drift > bound {
+				t.Errorf("%s k=%d: sharded savings drift %.3f%% of reserved GPU-hours exceeds the %g%% contract",
+					tc.name, k, drift*100, bound*100)
+			}
+			if res.Tasks != base.Tasks {
+				t.Errorf("%s k=%d: sharding changed the task count: %d vs %d", tc.name, k, res.Tasks, base.Tasks)
 			}
 		}
 	}
@@ -339,9 +326,9 @@ func TestFederatedShardedDoubleRunByteIdentical(t *testing.T) {
 }
 
 // TestFloorSharesNeverZero: splitting a scale-in floor across shards
-// must leave no zero share — a worker's MinHosts=0 (or FedMinHosts=0)
-// would read as "use the default" and multiply the aggregate floor (the
-// k=8, MinHosts=4 case: four zero shares would each re-default to 4).
+// must leave no zero share — a worker's MinHosts=0 would read as "use the
+// default" and multiply the aggregate floor (the k=8, MinHosts=4 case: four
+// zero shares would each re-default to 4).
 func TestFloorSharesNeverZero(t *testing.T) {
 	equal8 := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	shares := floorShares(equal8, 4)
@@ -401,26 +388,37 @@ func TestRunShardedClampsToHostCount(t *testing.T) {
 	}
 }
 
-// TestFederatedShardedPreservesExplicitFloor: a caller-set
-// federation-wide scale-in floor splits across the worker federations
-// instead of being silently replaced by the workers' default floors —
-// the merged fleet can never drain below the configured floor.
-func TestFederatedShardedPreservesExplicitFloor(t *testing.T) {
+// TestFederatedShardedPreservesFloor: the federation-wide scale-in floor
+// derived for the parent — a quarter of its fleet, at least R — splits
+// across the worker federations, instead of each worker deriving a smaller
+// one from its share of the hosts, so the merged fleet never drains below the
+// parent's floor.
+func TestFederatedShardedPreservesFloor(t *testing.T) {
 	tr := shardQuickTrace(t, 58)
-	const floor = 20
-	res, err := RunSharded(Config{
+	cfg := Config{
 		Trace:           tr,
 		Clusters:        DefaultFedClusters(4, 30),
 		Route:           federation.LeastSubscribed(),
 		PooledAutoscale: true,
-		FedMinHosts:     floor,
 		Seed:            23,
-	}, 2)
+	}
+	p, err := cfg.plan()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.FinalHosts(); got < floor {
-		t.Errorf("merged federation drained to %d hosts below the configured %d-host floor", got, floor)
+	floors := 0
+	for _, w := range p.shard([]float64{1, 1}) {
+		floors += w.fedMinHosts
+	}
+	if floors < p.fedMinHosts {
+		t.Errorf("the workers' floors add to %d, below the parent's %d", floors, p.fedMinHosts)
+	}
+	res, err := RunSharded(cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.FinalHosts(); got < p.fedMinHosts {
+		t.Errorf("merged federation drained to %d hosts below the parent's %d-host floor", got, p.fedMinHosts)
 	}
 }
 
@@ -483,5 +481,250 @@ func TestMergePartialResults(t *testing.T) {
 	}
 	if r.Availability != nil || r.RecoveryTime != nil {
 		t.Error("fault recorders appeared in a merge of fault-free results")
+	}
+}
+
+// TestLeasePoolIsRun: under ShardCapacity == LeasePool both sharded runners
+// are the unsharded run at every k — the whole result, every latency sample
+// included — with one cluster and with a pooled SLO-aware federation,
+// fault-free and under heavy faults.
+func TestLeasePoolIsRun(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(61)
+	gcfg.Duration = 4 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	heavy := trace.HeavyFaultProfile()
+	for _, faults := range []*trace.FaultSpec{nil, &heavy} {
+		for _, form := range []struct {
+			name string
+			cfg  func() Config
+		}{
+			{"Hosts", func() Config { return Config{Hosts: 30, Seed: 7, Faults: faults} }},
+			{"Clusters", func() Config {
+				return Config{Clusters: DefaultFedClusters(4, 30), Route: federation.LeastSubscribed(),
+					PooledAutoscale: true, SLOAware: true, Seed: 17, Faults: faults}
+			}},
+		} {
+			same := func(label string, got *Result, err error, want *Result) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s/%s faults=%v: %v", form.name, label, faults != nil, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					var g, w strings.Builder
+					fpLines{"leased", &g}.result(got, tr.Start, tr.End)
+					fpLines{"unsharded", &w}.result(want, tr.Start, tr.End)
+					t.Errorf("%s/%s faults=%v: the lease-pool run is not the unsharded run:\n%s%s", form.name, label, faults != nil, g.String(), w.String())
+				}
+			}
+			plain := form.cfg()
+			plain.Trace = tr
+			want, err := Run(plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			whole, err := trace.NewStreamGen(gcfg, 0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			streamed := form.cfg()
+			streamed.Source = whole
+			wantStream, err := Run(streamed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 1; k <= 4; k++ {
+				c := form.cfg()
+				c.Trace, c.ShardCapacity = tr, LeasePool
+				got, err := RunSharded(c, k)
+				same(fmt.Sprintf("RunSharded k=%d", k), got, err, want)
+				c = form.cfg()
+				c.ShardCapacity = LeasePool
+				got, err = RunStreamSharded(gcfg, c, k)
+				same(fmt.Sprintf("RunStreamSharded k=%d", k), got, err, wantStream)
+			}
+		}
+	}
+}
+
+// TestLeasePoolCapacityExact pins the lease pool's defining guarantee:
+// under ShardCapacity == LeasePool every cluster-determined metric of a
+// sharded run — provisioned/committed integrals, scale and migration
+// counters, integrated hours, the event log — is byte-identical to the
+// unsharded run's, at every shard count, because the run IS the unsharded
+// run. The fingerprint includes the latency percentiles, which are exact too.
+func TestLeasePoolCapacityExact(t *testing.T) {
+	tr := trace.MustGenerate(trace.AdobeExcerptConfig(42))
+	cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 42}
+	base, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprintOf(tr, base)
+	for _, k := range []int{2, 4, 8} {
+		c := cfg
+		c.ShardCapacity = LeasePool
+		res, err := RunSharded(c, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprintOf(tr, res); got != want {
+			t.Errorf("k=%d: lease-pool metrics diverged from unsharded run:\n  base:  %+v\n  shard: %+v", k, want, got)
+		}
+		if res.Tasks != base.Tasks || res.Sessions != base.Sessions {
+			t.Errorf("k=%d: sharding lost work: %d/%d tasks, %d/%d sessions",
+				k, res.Tasks, base.Tasks, res.Sessions, base.Sessions)
+		}
+	}
+}
+
+// TestLeasePoolFederatedCapacityExact is the federated twin: per-cluster
+// series, routing counters, scale counters, and the saved-GPU-hours
+// headline all match Run exactly under LeasePool, including the
+// PooledAutoscale path and a federation whose members differ in host shape.
+func TestLeasePoolFederatedCapacityExact(t *testing.T) {
+	tr := shardQuickTrace(t, 55)
+	for name, clusters := range map[string][]FedClusterSpec{
+		"ramp of four": DefaultFedClusters(4, 30),
+		"mixed shapes": {
+			{Name: "big", Hosts: 12},
+			{Name: "small", Hosts: 12, HostCapacity: halfHost()},
+			{Name: "tiny", Hosts: 6},
+		},
+	} {
+		cfg := Config{
+			Trace:           tr,
+			Clusters:        clusters,
+			Route:           federation.LeastSubscribed(),
+			PooledAutoscale: true,
+			Seed:            17,
+		}
+		base, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.ShardCapacity = LeasePool
+		for _, k := range []int{2, 3} {
+			res, err := RunSharded(c, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := base.GPUHoursSaved(), res.GPUHoursSaved(); math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
+				t.Errorf("%s, k=%d: saved GPU-hours diverged: base %.3f, sharded %.3f", name, k, a, b)
+			}
+			if res.ScaleOuts != base.ScaleOuts || res.ScaleIns != base.ScaleIns {
+				t.Errorf("%s, k=%d: scale counters diverged: so=%d/%d si=%d/%d",
+					name, k, res.ScaleOuts, base.ScaleOuts, res.ScaleIns, base.ScaleIns)
+			}
+			if res.LocalPlacements != base.LocalPlacements || res.RemotePlacements != base.RemotePlacements {
+				t.Errorf("%s, k=%d: routing counters diverged", name, k)
+			}
+			for m := range base.Clusters {
+				bc, rc := base.Clusters[m], res.Clusters[m]
+				if rc.FinalHosts != bc.FinalHosts || rc.ScaleOuts != bc.ScaleOuts || rc.ScaleIns != bc.ScaleIns {
+					t.Errorf("%s, k=%d member %d: per-cluster capacity diverged: hosts=%d/%d so=%d/%d si=%d/%d",
+						name, k, m, rc.FinalHosts, bc.FinalHosts, rc.ScaleOuts, bc.ScaleOuts, rc.ScaleIns, bc.ScaleIns)
+				}
+				a := bc.ProvisionedGPUs.Integral(tr.Start, tr.End)
+				b := rc.ProvisionedGPUs.Integral(tr.Start, tr.End)
+				if math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
+					t.Errorf("%s, k=%d member %d: provisioned integral diverged: %.3f vs %.3f", name, k, m, a, b)
+				}
+			}
+			if res.Tasks != base.Tasks {
+				t.Errorf("%s, k=%d: task count diverged: %d vs %d", name, k, res.Tasks, base.Tasks)
+			}
+		}
+	}
+}
+
+// TestLeasePoolDoubleRunByteIdentical: a lease-pool run has no
+// scheduling-dependent state — two identical runs produce identical
+// results, latency distributions included.
+func TestLeasePoolDoubleRunByteIdentical(t *testing.T) {
+	tr := shardQuickTrace(t, 61)
+	cfg := Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, ShardCapacity: LeasePool}
+	a, err := RunSharded(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := RunSharded(cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fa, fb := fingerprintOf(tr, a), fingerprintOf(tr, b); fa != fb {
+		t.Errorf("lease-pool double run diverged:\n  run1: %+v\n  run2: %+v", fa, fb)
+	}
+}
+
+// TestLeasePoolStreamCapacityExact: the streaming sharded runner under
+// LeasePool matches the unsharded streaming run — it replays the one
+// unsplit stream of the same generator config, so even the task count is
+// exact.
+func TestLeasePoolStreamCapacityExact(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(47)
+	cfg := Config{Policy: PolicyNotebookOS, Hosts: 30, LeanMetrics: true, Seed: 11}
+	base, err := RunStreamSharded(gcfg, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg
+	c.ShardCapacity = LeasePool
+	res, err := RunStreamSharded(gcfg, c, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ScaleOuts != base.ScaleOuts || res.ScaleIns != base.ScaleIns {
+		t.Errorf("scale counters diverged: so=%d/%d si=%d/%d",
+			res.ScaleOuts, base.ScaleOuts, res.ScaleIns, base.ScaleIns)
+	}
+	if a, b := base.ServerHours, res.ServerHours; math.Abs(a-b) > 1e-9*(1+math.Abs(a)) {
+		t.Errorf("server hours diverged: %.3f vs %.3f", a, b)
+	}
+	if res.Tasks == 0 || res.Tasks != base.Tasks {
+		t.Errorf("sharded task count diverged from base: %d vs %d", res.Tasks, base.Tasks)
+	}
+}
+
+// TestShardedAnyGOMAXPROCS: the sharded runners produce on one processor
+// exactly what they produce on any other count — the workers share no state,
+// and the merge follows shard order, not completion order.
+func TestShardedAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	tr := shardQuickTrace(t, 61)
+	gcfg := trace.AdobeExcerptConfig(47)
+	gcfg.Duration = 4 * time.Hour
+	fingerprints := func(k int) string {
+		var b strings.Builder
+		res, err := RunSharded(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fpLines{"sharded", &b}.result(res, tr.Start, tr.End)
+		fed, err := RunSharded(Config{
+			Trace: tr, Clusters: DefaultFedClusters(4, 30), Route: federation.LeastSubscribed(),
+			PooledAutoscale: true, Seed: 17,
+		}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fpLines{"fed-sharded", &b}.result(fed, tr.Start, tr.End)
+		res, err = RunStreamSharded(gcfg, Config{Policy: PolicyNotebookOS, Hosts: 30, LeanMetrics: true, Seed: 11}, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fpLines{"stream-sharded", &b}.result(res, gcfg.Start, gcfg.Start.Add(gcfg.Duration))
+		return b.String()
+	}
+	for _, k := range []int{2, 4} {
+		var first string
+		for _, procs := range []int{1, 2, 3, k + 1} {
+			runtime.GOMAXPROCS(procs)
+			if got := fingerprints(k); first == "" {
+				first = got
+			} else if got != first {
+				t.Errorf("k=%d: sharded runs differ between GOMAXPROCS 1 and %d:\n--- 1\n%s--- %d\n%s", k, procs, first, procs, got)
+			}
+		}
 	}
 }

@@ -69,7 +69,7 @@ const stepE2E, stepLead, stepTail, numSteps = 0, 1, 5, 8
 // spellings differ in what the run records (see Result) and in the settings
 // each accepts, and mixing them is refused: Clusters with Hosts, HostCapacity,
 // MinHosts or a Policy other than NotebookOS, and any of Route, Latency,
-// PooledAutoscale, FedMinHosts and SLOAware without Clusters. Zero means the
+// PooledAutoscale and SLOAware without Clusters. Zero means the
 // default for every numeric knob, and a negative one is refused.
 type Config struct {
 	// Trace is the workload to replay. Exactly one of Trace and Source must
@@ -123,16 +123,9 @@ type Config struct {
 	// floor) to one federation.FederatedAutoscaler decision per interval:
 	// federation-wide expected capacity, scale-out onto the most-pressured
 	// member and scale-in from the emptiest, and a single federation-wide
-	// floor so small members can drain to near-zero.
+	// floor — a quarter of the initial federation-wide host count, at least R
+	// — so small members can drain to near-zero.
 	PooledAutoscale bool
-	// FedMinHosts is the federation-wide scale-in floor under
-	// PooledAutoscale, clamped through scheduler.MinHostsFloor to at least
-	// R. It defaults to a quarter of the initial federation-wide host
-	// count — the same floor rule a single cluster uses, applied once to
-	// the whole federation instead of once per member, so the floor stays
-	// flat as the cluster count grows. A bare R-host floor is legal but
-	// causes drain/re-provision churn at low cluster counts.
-	FedMinHosts int
 	// ReplicasPerKernel is R (default 3).
 	ReplicasPerKernel int
 	// PrewarmPerHost sizes each host's warm-container pool (NotebookOS:
@@ -154,12 +147,10 @@ type Config struct {
 	SLOAware bool
 	// Seed drives all randomness.
 	Seed int64
-	// ShardCapacity selects how the sharded runners treat capacity, member
-	// by member. Run itself ignores it: the choice only exists when a
-	// workload is split across workers. LegacySplit (the zero value) keeps
-	// the static proportional split; LeasePool reconciles a shared virtual
-	// capacity pool at epoch barriers so k>1 tracks the unsharded run to
-	// ~1%. See RunSharded and docs/SHARDING.md.
+	// ShardCapacity is read by the sharded runners alone. LegacySplit (the
+	// zero value) is the static proportional split; LeasePool runs the
+	// config unsharded whatever the shard count. It stays for the frozen
+	// bench/ module (compat.go); see RunSharded and docs/SHARDING.md.
 	ShardCapacity ShardCapacity
 	// Faults declares the deterministic fault model: per-host exponential
 	// crash/recover churn, scheduled outage windows — scopable to one member
@@ -226,6 +217,9 @@ type Result struct {
 	ImmediateCommits int
 	ExecutorReuse    int
 	Migrations       int
+	// FailedMigrations is always zero: the simulator parks a migration that
+	// finds no target instead of failing it. It stays because the frozen
+	// bench/workloads.go reads it, until ROADMAP item 3.
 	FailedMigrations int
 	ScaleOuts        int
 	ScaleIns         int
@@ -410,11 +404,9 @@ func (m *member) emptyHosts() (n int) {
 // single-cluster recorder set; one with Clusters has N members, a route
 // policy, WAN charges and optionally the SLO queue and the pooled autoscaler.
 // What a run records follows from which recorders newSim created: a recorder
-// the config's form, or the run's role in a leased run, does not keep is nil,
-// and a nil recorder records nothing (metrics.Sample, metrics.Timeline), so
-// the recording sites ask no questions. What a run draws does not follow: the
-// one draw that exists only to be recorded (Fig. 11's, taskfsm.go) goes by the
-// form alone, so a role changes no RNG stream.
+// the config's form does not keep is nil, and a nil recorder records nothing
+// (metrics.Sample, metrics.Timeline), so the recording sites ask no
+// questions.
 type sim struct {
 	cfg       plan
 	eng       *des.Engine
@@ -471,22 +463,17 @@ type sim struct {
 	// lifetimes) online.
 	reserved gpuHoursAcc
 
-	// live tracks the live sessions in arrival order when something needs
-	// to find a host's tenants deterministically: crash repair (faults.go)
-	// and barrier-time replica rehoming (lease.go). maxReq is the largest
-	// per-session GPU request placed so far — the headroom margin the lease
-	// pool plans with.
-	trackLive bool
-	live      []*session
-	maxReq    int
 	// idle holds the task state machines that completed, for launch to reuse
 	// (taskfsm.go).
 	idle []*runningTask
 	// faultsOn gates the fault layer; frng feeds the crash-path draws
 	// (elections, container starts during repair) so fault handling never
-	// perturbs the scheduling RNG.
+	// perturbs the scheduling RNG. live tracks the live sessions in arrival
+	// order under faults, where crash repair must find a host's tenants
+	// deterministically (faults.go).
 	faultsOn bool
 	frng     *rand.Rand
+	live     []*session
 }
 
 // Run executes the simulation and returns its result. A fixed config replays
@@ -512,14 +499,11 @@ func (p *plan) run() (*Result, error) {
 }
 
 // newSim builds a ready-to-run simulation of the plan: one member per
-// member spec, the recorders the plan's form and role keep (a federated run
-// creates none of the single-cluster recorders; a leased run's ledger none of
-// the latency samples, its workers none of the capacity series), the latency
-// matrix, and — as the plan says — the per-class recorders of an SLO-aware
-// run and the pooled autoscaler. Callers drive the engine
-// themselves — run in one shot to past the window's end, the lease runner in
-// epoch-sized steps with barrier reconciliation between them — and then
-// collect the result with finish. Pair with close.
+// member spec, the recorders the plan's form keeps (a federated run creates
+// none of the single-cluster recorders), the latency matrix, and — as the
+// plan says — the per-class recorders of an SLO-aware run and the pooled
+// autoscaler. The caller runs the engine (drain) and collects the result with
+// finish. Pair with close.
 func newSim(p *plan) (*sim, error) {
 	start, end := p.Source.Window()
 	eng := des.New(start)
@@ -535,40 +519,33 @@ func newSim(p *plan) (*sim, error) {
 		end:       end,
 		sampleSeq: p.Seed + 1000,
 		wr:        rand.New(rand.NewSource(p.Seed + 2)),
-		trackLive: p.leaseManaged,
 	}
 	s.reserved.lastNS = start.UnixNano()
 	s.res = &Result{Policy: p.Policy}
 	s.res.ActiveSessions = s.newTimeline()
-	// A leased run's two roles each keep half of the recorders: latency is
-	// the workers' (plan.ledger keeps none), capacity the ledger's
-	// (plan.leaseManaged keeps none). The samples are created in one order
-	// whatever the form, so lean-mode reservoir seeds do not depend on it.
-	if !p.ledger {
-		s.res.Interactivity = s.newSample()
-		s.res.TCT = s.newSample()
-		if !p.federated {
-			s.res.SyncLatency = s.newSample()
-			s.res.ReadLatency = s.newSample()
-			s.res.WriteLatency = s.newSample()
-			s.res.StepLatency = map[Step]*metrics.Sample{}
-			for i, st := range Steps() {
-				s.steps[i] = s.newSample()
-				s.res.StepLatency[st] = s.steps[i]
-			}
+	// Lean-mode reservoir seeds follow sample creation order: Interactivity,
+	// TCT, the single-cluster samples, the per-class delays.
+	s.res.Interactivity = s.newSample()
+	s.res.TCT = s.newSample()
+	if !p.federated {
+		s.res.SyncLatency = s.newSample()
+		s.res.ReadLatency = s.newSample()
+		s.res.WriteLatency = s.newSample()
+		s.res.StepLatency = map[Step]*metrics.Sample{}
+		for i, st := range Steps() {
+			s.steps[i] = s.newSample()
+			s.res.StepLatency[st] = s.steps[i]
 		}
-		if p.SLOAware {
-			s.res.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
-			for _, cl := range trace.SLOClasses() {
-				s.res.ClassDelay[cl] = s.newSample()
-			}
-		}
-	}
-	if !p.leaseManaged && !p.federated {
 		s.res.ActiveTrainings = s.newTimeline()
 		s.res.SR = s.newTimeline()
 		if !p.LeanMetrics {
 			s.res.Events = []Event{}
+		}
+	}
+	if p.SLOAware {
+		s.res.ClassDelay = make(map[trace.SLOClass]*metrics.Sample, 3)
+		for _, cl := range trace.SLOClasses() {
+			s.res.ClassDelay[cl] = s.newSample()
 		}
 	}
 	// Size was validated against the member count when the plan was
@@ -579,7 +556,7 @@ func newSim(p *plan) (*sim, error) {
 	if p.PooledAutoscale {
 		s.autoscaler = &federation.FederatedAutoscaler{
 			ScaleFactor: p.ScaleFactor,
-			MinHosts:    p.FedMinHosts,
+			MinHosts:    p.fedMinHosts,
 			Replicas:    p.ReplicasPerKernel,
 		}
 		s.loads = make([]federation.MemberLoad, len(p.Clusters))
@@ -622,10 +599,7 @@ func (s *sim) build() error {
 		if _, err := s.fed.AddMember(spec.Name, c); err != nil {
 			return err
 		}
-		res := &FedClusterResult{Name: spec.Name}
-		if !cfg.leaseManaged {
-			res.ProvisionedGPUs, res.CommittedGPUs = s.newTimeline(), s.newTimeline()
-		}
+		res := &FedClusterResult{Name: spec.Name, ProvisionedGPUs: s.newTimeline(), CommittedGPUs: s.newTimeline()}
 		s.members = append(s.members, &member{spec: spec, c: c, res: res})
 		for j := 0; j < spec.Hosts; j++ {
 			s.addHost(i)
@@ -683,14 +657,10 @@ func (s *sim) build() error {
 		(&injector{s: s}).arm(first)
 	}
 
-	// Periodic sampling and autoscaling. A lease-managed worker does neither:
-	// it keeps no series to sample, and the ledger makes the one autoscale
-	// decision per tick.
-	if !cfg.leaseManaged {
-		s.scheduleTick(0, sampleEvery, s.sampleProvisioned)
-		if s.wholeServers() {
-			s.scheduleTick(autoscaleInterval, autoscaleInterval, s.autoscale)
-		}
+	// Periodic sampling and autoscaling.
+	s.scheduleTick(0, sampleEvery, s.sampleProvisioned)
+	if s.wholeServers() {
+		s.scheduleTick(autoscaleInterval, autoscaleInterval, s.autoscale)
 	}
 	return nil
 }
@@ -747,9 +717,6 @@ func (s *sim) finish() (*Result, error) {
 		return nil, s.srcErr
 	}
 	res := s.res
-	if s.cfg.leaseManaged {
-		return res, nil // the capacity half is the ledger's to report
-	}
 	res.ProvisionedGPUs, res.CommittedGPUs = s.members[0].res.ProvisionedGPUs, s.members[0].res.CommittedGPUs
 	if len(s.members) > 1 {
 		prov := make([]*metrics.Timeline, len(s.members))
@@ -825,7 +792,7 @@ func (s *sim) routeOrder(home int) []int {
 
 func (s *sim) sessionStart(ss *session) {
 	s.res.Sessions++
-	if s.trackLive {
+	if s.faultsOn {
 		s.live = append(s.live, ss)
 	}
 	s.res.ActiveSessions.Delta(s.now(), 1)
@@ -856,9 +823,6 @@ func (s *sim) sessionStart(ss *session) {
 			if !s.placeSession(ss) {
 				return // only a watermark below one replica's share of an empty host refuses
 			}
-		}
-		if ss.req.GPUs > s.maxReq {
-			s.maxReq = ss.req.GPUs
 		}
 		s.recordEvent(scheduler.EventKernelCreated)
 		s.sampleSR()
@@ -1436,10 +1400,8 @@ func (s *sim) noteScaleIn(idx int) {
 
 // provision starts a scale-out of need hosts toward member idx: they count
 // as pending (toward autoscaler capacity) immediately and land — and reach
-// the provisioned series — after the given provisioning latency. The
-// latency is a parameter, not a draw, so the lease pool can charge its own
-// rng's draw (one per pooled decision, like the unsharded autoscaler's one
-// per tick) while local paths pass a scheduling-rng draw.
+// the provisioned series — after the given provisioning latency, which the
+// caller draws: one draw per autoscaler decision, or per emergency scale-out.
 func (s *sim) provision(idx, need int, latency time.Duration) {
 	m := s.members[idx]
 	m.pendingHosts += need
@@ -1473,8 +1435,8 @@ func (s *sim) retireEmpty(m *member, n int, done func() bool) (retired int) {
 
 // removeHostIfEmpty retires m.hosts[i] when it is empty, unwiring it from
 // the member and the host index; reports whether it was removed. Every
-// scale-in and lease return retires through this so the emptiness
-// predicate and the bookkeeping cannot drift apart.
+// scale-in retires through this so the emptiness predicate and the
+// bookkeeping cannot drift apart.
 func (s *sim) removeHostIfEmpty(m *member, i int) bool {
 	h := m.hosts[i]
 	slot := h.h.Slot()

@@ -89,7 +89,6 @@ type hostileCase struct {
 	clusters []FedClusterSpec // Clusters form
 	latency  federation.LatencyMatrix
 	faults   *trace.FaultSpec
-	sc       ShardCapacity
 	shards   int
 	// plain calls Run on the same config — a streamed entry's with the
 	// whole-workload generator as its Source.
@@ -107,7 +106,7 @@ func (e runnerEntry) call(gcfg trace.GenConfig, h hostileCase) (fp string, tasks
 			return "", 0, err
 		}
 	}
-	cfg := Config{Trace: h.tr, Source: h.src, Faults: h.faults, Seed: 7, ShardCapacity: h.sc}
+	cfg := Config{Trace: h.tr, Source: h.src, Faults: h.faults, Seed: 7}
 	if e.fed {
 		cfg.Clusters = append([]FedClusterSpec(nil), h.clusters...)
 		for i := range cfg.Clusters {
@@ -155,9 +154,7 @@ func fpInt(fp, field string) int {
 }
 
 // TestHostileConfigs drives every exported entry point, with both forms of
-// the config and under both capacity modes, with configs a careless caller
-// could write. None may
-// panic: a config that cannot run returns an error naming the offending
+// the config, with configs a careless caller could write. None may panic: a config that cannot run returns an error naming the offending
 // fields, and one the docs promise to clamp or default runs exactly like
 // its clamped or defaulted spelling — in particular k <= 1 through any
 // sharded runner is the unsharded call, byte for byte.
@@ -197,8 +194,7 @@ func TestHostileConfigs(t *testing.T) {
 	}
 
 	// The trace with one session's tasks mangled, a session from the middle of
-	// the window, so the run — and, leased, its barriers — is well under way
-	// when the injector pulls it.
+	// the window, so the run is well under way when the injector pulls it.
 	mangle := func(edit func(*trace.Session) bool) (*trace.Trace, string) {
 		cand := &trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End, Sessions: slices.Clone(tr.Sessions)}
 		for i := len(cand.Sessions) / 2; i < len(cand.Sessions); i++ {
@@ -231,262 +227,256 @@ func TestHostileConfigs(t *testing.T) {
 	}
 
 	for _, e := range runnerEntries() {
-		for _, sc := range []ShardCapacity{LegacySplit, LeasePool} {
-			name := e.name + map[ShardCapacity]string{LegacySplit: "/legacy", LeasePool: "/lease"}[sc]
-			// valid is a config the entry accepts; each case below breaks it
-			// one way.
-			valid := func() hostileCase {
-				h := hostileCase{tr: tr, hosts: 30, clusters: DefaultFedClusters(3, 30), sc: sc, shards: 2}
-				if e.streamed {
-					h.tr = nil
-				}
-				return h
-			}
-			run := func(label string, h hostileCase) (string, int) {
-				t.Helper()
-				fp, tasks, err := e.call(gcfg, h)
-				if err != nil {
-					t.Fatalf("%s, %s: %v", name, label, err)
-				}
-				return fp, tasks
-			}
-			refuses := func(label string, h hostileCase, naming ...string) {
-				t.Helper()
-				_, _, err := e.call(gcfg, h)
-				if err == nil {
-					t.Errorf("%s, %s: accepted", name, label)
-					return
-				}
-				for _, field := range naming {
-					if !strings.Contains(err.Error(), field) {
-						t.Errorf("%s, %s: error %q does not name %s", name, label, err, field)
-					}
-				}
-			}
-			same := func(label string, a, b hostileCase) {
-				t.Helper()
-				fa, _ := run(label, a)
-				if fb, _ := run(label, b); fa != fb {
-					t.Errorf("%s, %s: runs differ:\n--- got\n%s--- want\n%s", name, label, fa, fb)
-				}
-			}
-
-			// Every policy has its own does-not-fit path; the federation and
-			// the sharded runners are exercised under NotebookOS.
-			policies := []Policy{PolicyNotebookOS}
-			if !e.fed && !e.sharded {
-				policies = []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP}
-			}
-			for _, p := range policies {
-				h := valid()
-				h.policy, h.capacity = p, small
-				if _, tasks := run("2-GPU hosts", h); tasks == 0 || tasks >= tr.NumTasks() {
-					t.Errorf("%s/%s on 2-GPU hosts completed %d of %d tasks; want only the fitting sessions' tasks", name, p, tasks, tr.NumTasks())
-				}
-			}
-
-			// Workload slots: exactly one of Trace and Source, except that a
-			// streamed entry generates its workload and takes neither.
-			h := valid()
-			h.tr, h.src = tr, tr.AsSource()
-			refuses("Trace and Source both set", h, "Trace", "Source")
+		// valid is a config the entry accepts; each case below breaks it
+		// one way.
+		valid := func() hostileCase {
+			h := hostileCase{tr: tr, hosts: 30, clusters: DefaultFedClusters(3, 30), shards: 2}
 			if e.streamed {
-				h = valid()
-				h.tr = tr
-				refuses("Trace set", h, "Trace", "Source")
-				h = valid()
-				h.src = tr.AsSource()
-				refuses("Source set", h, "Trace", "Source")
-			} else {
-				h = valid()
 				h.tr = nil
-				refuses("neither Trace nor Source", h, "Trace", "Source")
 			}
-			if e.sharded && !e.streamed {
-				h = valid()
-				h.tr, h.src = nil, tr.AsSource()
-				refuses("Source at k=2", h, "Source", "RunStreamSharded")
-				h.shards = 1
-				plain := h
-				plain.plain = true
-				same("Source at k=1", h, plain)
+			return h
+		}
+		run := func(label string, h hostileCase) (string, int) {
+			t.Helper()
+			fp, tasks, err := e.call(gcfg, h)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", e.name, label, err)
 			}
-
-			// Sessions that go back in time. A Trace is refused where the plan
-			// is compiled, before any worker starts; a Source — here the
-			// swapped trace behind its adapter, which the plan cannot see
-			// through — when the injector pulls the late session.
-			if !e.streamed {
-				h = valid()
-				h.tr = swapped
-				refuses("two sessions swapped in Trace", h, early.ID, late.ID, "order")
-				h = valid()
-				h.tr, h.src, h.shards = nil, swapped.AsSource(), 1
-				refuses("two sessions swapped in Source", h, early.ID, late.ID, "order")
-
-				// A session that breaks the contract on its own: tasks out of
-				// submission order, which the arrival cursor would replay in
-				// slice order, and a first task ahead of the session's start,
-				// which the engine would move to the start. Whichever slot the
-				// workload is in, the injector that pulls the session fails the
-				// run, and a leased run's other simulations still reach every
-				// barrier.
-				for _, c := range []struct {
-					label, id, task string
-					tr              *trace.Trace
-				}{
-					{"a session's tasks out of submission order", unsortedID, "task 2", unsorted},
-					{"a task submitted before its session starts", prematureID, "task 0", premature},
-				} {
-					h = valid()
-					h.tr = c.tr
-					refuses(c.label+", Trace", h, c.id, c.task, "submission order")
-					h.tr, h.src, h.shards = nil, c.tr.AsSource(), 1
-					refuses(c.label+", Source", h, c.id, c.task, "submission order")
+			return fp, tasks
+		}
+		refuses := func(label string, h hostileCase, naming ...string) {
+			t.Helper()
+			_, _, err := e.call(gcfg, h)
+			if err == nil {
+				t.Errorf("%s, %s: accepted", e.name, label)
+				return
+			}
+			for _, field := range naming {
+				if !strings.Contains(err.Error(), field) {
+					t.Errorf("%s, %s: error %q does not name %s", e.name, label, err, field)
 				}
 			}
+		}
+		same := func(label string, a, b hostileCase) {
+			t.Helper()
+			fa, _ := run(label, a)
+			if fb, _ := run(label, b); fa != fb {
+				t.Errorf("%s, %s: runs differ:\n--- got\n%s--- want\n%s", e.name, label, fa, fb)
+			}
+		}
 
+		// Every policy has its own does-not-fit path; the federation and
+		// the sharded runners are exercised under NotebookOS.
+		policies := []Policy{PolicyNotebookOS}
+		if !e.fed && !e.sharded {
+			policies = []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP}
+		}
+		for _, p := range policies {
+			h := valid()
+			h.policy, h.capacity = p, small
+			if _, tasks := run("2-GPU hosts", h); tasks == 0 || tasks >= tr.NumTasks() {
+				t.Errorf("%s/%s on 2-GPU hosts completed %d of %d tasks; want only the fitting sessions' tasks", e.name, p, tasks, tr.NumTasks())
+			}
+		}
+
+		// Workload slots: exactly one of Trace and Source, except that a
+		// streamed entry generates its workload and takes neither.
+		h := valid()
+		h.tr, h.src = tr, tr.AsSource()
+		refuses("Trace and Source both set", h, "Trace", "Source")
+		if e.streamed {
 			h = valid()
-			h.faults = &trace.FaultSpec{HostMTBFHours: 10}
-			refuses("crash churn without a repair time", h, "host_mttr_hours")
+			h.tr = tr
+			refuses("Trace set", h, "Trace", "Source")
+			h = valid()
+			h.src = tr.AsSource()
+			refuses("Source set", h, "Trace", "Source")
+		} else {
+			h = valid()
+			h.tr = nil
+			refuses("neither Trace nor Source", h, "Trace", "Source")
+		}
+		if e.sharded && !e.streamed {
+			h = valid()
+			h.tr, h.src = nil, tr.AsSource()
+			refuses("Source at k=2", h, "Source", "RunStreamSharded")
+			h.shards = 1
+			plain := h
+			plain.plain = true
+			same("Source at k=1", h, plain)
+		}
 
-			// Numbers only a Go caller can write: a NaN MTBF would switch churn
-			// off without a word, a NaN or infinite MTTR would schedule every
-			// repair in the past.
-			for _, f := range []struct {
-				spec  trace.FaultSpec
-				field string
+		// Sessions that go back in time. A Trace is refused where the plan
+		// is compiled, before any worker starts; a Source — here the
+		// swapped trace behind its adapter, which the plan cannot see
+		// through — when the injector pulls the late session.
+		if !e.streamed {
+			h = valid()
+			h.tr = swapped
+			refuses("two sessions swapped in Trace", h, early.ID, late.ID, "order")
+			h = valid()
+			h.tr, h.src, h.shards = nil, swapped.AsSource(), 1
+			refuses("two sessions swapped in Source", h, early.ID, late.ID, "order")
+
+			// A session that breaks the contract on its own: tasks out of
+			// submission order, which the arrival cursor would replay in
+			// slice order, and a first task ahead of the session's start,
+			// which the engine would move to the start. Whichever slot the
+			// workload is in, the injector that pulls the session fails the
+			// run.
+			for _, c := range []struct {
+				label, id, task string
+				tr              *trace.Trace
 			}{
-				{trace.FaultSpec{HostMTBFHours: math.NaN(), HostMTTRHours: 1}, "host_mtbf_hours"},
-				{trace.FaultSpec{HostMTBFHours: 24, HostMTTRHours: math.NaN()}, "host_mttr_hours"},
-				{trace.FaultSpec{HostMTBFHours: 24, HostMTTRHours: math.Inf(1)}, "host_mttr_hours"},
+				{"a session's tasks out of submission order", unsortedID, "task 2", unsorted},
+				{"a task submitted before its session starts", prematureID, "task 0", premature},
 			} {
 				h = valid()
-				h.faults = &f.spec
-				refuses(fmt.Sprintf("%s %v", f.field, f.spec), h, f.field)
+				h.tr = c.tr
+				refuses(c.label+", Trace", h, c.id, c.task, "submission order")
+				h.tr, h.src, h.shards = nil, c.tr.AsSource(), 1
+				refuses(c.label+", Source", h, c.id, c.task, "submission order")
 			}
-			// Hours too large for a duration run, saturated: a repair drawn past
-			// the drain horizon never arrives — where a wrapped one arrived at
-			// once — exactly as a repair a finite 100,000 h away; an uptime drawn
-			// past it never ends.
-			hours := func(mtbf, mttr float64) hostileCase {
-				h := valid()
-				h.faults = &trace.FaultSpec{HostMTBFHours: mtbf, HostMTTRHours: mttr}
-				return h
-			}
-			if fp, _ := run("MTTR 1e12 h", hours(24, 1e12)); fpInt(fp, "crashes") == 0 || fpInt(fp, "recoveries") != 0 {
-				t.Errorf("%s, MTTR 1e12 h: %d crashes, %d recoveries; want crashes and no recovery", name, fpInt(fp, "crashes"), fpInt(fp, "recoveries"))
-			}
-			same("MTTR 1e12 h", hours(24, 1e12), hours(24, 1e5))
-			if fp, _ := run("MTBF 1e12 h", hours(1e12, 1)); fpInt(fp, "crashes") != 0 {
-				t.Errorf("%s, MTBF 1e12 h: %d crashes, want none", name, fpInt(fp, "crashes"))
-			}
-			same("MTBF 1e12 h", hours(1e12, 1), hours(1e5, 1))
+		}
 
-			if e.fed {
-				h = valid()
-				h.latency = federation.UniformMatrix(len(h.clusters)+1, time.Millisecond)
-				refuses("latency matrix larger than the federation", h, "Latency", "Clusters")
-				h.latency = federation.UniformMatrix(len(h.clusters)-1, time.Millisecond)
-				refuses("latency matrix smaller than the federation", h, "Latency", "Clusters")
-			}
+		h = valid()
+		h.faults = &trace.FaultSpec{HostMTBFHours: 10}
+		refuses("crash churn without a repair time", h, "host_mttr_hours")
 
-			// One config, two forms: a field of the form the config does not
-			// take is refused, not ignored.
-			other := map[string]func(*Config){
-				"Route":           func(c *Config) { c.Route = federation.LeastSubscribed() },
-				"Latency":         func(c *Config) { c.Latency = federation.UniformMatrix(1, 0) },
-				"PooledAutoscale": func(c *Config) { c.PooledAutoscale = true },
-				"FedMinHosts":     func(c *Config) { c.FedMinHosts = 3 },
-				"SLOAware":        func(c *Config) { c.SLOAware = true },
-			}
-			if e.fed {
-				other = map[string]func(*Config){
-					"Hosts":        func(c *Config) { c.Hosts = 30 },
-					"HostCapacity": func(c *Config) { c.HostCapacity = small },
-					"MinHosts":     func(c *Config) { c.MinHosts = 4 },
-					"Policy":       func(c *Config) { c.Policy = PolicyBatch },
-				}
-			}
-			for field, set := range other {
-				h = valid()
-				h.mix = set
-				refuses("a field of the other form, "+field, h, field, "Clusters")
-			}
-
-			// A host shape without GPUs places nothing and divides the
-			// provisioned hours by zero.
+		// Numbers only a Go caller can write: a NaN MTBF would switch churn
+		// off without a word, a NaN or infinite MTTR would schedule every
+		// repair in the past.
+		for _, f := range []struct {
+			spec  trace.FaultSpec
+			field string
+		}{
+			{trace.FaultSpec{HostMTBFHours: math.NaN(), HostMTTRHours: 1}, "host_mtbf_hours"},
+			{trace.FaultSpec{HostMTBFHours: 24, HostMTTRHours: math.NaN()}, "host_mttr_hours"},
+			{trace.FaultSpec{HostMTBFHours: 24, HostMTTRHours: math.Inf(1)}, "host_mttr_hours"},
+		} {
 			h = valid()
-			h.capacity = resources.Spec{Millicpus: 64_000, MemoryMB: 488 * 1024}
-			refuses("GPU-less hosts", h, map[bool]string{false: "HostCapacity", true: "Clusters[0].HostCapacity"}[e.fed])
+			h.faults = &f.spec
+			refuses(fmt.Sprintf("%s %v", f.field, f.spec), h, f.field)
+		}
+		// Hours too large for a duration run, saturated: a repair drawn past
+		// the drain horizon never arrives — where a wrapped one arrived at
+		// once — exactly as a repair a finite 100,000 h away; an uptime drawn
+		// past it never ends.
+		hours := func(mtbf, mttr float64) hostileCase {
+			h := valid()
+			h.faults = &trace.FaultSpec{HostMTBFHours: mtbf, HostMTTRHours: mttr}
+			return h
+		}
+		if fp, _ := run("MTTR 1e12 h", hours(24, 1e12)); fpInt(fp, "crashes") == 0 || fpInt(fp, "recoveries") != 0 {
+			t.Errorf("%s, MTTR 1e12 h: %d crashes, %d recoveries; want crashes and no recovery", e.name, fpInt(fp, "crashes"), fpInt(fp, "recoveries"))
+		}
+		same("MTTR 1e12 h", hours(24, 1e12), hours(24, 1e5))
+		if fp, _ := run("MTBF 1e12 h", hours(1e12, 1)); fpInt(fp, "crashes") != 0 {
+			t.Errorf("%s, MTBF 1e12 h: %d crashes, want none", e.name, fpInt(fp, "crashes"))
+		}
+		same("MTBF 1e12 h", hours(1e12, 1), hours(1e5, 1))
 
-			// Zero means the default for every numeric knob, so a negative one —
-			// or a NaN, which no comparison catches — is refused in both forms,
-			// naming the field: it is neither "none" nor "the default".
-			type knob struct {
-				field string
-				set   func(*Config)
-			}
-			knobs := []knob{
-				{"ReplicasPerKernel", func(c *Config) { c.ReplicasPerKernel = -1 }},
-				{"PrewarmPerHost", func(c *Config) { c.PrewarmPerHost = -1 }},
-				{"ScaleFactor", func(c *Config) { c.ScaleFactor = -1.05 }},
-				{"ScaleFactor", func(c *Config) { c.ScaleFactor = math.NaN() }},
-				{"SRHighWatermark", func(c *Config) { c.SRHighWatermark = -3 }},
-				{"SRHighWatermark", func(c *Config) { c.SRHighWatermark = math.NaN() }},
-			}
-			if e.fed {
-				knobs = append(knobs,
-					knob{"Clusters[1].Hosts", func(c *Config) { c.Clusters[1].Hosts = -1 }},
-					knob{"Clusters[1].MinHosts", func(c *Config) { c.Clusters[1].MinHosts = -1 }},
-					knob{"FedMinHosts", func(c *Config) { c.FedMinHosts = -1 }})
-			} else {
-				knobs = append(knobs,
-					knob{"Hosts", func(c *Config) { c.Hosts = -30 }},
-					knob{"MinHosts", func(c *Config) { c.MinHosts = -4 }})
-			}
-			for _, k := range knobs {
-				h = valid()
-				h.mix = k.set
-				refuses("a negative or NaN "+k.field, h, k.field)
-			}
-
-			// An outage scoped to a cluster hits the member of that name. A
-			// federation refuses a name none of its members has; a single
-			// cluster applies only unscoped outages, whatever the name.
-			outage := func(cluster string) *trace.FaultSpec {
-				return &trace.FaultSpec{Outages: []trace.OutageSpec{{StartHour: 1, DurationHours: 1, HostFraction: 1, Cluster: cluster}}}
-			}
+		if e.fed {
 			h = valid()
-			h.faults = outage("c9-typo")
-			if e.fed {
-				refuses("outage in a cluster no member has", h, "Outages[0]", "c9-typo", "c0, c1, c2")
-				h.faults = outage("c1")
-				if fp, _ := run("outage in c1", h); strings.Contains(fp, " crashes=0\n") {
-					t.Errorf("%s: an outage of every host of c1 crashed none", name)
-				}
-			} else if fp, _ := run("scoped outage, no Clusters", h); !strings.Contains(fp, " crashes=0\n") {
-				t.Errorf("%s: a scoped outage hit a run without Clusters:\n%s", name, fp)
-			}
+			h.latency = federation.UniformMatrix(len(h.clusters)+1, time.Millisecond)
+			refuses("latency matrix larger than the federation", h, "Latency", "Clusters")
+			h.latency = federation.UniformMatrix(len(h.clusters)-1, time.Millisecond)
+			refuses("latency matrix smaller than the federation", h, "Latency", "Clusters")
+		}
 
-			if e.sharded {
-				plain := valid()
-				plain.plain = true
-				for _, k := range []int{1, 0, -3} {
-					h = valid()
-					h.shards = k
-					same(fmt.Sprintf("k=%d is the unsharded call", k), h, plain)
-				}
-				// More shards than the smallest member has hosts clamps to that
-				// count (3 single-cluster hosts; members of 6, 4 and 2).
-				h, clamped := valid(), valid()
-				h.hosts, h.clusters, h.shards = 3, DefaultFedClusters(3, 12), 10
-				clamped.hosts, clamped.clusters, clamped.shards = 3, DefaultFedClusters(3, 12), 3
-				if e.fed {
-					clamped.shards = 2
-				}
-				same("k=10 clamps to the smallest member", h, clamped)
+		// One config, two forms: a field of the form the config does not
+		// take is refused, not ignored.
+		other := map[string]func(*Config){
+			"Route":           func(c *Config) { c.Route = federation.LeastSubscribed() },
+			"Latency":         func(c *Config) { c.Latency = federation.UniformMatrix(1, 0) },
+			"PooledAutoscale": func(c *Config) { c.PooledAutoscale = true },
+			"SLOAware":        func(c *Config) { c.SLOAware = true },
+		}
+		if e.fed {
+			other = map[string]func(*Config){
+				"Hosts":        func(c *Config) { c.Hosts = 30 },
+				"HostCapacity": func(c *Config) { c.HostCapacity = small },
+				"MinHosts":     func(c *Config) { c.MinHosts = 4 },
+				"Policy":       func(c *Config) { c.Policy = PolicyBatch },
 			}
+		}
+		for field, set := range other {
+			h = valid()
+			h.mix = set
+			refuses("a field of the other form, "+field, h, field, "Clusters")
+		}
+
+		// A host shape without GPUs places nothing and divides the
+		// provisioned hours by zero.
+		h = valid()
+		h.capacity = resources.Spec{Millicpus: 64_000, MemoryMB: 488 * 1024}
+		refuses("GPU-less hosts", h, map[bool]string{false: "HostCapacity", true: "Clusters[0].HostCapacity"}[e.fed])
+
+		// Zero means the default for every numeric knob, so a negative one —
+		// or a NaN, which no comparison catches — is refused in both forms,
+		// naming the field: it is neither "none" nor "the default".
+		type knob struct {
+			field string
+			set   func(*Config)
+		}
+		knobs := []knob{
+			{"ReplicasPerKernel", func(c *Config) { c.ReplicasPerKernel = -1 }},
+			{"PrewarmPerHost", func(c *Config) { c.PrewarmPerHost = -1 }},
+			{"ScaleFactor", func(c *Config) { c.ScaleFactor = -1.05 }},
+			{"ScaleFactor", func(c *Config) { c.ScaleFactor = math.NaN() }},
+			{"SRHighWatermark", func(c *Config) { c.SRHighWatermark = -3 }},
+			{"SRHighWatermark", func(c *Config) { c.SRHighWatermark = math.NaN() }},
+		}
+		if e.fed {
+			knobs = append(knobs,
+				knob{"Clusters[1].Hosts", func(c *Config) { c.Clusters[1].Hosts = -1 }},
+				knob{"Clusters[1].MinHosts", func(c *Config) { c.Clusters[1].MinHosts = -1 }})
+		} else {
+			knobs = append(knobs,
+				knob{"Hosts", func(c *Config) { c.Hosts = -30 }},
+				knob{"MinHosts", func(c *Config) { c.MinHosts = -4 }})
+		}
+		for _, k := range knobs {
+			h = valid()
+			h.mix = k.set
+			refuses("a negative or NaN "+k.field, h, k.field)
+		}
+
+		// An outage scoped to a cluster hits the member of that name. A
+		// federation refuses a name none of its members has; a single
+		// cluster applies only unscoped outages, whatever the name.
+		outage := func(cluster string) *trace.FaultSpec {
+			return &trace.FaultSpec{Outages: []trace.OutageSpec{{StartHour: 1, DurationHours: 1, HostFraction: 1, Cluster: cluster}}}
+		}
+		h = valid()
+		h.faults = outage("c9-typo")
+		if e.fed {
+			refuses("outage in a cluster no member has", h, "Outages[0]", "c9-typo", "c0, c1, c2")
+			h.faults = outage("c1")
+			if fp, _ := run("outage in c1", h); strings.Contains(fp, " crashes=0\n") {
+				t.Errorf("%s: an outage of every host of c1 crashed none", e.name)
+			}
+		} else if fp, _ := run("scoped outage, no Clusters", h); !strings.Contains(fp, " crashes=0\n") {
+			t.Errorf("%s: a scoped outage hit a run without Clusters:\n%s", e.name, fp)
+		}
+
+		if e.sharded {
+			plain := valid()
+			plain.plain = true
+			for _, k := range []int{1, 0, -3} {
+				h = valid()
+				h.shards = k
+				same(fmt.Sprintf("k=%d is the unsharded call", k), h, plain)
+			}
+			// More shards than the smallest member has hosts clamps to that
+			// count (3 single-cluster hosts; members of 6, 4 and 2).
+			h, clamped := valid(), valid()
+			h.hosts, h.clusters, h.shards = 3, DefaultFedClusters(3, 12), 10
+			clamped.hosts, clamped.clusters, clamped.shards = 3, DefaultFedClusters(3, 12), 3
+			if e.fed {
+				clamped.shards = 2
+			}
+			same("k=10 clamps to the smallest member", h, clamped)
 		}
 	}
 }

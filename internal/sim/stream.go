@@ -156,17 +156,13 @@ func (a *arrivals) next() {
 // exact splitting every shard has the same expected reserved-GPU-hours (the
 // analytic GenConfig.Expect, not a trace scan), so the proportional-share
 // weights are uniform by construction. Worker i simulates with
-// trace.ShardSeed(Seed, i), mirroring RunSharded; k <= 1 runs a single streaming
-// simulation of the whole config, and the smallest member bounds the shard
-// count. Capacity semantics follow cfg.ShardCapacity as in RunSharded: under
-// LeasePool the capacity ledger streams its own unsplit generator of gcfg,
-// so capacity metrics equal the unsharded streaming run's exactly
-// (TestLeasePoolStreamCapacityExact); the zero-value LegacySplit keeps the
-// static equal split. One streaming
-// caveat: the shard generators draw per-shard seeds, so the workers'
-// union is distributionally — not samplewise — the ledger's workload,
-// and merged task counts are near-equal rather than identical
-// (docs/SHARDING.md, "Streaming").
+// trace.ShardSeed(Seed, i), mirroring RunSharded; k <= 1, like ShardCapacity
+// == LeasePool, runs a single streaming simulation of the whole config, and
+// the smallest member bounds the shard count. One streaming caveat: the
+// shard generators draw per-shard seeds, so the workers' union is
+// distributionally — not samplewise — the unsharded run's workload, and
+// merged task counts are near-equal rather than identical (docs/SHARDING.md,
+// "Streaming").
 //
 // cfg.Trace and cfg.Source must be nil (an error otherwise: the workload is
 // gcfg); each worker gets its shard's generator as its Source. Pass
@@ -177,9 +173,7 @@ func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, er
 	if cfg.Trace != nil || cfg.Source != nil {
 		return nil, fmt.Errorf("sim: a streaming sharded run generates its workload from the GenConfig; Trace and Source must be nil")
 	}
-	// The plan itself replays the whole-workload stream: the single run at
-	// k <= 1, the capacity ledger under LeasePool (same seed, same sessions
-	// the shard generators partition among themselves).
+	// The plan itself replays the whole-workload stream: the unsharded run.
 	var err error
 	if cfg.Source, err = trace.NewStreamGen(gcfg, 0, 1); err != nil {
 		return nil, err

@@ -96,10 +96,8 @@ func (t *runningTask) Fire() {
 		ret := lat.Hop(s.rng)
 		s.sampleSteps(stepTail, t.task.Duration, post, ret)
 		if s.cfg.Policy == PolicyNotebookOS && !s.cfg.federated {
-			// The async replication costs of Fig. 11. Whether a run draws them
-			// is a fact of its form, not of a recorder's existence: a lease
-			// ledger keeps neither recorder, and must stay on the unsharded
-			// run's RNG stream to remain the unsharded run.
+			// The async replication costs of Fig. 11, which only a
+			// single-cluster run records.
 			s.res.SyncLatency.Add(lat.Sync(s.rng).Seconds())
 			s.res.WriteLatency.Add(lat.Store.PutLatency(params, s.rng).Seconds())
 		}

@@ -17,10 +17,8 @@
 // GPU-hours — so sim.RunSharded can replay one worker simulation per
 // shard in parallel and merge the results. ProportionalShares carries
 // the documented largest-remainder rounding rules for splitting integer
-// capacity (hosts) across shard weights; under sim's lease pool that
-// split is only the initial lease grant — shards then trade host leases
-// at epoch barriers against a shared capacity ledger (docs/SHARDING.md),
-// while the legacy static split keeps the shares for the whole run.
+// capacity (hosts) across shard weights; sim's sharded runners keep
+// those shares for the whole run (docs/SHARDING.md).
 //
 // Beyond the paper's fixed traces, the scenario lab (scenario.go) defines
 // a declarative synthetic workload family: a ScenarioSpec composes an

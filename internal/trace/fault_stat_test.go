@@ -13,8 +13,8 @@ import (
 // stream and fail by a wide margin for a mis-scaled mean.
 
 // TestHostFaultDeterministicPerSlot: HostFault is a pure function of
-// (spec, seed, slot) — the replay guarantee the lease pool's capacity
-// ledger rests on — and distinct slots decorrelate.
+// (spec, seed, slot) — the replay guarantee — and distinct slots
+// decorrelate.
 func TestHostFaultDeterministicPerSlot(t *testing.T) {
 	f := FaultSpec{HostMTBFHours: 24, HostMTTRHours: 1}
 	u1, d1 := f.HostFault(7, 12)

@@ -17,8 +17,7 @@ import (
 // workload. The spec carries no state: every draw is a pure function of
 // (spec, run seed, host slot), so two simulations given the same seed
 // replay byte-identical fault streams regardless of sharding or worker
-// scheduling. That purity is what keeps the lease pool's capacity ledger
-// exact under faults (docs/FAULTS.md, docs/SHARDING.md).
+// scheduling (docs/FAULTS.md).
 
 // FaultSpec declares a deterministic fault model for a simulation run.
 // The zero value (and a nil pointer) means a failure-free world: every
@@ -207,9 +206,7 @@ func (f *FaultSpec) HostFault(seed int64, slot uint64) (up, down time.Duration) 
 
 // OutageRNG returns the deterministic RNG for outage index i's per-host
 // kill draws. The simulator draws one Float64 per live host in host-list
-// order, so a replayed run — in particular the lease pool's capacity
-// ledger, which replays the parent seed over the parent workload —
-// selects the identical victims.
+// order, so a replayed run selects the identical victims.
 func (f *FaultSpec) OutageRNG(seed int64, i int) *rand.Rand {
 	return faultRNG(seed, uint64(1<<32)+uint64(i))
 }

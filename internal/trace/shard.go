@@ -22,9 +22,7 @@ type Shard struct {
 	// [0, 1]. Session weight is reserved GPU-hours (Request.GPUs x
 	// lifetime) — the Reservation-baseline demand — so capacity split
 	// proportionally to Weight gives each worker cluster the same
-	// demand-to-capacity ratio the unsharded cluster saw. Under sim's
-	// lease pool that proportional split is only the initial lease grant;
-	// host ownership then moves between shards at every epoch barrier
+	// demand-to-capacity ratio the unsharded cluster saw
 	// (docs/SHARDING.md).
 	Weight float64
 }
@@ -105,9 +103,6 @@ func (tr *Trace) Split(k int) []Shard {
 //
 // The result always sums to exactly total (for total >= 0), and is a pure
 // function of its arguments, so sharded capacity splits are reproducible.
-// For sim's sharded runners this split is the initial lease grant: final
-// capacity under the lease pool is re-apportioned at epoch barriers, and
-// only the legacy static split keeps these shares for the whole run.
 func ProportionalShares(weights []float64, total, min int) []int {
 	n := len(weights)
 	if n == 0 {
