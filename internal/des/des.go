@@ -146,29 +146,6 @@ func (e *Engine) Defer(d time.Duration, fn Handler) {
 	e.Schedule(e.now.Add(d), fn)
 }
 
-// lateBias pushes an event's sequence number past every normally scheduled
-// event, so late events lose all same-timestamp ties regardless of when
-// they were scheduled. Normal sequence numbers count actual schedules and
-// stay far below the bias.
-const lateBias = int64(1) << 62
-
-// ScheduleLate schedules fn at absolute time t in the late tie-break
-// class: at equal timestamps it fires after every normally scheduled
-// event, and after earlier-scheduled late events. Periodic observers
-// (sampling, autoscaling ticks) use it so that their position relative to
-// model events at the same instant does not depend on when the tick, or
-// the model event, happened to be scheduled: a tick observes an instant
-// after everything the model does in it.
-func (e *Engine) ScheduleLate(t time.Time, fn Handler) {
-	e.schedule(t, e.ReserveSeq(1)+lateBias, fn, nil)
-}
-
-// DeferLate schedules fn d from now in the late tie-break class (see
-// ScheduleLate).
-func (e *Engine) DeferLate(d time.Duration, fn Handler) {
-	e.ScheduleLate(e.now.Add(d), fn)
-}
-
 // ScheduleRunner schedules r.Fire at absolute time t — Schedule for Runner
 // state machines: the pooled event carries the interface value directly, so
 // re-scheduling a long-lived Runner allocates nothing.

@@ -268,26 +268,3 @@ func TestRunnerScheduleAllocs(t *testing.T) {
 		t.Fatalf("ScheduleRunner+step allocates %.1f per op, want 0", allocs)
 	}
 }
-
-func TestLateEventsLoseAllTies(t *testing.T) {
-	e := New(t0)
-	var order []string
-	at := t0.Add(time.Second)
-	// A late event scheduled FIRST still fires after normal events at the
-	// same instant — including normal events scheduled afterwards.
-	e.ScheduleLate(at, func() { order = append(order, "late1") })
-	e.Schedule(at, func() { order = append(order, "a") })
-	e.DeferLate(time.Second, func() { order = append(order, "late2") })
-	e.Schedule(at, func() { order = append(order, "b") })
-	e.Schedule(at.Add(time.Second), func() { order = append(order, "next") })
-	e.Run()
-	want := []string{"a", "b", "late1", "late2", "next"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}

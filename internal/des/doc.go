@@ -16,8 +16,10 @@
 //     that knows now that it will schedule n events later can draw their
 //     numbers now (ReserveSeq) and spend them one at a time
 //     (ScheduleRunnerSeq): the events order as if all n had been scheduled at
-//     the reservation, while only one of them is ever pending. Events in the
-//     late class (ScheduleLate) lose every tie to the others.
+//     the reservation, while only one of them is ever pending. A client that
+//     must observe an instant after everything scheduled in it (internal/sim's
+//     periodic ticks) runs the engine to that instant (RunUntil) and observes
+//     from outside the heap.
 //   - Event handlers must not depend on host-map iteration order, wall-clock
 //     time, or goroutine interleaving; one Engine is never shared between
 //     goroutines.
@@ -25,11 +27,11 @@
 // Internally the ready queue is a hand-rolled 4-ary heap keyed by an
 // int64-nanosecond (time, sequence) pair. No scheduling call returns a
 // handle, so a fired event can be reused: every call (Schedule,
-// ScheduleLate, ScheduleRunner, ScheduleRunnerSeq and their Defer forms —
-// one body, Engine.schedule) takes its event from a pool refilled in
-// geometrically growing arena blocks (O(log peak) allocations for any
-// pending-event peak). FuzzEngineOrder holds all of it to a reference that
-// scans a slice for the least (time, late class, sequence). Engine.Reserve
+// ScheduleRunner, ScheduleRunnerSeq and their Defer forms — one body,
+// Engine.schedule) takes its event from a pool refilled in geometrically
+// growing arena blocks (O(log peak) allocations for any pending-event
+// peak). FuzzEngineOrder holds all of it to a reference that scans a slice
+// for the least (time, sequence). Engine.Reserve
 // pre-sizes both the heap and the arena from a caller's peak hint, for a
 // client that knows its pending-event peak ahead of time; internal/sim does
 // not (its pending events follow the work in flight) and grows both on

@@ -6,16 +6,15 @@ import (
 	"time"
 )
 
-// The firing order is the engine's contract: least (time, late class,
-// sequence number) first, where a sequence number is drawn when an event is
-// scheduled — or reserved ahead of time and spent later. This file checks
-// the 4-ary heap, the event pool and the reserved numbers against the
-// slowest honest implementation of that sentence.
+// The firing order is the engine's contract: least (time, sequence number)
+// first, where a sequence number is drawn when an event is scheduled — or
+// reserved ahead of time and spent later. This file checks the 4-ary heap,
+// the event pool and the reserved numbers against the slowest honest
+// implementation of that sentence.
 
 // scheduler is what a fuzz program drives: Engine's scheduling surface.
 type scheduler interface {
 	Schedule(time.Time, Handler)
-	ScheduleLate(time.Time, Handler)
 	ScheduleRunner(time.Time, Runner)
 	ScheduleRunnerSeq(time.Time, int64, Runner)
 	ReserveSeq(int) int64
@@ -23,8 +22,7 @@ type scheduler interface {
 }
 
 // refEngine is the executable specification: pending events in a slice, the
-// next one found by scanning for the least (time, late class, sequence
-// number).
+// next one found by scanning for the least (time, sequence number).
 type refEngine struct {
 	now     time.Time
 	seq     int64
@@ -33,7 +31,6 @@ type refEngine struct {
 
 type refEvent struct {
 	at   time.Time
-	late bool
 	seq  int64
 	fire func()
 }
@@ -42,17 +39,14 @@ func (ev *refEvent) before(o *refEvent) bool {
 	if !ev.at.Equal(o.at) {
 		return ev.at.Before(o.at)
 	}
-	if ev.late != o.late {
-		return o.late
-	}
 	return ev.seq < o.seq
 }
 
-func (r *refEngine) add(t time.Time, late bool, seq int64, fire func()) {
+func (r *refEngine) add(t time.Time, seq int64, fire func()) {
 	if t.Before(r.now) {
 		t = r.now
 	}
-	r.pending = append(r.pending, &refEvent{at: t, late: late, seq: seq, fire: fire})
+	r.pending = append(r.pending, &refEvent{at: t, seq: seq, fire: fire})
 }
 
 func (r *refEngine) ReserveSeq(n int) int64 {
@@ -61,17 +55,11 @@ func (r *refEngine) ReserveSeq(n int) int64 {
 	return first
 }
 
-func (r *refEngine) Schedule(t time.Time, fn Handler) { r.add(t, false, r.ReserveSeq(1), fn) }
+func (r *refEngine) Schedule(t time.Time, fn Handler) { r.add(t, r.ReserveSeq(1), fn) }
 
-func (r *refEngine) ScheduleLate(t time.Time, fn Handler) { r.add(t, true, r.ReserveSeq(1), fn) }
+func (r *refEngine) ScheduleRunner(t time.Time, run Runner) { r.add(t, r.ReserveSeq(1), run.Fire) }
 
-func (r *refEngine) ScheduleRunner(t time.Time, run Runner) {
-	r.add(t, false, r.ReserveSeq(1), run.Fire)
-}
-
-func (r *refEngine) ScheduleRunnerSeq(t time.Time, seq int64, run Runner) {
-	r.add(t, false, seq, run.Fire)
-}
+func (r *refEngine) ScheduleRunnerSeq(t time.Time, seq int64, run Runner) { r.add(t, seq, run.Fire) }
 
 func (r *refEngine) Run() {
 	for len(r.pending) > 0 {
@@ -123,10 +111,10 @@ func (n noter) Fire() { n() }
 // kind and argument; every instant is one of eight consecutive nanoseconds
 // (the argument's low three bits), so ties are the rule:
 //
-//	0  Schedule            1  ScheduleLate          2  ScheduleRunner
-//	3  a reserved chain of 2-5 links; each further link is one more byte,
+//	0  Schedule            1  ScheduleRunner
+//	2  a reserved chain of 2-5 links; each further link is one more byte,
 //	   whose low two bits are its distance from the link before
-//	4  Schedule an event that schedules another when it fires, at an instant
+//	3  Schedule an event that schedules another when it fires, at an instant
 //	   that may by then be in the past
 func runProgram(s scheduler, prog []byte) (fired []int) {
 	ids := 0
@@ -137,17 +125,15 @@ func runProgram(s scheduler, prog []byte) (fired []int) {
 	}
 	instant := func(b byte) time.Time { return t0.Add(time.Duration(b & 7)) }
 	for len(prog) >= 2 {
-		kind, arg := prog[0]%5, prog[1]
+		kind, arg := prog[0]%4, prog[1]
 		prog = prog[2:]
 		at, pick := instant(arg), int(arg>>3)
 		switch kind {
 		case 0:
 			s.Schedule(at, note())
 		case 1:
-			s.ScheduleLate(at, note())
-		case 2:
 			s.ScheduleRunner(at, noter(note()))
-		case 3:
+		case 2:
 			c := &chain{s: s, times: []time.Time{at}}
 			for links := 1 + pick%4; links > 0 && len(prog) > 0; links-- {
 				at = at.Add(time.Duration(prog[0] & 3))
@@ -158,7 +144,7 @@ func runProgram(s scheduler, prog []byte) (fired []int) {
 			ids += len(c.times)
 			c.fired = func(link int) { fired = append(fired, first+link) }
 			c.start()
-		case 4:
+		case 3:
 			parent, child, childAt := note(), note(), instant(byte(pick))
 			s.Schedule(at, func() { parent(); s.Schedule(childAt, child) })
 		}
@@ -175,13 +161,13 @@ func FuzzEngineOrder(f *testing.F) {
 	// A chain's second link and a later Schedule meet at 7 ns: the link fires
 	// first only under the number reserved for it before the Schedule drew
 	// its own.
-	f.Add([]byte{3, 5, 2, 0, 7})
+	f.Add([]byte{2, 5, 2, 0, 7})
 	// Two chains interleaved link for link on the same nanoseconds.
-	f.Add([]byte{3, 1 | 2<<3, 0, 1, 0, 3, 1 | 2<<3, 0, 1, 0, 0, 1, 0, 2})
-	// Late, normal and Runner events tied at 3 ns, a late one first.
-	f.Add([]byte{1, 3, 0, 3, 2, 3, 1, 3, 0, 3, 2, 3})
+	f.Add([]byte{2, 1 | 2<<3, 0, 1, 0, 2, 1 | 2<<3, 0, 1, 0, 0, 1, 0, 2})
+	// Runner and Handler events alternating at 3 ns, a Runner first.
+	f.Add([]byte{1, 3, 0, 3, 1, 3, 0, 3, 1, 3})
 	// A child scheduled in the past lands on now, behind what is already there.
-	f.Add([]byte{4, 5 | 2<<3, 0, 5, 1, 5, 3, 5, 0})
+	f.Add([]byte{3, 5 | 2<<3, 0, 5, 1, 5, 2, 5, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			prog = prog[:512] // the reference is quadratic
@@ -213,7 +199,6 @@ func TestReservedChainFiresLikeUpFront(t *testing.T) {
 		}
 		e.Schedule(ns(1), note("before, 1"))
 		e.Schedule(ns(0), spawn("spawner, 0", ns(1)))
-		e.ScheduleLate(ns(4), note("late, 4"))
 		link := func(i int) { log = append(log, "link "+string(rune('0'+i))) }
 		if chained {
 			(&chain{s: e, times: times, fired: link}).start()
@@ -233,7 +218,7 @@ func TestReservedChainFiresLikeUpFront(t *testing.T) {
 	if !slices.Equal(upFront, chained) {
 		t.Fatalf("chained events fired\n  %q, up front\n  %q", chained, upFront)
 	}
-	if want := len(times) + 10; len(upFront) != want {
+	if want := len(times) + 9; len(upFront) != want {
 		t.Fatalf("%d events fired, want %d: %q", len(upFront), want, upFront)
 	}
 }

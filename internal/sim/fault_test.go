@@ -240,7 +240,7 @@ func simOf(cfg Config) (*sim, error) {
 func probeRunningNbosSession(t *testing.T, s *sim) (*session, *runningTask) {
 	t.Helper()
 	for at := 10 * time.Minute; at < s.end.Sub(s.start); at += 10 * time.Minute {
-		s.eng.RunUntil(s.start.Add(at))
+		s.runUntil(s.start.Add(at))
 		for _, ss := range s.live {
 			if nt := ss.cur; nt != nil && !nt.dead {
 				return ss, nt
@@ -303,7 +303,7 @@ func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
 		}
 	}
 	// The run must still complete and stay internally consistent.
-	s.eng.RunUntil(s.end.Add(24 * time.Hour))
+	s.drain()
 	res, err := s.finish()
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +345,7 @@ func TestExecutorCrashRestartsTask(t *testing.T) {
 	if s.res.TaskRestarts != 1 {
 		t.Errorf("executor crash must restart the task once, got %d", s.res.TaskRestarts)
 	}
-	s.eng.RunUntil(s.end.Add(24 * time.Hour))
+	s.drain()
 	res, err := s.finish()
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +424,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.close()
-	s.eng.RunUntil(s.start.Add(time.Minute))
+	s.runUntil(s.start.Add(time.Minute))
 
 	task := trace.Task{Submit: s.now(), Duration: time.Hour, GPUs: 1}
 	inter := &session{src: &trace.Session{ID: "probe-i", SLO: trace.SLOInteractive}, running: true}
@@ -464,6 +464,60 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 		if math.Abs(got[i]-want[i]) > 1e-9 {
 			t.Errorf("recovery charge %d: want %vs, got %vs", i, want[i], got[i])
 		}
+	}
+}
+
+// TestRestartPenaltyNeverWraps restarts one best-effort task again and
+// again under the two specs that used to wrap its recovery charge. With
+// "max_retries": 40 the doubled backoff passes the largest duration within
+// the task's 80 attempts, and 15 of the charges came out negative; with
+// "checkpoint_restore_seconds": 1e300 every charge was about -9.2e9 s and
+// each restart fired at once. Every charge must be non-negative and none
+// smaller than the one before, and a restart that lands past the horizon
+// must not be armed at all.
+func TestRestartPenaltyNeverWraps(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(67)
+	gcfg.Duration = 2 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	task := trace.Task{Duration: time.Hour, GPUs: 1}
+	for _, c := range []struct {
+		name    string
+		spec    trace.FaultSpec
+		charges int
+	}{
+		{"max_retries 40", trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1, MaxRetries: 40}, 80},
+		{"checkpoint_restore_seconds 1e300", trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1, CheckpointRestoreSeconds: 1e300}, 6},
+	} {
+		s, err := simOf(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &c.spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.runUntil(s.start.Add(time.Minute))
+		ss := &session{src: &trace.Session{ID: "probe", SLO: trace.SLOBestEffort}, running: true}
+		armed := 0
+		for range c.charges {
+			pending := s.eng.Len()
+			s.restartTask(ss, task, s.now())
+			armed += s.eng.Len() - pending
+		}
+		got := s.res.RecoveryTime.Values()
+		if len(got) != c.charges || s.res.Abandonments != 0 {
+			t.Fatalf("%s: %d recovery charges and %d abandonments, want %d and 0", c.name, len(got), s.res.Abandonments, c.charges)
+		}
+		horizon := s.horizon().Sub(s.now()).Seconds()
+		due := 0
+		for i, sec := range got {
+			if sec < 0 || i > 0 && sec < got[i-1] {
+				t.Errorf("%s: recovery charge %d is %vs, after %vs", c.name, i+1, sec, got[max(i-1, 0)])
+			}
+			if sec <= horizon {
+				due++
+			}
+		}
+		if armed != due {
+			t.Errorf("%s: %d restarts armed, but %d of the charges fall within the horizon", c.name, armed, due)
+		}
+		s.close()
 	}
 }
 
@@ -586,7 +640,7 @@ func TestAbortedMachineIsNeverReused(t *testing.T) {
 	defer s.close()
 	seen, aborted := map[*runningTask]bool{}, map[*runningTask]bool{}
 	for at := s.start; at.Before(s.end); at = at.Add(time.Minute) {
-		s.eng.RunUntil(at)
+		s.runUntil(at)
 		for m := range seen {
 			if m.dead {
 				aborted[m] = true

@@ -268,8 +268,9 @@ func (s *sim) abortRestart(ss *session) {
 }
 
 // restartTask resubmits an aborted task after a checkpoint-restore
-// penalty plus exponential backoff, against an SLO-class-aware retry
-// budget (interactive abandons fastest). The original submit time rides
+// penalty plus exponential backoff (trace.FaultSpec.RestartPenalty, armed
+// like any fault event: never past the horizon), against an SLO-class-aware
+// retry budget (interactive abandons fastest). The original submit time rides
 // along, so every restart's delay lands in the interactivity and TCT
 // tails. An exhausted budget abandons the task — counted, never silently
 // dropped — and the session's queue moves on.
@@ -282,9 +283,9 @@ func (s *sim) restartTask(ss *session, task trace.Task, submit time.Time) {
 		return
 	}
 	s.res.TaskRestarts++
-	penalty := f.CheckpointRestore() + f.RetryBackoff()<<(ss.restarts-1)
+	penalty := f.RestartPenalty(ss.restarts)
 	s.res.RecoveryTime.Add(penalty.Seconds())
-	s.eng.Defer(penalty, func() {
+	s.armFault(s.now().Add(penalty), func() {
 		if ss.closed {
 			return // the session ended during the backoff; its work dies with it
 		}

@@ -155,7 +155,7 @@ func TestScaleInGateMatchesWalk(t *testing.T) {
 	m := s.members[0]
 	shut, open := 0, 0
 	for at := s.start; at.Before(s.end); at = at.Add(time.Minute) {
-		s.eng.RunUntil(at)
+		s.runUntil(at)
 		empty := 0
 		for _, h := range m.hosts {
 			if h.h.Empty() {
@@ -199,7 +199,7 @@ func TestNoSubscriptionOutlivesItsSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		for at := s.start; !at.After(s.end.Add(24 * time.Hour)); at = at.Add(time.Minute) {
-			s.eng.RunUntil(at)
+			s.runUntil(at)
 			held := 0
 			for _, ss := range s.live { // tracked under faults
 				for _, h := range ss.hosts {

@@ -443,8 +443,11 @@ type sim struct {
 	autoscaler *federation.FederatedAutoscaler
 	loads      []federation.MemberLoad
 
-	// start and end are the simulated window the workload (cfg.Source) spans.
+	// start and end are the simulated window the workload (cfg.Source) spans;
+	// tick numbers the next tick instant, start + tick·autoscaleInterval
+	// (runUntil).
 	start, end time.Time
+	tick       int64
 	// sampleSeq numbers the lean-mode reservoir seeds in recorder creation
 	// order, so merges stay reproducible.
 	sampleSeq int64
@@ -586,7 +589,7 @@ func (s *sim) newSample() *metrics.Sample {
 
 // build finishes construction once newSim has created the recorders: fault
 // layer armed, members and their hosts in place, the injector armed at the
-// first session's start, sampling and autoscale ticks armed.
+// first session's start.
 func (s *sim) build() error {
 	cfg, specs := &s.cfg, s.cfg.Clusters
 	// Fault injection arms before the hosts join so every host slot —
@@ -656,12 +659,6 @@ func (s *sim) build() error {
 	if first, ok := s.pull(); ok {
 		(&injector{s: s}).arm(first)
 	}
-
-	// Periodic sampling and autoscaling.
-	s.scheduleTick(0, sampleEvery, s.sampleProvisioned)
-	if s.wholeServers() {
-		s.scheduleTick(autoscaleInterval, autoscaleInterval, s.autoscale)
-	}
 	return nil
 }
 
@@ -700,9 +697,9 @@ func (s *sim) close() {
 	}
 }
 
-// drain runs the engine to the horizon, a day past the window's end, letting
-// the in-flight tail complete.
-func (s *sim) drain() { s.eng.RunUntil(s.horizon()) }
+// drain runs the simulation to the horizon, a day past the window's end,
+// letting the in-flight tail complete.
+func (s *sim) drain() { s.runUntil(s.horizon()) }
 
 func (s *sim) horizon() time.Time { return s.end.Add(24 * time.Hour) }
 
@@ -1286,14 +1283,10 @@ func (s *sim) mostIdleHost(ss *session, need *resources.Spec) *host {
 	return nil
 }
 
-// markTraining steps the training series at a task's training start/end:
-// committed GPUs on the executor's member, and the active-training count
-// where the run records one.
-func (s *sim) markTraining(t *runningTask, start bool) {
-	d := 1.0
-	if !start {
-		d = -1
-	}
+// markTraining steps the training series by d, +1 at a task's training
+// start and -1 at its end: committed GPUs on the executor's member, and the
+// active-training count where the run records one.
+func (s *sim) markTraining(t *runningTask, d float64) {
 	at := s.now()
 	s.res.ActiveTrainings.Delta(at, d)
 	s.members[t.h.member].res.CommittedGPUs.Delta(at, d*float64(t.task.GPUs))
@@ -1306,20 +1299,33 @@ func (s *sim) sampleSR() {
 	}
 }
 
-// ---- periodic sampling & autoscaling ------------------------------------
+// ---- the run loop: periodic sampling & autoscaling ----------------------
 
-// scheduleTick arms a periodic observer: fn runs first after `first`, then
-// every period until the window ends, always in the engine's late
-// tie-break class (see stream.go).
-func (s *sim) scheduleTick(first, period time.Duration, fn func()) {
-	var tick func()
-	tick = func() {
-		fn()
-		if s.now().Before(s.end) {
-			s.eng.DeferLate(period, tick)
+// runUntil advances the simulation to t. It is the one run loop: the engine
+// runs to each tick instant — every autoscaleInterval from the window's
+// start — and then that instant's ticks run, sampling before autoscale, so a
+// tick observes its instant after every model event in it. Sampling first
+// runs at the start and autoscaling one interval later; each runs last at
+// its first instant at or past the window's end.
+func (s *sim) runUntil(t time.Time) {
+	for ; ; s.tick++ {
+		at := s.start.Add(time.Duration(s.tick) * autoscaleInterval)
+		// A tick runs here when its previous instant lay before the end. Once
+		// the sampling tick's no longer does, past the two first instants
+		// (which run regardless), neither tick runs again.
+		sampling := at.Add(-sampleEvery).Before(s.end)
+		if at.After(t) || s.tick > 1 && !sampling {
+			break
+		}
+		s.eng.RunUntil(at)
+		if at.Sub(s.start)%sampleEvery == 0 && (s.tick == 0 || sampling) {
+			s.sampleProvisioned()
+		}
+		if s.wholeServers() && (s.tick == 1 || s.tick > 1 && at.Add(-autoscaleInterval).Before(s.end)) {
+			s.autoscale()
 		}
 	}
-	s.eng.DeferLate(first, tick)
+	s.eng.RunUntil(t)
 }
 
 // sampleProvisioned records every member's provisioned-GPU series, whose

@@ -26,12 +26,11 @@ import (
 // later one at the same instant — the cursor included: at admission the
 // injector reserves one number per task (des.ReserveSeq), the ones an event
 // per task scheduled on the spot would have drawn, and arrival i fires with
-// the i-th of them. One tie class is left — a trace event
-// landing on the same nanosecond as a periodic sampling or autoscale tick,
-// common under coarse trace granularities — and it is closed by scheduling
-// the ticks in the engine's late tie-break class (des.DeferLate): a tick
-// loses every same-instant tie to model events, so what it observes does not
-// depend on how far ahead of it the events of that instant were scheduled.
+// the i-th of them. The periodic sampling and autoscale ticks are not
+// events: the run loop (runUntil) runs the engine to a tick's instant and
+// then the tick, so a trace event on the same nanosecond as a tick — common
+// under coarse trace granularities — always comes first, however far ahead
+// of it the events of that instant were scheduled.
 
 // gpuHoursAcc integrates a step function of GPU counts online, in
 // value-hours: the reserved-GPU integral of a run, fed as sessions come and

@@ -79,8 +79,9 @@ func TestStreamingFederatedMatchesMaterialized(t *testing.T) {
 
 // TestEveryRunAdmitsLazily: a materialized trace enters a simulation the way
 // a generator does, a session at a time, and a session submits its tasks one
-// at a time. Right after build the engine holds the injector and the first
-// ticks, not an event per session boundary and task arrival, and over the run
+// at a time. Right after build the engine holds the injector, not an event
+// per session boundary and task arrival (the periodic ticks run in the sim's
+// loop, outside the engine), and over the run
 // its pending events follow the work in flight — a live session's end and its
 // next arrival, a running task's next phase — not the 2·sessions + tasks a
 // schedule built up front starts from, nor the tasks the live sessions have
@@ -96,16 +97,16 @@ func TestEveryRunAdmitsLazily(t *testing.T) {
 	defer s.close()
 	upFront := 2*len(tr.Sessions) + tr.NumTasks()
 	built := s.eng.Len()
-	if built > 8 {
-		t.Errorf("%d events pending after build, want at most 8 (a schedule built up front holds %d)", built, upFront)
+	if built > 6 {
+		t.Errorf("%d events pending after build, want at most 6 (a schedule built up front holds %d)", built, upFront)
 	}
 	peak, live := 0, 0
 	for at := s.start; at.Before(s.end); at = at.Add(time.Hour) {
-		s.eng.RunUntil(at)
+		s.runUntil(at)
 		// A live session holds its end, its next arrival and, while a task of
-		// its runs, that task's next phase; the rest is the injector, two
-		// ticks and the odd warm-pool refill or outliving task.
-		if n, alive := s.eng.Len(), int(s.res.ActiveSessions.Last()); n > 3*alive+8 {
+		// its runs, that task's next phase; the rest is the injector and the
+		// odd warm-pool refill or outliving task.
+		if n, alive := s.eng.Len(), int(s.res.ActiveSessions.Last()); n > 3*alive+6 {
 			t.Errorf("%v: %d events pending with %d sessions alive, want at most three a session", at, n, alive)
 		} else if n > peak {
 			peak, live = n, alive

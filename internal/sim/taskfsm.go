@@ -73,7 +73,7 @@ func (t *runningTask) Fire() {
 	case 0: // training starts
 		t.phase = 1
 		t.tstart = s.now().UnixNano()
-		s.markTraining(t, true)
+		s.markTraining(t, 1)
 		if s.cfg.Policy != PolicyReservation {
 			// Reservation scheduled its completion alongside the start;
 			// task durations are strictly positive, so the phases fire in
@@ -103,7 +103,7 @@ func (t *runningTask) Fire() {
 		}
 		s.eng.DeferRunner(post+ret, t)
 	case 2: // reply returned
-		s.markTraining(t, false)
+		s.markTraining(t, -1)
 		t.release()
 		if s.cfg.Policy == PolicyLCP {
 			t.h.warm++ // the container goes back to the warm pool
@@ -132,7 +132,7 @@ func (t *runningTask) release() {
 func (t *runningTask) abort() {
 	t.dead = true
 	if t.phase >= 1 {
-		t.s.markTraining(t, false)
+		t.s.markTraining(t, -1)
 		t.s.res.LostGPUHours += time.Duration(t.s.now().UnixNano()-t.tstart).Hours() * float64(t.task.GPUs)
 	}
 	t.release()

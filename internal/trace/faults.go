@@ -106,7 +106,7 @@ func (f *FaultSpec) Validate() error {
 		return err
 	}
 	if f.HostMTBFHours < 0 || f.HostMTTRHours < 0 {
-		return fmt.Errorf("trace: faults need non-negative MTBF/MTTR, got %v/%v",
+		return fmt.Errorf("trace: faults need non-negative host_mtbf_hours and host_mttr_hours, got %v and %v",
 			f.HostMTBFHours, f.HostMTTRHours)
 	}
 	if f.HostMTBFHours > 0 && f.HostMTTRHours <= 0 {
@@ -114,26 +114,27 @@ func (f *FaultSpec) Validate() error {
 			f.HostMTBFHours)
 	}
 	if f.CheckpointRestoreSeconds < 0 || f.RetryBackoffSeconds < 0 || f.MaxRetries < 0 {
-		return fmt.Errorf("trace: faults need non-negative restart knobs")
+		return fmt.Errorf("trace: faults need non-negative checkpoint_restore_seconds, retry_backoff_seconds and max_retries, got %v, %v and %v",
+			f.CheckpointRestoreSeconds, f.RetryBackoffSeconds, f.MaxRetries)
 	}
 	for i, o := range f.Outages {
 		if o.StartHour < 0 || o.DurationHours <= 0 {
-			return fmt.Errorf("trace: outage %d invalid window [%v, +%vh)", i, o.StartHour, o.DurationHours)
+			return fmt.Errorf("trace: faults outages[%d] needs start_hour >= 0 and duration_hours > 0, got %v and %v", i, o.StartHour, o.DurationHours)
 		}
 		if o.HostFraction <= 0 || o.HostFraction > 1 {
-			return fmt.Errorf("trace: outage %d host_fraction %v outside (0,1]", i, o.HostFraction)
+			return fmt.Errorf("trace: faults outages[%d].host_fraction %v is outside (0, 1]", i, o.HostFraction)
 		}
 	}
 	for i, d := range f.Degradations {
 		if d.StartHour < 0 || d.DurationHours <= 0 {
-			return fmt.Errorf("trace: degradation %d invalid window [%v, +%vh)", i, d.StartHour, d.DurationHours)
+			return fmt.Errorf("trace: faults degradations[%d] needs start_hour >= 0 and duration_hours > 0, got %v and %v", i, d.StartHour, d.DurationHours)
 		}
 		if d.Factor < 1 {
-			return fmt.Errorf("trace: degradation %d factor %v below 1", i, d.Factor)
+			return fmt.Errorf("trace: faults degradations[%d].factor %v is below 1", i, d.Factor)
 		}
 		for j, p := range f.Degradations[:i] {
 			if d.StartHour < p.StartHour+p.DurationHours && p.StartHour < d.StartHour+d.DurationHours {
-				return fmt.Errorf("trace: degradations %d and %d overlap", j, i)
+				return fmt.Errorf("trace: faults degradations %d and %d overlap", j, i)
 			}
 		}
 	}
@@ -211,21 +212,24 @@ func (f *FaultSpec) OutageRNG(seed int64, i int) *rand.Rand {
 	return faultRNG(seed, uint64(1<<32)+uint64(i))
 }
 
-// CheckpointRestore returns the configured checkpoint-restore penalty.
-func (f *FaultSpec) CheckpointRestore() time.Duration {
-	if f == nil || f.CheckpointRestoreSeconds <= 0 {
-		return DefaultCheckpointRestore
+// RestartPenalty returns how long restart attempt n (counting from 1) of one
+// task waits: the checkpoint restore, CheckpointRestoreSeconds or
+// DefaultCheckpointRestore, plus the backoff base, RetryBackoffSeconds or
+// DefaultRetryBackoff, doubled n-1 times. Like Hours it saturates at the
+// largest duration instead of wrapping, so it never decreases in n.
+func (f *FaultSpec) RestartPenalty(n int) time.Duration {
+	restore, backoff := DefaultCheckpointRestore, DefaultRetryBackoff
+	if f != nil && f.CheckpointRestoreSeconds > 0 {
+		restore = nanos(f.CheckpointRestoreSeconds * float64(time.Second))
 	}
-	return time.Duration(f.CheckpointRestoreSeconds * float64(time.Second))
-}
-
-// RetryBackoff returns the base backoff between restart attempts;
-// attempt n waits RetryBackoff << (n-1).
-func (f *FaultSpec) RetryBackoff() time.Duration {
-	if f == nil || f.RetryBackoffSeconds <= 0 {
-		return DefaultRetryBackoff
+	if f != nil && f.RetryBackoffSeconds > 0 {
+		backoff = nanos(f.RetryBackoffSeconds * float64(time.Second))
 	}
-	return time.Duration(f.RetryBackoffSeconds * float64(time.Second))
+	if shift := max(n-1, 0); backoff <= math.MaxInt64>>shift {
+		backoff <<= shift
+		return min(restore, math.MaxInt64-backoff) + backoff
+	}
+	return math.MaxInt64
 }
 
 // RetryBudget returns the restart budget for one task of the given SLO
@@ -239,13 +243,9 @@ func (f *FaultSpec) RetryBudget(class SLOClass) int {
 	}
 	switch class.OrDefault() {
 	case SLOInteractive:
-		b := base / 3
-		if b < 1 {
-			b = 1
-		}
-		return b
+		return max(base/3, 1)
 	case SLOBestEffort:
-		return base * 2
+		return base + min(base, math.MaxInt-base) // doubled, saturating
 	default:
 		return base
 	}

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -98,6 +100,125 @@ func TestValidateRefusesNonFiniteNumbers(t *testing.T) {
 			t.Errorf("Hours(%v) = %v, want %v", c.hours, got, c.want)
 		}
 	}
+}
+
+// TestRestartPenaltySaturates: the restart penalty is the checkpoint restore
+// plus the backoff doubled per attempt, and where that passes the largest
+// duration it stays there instead of wrapping negative. The two specs are
+// the ones that wrapped: "max_retries": 40, whose best-effort budget of 80
+// attempts doubles the 15 s backoff past it, and a checkpoint restore of
+// 1e300 s. The best-effort budget doubles the batch one without overflowing.
+func TestRestartPenaltySaturates(t *testing.T) {
+	var defaults *FaultSpec
+	for n, want := range map[int]time.Duration{0: 45 * time.Second, 1: 45 * time.Second, 2: time.Minute, 3: 90 * time.Second} {
+		if got := defaults.RestartPenalty(n); got != want {
+			t.Errorf("default RestartPenalty(%d) = %v, want %v", n, got, want)
+		}
+	}
+	retries := FaultSpec{MaxRetries: 40}
+	budget := retries.RetryBudget(SLOBestEffort)
+	if budget != 80 {
+		t.Fatalf("best-effort budget at max_retries 40 is %d, want 80", budget)
+	}
+	prev := time.Duration(0)
+	for n := 1; n <= budget; n++ {
+		p := retries.RestartPenalty(n)
+		if p < prev {
+			t.Fatalf("max_retries 40: RestartPenalty(%d) = %v, below attempt %d's %v", n, p, n-1, prev)
+		}
+		prev = p
+	}
+	if prev != math.MaxInt64 {
+		t.Errorf("max_retries 40: the last attempt waits %v, want the largest duration", prev)
+	}
+	restore := FaultSpec{CheckpointRestoreSeconds: 1e300}
+	for _, n := range []int{1, 2, 6, 64, 65, 1 << 40} {
+		if got := restore.RestartPenalty(n); got != math.MaxInt64 {
+			t.Errorf("checkpoint_restore_seconds 1e300: RestartPenalty(%d) = %v, want the largest duration", n, got)
+		}
+	}
+	huge := FaultSpec{MaxRetries: math.MaxInt}
+	if b, e := huge.RetryBudget(SLOBatch), huge.RetryBudget(SLOBestEffort); e < b {
+		t.Errorf("max_retries %d: best-effort budget %d is below the batch budget %d", math.MaxInt, e, b)
+	}
+}
+
+// faultFields is every JSON field name a FaultSpec has, nested ones included.
+var faultFields = []string{"host_mtbf_hours", "host_mttr_hours", "checkpoint_restore_seconds",
+	"retry_backoff_seconds", "max_retries", "outages", "degradations", "start_hour",
+	"duration_hours", "host_fraction", "factor", "cluster"}
+
+// FuzzParseFaults holds ParseFaults to its contract on any input: it never
+// panics; every error that Validate returns, for input that decodes into a
+// FaultSpec, names the JSON field it is about (decoding errors are
+// encoding/json's); and an accepted spec prices every restart attempt up to
+// each class's retry budget at a non-negative penalty, never below the
+// attempt before, and draws non-negative crash clocks. Past 64 doublings
+// the penalty has saturated, so a budget beyond that is checked at its last
+// attempt only. Its corpus is the seeds below — the validation cases of the
+// tests above — and testdata/fuzz/FuzzParseFaults, which holds the two specs
+// whose restart penalty used to wrap; CI fuzzes it for 20 s.
+func FuzzParseFaults(f *testing.F) {
+	for _, seed := range []string{
+		`{}`,
+		`{"host_mtbf_hours": 24, "host_mttr_hours": 1, "degradations": [{"start_hour": 6, "duration_hours": 2, "factor": 8}]}`,
+		`{"host_mtbf_hours": 300, "host_mttr_hours": 0.5, "outages": [{"start_hour": 8, "duration_hours": 1.5, "host_fraction": 0.4, "cluster": "c0"}]}`,
+		`{"host_mtbf_hours": -1, "host_mttr_hours": 1}`,
+		`{"host_mtbf_hours": 24}`,
+		`{"checkpoint_restore_seconds": -30}`,
+		`{"max_retries": -1}`,
+		`{"max_retries": 9223372036854775807}`,
+		`{"outages": [{"start_hour": -1, "duration_hours": 1, "host_fraction": 0.5}]}`,
+		`{"outages": [{"start_hour": 1, "duration_hours": 1, "host_fraction": 1.5}]}`,
+		`{"degradations": [{"start_hour": 1, "duration_hours": 0, "factor": 2}]}`,
+		`{"degradations": [{"start_hour": 1, "duration_hours": 1, "factor": 0.5}]}`,
+		`{"degradations": [{"start_hour": 8, "duration_hours": 1, "factor": 8}, {"start_hour": 6, "duration_hours": 2, "factor": 4}]}`,
+		`{"degradations": [{"start_hour": 6, "duration_hours": 4, "factor": 8}, {"start_hour": 7, "duration_hours": 1, "factor": 4}]}`,
+		`{"host_mtbf_hours": 1e12, "host_mttr_hours": 1e12}`,
+		`{"host_mtbf_hours": 24, "host_mttr_hours": 1, "bogus": 1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := ParseFaults(data)
+		if err != nil {
+			var decoded FaultSpec
+			dec := json.NewDecoder(bytes.NewReader(data))
+			dec.DisallowUnknownFields()
+			named := false
+			for _, field := range faultFields {
+				named = named || strings.Contains(err.Error(), field)
+			}
+			if dec.Decode(&decoded) == nil && !named {
+				t.Fatalf("ParseFaults(%q): %q names no field", data, err)
+			}
+			return
+		}
+		for _, class := range append(SLOClasses(), "") {
+			budget, prev := spec.RetryBudget(class), time.Duration(0)
+			if budget < 1 {
+				t.Fatalf("ParseFaults(%q): %q budget %d", data, class, budget)
+			}
+			attempt := func(n int) {
+				p := spec.RestartPenalty(n)
+				if p < prev {
+					t.Fatalf("ParseFaults(%q): RestartPenalty(%d) = %v, below the attempt before's %v", data, n, p, prev)
+				}
+				prev = p
+			}
+			for n := 1; n <= min(budget, 66); n++ {
+				attempt(n)
+			}
+			attempt(budget)
+		}
+		for _, seed := range []int64{42, -1} {
+			for slot := uint64(0); slot < 4; slot++ {
+				if up, down := spec.HostFault(seed, slot); up < 0 || down < 0 {
+					t.Fatalf("ParseFaults(%q): HostFault(%d, %d) = (%v, %v)", data, seed, slot, up, down)
+				}
+			}
+		}
+	})
 }
 
 // referenceFaultRNG is the fault stream built the plain way, on the standard

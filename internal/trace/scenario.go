@@ -136,8 +136,12 @@ const dayHours = 24 * time.Hour
 // Hours converts a spec's fractional hours to a duration. Hours past the
 // largest duration (about 2.56 million) saturate at it, where a plain
 // conversion would wrap them to a negative one.
-func Hours(h float64) time.Duration {
-	if ns := h * float64(time.Hour); ns < math.MaxInt64 {
+func Hours(h float64) time.Duration { return nanos(h * float64(time.Hour)) }
+
+// nanos converts a count of nanoseconds to a duration, saturating at the
+// largest one.
+func nanos(ns float64) time.Duration {
+	if ns < math.MaxInt64 {
 		return time.Duration(ns)
 	}
 	return math.MaxInt64
