@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -10,8 +12,10 @@ import (
 )
 
 // recount recomputes the cluster aggregates from scratch by scanning every
-// member host — the ground truth the incremental counters must track.
-func recount(c *Cluster) (total, subscribed, committed, replicaFree int) {
+// member host — the ground truth the incremental counters must track — and
+// holds each member's commitments to checkLedger.
+func recount(t *testing.T, c *Cluster) (total, subscribed, committed, replicaFree int) {
+	t.Helper()
 	for _, h := range c.Hosts() {
 		total += h.Capacity.GPUs
 		subscribed += h.Subscribed().GPUs
@@ -19,13 +23,49 @@ func recount(c *Cluster) (total, subscribed, committed, replicaFree int) {
 		if len(h.Replicas()) == 0 {
 			replicaFree++
 		}
+		checkLedger(t, h)
 	}
 	return
 }
 
+// checkLedger holds a host's three records of its commitments to each other,
+// read in one critical section of the host's lock: the committed-GPU ledger
+// in its row equals the pool's committed GPUs, the pool's committed vector
+// equals the sum of its holdings, and that sum fits the host's capacity.
+func checkLedger(t *testing.T, h *Host) bool {
+	t.Helper()
+	mu := h.lock()
+	ledger, pool, held := h.row.Load().CommittedGPUs(), h.committed.Committed(), holdings(&h.committed)
+	mu.Unlock()
+	if ledger != pool.GPUs || pool != held || !held.Fits(h.Capacity) {
+		t.Errorf("%s: row ledger %d GPUs, pool committed %v, holdings sum to %v, capacity %v", h.ID, ledger, pool, held, h.Capacity)
+		return false
+	}
+	return true
+}
+
+// holdings sums the commitments a pool's holders hold. resources keeps its
+// holder list unexported, and an accessor only tests would call is dead API
+// (the repository's TestExportedNamesHaveUsers), so the sum reads the list
+// through reflect; a renamed field fails here by name.
+func holdings(p *resources.Pool) resources.Spec {
+	list := reflect.ValueOf(p).Elem().FieldByName("holders")
+	var sum resources.Spec
+	for i := 0; i < list.Len(); i++ {
+		req := list.Index(i).FieldByName("req")
+		sum = sum.Add(resources.Spec{
+			Millicpus: req.FieldByName("Millicpus").Int(),
+			MemoryMB:  req.FieldByName("MemoryMB").Int(),
+			GPUs:      int(req.FieldByName("GPUs").Int()),
+			VRAMGB:    req.FieldByName("VRAMGB").Float(),
+		})
+	}
+	return sum
+}
+
 func checkAggregates(t *testing.T, c *Cluster, step string) {
 	t.Helper()
-	total, subscribed, committed, replicaFree := recount(c)
+	total, subscribed, committed, replicaFree := recount(t, c)
 	if got := c.ReplicaFreeHosts(); got != replicaFree {
 		t.Fatalf("%s: ReplicaFreeHosts = %d, recount = %d", step, got, replicaFree)
 	}
@@ -53,6 +93,9 @@ func checkLockFreeReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 		ok = false
 	}
 	for _, h := range all {
+		if !checkLedger(t, h) {
+			ok = false
+		}
 		ids := h.Replicas()
 		subscribed := 0
 		mu := h.lock()
@@ -198,7 +241,7 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 					members = append(members, h)
 				}
 			}
-			total, subscribed, committed, replicaFree := recount(c)
+			total, subscribed, committed, replicaFree := recount(t, c)
 			if c.TotalGPUs() != total || c.SubscribedGPUs() != subscribed || c.CommittedGPUs() != committed || c.ReplicaFreeHosts() != replicaFree {
 				return false
 			}
@@ -329,4 +372,97 @@ func TestAggregatesConcurrentMembershipAndCommits(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAggregates(t, c, "after re-add")
+}
+
+// TestHostCommitsUnderContention: four goroutines commit and release
+// distinct holders on one host while a fifth reads it and a sixth joins it
+// to the cluster and takes it out again. Every read must be one the host
+// could show — committed within capacity, idle GPUs within [0, capacity] —
+// and at quiescence the host is empty, its ledger, pool and holdings agree
+// and the cluster counters equal a recount, detached and attached. CI's
+// race job runs it under -race -count=10.
+func TestHostCommitsUnderContention(t *testing.T) {
+	cap8 := resources.Spec{Millicpus: 64000, MemoryMB: 488 << 10, GPUs: 8, VRAMGB: 128}
+	c := New(3)
+	h := NewHost("contended", cap8)
+
+	var writers, others sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			req := resources.Spec{Millicpus: 1000, MemoryMB: 4 << 10, GPUs: g%2 + 1, VRAMGB: 16}
+			for i := 0; i < 500; i++ {
+				a, b := fmt.Sprintf("g%d/%d/a", g, i), fmt.Sprintf("g%d/%d/b", g, i)
+				okA, okB := h.Commit(a, req) == nil, h.Commit(b, req) == nil
+				if okA {
+					if err := h.Release(a); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if okB {
+					if err := h.Release(b); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	others.Add(2)
+	go func() {
+		defer others.Done()
+		one := resources.Spec{GPUs: 1}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if idle := h.IdleGPUs(); idle < 0 || idle > cap8.GPUs {
+				t.Errorf("IdleGPUs = %d outside [0, %d]", idle, cap8.GPUs)
+				return
+			}
+			committed := h.Committed()
+			if committed.Validate() != nil || !committed.Fits(cap8) {
+				t.Errorf("Committed = %v, capacity %v", committed, cap8)
+				return
+			}
+			h.CanCommit(one)
+			h.Empty()
+		}
+	}()
+	go func() {
+		defer others.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := c.AddHost(h); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := c.RemoveHost(h.ID); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	others.Wait()
+
+	checkLedger(t, h)
+	checkAggregates(t, c, "detached after contention")
+	if !h.Empty() || h.IdleGPUs() != cap8.GPUs {
+		t.Fatalf("quiescent host: Empty = %v, IdleGPUs = %d, Committed = %v", h.Empty(), h.IdleGPUs(), h.Committed())
+	}
+	if err := c.AddHost(h); err != nil {
+		t.Fatal(err)
+	}
+	checkAggregates(t, c, "attached after contention")
 }

@@ -31,8 +31,6 @@ type Host struct {
 	ID       string
 	Capacity resources.Spec
 
-	// Committed tracks exclusive bindings during cell execution.
-	committed *resources.Pool
 	// devices tracks per-device GPU allocation, built lazily: the
 	// simulator creates tens of thousands of hosts per benchmark run and
 	// never touches device identity, while the live Local Scheduler does.
@@ -45,8 +43,10 @@ type Host struct {
 	// also moves its chunk's summary, and one lock for both makes a write
 	// cost what it did without a summary. lock picks the one that applies;
 	// attach and detach switch between them holding both.
-	mu         sync.Mutex
-	chunk      atomic.Pointer[chunk]
+	mu    sync.Mutex
+	chunk atomic.Pointer[chunk]
+	// committed tracks exclusive bindings during cell execution.
+	committed  resources.Pool
 	subscribed resources.Spec
 	replicas   map[string]resources.Spec
 	// row is where the host's counters live for lock-free readers: its row
@@ -56,14 +56,14 @@ type Host struct {
 	// subscribed.GPUs and len(replicas) into it under the lock — a Spec and
 	// a map cannot themselves be read atomically — and a member's chunk
 	// brings its summary up to date with the row in the same critical
-	// section. The row's committed count is the host's only ledger of
-	// committed GPUs, moved under the lock by the pool observers;
-	// attach/detach read it (also under the lock) instead of snapshotting
-	// the pool, so a commit/release delta and a membership change can never
-	// interleave in a way that makes the cluster counters drift: every
-	// delta lands in the ledger exactly once, and in the aggregates exactly
-	// when the host is attached. attach and detach move the counters
-	// between the two rows.
+	// section. The row's committed count is the host's ledger of committed
+	// GPUs, moved by Commit and Release in the critical section that moves
+	// the pool, so it always equals the pool's committed GPUs under the
+	// lock; attach/detach read it (also under the lock), so a commit or
+	// release and a membership change can never interleave in a way that
+	// makes the cluster counters drift: every delta lands in the ledger
+	// exactly once, and in the aggregates exactly when the host is
+	// attached. attach and detach move the counters between the two rows.
 	row  atomic.Pointer[Row]
 	slot atomic.Int32
 	own  Row
@@ -81,12 +81,11 @@ func NewHost(id string, capacity resources.Spec) *Host {
 	h := &Host{
 		ID:        id,
 		Capacity:  capacity,
-		committed: resources.NewPool(capacity),
+		committed: *resources.NewPool(capacity),
 		replicas:  map[string]resources.Spec{},
 	}
 	h.row.Store(&h.own)
 	h.slot.Store(-1)
-	h.committed.Observe(h.onCommitted, h.onReleased)
 	return h
 }
 
@@ -117,22 +116,6 @@ func (h *Host) lock() *sync.Mutex {
 	}
 }
 
-func (h *Host) onCommitted(req resources.Spec) {
-	mu := h.lock()
-	h.commitDelta(req.GPUs)
-	mu.Unlock()
-}
-
-func (h *Host) onReleased(req resources.Spec) {
-	mu := h.lock()
-	h.commitDelta(-req.GPUs)
-	released := h.released
-	mu.Unlock()
-	if released != nil {
-		released()
-	}
-}
-
 // commitDelta lands one commit or release in the host's ledger and, while
 // it is a member, in the cluster aggregate. Caller holds the host's lock.
 func (h *Host) commitDelta(gpus int) {
@@ -148,8 +131,7 @@ func (h *Host) commitDelta(gpus int) {
 // taken here both of the host's locks are held while it changes hands.
 func (h *Host) attach(agg *aggregates, released func(), ch *chunk, slot int) {
 	h.mu.Lock()
-	h.agg = agg
-	h.released = released
+	h.agg, h.released = agg, released
 	h.moveTo(&ch.rows[slot%TableChunk], ch, slot, 1)
 	h.mu.Unlock()
 }
@@ -159,8 +141,7 @@ func (h *Host) attach(agg *aggregates, released func(), ch *chunk, slot int) {
 func (h *Host) detach() {
 	h.mu.Lock()
 	h.moveTo(&h.own, nil, -1, -1)
-	h.agg = nil
-	h.released = nil
+	h.agg, h.released = nil, nil
 	h.mu.Unlock()
 }
 
@@ -281,30 +262,49 @@ func (h *Host) SubscriptionRatio(replicasPerKernel int) float64 {
 // Commit exclusively binds req to holder for the duration of a cell
 // execution (dynamic GPU binding, §3.3).
 func (h *Host) Commit(holder string, req resources.Spec) error {
-	return h.committed.Commit(holder, req)
+	defer h.lock().Unlock()
+	if err := h.committed.Commit(holder, req); err != nil {
+		return err
+	}
+	h.commitDelta(req.GPUs)
+	return nil
 }
 
 // Release returns holder's committed resources. While the host is a
 // cluster member, a successful release also fires the cluster's capacity
-// notifier so wait-queues can hand the freed capacity to queued work.
+// notifier, outside the lock, so wait-queues can hand the freed capacity to
+// queued work.
 func (h *Host) Release(holder string) error {
-	return h.committed.Release(holder)
+	mu := h.lock()
+	req, err := h.committed.Release(holder)
+	released := h.released
+	if err == nil {
+		h.commitDelta(-req.GPUs)
+	}
+	mu.Unlock()
+	if err == nil && released != nil {
+		released()
+	}
+	return err
 }
 
 // CanCommit reports whether req fits the host's currently idle capacity.
 func (h *Host) CanCommit(req resources.Spec) bool {
+	defer h.lock().Unlock()
 	return h.committed.CanCommit(req)
 }
 
 // Committed returns the resources currently exclusively bound.
 func (h *Host) Committed() resources.Spec {
+	defer h.lock().Unlock()
 	return h.committed.Committed()
 }
 
-// IdleGPUs returns GPUs not exclusively committed right now. Lock-free:
-// it reads the host's committed-GPU ledger, which trails the pool only
-// while a concurrent Commit or Release is between its two locks, so it is
-// a ranking hint and Commit stays the authority on what fits.
+// IdleGPUs returns GPUs not exclusively committed right now. Lock-free: it
+// reads the host's committed-GPU ledger, which Commit and Release move in
+// the critical section that moves the pool, so it is exact whenever no
+// Commit or Release is in flight on the host; under concurrent writers it
+// is a ranking hint and Commit stays the authority on what fits.
 func (h *Host) IdleGPUs() int {
 	return h.Capacity.GPUs - h.row.Load().CommittedGPUs()
 }

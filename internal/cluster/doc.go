@@ -34,7 +34,10 @@
 // seated in, shared with the other hosts of that chunk (Host.lock picks;
 // AddHost, RemoveHost and CrashHost switch it holding cluster lock, chunk
 // lock and host lock, in that order), so that one critical section changes
-// a host's counters, its row and its chunk's summary. The single-word
+// a host's counters, its row and its chunk's summary. Commitments are among
+// them: a host's resources.Pool has no lock of its own, and Commit and
+// Release change it and the row's committed-GPU ledger in the same critical
+// section, so the ledger never trails the pool. The single-word
 // reads a placement or autoscale scan makes on every host — the Rows of the
 // table, a chunk's summary, Host.SubscribedGPUs, IdleGPUs, NumReplicas,
 // SubscriptionRatio and Slot, Cluster.NumHosts and the

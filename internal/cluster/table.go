@@ -19,7 +19,7 @@ const TableChunk = 32
 // placement scan ranks on, side by side with every other member's instead
 // of one pointer chase away inside each Host. The occupying host publishes
 // its counters into its row under its own lock, from the guarded state
-// (PlaceReplica, RemoveReplica, the commit/release observers, attach); the
+// (PlaceReplica, RemoveReplica, Commit, Release, attach); the
 // cluster sets the ordinal under the cluster lock; both go through the
 // row's chunk, which keeps a summary of its rows (chunk). Every field is a
 // single word, read without a lock.

@@ -4,8 +4,9 @@
 // paper's StartKernelReplica RPC (§3.2.1) and provides the arithmetic the
 // schedulers use for capacity checks and subscription-ratio accounting.
 //
-// Concurrency contract: a Pool locks every operation, reads included, so
-// Commit is the authority on what fits. The lock-free committed-GPU count
-// placement scans rank hosts by is not kept here but in cluster.Host,
-// which mirrors the pool through its Observe hooks.
+// Concurrency contract: Spec is a value and needs no lock. A Pool has none:
+// its owner serializes every call. cluster.Host owns one per host and makes
+// each call under the host's lock, in the same critical section that moves
+// the host's committed-GPU ledger, so Host.Commit is the authority on what
+// fits and the ledger never trails the pool.
 package resources

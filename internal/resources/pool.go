@@ -2,7 +2,6 @@ package resources
 
 import (
 	"fmt"
-	"sync"
 )
 
 // Pool tracks exclusive commitments against a fixed capacity. It is the
@@ -10,54 +9,42 @@ import (
 // rest of a replica's resource request) are committed to a replica only
 // while a cell task executes, then released.
 //
-// A Pool is safe for concurrent use.
+// A Pool is not safe for concurrent use: its owner serializes every call
+// (cluster.Host makes each under the host's lock).
 type Pool struct {
-	mu        sync.Mutex
 	capacity  Spec
 	committed Spec
-	holders   map[string]Spec
+	// holders lists the live commitments in no particular order. A host
+	// runs a handful of tasks at once, so a scan beats hashing the key.
+	holders []holding
+}
 
-	// onCommit/onRelease observe successful commits and releases. They are
-	// invoked outside the pool lock so observers may inspect the pool; the
-	// cluster layer uses them to maintain O(1) committed-GPU aggregates and
-	// to wake capacity wait-queues on release.
-	onCommit  func(Spec)
-	onRelease func(Spec)
+type holding struct {
+	holder string
+	req    Spec
 }
 
 // NewPool returns a pool with the given capacity and nothing committed.
 func NewPool(capacity Spec) *Pool {
-	return &Pool{capacity: capacity, holders: make(map[string]Spec)}
-}
-
-// Observe registers observers called after every successful Commit and
-// Release respectively (either may be nil). Observers run outside the pool
-// lock, on the committing/releasing goroutine. Observe must be called
-// before the pool is shared between goroutines.
-func (p *Pool) Observe(onCommit, onRelease func(Spec)) {
-	p.onCommit = onCommit
-	p.onRelease = onRelease
-}
-
-// Capacity returns the pool's total capacity.
-func (p *Pool) Capacity() Spec {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.capacity
+	return &Pool{capacity: capacity}
 }
 
 // Committed returns the sum of all active commitments.
-func (p *Pool) Committed() Spec {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.committed
-}
+func (p *Pool) Committed() Spec { return p.committed }
 
 // CanCommit reports whether req currently fits in the pool's idle capacity.
 func (p *Pool) CanCommit(req Spec) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return req.Fits(p.capacity.Sub(p.committed))
+}
+
+// find returns holder's index in holders, or -1.
+func (p *Pool) find(holder string) int {
+	for i := range p.holders {
+		if p.holders[i].holder == holder {
+			return i
+		}
+	}
+	return -1
 }
 
 // Commit exclusively binds req to holder. It fails if the holder already
@@ -66,47 +53,40 @@ func (p *Pool) Commit(holder string, req Spec) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	if _, ok := p.holders[holder]; ok {
-		p.mu.Unlock()
+	if p.find(holder) >= 0 {
 		return fmt.Errorf("resources: %q already holds a commitment", holder)
 	}
-	if !req.Fits(p.capacity.Sub(p.committed)) {
-		idle := p.capacity.Sub(p.committed)
-		p.mu.Unlock()
-		return fmt.Errorf("resources: insufficient idle capacity for %v (idle %v)", req, idle)
+	if !p.CanCommit(req) {
+		return fmt.Errorf("resources: insufficient idle capacity for %v (idle %v)", req, p.capacity.Sub(p.committed))
 	}
-	p.holders[holder] = req
+	if p.holders == nil {
+		p.holders = make([]holding, 0, 4) // room for a host's usual handful
+	}
+	p.holders = append(p.holders, holding{holder, req})
 	p.committed = p.committed.Add(req)
-	p.mu.Unlock()
-	if p.onCommit != nil {
-		p.onCommit(req)
-	}
 	return nil
 }
 
-// Release returns holder's commitment to the pool. Releasing a holder with
-// no commitment is an error so accounting bugs surface immediately.
-func (p *Pool) Release(holder string) error {
-	p.mu.Lock()
-	req, ok := p.holders[holder]
-	if !ok {
-		p.mu.Unlock()
-		return fmt.Errorf("resources: %q holds no commitment", holder)
+// Release returns holder's commitment to the pool and reports what it
+// held. Releasing a holder with no commitment is an error so accounting
+// bugs surface immediately.
+func (p *Pool) Release(holder string) (Spec, error) {
+	i := p.find(holder)
+	if i < 0 {
+		return Spec{}, fmt.Errorf("resources: %q holds no commitment", holder)
 	}
-	delete(p.holders, holder)
+	req, last := p.holders[i].req, len(p.holders)-1
+	p.holders[i] = p.holders[last]
+	p.holders[last] = holding{} // drop the key string for the collector
+	p.holders = p.holders[:last]
 	p.committed = p.committed.Sub(req)
-	p.mu.Unlock()
-	if p.onRelease != nil {
-		p.onRelease(req)
-	}
-	return nil
+	return req, nil
 }
 
 // Holding returns the commitment held by holder, if any.
 func (p *Pool) Holding(holder string) (Spec, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s, ok := p.holders[holder]
-	return s, ok
+	if i := p.find(holder); i >= 0 {
+		return p.holders[i].req, true
+	}
+	return Spec{}, false
 }

@@ -152,10 +152,10 @@ func TestPoolCommitRelease(t *testing.T) {
 	if err := p.Commit("k3", spec(0, 0, 1, 0)); err == nil {
 		t.Error("overcommit should fail")
 	}
-	if err := p.Release("k1"); err != nil {
-		t.Fatalf("Release: %v", err)
+	if got, err := p.Release("k1"); err != nil || got != req {
+		t.Fatalf("Release = %v, %v; want %v", got, err, req)
 	}
-	if err := p.Release("k1"); err == nil {
+	if _, err := p.Release("k1"); err == nil {
 		t.Error("double release should fail")
 	}
 	if got := p.Committed(); got != spec(0, 0, 4, 0) {
@@ -190,18 +190,19 @@ func TestPoolRejectsNegative(t *testing.T) {
 }
 
 // Property: a random sequence of commits and releases never drives the
-// committed vector negative or past capacity, and it is always the sum of
-// what the live holders hold.
+// committed vector negative or past capacity, it is always the sum of what
+// the live holders hold, and every holder holds, and gets back on Release,
+// exactly what it committed.
 func TestPoolInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		capSpec := spec(10_000, 10_000, 8, 128)
 		p := NewPool(capSpec)
-		live := map[string]bool{}
+		live := map[string]Spec{}
 		for i := 0; i < 200; i++ {
 			id := string(rune('a' + r.Intn(8)))
-			if live[id] && r.Intn(2) == 0 {
-				if err := p.Release(id); err != nil {
+			if want, ok := live[id]; ok && r.Intn(2) == 0 {
+				if got, err := p.Release(id); err != nil || got != want {
 					return false
 				}
 				delete(live, id)
@@ -213,20 +214,20 @@ func TestPoolInvariantProperty(t *testing.T) {
 				GPUs:      r.Intn(5),
 				VRAMGB:    float64(r.Intn(64)),
 			}
-			if !live[id] && p.CanCommit(req) {
+			if _, ok := live[id]; !ok && p.CanCommit(req) {
 				if err := p.Commit(id, req); err != nil {
 					return false
 				}
-				live[id] = true
+				live[id] = req
 			}
 			c := p.Committed()
 			if c.Validate() != nil || !c.Fits(capSpec) {
 				return false
 			}
 			var held Spec
-			for id := range live {
+			for id, want := range live {
 				h, ok := p.Holding(id)
-				if !ok {
+				if !ok || h != want {
 					return false
 				}
 				held = held.Add(h)

@@ -249,7 +249,7 @@ func (s *sim) rehomeReplica(ss *session, slot int) bool {
 	if target.warm > 0 {
 		target.warm--
 		s.res.WarmStarts++
-		s.eng.Defer(s.cfg.Latencies.ColdStart(s.frng), func() { target.warm++ })
+		s.eng.DeferRunner(s.cfg.Latencies.ColdStart(s.frng), (*warmRefill)(target))
 	} else {
 		s.res.ColdStarts++
 	}

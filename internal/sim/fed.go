@@ -34,20 +34,13 @@ type FedClusterSpec struct {
 // max(totalHosts, n) for every n, so cluster-count sweeps compare equal
 // capacity.
 func DefaultFedClusters(n, totalHosts int) []FedClusterSpec {
-	if n <= 0 {
-		n = 1
-	}
-	if totalHosts < n {
-		totalHosts = n
-	}
+	n = max(n, 1)
+	totalHosts = max(totalHosts, n)
 	weightSum := n * (n + 1) / 2
 	specs := make([]FedClusterSpec, n)
 	assigned := 0
-	for i := 0; i < n; i++ {
-		h := totalHosts * (n - i) / weightSum
-		if h < 1 {
-			h = 1
-		}
+	for i := range n {
+		h := max(totalHosts*(n-i)/weightSum, 1)
 		specs[i] = FedClusterSpec{Name: fmt.Sprintf("c%d", i), Hosts: h}
 		assigned += h
 	}
@@ -56,18 +49,11 @@ func DefaultFedClusters(n, totalHosts int) []FedClusterSpec {
 	// other clusters, never taking any below one host.
 	specs[0].Hosts += totalHosts - assigned
 	for i := 1; i < n && specs[0].Hosts < 1; i++ {
-		if specs[i].Hosts > 1 {
-			take := specs[i].Hosts - 1
-			if need := 1 - specs[0].Hosts; take > need {
-				take = need
-			}
-			specs[i].Hosts -= take
-			specs[0].Hosts += take
-		}
+		take := min(specs[i].Hosts-1, 1-specs[0].Hosts)
+		specs[i].Hosts -= take
+		specs[0].Hosts += take
 	}
-	if specs[0].Hosts < 1 {
-		specs[0].Hosts = 1
-	}
+	specs[0].Hosts = max(specs[0].Hosts, 1)
 	return specs
 }
 

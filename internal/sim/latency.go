@@ -1,12 +1,12 @@
 package sim
 
 import (
-	"math"
 	"math/rand"
 	"time"
 
 	"notebookos/internal/gpu"
 	"notebookos/internal/store"
+	"notebookos/internal/trace"
 )
 
 // Latencies collects every latency model the simulator samples. The
@@ -37,41 +37,46 @@ type Latencies struct {
 	Transfer gpu.TransferModel
 }
 
-// DefaultLatencies returns the calibrated latency models.
-func DefaultLatencies() Latencies {
-	return Latencies{
-		GSProcess:  uniformMS(1, 4),
-		Hop:        uniformMS(0, 1),
-		PreProcess: uniformMS(1, 3),
-		// Election: log-uniform 5-80 ms, matching "tens of milliseconds".
-		Election: func(r *rand.Rand) time.Duration {
-			return logUniform(r, 5*time.Millisecond, 80*time.Millisecond)
-		},
-		// Sync: body 4-50 ms with a heavy tail to ~300 ms so that
-		// p90/p95/p99 land near 55/67/268 ms.
-		Sync: func(r *rand.Rand) time.Duration {
-			u := r.Float64()
-			switch {
-			case u < 0.85:
-				return logUniform(r, 4*time.Millisecond, 50*time.Millisecond)
-			case u < 0.97:
-				return logUniform(r, 50*time.Millisecond, 70*time.Millisecond)
-			default:
-				return logUniform(r, 70*time.Millisecond, 300*time.Millisecond)
-			}
-		},
-		ColdStart: func(r *rand.Rand) time.Duration {
-			return 18*time.Second + time.Duration(r.Int63n(int64(27*time.Second)))
-		},
-		WarmAttach: func(r *rand.Rand) time.Duration {
-			return 80*time.Millisecond + time.Duration(r.Int63n(int64(320*time.Millisecond)))
-		},
-		HostProvision: func(r *rand.Rand) time.Duration {
-			return 60*time.Second + time.Duration(r.Int63n(int64(60*time.Second)))
-		},
-		Store:    store.S3Model(),
-		Transfer: gpu.DefaultTransfer(),
-	}
+// DefaultLatencies returns the calibrated latency models. A draw is a pure
+// function of the generator it is handed, so the models are built once and
+// every run, on any goroutine, shares them.
+func DefaultLatencies() Latencies { return defaultLatencies }
+
+// Sync's three bands, built once like the rest of defaultLatencies.
+var (
+	syncBody     = logUniform(4*time.Millisecond, 50*time.Millisecond)
+	syncShoulder = logUniform(50*time.Millisecond, 70*time.Millisecond)
+	syncTail     = logUniform(70*time.Millisecond, 300*time.Millisecond)
+)
+
+var defaultLatencies = Latencies{
+	GSProcess:  uniformMS(1, 4),
+	Hop:        uniformMS(0, 1),
+	PreProcess: uniformMS(1, 3),
+	// Election: log-uniform 5-80 ms, matching "tens of milliseconds".
+	Election: logUniform(5*time.Millisecond, 80*time.Millisecond),
+	// Sync: body 4-50 ms with a heavy tail to ~300 ms so that
+	// p90/p95/p99 land near 55/67/268 ms.
+	Sync: func(r *rand.Rand) time.Duration {
+		switch u := r.Float64(); {
+		case u < 0.85:
+			return syncBody(r)
+		case u < 0.97:
+			return syncShoulder(r)
+		}
+		return syncTail(r)
+	},
+	ColdStart: func(r *rand.Rand) time.Duration {
+		return 18*time.Second + time.Duration(r.Int63n(int64(27*time.Second)))
+	},
+	WarmAttach: func(r *rand.Rand) time.Duration {
+		return 80*time.Millisecond + time.Duration(r.Int63n(int64(320*time.Millisecond)))
+	},
+	HostProvision: func(r *rand.Rand) time.Duration {
+		return 60*time.Second + time.Duration(r.Int63n(int64(60*time.Second)))
+	},
+	Store:    store.S3Model(),
+	Transfer: gpu.DefaultTransfer(),
 }
 
 func uniformMS(lo, hi int64) func(*rand.Rand) time.Duration {
@@ -83,10 +88,13 @@ func uniformMS(lo, hi int64) func(*rand.Rand) time.Duration {
 	}
 }
 
-func logUniform(r *rand.Rand, lo, hi time.Duration) time.Duration {
+// logUniform returns a draw of lo*(hi/lo)^u for one u = r.Float64(): a
+// two-knot trace.Quantile, which computes math.Pow's bits with the ratio's
+// Log taken here, once. hi <= lo draws nothing and returns lo.
+func logUniform(lo, hi time.Duration) func(*rand.Rand) time.Duration {
 	if hi <= lo {
-		return lo
+		return func(*rand.Rand) time.Duration { return lo }
 	}
-	ratio := float64(hi) / float64(lo)
-	return time.Duration(float64(lo) * math.Pow(ratio, r.Float64()))
+	q := trace.MustQuantile(trace.Knot{P: 0, V: float64(lo)}, trace.Knot{P: 1, V: float64(hi)})
+	return func(r *rand.Rand) time.Duration { return time.Duration(q.Sample(r)) }
 }

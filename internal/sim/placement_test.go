@@ -136,6 +136,34 @@ func TestTaskAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestSummerRunAllocations pins the allocations of one fault-free 1-day
+// summer Run at the count it landed at plus 5 %: a run allocates per session
+// and per run, and a migration or a commit that starts allocating again
+// shows here long before it moves TestTaskAllocationBudget's per-request
+// ratio. It read 579 while every host's pool built a holder map and two
+// observer hooks and a migration scheduled two closures (its restart and its
+// warm-pool refill).
+func TestSummerRunAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the race job runs -short, and the detector's bookkeeping allocates")
+	}
+	gcfg := trace.AdobeSummerConfig(42)
+	gcfg.Duration = 24 * time.Hour
+	cfg := Config{Trace: trace.MustGenerate(gcfg), Policy: PolicyNotebookOS, Hosts: 30, Seed: 42}
+	var res *Result
+	allocs := testing.AllocsPerRun(5, func() {
+		var err error
+		if res, err = Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const landed = 415
+	if allocs > landed*1.05 {
+		t.Errorf("a 1-day summer run allocates %.0f times (%d sessions, %d tasks, %d migrations), landed at %d", allocs, res.Sessions, res.Tasks, res.Migrations, landed)
+	}
+	t.Logf("%.0f allocations (%d sessions, %d tasks, %d migrations)", allocs, res.Sessions, res.Tasks, res.Migrations)
+}
+
 // TestScaleInGateMatchesWalk pins the O(1) gate every scale-in walk sits
 // behind (member.emptyHosts, sim.retireEmpty): cluster.ReplicaFreeHosts
 // bounds the hosts for which Host.Empty holds from above, so whenever it

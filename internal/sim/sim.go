@@ -364,6 +364,12 @@ type host struct {
 	warm int
 }
 
+// warmRefill is a des.Runner view of a host: it fires when a container
+// started to replenish the host's warm pool is ready.
+type warmRefill host
+
+func (w *warmRefill) Fire() { w.warm++ }
+
 // member is one cluster's mutable simulation state. A single-cluster run
 // is a federation of exactly one member, named "sim".
 type member struct {
@@ -1005,15 +1011,22 @@ func (s *sim) sampleSteps(first int, ds ...time.Duration) {
 // — fires first at start, when training begins; delay is the interactivity
 // delay the task will report.
 func (s *sim) launch(ss *session, task trace.Task, submit time.Time, h *host, delay time.Duration, start time.Time) *runningTask {
+	t := s.machine(runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})
+	ss.cur = t
+	s.eng.ScheduleRunner(start, t)
+	return t
+}
+
+// machine returns a task state machine set to m, from the idle list when it
+// has one.
+func (s *sim) machine(m runningTask) *runningTask {
 	var t *runningTask
 	if n := len(s.idle) - 1; n >= 0 {
 		t, s.idle = s.idle[n], s.idle[:n]
 	} else {
 		t = new(runningTask)
 	}
-	*t = runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}
-	ss.cur = t
-	s.eng.ScheduleRunner(start, t)
+	*t = m
 	return t
 }
 
@@ -1205,7 +1218,7 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 		s.res.WarmStarts++
 		extra += lat.WarmAttach(s.rng)
 		// Pool replenishes in the background.
-		s.eng.Defer(lat.ColdStart(s.rng), func() { target.warm++ })
+		s.eng.DeferRunner(lat.ColdStart(s.rng), (*warmRefill)(target))
 	} else {
 		s.res.ColdStarts++
 		extra += lat.ColdStart(s.rng)
@@ -1254,7 +1267,8 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 	s.recordEvent(scheduler.EventMigration)
 	s.sampleSR()
 
-	s.eng.Defer(extra, func() { s.startTask(ss, task, submit) })
+	// The restart rides a task machine of its own, never ss.cur (taskfsm.go).
+	s.eng.DeferRunner(extra, s.machine(runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseResubmit}))
 	return true
 }
 

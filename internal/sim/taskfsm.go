@@ -20,9 +20,18 @@ import (
 // there, so a run allocates as many machines as it has tasks in flight at
 // once, none per task in steady state.
 //
-// The recycling rule: only normal completion (phase 2) recycles. By then
-// every phase event of the machine has fired and finishTask has cleared the
-// session's handle on it, so nothing can still reach it. An aborted machine
+// A migration's restart (tryMigrate) rides a machine too, drawn from the
+// same idle list, in phaseResubmit: it fires once, when the replica has
+// moved, and resubmits the task through startTask, which draws the machine
+// that runs it. It is never the session's cur, so the fault layer cannot
+// abort it; the task it carries is not in flight yet.
+//
+// The recycling rule: only normal completion (phase 2) and a fired
+// resubmission recycle. By then every phase event of the machine has fired
+// and nothing else holds it — finishTask has cleared the session's handle on
+// a completed one, and a resubmission never had one — so nothing can still
+// reach it. A resubmission recycles itself before it calls startTask, which
+// may draw it straight back. An aborted machine
 // is never reused — a phase event scheduled before the abort may still sit
 // in the engine's heap, and must find the machine dead when it fires, not
 // running someone else's task; it is left to the garbage collector
@@ -62,6 +71,10 @@ type runningTask struct {
 	phase  uint8
 	dead   bool
 }
+
+// phaseResubmit marks a machine that carries a migration's restart, not a
+// task in flight.
+const phaseResubmit = 3
 
 func (t *runningTask) Fire() {
 	if t.dead {
@@ -112,6 +125,10 @@ func (t *runningTask) Fire() {
 		// The last phase event has fired and the session has moved on: nothing
 		// refers to the machine any more.
 		s.idle = append(s.idle, t)
+	case phaseResubmit: // the replica has moved: resubmit the task
+		ss, task, submit := t.ss, t.task, t.submit
+		s.idle = append(s.idle, t)
+		s.startTask(ss, task, submit)
 	}
 }
 

@@ -237,13 +237,7 @@ func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Tim
 				break
 			}
 		}
-		tg := co.TaskGPUs.SampleInt(r)
-		if tg > gpus {
-			tg = gpus
-		}
-		if tg < 1 {
-			tg = 1
-		}
+		tg := max(min(co.TaskGPUs.SampleInt(r), gpus), 1)
 		submit := cfg.quantizeTime(cur)
 		if submit.Before(start) {
 			submit = start
@@ -280,11 +274,7 @@ func (c GenConfig) quantize(d time.Duration) time.Duration {
 	if c.Granularity <= 0 {
 		return d
 	}
-	q := d.Round(c.Granularity)
-	if q < c.Granularity {
-		q = c.Granularity
-	}
-	return q
+	return max(d.Round(c.Granularity), c.Granularity)
 }
 
 func (c GenConfig) quantizeTime(t time.Time) time.Time {

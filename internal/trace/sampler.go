@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Sampler draws values from a distribution.
@@ -25,11 +25,14 @@ type Knot struct {
 // durations and inter-arrival times of GPU cluster traces.
 type Quantile struct {
 	knots []Knot
+	// lns[i] is Log(knots[i+1].V/knots[i].V), segment i's log value ratio,
+	// taken once so that Value pays for math.Pow's Exp but not its Log.
+	lns []float64
 }
 
 // NewQuantile validates and returns a quantile sampler. Knots must have
 // strictly increasing P starting at 0 and ending at 1, and positive
-// non-decreasing V.
+// non-decreasing V whose ratio between neighbours is finite.
 func NewQuantile(knots ...Knot) (*Quantile, error) {
 	if len(knots) < 2 {
 		return nil, fmt.Errorf("trace: need at least 2 knots, got %d", len(knots))
@@ -37,6 +40,7 @@ func NewQuantile(knots ...Knot) (*Quantile, error) {
 	if knots[0].P != 0 || knots[len(knots)-1].P != 1 {
 		return nil, fmt.Errorf("trace: knots must span P=0..1")
 	}
+	q := &Quantile{knots: slices.Clone(knots), lns: make([]float64, 0, len(knots)-1)}
 	for i, k := range knots {
 		if k.V <= 0 {
 			return nil, fmt.Errorf("trace: knot %d has non-positive value %v", i, k.V)
@@ -48,10 +52,13 @@ func NewQuantile(knots ...Knot) (*Quantile, error) {
 			if k.V < knots[i-1].V {
 				return nil, fmt.Errorf("trace: knot V decreasing at %d", i)
 			}
+			ratio := k.V / knots[i-1].V
+			if math.IsInf(ratio, 0) || math.IsNaN(ratio) {
+				return nil, fmt.Errorf("trace: knots[%d].v / knots[%d].v = %v / %v is not a finite ratio", i, i-1, k.V, knots[i-1].V)
+			}
+			q.lns = append(q.lns, math.Log(ratio))
 		}
 	}
-	q := &Quantile{knots: make([]Knot, len(knots))}
-	copy(q.knots, knots)
 	return q, nil
 }
 
@@ -65,7 +72,13 @@ func MustQuantile(knots ...Knot) *Quantile {
 	return q
 }
 
-// Value returns the p-th quantile (p clamped to [0,1]).
+// Value returns the p-th quantile (p clamped to [0,1]): lo.V *
+// math.Pow(hi.V/lo.V, frac) on the segment [lo, hi] that holds p, bit for
+// bit. For 0 < frac < 1, math.pow computes Sqrt(x) at frac 0.5,
+// Exp((frac-1)*Log(x))*x above it and Exp(frac*Log(x)) below; Value takes
+// the same branches with Log(x) cached. frac 1 lands in the middle branch
+// as Exp(0)*x == x, and an equal-valued segment (x == 1, Log(x) == 0) in any
+// as lo.V.
 func (q *Quantile) Value(p float64) float64 {
 	if p <= 0 {
 		return q.knots[0].V
@@ -73,14 +86,19 @@ func (q *Quantile) Value(p float64) float64 {
 	if p >= 1 {
 		return q.knots[len(q.knots)-1].V
 	}
-	i := sort.Search(len(q.knots), func(i int) bool { return q.knots[i].P >= p })
-	// Invariant: 0 < i < len(knots) because P spans [0,1].
-	lo, hi := q.knots[i-1], q.knots[i]
-	frac := (p - lo.P) / (hi.P - lo.P)
-	if lo.V == hi.V {
-		return lo.V
+	i := 1 // knots[0].P == 0 < p < 1 == knots[len-1].P
+	for q.knots[i].P < p {
+		i++
 	}
-	return lo.V * math.Pow(hi.V/lo.V, frac)
+	lo, hi := q.knots[i-1], q.knots[i]
+	frac, ratio, ln := (p-lo.P)/(hi.P-lo.P), hi.V/lo.V, q.lns[i-1]
+	switch {
+	case frac == 0.5:
+		return lo.V * math.Sqrt(ratio)
+	case frac > 0.5:
+		return lo.V * (math.Exp((frac-1)*ln) * ratio)
+	}
+	return lo.V * math.Exp(frac*ln)
 }
 
 // Sample implements Sampler by inverse-transform sampling.
@@ -192,8 +210,7 @@ func NewIntWeights(values []int, weights []float64) (*IntWeights, error) {
 	if total == 0 {
 		return nil, fmt.Errorf("trace: all weights zero")
 	}
-	iw := &IntWeights{Values: values, Weights: weights, total: total}
-	return iw, nil
+	return &IntWeights{Values: values, Weights: weights, total: total}, nil
 }
 
 // MustIntWeights is NewIntWeights that panics on error.

@@ -415,6 +415,13 @@ func (s ScenarioSpec) Config(seed int64) (GenConfig, error) {
 		if err != nil {
 			return GenConfig{}, fmt.Errorf("scenario %q: %w", s.Name, err)
 		}
+		// genSession's clock moves one cycle per task: the task, quantized to
+		// at least a granule, then a think time or, after p_burst_end, a burst
+		// gap. Below the sliver floor on average, a session submits without end.
+		cycle := cs.PBurstEnd*SamplerMean(c.BurstGap) + (1-cs.PBurstEnd)*SamplerMean(c.ThinkTime) + max(SamplerMean(c.TaskDuration), s.GranularitySeconds)
+		if floor := (GenConfig{}).minDuration().Seconds(); cycle < floor {
+			return GenConfig{}, fmt.Errorf("trace: scenario %q: cohort %q task_duration plus think_time or burst_gap averages %v s a task, below the generator's %v s floor", s.Name, cs.Name, cycle, floor)
+		}
 		cohorts[i] = c
 	}
 	arrival := s.Arrival // copy; the closure must not alias the caller's spec

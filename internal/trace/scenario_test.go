@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -273,6 +274,11 @@ func scenarioValidationCases() []scenarioCase {
 		{"gpu-weights-mismatch", func(s *ScenarioSpec) {
 			s.Cohorts[0].RequestGPUs = IntDist{Values: []int{1, 2}, Weights: []float64{1}}
 		}, "mismatch"},
+		{"endless-sessions", func(s *ScenarioSpec) {
+			c := &s.Cohorts[0]
+			s.GranularitySeconds, c.PBurstEnd = 0, 0
+			c.ThinkTime, c.TaskDuration = Dist{Kind: "fixed", Value: 1e-12}, Dist{Kind: "fixed", Value: 1e-12}
+		}, "task_duration"},
 	}
 }
 
@@ -404,6 +410,41 @@ func hugeSpec(edit func(*ScenarioSpec)) ScenarioSpec {
 	return s
 }
 
+// TestScenarioRefusesEndlessSessions: a cohort whose tasks and think times
+// round to nothing, with no burst gap and no granularity, would have
+// genSession submit zero-length tasks without end — Generate never returned.
+// ParseScenario refuses it, naming task_duration; a mean cycle at the 1 s
+// sliver floor, or lifted there by a granularity, is accepted and generates
+// at most one task per second of session.
+func TestScenarioRefusesEndlessSessions(t *testing.T) {
+	tiny := Dist{Kind: "fixed", Value: 1e-12}
+	endless := hugeSpec(func(s *ScenarioSpec) {
+		c := &s.Cohorts[0]
+		c.ThinkTime, c.TaskDuration, c.PBurstEnd = tiny, tiny, 0
+	})
+	data, err := json.Marshal(endless)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ParseScenario(data); err == nil || !strings.Contains(err.Error(), "task_duration") {
+		t.Fatalf("ParseScenario(%s) = %v, want an error naming task_duration", data, err)
+	}
+	for name, edit := range map[string]func(*ScenarioSpec){
+		"1 s task":    func(s *ScenarioSpec) { s.Cohorts[0].TaskDuration = Dist{Kind: "fixed", Value: 1} },
+		"granularity": func(s *ScenarioSpec) { s.GranularitySeconds = 1 },
+	} {
+		spec := endless
+		spec.Cohorts = slices.Clone(endless.Cohorts)
+		edit(&spec)
+		tr := genScenario(t, spec, 42)
+		for _, sess := range tr.Sessions {
+			if n, most := len(sess.Tasks), int(sess.End.Sub(sess.Start).Seconds())+1; n > most {
+				t.Fatalf("%s: %s submits %d tasks in %v, want at most %d", name, sess.ID, n, sess.End.Sub(sess.Start), most)
+			}
+		}
+	}
+}
+
 // TestHugeScenarioNumbersSaturate: seconds too many for a time.Duration
 // saturate at the largest one, as Hours does, instead of wrapping. Wrapped,
 // a 1e10 s session lifetime ends every session before it starts, a 1e10 s
@@ -471,7 +512,7 @@ var scenarioFields = append([]string{"name", "description", "duration_hours", "g
 // arrival rate. It compiles specs and generates no session. Its corpus is the
 // built-in scenarios, the validation cases above and
 // testdata/fuzz/FuzzParseScenario, which holds the specs whose numbers used to
-// wrap; CI fuzzes it for 20 s.
+// wrap or overflow a quantile segment's value ratio; CI fuzzes it for 20 s.
 func FuzzParseScenario(f *testing.F) {
 	var seeds []ScenarioSpec
 	for _, c := range scenarioValidationCases() {

@@ -47,9 +47,7 @@ func sessionWeight(s *Session) float64 {
 // session; k greater than the session count leaves the excess shards
 // empty (their traces have no sessions but keep the full window).
 func (tr *Trace) Split(k int) []Shard {
-	if k < 1 {
-		k = 1
-	}
+	k = max(k, 1)
 	shards := make([]Shard, k)
 	acc := make([]float64, k)
 	var total float64

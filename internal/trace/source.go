@@ -109,9 +109,7 @@ func (s traceSource) Expect() Expectation {
 //     the heavy/light split). Under ConcurrentSubmission the task duration
 //     does not advance the clock, so it drops out of the cycle.
 func (c GenConfig) Expect(shards int) Expectation {
-	if shards < 1 {
-		shards = 1
-	}
+	shards = max(shards, 1)
 	// The workload is a probability-weighted mixture of session populations
 	// on one shared arrival process, so every per-session expectation blends
 	// linearly across the cohorts.

@@ -58,9 +58,7 @@ func NewStreamGen(cfg GenConfig, shard, of int) (*StreamGen, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if of < 1 {
-		of = 1
-	}
+	of = max(of, 1)
 	if shard < 0 || shard >= of {
 		return nil, fmt.Errorf("trace: shard %d out of range [0,%d)", shard, of)
 	}
@@ -75,9 +73,7 @@ func NewStreamGen(cfg GenConfig, shard, of int) (*StreamGen, error) {
 // StreamSplit returns the k Poisson-split shard sources of the workload cfg
 // generates (k <= 1 returns the single whole-workload source).
 func StreamSplit(cfg GenConfig, k int) ([]*StreamGen, error) {
-	if k < 1 {
-		k = 1
-	}
+	k = max(k, 1)
 	out := make([]*StreamGen, k)
 	for i := range out {
 		g, err := NewStreamGen(cfg, i, k)
