@@ -13,20 +13,25 @@ import (
 	"testing"
 )
 
-// exportsGuarded are the simulator-half packages whose exported surface
-// TestExportedNamesHaveUsers keeps to what some program uses.
+// exportsGuarded are the packages, of both the simulator half and the live
+// platform, whose exported surface TestExportedNamesHaveUsers keeps to what
+// some program uses.
 var exportsGuarded = []string{
 	"sim", "des", "trace", "metrics", "federation", "scheduler", "cluster",
 	"resources", "gpu", "store", "workload", "experiments", "benchsnap", "randprefix",
+	"raft", "kernel", "pynb", "jupyter", "container", "simclock", "control", "platform", "gateway",
 }
 
 // exportsAllowed are the exported names no non-test file references that
 // stay anyway, each with its reason. A name here that gains a user, or is
 // deleted, fails the test: the list only holds what it must.
 var exportsAllowed = map[string]string{
-	"federation.ScaleNone":    "the iota zero value of ScaleAction: a ScaleDecision that scales nothing has it without naming it",
-	"randprefix.Source.Int63": "rand.Source's method: math/rand's Rand calls it for every Int63, Float64 and ExpFloat64 draw",
-	"sim.LegacySplit":         "the iota zero value of ShardCapacity: every config that leaves ShardCapacity unset has it without naming it",
+	"federation.ScaleNone":           "the iota zero value of ScaleAction: a ScaleDecision that scales nothing has it without naming it",
+	"randprefix.Source.Int63":        "rand.Source's method: math/rand's Rand calls it for every Int63, Float64 and ExpFloat64 draw",
+	"sim.LegacySplit":                "the iota zero value of ShardCapacity: every config that leaves ShardCapacity unset has it without naming it",
+	"simclock.NewVirtual":            "the live half's test clock: the container tests drive provisioning latency on it, and a live-vs-sim replayer (ROADMAP 5(b)) needs it",
+	"simclock.Virtual.Advance":       "the live half's test clock: how a test moves a Virtual clock's time",
+	"simclock.Virtual.PendingTimers": "the live half's test clock: how a test waits until a goroutine sleeps on a Virtual clock",
 }
 
 // TestExportedNamesHaveUsers fails on an exported func, const or var, or an

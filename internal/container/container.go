@@ -47,39 +47,21 @@ type Container struct {
 	ID   string
 	Host string
 
-	mu        sync.Mutex
-	state     State
-	createdAt time.Time
-	// warmStart records whether this container came from the pre-warm
-	// pool, for metrics.
-	warmStart bool
-}
-
-// State returns the current lifecycle state.
-func (c *Container) State() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
-}
-
-// WarmStart reports whether the container was served from the warm pool.
-func (c *Container) WarmStart() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.warmStart
-}
-
-// CreatedAt returns the provisioning completion time.
-func (c *Container) CreatedAt() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.createdAt
+	mu    sync.Mutex
+	state State
 }
 
 func (c *Container) setState(s State) {
 	c.mu.Lock()
 	c.state = s
 	c.mu.Unlock()
+}
+
+// currentState returns the lifecycle state.
+func (c *Container) currentState() State {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.state
 }
 
 // Run transitions Warm -> Running.
@@ -147,53 +129,32 @@ func (p *Provisioner) Provision(host string) *Container {
 	p.mu.Unlock()
 
 	p.clock.Sleep(delay)
-	c := &Container{ID: id, Host: host, state: Warm, createdAt: p.clock.Now()}
-	return c
+	return &Container{ID: id, Host: host, state: Warm}
 }
 
 // Attach pays the warm-attach latency for a pooled container.
-func (p *Provisioner) Attach(c *Container) {
+func (p *Provisioner) Attach() {
 	p.mu.Lock()
 	p.warmTakes++
 	delay := p.latency.WarmAttach(p.rng)
 	p.mu.Unlock()
 	p.clock.Sleep(delay)
-	c.mu.Lock()
-	c.warmStart = true
-	c.mu.Unlock()
 }
 
-// Stats returns (cold starts, warm takes).
-func (p *Provisioner) Stats() (cold, warm int64) {
+// stats returns (cold starts, warm takes).
+func (p *Provisioner) stats() (cold, warm int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.coldStarts, p.warmTakes
 }
 
-// PoolPolicy decides how many warm containers each host should hold. The
-// paper makes both the initial-pool and maintenance policies pluggable.
-type PoolPolicy interface {
-	// InitialSize is the number of containers pre-warmed when a host joins.
-	InitialSize(host string) int
-	// TargetSize is the pool size maintained after takes.
-	TargetSize(host string) int
-}
-
-// FixedPool keeps N warm containers per host — the paper's default policy
-// ("the Container Prewarmer ensures that each server has a specified,
-// minimum number of pre-warmed containers available").
-type FixedPool struct{ N int }
-
-// InitialSize implements PoolPolicy.
-func (f FixedPool) InitialSize(string) int { return f.N }
-
-// TargetSize implements PoolPolicy.
-func (f FixedPool) TargetSize(string) int { return f.N }
-
-// Prewarmer maintains per-host pools of warm containers.
+// Prewarmer keeps a fixed number of warm containers on every host, the
+// paper's default policy ("the Container Prewarmer ensures that each
+// server has a specified, minimum number of pre-warmed containers
+// available").
 type Prewarmer struct {
-	prov   *Provisioner
-	policy PoolPolicy
+	prov    *Provisioner
+	perHost int
 
 	mu    sync.Mutex
 	pools map[string][]*Container
@@ -202,11 +163,12 @@ type Prewarmer struct {
 	refilling map[string]int
 }
 
-// NewPrewarmer returns a prewarmer over the given provisioner and policy.
-func NewPrewarmer(prov *Provisioner, policy PoolPolicy) *Prewarmer {
+// NewPrewarmer returns a prewarmer keeping perHost warm containers on each
+// host it warms.
+func NewPrewarmer(prov *Provisioner, perHost int) *Prewarmer {
 	return &Prewarmer{
 		prov:      prov,
-		policy:    policy,
+		perHost:   perHost,
 		pools:     make(map[string][]*Container),
 		refilling: make(map[string]int),
 	}
@@ -215,10 +177,9 @@ func NewPrewarmer(prov *Provisioner, policy PoolPolicy) *Prewarmer {
 // ErrNoWarmContainer is returned by Take when the host's pool is empty.
 var ErrNoWarmContainer = errors.New("container: no pre-warmed container available")
 
-// WarmHost synchronously fills host's pool to the policy's initial size.
+// WarmHost synchronously fills host's pool to perHost containers.
 func (pw *Prewarmer) WarmHost(host string) {
-	n := pw.policy.InitialSize(host)
-	for i := 0; i < n; i++ {
+	for i := 0; i < pw.perHost; i++ {
 		c := pw.prov.Provision(host)
 		pw.mu.Lock()
 		pw.pools[host] = append(pw.pools[host], c)
@@ -227,7 +188,7 @@ func (pw *Prewarmer) WarmHost(host string) {
 }
 
 // Take removes a warm container from host's pool, paying the warm-attach
-// latency, and triggers an asynchronous refill toward the target size.
+// latency, and triggers an asynchronous refill back to perHost.
 func (pw *Prewarmer) Take(host string) (*Container, error) {
 	pw.mu.Lock()
 	pool := pw.pools[host]
@@ -237,7 +198,7 @@ func (pw *Prewarmer) Take(host string) (*Container, error) {
 	}
 	c := pool[len(pool)-1]
 	pw.pools[host] = pool[:len(pool)-1]
-	deficit := pw.policy.TargetSize(host) - len(pw.pools[host]) - pw.refilling[host]
+	deficit := pw.perHost - len(pw.pools[host]) - pw.refilling[host]
 	if deficit > 0 {
 		pw.refilling[host] += deficit
 	}
@@ -252,22 +213,22 @@ func (pw *Prewarmer) Take(host string) (*Container, error) {
 			pw.mu.Unlock()
 		}()
 	}
-	pw.prov.Attach(c)
+	pw.prov.Attach()
 	return c, nil
 }
 
-// Return places a container back in its host's pool (NotebookOS (LCP)
+// recycle places a container back in its host's pool (NotebookOS (LCP)
 // baseline behaviour: "the container is returned to the pool rather than
 // being terminated").
-func (pw *Prewarmer) Return(c *Container) {
+func (pw *Prewarmer) recycle(c *Container) {
 	c.setState(Warm)
 	pw.mu.Lock()
 	pw.pools[c.Host] = append(pw.pools[c.Host], c)
 	pw.mu.Unlock()
 }
 
-// Available returns the number of warm containers pooled on host.
-func (pw *Prewarmer) Available(host string) int {
+// available returns the number of warm containers pooled on host.
+func (pw *Prewarmer) available(host string) int {
 	pw.mu.Lock()
 	defer pw.mu.Unlock()
 	return len(pw.pools[host])

@@ -16,8 +16,8 @@ func fastProv() *Provisioner {
 func TestContainerLifecycle(t *testing.T) {
 	p := fastProv()
 	c := p.Provision("h1")
-	if c.State() != Warm {
-		t.Fatalf("state = %v, want warm", c.State())
+	if c.currentState() != Warm {
+		t.Fatalf("state = %v, want warm", c.currentState())
 	}
 	if c.Host != "h1" || c.ID == "" {
 		t.Fatalf("container = %+v", c)
@@ -25,15 +25,15 @@ func TestContainerLifecycle(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.State() != Running {
-		t.Fatalf("state = %v", c.State())
+	if c.currentState() != Running {
+		t.Fatalf("state = %v", c.currentState())
 	}
 	if err := c.Run(); err == nil {
 		t.Fatal("Run from Running must fail")
 	}
 	c.Terminate()
-	if c.State() != Terminated {
-		t.Fatalf("state = %v", c.State())
+	if c.currentState() != Terminated {
+		t.Fatalf("state = %v", c.currentState())
 	}
 }
 
@@ -71,13 +71,13 @@ func TestProvisionerLatencyOnVirtualClock(t *testing.T) {
 	clock.Advance(45 * time.Second)
 	select {
 	case c := <-done:
-		if c.State() != Warm {
-			t.Fatalf("state = %v", c.State())
+		if c.currentState() != Warm {
+			t.Fatalf("state = %v", c.currentState())
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("provision never completed")
 	}
-	cold, warm := p.Stats()
+	cold, warm := p.stats()
 	if cold != 1 || warm != 0 {
 		t.Fatalf("stats = %d/%d", cold, warm)
 	}
@@ -85,30 +85,33 @@ func TestProvisionerLatencyOnVirtualClock(t *testing.T) {
 
 func TestPrewarmerTakeAndRefill(t *testing.T) {
 	p := fastProv()
-	pw := NewPrewarmer(p, FixedPool{N: 2})
+	pw := NewPrewarmer(p, 2)
 	pw.WarmHost("h1")
-	if got := pw.Available("h1"); got != 2 {
+	if got := pw.available("h1"); got != 2 {
 		t.Fatalf("available = %d", got)
 	}
 	c, err := pw.Take("h1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.WarmStart() {
-		t.Error("taken container should be marked warm-start")
+	if c.currentState() != Warm {
+		t.Errorf("taken container state = %v, want warm", c.currentState())
+	}
+	if _, warm := p.stats(); warm != 1 {
+		t.Errorf("warm takes = %d, want 1", warm)
 	}
 	// Background refill restores the target size.
 	deadline := time.Now().Add(2 * time.Second)
-	for pw.Available("h1") < 2 && time.Now().Before(deadline) {
+	for pw.available("h1") < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := pw.Available("h1"); got != 2 {
+	if got := pw.available("h1"); got != 2 {
 		t.Fatalf("available after refill = %d", got)
 	}
 }
 
 func TestPrewarmerEmptyHost(t *testing.T) {
-	pw := NewPrewarmer(fastProv(), FixedPool{N: 1})
+	pw := NewPrewarmer(fastProv(), 1)
 	if _, err := pw.Take("unknown-host"); !errors.Is(err, ErrNoWarmContainer) {
 		t.Fatalf("err = %v", err)
 	}
@@ -116,14 +119,14 @@ func TestPrewarmerEmptyHost(t *testing.T) {
 
 func TestPrewarmerReturn(t *testing.T) {
 	p := fastProv()
-	pw := NewPrewarmer(p, FixedPool{N: 0}) // no auto-refill: LCP-style manual pool
+	pw := NewPrewarmer(p, 0) // no auto-refill: LCP-style manual pool
 	c := p.Provision("h1")
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	pw.Return(c)
-	if c.State() != Warm {
-		t.Fatalf("returned container state = %v", c.State())
+	pw.recycle(c)
+	if c.currentState() != Warm {
+		t.Fatalf("returned container state = %v", c.currentState())
 	}
 	got, err := pw.Take("h1")
 	if err != nil || got != c {
@@ -133,7 +136,7 @@ func TestPrewarmerReturn(t *testing.T) {
 
 func TestPrewarmerNoOverRefill(t *testing.T) {
 	p := fastProv()
-	pw := NewPrewarmer(p, FixedPool{N: 3})
+	pw := NewPrewarmer(p, 3)
 	pw.WarmHost("h1")
 	// Take all three quickly; refills must converge to exactly 3.
 	for i := 0; i < 3; i++ {
@@ -142,12 +145,12 @@ func TestPrewarmerNoOverRefill(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for pw.Available("h1") < 3 && time.Now().Before(deadline) {
+	for pw.available("h1") < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	// Allow any in-flight refills to land, then confirm no overshoot.
 	time.Sleep(50 * time.Millisecond)
-	if got := pw.Available("h1"); got != 3 {
+	if got := pw.available("h1"); got != 3 {
 		t.Fatalf("available = %d, want exactly 3", got)
 	}
 }

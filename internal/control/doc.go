@@ -1,11 +1,11 @@
 // Package control is the live control plane of NotebookOS (paper §3.4),
 // the part of the resource scheduling layer that runs real kernels: the
 // Global Scheduler (kernel creation, request routing, executor
-// designation, replica migration, auto-scaling, heartbeat recovery), the
-// per-server Local Scheduler (container provisioning, dynamic GPU
-// binding), and the notebook runtime builtins (load_dataset,
-// create_model, train, evaluate) the Global Scheduler installs into every
-// kernel replica so cell code can perform simulated IDLT tasks.
+// designation, replica migration, auto-scaling), the per-server Local
+// Scheduler (container provisioning, dynamic GPU binding), and the
+// notebook runtime builtins (load_dataset, create_model, train, evaluate)
+// the Global Scheduler installs into every kernel replica so cell code can
+// perform simulated IDLT tasks.
 //
 // It decides nothing about placement itself: replicas land where
 // scheduler.LeastLoaded puts them on the shared cluster model, and

@@ -38,51 +38,32 @@ type Stats struct {
 	FailedMigrations int64
 	ScaleOuts        int64
 	ScaleIns         int64
-	// Recoveries counts replicas replaced after heartbeat failure
-	// detection (§3.2.5).
-	Recoveries int64
 }
+
+// scaleFactor is f in the auto-scaler's expected-capacity formula (§3.4.2).
+const scaleFactor = 1.05
 
 // Config configures the Global Scheduler.
 type Config struct {
-	// Cluster is the host inventory; hosts may also be added later via
-	// AddHost or scale-out.
+	// Cluster is the host inventory; scale-out adds hosts to it. Scale-in
+	// never shrinks it below its size at New.
 	Cluster *cluster.Cluster
-	// Clock drives all timing.
-	Clock simclock.Clock
-	// Store is the distributed data store shared by all kernels.
-	Store store.Store
-	// ContainerLatency models container provisioning costs.
-	ContainerLatency container.LatencyModel
 	// PrewarmPerHost is the pre-warmed pool size per server (§3.2.3).
 	PrewarmPerHost int
 	// HostFactory creates new hosts during scale-out. Nil disables
 	// scale-out.
 	HostFactory func(n int) []*cluster.Host
-	// ScaleFactor is f in the auto-scaler's expected-capacity formula
-	// (default 1.05, §3.4.2).
-	ScaleFactor float64
-	// MinHosts is the floor for scale-in.
-	MinHosts int
-	// ScalingBufferHosts keeps extra idle servers for request bursts.
-	ScalingBufferHosts int
 	// AutoscaleInterval is how often the auto-scaler runs (0 disables).
 	AutoscaleInterval time.Duration
-	// HeartbeatInterval is how often replica liveness is checked
-	// (§3.2.5); dead replicas are replaced in place and restore their
-	// state from the data store. Zero disables monitoring.
-	HeartbeatInterval time.Duration
 	// OnReply receives the aggregated (executor) execute_reply per
 	// session; may be nil.
 	OnReply func(session string, msg jupyter.Message)
 	// InstallRuntime installs notebook builtins into each replica.
-	InstallRuntime func(in *pynb.Interp, r *kernel.Replica)
+	InstallRuntime func(in *pynb.Interp)
 	// KernelTickInterval is the Raft tick period inside kernels.
 	KernelTickInterval time.Duration
-	// NetMinDelay/NetMaxDelay bound replica P2P latency.
-	NetMinDelay, NetMaxDelay time.Duration
-	// LargeObjectThreshold is the kernel state inline/pointer cutoff.
-	LargeObjectThreshold int64
+	// NetMaxDelay bounds replica P2P latency.
+	NetMaxDelay time.Duration
 	// MigrationRetries bounds target-search attempts per migration.
 	MigrationRetries int
 	// MigrationRetryDelay separates migration target searches.
@@ -124,7 +105,9 @@ type kernelState struct {
 // information, migrates replicas after failed elections, and auto-scales
 // the cluster.
 type GlobalScheduler struct {
-	cfg Config
+	cfg      Config
+	store    store.Store
+	minHosts int
 
 	mu      sync.Mutex
 	locals  map[string]*LocalScheduler
@@ -146,18 +129,9 @@ func New(cfg Config) (*GlobalScheduler, error) {
 	if cfg.Cluster == nil {
 		return nil, fmt.Errorf("scheduler: config requires Cluster")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.Real{}
+	if r := cfg.Cluster.ReplicasPerKernel(); r != kernel.Replicas {
+		return nil, fmt.Errorf("scheduler: cluster places %d replicas per kernel, kernels run %d", r, kernel.Replicas)
 	}
-	if cfg.Store == nil {
-		cfg.Store = store.NewMem()
-	}
-	if cfg.ScaleFactor <= 0 {
-		cfg.ScaleFactor = 1.05
-	}
-	// replicas = 0: a failed placement triggers scale-out via the host
-	// factory, so the live scheduler need not floor at R (see scheduler.MinHostsFloor).
-	cfg.MinHosts = scheduler.MinHostsFloor(cfg.MinHosts, 0)
 	if cfg.MigrationRetries <= 0 {
 		cfg.MigrationRetries = 3
 	}
@@ -167,29 +141,25 @@ func New(cfg Config) (*GlobalScheduler, error) {
 	if cfg.Logger == nil {
 		cfg.Logger = nopLogger{}
 	}
-	if cfg.ContainerLatency.ColdStart == nil {
-		cfg.ContainerLatency = container.FastLatency()
-	}
 	gs := &GlobalScheduler{
-		cfg:     cfg,
-		locals:  map[string]*LocalScheduler{},
-		kernels: map[string]*kernelState{},
+		cfg:   cfg,
+		store: store.NewMem(),
+		// replicas = 0: a failed placement triggers scale-out via the host
+		// factory, so the live scheduler need not floor at R (see
+		// scheduler.MinHostsFloor).
+		minHosts: scheduler.MinHostsFloor(cfg.Cluster.NumHosts(), 0),
+		locals:   map[string]*LocalScheduler{},
+		kernels:  map[string]*kernelState{},
 	}
-	gs.prov = container.NewProvisioner(cfg.Clock, cfg.ContainerLatency, cfg.Seed+101)
-	gs.prewarm = container.NewPrewarmer(gs.prov, container.FixedPool{N: cfg.PrewarmPerHost})
+	gs.prov = container.NewProvisioner(simclock.Real{}, container.FastLatency(), cfg.Seed+101)
+	gs.prewarm = container.NewPrewarmer(gs.prov, cfg.PrewarmPerHost)
 	for _, h := range cfg.Cluster.Hosts() {
 		gs.attachHost(h)
 	}
-	if cfg.AutoscaleInterval > 0 || cfg.HeartbeatInterval > 0 {
+	if cfg.AutoscaleInterval > 0 {
 		gs.stopScal = make(chan struct{})
-		if cfg.AutoscaleInterval > 0 {
-			gs.wg.Add(1)
-			go gs.autoscaleLoop()
-		}
-		if cfg.HeartbeatInterval > 0 {
-			gs.wg.Add(1)
-			go gs.heartbeatLoop()
-		}
+		gs.wg.Add(1)
+		go gs.autoscaleLoop()
 	}
 	return gs, nil
 }
@@ -208,15 +178,6 @@ func (gs *GlobalScheduler) attachHost(h *cluster.Host) *LocalScheduler {
 		}()
 	}
 	return ls
-}
-
-// AddHost adds a host to the cluster and attaches a Local Scheduler.
-func (gs *GlobalScheduler) AddHost(h *cluster.Host) error {
-	if err := gs.cfg.Cluster.AddHost(h); err != nil {
-		return err
-	}
-	gs.attachHost(h)
-	return nil
 }
 
 // Local returns the Local Scheduler for a host.
@@ -268,7 +229,7 @@ func (gs *GlobalScheduler) Stats() Stats {
 
 func (gs *GlobalScheduler) recordEvent(kind scheduler.EventKind, detail string) {
 	gs.mu.Lock()
-	gs.events = append(gs.events, Event{Time: gs.cfg.Clock.Now(), Kind: kind, Detail: detail})
+	gs.events = append(gs.events, Event{Time: time.Now(), Kind: kind, Detail: detail})
 	gs.mu.Unlock()
 }
 
@@ -276,8 +237,7 @@ func (gs *GlobalScheduler) recordEvent(kind scheduler.EventKind, detail string) 
 // candidate hosts (scaling out if needed), provision replica containers
 // via the Local Schedulers, start the replicas, and register routing.
 func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.Spec) error {
-	r := gs.cfg.Cluster.ReplicasPerKernel()
-	hosts, err := gs.selectHostsScalingOut(req, r)
+	hosts, err := gs.selectHostsScalingOut(req, kernel.Replicas)
 	if err != nil {
 		return err
 	}
@@ -317,10 +277,8 @@ func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.S
 		ks.hosts[i+1] = h
 	}
 	k, err := kernel.New(kernel.Config{
-		ID:       kernelID,
-		Replicas: r,
-		Store:    gs.cfg.Store,
-		Clock:    gs.cfg.Clock,
+		ID:    kernelID,
+		Store: gs.store,
 		OnReply: func(replica int, msg jupyter.Message) {
 			gs.handleReply(ks, replica, msg)
 		},
@@ -331,13 +289,11 @@ func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.S
 				gs.handleAllYield(ks, term)
 			}()
 		},
-		InstallRuntime:       gs.cfg.InstallRuntime,
-		NetMinDelay:          gs.cfg.NetMinDelay,
-		NetMaxDelay:          gs.cfg.NetMaxDelay,
-		TickInterval:         gs.cfg.KernelTickInterval,
-		LargeObjectThreshold: gs.cfg.LargeObjectThreshold,
-		Seed:                 gs.cfg.Seed + int64(len(kernelID))*17,
-		Logger:               gs.cfg.Logger,
+		InstallRuntime: gs.cfg.InstallRuntime,
+		NetMaxDelay:    gs.cfg.NetMaxDelay,
+		TickInterval:   gs.cfg.KernelTickInterval,
+		Seed:           gs.cfg.Seed + int64(len(kernelID))*17,
+		Logger:         gs.cfg.Logger,
 	})
 	if err != nil {
 		return err
@@ -682,7 +638,7 @@ func (gs *GlobalScheduler) findMigration(ks *kernelState) (victim int, target *c
 		if attempt == 0 {
 			gs.ScaleOut(1)
 		}
-		gs.cfg.Clock.Sleep(gs.cfg.MigrationRetryDelay)
+		time.Sleep(gs.cfg.MigrationRetryDelay)
 	}
 	return 0, nil
 }
@@ -712,31 +668,29 @@ func (gs *GlobalScheduler) failExecution(ks *kernelState, term uint64, reason st
 }
 
 // autoscaleLoop implements §3.4.2: on each interval, compare the cluster's
-// GPU capacity to f times the actively-committed GPUs (plus the scaling
-// buffer) and add or release servers.
+// GPU capacity to f times the actively-committed GPUs and add or release
+// servers.
 func (gs *GlobalScheduler) autoscaleLoop() {
 	defer gs.wg.Done()
 	for {
 		select {
 		case <-gs.stopScal:
 			return
-		case <-gs.cfg.Clock.After(gs.cfg.AutoscaleInterval):
+		case <-time.After(gs.cfg.AutoscaleInterval):
 			gs.AutoscaleOnce()
 		}
 	}
 }
 
-// AutoscaleOnce runs one auto-scaler evaluation (exported for tests and
-// the simulator).
+// AutoscaleOnce runs one auto-scaler evaluation; autoscaleLoop calls it
+// every AutoscaleInterval.
 func (gs *GlobalScheduler) AutoscaleOnce() {
 	c := gs.cfg.Cluster
-	committed := c.CommittedGPUs()
-	expected := gs.cfg.ScaleFactor * float64(committed)
+	expected := scaleFactor * float64(c.CommittedGPUs())
 	gpusPerHost := 8
 	if hosts := c.Hosts(); len(hosts) > 0 {
 		gpusPerHost = hosts[0].Capacity.GPUs
 	}
-	expected += float64(gs.cfg.ScalingBufferHosts * gpusPerHost)
 	total := c.TotalGPUs()
 
 	if float64(total) < expected && gs.hostFactory() != nil {
@@ -745,10 +699,10 @@ func (gs *GlobalScheduler) AutoscaleOnce() {
 		return
 	}
 	// Scale in gradually: release 1-2 idle servers at a time.
-	if float64(total)-float64(gpusPerHost) > expected && c.NumHosts() > gs.cfg.MinHosts {
+	if float64(total)-float64(gpusPerHost) > expected && c.NumHosts() > gs.minHosts {
 		released := 0
 		for _, h := range c.Hosts() {
-			if released >= 2 || c.NumHosts() <= gs.cfg.MinHosts {
+			if released >= 2 || c.NumHosts() <= gs.minHosts {
 				break
 			}
 			if h.Empty() {
@@ -768,61 +722,7 @@ func (gs *GlobalScheduler) AutoscaleOnce() {
 	}
 }
 
-// heartbeatLoop implements §3.2.5's failure handling: if a replica's
-// heartbeat stops (here: the replica is no longer alive), the Global
-// Scheduler recreates it in place; the replacement restores state from
-// remote storage and replays the Raft log.
-func (gs *GlobalScheduler) heartbeatLoop() {
-	defer gs.wg.Done()
-	for {
-		select {
-		case <-gs.stopScal:
-			return
-		case <-gs.cfg.Clock.After(gs.cfg.HeartbeatInterval):
-			gs.CheckHeartbeatsOnce()
-		}
-	}
-}
-
-// CheckHeartbeatsOnce scans every kernel replica for liveness and
-// replaces dead ones (exported for tests).
-func (gs *GlobalScheduler) CheckHeartbeatsOnce() {
-	gs.mu.Lock()
-	kernels := make([]*kernelState, 0, len(gs.kernels))
-	for _, ks := range gs.kernels {
-		kernels = append(kernels, ks)
-	}
-	gs.mu.Unlock()
-
-	for _, ks := range kernels {
-		for _, rep := range ks.k.Replicas() {
-			if rep.Alive() {
-				continue
-			}
-			num := rep.ID()
-			gs.cfg.Logger.Logf("scheduler: kernel %s replica %d failed heartbeat; recovering", ks.id, num)
-			newReplica, err := ks.k.ReplaceReplica(num, 60*time.Second)
-			if err != nil {
-				gs.cfg.Logger.Logf("scheduler: recover %s r%d: %v", ks.id, num, err)
-				continue
-			}
-			ks.mu.Lock()
-			h := ks.hosts[num]
-			ks.mu.Unlock()
-			if h != nil {
-				if ls, ok := gs.Local(h.ID); ok {
-					ls.RegisterReplica(replicaKey(ks.id, num), newReplica.HandleRequest)
-				}
-			}
-			gs.mu.Lock()
-			gs.stats.Recoveries++
-			gs.mu.Unlock()
-		}
-	}
-}
-
-// NewHostFactory returns a HostFactory minting hosts with the given
-// capacity and sequential IDs.
+// hostID returns the next sequential ID for a host scale-out mints.
 func (gs *GlobalScheduler) hostID() string {
 	gs.mu.Lock()
 	defer gs.mu.Unlock()

@@ -130,12 +130,3 @@ func (ls *LocalScheduler) ReleaseExecution(holder string) {
 	}
 	_ = ls.Host.Release(holder)
 }
-
-// WarmPoolAvailable returns the number of pre-warmed containers on this
-// server.
-func (ls *LocalScheduler) WarmPoolAvailable() int {
-	if ls.prewarm == nil {
-		return 0
-	}
-	return ls.prewarm.Available(ls.Host.ID)
-}

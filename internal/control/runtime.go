@@ -6,49 +6,32 @@ import (
 	"time"
 
 	"notebookos/internal/gpu"
-	"notebookos/internal/kernel"
 	"notebookos/internal/pynb"
-	"notebookos/internal/simclock"
 	"notebookos/internal/workload"
 )
 
-// RuntimeOptions tunes the notebook runtime installed into kernels.
-type RuntimeOptions struct {
-	// Clock is used by train() to occupy simulated GPU time.
-	Clock simclock.Clock
-	// TimeScale compresses training durations: a train() of `seconds=s`
-	// occupies s*TimeScale of clock time. Tests and examples use small
-	// scales so real deployments stay responsive.
-	TimeScale float64
-	// Transfer models host<->VRAM parameter movement (§3.3).
-	Transfer gpu.TransferModel
-}
-
-// Install adds the NotebookOS notebook builtins to a kernel replica's
-// interpreter. It has the signature of kernel.Config.InstallRuntime, so a
+// Runtime installs the NotebookOS notebook builtins into kernel replicas.
+// Its Install has the signature of kernel.Config.InstallRuntime, so a
 // scheduler configures kernels with:
 //
-//	InstallRuntime: NewRuntime(opts).Install
+//	InstallRuntime: NewRuntime(timeScale).Install
 type Runtime struct {
-	opts RuntimeOptions
+	// timeScale compresses training durations: a train() of seconds=s
+	// occupies s*timeScale of wall time. Tests and examples use small
+	// scales so real deployments stay responsive.
+	timeScale float64
 }
 
-// NewRuntime returns a runtime installer.
-func NewRuntime(opts RuntimeOptions) *Runtime {
-	if opts.Clock == nil {
-		opts.Clock = simclock.Real{}
+// NewRuntime returns a runtime installer; a zero timeScale is real time.
+func NewRuntime(timeScale float64) *Runtime {
+	if timeScale == 0 {
+		timeScale = 1
 	}
-	if opts.TimeScale <= 0 {
-		opts.TimeScale = 1
-	}
-	if opts.Transfer.PerGB == 0 {
-		opts.Transfer = gpu.DefaultTransfer()
-	}
-	return &Runtime{opts: opts}
+	return &Runtime{timeScale: timeScale}
 }
 
 // Install implements kernel.Config.InstallRuntime.
-func (rt *Runtime) Install(in *pynb.Interp, r *kernel.Replica) {
+func (rt *Runtime) Install(in *pynb.Interp) {
 	in.RegisterBuiltin("load_dataset", func(c *pynb.CallCtx) (pynb.Value, error) {
 		v, err := c.Arg(0)
 		if err != nil {
@@ -126,7 +109,10 @@ func (rt *Runtime) Install(in *pynb.Interp, r *kernel.Replica) {
 		if epochs < 1 || gpus < 1 {
 			return nil, fmt.Errorf("train requires epochs >= 1 and gpus >= 1")
 		}
-		if seconds <= 0 {
+		if !(seconds >= 0) || math.IsInf(seconds, 1) {
+			return nil, fmt.Errorf("train: seconds is %v; zero means the size model, and it must be finite and not negative", seconds)
+		}
+		if seconds == 0 {
 			// Duration model: proportional to dataset size and epochs,
 			// inversely proportional to GPUs.
 			gb := float64(dataset.Payload) / float64(1<<30)
@@ -135,10 +121,10 @@ func (rt *Runtime) Install(in *pynb.Interp, r *kernel.Replica) {
 
 		// Parameter load onto each allocated device, then training time,
 		// then copy back to host memory before returning (§3.3).
-		load := rt.opts.Transfer.LoadTime(model.Payload, int(gpus))
-		offload := rt.opts.Transfer.OffloadTime(model.Payload)
-		trainDur := scaleSeconds(seconds, rt.opts.TimeScale)
-		rt.opts.Clock.Sleep(load + trainDur + offload)
+		transfer := gpu.DefaultTransfer()
+		load := transfer.LoadTime(model.Payload, int(gpus))
+		offload := transfer.OffloadTime(model.Payload)
+		time.Sleep(load + scaleSeconds(seconds, rt.timeScale) + offload)
 
 		prevEpochs := int64(0)
 		if e, ok := model.Fields["epochs_trained"].(pynb.Int); ok {
@@ -177,6 +163,15 @@ func (rt *Runtime) Install(in *pynb.Interp, r *kernel.Replica) {
 	})
 }
 
+// maxTrain caps a scaled train() duration at half the longest
+// time.Duration (146 years), so adding the transfer times cannot wrap.
+const maxTrain = time.Duration(math.MaxInt64 / 2)
+
+// scaleSeconds converts s seconds of training at the given time scale into
+// wall time, saturating at maxTrain rather than wrapping.
 func scaleSeconds(s, scale float64) time.Duration {
-	return time.Duration(s * scale * float64(time.Second))
+	if ns := s * scale * float64(time.Second); ns < float64(maxTrain) {
+		return time.Duration(ns)
+	}
+	return maxTrain
 }

@@ -1,18 +1,19 @@
 package control
 
 import (
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"notebookos/internal/pynb"
-	"notebookos/internal/simclock"
 )
 
 func newRuntimeInterp(t *testing.T) *pynb.Interp {
 	t.Helper()
 	in := pynb.New()
-	rt := NewRuntime(RuntimeOptions{Clock: simclock.Real{}, TimeScale: 1e-6})
-	rt.Install(in, nil)
+	rt := NewRuntime(1e-6)
+	rt.Install(in)
 	return in
 }
 
@@ -53,6 +54,35 @@ func TestRuntimeErrors(t *testing.T) {
 		if _, err := in.Run(src); err == nil {
 			t.Errorf("%q should fail", src)
 		}
+	}
+}
+
+// TestTrainRefusesBadSeconds: a negative seconds is an error naming the
+// argument, not a silent fall-back to the size model.
+func TestTrainRefusesBadSeconds(t *testing.T) {
+	in := newRuntimeInterp(t)
+	_, err := in.Run("m = create_model(\"bert\")\nd = load_dataset(\"imdb\")\nr = train(m, d, seconds=-5)\n")
+	if err == nil || !strings.Contains(err.Error(), "seconds") {
+		t.Fatalf("train(seconds=-5) err = %v, want an error naming seconds", err)
+	}
+}
+
+// TestScaledSecondsSaturate: 10^12 training seconds at scale 0.01 is 10^19
+// ns, past time.Duration's range. The scaled time saturates rather than
+// wrapping to a negative sleep that would reply at once.
+func TestScaledSecondsSaturate(t *testing.T) {
+	if got := scaleSeconds(100, 0.01); got != time.Second {
+		t.Fatalf("scaleSeconds(100, 0.01) = %v, want 1s", got)
+	}
+	huge := scaleSeconds(1e12, 0.01)
+	if huge != maxTrain || huge < scaleSeconds(100, 0.01) {
+		t.Fatalf("scaleSeconds(1e12, 0.01) = %v, want the saturated %v", huge, maxTrain)
+	}
+	if got := scaleSeconds(math.Inf(1), 1); got != maxTrain {
+		t.Fatalf("scaleSeconds(+Inf, 1) = %v, want %v", got, maxTrain)
+	}
+	if maxTrain+time.Hour < maxTrain {
+		t.Fatal("the transfer times added to maxTrain wrap")
 	}
 }
 

@@ -160,7 +160,7 @@ func TestExecuteErrors(t *testing.T) {
 }
 
 func TestEventsStream(t *testing.T) {
-	srv, p := newServer(t)
+	srv, _ := newServer(t)
 	resp := postJSON(t, srv.URL+"/api/sessions", map[string]any{"user": "carol", "gpus": 1})
 	created := decode[map[string]any](t, resp)
 	id := created["id"].(string)
@@ -178,7 +178,10 @@ func TestEventsStream(t *testing.T) {
 
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		_, _ = p.ExecuteAsync(id, "print(\"streamed\")\n")
+		body := strings.NewReader(`{"code":"print(\"streamed\")\n"}`)
+		if resp, err := http.Post(srv.URL+"/api/sessions/"+id+"/execute", "application/json", body); err == nil {
+			resp.Body.Close()
+		}
 	}()
 
 	scanner := bufio.NewScanner(stream.Body)
@@ -195,8 +198,8 @@ func TestEventsStream(t *testing.T) {
 	}()
 	select {
 	case data := <-found:
-		msg, err := jupyter.Decode([]byte(data))
-		if err != nil {
+		var msg jupyter.Message
+		if err := json.Unmarshal([]byte(data), &msg); err != nil {
 			t.Fatalf("bad SSE payload: %v", err)
 		}
 		content, err := msg.ParseExecuteReply()

@@ -11,15 +11,9 @@ import (
 // NotebookOS-specific yield_request (an execute_request converted by the
 // Global Scheduler to tell a replica not to contend for execution).
 const (
-	MsgExecuteRequest    = "execute_request"
-	MsgYieldRequest      = "yield_request"
-	MsgExecuteReply      = "execute_reply"
-	MsgStatus            = "status"
-	MsgKernelInfoRequest = "kernel_info_request"
-	MsgKernelInfoReply   = "kernel_info_reply"
-	MsgShutdownRequest   = "shutdown_request"
-	MsgShutdownReply     = "shutdown_reply"
-	MsgStreamOutput      = "stream"
+	MsgExecuteRequest = "execute_request"
+	MsgYieldRequest   = "yield_request"
+	MsgExecuteReply   = "execute_reply"
 )
 
 // ProtocolVersion is the advertised protocol version.
@@ -51,7 +45,6 @@ type Message struct {
 const (
 	MetaGPUDeviceIDs   = "gpu_device_ids"
 	MetaTargetReplica  = "target_replica"
-	MetaResourceReq    = "resource_request"
 	MetaElectionTermID = "election_term"
 )
 
@@ -80,15 +73,6 @@ func New(msgType, session, username string, content any) (Message, error) {
 		Metadata: map[string]string{},
 		Content:  raw,
 	}, nil
-}
-
-// MustNew is New but panics on marshal failure; for static content types.
-func MustNew(msgType, session, username string, content any) Message {
-	m, err := New(msgType, session, username, content)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // Child creates a reply-style message whose parent header is m's header
@@ -128,15 +112,6 @@ func (m Message) AsYield(targetReplica int) Message {
 // Encode serializes the message.
 func (m Message) Encode() ([]byte, error) { return json.Marshal(m) }
 
-// Decode parses a message.
-func Decode(data []byte) (Message, error) {
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return Message{}, fmt.Errorf("jupyter: decode: %w", err)
-	}
-	return m, nil
-}
-
 // Validate checks required envelope fields.
 func (m Message) Validate() error {
 	switch {
@@ -171,23 +146,6 @@ type ExecuteReplyContent struct {
 	Replica int `json:"replica,omitempty"`
 	// Yielded marks replies from standby replicas that did not execute.
 	Yielded bool `json:"yielded,omitempty"`
-}
-
-// StatusContent is the content of status messages.
-type StatusContent struct {
-	ExecutionState string `json:"execution_state"` // "busy", "idle", "starting"
-}
-
-// KernelInfoReplyContent describes the kernel implementation.
-type KernelInfoReplyContent struct {
-	Implementation string `json:"implementation"`
-	Banner         string `json:"banner"`
-	LanguageName   string `json:"language_name"`
-}
-
-// ShutdownContent is the content of shutdown request/reply.
-type ShutdownContent struct {
-	Restart bool `json:"restart"`
 }
 
 // ParseExecuteRequest extracts execute/yield request content.

@@ -1,9 +1,19 @@
 package jupyter
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
+
+func mustNew(t *testing.T, msgType string, content any) Message {
+	t.Helper()
+	m, err := New(msgType, "s", "u", content)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func TestNewAndValidate(t *testing.T) {
 	m, err := New(MsgExecuteRequest, "sess-1", "alice", ExecuteRequestContent{Code: "x = 1"})
@@ -30,7 +40,7 @@ func TestValidateCatchesMissingFields(t *testing.T) {
 	if m.Validate() == nil {
 		t.Error("missing type must not validate")
 	}
-	m.Header.MsgType = MsgStatus
+	m.Header.MsgType = "status"
 	if m.Validate() == nil {
 		t.Error("missing session must not validate")
 	}
@@ -52,7 +62,7 @@ func TestUniqueMsgIDs(t *testing.T) {
 }
 
 func TestChildLinksParent(t *testing.T) {
-	req := MustNew(MsgExecuteRequest, "s", "u", ExecuteRequestContent{Code: "y"})
+	req := mustNew(t, MsgExecuteRequest, ExecuteRequestContent{Code: "y"})
 	req.KernelID = "kernel-7"
 	reply, err := req.Child(MsgExecuteReply, ExecuteReplyContent{Status: "ok", ExecutionCount: 3})
 	if err != nil {
@@ -70,15 +80,15 @@ func TestChildLinksParent(t *testing.T) {
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	m := MustNew(MsgExecuteRequest, "s", "u", ExecuteRequestContent{Code: "a = 1\n"})
+	m := mustNew(t, MsgExecuteRequest, ExecuteRequestContent{Code: "a = 1\n"})
 	m.KernelID = "k1"
 	m = m.WithMeta(MetaGPUDeviceIDs, "[0,1]")
 	data, err := m.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := Decode(data)
-	if err != nil {
+	var back Message
+	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Header.MsgID != m.Header.MsgID || back.KernelID != "k1" {
@@ -91,13 +101,10 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil || c.Code != "a = 1\n" {
 		t.Fatalf("content = %+v, %v", c, err)
 	}
-	if _, err := Decode([]byte("nope")); err == nil {
-		t.Error("bad json must fail")
-	}
 }
 
 func TestAsYield(t *testing.T) {
-	req := MustNew(MsgExecuteRequest, "s", "u", ExecuteRequestContent{Code: "train()"})
+	req := mustNew(t, MsgExecuteRequest, ExecuteRequestContent{Code: "train()"})
 	y := req.AsYield(2)
 	if y.Header.MsgType != MsgYieldRequest {
 		t.Fatalf("type = %s", y.Header.MsgType)
@@ -116,7 +123,7 @@ func TestAsYield(t *testing.T) {
 }
 
 func TestParseWrongType(t *testing.T) {
-	m := MustNew(MsgStatus, "s", "u", StatusContent{ExecutionState: "busy"})
+	m := mustNew(t, "status", map[string]string{"execution_state": "busy"})
 	if _, err := m.ParseExecuteRequest(); err == nil {
 		t.Error("status must not parse as execute_request")
 	}
@@ -126,7 +133,7 @@ func TestParseWrongType(t *testing.T) {
 }
 
 func TestParseExecuteReply(t *testing.T) {
-	m := MustNew(MsgExecuteReply, "s", "u", ExecuteReplyContent{
+	m := mustNew(t, MsgExecuteReply, ExecuteReplyContent{
 		Status: "error", EName: "NameError", EValue: "x is not defined", Replica: 2, Yielded: false,
 	})
 	c, err := m.ParseExecuteReply()
@@ -139,7 +146,7 @@ func TestParseExecuteReply(t *testing.T) {
 }
 
 func TestNewRejectsUnmarshalable(t *testing.T) {
-	if _, err := New(MsgStatus, "s", "u", make(chan int)); err == nil {
+	if _, err := New(MsgExecuteReply, "s", "u", make(chan int)); err == nil {
 		t.Error("unmarshalable content must fail")
 	}
 	if !strings.Contains(MsgYieldRequest, "yield") {

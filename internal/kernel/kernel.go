@@ -10,30 +10,27 @@ import (
 	"notebookos/internal/jupyter"
 	"notebookos/internal/pynb"
 	"notebookos/internal/raft"
-	"notebookos/internal/simclock"
 	"notebookos/internal/store"
 )
+
+// Replicas is R, the replication factor of every kernel (§3.1).
+const Replicas = 3
 
 // Config configures a distributed kernel.
 type Config struct {
 	// ID is the kernel's unique identifier.
 	ID string
-	// Replicas is R, the replication factor (default 3, see §3.1).
-	Replicas int
 	// Store is the distributed data store shared by the replicas.
 	Store store.Store
-	// Clock drives Raft ticks, retries, and runtimes.
-	Clock simclock.Clock
 	// OnReply receives each replica's execute_reply (may be nil; the
-	// kernel still aggregates replies internally for ExecuteCell).
+	// kernel still aggregates replies internally for executeCell).
 	OnReply func(replica int, msg jupyter.Message)
 	// OnAllYield is invoked once per failed election after deduplication.
 	OnAllYield AllYieldFunc
 	// InstallRuntime installs notebook builtins into each replica.
-	InstallRuntime func(in *pynb.Interp, r *Replica)
-	// NetMinDelay/NetMaxDelay bound the simulated P2P link latency
-	// between replicas.
-	NetMinDelay, NetMaxDelay time.Duration
+	InstallRuntime func(in *pynb.Interp)
+	// NetMaxDelay bounds the simulated P2P link latency between replicas.
+	NetMaxDelay time.Duration
 	// TickInterval is the Raft tick period.
 	TickInterval time.Duration
 	// LargeObjectThreshold is the inline-vs-pointer state cutoff.
@@ -58,7 +55,7 @@ type Kernel struct {
 
 	term atomic.Uint64
 
-	// reply fan-in for ExecuteCell.
+	// reply fan-in for executeCell.
 	waiterMu sync.Mutex
 	waiters  map[uint64]chan jupyter.Message
 
@@ -72,32 +69,23 @@ func New(cfg Config) (*Kernel, error) {
 	if cfg.ID == "" {
 		return nil, fmt.Errorf("kernel: config requires ID")
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 3
-	}
 	if cfg.Store == nil {
 		cfg.Store = store.NewMem()
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.Real{}
-	}
-	if cfg.NetMaxDelay < cfg.NetMinDelay {
-		cfg.NetMaxDelay = cfg.NetMinDelay
-	}
 	k := &Kernel{
 		cfg:       cfg,
-		net:       raft.NewLocalNetwork(cfg.NetMinDelay, cfg.NetMaxDelay, cfg.Seed+7),
+		net:       raft.NewLocalNetwork(0, cfg.NetMaxDelay, cfg.Seed+7),
 		replicas:  map[int]*Replica{},
 		raftIDs:   map[int]raft.NodeID{},
 		gen:       1,
 		waiters:   map[uint64]chan jupyter.Message{},
 		yieldSeen: map[uint64]bool{},
 	}
-	peers := make([]raft.NodeID, 0, cfg.Replicas)
-	for i := 1; i <= cfg.Replicas; i++ {
+	peers := make([]raft.NodeID, 0, Replicas)
+	for i := 1; i <= Replicas; i++ {
 		peers = append(peers, k.raftID(i, 1))
 	}
-	for i := 1; i <= cfg.Replicas; i++ {
+	for i := 1; i <= Replicas; i++ {
 		r, err := k.startReplica(i, k.raftID(i, 1), peers)
 		if err != nil {
 			k.Stop()
@@ -121,7 +109,6 @@ func (k *Kernel) startReplica(num int, id raft.NodeID, peers []raft.NodeID) (*Re
 		RaftPeers: peers,
 		Transport: k.net,
 		Store:     k.cfg.Store,
-		Clock:     k.cfg.Clock,
 		OnReply: func(msg jupyter.Message) {
 			k.deliverReply(num, msg)
 		},
@@ -174,12 +161,6 @@ func (k *Kernel) handleAllYield(kernelID string, term uint64) {
 	}
 }
 
-// ID returns the kernel's identifier.
-func (k *Kernel) ID() string { return k.cfg.ID }
-
-// NumReplicas returns R.
-func (k *Kernel) NumReplicas() int { return k.cfg.Replicas }
-
 // Replica returns replica number i (1-based).
 func (k *Kernel) Replica(i int) (*Replica, bool) {
 	k.mu.Lock()
@@ -193,7 +174,7 @@ func (k *Kernel) Replicas() []*Replica {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	out := make([]*Replica, 0, len(k.replicas))
-	for i := 1; i <= k.cfg.Replicas; i++ {
+	for i := 1; i <= Replicas; i++ {
 		if r, ok := k.replicas[i]; ok {
 			out = append(out, r)
 		}
@@ -246,15 +227,14 @@ func (k *Kernel) Broadcast(msg jupyter.Message, term uint64, yield map[int]bool)
 	return firstErr
 }
 
-// ErrExecuteTimeout is returned by ExecuteCell when no executor reply
+// errExecuteTimeout is returned by executeCell when no executor reply
 // arrives in time.
-var ErrExecuteTimeout = errors.New("kernel: execute timed out")
+var errExecuteTimeout = errors.New("kernel: execute timed out")
 
-// ExecuteCell submits code to the kernel and waits for the executor
-// replica's reply — the library-level convenience entry point used by the
-// examples and tests. Production traffic flows through the platform's
-// Global Scheduler instead.
-func (k *Kernel) ExecuteCell(session, code string, timeout time.Duration) (jupyter.ExecuteReplyContent, error) {
+// executeCell submits code to the kernel and waits for the executor
+// replica's reply, without the scheduler layers; the package's tests drive
+// kernels through it. Programs route cells through the Global Scheduler.
+func (k *Kernel) executeCell(session, code string, timeout time.Duration) (jupyter.ExecuteReplyContent, error) {
 	term := k.NextTerm()
 	req, err := jupyter.New(jupyter.MsgExecuteRequest, session, "user",
 		jupyter.ExecuteRequestContent{Code: code})
@@ -277,8 +257,8 @@ func (k *Kernel) ExecuteCell(session, code string, timeout time.Duration) (jupyt
 	select {
 	case msg := <-ch:
 		return msg.ParseExecuteReply()
-	case <-k.cfg.Clock.After(timeout):
-		return jupyter.ExecuteReplyContent{}, fmt.Errorf("%w after %v (term %d)", ErrExecuteTimeout, timeout, term)
+	case <-time.After(timeout):
+		return jupyter.ExecuteReplyContent{}, fmt.Errorf("%w after %v (term %d)", errExecuteTimeout, timeout, term)
 	}
 }
 
@@ -317,7 +297,7 @@ func (k *Kernel) ReplaceReplica(num int, timeout time.Duration) (*Replica, error
 	old.Stop()
 
 	// 3. Reconfigure: remove the terminated replica, then add the new one.
-	deadline := k.cfg.Clock.Now().Add(timeout)
+	deadline := time.Now().Add(timeout)
 	if err := k.proposeConfChange(raft.ConfChange{Type: raft.RemoveNode, Node: oldID}, num, deadline); err != nil {
 		return nil, fmt.Errorf("kernel: remove old replica: %w", err)
 	}
@@ -348,7 +328,7 @@ func (k *Kernel) ReplaceReplica(num int, timeout time.Duration) (*Replica, error
 // skip excludes the being-replaced replica number.
 func (k *Kernel) proposeConfChange(cc raft.ConfChange, skip int, deadline time.Time) error {
 	backoff := 20 * time.Millisecond
-	for k.cfg.Clock.Now().Before(deadline) {
+	for time.Now().Before(deadline) {
 		// Propose via every live replica; follower proposals are forwarded
 		// to the Raft leader and may be dropped, hence the verify loop.
 		for _, r := range k.Replicas() {
@@ -357,8 +337,8 @@ func (k *Kernel) proposeConfChange(cc raft.ConfChange, skip int, deadline time.T
 			}
 			_ = r.Node().ProposeConfChange(cc)
 		}
-		settle := k.cfg.Clock.Now().Add(500 * time.Millisecond)
-		for k.cfg.Clock.Now().Before(settle) {
+		settle := time.Now().Add(500 * time.Millisecond)
+		for time.Now().Before(settle) {
 			for _, r := range k.Replicas() {
 				if r.ID() == skip {
 					continue
@@ -367,9 +347,9 @@ func (k *Kernel) proposeConfChange(cc raft.ConfChange, skip int, deadline time.T
 					return nil
 				}
 			}
-			k.cfg.Clock.Sleep(10 * time.Millisecond)
+			time.Sleep(10 * time.Millisecond)
 		}
-		k.cfg.Clock.Sleep(backoff)
+		time.Sleep(backoff)
 		if backoff < 500*time.Millisecond {
 			backoff *= 2
 		}
@@ -391,12 +371,12 @@ func (k *Kernel) confApplied(r *Replica, cc raft.ConfChange) bool {
 	return !found
 }
 
-// SyncLatencies aggregates small-object sync latencies across replicas
+// syncLatencies aggregates small-object sync latencies across replicas
 // (the Fig. 11 "Sync" series).
-func (k *Kernel) SyncLatencies() []float64 {
+func (k *Kernel) syncLatencies() []float64 {
 	var out []float64
 	for _, r := range k.Replicas() {
-		out = append(out, r.SyncLatencies()...)
+		out = append(out, r.syncLatencies()...)
 	}
 	return out
 }

@@ -17,7 +17,6 @@ func newTestKernel(t *testing.T, opts ...func(*Config)) *Kernel {
 	t.Helper()
 	cfg := Config{
 		ID:           "k1",
-		Replicas:     3,
 		Store:        store.NewMem(),
 		TickInterval: 4 * time.Millisecond,
 		NetMaxDelay:  time.Millisecond,
@@ -36,7 +35,7 @@ func newTestKernel(t *testing.T, opts ...func(*Config)) *Kernel {
 
 func TestExecuteCellSimple(t *testing.T) {
 	k := newTestKernel(t)
-	reply, err := k.ExecuteCell("sess", "x = 40 + 2\nprint(x)\n", testTimeout)
+	reply, err := k.executeCell("sess", "x = 40 + 2\nprint(x)\n", testTimeout)
 	if err != nil {
 		t.Fatalf("ExecuteCell: %v", err)
 	}
@@ -53,26 +52,26 @@ func TestExecuteCellSimple(t *testing.T) {
 
 func TestExactlyOneExecutorPerElection(t *testing.T) {
 	k := newTestKernel(t)
-	if _, err := k.ExecuteCell("sess", "x = 1\n", testTimeout); err != nil {
+	if _, err := k.executeCell("sess", "x = 1\n", testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	// Exactly one replica must have executed the cell.
 	waitFor(t, func() bool {
 		total := 0
 		for _, r := range k.Replicas() {
-			total += r.ExecCount()
+			total += r.executed()
 		}
 		return total == 1
 	}, "exactly one executor")
 	// All replicas eventually agree on the winner (standbys may apply the
 	// VOTE entry a few milliseconds after the executor replies).
 	waitFor(t, func() bool {
-		w := k.Replicas()[0].ElectionWinner(1)
+		w := k.Replicas()[0].electionWinner(1)
 		if w == 0 {
 			return false
 		}
 		for _, r := range k.Replicas() {
-			if r.ElectionWinner(1) != w {
+			if r.electionWinner(1) != w {
 				return false
 			}
 		}
@@ -82,7 +81,7 @@ func TestExactlyOneExecutorPerElection(t *testing.T) {
 
 func TestStateReplicatesToStandbys(t *testing.T) {
 	k := newTestKernel(t)
-	if _, err := k.ExecuteCell("sess", "counter = 7\nname = \"bert\"\n", testTimeout); err != nil {
+	if _, err := k.executeCell("sess", "counter = 7\nname = \"bert\"\n", testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	// Small globals must appear in every replica's namespace via Raft.
@@ -101,7 +100,7 @@ func TestStateReplicatesToStandbys(t *testing.T) {
 
 func TestStateCarriesAcrossCells(t *testing.T) {
 	k := newTestKernel(t)
-	if _, err := k.ExecuteCell("s", "a = 10\n", testTimeout); err != nil {
+	if _, err := k.executeCell("s", "a = 10\n", testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	// Wait for replication so whichever replica wins next sees `a`.
@@ -113,7 +112,7 @@ func TestStateCarriesAcrossCells(t *testing.T) {
 		}
 		return true
 	}, "a replicated")
-	reply, err := k.ExecuteCell("s", "b = a * 2\nprint(b)\n", testTimeout)
+	reply, err := k.executeCell("s", "b = a * 2\nprint(b)\n", testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestLargeObjectGoesToStore(t *testing.T) {
 	})
 	// A string exceeding the threshold must be checkpointed, not inlined.
 	code := "blob = \"" + strings.Repeat("m", 256) + "\"\n"
-	if _, err := k.ExecuteCell("s", code, testTimeout); err != nil {
+	if _, err := k.executeCell("s", code, testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
@@ -139,7 +138,7 @@ func TestLargeObjectGoesToStore(t *testing.T) {
 		}
 		// Standbys must fetch the pointer target.
 		for _, r := range k.Replicas() {
-			v, ok := r.Global("blob")
+			v, ok := r.global("blob")
 			if !ok {
 				return false
 			}
@@ -153,14 +152,14 @@ func TestLargeObjectGoesToStore(t *testing.T) {
 
 func TestErrorReply(t *testing.T) {
 	k := newTestKernel(t)
-	reply, err := k.ExecuteCell("s", "x = undefined_var\n", testTimeout)
+	reply, err := k.executeCell("s", "x = undefined_var\n", testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reply.Status != "error" || reply.EName != "RuntimeError" {
 		t.Fatalf("reply = %+v", reply)
 	}
-	reply, err = k.ExecuteCell("s", "x = = 1\n", testTimeout)
+	reply, err = k.executeCell("s", "x = = 1\n", testTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestAllRepliesArrive(t *testing.T) {
 			mu.Unlock()
 		}
 	})
-	if _, err := k.ExecuteCell("s", "x = 5\n", testTimeout); err != nil {
+	if _, err := k.executeCell("s", "x = 5\n", testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	// Fig. 5 step 9: all three replicas send execute_reply.
@@ -213,8 +212,11 @@ func TestAllYieldTriggersCallback(t *testing.T) {
 		}
 	})
 	term := k.NextTerm()
-	req := jupyter.MustNew(jupyter.MsgExecuteRequest, "s", "u",
+	req, err := jupyter.New(jupyter.MsgExecuteRequest, "s", "u",
 		jupyter.ExecuteRequestContent{Code: "x = 1\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Convert the request to yield for every replica: failed election.
 	yield := map[int]bool{1: true, 2: true, 3: true}
 	if err := k.Broadcast(req, term, yield); err != nil {
@@ -239,26 +241,29 @@ func TestAllYieldTriggersCallback(t *testing.T) {
 func TestYieldMaskDirectsExecutor(t *testing.T) {
 	k := newTestKernel(t)
 	term := k.NextTerm()
-	req := jupyter.MustNew(jupyter.MsgExecuteRequest, "s", "u",
+	req, err := jupyter.New(jupyter.MsgExecuteRequest, "s", "u",
 		jupyter.ExecuteRequestContent{Code: "y = 9\n"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// Only replica 2 may lead (the Global Scheduler picked it, §3.2.2).
 	if err := k.Broadcast(req, term, map[int]bool{1: true, 3: true}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
 		r, _ := k.Replica(2)
-		return r.ExecCount() == 1
+		return r.executed() == 1
 	}, "replica 2 executes")
 	r1, _ := k.Replica(1)
 	r3, _ := k.Replica(3)
-	if r1.ExecCount() != 0 || r3.ExecCount() != 0 {
+	if r1.executed() != 0 || r3.executed() != 0 {
 		t.Fatal("yielded replicas must not execute")
 	}
 }
 
 func TestReplaceReplicaMigration(t *testing.T) {
 	k := newTestKernel(t)
-	if _, err := k.ExecuteCell("s", "state = 123\n", testTimeout); err != nil {
+	if _, err := k.executeCell("s", "state = 123\n", testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
@@ -279,11 +284,11 @@ func TestReplaceReplicaMigration(t *testing.T) {
 		t.Fatalf("replacement replica number = %d", nr.ID())
 	}
 	// The replacement restored checkpointed state.
-	if v, _ := nr.Global("state"); v != pynb.Int(123) {
+	if v, _ := nr.global("state"); v != pynb.Int(123) {
 		t.Fatalf("restored state = %v", v)
 	}
 	// The kernel still executes cells, and the replacement sees updates.
-	reply, err := k.ExecuteCell("s", "state = state + 1\nprint(state)\n", testTimeout)
+	reply, err := k.executeCell("s", "state = state + 1\nprint(state)\n", testTimeout)
 	if err != nil {
 		t.Fatalf("post-migration execute: %v", err)
 	}
@@ -299,7 +304,7 @@ func TestSequentialExecutions(t *testing.T) {
 	k := newTestKernel(t)
 	for i := 0; i < 5; i++ {
 		code := "n = " + string(rune('0'+i)) + "\n"
-		reply, err := k.ExecuteCell("s", code, testTimeout)
+		reply, err := k.executeCell("s", code, testTimeout)
 		if err != nil {
 			t.Fatalf("cell %d: %v", i, err)
 		}
@@ -315,7 +320,7 @@ func TestSequentialExecutions(t *testing.T) {
 	waitFor(t, func() bool {
 		total := 0
 		for _, r := range k.Replicas() {
-			total += r.ExecCount()
+			total += r.executed()
 		}
 		return total == 5
 	}, "5 total executions")
@@ -323,13 +328,13 @@ func TestSequentialExecutions(t *testing.T) {
 
 func TestSyncLatenciesRecorded(t *testing.T) {
 	k := newTestKernel(t)
-	if _, err := k.ExecuteCell("s", "v = 1\n", testTimeout); err != nil {
+	if _, err := k.executeCell("s", "v = 1\n", testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
-		return len(k.SyncLatencies()) >= 1
+		return len(k.syncLatencies()) >= 1
 	}, "sync latency recorded")
-	for _, l := range k.SyncLatencies() {
+	for _, l := range k.syncLatencies() {
 		if l < 0 || l > 10 {
 			t.Fatalf("implausible sync latency %v s", l)
 		}
@@ -366,7 +371,7 @@ func TestOpCodec(t *testing.T) {
 }
 
 func globalIs(r *Replica, name string, want pynb.Value) bool {
-	v, ok := r.Global(name)
+	v, ok := r.global(name)
 	return ok && v == want
 }
 

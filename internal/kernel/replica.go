@@ -9,7 +9,6 @@ import (
 	"notebookos/internal/jupyter"
 	"notebookos/internal/pynb"
 	"notebookos/internal/raft"
-	"notebookos/internal/simclock"
 	"notebookos/internal/store"
 )
 
@@ -38,8 +37,6 @@ type ReplicaConfig struct {
 	Transport raft.Transport
 	// Store is the distributed data store for large objects.
 	Store store.Store
-	// Clock drives timeouts and the train() builtin.
-	Clock simclock.Clock
 	// OnReply receives execute_reply messages (required).
 	OnReply ReplyFunc
 	// OnAllYield is invoked when an election fails with all replicas
@@ -48,8 +45,8 @@ type ReplicaConfig struct {
 	// LargeObjectThreshold overrides DefaultLargeObjectThreshold when >0.
 	LargeObjectThreshold int64
 	// InstallRuntime is called with the replica's interpreter at startup
-	// so the notebook runtime (e.g. workload.Install) can add builtins.
-	InstallRuntime func(in *pynb.Interp, r *Replica)
+	// so the notebook runtime (control.Runtime.Install) can add builtins.
+	InstallRuntime func(in *pynb.Interp)
 	// TickInterval is the Raft tick period (default 10ms).
 	TickInterval time.Duration
 	// Seed randomizes Raft election timeouts.
@@ -88,11 +85,11 @@ type Replica struct {
 	peers     int
 	stopped   bool
 
-	// syncLatencies records end-to-end small-object sync latencies
+	// syncSeconds records end-to-end small-object sync latencies
 	// (propose -> apply), the "Sync" series of Fig. 11.
-	syncMu        sync.Mutex
-	syncStart     map[string]time.Time
-	syncLatencies []float64
+	syncMu      sync.Mutex
+	syncStart   map[string]time.Time
+	syncSeconds []float64
 
 	wg sync.WaitGroup
 }
@@ -108,9 +105,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	}
 	if cfg.OnReply == nil {
 		return nil, fmt.Errorf("kernel: config requires OnReply")
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.Real{}
 	}
 	if cfg.LargeObjectThreshold <= 0 {
 		cfg.LargeObjectThreshold = DefaultLargeObjectThreshold
@@ -129,26 +123,21 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		syncStart: map[string]time.Time{},
 	}
 	if cfg.InstallRuntime != nil {
-		cfg.InstallRuntime(r.interp, r)
+		cfg.InstallRuntime(r.interp)
 	}
 	node, err := raft.NewNode(raft.Config{
 		ID:        cfg.RaftID,
 		Peers:     cfg.RaftPeers,
 		Transport: cfg.Transport,
 		Apply:     r.apply,
-		ApplySnapshot: func(index, term uint64, data []byte) {
-			if err := r.restoreSnapshot(data); err != nil {
-				cfg.Logger.Logf("kernel %s r%d: snapshot restore: %v", cfg.KernelID, cfg.Replica, err)
-			}
-		},
-		Seed:   cfg.Seed,
-		Logger: cfg.Logger,
+		Seed:      cfg.Seed,
+		Logger:    cfg.Logger,
 	})
 	if err != nil {
 		return nil, err
 	}
 	r.node = node
-	node.StartTicker(cfg.Clock, cfg.TickInterval)
+	node.StartTicker(cfg.TickInterval)
 	return r, nil
 }
 
@@ -158,28 +147,13 @@ func (r *Replica) Node() *raft.Node { return r.node }
 // ID returns the replica number (1..R).
 func (r *Replica) ID() int { return r.cfg.Replica }
 
-// KernelID returns the owning distributed kernel's ID.
-func (r *Replica) KernelID() string { return r.cfg.KernelID }
-
-// Interp exposes the replica's interpreter for runtime installation at
-// construction time. For concurrent reads of kernel state, use Global.
-func (r *Replica) Interp() *pynb.Interp { return r.interp }
-
-// Global returns the named kernel-namespace variable, synchronized against
+// global returns the named kernel-namespace variable, synchronized against
 // concurrent cell execution and state replication.
-func (r *Replica) Global(name string) (pynb.Value, bool) {
+func (r *Replica) global(name string) (pynb.Value, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	v, ok := r.interp.Globals[name]
 	return v, ok
-}
-
-// SetGlobal installs a value into the kernel namespace (used by runtimes
-// and tests).
-func (r *Replica) SetGlobal(name string, v pynb.Value) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.interp.Globals[name] = v
 }
 
 // Stop terminates the replica and its Raft node.
@@ -191,20 +165,11 @@ func (r *Replica) Stop() {
 	r.wg.Wait()
 }
 
-// Alive reports whether the replica is still running. The schedulers use
-// it as the heartbeat signal of §3.2.5: a replica that stops responding
-// is detected and replaced.
-func (r *Replica) Alive() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return !r.stopped
-}
-
-// SyncLatencies returns recorded small-object sync latencies in seconds.
-func (r *Replica) SyncLatencies() []float64 {
+// syncLatencies returns recorded small-object sync latencies in seconds.
+func (r *Replica) syncLatencies() []float64 {
 	r.syncMu.Lock()
 	defer r.syncMu.Unlock()
-	return append([]float64(nil), r.syncLatencies...)
+	return append([]float64(nil), r.syncSeconds...)
 }
 
 // HandleRequest processes an execute_request or yield_request forwarded by
@@ -263,7 +228,7 @@ func (r *Replica) electionLocked(term uint64) *election {
 // unsettled; the protocol tolerates re-proposal (duplicate LEAD/YIELD ops
 // for a term are idempotent at the election layer).
 func (r *Replica) proposeWithRetry(data []byte, timeout time.Duration) {
-	deadline := r.cfg.Clock.Now().Add(timeout)
+	deadline := time.Now().Add(timeout)
 	backoff := 20 * time.Millisecond
 	for {
 		r.mu.Lock()
@@ -276,11 +241,11 @@ func (r *Replica) proposeWithRetry(data []byte, timeout time.Duration) {
 		if err == nil {
 			return
 		}
-		if r.cfg.Clock.Now().After(deadline) {
+		if time.Now().After(deadline) {
 			r.cfg.Logger.Logf("kernel %s r%d: proposal timed out: %v", r.cfg.KernelID, r.cfg.Replica, err)
 			return
 		}
-		r.cfg.Clock.Sleep(backoff)
+		time.Sleep(backoff)
 		if backoff < 500*time.Millisecond {
 			backoff *= 2
 		}
@@ -455,7 +420,7 @@ func (r *Replica) replicateState(term uint64, assigned []string) {
 
 func (r *Replica) markSyncStart(term uint64, name string) {
 	r.syncMu.Lock()
-	r.syncStart[fmt.Sprintf("%d/%s", term, name)] = r.cfg.Clock.Now()
+	r.syncStart[fmt.Sprintf("%d/%s", term, name)] = time.Now()
 	r.syncMu.Unlock()
 }
 
@@ -504,7 +469,7 @@ func (r *Replica) applyState(op Op) {
 		r.syncMu.Lock()
 		key := fmt.Sprintf("%d/%s", op.Term, op.VarName)
 		if start, ok := r.syncStart[key]; ok {
-			r.syncLatencies = append(r.syncLatencies, r.cfg.Clock.Now().Sub(start).Seconds())
+			r.syncSeconds = append(r.syncSeconds, time.Since(start).Seconds())
 			delete(r.syncStart, key)
 		}
 		r.syncMu.Unlock()
@@ -545,8 +510,7 @@ func (r *Replica) applyStatePtr(op Op) {
 	}()
 }
 
-// snapshotState is the serialized kernel namespace used for checkpoints
-// (migration) and Raft snapshots.
+// snapshotState is the serialized kernel namespace a migration checkpoints.
 type snapshotState struct {
 	ExecCount int               `json:"exec_count"`
 	Globals   map[string][]byte `json:"globals"`
@@ -611,15 +575,15 @@ func (r *Replica) restoreSnapshot(data []byte) error {
 	return nil
 }
 
-// ExecCount returns the number of cells this replica has executed locally.
-func (r *Replica) ExecCount() int {
+// executed returns the number of cells this replica has executed locally.
+func (r *Replica) executed() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.execCount
 }
 
-// ElectionWinner reports the winner of an election term (0 if undecided).
-func (r *Replica) ElectionWinner(term uint64) int {
+// electionWinner reports the winner of an election term (0 if undecided).
+func (r *Replica) electionWinner(term uint64) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if el, ok := r.elections[term]; ok {

@@ -2,48 +2,52 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
 	"notebookos/internal/cluster"
-	"notebookos/internal/container"
 	"notebookos/internal/control"
 	"notebookos/internal/jupyter"
 	"notebookos/internal/resources"
-	"notebookos/internal/simclock"
-	"notebookos/internal/store"
 )
 
-// Config configures an in-process NotebookOS deployment.
+// Config configures an in-process NotebookOS deployment of p3.16xlarge
+// servers, three replicas per kernel, an in-memory data store and
+// millisecond container provisioning. Zero means the default for every
+// numeric knob; a negative, NaN or infinite one is an error naming it.
 type Config struct {
-	// Hosts is the initial GPU server count.
+	// Hosts is the initial GPU server count (default 4). Scale-in never
+	// goes below it.
 	Hosts int
-	// HostCapacity is each server's capacity (default p3.16xlarge).
-	HostCapacity resources.Spec
-	// ReplicasPerKernel is R (default 3).
-	ReplicasPerKernel int
-	// Clock drives the deployment (default wall clock).
-	Clock simclock.Clock
-	// Store is the large-object store (default in-memory).
-	Store store.Store
 	// TimeScale compresses train() durations (default 1.0 = real time).
 	TimeScale float64
 	// PrewarmPerHost sizes the pre-warm container pool.
 	PrewarmPerHost int
-	// ContainerLatency models container provisioning (default fast).
-	ContainerLatency container.LatencyModel
 	// AutoscaleInterval enables the auto-scaler when > 0.
 	AutoscaleInterval time.Duration
-	// ScaleFactor is the auto-scaler's f (default 1.05).
-	ScaleFactor float64
-	// MinHosts floors scale-in (default the initial host count).
-	MinHosts int
-	// ScalingBufferHosts keeps spare servers for bursts.
-	ScalingBufferHosts int
 	// EnableScaleOut mints new hosts on demand.
 	EnableScaleOut bool
 	// Seed makes the deployment deterministic.
 	Seed int64
+}
+
+// validate refuses a negative, NaN or infinite knob, naming it.
+func (cfg Config) validate() error {
+	for _, k := range []struct {
+		field string
+		v     float64
+	}{
+		{"Hosts", float64(cfg.Hosts)},
+		{"TimeScale", cfg.TimeScale},
+		{"PrewarmPerHost", float64(cfg.PrewarmPerHost)},
+		{"AutoscaleInterval", float64(cfg.AutoscaleInterval)},
+	} {
+		if !(k.v >= 0) || math.IsInf(k.v, 1) {
+			return fmt.Errorf("platform: %s is %v; zero means the default, and a knob must be finite and not negative", k.field, k.v)
+		}
+	}
+	return nil
 }
 
 // Session is one persistent notebook session bound to a distributed
@@ -58,8 +62,6 @@ type Session struct {
 
 // Platform is a running NotebookOS deployment.
 type Platform struct {
-	cfg Config
-
 	Cluster   *cluster.Cluster
 	Scheduler *control.GlobalScheduler
 
@@ -73,64 +75,36 @@ type Platform struct {
 
 // New builds and starts a platform.
 func New(cfg Config) (*Platform, error) {
-	if cfg.Hosts <= 0 {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Hosts == 0 {
 		cfg.Hosts = 4
 	}
-	if cfg.HostCapacity.IsZero() {
-		cfg.HostCapacity = resources.P316xlarge()
-	}
-	if cfg.ReplicasPerKernel <= 0 {
-		cfg.ReplicasPerKernel = cluster.DefaultReplicasPerKernel
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.Real{}
-	}
-	if cfg.Store == nil {
-		cfg.Store = store.NewMem()
-	}
-	if cfg.TimeScale <= 0 {
+	if cfg.TimeScale == 0 {
 		cfg.TimeScale = 1
 	}
-	if cfg.MinHosts <= 0 {
-		cfg.MinHosts = cfg.Hosts
-	}
-	if cfg.ContainerLatency.ColdStart == nil {
-		cfg.ContainerLatency = container.FastLatency()
-	}
 
-	c := cluster.New(cfg.ReplicasPerKernel)
+	c := cluster.New(cluster.DefaultReplicasPerKernel)
 	for i := 0; i < cfg.Hosts; i++ {
-		if err := c.AddHost(cluster.NewHost(fmt.Sprintf("host-%03d", i+1), cfg.HostCapacity)); err != nil {
+		if err := c.AddHost(cluster.NewHost(fmt.Sprintf("host-%03d", i+1), resources.P316xlarge())); err != nil {
 			return nil, err
 		}
 	}
 	p := &Platform{
-		cfg:      cfg,
 		Cluster:  c,
 		sessions: map[string]*Session{},
 		subs:     map[string]map[int]chan jupyter.Message{},
 	}
-	rt := control.NewRuntime(control.RuntimeOptions{
-		Clock:     cfg.Clock,
-		TimeScale: cfg.TimeScale,
+	gs, err := control.New(control.Config{
+		Cluster:           c,
+		PrewarmPerHost:    cfg.PrewarmPerHost,
+		AutoscaleInterval: cfg.AutoscaleInterval,
+		OnReply:           p.fanOut,
+		InstallRuntime:    control.NewRuntime(cfg.TimeScale).Install,
+		NetMaxDelay:       2 * time.Millisecond,
+		Seed:              cfg.Seed,
 	})
-	scfg := control.Config{
-		Cluster:            c,
-		Clock:              cfg.Clock,
-		Store:              cfg.Store,
-		ContainerLatency:   cfg.ContainerLatency,
-		PrewarmPerHost:     cfg.PrewarmPerHost,
-		ScaleFactor:        cfg.ScaleFactor,
-		MinHosts:           cfg.MinHosts,
-		ScalingBufferHosts: cfg.ScalingBufferHosts,
-		AutoscaleInterval:  cfg.AutoscaleInterval,
-		OnReply:            p.fanOut,
-		InstallRuntime:     rt.Install,
-		KernelTickInterval: 10 * time.Millisecond,
-		NetMaxDelay:        2 * time.Millisecond,
-		Seed:               cfg.Seed,
-	}
-	gs, err := control.New(scfg)
 	if err != nil {
 		return nil, err
 	}
@@ -194,7 +168,7 @@ func (p *Platform) CreateSession(user string, req resources.Spec) (*Session, err
 		KernelID: fmt.Sprintf("kernel-%04d", p.seq),
 		User:     user,
 		Request:  req,
-		Created:  p.cfg.Clock.Now(),
+		Created:  time.Now(),
 	}
 	p.mu.Unlock()
 	if err := p.Scheduler.StartKernel(s.KernelID, s.ID, req); err != nil {
@@ -244,17 +218,6 @@ func (p *Platform) CloseSession(id string) error {
 	return p.Scheduler.StopKernel(s.KernelID)
 }
 
-// ExecuteAsync submits a cell; replies arrive on Subscribe channels and
-// carry the returned request message ID as their parent header.
-func (p *Platform) ExecuteAsync(sessionID, code string) (string, error) {
-	s, ok := p.Session(sessionID)
-	if !ok {
-		return "", fmt.Errorf("platform: unknown session %s", sessionID)
-	}
-	_, msgID, err := p.Scheduler.Execute(s.KernelID, code)
-	return msgID, err
-}
-
 // ExecuteSync submits a cell and waits for the executor's reply.
 func (p *Platform) ExecuteSync(sessionID, code string, timeout time.Duration) (jupyter.ExecuteReplyContent, error) {
 	s, ok := p.Session(sessionID)
@@ -267,7 +230,7 @@ func (p *Platform) ExecuteSync(sessionID, code string, timeout time.Duration) (j
 	if err != nil {
 		return jupyter.ExecuteReplyContent{}, err
 	}
-	deadline := p.cfg.Clock.After(timeout)
+	deadline := time.After(timeout)
 	for {
 		select {
 		case msg := <-ch:

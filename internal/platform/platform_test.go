@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -122,7 +123,7 @@ func TestSubscribeReceivesReplies(t *testing.T) {
 	s, _ := p.CreateSession("dave", gpuReq(1))
 	ch, cancel := p.Subscribe(s.ID)
 	defer cancel()
-	if _, err := p.ExecuteAsync(s.ID, "x = 1\n"); err != nil {
+	if _, _, err := p.Scheduler.Execute(s.KernelID, "x = 1\n"); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -133,6 +134,45 @@ func TestSubscribeReceivesReplies(t *testing.T) {
 		}
 	case <-time.After(20 * time.Second):
 		t.Fatal("no reply on subscription")
+	}
+}
+
+// TestConfigRefusesBadKnobs: zero means the default for every numeric
+// knob, and a negative, NaN or infinite one is an error naming it — a
+// negative Hosts must not run the default four hosts, nor a negative
+// TimeScale run in real time.
+func TestConfigRefusesBadKnobs(t *testing.T) {
+	for field, cfg := range map[string]Config{
+		"Hosts":             {Hosts: -3},
+		"TimeScale":         {TimeScale: -0.5},
+		"PrewarmPerHost":    {PrewarmPerHost: -1},
+		"AutoscaleInterval": {AutoscaleInterval: -time.Second},
+	} {
+		p, err := New(cfg)
+		if err == nil {
+			p.Stop()
+			t.Errorf("%s: %+v was accepted", field, cfg)
+			continue
+		}
+		if !strings.Contains(err.Error(), field) {
+			t.Errorf("%s: error %q does not name the field", field, err)
+		}
+	}
+	for _, ts := range []float64{math.NaN(), math.Inf(1)} {
+		if p, err := New(Config{TimeScale: ts}); err == nil || !strings.Contains(err.Error(), "TimeScale") {
+			if p != nil {
+				p.Stop()
+			}
+			t.Errorf("TimeScale %v: err = %v, want an error naming TimeScale", ts, err)
+		}
+	}
+	p, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Stop()
+	if got := p.Cluster.NumHosts(); got != 4 {
+		t.Fatalf("zero Hosts runs %d hosts, want the default 4", got)
 	}
 }
 
@@ -155,9 +195,6 @@ func TestStatusSnapshot(t *testing.T) {
 
 func TestUnknownSessionErrors(t *testing.T) {
 	p := newPlatform(t)
-	if _, err := p.ExecuteAsync("nope", "x=1\n"); err == nil {
-		t.Fatal("unknown session must fail")
-	}
 	if _, err := p.ExecuteSync("nope", "x=1\n", time.Second); err == nil {
 		t.Fatal("unknown session must fail")
 	}

@@ -290,8 +290,8 @@ func AnalyzeAssigned(m *Module) []string {
 	return out
 }
 
-// AnalyzeReferenced returns the sorted set of names the module reads.
-func AnalyzeReferenced(m *Module) []string {
+// analyzeReferenced returns the sorted set of names the module reads.
+func analyzeReferenced(m *Module) []string {
 	set := map[string]bool{}
 	Walk(m, func(n Node) bool {
 		if x, ok := n.(*NameExpr); ok {

@@ -72,8 +72,8 @@ func (in *Interp) RegisterBuiltin(name string, fn func(*CallCtx) (Value, error))
 	in.Builtins[name] = &Builtin{Name: name, Fn: fn}
 }
 
-// RegisterMethod installs a method on a class.
-func (in *Interp) RegisterMethod(class, name string, fn MethodFn) {
+// registerMethod installs a method on a class.
+func (in *Interp) registerMethod(class, name string, fn MethodFn) {
 	if in.Methods[class] == nil {
 		in.Methods[class] = map[string]MethodFn{}
 	}

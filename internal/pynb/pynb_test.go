@@ -303,7 +303,7 @@ func TestObjectsAndMethods(t *testing.T) {
 	model.Fields["name"] = Str("resnet18")
 	model.Fields["epochs"] = Int(0)
 	in.Globals["model"] = model
-	in.RegisterMethod("Model", "train_step", func(c *CallCtx) (Value, error) {
+	in.registerMethod("Model", "train_step", func(c *CallCtx) (Value, error) {
 		m := c.Recv.(*Object)
 		m.Fields["epochs"] = m.Fields["epochs"].(Int) + 1
 		return Float(0.42), nil
@@ -351,10 +351,10 @@ func TestAnalyzeReferenced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := AnalyzeReferenced(m)
+	got := analyzeReferenced(m)
 	want := []string{"f", "x", "y", "z"}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("AnalyzeReferenced = %v, want %v", got, want)
+		t.Fatalf("analyzeReferenced = %v, want %v", got, want)
 	}
 }
 
@@ -369,7 +369,7 @@ func TestValueSizes(t *testing.T) {
 	if big.SizeBytes() < 500<<20 {
 		t.Error("object payload must dominate size")
 	}
-	lst := NewList(Int(1), Int(2))
+	lst := newList(Int(1), Int(2))
 	if lst.SizeBytes() <= 24 {
 		t.Error("list size must include elements")
 	}
@@ -383,7 +383,7 @@ func TestValueReprs(t *testing.T) {
 		"True":     Bool(true),
 		"None":     None{},
 		"hi":       Str("hi"),
-		`[1, "a"]`: NewList(Int(1), Str("a")),
+		`[1, "a"]`: newList(Int(1), Str("a")),
 	}
 	for want, v := range cases {
 		if got := v.Repr(); got != want {
@@ -400,10 +400,10 @@ func TestValueReprs(t *testing.T) {
 func TestCodecRoundTrip(t *testing.T) {
 	obj := NewObject("Model", 12345)
 	obj.Fields["name"] = Str("bert")
-	obj.Fields["layers"] = NewList(Int(12), Int(24))
+	obj.Fields["layers"] = newList(Int(12), Int(24))
 	values := []Value{
 		Int(-7), Float(3.25), Str("hello"), Bool(true), None{},
-		NewList(Int(1), Str("x"), NewList(Float(2.5))),
+		newList(Int(1), Str("x"), newList(Float(2.5))),
 		obj,
 	}
 	for _, v := range values {
@@ -457,7 +457,7 @@ func TestCodecRoundTripProperty(t *testing.T) {
 		if math.IsNaN(fv) || math.IsInf(fv, 0) {
 			fv = 0
 		}
-		v := NewList(Int(i), Float(fv), Str(s), Bool(b), None{})
+		v := newList(Int(i), Float(fv), Str(s), Bool(b), None{})
 		data, err := EncodeValue(v)
 		if err != nil {
 			return false

@@ -113,8 +113,8 @@ type List struct {
 	Elems []Value
 }
 
-// NewList returns a list of the given elements.
-func NewList(elems ...Value) *List { return &List{Elems: elems} }
+// newList returns a list of the given elements.
+func newList(elems ...Value) *List { return &List{Elems: elems} }
 
 // Type implements Value.
 func (*List) Type() string { return "list" }

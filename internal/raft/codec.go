@@ -13,9 +13,3 @@ func decodeConfChange(data []byte) (ConfChange, error) {
 	err := json.Unmarshal(data, &cc)
 	return cc, err
 }
-
-// DecodeConfChange exposes conf-change decoding to applications whose
-// Apply callback wants to observe membership changes.
-func DecodeConfChange(data []byte) (ConfChange, error) {
-	return decodeConfChange(data)
-}

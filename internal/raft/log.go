@@ -2,43 +2,32 @@ package raft
 
 import "fmt"
 
-// raftLog stores the replicated log in memory, supporting compaction: a
-// prefix of the log may be replaced by a snapshot, after which entries are
-// addressed relative to the snapshot's last included index.
+// raftLog stores the replicated log in memory. The log is never compacted:
+// entries[i] is the entry at index i+1, and index 0 with term 0 is the log
+// origin. A replica that falls far behind is migrated through a checkpoint
+// in the data store (paper §3.2.3), not caught up by a snapshot.
 type raftLog struct {
-	// snapIndex/snapTerm describe the entry the current snapshot covers up
-	// to (0/0 when no snapshot exists).
-	snapIndex uint64
-	snapTerm  uint64
-	snapshot  []byte
-	// entries holds log entries starting at index snapIndex+1.
 	entries []Entry
 }
 
 func newLog() *raftLog { return &raftLog{} }
 
-// firstIndex returns the index of the first entry physically present.
-func (l *raftLog) firstIndex() uint64 { return l.snapIndex + 1 }
+// lastIndex returns the index of the last entry.
+func (l *raftLog) lastIndex() uint64 { return uint64(len(l.entries)) }
 
-// lastIndex returns the index of the last entry (possibly covered only by
-// the snapshot).
-func (l *raftLog) lastIndex() uint64 {
-	return l.snapIndex + uint64(len(l.entries))
-}
-
-// term returns the term of the entry at index i, or ok=false if i is out
-// of range (compacted away below snapIndex, or beyond lastIndex).
+// term returns the term of the entry at index i, or ok=false if i is
+// beyond lastIndex.
 func (l *raftLog) term(i uint64) (uint64, bool) {
-	if i == l.snapIndex {
-		return l.snapTerm, true
+	if i == 0 {
+		return 0, true
 	}
-	if i < l.firstIndex() || i > l.lastIndex() {
+	if i > l.lastIndex() {
 		return 0, false
 	}
-	return l.entries[i-l.firstIndex()].Term, true
+	return l.entries[i-1].Term, true
 }
 
-// lastTerm returns the term of the last entry (snapshot term if empty).
+// lastTerm returns the term of the last entry (0 if the log is empty).
 func (l *raftLog) lastTerm() uint64 {
 	t, _ := l.term(l.lastIndex())
 	return t
@@ -46,16 +35,16 @@ func (l *raftLog) lastTerm() uint64 {
 
 // entry returns the entry at index i.
 func (l *raftLog) entry(i uint64) (Entry, bool) {
-	if i < l.firstIndex() || i > l.lastIndex() {
+	if i < 1 || i > l.lastIndex() {
 		return Entry{}, false
 	}
-	return l.entries[i-l.firstIndex()], true
+	return l.entries[i-1], true
 }
 
 // slice returns entries in [lo, hi] inclusive, copied.
 func (l *raftLog) slice(lo, hi uint64) []Entry {
-	if lo < l.firstIndex() {
-		lo = l.firstIndex()
+	if lo < 1 {
+		lo = 1
 	}
 	if hi > l.lastIndex() {
 		hi = l.lastIndex()
@@ -64,7 +53,7 @@ func (l *raftLog) slice(lo, hi uint64) []Entry {
 		return nil
 	}
 	out := make([]Entry, hi-lo+1)
-	copy(out, l.entries[lo-l.firstIndex():hi-l.firstIndex()+1])
+	copy(out, l.entries[lo-1:hi])
 	return out
 }
 
@@ -81,51 +70,18 @@ func (l *raftLog) append(ents ...Entry) {
 
 // truncateFrom removes all entries with index >= i.
 func (l *raftLog) truncateFrom(i uint64) {
-	if i <= l.snapIndex {
-		panic(fmt.Sprintf("raft: truncating into snapshot at %d (snap %d)", i, l.snapIndex))
+	if i < 1 {
+		panic("raft: truncating the log origin")
 	}
 	if i > l.lastIndex() {
 		return
 	}
-	l.entries = l.entries[:i-l.firstIndex()]
+	l.entries = l.entries[:i-1]
 }
 
 // matchTerm reports whether the entry at index i has term t. Index 0 with
 // term 0 always matches (the log origin).
 func (l *raftLog) matchTerm(i, t uint64) bool {
-	if i == 0 {
-		return t == 0
-	}
 	term, ok := l.term(i)
 	return ok && term == t
-}
-
-// compact discards entries up to and including upTo, recording snapshot
-// data for that prefix. It is a no-op if upTo is not beyond the current
-// snapshot or exceeds the last index.
-func (l *raftLog) compact(upTo uint64, snapshot []byte) error {
-	if upTo <= l.snapIndex {
-		return nil
-	}
-	if upTo > l.lastIndex() {
-		return fmt.Errorf("raft: compact %d beyond last index %d", upTo, l.lastIndex())
-	}
-	t, ok := l.term(upTo)
-	if !ok {
-		return fmt.Errorf("raft: compact point %d unavailable", upTo)
-	}
-	l.entries = append([]Entry(nil), l.entries[upTo-l.firstIndex()+1:]...)
-	l.snapIndex = upTo
-	l.snapTerm = t
-	l.snapshot = snapshot
-	return nil
-}
-
-// restore replaces the entire log with a snapshot, as received from a
-// leader via InstallSnapshot.
-func (l *raftLog) restore(index, term uint64, snapshot []byte) {
-	l.snapIndex = index
-	l.snapTerm = term
-	l.snapshot = snapshot
-	l.entries = nil
 }

@@ -16,8 +16,8 @@ func entriesFrom(start uint64, terms ...uint64) []Entry {
 
 func TestLogAppendAndQuery(t *testing.T) {
 	l := newLog()
-	if l.firstIndex() != 1 || l.lastIndex() != 0 || l.lastTerm() != 0 {
-		t.Fatalf("empty log: first=%d last=%d term=%d", l.firstIndex(), l.lastIndex(), l.lastTerm())
+	if l.lastIndex() != 0 || l.lastTerm() != 0 {
+		t.Fatalf("empty log: last=%d term=%d", l.lastIndex(), l.lastTerm())
 	}
 	l.append(entriesFrom(1, 1, 1, 2)...)
 	if l.lastIndex() != 3 || l.lastTerm() != 2 {
@@ -77,38 +77,9 @@ func TestLogSlice(t *testing.T) {
 	}
 }
 
-func TestLogCompactAndRestore(t *testing.T) {
-	l := newLog()
-	l.append(entriesFrom(1, 1, 1, 2, 2, 3)...)
-	if err := l.compact(3, []byte("snap3")); err != nil {
-		t.Fatalf("compact: %v", err)
-	}
-	if l.firstIndex() != 4 || l.lastIndex() != 5 {
-		t.Fatalf("first=%d last=%d", l.firstIndex(), l.lastIndex())
-	}
-	if tm, ok := l.term(3); !ok || tm != 2 {
-		t.Fatalf("term at snap = %d,%v", tm, ok)
-	}
-	if _, ok := l.term(2); ok {
-		t.Fatal("compacted entry should be unavailable")
-	}
-	// Compacting at or below snapIndex is a no-op.
-	if err := l.compact(2, nil); err != nil {
-		t.Fatalf("no-op compact errored: %v", err)
-	}
-	// Compacting beyond last index fails.
-	if err := l.compact(10, nil); err == nil {
-		t.Fatal("compact beyond last should fail")
-	}
-	l.restore(20, 7, []byte("snap20"))
-	if l.lastIndex() != 20 || l.lastTerm() != 7 || len(l.entries) != 0 {
-		t.Fatalf("restore: last=%d term=%d n=%d", l.lastIndex(), l.lastTerm(), len(l.entries))
-	}
-}
-
-// Property: for any sequence of appends, truncates, and compactions, the
-// log indices remain contiguous from firstIndex to lastIndex and term
-// queries agree with what was appended.
+// Property: for any sequence of appends and truncates, the log indices
+// remain contiguous from 1 to lastIndex and term queries agree with what
+// was appended.
 func TestLogInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -125,22 +96,15 @@ func TestLogInvariantProperty(t *testing.T) {
 				l.append(Entry{Index: idx, Term: term})
 				shadow[idx] = term
 			case 6, 7: // truncate
-				if l.lastIndex() > l.snapIndex {
-					from := l.firstIndex() + uint64(r.Intn(int(l.lastIndex()-l.snapIndex)))
+				if l.lastIndex() > 0 {
+					from := 1 + uint64(r.Intn(int(l.lastIndex())))
 					l.truncateFrom(from)
 					for i := from; i <= uint64(len(shadow))+64; i++ {
 						delete(shadow, i)
 					}
 				}
-			case 8: // compact a random committed prefix
-				if l.lastIndex() > l.firstIndex() {
-					upTo := l.firstIndex() + uint64(r.Intn(int(l.lastIndex()-l.firstIndex())))
-					if err := l.compact(upTo, nil); err != nil {
-						return false
-					}
-				}
-			case 9: // verify
-				for i := l.firstIndex(); i <= l.lastIndex(); i++ {
+			case 8, 9: // verify
+				for i := uint64(1); i <= l.lastIndex(); i++ {
 					tm, ok := l.term(i)
 					if !ok || tm != shadow[i] {
 						return false

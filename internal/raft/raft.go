@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"notebookos/internal/simclock"
 )
 
 // NodeID identifies a Raft peer.
@@ -82,7 +80,6 @@ const (
 	MsgVoteResp
 	MsgApp
 	MsgAppResp
-	MsgSnap
 	MsgProp
 )
 
@@ -107,11 +104,6 @@ type Message struct {
 	Success    bool
 	MatchIndex uint64
 	RejectHint uint64
-	// MsgSnap
-	SnapIndex uint64
-	SnapTerm  uint64
-	Snapshot  []byte
-	SnapPeers []NodeID
 	// MsgProp
 	PropType EntryType
 	PropData []byte
@@ -146,21 +138,11 @@ type Config struct {
 	ID NodeID
 	// Peers is the initial cluster membership, including ID.
 	Peers []NodeID
-	// ElectionTicks is the base election timeout in ticks; the effective
-	// timeout is randomized in [ElectionTicks, 2*ElectionTicks). Default 10.
-	ElectionTicks int
-	// HeartbeatTicks is the leader heartbeat interval in ticks. Default 1.
-	HeartbeatTicks int
-	// MaxEntriesPerAppend bounds entries per AppendEntries. Default 64.
-	MaxEntriesPerAppend int
 	// Transport sends messages to peers. Required.
 	Transport Transport
 	// Apply receives committed entries in log order on the applier
 	// goroutine. Entries with empty Data (leader no-ops) are included.
 	Apply func(e Entry)
-	// ApplySnapshot is invoked when the node installs a leader snapshot;
-	// the application must replace its state with the snapshot contents.
-	ApplySnapshot func(index, term uint64, data []byte)
 	// Seed randomizes election timeouts deterministically. Zero uses 1.
 	Seed int64
 	// Logger receives diagnostics; nil discards them.
@@ -183,15 +165,6 @@ func (c *Config) withDefaults() error {
 	if !found {
 		return fmt.Errorf("raft: ID %q not in peers %v", c.ID, c.Peers)
 	}
-	if c.ElectionTicks <= 0 {
-		c.ElectionTicks = 10
-	}
-	if c.HeartbeatTicks <= 0 {
-		c.HeartbeatTicks = 1
-	}
-	if c.MaxEntriesPerAppend <= 0 {
-		c.MaxEntriesPerAppend = 64
-	}
 	if c.Logger == nil {
 		c.Logger = nopLogger{}
 	}
@@ -201,13 +174,13 @@ func (c *Config) withDefaults() error {
 	return nil
 }
 
-type applyItem struct {
-	entry      Entry
-	isSnapshot bool
-	snapIndex  uint64
-	snapTerm   uint64
-	snapshot   []byte
-}
+// Protocol timing and batching. The effective election timeout is
+// randomized in [electionTicks, 2*electionTicks).
+const (
+	electionTicks       = 10
+	heartbeatTicks      = 1
+	maxEntriesPerAppend = 64
+)
 
 // Node is a single Raft peer.
 type Node struct {
@@ -243,7 +216,7 @@ type Node struct {
 
 	applyMu    sync.Mutex
 	applyCond  *sync.Cond
-	applyQueue []applyItem
+	applyQueue []Entry
 	applyDone  chan struct{}
 
 	tickStop chan struct{}
@@ -307,13 +280,6 @@ func (n *Node) Status() Status {
 	}
 }
 
-// Leader returns the node's current view of the leader ("" if unknown).
-func (n *Node) Leader() NodeID {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.leader
-}
-
 // IsLeader reports whether this node currently believes it is the leader.
 func (n *Node) IsLeader() bool {
 	n.mu.Lock()
@@ -335,9 +301,9 @@ func (n *Node) Stop() {
 	<-n.applyDone
 }
 
-// StartTicker drives Tick on the given interval using clock until
-// StopTicker or Stop is called.
-func (n *Node) StartTicker(clock simclock.Clock, interval time.Duration) {
+// StartTicker drives Tick on the given interval until StopTicker or Stop
+// is called.
+func (n *Node) StartTicker(interval time.Duration) {
 	n.mu.Lock()
 	if n.tickStop != nil || n.stopped.Load() {
 		n.mu.Unlock()
@@ -354,7 +320,7 @@ func (n *Node) StartTicker(clock simclock.Clock, interval time.Duration) {
 			select {
 			case <-stop:
 				return
-			case <-clock.After(interval):
+			case <-time.After(interval):
 				n.Tick()
 			}
 		}
@@ -385,7 +351,7 @@ func (n *Node) Tick() {
 	}
 	if n.state == Leader {
 		n.heartbeatElapsed++
-		if n.heartbeatElapsed >= n.cfg.HeartbeatTicks {
+		if n.heartbeatElapsed >= heartbeatTicks {
 			n.heartbeatElapsed = 0
 			n.broadcastAppend()
 		}
@@ -473,9 +439,9 @@ func (n *Node) Step(m Message) {
 	n.mu.Lock()
 	if m.Term > n.term {
 		// A higher term always converts us to a follower of that term. We
-		// only learn the leader's identity from append/snapshot traffic.
+		// only learn the leader's identity from append traffic.
 		leader := NodeID("")
-		if m.Type == MsgApp || m.Type == MsgSnap {
+		if m.Type == MsgApp {
 			leader = m.From
 		}
 		n.becomeFollower(m.Term, leader)
@@ -489,8 +455,6 @@ func (n *Node) Step(m Message) {
 		n.handleApp(m)
 	case MsgAppResp:
 		n.handleAppResp(m)
-	case MsgSnap:
-		n.handleSnap(m)
 	case MsgProp:
 		n.handleProp(m)
 	}
@@ -509,7 +473,7 @@ func (n *Node) unlockAndSend() {
 }
 
 func (n *Node) resetRandomizedTimeout() {
-	n.randomizedTimeout = n.cfg.ElectionTicks + n.rng.Intn(n.cfg.ElectionTicks)
+	n.randomizedTimeout = electionTicks + n.rng.Intn(electionTicks)
 }
 
 func (n *Node) becomeFollower(term uint64, leader NodeID) {
@@ -699,42 +663,6 @@ func (n *Node) handleAppResp(m Message) {
 	n.sendAppend(m.From)
 }
 
-func (n *Node) handleSnap(m Message) {
-	if m.Term < n.term {
-		return
-	}
-	n.state = Follower
-	n.leader = m.From
-	n.electionElapsed = 0
-	if m.SnapIndex <= n.commitIndex {
-		// Stale snapshot; just report progress.
-		n.outbox = append(n.outbox, Message{
-			Type: MsgAppResp, From: n.id, To: m.From, Term: n.term, Success: true,
-			MatchIndex: n.commitIndex,
-		})
-		return
-	}
-	n.log.restore(m.SnapIndex, m.SnapTerm, m.Snapshot)
-	n.commitIndex = m.SnapIndex
-	n.appliedTo = m.SnapIndex
-	if len(m.SnapPeers) > 0 {
-		n.peers = make(map[NodeID]bool, len(m.SnapPeers))
-		for _, p := range m.SnapPeers {
-			n.peers[p] = true
-		}
-	}
-	n.enqueueApply(applyItem{
-		isSnapshot: true,
-		snapIndex:  m.SnapIndex,
-		snapTerm:   m.SnapTerm,
-		snapshot:   m.Snapshot,
-	})
-	n.outbox = append(n.outbox, Message{
-		Type: MsgAppResp, From: n.id, To: m.From, Term: n.term, Success: true,
-		MatchIndex: m.SnapIndex,
-	})
-}
-
 func (n *Node) handleProp(m Message) {
 	if n.state != Leader {
 		// Re-forward if we know a different leader; otherwise drop (the
@@ -761,32 +689,17 @@ func (n *Node) broadcastAppend() {
 	}
 }
 
-// sendAppend sends one AppendEntries or InstallSnapshot to peer p.
-// Caller holds n.mu.
+// sendAppend sends one AppendEntries to peer p. Caller holds n.mu.
 func (n *Node) sendAppend(p NodeID) {
 	next := n.next[p]
 	if next < 1 {
 		next = 1
 	}
 	prev := next - 1
-	prevTerm, ok := n.log.term(prev)
-	if !ok {
-		// The entries the follower needs were compacted: ship a snapshot.
-		peers := make([]NodeID, 0, len(n.peers))
-		for q := range n.peers {
-			peers = append(peers, q)
-		}
-		n.outbox = append(n.outbox, Message{
-			Type: MsgSnap, From: n.id, To: p, Term: n.term,
-			SnapIndex: n.log.snapIndex, SnapTerm: n.log.snapTerm,
-			Snapshot: n.log.snapshot, SnapPeers: peers,
-		})
-		n.next[p] = n.log.snapIndex + 1
-		return
-	}
+	prevTerm, _ := n.log.term(prev)
 	hi := n.log.lastIndex()
-	if hi > prev+uint64(n.cfg.MaxEntriesPerAppend) {
-		hi = prev + uint64(n.cfg.MaxEntriesPerAppend)
+	if hi > prev+maxEntriesPerAppend {
+		hi = prev + maxEntriesPerAppend
 	}
 	ents := n.log.slice(next, hi)
 	n.outbox = append(n.outbox, Message{
@@ -833,7 +746,7 @@ func (n *Node) advanceCommit(c uint64) {
 		if e.Type == EntryConfChange {
 			n.applyConfChange(e)
 		}
-		n.enqueueApply(applyItem{entry: e})
+		n.enqueueApply(e)
 		n.appliedTo = i
 	}
 }
@@ -865,21 +778,9 @@ func (n *Node) applyConfChange(e Entry) {
 	n.cfg.Logger.Logf("raft %s: conf change applied: %+v peers=%d", n.id, cc, len(n.peers))
 }
 
-// Compact discards the log prefix up to and including upTo, recording the
-// application-provided snapshot for that prefix. Followers that fall
-// behind the compaction point receive the snapshot instead of entries.
-func (n *Node) Compact(upTo uint64, snapshot []byte) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if upTo > n.commitIndex {
-		return fmt.Errorf("raft: cannot compact beyond commit index %d", n.commitIndex)
-	}
-	return n.log.compact(upTo, snapshot)
-}
-
-func (n *Node) enqueueApply(it applyItem) {
+func (n *Node) enqueueApply(e Entry) {
 	n.applyMu.Lock()
-	n.applyQueue = append(n.applyQueue, it)
+	n.applyQueue = append(n.applyQueue, e)
 	n.applyCond.Signal()
 	n.applyMu.Unlock()
 }
@@ -899,15 +800,9 @@ func (n *Node) runApplier() {
 		n.applyQueue = nil
 		n.applyMu.Unlock()
 
-		for _, it := range batch {
-			if it.isSnapshot {
-				if n.cfg.ApplySnapshot != nil {
-					n.cfg.ApplySnapshot(it.snapIndex, it.snapTerm, it.snapshot)
-				}
-				continue
-			}
+		for _, e := range batch {
 			if n.cfg.Apply != nil {
-				n.cfg.Apply(it.entry)
+				n.cfg.Apply(e)
 			}
 		}
 	}

@@ -61,15 +61,9 @@ func (c *cluster) addNode(id NodeID, peers []NodeID, seed int64) *Node {
 	}
 	c.net.Register(id, node)
 	c.nodes[id] = node
-	node.StartTicker(realClock{}, testTick)
+	node.StartTicker(testTick)
 	return node
 }
-
-type realClock struct{}
-
-func (realClock) Now() time.Time                         { return time.Now() }
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }
 
 func (c *cluster) close() {
 	for _, n := range c.nodes {
@@ -197,7 +191,7 @@ func TestLeaderFailover(t *testing.T) {
 	c.waitApplied(1)
 
 	// Kill the leader: the two survivors must elect a new one.
-	c.net.Isolate(ldr.ID())
+	c.net.isolate(ldr.ID())
 	deadline := time.Now().Add(10 * time.Second)
 	var newLdr *Node
 	for time.Now().Before(deadline) {
@@ -226,7 +220,7 @@ func TestLeaderFailover(t *testing.T) {
 	c.waitApplied(2, survivors...)
 
 	// Heal: the old leader must catch up and not diverge.
-	c.net.Heal()
+	c.net.heal()
 	c.waitApplied(2)
 	if got := c.appliedData(ldr.ID()); got[len(got)-1] != "after" {
 		t.Fatalf("old leader applied %v", got)
@@ -249,7 +243,7 @@ func TestPartitionMinorityCannotCommit(t *testing.T) {
 			majority = append(majority, id)
 		}
 	}
-	c.net.Partition(minority, majority)
+	c.net.partition(minority, majority)
 
 	// The minority leader can append locally but must not commit the new
 	// entry (acks already in flight may still commit pre-partition ones).
@@ -280,7 +274,7 @@ func TestPartitionMinorityCannotCommit(t *testing.T) {
 	c.waitApplied(1, majority...)
 
 	// Heal: everyone converges on "survives"; "doomed" is discarded.
-	c.net.Heal()
+	c.net.heal()
 	c.waitApplied(1)
 	for id := range c.nodes {
 		for _, d := range c.appliedData(id) {
@@ -303,7 +297,7 @@ func TestProposalForwarding(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for follower.Leader() == "" && time.Now().Before(deadline) {
+	for follower.Status().Leader == "" && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if err := follower.Propose([]byte("via-follower")); err != nil {
@@ -315,7 +309,7 @@ func TestProposalForwarding(t *testing.T) {
 func TestMessageLossStillMakesProgress(t *testing.T) {
 	c := newCluster(t, 3)
 	c.waitLeader()
-	c.net.SetDropProb(0.2)
+	c.net.setDropProb(0.2)
 	for i := 0; i < 5; i++ {
 		c.propose(fmt.Sprintf("lossy-%d", i))
 	}
@@ -388,77 +382,14 @@ func TestPendingConfChangeRejected(t *testing.T) {
 	c := newCluster(t, 3)
 	ldr := c.waitLeader()
 	// Stall replication so the first change stays pending.
-	c.net.SetDropProb(1.0)
+	c.net.setDropProb(1.0)
 	if err := ldr.ProposeConfChange(ConfChange{Type: AddNode, Node: "n4"}); err != nil {
 		t.Fatalf("first conf change: %v", err)
 	}
 	if err := ldr.ProposeConfChange(ConfChange{Type: AddNode, Node: "n5"}); err != ErrPendingConf {
 		t.Fatalf("second conf change err = %v, want ErrPendingConf", err)
 	}
-	c.net.SetDropProb(0)
-}
-
-func TestCompactionAndSnapshotCatchUp(t *testing.T) {
-	c := newCluster(t, 3)
-	ldr := c.waitLeader()
-
-	// Disconnect a follower, commit a batch, compact it away.
-	var straggler NodeID
-	for id := range c.nodes {
-		if id != ldr.ID() {
-			straggler = id
-			break
-		}
-	}
-	var healthy []NodeID
-	for id := range c.nodes {
-		if id != straggler {
-			healthy = append(healthy, id)
-		}
-	}
-	c.net.Isolate(straggler)
-	for i := 0; i < 10; i++ {
-		c.propose(fmt.Sprintf("batch-%d", i))
-	}
-	c.waitApplied(10, healthy...)
-
-	ldr = c.waitLeader()
-	st := ldr.Status()
-	if err := ldr.Compact(st.CommitIndex, []byte("snapshot@"+fmt.Sprint(st.CommitIndex))); err != nil {
-		t.Fatalf("Compact: %v", err)
-	}
-	if err := ldr.Compact(st.CommitIndex+100, nil); err == nil {
-		t.Fatal("compacting past commit should fail")
-	}
-
-	// Track snapshot installation on the straggler.
-	snapCh := make(chan uint64, 1)
-	c.nodes[straggler].cfg.ApplySnapshot = func(index, term uint64, data []byte) {
-		select {
-		case snapCh <- index:
-		default:
-		}
-	}
-	c.net.Heal()
-	select {
-	case idx := <-snapCh:
-		if idx < st.CommitIndex {
-			t.Fatalf("snapshot at %d, want >= %d", idx, st.CommitIndex)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("straggler never received a snapshot")
-	}
-	// New proposals still reach everyone, including the restored node.
-	c.propose("post-snap")
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		got := c.appliedData(straggler)
-		if len(got) > 0 && got[len(got)-1] == "post-snap" {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("straggler applied %v, want post-snap at end", c.appliedData(straggler))
+	c.net.setDropProb(0)
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -472,8 +403,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid config failed: %v", err)
 	}
-	if n.cfg.ElectionTicks != 10 || n.cfg.HeartbeatTicks != 1 {
-		t.Error("defaults not applied")
+	if n.randomizedTimeout < electionTicks || n.randomizedTimeout >= 2*electionTicks {
+		t.Errorf("randomized election timeout %d outside [%d, %d)", n.randomizedTimeout, electionTicks, 2*electionTicks)
 	}
 	n.Stop()
 	if err := n.Propose(nil); err != ErrStopped {

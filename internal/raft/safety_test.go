@@ -64,12 +64,12 @@ func TestElectionSafetyUnderChaos(t *testing.T) {
 
 			ids := ids(5)
 			chaos := []func(){
-				func() { c.net.SetDropProb(0.3) },
-				func() { c.net.SetDropProb(0) },
-				func() { c.net.Partition(ids[:2], ids[2:]) },
-				func() { c.net.Heal() },
-				func() { c.net.Isolate(ids[int(seed)%5]) },
-				func() { c.net.Heal() },
+				func() { c.net.setDropProb(0.3) },
+				func() { c.net.setDropProb(0) },
+				func() { c.net.partition(ids[:2], ids[2:]) },
+				func() { c.net.heal() },
+				func() { c.net.isolate(ids[int(seed)%5]) },
+				func() { c.net.heal() },
 			}
 			proposed := 0
 			for round := 0; round < len(chaos); round++ {
@@ -87,8 +87,8 @@ func TestElectionSafetyUnderChaos(t *testing.T) {
 					time.Sleep(10 * time.Millisecond)
 				}
 			}
-			c.net.Heal()
-			c.net.SetDropProb(0)
+			c.net.heal()
+			c.net.setDropProb(0)
 			// Let the cluster settle and commit what it can.
 			c.waitLeader()
 			time.Sleep(300 * time.Millisecond)
@@ -157,7 +157,7 @@ func TestCommittedEntriesSurviveLeaderChanges(t *testing.T) {
 			ldr = c.waitLeader()
 		}
 		// Force a leadership change by isolating the current leader.
-		c.net.Isolate(ldr.ID())
+		c.net.isolate(ldr.ID())
 		deadline = time.Now().Add(10 * time.Second)
 		for time.Now().Before(deadline) {
 			changed := false
@@ -171,7 +171,7 @@ func TestCommittedEntriesSurviveLeaderChanges(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
-		c.net.Heal()
+		c.net.heal()
 	}
 	c.waitApplied(3)
 	for id := range c.nodes {

@@ -13,8 +13,8 @@ type Stepper interface {
 
 // LocalNetwork is an in-memory Transport connecting Raft nodes within a
 // process. It models the peer-to-peer network kernel replicas form
-// (§3.2.2) and supports fault injection for tests: per-link latency,
-// random message drops, and partitions.
+// (§3.2.2). Its tests inject faults through it: per-link latency, random
+// message drops, and partitions.
 //
 // Delivery is asynchronous: each message is delivered on its own goroutine
 // after the configured latency, mirroring real network reordering.
@@ -28,10 +28,6 @@ type LocalNetwork struct {
 	rng      *rand.Rand
 	closed   bool
 	wg       sync.WaitGroup
-
-	// counters for tests and benchmarks
-	sent    int64
-	dropped int64
 }
 
 // NewLocalNetwork returns a network with the given delivery latency range.
@@ -62,15 +58,15 @@ func (ln *LocalNetwork) Unregister(id NodeID) {
 	delete(ln.nodes, id)
 }
 
-// SetDropProb sets the probability that any message is silently dropped.
-func (ln *LocalNetwork) SetDropProb(p float64) {
+// setDropProb sets the probability that any message is silently dropped.
+func (ln *LocalNetwork) setDropProb(p float64) {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	ln.dropProb = p
 }
 
-// Partition severs both directions between the two groups of nodes.
-func (ln *LocalNetwork) Partition(a, b []NodeID) {
+// partition severs both directions between the two groups of nodes.
+func (ln *LocalNetwork) partition(a, b []NodeID) {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	for _, x := range a {
@@ -81,15 +77,15 @@ func (ln *LocalNetwork) Partition(a, b []NodeID) {
 	}
 }
 
-// Heal removes all partitions.
-func (ln *LocalNetwork) Heal() {
+// heal removes all partitions.
+func (ln *LocalNetwork) heal() {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	ln.cut = make(map[NodeID]map[NodeID]bool)
 }
 
-// Isolate severs a single node from everyone else.
-func (ln *LocalNetwork) Isolate(id NodeID) {
+// isolate severs a single node from everyone else.
+func (ln *LocalNetwork) isolate(id NodeID) {
 	ln.mu.Lock()
 	defer ln.mu.Unlock()
 	for other := range ln.nodes {
@@ -124,9 +120,7 @@ func (ln *LocalNetwork) Send(m Message) {
 	} else {
 		delay = ln.minDelay
 	}
-	ln.sent++
 	if !ok || blocked || drop {
-		ln.dropped++
 		ln.mu.Unlock()
 		return
 	}
@@ -146,13 +140,6 @@ func (ln *LocalNetwork) Send(m Message) {
 		}
 		target.Step(m)
 	}()
-}
-
-// Stats returns (sent, dropped) message counts.
-func (ln *LocalNetwork) Stats() (sent, dropped int64) {
-	ln.mu.Lock()
-	defer ln.mu.Unlock()
-	return ln.sent, ln.dropped
 }
 
 // Close stops delivery and waits for in-flight deliveries to finish.

@@ -145,3 +145,54 @@ func TestRelabellingSessionsIsIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestShiftingTheEpochIsIdentity: no decision depends on the wall-clock
+// date. The sim keeps its clock in absolute time, anchors the sampling and
+// autoscale ticks and the fault windows at the run's start, and the
+// integrals at the trace's window, so a decision read off an absolute
+// instant — a tick aligned to the Unix epoch, a fault window at a fixed
+// date — would move when the trace does. The runs of
+// TestRelabellingSessionsIsIdentity (four policies on one cluster, a
+// three-member federation, and the heavy fault profile on both) replay
+// once as generated and once with every instant of the trace — its window,
+// every session's start and end, every task's submission — moved 37 h 13 m
+// 7 s later; each pair of fingerprints, taken over the run's own window,
+// must be byte-identical.
+func TestShiftingTheEpochIsIdentity(t *testing.T) {
+	const shift = 37*time.Hour + 13*time.Minute + 7*time.Second
+	tr := shortTrace(t)
+	shifted := &trace.Trace{Name: tr.Name, Start: tr.Start.Add(shift), End: tr.End.Add(shift)}
+	for _, sess := range tr.Sessions {
+		c := *sess
+		c.Start, c.End = sess.Start.Add(shift), sess.End.Add(shift)
+		c.Tasks = slices.Clone(sess.Tasks)
+		for i := range c.Tasks {
+			c.Tasks[i].Submit = c.Tasks[i].Submit.Add(shift)
+		}
+		shifted.Sessions = append(shifted.Sessions, &c)
+	}
+	heavy := trace.HeavyFaultProfile()
+	runs := map[string]Config{
+		"notebookos/heavy": {Policy: PolicyNotebookOS, Hosts: 30, Faults: &heavy},
+		"federation":       {Clusters: DefaultFedClusters(3, 30)},
+		"federation/heavy": {Clusters: DefaultFedClusters(3, 30), Faults: &heavy},
+	}
+	for _, p := range []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP} {
+		runs[string(p)] = Config{Policy: p, Hosts: 30}
+	}
+	fp := func(label string, cfg Config, tr *trace.Trace) string {
+		cfg.Trace, cfg.Seed = tr, 7
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		var b strings.Builder
+		fpLines{label, &b}.result(res, tr.Start, tr.End)
+		return b.String()
+	}
+	for label, cfg := range runs {
+		if a, b := fp(label, cfg, tr), fp(label, cfg, shifted); a != b {
+			t.Errorf("%s: shifting the epoch by %v changed the run:\n--- as generated\n%s--- shifted\n%s", label, shift, a, b)
+		}
+	}
+}
