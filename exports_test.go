@@ -18,7 +18,7 @@ import (
 // some program uses.
 var exportsGuarded = []string{
 	"sim", "des", "trace", "metrics", "federation", "scheduler", "cluster",
-	"resources", "gpu", "store", "workload", "experiments", "benchsnap", "randprefix",
+	"resources", "gpu", "store", "workload", "experiments", "benchsnap", "randprefix", "detmath",
 	"raft", "kernel", "pynb", "jupyter", "container", "simclock", "control", "platform", "gateway",
 }
 
@@ -48,7 +48,6 @@ var exportsAllowed = map[string]string{
 // interface of the standard library calls (fmt.Stringer, sort.Interface)
 // goes in exportsAllowed with that reason.
 func TestExportedNamesHaveUsers(t *testing.T) {
-	const module = "notebookos/"
 	guarded := map[string]bool{}
 	for _, p := range exportsGuarded {
 		guarded[module+"internal/"+p] = true
@@ -58,33 +57,12 @@ func TestExportedNamesHaveUsers(t *testing.T) {
 	used := map[string]bool{}               // "importpath.Name" of package-level names
 	methods := map[string]bool{}            // method names selected on a value
 
-	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); p != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-			return nil
-		}
-		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		own := module + filepath.ToSlash(filepath.Dir(p))
+	walkNonTestGo(t, fset, func(own string, file *ast.File) {
 		if guarded[own] {
 			collectExports(fset, file, path.Base(own), declared)
 		}
 		collectUses(file, own, used, methods)
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(declared) < 300 {
 		t.Fatalf("found only %d exported names in %d packages: the scan is looking in the wrong place", len(declared), len(exportsGuarded))
 	}
@@ -114,6 +92,92 @@ func TestExportedNamesHaveUsers(t *testing.T) {
 	sort.Strings(unused)
 	for _, name := range unused {
 		t.Errorf("%s: %s is referenced by no non-test file; delete it, or unexport it if its package uses it", declared[name], name)
+	}
+}
+
+// resultFieldsAllowed are the exported fields of sim.Result and
+// sim.FedClusterResult that no non-test file outside internal/sim reads and
+// that stay anyway, each with its reason. An entry whose field gains a
+// reader, or is deleted, fails the test.
+var resultFieldsAllowed = map[string]string{
+	"Result.RecoveryTime": "the only record of the failover election draw (faults.go), documented in docs/FAULTS.md: " +
+		"without it that draw would feed nothing but the fault RNG's order, and the fault tests check exact restart charges through it",
+}
+
+// TestResultFieldsHaveReaders fails on an exported field of sim.Result or
+// sim.FedClusterResult that no non-test file outside internal/sim selects.
+// Commands, experiments, benchsnap, examples and the bench/ module read
+// results; internal/sim only records them, so a field only tests read is
+// recording kept for its tests: delete it with its recording. As
+// TestExportedNamesHaveUsers does for methods, the scan parses and matches a
+// selection by field name, whatever it is selected on: it can miss a dead
+// field, never flag a live one.
+func TestResultFieldsHaveReaders(t *testing.T) {
+	fset := token.NewFileSet()
+	fields := map[string]token.Position{} // "Type.Field"
+	read := map[string]bool{}             // names selected on a value outside internal/sim
+	walkNonTestGo(t, fset, func(own string, file *ast.File) {
+		if own == module+"internal/sim" {
+			collectStructFields(fset, file, fields, "Result", "FedClusterResult")
+			return
+		}
+		collectUses(file, own, map[string]bool{}, read)
+	})
+	if len(fields) < 40 {
+		t.Fatalf("found only %d result fields: the scan is looking in the wrong place", len(fields))
+	}
+	var unread []string
+	for key := range fields {
+		_, name, _ := strings.Cut(key, ".")
+		_, allowed := resultFieldsAllowed[key]
+		switch {
+		case !read[name] && !allowed:
+			unread = append(unread, key)
+		case read[name] && allowed:
+			t.Errorf("sim.%s is allowed unread but has a reader: drop it from resultFieldsAllowed", key)
+		}
+	}
+	for key := range resultFieldsAllowed {
+		if _, ok := fields[key]; !ok {
+			t.Errorf("resultFieldsAllowed names sim.%s, which is not declared: drop the entry", key)
+		}
+	}
+	sort.Strings(unread)
+	for _, key := range unread {
+		t.Errorf("%s: sim.%s is read by no non-test file outside internal/sim; delete it with its recording", fields[key], key)
+	}
+}
+
+// module prefixes every import path of the repository.
+const module = "notebookos/"
+
+// walkNonTestGo parses every non-test Go file of the repository, the bench/
+// module included and testdata excluded, and hands it to fn with the import
+// path of its directory.
+func walkNonTestGo(t *testing.T, fset *token.FileSet, fn func(own string, file *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(module+filepath.ToSlash(filepath.Dir(p)), file)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -1,0 +1,127 @@
+// Copyright 2009 The Go Authors. All rights reserved.
+// Use of this source code is governed by a BSD-style
+// license that can be found in the LICENSE file.
+
+package detmath
+
+import "math"
+
+// isOddInt is $GOROOT/src/math/pow.go's.
+func isOddInt(x float64) bool {
+	if math.Abs(x) >= (1 << 53) {
+		// Every float64 this large is an even integer, and int64(xi) below
+		// could overflow.
+		return false
+	}
+	xi, xf := math.Modf(x)
+	return xf == 0 && int64(xi)&1 == 1
+}
+
+// Pow returns x**y. It is $GOROOT/src/math/pow.go's pow, special cases
+// included, with its Exp call going to this package's Exp.
+func Pow(x, y float64) float64 {
+	switch {
+	case y == 0 || x == 1:
+		return 1
+	case y == 1:
+		return x
+	case math.IsNaN(x) || math.IsNaN(y):
+		return math.NaN()
+	case x == 0:
+		switch {
+		case y < 0:
+			if math.Signbit(x) && isOddInt(y) {
+				return math.Inf(-1)
+			}
+			return math.Inf(1)
+		case y > 0:
+			if math.Signbit(x) && isOddInt(y) {
+				return x
+			}
+			return 0
+		}
+	case math.IsInf(y, 0):
+		switch {
+		case x == -1:
+			return 1
+		case (math.Abs(x) < 1) == math.IsInf(y, 1):
+			return 0
+		default:
+			return math.Inf(1)
+		}
+	case math.IsInf(x, 0):
+		if math.IsInf(x, -1) {
+			return Pow(1/x, -y) // Pow(-0, -y)
+		}
+		switch {
+		case y < 0:
+			return 0
+		case y > 0:
+			return math.Inf(1)
+		}
+	case y == 0.5:
+		return math.Sqrt(x)
+	case y == -0.5:
+		return 1 / math.Sqrt(x)
+	}
+
+	yi, yf := math.Modf(math.Abs(y))
+	if yf != 0 && x < 0 {
+		return math.NaN()
+	}
+	if yi >= 1<<63 {
+		// yi is a large even int that will lead to overflow (or underflow to 0)
+		// for all x except -1 (x == 1 was handled earlier)
+		switch {
+		case x == -1:
+			return 1
+		case (math.Abs(x) < 1) == (y > 0):
+			return 0
+		default:
+			return math.Inf(1)
+		}
+	}
+
+	// ans = a1 * 2**ae (= 1 for now).
+	a1 := 1.0
+	ae := 0
+
+	// ans *= x**yf
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = Exp(yf * math.Log(x))
+	}
+
+	// ans *= x**yi by multiplying in successive squarings of x according to
+	// the bits of yi, accumulating powers of two into ae.
+	x1, xe := math.Frexp(x)
+	for i := int64(yi); i != 0; i >>= 1 {
+		if xe < -1<<12 || 1<<12 < xe {
+			// Catch xe before it overflows the left shift below: ae += xe
+			// is already past a float64's exponent range, so the final
+			// Ldexp under- or overflows.
+			ae += xe
+			break
+		}
+		if i&1 == 1 {
+			a1 *= x1
+			ae += xe
+		}
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+
+	// ans = a1*2**ae; if y < 0 { ans = 1 / ans }, in the opposite order.
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
+}

@@ -135,16 +135,6 @@ func (f *Federation) AppendMembers(buf []*Member) []*Member {
 	return append(buf, f.members...)
 }
 
-// Member returns the member at index i.
-func (f *Federation) Member(i int) (*Member, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if i < 0 || i >= len(f.members) {
-		return nil, false
-	}
-	return f.members[i], true
-}
-
 // Penalty returns the one-way inter-cluster latency cost of a crossing
 // from member i to member j: zero when i == j, the matrix pair cost when a
 // LatencyMatrix is installed, the configured symmetric penalty otherwise.

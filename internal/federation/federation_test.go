@@ -44,7 +44,7 @@ func TestFederationAggregatesSumMembers(t *testing.T) {
 	if got := f.NumHosts(); got != 5 {
 		t.Errorf("NumHosts = %d, want 5", got)
 	}
-	m0, _ := f.Member(0)
+	m0 := f.AppendMembers(nil)[0]
 	h := m0.Cluster.Hosts()[0]
 	if err := h.PlaceReplica("k/r1", gpuReq(2)); err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestCapacityNotifierFanIn(t *testing.T) {
 	fired := 0
 	f.SetCapacityNotifier(func() { fired++ })
 
-	m1, _ := f.Member(1)
+	m1 := f.AppendMembers(nil)[1]
 	h := m1.Cluster.Hosts()[0]
 	if err := h.Commit("x", gpuReq(1)); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestLocalFirstOrder(t *testing.T) {
 func TestLeastSubscribedPrefersIdleCluster(t *testing.T) {
 	f := newFed(t, 0, 1, 1)
 	// Subscribe heavily on member 0 so member 1 has the lower SR.
-	m0, _ := f.Member(0)
+	m0 := f.AppendMembers(nil)[0]
 	h := m0.Cluster.Hosts()[0]
 	if err := h.PlaceReplica("k/r1", gpuReq(8)); err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestLeastSubscribedPrefersIdleCluster(t *testing.T) {
 func TestLatencyAwareTradesLoadAgainstPenalty(t *testing.T) {
 	build := func(penalty time.Duration) *Federation {
 		f := newFed(t, penalty, 1, 1)
-		m0, _ := f.Member(0)
+		m0 := f.AppendMembers(nil)[0]
 		// Home SR = 8/(8*3) = 1/3; remote SR = 0.
 		if err := m0.Cluster.Hosts()[0].PlaceReplica("k/r1", gpuReq(8)); err != nil {
 			t.Fatal(err)
@@ -169,7 +169,7 @@ func TestLatencyAwareTradesLoadAgainstPenalty(t *testing.T) {
 // simulator ranks clusters on every placement and remote execution.
 func TestRouteScratchReuse(t *testing.T) {
 	f := newFed(t, 25*time.Millisecond, 1, 1, 1)
-	m0, _ := f.Member(0)
+	m0 := f.AppendMembers(nil)[0]
 	if err := m0.Cluster.Hosts()[0].PlaceReplica("k/r1", gpuReq(8)); err != nil {
 		t.Fatal(err)
 	}

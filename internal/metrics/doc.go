@@ -44,6 +44,6 @@
 // sharded simulation merges rely on — and a distribution nobody queries is
 // never sorted at all. The merge's N, Min and Max cover every observation
 // its inputs saw, reservoir evictions included. Sample.Min and Sample.Max
-// are tracked incrementally on Add and never trigger a sort; Sum and Mean
-// sort first, so their last bits do not depend on which query came first.
+// are tracked incrementally on Add and never trigger a sort; Mean sorts
+// first, so its last bits do not depend on which query came first.
 package metrics

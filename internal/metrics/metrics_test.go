@@ -138,7 +138,7 @@ func TestMergeSamplesMatchesConcat(t *testing.T) {
 			}
 			// seed%3 == 0: every input sorted; 1: none; 2: a mix.
 			if seed%3 == 0 || (seed%3 == 2 && r.Intn(2) == 0) {
-				s.Sort()
+				s.sort()
 			}
 			allSorted = allSorted && s.sorted
 			parts = append(parts, s)
@@ -212,7 +212,7 @@ func TestMergeSamplesOfReservoirs(t *testing.T) {
 	}
 }
 
-// TestSampleSumIndependentOfQueryOrder: Sum and Mean answer the same bits
+// TestSampleSumIndependentOfQueryOrder: sum and Mean answer the same bits
 // whether or not an order statistic was asked first, on a plain sample, a
 // reservoir and an unsorted merge. Summing storage as found fails this: the
 // first sort reorders storage, and float addition is not associative.
@@ -243,8 +243,8 @@ func TestSampleSumIndependentOfQueryOrder(t *testing.T) {
 		if first.sorted || !after.sorted {
 			t.Fatalf("%s: the test needs one unsorted and one sorted copy", name)
 		}
-		if a, b := first.Sum(), after.Sum(); a != b {
-			t.Errorf("%s: Sum = %v before a percentile query, %v after", name, a, b)
+		if a, b := first.sum(), after.sum(); a != b {
+			t.Errorf("%s: sum = %v before a percentile query, %v after", name, a, b)
 		}
 		first, after = mk(), mk()
 		after.Percentile(50)

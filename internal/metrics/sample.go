@@ -61,7 +61,7 @@ func (s *Sample) Grow(n int) {
 // cap observations are kept, each of the N observations ever Added having
 // kept-probability cap/N (Vitter's algorithm R), with eviction driven by
 // the given seed so runs reproduce. Min, Max, and N stay exact over every
-// observation; percentiles, Mean, and Sum become estimates over the kept
+// observation; percentiles and Mean become estimates over the kept
 // subset. Must be called while the sample is empty. The streaming
 // simulator's lean mode uses this to keep million-task latency
 // distributions at a fixed footprint.
@@ -114,11 +114,11 @@ func (s *Sample) Add(xs ...float64) {
 // those a reservoir evicted).
 func (s *Sample) N() int { return s.n }
 
-// Sort puts the observations in order, in place, unless they already are.
+// sort puts the observations in order, in place, unless they already are.
 // Every query that depends on order does this on first use — the order
-// statistics, and Sum and Mean, whose last bits follow the order of addition;
+// statistics, and sum and Mean, whose last bits follow the order of addition;
 // calling it earlier changes no answer.
-func (s *Sample) Sort() {
+func (s *Sample) sort() {
 	if !s.sorted {
 		sort.Float64s(s.xs)
 		s.sorted = true
@@ -131,7 +131,7 @@ func (s *Sample) Percentile(p float64) float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
-	s.Sort()
+	s.sort()
 	if p <= 0 {
 		return s.xs[0]
 	}
@@ -154,7 +154,7 @@ func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
-	return s.Sum() / float64(len(s.xs))
+	return s.sum() / float64(len(s.xs))
 }
 
 // Min returns the smallest observation, or NaN on an empty sample.
@@ -173,12 +173,12 @@ func (s *Sample) Max() float64 {
 	return s.max
 }
 
-// Sum returns the sum of the stored observations, added in sorted order:
+// sum returns the sum of the stored observations, added in sorted order:
 // floating-point addition is not associative, and storage order changes with
 // the first sort, so summing it as found would make the last bits depend on
 // which query came first.
-func (s *Sample) Sum() float64 {
-	s.Sort()
+func (s *Sample) sum() float64 {
+	s.sort()
 	var sum float64
 	for _, x := range s.xs {
 		sum += x
@@ -191,7 +191,7 @@ func (s *Sample) FracBelow(x float64) float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
-	s.Sort()
+	s.sort()
 	i := sort.SearchFloat64s(s.xs, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(s.xs))
 }
@@ -209,7 +209,7 @@ func (s *Sample) Summary(unit string) string {
 
 // Values returns a copy of the observations in sorted order.
 func (s *Sample) Values() []float64 {
-	s.Sort()
+	s.sort()
 	out := make([]float64, len(s.xs))
 	copy(out, s.xs)
 	return out

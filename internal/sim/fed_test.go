@@ -65,7 +65,7 @@ func closeRel(a, b float64) bool {
 // fedFingerprint collapses a Result into comparable values.
 type fedFingerprint struct {
 	tasks, immediate          int
-	localPl, remotePl         int
+	placed, remotePl          int
 	remoteExec                int
 	migrations, cross         int
 	scaleOuts, scaleIns       int
@@ -78,10 +78,19 @@ type fedFingerprint struct {
 	perClusterCommitted       [8]float64
 }
 
+// placedSessions counts the sessions r's members created kernels for.
+func placedSessions(r *Result) int {
+	n := 0
+	for _, c := range r.Clusters {
+		n += c.PlacedSessions
+	}
+	return n
+}
+
 func fedFingerprintOf(tr *trace.Trace, r *Result) fedFingerprint {
 	fp := fedFingerprint{
 		tasks: r.Tasks, immediate: r.ImmediateCommits,
-		localPl: r.LocalPlacements, remotePl: r.RemotePlacements,
+		placed: placedSessions(r), remotePl: r.RemotePlacements,
 		remoteExec: r.RemoteExecutions,
 		migrations: r.Migrations, cross: r.CrossMigrations,
 		scaleOuts: r.ScaleOuts, scaleIns: r.ScaleIns,
@@ -132,7 +141,7 @@ func TestFederatedSpillsAcrossClusters(t *testing.T) {
 	if res.RemotePlacements == 0 && res.RemoteExecutions == 0 && res.CrossMigrations == 0 {
 		t.Error("4-cluster least-subscribed run never crossed a cluster boundary")
 	}
-	if res.LocalPlacements+res.RemotePlacements == 0 {
+	if placedSessions(res) == 0 {
 		t.Error("no sessions placed")
 	}
 }
@@ -202,7 +211,7 @@ func TestHeterogeneousFederationPlacesWhatFits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if placed := res.LocalPlacements + res.RemotePlacements; placed != len(tr.Sessions) || res.Tasks != tr.NumTasks() {
+		if placed := placedSessions(res); placed != len(tr.Sessions) || res.Tasks != tr.NumTasks() {
 			t.Errorf("%s: placed %d of %d sessions, ran %d of %d tasks", route.Name(),
 				placed, len(tr.Sessions), res.Tasks, tr.NumTasks())
 		}

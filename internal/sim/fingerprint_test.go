@@ -79,7 +79,6 @@ func (l fpLines) result(r *Result, start, end time.Time) {
 	l.int("tasks", r.Tasks)
 	l.int("immediate", r.ImmediateCommits)
 	l.int("executorReuse", r.ExecutorReuse)
-	l.int("localPlacements", r.LocalPlacements)
 	l.int("remotePlacements", r.RemotePlacements)
 	l.int("remoteExecutions", r.RemoteExecutions)
 	l.int("migrations", r.Migrations)
@@ -104,7 +103,6 @@ func (l fpLines) result(r *Result, start, end time.Time) {
 	l.timeline("provisioned", r.ProvisionedGPUs, start, end)
 	l.timeline("committed", r.CommittedGPUs, start, end)
 	l.timeline("activeSessions", r.ActiveSessions, start, end)
-	l.timeline("activeTrainings", r.ActiveTrainings, start, end)
 	l.timeline("sr", r.SR, start, end)
 	l.timeline("availability", r.Availability, start, end)
 	l.sample("delay", r.Interactivity)

@@ -89,7 +89,7 @@ func uniformMS(lo, hi int64) func(*rand.Rand) time.Duration {
 }
 
 // logUniform returns a draw of lo*(hi/lo)^u for one u = r.Float64(): a
-// two-knot trace.Quantile, which computes math.Pow's bits with the ratio's
+// two-knot trace.Quantile, which computes detmath.Pow's bits with the ratio's
 // Log taken here, once. hi <= lo draws nothing and returns lo.
 func logUniform(lo, hi time.Duration) func(*rand.Rand) time.Duration {
 	if hi <= lo {

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"notebookos/internal/detmath"
 )
 
 // replay is a rand.Source under which rand.Rand.Float64 returns its values
@@ -21,8 +23,8 @@ func (*replay) Seed(int64) {}
 
 // TestLogUniformMatchesPow holds the four log-uniform draws of
 // DefaultLatencies (Election and Sync's three bands) to the formula they
-// were written as, lo*math.Pow(hi/lo, u), to the nanosecond: 10^6 draws each
-// (10^4 under -short) and the u where math.pow changes branch (0.5 and the
+// were written as, lo*detmath.Pow(hi/lo, u), to the nanosecond: 10^6 draws
+// each (10^4 under -short) and the u where Pow changes branch (0.5 and the
 // draws either side of it), the smallest positive draw, the largest, and 0.
 // A hi <= lo range draws nothing.
 func TestLogUniformMatchesPow(t *testing.T) {
@@ -37,19 +39,19 @@ func TestLogUniformMatchesPow(t *testing.T) {
 	}{{DefaultLatencies().Election, 5 * ms, 80 * ms}, {syncBody, 4 * ms, 50 * ms}, {syncShoulder, 50 * ms, 70 * ms}, {syncTail, 70 * ms, 300 * ms}} {
 		draw, lo, hi := rg.draw, rg.lo, rg.hi
 		want := func(u float64) time.Duration {
-			return time.Duration(float64(lo) * math.Pow(float64(hi)/float64(lo), u))
+			return time.Duration(float64(lo) * detmath.Pow(float64(hi)/float64(lo), u))
 		}
 		edges := replay{0, 0x1p-63, math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1), math.Nextafter(1, 0)}
 		for range len(edges) {
 			u := edges[0]
 			if got := draw(rand.New(&edges)); got != want(u) {
-				t.Fatalf("[%v, %v): u = %v draws %v, math.Pow gives %v", lo, hi, u, got, want(u))
+				t.Fatalf("[%v, %v): u = %v draws %v, detmath.Pow gives %v", lo, hi, u, got, want(u))
 			}
 		}
 		a, b := rand.New(rand.NewSource(int64(lo))), rand.New(rand.NewSource(int64(lo)))
 		for n := 0; n < draws; n++ {
 			if got, u := draw(a), b.Float64(); got != want(u) {
-				t.Fatalf("[%v, %v): u = %v draws %v, math.Pow gives %v", lo, hi, u, got, want(u))
+				t.Fatalf("[%v, %v): u = %v draws %v, detmath.Pow gives %v", lo, hi, u, got, want(u))
 			}
 		}
 	}

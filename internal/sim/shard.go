@@ -176,7 +176,6 @@ func MergeResults(rs ...*Result) *Result {
 	out.ProvisionedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ProvisionedGPUs })
 	out.CommittedGPUs = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.CommittedGPUs })
 	out.ActiveSessions = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ActiveSessions })
-	out.ActiveTrainings = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.ActiveTrainings })
 	out.SR = mergeTimelines(rs, func(r *Result) *metrics.Timeline { return r.SR })
 	// The fault recorders exist only under Faults, which creates both.
 	for _, r := range rs {
@@ -244,7 +243,6 @@ func MergeResults(rs ...*Result) *Result {
 		out.TaskRestarts += r.TaskRestarts
 		out.Abandonments += r.Abandonments
 		out.LostGPUHours += r.LostGPUHours
-		out.LocalPlacements += r.LocalPlacements
 		out.RemotePlacements += r.RemotePlacements
 		out.RemoteExecutions += r.RemoteExecutions
 		out.CrossMigrations += r.CrossMigrations

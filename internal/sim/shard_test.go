@@ -174,7 +174,6 @@ func TestMergeResultsIntegralEqualsShardSum(t *testing.T) {
 		{"provisioned", func(r *Result) float64 { return r.ProvisionedGPUs.Integral(tr.Start, tr.End) }},
 		{"committed", func(r *Result) float64 { return r.CommittedGPUs.Integral(tr.Start, tr.End) }},
 		{"sessions", func(r *Result) float64 { return r.ActiveSessions.Integral(tr.Start, tr.End) }},
-		{"trainings", func(r *Result) float64 { return r.ActiveTrainings.Integral(tr.Start, tr.End) }},
 	}
 	for _, s := range series {
 		var sum float64
@@ -474,7 +473,7 @@ func TestMergePartialResults(t *testing.T) {
 		}
 	}
 	for name, tl := range map[string]*metrics.Timeline{"ProvisionedGPUs": r.ProvisionedGPUs, "CommittedGPUs": r.CommittedGPUs,
-		"ActiveSessions": r.ActiveSessions, "ActiveTrainings": r.ActiveTrainings, "SR": r.SR} {
+		"ActiveSessions": r.ActiveSessions, "SR": r.SR} {
 		if tl == nil || tl.Max() != 0 {
 			t.Errorf("Result.%s = %v, want an empty timeline", name, tl)
 		}
@@ -616,7 +615,7 @@ func TestLeasePoolFederatedCapacityExact(t *testing.T) {
 				t.Errorf("%s, k=%d: scale counters diverged: so=%d/%d si=%d/%d",
 					name, k, res.ScaleOuts, base.ScaleOuts, res.ScaleIns, base.ScaleIns)
 			}
-			if res.LocalPlacements != base.LocalPlacements || res.RemotePlacements != base.RemotePlacements {
+			if placedSessions(res) != placedSessions(base) || res.RemotePlacements != base.RemotePlacements {
 				t.Errorf("%s, k=%d: routing counters diverged", name, k)
 			}
 			for m := range base.Clusters {

@@ -188,11 +188,10 @@ type Result struct {
 	// Capacity and population timelines (Figs. 7, 8, 10, 14, 20). With several
 	// members the two GPU series are the pointwise sums of the per-cluster
 	// series (Integral equals the sum of per-cluster Integrals).
-	// ActiveTrainings and SR: single cluster.
+	// SR: single cluster.
 	ProvisionedGPUs *metrics.Timeline
 	CommittedGPUs   *metrics.Timeline
 	ActiveSessions  *metrics.Timeline
-	ActiveTrainings *metrics.Timeline
 	SR              *metrics.Timeline
 
 	// Distributions (Figs. 9, 11, 16-19), in seconds. All but Interactivity
@@ -227,7 +226,6 @@ type Result struct {
 	WarmStarts       int
 
 	// Routing counters.
-	LocalPlacements  int // sessions placed on their home cluster
 	RemotePlacements int // sessions spilled to another cluster
 	RemoteExecutions int // tasks executed on a non-home-cluster replica
 	CrossMigrations  int // migrations that changed cluster
@@ -545,7 +543,6 @@ func newSim(p *plan) (*sim, error) {
 			s.steps[i] = s.newSample()
 			s.res.StepLatency[st] = s.steps[i]
 		}
-		s.res.ActiveTrainings = s.newTimeline()
 		s.res.SR = s.newTimeline()
 		if !p.LeanMetrics {
 			s.res.Events = []Event{}
@@ -639,7 +636,6 @@ func (s *sim) build() error {
 			m.res.CommittedGPUs.Grow(2*numTasks/len(s.members) + 16)
 		}
 		s.res.ActiveSessions.Grow(2 * sessions)
-		s.res.ActiveTrainings.Grow(2 * numTasks)
 		if s.wholeServers() {
 			s.res.SR.Grow(2*sessions + ticks)
 		}
@@ -866,9 +862,7 @@ func (s *sim) placeSession(ss *session) bool {
 			ss.hosts = append(ss.hosts, h)
 		}
 		m.res.PlacedSessions++
-		if idx == ss.home {
-			s.res.LocalPlacements++
-		} else {
+		if idx != ss.home {
 			s.res.RemotePlacements++
 		}
 		return true
@@ -1297,13 +1291,10 @@ func (s *sim) mostIdleHost(ss *session, need *resources.Spec) *host {
 	return nil
 }
 
-// markTraining steps the training series by d, +1 at a task's training
-// start and -1 at its end: committed GPUs on the executor's member, and the
-// active-training count where the run records one.
+// markTraining steps the executor's member's committed GPUs by the task's
+// GPUs times d, +1 at a task's training start and -1 at its end.
 func (s *sim) markTraining(t *runningTask, d float64) {
-	at := s.now()
-	s.res.ActiveTrainings.Delta(at, d)
-	s.members[t.h.member].res.CommittedGPUs.Delta(at, d*float64(t.task.GPUs))
+	s.members[t.h.member].res.CommittedGPUs.Delta(s.now(), d*float64(t.task.GPUs))
 }
 
 // sampleSR records the subscription ratio where the run keeps that series.

@@ -652,9 +652,6 @@ func TestTimelinesNonNegative(t *testing.T) {
 			if v := res.CommittedGPUs.At(at); v < 0 {
 				t.Fatalf("%s committed GPUs negative at +%.1fh: %v", p, h, v)
 			}
-			if v := res.ActiveTrainings.At(at); v < 0 {
-				t.Fatalf("%s active trainings negative at +%.1fh: %v", p, h, v)
-			}
 		}
 		if res.ActiveSessions.Max() <= 0 {
 			t.Fatalf("%s has no active sessions", p)

@@ -132,7 +132,7 @@ func TestRestartPenaltySaturates(t *testing.T) {
 		t.Errorf("max_retries 40: the last attempt waits %v, want the largest duration", prev)
 	}
 	restore := FaultSpec{CheckpointRestoreSeconds: 1e300}
-	for _, n := range []int{1, 2, 6, 64, 65, 1 << 40} {
+	for _, n := range []int{1, 2, 6, 64, 65, math.MaxInt} {
 		if got := restore.RestartPenalty(n); got != math.MaxInt64 {
 			t.Errorf("checkpoint_restore_seconds 1e300: RestartPenalty(%d) = %v, want the largest duration", n, got)
 		}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+
+	"notebookos/internal/detmath"
 )
 
 // Sampler draws values from a distribution.
@@ -26,7 +28,7 @@ type Knot struct {
 type Quantile struct {
 	knots []Knot
 	// lns[i] is Log(knots[i+1].V/knots[i].V), segment i's log value ratio,
-	// taken once so that Value pays for math.Pow's Exp but not its Log.
+	// taken once so that Value pays for Pow's Exp but not its Log.
 	lns []float64
 }
 
@@ -73,8 +75,8 @@ func MustQuantile(knots ...Knot) *Quantile {
 }
 
 // Value returns the p-th quantile (p clamped to [0,1]): lo.V *
-// math.Pow(hi.V/lo.V, frac) on the segment [lo, hi] that holds p, bit for
-// bit. For 0 < frac < 1, math.pow computes Sqrt(x) at frac 0.5,
+// detmath.Pow(hi.V/lo.V, frac) on the segment [lo, hi] that holds p, bit for
+// bit. For 0 < frac < 1, Pow computes Sqrt(x) at frac 0.5,
 // Exp((frac-1)*Log(x))*x above it and Exp(frac*Log(x)) below; Value takes
 // the same branches with Log(x) cached. frac 1 lands in the middle branch
 // as Exp(0)*x == x, and an equal-valued segment (x == 1, Log(x) == 0) in any
@@ -96,9 +98,9 @@ func (q *Quantile) Value(p float64) float64 {
 	case frac == 0.5:
 		return lo.V * math.Sqrt(ratio)
 	case frac > 0.5:
-		return lo.V * (math.Exp((frac-1)*ln) * ratio)
+		return lo.V * (detmath.Exp((frac-1)*ln) * ratio)
 	}
-	return lo.V * math.Exp(frac*ln)
+	return lo.V * detmath.Exp(frac*ln)
 }
 
 // Sample implements Sampler by inverse-transform sampling.
@@ -140,7 +142,7 @@ type LogNormal struct {
 
 // Sample implements Sampler.
 func (l LogNormal) Sample(r *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
+	return detmath.Exp(l.Mu + l.Sigma*r.NormFloat64())
 }
 
 // Value returns the analytic p-th quantile: exp(mu + sigma*Phi^-1(p)).
@@ -152,7 +154,7 @@ func (l LogNormal) Value(p float64) float64 {
 	if p >= 1 {
 		return math.Inf(1)
 	}
-	return math.Exp(l.Mu + l.Sigma*math.Sqrt2*math.Erfinv(2*p-1))
+	return detmath.Exp(l.Mu + l.Sigma*math.Sqrt2*math.Erfinv(2*p-1))
 }
 
 // Pareto samples a (type-I) Pareto distribution with scale Xm (minimum
@@ -176,15 +178,7 @@ func (p Pareto) Value(q float64) float64 {
 	if q >= 1 {
 		return math.Inf(1)
 	}
-	return p.Xm * math.Pow(1-q, -1/p.Alpha)
-}
-
-// Mean returns the analytic mean Alpha*Xm/(Alpha-1); +Inf for Alpha <= 1.
-func (p Pareto) Mean() float64 {
-	if p.Alpha <= 1 {
-		return math.Inf(1)
-	}
-	return p.Alpha * p.Xm / (p.Alpha - 1)
+	return p.Xm * detmath.Pow(1-q, -1/p.Alpha)
 }
 
 // IntWeights samples non-negative integers with the given relative weights:
@@ -263,10 +257,10 @@ func SamplerMean(s Sampler) float64 {
 	case Exponential:
 		return v.MeanVal
 	case LogNormal:
-		return math.Exp(v.Mu + v.Sigma*v.Sigma/2)
-	case Pareto:
-		if m := v.Mean(); !math.IsInf(m, 1) {
-			return m
+		return detmath.Exp(v.Mu + v.Sigma*v.Sigma/2)
+	case Pareto: // Alpha*Xm/(Alpha-1); the mean is infinite for Alpha <= 1
+		if v.Alpha > 1 {
+			return v.Alpha * v.Xm / (v.Alpha - 1)
 		}
 	}
 	const n = 4096

@@ -10,12 +10,14 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"notebookos/internal/detmath"
 )
 
 // powValue is Quantile.Value computed the way it was before Value cached
 // each segment's Log: the segment by binary search, then lo.V *
-// math.Pow(hi.V/lo.V, frac). It is the reference the cached path must equal
-// bit for bit.
+// detmath.Pow(hi.V/lo.V, frac). It is the reference the cached path must
+// equal bit for bit.
 func powValue(knots []Knot, p float64) float64 {
 	if p <= 0 {
 		return knots[0].V
@@ -29,7 +31,7 @@ func powValue(knots []Knot, p float64) float64 {
 	if lo.V == hi.V {
 		return lo.V
 	}
-	return lo.V * math.Pow(hi.V/lo.V, frac)
+	return lo.V * detmath.Pow(hi.V/lo.V, frac)
 }
 
 // configQuantiles returns every Quantile configs.go builds: the shared
@@ -55,13 +57,14 @@ func configQuantiles() map[string]*Quantile {
 	return qs
 }
 
-// TestQuantileValueMatchesPow pins Value to lo.V*math.Pow(hi.V/lo.V, frac)
+// TestQuantileValueMatchesPow pins Value to lo.V*detmath.Pow(hi.V/lo.V, frac)
 // bit for bit, on every Quantile configs.go builds and on random knots, so
-// that a toolchain whose math.Pow rounds differently fails here instead of
-// moving the goldens. Per segment: uniform draws of p across it (10^6, 10^4
-// under -short) and its knots and midpoint on the quantile itself; then, on
+// that a Value that takes other branches or rounds differently fails here
+// instead of moving the goldens (detmath's tests pin Pow to math.Pow). Per
+// segment: uniform draws of p across it (10^6, 10^4 under -short) and its
+// knots and midpoint on the quantile itself; then, on
 // the segment alone as a two-knot quantile over P in [0, 1] (where frac is
-// p exactly), the fracs where math.pow changes branch — 0.5 and its two
+// p exactly), the fracs where Pow changes branch — 0.5 and its two
 // neighbours — and the last below 1, the smallest positive and 1.
 func TestQuantileValueMatchesPow(t *testing.T) {
 	draws := 1_000_000
@@ -104,7 +107,7 @@ func TestQuantileValueMatchesPow(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(len(name))))
 			check := func(q *Quantile, p float64) bool {
 				if got, want := q.Value(p), powValue(q.knots, p); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("knots %v: Value(%v) = %v, math.Pow gives %v", q.knots, p, got, want)
+					t.Errorf("knots %v: Value(%v) = %v, detmath.Pow gives %v", q.knots, p, got, want)
 					return false
 				}
 				return true

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -30,8 +31,8 @@ func TestConfigOptionsHaveSetters(t *testing.T) {
 	compat := map[string]bool{"FedConfig": true, "FedResult": true, "RunFederated": true}
 	fset := token.NewFileSet()
 
-	fields := map[string]string{} // field name -> the config type declaring it
-	set := map[string]bool{}      // names some user of the package sets
+	fields := map[string]token.Position{} // "Type.Field"
+	set := map[string]bool{}              // names some user of the package sets
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -59,7 +60,7 @@ func TestConfigOptionsHaveSetters(t *testing.T) {
 		}
 		inSim := filepath.ToSlash(filepath.Dir(path)) == simDir
 		if inSim && !strings.HasSuffix(path, "_test.go") {
-			collectConfigFields(file, fields)
+			collectStructFields(fset, file, fields, "Config", "FedClusterSpec")
 			return nil
 		}
 		uses := inSim
@@ -79,29 +80,29 @@ func TestConfigOptionsHaveSetters(t *testing.T) {
 	if len(fields) < 20 {
 		t.Fatalf("found only %d config fields in %s: the scan is looking in the wrong place", len(fields), simDir)
 	}
-	for name, typ := range fields {
-		if !set[name] {
-			t.Errorf("sim.%s.%s is set by no command, experiment, example, benchmark or test: make it a constant", typ, name)
+	for key := range fields {
+		if _, name, _ := strings.Cut(key, "."); !set[name] {
+			t.Errorf("sim.%s is set by no command, experiment, example, benchmark or test: make it a constant", key)
 		}
 	}
 }
 
-// collectConfigFields records the exported fields of the two public config
-// structs declared in file.
-func collectConfigFields(file *ast.File, fields map[string]string) {
+// collectStructFields records, as "Type.Field" at its position, the exported
+// fields of the struct types declared in file under one of the given names.
+func collectStructFields(fset *token.FileSet, file *ast.File, fields map[string]token.Position, types ...string) {
 	ast.Inspect(file, func(n ast.Node) bool {
 		ts, ok := n.(*ast.TypeSpec)
 		if !ok {
 			return true
 		}
 		st, ok := ts.Type.(*ast.StructType)
-		if !ok || (ts.Name.Name != "Config" && ts.Name.Name != "FedClusterSpec") {
+		if !ok || !slices.Contains(types, ts.Name.Name) {
 			return true
 		}
 		for _, f := range st.Fields.List {
 			for _, name := range f.Names {
 				if name.IsExported() {
-					fields[name.Name] = ts.Name.Name
+					fields[ts.Name.Name+"."+name.Name] = fset.Position(name.Pos())
 				}
 			}
 		}
