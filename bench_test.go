@@ -127,21 +127,6 @@ func BenchmarkAblationSRLimit(b *testing.B)           { runExperiment(b, "ablati
 func BenchmarkAblationScaleFactor(b *testing.B)       { runExperiment(b, "ablation-f") }
 func BenchmarkAblationPrewarm(b *testing.B)           { runExperiment(b, "ablation-prewarm") }
 
-func BenchmarkFederationClusterSweep(b *testing.B)  { runExperiment(b, "fed-scale") }
-func BenchmarkFederationPenaltySweep(b *testing.B)  { runExperiment(b, "fed-penalty") }
-func BenchmarkFederationPolicyCompare(b *testing.B) { runExperiment(b, "fed-policy") }
-func BenchmarkFederationMatrixAblation(b *testing.B) {
-	runExperiment(b, "fed-matrix")
-}
-func BenchmarkFederationFamily(b *testing.B) { runExperiment(b, "federation") }
-
-// BenchmarkFederationAutoscale runs the pooled-vs-per-member ablation
-// experiment end-to-end (16 federated sims); BenchmarkFederationPooledSim
-// below reports the headline pooled metrics directly.
-func BenchmarkFederationAutoscale(b *testing.B) {
-	runExperiment(b, "fed-autoscale")
-}
-
 // BenchmarkFederationPooledSim measures one pooled-autoscaling federated
 // simulation (6 clusters over a 30-host budget, geo-banded latency matrix)
 // and reports GPU-hours saved plus the final live host count — the
@@ -214,26 +199,11 @@ func BenchmarkStreamSharded(b *testing.B) {
 	b.ReportMetric(sessions, "sessions")
 }
 
-// BenchmarkSummerFederation runs the summer-fed experiment (the 90-day
-// trace federated; 10-day quick scale here) end-to-end.
-func BenchmarkSummerFederation(b *testing.B) { runExperiment(b, "summer-fed") }
-
-// BenchmarkScenarioSweep runs the declarative scenario lab end-to-end:
-// three arrival shapes (diurnal, weekly overlay, flash crowd) crossed
-// with the four policies and with 1/2/4-cluster federations.
-func BenchmarkScenarioSweep(b *testing.B) { runExperiment(b, "scenario-sweep") }
-
 // BenchmarkPolicyTournament runs the scorer-vs-baseline policy lab
 // end-to-end at quick scale: every scorer configuration crossed with the
 // scenario family and federation sizes 2 and 4, all on the SLO-aware
 // priority wait-queue.
 func BenchmarkPolicyTournament(b *testing.B) { runExperiment(b, "policy-tournament") }
-
-// BenchmarkFaultSweep runs the fault-injection lab end-to-end at quick
-// scale: the built-in fault profiles (none, light, heavy, az-outage)
-// crossed with the four policies on the campus-diurnal scenario, plus a
-// federated heavy-profile block at k in {1,2,4}.
-func BenchmarkFaultSweep(b *testing.B) { runExperiment(b, "fault-sweep") }
 
 // BenchmarkScoredRouting measures one scored routing decision on the hot
 // path: snapshot every member, run the composite four-scorer sum, and
@@ -457,8 +427,8 @@ func BenchmarkTraceGeneration(b *testing.B) {
 	b.ReportMetric(float64(tasks), "tasks")
 }
 
-// sanity check that the bench file sees the same experiment set DESIGN.md
-// promises.
+// TestBenchCoversAllExperiments checks that every experiment
+// experiments.All registers has a benchmark in this file.
 func TestBenchCoversAllExperiments(t *testing.T) {
 	covered := map[string]bool{
 		"fig2a": true, "fig2b": true, "fig2c": true, "fig2d": true,
@@ -468,11 +438,7 @@ func TestBenchCoversAllExperiments(t *testing.T) {
 		"fig16": true, "fig17": true, "fig18": true, "fig19": true,
 		"fig20": true, "ablation-replicas": true, "ablation-sr": true,
 		"ablation-f": true, "ablation-prewarm": true,
-		"federation": true, "fed-scale": true, "fed-penalty": true,
-		"fed-policy": true, "fed-autoscale": true, "fed-matrix": true,
-		"summer-fed": true, "stream-scale": true,
-		"scenario-sweep": true, "policy-tournament": true,
-		"fault-sweep": true,
+		"stream-scale": true, "policy-tournament": true,
 	}
 	for _, e := range experiments.All() {
 		if !covered[e.ID] {

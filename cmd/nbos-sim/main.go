@@ -5,14 +5,11 @@
 //
 //	nbos-sim -list
 //	nbos-sim -exp fig8 [-seed 42] [-quick]
-//	nbos-sim -exp federation            # multi-cluster scenario family
-//	nbos-sim -exp summer-fed            # 90-day trace, federated
 //	nbos-sim -exp stream-scale          # 90-day 1M-session bounded-memory run
-//	nbos-sim -exp scenario-sweep        # arrival shape x policy x federation
+//	nbos-sim -exp policy-tournament     # scorer configs x scenarios x federation k
 //	nbos-sim -scenario campus-diurnal   # one declarative scenario, all policies
 //	nbos-sim -scenario my-workload.json # ... or a JSON trace.ScenarioSpec file
 //	nbos-sim -scenario campus-diurnal -faults heavy  # ... under a chaos schedule
-//	nbos-sim -exp fault-sweep           # fault intensity x policy x federation
 //	nbos-sim -exp all [-jobs 8]
 //	nbos-sim -exp stream-scale -cpuprofile cpu.out -memprofile mem.out
 package main
@@ -57,7 +54,7 @@ func run() int {
 	o := experiments.Options{Seed: *seed, Quick: *quick}
 	if *faults != "" {
 		if *scenario == "" {
-			fmt.Fprintln(os.Stderr, "-faults requires -scenario (fault sweeps over the figure experiments run via -exp fault-sweep)")
+			fmt.Fprintln(os.Stderr, "-faults requires -scenario (the figure experiments run failure-free)")
 			return 2
 		}
 		f, err := trace.ResolveFaults(*faults)

@@ -61,7 +61,7 @@ func quickTrace() *trace.Trace {
 }
 
 // quickSummerTrace is the reduced 10-day summer trace (the -quick scale
-// of the 90-day figures) driving the summer-fed scenario.
+// of the 90-day figures) driving the summer-fed-10d-4clusters scenario.
 func quickSummerTrace() *trace.Trace {
 	cfg := trace.AdobeSummerConfig(42)
 	cfg.Duration = 10 * 24 * time.Hour

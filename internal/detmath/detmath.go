@@ -67,10 +67,10 @@ func Exp(x float64) float64 {
 	p = math.FMA(p, x, 1.6666666666666666667e-1)
 	p = math.FMA(p, x, 0.5)
 	p = math.FMA(p, x, 1.0)
-	x *= p
-	x *= x + 2
-	x *= x + 2
-	x *= x + 2
+	x = float64(x * p)
+	x = float64(x * (x + 2))
+	x = float64(x * (x + 2))
+	x = float64(x * (x + 2))
 	x = math.FMA(x, x+2, 1.0)
 	// Return x * 2**e.
 	e += 0x3FF

@@ -21,8 +21,8 @@ type Options struct {
 	// Faults optionally injects a deterministic fault schedule into
 	// scenario runs (cmd/nbos-sim -faults; see trace.FaultSpec and
 	// docs/FAULTS.md). It overrides a scenario JSON's own faults block.
-	// Nil leaves every run failure-free — the figure experiments and
-	// sweeps above never consult it, so their gated outputs cannot drift.
+	// Nil leaves every run failure-free — the registered experiments never
+	// consult it, so their gated outputs cannot drift.
 	Faults *trace.FaultSpec
 }
 
@@ -68,17 +68,8 @@ func All() []Experiment {
 		{"ablation-sr", "Ablation: SR high watermark", AblationSR},
 		{"ablation-f", "Ablation: autoscaler factor f", AblationScaleFactor},
 		{"ablation-prewarm", "Ablation: pre-warm pool size", AblationPrewarm},
-		{"federation", "Federation: full multi-cluster scenario family", Federation},
-		{"fed-scale", "Federation: cluster count sweep 1-8", FederationScale},
-		{"fed-penalty", "Federation: inter-cluster penalty sweep", FederationPenalty},
-		{"fed-policy", "Federation: route policy comparison", FederationPolicy},
-		{"fed-autoscale", "Federation: pooled vs per-member autoscaling", FederationAutoscale},
-		{"fed-matrix", "Federation: latency-matrix shape ablation", FederationMatrix},
-		{"summer-fed", "Federation: 90-day summer trace, federated", SummerFederation},
 		{"stream-scale", "Streaming 1M-session workload, bounded memory", StreamScale},
-		{"scenario-sweep", "Scenario lab: arrival shape x policy x federation", ScenarioSweep},
 		{"policy-tournament", "Policy lab: scorer configs x scenarios x federation k", PolicyTournament},
-		{"fault-sweep", "Fault injection: intensity x policy x federation", FaultSweep},
 	}
 }
 
@@ -268,10 +259,9 @@ func inParallel(n int, run func(i int) (*sim.Result, error)) ([]*sim.Result, err
 	return results, nil
 }
 
-// parallelSims runs uncached per-config simulations (ablation and
-// federation sweeps) on parallel goroutines, returning results in input
-// order. Per-run seeds live in the configs, so output is byte-identical to a
-// sequential sweep.
+// parallelSims runs uncached per-config simulations (the ablation sweeps)
+// on parallel goroutines, returning results in input order. Per-run seeds
+// live in the configs, so output is byte-identical to a sequential sweep.
 func parallelSims(cfgs []sim.Config) ([]*sim.Result, error) {
 	return inParallel(len(cfgs), func(i int) (*sim.Result, error) { return sim.Run(cfgs[i]) })
 }

@@ -59,6 +59,17 @@ func compositePolicy() *federation.ScoredPolicy {
 // tournamentKs is the federation-size axis.
 var tournamentKs = []int{2, 4}
 
+// fedTotalHosts is the fixed host budget every tournament cell splits
+// across its clusters, so cells compare equal capacity.
+const fedTotalHosts = 30
+
+func fedRemotePct(r *sim.Result) float64 {
+	if r.Tasks == 0 {
+		return 0
+	}
+	return float64(r.RemoteExecutions) / float64(r.Tasks) * 100
+}
+
 // tournamentFedConfig builds one cell's federated config: k default
 // clusters over the shared host budget, a geo-banded latency matrix (two
 // bands, 5 ms near / 40 ms far — without one every pair cost is zero and

@@ -5,19 +5,17 @@ import (
 	"strings"
 	"time"
 
-	"notebookos/internal/federation"
 	"notebookos/internal/sim"
 	"notebookos/internal/trace"
 )
 
 // This file wires the declarative scenario lab (trace.ScenarioSpec) into
-// the experiment harness: ScenarioSweep crosses the built-in arrival
-// shapes with every scheduler policy and with federation topologies, and
-// ScenarioReport renders one scenario (built-in or JSON file, via
-// cmd/nbos-sim -scenario) through the same machinery. A compiled spec is an
-// ordinary GenConfig, so it runs as a simWorkload like the paper's traces.
+// the experiment harness: ScenarioReport renders one scenario (built-in or
+// JSON file, via cmd/nbos-sim -scenario) through every scheduler policy. A
+// compiled spec is an ordinary GenConfig, so it runs as a simWorkload like
+// the paper's traces.
 
-// scenarioPolicies is the policy axis of the sweep, in paper order.
+// scenarioPolicies is the policy axis of a report, in paper order.
 var scenarioPolicies = []sim.Policy{
 	sim.PolicyReservation,
 	sim.PolicyBatch,
@@ -28,7 +26,7 @@ var scenarioPolicies = []sim.Policy{
 // quickScenario reduces a spec for -quick runs: half the arrival intensity
 // over a clipped window. The clip keeps each scenario's defining feature —
 // two full diurnal cycles, four days of the weekly overlay, both
-// flash-crowd spikes — so the quick sweep still exercises every shape.
+// flash-crowd spikes — so a quick run still exercises every shape.
 func quickScenario(s trace.ScenarioSpec) trace.ScenarioSpec {
 	clip := map[string]float64{
 		"campus-diurnal": 48,
@@ -71,66 +69,6 @@ func scenarioLine(s trace.ScenarioSpec) string {
 		cohorts = append(cohorts, fmt.Sprintf("%s %.0f%%", c.Name, c.Weight/total*100))
 	}
 	return strings.Join(parts, ", ") + "; cohorts: " + strings.Join(cohorts, ", ")
-}
-
-// ScenarioSweep crosses the built-in scenario family (diurnal, weekly,
-// flash-crowd arrival shapes over heavy-tailed cohort mixes) with every
-// scheduler policy on a single 30-host cluster, then with federation
-// topologies of 1, 2, and 4 member clusters under least-subscribed
-// routing and pooled autoscaling. Each scenario block leads with the
-// spec's analytic expectation next to the realized counts, so drift
-// between the declared workload family and what the generators produce
-// is visible in the experiment output itself.
-func ScenarioSweep(o Options) (string, error) {
-	var b strings.Builder
-	b.WriteString(header("scenario-sweep", "Scenario lab: arrival shape x policy x federation", o))
-
-	for _, spec := range trace.BuiltinScenarios() {
-		gcfg, err := scenarioConfig(o, spec)
-		if err != nil {
-			return "", err
-		}
-		exp := gcfg.Expect(1)
-		fmt.Fprintf(&b, "\n-- %s: %s\n   %s\n", spec.Name, spec.Description, scenarioLine(spec))
-		fmt.Fprintf(&b, "   window %.0fh, expect ~%d sessions, ~%d tasks, %.0f reserved GPUh\n",
-			gcfg.Duration.Hours(), exp.Sessions, exp.Tasks, exp.ReservedGPUHours)
-
-		w := &simWorkload{gcfg: gcfg}
-		results := make([]*sim.Result, len(scenarioPolicies))
-		for i, p := range scenarioPolicies {
-			if results[i], err = w.runPolicy(o, p, nil); err != nil {
-				return "", err
-			}
-		}
-		fmt.Fprintf(&b, "   %-14s %10s %10s %12s %8s %8s\n",
-			"policy", "delay-p50", "delay-p99", "GPUh-saved", "sessions", "tasks")
-		for i, p := range scenarioPolicies {
-			r := results[i]
-			fmt.Fprintf(&b, "   %-14s %10s %10s %12.1f %8d %8d\n",
-				p, fmtSeconds(r.Interactivity.Percentile(50)), fmtSeconds(r.Interactivity.Percentile(99)),
-				r.GPUHoursSaved(), r.Sessions, r.Tasks)
-		}
-
-		fmt.Fprintf(&b, "   %-14s %10s %10s %12s %8s %8s\n",
-			"federation", "delay-p50", "delay-p99", "GPUh-saved", "remote%", "final")
-		for _, k := range []int{1, 2, 4} {
-			fres, err := w.run(sim.Config{
-				Clusters:        sim.DefaultFedClusters(k, fedTotalHosts),
-				Route:           federation.LeastSubscribed(),
-				PooledAutoscale: true,
-				Seed:            o.seed(),
-			})
-			if err != nil {
-				return "", err
-			}
-			fmt.Fprintf(&b, "   %-14s %10s %10s %12.1f %8.1f %8d\n",
-				fmt.Sprintf("k=%d", k),
-				fmtSeconds(fres.Interactivity.Percentile(50)), fmtSeconds(fres.Interactivity.Percentile(99)),
-				fres.GPUHoursSaved(), fedRemotePct(fres), fres.FinalHosts())
-		}
-	}
-	b.WriteString("\nflash-crowd spikes stress autoscaling hardest; diurnal/weekly troughs are where\nreclamation savings concentrate. Cohort mixes and arrival shapes are declarative\n(trace.ScenarioSpec) — add a JSON file and run it via nbos-sim -scenario.\n")
-	return b.String(), nil
 }
 
 // ScenarioReport runs one scenario — a built-in name or a JSON spec file —
@@ -199,8 +137,12 @@ func ScenarioReport(nameOrPath string, o Options) (string, error) {
 			r.GPUHoursSaved(), r.Sessions, r.Tasks)
 	}
 	if faults.Enabled() && nbos != nil {
-		fmt.Fprintf(&b, "fault churn (nbos): crashes=%d failovers=%d restarts=%d abandoned=%d lost GPUh=%.1f\n",
-			nbos.HostCrashes, nbos.Failovers, nbos.TaskRestarts, nbos.Abandonments, nbos.LostGPUHours)
+		// The Availability integral over the window, per hour: the
+		// time-average live host count.
+		start := gcfg.Start
+		liveHosts := nbos.Availability.Integral(start, start.Add(gcfg.Duration)) / gcfg.Duration.Hours()
+		fmt.Fprintf(&b, "fault churn (nbos): crashes=%d failovers=%d restarts=%d abandoned=%d lost GPUh=%.1f mean live hosts=%.1f\n",
+			nbos.HostCrashes, nbos.Failovers, nbos.TaskRestarts, nbos.Abandonments, nbos.LostGPUHours, liveHosts)
 	}
 	return b.String(), nil
 }

@@ -119,7 +119,7 @@ func reexecutionSavings(tr *trace.Trace, interval time.Duration) (gpuHours float
 				gpuHours += accum
 				reclaims++
 			}
-			accum += t.Duration.Hours() * float64(t.GPUs)
+			accum += float64(t.Duration.Hours() * float64(t.GPUs))
 			last = t.End()
 		}
 	}

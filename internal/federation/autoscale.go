@@ -153,6 +153,8 @@ func retirable(loads []MemberLoad, m, n, replicas int) bool {
 // randomness — so the simulator can drive one deterministically.
 type FederatedAutoscaler struct {
 	// ScaleFactor is f in expected = f × committed (default 1.05, §3.4.2).
+	// A large enough f wraps the host count a scale-out asks for; the
+	// simulator refuses one above 16 before it builds an autoscaler.
 	ScaleFactor float64
 	// MinHosts is the federation-wide scale-in floor (clamped to at least
 	// Replicas; zero means "just the clamp", i.e. R hosts total).
@@ -186,7 +188,7 @@ func (a *FederatedAutoscaler) Decide(loads []MemberLoad) ScaleDecision {
 		totalGPUs += l.capacityGPUs()
 		committed += l.CommittedGPUs
 	}
-	expected := f * float64(committed)
+	expected := float64(f * float64(committed))
 
 	if float64(totalGPUs) < expected {
 		target := scaleOutTarget(loads)

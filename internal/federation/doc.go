@@ -20,7 +20,8 @@
 //   - Inter-cluster crossing costs. Penalty(i, j) is the one-way latency
 //     of a crossing from member i to member j: the pair cost of the
 //     LatencyMatrix SetLatencyMatrix installs (UniformMatrix,
-//     HubSpokeMatrix, GeoBandedMatrix), which the simulator always does,
+//     GeoBandedMatrix, or any hand-built matrix), which the simulator
+//     always does,
 //     or else the symmetric penalty New was given. Penalty is the single choke
 //     point every consumer shares: the LatencyScorer's cost term and the
 //     federated simulator's crossing charges (remote executions pay two

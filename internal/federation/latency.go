@@ -44,19 +44,6 @@ func (m LatencyMatrix) Penalty(i, j int) time.Duration {
 	return m[i][j]
 }
 
-// MaxPenalty returns the largest pair cost in the matrix.
-func (m LatencyMatrix) MaxPenalty() time.Duration {
-	var max time.Duration
-	for _, row := range m {
-		for _, d := range row {
-			if d > max {
-				max = d
-			}
-		}
-	}
-	return max
-}
-
 // newMatrix allocates an n×n zero matrix.
 func newMatrix(n int) LatencyMatrix {
 	if n < 0 {
@@ -77,29 +64,6 @@ func UniformMatrix(n int, d time.Duration) LatencyMatrix {
 		for j := range m[i] {
 			if i != j {
 				m[i][j] = d
-			}
-		}
-	}
-	return m
-}
-
-// HubSpokeMatrix models a hub-and-spoke topology (one well-connected
-// region, the rest peering through it): hub↔spoke crossings cost spoke,
-// spoke↔spoke crossings cost 2×spoke (the traffic transits the hub). An
-// out-of-range hub index defaults to member 0.
-func HubSpokeMatrix(n, hub int, spoke time.Duration) LatencyMatrix {
-	if hub < 0 || hub >= n {
-		hub = 0
-	}
-	m := newMatrix(n)
-	for i := range m {
-		for j := range m[i] {
-			switch {
-			case i == j:
-			case i == hub || j == hub:
-				m[i][j] = spoke
-			default:
-				m[i][j] = 2 * spoke
 			}
 		}
 	}

@@ -135,7 +135,7 @@ func (p *ScoredPolicy) Order(f *Federation, home int, scratch *RouteScratch) []i
 			continue
 		}
 		for i := range snaps {
-			vals[i] += ws.Weight * ws.Scorer.Score(snaps, i)
+			vals[i] += float64(ws.Weight * ws.Scorer.Score(snaps, i))
 		}
 	}
 	scratch.sorter.home = home

@@ -51,7 +51,7 @@ func randFed(t *testing.T, r *rand.Rand) *Federation {
 			t.Fatal(err)
 		}
 	case 2:
-		if err := f.SetLatencyMatrix(HubSpokeMatrix(n, r.Intn(n),
+		if err := f.SetLatencyMatrix(hubSpokeMatrix(n, r.Intn(n),
 			time.Duration(1+r.Intn(60))*time.Millisecond)); err != nil {
 			t.Fatal(err)
 		}

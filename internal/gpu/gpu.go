@@ -99,7 +99,7 @@ func (t TransferModel) LoadTime(bytes int64, n int) time.Duration {
 	gb := float64(bytes) / float64(1<<30)
 	// Host->device copies to k devices contend on the host link: model as
 	// 1 + 0.25*(k-1) slowdown.
-	contention := 1 + 0.25*float64(n-1)
+	contention := 1 + float64(0.25*float64(n-1))
 	return t.Base + time.Duration(gb*contention*float64(t.PerGB))
 }
 

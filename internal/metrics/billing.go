@@ -37,19 +37,19 @@ func DefaultBilling() Billing {
 
 // ProviderCost returns the provider's cost for the given server-hours.
 func (b Billing) ProviderCost(serverHours float64) float64 {
-	return b.ServerHourlyUSD * serverHours
+	return float64(b.ServerHourlyUSD * serverHours)
 }
 
 // ActiveRevenue returns the user charge for gpuHours of active training,
 // prorated per GPU.
 func (b Billing) ActiveRevenue(gpuHours float64) float64 {
 	perGPUHour := b.ServerHourlyUSD * b.UserMultiplier / float64(b.GPUsPerServer)
-	return perGPUHour * gpuHours
+	return float64(perGPUHour * gpuHours)
 }
 
 // StandbyRevenue returns the charge for standby replica-hours.
 func (b Billing) StandbyRevenue(replicaHours float64) float64 {
-	return b.ServerHourlyUSD * b.UserMultiplier * b.StandbyFraction * replicaHours
+	return float64(b.ServerHourlyUSD * b.UserMultiplier * b.StandbyFraction * replicaHours)
 }
 
 // ReservationRevenue returns the user charge under the Reservation baseline,
@@ -57,7 +57,7 @@ func (b Billing) StandbyRevenue(replicaHours float64) float64 {
 // used.
 func (b Billing) ReservationRevenue(reservedGPUHours float64) float64 {
 	perGPUHour := b.ServerHourlyUSD * b.UserMultiplier / float64(b.GPUsPerServer)
-	return perGPUHour * reservedGPUHours
+	return float64(perGPUHour * reservedGPUHours)
 }
 
 // ProfitMargin returns (revenue-cost)/revenue as a percentage, or 0 when

@@ -138,14 +138,14 @@ func (s *Sample) Percentile(p float64) float64 {
 	if p >= 100 {
 		return s.xs[len(s.xs)-1]
 	}
-	rank := p / 100 * float64(len(s.xs)-1)
+	rank := float64(p / 100 * float64(len(s.xs)-1))
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s.xs[lo]
 	}
 	frac := rank - float64(lo)
-	return s.xs[lo]*(1-frac) + s.xs[hi]*frac
+	return float64(s.xs[lo]*(1-frac)) + float64(s.xs[hi]*frac)
 }
 
 // Mean returns the arithmetic mean of the stored observations, or NaN on an

@@ -168,11 +168,11 @@ func (tl *Timeline) Integral(from, to time.Time) float64 {
 		if ti > toNS {
 			break
 		}
-		total += curVal * time.Duration(ti-cur).Hours()
+		total += float64(curVal * time.Duration(ti-cur).Hours())
 		cur = ti
 		curVal = tl.values[i]
 	}
-	total += curVal * time.Duration(toNS-cur).Hours()
+	total += float64(curVal * time.Duration(toNS-cur).Hours())
 	return total
 }
 

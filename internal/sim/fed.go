@@ -70,11 +70,9 @@ type FedClusterResult struct {
 	HomeSessions   int
 	PlacedSessions int
 	// Tasks counts task executions that committed GPUs on this cluster.
-	Tasks int
-	// MigrationsIn counts replicas migrated onto this cluster.
-	MigrationsIn int
-	ScaleOuts    int
-	ScaleIns     int
+	Tasks     int
+	ScaleOuts int
+	ScaleIns  int
 	// FinalHosts is the member's live host count when the run ended —
 	// under pooled autoscaling small members drain here toward zero, while
 	// per-member scaling pins each at its own MinHosts floor.

@@ -126,7 +126,6 @@ func (l fpLines) result(r *Result, start, end time.Time) {
 		l.int(p+"homeSessions", c.HomeSessions)
 		l.int(p+"placedSessions", c.PlacedSessions)
 		l.int(p+"tasks", c.Tasks)
-		l.int(p+"migrationsIn", c.MigrationsIn)
 		l.int(p+"scaleOuts", c.ScaleOuts)
 		l.int(p+"scaleIns", c.ScaleIns)
 		l.int(p+"finalHosts", c.FinalHosts)

@@ -87,10 +87,10 @@ func (p *plan) defaults() error {
 	// a NaN, which every comparison would pass over, nor an infinity — means
 	// anything.
 	if err := errors.Join(
-		nonNegative("ReplicasPerKernel", float64(p.ReplicasPerKernel)),
-		nonNegative("PrewarmPerHost", float64(p.PrewarmPerHost)),
-		nonNegative("ScaleFactor", p.ScaleFactor),
-		nonNegative("SRHighWatermark", p.SRHighWatermark),
+		inRange("ReplicasPerKernel", float64(p.ReplicasPerKernel), math.MaxFloat64),
+		inRange("PrewarmPerHost", float64(p.PrewarmPerHost), math.MaxFloat64),
+		inRange("ScaleFactor", p.ScaleFactor, maxScaleFactor),
+		inRange("SRHighWatermark", p.SRHighWatermark, math.MaxFloat64),
 	); err != nil {
 		return err
 	}
@@ -128,8 +128,8 @@ func (p *plan) defaults() error {
 			field = fmt.Sprintf("Clusters[%d].", i)
 		}
 		if err := errors.Join(
-			nonNegative(field+"Hosts", float64(spec.Hosts)),
-			nonNegative(field+"MinHosts", float64(spec.MinHosts)),
+			inRange(field+"Hosts", float64(spec.Hosts), math.MaxFloat64),
+			inRange(field+"MinHosts", float64(spec.MinHosts), math.MaxFloat64),
 		); err != nil {
 			return err
 		}
@@ -193,11 +193,17 @@ func (p *plan) defaults() error {
 	return nil
 }
 
-// nonNegative refuses a knob below zero, NaN or infinite, naming it: an
-// infinite ScaleFactor would size a scale-out at a wrapped host count.
-func nonNegative(field string, v float64) error {
-	if !(v >= 0) || math.IsInf(v, 1) {
-		return fmt.Errorf("sim: %s is %v; zero means the default, and a knob must be finite and not negative", field, v)
+// maxScaleFactor caps Config.ScaleFactor. The paper's f is 1.05 and its
+// ablation spans 1.0–1.5; at 16 a scale-out already asks for hosts by the
+// thousand, and a large enough finite f wraps the host count a scale-out
+// asks for, so every tick would count a scale-out that adds no host.
+const maxScaleFactor = 16
+
+// inRange refuses a knob below zero, above max or NaN, naming it. Every max
+// is finite, so an infinity is refused too.
+func inRange(field string, v, max float64) error {
+	if !(v >= 0 && v <= max) {
+		return fmt.Errorf("sim: %s is %v; zero means the default, and a knob must lie in [0, %v]", field, v, max)
 	}
 	return nil
 }

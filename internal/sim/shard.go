@@ -213,7 +213,6 @@ func MergeResults(rs ...*Result) *Result {
 			merged.HomeSessions += c.HomeSessions
 			merged.PlacedSessions += c.PlacedSessions
 			merged.Tasks += c.Tasks
-			merged.MigrationsIn += c.MigrationsIn
 			merged.ScaleOuts += c.ScaleOuts
 			merged.ScaleIns += c.ScaleIns
 			merged.FinalHosts += c.FinalHosts

@@ -111,8 +111,8 @@ type Config struct {
 	// federation.LocalFirst()).
 	Route *federation.ScoredPolicy
 	// Latency is the one-way inter-cluster latency of every ordered pair of
-	// members (see federation.UniformMatrix / HubSpokeMatrix /
-	// GeoBandedMatrix; default UniformMatrix(len(Clusters), 25 ms)). Every
+	// members (see federation.UniformMatrix / GeoBandedMatrix; default
+	// UniformMatrix(len(Clusters), 25 ms)). Every
 	// crossing pays the actual pair cost: a remote execution two per
 	// request/reply, a cross-cluster migration two for the checkpoint
 	// transfer, and the LatencyAware route policy weighs it. Its size must
@@ -132,8 +132,9 @@ type Config struct {
 	// small, for migrations, default 1; LCP: large, default 6). A negative
 	// pool is refused.
 	PrewarmPerHost int
-	// ScaleFactor is the autoscaler's f (default 1.05), each member's under
-	// per-member autoscaling; it is evaluated once a simulated minute.
+	// ScaleFactor is the autoscaler's f (default 1.05, at most 16), each
+	// member's under per-member autoscaling; it is evaluated once a
+	// simulated minute.
 	ScaleFactor float64
 	// SRHighWatermark caps per-host subscription (default 3.0).
 	SRHighWatermark float64
@@ -1257,7 +1258,6 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 	ss.hosts[victim] = target
 	ss.lastExecutor = victim + 1
 	s.res.Migrations++
-	s.members[target.member].res.MigrationsIn++
 	s.recordEvent(scheduler.EventMigration)
 	s.sampleSR()
 
@@ -1368,12 +1368,12 @@ func (s *sim) autoscale() {
 func (s *sim) autoscaleMember(idx int) {
 	m := s.members[idx]
 	gpusPerHost := m.spec.HostCapacity.GPUs
-	expected := s.cfg.ScaleFactor * float64(m.c.CommittedGPUs())
+	expected := float64(s.cfg.ScaleFactor * float64(m.c.CommittedGPUs()))
 	if s.cfg.Policy == PolicyLCP {
 		// The LCP baseline keeps a large warm-container pool sized to the
 		// session population, trading resource cost for interactivity
 		// (§5.1.1); reserve roughly one GPU of capacity per live session.
-		expected += 0.75 * s.res.ActiveSessions.Last()
+		expected += float64(0.75 * s.res.ActiveSessions.Last())
 	}
 	total := m.c.TotalGPUs() + m.pendingHosts*gpusPerHost
 

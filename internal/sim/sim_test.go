@@ -415,8 +415,9 @@ func TestHostileConfigs(t *testing.T) {
 		// Zero means the default for every numeric knob, so a negative one —
 		// or a NaN, which no comparison catches, or an infinity — is refused
 		// in both forms, naming the field: it is neither "none" nor "the
-		// default". An infinite ScaleFactor would size the first loaded
-		// tick's scale-out at a wrapped host count, and a Policy no runner
+		// default". A ScaleFactor above 16 — 1e300, say, or an infinity —
+		// would size a loaded tick's scale-out at a wrapped host count, on
+		// the per-member and the pooled autoscaler alike, and a Policy no runner
 		// knows would place no kernel and swallow every task, reporting 0
 		// tasks and no error.
 		type knob struct {
@@ -429,6 +430,8 @@ func TestHostileConfigs(t *testing.T) {
 			{"ScaleFactor", func(c *Config) { c.ScaleFactor = -1.05 }},
 			{"ScaleFactor", func(c *Config) { c.ScaleFactor = math.NaN() }},
 			{"ScaleFactor", func(c *Config) { c.ScaleFactor = math.Inf(1) }},
+			{"ScaleFactor", func(c *Config) { c.ScaleFactor = 1e300 }},
+			{"ScaleFactor", func(c *Config) { c.ScaleFactor = math.Nextafter(maxScaleFactor, math.Inf(1)) }},
 			{"SRHighWatermark", func(c *Config) { c.SRHighWatermark = -3 }},
 			{"SRHighWatermark", func(c *Config) { c.SRHighWatermark = math.NaN() }},
 			{"SRHighWatermark", func(c *Config) { c.SRHighWatermark = math.Inf(1) }},
@@ -437,7 +440,8 @@ func TestHostileConfigs(t *testing.T) {
 		if e.fed {
 			knobs = append(knobs,
 				knob{"Clusters[1].Hosts", func(c *Config) { c.Clusters[1].Hosts = -1 }},
-				knob{"Clusters[1].MinHosts", func(c *Config) { c.Clusters[1].MinHosts = -1 }})
+				knob{"Clusters[1].MinHosts", func(c *Config) { c.Clusters[1].MinHosts = -1 }},
+				knob{"ScaleFactor", func(c *Config) { c.ScaleFactor, c.PooledAutoscale = 1e300, true }})
 		} else {
 			knobs = append(knobs,
 				knob{"Hosts", func(c *Config) { c.Hosts = -30 }},

@@ -45,7 +45,7 @@ type gpuHoursAcc struct {
 // Timestamps must be non-decreasing.
 func (a *gpuHoursAcc) bump(nowNS int64, delta float64) {
 	if a.level != 0 {
-		a.hours += a.level * time.Duration(nowNS-a.lastNS).Hours()
+		a.hours += float64(a.level * time.Duration(nowNS-a.lastNS).Hours())
 	}
 	a.lastNS = nowNS
 	a.level += delta

@@ -150,7 +150,7 @@ func (t *runningTask) abort() {
 	t.dead = true
 	if t.phase >= 1 {
 		t.s.markTraining(t, -1)
-		t.s.res.LostGPUHours += time.Duration(t.s.now().UnixNano()-t.tstart).Hours() * float64(t.task.GPUs)
+		t.s.res.LostGPUHours += float64(time.Duration(t.s.now().UnixNano()-t.tstart).Hours() * float64(t.task.GPUs))
 	}
 	t.release()
 }

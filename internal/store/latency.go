@@ -47,6 +47,9 @@ func (m LatencyModel) jittered(d time.Duration, r *rand.Rand) time.Duration {
 	if m.Jitter <= 0 || r == nil {
 		return d
 	}
-	f := 1 + m.Jitter*(2*r.Float64()-1)
+	// r.Float64 is an inlined product: round it, and double it by adding
+	// (exactly 2u), so no product fuses into the sums (determinism rule 6).
+	u := float64(r.Float64())
+	f := 1 + float64(m.Jitter*(u+u-1))
 	return time.Duration(float64(d) * f)
 }

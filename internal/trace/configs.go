@@ -127,7 +127,7 @@ func AdobeSummerConfig(seed int64) GenConfig {
 		SessionsPerHour: func(elapsed time.Duration) float64 {
 			// Linear ramp 0.9 -> 1.8 sessions/hour over the summer.
 			frac := elapsed.Hours() / (92 * 24)
-			return 0.9 + 0.9*frac
+			return 0.9 + float64(0.9*frac)
 		},
 		MaxSessionsPerHour: 1.8,
 		Cohorts: []Cohort{{

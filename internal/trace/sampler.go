@@ -121,7 +121,7 @@ type Uniform struct {
 
 // Sample implements Sampler.
 func (u Uniform) Sample(r *rand.Rand) float64 {
-	return u.Lo + r.Float64()*(u.Hi-u.Lo)
+	return u.Lo + float64(r.Float64()*(u.Hi-u.Lo))
 }
 
 // Exponential samples an exponential distribution with the given mean.
@@ -142,7 +142,7 @@ type LogNormal struct {
 
 // Sample implements Sampler.
 func (l LogNormal) Sample(r *rand.Rand) float64 {
-	return detmath.Exp(l.Mu + l.Sigma*r.NormFloat64())
+	return detmath.Exp(l.Mu + float64(l.Sigma*r.NormFloat64()))
 }
 
 // Value returns the analytic p-th quantile: exp(mu + sigma*Phi^-1(p)).
@@ -154,7 +154,7 @@ func (l LogNormal) Value(p float64) float64 {
 	if p >= 1 {
 		return math.Inf(1)
 	}
-	return detmath.Exp(l.Mu + l.Sigma*math.Sqrt2*math.Erfinv(2*p-1))
+	return detmath.Exp(l.Mu + float64(l.Sigma*math.Sqrt2*math.Erfinv(float64(2*p)-1)))
 }
 
 // Pareto samples a (type-I) Pareto distribution with scale Xm (minimum
@@ -220,7 +220,7 @@ func MustIntWeights(values []int, weights []float64) *IntWeights {
 func (iw *IntWeights) Mean() float64 {
 	var sum float64
 	for i, w := range iw.Weights {
-		sum += float64(iw.Values[i]) * w
+		sum += float64(float64(iw.Values[i]) * w)
 	}
 	return sum / iw.total
 }
@@ -257,7 +257,7 @@ func SamplerMean(s Sampler) float64 {
 	case Exponential:
 		return v.MeanVal
 	case LogNormal:
-		return detmath.Exp(v.Mu + v.Sigma*v.Sigma/2)
+		return detmath.Exp(v.Mu + float64(v.Sigma*v.Sigma/2))
 	case Pareto: // Alpha*Xm/(Alpha-1); the mean is infinite for Alpha <= 1
 		if v.Alpha > 1 {
 			return v.Alpha * v.Xm / (v.Alpha - 1)

@@ -204,7 +204,7 @@ func (a ArrivalSpec) ExpectedArrivals(from, to time.Duration) float64 {
 	var sum float64
 	for t := from; t < to; {
 		next := a.nextBreak(t, to)
-		sum += a.Rate(t+(next-t)/2) * (next - t).Hours()
+		sum += float64(a.Rate(t+(next-t)/2) * (next - t).Hours())
 		t = next
 	}
 	return sum
@@ -418,7 +418,7 @@ func (s ScenarioSpec) Config(seed int64) (GenConfig, error) {
 		// genSession's clock moves one cycle per task: the task, quantized to
 		// at least a granule, then a think time or, after p_burst_end, a burst
 		// gap. Below the sliver floor on average, a session submits without end.
-		cycle := cs.PBurstEnd*SamplerMean(c.BurstGap) + (1-cs.PBurstEnd)*SamplerMean(c.ThinkTime) + max(SamplerMean(c.TaskDuration), s.GranularitySeconds)
+		cycle := float64(cs.PBurstEnd*SamplerMean(c.BurstGap)) + float64((1-cs.PBurstEnd)*SamplerMean(c.ThinkTime)) + max(SamplerMean(c.TaskDuration), s.GranularitySeconds)
 		if floor := (GenConfig{}).minDuration().Seconds(); cycle < floor {
 			return GenConfig{}, fmt.Errorf("trace: scenario %q: cohort %q task_duration plus think_time or burst_gap averages %v s a task, below the generator's %v s floor", s.Name, cs.Name, cycle, floor)
 		}

@@ -126,7 +126,7 @@ func ProportionalShares(weights []float64, total, min int) []int {
 			}
 			frac = w / sum
 		}
-		exact := float64(total) * frac
+		exact := float64(float64(total) * frac)
 		shares[i] = int(exact)
 		rem[i] = exact - float64(shares[i])
 		assigned += shares[i]

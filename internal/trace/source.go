@@ -71,7 +71,7 @@ func (s traceSource) Sessions(yield func(*Session) bool) error {
 func (s traceSource) Expect() Expectation {
 	var gpuh float64
 	for _, sess := range s.tr.Sessions {
-		gpuh += float64(sess.Request.GPUs) * sess.Lifetime().Hours()
+		gpuh += float64(float64(sess.Request.GPUs) * sess.Lifetime().Hours())
 	}
 	return Expectation{
 		Sessions:         len(s.tr.Sessions),
@@ -158,7 +158,7 @@ func (c GenConfig) Expect(shards int) Expectation {
 		if lambda > 0 {
 			meanLife = cl.lifeWeighted / lambda
 		}
-		reserved += cl.w * sessions * (meanLife / 3600) * co.RequestGPUs.Mean()
+		reserved += float64(cl.w * sessions * (meanLife / 3600) * co.RequestGPUs.Mean())
 
 		pNever := math.Min(math.Max(co.PNeverTrains, 0), 1)
 		pTrain := (1 - co.RequestGPUs.Prob(0)) * (1 - pNever)
@@ -166,7 +166,7 @@ func (c GenConfig) Expect(shards int) Expectation {
 		meanThink := SamplerMean(co.ThinkTime)
 		meanDur := SamplerMean(co.TaskDuration)
 		cycle := func(pEnd, gap float64) float64 {
-			cy := pEnd*gap + (1-pEnd)*meanThink
+			cy := float64(pEnd*gap) + float64((1-pEnd)*meanThink)
 			if !c.ConcurrentSubmission {
 				cy += meanDur
 			}
@@ -185,9 +185,9 @@ func (c GenConfig) Expect(shards int) Expectation {
 				hGap = SamplerMean(co.HeavyBurstGap)
 			}
 			p := math.Min(co.PHeavy, 1)
-			rate = (1-p)*rate + p/cycle(hEnd, hGap)
+			rate = float64((1-p)*rate) + p/cycle(hEnd, hGap)
 		}
-		tasks += cl.w * sessions * pTrain * meanLife * rate
+		tasks += float64(cl.w * sessions * pTrain * meanLife * rate)
 	}
 
 	return Expectation{
@@ -212,7 +212,7 @@ func samplerGrid(s Sampler, n int) []float64 {
 		}
 	case Uniform:
 		for i := range out {
-			out[i] = v.Lo + p(i)*(v.Hi-v.Lo)
+			out[i] = v.Lo + float64(p(i)*(v.Hi-v.Lo))
 		}
 	case Exponential:
 		for i := range out {
