@@ -4,22 +4,24 @@ import (
 	"time"
 )
 
-// Handler is the work executed when an event fires.
+// Handler is an event's work as a closure: a Runner whose Fire calls it.
 type Handler func()
 
-// Runner is the allocation-lean alternative to Handler: an event can carry
-// a pre-built state object whose Fire method advances it. Scheduling a
-// Handler closure allocates the closure plus its captured variables every
-// time; a Runner is typically a pointer to a struct that lives for a whole
-// task and is re-scheduled phase after phase, so a multi-phase task costs
-// one allocation total. The interface value itself is pointer-shaped, so
-// storing it in the pooled event allocates nothing.
+// Fire runs the closure.
+func (h Handler) Fire() { h() }
+
+// Runner is what an event fires. A Handler closure is one, but building it
+// allocates the closure plus its captured variables every time; the lean
+// form is a pre-built state object whose Fire method advances it, typically
+// a pointer to a struct that lives for a whole task and is re-scheduled
+// phase after phase, so a multi-phase task costs one allocation total. The
+// interface value itself is pointer-shaped, so storing it in the pooled
+// event allocates nothing.
 type Runner interface {
 	Fire()
 }
 
-// event is a scheduled occurrence: fn, or when fn is nil run.Fire, at
-// (at, seq).
+// event is a scheduled occurrence: run.Fire at (at, seq).
 type event struct {
 	at time.Time
 	// atns caches at.UnixNano(): heap comparisons are the engine's hottest
@@ -28,7 +30,6 @@ type event struct {
 	// range (years 1678-2262).
 	atns int64
 	seq  int64
-	fn   Handler
 	run  Runner
 }
 
@@ -119,9 +120,9 @@ func (e *Engine) ReserveSeq(n int) int64 {
 
 // schedule is the one body behind every scheduling call: it pops a pooled
 // event, which the engine recycles once fired, and queues it at (t, seq)
-// carrying fn or, when fn is nil, run. Scheduling in the past schedules at
-// the current time (it still runs strictly after the current event).
-func (e *Engine) schedule(t time.Time, seq int64, fn Handler, run Runner) {
+// carrying run. Scheduling in the past schedules at the current time (it
+// still runs strictly after the current event).
+func (e *Engine) schedule(t time.Time, seq int64, run Runner) {
 	if t.Before(e.now) {
 		t = e.now
 	}
@@ -132,31 +133,21 @@ func (e *Engine) schedule(t time.Time, seq int64, fn Handler, run Runner) {
 	ev := e.free[n]
 	e.free[n] = nil
 	e.free = e.free[:n]
-	ev.at, ev.atns, ev.seq, ev.fn, ev.run = t, t.UnixNano(), seq, fn, run
+	ev.at, ev.atns, ev.seq, ev.run = t, t.UnixNano(), seq, run
 	e.push(ev)
 }
 
-// Schedule schedules fn at absolute time t.
-func (e *Engine) Schedule(t time.Time, fn Handler) {
-	e.schedule(t, e.ReserveSeq(1), fn, nil)
-}
-
-// Defer schedules fn d from now.
-func (e *Engine) Defer(d time.Duration, fn Handler) {
-	e.Schedule(e.now.Add(d), fn)
-}
-
-// ScheduleRunner schedules r.Fire at absolute time t — Schedule for Runner
-// state machines: the pooled event carries the interface value directly, so
-// re-scheduling a long-lived Runner allocates nothing.
+// ScheduleRunner schedules r.Fire at absolute time t. The pooled event
+// carries the interface value directly, so re-scheduling a long-lived Runner
+// allocates nothing; a closure is scheduled as a Handler.
 func (e *Engine) ScheduleRunner(t time.Time, r Runner) {
-	e.schedule(t, e.ReserveSeq(1), nil, r)
+	e.schedule(t, e.ReserveSeq(1), r)
 }
 
 // ScheduleRunnerSeq is ScheduleRunner with a tie-break number the caller
 // reserved earlier (see ReserveSeq) in place of a fresh one.
 func (e *Engine) ScheduleRunnerSeq(t time.Time, seq int64, r Runner) {
-	e.schedule(t, seq, nil, r)
+	e.schedule(t, seq, r)
 }
 
 // DeferRunner schedules r.Fire d from now (see ScheduleRunner).
@@ -187,14 +178,10 @@ func (e *Engine) step() {
 	ev := e.pop()
 	e.now = ev.at
 	e.steps++
-	fn, run := ev.fn, ev.run
-	ev.fn, ev.run = nil, nil
+	run := ev.run
+	ev.run = nil
 	e.free = append(e.free, ev)
-	if fn != nil {
-		fn()
-	} else {
-		run.Fire()
-	}
+	run.Fire()
 }
 
 // ---- event queue --------------------------------------------------------

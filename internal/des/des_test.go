@@ -9,6 +9,11 @@ import (
 
 var t0 = time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
 
+// Schedule and Defer schedule a closure, the form most events in these tests
+// take, as the Handler it converts to.
+func (e *Engine) Schedule(t time.Time, fn Handler)  { e.ScheduleRunner(t, fn) }
+func (e *Engine) Defer(d time.Duration, fn Handler) { e.DeferRunner(d, fn) }
+
 func TestRunExecutesInTimeOrder(t *testing.T) {
 	e := New(t0)
 	var order []int

@@ -10,8 +10,8 @@
 //
 //   - All randomness is drawn from seeded rand.Rand instances owned by the
 //     simulation, never from global or time-derived sources.
-//   - Events scheduled for the same virtual instant run in Schedule/Defer
-//     call order (the engine breaks time ties by a monotonically increasing
+//   - Events scheduled for the same virtual instant run in scheduling-call
+//     order (the engine breaks time ties by a monotonically increasing
 //     sequence number), so scheduling order is part of the contract. A client
 //     that knows now that it will schedule n events later can draw their
 //     numbers now (ReserveSeq) and spend them one at a time
@@ -26,8 +26,8 @@
 //
 // Internally the ready queue is a hand-rolled 4-ary heap keyed by an
 // int64-nanosecond (time, sequence) pair. No scheduling call returns a
-// handle, so a fired event can be reused: every call (Schedule,
-// ScheduleRunner, ScheduleRunnerSeq and their Defer forms — one body,
+// handle, so a fired event can be reused: every call (ScheduleRunner,
+// ScheduleRunnerSeq and DeferRunner — one body,
 // Engine.schedule) takes its event from a pool refilled in geometrically
 // growing arena blocks (O(log peak) allocations for any pending-event
 // peak). FuzzEngineOrder holds all of it to a reference that scans a slice

@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -568,11 +569,12 @@ func TestAvailabilityIntegralMatchesRenewalChain(t *testing.T) {
 	// at t with downtime d recovers at t+d into a fresh slot (the next
 	// sequence number, assigned in recovery-time order — the order the
 	// simulator's addHost calls fire).
+	// Any generator gives a slot's pair: HostFault reseeds it.
 	var h renewalHeap
-	slot := 0
+	slot, clock := 0, rand.New(rand.NewSource(1))
 	arm := func(at time.Time) {
 		slot++
-		if up, down := faults.HostFault(seed, uint64(slot)); up > 0 {
+		if up, down := faults.HostFault(clock, seed, uint64(slot)); up > 0 {
 			heap.Push(&h, renewalEvent{at: at.Add(up), delta: -1, down: down})
 		}
 	}
@@ -694,7 +696,7 @@ func TestDegradationEpisodesHandOverInTimeOrder(t *testing.T) {
 	want := map[float64]time.Duration{5.5: 25, 6.5: 100, 7.5: 100, 8: 200, 8.5: 200, 9: 25, 9.5: 25}
 	got := map[float64]time.Duration{}
 	for h := range want {
-		s.eng.Schedule(tr.Start.Add(trace.Hours(h)), func() { got[h] = s.fed.Penalty(0, 1) })
+		after(s.eng, trace.Hours(h), func() { got[h] = s.fed.Penalty(0, 1) })
 	}
 	s.drain()
 	for h, ms := range want {

@@ -6,7 +6,9 @@ import (
 	"slices"
 	"time"
 
+	"notebookos/internal/des"
 	"notebookos/internal/metrics"
+	"notebookos/internal/randprefix"
 	"notebookos/internal/trace"
 )
 
@@ -56,19 +58,19 @@ func (s *sim) initFaults() {
 		return
 	}
 	s.faultsOn = true
-	s.frng = rand.New(rand.NewSource(s.cfg.Seed + 3))
+	s.frng, s.crng = rand.New(rand.NewSource(s.cfg.Seed+3)), rand.New(randprefix.New(0))
 	s.res.Availability = metrics.NewTimeline()
 	s.res.RecoveryTime = metrics.NewSample()
 	for i, o := range f.Outages {
-		s.armFault(s.start.Add(trace.Hours(o.StartHour)), func() { s.outageStrike(i, o) })
+		s.armFault(s.start.Add(trace.Hours(o.StartHour)), des.Handler(func() { s.outageStrike(i, o) }))
 	}
 	// The episodes share one scale, so they are set in start order: where one
 	// ends as the next begins, the end fires first (Validate refuses overlaps).
 	byStart := func(a, b trace.DegradeSpec) int { return cmp.Compare(a.StartHour, b.StartHour) }
 	for _, d := range slices.SortedFunc(slices.Values(f.Degradations), byStart) {
 		at := s.start.Add(trace.Hours(d.StartHour))
-		s.armFault(at, func() { s.fed.SetPenaltyScale(d.Factor) })
-		s.armFault(at.Add(trace.Hours(d.DurationHours)), func() { s.fed.SetPenaltyScale(1) })
+		s.armFault(at, des.Handler(func() { s.fed.SetPenaltyScale(d.Factor) }))
+		s.armFault(at.Add(trace.Hours(d.DurationHours)), des.Handler(func() { s.fed.SetPenaltyScale(1) }))
 	}
 }
 
@@ -77,33 +79,42 @@ func (s *sim) initFaults() {
 // every other event's relative order, since sequence numbers stay monotone.
 // It also keeps a saturated draw (trace.Hours) away from the engine, whose
 // int64 clock would wrap it into the past and fire it at once.
-func (s *sim) armFault(at time.Time, fn func()) {
+func (s *sim) armFault(at time.Time, r des.Runner) {
 	if !at.After(s.horizon()) {
-		s.eng.Schedule(at, fn)
+		s.eng.ScheduleRunner(at, r)
 	}
-}
-
-// noteHosts records a host-count change on the availability timeline, which
-// only a run under faults keeps.
-func (s *sim) noteHosts(d float64) { s.res.Availability.Delta(s.now(), d) }
-
-// faultSlot builds the unique fault-stream key for a member's host: member
-// index in the high bits, the member's own host sequence in the low bits —
-// so a single-cluster run's slots are its plain host sequence. The spread
-// keeps every member's slots — and the outage key space at 1<<32 —
-// disjoint.
-func faultSlot(member, seq int) uint64 {
-	return uint64(member)<<40 | uint64(seq)
 }
 
 // armHostFaults gives a freshly joined host its availability tick and its
 // deterministic crash clock: the (uptime, downtime) pair is a pure
 // function of (spec, seed, host slot), so replays see the identical stream.
+// A host's fault slot is its member index in the high bits and the member's
+// own host sequence in the low bits — so a single-cluster run's slots are its
+// plain host sequence. The spread keeps every member's slots — and the
+// outage key space at 1<<32 — disjoint.
 func (s *sim) armHostFaults(h *host, seq int) {
-	s.noteHosts(1)
-	if up, down := s.cfg.Faults.HostFault(s.cfg.Seed, faultSlot(h.member, seq)); up > 0 {
-		s.armFault(s.now().Add(up), func() { s.crashHost(h, down) })
+	s.res.Availability.Delta(s.now(), 1)
+	if up, down := s.cfg.Faults.HostFault(s.crng, s.cfg.Seed, uint64(h.member)<<40|uint64(seq)); up > 0 {
+		h.down = down
+		s.armFault(s.now().Add(up), (*crashClock)(h))
 	}
+}
+
+// crashClock and replacement are des.Runner views of a host, like
+// warmRefill: its crash when the uptime it drew runs out, and its
+// replacement's arrival once the repair time has passed.
+type crashClock host
+type replacement host
+
+func (c *crashClock) Fire() { c.s.crashHost((*host)(c), c.down) }
+
+// Fire joins the replacement: a fresh host slot with its own crash clock
+// (armed in addHost), never the crashed host re-attached — re-attachment
+// would double-count its stale commitments.
+func (r *replacement) Fire() {
+	r.s.addHost(r.member)
+	r.s.res.HostRecoveries++
+	r.s.sampleProvisioned()
 }
 
 // crashHost kills one host: it leaves its cluster immediately (forced
@@ -113,29 +124,16 @@ func (s *sim) armHostFaults(h *host, seq int) {
 // that already left the cluster by scale-in makes the
 // crash a no-op: its clock died with it.
 func (s *sim) crashHost(h *host, down time.Duration) {
-	m := s.members[h.member]
+	m, slot := s.members[h.member], h.h.Slot()
 	idx := slices.Index(m.hosts, h)
-	if idx < 0 {
+	if idx < 0 || m.c.CrashHost(h.h.ID) != nil {
 		return
 	}
-	slot := h.h.Slot()
-	if err := m.c.CrashHost(h.h.ID); err != nil {
-		return
-	}
-	m.hosts = append(m.hosts[:idx], m.hosts[idx+1:]...)
-	m.bySlot[slot] = nil
+	s.unwire(m, idx, slot)
 	s.res.HostCrashes++
-	s.noteHosts(-1)
 	s.repairSessions(h)
 	s.sampleProvisioned()
-	s.armFault(s.now().Add(down), func() {
-		// The replacement is a fresh host slot with its own crash clock
-		// (armed in addHost), never the crashed host re-attached —
-		// re-attachment would double-count its stale commitments.
-		s.addHost(h.member)
-		s.res.HostRecoveries++
-		s.sampleProvisioned()
-	})
+	s.armFault(s.now().Add(down), (*replacement)(h))
 }
 
 // outageStrike executes outage window idx: members in index order, hosts
@@ -285,10 +283,6 @@ func (s *sim) restartTask(ss *session, task trace.Task, submit time.Time) {
 	s.res.TaskRestarts++
 	penalty := f.RestartPenalty(ss.restarts)
 	s.res.RecoveryTime.Add(penalty.Seconds())
-	s.armFault(s.now().Add(penalty), func() {
-		if ss.closed {
-			return // the session ended during the backoff; its work dies with it
-		}
-		s.startTask(ss, task, submit)
-	})
+	// The restart rides a task machine through its backoff (taskfsm.go).
+	s.armFault(s.now().Add(penalty), reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseRestart}))
 }

@@ -66,26 +66,21 @@ var defaultLatencies = Latencies{
 		}
 		return syncTail(r)
 	},
-	ColdStart: func(r *rand.Rand) time.Duration {
-		return 18*time.Second + time.Duration(r.Int63n(int64(27*time.Second)))
-	},
-	WarmAttach: func(r *rand.Rand) time.Duration {
-		return 80*time.Millisecond + time.Duration(r.Int63n(int64(320*time.Millisecond)))
-	},
-	HostProvision: func(r *rand.Rand) time.Duration {
-		return 60*time.Second + time.Duration(r.Int63n(int64(60*time.Second)))
-	},
-	Store:    store.S3Model(),
-	Transfer: gpu.DefaultTransfer(),
+	ColdStart:     uniform(18*time.Second, 27*time.Second),
+	WarmAttach:    uniform(80*time.Millisecond, 320*time.Millisecond),
+	HostProvision: uniform(60*time.Second, 60*time.Second),
+	Store:         store.S3Model(),
+	Transfer:      gpu.DefaultTransfer(),
 }
 
+// uniformMS draws a whole number of milliseconds in [lo, hi), hi > lo.
 func uniformMS(lo, hi int64) func(*rand.Rand) time.Duration {
-	return func(r *rand.Rand) time.Duration {
-		if hi <= lo {
-			return time.Duration(lo) * time.Millisecond
-		}
-		return time.Duration(lo+r.Int63n(hi-lo)) * time.Millisecond
-	}
+	return func(r *rand.Rand) time.Duration { return time.Duration(lo+r.Int63n(hi-lo)) * time.Millisecond }
+}
+
+// uniform draws lo plus a uniform nanosecond count in [0, span), span > 0.
+func uniform(lo, span time.Duration) func(*rand.Rand) time.Duration {
+	return func(r *rand.Rand) time.Duration { return lo + time.Duration(r.Int63n(int64(span))) }
 }
 
 // logUniform returns a draw of lo*(hi/lo)^u for one u = r.Float64(): a

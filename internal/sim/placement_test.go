@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -136,20 +137,60 @@ func TestTaskAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestHostIDMatchesSprintf: hostID spells a host's ID byte for byte as
+// fmt's "%s-h%04d" does — row ordinals follow ID string order, so IDs decide
+// placement tie-breaks (cluster/doc.go) — past 9,999, where the padding
+// stops, too; and it allocates only the ID.
+func TestHostIDMatchesSprintf(t *testing.T) {
+	for _, name := range []string{"sim", "c0", strings.Repeat("m", 40)} {
+		for _, seq := range []int{1, 9, 10, 999, 9999, 10000, 123456} {
+			if got, want := hostID(name, seq), fmt.Sprintf("%s-h%04d", name, seq); got != want {
+				t.Errorf("hostID(%q, %d) = %q, want %q", name, seq, got, want)
+			}
+		}
+	}
+	if testing.Short() {
+		return // the race detector's bookkeeping allocates
+	}
+	var id string // kept, so the ID cannot live on the stack
+	if allocs := testing.AllocsPerRun(100, func() { id = hostID("sim", 123456) }); allocs != 1 {
+		t.Errorf("hostID allocates %v times for %q, want 1", allocs, id)
+	}
+}
+
 // TestSummerRunAllocations pins the allocations of one fault-free 1-day
 // summer Run at the count it landed at plus 5 %: a run allocates per session
 // and per run, and a migration or a commit that starts allocating again
 // shows here long before it moves TestTaskAllocationBudget's per-request
 // ratio. It read 579 while every host's pool built a holder map and two
 // observer hooks and a migration scheduled two closures (its restart and its
-// warm-pool refill).
+// warm-pool refill), and 412 while every host join formatted its ID through
+// fmt and every scale-out's landing was a closure.
 func TestSummerRunAllocations(t *testing.T) {
+	pinRunAllocations(t, nil, 372)
+}
+
+// TestFaultedRunAllocations is its sibling under the heavy fault profile,
+// whose churn — host joins, crashes, replacements, task restarts and
+// scale-outs — the fault-free run barely reaches. It read 571 while each
+// crash, replacement, restart and landing scheduled a closure, each crash
+// clock built a random source of its own and each join formatted its host ID
+// through fmt.
+func TestFaultedRunAllocations(t *testing.T) {
+	faults := trace.HeavyFaultProfile()
+	pinRunAllocations(t, &faults, 441)
+}
+
+// pinRunAllocations fails when one 1-day summer Run under faults (nil: none)
+// allocates more than 5 % above landed.
+func pinRunAllocations(t *testing.T, faults *trace.FaultSpec, landed float64) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("the race job runs -short, and the detector's bookkeeping allocates")
 	}
 	gcfg := trace.AdobeSummerConfig(42)
 	gcfg.Duration = 24 * time.Hour
-	cfg := Config{Trace: trace.MustGenerate(gcfg), Policy: PolicyNotebookOS, Hosts: 30, Seed: 42}
+	cfg := Config{Trace: trace.MustGenerate(gcfg), Policy: PolicyNotebookOS, Hosts: 30, Seed: 42, Faults: faults}
 	var res *Result
 	allocs := testing.AllocsPerRun(5, func() {
 		var err error
@@ -157,11 +198,12 @@ func TestSummerRunAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const landed = 415
+	runs := fmt.Sprintf("%d sessions, %d tasks, %d migrations, %d scale-outs, %d crashes, %d restarts",
+		res.Sessions, res.Tasks, res.Migrations, res.ScaleOuts, res.HostCrashes, res.TaskRestarts)
 	if allocs > landed*1.05 {
-		t.Errorf("a 1-day summer run allocates %.0f times (%d sessions, %d tasks, %d migrations), landed at %d", allocs, res.Sessions, res.Tasks, res.Migrations, landed)
+		t.Errorf("a 1-day summer run allocates %.0f times (%s), landed at %.0f", allocs, runs, landed)
 	}
-	t.Logf("%.0f allocations (%d sessions, %d tasks, %d migrations)", allocs, res.Sessions, res.Tasks, res.Migrations)
+	t.Logf("%.0f allocations (%s)", allocs, runs)
 }
 
 // TestScaleInGateMatchesWalk pins the O(1) gate every scale-in walk sits

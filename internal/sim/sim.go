@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"time"
 
 	"notebookos/internal/cluster"
@@ -357,10 +358,13 @@ func (ss *session) must(err error, what string, h *host) {
 // member, warm-container count), so the hot placement scans walk one slice
 // instead of re-fetching the host list and hitting a string-keyed map.
 type host struct {
+	s      *sim
 	h      *cluster.Host
 	member int
 	// warm counts pre-warmed containers available on the host.
 	warm int
+	// down is the repair time the host's crash clock drew (faults.go).
+	down time.Duration
 }
 
 // warmRefill is a des.Runner view of a host: it fires when a container
@@ -472,16 +476,18 @@ type sim struct {
 	reserved gpuHoursAcc
 
 	// idle holds the task state machines that completed, for launch to reuse
-	// (taskfsm.go).
-	idle []*runningTask
+	// (taskfsm.go), and landings the scale-outs that landed, for provision.
+	idle     []*runningTask
+	landings []*landing
 	// faultsOn gates the fault layer; frng feeds the crash-path draws
 	// (elections, container starts during repair) so fault handling never
-	// perturbs the scheduling RNG. live tracks the live sessions in arrival
-	// order under faults, where crash repair must find a host's tenants
-	// deterministically (faults.go).
-	faultsOn bool
-	frng     *rand.Rand
-	live     []*session
+	// perturbs the scheduling RNG, and crng is the generator every host's
+	// crash clock draws through, reseeded per host slot. live tracks the live
+	// sessions in arrival order under faults, where crash repair must find a
+	// host's tenants deterministically (faults.go).
+	faultsOn   bool
+	frng, crng *rand.Rand
+	live       []*session
 }
 
 // Run executes the simulation and returns its result. A fixed config replays
@@ -755,11 +761,11 @@ func (s *sim) now() time.Time { return s.eng.Now() }
 func (s *sim) addHost(mi int) *host {
 	m := s.members[mi]
 	m.hostSeq++
-	ch := cluster.NewHost(fmt.Sprintf("%s-h%04d", m.spec.Name, m.hostSeq), m.spec.HostCapacity)
+	ch := cluster.NewHost(hostID(m.spec.Name, m.hostSeq), m.spec.HostCapacity)
 	if err := m.c.AddHost(ch); err != nil {
 		panic(err)
 	}
-	h := &host{h: ch, member: mi, warm: s.cfg.PrewarmPerHost}
+	h := &host{s: s, h: ch, member: mi, warm: s.cfg.PrewarmPerHost}
 	m.hosts = append(m.hosts, h)
 	for len(m.bySlot) <= ch.Slot() {
 		m.bySlot = append(m.bySlot, nil)
@@ -769,6 +775,14 @@ func (s *sim) addHost(mi int) *host {
 		s.armHostFaults(h, m.hostSeq)
 	}
 	return h
+}
+
+// hostID names slot seq of a member's host sequence as fmt's "%s-h%04d"
+// does, in one allocation. Host IDs order the cluster's rows
+// (cluster/doc.go), so the bytes are the contract.
+func hostID(name string, seq int) string {
+	d := strconv.AppendInt(make([]byte, 0, 20), int64(seq), 10)
+	return name + "-h" + "0000"[min(len(d), 4):] + string(d)
 }
 
 // recordEvent appends to the Fig. 10 event record, which exists only in
@@ -1006,22 +1020,22 @@ func (s *sim) sampleSteps(first int, ds ...time.Duration) {
 // — fires first at start, when training begins; delay is the interactivity
 // delay the task will report.
 func (s *sim) launch(ss *session, task trace.Task, submit time.Time, h *host, delay time.Duration, start time.Time) *runningTask {
-	t := s.machine(runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})
+	t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})
 	ss.cur = t
 	s.eng.ScheduleRunner(start, t)
 	return t
 }
 
-// machine returns a task state machine set to m, from the idle list when it
-// has one.
-func (s *sim) machine(m runningTask) *runningTask {
-	var t *runningTask
-	if n := len(s.idle) - 1; n >= 0 {
-		t, s.idle = s.idle[n], s.idle[:n]
+// reuse returns a pointer to v's copy in the last value of an idle list,
+// which it pops, or in a new value when the list is empty: how task state
+// machines (s.idle) and scale-out landings (s.landings) are drawn.
+func reuse[T any](idle *[]*T, v T) (t *T) {
+	if n := len(*idle) - 1; n >= 0 {
+		t, *idle = (*idle)[n], (*idle)[:n]
 	} else {
-		t = new(runningTask)
+		t = new(T)
 	}
-	*t = m
+	*t = v
 	return t
 }
 
@@ -1262,7 +1276,7 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 	s.sampleSR()
 
 	// The restart rides a task machine of its own, never ss.cur (taskfsm.go).
-	s.eng.DeferRunner(extra, s.machine(runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseResubmit}))
+	s.eng.DeferRunner(extra, reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseResubmit}))
 	return true
 }
 
@@ -1414,16 +1428,25 @@ func (s *sim) noteScaleIn(idx int) {
 // the provisioned series — after the given provisioning latency, which the
 // caller draws: one draw per autoscaler decision, or per emergency scale-out.
 func (s *sim) provision(idx, need int, latency time.Duration) {
-	m := s.members[idx]
-	m.pendingHosts += need
+	s.members[idx].pendingHosts += need
 	s.noteScaleOut(idx)
-	s.eng.Defer(latency, func() {
-		for i := 0; i < need; i++ {
-			s.addHost(idx)
-		}
-		m.pendingHosts -= need
-		s.sampleProvisioned()
-	})
+	s.eng.DeferRunner(latency, reuse(&s.landings, landing{s: s, idx: idx, need: need}))
+}
+
+// landing is a scale-out in flight: when it fires, its hosts join member idx.
+// A landed one goes on the sim's landings list for the next provision.
+type landing struct {
+	s         *sim
+	idx, need int
+}
+
+func (l *landing) Fire() {
+	for range l.need {
+		l.s.addHost(l.idx)
+	}
+	l.s.members[l.idx].pendingHosts -= l.need
+	l.s.landings = append(l.s.landings, l)
+	l.s.sampleProvisioned()
 }
 
 // retireEmpty walks the member's hosts in order and retires the empty ones,
@@ -1454,8 +1477,16 @@ func (s *sim) removeHostIfEmpty(m *member, i int) bool {
 	if !h.h.Empty() || m.c.RemoveHost(h.h.ID) != nil {
 		return false
 	}
+	s.unwire(m, i, slot)
+	return true
+}
+
+// unwire takes m.hosts[i], which has just left the cluster from table slot
+// slot, off the member's host list and slot index and off the availability
+// timeline (which only a run under faults keeps): where both ways out of a
+// cluster, scale-in and crash, end.
+func (s *sim) unwire(m *member, i, slot int) {
 	m.hosts = append(m.hosts[:i], m.hosts[i+1:]...)
 	m.bySlot[slot] = nil
-	s.noteHosts(-1)
-	return true
+	s.res.Availability.Delta(s.now(), -1)
 }

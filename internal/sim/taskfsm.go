@@ -23,15 +23,19 @@ import (
 // A migration's restart (tryMigrate) rides a machine too, drawn from the
 // same idle list, in phaseResubmit: it fires once, when the replica has
 // moved, and resubmits the task through startTask, which draws the machine
-// that runs it. It is never the session's cur, so the fault layer cannot
-// abort it; the task it carries is not in flight yet.
+// that runs it. A fault restart (restartTask) does the same in phaseRestart,
+// once its backoff is over, unless the session ended meanwhile. Neither is
+// ever the session's cur, so the fault layer cannot abort them; the task they
+// carry is not in flight yet.
 //
 // The recycling rule: only normal completion (phase 2) and a fired
-// resubmission recycle. By then every phase event of the machine has fired
-// and nothing else holds it — finishTask has cleared the session's handle on
-// a completed one, and a resubmission never had one — so nothing can still
-// reach it. A resubmission recycles itself before it calls startTask, which
-// may draw it straight back. An aborted machine
+// resubmission or restart recycle. By then every phase event of the machine
+// has fired and nothing else holds it — finishTask has cleared the session's
+// handle on a completed one, and a resubmission or restart never had one — so
+// nothing can still reach it. A resubmission or restart recycles itself
+// before it calls startTask, which may draw it straight back; a restart due
+// past the drain horizon is never armed, and its machine is left to the
+// garbage collector. An aborted machine
 // is never reused — a phase event scheduled before the abort may still sit
 // in the engine's heap, and must find the machine dead when it fires, not
 // running someone else's task; it is left to the garbage collector
@@ -73,8 +77,9 @@ type runningTask struct {
 }
 
 // phaseResubmit marks a machine that carries a migration's restart, not a
-// task in flight.
-const phaseResubmit = 3
+// task in flight; phaseRestart one that carries a fault restart through its
+// backoff.
+const phaseResubmit, phaseRestart = 3, 4
 
 func (t *runningTask) Fire() {
 	if t.dead {
@@ -125,10 +130,13 @@ func (t *runningTask) Fire() {
 		// The last phase event has fired and the session has moved on: nothing
 		// refers to the machine any more.
 		s.idle = append(s.idle, t)
-	case phaseResubmit: // the replica has moved: resubmit the task
-		ss, task, submit := t.ss, t.task, t.submit
+	case phaseResubmit, phaseRestart: // the replica has moved, or the backoff is over
+		ss, task, submit, restart := t.ss, t.task, t.submit, t.phase == phaseRestart
 		s.idle = append(s.idle, t)
-		s.startTask(ss, task, submit)
+		// A session that ended during a restart's backoff takes its work with it.
+		if !restart || !ss.closed {
+			s.startTask(ss, task, submit)
+		}
 	}
 }
 

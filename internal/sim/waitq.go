@@ -29,7 +29,7 @@ type capWaiter struct {
 //
 // Determinism: the drain runs as a single DES event scheduled at the
 // notification timestamp (ordered by the engine's sequence number) and
-// retries the waiters in a total order (see drain), so a fixed seed replays
+// retries the waiters in a total order (see Fire), so a fixed seed replays
 // bit-for-bit.
 type capacityWaitQueue struct {
 	eng *des.Engine
@@ -38,9 +38,6 @@ type capacityWaitQueue struct {
 	q         []capWaiter
 	seq       uint64
 	scheduled bool
-	// drainFn is the bound drain method, built once: passing w.drain to
-	// Defer directly would allocate a fresh method value per notification.
-	drainFn func()
 }
 
 // agingBound is the promotion bound: a waiter parked at least this long
@@ -50,9 +47,7 @@ type capacityWaitQueue struct {
 const agingBound = int64(30 * time.Minute)
 
 func newCapacityWaitQueue(eng *des.Engine) *capacityWaitQueue {
-	w := &capacityWaitQueue{eng: eng}
-	w.drainFn = w.drain
-	return w
+	return &capacityWaitQueue{eng: eng}
 }
 
 // Len returns the number of parked waiters.
@@ -75,10 +70,12 @@ func (w *capacityWaitQueue) Notify() {
 		return
 	}
 	w.scheduled = true
-	w.eng.Defer(0, w.drainFn)
+	w.eng.DeferRunner(0, w)
 }
 
-// drain retries every parked waiter once, in this order:
+// Fire is the drain a notification schedules (the queue is its own
+// des.Runner, so scheduling it allocates nothing): it retries every parked
+// waiter once, in this order:
 //
 //   - Promoted waiters first — any waiter parked at least agingBound — in
 //     arrival order among themselves. Promotion is what makes the queue
@@ -95,7 +92,7 @@ func (w *capacityWaitQueue) Notify() {
 // queue is kept in, so the sort finds it sorted. Waiters that still cannot
 // make progress keep their metadata and stay queued, in the order they were
 // retried in, ahead of any waiters that arrived during the drain.
-func (w *capacityWaitQueue) drain() {
+func (w *capacityWaitQueue) Fire() {
 	w.scheduled = false
 	pending := w.q
 	w.q = nil

@@ -120,9 +120,9 @@ func TestWaitQueuePriorityOrdering(t *testing.T) {
 			h := newPrioHarness(eng)
 			for _, p := range tc.parks {
 				p := p
-				eng.Defer(p.at, func() { h.park(p.label, p.weight) })
+				after(eng, p.at, func() { h.park(p.label, p.weight) })
 			}
-			eng.Defer(tc.drain, func() { h.free(len(tc.parks)) })
+			after(eng, tc.drain, func() { h.free(len(tc.parks)) })
 			eng.Run()
 			if !equalStrings(h.served, tc.want) {
 				t.Fatalf("drain order %v, want %v", h.served, tc.want)
@@ -143,10 +143,10 @@ func TestWaitQueuePriorityOrdering(t *testing.T) {
 func TestWaitQueuePriorityPromotionPreventsStarvation(t *testing.T) {
 	eng := des.New(wqT0)
 	h := newPrioHarness(eng)
-	eng.Defer(0, func() { h.park("be", 1) })
+	after(eng, 0, func() { h.park("be", 1) })
 	for at := 10 * time.Minute; at <= 40*time.Minute; at += 5 * time.Minute {
-		eng.Defer(at-8*time.Minute, func() { h.park("int", 4) })
-		eng.Defer(at, func() { h.free(1) })
+		after(eng, at-8*time.Minute, func() { h.park("int", 4) })
+		after(eng, at, func() { h.free(1) })
 	}
 	eng.Run()
 	want := []string{"int", "int", "int", "int", "be", "int", "int"}
@@ -162,7 +162,7 @@ func TestWaitQueuePriorityFailedWaitersKeepAge(t *testing.T) {
 	eng := des.New(wqT0)
 	h := newPrioHarness(eng)
 	spawned := false
-	eng.Defer(0, func() {
+	after(eng, 0, func() {
 		h.wq.Wait(1, func() bool {
 			if h.capacity == 0 {
 				if !spawned {
@@ -178,8 +178,8 @@ func TestWaitQueuePriorityFailedWaitersKeepAge(t *testing.T) {
 			return true
 		})
 	})
-	eng.Defer(time.Second, func() { h.free(0) })   // drain with no capacity: original fails, spawns
-	eng.Defer(2*time.Second, func() { h.free(2) }) // both served, original first
+	after(eng, time.Second, func() { h.free(0) })   // drain with no capacity: original fails, spawns
+	after(eng, 2*time.Second, func() { h.free(2) }) // both served, original first
 	eng.Run()
 	if !equalStrings(h.served, []string{"original", "spawned"}) {
 		t.Fatalf("order %v, want [original spawned]", h.served)

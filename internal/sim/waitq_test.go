@@ -11,6 +11,9 @@ import (
 
 var wqT0 = time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
 
+// after schedules fn d from now on eng, as a des.Handler.
+func after(eng *des.Engine, d time.Duration, fn func()) { eng.DeferRunner(d, des.Handler(fn)) }
+
 // TestWaitQueueFIFOWakeupOrder: waiters that can all make progress retry
 // (and succeed) in arrival order within one drain.
 func TestWaitQueueFIFOWakeupOrder(t *testing.T) {
@@ -21,7 +24,7 @@ func TestWaitQueueFIFOWakeupOrder(t *testing.T) {
 		i := i
 		wq.Wait(1, func() bool { order = append(order, i); return true })
 	}
-	eng.Defer(time.Second, wq.Notify)
+	after(eng, time.Second, wq.Notify)
 	eng.Run()
 	if len(order) != 5 {
 		t.Fatalf("woke %d waiters, want 5", len(order))
@@ -55,13 +58,13 @@ func TestWaitQueueBlockedWaitersStayQueued(t *testing.T) {
 		})
 	}
 	// First notification frees one unit: only waiter 0 proceeds.
-	eng.Defer(time.Second, func() { capacity = 1; wq.Notify() })
+	after(eng, time.Second, func() { capacity = 1; wq.Notify() })
 	eng.Run()
 	if len(acquired) != 1 || acquired[0] != 0 || wq.Len() != 2 {
 		t.Fatalf("after 1 unit: acquired=%v queued=%d", acquired, wq.Len())
 	}
 	// Second notification frees two: waiters 1 and 2 proceed in order.
-	eng.Defer(time.Second, func() { capacity = 2; wq.Notify() })
+	after(eng, time.Second, func() { capacity = 2; wq.Notify() })
 	eng.Run()
 	if len(acquired) != 3 || acquired[1] != 1 || acquired[2] != 2 {
 		t.Fatalf("final acquisition order = %v, want [0 1 2]", acquired)
@@ -76,7 +79,7 @@ func TestWaitQueueNoLostWakeups(t *testing.T) {
 	wq := newCapacityWaitQueue(eng)
 	capacity := 0
 	woke := false
-	eng.Defer(time.Second, func() {
+	after(eng, time.Second, func() {
 		// Attempt fails; park.
 		wq.Wait(1, func() bool {
 			if capacity == 0 {
@@ -86,7 +89,7 @@ func TestWaitQueueNoLostWakeups(t *testing.T) {
 			return true
 		})
 		// Capacity frees later within the same virtual second.
-		eng.Defer(0, func() { capacity = 1; wq.Notify() })
+		after(eng, 0, func() { capacity = 1; wq.Notify() })
 	})
 	eng.Run()
 	if !woke {
@@ -101,7 +104,7 @@ func TestWaitQueueCoalescesNotifies(t *testing.T) {
 	wq := newCapacityWaitQueue(eng)
 	attempts := 0
 	wq.Wait(1, func() bool { attempts++; return false })
-	eng.Defer(time.Second, func() {
+	after(eng, time.Second, func() {
 		for i := 0; i < 10; i++ {
 			wq.Notify()
 		}
@@ -133,8 +136,8 @@ func TestWaitQueueWaitersAddedDuringDrain(t *testing.T) {
 		order = append(order, "original")
 		return true
 	})
-	eng.Defer(time.Second, wq.Notify)
-	eng.Defer(2*time.Second, wq.Notify)
+	after(eng, time.Second, wq.Notify)
+	after(eng, 2*time.Second, wq.Notify)
 	eng.Run()
 	if len(order) != 2 || order[0] != "original" || order[1] != "spawned" {
 		t.Fatalf("order = %v, want [original spawned] (FIFO across drains)", order)
@@ -157,7 +160,7 @@ func (r *fifoRef) Notify() {
 		return
 	}
 	r.scheduled = true
-	r.eng.Defer(0, func() {
+	after(r.eng, 0, func() {
 		r.scheduled = false
 		pending := r.q
 		r.q = nil
@@ -221,7 +224,7 @@ func TestWaitQueueWeightOneIsFIFO(t *testing.T) {
 		for step := 0; step < 40; step++ {
 			at += time.Duration(rng.Intn(20)) * time.Minute
 			n, notify := rng.Intn(3), rng.Intn(2) == 0
-			eng.Schedule(wqT0.Add(at), func() {
+			after(eng, at, func() {
 				for _, sd := range sides {
 					for i := 0; i < n; i++ {
 						park(sd)

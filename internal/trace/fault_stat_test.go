@@ -17,20 +17,21 @@ import (
 // decorrelate.
 func TestHostFaultDeterministicPerSlot(t *testing.T) {
 	f := FaultSpec{HostMTBFHours: 24, HostMTTRHours: 1}
-	u1, d1 := f.HostFault(7, 12)
-	u2, d2 := f.HostFault(7, 12)
+	clock := newClock()
+	u1, d1 := f.HostFault(clock, 7, 12)
+	u2, d2 := f.HostFault(clock, 7, 12)
 	if u1 != u2 || d1 != d2 {
 		t.Fatalf("same (seed, slot) must replay identically: (%v,%v) vs (%v,%v)", u1, d1, u2, d2)
 	}
-	u3, _ := f.HostFault(7, 13)
+	u3, _ := f.HostFault(clock, 7, 13)
 	if u1 == u3 {
 		t.Error("adjacent slots must draw different uptimes")
 	}
-	u4, _ := f.HostFault(8, 12)
+	u4, _ := f.HostFault(clock, 8, 12)
 	if u1 == u4 {
 		t.Error("different seeds must draw different uptimes")
 	}
-	if u, d := (&FaultSpec{}).HostFault(7, 12); u != 0 || d != 0 {
+	if u, d := (&FaultSpec{}).HostFault(clock, 7, 12); u != 0 || d != 0 {
 		t.Error("disabled churn must return (0, 0)")
 	}
 }
@@ -42,8 +43,9 @@ func TestHostFaultMeansMatchSpec(t *testing.T) {
 	f := FaultSpec{HostMTBFHours: 36, HostMTTRHours: 1.5}
 	const n = 20000
 	var upSum, downSum float64
+	clock := newClock()
 	for slot := uint64(1); slot <= n; slot++ {
-		up, down := f.HostFault(11, slot)
+		up, down := f.HostFault(clock, 11, slot)
 		upSum += up.Hours()
 		downSum += down.Hours()
 	}
@@ -63,8 +65,9 @@ func TestHostFaultDowntimeFraction(t *testing.T) {
 	f := FaultSpec{HostMTBFHours: 24, HostMTTRHours: 2}
 	const n = 20000
 	var upSum, downSum float64
+	clock := newClock()
 	for slot := uint64(1); slot <= n; slot++ {
-		up, down := f.HostFault(13, slot)
+		up, down := f.HostFault(clock, 13, slot)
 		upSum += up.Hours()
 		downSum += down.Hours()
 	}

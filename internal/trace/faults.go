@@ -173,17 +173,14 @@ func (f *FaultSpec) finite() error {
 // all, and the fault draws must not echo any of them.
 const faultSalt = 0x5fa1700d5eed5a17
 
-// faultRNG derives the deterministic RNG for one fault stream keyed by
-// (seed, key): splitmix64 over the salted seed plus the key, so nearby
-// keys (consecutive host slots, outage indexes) decorrelate fully. The
-// stream is rand.NewSource's for that seed; randprefix computes the few
-// draws a host slot reads straight from the seed instead of building the
-// generator's 4.9 KB state for them. It is small enough to inline, so
-// HostFault, which keeps no RNG, holds the *rand.Rand on its stack.
-func faultRNG(seed int64, key uint64) *rand.Rand { return rand.New(faultSource(seed, key)) }
-
-func faultSource(seed int64, key uint64) *randprefix.Source {
-	return randprefix.New(int64(splitmix64(splitmix64(uint64(seed)^faultSalt) + key)))
+// faultSeed derives the seed of one fault stream keyed by (seed, key):
+// splitmix64 over the salted seed plus the key, so nearby keys (consecutive
+// host slots, outage indexes) decorrelate fully. The stream is
+// rand.NewSource's for that seed; randprefix computes the few draws a host
+// slot reads straight from the seed instead of building the generator's
+// 4.9 KB state for them.
+func faultSeed(seed int64, key uint64) int64 {
+	return int64(splitmix64(splitmix64(uint64(seed)^faultSalt) + key))
 }
 
 // HostFault returns the deterministic (uptime, downtime) pair for host
@@ -195,11 +192,15 @@ func faultSource(seed int64, key uint64) *randprefix.Source {
 // process whose long-run down fraction is MTTR/(MTBF+MTTR) (pinned by
 // TestHostFaultDowntimeFraction). Returns (0, 0) when crash churn is
 // disabled. A draw too long for a duration saturates (Hours).
-func (f *FaultSpec) HostFault(seed int64, slot uint64) (up, down time.Duration) {
+//
+// The draws go through r, which HostFault reseeds for the slot, so any
+// generator gives the same pair. A run keeps one over a randprefix.Source
+// for all its slots: reseeding that costs no allocation and no state build.
+func (f *FaultSpec) HostFault(r *rand.Rand, seed int64, slot uint64) (up, down time.Duration) {
 	if f == nil || f.HostMTBFHours <= 0 {
 		return 0, 0
 	}
-	r := faultRNG(seed, slot)
+	r.Seed(faultSeed(seed, slot))
 	up = Hours(r.ExpFloat64() * f.HostMTBFHours)
 	down = Hours(r.ExpFloat64() * f.HostMTTRHours)
 	return up, down
@@ -209,7 +210,7 @@ func (f *FaultSpec) HostFault(seed int64, slot uint64) (up, down time.Duration) 
 // kill draws. The simulator draws one Float64 per live host in host-list
 // order, so a replayed run selects the identical victims.
 func (f *FaultSpec) OutageRNG(seed int64, i int) *rand.Rand {
-	return faultRNG(seed, uint64(1<<32)+uint64(i))
+	return rand.New(randprefix.New(faultSeed(seed, uint64(1<<32)+uint64(i))))
 }
 
 // RestartPenalty returns how long restart attempt n (counting from 1) of one

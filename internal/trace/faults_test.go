@@ -8,7 +8,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"notebookos/internal/randprefix"
 )
+
+// newClock returns a crash-clock generator as a run keeps one: over a
+// randprefix.Source, seeded by each HostFault call.
+func newClock() *rand.Rand { return rand.New(randprefix.New(0)) }
 
 // TestDegradationEpisodesMayTouchButNotOverlap: the episodes of a spec share
 // one penalty scale, so Validate refuses two whose half-open windows
@@ -84,8 +90,9 @@ func TestValidateRefusesNonFiniteNumbers(t *testing.T) {
 	if err != nil {
 		t.Fatalf("hours too large for a duration are legal: %v", err)
 	}
+	clock := newClock()
 	for slot := uint64(0); slot < 64; slot++ {
-		if up, down := f.HostFault(42, slot); up != math.MaxInt64 || down != math.MaxInt64 {
+		if up, down := f.HostFault(clock, 42, slot); up != math.MaxInt64 || down != math.MaxInt64 {
 			t.Fatalf("slot %d: HostFault = (%v, %v), want both saturated at %v", slot, up, down, time.Duration(math.MaxInt64))
 		}
 	}
@@ -211,9 +218,10 @@ func FuzzParseFaults(f *testing.F) {
 			}
 			attempt(budget)
 		}
+		clock := newClock()
 		for _, seed := range []int64{42, -1} {
 			for slot := uint64(0); slot < 4; slot++ {
-				if up, down := spec.HostFault(seed, slot); up < 0 || down < 0 {
+				if up, down := spec.HostFault(clock, seed, slot); up < 0 || down < 0 {
 					t.Fatalf("ParseFaults(%q): HostFault(%d, %d) = (%v, %v)", data, seed, slot, up, down)
 				}
 			}
@@ -222,17 +230,20 @@ func FuzzParseFaults(f *testing.F) {
 }
 
 // referenceFaultRNG is the fault stream built the plain way, on the standard
-// library's seeded source: what faultRNG must reproduce draw for draw.
+// library's seeded source: what HostFault and OutageRNG must reproduce draw
+// for draw.
 func referenceFaultRNG(seed int64, key uint64) *rand.Rand {
 	return rand.New(rand.NewSource(int64(splitmix64(splitmix64(uint64(seed)^faultSalt) + key))))
 }
 
 // TestFaultStreamsMatchStdlib: HostFault and OutageRNG give, for every
 // (seed, slot) pair tried, exactly what the same draws over rand.NewSource
-// give — the crash clocks' bits, and an outage's per-host draws well past
-// the part of the stream computed from the seed.
+// give — the crash clocks' bits, through one clock reseeded for every slot as
+// a run's is, and an outage's per-host draws well past the part of the
+// stream computed from the seed.
 func TestFaultStreamsMatchStdlib(t *testing.T) {
 	f := FaultSpec{HostMTBFHours: 24, HostMTTRHours: 1}
+	clock := newClock()
 	seeds := []int64{0, 1, -1, 42, 7, math.MaxInt64, math.MinInt64, 1<<31 - 1}
 	r := rand.New(rand.NewSource(3))
 	for range 200 {
@@ -247,7 +258,7 @@ func TestFaultStreamsMatchStdlib(t *testing.T) {
 			ref := referenceFaultRNG(seed, key)
 			wantUp := time.Duration(ref.ExpFloat64() * f.HostMTBFHours * float64(time.Hour))
 			wantDown := time.Duration(ref.ExpFloat64() * f.HostMTTRHours * float64(time.Hour))
-			if up, down := f.HostFault(seed, key); up != wantUp || down != wantDown {
+			if up, down := f.HostFault(clock, seed, key); up != wantUp || down != wantDown {
 				t.Fatalf("seed %d slot %#x: HostFault = (%v, %v), want (%v, %v)", seed, key, up, down, wantUp, wantDown)
 			}
 		}
@@ -262,16 +273,18 @@ func TestFaultStreamsMatchStdlib(t *testing.T) {
 	}
 }
 
-// TestHostFaultAllocatesOnce: a crash clock costs one small allocation (the
-// stream's source), not the standard generator's 4.9 KB state.
-func TestHostFaultAllocatesOnce(t *testing.T) {
+// TestHostFaultAllocatesNothing: reseeding a run's crash clock for the next
+// slot allocates nothing — neither the standard generator's 4.9 KB state nor
+// a source per slot.
+func TestHostFaultAllocatesNothing(t *testing.T) {
 	f := HeavyFaultProfile()
+	clock := newClock()
 	slot := uint64(0)
 	if allocs := testing.AllocsPerRun(200, func() {
 		slot++
-		f.HostFault(42, slot)
-	}); allocs > 1 {
-		t.Errorf("HostFault allocates %v times per call, want ≤ 1", allocs)
+		f.HostFault(clock, 42, slot)
+	}); allocs != 0 {
+		t.Errorf("HostFault allocates %v times per call, want 0", allocs)
 	}
 }
 
@@ -279,8 +292,9 @@ func TestHostFaultAllocatesOnce(t *testing.T) {
 // profile.
 func BenchmarkHostFault(b *testing.B) {
 	f := HeavyFaultProfile()
+	clock := newClock()
 	b.ReportAllocs()
 	for i := range b.N {
-		f.HostFault(42, uint64(i))
+		f.HostFault(clock, 42, uint64(i))
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"time"
@@ -33,7 +34,8 @@ type GenConfig struct {
 	// Seed makes generation deterministic.
 	Seed int64
 	// SessionsPerHour is the Poisson arrival intensity as a function of
-	// elapsed time since Start. It must be bounded by MaxSessionsPerHour.
+	// elapsed time since Start. It must lie in [0, MaxSessionsPerHour], and
+	// MaxSessionsPerHour in (0, 3.6e9].
 	SessionsPerHour    func(elapsed time.Duration) float64
 	MaxSessionsPerHour float64
 	// ConcurrentSubmission models BDLT batch queues (Philly/Alibaba):
@@ -95,31 +97,36 @@ type Cohort struct {
 	TaskGPUs *IntWeights
 }
 
+// maxSessionsPerHour bounds MaxSessionsPerHour: thinning draws candidate
+// arrivals at that rate, and above one a microsecond on average the gaps
+// between them round to nothing and the generator's clock stops.
+const maxSessionsPerHour = 3.6e9
+
+// validate names the first field of c that cannot generate a workload. Each
+// range check is written to fail on a NaN, which a plain x <= 0 lets through.
 func (c GenConfig) validate() error {
 	switch {
 	case c.SessionsPerHour == nil:
 		return fmt.Errorf("trace: SessionsPerHour required")
-	case c.MaxSessionsPerHour <= 0:
-		return fmt.Errorf("trace: MaxSessionsPerHour must be positive")
+	case !(c.MaxSessionsPerHour > 0 && c.MaxSessionsPerHour <= maxSessionsPerHour):
+		return fmt.Errorf("trace: MaxSessionsPerHour is %v; it must lie in (0, %v]", c.MaxSessionsPerHour, maxSessionsPerHour)
 	case c.Duration <= 0:
-		return fmt.Errorf("trace: non-positive duration")
+		return fmt.Errorf("trace: Duration is %v; it must be positive", c.Duration)
 	case len(c.Cohorts) == 0:
 		return fmt.Errorf("trace: Cohorts required: a workload needs at least one cohort")
 	}
 	var total float64
 	for i, co := range c.Cohorts {
 		switch {
-		case co.SessionLifetime == nil || co.ThinkTime == nil || co.TaskDuration == nil || co.BurstGap == nil:
-			return fmt.Errorf("trace: cohort %d (%s): all samplers required", i, co.Name)
-		case co.RequestGPUs == nil || co.TaskGPUs == nil:
-			return fmt.Errorf("trace: cohort %d (%s): GPU samplers required", i, co.Name)
-		case co.Weight < 0:
-			return fmt.Errorf("trace: cohort %d (%s): negative weight %v", i, co.Name, co.Weight)
+		case co.SessionLifetime == nil || co.ThinkTime == nil || co.TaskDuration == nil || co.BurstGap == nil || co.RequestGPUs == nil || co.TaskGPUs == nil:
+			return fmt.Errorf("trace: Cohorts[%d] (%s): SessionLifetime, ThinkTime, TaskDuration, BurstGap, RequestGPUs and TaskGPUs are all required", i, co.Name)
+		case !(co.Weight >= 0 && co.Weight <= math.MaxFloat64):
+			return fmt.Errorf("trace: Cohorts[%d] (%s): Weight is %v; it must be finite and non-negative", i, co.Name, co.Weight)
 		}
 		total += co.Weight
 	}
-	if total <= 0 {
-		return fmt.Errorf("trace: cohort weights sum to zero")
+	if !(total > 0 && total <= math.MaxFloat64) {
+		return fmt.Errorf("trace: Cohorts' Weight values sum to %v; the sum must be positive and finite", total)
 	}
 	return nil
 }

@@ -112,8 +112,8 @@ func (g *StreamGen) Sessions(yield func(*Session) bool) error {
 			return nil
 		}
 		rate := cfg.SessionsPerHour(t.Sub(cfg.Start))
-		if rate > cfg.MaxSessionsPerHour {
-			return fmt.Errorf("trace: intensity %v exceeds MaxSessionsPerHour %v", rate, cfg.MaxSessionsPerHour)
+		if !(rate >= 0 && rate <= cfg.MaxSessionsPerHour) {
+			return fmt.Errorf("trace: SessionsPerHour is %v at %v, outside [0, MaxSessionsPerHour %v]", rate, t.Sub(cfg.Start), cfg.MaxSessionsPerHour)
 		}
 		if r.Float64()*cfg.MaxSessionsPerHour > rate {
 			continue // thinned
