@@ -1,8 +1,10 @@
-// Package notebookos_bench regenerates every table and figure of the
-// paper's evaluation as Go benchmarks: `go test -bench=. -benchmem` runs
-// each experiment at reduced (quick) scale and reports the headline
-// metric of the corresponding figure via b.ReportMetric. Full-scale runs
-// are available through cmd/nbos-sim.
+// Package notebookos_bench holds the root module's Go benchmarks: the live
+// protocol's round trips on a real 3-replica kernel, the scheduling and
+// routing kernels on a fixed fleet, the sharded runners, the four-policy
+// fan-out and trace generation. `go test -run xxx -bench . -benchmem` runs
+// them. The paper's figures come from cmd/nbos-sim, their seed-42 metrics
+// are pinned by internal/sim's TestGatedScenarios, and bench/ times whole
+// runs.
 package notebookos_bench
 
 import (
@@ -12,7 +14,6 @@ import (
 	"time"
 
 	"notebookos/internal/cluster"
-	"notebookos/internal/experiments"
 	"notebookos/internal/federation"
 	"notebookos/internal/platform"
 	"notebookos/internal/resources"
@@ -20,75 +21,6 @@ import (
 	"notebookos/internal/sim"
 	"notebookos/internal/trace"
 )
-
-// benchOpts are the shared reduced-scale options.
-var benchOpts = experiments.Options{Seed: 42, Quick: true}
-
-// runExperiment executes one experiment per benchmark iteration.
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	var out string
-	var err error
-	for i := 0; i < b.N; i++ {
-		out, err = e.Run(benchOpts)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if testing.Verbose() {
-		b.Log("\n" + out)
-	}
-	if len(out) == 0 {
-		b.Fatal("empty output")
-	}
-}
-
-func BenchmarkFig02aTaskDurationCDF(b *testing.B)    { runExperiment(b, "fig2a") }
-func BenchmarkFig02bIATCDF(b *testing.B)             { runExperiment(b, "fig2b") }
-func BenchmarkFig02cGPUUtilCDF(b *testing.B)         { runExperiment(b, "fig2c") }
-func BenchmarkFig02dReservedVsUtilized(b *testing.B) { runExperiment(b, "fig2d") }
-func BenchmarkTable1Catalog(b *testing.B)            { runExperiment(b, "table1") }
-func BenchmarkFig07ActiveTimeline(b *testing.B)      { runExperiment(b, "fig7") }
-
-// BenchmarkFig08ProvisionedGPUs also reports the headline GPU-hours saved.
-func BenchmarkFig08ProvisionedGPUs(b *testing.B) {
-	cfg := trace.AdobeExcerptConfig(42)
-	cfg.Duration = 4 * time.Hour
-	tr := trace.MustGenerate(cfg)
-	var saved float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{Trace: tr, Policy: sim.PolicyNotebookOS, Hosts: 30, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reserved := tr.ReservedGPUs().Integral(tr.Start, tr.End)
-		saved = reserved - res.ProvisionedGPUs.Integral(tr.Start, tr.End)
-	}
-	b.ReportMetric(saved, "GPUh-saved")
-}
-
-// BenchmarkFig09aInteractivity reports NotebookOS's p50 delay in ms.
-func BenchmarkFig09aInteractivity(b *testing.B) {
-	cfg := trace.AdobeExcerptConfig(42)
-	cfg.Duration = 4 * time.Hour
-	tr := trace.MustGenerate(cfg)
-	var p50 float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(sim.Config{Trace: tr, Policy: sim.PolicyNotebookOS, Hosts: 30, Seed: 42})
-		if err != nil {
-			b.Fatal(err)
-		}
-		p50 = res.Interactivity.Percentile(50) * 1000
-	}
-	b.ReportMetric(p50, "delay-p50-ms")
-}
-
-func BenchmarkFig09bTCT(b *testing.B)              { runExperiment(b, "fig9b") }
-func BenchmarkFig10SubscriptionRatio(b *testing.B) { runExperiment(b, "fig10") }
 
 // BenchmarkFig11SyncLatency measures the REAL protocol: a live 3-replica
 // kernel on the in-memory transport, timing small-object Raft sync.
@@ -109,49 +41,6 @@ func BenchmarkFig11SyncLatency(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkFig12aCost(b *testing.B)                { runExperiment(b, "fig12a") }
-func BenchmarkFig12bProfitMargin(b *testing.B)        { runExperiment(b, "fig12b") }
-func BenchmarkFig13GPUHoursSaved(b *testing.B)        { runExperiment(b, "fig13") }
-func BenchmarkFig14aAllocatableGPUs(b *testing.B)     { runExperiment(b, "fig14a") }
-func BenchmarkFig14bUsageRatio(b *testing.B)          { runExperiment(b, "fig14b") }
-func BenchmarkFig16BreakdownReservation(b *testing.B) { runExperiment(b, "fig16") }
-func BenchmarkFig17BreakdownBatch(b *testing.B)       { runExperiment(b, "fig17") }
-func BenchmarkFig18BreakdownNotebookOS(b *testing.B)  { runExperiment(b, "fig18") }
-func BenchmarkFig19BreakdownLCP(b *testing.B)         { runExperiment(b, "fig19") }
-func BenchmarkFig20SummerTimeline(b *testing.B)       { runExperiment(b, "fig20") }
-
-func BenchmarkAblationReplicationFactor(b *testing.B) { runExperiment(b, "ablation-replicas") }
-func BenchmarkAblationSRLimit(b *testing.B)           { runExperiment(b, "ablation-sr") }
-func BenchmarkAblationScaleFactor(b *testing.B)       { runExperiment(b, "ablation-f") }
-func BenchmarkAblationPrewarm(b *testing.B)           { runExperiment(b, "ablation-prewarm") }
-
-// BenchmarkFederationPooledSim measures one pooled-autoscaling federated
-// simulation (6 clusters over a 30-host budget, geo-banded latency matrix)
-// and reports GPU-hours saved plus the final live host count — the
-// pooled-floor drain the per-member autoscalers cannot reach.
-func BenchmarkFederationPooledSim(b *testing.B) {
-	cfg := trace.AdobeExcerptConfig(42)
-	cfg.Duration = 4 * time.Hour
-	tr := trace.MustGenerate(cfg)
-	var res *sim.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = sim.Run(sim.Config{
-			Trace:           tr,
-			Clusters:        sim.DefaultFedClusters(6, 30),
-			Route:           federation.LeastSubscribed(),
-			Latency:         federation.GeoBandedMatrix(6, 2, 5*time.Millisecond, 40*time.Millisecond),
-			PooledAutoscale: true,
-			Seed:            42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.GPUHoursSaved(), "GPUh-saved")
-	b.ReportMetric(float64(res.FinalHosts()), "final-hosts")
 }
 
 // BenchmarkShardedSim measures one 4-shard sharded NotebookOS run: the
@@ -178,8 +67,8 @@ func BenchmarkShardedSim(b *testing.B) {
 // path at reduced scale (a 1/16 window of the 90-day million-session
 // config, ~65k sessions): two workers synthesize their exact Poisson
 // splits lazily and merge, with no materialized trace. Its unsharded,
-// full-scale counterparts are the stream-million-90d benchsnap scenario and
-// the stream-scale experiment.
+// full-scale counterparts are the stream-million-90d gated scenario
+// (internal/sim TestGatedScenarios) and the stream-scale experiment.
 func BenchmarkStreamSharded(b *testing.B) {
 	gcfg := trace.MillionSessionConfig(42)
 	gcfg.Duration /= 16
@@ -198,12 +87,6 @@ func BenchmarkStreamSharded(b *testing.B) {
 	}
 	b.ReportMetric(sessions, "sessions")
 }
-
-// BenchmarkPolicyTournament runs the scorer-vs-baseline policy lab
-// end-to-end at quick scale: every scorer configuration crossed with the
-// scenario family and federation sizes 2 and 4, all on the SLO-aware
-// priority wait-queue.
-func BenchmarkPolicyTournament(b *testing.B) { runExperiment(b, "policy-tournament") }
 
 // BenchmarkScoredRouting measures one scored routing decision on the hot
 // path: snapshot every member, run the composite four-scorer sum, and
@@ -340,32 +223,6 @@ func BenchmarkFederationShardedSim(b *testing.B) {
 	b.ReportMetric(res.GPUHoursSaved(), "GPUh-saved")
 }
 
-// BenchmarkFederationSim measures one federated simulation (4 clusters,
-// least-subscribed routing) and reports the federation-wide GPU-hours
-// saved and the remote-execution share.
-func BenchmarkFederationSim(b *testing.B) {
-	cfg := trace.AdobeExcerptConfig(42)
-	cfg.Duration = 4 * time.Hour
-	tr := trace.MustGenerate(cfg)
-	var res *sim.Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = sim.Run(sim.Config{
-			Trace:    tr,
-			Clusters: sim.DefaultFedClusters(4, 30),
-			Route:    federation.LeastSubscribed(),
-			Seed:     42,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(res.GPUHoursSaved(), "GPUh-saved")
-	if res.Tasks > 0 {
-		b.ReportMetric(float64(res.RemoteExecutions)/float64(res.Tasks)*100, "remote-exec-%")
-	}
-}
-
 // BenchmarkExecutorElection measures the live LEAD/VOTE election + cell
 // execution round trip on a real 3-replica kernel (paper: "typically tens
 // of milliseconds").
@@ -425,24 +282,4 @@ func BenchmarkTraceGeneration(b *testing.B) {
 		tasks = tr.NumTasks()
 	}
 	b.ReportMetric(float64(tasks), "tasks")
-}
-
-// TestBenchCoversAllExperiments checks that every experiment
-// experiments.All registers has a benchmark in this file.
-func TestBenchCoversAllExperiments(t *testing.T) {
-	covered := map[string]bool{
-		"fig2a": true, "fig2b": true, "fig2c": true, "fig2d": true,
-		"table1": true, "fig7": true, "fig8": true, "fig9a": true,
-		"fig9b": true, "fig10": true, "fig11": true, "fig12a": true,
-		"fig12b": true, "fig13": true, "fig14a": true, "fig14b": true,
-		"fig16": true, "fig17": true, "fig18": true, "fig19": true,
-		"fig20": true, "ablation-replicas": true, "ablation-sr": true,
-		"ablation-f": true, "ablation-prewarm": true,
-		"stream-scale": true, "policy-tournament": true,
-	}
-	for _, e := range experiments.All() {
-		if !covered[e.ID] {
-			t.Errorf("experiment %s has no benchmark", e.ID)
-		}
-	}
 }

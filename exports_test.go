@@ -18,7 +18,7 @@ import (
 // some program uses.
 var exportsGuarded = []string{
 	"sim", "des", "trace", "metrics", "federation", "scheduler", "cluster",
-	"resources", "gpu", "store", "workload", "experiments", "benchsnap", "randprefix", "detmath",
+	"resources", "gpu", "store", "workload", "experiments", "randprefix", "detmath",
 	"raft", "kernel", "pynb", "jupyter", "container", "simclock", "control", "platform", "gateway",
 }
 
@@ -106,7 +106,7 @@ var resultFieldsAllowed = map[string]string{
 
 // TestResultFieldsHaveReaders fails on an exported field of sim.Result or
 // sim.FedClusterResult that no non-test file outside internal/sim selects.
-// Commands, experiments, benchsnap, examples and the bench/ module read
+// Commands, experiments, examples and the bench/ module read
 // results; internal/sim only records them, so a field only tests read is
 // recording kept for its tests: delete it with its recording. As
 // TestExportedNamesHaveUsers does for methods, the scan parses and matches a

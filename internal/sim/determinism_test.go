@@ -146,6 +146,78 @@ func TestRelabellingSessionsIsIdentity(t *testing.T) {
 	}
 }
 
+// TestRelabellingMembersIsIdentity: no decision depends on how a federation
+// member is spelled. A member's name prefixes its host IDs, which break
+// placement ties, and scopes its outages, so a decision that compared host
+// IDs across members, or iterated a map keyed by member name, would move
+// when the names do. Member order is not an identity: sessions are homed
+// round-robin by member index and route ties go to the lower index. A
+// 4-hour excerpt replays on four members, per-member and pooled autoscale,
+// fault-free, under the heavy profile and under az-outage with its outage
+// moved into the excerpt and scoped to one member, all of whose hosts it
+// kills (the excerpt's members idle at three hosts), once as c0..c3 and once
+// with every member renamed (other lengths, another string order) and the
+// outage's scope with it; each pair of fingerprints, member names mapped
+// back, must be byte-identical.
+func TestRelabellingMembersIsIdentity(t *testing.T) {
+	tr := shortTrace(t)
+	rename := map[string]string{"c0": "west", "c1": "az-b", "c2": "eu-central-1", "c3": "a"}
+	heavy := trace.HeavyFaultProfile()
+	outage := trace.AZOutageFaultProfile()
+	outage.Outages[0] = trace.OutageSpec{StartHour: 1, DurationHours: 1.5, HostFraction: 1, Cluster: "c1"}
+	outage.Degradations[0].StartHour = 1
+	fp := func(label string, pooled bool, faults *trace.FaultSpec, rename map[string]string) string {
+		clusters := DefaultFedClusters(4, 30)
+		back := map[string]string{}
+		for i, c := range clusters {
+			if n, ok := rename[c.Name]; ok {
+				clusters[i].Name = n
+			}
+			back[clusters[i].Name] = c.Name
+		}
+		if faults != nil {
+			f := *faults
+			f.Outages = slices.Clone(f.Outages)
+			for i, o := range f.Outages {
+				if n, ok := rename[o.Cluster]; ok {
+					f.Outages[i].Cluster = n
+				}
+			}
+			faults = &f
+		}
+		res, err := Run(Config{Trace: tr, Clusters: clusters, PooledAutoscale: pooled, Faults: faults, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for _, c := range res.Clusters {
+			c.Name = back[c.Name]
+		}
+		var b strings.Builder
+		fpLines{label, &b}.result(res, tr.Start, tr.End)
+		return b.String()
+	}
+	for _, pooled := range []bool{false, true} {
+		for _, f := range []struct {
+			label  string
+			faults *trace.FaultSpec
+		}{{"fault-free", nil}, {"heavy", &heavy}, {"az-outage", &outage}} {
+			label := f.label
+			if pooled {
+				label += "/pooled"
+			}
+			if a, b := fp(label, pooled, f.faults, nil), fp(label, pooled, f.faults, rename); a != b {
+				t.Errorf("%s: relabelling the members changed the run:\n--- as named\n%s--- relabelled\n%s", label, a, b)
+			}
+		}
+	}
+	// The outage must strike inside the excerpt, or its scope is never read.
+	unscheduled := outage
+	unscheduled.Outages = nil
+	if fp("az-outage", false, &outage, nil) == fp("az-outage", false, &unscheduled, nil) {
+		t.Error("az-outage: the scoped outage changed nothing; its window misses the excerpt")
+	}
+}
+
 // TestShiftingTheEpochIsIdentity: no decision depends on the wall-clock
 // date. The sim keeps its clock in absolute time, anchors the sampling and
 // autoscale ticks and the fault windows at the run's start, and the

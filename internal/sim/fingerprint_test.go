@@ -34,6 +34,33 @@ func goldenFile(t *testing.T, name, got string) string {
 	return string(want)
 }
 
+// diffGolden fails t on each line of got that differs from want, the pinned
+// content of testdata/name, naming the scenario and field that moved; past
+// 40 differing lines it only counts them.
+func diffGolden(t *testing.T, name, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	diffs := 0
+	for i := 0; i < len(gl) || i < len(wl); i++ {
+		var g, w string
+		if i < len(gl) {
+			g = gl[i]
+		}
+		if i < len(wl) {
+			w = wl[i]
+		}
+		if g != w {
+			if diffs++; diffs <= 40 {
+				t.Errorf("line %d:\n  golden: %s\n  got:    %s", i+1, w, g)
+			}
+		}
+	}
+	t.Errorf("%d of %d lines differ from testdata/%s", diffs, len(wl), name)
+}
+
 // fpLines accumulates one "<scenario> <field>=<value>" line per pinned
 // value, so a golden diff names the runner and the field that moved.
 type fpLines struct {
@@ -289,25 +316,6 @@ func TestRunnerFingerprints(t *testing.T) {
 		fpLines{scenario: c.label, b: &b}.result(r, start, end)
 	}
 
-	const golden = "testdata/runner_fingerprints.golden"
 	got := b.String()
-	if want := goldenFile(t, "runner_fingerprints.golden", got); got != want {
-		gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-		diffs := 0
-		for i := 0; i < len(gl) || i < len(wl); i++ {
-			var g, w string
-			if i < len(gl) {
-				g = gl[i]
-			}
-			if i < len(wl) {
-				w = wl[i]
-			}
-			if g != w {
-				if diffs++; diffs <= 40 {
-					t.Errorf("line %d:\n  golden: %s\n  got:    %s", i+1, w, g)
-				}
-			}
-		}
-		t.Errorf("%d of %d fingerprint lines differ from %s", diffs, len(wl), golden)
-	}
+	diffGolden(t, "runner_fingerprints.golden", got, goldenFile(t, "runner_fingerprints.golden", got))
 }

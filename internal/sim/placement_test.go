@@ -74,7 +74,7 @@ func TestReplicaPlacementIsChecked(t *testing.T) {
 }
 
 // TestAdmissionAllocationBudget pins what admitting a session costs the
-// allocator, the way benchsnap's summer-10d-quick pins a whole run's: a
+// allocator, the way TestSummerRunAllocations pins a whole run's: a
 // short streaming NotebookOS run under lean metrics, whole-run allocations
 // divided by sessions admitted. The budget is the measured 5.35 rounded up
 // (it was 19.69 when admission built replica keys, a holder string, the

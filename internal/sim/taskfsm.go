@@ -46,8 +46,8 @@ import (
 // Byte-identity contract: the machine replicates the closure chains it
 // replaced exactly — same event-scheduling topology (so engine sequence
 // numbers, and therefore tie-breaks, are unchanged) and same RNG draw order
-// within each phase. CI's benchsnap gated metrics and TestRunnerFingerprints
-// pin this.
+// within each phase. TestGatedScenarios and TestRunnerFingerprints pin
+// this.
 //
 // The machine is also the fault layer's handle on an in-flight task
 // (faults.go): abort marks it dead — already-scheduled phase events no-op

@@ -437,15 +437,6 @@ func (s ScenarioSpec) Config(seed int64) (GenConfig, error) {
 	}, nil
 }
 
-// MustConfig is Config that panics on error; for registry literals & tests.
-func (s ScenarioSpec) MustConfig(seed int64) GenConfig {
-	cfg, err := s.Config(seed)
-	if err != nil {
-		panic(err)
-	}
-	return cfg
-}
-
 // ParseScenario decodes and validates a JSON spec (see parseSpec).
 func ParseScenario(data []byte) (ScenarioSpec, error) {
 	return parseSpec(data, "scenario", (*ScenarioSpec).Validate)

@@ -66,7 +66,10 @@ func TestScenarioDoubleRunByteIdentical(t *testing.T) {
 // drive both execution modes interchangeably.
 func TestScenarioStreamK1BitIdentical(t *testing.T) {
 	for _, s := range BuiltinScenarios() {
-		cfg := s.MustConfig(42)
+		cfg, err := s.Config(42)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
 		tr := MustGenerate(cfg)
 		g, err := NewStreamGen(cfg, 0, 1)
 		if err != nil {
@@ -91,7 +94,10 @@ func TestScenarioStreamK1BitIdentical(t *testing.T) {
 // in-window and internally ordered, cohort labels drawn from the spec.
 func TestScenarioStreamUnionMatchesExpectation(t *testing.T) {
 	for _, s := range BuiltinScenarios() {
-		cfg := s.MustConfig(7)
+		cfg, err := s.Config(7)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
 		const k = 4
 		gens, err := StreamSplit(cfg, k)
 		if err != nil {
@@ -136,7 +142,10 @@ func TestScenarioStreamUnionMatchesExpectation(t *testing.T) {
 // recovers the whole-workload expectation (up to per-shard ceil rounding).
 func TestScenarioExpectShardConservation(t *testing.T) {
 	for _, s := range BuiltinScenarios() {
-		cfg := s.MustConfig(1)
+		cfg, err := s.Config(1)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
 		whole := cfg.Expect(1)
 		for _, k := range []int{2, 4, 8} {
 			per := cfg.Expect(k)
@@ -158,7 +167,10 @@ func TestScenarioExpectShardConservation(t *testing.T) {
 // compound lifetime clamping with cycle-rate blending).
 func TestScenarioExpectMatchesGenerate(t *testing.T) {
 	for _, s := range BuiltinScenarios() {
-		cfg := s.MustConfig(21)
+		cfg, err := s.Config(21)
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
 		tr := MustGenerate(cfg)
 		exp := cfg.Expect(1)
 		got := tr.AsSource().Expect()

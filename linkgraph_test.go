@@ -59,9 +59,8 @@ func TestSimulatorLinkGraph(t *testing.T) {
 	denied := append([]string{"platform", "gateway"}, liveCore...)
 
 	simHalf := importClosure(t,
-		"notebookos/internal/sim", "notebookos/internal/experiments", "notebookos/internal/benchsnap",
-		"notebookos/cmd/nbos-sim", "notebookos/cmd/nbos-bench-snap", "notebookos/cmd/nbos-bench-diff",
-		"notebookos/cmd/nbos-trace",
+		"notebookos/internal/sim", "notebookos/internal/experiments",
+		"notebookos/cmd/nbos-sim", "notebookos/cmd/nbos-trace",
 		"notebookos/bench", // the nested module: its directory parses like any other
 	)
 	for _, name := range denied {
