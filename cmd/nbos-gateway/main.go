@@ -48,7 +48,7 @@ func main() {
 	defer p.Stop()
 
 	log.Printf("NotebookOS gateway listening on %s (%d hosts, %d GPUs)",
-		*addr, *hosts, p.Cluster.TotalGPUs())
+		*addr, *hosts, p.Status().TotalGPUs)
 	if err := http.ListenAndServe(*addr, gateway.New(p)); err != nil {
 		log.Fatal(err)
 	}

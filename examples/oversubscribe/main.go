@@ -9,6 +9,7 @@ import (
 	"log"
 	"time"
 
+	"notebookos/internal/cluster"
 	"notebookos/internal/platform"
 	"notebookos/internal/resources"
 )
@@ -34,13 +35,15 @@ func main() {
 	// Saturate the three hosts carrying the victim's replicas so no
 	// replica can bind 8 GPUs.
 	blocked := 0
-	for _, h := range p.Cluster.Hosts() {
-		if h.NumReplicas() > 0 {
-			if err := h.Commit("blocker-"+h.ID, resources.Spec{GPUs: 1}); err == nil {
-				blocked++
+	p.Scheduler.WithCluster(func(c *cluster.Cluster) {
+		for _, h := range c.Hosts() {
+			if h.NumReplicas() > 0 {
+				if err := h.Commit("blocker-"+h.ID, resources.Spec{GPUs: 1}); err == nil {
+					blocked++
+				}
 			}
 		}
-	}
+	})
 	fmt.Printf("saturated %d replica hosts with interfering work\n\n", blocked)
 
 	fmt.Println("submitting a training cell: all replicas must YIELD -> migration")

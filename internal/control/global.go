@@ -1,6 +1,7 @@
 package control
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -46,13 +47,16 @@ const scaleFactor = 1.05
 // Config configures the Global Scheduler.
 type Config struct {
 	// Cluster is the host inventory; scale-out adds hosts to it. Scale-in
-	// never shrinks it below its size at New.
+	// never shrinks it below its size at New. The scheduler owns it from
+	// New on: every later call into it, its hosts or their device pools
+	// goes through WithCluster.
 	Cluster *cluster.Cluster
 	// PrewarmPerHost is the pre-warmed pool size per server (§3.2.3).
 	PrewarmPerHost int
-	// HostFactory creates new hosts during scale-out. Nil disables
-	// scale-out.
-	HostFactory func(n int) []*cluster.Host
+	// ScaleOut lets the scheduler add p3.16xlarge hosts when placement
+	// finds too few candidates, when a migration finds no target, and when
+	// the auto-scaler asks for capacity.
+	ScaleOut bool
 	// AutoscaleInterval is how often the auto-scaler runs (0 disables).
 	AutoscaleInterval time.Duration
 	// OnReply receives the aggregated (executor) execute_reply per
@@ -79,11 +83,8 @@ type nopLogger struct{}
 func (nopLogger) Logf(string, ...any) {}
 
 type pendingExec struct {
-	msg      jupyter.Message
-	session  string
-	executor int // designated executor (0 if undesignated)
-	leads    map[int]bool
-	replied  bool
+	msg     jupyter.Message
+	replied bool
 }
 
 type kernelState struct {
@@ -108,6 +109,13 @@ type GlobalScheduler struct {
 	cfg      Config
 	store    store.Store
 	minHosts int
+
+	// cl serializes every call into cfg.Cluster, its hosts and their device
+	// pools, which are single-owner data (package cluster); the Local
+	// Schedulers share it. It is held for those calls alone, never across
+	// provisioning, kernel start, a sleep or a reply. Lock order: a
+	// kernelState's mu, then cl, then the scheduler's mu below.
+	cl sync.Mutex
 
 	mu      sync.Mutex
 	locals  map[string]*LocalScheduler
@@ -166,7 +174,7 @@ func New(cfg Config) (*GlobalScheduler, error) {
 
 // attachHost creates the Local Scheduler for h and pre-warms its pool.
 func (gs *GlobalScheduler) attachHost(h *cluster.Host) *LocalScheduler {
-	ls := NewLocalScheduler(h, gs.prov, gs.prewarm)
+	ls := NewLocalScheduler(h, &gs.cl, gs.prov, gs.prewarm)
 	gs.mu.Lock()
 	gs.locals[h.ID] = ls
 	gs.mu.Unlock()
@@ -237,15 +245,9 @@ func (gs *GlobalScheduler) recordEvent(kind scheduler.EventKind, detail string) 
 // candidate hosts (scaling out if needed), provision replica containers
 // via the Local Schedulers, start the replicas, and register routing.
 func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.Spec) error {
-	hosts, err := gs.selectHostsScalingOut(req, kernel.Replicas)
+	hosts, err := gs.place(kernelID, req)
 	if err != nil {
 		return err
-	}
-	// Subscribe the replicas on their hosts.
-	for i, h := range hosts {
-		if err := h.PlaceReplica(replicaKey(kernelID, i+1), req); err != nil {
-			return err
-		}
 	}
 	// Provision containers in parallel (cold or pre-warmed).
 	var wg sync.WaitGroup
@@ -312,58 +314,53 @@ func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.S
 	return nil
 }
 
-// selectHostsScalingOut places least-loaded, triggering a scale-out and
-// retrying when there are not enough viable candidates (§3.4.2).
-func (gs *GlobalScheduler) selectHostsScalingOut(req resources.Spec, n int) ([]*cluster.Host, error) {
-	hosts, err := scheduler.LeastLoaded{}.SelectHosts(gs.cfg.Cluster, req, n)
-	if err == nil {
-		return hosts, nil
+// place selects least-loaded hosts for a kernel's replicas and subscribes
+// the replicas on them in one critical section, scaling out and retrying
+// once when there are not enough viable candidates (§3.4.2).
+func (gs *GlobalScheduler) place(kernelID string, req resources.Spec) ([]*cluster.Host, error) {
+	for mayScaleOut := gs.cfg.ScaleOut; ; mayScaleOut = false {
+		gs.cl.Lock()
+		hosts, err := scheduler.LeastLoaded{}.SelectHosts(gs.cfg.Cluster, req, kernel.Replicas)
+		for i := 0; err == nil && i < len(hosts); i++ {
+			err = hosts[i].PlaceReplica(replicaKey(kernelID, i+1), req)
+		}
+		gs.cl.Unlock()
+		if hosts != nil || !mayScaleOut {
+			return hosts, err
+		}
+		gs.ScaleOut(kernel.Replicas)
 	}
-	if gs.hostFactory() == nil {
-		return nil, err
-	}
-	missing := n - len(hosts)
-	if missing < 1 {
-		missing = 1
-	}
-	gs.ScaleOut(missing)
-	return scheduler.LeastLoaded{}.SelectHosts(gs.cfg.Cluster, req, n)
 }
 
-// SetHostFactory installs (or replaces) the scale-out host factory after
-// construction; the platform uses it because the standard factory needs a
-// reference to the scheduler itself.
-func (gs *GlobalScheduler) SetHostFactory(f func(n int) []*cluster.Host) {
-	gs.mu.Lock()
-	gs.cfg.HostFactory = f
-	gs.mu.Unlock()
+// WithCluster runs fn under the cluster lock: the way in to the cluster,
+// its hosts and their device pools once New has them. fn must not call
+// back into the scheduler.
+func (gs *GlobalScheduler) WithCluster(fn func(c *cluster.Cluster)) {
+	gs.cl.Lock()
+	defer gs.cl.Unlock()
+	fn(gs.cfg.Cluster)
 }
 
-// hostFactory reads the factory under the lock.
-func (gs *GlobalScheduler) hostFactory() func(n int) []*cluster.Host {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	return gs.cfg.HostFactory
-}
-
-// ScaleOut provisions n additional hosts via the host factory.
+// ScaleOut adds n p3.16xlarge hosts, each with its Local Scheduler, when
+// the configuration allows scale-out.
 func (gs *GlobalScheduler) ScaleOut(n int) {
-	factory := gs.hostFactory()
-	if factory == nil || n <= 0 {
+	if !gs.cfg.ScaleOut || n <= 0 {
 		return
 	}
-	newHosts := factory(n)
-	for _, h := range newHosts {
+	for i := 0; i < n; i++ {
+		h := cluster.NewHost(gs.hostID(), resources.P316xlarge())
+		gs.cl.Lock()
 		if err := gs.cfg.Cluster.AddHost(h); err != nil {
 			gs.cfg.Logger.Logf("scheduler: scale-out add host: %v", err)
-			continue
+		} else {
+			gs.attachHost(h)
 		}
-		gs.attachHost(h)
+		gs.cl.Unlock()
 	}
 	gs.mu.Lock()
 	gs.stats.ScaleOuts++
 	gs.mu.Unlock()
-	gs.recordEvent(scheduler.EventScaleOut, fmt.Sprintf("+%d hosts", len(newHosts)))
+	gs.recordEvent(scheduler.EventScaleOut, fmt.Sprintf("+%d hosts", n))
 }
 
 // StopKernel terminates a kernel and releases its subscriptions.
@@ -385,7 +382,7 @@ func (gs *GlobalScheduler) StopKernel(kernelID string) error {
 		if ls, ok := gs.Local(h.ID); ok {
 			ls.UnregisterReplica(key)
 		}
-		_ = h.RemoveReplica(key)
+		gs.removeReplica(h, key)
 	}
 	return nil
 }
@@ -431,6 +428,7 @@ func (gs *GlobalScheduler) dispatch(ks *kernelState, term uint64, msg jupyter.Me
 	// executor's replica if its host has capacity (executor reuse), then
 	// any replica whose host can commit immediately.
 	executor := forcedExecutor
+	gs.cl.Lock()
 	if executor == 0 && last != 0 {
 		if h, ok := replicaHosts[last]; ok && h.CanCommit(ks.req) {
 			executor = last
@@ -444,10 +442,10 @@ func (gs *GlobalScheduler) dispatch(ks *kernelState, term uint64, msg jupyter.Me
 			}
 		}
 	}
+	gs.cl.Unlock()
 
-	pend := &pendingExec{msg: msg, session: ks.session, executor: executor, leads: map[int]bool{}}
 	ks.mu.Lock()
-	ks.pending[term] = pend
+	ks.pending[term] = &pendingExec{msg: msg}
 	ks.mu.Unlock()
 
 	gs.mu.Lock()
@@ -472,14 +470,8 @@ func (gs *GlobalScheduler) dispatch(ks *kernelState, term uint64, msg jupyter.Me
 			m = m.AsYield(executor)
 			m = m.WithMeta(jupyter.MetaElectionTermID, fmt.Sprint(term))
 		}
-		lead, err := ls.ForwardExecute(replicaKey(ks.id, i), execHolder(ks.id, i, term), m, ks.req)
-		if err != nil && firstErr == nil {
+		if _, err := ls.ForwardExecute(replicaKey(ks.id, i), execHolder(ks.id, i, term), m, ks.req); err != nil && firstErr == nil {
 			firstErr = err
-		}
-		if lead {
-			ks.mu.Lock()
-			pend.leads[i] = true
-			ks.mu.Unlock()
 		}
 	}
 	return firstErr
@@ -546,27 +538,19 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 	oldHost := ks.hosts[victim]
 	ks.mu.Unlock()
 
-	// Provision the destination container (pre-warmed when available).
-	ls, _ := gs.Local(target.ID)
-	if ls == nil {
-		gs.failExecution(ks, term, "migration target has no local scheduler")
-		return
+	// Provision the destination container (pre-warmed when available), then
+	// swap the replica onto a fresh Raft member (checkpoint, terminate,
+	// reconfigure, restore, replay). findMigration subscribed it on target.
+	var newReplica *kernel.Replica
+	var err error
+	ls, ok := gs.Local(target.ID)
+	if !ok {
+		err = errors.New("migration target has no local scheduler")
+	} else if _, _, err = ls.ProvisionReplica(oldKey); err == nil {
+		newReplica, err = ks.k.ReplaceReplica(victim, 60*time.Second)
 	}
-	if err := target.PlaceReplica(oldKey, ks.req); err != nil {
-		gs.failExecution(ks, term, err.Error())
-		return
-	}
-	if _, _, err := ls.ProvisionReplica(oldKey); err != nil {
-		_ = target.RemoveReplica(oldKey)
-		gs.failExecution(ks, term, err.Error())
-		return
-	}
-
-	// Swap the replica onto a fresh Raft member (checkpoint, terminate,
-	// reconfigure, restore, replay).
-	newReplica, err := ks.k.ReplaceReplica(victim, 60*time.Second)
 	if err != nil {
-		_ = target.RemoveReplica(oldKey)
+		gs.removeReplica(target, oldKey)
 		gs.failExecution(ks, term, err.Error())
 		return
 	}
@@ -575,7 +559,7 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 		if oldLS, ok := gs.Local(oldHost.ID); ok {
 			oldLS.UnregisterReplica(oldKey)
 		}
-		_ = oldHost.RemoveReplica(oldKey)
+		gs.removeReplica(oldHost, oldKey)
 	}
 	ls.RegisterReplica(oldKey, newReplica.HandleRequest)
 	ks.mu.Lock()
@@ -595,12 +579,22 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 	}
 }
 
+// removeReplica unsubscribes a replica from h under the cluster lock.
+func (gs *GlobalScheduler) removeReplica(h *cluster.Host, key string) {
+	gs.cl.Lock()
+	_ = h.RemoveReplica(key)
+	gs.cl.Unlock()
+}
+
 // findMigration picks the replica to move and a destination host with
-// idle resources, retrying per the configured policy. The destination
-// must be able to immediately and exclusively commit the request.
+// idle resources, retrying per the configured policy, and subscribes the
+// replica on the destination in the critical section that chose it, so a
+// scale-in cannot retire the host in between. The destination must be able
+// to immediately and exclusively commit the request.
 func (gs *GlobalScheduler) findMigration(ks *kernelState) (victim int, target *cluster.Host) {
 	for attempt := 0; attempt < gs.cfg.MigrationRetries; attempt++ {
 		ks.mu.Lock()
+		gs.cl.Lock()
 		hosting := map[string]bool{}
 		for _, h := range ks.hosts {
 			hosting[h.ID] = true
@@ -630,6 +624,10 @@ func (gs *GlobalScheduler) findMigration(ks *kernelState) (victim int, target *c
 				best = h
 			}
 		}
+		if best != nil && best.PlaceReplica(replicaKey(ks.id, victim), ks.req) != nil {
+			best = nil
+		}
+		gs.cl.Unlock()
 		if best != nil {
 			return victim, best
 		}
@@ -685,6 +683,7 @@ func (gs *GlobalScheduler) autoscaleLoop() {
 // AutoscaleOnce runs one auto-scaler evaluation; autoscaleLoop calls it
 // every AutoscaleInterval.
 func (gs *GlobalScheduler) AutoscaleOnce() {
+	gs.cl.Lock()
 	c := gs.cfg.Cluster
 	expected := scaleFactor * float64(c.CommittedGPUs())
 	gpusPerHost := 8
@@ -693,11 +692,12 @@ func (gs *GlobalScheduler) AutoscaleOnce() {
 	}
 	total := c.TotalGPUs()
 
-	if float64(total) < expected && gs.hostFactory() != nil {
-		need := int(math.Ceil((expected - float64(total)) / float64(gpusPerHost)))
-		gs.ScaleOut(need)
+	if float64(total) < expected && gs.cfg.ScaleOut {
+		gs.cl.Unlock()
+		gs.ScaleOut(int(math.Ceil((expected - float64(total)) / float64(gpusPerHost))))
 		return
 	}
+	defer gs.cl.Unlock()
 	// Scale in gradually: release 1-2 idle servers at a time.
 	if float64(total)-float64(gpusPerHost) > expected && c.NumHosts() > gs.minHosts {
 		released := 0
@@ -728,17 +728,6 @@ func (gs *GlobalScheduler) hostID() string {
 	defer gs.mu.Unlock()
 	gs.hostSeq++
 	return fmt.Sprintf("host-auto-%03d", gs.hostSeq)
-}
-
-// StandardHostFactory mints p3.16xlarge-shaped hosts for scale-out.
-func StandardHostFactory(gs *GlobalScheduler) func(n int) []*cluster.Host {
-	return func(n int) []*cluster.Host {
-		out := make([]*cluster.Host, 0, n)
-		for i := 0; i < n; i++ {
-			out = append(out, cluster.NewHost(gs.hostID(), resources.P316xlarge()))
-		}
-		return out
-	}
 }
 
 func replicaKey(kernelID string, replica int) string {

@@ -17,6 +17,9 @@ import (
 // committed) or must yield (request converted to a yield_request).
 type LocalScheduler struct {
 	Host *cluster.Host
+	// cl is the Global Scheduler's cluster lock, under which every call
+	// into Host and its device pool is made.
+	cl *sync.Mutex
 
 	prov     *container.Provisioner
 	prewarm  *container.Prewarmer
@@ -28,10 +31,12 @@ type LocalScheduler struct {
 // replicaEndpoint delivers a request to a replica hosted on this server.
 type replicaEndpoint func(msg jupyter.Message) error
 
-// NewLocalScheduler returns a local scheduler for host.
-func NewLocalScheduler(host *cluster.Host, prov *container.Provisioner, prewarm *container.Prewarmer) *LocalScheduler {
+// NewLocalScheduler returns a local scheduler for host, whose calls into the
+// host it makes under the cluster lock cl.
+func NewLocalScheduler(host *cluster.Host, cl *sync.Mutex, prov *container.Provisioner, prewarm *container.Prewarmer) *LocalScheduler {
 	return &LocalScheduler{
 		Host:     host,
+		cl:       cl,
 		prov:     prov,
 		prewarm:  prewarm,
 		replicas: map[string]replicaEndpoint{},
@@ -103,10 +108,9 @@ func (ls *LocalScheduler) ForwardExecute(replicaID, holder string, msg jupyter.M
 		// Already converted by the Global Scheduler: no resources bind.
 		return false, deliver(msg)
 	}
-	lead = true
-	if err := ls.Host.Commit(holder, req); err != nil {
-		lead = false
-	} else if req.GPUs > 0 {
+	ls.cl.Lock()
+	lead = ls.Host.Commit(holder, req) == nil
+	if lead && req.GPUs > 0 {
 		ids, gerr := ls.Host.Devices().Allocate(holder, req.GPUs)
 		if gerr != nil {
 			// Commitment succeeded but devices are fragmented/busy; release
@@ -117,6 +121,7 @@ func (ls *LocalScheduler) ForwardExecute(replicaID, holder string, msg jupyter.M
 			msg = msg.WithMeta(jupyter.MetaGPUDeviceIDs, fmt.Sprint(ids))
 		}
 	}
+	ls.cl.Unlock()
 	if !lead {
 		msg = msg.AsYield(0)
 	}
@@ -125,6 +130,8 @@ func (ls *LocalScheduler) ForwardExecute(replicaID, holder string, msg jupyter.M
 
 // ReleaseExecution returns the resources committed for holder, if any.
 func (ls *LocalScheduler) ReleaseExecution(holder string) {
+	ls.cl.Lock()
+	defer ls.cl.Unlock()
 	if _, ok := ls.Host.Devices().Holding(holder); ok {
 		_ = ls.Host.Devices().Release(holder)
 	}

@@ -2,6 +2,7 @@ package control
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +54,14 @@ func newGS(t *testing.T, hosts int, opts ...func(*Config)) *GlobalScheduler {
 	return gs
 }
 
+// read returns fn's value computed under the scheduler's cluster lock: how
+// a test reads the cluster while kernels run.
+func read[T any](gs *GlobalScheduler, fn func(c *cluster.Cluster) T) T {
+	var v T
+	gs.WithCluster(func(c *cluster.Cluster) { v = fn(c) })
+	return v
+}
+
 type replySink struct {
 	mu      sync.Mutex
 	replies []jupyter.ExecuteReplyContent
@@ -85,14 +94,16 @@ func TestStartKernelPlacesThreeReplicas(t *testing.T) {
 	if err := gs.StartKernel("k1", "sess1", gpuReq(2)); err != nil {
 		t.Fatal(err)
 	}
-	placed := 0
-	for _, h := range gs.cfg.Cluster.Hosts() {
-		placed += h.NumReplicas()
-	}
+	placed := read(gs, func(c *cluster.Cluster) (n int) {
+		for _, h := range c.Hosts() {
+			n += h.NumReplicas()
+		}
+		return n
+	})
 	if placed != 3 {
 		t.Fatalf("placed %d replicas, want 3", placed)
 	}
-	if got := gs.cfg.Cluster.SubscribedGPUs(); got != 6 {
+	if got := read(gs, (*cluster.Cluster).SubscribedGPUs); got != 6 {
 		t.Fatalf("subscribed = %d", got)
 	}
 	events := gs.Events()
@@ -117,7 +128,7 @@ func TestExecuteRoutesAndReplies(t *testing.T) {
 	}
 	// All execution commitments must be released after the reply.
 	waitFor(t, func() bool {
-		return gs.cfg.Cluster.CommittedGPUs() == 0
+		return read(gs, (*cluster.Cluster).CommittedGPUs) == 0
 	}, "commitments released")
 	st := gs.Stats()
 	if st.Executions != 1 || st.ImmediateCommits != 1 {
@@ -155,21 +166,13 @@ func TestExecuteUnknownKernel(t *testing.T) {
 }
 
 func TestStartKernelScalesOutWhenNeeded(t *testing.T) {
-	gs := newGS(t, 1, func(c *Config) {
-		c.HostFactory = func(n int) []*cluster.Host {
-			out := make([]*cluster.Host, n)
-			for i := range out {
-				out[i] = cluster.NewHost(fmt.Sprintf("auto%d", i), resources.P316xlarge())
-			}
-			return out
-		}
-	})
+	gs := newGS(t, 1, func(c *Config) { c.ScaleOut = true })
 	// One host cannot place 3 replicas: the scheduler must scale out.
 	if err := gs.StartKernel("k1", "s", gpuReq(1)); err != nil {
 		t.Fatalf("StartKernel with scale-out: %v", err)
 	}
-	if gs.cfg.Cluster.NumHosts() < 3 {
-		t.Fatalf("hosts = %d, want >= 3", gs.cfg.Cluster.NumHosts())
+	if n := read(gs, (*cluster.Cluster).NumHosts); n < 3 {
+		t.Fatalf("hosts = %d, want >= 3", n)
 	}
 	if gs.Stats().ScaleOuts == 0 {
 		t.Fatal("scale-out not recorded")
@@ -184,20 +187,22 @@ func TestMigrationOnSaturatedHosts(t *testing.T) {
 	}
 	// Saturate the three hosts holding k1's replicas so no replica can
 	// commit 8 GPUs: the election fails and a migration must kick in.
-	var kernelHosts []*cluster.Host
-	for _, h := range gs.cfg.Cluster.Hosts() {
-		if h.NumReplicas() > 0 {
-			kernelHosts = append(kernelHosts, h)
+	gs.WithCluster(func(c *cluster.Cluster) {
+		var kernelHosts []*cluster.Host
+		for _, h := range c.Hosts() {
+			if h.NumReplicas() > 0 {
+				kernelHosts = append(kernelHosts, h)
+			}
 		}
-	}
-	if len(kernelHosts) != 3 {
-		t.Fatalf("kernel hosts = %d", len(kernelHosts))
-	}
-	for _, h := range kernelHosts {
-		if err := h.Commit("blocker-"+h.ID, gpuReq(1)); err != nil {
-			t.Fatal(err)
+		if len(kernelHosts) != 3 {
+			t.Fatalf("kernel hosts = %d", len(kernelHosts))
 		}
-	}
+		for _, h := range kernelHosts {
+			if err := h.Commit("blocker-"+h.ID, gpuReq(1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 	if _, _, err := gs.Execute("k1", "v = 7\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +215,7 @@ func TestMigrationOnSaturatedHosts(t *testing.T) {
 		t.Fatalf("migrations = %d, want 1", gs.Stats().Migrations)
 	}
 	// The migrated replica now lives on the fourth (previously empty) host.
-	foundOnFourth := false
-	for _, h := range gs.cfg.Cluster.Hosts() {
-		if h.NumReplicas() > 0 && h.ID == "h04" {
-			foundOnFourth = true
-		}
-	}
-	if !foundOnFourth {
+	if !read(gs, func(c *cluster.Cluster) bool { return c.Hosts()[3].NumReplicas() > 0 }) {
 		t.Fatal("migration target should be the idle fourth host")
 	}
 }
@@ -231,11 +230,13 @@ func TestMigrationAbortsWithoutTarget(t *testing.T) {
 	if err := gs.StartKernel("k1", "s", gpuReq(8)); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range gs.cfg.Cluster.Hosts() {
-		if err := h.Commit("blocker-"+h.ID, gpuReq(1)); err != nil {
-			t.Fatal(err)
+	gs.WithCluster(func(c *cluster.Cluster) {
+		for _, h := range c.Hosts() {
+			if err := h.Commit("blocker-"+h.ID, gpuReq(1)); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
+	})
 	if _, _, err := gs.Execute("k1", "v = 7\n"); err != nil {
 		t.Fatal(err)
 	}
@@ -250,31 +251,26 @@ func TestMigrationAbortsWithoutTarget(t *testing.T) {
 }
 
 func TestAutoscalerScalesOutAndIn(t *testing.T) {
-	gs := newGS(t, 2, func(c *Config) {
-		c.HostFactory = func(n int) []*cluster.Host {
-			out := make([]*cluster.Host, n)
-			for i := range out {
-				out[i] = cluster.NewHost(fmt.Sprintf("auto-%d-%d", time.Now().UnixNano(), i), resources.P316xlarge())
-			}
-			return out
-		}
-	})
-	c := gs.cfg.Cluster
+	gs := newGS(t, 2, func(c *Config) { c.ScaleOut = true })
 	// Commit 20 of 16 GPUs? Impossible; commit 15 to force expansion:
 	// expected = 1.05*15 = 15.75 < 16, no scale-out. Commit 16:
-	hosts := c.Hosts()
-	hosts[0].Commit("a", gpuReq(8))
-	hosts[1].Commit("b", gpuReq(8))
+	hosts := read(gs, (*cluster.Cluster).Hosts)
+	gs.WithCluster(func(*cluster.Cluster) {
+		hosts[0].Commit("a", gpuReq(8))
+		hosts[1].Commit("b", gpuReq(8))
+	})
 	gs.AutoscaleOnce() // expected = 16.8 > 16: add 1 host
-	if c.NumHosts() != 3 {
-		t.Fatalf("hosts = %d, want 3 after scale-out", c.NumHosts())
+	if n := read(gs, (*cluster.Cluster).NumHosts); n != 3 {
+		t.Fatalf("hosts = %d, want 3 after scale-out", n)
 	}
 	// Release everything: expected = 0, scale-in down to the two hosts
 	// the scheduler started with.
-	hosts[0].Release("a")
-	hosts[1].Release("b")
+	gs.WithCluster(func(*cluster.Cluster) {
+		hosts[0].Release("a")
+		hosts[1].Release("b")
+	})
 	gs.AutoscaleOnce()
-	if got := c.NumHosts(); got != 2 {
+	if got := read(gs, (*cluster.Cluster).NumHosts); got != 2 {
 		t.Fatalf("hosts = %d, want 2 after scale-in", got)
 	}
 	st := gs.Stats()
@@ -294,19 +290,17 @@ func TestStopKernelReleasesSubscriptions(t *testing.T) {
 	if err := gs.StopKernel("k1"); err == nil {
 		t.Fatal("double stop must fail")
 	}
-	if got := gs.cfg.Cluster.SubscribedGPUs(); got != 0 {
+	if got := read(gs, (*cluster.Cluster).SubscribedGPUs); got != 0 {
 		t.Fatalf("subscribed = %d after stop", got)
 	}
 }
 
 func TestLocalSchedulerYieldConversion(t *testing.T) {
-	h := cluster.NewHost("h1", resources.P316xlarge())
 	gs := newGS(t, 1)
 	ls, _ := gs.Local("h01")
 	if ls == nil {
 		t.Fatal("missing local scheduler")
 	}
-	_ = h
 	var got []jupyter.Message
 	var mu sync.Mutex
 	ls.RegisterReplica("k/r1", func(m jupyter.Message) error {
@@ -320,7 +314,7 @@ func TestLocalSchedulerYieldConversion(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill the host so commitment fails -> yield conversion.
-	ls.Host.Commit("blocker", gpuReq(8))
+	gs.WithCluster(func(*cluster.Cluster) { ls.Host.Commit("blocker", gpuReq(8)) })
 	lead, err := ls.ForwardExecute("k/r1", "k/r1/t1", msg, gpuReq(1))
 	if err != nil {
 		t.Fatal(err)
@@ -430,5 +424,130 @@ func TestKernelToleratesReplicaFailure(t *testing.T) {
 	waitFor(t, func() bool { return sink.count() == 2 }, "post-failure reply")
 	if got := sink.last(); got.Status != "ok" || !strings.Contains(got.Output, "100") {
 		t.Fatalf("post-failure reply = %+v", got)
+	}
+}
+
+// TestClusterCallsUnderConcurrency makes every kind of call into the
+// cluster at once: cells executing on several kernels (executor
+// designation, commitment and device binding, release on reply), a kernel
+// that fails its election and migrates, the auto-scaler, scale-out, a
+// kernel started and stopped, and WithCluster readers. The cluster, its
+// hosts and their device pools are single-owner data, so under -race a path
+// that reaches them without the cluster lock fails this test. In any mode
+// every cell gets its reply, and the cluster ends with nothing committed
+// and only the live kernels' subscriptions.
+func TestClusterCallsUnderConcurrency(t *testing.T) {
+	var mu sync.Mutex
+	replies := map[string]int{}
+	gs := newGS(t, 4, func(c *Config) {
+		c.OnReply = func(session string, _ jupyter.Message) {
+			mu.Lock()
+			replies[session]++
+			mu.Unlock()
+		}
+		c.ScaleOut = true
+	})
+	awaitReplies := func(session string, n int) bool {
+		for deadline := time.Now().Add(20 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			mu.Lock()
+			got := replies[session]
+			mu.Unlock()
+			if got >= n {
+				return true
+			}
+		}
+		t.Errorf("%s: timeout waiting for reply %d", session, n)
+		return false
+	}
+	const kernels, cells = 4, 6
+	for k := range kernels {
+		if err := gs.StartKernel(fmt.Sprintf("k%d", k), fmt.Sprintf("s%d", k), gpuReq(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An 8-GPU kernel whose hosts are saturated: every replica yields, and
+	// the scheduler migrates one to a host with all 8 GPUs idle.
+	if err := gs.StartKernel("big", "big", gpuReq(8)); err != nil {
+		t.Fatal(err)
+	}
+	var blocked []*cluster.Host
+	gs.WithCluster(func(c *cluster.Cluster) {
+		for _, h := range c.Hosts() {
+			if slices.ContainsFunc(h.Replicas(), func(r string) bool { return strings.HasPrefix(r, "big/") }) {
+				if err := h.Commit("blocker", gpuReq(1)); err != nil {
+					t.Fatal(err)
+				}
+				blocked = append(blocked, h)
+			}
+		}
+	})
+
+	var wg sync.WaitGroup
+	run := func(f func()) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f()
+		}()
+	}
+	for k := range kernels {
+		run(func() {
+			for i := range cells {
+				if _, _, err := gs.Execute(fmt.Sprintf("k%d", k), "x = 1\n"); err != nil {
+					t.Error(err)
+					return
+				}
+				if !awaitReplies(fmt.Sprintf("s%d", k), i+1) {
+					return
+				}
+			}
+		})
+	}
+	run(func() {
+		if _, _, err := gs.Execute("big", "y = 2\n"); err != nil {
+			t.Error(err)
+			return
+		}
+		awaitReplies("big", 1)
+	})
+	run(func() {
+		for range 10 {
+			gs.AutoscaleOnce()
+			time.Sleep(time.Millisecond)
+		}
+	})
+	run(func() { gs.ScaleOut(2) })
+	run(func() {
+		if err := gs.StartKernel("brief", "brief", gpuReq(1)); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := gs.StopKernel("brief"); err != nil {
+			t.Error(err)
+		}
+	})
+	run(func() {
+		for range 100 {
+			gs.WithCluster(func(c *cluster.Cluster) {
+				for _, h := range c.Hosts() {
+					_ = h.IdleGPUs() + h.SubscribedGPUs() + h.NumReplicas()
+				}
+			})
+		}
+	})
+	wg.Wait()
+	if st := gs.Stats(); st.Migrations+st.FailedMigrations == 0 {
+		t.Errorf("stats = %+v, want the big kernel's migration attempt", st)
+	}
+	gs.WithCluster(func(*cluster.Cluster) {
+		for _, h := range blocked {
+			if err := h.Release("blocker"); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	waitFor(t, func() bool { return read(gs, (*cluster.Cluster).CommittedGPUs) == 0 }, "every execution's release")
+	if got, want := read(gs, (*cluster.Cluster).SubscribedGPUs), 3*(kernels*2+8); got != want {
+		t.Errorf("subscribed GPUs = %d, want %d: the live kernels' replicas alone", got, want)
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // MemberLoad is one member cluster's observed state for a pooled scaling
-// decision. The counter fields read O(1) state (the cluster's atomic
+// decision. The counter fields read O(1) state (the cluster's
 // aggregates plus the driver's pending-host ledger); EmptyHosts is the
 // one exception — a retirable-host gauge the driver derives from its host
 // lists, costing one O(hosts) pass per member per decision interval.

@@ -9,7 +9,7 @@
 // hosts, sizes, and GPU shapes (heterogeneity is expected). It adds:
 //
 //   - Federation-wide aggregate accounting. TotalGPUs, SubscribedGPUs, and
-//     CommittedGPUs sum the members' O(1) atomic counters, so reads stay
+//     CommittedGPUs sum the members' O(1) counters, so reads stay
 //     O(members) with no host scans — the same invariant internal/cluster
 //     maintains per cluster (counters always equal a from-scratch recount).
 //   - Capacity-notification fan-in. Every member's capacity notifier

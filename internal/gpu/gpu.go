@@ -2,15 +2,14 @@ package gpu
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
-// Pool is one server's set of GPU devices with exclusive allocation.
+// Pool is one server's set of GPU devices with exclusive allocation. It is
+// not safe for concurrent use: its owner serializes every call, as for the
+// cluster.Host it belongs to.
 type Pool struct {
-	host string
-
-	mu      sync.Mutex
+	host    string
 	free    []int            // free device IDs, LIFO
 	holders map[string][]int // holder -> allocated device IDs
 }
@@ -24,17 +23,12 @@ func NewPool(host string, n int) *Pool {
 	return p
 }
 
-// Host returns the owning server's name.
-func (p *Pool) Host() string { return p.host }
-
 // Allocate exclusively binds n devices to holder and returns their IDs —
 // the device IDs the Global Scheduler embeds in request metadata.
 func (p *Pool) Allocate(holder string, n int) ([]int, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("gpu: non-positive allocation %d", n)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, ok := p.holders[holder]; ok {
 		return nil, fmt.Errorf("gpu: %q already holds devices on %s", holder, p.host)
 	}
@@ -50,8 +44,6 @@ func (p *Pool) Allocate(holder string, n int) ([]int, error) {
 
 // Release returns holder's devices to the pool.
 func (p *Pool) Release(holder string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	ids, ok := p.holders[holder]
 	if !ok {
 		return fmt.Errorf("gpu: %q holds no devices on %s", holder, p.host)
@@ -63,8 +55,6 @@ func (p *Pool) Release(holder string) error {
 
 // Holding returns the devices allocated to holder.
 func (p *Pool) Holding(holder string) ([]int, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	ids, ok := p.holders[holder]
 	if !ok {
 		return nil, false

@@ -60,9 +60,9 @@ type Session struct {
 	Created  time.Time
 }
 
-// Platform is a running NotebookOS deployment.
+// Platform is a running NotebookOS deployment. Its cluster belongs to the
+// Scheduler: Status reports it, and Scheduler.WithCluster reaches it.
 type Platform struct {
-	Cluster   *cluster.Cluster
 	Scheduler *control.GlobalScheduler
 
 	mu       sync.Mutex
@@ -92,13 +92,13 @@ func New(cfg Config) (*Platform, error) {
 		}
 	}
 	p := &Platform{
-		Cluster:  c,
 		sessions: map[string]*Session{},
 		subs:     map[string]map[int]chan jupyter.Message{},
 	}
 	gs, err := control.New(control.Config{
 		Cluster:           c,
 		PrewarmPerHost:    cfg.PrewarmPerHost,
+		ScaleOut:          cfg.EnableScaleOut,
 		AutoscaleInterval: cfg.AutoscaleInterval,
 		OnReply:           p.fanOut,
 		InstallRuntime:    control.NewRuntime(cfg.TimeScale).Install,
@@ -107,9 +107,6 @@ func New(cfg Config) (*Platform, error) {
 	})
 	if err != nil {
 		return nil, err
-	}
-	if cfg.EnableScaleOut {
-		gs.SetHostFactory(control.StandardHostFactory(gs))
 	}
 	p.Scheduler = gs
 	return p, nil
@@ -271,24 +268,21 @@ type Status struct {
 
 // Status reports the platform's current state.
 func (p *Platform) Status() Status {
-	st := Status{
-		TotalGPUs:         p.Cluster.TotalGPUs(),
-		CommittedGPUs:     p.Cluster.CommittedGPUs(),
-		SubscribedGPUs:    p.Cluster.SubscribedGPUs(),
-		ClusterSR:         p.Cluster.ClusterSR(),
-		SchedulerStats:    p.Scheduler.Stats(),
-		ReplicasPerKernel: p.Cluster.ReplicasPerKernel(),
-	}
-	for _, h := range p.Cluster.Hosts() {
-		st.Hosts = append(st.Hosts, HostStatus{
-			ID:             h.ID,
-			GPUs:           h.Capacity.GPUs,
-			CommittedGPUs:  h.Committed().GPUs,
-			SubscribedGPUs: h.Subscribed().GPUs,
-			Replicas:       h.NumReplicas(),
-			SR:             h.SubscriptionRatio(p.Cluster.ReplicasPerKernel()),
-		})
-	}
+	st := Status{SchedulerStats: p.Scheduler.Stats()}
+	p.Scheduler.WithCluster(func(c *cluster.Cluster) {
+		st.TotalGPUs, st.CommittedGPUs, st.SubscribedGPUs = c.TotalGPUs(), c.CommittedGPUs(), c.SubscribedGPUs()
+		st.ClusterSR, st.ReplicasPerKernel = c.SRLimit(), c.ReplicasPerKernel()
+		for _, h := range c.Hosts() {
+			st.Hosts = append(st.Hosts, HostStatus{
+				ID:             h.ID,
+				GPUs:           h.Capacity.GPUs,
+				CommittedGPUs:  h.Committed().GPUs,
+				SubscribedGPUs: h.SubscribedGPUs(),
+				Replicas:       h.NumReplicas(),
+				SR:             h.SubscriptionRatio(st.ReplicasPerKernel),
+			})
+		}
+	})
 	p.mu.Lock()
 	st.Sessions = len(p.sessions)
 	p.mu.Unlock()

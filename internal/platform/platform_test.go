@@ -51,7 +51,7 @@ func TestSessionLifecycle(t *testing.T) {
 	if err := p.CloseSession(s.ID); err == nil {
 		t.Fatal("double close must fail")
 	}
-	if p.Cluster.SubscribedGPUs() != 0 {
+	if p.Status().SubscribedGPUs != 0 {
 		t.Fatal("subscriptions must be released")
 	}
 }
@@ -86,7 +86,7 @@ func TestExecuteTrainingCell(t *testing.T) {
 		t.Fatalf("reply = %+v", reply)
 	}
 	// GPUs must be fully released once the task completes (§3.3).
-	if got := p.Cluster.CommittedGPUs(); got != 0 {
+	if got := p.Status().CommittedGPUs; got != 0 {
 		t.Fatalf("committed GPUs after task = %d", got)
 	}
 }
@@ -171,7 +171,7 @@ func TestConfigRefusesBadKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Stop()
-	if got := p.Cluster.NumHosts(); got != 4 {
+	if got := len(p.Status().Hosts); got != 4 {
 		t.Fatalf("zero Hosts runs %d hosts, want the default 4", got)
 	}
 }
@@ -290,10 +290,10 @@ func TestConcurrentSessions(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if got := p.Cluster.SubscribedGPUs(); got != 0 {
+	if got := p.Status().SubscribedGPUs; got != 0 {
 		t.Errorf("subscribed GPUs after every session closed = %d, want 0", got)
 	}
-	if got := p.Cluster.CommittedGPUs(); got != 0 {
+	if got := p.Status().CommittedGPUs; got != 0 {
 		t.Errorf("committed GPUs after every session closed = %d, want 0", got)
 	}
 	if n := p.numSubs(); n != 0 {

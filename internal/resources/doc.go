@@ -5,8 +5,8 @@
 // schedulers use for capacity checks and subscription-ratio accounting.
 //
 // Concurrency contract: Spec is a value and needs no lock. A Pool has none:
-// its owner serializes every call. cluster.Host owns one per host and makes
-// each call under the host's lock, in the same critical section that moves
-// the host's committed-GPU ledger, so Host.Commit is the authority on what
-// fits and the ledger never trails the pool.
+// its owner serializes every call. cluster.Host owns one per host and moves
+// its committed-GPU ledger with every pool call, so Host.Commit is the
+// authority on what fits and the ledger never trails the pool; the host is
+// itself single-owner data (see package cluster).
 package resources

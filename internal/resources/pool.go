@@ -10,7 +10,7 @@ import (
 // while a cell task executes, then released.
 //
 // A Pool is not safe for concurrent use: its owner serializes every call
-// (cluster.Host makes each under the host's lock).
+// (cluster.Host, itself single-owner data, owns one per host).
 type Pool struct {
 	capacity  Spec
 	committed Spec

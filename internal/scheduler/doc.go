@@ -6,5 +6,7 @@
 // event kinds of the Fig. 10 timeline and the scale-in floor rule
 // (MinHostsFloor). It imports only cluster and resources. The live Global
 // and Local Schedulers that call LeastLoaded are internal/control; the
-// simulated ones are internal/sim.
+// simulated ones are internal/sim. LeastLoaded reads the cluster as its
+// owner's call, like any other: the simulator's one goroutine per cluster,
+// or the live control plane under its cluster lock.
 package scheduler

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"notebookos/internal/cluster"
 	"notebookos/internal/resources"
@@ -194,33 +193,32 @@ func (p LeastLoaded) SelectInto(c *cluster.Cluster, req resources.Spec, out []*c
 	if n > stackSelect {
 		scratch = make([]candidate, 2*n)
 	}
-	for {
-		pass := pass{
-			terms:    terms,
-			reqGPUs:  int32(req.GPUs),
-			balanced: topN{buf: scratch[:n]},
-			viable:   topN{buf: scratch[n : 2*n]},
-		}
-		for j := 0; j < tab.Chunks(); j++ {
-			shape, live := int32(tab.Shape(j)), tab.Live(j)
-			if live != 0 && !pass.turnsAway(tab, j, shape) {
-				pass.scan(tab.Rows(j), live, shape, int32(j*cluster.TableChunk))
-			}
-		}
-		// Prefer balanced hosts; fall back to all viable ones if the balance
-		// rule leaves too few candidates.
-		sel := pass.balanced.buf[:pass.balanced.kept]
-		if pass.balanced.kept < n {
-			sel = pass.viable.buf[:pass.viable.kept]
-		}
-		if len(sel) < n {
-			return fmt.Errorf("%w: need %d, found %d viable (req %v)",
-				ErrInsufficientHosts, n, len(sel), req)
-		}
-		if resolve(tab, sel, out) {
-			return nil
+	pass := pass{
+		terms:    terms,
+		reqGPUs:  int32(req.GPUs),
+		balanced: topN{buf: scratch[:n]},
+		viable:   topN{buf: scratch[n : 2*n]},
+	}
+	for j := 0; j < tab.Chunks(); j++ {
+		shape, live := int32(tab.Shape(j)), tab.Live(j)
+		if live != 0 && !pass.turnsAway(tab, j, shape) {
+			pass.scan(tab.Rows(j), live, shape, int32(j*cluster.TableChunk))
 		}
 	}
+	// Prefer balanced hosts; fall back to all viable ones if the balance
+	// rule leaves too few candidates.
+	sel := pass.balanced.buf[:pass.balanced.kept]
+	if pass.balanced.kept < n {
+		sel = pass.viable.buf[:pass.viable.kept]
+	}
+	if len(sel) < n {
+		return fmt.Errorf("%w: need %d, found %d viable (req %v)",
+			ErrInsufficientHosts, n, len(sel), req)
+	}
+	for i := range out {
+		out[i] = tab.Host(int(sel[i].slot))
+	}
+	return nil
 }
 
 // pass is the state of one pass over the host table.
@@ -331,19 +329,4 @@ func (p *pass) consider(c candidate, inBalance, beaten bool) {
 			p.bar, p.barred = t.buf[t.kept-1], true
 		}
 	}
-}
-
-// resolve turns the selected slots into hosts and reports whether they are
-// n distinct members. Only a membership change racing the pass can make
-// them otherwise — a selected host left, or left and rejoined in a second
-// slot — and then the pass is simply made again.
-func resolve(tab *cluster.Table, sel []candidate, out []*cluster.Host) bool {
-	for i := range out {
-		h := tab.Host(int(sel[i].slot))
-		if h == nil || slices.Contains(out[:i], h) {
-			return false
-		}
-		out[i] = h
-	}
-	return true
 }

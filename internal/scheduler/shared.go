@@ -24,8 +24,7 @@ const (
 // single federation-wide floor (its per-member floors are replaced by the
 // placement anchor, which keeps one member at >= R hosts). The live
 // scheduler passes replicas = 0 and keeps its configured floor, because a
-// failed placement there recovers by scaling back out through its
-// HostFactory.
+// failed placement there recovers by scaling back out.
 func MinHostsFloor(configured, replicas int) int {
 	floor := configured
 	if floor < replicas {

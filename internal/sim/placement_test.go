@@ -164,10 +164,11 @@ func TestHostIDMatchesSprintf(t *testing.T) {
 // shows here long before it moves TestTaskAllocationBudget's per-request
 // ratio. It read 579 while every host's pool built a holder map and two
 // observer hooks and a migration scheduled two closures (its restart and its
-// warm-pool refill), and 412 while every host join formatted its ID through
-// fmt and every scale-out's landing was a closure.
+// warm-pool refill), 412 while every host join formatted its ID through
+// fmt and every scale-out's landing was a closure, and 372 while a cluster
+// published its host table and capacity notifier through atomic pointers.
 func TestSummerRunAllocations(t *testing.T) {
-	pinRunAllocations(t, nil, 372)
+	pinRunAllocations(t, nil, 367)
 }
 
 // TestFaultedRunAllocations is its sibling under the heavy fault profile,
@@ -175,10 +176,10 @@ func TestSummerRunAllocations(t *testing.T) {
 // scale-outs — the fault-free run barely reaches. It read 571 while each
 // crash, replacement, restart and landing scheduled a closure, each crash
 // clock built a random source of its own and each join formatted its host ID
-// through fmt.
+// through fmt, and 441 before the cluster's atomic pointers went.
 func TestFaultedRunAllocations(t *testing.T) {
 	faults := trace.HeavyFaultProfile()
-	pinRunAllocations(t, &faults, 441)
+	pinRunAllocations(t, &faults, 436)
 }
 
 // pinRunAllocations fails when one 1-day summer Run under faults (nil: none)
