@@ -49,14 +49,19 @@ func fingerprintOf(tr *trace.Trace, r *Result) fingerprint {
 
 // TestSameSeedBitForBitAllPolicies double-runs every policy with a fixed
 // seed and asserts the Results are identical — the determinism guarantee
-// the event-driven wait-queue and parallel harness must preserve.
+// the event-driven wait-queue and parallel harness must preserve. The second
+// run is audited, so it also pins that stepping a run tick by tick changes
+// nothing.
 func TestSameSeedBitForBitAllPolicies(t *testing.T) {
 	cfg := trace.AdobeExcerptConfig(33)
 	cfg.Duration = 4 * time.Hour
 	tr := trace.MustGenerate(cfg)
 	for _, p := range []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP} {
 		a := runPolicy(t, tr, p)
-		b := runPolicy(t, tr, p)
+		b, err := auditedRun(t, Config{Trace: tr, Policy: p, Hosts: 30, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
 		fa, fb := fingerprintOf(tr, a), fingerprintOf(tr, b)
 		if fa != fb {
 			t.Errorf("%s: same seed diverged:\n  run1: %+v\n  run2: %+v", p, fa, fb)
@@ -103,8 +108,8 @@ func TestSameSeedDeterministicUnderConcurrency(t *testing.T) {
 // decision that iterated one of those maps, or compared IDs, would move when
 // the IDs do. A 4-hour excerpt replays under every policy on one cluster and
 // under a three-member federation, fault-free and under the heavy fault
-// profile, once as generated and once with every Session.ID reversed and
-// prefixed; each pair of fingerprints must be byte-identical.
+// profile, once as generated and once, audited, with every Session.ID
+// reversed and prefixed; each pair of fingerprints must be byte-identical.
 func TestRelabellingSessionsIsIdentity(t *testing.T) {
 	tr := shortTrace(t)
 	relabelled := &trace.Trace{Name: tr.Name, Start: tr.Start, End: tr.End}
@@ -128,10 +133,10 @@ func TestRelabellingSessionsIsIdentity(t *testing.T) {
 		run{"notebookos/heavy", Config{Policy: PolicyNotebookOS, Hosts: 30, Faults: &heavy}},
 		run{"federation", Config{Clusters: DefaultFedClusters(3, 30)}},
 		run{"federation/heavy", Config{Clusters: DefaultFedClusters(3, 30), Faults: &heavy}})
-	fp := func(r run, tr *trace.Trace) string {
+	fp := func(r run, tr *trace.Trace, run func(Config) (*Result, error)) string {
 		cfg := r.cfg
 		cfg.Trace, cfg.Seed = tr, 7
-		res, err := Run(cfg)
+		res, err := run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", r.label, err)
 		}
@@ -140,7 +145,7 @@ func TestRelabellingSessionsIsIdentity(t *testing.T) {
 		return b.String()
 	}
 	for _, r := range runs {
-		if a, b := fp(r, tr), fp(r, relabelled); a != b {
+		if a, b := fp(r, tr, Run), fp(r, relabelled, audited(t)); a != b {
 			t.Errorf("%s: relabelling the sessions changed the run:\n--- as generated\n%s--- relabelled\n%s", r.label, a, b)
 		}
 	}
@@ -155,10 +160,10 @@ func TestRelabellingSessionsIsIdentity(t *testing.T) {
 // 4-hour excerpt replays on four members, per-member and pooled autoscale,
 // fault-free, under the heavy profile and under az-outage with its outage
 // moved into the excerpt and scoped to one member, all of whose hosts it
-// kills (the excerpt's members idle at three hosts), once as c0..c3 and once
-// with every member renamed (other lengths, another string order) and the
-// outage's scope with it; each pair of fingerprints, member names mapped
-// back, must be byte-identical.
+// kills (the excerpt's members idle at three hosts), once as c0..c3 and once,
+// audited, with every member renamed (other lengths, another string order)
+// and the outage's scope with it; each pair of fingerprints, member names
+// mapped back, must be byte-identical.
 func TestRelabellingMembersIsIdentity(t *testing.T) {
 	tr := shortTrace(t)
 	rename := map[string]string{"c0": "west", "c1": "az-b", "c2": "eu-central-1", "c3": "a"}
@@ -185,7 +190,11 @@ func TestRelabellingMembersIsIdentity(t *testing.T) {
 			}
 			faults = &f
 		}
-		res, err := Run(Config{Trace: tr, Clusters: clusters, PooledAutoscale: pooled, Faults: faults, Seed: 7})
+		run := Run
+		if rename != nil {
+			run = audited(t)
+		}
+		res, err := run(Config{Trace: tr, Clusters: clusters, PooledAutoscale: pooled, Faults: faults, Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -226,10 +235,10 @@ func TestRelabellingMembersIsIdentity(t *testing.T) {
 // date — would move when the trace does. The runs of
 // TestRelabellingSessionsIsIdentity (four policies on one cluster, a
 // three-member federation, and the heavy fault profile on both) replay
-// once as generated and once with every instant of the trace — its window,
-// every session's start and end, every task's submission — moved 37 h 13 m
-// 7 s later; each pair of fingerprints, taken over the run's own window,
-// must be byte-identical.
+// once as generated and once, audited, with every instant of the trace — its
+// window, every session's start and end, every task's submission — moved
+// 37 h 13 m 7 s later; each pair of fingerprints, taken over the run's own
+// window, must be byte-identical.
 func TestShiftingTheEpochIsIdentity(t *testing.T) {
 	const shift = 37*time.Hour + 13*time.Minute + 7*time.Second
 	tr := shortTrace(t)
@@ -252,9 +261,9 @@ func TestShiftingTheEpochIsIdentity(t *testing.T) {
 	for _, p := range []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP} {
 		runs[string(p)] = Config{Policy: p, Hosts: 30}
 	}
-	fp := func(label string, cfg Config, tr *trace.Trace) string {
+	fp := func(label string, cfg Config, tr *trace.Trace, run func(Config) (*Result, error)) string {
 		cfg.Trace, cfg.Seed = tr, 7
-		res, err := Run(cfg)
+		res, err := run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -263,7 +272,7 @@ func TestShiftingTheEpochIsIdentity(t *testing.T) {
 		return b.String()
 	}
 	for label, cfg := range runs {
-		if a, b := fp(label, cfg, tr), fp(label, cfg, shifted); a != b {
+		if a, b := fp(label, cfg, tr, Run), fp(label, cfg, shifted, audited(t)); a != b {
 			t.Errorf("%s: shifting the epoch by %v changed the run:\n--- as generated\n%s--- shifted\n%s", label, shift, a, b)
 		}
 	}

@@ -78,7 +78,8 @@
 // (TestLeasePoolIsRun). TestRunnerFingerprints pins every entry point's
 // counters, integrated hours, delay quantiles and recorder lengths against a
 // golden file, fault-free and under faults, and TestRunnersConserveTasks holds
-// each of those runs to the tasks its workload generated.
+// each of those runs to the tasks its workload generated (the Run cases
+// through the run auditor's tasks law, at every tick).
 //
 // Crossing-cost accounting in a federation: every boundary
 // crossing is charged from federation.Federation.Penalty — the
@@ -101,7 +102,13 @@
 // still place somewhere via routing. The clamp rule lives in
 // scheduler.MinHostsFloor.
 //
-// Invariants:
+// Invariants. The conservation laws are executable: the run auditor
+// (auditedRun, audit_test.go) steps a run tick by tick through runUntil and
+// checks after every tick that tasks, the clusters' O(1) counters,
+// subscriptions, commitments, the committed-GPU series, crashed hosts, the
+// wait-queue and the pending events balance; the double-run, metamorphic,
+// runner-characterization and gated tests and FuzzConfigPlan run under it.
+// The properties it cannot check from one run:
 //
 //   - Determinism: a fixed Config (including Seed) replays bit-for-bit,
 //     regardless of goroutine scheduling in the surrounding experiment

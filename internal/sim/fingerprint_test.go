@@ -167,7 +167,10 @@ type runnerCase struct {
 	label string
 	// lease marks a run under ShardCapacity == LeasePool, which the golden
 	// does not pin: it is the unsharded run (TestLeasePoolIsRun).
-	lease           bool
+	lease bool
+	// audited marks a Run case, which auditedRun steps and checks at every
+	// tick.
+	audited         bool
 	run             func() (*Result, error)
 	sessions, tasks int
 }
@@ -248,7 +251,11 @@ func runnerCases(t *testing.T) []runnerCase {
 				Faults:          fc.faults,
 			}
 		}
-		run := func(c Config) func() (*Result, error) { return func() (*Result, error) { return Run(c) } }
+		// The unsharded cases run under the auditor.
+		audit := func(label string, c Config) {
+			add(label, LegacySplit, func() (*Result, error) { return auditedRun(t, c) }, tr.AsSource())
+			cases[len(cases)-1].audited = true
+		}
 		sharded := func(c Config) func() (*Result, error) { return func() (*Result, error) { return RunSharded(c, 2) } }
 		streamed := func(c Config) func() (*Result, error) {
 			c.Trace, c.LeanMetrics = nil, c.ShardCapacity == LegacySplit
@@ -258,10 +265,10 @@ func runnerCases(t *testing.T) []runnerCase {
 		// The Clusters-form cases keep the labels they were pinned under, from
 		// when a federation had runners of its own.
 		for _, p := range []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP} {
-			add("Run/"+string(p), LegacySplit, run(cfg(p, LegacySplit)), tr.AsSource())
+			audit("Run/"+string(p), cfg(p, LegacySplit))
 		}
-		add("RunFederated/per-member", LegacySplit, run(perMember(LegacySplit)), tr.AsSource())
-		add("RunFederated/pooled-slo", LegacySplit, run(pooled(LegacySplit)), tr.AsSource())
+		audit("RunFederated/per-member", perMember(LegacySplit))
+		audit("RunFederated/pooled-slo", pooled(LegacySplit))
 		for _, sc := range []ShardCapacity{LegacySplit, LeasePool} {
 			mode := map[ShardCapacity]string{LegacySplit: "legacy", LeasePool: "lease"}[sc] + "-k2"
 			add("RunSharded/"+mode, sc, sharded(cfg(PolicyNotebookOS, sc)), tr.AsSource())
@@ -276,16 +283,21 @@ func runnerCases(t *testing.T) []runnerCase {
 
 // TestRunnersConserveTasks holds every run of the runner characterization to
 // the check the repository benchmark applies to each operation: it admits
-// every session its workload generated, and its completed tasks plus its
-// abandoned ones are no more than the tasks generated.
+// every session its workload generated, and every task generated is
+// accounted for. An audited Run case is held to the auditor's tasks law at
+// every tick and at the drain horizon: completed + abandoned + swallowed by
+// dropped sessions + still queued or in flight == generated (under the heavy
+// profile, Run/notebookos-lcp leaves nine tasks of one session queued or
+// training at the horizon). A sharded run, which cannot be audited, must
+// have completed or abandoned every task.
 func TestRunnersConserveTasks(t *testing.T) {
 	for _, c := range runnerCases(t) {
 		r, err := c.run()
 		if err != nil {
 			t.Fatalf("%s: %v", c.label, err)
 		}
-		if r.Tasks+r.Abandonments > c.tasks {
-			t.Errorf("%s: %d tasks + %d abandonments exceed the %d generated", c.label, r.Tasks, r.Abandonments, c.tasks)
+		if !c.audited && r.Tasks+r.Abandonments != c.tasks {
+			t.Errorf("%s: %d tasks + %d abandonments, %d generated", c.label, r.Tasks, r.Abandonments, c.tasks)
 		}
 		if r.Sessions != c.sessions {
 			t.Errorf("%s: %d sessions admitted, %d generated", c.label, r.Sessions, c.sessions)

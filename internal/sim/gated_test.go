@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"notebookos/internal/federation"
+	"notebookos/internal/metrics"
 	"notebookos/internal/trace"
 )
 
@@ -18,7 +19,10 @@ const streamScenario = "stream-million-90d"
 // layer's counts — over ten scenarios, against
 // testdata/gated_scenarios.golden: one "<scenario> <metric>=<value>" line
 // per metric, floats as the shortest decimal that round-trips, so a passing
-// run is bit-identical. fig08 and fig09a read one run. -short skips
+// run is bit-identical. fig08 and fig09a read one run. Every run is audited
+// (auditedRun), and two scenarios also state their memory claim in counts:
+// the most pending events and live sessions at any tick instant, and the
+// points the result retains (retainedPoints). -short skips
 // stream-million-90d and the golden's lines for it. Regenerate with
 // `go test ./internal/sim -run TestGatedScenarios -update` (without -short)
 // only when a metric is meant to move, and say which in CHANGES.md.
@@ -53,14 +57,22 @@ func TestGatedScenarios(t *testing.T) {
 	}
 
 	var b strings.Builder
+	var a *auditor
 	run := func(name string, cfg Config) (*Result, fpLines) {
 		t.Helper()
 		cfg.Seed = 42
-		r, err := Run(cfg)
+		a = &auditor{tb: t}
+		r, err := a.run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return r, fpLines{name, &b}
+	}
+	// memory states a run's footprint in counts no process detail moves.
+	memory := func(l fpLines, r *Result) {
+		l.int("peak_pending_events", a.peakPending)
+		l.int("peak_live_sessions", a.peakLive)
+		l.int("retained_points", retainedPoints(r))
 	}
 
 	r, l := run("fig08-provisioned-gpus", Config{Trace: excerpt, Policy: PolicyNotebookOS, Hosts: 30})
@@ -87,6 +99,7 @@ func TestGatedScenarios(t *testing.T) {
 	l.int("tasks", r.Tasks)
 	l.int("scale_outs", r.ScaleOuts)
 	l.int("scale_ins", r.ScaleIns)
+	memory(l, r)
 
 	if !testing.Short() {
 		r, l = run(streamScenario, Config{
@@ -95,6 +108,7 @@ func TestGatedScenarios(t *testing.T) {
 		l.int("sessions", r.Sessions)
 		l.int("tasks", r.Tasks)
 		l.float("reserved_gpuh", r.ReservedGPUHours)
+		memory(l, r)
 	}
 
 	r, l = run("scenario-campus-stream", Config{Source: stream(campusCfg), Policy: PolicyNotebookOS, Hosts: 30})
@@ -149,4 +163,29 @@ func TestGatedScenarios(t *testing.T) {
 		want = kept.String()
 	}
 	diffGolden(t, "gated_scenarios.golden", got, want)
+}
+
+// retainedPoints counts the points a result holds: every timeline's
+// breakpoints and every sample's retained observations (a reservoir's, under
+// LeanMetrics, not every observation it saw).
+func retainedPoints(r *Result) int {
+	n := 0
+	for _, tl := range []*metrics.Timeline{r.ProvisionedGPUs, r.CommittedGPUs, r.ActiveSessions, r.SR, r.Availability} {
+		if tl != nil {
+			n += tl.Len()
+		}
+	}
+	samples := []*metrics.Sample{r.Interactivity, r.TCT, r.SyncLatency, r.ReadLatency, r.WriteLatency, r.RecoveryTime}
+	for _, st := range Steps() {
+		samples = append(samples, r.StepLatency[st])
+	}
+	for _, cl := range trace.SLOClasses() {
+		samples = append(samples, r.ClassDelay[cl])
+	}
+	for _, sm := range samples {
+		if sm != nil {
+			n += len(sm.Values())
+		}
+	}
+	return n
 }

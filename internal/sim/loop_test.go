@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -41,65 +40,4 @@ func TestSampleCountsASessionStartingOnItsInstant(t *testing.T) {
 				time.Duration(k)*sampleEvery, time.Duration(k+1)*sampleEvery, got, want)
 		}
 	}
-}
-
-// TestSteppingDoesNotChangeTheRun: a run advanced through runUntil in steps
-// — seven minutes, which fall between tick instants, and one autoscale
-// interval, which lands on every one — ends with the fingerprint Run gives
-// the same config, for NotebookOS fault-free and under the heavy fault
-// profile, and for Batch, which samples but does not autoscale.
-func TestSteppingDoesNotChangeTheRun(t *testing.T) {
-	gcfg := fingerprintGenConfig()
-	tr := trace.MustGenerate(gcfg)
-	heavy := trace.HeavyFaultProfile()
-	fp := func(label string, r *Result) string {
-		var b strings.Builder
-		fpLines{scenario: label, b: &b}.result(r, tr.Start, tr.End)
-		return b.String()
-	}
-	for _, c := range []struct {
-		name string
-		cfg  Config
-	}{
-		{"notebookos", Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 42}},
-		{"notebookos/heavy", Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 42, Faults: &heavy}},
-		{"batch", Config{Trace: tr, Policy: PolicyBatch, Hosts: 30, Seed: 42}},
-	} {
-		whole, err := Run(c.cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := fp(c.name, whole)
-		for _, step := range []time.Duration{7 * time.Minute, autoscaleInterval} {
-			s, err := simOf(c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for at := s.start; at.Before(s.horizon()); at = at.Add(step) {
-				s.runUntil(at)
-			}
-			s.drain()
-			r, err := s.finish()
-			s.close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := fp(c.name, r); got != want {
-				t.Errorf("%s stepped every %v differs from Run:\n%s", c.name, step, lineDiff(got, want))
-			}
-		}
-	}
-}
-
-// lineDiff lists the lines of got that differ from want, up to ten.
-func lineDiff(got, want string) string {
-	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
-	var b strings.Builder
-	for i, n := 0, 0; i < len(gl) && i < len(wl) && n < 10; i++ {
-		if gl[i] != wl[i] {
-			b.WriteString("  got  " + gl[i] + "\n  want " + wl[i] + "\n")
-			n++
-		}
-	}
-	return b.String()
 }

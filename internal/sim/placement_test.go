@@ -206,86 +206,3 @@ func pinRunAllocations(t *testing.T, faults *trace.FaultSpec, landed float64) {
 	}
 	t.Logf("%.0f allocations (%s)", allocs, runs)
 }
-
-// TestScaleInGateMatchesWalk pins the O(1) gate every scale-in walk sits
-// behind (member.emptyHosts, sim.retireEmpty): cluster.ReplicaFreeHosts
-// bounds the hosts for which Host.Empty holds from above, so whenever it
-// reads 0 a full walk finds nothing. Checked minute by minute on a summer
-// run under heavy faults — hosts crash with replicas and commitments on
-// them, replacements join, the autoscaler retires what empties — and the
-// run must have met both answers.
-func TestScaleInGateMatchesWalk(t *testing.T) {
-	gcfg := trace.AdobeSummerConfig(42)
-	gcfg.Duration = 4 * 24 * time.Hour
-	faults := trace.HeavyFaultProfile()
-	s, err := simOf(Config{Trace: trace.MustGenerate(gcfg), Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.close()
-	m := s.members[0]
-	shut, open := 0, 0
-	for at := s.start; at.Before(s.end); at = at.Add(time.Minute) {
-		s.runUntil(at)
-		empty := 0
-		for _, h := range m.hosts {
-			if h.h.Empty() {
-				empty++
-			}
-		}
-		free := m.c.ReplicaFreeHosts()
-		if empty > free || m.emptyHosts() != empty {
-			t.Fatalf("%v: %d hosts are empty; the cluster counts %d replica-free, emptyHosts answers %d", at, empty, free, m.emptyHosts())
-		}
-		if free == 0 {
-			shut++
-		} else {
-			open++
-		}
-	}
-	if res := s.res; shut == 0 || open == 0 || res.ScaleIns == 0 || res.HostCrashes == 0 {
-		t.Errorf("gate read 0 at %d ticks and more at %d, over %d scale-ins and %d host crashes: all four must occur", shut, open, res.ScaleIns, res.HostCrashes)
-	}
-}
-
-// TestNoSubscriptionOutlivesItsSession: what the clusters count as
-// subscribed is, at every minute of a run, what the live sessions hold —
-// and nothing once the run has drained. The first input is the one that
-// found the leak the checked removals exposed: a task parked past its
-// session's end migrated, and the migration subscribed a replica for a
-// session that was already gone (10-day summer, heavy faults, input 28 of
-// the benchmark's seed-42 pool). The saturated run parks tasks the most.
-func TestNoSubscriptionOutlivesItsSession(t *testing.T) {
-	faults := trace.HeavyFaultProfile()
-	seed := trace.ShardSeed(42, 28)
-	gcfg := trace.AdobeSummerConfig(seed)
-	gcfg.Duration = 10 * 24 * time.Hour
-	tr := trace.MustGenerate(gcfg)
-	for name, cfg := range map[string]Config{
-		"heavy faults": {Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: seed, Faults: &faults},
-		"saturated":    {Trace: tr, Policy: PolicyNotebookOS, Hosts: 6, ScaleFactor: 0.5, Seed: seed, Faults: &faults},
-	} {
-		s, err := simOf(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for at := s.start; !at.After(s.end.Add(24 * time.Hour)); at = at.Add(time.Minute) {
-			s.runUntil(at)
-			held := 0
-			for _, ss := range s.live { // tracked under faults
-				for _, h := range ss.hosts {
-					if h != nil {
-						held += ss.req.GPUs
-					}
-				}
-			}
-			if got := s.members[0].c.SubscribedGPUs(); got != held {
-				t.Fatalf("%s, %v: the cluster counts %d subscribed GPUs, the %d live sessions hold %d", name, at, got, len(s.live), held)
-			}
-		}
-		if len(s.live) != 0 {
-			t.Errorf("%s: %d sessions still live after the run drained", name, len(s.live))
-		}
-		s.close()
-	}
-}

@@ -10,35 +10,47 @@ import (
 	"notebookos/internal/trace"
 )
 
-// configFields are the Config fields a plan error may name; every error
-// Config.plan returns names at least one.
+// configFields are the Config fields a plan error may name, and the fault
+// spec's fields its own validation names; every error Config.plan returns
+// names at least one.
 var configFields = []string{
 	"Trace", "Source", "Policy", "Hosts", "HostCapacity", "MinHosts", "Clusters",
 	"ReplicasPerKernel", "PrewarmPerHost", "ScaleFactor", "SRHighWatermark",
+	"Faults", "host_mtbf_hours", "host_mttr_hours",
 }
 
 // FuzzConfigPlan holds Config.plan, the one validation pass every runner
-// goes through, to its contract over a fixed one-hour trace: no panic, every
-// error names a Config field, and a config it accepts runs and conserves
-// tasks — no more outcomes than generated tasks, every generated session
-// admitted — as TestRunnersConserveTasks checks of the fingerprint runs.
+// goes through, to its contract: no panic, every error names a Config field
+// (or the fault spec's field), and a config it accepts runs audited
+// (auditedRun), every generated session admitted — so every conservation law
+// holds at every tick of every accepted config.
 //
 // The inputs are the numeric knobs, the Policy, the host shape (its GPU
-// count) and the member count: 0 is the Hosts form, n > 0 a federation of n
-// members whose last one takes hosts and minHosts. The seeds are
-// TestHostileConfigs' cases. Integer inputs are taken modulo a small bound
-// that keeps the sign, so a negative knob stays negative. A ScaleFactor
-// above 16 is refused, so every accepted config runs.
+// count), the member count — 0 is the Hosts form, n > 0 a federation of n
+// members whose last one takes hosts and minHosts — the workload, a fixed
+// one-hour excerpt or (long) the 4-hour one TestHostileConfigs replays, and
+// the faults: host churn at mtbf and mttr hours (0 and 0: none; an MTBF under
+// an hour is read as one, so a run stays short) and, named by outage, one
+// outage of every host of that member from hour 1 to hour 2. The seeds are
+// TestHostileConfigs' cases, as the inputs spell them: the refusals, and
+// every config it runs. Integer inputs are taken modulo a small bound that
+// keeps the sign, so a negative knob stays negative. A ScaleFactor above 16
+// is refused, so every accepted config runs.
 func FuzzConfigPlan(f *testing.F) {
-	gcfg := trace.AdobeExcerptConfig(21)
-	gcfg.Duration = time.Hour
-	tr := trace.MustGenerate(gcfg)
-	sessions, tasks := len(tr.Sessions), tr.NumTasks()
+	excerpt := func(d time.Duration) *trace.Trace {
+		gcfg := trace.AdobeExcerptConfig(21)
+		gcfg.Duration = d
+		return trace.MustGenerate(gcfg)
+	}
+	hour, fourHours := excerpt(time.Hour), excerpt(4*time.Hour)
 
 	type seed struct {
 		policy                                         string
 		members, hosts, minHosts, gpus, replicas, warm int
 		scaleFactor, srHigh                            float64
+		long                                           bool
+		mtbf, mttr                                     float64
+		outage                                         string
 	}
 	for _, s := range []seed{
 		{policy: "notebookos", hosts: 30},
@@ -66,10 +78,35 @@ func FuzzConfigPlan(f *testing.F) {
 		{members: 3, policy: "batch", hosts: 5},
 		{hosts: 30, gpus: -1},
 		{hosts: 3, replicas: 5},
+		{hosts: 30, mtbf: 10},
+		{hosts: 30, mtbf: math.NaN(), mttr: 1},
+		{hosts: 30, mtbf: 24, mttr: math.NaN()},
+		{hosts: 30, mtbf: 24, mttr: math.Inf(1)},
+		{members: 3, hosts: 30, outage: "c9-typo"},
+		// What TestHostileConfigs runs, on its 4-hour excerpt.
+		{long: true, hosts: 30},
+		{long: true, members: 3, hosts: 30},
+		{long: true, policy: "reservation", hosts: 30, gpus: 2},
+		{long: true, policy: "batch", hosts: 30, gpus: 2},
+		{long: true, policy: "notebookos", hosts: 30, gpus: 2},
+		{long: true, policy: "notebookos-lcp", hosts: 30, gpus: 2},
+		{long: true, members: 3, hosts: 30, gpus: 2},
+		{long: true, hosts: 30, mtbf: 24, mttr: 1e12},
+		{long: true, hosts: 30, mtbf: 24, mttr: 1e5},
+		{long: true, hosts: 30, mtbf: 1e12, mttr: 1},
+		{long: true, hosts: 30, mtbf: 1e5, mttr: 1},
+		{long: true, members: 3, hosts: 30, mtbf: 24, mttr: 1e12},
+		{long: true, members: 3, hosts: 30, mtbf: 1e12, mttr: 1},
+		{long: true, hosts: 30, outage: "c9-typo"},
+		{long: true, members: 3, hosts: 30, outage: "c1"},
 	} {
-		f.Add(s.policy, s.members, s.hosts, s.minHosts, s.gpus, s.replicas, s.warm, s.scaleFactor, s.srHigh)
+		f.Add(s.policy, s.members, s.hosts, s.minHosts, s.gpus, s.replicas, s.warm, s.scaleFactor, s.srHigh, s.long, s.mtbf, s.mttr, s.outage)
 	}
-	f.Fuzz(func(t *testing.T, policy string, members, hosts, minHosts, gpus, replicas, warm int, scaleFactor, srHigh float64) {
+	f.Fuzz(func(t *testing.T, policy string, members, hosts, minHosts, gpus, replicas, warm int, scaleFactor, srHigh float64, long bool, mtbf, mttr float64, outage string) {
+		tr := hour
+		if long {
+			tr = fourHours
+		}
 		cfg := Config{
 			Trace:             tr,
 			Seed:              7,
@@ -101,6 +138,16 @@ func FuzzConfigPlan(f *testing.F) {
 			last.Hosts, last.MinHosts = hosts, minHosts
 		}
 
+		if mtbf != 0 || mttr != 0 || outage != "" {
+			if mtbf > 0 && mtbf < 1 {
+				mtbf = 1
+			}
+			cfg.Faults = &trace.FaultSpec{HostMTBFHours: mtbf, HostMTTRHours: mttr}
+			if outage != "" {
+				cfg.Faults.Outages = []trace.OutageSpec{{StartHour: 1, DurationHours: 1, HostFraction: 1, Cluster: outage}}
+			}
+		}
+
 		if _, err := cfg.plan(); err != nil {
 			named := false
 			for _, field := range configFields {
@@ -111,15 +158,12 @@ func FuzzConfigPlan(f *testing.F) {
 			}
 			return
 		}
-		r, err := Run(cfg)
+		r, err := auditedRun(t, cfg)
 		if err != nil {
 			t.Fatalf("%+v: plan accepted, Run refused: %v", cfg, err)
 		}
-		if r.Tasks+r.Abandonments > tasks {
-			t.Fatalf("%+v: %d tasks + %d abandonments exceed the %d generated", cfg, r.Tasks, r.Abandonments, tasks)
-		}
-		if r.Sessions != sessions {
-			t.Fatalf("%+v: %d sessions admitted, %d generated", cfg, r.Sessions, sessions)
+		if r.Sessions != len(tr.Sessions) {
+			t.Fatalf("%+v: %d sessions admitted, %d generated", cfg, r.Sessions, len(tr.Sessions))
 		}
 	})
 }

@@ -1,0 +1,152 @@
+package notebookos_bench
+
+import (
+	"encoding/json"
+	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+var runMutants = flag.Bool("mutants", false, "apply every mutant of the mutant table and require the test it names to fail")
+
+// mutant is one deliberate defect: the exact text old, which must occur once
+// in file, replaced by new. Applied, it must fail the tests of pkg that run
+// matches, with output containing want — the check that is meant to kill it,
+// not merely some failure.
+type mutant struct {
+	name, file, old, new string
+	pkg, run, want       string
+}
+
+// mutants is the table. The first entries are the gates' own mutants: a
+// golden line the run no longer produces (the line's writer is edited, since
+// an overlay replaces compiled sources, not the files a test reads) and the
+// decision tables' rules. Then one mutant per check of the run auditor
+// (internal/sim/audit_test.go), each killed by TestAuditedRuns naming its
+// check, and the subscription leak the seed-28 run found (docs/BUG_LEDGER.md,
+// bug 16) put back.
+var mutants = []mutant{
+	{
+		name: "gated golden line", file: "internal/sim/gated_test.go",
+		old: `l.int("failovers", r.Failovers)`, new: `l.int("failovers", r.Failovers+1)`,
+		pkg: "./internal/sim", run: "^TestGatedScenarios$", want: "fault-heavy-campus failovers=55",
+	},
+	{
+		name: "scale-in retires three", file: "internal/federation/autoscale.go",
+		old: "const maxRetire = 2", new: "const maxRetire = 3",
+		pkg: "./internal/sim", run: "^TestAutoscaleDecisionTable$", want: "autoscale_decisions.golden",
+	},
+	{
+		name: "routing tie goes away from home", file: "internal/federation/policy.go",
+		old: "return i == s.home", new: "return j == s.home",
+		pkg: "./internal/sim", run: "^TestRoutingDecisionTable$", want: "routing_decisions.golden",
+	},
+	{
+		name: "interactive retry budget halves", file: "internal/trace/faults.go",
+		old: "return max(base/3, 1)", new: "return max(base/2, 1)",
+		pkg: "./internal/sim", run: "^TestRetryBudgetDecisionTable$", want: "retry_decisions.golden",
+	},
+	{
+		name: "Release wakes no waiter", file: "internal/cluster/cluster.go",
+		old: "\tif h.c != nil {\n\t\th.c.capacityFreed()\n\t}\n", new: "",
+		pkg: "./internal/sim", run: "^TestRunnerFingerprints$", want: "runner_fingerprints.golden",
+	},
+	{
+		name: "an abandoned task goes uncounted", file: "internal/sim/faults.go",
+		old: "\t\ts.res.Abandonments++\n", new: "",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos-heavy$", want: "audit tasks",
+	},
+	{
+		name: "a host's last replica leaves it counted busy", file: "internal/cluster/cluster.go",
+		old: "\t\t\th.c.agg.replicaFree++\n", new: "",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit counters",
+	},
+	{
+		name: "sessionEnd skips an unsubscribe", file: "internal/sim/sim.go",
+		old: "\t\t\tss.unsubscribe(h)\n\t\t}\n\t\ts.sampleSR()", new: "\t\t\tif h != ss.hosts[0] {\n\t\t\t\tss.unsubscribe(h)\n\t\t\t}\n\t\t}\n\t\ts.sampleSR()",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit subscriptions",
+	},
+	{
+		name: "a Batch container keeps its GPUs", file: "internal/sim/taskfsm.go",
+		old: "if t.s.cfg.Policy != PolicyReservation {", new: "if t.s.cfg.Policy != PolicyReservation && t.s.cfg.Policy != PolicyBatch {",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^batch$", want: "audit capacity",
+	},
+	{
+		name: "an aborted task keeps training", file: "internal/sim/taskfsm.go",
+		old: "\t\tt.s.markTraining(t, -1)\n", new: "",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos-heavy$", want: "audit ledger",
+	},
+	{
+		name: "a crashed replica stays in its slot", file: "internal/sim/faults.go",
+		old: "ss.hosts[i] = nil", new: "ss.hosts[i] = rh",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos-heavy$", want: "audit crashed",
+	},
+	{
+		name: "a migration subscribes for a session that has ended", file: "internal/sim/sim.go",
+		old: "\tif !ss.closed {\n\t\tif old != nil {\n\t\t\tss.unsubscribe(old)\n\t\t}\n\t\tss.subscribe(target)\n\t}",
+		new: "\tif !ss.closed && old != nil {\n\t\tss.unsubscribe(old)\n\t}\n\tss.subscribe(target)",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^seed-28$/^heavy$", want: "audit subscriptions",
+	},
+	{
+		name: "a woken task leaves its queue-depth gauge up", file: "internal/sim/sim.go",
+		old: "\t\ts.qdepth[home]--\n", new: "",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit waitq",
+	},
+	{
+		name: "a session's end is scheduled twice", file: "internal/sim/stream.go",
+		old: "\ts.eng.ScheduleRunner(ss.src.End, ss)\n", new: "\ts.eng.ScheduleRunner(ss.src.End, ss)\n\ts.eng.ScheduleRunner(ss.src.End, ss)\n",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit pending",
+	},
+}
+
+// TestMutants applies each mutant of the table through go test -overlay, so
+// no file in the tree changes, and fails on a mutant that survives — its test
+// passes — or that fails without the output its check gives. Run it with
+// go test -run TestMutants -mutants . (about a minute and a half on two
+// cores: each mutant rebuilds the packages it touches).
+func TestMutants(t *testing.T) {
+	if !*runMutants {
+		t.Skip("the mutant table runs with -mutants")
+	}
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range mutants {
+		t.Run(m.name, func(t *testing.T) {
+			path := filepath.Join(root, m.file)
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := strings.Count(string(src), m.old); n != 1 {
+				t.Fatalf("%s holds the mutant's text %d times, want once: %q", m.file, n, m.old)
+			}
+			dir := t.TempDir()
+			mutated := filepath.Join(dir, filepath.Base(m.file))
+			if err := os.WriteFile(mutated, []byte(strings.Replace(string(src), m.old, m.new, 1)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			overlay, err := json.Marshal(map[string]map[string]string{"Replace": {path: mutated}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			overlayFile := filepath.Join(dir, "overlay.json")
+			if err := os.WriteFile(overlayFile, overlay, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cmd := exec.Command("go", "test", "-overlay", overlayFile, "-count=1", "-short", "-run", m.run, m.pkg)
+			cmd.Dir = root
+			out, err := cmd.CombinedOutput()
+			switch {
+			case err == nil:
+				t.Errorf("survived: %s passes with %s\n%s", m.run, m.file, out)
+			case !strings.Contains(string(out), m.want):
+				t.Errorf("killed, but not by %q:\n%s", m.want, out)
+			}
+		})
+	}
+}
