@@ -118,7 +118,7 @@ func runAll(o experiments.Options, jobs int) int {
 		jobs = 1
 	}
 	type outcome struct {
-		out  string
+		out  *experiments.Report
 		err  error
 		took time.Duration
 	}

@@ -1,233 +1,160 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"notebookos/internal/metrics"
 	"notebookos/internal/sim"
+	"notebookos/internal/trace"
 )
 
-// Fig8 reproduces the provisioned-GPU timelines and the headline GPU-hour
-// savings. Paper anchors: NotebookOS saves 1,187.66 GPU-hours and LCP
-// 1,662.53 over the 17.5-hour excerpt versus Reservation; LCP provisions
-// 23.52 % fewer GPUs than NotebookOS but 18.18 % more than Batch.
-func Fig8(o Options) (string, error) {
-	tr := excerptTrace(o)
-	results, err := runSims(o, "excerpt", sim.PolicyBatch, sim.PolicyNotebookOS, sim.PolicyLCP)
-	if err != nil {
-		return "", err
+// economy is the provider's side of the 90-day simulation up to one day:
+// Reservation's cost and revenue, then NotebookOS's.
+type economy struct{ day, resCost, resRev, nbosCost, nbosRev float64 }
+
+// economics is Figs. 12a and 12b: the provider's cost and revenue at ten
+// instants of the 90-day simulation. Under Reservation the provider
+// provisions the reserved GPUs and users pay the 1.15x rate on
+// reservations. Under NotebookOS the provider provisions the autoscaled
+// servers and users pay active GPU-hours plus standby-replica hours.
+func economics(o Options) []economy {
+	tr := namedTrace(o, "summer")
+	nbos := runSim(o, "summer", sim.PolicyNotebookOS)
+	billing := metrics.DefaultBilling()
+	reserved := tr.ReservedGPUs()
+	const points = 10
+	rows := make([]economy, points)
+	for i := range rows {
+		at := tr.Start.Add(tr.End.Sub(tr.Start) * time.Duration(i+1) / time.Duration(points))
+		resGPUHours := reserved.Integral(tr.Start, at)
+		rows[i] = economy{
+			day:      at.Sub(tr.Start).Hours() / 24,
+			resCost:  billing.ProviderCost(resGPUHours / 8),
+			resRev:   billing.ReservationRevenue(resGPUHours),
+			nbosCost: billing.ProviderCost(nbos.ProvisionedGPUs.Integral(tr.Start, at) / 8),
+			nbosRev: billing.ActiveRevenue(nbos.CommittedGPUs.Integral(tr.Start, at)) +
+				billing.StandbyRevenue(nbos.ActiveSessions.Integral(tr.Start, at)*3),
+		}
 	}
-	batch, nbos, lcp := results[0], results[1], results[2]
+	return rows
+}
+
+// Fig12a reproduces the provider-side cost/revenue timeline of the 90-day
+// simulation.
+func Fig12a(o Options) (*Report, error) {
+	rows := economics(o)
+	r := newReport("fig12a", "Provider cost and revenue", o)
+	r.printf("%-8s %14s %14s %14s %14s\n", "day", "res-cost$", "res-rev$", "nbos-cost$", "nbos-rev$")
+	for _, e := range rows {
+		r.printf("%-8.0f %14.0f %14.0f %14.0f %14.0f\n", e.day, e.resCost, e.resRev, e.nbosCost, e.nbosRev)
+	}
+	if end := rows[len(rows)-1]; end.resCost > 0 {
+		r.printf("cost reduction vs reservation: %.1f%% (paper up to %g%%)\n",
+			cell{"cost-reduction%", (1 - end.nbosCost/end.resCost) * 100}, paper{"cost-reduction%", 69.87})
+	}
+	return r, nil
+}
+
+// Fig12b reproduces the profit-margin timeline; paper-check scores the
+// paper's "NotebookOS higher".
+func Fig12b(o Options) (*Report, error) {
+	rows := economics(o)
+	r := newReport("fig12b", "Profit margin", o)
+	r.printf("%-8s %14s %14s\n", "day", "res-margin%", "nbos-margin%")
+	var res, nbos float64
+	for _, e := range rows {
+		res, nbos = metrics.ProfitMargin(e.resRev, e.resCost), metrics.ProfitMargin(e.nbosRev, e.nbosCost)
+		r.printf("%-8.0f %14.1f %14.1f\n", e.day, res, nbos)
+	}
+	r.printf("final margins: reservation=%.1f%% nbos=%.1f%% (paper: nbos higher)\n",
+		cell{"margin/reservation", res}, cell{"margin/nbos", nbos})
+	return r, nil
+}
+
+// Fig13 reproduces the GPU-hours saved by avoiding cell re-execution
+// after idle session reclamation, for reclamation intervals of
+// 15/30/60/90/120 minutes. Without NotebookOS's state persistence, a
+// reclaimed session must re-execute all prior cells on return.
+func Fig13(o Options) (*Report, error) {
+	tr := namedTrace(o, "summer")
+	intervals := []time.Duration{15 * time.Minute, 30 * time.Minute, 60 * time.Minute, 90 * time.Minute, 120 * time.Minute}
+
+	r := newReport("fig13", "GPU-hours saved vs reclamation interval", o)
+	r.printf("%-10s %16s %12s\n", "interval", "savedGPU-hours", "reclaims")
+	for _, iv := range intervals {
+		saved, reclaims := reexecutionSavings(tr, iv)
+		r.printf("%-10s %16.1f %12d\n", iv, cell{"saved/" + iv.String(), saved}, reclaims)
+	}
+	r.printf("shorter intervals reclaim more often and therefore save more re-execution\n")
+	return r, nil
+}
+
+// reexecutionSavings computes, for one reclamation interval, the GPU-hours
+// of cell re-execution NotebookOS avoids: every time a session idles past
+// the interval, its accumulated GPU work so far would have to be re-run.
+func reexecutionSavings(tr *trace.Trace, interval time.Duration) (gpuHours float64, reclaims int) {
+	for _, s := range tr.Sessions {
+		var accum float64 // GPU-hours executed so far in this session
+		last := s.Start
+		for _, t := range s.Tasks {
+			if t.Submit.Sub(last) > interval && accum > 0 {
+				// The kernel would have been reclaimed before this task:
+				// the user re-executes all prior cells.
+				gpuHours += accum
+				reclaims++
+			}
+			accum += float64(t.Duration.Hours() * float64(t.GPUs))
+			last = t.End()
+		}
+	}
+	return gpuHours, reclaims
+}
+
+// Fig14a reproduces the simulated cluster-wide allocatable-GPU timeline.
+func Fig14a(o Options) (*Report, error) {
+	tr := namedTrace(o, "summer")
+	results := runSims(o, "summer", sim.PolicyNotebookOS, sim.PolicyLCP)
+	nbos, lcp := results[0], results[1]
 	oracle := tr.UtilizedGPUs()
-	reservation := tr.ReservedGPUs()
+	reserved := tr.ReservedGPUs()
 
-	var b strings.Builder
-	b.WriteString(header("fig8", "Provisioned GPUs timelines", o))
-	b.WriteString(metrics.FormatSeries(tr.Start, tr.End, 13,
-		[]string{"oracle", "batch", "nbos", "lcp", "reserved"},
-		[]*metrics.Timeline{oracle, batch.ProvisionedGPUs, nbos.ProvisionedGPUs, lcp.ProvisionedGPUs, reservation}))
-
-	resHours := reservation.Integral(tr.Start, tr.End)
-	oracleHours := oracle.Integral(tr.Start, tr.End)
-	batchHours := batch.ProvisionedGPUs.Integral(tr.Start, tr.End)
-	nbosHours := nbos.ProvisionedGPUs.Integral(tr.Start, tr.End)
-	lcpHours := lcp.ProvisionedGPUs.Integral(tr.Start, tr.End)
-
-	fmt.Fprintf(&b, "GPU-hours: reservation=%.1f oracle=%.1f batch=%.1f nbos=%.1f lcp=%.1f\n",
-		resHours, oracleHours, batchHours, nbosHours, lcpHours)
-	fmt.Fprintf(&b, "saved vs reservation: nbos=%.1f GPU-h (paper 1187.66), lcp=%.1f GPU-h (paper 1662.53)\n",
-		resHours-nbosHours, resHours-lcpHours)
-	if nbosHours > 0 {
-		fmt.Fprintf(&b, "lcp vs nbos: %.1f%% fewer GPUs (paper 23.52%%)\n", (1-lcpHours/nbosHours)*100)
-	}
-	if batchHours > 0 {
-		fmt.Fprintf(&b, "lcp vs batch: %.1f%% more GPUs (paper 18.18%%)\n", (lcpHours/batchHours-1)*100)
-	}
-	fmt.Fprintf(&b, "over-provisioned vs oracle: nbos=%.1f GPU-h\n", nbosHours-oracleHours)
-	return b.String(), nil
+	r := newReport("fig14a", "Cluster-wide allocatable GPUs", o)
+	r.series(tr.Start, tr.End, 13, []string{"reservation", "oracle", "nbos", "lcp"},
+		[]*metrics.Timeline{reserved, oracle, nbos.ProvisionedGPUs, lcp.ProvisionedGPUs})
+	resH := reserved.Integral(tr.Start, tr.End)
+	nbosH := nbos.ProvisionedGPUs.Integral(tr.Start, tr.End)
+	r.printf("saved GPU-hours vs reservation: nbos=%.0f (%.1f%%)\n", resH-nbosH, (1-nbosH/resH)*100)
+	return r, nil
 }
 
-// fourPolicies runs the excerpt under all four baselines, one goroutine
-// per policy.
-func fourPolicies(o Options) (reserv, batch, nbos, lcp *sim.Result, err error) {
-	results, err := runSims(o, "excerpt",
-		sim.PolicyReservation, sim.PolicyBatch, sim.PolicyNotebookOS, sim.PolicyLCP)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	return results[0], results[1], results[2], results[3], nil
-}
+// Fig14b reproduces the GPU usage ratio (utilized / allocatable); the
+// paper shows NotebookOS using a significantly higher fraction of its
+// provisioned GPUs than Reservation, which paper-check scores.
+func Fig14b(o Options) (*Report, error) {
+	tr := namedTrace(o, "summer")
+	nbos := runSim(o, "summer", sim.PolicyNotebookOS)
+	oracle := tr.UtilizedGPUs()
+	reserved := tr.ReservedGPUs()
 
-// Fig9a reproduces the interactivity-delay CDFs. Paper anchors:
-// Reservation and NotebookOS are nearly indistinguishable (GPUs committed
-// immediately 89.6 % of the time); Batch suffers up to ~270 s delays.
-func Fig9a(o Options) (string, error) {
-	reserv, batch, nbos, lcp, err := fourPolicies(o)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(header("fig9a", "Interactivity delay CDFs", o))
-	b.WriteString(metrics.FormatCDFTable(
-		[]string{"reservation", "batch", "nbos", "nbos-lcp"},
-		[]*metrics.Sample{reserv.Interactivity, batch.Interactivity, nbos.Interactivity, lcp.Interactivity},
-		[]float64{25, 50, 75, 90, 95, 99}, "s"))
-	rate := 0.0
-	if nbos.Tasks > 0 {
-		rate = float64(nbos.ImmediateCommits) / float64(nbos.Tasks) * 100
-	}
-	reuse := 0.0
-	if nbos.Tasks > 0 {
-		reuse = float64(nbos.ExecutorReuse) / float64(nbos.Tasks) * 100
-	}
-	fmt.Fprintf(&b, "nbos immediate GPU commit: %.1f%% (paper 89.6%%)\n", rate)
-	fmt.Fprintf(&b, "nbos executor reuse: %.1f%% (paper 89.45%%)\n", reuse)
-	fmt.Fprintf(&b, "nbos migrations=%d cold starts=%d warm starts=%d\n",
-		nbos.Migrations, nbos.ColdStarts, nbos.WarmStarts)
-	return b.String(), nil
-}
-
-// Fig9b reproduces the TCT CDFs. Paper anchors: NotebookOS tracks
-// Reservation with slightly higher TCTs between p38 and p90; LCP is much
-// longer (per-task warm-up); FCFS/Batch is the longest.
-func Fig9b(o Options) (string, error) {
-	reserv, batch, nbos, lcp, err := fourPolicies(o)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(header("fig9b", "Task completion time CDFs", o))
-	b.WriteString(metrics.FormatCDFTable(
-		[]string{"reservation", "batch", "nbos", "nbos-lcp"},
-		[]*metrics.Sample{reserv.TCT, batch.TCT, nbos.TCT, lcp.TCT},
-		[]float64{25, 38, 50, 75, 90, 95, 99}, "s"))
-	fmt.Fprintf(&b, "ordering check (p50): reservation<=nbos<lcp<batch: %v\n",
-		reserv.TCT.Percentile(50) <= nbos.TCT.Percentile(50)*1.05 &&
-			nbos.TCT.Percentile(50) < lcp.TCT.Percentile(50) &&
-			lcp.TCT.Percentile(50) < batch.TCT.Percentile(50))
-	return b.String(), nil
-}
-
-// Fig10 reproduces the subscription-ratio timeline with kernel-creation,
-// migration, and scale-out events.
-func Fig10(o Options) (string, error) {
-	tr := excerptTrace(o)
-	nbos, err := runSim(o, "excerpt", sim.PolicyNotebookOS)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(header("fig10", "Subscription ratio & events", o))
-	b.WriteString(metrics.FormatSeries(tr.Start, tr.End, 15,
-		[]string{"SR"}, []*metrics.Timeline{nbos.SR}))
-	counts := map[string]int{}
-	for _, e := range nbos.Events {
-		counts[string(e.Kind)]++
-	}
-	b.WriteString("events:\n")
-	b.WriteString(sortedKinds(counts))
-	// Bucket events per hour to show the creation-burst -> SR-spike ->
-	// scale-out pattern the paper describes.
-	b.WriteString("events per 2h bucket (create/migrate/scale-out):\n")
-	bucket := tr.End.Sub(tr.Start) / 8
-	for i := 0; i < 8; i++ {
-		lo := tr.Start.Add(bucket * time.Duration(i))
-		hi := lo.Add(bucket)
-		loNS, hiNS := lo.UnixNano(), hi.UnixNano()
-		var c, m, s int
-		for _, e := range nbos.Events {
-			if e.T < loNS || e.T >= hiNS {
-				continue
-			}
-			switch string(e.Kind) {
-			case "kernel-created":
-				c++
-			case "kernel-migration":
-				m++
-			case "scale-out":
-				s++
-			}
+	r := newReport("fig14b", "GPU usage ratio", o)
+	r.printf("%-8s %14s %14s\n", "day", "reservation", "nbos")
+	points := 12
+	for i := 1; i <= points; i++ {
+		at := tr.Start.Add(tr.End.Sub(tr.Start) * time.Duration(i) / time.Duration(points))
+		util := oracle.At(at)
+		resRatio, nbosRatio := 0.0, 0.0
+		if res := reserved.At(at); res > 0 {
+			resRatio = util / res
 		}
-		fmt.Fprintf(&b, "  +%5.1fh  create=%-4d migrate=%-4d scaleout=%d\n",
-			lo.Sub(tr.Start).Hours(), c, m, s)
-	}
-	fmt.Fprintf(&b, "max SR=%.2f (paper peaks ~2.5-3.0)\n", nbos.SR.Max())
-	return b.String(), nil
-}
-
-// Fig11 reproduces the synchronization-overhead CDFs. Paper anchors: sync
-// p90/p95/p99 = 54.79/66.69/268.25 ms; 99 % of reads/writes within
-// ~3.95/7.07 s; shortest event IAT 240 s, so replication hides inside IATs.
-func Fig11(o Options) (string, error) {
-	tr := excerptTrace(o)
-	nbos, err := runSim(o, "excerpt", sim.PolicyNotebookOS)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(header("fig11", "Object synchronization overhead", o))
-	iats := tr.IATs()
-	b.WriteString(metrics.FormatCDFTable(
-		[]string{"sync", "reads", "writes", "eventIAT"},
-		[]*metrics.Sample{nbos.SyncLatency, nbos.ReadLatency, nbos.WriteLatency, iats},
-		[]float64{50, 75, 90, 95, 99}, "s"))
-	fmt.Fprintf(&b, "sync p90=%s p95=%s p99=%s (paper 54.79ms/66.69ms/268.25ms)\n",
-		fmtSeconds(nbos.SyncLatency.Percentile(90)),
-		fmtSeconds(nbos.SyncLatency.Percentile(95)),
-		fmtSeconds(nbos.SyncLatency.Percentile(99)))
-	fmt.Fprintf(&b, "reads p99=%s writes p99=%s (paper ~3.95s / ~7.07s)\n",
-		fmtSeconds(nbos.ReadLatency.Percentile(99)),
-		fmtSeconds(nbos.WriteLatency.Percentile(99)))
-	hidden := nbos.WriteLatency.Percentile(99) < iats.Percentile(1)
-	fmt.Fprintf(&b, "replication hidden within event IATs: %v (min IAT %s)\n",
-		hidden, fmtSeconds(iats.Min()))
-	return b.String(), nil
-}
-
-// breakdown renders a Fig. 16-19 style per-step latency table.
-func breakdown(id, title string, o Options, policy sim.Policy) (string, error) {
-	res, err := runSim(o, "excerpt", policy)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	b.WriteString(header(id, title, o))
-	fmt.Fprintf(&b, "%-16s %10s %10s %10s %10s\n", "step", "p50", "p90", "p99", "max")
-	for _, st := range sim.Steps() {
-		s := res.StepLatency[st]
-		if s.N() == 0 {
-			fmt.Fprintf(&b, "%-16s %10s\n", st, "-")
-			continue
+		if g := nbos.ProvisionedGPUs.At(at); g > 0 {
+			nbosRatio = nbos.CommittedGPUs.At(at) / g
 		}
-		fmt.Fprintf(&b, "%-16s %10s %10s %10s %10s\n", st,
-			fmtSeconds(s.Percentile(50)), fmtSeconds(s.Percentile(90)),
-			fmtSeconds(s.Percentile(99)), fmtSeconds(s.Max()))
+		r.printf("%-8.0f %14.2f %14.2f\n", at.Sub(tr.Start).Hours()/24, resRatio, nbosRatio)
 	}
-	return b.String(), nil
-}
-
-// Fig16 is the Reservation latency breakdown (execution dominates; step 9
-// pays synchronous state persistence).
-func Fig16(o Options) (string, error) {
-	return breakdown("fig16", "Latency breakdown: Reservation", o, sim.PolicyReservation)
-}
-
-// Fig17 is the Batch breakdown (step 1 dominated by queueing plus
-// on-demand container provisioning).
-func Fig17(o Options) (string, error) {
-	return breakdown("fig17", "Latency breakdown: Batch", o, sim.PolicyBatch)
-}
-
-// Fig18 is the NotebookOS breakdown (small overheads in many steps; the
-// election step 6 costs tens of milliseconds).
-func Fig18(o Options) (string, error) {
-	return breakdown("fig18", "Latency breakdown: NotebookOS", o, sim.PolicyNotebookOS)
-}
-
-// Fig19 is the NotebookOS (LCP) breakdown (shorter step 1 than Batch
-// thanks to the warm pool, but per-task state warm-up in step 5).
-func Fig19(o Options) (string, error) {
-	return breakdown("fig19", "Latency breakdown: NotebookOS (LCP)", o, sim.PolicyLCP)
+	utilH := oracle.Integral(tr.Start, tr.End)
+	resH := reserved.Integral(tr.Start, tr.End)
+	nbosH := nbos.ProvisionedGPUs.Integral(tr.Start, tr.End)
+	r.printf("time-averaged ratios: reservation=%.2f nbos=%.2f (paper: nbos much higher)\n",
+		cell{"ratio/reservation", utilH / resH}, cell{"ratio/nbos", nbos.CommittedGPUs.Integral(tr.Start, tr.End) / nbosH})
+	return r, nil
 }

@@ -2,11 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"notebookos/internal/metrics"
 	"notebookos/internal/sim"
 	"notebookos/internal/trace"
 )
@@ -37,10 +36,16 @@ func (o Options) seed() int64 {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(o Options) (string, error)
+	Run   func(o Options) (*Report, error)
 }
 
-// All returns every experiment in paper order.
+// All returns every experiment in paper order, the paper scoreboard last.
+// Figs. 16-19 break each policy's task latency into its protocol steps:
+// Reservation's execution dominates and step 9 pays synchronous state
+// persistence; Batch's step 1 is queueing plus on-demand container
+// provisioning; NotebookOS pays small overheads in many steps, tens of
+// milliseconds in the election (step 6); LCP's step 1 is shorter than
+// Batch's thanks to the warm pool, but step 5 warms state per task.
 func All() []Experiment {
 	return []Experiment{
 		{"fig2a", "Task duration CDFs (Adobe vs Philly vs Alibaba)", Fig2a},
@@ -59,10 +64,10 @@ func All() []Experiment {
 		{"fig13", "GPU-hours saved vs idle reclamation interval", Fig13},
 		{"fig14a", "Cluster-wide allocatable GPUs (90-day sim)", Fig14a},
 		{"fig14b", "GPU usage ratio (90-day sim)", Fig14b},
-		{"fig16", "Latency breakdown: Reservation", Fig16},
-		{"fig17", "Latency breakdown: Batch", Fig17},
-		{"fig18", "Latency breakdown: NotebookOS", Fig18},
-		{"fig19", "Latency breakdown: NotebookOS (LCP)", Fig19},
+		breakdown("fig16", "Latency breakdown: Reservation", sim.PolicyReservation),
+		breakdown("fig17", "Latency breakdown: Batch", sim.PolicyBatch),
+		breakdown("fig18", "Latency breakdown: NotebookOS", sim.PolicyNotebookOS),
+		breakdown("fig19", "Latency breakdown: NotebookOS (LCP)", sim.PolicyLCP),
 		{"fig20", "Active sessions & trainings (full summer)", Fig20},
 		{"ablation-replicas", "Ablation: replication factor R", AblationReplicas},
 		{"ablation-sr", "Ablation: SR high watermark", AblationSR},
@@ -70,8 +75,12 @@ func All() []Experiment {
 		{"ablation-prewarm", "Ablation: pre-warm pool size", AblationPrewarm},
 		{"stream-scale", "Streaming 1M-session workload, bounded memory", StreamScale},
 		{"policy-tournament", "Policy lab: scorer configs x scenarios x federation k", PolicyTournament},
+		{"paper-check", "Paper scoreboard: every paper number the figures print, scored", paperCheck},
 	}
 }
+
+// policies are the four scheduling policies, in paper order.
+var policies = []sim.Policy{sim.PolicyReservation, sim.PolicyBatch, sim.PolicyNotebookOS, sim.PolicyLCP}
 
 // ByID finds an experiment.
 func ByID(id string) (Experiment, bool) {
@@ -129,6 +138,19 @@ var (
 	workloads  = map[traceKey]*simWorkload{}
 )
 
+// traceKinds are the paper's traces, each with its duration in quick mode:
+// the 17.5-hour excerpt (4 h), the 92-day summer (10 days), and a week of
+// Philly and of Alibaba.
+var traceKinds = map[string]struct {
+	config func(seed int64) trace.GenConfig
+	quick  time.Duration
+}{
+	"excerpt": {trace.AdobeExcerptConfig, 4 * time.Hour},
+	"summer":  {trace.AdobeSummerConfig, 10 * 24 * time.Hour},
+	"philly":  {trace.PhillyConfig, 7 * 24 * time.Hour},
+	"alibaba": {trace.AlibabaConfig, 7 * 24 * time.Hour},
+}
+
 // namedWorkload returns the shared workload of a trace kind at the options'
 // seed and scale: the one place the kind → GenConfig mapping lives.
 func namedWorkload(o Options, kind string) *simWorkload {
@@ -138,32 +160,13 @@ func namedWorkload(o Options, kind string) *simWorkload {
 	if w, ok := workloads[key]; ok {
 		return w
 	}
-	var cfg trace.GenConfig
-	switch kind {
-	case "excerpt":
-		// 17.5-hour excerpt (4 h in quick mode).
-		cfg = trace.AdobeExcerptConfig(o.seed())
-		if o.Quick {
-			cfg.Duration = 4 * time.Hour
-		}
-	case "summer":
-		// 92-day summer trace (10 days in quick mode).
-		cfg = trace.AdobeSummerConfig(o.seed())
-		if o.Quick {
-			cfg.Duration = 10 * 24 * time.Hour
-		}
-	case "philly":
-		cfg = trace.PhillyConfig(o.seed())
-		if o.Quick {
-			cfg.Duration = 7 * 24 * time.Hour
-		}
-	case "alibaba":
-		cfg = trace.AlibabaConfig(o.seed())
-		if o.Quick {
-			cfg.Duration = 7 * 24 * time.Hour
-		}
-	default:
+	kc, ok := traceKinds[kind]
+	if !ok {
 		panic("experiments: unknown trace kind " + kind)
+	}
+	cfg := kc.config(o.seed())
+	if o.Quick {
+		cfg.Duration = kc.quick
 	}
 	w := &simWorkload{gcfg: cfg}
 	workloads[key] = w
@@ -180,16 +183,6 @@ func namedTrace(o Options, kind string) *trace.Trace {
 	return tr
 }
 
-// excerptTrace returns the 17.5-hour excerpt (4 h in quick mode).
-func excerptTrace(o Options) *trace.Trace { return namedTrace(o, "excerpt") }
-
-// summerTrace returns the 92-day summer trace (10 days in quick mode).
-func summerTrace(o Options) *trace.Trace { return namedTrace(o, "summer") }
-
-func phillyTrace(o Options) *trace.Trace { return namedTrace(o, "philly") }
-
-func alibabaTrace(o Options) *trace.Trace { return namedTrace(o, "alibaba") }
-
 // simKey names one cached figure simulation. It carries the options whole:
 // a run under different options is a different run.
 type simKey struct {
@@ -204,7 +197,6 @@ type simKey struct {
 type simEntry struct {
 	once sync.Once
 	res  *sim.Result
-	err  error
 }
 
 var (
@@ -212,8 +204,10 @@ var (
 	simCache = map[simKey]*simEntry{}
 )
 
-// runSim runs (with caching) one policy over the named workload.
-func runSim(o Options, kind string, policy sim.Policy) (*sim.Result, error) {
+// runSim runs (with caching) one policy over the named workload. The
+// built-in workloads simulate without error, so an error is a defect and
+// panics, as namedTrace's does.
+func runSim(o Options, kind string, policy sim.Policy) *sim.Result {
 	o.Seed = o.seed()
 	key := simKey{kind, policy, o}
 	simMu.Lock()
@@ -224,16 +218,37 @@ func runSim(o Options, kind string, policy sim.Policy) (*sim.Result, error) {
 	}
 	simMu.Unlock()
 	e.once.Do(func() {
-		e.res, e.err = namedWorkload(o, kind).runPolicy(o, policy, nil)
+		res, err := namedWorkload(o, kind).runPolicy(o, policy, nil)
+		if err != nil {
+			panic(err)
+		}
+		settle(res)
+		e.res = res
 	})
-	return e.res, e.err
+	return e.res
+}
+
+// settle sorts a cached result's samples before any reader shares it. A
+// Sample sorts itself in place on its first order query, so two experiments
+// reading one cached result on parallel goroutines (nbos-sim -exp all -jobs
+// N, paper-check beside the figures it scores) would otherwise sort it at
+// once. Sorting early changes no answer.
+func settle(res *sim.Result) {
+	for _, s := range []*metrics.Sample{res.Interactivity, res.TCT, res.SyncLatency, res.ReadLatency, res.WriteLatency} {
+		s.Percentile(0)
+	}
+	for _, s := range res.StepLatency {
+		s.Percentile(0)
+	}
 }
 
 // runSims runs one simulation per policy on parallel goroutines (each
 // sim.Run owns its RNGs, seeded only by the config, so results are
-// independent of scheduling) and returns results in argument order.
-func runSims(o Options, kind string, policies ...sim.Policy) ([]*sim.Result, error) {
-	return inParallel(len(policies), func(i int) (*sim.Result, error) { return runSim(o, kind, policies[i]) })
+// independent of scheduling) and returns results in argument order. runSim
+// returns no error, so inParallel's is always nil here.
+func runSims(o Options, kind string, ps ...sim.Policy) []*sim.Result {
+	results, _ := inParallel(len(ps), func(i int) (*sim.Result, error) { return runSim(o, kind, ps[i]), nil })
+	return results
 }
 
 // inParallel runs one simulation per index, each on its own goroutine, and
@@ -259,23 +274,7 @@ func inParallel(n int, run func(i int) (*sim.Result, error)) ([]*sim.Result, err
 	return results, nil
 }
 
-// parallelSims runs uncached per-config simulations (the ablation sweeps)
-// on parallel goroutines, returning results in input order. Per-run seeds
-// live in the configs, so output is byte-identical to a sequential sweep.
-func parallelSims(cfgs []sim.Config) ([]*sim.Result, error) {
-	return inParallel(len(cfgs), func(i int) (*sim.Result, error) { return sim.Run(cfgs[i]) })
-}
-
-// header renders a standard experiment banner.
-func header(id, title string, o Options) string {
-	scale := "full"
-	if o.Quick {
-		scale = "quick"
-	}
-	return fmt.Sprintf("== %s: %s (seed=%d scale=%s) ==\n", id, title, o.seed(), scale)
-}
-
-// fmtDuration renders seconds compactly for tables.
+// fmtSeconds renders seconds compactly for tables.
 func fmtSeconds(s float64) string {
 	switch {
 	case s < 1:
@@ -287,18 +286,4 @@ func fmtSeconds(s float64) string {
 	default:
 		return fmt.Sprintf("%.1fh", s/3600)
 	}
-}
-
-// sortedKinds renders event counts deterministically.
-func sortedKinds(counts map[string]int) string {
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "  %-16s %d\n", k, counts[k])
-	}
-	return b.String()
 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"notebookos/internal/federation"
@@ -94,14 +92,6 @@ func tournamentFedConfig(o Options, k int, policy *federation.ScoredPolicy) sim.
 	}
 }
 
-// tournamentCell is one (scenario, k, policy) result.
-type tournamentCell struct {
-	scenario string
-	k        int
-	policy   string
-	res      *sim.Result
-}
-
 // classP50 reads one SLO class's median queue delay in seconds.
 func classP50(r *sim.Result, cl trace.SLOClass) float64 {
 	if r.ClassDelay == nil {
@@ -146,22 +136,11 @@ func edgeSign(edge, tol float64) int {
 // delay (2 ms or 5% relative, whichever is larger), per federation size.
 // A tie on both axes reproduces the finding in its weak form: at
 // saturation, the four-signal scorer buys nothing over blind rotation.
-func tournamentVerdict(b *strings.Builder, cells []tournamentCell) {
-	b.WriteString("\nverdict (round-robin vs composite on flash-crowd, the saturated scenario):\n")
+func tournamentVerdict(r *Report, flash map[int]map[string]*sim.Result) {
+	r.printf("\nverdict (round-robin vs composite on flash-crowd, the saturated scenario):\n")
 	reproduced, refuted, total := 0, 0, 0
 	for _, k := range tournamentKs {
-		var rr, comp *sim.Result
-		for _, c := range cells {
-			if c.scenario != "flash-crowd" || c.k != k {
-				continue
-			}
-			switch c.policy {
-			case "round-robin":
-				rr = c.res
-			case "composite":
-				comp = c.res
-			}
-		}
+		rr, comp := flash[k]["round-robin"], flash[k]["composite"]
 		if rr == nil || comp == nil {
 			continue
 		}
@@ -187,19 +166,20 @@ func tournamentVerdict(b *strings.Builder, cells []tournamentCell) {
 		default:
 			outcome = "split across metrics"
 		}
-		fmt.Fprintf(b, "  k=%d: round-robin GPUh-saved %+0.1f vs composite, interactive p50 %+.0fms in round-robin's favor -> %s\n",
+		r.printf("  k=%d: round-robin GPUh-saved %+0.1f vs composite, interactive p50 %+.0fms in round-robin's favor -> %s\n",
 			k, savedEdge, delayEdge*1000, outcome)
 	}
+	verdict, why := "MIXED", "the outcome shifts with federation size; see STRATEGY_LEDGER.md."
 	switch {
 	case total == 0:
-		b.WriteString("  (no flash-crowd cells ran)\n")
+		r.printf("  (no flash-crowd cells ran)\n")
+		return
 	case reproduced == total:
-		b.WriteString("  REPRODUCED: round-robin matches or beats the composite scorer at saturation.\n")
+		verdict, why = "REPRODUCED", "round-robin matches or beats the composite scorer at saturation."
 	case refuted == total:
-		b.WriteString("  REFUTED: the composite scorer beats round-robin at saturation on this workload.\n")
-	default:
-		b.WriteString("  MIXED: the outcome shifts with federation size; see STRATEGY_LEDGER.md.\n")
+		verdict, why = "REFUTED", "the composite scorer beats round-robin at saturation on this workload."
 	}
+	r.printf("  %s: %s\n", cell{"verdict", verdict}, why)
 }
 
 // PolicyTournament crosses the tournament's policy configurations with
@@ -207,41 +187,44 @@ func tournamentVerdict(b *strings.Builder, cells []tournamentCell) {
 // the SLO-aware wait-queue, and reports per-SLO-class delay medians,
 // overall p99, GPU-hour savings, and remote-execution share — the
 // experiment behind STRATEGY_LEDGER.md.
-func PolicyTournament(o Options) (string, error) {
-	var b strings.Builder
-	b.WriteString(header("policy-tournament", "Policy lab: scorer configs x scenarios x federation k", o))
-	b.WriteString("SLO-aware wait-queue on every run\n")
-	fmt.Fprintf(&b, "classes: interactive=researcher (weight 4), batch=batch-heavy (2), best-effort=student (1)\n")
+func PolicyTournament(o Options) (*Report, error) {
+	r := newReport("policy-tournament", "Policy lab: scorer configs x scenarios x federation k", o)
+	r.printf("SLO-aware wait-queue on every run\n")
+	r.printf("classes: interactive=researcher (weight 4), batch=batch-heavy (2), best-effort=student (1)\n")
 
-	var cells []tournamentCell
+	flash := map[int]map[string]*sim.Result{} // the saturated scenario's runs by k and policy
 	for _, spec := range trace.BuiltinScenarios() {
 		gcfg, err := scenarioConfig(o, spec)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		w := &simWorkload{gcfg: gcfg}
-		fmt.Fprintf(&b, "\n-- %s: %s\n", spec.Name, spec.Description)
+		r.printf("\n-- %s: %s\n", spec.Name, spec.Description)
 		for _, k := range tournamentKs {
 			results, err := runTournamentCells(o, w, k)
 			if err != nil {
-				return "", err
+				return nil, err
 			}
-			fmt.Fprintf(&b, "   k=%d %-13s %9s %9s %9s %9s %11s %7s\n",
+			r.printf("   k=%d %-13s %9s %9s %9s %9s %11s %7s\n",
 				k, "policy", "int-p50", "bat-p50", "be-p50", "p99", "GPUh-saved", "remote%")
+			byPolicy := map[string]*sim.Result{}
 			for i, e := range tournamentEntries() {
-				r := results[i]
-				fmt.Fprintf(&b, "       %-13s %9s %9s %9s %9s %11.1f %7.1f\n",
+				res := results[i]
+				r.printf("       %-13s %9s %9s %9s %9s %11.1f %7.1f\n",
 					e.key,
-					fmtSeconds(classP50(r, trace.SLOInteractive)),
-					fmtSeconds(classP50(r, trace.SLOBatch)),
-					fmtSeconds(classP50(r, trace.SLOBestEffort)),
-					fmtSeconds(r.Interactivity.Percentile(99)),
-					r.GPUHoursSaved(), fedRemotePct(r))
-				cells = append(cells, tournamentCell{scenario: spec.Name, k: k, policy: e.key, res: r})
+					seconds(classP50(res, trace.SLOInteractive)),
+					seconds(classP50(res, trace.SLOBatch)),
+					seconds(classP50(res, trace.SLOBestEffort)),
+					seconds(res.Interactivity.Percentile(99)),
+					res.GPUHoursSaved(), fedRemotePct(res))
+				byPolicy[e.key] = res
+			}
+			if spec.Name == "flash-crowd" {
+				flash[k] = byPolicy
 			}
 		}
 	}
-	tournamentVerdict(&b, cells)
-	b.WriteString("\nfull-scale seed-42 results and methodology: STRATEGY_LEDGER.md\n")
-	return b.String(), nil
+	tournamentVerdict(r, flash)
+	r.printf("\nfull-scale seed-42 results and methodology: STRATEGY_LEDGER.md\n")
+	return r, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"notebookos/internal/sim"
@@ -44,7 +43,7 @@ func within(got, want, relTol float64) bool {
 // STRATEGY_LEDGER.md numbers: the full-scale seed-42 flash-crowd cells
 // for the round-robin null hypothesis and the composite scorer must
 // reproduce the ledger's GPU-hours-saved and interactive-median values to
-// 0.1%, and the experiment's verdict line must still read REFUTED. A
+// 0.1%, and the experiment's verdict cell must still read REFUTED. A
 // deliberate behavior change that shifts these numbers must regenerate
 // the ledger (see STRATEGY_LEDGER.md's reproduction footer), not loosen
 // the tolerance.
@@ -82,12 +81,12 @@ func TestPolicyTournamentPinsLedger(t *testing.T) {
 		}
 	}
 
-	out, err := PolicyTournament(Options{Seed: 42})
+	r, err := PolicyTournament(Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "REFUTED: the composite scorer beats round-robin at saturation") {
-		t.Errorf("full-scale verdict no longer REFUTED; update STRATEGY_LEDGER.md if deliberate:\n%s", out)
+	if v := r.value("verdict"); v != "REFUTED" {
+		t.Errorf("full-scale verdict %v, not REFUTED; update STRATEGY_LEDGER.md if deliberate:\n%s", v, r)
 	}
 }
 
@@ -112,8 +111,8 @@ func TestPolicyTournamentSLOPriorityUnderSaturation(t *testing.T) {
 }
 
 // TestPolicyTournamentDeterministic double-runs the experiment and asserts
-// byte-identical output: the tournament's parallel cell goroutines must not
-// leak scheduling order into the report.
+// byte-identical reports: the tournament's parallel cell goroutines must not
+// leak scheduling order into the report, which must carry its verdict.
 func TestPolicyTournamentDeterministic(t *testing.T) {
 	o := Options{Seed: 42, Quick: true}
 	a, err := PolicyTournament(o)
@@ -124,10 +123,10 @@ func TestPolicyTournamentDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if a.String() != b.String() {
 		t.Fatalf("double run diverged:\n%s\n----\n%s", a, b)
 	}
-	if !strings.Contains(a, "verdict (round-robin vs composite") {
-		t.Fatalf("missing verdict section:\n%s", a)
+	if a.value("verdict") == nil {
+		t.Fatalf("no verdict cell:\n%s", a)
 	}
 }

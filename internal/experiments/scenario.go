@@ -15,14 +15,6 @@ import (
 // compiled spec is an ordinary GenConfig, so it runs as a simWorkload like
 // the paper's traces.
 
-// scenarioPolicies is the policy axis of a report, in paper order.
-var scenarioPolicies = []sim.Policy{
-	sim.PolicyReservation,
-	sim.PolicyBatch,
-	sim.PolicyNotebookOS,
-	sim.PolicyLCP,
-}
-
 // quickScenario reduces a spec for -quick runs: half the arrival intensity
 // over a clipped window. The clip keeps each scenario's defining feature —
 // two full diurnal cycles, four days of the weekly overlay, both
@@ -76,14 +68,14 @@ func scenarioLine(s trace.ScenarioSpec) string {
 // It backs cmd/nbos-sim's -scenario flag. A fault schedule — the spec's
 // own faults block, or Options.Faults overriding it (-faults) — threads
 // into every simulation as sim.Config.Faults.
-func ScenarioReport(nameOrPath string, o Options) (string, error) {
+func ScenarioReport(nameOrPath string, o Options) (*Report, error) {
 	spec, err := trace.ResolveScenario(nameOrPath)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	gcfg, err := scenarioConfig(o, spec)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	faults := o.Faults
 	if faults == nil {
@@ -91,30 +83,29 @@ func ScenarioReport(nameOrPath string, o Options) (string, error) {
 	}
 	exp := gcfg.Expect(1)
 
-	var b strings.Builder
-	b.WriteString(header("scenario", spec.Name, o))
+	r := newReport("scenario", spec.Name, o)
 	if spec.Description != "" {
-		fmt.Fprintf(&b, "%s\n", spec.Description)
+		r.printf("%s\n", spec.Description)
 	}
-	fmt.Fprintf(&b, "%s\n", scenarioLine(spec))
-	fmt.Fprintf(&b, "window %.0fh, peak arrival rate %.1f/h\n", gcfg.Duration.Hours(), spec.Arrival.MaxRate())
-	fmt.Fprintf(&b, "analytic expectation: %d sessions, %d tasks, %.0f reserved GPUh\n",
+	r.printf("%s\n", scenarioLine(spec))
+	r.printf("window %.0fh, peak arrival rate %.1f/h\n", gcfg.Duration.Hours(), spec.Arrival.MaxRate())
+	r.printf("analytic expectation: %d sessions, %d tasks, %.0f reserved GPUh\n",
 		exp.Sessions, exp.Tasks, exp.ReservedGPUHours)
 	// Per-day expected arrivals expose the declared shape numerically.
 	days := int(gcfg.Duration.Hours()+23) / 24
-	b.WriteString("expected arrivals/day:")
+	r.printf("expected arrivals/day:")
 	for d := 0; d < days; d++ {
 		from := time.Duration(d) * 24 * time.Hour
 		to := from + 24*time.Hour
 		if to > gcfg.Duration {
 			to = gcfg.Duration
 		}
-		fmt.Fprintf(&b, " %.0f", spec.Arrival.ExpectedArrivals(from, to))
+		r.printf(" %.0f", spec.Arrival.ExpectedArrivals(from, to))
 	}
-	b.WriteString("\n")
+	r.printf("\n")
 
 	if faults.Enabled() {
-		fmt.Fprintf(&b, "faults: MTBF %.0fh, MTTR %.1fh, %d outages, %d degradations, retry budget %d/%d/%d (int/batch/be)\n",
+		r.printf("faults: MTBF %.0fh, MTTR %.1fh, %d outages, %d degradations, retry budget %d/%d/%d (int/batch/be)\n",
 			faults.HostMTBFHours, faults.HostMTTRHours,
 			len(faults.Outages), len(faults.Degradations),
 			faults.RetryBudget(trace.SLOInteractive), faults.RetryBudget(trace.SLOBatch), faults.RetryBudget(trace.SLOBestEffort))
@@ -122,27 +113,27 @@ func ScenarioReport(nameOrPath string, o Options) (string, error) {
 
 	w := &simWorkload{gcfg: gcfg}
 	var nbos *sim.Result
-	fmt.Fprintf(&b, "%-14s %10s %10s %12s %8s %8s\n",
+	r.printf("%-14s %10s %10s %12s %8s %8s\n",
 		"policy", "delay-p50", "delay-p99", "GPUh-saved", "sessions", "tasks")
-	for _, p := range scenarioPolicies {
-		r, err := w.runPolicy(o, p, faults)
+	for _, p := range policies {
+		res, err := w.runPolicy(o, p, faults)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
 		if p == sim.PolicyNotebookOS {
-			nbos = r
+			nbos = res
 		}
-		fmt.Fprintf(&b, "%-14s %10s %10s %12.1f %8d %8d\n",
-			p, fmtSeconds(r.Interactivity.Percentile(50)), fmtSeconds(r.Interactivity.Percentile(99)),
-			r.GPUHoursSaved(), r.Sessions, r.Tasks)
+		r.printf("%-14s %10s %10s %12.1f %8d %8d\n",
+			p, seconds(res.Interactivity.Percentile(50)), seconds(res.Interactivity.Percentile(99)),
+			res.GPUHoursSaved(), res.Sessions, res.Tasks)
 	}
 	if faults.Enabled() && nbos != nil {
 		// The Availability integral over the window, per hour: the
 		// time-average live host count.
 		start := gcfg.Start
 		liveHosts := nbos.Availability.Integral(start, start.Add(gcfg.Duration)) / gcfg.Duration.Hours()
-		fmt.Fprintf(&b, "fault churn (nbos): crashes=%d failovers=%d restarts=%d abandoned=%d lost GPUh=%.1f mean live hosts=%.1f\n",
+		r.printf("fault churn (nbos): crashes=%d failovers=%d restarts=%d abandoned=%d lost GPUh=%.1f mean live hosts=%.1f\n",
 			nbos.HostCrashes, nbos.Failovers, nbos.TaskRestarts, nbos.Abandonments, nbos.LostGPUHours, liveHosts)
 	}
-	return b.String(), nil
+	return r, nil
 }

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-	"time"
-
 	"notebookos/internal/sim"
 	"notebookos/internal/trace"
 )
@@ -20,9 +16,8 @@ import (
 //
 // Quick mode simulates a 1/16 window (~5.6 days, ~65k sessions); full mode
 // runs the whole 90 days (~1M sessions, seconds).
-func StreamScale(o Options) (string, error) {
-	var b strings.Builder
-	b.WriteString(header("stream-scale", "Streaming 1M-session workload, bounded memory", o))
+func StreamScale(o Options) (*Report, error) {
+	r := newReport("stream-scale", "Streaming 1M-session workload, bounded memory", o)
 
 	gcfg := trace.MillionSessionConfig(o.seed())
 	if o.Quick {
@@ -30,7 +25,7 @@ func StreamScale(o Options) (string, error) {
 	}
 	src, err := trace.NewStreamGen(gcfg, 0, 1)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	cfg := sim.Config{
 		Source:      src,
@@ -40,28 +35,22 @@ func StreamScale(o Options) (string, error) {
 		Seed:        o.seed(),
 	}
 
-	t0 := time.Now()
 	res, err := sim.Run(cfg)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	elapsed := time.Since(t0)
 
 	exp := gcfg.Expect(1)
-	fmt.Fprintf(&b, "window                  %s (streamed, lean metrics)\n", gcfg.Duration)
-	fmt.Fprintf(&b, "sessions                %d (analytic expectation %d)\n", res.Sessions, exp.Sessions)
-	fmt.Fprintf(&b, "tasks                   %d\n", res.Tasks)
-	fmt.Fprintf(&b, "reserved GPU-hours      %.0f (analytic expectation %.0f)\n",
+	r.printf("window                  %s (streamed, lean metrics)\n", gcfg.Duration)
+	r.printf("sessions                %d (analytic expectation %d)\n", res.Sessions, exp.Sessions)
+	r.printf("tasks                   %d\n", res.Tasks)
+	r.printf("reserved GPU-hours      %.0f (analytic expectation %.0f)\n",
 		res.ReservedGPUHours, exp.ReservedGPUHours)
-	fmt.Fprintf(&b, "active GPU-hours        %.0f\n", res.ActiveGPUHours)
-	fmt.Fprintf(&b, "server-hours            %.0f\n", res.ServerHours)
-	fmt.Fprintf(&b, "tct p50 / p99           %s / %s\n",
-		fmtSeconds(res.TCT.Percentile(50)), fmtSeconds(res.TCT.Percentile(99)))
-	fmt.Fprintf(&b, "delay p50 / p99         %s / %s\n",
-		fmtSeconds(res.Interactivity.Percentile(50)), fmtSeconds(res.Interactivity.Percentile(99)))
-	// Wall time is machine-dependent, so it rides on a "completed in" timing
-	// line — the one line family the byte-identity convention (diff with
-	// `grep -v "completed in"`) already strips.
-	fmt.Fprintf(&b, "run completed in %.1fs\n", elapsed.Seconds())
-	return b.String(), nil
+	r.printf("active GPU-hours        %.0f\n", res.ActiveGPUHours)
+	r.printf("server-hours            %.0f\n", res.ServerHours)
+	r.printf("tct p50 / p99           %s / %s\n",
+		seconds(res.TCT.Percentile(50)), seconds(res.TCT.Percentile(99)))
+	r.printf("delay p50 / p99         %s / %s\n",
+		seconds(res.Interactivity.Percentile(50)), seconds(res.Interactivity.Percentile(99)))
+	return r, nil
 }

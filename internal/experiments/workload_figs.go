@@ -1,153 +1,123 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"notebookos/internal/metrics"
+	"notebookos/internal/trace"
 	"notebookos/internal/workload"
 )
 
-// Fig2a reproduces the task-duration CDF comparison of the three traces.
-// Paper anchors: p50 = 120 s (Adobe), 621 s (Philly), 957 s (Alibaba).
-func Fig2a(o Options) (string, error) {
-	adobe := excerptTrace(o)
-	philly := phillyTrace(o)
-	alibaba := alibabaTrace(o)
+// traceCDFs is Figs. 2a and 2b: one sample of each trace, the Adobe excerpt
+// beside Philly and Alibaba, printed side by side.
+func traceCDFs(o Options, id, title string, sample func(*trace.Trace) *metrics.Sample) (*Report, []*metrics.Sample) {
+	s := []*metrics.Sample{sample(namedTrace(o, "excerpt")), sample(namedTrace(o, "philly")), sample(namedTrace(o, "alibaba"))}
+	r := newReport(id, title, o)
+	r.cdfTable([]string{"Adobe", "Philly", "Alibaba"}, s, []float64{10, 25, 50, 75, 90, 95, 99}, "s")
+	return r, s
+}
 
-	var b strings.Builder
-	b.WriteString(header("fig2a", "Task duration CDFs", o))
-	b.WriteString(metrics.FormatCDFTable(
-		[]string{"Adobe", "Philly", "Alibaba"},
-		[]*metrics.Sample{adobe.Durations(), philly.Durations(), alibaba.Durations()},
-		[]float64{10, 25, 50, 75, 90, 95, 99}, "s"))
-	fmt.Fprintf(&b, "paper: p50 Adobe=120s Philly=621s Alibaba=957s; Adobe p75=300s p90=1020s p95=2160s p99=10920s\n")
-	fmt.Fprintf(&b, "observation 1 check: Adobe p75 <= 5min: %v\n",
-		adobe.Durations().Percentile(75) <= 330)
-	return b.String(), nil
+// Fig2a reproduces the task-duration CDF comparison of the three traces.
+func Fig2a(o Options) (*Report, error) {
+	r, s := traceCDFs(o, "fig2a", "Task duration CDFs", (*trace.Trace).Durations)
+	r.printf("paper: p50 Adobe=%gs Philly=%gs Alibaba=%gs; Adobe p75=%gs p90=%gs p95=%gs p99=%gs\n",
+		paper{"Adobe/p50", 120.0}, paper{"Philly/p50", 621.0}, paper{"Alibaba/p50", 957.0},
+		paper{"Adobe/p75", 300.0}, paper{"Adobe/p90", 1020.0}, paper{"Adobe/p95", 2160.0}, paper{"Adobe/p99", 10920.0})
+	r.printf("observation 1 check: Adobe p75 <= 5min: %v\n", cell{"observation 1", s[0].Percentile(75) <= 330})
+	return r, nil
 }
 
 // Fig2b reproduces the per-session IAT CDF comparison.
-// Paper anchors: p50 = 300 s (Adobe), 44 s (Philly), 38 s (Alibaba).
-func Fig2b(o Options) (string, error) {
-	adobe := excerptTrace(o)
-	philly := phillyTrace(o)
-	alibaba := alibabaTrace(o)
-
-	var b strings.Builder
-	b.WriteString(header("fig2b", "Per-session IAT CDFs", o))
-	b.WriteString(metrics.FormatCDFTable(
-		[]string{"Adobe", "Philly", "Alibaba"},
-		[]*metrics.Sample{adobe.IATs(), philly.IATs(), alibaba.IATs()},
-		[]float64{10, 25, 50, 75, 90, 95, 99}, "s"))
-	fmt.Fprintf(&b, "paper: p50 Adobe=300s Philly=44s Alibaba=38s; Adobe p75=480s, min event IAT 240s\n")
-	fmt.Fprintf(&b, "observation 2 check: Adobe median IAT exceeds Philly and Alibaba: %v\n",
-		adobe.IATs().Percentile(50) > philly.IATs().Percentile(50) &&
-			adobe.IATs().Percentile(50) > alibaba.IATs().Percentile(50))
-	return b.String(), nil
+func Fig2b(o Options) (*Report, error) {
+	r, s := traceCDFs(o, "fig2b", "Per-session IAT CDFs", (*trace.Trace).IATs)
+	r.printf("paper: p50 Adobe=%gs Philly=%gs Alibaba=%gs; Adobe p75=%gs, min event IAT %gs\n",
+		paper{"Adobe/p50", 300.0}, paper{"Philly/p50", 44.0}, paper{"Alibaba/p50", 38.0},
+		paper{"Adobe/p75", 480.0}, paper{"fig11:eventIAT/min", 240.0})
+	r.printf("observation 2 check: Adobe median IAT exceeds Philly and Alibaba: %v\n",
+		cell{"observation 2", s[0].Percentile(50) > s[1].Percentile(50) && s[0].Percentile(50) > s[2].Percentile(50)})
+	return r, nil
 }
 
 // Fig2c reproduces the GPU-utilization CDFs over the summer trace: the
 // cluster-utilization series and the per-session active-fraction series.
-// Paper anchors: reserved GPUs idle >81 % of the time; 74-75 % of sessions
-// active <= 5 % of their lifetime; ~70 % of GPUs never used.
-func Fig2c(o Options) (string, error) {
-	tr := summerTrace(o)
+func Fig2c(o Options) (*Report, error) {
+	tr := namedTrace(o, "summer")
 	util := tr.UtilizationCDF(time.Hour)
 	frac := tr.ActiveFractions()
 
-	var b strings.Builder
-	b.WriteString(header("fig2c", "GPU utilization CDFs (AdobeTrace)", o))
-	b.WriteString(metrics.FormatCDFTable(
-		[]string{"cluster-util", "session-frac"},
-		[]*metrics.Sample{util, frac},
-		[]float64{10, 25, 50, 75, 90, 95, 99}, ""))
-	idleFrac := 1 - util.Mean()
-	neverUsed := frac.FracBelow(0)
-	under5 := frac.FracBelow(0.05)
-	fmt.Fprintf(&b, "measured: mean idle fraction=%.1f%% (paper >81%%)\n", idleFrac*100)
-	fmt.Fprintf(&b, "measured: sessions never training=%.1f%% (paper ~70%% of GPUs fully idle)\n", neverUsed*100)
-	fmt.Fprintf(&b, "measured: sessions active <=5%% of lifetime=%.1f%% (paper 74-75%%)\n", under5*100)
-	return b.String(), nil
+	r := newReport("fig2c", "GPU utilization CDFs (AdobeTrace)", o)
+	r.cdfTable([]string{"cluster-util", "session-frac"}, []*metrics.Sample{util, frac}, []float64{10, 25, 50, 75, 90, 95, 99}, "")
+	r.printf("measured: mean idle fraction=%.1f%% (paper >%g%%)\n",
+		cell{"idle%", (1 - util.Mean()) * 100}, paper{"idle%", atLeast(81)})
+	r.printf("measured: sessions never training=%.1f%% (paper ~%g%% of GPUs fully idle)\n",
+		cell{"never-training%", frac.FracBelow(0) * 100}, paper{"never-training%", 70.0})
+	r.printf("measured: sessions active <=5%% of lifetime=%.1f%% (paper %g-%g%%)\n",
+		cell{"active<=5%", frac.FracBelow(0.05) * 100}, paper{"active<=5%", 74.0}, paper{"active<=5%", 75.0})
+	return r, nil
 }
 
 // Fig2d reproduces the reserved-vs-utilized GPU (and CPU) timeline over
-// the summer. Paper anchor: only ~15 % of reserved GPUs are utilized by
-// day 90.
-func Fig2d(o Options) (string, error) {
-	tr := summerTrace(o)
+// the summer.
+func Fig2d(o Options) (*Report, error) {
+	tr := namedTrace(o, "summer")
 	reserved := tr.ReservedGPUs()
 	utilized := tr.UtilizedGPUs()
 
-	var b strings.Builder
-	b.WriteString(header("fig2d", "Reserved vs utilized GPUs", o))
-	b.WriteString(metrics.FormatSeries(tr.Start, tr.End, 13,
-		[]string{"reservedGPU", "utilizedGPU"},
-		[]*metrics.Timeline{reserved, utilized}))
+	r := newReport("fig2d", "Reserved vs utilized GPUs", o)
+	r.series(tr.Start, tr.End, 13, []string{"reservedGPU", "utilizedGPU"}, []*metrics.Timeline{reserved, utilized})
 	resHours := reserved.Integral(tr.Start, tr.End)
 	utilHours := utilized.Integral(tr.Start, tr.End)
 	ratio := 0.0
 	if resHours > 0 {
 		ratio = utilHours / resHours
 	}
-	fmt.Fprintf(&b, "measured: utilized/reserved GPU-hours = %.1f%% (paper ~15%% by day 90)\n", ratio*100)
+	r.printf("measured: utilized/reserved GPU-hours = %.1f%% (paper ~%g%% by day 90)\n",
+		cell{"utilized/reserved%", ratio * 100}, paper{"utilized/reserved%", 15.0})
 	// CPUs reserve proportionally to GPUs in our session model; report the
 	// same ratio for the CPU series.
-	fmt.Fprintf(&b, "CPU series tracks GPU series by construction (requests scale together)\n")
-	return b.String(), nil
+	r.printf("CPU series tracks GPU series by construction (requests scale together)\n")
+	return r, nil
 }
 
 // Table1 renders the model/dataset catalog.
-func Table1(o Options) (string, error) {
-	var b strings.Builder
-	b.WriteString(header("table1", "Models and datasets", o))
-	fmt.Fprintf(&b, "%-28s %-16s %10s\n", "domain", "item", "size")
+func Table1(o Options) (*Report, error) {
+	r := newReport("table1", "Models and datasets", o)
+	r.printf("%-28s %-16s %10s\n", "domain", "item", "size")
 	for _, m := range workload.Models() {
-		fmt.Fprintf(&b, "%-28s model:%-10s %8dMB\n", m.Domain, m.Name, m.ParamBytes>>20)
+		r.printf("%-28s model:%-10s %8dMB\n", m.Domain, m.Name, m.ParamBytes>>20)
 	}
 	for _, d := range workload.Datasets() {
-		fmt.Fprintf(&b, "%-28s data:%-11s %8dMB\n", d.Domain, d.Name, d.SizeBytes>>20)
+		r.printf("%-28s data:%-11s %8dMB\n", d.Domain, d.Name, d.SizeBytes>>20)
 	}
-	return b.String(), nil
+	return r, nil
+}
+
+// activity is Figs. 7 and 20: active sessions and trainings over a trace,
+// beside the paper's peak and final sessions and mean and peak trainings.
+func activity(o Options, id, title, kind string, rows int, maxS, endS, meanT, maxT float64) (*Report, error) {
+	tr := namedTrace(o, kind)
+	sessions := tr.ActiveSessions()
+	trainings := tr.ActiveTasks()
+
+	r := newReport(id, title, o)
+	r.series(tr.Start, tr.End, rows, []string{"trainings", "sessions"}, []*metrics.Timeline{trainings, sessions})
+	r.printf("measured: max sessions=%.0f (paper %g), end sessions=%.0f (paper %g)\n",
+		cell{"max-sessions", sessions.Max()}, paper{"max-sessions", maxS},
+		cell{"end-sessions", sessions.At(tr.End.Add(-time.Minute))}, paper{"end-sessions", endS})
+	r.printf("measured: mean trainings=%.1f (paper %g), max trainings=%.0f (paper %g)\n",
+		cell{"mean-trainings", trainings.MeanOver(tr.Start, tr.End)}, paper{"mean-trainings", meanT},
+		cell{"max-trainings", trainings.Max()}, paper{"max-trainings", maxT})
+	return r, nil
 }
 
 // Fig7 reproduces the active sessions/trainings timeline for the excerpt.
-// Paper anchors: sessions ramp 0->87 (max 90); trainings mean 19.5,
-// median 19, max 34, 26 active at the end.
-func Fig7(o Options) (string, error) {
-	tr := excerptTrace(o)
-	sessions := tr.ActiveSessions()
-	trainings := tr.ActiveTasks()
-
-	var b strings.Builder
-	b.WriteString(header("fig7", "Active sessions & trainings (excerpt)", o))
-	b.WriteString(metrics.FormatSeries(tr.Start, tr.End, 15,
-		[]string{"trainings", "sessions"},
-		[]*metrics.Timeline{trainings, sessions}))
-	fmt.Fprintf(&b, "measured: max sessions=%.0f (paper 90), end sessions=%.0f (paper 87)\n",
-		sessions.Max(), sessions.At(tr.End.Add(-time.Minute)))
-	fmt.Fprintf(&b, "measured: mean trainings=%.1f (paper 19.5), max trainings=%.0f (paper 34)\n",
-		trainings.MeanOver(tr.Start, tr.End), trainings.Max())
-	return b.String(), nil
+// The paper also reports a median of 19 trainings, 26 active at the end.
+func Fig7(o Options) (*Report, error) {
+	return activity(o, "fig7", "Active sessions & trainings (excerpt)", "excerpt", 15, 90, 87, 19.5, 34)
 }
 
-// Fig20 reproduces the full-summer sessions/trainings timeline.
-// Paper anchors: 206/312/397 sessions at month ends, max 433; mean
-// trainings 67.63, max 141.
-func Fig20(o Options) (string, error) {
-	tr := summerTrace(o)
-	sessions := tr.ActiveSessions()
-	trainings := tr.ActiveTasks()
-
-	var b strings.Builder
-	b.WriteString(header("fig20", "Active sessions & trainings (summer)", o))
-	b.WriteString(metrics.FormatSeries(tr.Start, tr.End, 13,
-		[]string{"trainings", "sessions"},
-		[]*metrics.Timeline{trainings, sessions}))
-	fmt.Fprintf(&b, "measured: max sessions=%.0f (paper 433), end sessions=%.0f (paper 397)\n",
-		sessions.Max(), sessions.At(tr.End.Add(-time.Minute)))
-	fmt.Fprintf(&b, "measured: mean trainings=%.1f (paper 67.63), max trainings=%.0f (paper 141)\n",
-		trainings.MeanOver(tr.Start, tr.End), trainings.Max())
-	return b.String(), nil
+// Fig20 reproduces the full-summer sessions/trainings timeline. The paper
+// also reports 206 and 312 sessions at the first two month ends.
+func Fig20(o Options) (*Report, error) {
+	return activity(o, "fig20", "Active sessions & trainings (summer)", "summer", 13, 433, 397, 67.63, 141)
 }

@@ -103,9 +103,8 @@ func TestSummaryAndTable(t *testing.T) {
 	if !strings.Contains(s.Summary("ms"), "n=3") {
 		t.Error("Summary missing n")
 	}
-	tbl := FormatCDFTable([]string{"a", "b"}, []*Sample{s, s}, []float64{50, 99}, "s")
-	if !strings.Contains(tbl, "p50") || !strings.Contains(tbl, "p99") {
-		t.Errorf("table missing rows: %q", tbl)
+	if got := s.Percentile(99); got != 2.98 {
+		t.Errorf("p99 of 1, 2, 3 = %v, want 2.98", got)
 	}
 }
 
@@ -336,14 +335,10 @@ func TestTimelineDownsampleAndFormat(t *testing.T) {
 	tl := NewTimeline()
 	tl.Set(tz, 1)
 	tl.Set(tz.Add(time.Hour), 2)
-	out := FormatSeries(tz, tz.Add(2*time.Hour), 5, []string{"gpus"}, []*Timeline{tl})
-	rows := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-	if len(rows) != 6 || !strings.Contains(rows[0], "gpus") {
-		t.Fatalf("FormatSeries = %q, want a header and 5 rows", out)
-	}
-	first, last := strings.Fields(rows[1]), strings.Fields(rows[5])
-	if first[0] != "0.00" || first[1] != "1.00" || last[0] != "2.00" || last[1] != "2.00" {
-		t.Fatalf("rows %q and %q, want the timeline at 0 h (1) and 2 h (2)", rows[1], rows[5])
+	for _, c := range []struct{ at, want float64 }{{0, 1}, {0.5, 1}, {1, 2}, {1.5, 2}, {2, 2}} {
+		if got := tl.At(tz.Add(time.Duration(c.at * float64(time.Hour)))); got != c.want {
+			t.Errorf("At(+%gh) = %v, want %v", c.at, got, c.want)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 )
 
 // Sample accumulates float64 observations and answers percentile and CDF
@@ -255,23 +254,4 @@ func MergeSamples(samples ...*Sample) *Sample {
 		out.xs = append(out.xs, r...)
 	}
 	return out
-}
-
-// FormatCDFTable renders named CDFs side by side at the given percentiles —
-// the textual equivalent of the paper's multi-series CDF plots.
-func FormatCDFTable(names []string, samples []*Sample, percentiles []float64, unit string) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-8s", "pct")
-	for _, n := range names {
-		fmt.Fprintf(&b, "%16s", n)
-	}
-	b.WriteByte('\n')
-	for _, p := range percentiles {
-		fmt.Fprintf(&b, "p%-7g", p)
-		for _, s := range samples {
-			fmt.Fprintf(&b, "%14.2f%s", s.Percentile(p), unit)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

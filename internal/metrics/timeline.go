@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -194,29 +193,4 @@ func (tl *Timeline) MeanOver(from, to time.Time) float64 {
 		return math.NaN()
 	}
 	return tl.Integral(from, to) / h
-}
-
-// FormatSeries renders named timelines sampled at n instants as a table
-// whose first column is hours since from — the textual analogue of the
-// paper's timeline figures.
-func FormatSeries(from, to time.Time, n int, names []string, tls []*Timeline) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s", "hour")
-	for _, name := range names {
-		fmt.Fprintf(&b, "%14s", name)
-	}
-	b.WriteByte('\n')
-	if n <= 1 {
-		return b.String()
-	}
-	step := to.Sub(from) / time.Duration(n-1)
-	for i := 0; i < n; i++ {
-		t := from.Add(step * time.Duration(i))
-		fmt.Fprintf(&b, "%-10.2f", t.Sub(from).Hours())
-		for _, tl := range tls {
-			fmt.Fprintf(&b, "%14.2f", tl.At(t))
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

@@ -3,6 +3,7 @@ package notebookos_bench
 import (
 	"encoding/json"
 	"flag"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -15,10 +16,16 @@ var runMutants = flag.Bool("mutants", false, "apply every mutant of the mutant t
 // mutant is one deliberate defect: the exact text old, which must occur once
 // in file, replaced by new. Applied, it must fail the tests of pkg that run
 // matches, with output containing want — the check that is meant to kill it,
-// not merely some failure.
+// not merely some failure. The tests run with -short unless full is set.
+// parsed marks a check that parses the tree at run time rather than
+// compiling it (TestExportedNamesHaveUsers, TestResultFieldsHaveReaders): an
+// overlay cannot reach what such a check reads, so its mutant is written into
+// a copy of the tree's Go files, and the test binary, built from the
+// unmutated tree, runs in that copy.
 type mutant struct {
 	name, file, old, new string
 	pkg, run, want       string
+	full, parsed         bool
 }
 
 // mutants is the table. The first entries are the gates' own mutants: a
@@ -27,7 +34,9 @@ type mutant struct {
 // decision tables' rules. Then one mutant per check of the run auditor
 // (internal/sim/audit_test.go), each killed by TestAuditedRuns naming its
 // check, and the subscription leak the seed-28 run found (docs/BUG_LEDGER.md,
-// bug 16) put back.
+// bug 16) put back. Last, the other gates: the trace and assignment goldens,
+// the two parsing checks of the root package, and the paper scoreboard's
+// golden, which runs at full scale.
 var mutants = []mutant{
 	{
 		name: "gated golden line", file: "internal/sim/gated_test.go",
@@ -100,13 +109,39 @@ var mutants = []mutant{
 		old: "\ts.eng.ScheduleRunner(ss.src.End, ss)\n", new: "\ts.eng.ScheduleRunner(ss.src.End, ss)\n\ts.eng.ScheduleRunner(ss.src.End, ss)\n",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit pending",
 	},
+	{
+		name: "the Adobe task-duration median moves", file: "internal/trace/configs.go",
+		old: "Knot{0.50, 120},", new: "Knot{0.50, 121},",
+		pkg: "./internal/trace", run: "^TestTraceDigests$", want: "trace_digests.golden",
+	},
+	{
+		name: "Assign draws the model from the other end", file: "internal/workload/catalog.go",
+		old: "Model:   d.models[r.Intn(len(d.models))],", new: "Model:   d.models[len(d.models)-1-r.Intn(len(d.models))],",
+		pkg: "./internal/workload", run: "^TestAssignGolden$", want: "Assign(seed 42) drew",
+	},
+	{
+		name: "an exported func nobody calls", file: "internal/trace/configs.go",
+		old: "const AdobeGranularity = 15 * time.Second\n", new: "const AdobeGranularity = 15 * time.Second\n\nfunc Unused() {}\n",
+		pkg: ".", run: "^TestExportedNamesHaveUsers$", want: "trace.Unused is referenced by no non-test file", parsed: true,
+	},
+	{
+		name: "a result field loses its only reader", file: "internal/experiments/scenario.go",
+		old: "nbos.Availability.Integral(start, start.Add(gcfg.Duration))", new: "0.0",
+		pkg: ".", run: "^TestResultFieldsHaveReaders$", want: "sim.Result.Availability is read by no non-test file", parsed: true,
+	},
+	{
+		name: "a paper number changes", file: "internal/experiments/sim_figs.go",
+		old: `paper{"saved/nbos", 1187.66}`, new: `paper{"saved/nbos", 1187.67}`,
+		pkg: "./internal/experiments", run: "^TestPaperScoreboard$", want: "paper_scoreboard.golden", full: true,
+	},
 }
 
-// TestMutants applies each mutant of the table through go test -overlay, so
-// no file in the tree changes, and fails on a mutant that survives — its test
-// passes — or that fails without the output its check gives. Run it with
-// go test -run TestMutants -mutants . (about a minute and a half on two
-// cores: each mutant rebuilds the packages it touches).
+// TestMutants applies each mutant of the table through go test -overlay (or,
+// for a parsing check, in a copy of the tree), so no file in the tree
+// changes, and fails on a mutant that survives — its test passes — or that
+// fails without the output its check gives. Run it with go test -run
+// TestMutants -mutants . (about 40 s on two cores: each mutant rebuilds the
+// packages it touches).
 func TestMutants(t *testing.T) {
 	if !*runMutants {
 		t.Skip("the mutant table runs with -mutants")
@@ -126,20 +161,45 @@ func TestMutants(t *testing.T) {
 				t.Fatalf("%s holds the mutant's text %d times, want once: %q", m.file, n, m.old)
 			}
 			dir := t.TempDir()
-			mutated := filepath.Join(dir, filepath.Base(m.file))
-			if err := os.WriteFile(mutated, []byte(strings.Replace(string(src), m.old, m.new, 1)), 0o644); err != nil {
-				t.Fatal(err)
+			mutated := strings.Replace(string(src), m.old, m.new, 1)
+			args := []string{"-count=1", "-run=" + m.run}
+			if !m.full {
+				args = append(args, "-short")
 			}
-			overlay, err := json.Marshal(map[string]map[string]string{"Replace": {path: mutated}})
-			if err != nil {
-				t.Fatal(err)
+			var cmd *exec.Cmd
+			if m.parsed {
+				tree := filepath.Join(dir, "tree")
+				copyGoFiles(t, root, tree)
+				if err := os.WriteFile(filepath.Join(tree, m.file), []byte(mutated), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				bin := filepath.Join(dir, "pkg.test")
+				build := exec.Command("go", "test", "-c", "-o", bin, m.pkg)
+				build.Dir = root
+				if out, err := build.CombinedOutput(); err != nil {
+					t.Fatalf("building %s: %v\n%s", m.pkg, err, out)
+				}
+				for i, a := range args {
+					args[i] = "-test." + strings.TrimPrefix(a, "-")
+				}
+				cmd = exec.Command(bin, args...)
+				cmd.Dir = filepath.Join(tree, m.pkg)
+			} else {
+				copyFile := filepath.Join(dir, filepath.Base(m.file))
+				if err := os.WriteFile(copyFile, []byte(mutated), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				overlay, err := json.Marshal(map[string]map[string]string{"Replace": {path: copyFile}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				overlayFile := filepath.Join(dir, "overlay.json")
+				if err := os.WriteFile(overlayFile, overlay, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				cmd = exec.Command("go", append([]string{"test", "-overlay", overlayFile}, append(args, m.pkg)...)...)
+				cmd.Dir = root
 			}
-			overlayFile := filepath.Join(dir, "overlay.json")
-			if err := os.WriteFile(overlayFile, overlay, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			cmd := exec.Command("go", "test", "-overlay", overlayFile, "-count=1", "-short", "-run", m.run, m.pkg)
-			cmd.Dir = root
 			out, err := cmd.CombinedOutput()
 			switch {
 			case err == nil:
@@ -148,5 +208,41 @@ func TestMutants(t *testing.T) {
 				t.Errorf("killed, but not by %q:\n%s", m.want, out)
 			}
 		})
+	}
+}
+
+// copyGoFiles copies the Go files of the tree at root into dst, keeping
+// their paths and skipping what the parsing checks skip: dot directories and
+// testdata.
+func copyGoFiles(t *testing.T, root, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); p != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		rel, err := filepath.Rel(root, p)
+		if err != nil {
+			return err
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		if err := os.MkdirAll(filepath.Join(dst, filepath.Dir(rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), src, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
