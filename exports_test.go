@@ -57,7 +57,7 @@ func TestExportedNamesHaveUsers(t *testing.T) {
 	used := map[string]bool{}               // "importpath.Name" of package-level names
 	methods := map[string]bool{}            // method names selected on a value
 
-	walkNonTestGo(t, fset, func(own string, file *ast.File) {
+	walkGo(t, fset, false, func(own string, file *ast.File) {
 		if guarded[own] {
 			collectExports(fset, file, path.Base(own), declared)
 		}
@@ -116,7 +116,7 @@ func TestResultFieldsHaveReaders(t *testing.T) {
 	fset := token.NewFileSet()
 	fields := map[string]token.Position{} // "Type.Field"
 	read := map[string]bool{}             // names selected on a value outside internal/sim
-	walkNonTestGo(t, fset, func(own string, file *ast.File) {
+	walkGo(t, fset, false, func(own string, file *ast.File) {
 		if own == module+"internal/sim" {
 			collectStructFields(fset, file, fields, "Result", "FedClusterResult")
 			return
@@ -151,10 +151,10 @@ func TestResultFieldsHaveReaders(t *testing.T) {
 // module prefixes every import path of the repository.
 const module = "notebookos/"
 
-// walkNonTestGo parses every non-test Go file of the repository, the bench/
-// module included and testdata excluded, and hands it to fn with the import
-// path of its directory.
-func walkNonTestGo(t *testing.T, fset *token.FileSet, fn func(own string, file *ast.File)) {
+// walkGo parses every Go file of the repository, the bench/ module included
+// and testdata excluded, test files only if tests is set, and hands it to fn
+// with the import path of its directory.
+func walkGo(t *testing.T, fset *token.FileSet, tests bool, fn func(own string, file *ast.File)) {
 	t.Helper()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -166,7 +166,7 @@ func walkNonTestGo(t *testing.T, fset *token.FileSet, fn func(own string, file *
 			}
 			return nil
 		}
-		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+		if !strings.HasSuffix(p, ".go") || !tests && strings.HasSuffix(p, "_test.go") {
 			return nil
 		}
 		file, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)

@@ -18,9 +18,9 @@ var runMutants = flag.Bool("mutants", false, "apply every mutant of the mutant t
 // matches, with output containing want — the check that is meant to kill it,
 // not merely some failure. The tests run with -short unless full is set.
 // parsed marks a check that parses the tree at run time rather than
-// compiling it (TestExportedNamesHaveUsers, TestResultFieldsHaveReaders): an
-// overlay cannot reach what such a check reads, so its mutant is written into
-// a copy of the tree's Go files, and the test binary, built from the
+// compiling it (TestExportedNamesHaveUsers, TestResultFieldsHaveReaders,
+// TestDocs): an overlay cannot reach what such a check reads, so its mutant
+// is written into a copy of the tree, and the test binary, built from the
 // unmutated tree, runs in that copy.
 type mutant struct {
 	name, file, old, new string
@@ -35,8 +35,9 @@ type mutant struct {
 // (internal/sim/audit_test.go), each killed by TestAuditedRuns naming its
 // check, and the subscription leak the seed-28 run found (docs/BUG_LEDGER.md,
 // bug 16) put back. Last, the other gates: the trace and assignment goldens,
-// the two parsing checks of the root package, and the paper scoreboard's
-// golden, which runs at full scale.
+// the three parsing checks of the root package, and the three gates that skip
+// under -short: the paper scoreboard's golden, which runs at full scale, and
+// the two allocation pins, each given back a per-task allocation.
 var mutants = []mutant{
 	{
 		name: "gated golden line", file: "internal/sim/gated_test.go",
@@ -134,14 +135,31 @@ var mutants = []mutant{
 		old: `paper{"saved/nbos", 1187.66}`, new: `paper{"saved/nbos", 1187.67}`,
 		pkg: "./internal/experiments", run: "^TestPaperScoreboard$", want: "paper_scoreboard.golden", full: true,
 	},
+	{
+		name: "a function the docs cite is renamed", file: "internal/cluster/cluster.go",
+		old: "func (c *Cluster) ReplicaFreeHosts() int {", new: "func (c *Cluster) HostsWithoutReplicas() int {",
+		pkg: ".", run: "^TestDocs$/^names$", want: "`Cluster.ReplicaFreeHosts` resolves to no Go declaration", parsed: true,
+	},
+	{
+		name: "every task allocates its machine", file: "internal/sim/sim.go",
+		old: "t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
+		new: "t := &runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}",
+		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 367", full: true,
+	},
+	{
+		name: "a finished task's machine is not recycled", file: "internal/sim/taskfsm.go",
+		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.idle = append(s.idle, t)\n",
+		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
+		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 436", full: true,
+	},
 }
 
 // TestMutants applies each mutant of the table through go test -overlay (or,
 // for a parsing check, in a copy of the tree), so no file in the tree
 // changes, and fails on a mutant that survives — its test passes — or that
 // fails without the output its check gives. Run it with go test -run
-// TestMutants -mutants . (about 40 s on two cores: each mutant rebuilds the
-// packages it touches).
+// TestMutants -mutants . (about 20 s on two cores with a warm build cache:
+// each mutant rebuilds the packages it touches).
 func TestMutants(t *testing.T) {
 	if !*runMutants {
 		t.Skip("the mutant table runs with -mutants")
@@ -169,7 +187,7 @@ func TestMutants(t *testing.T) {
 			var cmd *exec.Cmd
 			if m.parsed {
 				tree := filepath.Join(dir, "tree")
-				copyGoFiles(t, root, tree)
+				copyTree(t, root, tree)
 				if err := os.WriteFile(filepath.Join(tree, m.file), []byte(mutated), 0o644); err != nil {
 					t.Fatal(err)
 				}
@@ -211,10 +229,10 @@ func TestMutants(t *testing.T) {
 	}
 }
 
-// copyGoFiles copies the Go files of the tree at root into dst, keeping
-// their paths and skipping what the parsing checks skip: dot directories and
+// copyTree copies the files of the tree at root into dst, keeping their
+// paths and skipping what the parsing checks skip: dot directories and
 // testdata.
-func copyGoFiles(t *testing.T, root, dst string) {
+func copyTree(t *testing.T, root, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -224,9 +242,6 @@ func copyGoFiles(t *testing.T, root, dst string) {
 			if name := d.Name(); p != root && (strings.HasPrefix(name, ".") || name == "testdata") {
 				return filepath.SkipDir
 			}
-			return nil
-		}
-		if !strings.HasSuffix(p, ".go") {
 			return nil
 		}
 		rel, err := filepath.Rel(root, p)
