@@ -192,9 +192,9 @@ func (a *auditor) admitted() {
 		switch {
 		case h == nil:
 		case s.cfg.Policy == PolicyNotebookOS:
-			e.sub += ss.req.GPUs
+			e.sub += ss.src.Request.GPUs
 		case s.cfg.Policy == PolicyReservation:
-			e.res += ss.req.GPUs
+			e.res += ss.src.Request.GPUs
 		}
 	}
 	a.ends.add(a.tick(ss.src.End), e)
@@ -325,9 +325,9 @@ func (a *auditor) audit() {
 				}
 				switch s.cfg.Policy {
 				case PolicyNotebookOS:
-					sums[h.member].subscribed += ss.req.GPUs
+					sums[h.member].subscribed += ss.src.Request.GPUs
 				case PolicyReservation:
-					sums[h.member].committed += ss.req.GPUs
+					sums[h.member].committed += ss.src.Request.GPUs
 				}
 			}
 		}
@@ -467,7 +467,7 @@ func (a *auditor) member(h *host) bool {
 // the session's whole request, anything else the task's share (taskReq).
 func taskCommit(ss *session, t *runningTask) int {
 	if ss.s.cfg.Policy == PolicyBatch {
-		return ss.req.GPUs
+		return ss.src.Request.GPUs
 	}
 	return taskReq(ss, t.task).GPUs
 }

@@ -35,8 +35,10 @@
 //     one session type, one host wrapper, one task state machine (taskfsm.go),
 //     one injector (stream.go) and one fault layer (faults.go). The injector
 //     is the only way in: one self-rescheduling event admits a session at its
-//     start, schedules its end and first task arrival and pulls the next from
-//     the plan's Source; the session then submits its own tasks, each arrival
+//     start (copying it into the session record, since a Source lends each
+//     session only until it is pulled again), schedules its end and first
+//     task arrival and pulls the next from the plan's Source; the session
+//     then submits its own tasks, each arrival
 //     scheduling the next under a sequence number reserved at admission. So in
 //     every run pending events track concurrency rather than workload size,
 //     and a session that starts before the one admitted ahead of it, or whose

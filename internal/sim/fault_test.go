@@ -428,7 +428,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 	s.runUntil(s.start.Add(time.Minute))
 
 	task := trace.Task{Submit: s.now(), Duration: time.Hour, GPUs: 1}
-	inter := &session{src: &trace.Session{ID: "probe-i", SLO: trace.SLOInteractive}, running: true}
+	inter := &session{src: trace.Session{ID: "probe-i", SLO: trace.SLOInteractive}, running: true}
 	s.restartTask(inter, task, s.now())
 	if s.res.TaskRestarts != 1 || s.res.Abandonments != 0 {
 		t.Fatalf("first interactive restart must be granted: restarts=%d abandoned=%d",
@@ -443,7 +443,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 		t.Error("abandonment with an empty queue must leave the session idle")
 	}
 
-	batch := &session{src: &trace.Session{ID: "probe-b", SLO: trace.SLOBatch}, running: true}
+	batch := &session{src: trace.Session{ID: "probe-b", SLO: trace.SLOBatch}, running: true}
 	for i := 0; i < 3; i++ {
 		s.restartTask(batch, task, s.now())
 	}
@@ -494,7 +494,7 @@ func TestRestartPenaltyNeverWraps(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.runUntil(s.start.Add(time.Minute))
-		ss := &session{src: &trace.Session{ID: "probe", SLO: trace.SLOBestEffort}, running: true}
+		ss := &session{src: trace.Session{ID: "probe", SLO: trace.SLOBestEffort}, running: true}
 		armed := 0
 		for range c.charges {
 			pending := s.eng.Len()

@@ -283,9 +283,11 @@ func (r *Result) FinalHosts() int {
 // session is the per-session simulation state, and the event that ends the
 // session (Fire), so admitting one schedules its end without a closure.
 type session struct {
-	s   *sim
-	src *trace.Session
-	req resources.Spec
+	s *sim
+	// src is the admitted session, copied from the one the source lent
+	// (trace.Source lends it only until yield returns); src.Request is what
+	// the session reserves and each of its replicas subscribes.
+	src trace.Session
 	// paramBytes and datasetBytes size the session's model and dataset, one
 	// workload.Assign draw.
 	paramBytes, datasetBytes int64
@@ -332,7 +334,7 @@ func (ss *session) Fire() { ss.s.sessionEnd(ss) }
 // second replica of the session on h, which would silently drop a
 // subscription from every counter.
 func (ss *session) subscribe(h *host) {
-	ss.must(h.h.PlaceReplica(ss.src.ID, ss.req), "replica refused by selected", h)
+	ss.must(h.h.PlaceReplica(ss.src.ID, ss.src.Request), "replica refused by selected", h)
 }
 
 // unsubscribe takes the session's replica off h, and uncommit returns what
@@ -666,7 +668,7 @@ func (s *sim) build() error {
 		s.srcErr = cfg.Source.Sessions(yield)
 	})
 	if first, ok := s.pull(); ok {
-		(&injector{s: s}).arm(first)
+		(&injector{s: s}).arm(nil, first)
 	}
 	return nil
 }
@@ -685,8 +687,7 @@ func (s *sim) newSession(sess *trace.Session) *session {
 	assig := workload.Assign(s.wr)
 	ss := &session{
 		s:            s,
-		src:          sess,
-		req:          sess.Request,
+		src:          *sess,
 		paramBytes:   assig.Model.ParamBytes,
 		datasetBytes: assig.Dataset.SizeBytes,
 		home:         s.homeSeq % len(s.members),
@@ -810,7 +811,7 @@ func (s *sim) sessionStart(ss *session) {
 		s.live = append(s.live, ss)
 	}
 	s.res.ActiveSessions.Delta(s.now(), 1)
-	s.reserved.bump(s.now().UnixNano(), float64(ss.req.GPUs))
+	s.reserved.bump(s.now().UnixNano(), float64(ss.src.Request.GPUs))
 	switch s.cfg.Policy {
 	case PolicyReservation:
 		// Bind GPUs for the whole session; grow the cluster when full
@@ -826,7 +827,7 @@ func (s *sim) sessionStart(ss *session) {
 			// provisioning delay is charged to session creation, not to any
 			// task). A request no member's host shape holds is dropped, with
 			// nothing grown for it.
-			grow, ok := s.scaleOutMember(ss.home, ss.req)
+			grow, ok := s.scaleOutMember(ss.home, ss.src.Request)
 			if !ok {
 				return
 			}
@@ -867,7 +868,7 @@ func (s *sim) scaleOutMember(home int, req resources.Spec) (idx int, ok bool) {
 func (s *sim) placeSession(ss *session) bool {
 	for _, idx := range s.routeOrder(ss.home) {
 		m := s.members[idx]
-		if s.placement.SelectInto(m.c, ss.req, s.selected) != nil {
+		if s.placement.SelectInto(m.c, ss.src.Request, s.selected) != nil {
 			continue
 		}
 		ss.hosts = ss.slots[:0]
@@ -889,14 +890,14 @@ func (s *sim) placeSession(ss *session) bool {
 // that fits it, growing the home cluster when none does; nil when even a
 // fresh host cannot hold the request.
 func (s *sim) reserveHost(ss *session) *host {
-	h := s.mostIdleHost(ss, &ss.req)
+	h := s.mostIdleHost(ss, &ss.src.Request)
 	if h == nil {
-		if !ss.req.Fits(s.members[ss.home].spec.HostCapacity) {
+		if !ss.src.Request.Fits(s.members[ss.home].spec.HostCapacity) {
 			return nil
 		}
 		h = s.addHost(ss.home)
 	}
-	if err := h.h.Commit(ss.src.ID, ss.req); err != nil {
+	if err := h.h.Commit(ss.src.ID, ss.src.Request); err != nil {
 		panic(err) // a fresh host always fits a request its shape fits
 	}
 	return h
@@ -911,7 +912,7 @@ func (s *sim) sessionEnd(ss *session) {
 		s.live = slices.Delete(s.live, i, i+1)
 	}
 	s.res.ActiveSessions.Delta(s.now(), -1)
-	s.reserved.bump(s.now().UnixNano(), -float64(ss.req.GPUs))
+	s.reserved.bump(s.now().UnixNano(), -float64(ss.src.Request.GPUs))
 	switch s.cfg.Policy {
 	case PolicyReservation:
 		if len(ss.hosts) > 0 && ss.hosts[0] != nil {
@@ -999,8 +1000,8 @@ func (s *sim) tryTask(ss *session, task trace.Task, submit time.Time) bool {
 // reservation: the task's GPU count (never above the reservation) with
 // VRAM sized at 16 GB per GPU.
 func taskReq(ss *session, task trace.Task) resources.Spec {
-	r := ss.req
-	r.GPUs = min(task.GPUs, ss.req.GPUs)
+	r := ss.src.Request
+	r.GPUs = min(task.GPUs, ss.src.Request.GPUs)
 	r.VRAMGB = float64(r.GPUs) * 16
 	return r
 }
@@ -1064,8 +1065,8 @@ func (s *sim) tryReservationTask(ss *session, task trace.Task, submit time.Time)
 func (s *sim) tryBatchTask(ss *session, task trace.Task, submit time.Time) bool {
 	// A batch job requests the session's full configured resources, the
 	// way a slurm submission would, not just the GPUs this task touches.
-	h := s.mostIdleHost(ss, &ss.req)
-	if h == nil || h.h.Commit(ss.src.ID, ss.req) != nil {
+	h := s.mostIdleHost(ss, &ss.src.Request)
+	if h == nil || h.h.Commit(ss.src.ID, ss.src.Request) != nil {
 		return false
 	}
 	s.res.ColdStarts++

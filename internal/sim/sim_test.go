@@ -317,6 +317,8 @@ func TestHostileConfigs(t *testing.T) {
 			h = valid()
 			h.tr, h.src, h.shards = nil, swapped.AsSource(), 1
 			refuses("two sessions swapped in Source", h, early.ID, late.ID, "order")
+			h.src = lendingSource{swapped.AsSource()}
+			refuses("two sessions swapped in a lending Source", h, early.ID, late.ID, "order")
 
 			// A session that breaks the contract on its own: tasks out of
 			// submission order, which the arrival cursor would replay in

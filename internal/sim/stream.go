@@ -59,8 +59,9 @@ func (a *gpuHoursAcc) finish(endNS int64) float64 {
 
 // injector is the admitter: one event, re-scheduled (allocation-free, via
 // ScheduleRunner) from each session start to the next. Sessions are admitted
-// — workload assignment drawn, home member assigned round-robin — in arrival
-// order.
+// — copied into their record, workload assignment drawn, home member
+// assigned round-robin — in arrival order. sess is the session the source
+// lent last, valid until the next pull: the source may reuse it.
 type injector struct {
 	s    *sim
 	sess *trace.Session
@@ -74,20 +75,21 @@ func (in *injector) Fire() {
 	ss.seq0 = s.eng.ReserveSeq(len(ss.src.Tasks))
 	(*arrivals)(ss).next()
 	if next, ok := s.pull(); ok {
-		in.arm(next)
+		in.arm(&ss.src, next)
 	}
 }
 
-// arm schedules the admission of next, the session the source just yielded
-// (in.sess is the one it yielded before, nil ahead of the first) — unless
-// next breaks the trace.Source contract. The engine would clamp a late
-// session, or a task submitted before its session starts, to now and run on
-// with a wrong time, and the arrival cursor would replay unsorted tasks in
-// slice order; stop admitting and fail the run from finish instead.
-func (in *injector) arm(next *trace.Session) {
+// arm schedules the admission of next, the session the source just yielded,
+// after prev, the admitted record's copy of the one it yielded before (nil
+// ahead of the first; in.sess may already hold next) — unless next breaks
+// the trace.Source contract. The engine would clamp a late session, or a
+// task submitted before its session starts, to now and run on with a wrong
+// time, and the arrival cursor would replay unsorted tasks in slice order;
+// stop admitting and fail the run from finish instead.
+func (in *injector) arm(prev, next *trace.Session) {
 	err := taskOrder(next)
-	if err == nil && in.sess != nil {
-		err = arrivalOrder(in.sess, next)
+	if err == nil && prev != nil {
+		err = arrivalOrder(prev, next)
 	}
 	if err != nil {
 		in.s.close()

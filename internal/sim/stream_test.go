@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -37,6 +38,56 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 		if mat.Sessions != str.Sessions || mat.Sessions != len(tr.Sessions) {
 			t.Errorf("%s: session counts diverged: materialized %d, streaming %d, trace %d",
 				p, mat.Sessions, str.Sessions, len(tr.Sessions))
+		}
+	}
+}
+
+// lendingSource is a trace.Source that lends one Session, as
+// trace.StreamGen does, and scribbles over it as soon as each yield returns —
+// zero times, a junk ID, no tasks — so a consumer that kept the pointer
+// instead of copying *s replays the scribble.
+type lendingSource struct{ trace.Source }
+
+func (l lendingSource) Sessions(yield func(*trace.Session) bool) error {
+	var lent trace.Session
+	return l.Source.Sessions(func(s *trace.Session) bool {
+		lent = *s
+		more := yield(&lent)
+		lent = trace.Session{ID: "scribbled"}
+		return more
+	})
+}
+
+// TestLendingSourceMatchesTrace: a run over a source that lends one Session
+// and scribbles over it after each yield is the run over the trace itself,
+// every field the runner characterization pins, for every policy, fault-free
+// and under the heavy fault profile. The simulator copies what it keeps.
+func TestLendingSourceMatchesTrace(t *testing.T) {
+	tr := trace.MustGenerate(fingerprintGenConfig())
+	heavy := trace.HeavyFaultProfile()
+	for _, faults := range []*trace.FaultSpec{nil, &heavy} {
+		for _, p := range []Policy{PolicyReservation, PolicyBatch, PolicyNotebookOS, PolicyLCP} {
+			label := string(p)
+			if faults != nil {
+				label += "/heavy"
+			}
+			fp := func(cfg Config) []string {
+				cfg.Policy, cfg.Hosts, cfg.Seed, cfg.Faults = p, 30, 42, faults
+				r, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				var b strings.Builder
+				fpLines{label, &b}.result(r, tr.Start, tr.End)
+				return strings.Split(b.String(), "\n")
+			}
+			want, got := fp(Config{Trace: tr}), fp(Config{Source: lendingSource{tr.AsSource()}})
+			for i := range want { // one form of config, so the same lines
+				if got[i] != want[i] {
+					t.Errorf("the lending source's run differs from the trace's at line %d:\n  trace:   %s\n  lending: %s", i+1, want[i], got[i])
+					break
+				}
+			}
 		}
 	}
 }

@@ -38,7 +38,8 @@
 // and the built-in scenarios. Source is the interface a replay pulls
 // sessions through — Window, Sessions, Expect, what the simulator calls and
 // no more — implemented by StreamGen and by (*Trace).AsSource. Its contract
-// is non-decreasing Start order; the simulator checks it as it pulls, and
+// is non-decreasing Start order, each session lent only until yield returns
+// (StreamGen reuses one); the simulator checks the order as it pulls, and
 // Trace.Validate checks it for a materialized trace.
 //
 // Cohorts optionally carry an SLOClass ("interactive", "batch",

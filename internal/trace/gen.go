@@ -165,7 +165,8 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	tr := &Trace{Name: cfg.Name}
 	tr.Start, tr.End = g.Window()
 	err = g.Sessions(func(s *Session) bool {
-		tr.Sessions = append(tr.Sessions, s)
+		kept := *s
+		tr.Sessions = append(tr.Sessions, &kept)
 		return true
 	})
 	if err != nil {
@@ -199,14 +200,19 @@ func MustGenerate(cfg GenConfig) *Trace {
 	return tr
 }
 
-func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Time) *Session {
+// genSession draws the session arriving at start into sess, overwriting
+// every field. Its tasks are appended to scratch, which the caller passes
+// empty, and copied once, at their exact length, so sess.Tasks is the
+// session's own (nil when it submits none) while the caller reuses scratch;
+// it returns scratch for the next call.
+func genSession(sess *Session, scratch []Task, cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Time) []Task {
 	co := cfg.pick(r)
 	end := start.Add(seconds(co.SessionLifetime.Sample(r)))
 	if end.After(traceEnd) {
 		end = traceEnd
 	}
 	gpus := co.RequestGPUs.SampleInt(r)
-	sess := &Session{
+	*sess = Session{
 		ID:     id,
 		Cohort: co.Name,
 		SLO:    co.SLO,
@@ -220,7 +226,7 @@ func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Tim
 		},
 	}
 	if gpus == 0 || r.Float64() < co.PNeverTrains {
-		return sess
+		return scratch
 	}
 	pBurstEnd := co.PBurstEnd
 	burstGap := co.BurstGap
@@ -233,10 +239,14 @@ func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Tim
 		}
 	}
 
-	// First submission happens after an initial think time.
+	// First submission happens after an initial think time. A duration
+	// rounds to the granularity (at least one step) and a submission
+	// truncates to it, so it never lands after the unquantized one. With no
+	// granularity both are the identity: d >= 0, and Round and Truncate by a
+	// step <= 0 return their receiver.
 	cur := start.Add(cfg.sampleDur(r, co.ThinkTime))
 	for cur.Before(end) {
-		d := cfg.quantize(cfg.sampleDur(r, co.TaskDuration))
+		d := max(cfg.sampleDur(r, co.TaskDuration).Round(cfg.Granularity), cfg.Granularity)
 		if cur.Add(d).After(end) {
 			// Truncate the final task to the session end; drop slivers.
 			d = end.Sub(cur)
@@ -245,11 +255,11 @@ func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Tim
 			}
 		}
 		tg := max(min(co.TaskGPUs.SampleInt(r), gpus), 1)
-		submit := cfg.quantizeTime(cur)
+		submit := cur.Truncate(cfg.Granularity)
 		if submit.Before(start) {
 			submit = start
 		}
-		sess.Tasks = append(sess.Tasks, Task{
+		scratch = append(scratch, Task{
 			Submit:   submit,
 			Duration: d,
 			GPUs:     tg,
@@ -263,7 +273,8 @@ func genSession(cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Tim
 			cur = cur.Add(cfg.sampleDur(r, co.ThinkTime))
 		}
 	}
-	return sess
+	sess.Tasks = append([]Task(nil), scratch...)
+	return scratch
 }
 
 func (c GenConfig) sampleDur(r *rand.Rand, s Sampler) time.Duration {
@@ -275,20 +286,4 @@ func (c GenConfig) minDuration() time.Duration {
 		return c.Granularity
 	}
 	return time.Second
-}
-
-func (c GenConfig) quantize(d time.Duration) time.Duration {
-	if c.Granularity <= 0 {
-		return d
-	}
-	return max(d.Round(c.Granularity), c.Granularity)
-}
-
-func (c GenConfig) quantizeTime(t time.Time) time.Time {
-	if c.Granularity <= 0 {
-		return t
-	}
-	// Truncate (floor) so a quantized submission never lands after the
-	// un-quantized one, keeping tasks within their session window.
-	return t.Truncate(c.Granularity)
 }

@@ -27,9 +27,10 @@ type Source interface {
 	// Start — the simulator submits them one after the other, each scheduled
 	// when the one before arrives, and fails the run on a session that breaks
 	// this, naming it and the task (Trace.Validate makes the same checks). The
-	// yielded *Session is owned by the caller from that point on; the Source
-	// retains no reference, so a consumer that drops it after use keeps peak
-	// memory proportional to concurrent sessions, not total sessions.
+	// yielded *Session is valid until yield returns: the Source may reuse it
+	// for the next session, so a consumer that keeps a session copies *s. The
+	// copy's Tasks stay valid. A consumer that keeps only the sessions alive
+	// holds memory proportional to concurrent sessions, not total sessions.
 	Sessions(yield func(*Session) bool) error
 	// Expect returns sizing expectations for the workload, used for
 	// pre-allocation hints and proportional capacity shares.

@@ -27,8 +27,12 @@ func splitmix64(x uint64) uint64 {
 
 // StreamGen is a Source that synthesizes shard i-of-k of a generated
 // workload on the fly: sessions are built one at a time inside Sessions and
-// handed to the consumer, so the full trace never exists in memory — peak
-// footprint is one session, independent of how many the window holds.
+// lent to the consumer, so the full trace never exists in memory — peak
+// footprint is one session, independent of how many the window holds. Each
+// call of Sessions lends one Session, a local of that call, overwritten for
+// every arrival: a consumer that keeps a session copies *s, and the copy's
+// Tasks, allocated fresh for each session, is its own. Calls share nothing,
+// so goroutines may drain one StreamGen at once.
 //
 // Sharding uses exact Poisson splitting rather than generate-then-Split:
 // thinning a Poisson process with intensity rate(t) and acceptance ratio
@@ -105,6 +109,10 @@ func (g *StreamGen) Sessions(yield func(*Session) bool) error {
 	maxRate := cfg.MaxSessionsPerHour / float64(g.of)
 	t := cfg.Start
 	id := 0
+	// The one session this call lends, and its task buffer: locals, so
+	// concurrent calls on one StreamGen share nothing.
+	var sess Session
+	var scratch []Task
 	for {
 		gapHours := r.ExpFloat64() / maxRate
 		t = t.Add(Hours(gapHours))
@@ -119,7 +127,8 @@ func (g *StreamGen) Sessions(yield func(*Session) bool) error {
 			continue // thinned
 		}
 		id++
-		if !yield(genSession(cfg, r, sessionID(g.prefix, id), t, end)) {
+		scratch = genSession(&sess, scratch[:0], cfg, r, sessionID(g.prefix, id), t, end)
+		if !yield(&sess) {
 			return nil
 		}
 	}

@@ -3,7 +3,9 @@ package trace
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -17,7 +19,8 @@ func collect(t *testing.T, src Source) []*Session {
 	t.Helper()
 	var out []*Session
 	if err := src.Sessions(func(s *Session) bool {
-		out = append(out, s)
+		kept := *s // the source lends s until this returns
+		out = append(out, &kept)
 		return true
 	}); err != nil {
 		t.Fatalf("Sessions: %v", err)
@@ -117,12 +120,18 @@ func scaled(cfg GenConfig, f float64) GenConfig {
 func TestTraceAsSource(t *testing.T) {
 	tr := MustGenerate(AdobeExcerptConfig(42))
 	src := tr.AsSource()
-	got := collect(t, src)
+	var got []*Session // the pointers themselves: the adapter lends the trace's own
+	if err := src.Sessions(func(s *Session) bool {
+		got = append(got, s)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != len(tr.Sessions) {
 		t.Fatalf("adapter yielded %d sessions, trace has %d", len(got), len(tr.Sessions))
 	}
 	for i := range got {
-		if got[i] != tr.Sessions[i] { // identical pointers
+		if got[i] != tr.Sessions[i] {
 			t.Fatalf("adapter session %d is not the trace's own pointer", i)
 		}
 	}
@@ -208,6 +217,143 @@ func TestStreamGenDeterministic(t *testing.T) {
 		if !sameSession(a[i], b[i]) {
 			t.Fatalf("session %d differs across iterations", i)
 		}
+	}
+}
+
+// drainLent drains src the way a consumer that keeps sessions must, copying
+// each lent *Session, and snapshots each session's tasks before its yield
+// returns. It fails t on a kept copy whose tasks changed afterwards — a task
+// buffer the source reused — and returns the copies. Safe to call from
+// several goroutines at once.
+func drainLent(t *testing.T, src Source) []Session {
+	t.Helper()
+	var kept []Session
+	var snaps [][]Task
+	if err := src.Sessions(func(s *Session) bool {
+		kept = append(kept, *s)
+		snaps = append(snaps, slices.Clone(s.Tasks))
+		return true
+	}); err != nil {
+		t.Error(err)
+		return nil
+	}
+	for i := range kept {
+		if !slices.Equal(kept[i].Tasks, snaps[i]) {
+			t.Errorf("session %s: its kept Tasks changed after its yield returned", kept[i].ID)
+			break
+		}
+	}
+	return kept
+}
+
+// TestStreamGenLendsOneSession pins StreamGen.Sessions' side of the Source
+// contract: one *Session per call, overwritten for every arrival, whose Tasks
+// are each session's own — a copy of *s kept past its yield still holds the
+// session as lent, and the copies are the sessions Generate collects. A
+// session that submits no task has nil Tasks.
+func TestStreamGenLendsOneSession(t *testing.T) {
+	cfg := quickSummer(42)
+	g, err := NewStreamGen(cfg, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lent *Session
+	if err := g.Sessions(func(s *Session) bool {
+		if lent != nil && s != lent {
+			t.Fatalf("session %s is lent at %p, the one before at %p: want one Session per call", s.ID, s, lent)
+		}
+		lent = s
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	kept, tr := drainLent(t, g), MustGenerate(cfg)
+	if len(kept) != len(tr.Sessions) {
+		t.Fatalf("kept %d sessions, Generate %d", len(kept), len(tr.Sessions))
+	}
+	idle := 0
+	for i := range kept {
+		if !sameSession(&kept[i], tr.Sessions[i]) {
+			t.Fatalf("session %d differs: kept %+v vs Generate %+v", i, kept[i], *tr.Sessions[i])
+		}
+		if len(kept[i].Tasks) == 0 {
+			idle++
+			if kept[i].Tasks != nil {
+				t.Errorf("session %s submits no task but has a non-nil Tasks", kept[i].ID)
+			}
+		}
+	}
+	if idle == 0 || idle == len(kept) {
+		t.Fatalf("%d of %d sessions submit no task; want some of each", idle, len(kept))
+	}
+}
+
+// TestStreamGenConcurrentDrains drains one StreamGen from two goroutines at
+// once. Each call lends its own Session and builds tasks in its own buffer,
+// so the race detector (the -race -short job) sees no shared write, and both
+// drains yield the sessions of a drain on its own.
+func TestStreamGenConcurrentDrains(t *testing.T) {
+	g, err := NewStreamGen(quickSummer(42), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := drainLent(t, g)
+	var got [2][]Session
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = drainLent(t, g)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if len(got[i]) != len(want) {
+			t.Fatalf("drain %d yielded %d sessions, alone %d", i, len(got[i]), len(want))
+		}
+		for j := range want {
+			if !sameSession(&got[i][j], &want[j]) {
+				t.Fatalf("drain %d: session %d differs from the drain alone", i, j)
+			}
+		}
+	}
+}
+
+// TestStreamGenAllocations pins what draining a StreamGen costs the
+// allocator: one ID string per session and one Tasks slice per session that
+// submits tasks. The rest is per drain — the random source and the task
+// buffer's growth — and does not grow with the session count.
+func TestStreamGenAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the race job runs -short, and the detector's bookkeeping allocates")
+	}
+	cfg := MillionSessionConfig(42)
+	cfg.Duration = 6 * time.Hour
+	g, err := NewStreamGen(cfg, 0, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sessions, training int
+	allocs := testing.AllocsPerRun(3, func() {
+		sessions, training = 0, 0
+		if err := g.Sessions(func(s *Session) bool {
+			sessions++
+			if s.Tasks != nil {
+				training++
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const perDrain = 8
+	extra := allocs - float64(sessions+training)
+	if extra < 0 || extra > perDrain {
+		t.Errorf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f beyond one ID per session and one Tasks per training session, want 0 to %d",
+			sessions, training, allocs, extra, perDrain)
+	} else {
+		t.Logf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f per drain", sessions, training, allocs, extra)
 	}
 }
 

@@ -35,7 +35,9 @@ type mutant struct {
 // (internal/sim/audit_test.go), each killed by TestAuditedRuns naming its
 // check, and the subscription leak the seed-28 run found (docs/BUG_LEDGER.md,
 // bug 16) put back. Last, the other gates: the trace and assignment goldens,
-// the three parsing checks of the root package, and the three gates that skip
+// the two sides of trace.Source's lending contract (the simulator copies the
+// lent session, the generator does not lend its task buffer), the three
+// parsing checks of the root package, and the three gates that skip
 // under -short: the paper scoreboard's golden, which runs at full scale, and
 // the two allocation pins, each given back a per-task allocation.
 var mutants = []mutant{
@@ -119,6 +121,16 @@ var mutants = []mutant{
 		name: "Assign draws the model from the other end", file: "internal/workload/catalog.go",
 		old: "Model:   d.models[r.Intn(len(d.models))],", new: "Model:   d.models[len(d.models)-1-r.Intn(len(d.models))],",
 		pkg: "./internal/workload", run: "^TestAssignGolden$", want: "Assign(seed 42) drew",
+	},
+	{
+		name: "arrival order is checked against the lent session", file: "internal/sim/stream.go",
+		old: "in.arm(&ss.src, next)", new: "in.arm(in.sess, next)",
+		pkg: "./internal/sim", run: "^TestHostileConfigs$", want: "two sessions swapped in a lending Source: accepted",
+	},
+	{
+		name: "genSession lends its task buffer", file: "internal/trace/gen.go",
+		old: "sess.Tasks = append([]Task(nil), scratch...)", new: "sess.Tasks = scratch",
+		pkg: "./internal/trace", run: "^TestStreamGenLendsOneSession$", want: "its kept Tasks changed after its yield returned",
 	},
 	{
 		name: "an exported func nobody calls", file: "internal/trace/configs.go",
