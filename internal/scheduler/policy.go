@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -212,8 +211,7 @@ func (p LeastLoaded) SelectInto(c *cluster.Cluster, req resources.Spec, out []*c
 		sel = pass.viable.buf[:pass.viable.kept]
 	}
 	if len(sel) < n {
-		return fmt.Errorf("%w: need %d, found %d viable (req %v)",
-			ErrInsufficientHosts, n, len(sel), req)
+		return ErrInsufficientHosts
 	}
 	for i := range out {
 		out[i] = tab.Host(int(sel[i].slot))

@@ -11,7 +11,8 @@ import (
 // TestSelectIntoAllocatesNothing pins the entry the simulator places every
 // session through: up to stackSelect hosts it allocates nothing — on one
 // host shape or several, whether the balanced selection or the fallback
-// decides — and it fills the buffer with what SelectHosts returns.
+// decides, and when it refuses — and it fills the buffer with what
+// SelectHosts returns.
 func TestSelectIntoAllocatesNothing(t *testing.T) {
 	small := resources.Spec{Millicpus: 32_000, MemoryMB: 244 << 10, GPUs: 4, VRAMGB: 64}
 	for _, tc := range []struct {
@@ -68,6 +69,16 @@ func TestSelectIntoAllocatesNothing(t *testing.T) {
 				if fmt.Sprint(ids(out)) != fmt.Sprint(ids(want)) {
 					t.Errorf("SelectInto(n=%d) = %v, SelectHosts = %v", n, ids(out), ids(want))
 				}
+			}
+			// No host holds 9 GPUs: the refusal is the bare sentinel.
+			out := make([]*cluster.Host, 3)
+			allocs := testing.AllocsPerRun(100, func() {
+				if err := (LeastLoaded{}).SelectInto(c, gpuReq(9), out); err != ErrInsufficientHosts {
+					t.Fatalf("SelectInto(9 GPUs) = %v, want ErrInsufficientHosts", err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("a refused SelectInto allocates %v times per call, want 0", allocs)
 			}
 		})
 	}

@@ -347,7 +347,7 @@ func (a *auditor) audit() {
 		c := m.c
 		var total, sub, com, free int
 		for _, h := range m.hosts {
-			owed += perHost - h.warm
+			owed += max(perHost-h.warm, 0)
 			ch := h.h
 			if slot := ch.Slot(); slot < 0 || slot >= len(m.bySlot) || m.bySlot[slot] != h || c.Table().Host(slot) != ch {
 				a.fail(checkCounters, "member %d lists host %s, which its slot index or the cluster's table does not hold", mi, ch.ID)

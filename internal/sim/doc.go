@@ -144,4 +144,14 @@
 //     checkpoint-restore resubmission under SLO-class retry budgets.
 //   - Traces are read-only: a *trace.Trace may be shared by any number of
 //     concurrent simulations.
+//
+// Reference model. `reference_test.go` states the rules this core implements
+// once more, plainly: the four policies on one cluster without faults, hosts
+// in a slice, placement that sorts every candidate, events in a sorted slice,
+// nothing pooled or recycled. Its comment lists the rules with their paper
+// sections, the order events fire in and the order both random streams are
+// drawn in. `TestReferenceModel` and `FuzzConfigPlan` hold `Run` to it: on
+// every single-cluster, fault-free config they run, `referenceRun` and the
+// core must print the same fingerprint. A change that keeps the fingerprint
+// keeps the rules; one meant to change a rule changes the model with it.
 package sim

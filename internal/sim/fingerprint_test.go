@@ -35,9 +35,16 @@ func goldenFile(t *testing.T, name, got string) string {
 }
 
 // diffGolden fails t on each line of got that differs from want, the pinned
-// content of testdata/name, naming the scenario and field that moved; past
-// 40 differing lines it only counts them.
+// content of testdata/name.
 func diffGolden(t *testing.T, name, got, want string) {
+	t.Helper()
+	diffLines(t, "testdata/"+name, got, want)
+}
+
+// diffLines fails t on each line of got that differs from want, the lines of
+// what (a golden file, the reference model), naming the scenario and field
+// that moved; past 40 differing lines it only counts them.
+func diffLines(t *testing.T, what, got, want string) {
 	t.Helper()
 	if got == want {
 		return
@@ -54,11 +61,11 @@ func diffGolden(t *testing.T, name, got, want string) {
 		}
 		if g != w {
 			if diffs++; diffs <= 40 {
-				t.Errorf("line %d:\n  golden: %s\n  got:    %s", i+1, w, g)
+				t.Errorf("line %d:\n  want: %s\n  got:  %s", i+1, w, g)
 			}
 		}
 	}
-	t.Errorf("%d of %d lines differ from testdata/%s", diffs, len(wl), name)
+	t.Errorf("%d of %d lines differ from %s", diffs, len(wl), what)
 }
 
 // fpLines accumulates one "<scenario> <field>=<value>" line per pinned

@@ -23,7 +23,9 @@ var configFields = []string{
 // goes through, to its contract: no panic, every error names a Config field
 // (or the fault spec's field), and a config it accepts runs audited
 // (auditedRun), every generated session admitted — so every conservation law
-// holds at every tick of every accepted config.
+// holds at every tick of every accepted config — and, when it runs one
+// cluster without faults, gives the reference model's fingerprint
+// (matchReference).
 //
 // The inputs are the numeric knobs, the Policy, the host shape (its GPU
 // count), the member count — 0 is the Hosts form, n > 0 a federation of n
@@ -164,6 +166,9 @@ func FuzzConfigPlan(f *testing.F) {
 		}
 		if r.Sessions != len(tr.Sessions) {
 			t.Fatalf("%+v: %d sessions admitted, %d generated", cfg, r.Sessions, len(tr.Sessions))
+		}
+		if len(cfg.Clusters) == 0 && !cfg.Faults.Enabled() {
+			matchReference(t, "fuzz", cfg, r)
 		}
 	})
 }

@@ -8,17 +8,12 @@ import (
 
 // Task state machine
 //
-// A task's pipeline used to be a chain of nested closures: the commit
-// handler allocated the training-start closure, which allocated the
-// completion closure, which allocated the return closure — three to four
-// heap allocations (plus captured-variable boxes) per executed task, the
-// last per-task allocation source left in the hot path. The pipeline is
-// now a single struct implementing des.Runner, re-scheduled phase after phase
-// through the engine's pooled-event ScheduleRunner/DeferRunner (which
-// allocate nothing) — and itself recycled: a machine whose reply returned
-// goes on the sim's idle list and sim.launch draws the next task's from
-// there, so a run allocates as many machines as it has tasks in flight at
-// once, none per task in steady state.
+// A task's pipeline is a single struct implementing des.Runner, re-scheduled
+// phase after phase through the engine's pooled-event
+// ScheduleRunner/DeferRunner (which allocate nothing) — and itself recycled:
+// a machine whose reply returned goes on the sim's idle list and sim.launch
+// draws the next task's from there, so a run allocates as many machines as
+// it has tasks in flight at once, none per task in steady state.
 //
 // A migration's restart (tryMigrate) rides a machine too, drawn from the
 // same idle list, in phaseResubmit: it fires once, when the replica has
@@ -43,11 +38,13 @@ import (
 // session reachable until it is reused; the list is as short as the run's
 // peak of concurrent tasks.
 //
-// Byte-identity contract: the machine replicates the closure chains it
-// replaced exactly — same event-scheduling topology (so engine sequence
-// numbers, and therefore tie-breaks, are unchanged) and same RNG draw order
-// within each phase. TestGatedScenarios and TestRunnerFingerprints pin
-// this.
+// Byte-identity contract: the machine schedules its phase events where the
+// reference model (reference_test.go) schedules a task's training start,
+// execution end and reply — so engine sequence numbers, and therefore
+// tie-breaks, are the model's — and draws the same latencies in the same
+// order within each phase. TestReferenceModel and FuzzConfigPlan hold a
+// single-cluster, fault-free run to the model; TestGatedScenarios and
+// TestRunnerFingerprints pin every other run.
 //
 // The machine is also the fault layer's handle on an in-flight task
 // (faults.go): abort marks it dead — already-scheduled phase events no-op

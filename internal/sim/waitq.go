@@ -21,11 +21,11 @@ type capWaiter struct {
 	seq    uint64
 }
 
-// capacityWaitQueue replaces the simulator's former 15s/30s polling retry
-// loops: tasks that cannot commit GPUs park here and are woken by the
-// cluster's capacity notifier (host Release or AddHost), so a saturated
-// cluster costs O(waiters) events per capacity transition instead of
-// O(waiters × wait-time / poll-interval).
+// capacityWaitQueue holds the tasks that cannot commit GPUs until capacity
+// may have freed: the cluster's capacity notifier (a host Release or AddHost)
+// schedules one drain, which retries every parked task once. A saturated
+// cluster costs one event and O(waiters) retries per capacity transition,
+// and nothing while no capacity frees.
 //
 // Determinism: the drain runs as a single DES event scheduled at the
 // notification timestamp (ordered by the engine's sequence number) and

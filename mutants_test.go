@@ -16,16 +16,16 @@ var runMutants = flag.Bool("mutants", false, "apply every mutant of the mutant t
 // mutant is one deliberate defect: the exact text old, which must occur once
 // in file, replaced by new. Applied, it must fail the tests of pkg that run
 // matches, with output containing want — the check that is meant to kill it,
-// not merely some failure. The tests run with -short unless full is set.
-// parsed marks a check that parses the tree at run time rather than
-// compiling it (TestExportedNamesHaveUsers, TestResultFieldsHaveReaders,
-// TestDocs): an overlay cannot reach what such a check reads, so its mutant
-// is written into a copy of the tree, and the test binary, built from the
-// unmutated tree, runs in that copy.
+// not merely some failure. The tests run with -short unless full is set, and
+// under the race detector when race is set. parsed marks a check that parses
+// the tree at run time rather than compiling it (TestExportedNamesHaveUsers,
+// TestResultFieldsHaveReaders, TestDocs): an overlay cannot reach what such a
+// check reads, so its mutant is written into a copy of the tree, and the test
+// binary, built from the unmutated tree, runs in that copy.
 type mutant struct {
 	name, file, old, new string
 	pkg, run, want       string
-	full, parsed         bool
+	full, parsed, race   bool
 }
 
 // mutants is the table. The first entries are the gates' own mutants: a
@@ -39,7 +39,12 @@ type mutant struct {
 // lent session, the generator does not lend its task buffer), the three
 // parsing checks of the root package, and the three gates that skip
 // under -short: the paper scoreboard's golden, which runs at full scale, and
-// the two allocation pins, each given back a per-task allocation.
+// the two allocation pins, each given back a per-task allocation. Then the
+// simulator's optimisations, each killed by the reference model
+// (internal/sim/reference_test.go): a chunk summary read one off, a recycled
+// task machine that keeps a field of its last task, and a host joining that
+// wakes no parked task. Last, TestRunnersConserveTasks' sharded cases and the
+// race step's TestClusterCallsUnderConcurrency.
 var mutants = []mutant{
 	{
 		name: "gated golden line", file: "internal/sim/gated_test.go",
@@ -164,6 +169,32 @@ var mutants = []mutant{
 		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
 		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 436", full: true,
 	},
+	{
+		name: "a chunk summary counts one subscribed GPU too many", file: "internal/cluster/table.go",
+		old: "int(uint32(best)), int(ch.subs[1])", new: "int(uint32(best)), int(ch.subs[1]) + 1",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a recycled task machine keeps its last delay", file: "internal/sim/sim.go",
+		old: "t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
+		new: "stale := delay\n\tif n := len(s.idle); n > 0 {\n\t\tstale = s.idle[n-1].delay\n\t}\n\tt := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: stale})",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "AddHost wakes no waiter", file: "internal/cluster/cluster.go",
+		old: "\tc.seat(h)\n\tc.capacityFreed()\n", new: "\tc.seat(h)\n",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "MergeResults drops a worker's tasks", file: "internal/sim/shard.go",
+		old: "\t\tout.Tasks += r.Tasks\n", new: "\t\tif r != rs[0] {\n\t\t\tout.Tasks += r.Tasks\n\t\t}\n",
+		pkg: "./internal/sim", run: "^TestRunnersConserveTasks$", want: "RunSharded/legacy-k2/nofaults: 1176 tasks + 0 abandonments, 2656 generated",
+	},
+	{
+		name: "ReleaseExecution skips the cluster lock", file: "internal/control/local.go",
+		old: "\tls.cl.Lock()\n\tdefer ls.cl.Unlock()\n", new: "",
+		pkg: "./internal/control", run: "^TestClusterCallsUnderConcurrency$", want: "DATA RACE", race: true,
+	},
 }
 
 // TestMutants applies each mutant of the table through go test -overlay (or,
@@ -195,6 +226,9 @@ func TestMutants(t *testing.T) {
 			args := []string{"-count=1", "-run=" + m.run}
 			if !m.full {
 				args = append(args, "-short")
+			}
+			if m.race {
+				args = append(args, "-race")
 			}
 			var cmd *exec.Cmd
 			if m.parsed {
