@@ -17,9 +17,9 @@ func recount(t *testing.T, c *Cluster) (total, subscribed, committed, replicaFre
 	t.Helper()
 	for _, h := range c.Hosts() {
 		total += h.Capacity.GPUs
-		subscribed += h.subscribed.GPUs
+		subscribed += h.subscribed
 		committed += h.Committed().GPUs
-		if len(h.Replicas()) == 0 {
+		if len(h.replicas) == 0 {
 			replicaFree++
 		}
 		checkLedger(t, h)
@@ -93,16 +93,15 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 		if !checkLedger(t, h) {
 			ok = false
 		}
-		ids := h.Replicas()
 		subscribed := 0
-		for _, id := range ids {
-			subscribed += h.replicas[id].GPUs
+		for _, gpus := range h.replicas {
+			subscribed += gpus
 		}
 		if got := h.SubscribedGPUs(); got != subscribed || h.row != nil && got != h.row.SubscribedGPUs() {
 			fail("%s: SubscribedGPUs = %d, replicas sum to %d, row %v", h.ID, got, subscribed, h.row)
 		}
-		if got := h.NumReplicas(); got != len(ids) {
-			fail("%s: NumReplicas = %d, len(Replicas()) = %d", h.ID, got, len(ids))
+		if got := h.NumReplicas(); got != len(h.replicas) {
+			fail("%s: NumReplicas = %d, %d replicas held", h.ID, got, len(h.replicas))
 		}
 		if got, want := h.IdleGPUs(), h.Capacity.GPUs-h.Committed().GPUs; got != want {
 			fail("%s: IdleGPUs = %d, capacity - Committed() = %d", h.ID, got, want)
@@ -110,7 +109,7 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 		if got, want := h.SubscriptionRatio(3), float64(subscribed)/float64(h.Capacity.GPUs*3); got != want {
 			fail("%s: SubscriptionRatio = %g, want %g", h.ID, got, want)
 		}
-		if got, want := h.Empty(), len(ids) == 0 && h.Committed().IsZero(); got != want {
+		if got, want := h.Empty(), len(h.replicas) == 0 && h.Committed().IsZero(); got != want {
 			fail("%s: Empty = %v, want %v", h.ID, got, want)
 		}
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"notebookos/internal/gpu"
 	"notebookos/internal/resources"
@@ -32,9 +31,12 @@ type Host struct {
 	devices *gpu.Pool
 
 	// committed tracks exclusive bindings during cell execution.
-	committed  resources.Pool
-	subscribed resources.Spec
-	replicas   map[string]resources.Spec
+	committed resources.Pool
+	// subscribed sums the GPUs of the replicas subscribed on the host, and
+	// replicas maps each to its GPU count: a subscription's other
+	// dimensions are validated but never read, so they are not kept.
+	subscribed int
+	replicas   map[string]int
 	// While the host is a member of cluster c, row is its row of c's dense
 	// table — slot of chunk ch — where a placement scan finds its subscribed
 	// and committed GPUs next to every other member's; every write stores
@@ -53,7 +55,7 @@ func NewHost(id string, capacity resources.Spec) *Host {
 		ID:        id,
 		Capacity:  capacity,
 		committed: *resources.NewPool(capacity),
-		replicas:  map[string]resources.Spec{},
+		replicas:  map[string]int{},
 		slot:      -1,
 	}
 }
@@ -72,7 +74,7 @@ func (h *Host) Devices() *gpu.Pool {
 func (h *Host) count(sign int) {
 	agg := &h.c.agg
 	agg.totalGPUs += sign * h.Capacity.GPUs
-	agg.subscribedGPUs += sign * h.subscribed.GPUs
+	agg.subscribedGPUs += sign * h.subscribed
 	agg.committedGPUs += sign * h.committed.Committed().GPUs
 	if len(h.replicas) == 0 {
 		agg.replicaFree += sign
@@ -85,7 +87,7 @@ func (h *Host) publish() {
 	if h.row == nil {
 		return
 	}
-	h.row.subscribed, h.row.committed = int32(h.subscribed.GPUs), int32(h.committed.Committed().GPUs)
+	h.row.subscribed, h.row.committed = int32(h.subscribed), int32(h.committed.Committed().GPUs)
 	h.ch.update(h.slot % TableChunk)
 }
 
@@ -100,8 +102,8 @@ func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 	if _, ok := h.replicas[replicaID]; ok {
 		return fmt.Errorf("cluster: replica %s already on host %s", replicaID, h.ID)
 	}
-	h.replicas[replicaID] = req
-	h.subscribed = h.subscribed.Add(req)
+	h.replicas[replicaID] = req.GPUs
+	h.subscribed += req.GPUs
 	if h.c != nil {
 		h.c.agg.subscribedGPUs += req.GPUs
 		if len(h.replicas) == 1 {
@@ -114,30 +116,20 @@ func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 
 // RemoveReplica unsubscribes a replica (kernel shutdown or migration).
 func (h *Host) RemoveReplica(replicaID string) error {
-	req, ok := h.replicas[replicaID]
+	gpus, ok := h.replicas[replicaID]
 	if !ok {
 		return fmt.Errorf("cluster: replica %s not on host %s", replicaID, h.ID)
 	}
 	delete(h.replicas, replicaID)
-	h.subscribed = h.subscribed.Sub(req)
+	h.subscribed -= gpus
 	if h.c != nil {
-		h.c.agg.subscribedGPUs -= req.GPUs
+		h.c.agg.subscribedGPUs -= gpus
 		if len(h.replicas) == 0 {
 			h.c.agg.replicaFree++
 		}
 	}
 	h.publish()
 	return nil
-}
-
-// Replicas returns the IDs of replicas subscribed on the host, sorted.
-func (h *Host) Replicas() []string {
-	out := make([]string, 0, len(h.replicas))
-	for id := range h.replicas {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Slot returns the host's slot in its cluster's dense table (Cluster.Table),
@@ -148,7 +140,7 @@ func (h *Host) Slot() int { return h.slot }
 func (h *Host) NumReplicas() int { return len(h.replicas) }
 
 // SubscribedGPUs returns the host's subscribed GPU count.
-func (h *Host) SubscribedGPUs() int { return h.subscribed.GPUs }
+func (h *Host) SubscribedGPUs() int { return h.subscribed }
 
 // SubscriptionRatio returns S/(G*R) for this host (paper §3.4.1), where S
 // is subscribed GPUs, G the host's GPU count, and R replicas per kernel.

@@ -24,14 +24,14 @@ func TestHostSubscription(t *testing.T) {
 	if err := h.PlaceReplica("k2/r1", req(4)); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.subscribed.GPUs; got != 8 {
+	if got := h.subscribed; got != 8 {
 		t.Fatalf("subscribed = %d", got)
 	}
-	if h.NumReplicas() != 2 || h.replicas["k2/r1"].GPUs != 4 {
+	if h.NumReplicas() != 2 || h.replicas["k2/r1"] != 4 {
 		t.Fatal("replica bookkeeping")
 	}
-	if got := h.Replicas(); len(got) != 2 || got[0] != "k1/r1" {
-		t.Fatalf("Replicas = %v", got)
+	if _, ok := h.replicas["k1/r1"]; !ok || len(h.replicas) != 2 {
+		t.Fatalf("replicas = %v", h.replicas)
 	}
 	if err := h.RemoveReplica("k1/r1"); err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestHostSubscription(t *testing.T) {
 	if err := h.RemoveReplica("k1/r1"); err == nil {
 		t.Fatal("double removal must fail")
 	}
-	if got := h.subscribed.GPUs; got != 4 {
+	if got := h.subscribed; got != 4 {
 		t.Fatalf("subscribed after removal = %d", got)
 	}
 }

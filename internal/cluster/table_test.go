@@ -33,11 +33,11 @@ func checkTable(t *testing.T, c *Cluster) {
 		for i := 0; i < TableChunk; i++ {
 			h := tab.Host(j*TableChunk + i)
 			if h != nil {
-				key := [3]int{min(h.Committed().GPUs, keyMax), min(h.subscribed.GPUs, keyMax), tab.Rows(j)[i].Ord()}
+				key := [3]int{min(h.Committed().GPUs, keyMax), min(h.subscribed, keyMax), tab.Rows(j)[i].Ord()}
 				if slices.Compare(key[:], best[:]) < 0 {
 					best = key
 				}
-				minSub = min(minSub, h.subscribed.GPUs)
+				minSub = min(minSub, h.subscribed)
 			}
 			if occupied := tab.Live(j)>>i&1 == 1; occupied != (h != nil) {
 				t.Errorf("slot %d: live bit %v, host %v", j*TableChunk+i, occupied, h)
@@ -61,13 +61,13 @@ func checkTable(t *testing.T, c *Cluster) {
 			continue
 		}
 		row := rowOf(c, h)
-		if got, want := row.SubscribedGPUs(), h.subscribed.GPUs; got != want {
+		if got, want := row.SubscribedGPUs(), h.subscribed; got != want {
 			t.Errorf("%s: row subscribed %d, recount %d", h.ID, got, want)
 		}
 		if got, want := row.CommittedGPUs(), h.Committed().GPUs; got != want {
 			t.Errorf("%s: row committed %d, recount %d", h.ID, got, want)
 		}
-		if got, want := h.NumReplicas(), len(h.Replicas()); got != want {
+		if got, want := h.NumReplicas(), len(h.replicas); got != want {
 			t.Errorf("%s: NumReplicas %d, recount %d", h.ID, got, want)
 		}
 	}
@@ -203,7 +203,7 @@ func TestTableFollowsMembership(t *testing.T) {
 			if row := rowOf(c, next); row.SubscribedGPUs() != 1 || row.CommittedGPUs() != 0 {
 				t.Errorf("slot %d shows %d subscribed, %d committed GPUs: a departed host wrote into it", slot, row.SubscribedGPUs(), row.CommittedGPUs())
 			}
-			if got, want := h.SubscribedGPUs(), h.subscribed.GPUs; got != want {
+			if got, want := h.SubscribedGPUs(), h.subscribed; got != want {
 				t.Errorf("departed host: SubscribedGPUs %d, recount %d", got, want)
 			}
 			if got, want := h.IdleGPUs(), 8-5; got != want {

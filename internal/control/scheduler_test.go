@@ -2,7 +2,6 @@ package control
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -471,16 +470,19 @@ func TestClusterCallsUnderConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	var blocked []*cluster.Host
-	gs.WithCluster(func(c *cluster.Cluster) {
-		for _, h := range c.Hosts() {
-			if slices.ContainsFunc(h.Replicas(), func(r string) bool { return strings.HasPrefix(r, "big/") }) {
-				if err := h.Commit("blocker", gpuReq(1)); err != nil {
-					t.Fatal(err)
-				}
-				blocked = append(blocked, h)
+	gs.mu.Lock()
+	big := gs.kernels["big"]
+	gs.mu.Unlock()
+	big.mu.Lock()
+	gs.WithCluster(func(*cluster.Cluster) {
+		for _, h := range big.hosts {
+			if err := h.Commit("blocker", gpuReq(1)); err != nil {
+				t.Fatal(err)
 			}
+			blocked = append(blocked, h)
 		}
 	})
+	big.mu.Unlock()
 
 	var wg sync.WaitGroup
 	run := func(f func()) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"time"
 
 	"notebookos/internal/randprefix"
@@ -257,19 +256,10 @@ func ParseFaults(data []byte) (FaultSpec, error) {
 	return parseSpec(data, "faults", (*FaultSpec).Validate)
 }
 
-// LoadFaults reads and parses a JSON FaultSpec file.
-func LoadFaults(path string) (FaultSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return FaultSpec{}, fmt.Errorf("trace: load faults: %w", err)
-	}
-	return ParseFaults(data)
-}
-
 // ResolveFaults returns the built-in fault profile of that name, or —
 // when no built-in matches — treats the argument as a JSON spec file.
 func ResolveFaults(nameOrPath string) (FaultSpec, error) {
-	return resolveSpec(nameOrPath, "fault profile", BuiltinFaultProfile, BuiltinFaultProfileNames, LoadFaults)
+	return resolveSpec(nameOrPath, "fault profile", "faults", BuiltinFaultProfile, BuiltinFaultProfileNames, ParseFaults)
 }
 
 // ---- built-in fault profiles ---------------------------------------------

@@ -458,32 +458,27 @@ func parseSpec[T any](data []byte, kind string, validate func(*T) error) (T, err
 	return v, nil
 }
 
-// LoadScenario reads and parses a JSON spec file.
-func LoadScenario(path string) (ScenarioSpec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return ScenarioSpec{}, fmt.Errorf("trace: load scenario: %w", err)
-	}
-	return ParseScenario(data)
-}
-
 // ResolveScenario returns the built-in spec of that name, or — when no
 // built-in matches — treats the argument as a JSON spec file path.
 func ResolveScenario(nameOrPath string) (ScenarioSpec, error) {
-	return resolveSpec(nameOrPath, "scenario", BuiltinScenario, BuiltinScenarioNames, LoadScenario)
+	return resolveSpec(nameOrPath, "scenario", "scenario", BuiltinScenario, BuiltinScenarioNames, ParseScenario)
 }
 
-// resolveSpec returns the built-in of that name, or what load makes of the
-// argument as a path; a load that fails also lists the built-ins by name.
-func resolveSpec[T any](nameOrPath, kind string, builtin func(string) (T, bool), names func() []string, load func(string) (T, error)) (T, error) {
-	if v, ok := builtin(nameOrPath); ok {
+// resolveSpec returns the built-in of that name, or what parse makes of the
+// file at that path (file names the spec in a read error); a read or parse
+// that fails also lists the built-ins by name.
+func resolveSpec[T any](nameOrPath, kind, file string, builtin func(string) (T, bool), names func() []string, parse func([]byte) (T, error)) (T, error) {
+	v, ok := builtin(nameOrPath)
+	if ok {
 		return v, nil
 	}
-	v, err := load(nameOrPath)
+	data, err := os.ReadFile(nameOrPath)
 	if err != nil {
-		return v, fmt.Errorf("%w (and %q names no built-in %s; built-ins: %v)", err, nameOrPath, kind, names())
+		err = fmt.Errorf("trace: load %s: %w", file, err)
+	} else if v, err = parse(data); err == nil {
+		return v, nil
 	}
-	return v, nil
+	return v, fmt.Errorf("%w (and %q names no built-in %s; built-ins: %v)", err, nameOrPath, kind, names())
 }
 
 // ---- built-in scenario family -------------------------------------------

@@ -321,9 +321,10 @@ func TestStreamGenConcurrentDrains(t *testing.T) {
 }
 
 // TestStreamGenAllocations pins what draining a StreamGen costs the
-// allocator: one ID string per session and one Tasks slice per session that
-// submits tasks. The rest is per drain — the random source and the task
-// buffer's growth — and does not grow with the session count.
+// allocator: one ID string per block of 32 sessions and one Tasks
+// slice per session that submits tasks. The rest is per drain — the random
+// source and the task buffer's growth — and does not grow with the session
+// count.
 func TestStreamGenAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race job runs -short, and the detector's bookkeeping allocates")
@@ -347,11 +348,14 @@ func TestStreamGenAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const perDrain = 8
-	extra := allocs - float64(sessions+training)
+	// The block size is written out, not read from idsPerBlock, so that a
+	// smaller block fails here.
+	const perDrain, perBlock = 8, 32
+	blocks := (sessions + perBlock - 1) / perBlock
+	extra := allocs - float64(blocks+training)
 	if extra < 0 || extra > perDrain {
-		t.Errorf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f beyond one ID per session and one Tasks per training session, want 0 to %d",
-			sessions, training, allocs, extra, perDrain)
+		t.Errorf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f beyond one ID block per %d sessions and one Tasks per training session, want 0 to %d",
+			sessions, training, allocs, extra, perBlock, perDrain)
 	} else {
 		t.Logf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f per drain", sessions, training, allocs, extra)
 	}
@@ -394,20 +398,32 @@ func TestExpectMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestSessionIDFormat pins the strconv builder against the fmt format it
-// replaced — on both sides of every padding width, and for a name that
-// outgrows the stack buffer — and at one allocation, the string itself.
+// TestSessionIDFormat pins the blocks a drain cuts its IDs from against the
+// fmt format sessionID replaced, for every id up to 1,234,567 as a drain
+// numbers them (blocks of idsPerBlock from 1, id 0 on its own), so every
+// padding width and every block boundary is covered, and for a name too long
+// for idBlock's stack buffer; and a block at one allocation, the string.
 func TestSessionIDFormat(t *testing.T) {
+	const last = 1234567
 	for _, name := range []string{"adobe", strings.Repeat("a-long-scenario-name-", 4)} {
-		for _, id := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 12345, 99999, 100000, 1234567} {
-			got := sessionID(name, id)
-			want := fmtSessionID(name, id)
-			if got != want {
-				t.Errorf("sessionID(%q, %d) = %q, want %q", name, id, got, want)
+		if got, want := string(sessionID(nil, name, 0)), fmtSessionID(name, 0); got != want {
+			t.Errorf("sessionID(%q, 0) = %q, want %q", name, got, want)
+		}
+		var ends [idsPerBlock + 1]int
+		for first := 1; first <= last; first += idsPerBlock {
+			block := idBlock(&ends, name, first)
+			if ends[idsPerBlock] != len(block) {
+				t.Fatalf("idBlock(%q, %d) ends at %d, its string has %d bytes", name, first, ends[idsPerBlock], len(block))
+			}
+			for i := range idsPerBlock {
+				if got, want := block[ends[i]:ends[i+1]], fmtSessionID(name, first+i); got != want {
+					t.Fatalf("idBlock(%q, %d) ID %d = %q, want %q", name, first, i, got, want)
+				}
 			}
 		}
 	}
-	if allocs := testing.AllocsPerRun(100, func() { _ = sessionID("million", 123456) }); allocs != 1 {
-		t.Errorf("sessionID allocates %v times per call, want 1", allocs)
+	var ends [idsPerBlock + 1]int
+	if allocs := testing.AllocsPerRun(100, func() { _ = idBlock(&ends, "million", 123457) }); allocs != 1 {
+		t.Errorf("idBlock allocates %v times per block, want 1", allocs)
 	}
 }

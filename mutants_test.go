@@ -34,12 +34,14 @@ type mutant struct {
 // decision tables' rules. Then one mutant per check of the run auditor
 // (internal/sim/audit_test.go), each killed by TestAuditedRuns naming its
 // check, and the subscription leak the seed-28 run found (docs/BUG_LEDGER.md,
-// bug 16) put back. Last, the other gates: the trace and assignment goldens,
-// the two sides of trace.Source's lending contract (the simulator copies the
-// lent session, the generator does not lend its task buffer), the three
-// parsing checks of the root package, and the three gates that skip
-// under -short: the paper scoreboard's golden, which runs at full scale, and
-// the two allocation pins, each given back a per-task allocation. Then the
+// bug 16) put back. Last, the other gates: the trace and assignment goldens
+// (the trace's twice: a drain's block of session IDs that opens with the
+// previous session's ID), the two sides of trace.Source's lending contract
+// (the simulator copies the lent session, the generator does not lend its
+// task buffer), the three parsing checks of the root package, and the four
+// gates that skip under -short: the paper scoreboard's golden, which runs at
+// full scale, the two allocation pins, each given back a per-task
+// allocation, and the generator's, given back a string per session ID. Then the
 // simulator's optimisations, each killed by the reference model
 // (internal/sim/reference_test.go): a chunk summary read one off, a recycled
 // task machine that keeps a field of its last task, and a host joining that
@@ -133,6 +135,11 @@ var mutants = []mutant{
 		pkg: "./internal/sim", run: "^TestHostileConfigs$", want: "two sessions swapped in a lending Source: accepted",
 	},
 	{
+		name: "a block hands out the previous ID at its boundary", file: "internal/trace/stream.go",
+		old: "b = sessionID(b, name, first+j)", new: "b = sessionID(b, name, first+j-1+min(j, 1))",
+		pkg: "./internal/trace", run: "^TestTraceDigests$", want: "trace_digests.golden",
+	},
+	{
 		name: "genSession lends its task buffer", file: "internal/trace/gen.go",
 		old: "sess.Tasks = append([]Task(nil), scratch...)", new: "sess.Tasks = scratch",
 		pkg: "./internal/trace", run: "^TestStreamGenLendsOneSession$", want: "its kept Tasks changed after its yield returned",
@@ -168,6 +175,11 @@ var mutants = []mutant{
 		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.idle = append(s.idle, t)\n",
 		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
 		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 436", full: true,
+	},
+	{
+		name: "every session ID is a string of its own", file: "internal/trace/stream.go",
+		old: "const idsPerBlock = 32", new: "const idsPerBlock = 1",
+		pkg: "./internal/trace", run: "^TestStreamGenAllocations$", want: "beyond one ID block per 32 sessions", full: true,
 	},
 	{
 		name: "a chunk summary counts one subscribed GPU too many", file: "internal/cluster/table.go",
