@@ -51,7 +51,7 @@ var historyCounts = []struct {
 }{
 	{"notebookos/internal/sim", "TestSummerRunAllocations", regexp.MustCompile(`: (\d+) allocations \(`), []string{"summer_run"}},
 	{"notebookos/internal/sim", "TestFaultedRunAllocations", regexp.MustCompile(`: (\d+) allocations \(`), []string{"faulted_run"}},
-	{"notebookos/internal/sim", "TestAdmissionAllocationBudget", regexp.MustCompile(`\((\d+) allocations, (\d+) sessions\)`), []string{"admission_run", "admission_sessions"}},
+	{"notebookos/internal/sim", "TestAdmissionAllocationBudget", regexp.MustCompile(`\((\d+) allocations, (\d+) bytes, (\d+) sessions\)`), []string{"admission_run", "admission_bytes", "admission_sessions"}},
 	{"notebookos/internal/trace", "TestStreamGenAllocations", regexp.MustCompile(`a drain of (\d+) sessions, (\d+) with tasks, allocated (\d+) times`), []string{"stream_drain_sessions", "stream_drain_training", "stream_drain"}},
 }
 

@@ -64,7 +64,7 @@ import (
 //   - crashed: no live session keeps a replica, or its reservation, on a host
 //     that has left its member.
 //   - waitq: the wait-queue holds exactly the parked tasks each home member's
-//     queue-depth gauge counts (waitq.Len() == Σ qdepth).
+//     queue-depth gauge counts (len(waitq.q) == Σ qdepth).
 //   - pending: the engine's pending events are bounded by what can hold one.
 //     Per session: its end while it is live, its next arrival while tasks
 //     remain, and one phase event of its current task (a Reservation task's
@@ -109,6 +109,10 @@ type auditor struct {
 	ends             ticked[ending]
 	live             int
 	heldSub, heldRes int
+	// yieldedEnds queues the End of each session the source has yielded and
+	// the injector not yet admitted, in yield order (endQueue): the record
+	// keeps no end.
+	yieldedEnds []time.Time
 	// busy holds the sessions with a task running or queued, or dropped;
 	// asleep, by the tick of their next submission, the sessions with nothing
 	// running or queued and tasks still to submit — nothing changes such a
@@ -156,7 +160,12 @@ func audited(tb testing.TB) func(Config) (*Result, error) {
 // a time to the drain horizon, auditing after each step, drains, audits the
 // horizon — the closing ledger — and returns finish's result.
 func (a *auditor) run(cfg Config) (*Result, error) {
-	s, err := simOf(cfg)
+	p, err := cfg.plan()
+	if err != nil {
+		return nil, err
+	}
+	p.Source = endQueue{p.Source, &a.yieldedEnds}
+	s, err := newSim(p)
 	if err != nil {
 		return nil, err
 	}
@@ -177,6 +186,20 @@ func (a *auditor) run(cfg Config) (*Result, error) {
 	return s.finish()
 }
 
+// endQueue is a trace.Source that appends the End of each session its
+// source yields to *ends, for the auditor to book at admission.
+type endQueue struct {
+	trace.Source
+	ends *[]time.Time
+}
+
+func (q endQueue) Sessions(yield func(*trace.Session) bool) error {
+	return q.Source.Sessions(func(sess *trace.Session) bool {
+		*q.ends = append(*q.ends, sess.End)
+		return yield(sess)
+	})
+}
+
 // admitted takes the session the injector has just admitted, the last one on
 // the live list, into the auditor's books.
 func (a *auditor) admitted() {
@@ -192,23 +215,24 @@ func (a *auditor) admitted() {
 		switch {
 		case h == nil:
 		case s.cfg.Policy == PolicyNotebookOS:
-			e.sub += ss.src.Request.GPUs
+			e.sub += ss.req.GPUs
 		case s.cfg.Policy == PolicyReservation:
-			e.res += ss.src.Request.GPUs
+			e.res += ss.req.GPUs
 		}
 	}
-	a.ends.add(a.tick(ss.src.End), e)
+	a.ends.add(a.tick(a.yieldedEnds[0]), e)
+	a.yieldedEnds = a.yieldedEnds[1:]
 	a.live++
 	a.heldSub += e.sub
 	a.heldRes += e.res
-	for _, task := range ss.src.Tasks {
+	for _, task := range ss.tasks {
 		k := a.tick(task.Submit)
 		for len(a.dueAt) <= k {
 			a.dueAt = append(a.dueAt, 0)
 		}
 		a.dueAt[k]++
 	}
-	if len(ss.src.Tasks) > 0 {
+	if len(ss.tasks) > 0 {
 		a.sleep(ss)
 	}
 }
@@ -216,7 +240,7 @@ func (a *auditor) admitted() {
 // sleep parks a session with nothing running or queued until the tick its
 // next task arrives at.
 func (a *auditor) sleep(ss *session) {
-	a.asleep.add(a.tick(ss.src.Tasks[ss.arrived].Submit), ss)
+	a.asleep.add(a.tick(ss.tasks[ss.arrived].Submit), ss)
 	a.sleeping++
 }
 
@@ -241,7 +265,7 @@ func (a *auditor) audit() {
 	}
 	a.ends.take(now, func(e ending) {
 		if !e.ss.closed {
-			a.fail(checkSubscriptions, "session %s is still live past its end", e.ss.src.ID)
+			a.fail(checkSubscriptions, "session %s is still live past its end", e.ss.id)
 		}
 		a.live--
 		a.heldSub -= e.sub
@@ -267,11 +291,11 @@ func (a *auditor) audit() {
 			running = 1
 		}
 		if dropping && len(ss.hosts) == 0 {
-			swallowed += ss.arrived
+			swallowed += int(ss.arrived)
 		} else {
-			outstanding += ss.arrived - ss.started + running
+			outstanding += int(ss.arrived-ss.started) + running
 		}
-		if ss.arrived < len(ss.src.Tasks) {
+		if int(ss.arrived) < len(ss.tasks) {
 			perSession++ // its next arrival
 		}
 		switch t := ss.cur; {
@@ -292,7 +316,7 @@ func (a *auditor) audit() {
 		switch {
 		case ss.running || ss.started < ss.arrived:
 			kept = append(kept, ss)
-		case ss.arrived < len(ss.src.Tasks):
+		case int(ss.arrived) < len(ss.tasks):
 			a.sleep(ss)
 		}
 	}
@@ -321,13 +345,13 @@ func (a *auditor) audit() {
 					continue
 				}
 				if !a.member(h) {
-					a.fail(checkCrashed, "live session %s keeps host %s, which has left member %d", ss.src.ID, h.h.ID, h.member)
+					a.fail(checkCrashed, "live session %s keeps host %s, which has left member %d", ss.id, h.h.ID, h.member)
 				}
 				switch s.cfg.Policy {
 				case PolicyNotebookOS:
-					sums[h.member].subscribed += ss.src.Request.GPUs
+					sums[h.member].subscribed += ss.req.GPUs
 				case PolicyReservation:
-					sums[h.member].committed += ss.src.Request.GPUs
+					sums[h.member].committed += ss.req.GPUs
 				}
 			}
 		}
@@ -432,7 +456,7 @@ func (a *auditor) audit() {
 	for _, d := range s.qdepth {
 		depth += d
 	}
-	if n := s.waitq.Len(); n != depth {
+	if n := len(s.waitq.q); n != depth {
 		a.fail(checkWaitq, "%d parked tasks; the members' queue-depth gauges sum to %d", n, depth)
 	}
 	if depth > 0 {
@@ -467,7 +491,7 @@ func (a *auditor) member(h *host) bool {
 // the session's whole request, anything else the task's share (taskReq).
 func taskCommit(ss *session, t *runningTask) int {
 	if ss.s.cfg.Policy == PolicyBatch {
-		return ss.src.Request.GPUs
+		return ss.req.GPUs
 	}
 	return taskReq(ss, t.task).GPUs
 }

@@ -35,7 +35,8 @@
 //     one session type, one host wrapper, one task state machine (taskfsm.go),
 //     one injector (stream.go) and one fault layer (faults.go). The injector
 //     is the only way in: one self-rescheduling event admits a session at its
-//     start (copying it into the session record, since a Source lends each
+//     start (copying its ID, Request, Tasks and SLO into the session record,
+//     the only fields read after admission, since a Source lends each
 //     session only until it is pulled again), schedules its end and first
 //     task arrival and pulls the next from the plan's Source; the session
 //     then submits its own tasks, each arrival

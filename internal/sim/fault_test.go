@@ -383,7 +383,7 @@ func TestQuorumLossRestartsTask(t *testing.T) {
 			continue
 		}
 		if !downed {
-			_ = h.h.RemoveReplica(ss.src.ID)
+			_ = h.h.RemoveReplica(ss.id)
 			ss.hosts[i] = nil
 			downed = true
 			continue
@@ -428,7 +428,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 	s.runUntil(s.start.Add(time.Minute))
 
 	task := trace.Task{Submit: s.now(), Duration: time.Hour, GPUs: 1}
-	inter := &session{src: trace.Session{ID: "probe-i", SLO: trace.SLOInteractive}, running: true}
+	inter := &session{id: "probe-i", slo: trace.SLOInteractive, running: true}
 	s.restartTask(inter, task, s.now())
 	if s.res.TaskRestarts != 1 || s.res.Abandonments != 0 {
 		t.Fatalf("first interactive restart must be granted: restarts=%d abandoned=%d",
@@ -443,7 +443,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 		t.Error("abandonment with an empty queue must leave the session idle")
 	}
 
-	batch := &session{src: trace.Session{ID: "probe-b", SLO: trace.SLOBatch}, running: true}
+	batch := &session{id: "probe-b", slo: trace.SLOBatch, running: true}
 	for i := 0; i < 3; i++ {
 		s.restartTask(batch, task, s.now())
 	}
@@ -494,7 +494,7 @@ func TestRestartPenaltyNeverWraps(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.runUntil(s.start.Add(time.Minute))
-		ss := &session{src: trace.Session{ID: "probe", SLO: trace.SLOBestEffort}, running: true}
+		ss := &session{id: "probe", slo: trace.SLOBestEffort, running: true}
 		armed := 0
 		for range c.charges {
 			pending := s.eng.Len()
@@ -656,7 +656,7 @@ func TestAbortedMachineIsNeverReused(t *testing.T) {
 		for _, ss := range s.live {
 			if m := ss.cur; m != nil {
 				if aborted[m] {
-					t.Fatalf("%v: session %s runs its task on a machine that was aborted", at, ss.src.ID)
+					t.Fatalf("%v: session %s runs its task on a machine that was aborted", at, ss.id)
 				}
 				seen[m] = true
 			}

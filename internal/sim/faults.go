@@ -275,13 +275,13 @@ func (s *sim) abortRestart(ss *session) {
 func (s *sim) restartTask(ss *session, task trace.Task, submit time.Time) {
 	ss.restarts++
 	f := s.cfg.Faults
-	if ss.restarts > f.RetryBudget(ss.src.SLO) {
+	if int(ss.restarts) > f.RetryBudget(ss.slo) {
 		s.res.Abandonments++
 		s.startNext(ss)
 		return
 	}
 	s.res.TaskRestarts++
-	penalty := f.RestartPenalty(ss.restarts)
+	penalty := f.RestartPenalty(int(ss.restarts))
 	s.res.RecoveryTime.Add(penalty.Seconds())
 	// The restart rides a task machine through its backoff (taskfsm.go).
 	s.armFault(s.now().Add(penalty), reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseRestart}))

@@ -246,7 +246,7 @@ func TestScaleOutGrowsAMemberThatFits(t *testing.T) {
 	defer s.close()
 	small, big := s.members[0], s.members[1]
 	req := resources.P316xlarge()
-	ss := &session{src: trace.Session{ID: "s1", Start: start, End: start.Add(time.Hour), Request: req}}
+	ss := &session{id: "s1", req: req}
 
 	s.sessionStart(ss)
 	if len(ss.hosts) != 3 || small.c.NumHosts() != 3 || big.c.NumHosts() != 5 {
@@ -278,7 +278,7 @@ func TestScaleOutGrowsAMemberThatFits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer one.close()
-	dropped := &session{src: ss.src}
+	dropped := &session{id: ss.id, req: ss.req}
 	one.sessionStart(dropped)
 	if n := one.members[0].c.NumHosts(); len(dropped.hosts) != 0 || n != 3 || one.res.ScaleOuts != 0 || len(one.res.Events) != 0 {
 		t.Errorf("no member fits: session on %d hosts, fleet of %d, %d scale-outs, %d events; want 0, 3, 0, 0",

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -53,8 +54,8 @@ func TestReplicaPlacementIsChecked(t *testing.T) {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)
-				if !strings.Contains(msg, ss.src.ID) || !strings.Contains(msg, tc.h.h.ID) {
-					t.Errorf("%s of %s on %s: recovered %q, want a panic naming both", name, ss.src.ID, tc.h.h.ID, msg)
+				if !strings.Contains(msg, ss.id) || !strings.Contains(msg, tc.h.h.ID) {
+					t.Errorf("%s of %s on %s: recovered %q, want a panic naming both", name, ss.id, tc.h.h.ID, msg)
 				}
 			}()
 			tc.call(tc.h)
@@ -76,14 +77,16 @@ func TestReplicaPlacementIsChecked(t *testing.T) {
 // TestAdmissionAllocationBudget pins what admitting a session costs the
 // allocator, the way TestSummerRunAllocations pins a whole run's: a
 // short streaming NotebookOS run under lean metrics, whole-run allocations
-// divided by sessions admitted. The budget is the measured 2.31 plus 5 %
-// (it was 19.69 when admission built replica keys, a holder string, the
-// filtered workload catalog and the selection slice per session, 7.72
-// while a session's ID cost two allocations and its end a closure, 5.72
-// while each of a session's 0.26 tasks cost a closure and a state machine,
-// 4.49 while the generator's Session and the record were two objects, and
-// 3.28 while each session's ID was a string of its own). The
-// sessions' tasks and the run's fixed costs are in it, so it moves only
+// and bytes (runtime.MemStats.TotalAlloc) divided by sessions admitted. The
+// allocation budget is the measured 2.31 plus 5 % (it was 19.69 when
+// admission built replica keys, a holder string, the filtered workload
+// catalog and the selection slice per session, 7.72 while a session's ID
+// cost two allocations and its end a closure, 5.72 while each of a
+// session's 0.26 tasks cost a closure and a state machine, 4.49 while the
+// generator's Session and the record were two objects, and 3.28 while each
+// session's ID was a string of its own). The bytes budget is the measured
+// 749 plus 5 % (845 bytes while the record copied the whole session). The
+// sessions' tasks and the run's fixed costs are in both, so they move only
 // when the session or task path allocates more.
 func TestAdmissionAllocationBudget(t *testing.T) {
 	if testing.Short() {
@@ -92,19 +95,30 @@ func TestAdmissionAllocationBudget(t *testing.T) {
 	gcfg := trace.MillionSessionConfig(42)
 	gcfg.Duration = 6 * time.Hour
 	cfg := Config{Policy: PolicyNotebookOS, Hosts: 128, LeanMetrics: true, Seed: 42}
-	sessions := 0
-	allocs := testing.AllocsPerRun(3, func() {
+	const runs = 3
+	sessions, calls := 0, 0
+	var ms runtime.MemStats
+	var from uint64
+	allocs := testing.AllocsPerRun(runs, func() {
+		// AllocsPerRun's first call warms up; the bytes are the measured runs'.
+		if calls++; calls == 2 {
+			runtime.ReadMemStats(&ms)
+			from = ms.TotalAlloc
+		}
 		res, err := RunStreamSharded(gcfg, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sessions = res.Sessions
 	})
-	const budget = 2.43
-	if perSession := allocs / float64(sessions); perSession > budget {
-		t.Errorf("%.2f allocations per admitted session (%d sessions), budget %.2f", perSession, sessions, budget)
+	runtime.ReadMemStats(&ms)
+	bytes := float64(ms.TotalAlloc-from) / runs
+	const budget, bytesBudget = 2.43, 787
+	perSession, bytesPerSession := allocs/float64(sessions), bytes/float64(sessions)
+	if perSession > budget || bytesPerSession > bytesBudget {
+		t.Errorf("%.2f allocations and %.1f bytes per admitted session (%d sessions), budgets %.2f and %d", perSession, bytesPerSession, sessions, budget, bytesBudget)
 	} else {
-		t.Logf("%.2f allocations per admitted session (%.0f allocations, %d sessions)", perSession, allocs, sessions)
+		t.Logf("%.2f allocations and %.1f bytes per admitted session (%.0f allocations, %.0f bytes, %d sessions)", perSession, bytesPerSession, allocs, bytes, sessions)
 	}
 }
 

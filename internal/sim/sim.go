@@ -284,10 +284,14 @@ func (r *Result) FinalHosts() int {
 // session (Fire), so admitting one schedules its end without a closure.
 type session struct {
 	s *sim
-	// src is the admitted session, copied from the one the source lent
-	// (trace.Source lends it only until yield returns); src.Request is what
-	// the session reserves and each of its replicas subscribes.
-	src trace.Session
+	// id, req, tasks and slo are the four fields of the admitted session the
+	// simulator reads past its admission, copied from the one the source
+	// lent (trace.Source lends it only until yield returns); req is what the
+	// session reserves and each of its replicas subscribes.
+	id    string
+	req   resources.Spec
+	tasks []trace.Task
+	slo   trace.SLOClass
 	// paramBytes and datasetBytes size the session's model and dataset, one
 	// workload.Assign draw.
 	paramBytes, datasetBytes int64
@@ -304,26 +308,26 @@ type session struct {
 	// second allocation.
 	hosts []*host
 	slots [3]*host
-	// The session ID (src.ID) is the key of everything the session holds on
+	// The session ID (id) is the key of everything the session holds on
 	// a host. As exclusive-commit holder: a session's tasks are strictly
 	// serialized (running + FCFS queue), so at most one commitment per
 	// session is ever outstanding. As replica subscription key: a session's
 	// replicas always sit on distinct hosts (every placement excludes
 	// hosts), and subscribe checks it.
-	lastExecutor int
+	lastExecutor int32
 	running      bool
 	closed       bool
 	// The arrival cursor (arrivals, stream.go): seq0 is the engine sequence
-	// number reserved for the arrival of src.Tasks[0], task i's is seq0+i;
+	// number reserved for the arrival of tasks[0], task i's is seq0+i;
 	// arrived counts the tasks submitted so far and started those handed to
-	// the pipeline, so src.Tasks[started:arrived] is the FCFS queue.
+	// the pipeline, so tasks[started:arrived] is the FCFS queue.
 	seq0             int64
-	arrived, started int
+	arrived, started int32
 	// cur is the in-flight task state machine (nil between tasks), the
 	// handle the fault layer aborts through; restarts counts the current
 	// task's checkpoint-restore resubmissions against its retry budget.
 	cur      *runningTask
-	restarts int
+	restarts int32
 }
 
 // Fire implements des.Runner: the session's end.
@@ -334,7 +338,7 @@ func (ss *session) Fire() { ss.s.sessionEnd(ss) }
 // second replica of the session on h, which would silently drop a
 // subscription from every counter.
 func (ss *session) subscribe(h *host) {
-	ss.must(h.h.PlaceReplica(ss.src.ID, ss.src.Request), "replica refused by selected", h)
+	ss.must(h.h.PlaceReplica(ss.id, ss.req), "replica refused by selected", h)
 }
 
 // unsubscribe takes the session's replica off h, and uncommit returns what
@@ -343,16 +347,16 @@ func (ss *session) subscribe(h *host) {
 // a host's state — and would leave the cluster's counters, its replica-free
 // host count and its table's summaries counting something that is gone.
 func (ss *session) unsubscribe(h *host) {
-	ss.must(h.h.RemoveReplica(ss.src.ID), "replica not found on", h)
+	ss.must(h.h.RemoveReplica(ss.id), "replica not found on", h)
 }
 
 func (ss *session) uncommit(h *host) {
-	ss.must(h.h.Release(ss.src.ID), "commitment not found on", h)
+	ss.must(h.h.Release(ss.id), "commitment not found on", h)
 }
 
 func (ss *session) must(err error, what string, h *host) {
 	if err != nil {
-		panic(fmt.Sprintf("sim: session %s: %s host %s: %v", ss.src.ID, what, h.h.ID, err))
+		panic(fmt.Sprintf("sim: session %s: %s host %s: %v", ss.id, what, h.h.ID, err))
 	}
 }
 
@@ -530,7 +534,7 @@ func newSim(p *plan) (*sim, error) {
 		fed:       federation.New(0),
 		placement: scheduler.LeastLoaded{SRHighWatermark: p.SRHighWatermark},
 		selected:  make([]*cluster.Host, p.ReplicasPerKernel),
-		waitq:     newCapacityWaitQueue(eng),
+		waitq:     &capacityWaitQueue{eng: eng},
 		start:     start,
 		end:       end,
 		sampleSeq: p.Seed + 1000,
@@ -687,7 +691,10 @@ func (s *sim) newSession(sess *trace.Session) *session {
 	assig := workload.Assign(s.wr)
 	ss := &session{
 		s:            s,
-		src:          *sess,
+		id:           sess.ID,
+		req:          sess.Request,
+		tasks:        sess.Tasks,
+		slo:          sess.SLO,
 		paramBytes:   assig.Model.ParamBytes,
 		datasetBytes: assig.Dataset.SizeBytes,
 		home:         s.homeSeq % len(s.members),
@@ -734,7 +741,8 @@ func (s *sim) finish() (*Result, error) {
 		res.ProvisionedGPUs, res.CommittedGPUs = metrics.MergeTimelines(prov...), metrics.MergeTimelines(comm...)
 	}
 	res.ActiveGPUHours = res.CommittedGPUs.Integral(s.start, s.end)
-	res.ReservedGPUHours = s.reserved.finish(s.end.UnixNano())
+	s.reserved.bump(s.end.UnixNano(), 0)
+	res.ReservedGPUHours = s.reserved.hours
 	res.ProvisionedGPUHours = res.ProvisionedGPUs.Integral(s.start, s.end)
 	if s.cfg.federated {
 		for _, m := range s.members {
@@ -811,7 +819,7 @@ func (s *sim) sessionStart(ss *session) {
 		s.live = append(s.live, ss)
 	}
 	s.res.ActiveSessions.Delta(s.now(), 1)
-	s.reserved.bump(s.now().UnixNano(), float64(ss.src.Request.GPUs))
+	s.reserved.bump(s.now().UnixNano(), float64(ss.req.GPUs))
 	switch s.cfg.Policy {
 	case PolicyReservation:
 		// Bind GPUs for the whole session; grow the cluster when full
@@ -827,7 +835,7 @@ func (s *sim) sessionStart(ss *session) {
 			// provisioning delay is charged to session creation, not to any
 			// task). A request no member's host shape holds is dropped, with
 			// nothing grown for it.
-			grow, ok := s.scaleOutMember(ss.home, ss.src.Request)
+			grow, ok := s.scaleOutMember(ss.home, ss.req)
 			if !ok {
 				return
 			}
@@ -868,7 +876,7 @@ func (s *sim) scaleOutMember(home int, req resources.Spec) (idx int, ok bool) {
 func (s *sim) placeSession(ss *session) bool {
 	for _, idx := range s.routeOrder(ss.home) {
 		m := s.members[idx]
-		if s.placement.SelectInto(m.c, ss.src.Request, s.selected) != nil {
+		if s.placement.SelectInto(m.c, ss.req, s.selected) != nil {
 			continue
 		}
 		ss.hosts = ss.slots[:0]
@@ -890,14 +898,14 @@ func (s *sim) placeSession(ss *session) bool {
 // that fits it, growing the home cluster when none does; nil when even a
 // fresh host cannot hold the request.
 func (s *sim) reserveHost(ss *session) *host {
-	h := s.mostIdleHost(ss, &ss.src.Request)
+	h := s.mostIdleHost(ss, &ss.req)
 	if h == nil {
-		if !ss.src.Request.Fits(s.members[ss.home].spec.HostCapacity) {
+		if !ss.req.Fits(s.members[ss.home].spec.HostCapacity) {
 			return nil
 		}
 		h = s.addHost(ss.home)
 	}
-	if err := h.h.Commit(ss.src.ID, ss.src.Request); err != nil {
+	if err := h.h.Commit(ss.id, ss.req); err != nil {
 		panic(err) // a fresh host always fits a request its shape fits
 	}
 	return h
@@ -912,7 +920,7 @@ func (s *sim) sessionEnd(ss *session) {
 		s.live = slices.Delete(s.live, i, i+1)
 	}
 	s.res.ActiveSessions.Delta(s.now(), -1)
-	s.reserved.bump(s.now().UnixNano(), -float64(ss.src.Request.GPUs))
+	s.reserved.bump(s.now().UnixNano(), -float64(ss.req.GPUs))
 	switch s.cfg.Policy {
 	case PolicyReservation:
 		if len(ss.hosts) > 0 && ss.hosts[0] != nil {
@@ -938,7 +946,7 @@ func (s *sim) startNext(ss *session) {
 	ss.cur = nil
 	ss.restarts = 0
 	if ss.started < ss.arrived {
-		next := ss.src.Tasks[ss.started]
+		next := ss.tasks[ss.started]
 		ss.started++
 		ss.running = true
 		s.startTask(ss, next, s.now())
@@ -970,7 +978,7 @@ func (s *sim) startTask(ss *session, task trace.Task, submit time.Time) {
 	s.qdepth[home]++
 	weight := 1
 	if s.cfg.SLOAware {
-		weight = ss.src.SLO.Weight()
+		weight = ss.slo.Weight()
 	}
 	s.waitq.Wait(weight, func() bool {
 		if !s.tryTask(ss, task, submit) {
@@ -1000,8 +1008,8 @@ func (s *sim) tryTask(ss *session, task trace.Task, submit time.Time) bool {
 // reservation: the task's GPU count (never above the reservation) with
 // VRAM sized at 16 GB per GPU.
 func taskReq(ss *session, task trace.Task) resources.Spec {
-	r := ss.src.Request
-	r.GPUs = min(task.GPUs, ss.src.Request.GPUs)
+	r := ss.req
+	r.GPUs = min(task.GPUs, ss.req.GPUs)
 	r.VRAMGB = float64(r.GPUs) * 16
 	return r
 }
@@ -1065,8 +1073,8 @@ func (s *sim) tryReservationTask(ss *session, task trace.Task, submit time.Time)
 func (s *sim) tryBatchTask(ss *session, task trace.Task, submit time.Time) bool {
 	// A batch job requests the session's full configured resources, the
 	// way a slurm submission would, not just the GPUs this task touches.
-	h := s.mostIdleHost(ss, &ss.src.Request)
-	if h == nil || h.h.Commit(ss.src.ID, ss.src.Request) != nil {
+	h := s.mostIdleHost(ss, &ss.req)
+	if h == nil || h.h.Commit(ss.id, ss.req) != nil {
 		return false
 	}
 	s.res.ColdStarts++
@@ -1096,7 +1104,7 @@ scan:
 			}
 		}
 	}
-	if target == nil || target.h.Commit(ss.src.ID, req) != nil {
+	if target == nil || target.h.Commit(ss.id, req) != nil {
 		return false
 	}
 	var start time.Duration
@@ -1144,11 +1152,11 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 
 	// Prefer the previous executor's host (the paper reuses the same
 	// executor for 89.45% of consecutive executions).
-	executor := 0
-	if ss.lastExecutor > 0 && ss.lastExecutor <= len(ss.hosts) &&
-		ss.hosts[ss.lastExecutor-1] != nil &&
-		ss.hosts[ss.lastExecutor-1].h.CanCommit(req) {
-		executor = ss.lastExecutor
+	executor, last := 0, int(ss.lastExecutor)
+	if last > 0 && last <= len(ss.hosts) &&
+		ss.hosts[last-1] != nil &&
+		ss.hosts[last-1].h.CanCommit(req) {
+		executor = last
 	}
 	if executor == 0 {
 		for i, h := range ss.hosts {
@@ -1162,16 +1170,16 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 		return s.tryMigrate(ss, task, submit)
 	}
 	h := ss.hosts[executor-1]
-	if err := h.h.Commit(ss.src.ID, req); err != nil {
+	if err := h.h.Commit(ss.id, req); err != nil {
 		return s.tryMigrate(ss, task, submit)
 	}
 	if migrationDelay == 0 {
 		s.res.ImmediateCommits++
-		if executor == ss.lastExecutor {
+		if executor == last {
 			s.res.ExecutorReuse++
 		}
 	}
-	ss.lastExecutor = executor
+	ss.lastExecutor = int32(executor)
 	s.members[h.member].res.Tasks++
 
 	// A replica living outside the session's home cluster serves requests
@@ -1271,7 +1279,7 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 		ss.subscribe(target)
 	}
 	ss.hosts[victim] = target
-	ss.lastExecutor = victim + 1
+	ss.lastExecutor = int32(victim + 1)
 	s.res.Migrations++
 	s.recordEvent(scheduler.EventMigration)
 	s.sampleSR()

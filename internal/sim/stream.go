@@ -51,17 +51,12 @@ func (a *gpuHoursAcc) bump(nowNS int64, delta float64) {
 	a.level += delta
 }
 
-// finish advances to endNS and returns the accumulated value-hours.
-func (a *gpuHoursAcc) finish(endNS int64) float64 {
-	a.bump(endNS, 0)
-	return a.hours
-}
-
 // injector is the admitter: one event, re-scheduled (allocation-free, via
 // ScheduleRunner) from each session start to the next. Sessions are admitted
-// — copied into their record, workload assignment drawn, home member
-// assigned round-robin — in arrival order. sess is the session the source
-// lent last, valid until the next pull: the source may reuse it.
+// — what the simulator reads of them copied into their record, workload
+// assignment drawn, home member assigned round-robin — in arrival order.
+// sess is the session the source lent last, valid until the next pull: the
+// source may reuse it, so its end is scheduled from sess.
 type injector struct {
 	s    *sim
 	sess *trace.Session
@@ -71,21 +66,23 @@ func (in *injector) Fire() {
 	s := in.s
 	ss := s.newSession(in.sess)
 	s.sessionStart(ss)
-	s.eng.ScheduleRunner(ss.src.End, ss)
-	ss.seq0 = s.eng.ReserveSeq(len(ss.src.Tasks))
+	s.eng.ScheduleRunner(in.sess.End, ss)
+	ss.seq0 = s.eng.ReserveSeq(len(ss.tasks))
 	(*arrivals)(ss).next()
+	prev := trace.Session{ID: ss.id, Start: in.sess.Start}
 	if next, ok := s.pull(); ok {
-		in.arm(&ss.src, next)
+		in.arm(&prev, next)
 	}
 }
 
 // arm schedules the admission of next, the session the source just yielded,
-// after prev, the admitted record's copy of the one it yielded before (nil
-// ahead of the first; in.sess may already hold next) — unless next breaks
-// the trace.Source contract. The engine would clamp a late session, or a
-// task submitted before its session starts, to now and run on with a wrong
-// time, and the arrival cursor would replay unsorted tasks in slice order;
-// stop admitting and fail the run from finish instead.
+// after prev, the ID and start of the one it yielded before, copied ahead of
+// the pull (nil ahead of the first; in.sess may already hold next, and the
+// record keeps no start) — unless next breaks the trace.Source contract.
+// The engine would clamp a late session, or a task submitted before its
+// session starts, to now and run on with a wrong time, and the arrival
+// cursor would replay unsorted tasks in slice order; stop admitting and fail
+// the run from finish instead.
 func (in *injector) arm(prev, next *trace.Session) {
 	err := taskOrder(next)
 	if err == nil && prev != nil {
@@ -130,7 +127,7 @@ func taskOrder(sess *trace.Session) error {
 // arrived is submitted, schedules the next arrival, and then lets the task
 // arrive. IDLT users do not submit concurrent tasks, but platform-induced
 // delays can push a completion past the next trace submission; such a task
-// waits its turn, FCFS within the session: src.Tasks[started:arrived] is the
+// waits its turn, FCFS within the session: tasks[started:arrived] is the
 // queue.
 type arrivals session
 
@@ -145,8 +142,8 @@ func (a *arrivals) Fire() {
 // next schedules the arrival of the session's next task, if it has one left,
 // under the sequence number the injector reserved for that task.
 func (a *arrivals) next() {
-	if i := a.arrived; i < len(a.src.Tasks) {
-		a.s.eng.ScheduleRunnerSeq(a.src.Tasks[i].Submit, a.seq0+int64(i), a)
+	if i := int(a.arrived); i < len(a.tasks) {
+		a.s.eng.ScheduleRunnerSeq(a.tasks[i].Submit, a.seq0+int64(i), a)
 	}
 }
 

@@ -46,13 +46,6 @@ type capacityWaitQueue struct {
 // beyond it.
 const agingBound = int64(30 * time.Minute)
 
-func newCapacityWaitQueue(eng *des.Engine) *capacityWaitQueue {
-	return &capacityWaitQueue{eng: eng}
-}
-
-// Len returns the number of parked waiters.
-func (w *capacityWaitQueue) Len() int { return len(w.q) }
-
 // Wait parks fn with a class weight until the next capacity notification:
 // heavier waiters retry first when capacity frees.
 func (w *capacityWaitQueue) Wait(weight int, fn func() bool) {

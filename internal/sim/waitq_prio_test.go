@@ -19,7 +19,7 @@ type prioHarness struct {
 }
 
 func newPrioHarness(eng *des.Engine) *prioHarness {
-	return &prioHarness{wq: newCapacityWaitQueue(eng)}
+	return &prioHarness{wq: &capacityWaitQueue{eng: eng}}
 }
 
 func (h *prioHarness) park(label string, weight int) {

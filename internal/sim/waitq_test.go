@@ -18,7 +18,7 @@ func after(eng *des.Engine, d time.Duration, fn func()) { eng.DeferRunner(d, des
 // (and succeed) in arrival order within one drain.
 func TestWaitQueueFIFOWakeupOrder(t *testing.T) {
 	eng := des.New(wqT0)
-	wq := newCapacityWaitQueue(eng)
+	wq := &capacityWaitQueue{eng: eng}
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -34,8 +34,8 @@ func TestWaitQueueFIFOWakeupOrder(t *testing.T) {
 			t.Fatalf("wakeup order = %v, want FIFO", order)
 		}
 	}
-	if wq.Len() != 0 {
-		t.Fatalf("queue not drained: %d left", wq.Len())
+	if len(wq.q) != 0 {
+		t.Fatalf("queue not drained: %d left", len(wq.q))
 	}
 }
 
@@ -43,7 +43,7 @@ func TestWaitQueueFIFOWakeupOrder(t *testing.T) {
 // progress stays parked, in order, and is retried on the next notify.
 func TestWaitQueueBlockedWaitersStayQueued(t *testing.T) {
 	eng := des.New(wqT0)
-	wq := newCapacityWaitQueue(eng)
+	wq := &capacityWaitQueue{eng: eng}
 	capacity := 0
 	var acquired []int
 	for i := 0; i < 3; i++ {
@@ -60,8 +60,8 @@ func TestWaitQueueBlockedWaitersStayQueued(t *testing.T) {
 	// First notification frees one unit: only waiter 0 proceeds.
 	after(eng, time.Second, func() { capacity = 1; wq.Notify() })
 	eng.Run()
-	if len(acquired) != 1 || acquired[0] != 0 || wq.Len() != 2 {
-		t.Fatalf("after 1 unit: acquired=%v queued=%d", acquired, wq.Len())
+	if len(acquired) != 1 || acquired[0] != 0 || len(wq.q) != 2 {
+		t.Fatalf("after 1 unit: acquired=%v queued=%d", acquired, len(wq.q))
 	}
 	// Second notification frees two: waiters 1 and 2 proceed in order.
 	after(eng, time.Second, func() { capacity = 2; wq.Notify() })
@@ -76,7 +76,7 @@ func TestWaitQueueBlockedWaitersStayQueued(t *testing.T) {
 // enqueue-then-notify ordering cannot drop a wakeup.
 func TestWaitQueueNoLostWakeups(t *testing.T) {
 	eng := des.New(wqT0)
-	wq := newCapacityWaitQueue(eng)
+	wq := &capacityWaitQueue{eng: eng}
 	capacity := 0
 	woke := false
 	after(eng, time.Second, func() {
@@ -101,7 +101,7 @@ func TestWaitQueueNoLostWakeups(t *testing.T) {
 // produce a single drain (one retry per waiter), not a thundering herd.
 func TestWaitQueueCoalescesNotifies(t *testing.T) {
 	eng := des.New(wqT0)
-	wq := newCapacityWaitQueue(eng)
+	wq := &capacityWaitQueue{eng: eng}
 	attempts := 0
 	wq.Wait(1, func() bool { attempts++; return false })
 	after(eng, time.Second, func() {
@@ -113,8 +113,8 @@ func TestWaitQueueCoalescesNotifies(t *testing.T) {
 	if attempts != 1 {
 		t.Fatalf("attempts = %d, want 1 (coalesced)", attempts)
 	}
-	if wq.Len() != 1 {
-		t.Fatalf("waiter should remain parked, queue len = %d", wq.Len())
+	if len(wq.q) != 1 {
+		t.Fatalf("waiter should remain parked, queue len = %d", len(wq.q))
 	}
 }
 
@@ -123,7 +123,7 @@ func TestWaitQueueCoalescesNotifies(t *testing.T) {
 // identity) lands behind the kept waiters and survives to the next round.
 func TestWaitQueueWaitersAddedDuringDrain(t *testing.T) {
 	eng := des.New(wqT0)
-	wq := newCapacityWaitQueue(eng)
+	wq := &capacityWaitQueue{eng: eng}
 	var order []string
 	blockedOnce := false
 	wq.Wait(1, func() bool {
@@ -197,10 +197,10 @@ func TestWaitQueueWeightOneIsFIFO(t *testing.T) {
 			ids    int
 			parked func() int
 		}
-		wq := newCapacityWaitQueue(eng)
+		wq := &capacityWaitQueue{eng: eng}
 		ref := &fifoRef{eng: eng}
 		sides := []*side{
-			{wait: func(fn func() bool) { wq.Wait(1, fn) }, notify: wq.Notify, parked: wq.Len},
+			{wait: func(fn func() bool) { wq.Wait(1, fn) }, notify: wq.Notify, parked: func() int { return len(wq.q) }},
 			{wait: ref.Wait, notify: ref.Notify, parked: func() int { return len(ref.q) }},
 		}
 		var park func(sd *side)

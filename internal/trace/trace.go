@@ -32,8 +32,9 @@ type Session struct {
 	// Cohort names the user-population class the session was generated
 	// from (GenConfig.Cohorts); empty for an unnamed cohort, as in the
 	// built-in single-population configs.
-	// Purely descriptive — the simulator ignores it — but it lets
-	// statistical tests and reports verify cohort mixes on real streams.
+	// Purely descriptive — the simulator does not even copy it into its
+	// session record — but it lets statistical tests and reports verify
+	// cohort mixes on real streams.
 	Cohort string
 	// SLO is the session's service-level class (Cohort.SLO at generation
 	// time). Unlike Cohort it is *not* purely descriptive: an SLO-aware

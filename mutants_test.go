@@ -37,12 +37,14 @@ type mutant struct {
 // bug 16) put back. Last, the other gates: the trace and assignment goldens
 // (the trace's twice: a drain's block of session IDs that opens with the
 // previous session's ID), the two sides of trace.Source's lending contract
-// (the simulator copies the lent session, the generator does not lend its
-// task buffer), the three parsing checks of the root package, and the four
-// gates that skip under -short: the paper scoreboard's golden, which runs at
-// full scale, the two allocation pins, each given back a per-task
-// allocation, and the generator's, given back a string per session ID. Then the
-// simulator's optimisations, each killed by the reference model
+// (the simulator checks arrival order against a copy taken before the pull,
+// the generator does not lend its task buffer), the three parsing checks of
+// the root package, and the five gates that skip under -short: the paper
+// scoreboard's golden, which runs at full scale, the two allocation pins,
+// each given back a per-task allocation, the generator's, given back a
+// string per session ID, and the admission pin's bytes, given back a record
+// that keeps the whole lent session. Then the simulator's optimisations,
+// each killed by the reference model
 // (internal/sim/reference_test.go): a chunk summary read one off, a recycled
 // task machine that keeps a field of its last task, and a host joining that
 // wakes no parked task. Last, TestRunnersConserveTasks' sharded cases and the
@@ -116,7 +118,7 @@ var mutants = []mutant{
 	},
 	{
 		name: "a session's end is scheduled twice", file: "internal/sim/stream.go",
-		old: "\ts.eng.ScheduleRunner(ss.src.End, ss)\n", new: "\ts.eng.ScheduleRunner(ss.src.End, ss)\n\ts.eng.ScheduleRunner(ss.src.End, ss)\n",
+		old: "\ts.eng.ScheduleRunner(in.sess.End, ss)\n", new: "\ts.eng.ScheduleRunner(in.sess.End, ss)\n\ts.eng.ScheduleRunner(in.sess.End, ss)\n",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit pending",
 	},
 	{
@@ -131,7 +133,7 @@ var mutants = []mutant{
 	},
 	{
 		name: "arrival order is checked against the lent session", file: "internal/sim/stream.go",
-		old: "in.arm(&ss.src, next)", new: "in.arm(in.sess, next)",
+		old: "in.arm(&prev, next)", new: "_ = prev\n\t\tin.arm(in.sess, next)",
 		pkg: "./internal/sim", run: "^TestHostileConfigs$", want: "two sessions swapped in a lending Source: accepted",
 	},
 	{
@@ -180,6 +182,11 @@ var mutants = []mutant{
 		name: "every session ID is a string of its own", file: "internal/trace/stream.go",
 		old: "const idsPerBlock = 32", new: "const idsPerBlock = 1",
 		pkg: "./internal/trace", run: "^TestStreamGenAllocations$", want: "beyond one ID block per 32 sessions", full: true,
+	},
+	{
+		name: "the record keeps the whole lent session", file: "internal/sim/sim.go",
+		old: "\tslo   trace.SLOClass\n", new: "\tslo   trace.SLOClass\n\tspare trace.Session\n",
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 2.43 and 787", full: true,
 	},
 	{
 		name: "a chunk summary counts one subscribed GPU too many", file: "internal/cluster/table.go",
