@@ -78,8 +78,8 @@ func checkAggregates(t *testing.T, c *Cluster, step string) {
 }
 
 // checkReads compares every O(1) read with a recount: each host's counters,
-// and a member's table row, against its replica map and pool, the
-// membership list against the host map and against members, the caller's
+// and a member's table row, against its replica list and pool, the
+// membership list against the ID index and against members, the caller's
 // own model of the insertion order.
 func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 	t.Helper()
@@ -94,8 +94,8 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 			ok = false
 		}
 		subscribed := 0
-		for _, gpus := range h.replicas {
-			subscribed += gpus
+		for _, r := range h.replicas {
+			subscribed += r.gpus
 		}
 		if got := h.SubscribedGPUs(); got != subscribed || h.row != nil && got != h.row.SubscribedGPUs() {
 			fail("%s: SubscribedGPUs = %d, replicas sum to %d, row %v", h.ID, got, subscribed, h.row)
@@ -114,16 +114,16 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 		}
 	}
 	listed := c.Hosts()
-	if got := c.NumHosts(); got != len(c.hosts) || got != len(listed) || got != len(members) {
-		fail("NumHosts = %d, host map has %d, Hosts() %d, model %d", got, len(c.hosts), len(listed), len(members))
+	if got := c.NumHosts(); got != len(c.byID) || got != len(listed) || got != len(members) {
+		fail("NumHosts = %d, ID index has %d, Hosts() %d, model %d", got, len(c.byID), len(listed), len(members))
 	}
 	for i, h := range listed {
 		if i >= len(members) || h != members[i] {
 			fail("Hosts() position %d is %s, differs from the model", i, h.ID)
 			break
 		}
-		if c.hosts[h.ID] != h {
-			fail("Hosts() yields %s, absent from the host map", h.ID)
+		if p, found := c.idPosition(h.ID); !found || c.byID[p] != h {
+			fail("Hosts() yields %s, absent from the ID index", h.ID)
 		}
 	}
 	return ok
@@ -135,6 +135,7 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 // that the O(1) incremental counters, every O(1) read and the dense
 // table with its chunk summaries equal a from-scratch recount.
 func TestAggregatesMatchRecountProperty(t *testing.T) {
+	most := 0 // the longest replica list any host reached
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		c := New(3)
@@ -162,7 +163,7 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 		}
 
 		for step := 0; step < 400; step++ {
-			switch op := r.Intn(8); op {
+			switch op := r.Intn(9); op {
 			case 0: // add host
 				h := NewHost(fmt.Sprintf("h%03d", len(all)+1), caps[r.Intn(len(caps))])
 				if err := c.AddHost(h); err != nil {
@@ -179,8 +180,12 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 						break
 					}
 				}
-			case 2: // place replica
-				if h := anyHost(); h != nil {
+			case 2, 8: // place replica; op 8 on the first host, so its list outgrows its first 16
+				h := anyHost()
+				if op == 8 && h != nil {
+					h = all[0]
+				}
+				if h != nil {
 					key := fmt.Sprintf("k%d/r%d", step, r.Intn(3)+1)
 					req := resources.Spec{Millicpus: 4000, MemoryMB: 16 << 10, GPUs: r.Intn(4) + 1, VRAMGB: 16}
 					if err := h.PlaceReplica(key, req); err == nil {
@@ -239,11 +244,18 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 			if checkTable(t, c); !checkReads(t, c, members, all) {
 				return false
 			}
+			for _, h := range all {
+				most = max(most, len(h.replicas))
+			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+	t.Logf("longest replica list: %d", most)
+	if most <= 16 {
+		t.Errorf("no host held more than %d replicas, so no replica list outgrew its first allocation", most)
 	}
 }
 

@@ -20,7 +20,10 @@ type aggregates struct {
 	replicaFree int
 }
 
-// Host is one GPU server.
+// Host is one GPU server: its capacity, the replicas subscribed on it and
+// the resources committed to cell executions. A record may hold a Host by
+// value, as the simulator's does, but once the host has joined a cluster
+// the cluster holds its address, so it must not be copied.
 type Host struct {
 	ID       string
 	Capacity resources.Spec
@@ -33,10 +36,12 @@ type Host struct {
 	// committed tracks exclusive bindings during cell execution.
 	committed resources.Pool
 	// subscribed sums the GPUs of the replicas subscribed on the host, and
-	// replicas maps each to its GPU count: a subscription's other
-	// dimensions are validated but never read, so they are not kept.
+	// replicas lists each with its GPU count, in no particular order: a
+	// subscription's other dimensions are validated but never read, so they
+	// are not kept. The list is allocated on the first placement, so a host
+	// that never holds a replica costs nothing for it.
 	subscribed int
-	replicas   map[string]int
+	replicas   []replica
 	// While the host is a member of cluster c, row is its row of c's dense
 	// table — slot of chunk ch — where a placement scan finds its subscribed
 	// and committed GPUs next to every other member's; every write stores
@@ -49,13 +54,18 @@ type Host struct {
 	slot int
 }
 
+// replica is one subscription a host holds: the replica's ID and its GPUs.
+type replica struct {
+	id   string
+	gpus int
+}
+
 // NewHost returns a host with the given capacity.
 func NewHost(id string, capacity resources.Spec) *Host {
 	return &Host{
 		ID:        id,
 		Capacity:  capacity,
 		committed: *resources.NewPool(capacity),
-		replicas:  map[string]int{},
 		slot:      -1,
 	}
 }
@@ -99,10 +109,13 @@ func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 	if err := req.Validate(); err != nil {
 		return err
 	}
-	if _, ok := h.replicas[replicaID]; ok {
+	if slices.ContainsFunc(h.replicas, func(r replica) bool { return r.id == replicaID }) {
 		return fmt.Errorf("cluster: replica %s already on host %s", replicaID, h.ID)
 	}
-	h.replicas[replicaID] = req.GPUs
+	if h.replicas == nil {
+		h.replicas = make([]replica, 0, 16) // room for most of a busy host's twenty-odd
+	}
+	h.replicas = append(h.replicas, replica{replicaID, req.GPUs})
 	h.subscribed += req.GPUs
 	if h.c != nil {
 		h.c.agg.subscribedGPUs += req.GPUs
@@ -116,11 +129,12 @@ func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 
 // RemoveReplica unsubscribes a replica (kernel shutdown or migration).
 func (h *Host) RemoveReplica(replicaID string) error {
-	gpus, ok := h.replicas[replicaID]
-	if !ok {
+	i := slices.IndexFunc(h.replicas, func(r replica) bool { return r.id == replicaID })
+	if i < 0 {
 		return fmt.Errorf("cluster: replica %s not on host %s", replicaID, h.ID)
 	}
-	delete(h.replicas, replicaID)
+	gpus := h.replicas[i].gpus
+	h.replicas = slices.Delete(h.replicas, i, i+1)
 	h.subscribed -= gpus
 	if h.c != nil {
 		h.c.agg.subscribedGPUs -= gpus
@@ -203,16 +217,16 @@ func (h *Host) Empty() bool {
 	return h.NumReplicas() == 0 && h.Committed().IsZero()
 }
 
-// Cluster is the set of hosts plus cluster-wide SR accounting.
+// Cluster is the set of hosts plus cluster-wide SR accounting. It looks a
+// member up by ID with a binary search of byID, its one index of members.
 type Cluster struct {
-	hosts map[string]*Host
 	// list holds the member hosts in insertion order: a membership change
 	// edits it in place.
 	list []*Host
 	// table is the dense host table (table.go): each member's scan state in
 	// cluster-owned rows. free holds, per host shape, the unoccupied slots
 	// of that shape's chunks; byID lists the members in host-ID order,
-	// which is what row ordinals follow.
+	// which is what row ordinals follow and what a lookup by ID searches.
 	table             Table
 	free              [][]int
 	byID              []*Host
@@ -228,10 +242,7 @@ func New(replicasPerKernel int) *Cluster {
 	if replicasPerKernel <= 0 {
 		replicasPerKernel = DefaultReplicasPerKernel
 	}
-	return &Cluster{
-		hosts:             map[string]*Host{},
-		replicasPerKernel: replicasPerKernel,
-	}
+	return &Cluster{replicasPerKernel: replicasPerKernel}
 }
 
 // ReplicasPerKernel returns R.
@@ -251,20 +262,20 @@ func (c *Cluster) capacityFreed() {
 
 // AddHost adds a host; the ID must be unique.
 func (c *Cluster) AddHost(h *Host) error {
-	if _, ok := c.hosts[h.ID]; ok {
+	p, found := c.idPosition(h.ID)
+	if found {
 		return fmt.Errorf("cluster: host %s already present", h.ID)
 	}
-	c.hosts[h.ID] = h
 	c.list = append(c.list, h)
-	c.seat(h)
+	c.seat(h, p)
 	c.capacityFreed()
 	return nil
 }
 
 // RemoveHost removes a host; it must have no subscribed replicas.
 func (c *Cluster) RemoveHost(id string) error {
-	if h, ok := c.hosts[id]; ok && len(h.replicas) > 0 {
-		return fmt.Errorf("cluster: host %s still has %d replicas", id, len(h.replicas))
+	if p, found := c.idPosition(id); found && len(c.byID[p].replicas) > 0 {
+		return fmt.Errorf("cluster: host %s still has %d replicas", id, len(c.byID[p].replicas))
 	}
 	return c.CrashHost(id)
 }
@@ -278,14 +289,14 @@ func (c *Cluster) RemoveHost(id string) error {
 // aggregate hooks are membership-gated). No capacity notification fires:
 // a crash only removes capacity.
 func (c *Cluster) CrashHost(id string) error {
-	h, ok := c.hosts[id]
-	if !ok {
+	p, found := c.idPosition(id)
+	if !found {
 		return fmt.Errorf("cluster: host %s not present", id)
 	}
-	delete(c.hosts, id)
+	h := c.byID[p]
 	i := slices.Index(c.list, h)
 	c.list = slices.Delete(c.list, i, i+1)
-	c.unseat(h)
+	c.unseat(h, p)
 	return nil
 }
 

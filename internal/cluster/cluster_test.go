@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"notebookos/internal/resources"
@@ -27,11 +28,8 @@ func TestHostSubscription(t *testing.T) {
 	if got := h.subscribed; got != 8 {
 		t.Fatalf("subscribed = %d", got)
 	}
-	if h.NumReplicas() != 2 || h.replicas["k2/r1"] != 4 {
-		t.Fatal("replica bookkeeping")
-	}
-	if _, ok := h.replicas["k1/r1"]; !ok || len(h.replicas) != 2 {
-		t.Fatalf("replicas = %v", h.replicas)
+	if want := []replica{{"k1/r1", 4}, {"k2/r1", 4}}; h.NumReplicas() != 2 || !slices.Equal(h.replicas, want) {
+		t.Fatalf("replicas = %v, want %v", h.replicas, want)
 	}
 	if err := h.RemoveReplica("k1/r1"); err != nil {
 		t.Fatal(err)
@@ -42,6 +40,75 @@ func TestHostSubscription(t *testing.T) {
 	if got := h.subscribed; got != 4 {
 		t.Fatalf("subscribed after removal = %d", got)
 	}
+}
+
+// TestHostHoldsManyReplicas fills one member host with 40 replicas, past the
+// 16 its replica list has room for when the first arrives: that first
+// placement allocates the list, once; a placement and a removal within the
+// room allocate nothing; a duplicate placement and the removal of a replica
+// the host does not hold are refused; and each of the 40 leaves by its own
+// ID, in any order, taking its own GPUs.
+func TestHostHoldsManyReplicas(t *testing.T) {
+	c := New(3)
+	h := NewHost("h1", resources.P316xlarge())
+	if err := c.AddHost(h); err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]string, 40)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("k%02d/r1", i)
+	}
+	if !testing.Short() { // the race detector's bookkeeping allocates
+		fresh := make([]*Host, 11) // AllocsPerRun calls once more to warm up
+		for i := range fresh {
+			fresh[i] = NewHost(fmt.Sprintf("f%02d", i), resources.P316xlarge())
+		}
+		n := 0
+		if allocs := testing.AllocsPerRun(10, func() {
+			if fresh[n].PlaceReplica(ids[0], req(1)) != nil {
+				t.Fatal("placement refused")
+			}
+			n++
+		}); allocs != 1 {
+			t.Errorf("a host's first placement allocates %v times, want 1", allocs)
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			if h.PlaceReplica(ids[0], req(1)) != nil || h.RemoveReplica(ids[0]) != nil {
+				t.Fatal("place/remove cycle refused")
+			}
+		}); allocs != 0 {
+			t.Errorf("a place/remove cycle within the list's room allocates %v times, want 0", allocs)
+		}
+	}
+	for i, id := range ids {
+		if err := h.PlaceReplica(id, req(i%4+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.PlaceReplica(ids[23], req(1)); err == nil {
+		t.Fatal("a duplicate placement among 40 replicas must fail")
+	}
+	if err := h.RemoveReplica("k40/r1"); err == nil {
+		t.Fatal("removing a replica the host does not hold must fail")
+	}
+	if h.NumReplicas() != 40 || h.SubscribedGPUs() != 100 || c.SubscribedGPUs() != 100 || c.ReplicaFreeHosts() != 0 {
+		t.Fatalf("40 replicas: NumReplicas %d, subscribed %d, cluster subscribed %d, replica-free hosts %d",
+			h.NumReplicas(), h.SubscribedGPUs(), c.SubscribedGPUs(), c.ReplicaFreeHosts())
+	}
+	subscribed := 100
+	for _, i := range rand.New(rand.NewSource(1)).Perm(len(ids)) {
+		if err := h.RemoveReplica(ids[i]); err != nil {
+			t.Fatalf("removing %s, %d replicas left: %v", ids[i], h.NumReplicas(), err)
+		}
+		if subscribed -= i%4 + 1; h.SubscribedGPUs() != subscribed {
+			t.Fatalf("removing %s left %d GPUs subscribed, want %d", ids[i], h.SubscribedGPUs(), subscribed)
+		}
+		checkTable(t, c)
+	}
+	if h.NumReplicas() != 0 || c.ReplicaFreeHosts() != 1 {
+		t.Fatalf("all removed: NumReplicas %d, replica-free hosts %d", h.NumReplicas(), c.ReplicaFreeHosts())
+	}
+	checkAggregates(t, c, "all removed")
 }
 
 func TestSubscriptionRatioPaperExample(t *testing.T) {

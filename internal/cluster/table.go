@@ -148,10 +148,10 @@ func (t *Table) Host(slot int) *Host { return t.chunks[slot/TableChunk].hosts[sl
 func (c *Cluster) Table() *Table { return &c.table }
 
 // seat gives h a slot among those of its shape — a freed one, or the first
-// of a new chunk when none is free — ranks it among the members, adds its
-// counters to the aggregates and stores them into the slot's row, which
+// of a new chunk when none is free — ranks it at position p of byID, adds
+// its counters to the aggregates and stores them into the slot's row, which
 // enters the chunk's summary.
-func (c *Cluster) seat(h *Host) {
+func (c *Cluster) seat(h *Host, p int) {
 	t := &c.table
 	shape := slices.Index(t.shapes, h.Capacity)
 	if shape < 0 {
@@ -170,7 +170,7 @@ func (c *Cluster) seat(h *Host) {
 	c.free[shape] = free[:len(free)-1]
 
 	ch, i := t.chunks[slot/TableChunk], slot%TableChunk
-	ch.rows[i].ord = c.rank(h)
+	ch.rows[i].ord = c.rank(h, p)
 	ch.live |= 1 << i
 	ch.hosts[i] = h
 	h.c, h.ch, h.row, h.slot = c, ch, &ch.rows[i], slot
@@ -178,9 +178,9 @@ func (c *Cluster) seat(h *Host) {
 	h.publish()
 }
 
-// unseat frees h's slot: the slot goes dead and leaves the summary, and the
-// host's counters leave the aggregates.
-func (c *Cluster) unseat(h *Host) {
+// unseat frees h's slot: the slot goes dead and leaves the summary, the
+// host's counters leave the aggregates, and h leaves position p of byID.
+func (c *Cluster) unseat(h *Host, p int) {
 	ch, i := h.ch, h.slot%TableChunk
 	ch.live &^= 1 << i
 	ch.enter(i, worstKey, math.MaxInt32)
@@ -188,24 +188,22 @@ func (c *Cluster) unseat(h *Host) {
 	c.free[ch.shape] = append(c.free[ch.shape], h.slot)
 	h.count(-1)
 	h.c, h.ch, h.row, h.slot = nil, nil, nil, -1
-	p := c.idPosition(h.ID)
 	c.byID = slices.Delete(c.byID, p, p+1)
 }
 
-// idPosition returns where a host with this ID is, or would go, in byID.
-func (c *Cluster) idPosition(id string) int {
-	p, _ := slices.BinarySearchFunc(c.byID, id, func(m *Host, id string) int { return cmp.Compare(m.ID, id) })
-	return p
+// idPosition returns where a host with this ID is, or would go, in byID,
+// and whether a member has it.
+func (c *Cluster) idPosition(id string) (int, bool) {
+	return slices.BinarySearchFunc(c.byID, id, func(m *Host, id string) int { return cmp.Compare(m.ID, id) })
 }
 
-// rank files h among the members in host-ID order and returns an ordinal
-// that sorts the same way. Ordinals need only increase along byID, not be
-// consecutive: a host that sorts last — every host the simulator adds until
-// a member's 10,000th, see doc.go — takes the last ordinal plus one, and one
-// that sorts into the middle pushes its successors up only until the order
-// holds again (removals leave gaps).
-func (c *Cluster) rank(h *Host) int32 {
-	p := c.idPosition(h.ID)
+// rank files h at position p of byID, among the members in host-ID order,
+// and returns an ordinal that sorts the same way. Ordinals need only
+// increase along byID, not be consecutive: a host that sorts last — every
+// host the simulator adds until a member's 10,000th, see doc.go — takes the
+// last ordinal plus one, and one that sorts into the middle pushes its
+// successors up only until the order holds again (removals leave gaps).
+func (c *Cluster) rank(h *Host, p int) int32 {
 	c.byID = slices.Insert(c.byID, p, h)
 	ord := int32(0)
 	if p > 0 {

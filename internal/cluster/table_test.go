@@ -19,7 +19,7 @@ func rowOf(c *Cluster, h *Host) *Row {
 
 // checkTable compares the dense table with the cluster it belongs to, at a
 // point between two writes: every member sits in exactly one live slot of a
-// chunk of its shape, its row equals a recount from the host's replica map
+// chunk of its shape, its row equals a recount from the host's replica list
 // and pool, every chunk's summary equals one recomputed from its occupants,
 // and the ordinals sort the members exactly as their ID strings do.
 func checkTable(t *testing.T, c *Cluster) {

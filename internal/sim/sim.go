@@ -362,10 +362,12 @@ func (ss *session) must(err error, what string, h *host) {
 
 // host pairs a cluster host with the simulator's per-host state (owning
 // member, warm-container count), so the hot placement scans walk one slice
-// instead of re-fetching the host list and hitting a string-keyed map.
+// instead of re-fetching the host list and hitting a string-keyed map. The
+// record holds its cluster.Host by value, one allocation for both; the
+// cluster keeps &h, so a record is never copied once its host has joined.
 type host struct {
 	s      *sim
-	h      *cluster.Host
+	h      cluster.Host
 	member int
 	// warm counts pre-warmed containers available on the host.
 	warm int
@@ -770,16 +772,15 @@ func (s *sim) now() time.Time { return s.eng.Now() }
 func (s *sim) addHost(mi int) *host {
 	m := s.members[mi]
 	m.hostSeq++
-	ch := cluster.NewHost(hostID(m.spec.Name, m.hostSeq), m.spec.HostCapacity)
-	if err := m.c.AddHost(ch); err != nil {
+	h := &host{s: s, h: *cluster.NewHost(hostID(m.spec.Name, m.hostSeq), m.spec.HostCapacity), member: mi, warm: s.cfg.PrewarmPerHost}
+	if err := m.c.AddHost(&h.h); err != nil {
 		panic(err)
 	}
-	h := &host{s: s, h: ch, member: mi, warm: s.cfg.PrewarmPerHost}
 	m.hosts = append(m.hosts, h)
-	for len(m.bySlot) <= ch.Slot() {
+	for len(m.bySlot) <= h.h.Slot() {
 		m.bySlot = append(m.bySlot, nil)
 	}
-	m.bySlot[ch.Slot()] = h
+	m.bySlot[h.h.Slot()] = h
 	if s.faultsOn {
 		s.armHostFaults(h, m.hostSeq)
 	}

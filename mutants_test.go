@@ -47,8 +47,11 @@ type mutant struct {
 // each killed by the reference model
 // (internal/sim/reference_test.go): a chunk summary read one off, a recycled
 // task machine that keeps a field of its last task, and a host joining that
-// wakes no parked task. Last, TestRunnersConserveTasks' sharded cases and the
-// race step's TestClusterCallsUnderConcurrency.
+// wakes no parked task. Then the cluster's replica list and ID index, each
+// killed by a cluster unit test: a removal that deletes the list's last
+// entry, a placement without its duplicate check, and a join that ignores
+// the index's found flag. Last, TestRunnersConserveTasks' sharded cases and
+// the race step's TestClusterCallsUnderConcurrency.
 var mutants = []mutant{
 	{
 		name: "gated golden line", file: "internal/sim/gated_test.go",
@@ -170,13 +173,13 @@ var mutants = []mutant{
 		name: "every task allocates its machine", file: "internal/sim/sim.go",
 		old: "t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
 		new: "t := &runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}",
-		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 367", full: true,
+		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 269", full: true,
 	},
 	{
 		name: "a finished task's machine is not recycled", file: "internal/sim/taskfsm.go",
 		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.idle = append(s.idle, t)\n",
 		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
-		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 436", full: true,
+		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 319", full: true,
 	},
 	{
 		name: "every session ID is a string of its own", file: "internal/trace/stream.go",
@@ -186,7 +189,7 @@ var mutants = []mutant{
 	{
 		name: "the record keeps the whole lent session", file: "internal/sim/sim.go",
 		old: "\tslo   trace.SLOClass\n", new: "\tslo   trace.SLOClass\n\tspare trace.Session\n",
-		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 2.43 and 787", full: true,
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 1.78 and 725", full: true,
 	},
 	{
 		name: "a chunk summary counts one subscribed GPU too many", file: "internal/cluster/table.go",
@@ -201,8 +204,23 @@ var mutants = []mutant{
 	},
 	{
 		name: "AddHost wakes no waiter", file: "internal/cluster/cluster.go",
-		old: "\tc.seat(h)\n\tc.capacityFreed()\n", new: "\tc.seat(h)\n",
+		old: "\tc.seat(h, p)\n\tc.capacityFreed()\n", new: "\tc.seat(h, p)\n",
 		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "RemoveReplica deletes the last entry", file: "internal/cluster/cluster.go",
+		old: "h.replicas = slices.Delete(h.replicas, i, i+1)", new: "h.replicas = slices.Delete(h.replicas, len(h.replicas)-1, len(h.replicas))",
+		pkg: "./internal/cluster", run: "^TestHostHoldsManyReplicas$", want: "replicas left: cluster: replica",
+	},
+	{
+		name: "PlaceReplica skips its duplicate check", file: "internal/cluster/cluster.go",
+		old: "\tif slices.ContainsFunc(h.replicas, func(r replica) bool { return r.id == replicaID }) {\n\t\treturn fmt.Errorf(\"cluster: replica %s already on host %s\", replicaID, h.ID)\n\t}\n", new: "",
+		pkg: "./internal/cluster", run: "^TestHostHoldsManyReplicas$", want: "a duplicate placement among 40 replicas must fail",
+	},
+	{
+		name: "AddHost ignores the ID index's found flag", file: "internal/cluster/cluster.go",
+		old: "\tif found {\n\t\treturn fmt.Errorf(\"cluster: host %s already present\"", new: "\tif found && p < 0 {\n\t\treturn fmt.Errorf(\"cluster: host %s already present\"",
+		pkg: "./internal/cluster", run: "^TestClusterAccounting$", want: "duplicate host must fail",
 	},
 	{
 		name: "MergeResults drops a worker's tasks", file: "internal/sim/shard.go",
