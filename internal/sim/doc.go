@@ -147,12 +147,15 @@
 //     concurrent simulations.
 //
 // Reference model. `reference_test.go` states the rules this core implements
-// once more, plainly: the four policies on one cluster without faults, hosts
-// in a slice, placement that sorts every candidate, events in a sorted slice,
-// nothing pooled or recycled. Its comment lists the rules with their paper
-// sections, the order events fire in and the order both random streams are
-// drawn in. `TestReferenceModel` and `FuzzConfigPlan` hold `Run` to it: on
-// every single-cluster, fault-free config they run, `referenceRun` and the
-// core must print the same fingerprint. A change that keeps the fingerprint
-// keeps the rules; one meant to change a rule changes the model with it.
+// once more, plainly: the four policies on one cluster, hosts in a slice,
+// placement that sorts every candidate, events in a sorted slice, nothing
+// pooled or recycled; `reference_faults_test.go` adds the fault layer's rules
+// (crash clocks, outages, failover, aborts, restarts and the retry budget) to
+// the same events and the same result. Their comments list the rules with
+// their paper or docs/FAULTS.md sections, the order events fire in and the
+// order the three random streams are drawn in. `TestReferenceModel` and
+// `FuzzConfigPlan` hold `Run` to it: on every single-cluster config they run,
+// faulted or not, `referenceRun` and the core must print the same
+// fingerprint. A change that keeps the fingerprint keeps the rules; one meant
+// to change a rule changes the model with it.
 package sim

@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"container/heap"
 	"math"
-	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -252,166 +249,6 @@ func probeRunningNbosSession(t *testing.T, s *sim) (*session, *runningTask) {
 	return nil, nil
 }
 
-// TestReplicaCrashFailsOverWithoutRestart pins the acceptance criterion:
-// killing one replica of a 3-replica session whose task is mid-execution
-// fails the session over (one election charge) WITHOUT restarting the
-// task.
-func TestReplicaCrashFailsOverWithoutRestart(t *testing.T) {
-	gcfg := trace.AdobeExcerptConfig(64)
-	gcfg.Duration = 4 * time.Hour
-	tr := trace.MustGenerate(gcfg)
-	// Enabled spec with astronomically rare natural crashes: the only crash
-	// in this run is the one the test injects.
-	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
-	s, err := simOf(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.close()
-
-	ss, nt := probeRunningNbosSession(t, s)
-	var victim *host
-	for _, sh := range s.members[0].hosts {
-		if sh == nt.h {
-			continue // never the executor
-		}
-		if slices.Contains(ss.hosts, sh) {
-			victim = sh
-			break
-		}
-	}
-	if victim == nil {
-		t.Fatal("session has no non-executor replica host")
-	}
-	before := *s.res
-	s.crashHost(victim, time.Hour)
-	if s.res.Failovers != before.Failovers+1 {
-		t.Errorf("non-executor replica crash must fail over once, got %d -> %d", before.Failovers, s.res.Failovers)
-	}
-	if s.res.TaskRestarts != before.TaskRestarts {
-		t.Errorf("quorum-preserving failover must NOT restart the task, restarts %d -> %d",
-			before.TaskRestarts, s.res.TaskRestarts)
-	}
-	if nt.dead {
-		t.Error("the in-flight task must survive a quorum-preserving failover")
-	}
-	for i, h := range ss.hosts {
-		if h == nil {
-			t.Errorf("replica slot %d not rehomed after failover", i)
-		}
-		if h == victim {
-			t.Errorf("replica slot %d still points at the crashed host", i)
-		}
-	}
-	// The run must still complete and stay internally consistent.
-	s.drain()
-	res, err := s.finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HostCrashes != 1 || res.HostRecoveries != 1 {
-		t.Errorf("expected exactly the injected crash/recovery, got %d/%d", res.HostCrashes, res.HostRecoveries)
-	}
-}
-
-// TestExecutorCrashRestartsTask: crashing the host the task is executing
-// on aborts it through the checkpoint-restore path, and the task still
-// completes after the retry.
-func TestExecutorCrashRestartsTask(t *testing.T) {
-	gcfg := trace.AdobeExcerptConfig(65)
-	gcfg.Duration = 4 * time.Hour
-	tr := trace.MustGenerate(gcfg)
-	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
-	s, err := simOf(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.close()
-
-	_, nt := probeRunningNbosSession(t, s)
-	var victim *host
-	for _, sh := range s.members[0].hosts {
-		if sh == nt.h {
-			victim = sh
-			break
-		}
-	}
-	if victim == nil {
-		t.Fatal("executor host not in host list")
-	}
-	s.crashHost(victim, time.Hour)
-	if !nt.dead {
-		t.Fatal("executor crash must abort the in-flight task")
-	}
-	if s.res.TaskRestarts != 1 {
-		t.Errorf("executor crash must restart the task once, got %d", s.res.TaskRestarts)
-	}
-	s.drain()
-	res, err := s.finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Abandonments != 0 {
-		t.Errorf("one restart is within every retry budget, got %d abandonments", res.Abandonments)
-	}
-	if res.LostGPUHours <= 0 && nt.phase >= 1 {
-		t.Error("an aborted mid-training execution must record lost GPU-hours")
-	}
-}
-
-// TestQuorumLossRestartsTask: a session already down one replica that
-// loses a second (non-executor) replica loses raft quorum — the task
-// aborts through the checkpoint-restore path with no failover credit.
-func TestQuorumLossRestartsTask(t *testing.T) {
-	gcfg := trace.AdobeExcerptConfig(66)
-	gcfg.Duration = 4 * time.Hour
-	tr := trace.MustGenerate(gcfg)
-	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
-	s, err := simOf(Config{Trace: tr, Policy: PolicyNotebookOS, Hosts: 30, Seed: 7, Faults: &faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.close()
-
-	ss, nt := probeRunningNbosSession(t, s)
-	// Knock out one non-executor replica by hand (an unrehomed loss), then
-	// crash a second: 1 alive of 3 is below quorum.
-	downed := false
-	var victim *host
-	for i, h := range ss.hosts {
-		if h == nt.h || h == nil {
-			continue
-		}
-		if !downed {
-			_ = h.h.RemoveReplica(ss.id)
-			ss.hosts[i] = nil
-			downed = true
-			continue
-		}
-		for _, sh := range s.members[0].hosts {
-			if sh == h {
-				victim = sh
-				break
-			}
-		}
-		break
-	}
-	if !downed || victim == nil {
-		t.Fatal("could not set up the two-replica loss")
-	}
-	before := s.res.Failovers
-	s.crashHost(victim, time.Hour)
-	if !nt.dead {
-		t.Fatal("quorum loss must abort the in-flight task")
-	}
-	if s.res.TaskRestarts != 1 {
-		t.Errorf("quorum loss must restart the task, got %d restarts", s.res.TaskRestarts)
-	}
-	if s.res.Failovers != before {
-		t.Errorf("quorum loss is not a failover, got %d -> %d", before, s.res.Failovers)
-	}
-}
-
 // TestRetryBudgetAbandonsBySLOClass pins the SLO-aware retry budget:
 // interactive work abandons after 1 restart (MaxRetries/3 floored at 1),
 // batch after MaxRetries, and every abandonment is counted.
@@ -519,106 +356,6 @@ func TestRestartPenaltyNeverWraps(t *testing.T) {
 			t.Errorf("%s: %d restarts armed, but %d of the charges fall within the horizon", c.name, armed, due)
 		}
 		s.close()
-	}
-}
-
-// renewalEvent is one crash or recovery in the reference replay of
-// TestAvailabilityIntegralMatchesRenewalChain.
-type renewalEvent struct {
-	at    time.Time
-	delta int
-	down  time.Duration
-}
-
-type renewalHeap []renewalEvent
-
-func (h renewalHeap) Len() int            { return len(h) }
-func (h renewalHeap) Less(i, j int) bool  { return h[i].at.Before(h[j].at) }
-func (h renewalHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *renewalHeap) Push(x interface{}) { *h = append(*h, x.(renewalEvent)) }
-func (h *renewalHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// TestAvailabilityIntegralMatchesRenewalChain is the availability-timeline
-// property test: under the Batch policy the host count changes ONLY
-// through fault churn (no autoscaler, no per-session provisioning), so
-// the Availability integral must exactly equal the up-host-hours of the
-// host slots' alternating renewal chain, replayed independently here from
-// trace.HostFault alone.
-func TestAvailabilityIntegralMatchesRenewalChain(t *testing.T) {
-	gcfg := trace.AdobeExcerptConfig(68)
-	gcfg.Duration = 12 * time.Hour
-	tr := trace.MustGenerate(gcfg)
-	faults := trace.FaultSpec{HostMTBFHours: 6, HostMTTRHours: 0.75}
-	const hosts = 30
-	const seed = 7
-	res, err := Run(Config{Trace: tr, Policy: PolicyBatch, Hosts: hosts, Seed: seed, Faults: &faults})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HostCrashes < 10 {
-		t.Fatalf("want a busy renewal chain, got %d crashes", res.HostCrashes)
-	}
-
-	// Reference replay: slot k's clock starts when the slot joins; a crash
-	// at t with downtime d recovers at t+d into a fresh slot (the next
-	// sequence number, assigned in recovery-time order — the order the
-	// simulator's addHost calls fire).
-	// Any generator gives a slot's pair: HostFault reseeds it.
-	var h renewalHeap
-	slot, clock := 0, rand.New(rand.NewSource(1))
-	arm := func(at time.Time) {
-		slot++
-		if up, down := faults.HostFault(clock, seed, uint64(slot)); up > 0 {
-			heap.Push(&h, renewalEvent{at: at.Add(up), delta: -1, down: down})
-		}
-	}
-	for i := 0; i < hosts; i++ {
-		arm(tr.Start)
-	}
-	// The simulator drains events until end+24h (Run's drain window), so
-	// the chain replays to the same stopping point; the integral clamps
-	// contributions at the window end like Timeline.Integral does.
-	stop := tr.End.Add(24 * time.Hour)
-	clamp := func(at time.Time) time.Time {
-		if at.After(tr.End) {
-			return tr.End
-		}
-		return at
-	}
-	live := float64(hosts)
-	integral := 0.0
-	last := tr.Start
-	crashes := 0
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(renewalEvent)
-		if ev.at.After(stop) {
-			break
-		}
-		integral += live * clamp(ev.at).Sub(clamp(last)).Hours()
-		last = ev.at
-		live += float64(ev.delta)
-		if ev.delta < 0 {
-			crashes++
-			heap.Push(&h, renewalEvent{at: ev.at.Add(ev.down), delta: +1})
-		} else {
-			arm(ev.at)
-		}
-	}
-	integral += live * tr.End.Sub(clamp(last)).Hours()
-
-	got := res.Availability.Integral(tr.Start, tr.End)
-	if math.Abs(got-integral) > 1e-6*integral {
-		t.Errorf("availability integral diverged from renewal replay: sim %.6f, replay %.6f up-host-hours",
-			got, integral)
-	}
-	if res.HostCrashes != crashes {
-		t.Errorf("crash count diverged from renewal replay: sim %d, replay %d", res.HostCrashes, crashes)
 	}
 }
 

@@ -45,6 +45,13 @@ import (
 // fresh replacement host — new slot, new crash clock — joins after the
 // drawn repair time, while the autoscaler's next tick sees the missing
 // capacity and can scale out in the interim.
+//
+// The executable form of these rules is the reference model's second part
+// (reference_faults_test.go): TestReferenceModel and FuzzConfigPlan hold
+// every single-cluster faulted run to it, fingerprint for fingerprint,
+// availability timeline and recovery charges included. It keeps today's
+// known defects as named clauses (docs/BUG_LEDGER.md rows 38, 39 and 41), so
+// a fix here changes one clause there.
 
 // initFaults arms the run's fault layer: the dedicated crash-path RNG,
 // the availability/recovery recorders, one event per outage window, and
@@ -236,13 +243,12 @@ func (s *sim) repairReservation(ss *session, h *host) {
 // rehomeReplica rebuilds the dead replica in slot `slot` on the most-idle
 // host outside the session's replica set (clusters tried in route order
 // from the session's home), charging a warm attach (pool permitting) or
-// cold start off the task's critical path. Reports false — the slot stays
-// nil, for a later migration or crash repair to fill — when no candidate
-// host exists.
-func (s *sim) rehomeReplica(ss *session, slot int) bool {
+// cold start off the task's critical path. When no candidate host exists
+// the slot stays nil, for a later migration or crash repair to fill.
+func (s *sim) rehomeReplica(ss *session, slot int) {
 	target := s.mostIdleHost(ss, nil)
 	if target == nil {
-		return false
+		return
 	}
 	if target.warm > 0 {
 		target.warm--
@@ -253,7 +259,6 @@ func (s *sim) rehomeReplica(ss *session, slot int) bool {
 	}
 	ss.subscribe(target)
 	ss.hosts[slot] = target
-	return true
 }
 
 // abortRestart kills the session's in-flight task and resubmits it

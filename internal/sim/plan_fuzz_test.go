@@ -24,7 +24,7 @@ var configFields = []string{
 // (or the fault spec's field), and a config it accepts runs audited
 // (auditedRun), every generated session admitted — so every conservation law
 // holds at every tick of every accepted config — and, when it runs one
-// cluster without faults, gives the reference model's fingerprint
+// cluster, faulted or not, gives the reference model's fingerprint
 // (matchReference).
 //
 // The inputs are the numeric knobs, the Policy, the host shape (its GPU
@@ -35,8 +35,10 @@ var configFields = []string{
 // an hour is read as one, so a run stays short) and, named by outage, one
 // outage of every host of that member from hour 1 to hour 2. The seeds are
 // TestHostileConfigs' cases, as the inputs spell them: the refusals, and
-// every config it runs. Integer inputs are taken modulo a small bound that
-// keeps the sign, so a negative knob stays negative. A ScaleFactor above 16
+// every config it runs; then TestReferenceModel's harsh crash churn (MTBF
+// 4 h, MTTR 0.5 h) under each policy and on four 4-GPU hosts, with and
+// without an outage of the whole cluster. Integer inputs are taken modulo a
+// small bound that keeps the sign, so a negative knob stays negative. A ScaleFactor above 16
 // is refused, so every accepted config runs.
 func FuzzConfigPlan(f *testing.F) {
 	excerpt := func(d time.Duration) *trace.Trace {
@@ -101,6 +103,17 @@ func FuzzConfigPlan(f *testing.F) {
 		{long: true, members: 3, hosts: 30, mtbf: 1e12, mttr: 1},
 		{long: true, hosts: 30, outage: "c9-typo"},
 		{long: true, members: 3, hosts: 30, outage: "c1"},
+		// TestReferenceModel's harsh churn; "sim" is the one cluster's name.
+		{long: true, policy: "reservation", hosts: 30, mtbf: 4, mttr: 0.5},
+		{long: true, policy: "batch", hosts: 30, mtbf: 4, mttr: 0.5},
+		{long: true, policy: "notebookos", hosts: 30, mtbf: 4, mttr: 0.5},
+		{long: true, policy: "notebookos-lcp", hosts: 30, mtbf: 4, mttr: 0.5},
+		{long: true, policy: "notebookos", hosts: 4, minHosts: 3, gpus: 4, srHigh: 2.5, mtbf: 4, mttr: 0.5},
+		{long: true, policy: "reservation", hosts: 30, mtbf: 4, mttr: 0.5, outage: "sim"},
+		{long: true, policy: "batch", hosts: 30, mtbf: 4, mttr: 0.5, outage: "sim"},
+		{long: true, policy: "notebookos", hosts: 30, mtbf: 4, mttr: 0.5, outage: "sim"},
+		{long: true, policy: "notebookos-lcp", hosts: 30, mtbf: 4, mttr: 0.5, outage: "sim"},
+		{long: true, policy: "notebookos", hosts: 4, minHosts: 3, gpus: 4, srHigh: 2.5, mtbf: 4, mttr: 0.5, outage: "sim"},
 	} {
 		f.Add(s.policy, s.members, s.hosts, s.minHosts, s.gpus, s.replicas, s.warm, s.scaleFactor, s.srHigh, s.long, s.mtbf, s.mttr, s.outage)
 	}
@@ -167,7 +180,7 @@ func FuzzConfigPlan(f *testing.F) {
 		if r.Sessions != len(tr.Sessions) {
 			t.Fatalf("%+v: %d sessions admitted, %d generated", cfg, r.Sessions, len(tr.Sessions))
 		}
-		if len(cfg.Clusters) == 0 && !cfg.Faults.Enabled() {
+		if len(cfg.Clusters) == 0 {
 			matchReference(t, "fuzz", cfg, r)
 		}
 	})

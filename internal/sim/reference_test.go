@@ -17,11 +17,13 @@ import (
 
 // The reference model
 //
-// referenceRun replays a compiled single-cluster, fault-free plan by the
-// simulator's rules, written once and plainly: hosts in a slice, placement
-// that sorts every candidate, events in a sorted slice, and nothing pooled,
-// recycled, chunked or summarised. matchReference holds sim.Run to it: the
-// two must print the same fpLines fingerprint. The rules:
+// referenceRun replays a compiled single-cluster plan by the simulator's
+// rules, written once and plainly: hosts in a slice, placement that sorts
+// every candidate, events in a sorted slice, and nothing pooled, recycled,
+// chunked or summarised. matchReference holds sim.Run to it: the two must
+// print the same fpLines fingerprint. This file states the fault-free rules;
+// reference_faults_test.go adds the fault layer's to the same events and the
+// same Result. The rules:
 //
 //   - Sessions (§5.1) are admitted in arrival order; each runs its tasks FCFS.
 //   - Placement (§3.2.1, NotebookOS): R replicas on R distinct hosts. A host
@@ -46,13 +48,15 @@ import (
 //     provisioned and landing provisions ⌈shortfall/G⌉ hosts; else up to two
 //     empty hosts retire in join order while one fewer covers it, to MinHosts.
 //   - Baselines (§5.1.1): Reservation commits the session's request for its
-//     life on the most idle host that can hold it, or on a new host. Batch
-//     commits the whole request per task on the most idle host, cold. LCP
-//     commits the task on the first host that can and has a warm container,
-//     else the first that can, cold; the container then joins the pool.
-//   - Parking: a task that can make no progress parks. A release or a host
-//     joining schedules one drain now (unless one is due), which retries
-//     every parked task once, in park order.
+//     life on the most idle host that can hold it, or on a new host; a task
+//     starts at its submission plus a delay that leaves out any wait
+//     (BUG_LEDGER 41, below). Batch commits the whole request per task on
+//     the most idle host, cold. LCP commits the task on the first host that
+//     can and has a warm container, else the first that can, cold; the
+//     container then joins the pool (BUG_LEDGER 40, below).
+//   - Parking: a task that can make no progress parks. A release on a member
+//     host or a host joining schedules one drain now (unless one is due),
+//     which retries every parked task once, in park order.
 //
 // Order: events fire by (time, sequence number). Each event takes the next
 // number (a time in the past becomes now); admission sets one aside per task,
@@ -91,6 +95,18 @@ type refSession struct {
 	running, closed  bool
 	seq0             int64 // the sequence number task 0 arrives under
 	arrived, started int   // src.Tasks[started:arrived] waits its turn
+	cur              *refTask
+	restarts         int // the current task's restarts
+}
+
+// refTask is a committed task, the session's cur from its commit to its
+// reply: training from its start event to its reply. An aborted one is dead,
+// and its events fire as no-ops.
+type refTask struct {
+	task           trace.Task
+	submit, tstart time.Time
+	h              *refHost
+	training, dead bool
 }
 
 type refEvent struct {
@@ -115,14 +131,22 @@ type refModel struct {
 	resvNS          int64   // the reserved-GPU integral's last step,
 	resvGPUs, resvH float64 // its level and its hours
 	parks, drops    int
+	// The fault layer (reference_faults_test.go): the crash-path stream
+	// (seed + 3), the generator crash clocks draw through, the drain horizon,
+	// every admitted session in arrival order, and how often each fault rule
+	// fired.
+	frng, crng *rand.Rand
+	horizon    time.Time
+	sessions   []*refSession
+	fired      map[string]int
 }
 
-// referenceRun replays a compiled single-cluster, fault-free plan.
+// referenceRun replays a compiled single-cluster plan, faulted or not.
 func referenceRun(p *plan) *refModel {
 	start, end := p.Source.Window()
 	sample := metrics.NewSample
 	m := &refModel{p: p, spec: p.Clusters[0], now: start, resvNS: start.UnixNano(), whole: p.Policy == PolicyNotebookOS || p.Policy == PolicyLCP,
-		rng: rand.New(rand.NewSource(p.Seed + 1)), wr: rand.New(rand.NewSource(p.Seed + 2)),
+		rng: rand.New(rand.NewSource(p.Seed + 1)), wr: rand.New(rand.NewSource(p.Seed + 2)), horizon: end.Add(24 * time.Hour), fired: map[string]int{},
 		res: &Result{Policy: p.Policy, Events: []Event{}, StepLatency: map[Step]*metrics.Sample{},
 			ProvisionedGPUs: metrics.NewTimeline(), CommittedGPUs: metrics.NewTimeline(),
 			ActiveSessions: metrics.NewTimeline(), SR: metrics.NewTimeline(),
@@ -130,6 +154,7 @@ func referenceRun(p *plan) *refModel {
 	for _, st := range Steps() {
 		m.res.StepLatency[st] = sample()
 	}
+	m.initFaults()
 	for range m.spec.Hosts {
 		m.addHost()
 	}
@@ -152,7 +177,7 @@ func referenceRun(p *plan) *refModel {
 			m.autoscale()
 		}
 	}
-	m.runThrough(end.Add(24 * time.Hour))
+	m.runThrough(m.horizon)
 	m.reserve(end, 0)
 	r := m.res
 	r.ActiveGPUHours, r.ReservedGPUHours = r.CommittedGPUs.Integral(start, end), m.resvH
@@ -193,6 +218,7 @@ func (m *refModel) addHost() *refHost {
 	h := &refHost{id: fmt.Sprintf("%s-h%04d", m.spec.Name, m.joined), commits: resources.NewPool(m.spec.HostCapacity), warm: m.p.PrewarmPerHost}
 	m.hosts = append(m.hosts, h)
 	m.wake()
+	m.armHostFaults(h)
 	return h
 }
 
@@ -206,10 +232,13 @@ func (m *refModel) totals() (gpus, sub, committed int) {
 	return gpus, sub, committed
 }
 
-// sr is the cluster's subscription ratio ΣS/(ΣG·R); ΣG > 0, as MinHosts ≥ 1.
+// sr is the cluster's subscription ratio ΣS/(ΣG·R), 0 while crashes have
+// left no host.
 func (m *refModel) sr() float64 {
-	g, s, _ := m.totals()
-	return float64(s) / float64(g*m.p.ReplicasPerKernel)
+	if g, s, _ := m.totals(); g > 0 {
+		return float64(s) / float64(g*m.p.ReplicasPerKernel)
+	}
+	return 0
 }
 
 // subscribe adds (sign 1) or removes (-1) one of ss's replicas on h.
@@ -217,8 +246,14 @@ func (m *refModel) subscribe(ss *refSession, h *refHost, sign int) {
 	h.sub, h.replicas = h.sub+sign*ss.src.Request.GPUs, h.replicas+sign
 }
 
-// release returns what ss holds on h (so it cannot fail) and wakes the parked.
-func (m *refModel) release(ss *refSession, h *refHost) { _, _ = h.commits.Release(ss.src.ID); m.wake() }
+// release returns what ss holds on h (so it cannot fail) and, if h is still a
+// member, wakes the parked.
+func (m *refModel) release(ss *refSession, h *refHost) {
+	_, _ = h.commits.Release(ss.src.ID)
+	if slices.Contains(m.hosts, h) {
+		m.wake()
+	}
+}
 
 // wake schedules a drain of the parked tasks now, unless one is due.
 func (m *refModel) wake() {
@@ -276,6 +311,7 @@ func (m *refModel) admit(sessions []trace.Session, i int) {
 	m.at(sessions[i].Start, func() {
 		a := workload.Assign(m.wr)
 		ss := &refSession{src: sessions[i], params: a.Model.ParamBytes, dataset: a.Dataset.SizeBytes}
+		m.sessions = append(m.sessions, ss)
 		m.sessionStarts(ss)
 		m.at(ss.src.End, func() { m.sessionEnds(ss) })
 		ss.seq0, m.seq = m.seq+1, m.seq+int64(len(ss.src.Tasks))
@@ -291,11 +327,7 @@ func (m *refModel) sessionStarts(ss *refSession) {
 	m.reserve(m.now, float64(req.GPUs))
 	switch m.p.Policy {
 	case PolicyReservation:
-		h := m.mostIdle(ss, req)
-		if h == nil && req.Fits(m.spec.HostCapacity) {
-			h = m.addHost()
-		}
-		if h != nil && h.commits.Commit(ss.src.ID, req) == nil {
+		if h := m.reserveHost(ss); h != nil {
 			ss.hosts = []*refHost{h}
 		}
 	case PolicyNotebookOS:
@@ -320,6 +352,20 @@ func (m *refModel) sessionStarts(ss *refSession) {
 	}
 }
 
+// reserveHost commits ss's request on the most idle host that can hold it,
+// else on a new host; nil when no host's shape holds it.
+func (m *refModel) reserveHost(ss *refSession) *refHost {
+	req := ss.src.Request
+	h := m.mostIdle(ss, req)
+	if h == nil && req.Fits(m.spec.HostCapacity) {
+		h = m.addHost()
+	}
+	if h == nil || h.commits.Commit(ss.src.ID, req) != nil {
+		return nil
+	}
+	return h
+}
+
 func (m *refModel) sessionEnds(ss *refSession) {
 	ss.closed = true
 	m.res.ActiveSessions.Delta(m.now, -1)
@@ -329,7 +375,9 @@ func (m *refModel) sessionEnds(ss *refSession) {
 		m.release(ss, ss.hosts[0])
 	case m.p.Policy == PolicyNotebookOS:
 		for _, h := range ss.hosts {
-			m.subscribe(ss, h, -1)
+			if h != nil { // nil: a crashed replica not rehomed yet
+				m.subscribe(ss, h, -1)
+			}
 		}
 		m.sampleSR()
 	}
@@ -350,6 +398,7 @@ func (m *refModel) fileArrival(ss *refSession) {
 
 // startNext starts the session's oldest waiting task, if there is one.
 func (m *refModel) startNext(ss *refSession) {
+	ss.cur, ss.restarts = nil, 0
 	if ss.running = ss.started < ss.arrived; ss.running {
 		ss.started++
 		m.startTask(ss, ss.src.Tasks[ss.started-1], m.now)
@@ -385,8 +434,9 @@ func (m *refModel) try(ss *refSession, task trace.Task, submit time.Time) bool {
 	}
 	h, nbos := ss.hosts[0], m.p.Policy == PolicyNotebookOS // the same request path, but for the executor and election
 	if nbos {
-		executor := 1 + slices.IndexFunc(ss.hosts, func(h *refHost) bool { return h.commits.CanCommit(req) })
-		if e := ss.lastExec; e > 0 && ss.hosts[e-1].commits.CanCommit(req) {
+		can := func(h *refHost) bool { return h != nil && h.commits.CanCommit(req) }
+		executor := 1 + slices.IndexFunc(ss.hosts, can)
+		if e := ss.lastExec; e > 0 && can(ss.hosts[e-1]) {
 			executor = e
 		}
 		if executor == 0 || ss.hosts[executor-1].commits.Commit(ss.src.ID, req) != nil {
@@ -400,13 +450,19 @@ func (m *refModel) try(ss *refSession, task trace.Task, submit time.Time) bool {
 		}
 		h, ss.lastExec = ss.hosts[executor-1], executor
 	}
+	wait := m.now.Sub(submit)
 	step1, step5, step6 := lat.GSProcess(m.rng), lat.PreProcess(m.rng), time.Duration(0)
 	if nbos {
 		step6 = lat.Election(m.rng)
+	} else {
+		// BUG_LEDGER 41: a Reservation task's delay leaves out its wait and its
+		// training is timed from its submission, so a restarted one starts now
+		// but ends when its first attempt would have, or at once.
+		wait = 0
 	}
 	step7 := lat.Transfer.LoadTime(ss.params, task.GPUs)
 	m.record(map[Step]time.Duration{StepGSProcess: step1, StepPreProcess: step5, StepElection: step6, StepIntermed: step7})
-	delay := m.now.Sub(submit) + step1 + step5 + step6 + step7 + lat.Hop(m.rng) + lat.Hop(m.rng)
+	delay := wait + step1 + step5 + step6 + step7 + lat.Hop(m.rng) + lat.Hop(m.rng)
 	m.launch(ss, task, submit, h, delay, submit.Add(delay))
 	return true
 }
@@ -469,14 +525,19 @@ func (m *refModel) migrate(ss *refSession, task trace.Task, submit time.Time, re
 	write, read := lat.Store.PutLatency(ss.params, m.rng), lat.Store.GetLatency(ss.params, m.rng)
 	m.res.WriteLatency.Add(write.Seconds())
 	m.res.ReadLatency.Add(read.Seconds())
-	victim := 0
-	for i, h := range ss.hosts {
-		if m.idle(h) < m.idle(ss.hosts[victim]) {
-			victim = i
+	victim := slices.Index(ss.hosts, nil) // a crash-emptied slot is refilled first
+	if victim < 0 {
+		victim = 0
+		for i, h := range ss.hosts {
+			if m.idle(h) < m.idle(ss.hosts[victim]) {
+				victim = i
+			}
 		}
 	}
 	if !ss.closed { // a task that outlives its session moves alone
-		m.subscribe(ss, ss.hosts[victim], -1)
+		if old := ss.hosts[victim]; old != nil {
+			m.subscribe(ss, old, -1)
+		}
 		m.subscribe(ss, target, 1)
 	}
 	ss.hosts[victim], ss.lastExec = target, victim+1
@@ -491,7 +552,12 @@ func (m *refModel) migrate(ss *refSession, task trace.Task, submit time.Time, re
 // tail, the reply. Reservation files the training's start and end at once.
 func (m *refModel) launch(ss *refSession, task trace.Task, submit time.Time, h *refHost, delay time.Duration, start time.Time) {
 	lat, nbos := &m.p.Latencies, m.p.Policy == PolicyNotebookOS
+	t := &refTask{task: task, submit: submit, h: h}
+	ss.cur = t
 	executed := func() {
+		if t.dead {
+			return
+		}
 		post := lat.Transfer.OffloadTime(ss.params) // NotebookOS replicates state off the critical path (§3.2.4)
 		if !nbos {
 			post = lat.Store.PutLatency(ss.params, m.rng)
@@ -504,11 +570,16 @@ func (m *refModel) launch(ss *refSession, task trace.Task, submit time.Time, h *
 			m.res.WriteLatency.Add(lat.Store.PutLatency(ss.params, m.rng).Seconds())
 		}
 		m.after(post+ret, func() {
+			if t.dead {
+				return
+			}
 			m.res.CommittedGPUs.Delta(m.now, -float64(task.GPUs))
 			if m.p.Policy != PolicyReservation {
 				m.release(ss, h)
 			}
 			if m.p.Policy == PolicyLCP {
+				// BUG_LEDGER 40: every container joins the pool, a cold-started one
+				// too, so a host's pool outgrows PrewarmPerHost.
 				h.warm++
 			}
 			tct := m.now.Sub(submit)
@@ -520,6 +591,10 @@ func (m *refModel) launch(ss *refSession, task trace.Task, submit time.Time, h *
 		})
 	}
 	m.at(start, func() {
+		if t.dead {
+			return
+		}
+		t.training, t.tstart = true, m.now
 		m.res.CommittedGPUs.Delta(m.now, float64(task.GPUs))
 		if m.p.Policy != PolicyReservation {
 			m.after(task.Duration, executed)
@@ -548,6 +623,7 @@ func (m *refModel) autoscale() {
 	for i := 0; i < len(m.hosts) && retired < 2; {
 		if h := m.hosts[i]; h.replicas == 0 && h.commits.Committed().IsZero() {
 			m.hosts = slices.Delete(m.hosts, i, i+1)
+			m.res.Availability.Delta(m.now, -1)
 			retired++
 		} else {
 			i++

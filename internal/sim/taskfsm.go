@@ -43,8 +43,9 @@ import (
 // execution end and reply — so engine sequence numbers, and therefore
 // tie-breaks, are the model's — and draws the same latencies in the same
 // order within each phase. TestReferenceModel and FuzzConfigPlan hold a
-// single-cluster, fault-free run to the model; TestGatedScenarios and
-// TestRunnerFingerprints pin every other run.
+// single-cluster run, faulted or not, to the model (an abort's dead flag
+// is the model's too); TestGatedScenarios and TestRunnerFingerprints pin
+// every other run.
 //
 // The machine is also the fault layer's handle on an in-flight task
 // (faults.go): abort marks it dead — already-scheduled phase events no-op

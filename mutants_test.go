@@ -47,7 +47,15 @@ type mutant struct {
 // each killed by the reference model
 // (internal/sim/reference_test.go): a chunk summary read one off, a recycled
 // task machine that keeps a field of its last task, and a host joining that
-// wakes no parked task. Then the cluster's replica list and ID index, each
+// wakes no parked task. Then ten rules of the fault layer, each broken once
+// and killed by the reference model's second part
+// (internal/sim/reference_faults_test.go): a failover that restarts its
+// task, an executor's death or a quorum loss that does not, quorum at half
+// the replicas, a failover's election drawn from the scheduling stream, a
+// rehome that never takes a warm container, a restart without its penalty,
+// a re-bound Reservation that keeps its task, an outage drawing from the
+// next window's stream, and a crash clock keyed by list position instead of
+// host slot. Then the cluster's replica list and ID index, each
 // killed by a cluster unit test: a removal that deletes the list's last
 // entry, a placement without its duplicate check, and a join that ignores
 // the index's found flag. Last, TestRunnersConserveTasks' sharded cases and
@@ -205,6 +213,56 @@ var mutants = []mutant{
 	{
 		name: "AddHost wakes no waiter", file: "internal/cluster/cluster.go",
 		old: "\tc.seat(h, p)\n\tc.capacityFreed()\n", new: "\tc.seat(h, p)\n",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a failover restarts the task", file: "internal/sim/faults.go",
+		old: "if ss.cur != nil && (execDied || (lost > 0 && !quorum)) {", new: "if ss.cur != nil && (execDied || lost > 0) {",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "an executor's death leaves its task running", file: "internal/sim/faults.go",
+		old: "if ss.cur != nil && (execDied || (lost > 0 && !quorum)) {", new: "if ss.cur != nil && lost > 0 && !quorum {",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a quorum loss leaves its task running", file: "internal/sim/faults.go",
+		old: "if ss.cur != nil && (execDied || (lost > 0 && !quorum)) {", new: "if ss.cur != nil && execDied {",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "half the replicas keep quorum", file: "internal/sim/faults.go",
+		old: "quorum := 2*alive > len(ss.hosts)", new: "quorum := 2*alive >= len(ss.hosts)",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a failover's election draws from the scheduling stream", file: "internal/sim/faults.go",
+		old: "elect := s.cfg.Latencies.Election(s.frng)", new: "elect := s.cfg.Latencies.Election(s.rng)",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a rehomed replica never takes a warm container", file: "internal/sim/faults.go",
+		old: "\tif target.warm > 0 {\n", new: "\tif false {\n",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a restart skips its penalty", file: "internal/sim/faults.go",
+		old: "s.armFault(s.now().Add(penalty), ", new: "s.armFault(s.now(), ",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a re-bound Reservation leaves its task running", file: "internal/sim/faults.go",
+		old: "\tif ss.cur != nil {\n\t\ts.abortRestart(ss)\n\t}\n\tss.hosts[0] = s.reserveHost(ss)\n", new: "\tss.hosts[0] = s.reserveHost(ss)\n",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "an outage draws from the next window's stream", file: "internal/sim/faults.go",
+		old: "r := s.cfg.Faults.OutageRNG(s.cfg.Seed, idx)", new: "r := s.cfg.Faults.OutageRNG(s.cfg.Seed, idx+1)",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a crash clock keys on the host's place in the list", file: "internal/sim/sim.go",
+		old: "s.armHostFaults(h, m.hostSeq)", new: "s.armHostFaults(h, len(m.hosts))",
 		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
 	},
 	{
