@@ -16,7 +16,10 @@ import (
 	"testing"
 )
 
-var runHistory = flag.Bool("history", false, "run tier-1 once and append its counts and timings to BENCH_HISTORY.jsonl")
+var (
+	runHistory  = flag.Bool("history", false, "run tier-1 once and append its counts and timings to BENCH_HISTORY.jsonl")
+	historyNote = flag.String("history-note", "", "a note naming what the history line measures, written beside its commit")
+)
 
 // historyLine is one line of BENCH_HISTORY.jsonl: what one tier-1 run
 // (go test -count=1 ./...) measured on one tree. Wall-clock numbers drift
@@ -25,6 +28,10 @@ type historyLine struct {
 	// Commit is git describe --always --dirty: the commit the tree is at,
 	// with -dirty when tracked files differ from it.
 	Commit string `json:"commit"`
+	// Note says what the line measures (-history-note), where the commit
+	// alone does not: a dirty tree, or one of a before/after pair. Lines
+	// written without one have no note field.
+	Note   string `json:"note,omitempty"`
 	NumCPU int    `json:"num_cpu"`
 	GOARCH string `json:"GOARCH"`
 	Go     string `json:"go"`
@@ -64,8 +71,9 @@ var (
 // appends what it measured to BENCH_HISTORY.jsonl as one historyLine: the
 // trajectory of counts a change moves, one line per run, kept in the tree.
 // Run it with go test -run '^TestHistory$' -history . (about a minute on two
-// cores); it fails, and writes nothing, when tier-1 fails or a count it
-// reads is missing from a test's log.
+// cores), adding -history-note "..." to say what the line measures; it
+// fails, and writes nothing, when tier-1 fails or a count it reads is
+// missing from a test's log.
 func TestHistory(t *testing.T) {
 	if !*runHistory {
 		t.Skip("the trajectory runs with -history")
@@ -80,6 +88,7 @@ func TestHistory(t *testing.T) {
 	}
 	line := historyLine{
 		Commit:       strings.TrimSpace(string(describe)),
+		Note:         *historyNote,
 		NumCPU:       runtime.NumCPU(),
 		GOARCH:       runtime.GOARCH,
 		Go:           runtime.Version(),

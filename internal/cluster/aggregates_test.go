@@ -19,7 +19,7 @@ func recount(t *testing.T, c *Cluster) (total, subscribed, committed, replicaFre
 		total += h.Capacity.GPUs
 		subscribed += h.subscribed
 		committed += h.Committed().GPUs
-		if len(h.replicas) == 0 {
+		if h.nreplicas == 0 {
 			replicaFree++
 		}
 		checkLedger(t, h)
@@ -78,10 +78,11 @@ func checkAggregates(t *testing.T, c *Cluster, step string) {
 }
 
 // checkReads compares every O(1) read with a recount: each host's counters,
-// and a member's table row, against its replica list and pool, the
-// membership list against the ID index and against members, the caller's
-// own model of the insertion order.
-func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
+// and a member's table row, against its replica list, the GPUs of the
+// replicas subscribed on it by count (byCount, the caller's model) and its
+// pool, the membership list against the ID index and against members, the
+// caller's own model of the insertion order.
+func checkReads(t *testing.T, c *Cluster, members, all []*Host, byCount map[*Host][]int) bool {
 	t.Helper()
 	ok := true
 	fail := func(format string, args ...any) {
@@ -93,15 +94,18 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 		if !checkLedger(t, h) {
 			ok = false
 		}
-		subscribed := 0
+		subscribed, replicas := 0, len(h.replicas)+len(byCount[h])
 		for _, r := range h.replicas {
 			subscribed += r.gpus
+		}
+		for _, gpus := range byCount[h] {
+			subscribed += gpus
 		}
 		if got := h.SubscribedGPUs(); got != subscribed || h.row != nil && got != h.row.SubscribedGPUs() {
 			fail("%s: SubscribedGPUs = %d, replicas sum to %d, row %v", h.ID, got, subscribed, h.row)
 		}
-		if got := h.NumReplicas(); got != len(h.replicas) {
-			fail("%s: NumReplicas = %d, %d replicas held", h.ID, got, len(h.replicas))
+		if got := h.NumReplicas(); got != replicas {
+			fail("%s: NumReplicas = %d, %d replicas held", h.ID, got, replicas)
 		}
 		if got, want := h.IdleGPUs(), h.Capacity.GPUs-h.Committed().GPUs; got != want {
 			fail("%s: IdleGPUs = %d, capacity - Committed() = %d", h.ID, got, want)
@@ -109,7 +113,7 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 		if got, want := h.SubscriptionRatio(3), float64(subscribed)/float64(h.Capacity.GPUs*3); got != want {
 			fail("%s: SubscriptionRatio = %g, want %g", h.ID, got, want)
 		}
-		if got, want := h.Empty(), len(h.replicas) == 0 && h.Committed().IsZero(); got != want {
+		if got, want := h.Empty(), replicas == 0 && h.Committed().IsZero(); got != want {
 			fail("%s: Empty = %v, want %v", h.ID, got, want)
 		}
 	}
@@ -130,10 +134,12 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host) bool {
 }
 
 // TestAggregatesMatchRecountProperty drives a random operation sequence
-// (add/remove/crash/re-add hosts, place/remove replicas, commit/release,
-// on members and on detached hosts alike) and asserts after every step
-// that the O(1) incremental counters, every O(1) read and the dense
-// table with its chunk summaries equal a from-scratch recount.
+// (add/remove/crash/re-add hosts, place/remove replicas by ID and subscribe
+// and unsubscribe them by count, commit/release, on members and on detached
+// hosts alike) and asserts after every step that the O(1) incremental
+// counters, every O(1) read and the dense table with its chunk summaries
+// equal a from-scratch recount. An Unsubscribe the model says would take
+// more than the host holds by count must be refused.
 func TestAggregatesMatchRecountProperty(t *testing.T) {
 	most := 0 // the longest replica list any host reached
 	f := func(seed int64) bool {
@@ -151,6 +157,7 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 			key string
 		}
 		var replicas, commits []placement
+		byCount := map[*Host][]int{} // GPUs of each replica subscribed by count
 		anyHost := func() *Host {
 			if len(all) == 0 {
 				return nil
@@ -163,7 +170,7 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 		}
 
 		for step := 0; step < 400; step++ {
-			switch op := r.Intn(9); op {
+			switch op := r.Intn(11); op {
 			case 0: // add host
 				h := NewHost(fmt.Sprintf("h%03d", len(all)+1), caps[r.Intn(len(caps))])
 				if err := c.AddHost(h); err != nil {
@@ -180,7 +187,7 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 						break
 					}
 				}
-			case 2, 8: // place replica; op 8 on the first host, so its list outgrows its first 16
+			case 2, 8: // place replica; op 8 on the first host, so its list grows long
 				h := anyHost()
 				if op == 8 && h != nil {
 					h = all[0]
@@ -236,12 +243,32 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 					detached = append(detached[:i], detached[i+1:]...)
 					members = append(members, h)
 				}
+			case 9: // subscribe a replica by count
+				if h := anyHost(); h != nil {
+					gpus := r.Intn(4) + 1
+					h.Subscribe(gpus)
+					byCount[h] = append(byCount[h], gpus)
+				}
+			case 10: // unsubscribe one by count, or be refused what the host lacks
+				if h := anyHost(); h != nil {
+					if held := byCount[h]; len(held) > 0 {
+						if err := h.Unsubscribe(held[len(held)-1]); err != nil {
+							return false
+						}
+						byCount[h] = held[:len(held)-1]
+					} else if h.NumReplicas() == 0 && h.Unsubscribe(1) == nil {
+						return false // no replica to take
+					}
+					if h.Unsubscribe(h.SubscribedGPUs()+1) == nil {
+						return false // more GPUs than the host holds
+					}
+				}
 			}
 			total, subscribed, committed, replicaFree := recount(t, c)
 			if c.TotalGPUs() != total || c.SubscribedGPUs() != subscribed || c.CommittedGPUs() != committed || c.ReplicaFreeHosts() != replicaFree {
 				return false
 			}
-			if checkTable(t, c); !checkReads(t, c, members, all) {
+			if checkTable(t, c, byCount); !checkReads(t, c, members, all, byCount) {
 				return false
 			}
 			for _, h := range all {
@@ -255,7 +282,7 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 	}
 	t.Logf("longest replica list: %d", most)
 	if most <= 16 {
-		t.Errorf("no host held more than %d replicas, so no replica list outgrew its first allocation", most)
+		t.Errorf("no host held more than %d replicas by ID, so no replica list grew long", most)
 	}
 }
 

@@ -35,13 +35,14 @@ type Host struct {
 
 	// committed tracks exclusive bindings during cell execution.
 	committed resources.Pool
-	// subscribed sums the GPUs of the replicas subscribed on the host, and
-	// replicas lists each with its GPU count, in no particular order: a
-	// subscription's other dimensions are validated but never read, so they
-	// are not kept. The list is allocated on the first placement, so a host
-	// that never holds a replica costs nothing for it.
-	subscribed int
-	replicas   []replica
+	// subscribed sums the GPUs of the replicas subscribed on the host and
+	// nreplicas counts them: the SR arithmetic needs no more (Subscribe).
+	// replicas names each replica placed by ID (PlaceReplica) with its GPU
+	// count, in no particular order; a host subscribed only by count never
+	// allocates it. A subscription's other dimensions are validated but
+	// never read, so they are not kept.
+	subscribed, nreplicas int
+	replicas              []replica
 	// While the host is a member of cluster c, row is its row of c's dense
 	// table — slot of chunk ch — where a placement scan finds its subscribed
 	// and committed GPUs next to every other member's; every write stores
@@ -86,7 +87,7 @@ func (h *Host) count(sign int) {
 	agg.totalGPUs += sign * h.Capacity.GPUs
 	agg.subscribedGPUs += sign * h.subscribed
 	agg.committedGPUs += sign * h.committed.Committed().GPUs
-	if len(h.replicas) == 0 {
+	if h.nreplicas == 0 {
 		agg.replicaFree += sign
 	}
 }
@@ -101,10 +102,41 @@ func (h *Host) publish() {
 	h.ch.update(h.slot % TableChunk)
 }
 
-// PlaceReplica subscribes a kernel replica's resource request on the host.
-// Subscription does not commit resources (paper §3.2.1: "resources are not
-// exclusively committed... the kernel replicas subscribe to the requested
-// resources").
+// Subscribe subscribes one kernel replica of gpus GPUs on the host without
+// naming it, as the simulator does: it keeps each session's replicas on
+// distinct hosts itself. Subscription does not commit
+// resources (paper §3.2.1: "resources are not exclusively committed... the
+// kernel replicas subscribe to the requested resources").
+func (h *Host) Subscribe(gpus int) { h.subscribe(gpus, 1) }
+
+// Unsubscribe takes one replica of gpus GPUs off the host. It refuses to
+// take what the host does not hold: no replica, or fewer GPUs than gpus.
+func (h *Host) Unsubscribe(gpus int) error {
+	if h.nreplicas == 0 || h.subscribed < gpus {
+		return fmt.Errorf("cluster: host %s holds %d replicas of %d GPUs, cannot drop one of %d", h.ID, h.nreplicas, h.subscribed, gpus)
+	}
+	h.subscribe(-gpus, -1)
+	return nil
+}
+
+// subscribe moves the host's subscription by gpus GPUs and n replicas (1 or
+// -1), its row and its cluster's aggregates with it: a host whose replica
+// count crosses zero leaves or joins the replica-free hosts.
+func (h *Host) subscribe(gpus, n int) {
+	h.subscribed += gpus
+	h.nreplicas += n
+	if h.c != nil {
+		h.c.agg.subscribedGPUs += gpus
+		if h.nreplicas == 0 || h.nreplicas == n {
+			h.c.agg.replicaFree -= n
+		}
+	}
+	h.publish()
+}
+
+// PlaceReplica subscribes a kernel replica's resource request on the host
+// under its ID, which the host refuses to hold twice; RemoveReplica takes it
+// off by that ID. The live control plane places by ID.
 func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 	if err := req.Validate(); err != nil {
 		return err
@@ -112,18 +144,8 @@ func (h *Host) PlaceReplica(replicaID string, req resources.Spec) error {
 	if slices.ContainsFunc(h.replicas, func(r replica) bool { return r.id == replicaID }) {
 		return fmt.Errorf("cluster: replica %s already on host %s", replicaID, h.ID)
 	}
-	if h.replicas == nil {
-		h.replicas = make([]replica, 0, 16) // room for most of a busy host's twenty-odd
-	}
 	h.replicas = append(h.replicas, replica{replicaID, req.GPUs})
-	h.subscribed += req.GPUs
-	if h.c != nil {
-		h.c.agg.subscribedGPUs += req.GPUs
-		if len(h.replicas) == 1 {
-			h.c.agg.replicaFree--
-		}
-	}
-	h.publish()
+	h.subscribe(req.GPUs, 1)
 	return nil
 }
 
@@ -133,16 +155,8 @@ func (h *Host) RemoveReplica(replicaID string) error {
 	if i < 0 {
 		return fmt.Errorf("cluster: replica %s not on host %s", replicaID, h.ID)
 	}
-	gpus := h.replicas[i].gpus
+	h.subscribe(-h.replicas[i].gpus, -1)
 	h.replicas = slices.Delete(h.replicas, i, i+1)
-	h.subscribed -= gpus
-	if h.c != nil {
-		h.c.agg.subscribedGPUs -= gpus
-		if len(h.replicas) == 0 {
-			h.c.agg.replicaFree++
-		}
-	}
-	h.publish()
 	return nil
 }
 
@@ -151,7 +165,7 @@ func (h *Host) RemoveReplica(replicaID string) error {
 func (h *Host) Slot() int { return h.slot }
 
 // NumReplicas returns the number of subscribed replicas.
-func (h *Host) NumReplicas() int { return len(h.replicas) }
+func (h *Host) NumReplicas() int { return h.nreplicas }
 
 // SubscribedGPUs returns the host's subscribed GPU count.
 func (h *Host) SubscribedGPUs() int { return h.subscribed }
@@ -213,9 +227,7 @@ func (h *Host) IdleGPUs() int { return h.Capacity.GPUs - h.committed.Committed()
 // the one definition of "retirable" shared by every scale-in executor and
 // by the EmptyHosts gauge the pooled autoscaler decides on, so the gauge
 // can never promise removals an executor refuses.
-func (h *Host) Empty() bool {
-	return h.NumReplicas() == 0 && h.Committed().IsZero()
-}
+func (h *Host) Empty() bool { return h.nreplicas == 0 && h.Committed().IsZero() }
 
 // Cluster is the set of hosts plus cluster-wide SR accounting. It looks a
 // member up by ID with a binary search of byID, its one index of members.
@@ -274,8 +286,8 @@ func (c *Cluster) AddHost(h *Host) error {
 
 // RemoveHost removes a host; it must have no subscribed replicas.
 func (c *Cluster) RemoveHost(id string) error {
-	if p, found := c.idPosition(id); found && len(c.byID[p].replicas) > 0 {
-		return fmt.Errorf("cluster: host %s still has %d replicas", id, len(c.byID[p].replicas))
+	if p, found := c.idPosition(id); found && c.byID[p].nreplicas > 0 {
+		return fmt.Errorf("cluster: host %s still has %d replicas", id, c.byID[p].nreplicas)
 	}
 	return c.CrashHost(id)
 }
@@ -311,7 +323,7 @@ func (c *Cluster) NumHosts() int { return len(c.list) }
 func (c *Cluster) TotalGPUs() int { return c.agg.totalGPUs }
 
 // SubscribedGPUs returns the cluster-wide subscribed GPU count (sum of S).
-// O(1): maintained incrementally on PlaceReplica/RemoveReplica.
+// O(1): maintained incrementally by every subscription and removal.
 func (c *Cluster) SubscribedGPUs() int { return c.agg.subscribedGPUs }
 
 // ReplicaFreeHosts returns how many member hosts have no replica subscribed

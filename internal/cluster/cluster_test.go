@@ -42,12 +42,63 @@ func TestHostSubscription(t *testing.T) {
 	}
 }
 
-// TestHostHoldsManyReplicas fills one member host with 40 replicas, past the
-// 16 its replica list has room for when the first arrives: that first
-// placement allocates the list, once; a placement and a removal within the
-// room allocate nothing; a duplicate placement and the removal of a replica
-// the host does not hold are refused; and each of the 40 leaves by its own
-// ID, in any order, taking its own GPUs.
+// TestHostSubscribesByCount: Subscribe and Unsubscribe move the host's GPUs
+// and replica count, its row and its cluster's aggregates as PlaceReplica and
+// RemoveReplica do, allocate nothing, and refuse a removal the host cannot
+// make — no replica left, or fewer GPUs than asked — leaving every count as
+// it was.
+func TestHostSubscribesByCount(t *testing.T) {
+	c := New(3)
+	h := NewHost("h1", resources.P316xlarge())
+	if err := c.AddHost(h); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Unsubscribe(1); err == nil {
+		t.Fatal("unsubscribing from a host with no replica must fail")
+	}
+	h.Subscribe(4)
+	h.Subscribe(2)
+	if err := h.PlaceReplica("k1/r1", req(1)); err != nil {
+		t.Fatal(err)
+	}
+	if h.NumReplicas() != 3 || h.SubscribedGPUs() != 7 || h.row.SubscribedGPUs() != 7 || c.SubscribedGPUs() != 7 || c.ReplicaFreeHosts() != 0 {
+		t.Fatalf("3 replicas: NumReplicas %d, subscribed %d, row %d, cluster subscribed %d, replica-free hosts %d",
+			h.NumReplicas(), h.SubscribedGPUs(), h.row.SubscribedGPUs(), c.SubscribedGPUs(), c.ReplicaFreeHosts())
+	}
+	if err := h.Unsubscribe(8); err == nil {
+		t.Fatal("unsubscribing more GPUs than the host holds must fail")
+	}
+	for _, gpus := range []int{4, 2} {
+		if err := h.Unsubscribe(gpus); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.RemoveReplica("k1/r1"); err != nil {
+		t.Fatal(err)
+	}
+	if h.NumReplicas() != 0 || c.ReplicaFreeHosts() != 1 || !h.Empty() {
+		t.Fatalf("all removed: NumReplicas %d, replica-free hosts %d, Empty %v", h.NumReplicas(), c.ReplicaFreeHosts(), h.Empty())
+	}
+	checkAggregates(t, c, "all unsubscribed")
+	checkTable(t, c, nil)
+	if testing.Short() {
+		return // the race detector's bookkeeping allocates
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		h.Subscribe(2)
+		if h.Unsubscribe(2) != nil {
+			t.Fatal("subscribe/unsubscribe cycle refused")
+		}
+	}); allocs != 0 {
+		t.Errorf("a subscribe/unsubscribe cycle allocates %v times, want 0", allocs)
+	}
+}
+
+// TestHostHoldsManyReplicas fills one member host with 40 replicas by ID: its
+// first placement allocates the host's replica list, once; a placement and a
+// removal within the list's room allocate nothing; a duplicate placement and
+// the removal of a replica the host does not hold are refused; and each of
+// the 40 leaves by its own ID, in any order, taking its own GPUs.
 func TestHostHoldsManyReplicas(t *testing.T) {
 	c := New(3)
 	h := NewHost("h1", resources.P316xlarge())
@@ -103,7 +154,7 @@ func TestHostHoldsManyReplicas(t *testing.T) {
 		if subscribed -= i%4 + 1; h.SubscribedGPUs() != subscribed {
 			t.Fatalf("removing %s left %d GPUs subscribed, want %d", ids[i], h.SubscribedGPUs(), subscribed)
 		}
-		checkTable(t, c)
+		checkTable(t, c, nil)
 	}
 	if h.NumReplicas() != 0 || c.ReplicaFreeHosts() != 1 {
 		t.Fatalf("all removed: NumReplicas %d, replica-free hosts %d", h.NumReplicas(), c.ReplicaFreeHosts())

@@ -6,9 +6,19 @@
 // (internal/sim) operate on this state, so placement decisions cannot
 // drift between the two.
 //
+// A host counts its subscriptions: the GPUs its replicas subscribe and how
+// many replicas there are, which is all the SR arithmetic reads. The
+// simulator subscribes by count alone (Host.Subscribe, Host.Unsubscribe,
+// which refuses to take what the host does not hold); a session's replicas
+// sit on distinct hosts, and it checks that itself. The live control plane
+// names each replica (Host.PlaceReplica, Host.RemoveReplica, which refuse a
+// duplicate ID and an unknown one), and only those IDs are kept, in a list
+// a host subscribed by count never allocates. Both forms move the same
+// counters through one function.
+//
 // Cluster-wide aggregates (total / subscribed / committed GPUs, and the
 // number of hosts without a replica) are maintained incrementally: every
-// PlaceReplica, RemoveReplica, Commit, Release, AddHost, and RemoveHost
+// subscription and removal, Commit, Release, AddHost, and RemoveHost
 // updates the counters, so TotalGPUs, SubscribedGPUs, CommittedGPUs,
 // ReplicaFreeHosts and SRLimit are O(1) instead of O(hosts) scans. The
 // invariant — counters always equal a from-scratch recount over

@@ -20,9 +20,11 @@ func rowOf(c *Cluster, h *Host) *Row {
 // checkTable compares the dense table with the cluster it belongs to, at a
 // point between two writes: every member sits in exactly one live slot of a
 // chunk of its shape, its row equals a recount from the host's replica list
-// and pool, every chunk's summary equals one recomputed from its occupants,
-// and the ordinals sort the members exactly as their ID strings do.
-func checkTable(t *testing.T, c *Cluster) {
+// and pool, its replica count is its replicas by ID plus those byCount (the
+// caller's model of what it subscribed by count; nil: none), every chunk's
+// summary equals one recomputed from its occupants, and the ordinals sort
+// the members exactly as their ID strings do.
+func checkTable(t *testing.T, c *Cluster, byCount map[*Host][]int) {
 	t.Helper()
 	tab := c.Table()
 	members := c.Hosts()
@@ -67,7 +69,7 @@ func checkTable(t *testing.T, c *Cluster) {
 		if got, want := row.CommittedGPUs(), h.Committed().GPUs; got != want {
 			t.Errorf("%s: row committed %d, recount %d", h.ID, got, want)
 		}
-		if got, want := h.NumReplicas(), len(h.replicas); got != want {
+		if got, want := h.NumReplicas(), len(h.replicas)+len(byCount[h]); got != want {
 			t.Errorf("%s: NumReplicas %d, recount %d", h.ID, got, want)
 		}
 	}
@@ -112,7 +114,7 @@ func TestOrdinalsSortAsHostIDs(t *testing.T) {
 					if err := c.AddHost(NewHost(id, resources.P316xlarge())); err != nil {
 						t.Fatal(err)
 					}
-					checkTable(t, c)
+					checkTable(t, c, nil)
 				}
 			}
 			join(tc.add)
@@ -124,7 +126,7 @@ func TestOrdinalsSortAsHostIDs(t *testing.T) {
 				if err := leave(id); err != nil {
 					t.Fatal(err)
 				}
-				checkTable(t, c)
+				checkTable(t, c, nil)
 			}
 			join(tc.readd)
 		})
@@ -159,7 +161,7 @@ func TestTableFollowsMembership(t *testing.T) {
 			if err := c.AddHost(h); err != nil {
 				t.Fatal(err)
 			}
-			checkTable(t, c)
+			checkTable(t, c, nil)
 			if row := rowOf(c, h); row.SubscribedGPUs() != 6 || row.CommittedGPUs() != 3 || h.NumReplicas() != 3 {
 				t.Fatalf("joined with 6 subscribed, 3 committed GPUs and 3 replicas; row shows %d, %d, NumReplicas %d",
 					row.SubscribedGPUs(), row.CommittedGPUs(), h.NumReplicas())
@@ -199,7 +201,7 @@ func TestTableFollowsMembership(t *testing.T) {
 			if err := h.Commit("t2", req(5)); err != nil {
 				t.Fatal(err)
 			}
-			checkTable(t, c)
+			checkTable(t, c, nil)
 			if row := rowOf(c, next); row.SubscribedGPUs() != 1 || row.CommittedGPUs() != 0 {
 				t.Errorf("slot %d shows %d subscribed, %d committed GPUs: a departed host wrote into it", slot, row.SubscribedGPUs(), row.CommittedGPUs())
 			}
@@ -212,7 +214,7 @@ func TestTableFollowsMembership(t *testing.T) {
 			if err := c.AddHost(h); err != nil {
 				t.Fatal(err)
 			}
-			checkTable(t, c)
+			checkTable(t, c, nil)
 			checkAggregates(t, c, "after rejoining")
 		})
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -50,7 +51,14 @@ import (
 //     must hold exactly the live sessions; fault-free, where a session holds
 //     from admission to its end what it was placed with (a migration moves a
 //     replica, never drops one), from the holdings the auditor booked at each
-//     admission and took back at each end.
+//     admission and took back at each end. Under NotebookOS it also holds
+//     host by host: each member host's subscribed GPUs and replica count are
+//     what the live, unclosed sessions' replicas on it hold, so a replica
+//     dropped twice, or taken off the wrong host, shows even where the host
+//     keeps others and so refuses nothing. That recount walks every live
+//     session, so it runs every 1+live/128 ticks (every tick below 128 live
+//     sessions) and at the horizon: such a miscount stays until its host
+//     refuses a removal, so a later recount still finds it.
 //   - capacity: no host commits more than it has, and the committed GPUs are
 //     what the sessions hold: a Reservation session its reservation, any
 //     other session its executing task (member by member under faults).
@@ -126,8 +134,11 @@ type auditor struct {
 	dueAt     []int32
 	dueNext   int
 	submitted int
-	// sums is audit's per-member scratch.
-	sums []memberSums
+	// sums is audit's per-member scratch, onHost its per-host scratch: what
+	// the live sessions' replicas hold on each member host, by member and
+	// table slot.
+	sums   []memberSums
+	onHost [][]hostSums
 	// lost and crashes are LostGPUHours and HostCrashes at the previous tick.
 	lost    float64
 	crashes int
@@ -139,6 +150,15 @@ type auditor struct {
 	// scale-in gate read zero and more.
 	witnessed          [numChecks]int
 	gateShut, gateOpen int
+	// recountAt is the tick of the next host-by-host recount; shared counts
+	// the recounts at which some member host held replicas of two or more
+	// live sessions: where only that recount sees a replica dropped twice.
+	recountAt, shared int
+}
+
+// hostSums is what the live sessions' replicas hold on one host.
+type hostSums struct {
+	gpus, replicas int
 }
 
 // memberSums is what the sessions hold and train on one member.
@@ -170,7 +190,7 @@ func (a *auditor) run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer s.close()
-	a.s, a.own, a.sums = s, !s.faultsOn, make([]memberSums, len(s.members))
+	a.s, a.own, a.sums, a.onHost = s, !s.faultsOn, make([]memberSums, len(s.members)), make([][]hostSums, len(s.members))
 	s.faultsOn = true
 	pull := s.pull
 	s.pull = func() (*trace.Session, bool) {
@@ -182,6 +202,7 @@ func (a *auditor) run(cfg Config) (*Result, error) {
 		a.audit()
 	}
 	s.drain()
+	a.recountAt = 0
 	a.audit()
 	return s.finish()
 }
@@ -366,6 +387,10 @@ func (a *auditor) audit() {
 		perHost++
 	}
 	subscribed, committed, training, owed, full := 0, 0, 0, 0, false
+	if s.cfg.Policy == PolicyNotebookOS && now >= a.recountAt {
+		a.recountHosts()
+		a.recountAt = now + 1 + live/128
+	}
 	for mi, m := range s.members {
 		owed += m.pendingHosts + perHost*(m.hostSeq-len(m.hosts))
 		c := m.c
@@ -480,6 +505,43 @@ func (a *auditor) audit() {
 	a.peakPending, a.peakLive = max(a.peakPending, pending), max(a.peakLive, live)
 }
 
+// recountHosts holds each member host's subscription to what the live,
+// unclosed sessions' replicas on it hold (ends lists every session admitted
+// and not yet past its end), and counts the recount as shared when a host
+// holds two or more of them.
+func (a *auditor) recountHosts() {
+	for mi, m := range a.s.members {
+		a.onHost[mi] = slices.Grow(a.onHost[mi][:0], len(m.bySlot))[:len(m.bySlot)]
+		clear(a.onHost[mi])
+	}
+	for _, e := range a.ends {
+		if e.v.ss.closed {
+			continue
+		}
+		for _, h := range e.v.ss.hosts {
+			if h != nil && a.member(h) {
+				held := &a.onHost[h.member][h.h.Slot()]
+				held.gpus += e.v.ss.req.GPUs
+				held.replicas++
+			}
+		}
+	}
+	shared := false
+	for mi, m := range a.s.members {
+		for _, h := range m.hosts {
+			held := a.onHost[mi][h.h.Slot()]
+			if h.h.SubscribedGPUs() != held.gpus || h.h.NumReplicas() != held.replicas {
+				a.fail(checkSubscriptions, "host %s counts %d replicas of %d GPUs; the live sessions hold %d of %d there",
+					h.h.ID, h.h.NumReplicas(), h.h.SubscribedGPUs(), held.replicas, held.gpus)
+			}
+			shared = shared || held.replicas > 1
+		}
+	}
+	if shared {
+		a.shared++
+	}
+}
+
 // member reports whether h is still a host of its member.
 func (a *auditor) member(h *host) bool {
 	slot := h.h.Slot()
@@ -535,7 +597,7 @@ func TestAuditedRuns(t *testing.T) {
 		{"seed-28/saturated", Config{Trace: pool28, Policy: PolicyNotebookOS, Hosts: 6, ScaleFactor: 0.5, Seed: seed28, Faults: &heavy}},
 	}
 	var witnessed [numChecks]int
-	ran := 0
+	ran, shared := 0, 0
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ran++
@@ -562,6 +624,7 @@ func TestAuditedRuns(t *testing.T) {
 			for i, n := range a.witnessed {
 				witnessed[i] += n
 			}
+			shared += a.shared
 			if c.name == "scale-in-gate" && (a.gateShut == 0 || a.gateOpen == 0 || got.ScaleIns == 0 || got.HostCrashes == 0) {
 				t.Errorf("the gate read 0 at %d member ticks and more at %d, over %d scale-ins and %d host crashes: all four must occur",
 					a.gateShut, a.gateOpen, got.ScaleIns, got.HostCrashes)
@@ -576,7 +639,11 @@ func TestAuditedRuns(t *testing.T) {
 			t.Errorf("audit %s never held non-vacuously", checkNames[i])
 		}
 	}
+	if shared == 0 {
+		t.Error("no recount found a host holding replicas of two live sessions: the host-by-host subscriptions law never held non-vacuously")
+	}
 	t.Logf("ticks at which each check held non-vacuously: %v %v", checkNames, witnessed)
+	t.Logf("host-by-host recounts at which a host held replicas of two or more live sessions: %d", shared)
 }
 
 // ending is a live session and what it held at admission.

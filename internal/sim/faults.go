@@ -148,8 +148,9 @@ func (s *sim) crashHost(h *host, down time.Duration) {
 // with probability HostFraction, drawn from the outage's own deterministic
 // RNG; every victim's replacement arrives together when the window closes.
 // An outage scoped to a member name hits only that member — plan.defaults
-// has checked that a federation has one of that name — and so nothing in a
-// run without Clusters; an unscoped one hits every member.
+// has checked that a federation has one of that name — so in a run without
+// Clusters it hits nothing unless it is scoped to "sim", the name of that
+// run's one member, which it hits; an unscoped one hits every member.
 func (s *sim) outageStrike(idx int, o trace.OutageSpec) {
 	r := s.cfg.Faults.OutageRNG(s.cfg.Seed, idx)
 	var victims []*host

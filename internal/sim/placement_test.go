@@ -11,15 +11,18 @@ import (
 	"notebookos/internal/trace"
 )
 
-// TestReplicaPlacementIsChecked pins that the simulator no longer drops a
-// refused PlaceReplica, RemoveReplica or Release: a session's ID is the key
-// of all its replicas, so a second replica on one host — the only way a
-// selected host can refuse — must stop the run with the session and the
-// host named, not lose a subscription, and so must a removal the host does
-// not know of, which would leave the cluster counting what is gone. It then
-// replays a run that reaches all three placement sites (kernel creation,
-// migration, crash rehoming) with the check in place: hard crash churn,
-// unsharded and split across three workers.
+// TestReplicaPlacementIsChecked pins that the simulator neither doubles nor
+// drops a subscription unseen. It subscribes replicas by count
+// (cluster.Host.Subscribe), so a second replica of a session on one host
+// must stop the run with the session and the host named, and so must a
+// removal from a host outside the session's replicas, one its host refuses
+// (here a replica dropped twice from a host that holds no other; with others
+// there, the run auditor's subscriptions check recounts the host), or a
+// Release of a commitment the host does not hold — each would leave the
+// cluster counting what is gone. It then replays a run that reaches all
+// three placement sites (kernel creation, migration, crash rehoming) with
+// the checks in place: hard crash churn, unsharded and split across three
+// workers.
 func TestReplicaPlacementIsChecked(t *testing.T) {
 	gcfg := trace.AdobeExcerptConfig(62)
 	gcfg.Duration = 8 * time.Hour
@@ -41,6 +44,9 @@ func TestReplicaPlacementIsChecked(t *testing.T) {
 		if !slices.Contains(ss.hosts, h) {
 			stranger = h
 		}
+	}
+	if n := ss.hosts[1].h.NumReplicas(); n != 1 {
+		t.Fatalf("host %s holds %d replicas; the double drop needs it to hold only the session's", ss.hosts[1].h.ID, n)
 	}
 	for name, tc := range map[string]struct {
 		h    *host
@@ -78,16 +84,17 @@ func TestReplicaPlacementIsChecked(t *testing.T) {
 // allocator, the way TestSummerRunAllocations pins a whole run's: a
 // short streaming NotebookOS run under lean metrics, whole-run allocations
 // and bytes (runtime.MemStats.TotalAlloc) divided by sessions admitted. The
-// allocation budget is the measured 1.69 plus 5 % (it was 19.69 when
+// allocation budget is the measured 1.49 plus 5 % (it was 19.69 when
 // admission built replica keys, a holder string, the filtered workload
 // catalog and the selection slice per session, 7.72 while a session's ID
 // cost two allocations and its end a closure, 5.72 while each of a
 // session's 0.26 tasks cost a closure and a state machine, 4.49 while the
 // generator's Session and the record were two objects, 3.28 while each
-// session's ID was a string of its own, and 2.31 while a host's replicas
-// were a map, which grew a bucket at a host's first replica and again past
-// eight). The bytes budget is the measured 690 plus 5 % (845 bytes while
-// the record copied the whole session, 749 while replicas were a map). The
+// session's ID was a string of its own, 2.31 while a host's replicas were a
+// map, which grew a bucket at a host's first replica and again past eight,
+// and 1.69 while they were a list of IDs). The bytes budget is the measured
+// 571 plus 5 % (845 bytes while the record copied the whole session, 749
+// while replicas were a map, 690 while they were a list of IDs). The
 // sessions' tasks and the run's fixed costs are in both, so they move only
 // when the session or task path allocates more.
 func TestAdmissionAllocationBudget(t *testing.T) {
@@ -115,7 +122,7 @@ func TestAdmissionAllocationBudget(t *testing.T) {
 	})
 	runtime.ReadMemStats(&ms)
 	bytes := float64(ms.TotalAlloc-from) / runs
-	const budget, bytesBudget = 1.78, 725
+	const budget, bytesBudget = 1.57, 600
 	perSession, bytesPerSession := allocs/float64(sessions), bytes/float64(sessions)
 	if perSession > budget || bytesPerSession > bytesBudget {
 		t.Errorf("%.2f allocations and %.1f bytes per admitted session (%d sessions), budgets %.2f and %d", perSession, bytesPerSession, sessions, budget, bytesBudget)
@@ -131,7 +138,7 @@ func TestAdmissionAllocationBudget(t *testing.T) {
 // measured 0.038 plus 5 %; it was 2.10 while admission built a closure per
 // task and launch a state machine per task, and 0.051 while a host's
 // replicas were a map and its cluster.Host an object apart from its record.
-// What is left is per session (the record and its replica keys) and per run
+// What is left is per session (the record) and per run
 // (recorders, hosts, the event arena).
 func TestTaskAllocationBudget(t *testing.T) {
 	if testing.Short() {
@@ -186,10 +193,11 @@ func TestHostIDMatchesSprintf(t *testing.T) {
 // warm-pool refill), 412 while every host join formatted its ID through
 // fmt and every scale-out's landing was a closure, 372 while a cluster
 // published its host table and capacity notifier through atomic pointers,
-// and 367 while every host join allocated a replica map and a cluster.Host
-// apart from its record.
+// 367 while every host join allocated a replica map and a cluster.Host
+// apart from its record, and 269 while a host's first replica allocated a
+// list of replica IDs.
 func TestSummerRunAllocations(t *testing.T) {
-	pinRunAllocations(t, nil, 269)
+	pinRunAllocations(t, nil, 260)
 }
 
 // TestFaultedRunAllocations is its sibling under the heavy fault profile,
@@ -197,12 +205,13 @@ func TestSummerRunAllocations(t *testing.T) {
 // scale-outs — the fault-free run barely reaches. It read 571 while each
 // crash, replacement, restart and landing scheduled a closure, each crash
 // clock built a random source of its own and each join formatted its host ID
-// through fmt, 441 before the cluster's atomic pointers went, and 429 while
+// through fmt, 441 before the cluster's atomic pointers went, 429 while
 // every host join allocated a replica map and a cluster.Host apart from its
-// record.
+// record, and 319 while a host's first replica allocated a list of replica
+// IDs.
 func TestFaultedRunAllocations(t *testing.T) {
 	faults := trace.HeavyFaultProfile()
-	pinRunAllocations(t, &faults, 319)
+	pinRunAllocations(t, &faults, 308)
 }
 
 // pinRunAllocations fails when one 1-day summer Run under faults (nil: none)

@@ -308,12 +308,11 @@ type session struct {
 	// second allocation.
 	hosts []*host
 	slots [3]*host
-	// The session ID (id) is the key of everything the session holds on
-	// a host. As exclusive-commit holder: a session's tasks are strictly
-	// serialized (running + FCFS queue), so at most one commitment per
-	// session is ever outstanding. As replica subscription key: a session's
-	// replicas always sit on distinct hosts (every placement excludes
-	// hosts), and subscribe checks it.
+	// The session ID (id) is the key of the commitment the session holds on
+	// a host: a session's tasks are strictly serialized (running + FCFS
+	// queue), so at most one is ever outstanding. Its replicas need no key:
+	// they always sit on distinct hosts (every placement excludes hosts),
+	// so a host counts them, and subscribe checks it.
 	lastExecutor int32
 	running      bool
 	closed       bool
@@ -334,11 +333,12 @@ type session struct {
 func (ss *session) Fire() { ss.s.sessionEnd(ss) }
 
 // subscribe places one of the session's replicas on h, a host the caller
-// just selected outside the session's replica set. A refusal can only be a
-// second replica of the session on h, which would silently drop a
-// subscription from every counter.
+// just selected outside the session's replica set, by count alone: the
+// session's replicas always sit on distinct hosts, and a second one on h
+// would double its subscription unseen.
 func (ss *session) subscribe(h *host) {
-	ss.must(h.h.PlaceReplica(ss.id, ss.req), "replica refused by selected", h)
+	ss.must(!slices.Contains(ss.hosts, h), "second replica on", h)
+	h.h.Subscribe(ss.req.GPUs)
 }
 
 // unsubscribe takes the session's replica off h, and uncommit returns what
@@ -347,16 +347,16 @@ func (ss *session) subscribe(h *host) {
 // a host's state — and would leave the cluster's counters, its replica-free
 // host count and its table's summaries counting something that is gone.
 func (ss *session) unsubscribe(h *host) {
-	ss.must(h.h.RemoveReplica(ss.id), "replica not found on", h)
+	ss.must(slices.Contains(ss.hosts, h) && h.h.Unsubscribe(ss.req.GPUs) == nil, "replica not found on", h)
 }
 
 func (ss *session) uncommit(h *host) {
-	ss.must(h.h.Release(ss.id), "commitment not found on", h)
+	ss.must(h.h.Release(ss.id) == nil, "commitment not found on", h)
 }
 
-func (ss *session) must(err error, what string, h *host) {
-	if err != nil {
-		panic(fmt.Sprintf("sim: session %s: %s host %s: %v", ss.id, what, h.h.ID, err))
+func (ss *session) must(ok bool, what string, h *host) {
+	if !ok {
+		panic(fmt.Sprintf("sim: session %s: %s host %s", ss.id, what, h.h.ID))
 	}
 }
 
@@ -929,10 +929,9 @@ func (s *sim) sessionEnd(ss *session) {
 		}
 	case PolicyNotebookOS:
 		for _, h := range ss.hosts {
-			if h == nil {
-				continue // crash-emptied slot (faults.go)
+			if h != nil { // nil: a crash emptied the slot (faults.go)
+				ss.unsubscribe(h)
 			}
-			ss.unsubscribe(h)
 		}
 		s.sampleSR()
 	}

@@ -60,8 +60,9 @@ type OutageSpec struct {
 	// HostFraction in (0, 1] is the per-host kill probability.
 	HostFraction float64 `json:"host_fraction"`
 	// Cluster names the federated member the outage hits ("" hits every
-	// member; a federation with no member of that name is refused;
-	// single-cluster runs apply only unscoped outages).
+	// member; a federation with no member of that name is refused). A
+	// single-cluster run skips a scoped outage, except one scoped to "sim",
+	// the name of the one cluster such a run has, which it applies.
 	Cluster string `json:"cluster,omitempty"`
 }
 

@@ -34,7 +34,11 @@ type mutant struct {
 // decision tables' rules. Then one mutant per check of the run auditor
 // (internal/sim/audit_test.go), each killed by TestAuditedRuns naming its
 // check, and the subscription leak the seed-28 run found (docs/BUG_LEDGER.md,
-// bug 16) put back. Last, the other gates: the trace and assignment goldens
+// bug 16) put back. Then the two ways a replica subscribed by count can be
+// miscounted: a second replica of a session on one host, which the
+// simulator's own assertion refuses (TestReplicaPlacementIsChecked), and a
+// migration that takes its replica off the wrong host, which only the
+// auditor's host-by-host recount sees. Last, the other gates: the trace and assignment goldens
 // (the trace's twice: a drain's block of session IDs that opens with the
 // previous session's ID), the two sides of trace.Source's lending contract
 // (the simulator checks arrival order against a copy taken before the pull,
@@ -93,12 +97,12 @@ var mutants = []mutant{
 	},
 	{
 		name: "a host's last replica leaves it counted busy", file: "internal/cluster/cluster.go",
-		old: "\t\t\th.c.agg.replicaFree++\n", new: "",
+		old: "if h.nreplicas == 0 || h.nreplicas == n {", new: "if h.nreplicas == n {",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit counters",
 	},
 	{
 		name: "sessionEnd skips an unsubscribe", file: "internal/sim/sim.go",
-		old: "\t\t\tss.unsubscribe(h)\n\t\t}\n\t\ts.sampleSR()", new: "\t\t\tif h != ss.hosts[0] {\n\t\t\t\tss.unsubscribe(h)\n\t\t\t}\n\t\t}\n\t\ts.sampleSR()",
+		old: "if h != nil { // nil: a crash emptied the slot (faults.go)", new: "if h != nil && h != ss.hosts[0] {",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit subscriptions",
 	},
 	{
@@ -121,6 +125,16 @@ var mutants = []mutant{
 		old: "\tif !ss.closed {\n\t\tif old != nil {\n\t\t\tss.unsubscribe(old)\n\t\t}\n\t\tss.subscribe(target)\n\t}",
 		new: "\tif !ss.closed && old != nil {\n\t\tss.unsubscribe(old)\n\t}\n\tss.subscribe(target)",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^seed-28$/^heavy$", want: "audit subscriptions",
+	},
+	{
+		name: "a second replica on one host", file: "internal/sim/sim.go",
+		old: "\tss.must(!slices.Contains(ss.hosts, h), \"second replica on\", h)\n", new: "",
+		pkg: "./internal/sim", run: "^TestReplicaPlacementIsChecked$", want: "second replica of",
+	},
+	{
+		name: "a removal from the wrong host", file: "internal/sim/sim.go",
+		old: "ss.unsubscribe(old)", new: "ss.unsubscribe(ss.hosts[(victim+1)%len(ss.hosts)])",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit subscriptions",
 	},
 	{
 		name: "a woken task leaves its queue-depth gauge up", file: "internal/sim/sim.go",
@@ -181,13 +195,13 @@ var mutants = []mutant{
 		name: "every task allocates its machine", file: "internal/sim/sim.go",
 		old: "t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
 		new: "t := &runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}",
-		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 269", full: true,
+		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 260", full: true,
 	},
 	{
 		name: "a finished task's machine is not recycled", file: "internal/sim/taskfsm.go",
 		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.idle = append(s.idle, t)\n",
 		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
-		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 319", full: true,
+		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 308", full: true,
 	},
 	{
 		name: "every session ID is a string of its own", file: "internal/trace/stream.go",
@@ -197,7 +211,7 @@ var mutants = []mutant{
 	{
 		name: "the record keeps the whole lent session", file: "internal/sim/sim.go",
 		old: "\tslo   trace.SLOClass\n", new: "\tslo   trace.SLOClass\n\tspare trace.Session\n",
-		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 1.78 and 725", full: true,
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 1.57 and 600", full: true,
 	},
 	{
 		name: "a chunk summary counts one subscribed GPU too many", file: "internal/cluster/table.go",
