@@ -151,11 +151,15 @@
 // placement that sorts every candidate, events in a sorted slice, nothing
 // pooled or recycled; `reference_faults_test.go` adds the fault layer's rules
 // (crash clocks, outages, failover, aborts, restarts and the retry budget) to
-// the same events and the same result. Their comments list the rules with
-// their paper or docs/FAULTS.md sections, the order events fire in and the
-// order the three random streams are drawn in. `TestReferenceModel` and
-// `FuzzConfigPlan` hold `Run` to it: on every single-cluster config they run,
-// faulted or not, `referenceRun` and the core must print the same
-// fingerprint. A change that keeps the fingerprint keeps the rules; one meant
-// to change a rule changes the model with it.
+// the same events and the same result, and `reference_fed_test.go` the
+// federation's (k members on the one event slice, routing, cross-member
+// placement and migration with their crossing charges, degradations, the
+// SLO-aware queue, the pooled autoscaler, and what each config's form and
+// lean metrics record). Their comments list the rules with their paper or
+// docs/FAULTS.md sections, the order events fire in and the order the three
+// random streams are drawn in. `TestReferenceModel` and `FuzzConfigPlan`
+// hold `Run` to it: on every config they run, one cluster or a federation,
+// faulted or not, lean or not, `referenceRun` and the core must print the
+// same fingerprint. A change that keeps the fingerprint keeps the rules; one
+// meant to change a rule changes the model with it.
 package sim

@@ -243,13 +243,9 @@ func runnerCases(t *testing.T) []runnerCase {
 		}
 		pooled := func(sc ShardCapacity) Config {
 			return Config{
-				Trace:    tr,
-				Clusters: DefaultFedClusters(4, 30),
-				Route: federation.NewScoredPolicy("composite",
-					federation.WeightedScorer{Scorer: federation.SubscriptionScorer{}, Weight: 1},
-					federation.WeightedScorer{Scorer: federation.LatencyScorer{}, Weight: federation.DefaultLatencyWeight},
-					federation.WeightedScorer{Scorer: federation.QueueDepthScorer{}, Weight: 0.05},
-					federation.WeightedScorer{Scorer: federation.SpreadScorer{}, Weight: 0.25}),
+				Trace:           tr,
+				Clusters:        DefaultFedClusters(4, 30),
+				Route:           compositeRoute(),
 				Latency:         federation.GeoBandedMatrix(4, 2, 5*time.Millisecond, 40*time.Millisecond),
 				PooledAutoscale: true,
 				SLOAware:        true,

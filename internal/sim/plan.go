@@ -177,9 +177,9 @@ func (p *plan) defaults() error {
 			p.Latency.Size(), len(p.Clusters))
 	}
 	p.fedMinHosts = scheduler.MinHostsFloor(total/4, p.ReplicasPerKernel)
-	if p.Route == nil {
-		p.Route = federation.LocalFirst()
-	}
+	// A policy of the run's own: a round-robin rotation carried over from
+	// another run, or advanced by one running beside it, would not replay.
+	p.Route = cmp.Or(p.Route, federation.LocalFirst()).Fresh()
 	if p.PrewarmPerHost == 0 {
 		switch p.Policy {
 		case PolicyLCP:

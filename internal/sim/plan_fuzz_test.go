@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"notebookos/internal/federation"
 	"notebookos/internal/resources"
 	"notebookos/internal/trace"
 )
@@ -23,9 +24,8 @@ var configFields = []string{
 // goes through, to its contract: no panic, every error names a Config field
 // (or the fault spec's field), and a config it accepts runs audited
 // (auditedRun), every generated session admitted — so every conservation law
-// holds at every tick of every accepted config — and, when it runs one
-// cluster, faulted or not, gives the reference model's fingerprint
-// (matchReference).
+// holds at every tick of every accepted config — and gives the reference
+// model's fingerprint (matchReference), whatever its form.
 //
 // The inputs are the numeric knobs, the Policy, the host shape (its GPU
 // count), the member count — 0 is the Hosts form, n > 0 a federation of n
@@ -33,11 +33,16 @@ var configFields = []string{
 // one-hour excerpt or (long) the 4-hour one TestHostileConfigs replays, and
 // the faults: host churn at mtbf and mttr hours (0 and 0: none; an MTBF under
 // an hour is read as one, so a run stays short) and, named by outage, one
-// outage of every host of that member from hour 1 to hour 2. The seeds are
+// outage of every host of that member from hour 1 to hour 2. The bits of fed
+// set the federation's knobs: the low three the route (0 the default, 1–7
+// the policy tournament's five in turn), then PooledAutoscale, SLOAware,
+// LeanMetrics, a geo-banded latency matrix, and a network degraded fourfold
+// from hour 1 to hour 2. The seeds are
 // TestHostileConfigs' cases, as the inputs spell them: the refusals, and
 // every config it runs; then TestReferenceModel's harsh crash churn (MTBF
 // 4 h, MTTR 0.5 h) under each policy and on four 4-GPU hosts, with and
-// without an outage of the whole cluster. Integer inputs are taken modulo a
+// without an outage of the whole cluster; then one per federation knob on
+// three members and lean metrics on one cluster. Integer inputs are taken modulo a
 // small bound that keeps the sign, so a negative knob stays negative. A ScaleFactor above 16
 // is refused, so every accepted config runs.
 func FuzzConfigPlan(f *testing.F) {
@@ -55,6 +60,7 @@ func FuzzConfigPlan(f *testing.F) {
 		long                                           bool
 		mtbf, mttr                                     float64
 		outage                                         string
+		fed                                            int
 	}
 	for _, s := range []seed{
 		{policy: "notebookos", hosts: 30},
@@ -114,10 +120,24 @@ func FuzzConfigPlan(f *testing.F) {
 		{long: true, policy: "notebookos", hosts: 30, mtbf: 4, mttr: 0.5, outage: "sim"},
 		{long: true, policy: "notebookos-lcp", hosts: 30, mtbf: 4, mttr: 0.5, outage: "sim"},
 		{long: true, policy: "notebookos", hosts: 4, minHosts: 3, gpus: 4, srHigh: 2.5, mtbf: 4, mttr: 0.5, outage: "sim"},
+		// The federation's knobs, one at a time.
+		{long: true, members: 3, hosts: 5, fed: 1},
+		{long: true, members: 3, hosts: 5, fed: 2},
+		{long: true, members: 3, hosts: 5, fed: 3},
+		{long: true, members: 3, hosts: 5, fed: 4},
+		{long: true, members: 3, hosts: 5, fed: 5},
+		{long: true, members: 3, hosts: 5, fed: fedPooled},
+		{long: true, members: 3, hosts: 5, gpus: 4, fed: fedSLO},
+		{long: true, members: 3, hosts: 5, fed: fedLean},
+		{long: true, hosts: 30, fed: fedLean},
+		{long: true, members: 3, hosts: 5, fed: fedGeo | 4},
+		{long: true, members: 3, hosts: 5, fed: fedDegraded | 4},
 	} {
-		f.Add(s.policy, s.members, s.hosts, s.minHosts, s.gpus, s.replicas, s.warm, s.scaleFactor, s.srHigh, s.long, s.mtbf, s.mttr, s.outage)
+		f.Add(s.policy, s.members, s.hosts, s.minHosts, s.gpus, s.replicas, s.warm, s.scaleFactor, s.srHigh, s.long, s.mtbf, s.mttr, s.outage, s.fed)
 	}
-	f.Fuzz(func(t *testing.T, policy string, members, hosts, minHosts, gpus, replicas, warm int, scaleFactor, srHigh float64, long bool, mtbf, mttr float64, outage string) {
+	routes := []func() *federation.ScoredPolicy{federation.LocalFirst, federation.RoundRobin, federation.LeastSubscribed,
+		func() *federation.ScoredPolicy { return federation.LatencyAware(0) }, compositeRoute}
+	f.Fuzz(func(t *testing.T, policy string, members, hosts, minHosts, gpus, replicas, warm int, scaleFactor, srHigh float64, long bool, mtbf, mttr float64, outage string, fed int) {
 		tr := hour
 		if long {
 			tr = fourHours
@@ -152,14 +172,24 @@ func FuzzConfigPlan(f *testing.F) {
 			last := &cfg.Clusters[members-1]
 			last.Hosts, last.MinHosts = hosts, minHosts
 		}
+		if r := fed & 7; r != 0 {
+			cfg.Route = routes[(r-1)%len(routes)]()
+		}
+		cfg.PooledAutoscale, cfg.SLOAware, cfg.LeanMetrics = fed&fedPooled != 0, fed&fedSLO != 0, fed&fedLean != 0
+		if fed&fedGeo != 0 {
+			cfg.Latency = federation.GeoBandedMatrix(max(members, 1), 2, 5*time.Millisecond, 40*time.Millisecond)
+		}
 
-		if mtbf != 0 || mttr != 0 || outage != "" {
+		if mtbf != 0 || mttr != 0 || outage != "" || fed&fedDegraded != 0 {
 			if mtbf > 0 && mtbf < 1 {
 				mtbf = 1
 			}
 			cfg.Faults = &trace.FaultSpec{HostMTBFHours: mtbf, HostMTTRHours: mttr}
 			if outage != "" {
 				cfg.Faults.Outages = []trace.OutageSpec{{StartHour: 1, DurationHours: 1, HostFraction: 1, Cluster: outage}}
+			}
+			if fed&fedDegraded != 0 {
+				cfg.Faults.Degradations = []trace.DegradeSpec{{StartHour: 1, DurationHours: 1, Factor: 4}}
 			}
 		}
 
@@ -180,8 +210,15 @@ func FuzzConfigPlan(f *testing.F) {
 		if r.Sessions != len(tr.Sessions) {
 			t.Fatalf("%+v: %d sessions admitted, %d generated", cfg, r.Sessions, len(tr.Sessions))
 		}
-		if len(cfg.Clusters) == 0 {
-			matchReference(t, "fuzz", cfg, r)
-		}
+		matchReference(t, "fuzz", cfg, r)
 	})
 }
+
+// The bits of FuzzConfigPlan's fed input above the route's three.
+const (
+	fedPooled = 1 << (iota + 3)
+	fedSLO
+	fedLean
+	fedGeo
+	fedDegraded
+)

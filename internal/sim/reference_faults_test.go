@@ -21,37 +21,41 @@ import (
 //   - Arming ["Determinism"]: before any host joins, each outage window is
 //     filed at its start hour, in list order, and then each degradation
 //     episode's start and end, the episodes in start order. An episode scales
-//     inter-cluster penalties only, so in one cluster both of its events fire
-//     as no-ops; they still take their sequence numbers.
+//     inter-cluster crossings only (part three), so in one cluster both of
+//     its events change nothing; they still take their sequence numbers.
 //   - The horizon ["Numbers a spec may not hold, and hours no run reaches"]:
 //     a fault event (a window, an episode's edge, a crash, a replacement, a
 //     restart) due past the drain horizon, the window's end plus a day, is not
 //     filed and takes no sequence number.
 //   - Crash clocks ["The fault model"; "How a slot's stream is computed"]:
 //     every host that joins (initial, scale-out, a Reservation's, a
-//     replacement) takes the next slot of the cluster's host sequence. One
-//     cluster is member 0, so the slot is the host's sequence number (1, 2,
-//     …). The host draws its (uptime, downtime) pair with
+//     replacement) takes the next number of its member's host sequence, and
+//     its slot is the member index << 40 | that number. One cluster is member
+//     0, so the slot is the host's sequence number (1, 2, …). The host draws its (uptime, downtime) pair with
 //     trace.FaultSpec.HostFault from math/rand's standard source for that slot,
 //     and availability steps up by one. It crashes when the uptime runs out;
 //     a host that has left by then (scale-in or an outage) makes it a no-op.
-//   - Outages ["The fault model"]: at its start hour, a window that names no
-//     cluster, or names this one ("sim"), draws one Float64 per member host,
-//     in list order, from trace.FaultSpec.OutageRNG, and crashes each host
-//     drawn below HostFraction, in list order, all with the window's length
-//     as their downtime.
+//   - Outages ["The fault model"]: at its start hour, a window draws one
+//     Float64 per host of each member it strikes, members in index order and
+//     hosts in list order, from trace.FaultSpec.OutageRNG, and crashes each
+//     host drawn below HostFraction, in that order, all with the window's
+//     length as their downtime. It strikes every member when it names none,
+//     and else the member it names; in a run without Clusters that is "sim",
+//     the one member's name, and a scoped window strikes it.
 //   - A crash ["The failover state machine"]: the host leaves the cluster with
 //     its replicas and commitments, and availability steps down by one (as
 //     it does when scale-in retires a host). A crash frees nothing, so no
 //     parked task is woken. Every open session is repaired, in arrival order;
 //     then provisioned GPUs are sampled, and the replacement is filed for
-//     after the downtime: a fresh host with a clock of its own, never the
-//     crashed one back. Its joining counts a recovery and samples again.
+//     after the downtime: a fresh host of the same member with a clock of its
+//     own, never the crashed one back. Its joining counts a recovery and
+//     samples again.
 //   - Repair, NotebookOS: the session's replicas on the host die (their slots
 //     go nil). If any died and quorum holds (2·alive > R), the loss is a
 //     failover: one election is charged to RecoveryTime, and nothing restarts.
 //     Then every nil slot is rehomed onto the most idle host outside the
-//     replicas, whether or not it can commit anything. It takes a warm
+//     replicas, in the first member in route order that has one, whether or
+//     not it can commit anything. It takes a warm
 //     container (refilled after a ColdStart) or a cold one. With no such host
 //     the slot stays nil, and the session's next migration fills it before
 //     any other slot. Last, executor death or a loss without quorum aborts
@@ -98,8 +102,8 @@ func (m *refModel) initFaults() {
 	}
 	byStart := func(a, b trace.DegradeSpec) int { return cmp.Compare(a.StartHour, b.StartHour) }
 	for _, d := range slices.SortedFunc(slices.Values(f.Degradations), byStart) {
-		m.armFault(hour(d.StartHour), func() {})
-		m.armFault(hour(d.StartHour).Add(trace.Hours(d.DurationHours)), func() {})
+		m.armFault(hour(d.StartHour), func() { m.scale = d.Factor })
+		m.armFault(hour(d.StartHour).Add(trace.Hours(d.DurationHours)), func() { m.scale = 1 })
 	}
 }
 
@@ -110,31 +114,38 @@ func (m *refModel) armFault(t time.Time, fire func()) {
 	}
 }
 
-// armHostFaults starts the crash clock of h, which just joined as slot
-// m.joined.
-func (m *refModel) armHostFaults(h *refHost) {
+// armHostFaults starts the crash clock of h, which just joined as slot.
+func (m *refModel) armHostFaults(h *refHost, slot uint64) {
 	if !m.p.Faults.Enabled() {
 		return
 	}
 	m.res.Availability.Delta(m.now, 1)
-	if up, down := m.p.Faults.HostFault(m.crng, m.p.Seed, uint64(m.joined)); up > 0 {
+	if up, down := m.p.Faults.HostFault(m.crng, m.p.Seed, slot); up > 0 {
 		m.armFault(m.now.Add(up), func() { m.crash(h, down) })
 	}
 }
 
 // outage is window i striking.
 func (m *refModel) outage(i int, o trace.OutageSpec) {
-	if o.Cluster != "" && o.Cluster != m.spec.Name {
-		return
-	}
 	r := m.p.Faults.OutageRNG(m.p.Seed, i)
 	var victims []*refHost
-	for _, h := range m.hosts {
-		if r.Float64() < o.HostFraction {
-			victims = append(victims, h)
+	for _, mb := range m.members {
+		// The "sim" clause: a run without Clusters names its one member "sim",
+		// so a window scoped to "sim" strikes it, and one scoped to any other
+		// name (refused in a federation) strikes nothing.
+		if o.Cluster != "" && o.Cluster != mb.spec.Name {
+			continue
+		}
+		for _, h := range mb.hosts {
+			if r.Float64() < o.HostFraction {
+				victims = append(victims, h)
+			}
 		}
 	}
 	m.fired["outage victims"] += len(victims)
+	if o.Cluster != "" {
+		m.fired["scoped-outage victims"] += len(victims)
+	}
 	for _, h := range victims {
 		m.crash(h, trace.Hours(o.DurationHours))
 	}
@@ -143,11 +154,12 @@ func (m *refModel) outage(i int, o trace.OutageSpec) {
 // crash takes h out of the cluster, repairs the open sessions and files the
 // replacement; a host that has already left makes it a no-op.
 func (m *refModel) crash(h *refHost, down time.Duration) {
-	i := slices.Index(m.hosts, h)
+	mb := m.members[h.member]
+	i := slices.Index(mb.hosts, h)
 	if i < 0 {
 		return
 	}
-	m.hosts = slices.Delete(m.hosts, i, i+1)
+	mb.hosts = slices.Delete(mb.hosts, i, i+1)
 	m.res.Availability.Delta(m.now, -1)
 	m.res.HostCrashes++
 	for _, ss := range m.sessions {
@@ -155,7 +167,7 @@ func (m *refModel) crash(h *refHost, down time.Duration) {
 	}
 	m.sampleProvisioned()
 	m.armFault(m.now.Add(down), func() {
-		m.addHost()
+		m.addHost(h.member)
 		m.res.HostRecoveries++
 		m.sampleProvisioned()
 	})
@@ -250,7 +262,7 @@ func (m *refModel) abort(ss *refSession, why string) {
 	t.dead, ss.cur = true, nil
 	m.fired[why]++
 	if t.training {
-		m.res.CommittedGPUs.Delta(m.now, -float64(t.task.GPUs))
+		m.members[t.h.member].res.CommittedGPUs.Delta(m.now, -float64(t.task.GPUs))
 		m.res.LostGPUHours += float64(m.now.Sub(t.tstart).Hours() * float64(t.task.GPUs))
 	}
 	if m.p.Policy != PolicyReservation { // a Reservation task commits nothing of its own

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"time"
 
-	"notebookos/internal/metrics"
 	"notebookos/internal/resources"
 	"notebookos/internal/trace"
 	"notebookos/internal/workload"
@@ -17,36 +16,42 @@ import (
 
 // The reference model
 //
-// referenceRun replays a compiled single-cluster plan by the simulator's
-// rules, written once and plainly: hosts in a slice, placement that sorts
-// every candidate, events in a sorted slice, and nothing pooled, recycled,
-// chunked or summarised. matchReference holds sim.Run to it: the two must
-// print the same fpLines fingerprint. This file states the fault-free rules;
-// reference_faults_test.go adds the fault layer's to the same events and the
-// same Result. The rules:
+// referenceRun replays a compiled plan by the simulator's rules, written once
+// and plainly: hosts in slices, placement that sorts every candidate, events
+// in a sorted slice, and nothing pooled, recycled, chunked or summarised.
+// matchReference holds sim.Run to it: the two must print the same fpLines
+// fingerprint. This file states the rules of one cluster, member 0, named
+// "sim", fault-free; reference_faults_test.go adds the fault layer's to the
+// same events and the same Result, and reference_fed_test.go the
+// federation's: k members on the one event slice, each event touching the
+// member it names, and the records of each config's form. The rules:
 //
 //   - Sessions (§5.1) are admitted in arrival order; each runs its tasks FCFS.
-//   - Placement (§3.2.1, NotebookOS): R replicas on R distinct hosts. A host
-//     is viable when its shape holds the request and its post-placement
+//   - Placement (§3.2.1, NotebookOS): R replicas on R distinct hosts of one
+//     member, the first in route order (part three) that can take them. A
+//     host is viable when its shape holds the request and its post-placement
 //     subscription ratio (S+g)/(G·R) is within the high watermark, balanced
-//     when that ratio is also within the cluster's ΣS/(ΣG·R) (or nothing is
-//     subscribed). The R best balanced hosts win, or the R best viable ones:
-//     most idle GPUs, then lowest ratio, then host ID. Short of R viable, R
-//     hosts join at once (one scale-out) and placement is tried again; a
-//     session still unplaced, or whose request fits no host, is dropped.
+//     when that ratio is also within its member's ΣS/(ΣG·R) (or nothing is
+//     subscribed there). The R best balanced hosts win, or the R best viable
+//     ones: most idle GPUs, then lowest ratio, then host ID. Short of R viable
+//     anywhere, R hosts join one member at once (one scale-out) and placement
+//     is tried again; a session still unplaced, or whose request fits no
+//     member's shape, is dropped.
 //   - Binding (§3.2.2): a task commits min(task, reserved) GPUs, 16 GB of
 //     VRAM each, on the last executor's host if it can, else on the first
 //     replica's that can, until its reply returns.
 //   - Migration (§3.2.3): when every replica yields, a failed election is
 //     paid and the target is the most idle host outside the replicas that can
-//     commit the task; with none, a host is provisioned unless hosts are
-//     landing, and the task parks. After a warm container (refilled later) or
-//     a cold one and a checkpoint write and read, the replica on the host with
-//     the fewest idle GPUs moves to the target, and the task is resubmitted.
-//   - Autoscaling (§3.4.2, NotebookOS and LCP), each minute: expected = f ×
-//     committed GPUs (LCP: + 0.75 per live session). A shortfall of the GPUs
-//     provisioned and landing provisions ⌈shortfall/G⌉ hosts; else up to two
-//     empty hosts retire in join order while one fewer covers it, to MinHosts.
+//     commit the task, in the first member in route order that has one; with
+//     none, a host is provisioned unless hosts are landing there, and the
+//     task parks. After a warm container (refilled later) or a cold one and a
+//     checkpoint write and read, the replica on the host with the fewest idle
+//     GPUs moves to the target, and the task is resubmitted.
+//   - Autoscaling (§3.4.2, NotebookOS and LCP), each minute and member by
+//     member: expected = f × committed GPUs (LCP: + 0.75 per live session). A
+//     shortfall of the GPUs provisioned and landing provisions ⌈shortfall/G⌉
+//     hosts; else up to two empty hosts retire in join order while one fewer
+//     covers it, to MinHosts.
 //   - Baselines (§5.1.1): Reservation commits the session's request for its
 //     life on the most idle host that can hold it, or on a new host; a task
 //     starts at its submission plus a delay that leaves out any wait
@@ -56,7 +61,8 @@ import (
 //     container then joins the pool (BUG_LEDGER 40, below).
 //   - Parking: a task that can make no progress parks. A release on a member
 //     host or a host joining schedules one drain now (unless one is due),
-//     which retries every parked task once, in park order.
+//     which retries every parked task once, in park order (part three's
+//     order, under SLOAware).
 //
 // Order: events fire by (time, sequence number). Each event takes the next
 // number (a time in the past becomes now); admission sets one aside per task,
@@ -75,20 +81,33 @@ import (
 //	migration tried:          Election; then HostProvision (no target, nothing landing),
 //	                          or WarmAttach and ColdStart (the refill) or ColdStart,
 //	                          then Store.Put(params), Store.Get(params)
-//	execution ends:           NotebookOS: Hop, Sync, Store.Put(params)
+//	execution ends:           NotebookOS: Hop, Sync, Store.Put(params) (part three: not federated)
 //	                          the others: Store.Put(params), Hop
 //	autoscaler scales out:    HostProvision
 
-// refHost is one server of the cluster's one shape.
+// refHost is one server of its member's one shape.
 type refHost struct {
 	id            string
+	member        int
 	sub, replicas int             // the GPUs its replicas subscribe, and how many there are
 	commits       *resources.Pool // exclusive commitments, by session ID
 	warm          int             // warm containers
 }
 
+// refMember is one cluster: its hosts in join order, how many ever joined,
+// how many are landing, the record it keeps, and the parked tasks homed at
+// it (a routing snapshot's queue depth).
+type refMember struct {
+	spec            FedClusterSpec
+	hosts           []*refHost
+	joined, landing int
+	res             *FedClusterResult
+	qdepth          int
+}
+
 type refSession struct {
 	src              trace.Session
+	home             int        // its member, round-robin in arrival order
 	params, dataset  int64      // its model and dataset: one workload.Assign draw
 	hosts            []*refHost // its replicas in placement order; Reservation: its host; nil: dropped
 	lastExec         int        // 1 + the last executor's index, 0 before the first
@@ -109,6 +128,15 @@ type refTask struct {
 	training, dead bool
 }
 
+// refWaiter is a parked task: its retry, class weight, park time and park
+// number.
+type refWaiter struct {
+	try    func() bool
+	weight int64
+	parked time.Time
+	seq    int
+}
+
 type refEvent struct {
 	at   time.Time
 	seq  int64
@@ -117,46 +145,48 @@ type refEvent struct {
 
 type refModel struct {
 	p               *plan
-	spec            FedClusterSpec
 	rng, wr         *rand.Rand
 	now             time.Time
 	seq             int64
 	events          []refEvent // sorted by (at, seq)
-	hosts           []*refHost // in join order
-	joined, landing int        // hosts ever joined; hosts provisioned, not landed yet
-	parked          []func() bool
+	members         []*refMember
+	parked          []*refWaiter
 	drainDue        bool
 	whole           bool // whole servers are provisioned and autoscaled: NotebookOS and LCP
 	res             *Result
 	resvNS          int64   // the reserved-GPU integral's last step,
 	resvGPUs, resvH float64 // its level and its hours
-	parks, drops    int
+	parks, drops    int     // parks (the last one's number), dropped sessions
 	// The fault layer (reference_faults_test.go): the crash-path stream
 	// (seed + 3), the generator crash clocks draw through, the drain horizon,
 	// every admitted session in arrival order, and how often each fault rule
-	// fired.
+	// (and each federation rule) fired.
 	frng, crng *rand.Rand
 	horizon    time.Time
 	sessions   []*refSession
 	fired      map[string]int
+	// The federation (reference_fed_test.go): the degradation scale on every
+	// crossing (0: none), each round-robin scorer's rotation, and the last
+	// lean reservoir's seed.
+	scale      float64
+	rotation   []int
+	sampleSeed int64
 }
 
-// referenceRun replays a compiled single-cluster plan, faulted or not.
+// referenceRun replays a compiled plan, faulted or not.
 func referenceRun(p *plan) *refModel {
 	start, end := p.Source.Window()
-	sample := metrics.NewSample
-	m := &refModel{p: p, spec: p.Clusters[0], now: start, resvNS: start.UnixNano(), whole: p.Policy == PolicyNotebookOS || p.Policy == PolicyLCP,
+	m := &refModel{p: p, now: start, resvNS: start.UnixNano(), whole: p.Policy == PolicyNotebookOS || p.Policy == PolicyLCP,
 		rng: rand.New(rand.NewSource(p.Seed + 1)), wr: rand.New(rand.NewSource(p.Seed + 2)), horizon: end.Add(24 * time.Hour), fired: map[string]int{},
-		res: &Result{Policy: p.Policy, Events: []Event{}, StepLatency: map[Step]*metrics.Sample{},
-			ProvisionedGPUs: metrics.NewTimeline(), CommittedGPUs: metrics.NewTimeline(),
-			ActiveSessions: metrics.NewTimeline(), SR: metrics.NewTimeline(),
-			Interactivity: sample(), TCT: sample(), SyncLatency: sample(), ReadLatency: sample(), WriteLatency: sample()}}
-	for _, st := range Steps() {
-		m.res.StepLatency[st] = sample()
-	}
+		rotation: make([]int, len(p.Route.Scorers)), sampleSeed: p.Seed + 1000}
+	m.res = m.recorders()
 	m.initFaults()
-	for range m.spec.Hosts {
-		m.addHost()
+	for i, spec := range p.Clusters {
+		m.members = append(m.members, &refMember{spec: spec,
+			res: &FedClusterResult{Name: spec.Name, ProvisionedGPUs: m.timeline(), CommittedGPUs: m.timeline()}})
+		for range spec.Hosts {
+			m.addHost(i)
+		}
 	}
 	var sessions []trace.Session
 	if err := p.Source.Sessions(func(s *trace.Session) bool { sessions = append(sessions, *s); return true }); err != nil {
@@ -179,13 +209,7 @@ func referenceRun(p *plan) *refModel {
 	}
 	m.runThrough(m.horizon)
 	m.reserve(end, 0)
-	r := m.res
-	r.ActiveGPUHours, r.ReservedGPUHours = r.CommittedGPUs.Integral(start, end), m.resvH
-	r.ProvisionedGPUHours = r.ProvisionedGPUs.Integral(start, end)
-	r.ServerHours = r.ProvisionedGPUHours / float64(m.spec.HostCapacity.GPUs)
-	if p.Policy == PolicyNotebookOS {
-		r.StandbyReplicaHours = r.ActiveSessions.Integral(start, end) * float64(p.ReplicasPerKernel)
-	}
+	m.finish(start, end)
 	return m
 }
 
@@ -213,29 +237,34 @@ func (m *refModel) runThrough(t time.Time) {
 	m.now = t
 }
 
-func (m *refModel) addHost() *refHost {
-	m.joined++
-	h := &refHost{id: fmt.Sprintf("%s-h%04d", m.spec.Name, m.joined), commits: resources.NewPool(m.spec.HostCapacity), warm: m.p.PrewarmPerHost}
-	m.hosts = append(m.hosts, h)
+// addHost joins a host to member i as the next of its host sequence.
+func (m *refModel) addHost(i int) *refHost {
+	mb := m.members[i]
+	mb.joined++
+	h := &refHost{id: fmt.Sprintf("%s-h%04d", mb.spec.Name, mb.joined), member: i, commits: resources.NewPool(mb.spec.HostCapacity), warm: m.p.PrewarmPerHost}
+	mb.hosts = append(mb.hosts, h)
 	m.wake()
-	m.armHostFaults(h)
+	m.armHostFaults(h, uint64(i)<<40|uint64(mb.joined))
 	return h
 }
 
-func (m *refModel) idle(h *refHost) int { return m.spec.HostCapacity.GPUs - h.commits.Committed().GPUs }
+func (m *refModel) shape(h *refHost) resources.Spec { return m.members[h.member].spec.HostCapacity }
+func (m *refModel) idle(h *refHost) int             { return m.shape(h).GPUs - h.commits.Committed().GPUs }
 
-// totals sums the cluster's GPUs, subscribed GPUs and committed GPUs.
-func (m *refModel) totals() (gpus, sub, committed int) {
-	for _, h := range m.hosts {
-		gpus, sub, committed = gpus+m.spec.HostCapacity.GPUs, sub+h.sub, committed+h.commits.Committed().GPUs
+// totals sums the members' GPUs, subscribed GPUs and committed GPUs.
+func (m *refModel) totals(mbs ...*refMember) (gpus, sub, committed int) {
+	for _, mb := range mbs {
+		for _, h := range mb.hosts {
+			gpus, sub, committed = gpus+mb.spec.HostCapacity.GPUs, sub+h.sub, committed+h.commits.Committed().GPUs
+		}
 	}
 	return gpus, sub, committed
 }
 
-// sr is the cluster's subscription ratio ΣS/(ΣG·R), 0 while crashes have
+// sr is the members' subscription ratio ΣS/(ΣG·R), 0 while crashes have
 // left no host.
-func (m *refModel) sr() float64 {
-	if g, s, _ := m.totals(); g > 0 {
+func (m *refModel) sr(mbs ...*refMember) float64 {
+	if g, s, _ := m.totals(mbs...); g > 0 {
 		return float64(s) / float64(g*m.p.ReplicasPerKernel)
 	}
 	return 0
@@ -250,7 +279,7 @@ func (m *refModel) subscribe(ss *refSession, h *refHost, sign int) {
 // member, wakes the parked.
 func (m *refModel) release(ss *refSession, h *refHost) {
 	_, _ = h.commits.Release(ss.src.ID)
-	if slices.Contains(m.hosts, h) {
+	if slices.Contains(m.members[h.member].hosts, h) {
 		m.wake()
 	}
 }
@@ -262,18 +291,19 @@ func (m *refModel) wake() {
 		m.after(0, func() {
 			retry := m.parked
 			m.parked, m.drainDue = nil, false
-			m.parked = append(slices.DeleteFunc(retry, func(try func() bool) bool { return try() }), m.parked...)
+			m.drainOrder(retry)
+			m.parked = append(slices.DeleteFunc(retry, func(w *refWaiter) bool { return w.try() }), m.parked...)
 		})
 	}
 }
 
-// place selects R hosts for a session's request (§3.2.1), or none.
-func (m *refModel) place(req resources.Spec) []*refHost {
-	r, limit := m.p.ReplicasPerKernel, m.sr()
-	postSR := func(h *refHost) float64 { return float64(h.sub+req.GPUs) / float64(m.spec.HostCapacity.GPUs*r) }
+// place selects R hosts of member mb for a session's request (§3.2.1), or none.
+func (m *refModel) place(mb *refMember, req resources.Spec) []*refHost {
+	r, limit, shape := m.p.ReplicasPerKernel, m.sr(mb), mb.spec.HostCapacity
+	postSR := func(h *refHost) float64 { return float64(h.sub+req.GPUs) / float64(shape.GPUs*r) }
 	var viable, balanced []*refHost
-	for _, h := range m.hosts {
-		if req.Fits(m.spec.HostCapacity) && postSR(h) <= m.p.SRHighWatermark {
+	for _, h := range mb.hosts {
+		if req.Fits(shape) && postSR(h) <= m.p.SRHighWatermark {
 			viable = append(viable, h)
 			if limit == 0 || postSR(h) <= limit {
 				balanced = append(balanced, h)
@@ -292,14 +322,21 @@ func (m *refModel) place(req resources.Spec) []*refHost {
 }
 
 // mostIdle is the most idle host outside ss's replicas that can commit need
-// (the first joined, on ties).
-func (m *refModel) mostIdle(ss *refSession, need resources.Spec) (best *refHost) {
-	for _, h := range m.hosts {
-		if !slices.Contains(ss.hosts, h) && h.commits.CanCommit(need) && (best == nil || m.idle(h) > m.idle(best)) {
-			best = h
+// (the first joined, on ties), in the first member in route order that has
+// one.
+func (m *refModel) mostIdle(ss *refSession, need resources.Spec) *refHost {
+	for _, i := range m.order(ss.home) {
+		var best *refHost
+		for _, h := range m.members[i].hosts {
+			if !slices.Contains(ss.hosts, h) && h.commits.CanCommit(need) && (best == nil || m.idle(h) > m.idle(best)) {
+				best = h
+			}
+		}
+		if best != nil {
+			return best
 		}
 	}
-	return best
+	return nil
 }
 
 // admit files the admission of sessions[i], if there is one, which files
@@ -310,7 +347,8 @@ func (m *refModel) admit(sessions []trace.Session, i int) {
 	}
 	m.at(sessions[i].Start, func() {
 		a := workload.Assign(m.wr)
-		ss := &refSession{src: sessions[i], params: a.Model.ParamBytes, dataset: a.Dataset.SizeBytes}
+		ss := &refSession{src: sessions[i], home: i % len(m.members), params: a.Model.ParamBytes, dataset: a.Dataset.SizeBytes}
+		m.members[ss.home].res.HomeSessions++
 		m.sessions = append(m.sessions, ss)
 		m.sessionStarts(ss)
 		m.at(ss.src.End, func() { m.sessionEnds(ss) })
@@ -331,18 +369,17 @@ func (m *refModel) sessionStarts(ss *refSession) {
 			ss.hosts = []*refHost{h}
 		}
 	case PolicyNotebookOS:
-		ss.hosts = m.place(req)
-		if ss.hosts == nil && req.Fits(m.spec.HostCapacity) {
-			for range m.p.ReplicasPerKernel {
-				m.addHost()
+		placed := m.placeSession(ss)
+		if !placed {
+			if grow, ok := m.grow(ss.home, req, "kernel"); ok {
+				for range m.p.ReplicasPerKernel {
+					m.addHost(grow)
+				}
+				m.scaledOut(grow)
+				placed = m.placeSession(ss)
 			}
-			m.scaledOut()
-			ss.hosts = m.place(req)
 		}
-		for _, h := range ss.hosts {
-			m.subscribe(ss, h, 1)
-		}
-		if ss.hosts != nil {
+		if placed {
 			m.event(Event{Kind: "kernel-created"})
 			m.sampleSR()
 		}
@@ -357,8 +394,8 @@ func (m *refModel) sessionStarts(ss *refSession) {
 func (m *refModel) reserveHost(ss *refSession) *refHost {
 	req := ss.src.Request
 	h := m.mostIdle(ss, req)
-	if h == nil && req.Fits(m.spec.HostCapacity) {
-		h = m.addHost()
+	if h == nil && req.Fits(m.members[ss.home].spec.HostCapacity) {
+		h = m.addHost(ss.home)
 	}
 	if h == nil || h.commits.Commit(ss.src.ID, req) != nil {
 		return nil
@@ -405,12 +442,27 @@ func (m *refModel) startNext(ss *refSession) {
 	}
 }
 
-// startTask tries the task and parks it when it can make no progress.
+// startTask tries the task and parks it when it can make no progress: weight
+// 1, or its class's under SLOAware, and counted in its home's queue depth
+// until a retry makes progress.
 func (m *refModel) startTask(ss *refSession, task trace.Task, submit time.Time) {
-	if !m.try(ss, task, submit) {
-		m.parks++
-		m.parked = append(m.parked, func() bool { return m.try(ss, task, submit) })
+	if m.try(ss, task, submit) {
+		return
 	}
+	m.parks++
+	home := m.members[ss.home]
+	home.qdepth++
+	w := &refWaiter{weight: 1, parked: m.now, seq: m.parks, try: func() bool {
+		ok := m.try(ss, task, submit)
+		if ok {
+			home.qdepth--
+		}
+		return ok
+	}}
+	if m.p.SLOAware {
+		w.weight = int64(ss.src.SLO.Weight())
+	}
+	m.parked = append(m.parked, w)
 }
 
 // record adds each request-path stage's duration to its sample (Figs. 16-19).
@@ -433,6 +485,7 @@ func (m *refModel) try(ss *refSession, task trace.Task, submit time.Time) bool {
 		return true // a dropped session swallows its tasks
 	}
 	h, nbos := ss.hosts[0], m.p.Policy == PolicyNotebookOS // the same request path, but for the executor and election
+	var wan time.Duration
 	if nbos {
 		can := func(h *refHost) bool { return h != nil && h.commits.CanCommit(req) }
 		executor := 1 + slices.IndexFunc(ss.hosts, can)
@@ -449,6 +502,8 @@ func (m *refModel) try(ss *refSession, task trace.Task, submit time.Time) bool {
 			}
 		}
 		h, ss.lastExec = ss.hosts[executor-1], executor
+		m.members[h.member].res.Tasks++
+		wan = m.remote(ss, h)
 	}
 	wait := m.now.Sub(submit)
 	step1, step5, step6 := lat.GSProcess(m.rng), lat.PreProcess(m.rng), time.Duration(0)
@@ -462,7 +517,7 @@ func (m *refModel) try(ss *refSession, task trace.Task, submit time.Time) bool {
 	}
 	step7 := lat.Transfer.LoadTime(ss.params, task.GPUs)
 	m.record(map[Step]time.Duration{StepGSProcess: step1, StepPreProcess: step5, StepElection: step6, StepIntermed: step7})
-	delay := wait + step1 + step5 + step6 + step7 + lat.Hop(m.rng) + lat.Hop(m.rng)
+	delay := wait + step1 + step5 + step6 + step7 + lat.Hop(m.rng) + lat.Hop(m.rng) + wan
 	m.launch(ss, task, submit, h, delay, submit.Add(delay))
 	return true
 }
@@ -474,7 +529,7 @@ func (m *refModel) container(ss *refSession, task trace.Task, submit time.Time, 
 		req = ss.src.Request // a job takes the whole reservation
 		h = m.mostIdle(ss, req)
 	}
-	for _, c := range m.hosts {
+	for _, c := range m.members[0].hosts { // LCP runs one cluster
 		if m.p.Policy == PolicyLCP && c.commits.CanCommit(req) && (h == nil || h.warm == 0 && c.warm > 0) {
 			h = c
 		}
@@ -508,8 +563,8 @@ func (m *refModel) migrate(ss *refSession, task trace.Task, submit time.Time, re
 	cost := lat.Election(m.rng)
 	target := m.mostIdle(ss, req)
 	if target == nil {
-		if req.Fits(m.spec.HostCapacity) && m.landing == 0 {
-			m.provision(1)
+		if grow, ok := m.grow(ss.home, req, "migration"); ok && m.members[grow].landing == 0 {
+			m.provision(grow, 1)
 		}
 		return false
 	}
@@ -534,8 +589,10 @@ func (m *refModel) migrate(ss *refSession, task trace.Task, submit time.Time, re
 			}
 		}
 	}
+	old := ss.hosts[victim]
+	cost += m.crossing(old, target)
 	if !ss.closed { // a task that outlives its session moves alone
-		if old := ss.hosts[victim]; old != nil {
+		if old != nil {
 			m.subscribe(ss, old, -1)
 		}
 		m.subscribe(ss, target, 1)
@@ -552,6 +609,7 @@ func (m *refModel) migrate(ss *refSession, task trace.Task, submit time.Time, re
 // tail, the reply. Reservation files the training's start and end at once.
 func (m *refModel) launch(ss *refSession, task trace.Task, submit time.Time, h *refHost, delay time.Duration, start time.Time) {
 	lat, nbos := &m.p.Latencies, m.p.Policy == PolicyNotebookOS
+	committed := m.members[h.member].res.CommittedGPUs
 	t := &refTask{task: task, submit: submit, h: h}
 	ss.cur = t
 	executed := func() {
@@ -565,7 +623,7 @@ func (m *refModel) launch(ss *refSession, task trace.Task, submit time.Time, h *
 		}
 		ret := lat.Hop(m.rng)
 		m.record(map[Step]time.Duration{StepExec: task.Duration, StepPostProc: post, StepReturn: ret})
-		if nbos {
+		if nbos && !m.p.federated {
 			m.res.SyncLatency.Add(lat.Sync(m.rng).Seconds())
 			m.res.WriteLatency.Add(lat.Store.PutLatency(ss.params, m.rng).Seconds())
 		}
@@ -573,7 +631,7 @@ func (m *refModel) launch(ss *refSession, task trace.Task, submit time.Time, h *
 			if t.dead {
 				return
 			}
-			m.res.CommittedGPUs.Delta(m.now, -float64(task.GPUs))
+			committed.Delta(m.now, -float64(task.GPUs))
 			if m.p.Policy != PolicyReservation {
 				m.release(ss, h)
 			}
@@ -586,6 +644,7 @@ func (m *refModel) launch(ss *refSession, task trace.Task, submit time.Time, h *
 			m.res.Interactivity.Add(delay.Seconds())
 			m.res.TCT.Add(tct.Seconds())
 			m.record(map[Step]time.Duration{StepE2E: tct})
+			m.res.ClassDelay[ss.src.SLO.OrDefault()].Add(delay.Seconds())
 			m.res.Tasks++
 			m.startNext(ss)
 		})
@@ -595,7 +654,7 @@ func (m *refModel) launch(ss *refSession, task trace.Task, submit time.Time, h *
 			return
 		}
 		t.training, t.tstart = true, m.now
-		m.res.CommittedGPUs.Delta(m.now, float64(task.GPUs))
+		committed.Delta(m.now, float64(task.GPUs))
 		if m.p.Policy != PolicyReservation {
 			m.after(task.Duration, executed)
 		}
@@ -605,64 +664,104 @@ func (m *refModel) launch(ss *refSession, task trace.Task, submit time.Time, h *
 	}
 }
 
+// autoscale is one tick: the pooled decision (part three), or each member's.
 func (m *refModel) autoscale() {
-	g := m.spec.HostCapacity.GPUs
-	total, _, committed := m.totals()
-	expected := float64(m.p.ScaleFactor * float64(committed))
-	if m.p.Policy == PolicyLCP {
-		expected += float64(0.75 * m.res.ActiveSessions.Last())
-	}
-	if total += m.landing * g; float64(total) < expected {
-		m.provision(int(math.Ceil((expected - float64(total)) / float64(g))))
+	if m.p.PooledAutoscale {
+		m.autoscalePooled()
 		return
 	}
-	if float64(total)-float64(g) <= expected || len(m.hosts) <= m.spec.MinHosts {
-		return
-	}
-	retired := 0
-	for i := 0; i < len(m.hosts) && retired < 2; {
-		if h := m.hosts[i]; h.replicas == 0 && h.commits.Committed().IsZero() {
-			m.hosts = slices.Delete(m.hosts, i, i+1)
-			m.res.Availability.Delta(m.now, -1)
-			retired++
-		} else {
-			i++
+	for i, mb := range m.members {
+		g := mb.spec.HostCapacity.GPUs
+		total, _, committed := m.totals(mb)
+		expected := float64(m.p.ScaleFactor * float64(committed))
+		if m.p.Policy == PolicyLCP {
+			expected += float64(0.75 * m.res.ActiveSessions.Last())
 		}
-		if gpus, _, _ := m.totals(); len(m.hosts) <= m.spec.MinHosts || float64(gpus)-float64(g) <= expected {
-			break
+		if total += mb.landing * g; float64(total) < expected {
+			m.provision(i, int(math.Ceil((expected-float64(total))/float64(g))))
+			continue
 		}
-	}
-	if retired > 0 {
-		m.res.ScaleIns++
-		m.event(Event{Kind: "scale-in"})
-		m.sampleProvisioned()
+		if float64(total)-float64(g) <= expected || len(mb.hosts) <= mb.spec.MinHosts {
+			continue
+		}
+		if m.retire(i, 2, func() bool {
+			gpus, _, _ := m.totals(mb)
+			return len(mb.hosts) <= mb.spec.MinHosts || float64(gpus)-float64(g) <= expected
+		}) > 0 {
+			m.scaledIn(i)
+		}
 	}
 }
 
-// provision starts n hosts, which land after one HostProvision draw.
-func (m *refModel) provision(n int) {
-	m.landing += n
-	m.scaledOut()
+// retire retires up to n empty hosts of member i in join order, until done
+// says so after a host is tried; it returns how many it retired.
+func (m *refModel) retire(i, n int, done func() bool) (retired int) {
+	mb := m.members[i]
+	for j := 0; j < len(mb.hosts) && retired < n; {
+		if h := mb.hosts[j]; h.replicas == 0 && h.commits.Committed().IsZero() {
+			mb.hosts = slices.Delete(mb.hosts, j, j+1)
+			m.res.Availability.Delta(m.now, -1)
+			retired++
+		} else {
+			j++
+		}
+		if done() {
+			break
+		}
+	}
+	return retired
+}
+
+// provision starts n hosts for member i, which land after one HostProvision
+// draw.
+func (m *refModel) provision(i, n int) {
+	mb := m.members[i]
+	mb.landing += n
+	m.scaledOut(i)
 	m.after(m.p.Latencies.HostProvision(m.rng), func() {
 		for range n {
-			m.addHost()
+			m.addHost(i)
 		}
-		m.landing -= n
+		mb.landing -= n
 		m.sampleProvisioned()
 	})
 }
 
-func (m *refModel) scaledOut()    { m.res.ScaleOuts++; m.event(Event{Kind: "scale-out"}) }
-func (m *refModel) event(e Event) { e.T = m.now.UnixNano(); m.res.Events = append(m.res.Events, e) }
-func (m *refModel) sampleSR()     { m.res.SR.Set(m.now, m.sr()) }
+func (m *refModel) scaledOut(i int) {
+	m.res.ScaleOuts++
+	m.members[i].res.ScaleOuts++
+	m.event(Event{Kind: "scale-out"})
+}
 
-// sampleProvisioned records provisioned GPUs (Fig. 8): servers, or commitments.
+func (m *refModel) scaledIn(i int) {
+	m.res.ScaleIns++
+	m.members[i].res.ScaleIns++
+	m.event(Event{Kind: "scale-in"})
+	m.sampleProvisioned()
+}
+
+// event adds to the Fig. 10 record, where the run keeps one.
+func (m *refModel) event(e Event) {
+	if m.res.Events != nil {
+		e.T = m.now.UnixNano()
+		m.res.Events = append(m.res.Events, e)
+	}
+}
+
+func (m *refModel) sampleSR() { m.res.SR.Set(m.now, m.sr(m.members...)) }
+
+// sampleProvisioned records each member's provisioned GPUs (Fig. 8):
+// servers, or commitments.
 func (m *refModel) sampleProvisioned() {
-	if gpus, _, committed := m.totals(); m.whole {
-		m.res.ProvisionedGPUs.Set(m.now, float64(gpus))
+	for _, mb := range m.members {
+		if gpus, _, committed := m.totals(mb); m.whole {
+			mb.res.ProvisionedGPUs.Set(m.now, float64(gpus))
+		} else {
+			mb.res.ProvisionedGPUs.Set(m.now, float64(committed))
+		}
+	}
+	if m.whole {
 		m.sampleSR()
-	} else {
-		m.res.ProvisionedGPUs.Set(m.now, float64(committed))
 	}
 }
 

@@ -59,7 +59,17 @@ type mutant struct {
 // rehome that never takes a warm container, a restart without its penalty,
 // a re-bound Reservation that keeps its task, an outage drawing from the
 // next window's stream, and a crash clock keyed by list position instead of
-// host slot. Then the cluster's replica list and ID index, each
+// host slot. Then the federation's rules, each broken once and killed by the
+// reference model's third part (internal/sim/reference_fed_test.go): a
+// plan that keeps the caller's route policy (killed by the double run of
+// every policy instead), routing that ignores the latency matrix, a
+// round-robin that rotates backwards, work that never leaves its home, a
+// remote-execution or migration crossing charged wrong, a degradation that
+// scales nothing, a scoped outage that strikes every member, a pooled drain
+// that retires more than decided, an SLO queue blind to the class, a
+// federated run that draws the Fig. 11 costs, lean reservoirs seeded one on,
+// and the three ways an emergency scale-out can grow the wrong member.
+// Then the cluster's replica list and ID index, each
 // killed by a cluster unit test: a removal that deletes the list's last
 // entry, a placement without its duplicate check, and a join that ignores
 // the index's found flag. Last, TestRunnersConserveTasks' sharded cases and
@@ -277,6 +287,81 @@ var mutants = []mutant{
 	{
 		name: "a crash clock keys on the host's place in the list", file: "internal/sim/sim.go",
 		old: "s.armHostFaults(h, m.hostSeq)", new: "s.armHostFaults(h, len(m.hosts))",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "plan keeps the caller's Route", file: "internal/sim/plan.go",
+		old: "p.Route = cmp.Or(p.Route, federation.LocalFirst()).Fresh()", new: "p.Route = cmp.Or(p.Route, federation.LocalFirst())",
+		pkg: "./internal/sim", run: "^TestFederatedSameSeedBitForBit$", want: "round-robin: same seed diverged",
+	},
+	{
+		name: "routing ignores the latency matrix", file: "internal/federation/scorer.go",
+		old: "RoundTripSeconds: f.RoundTrip(home, m.Index).Seconds(),", new: "RoundTripSeconds: 0,",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "round-robin rotates backwards", file: "internal/federation/scorer.go",
+		old: "return float64(((i-r.decisions)%n + n) % n)", new: "return float64(((i+r.decisions)%n + n) % n)",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "work never leaves its home member", file: "internal/sim/sim.go",
+		old: "\treturn s.cfg.Route.Order(s.fed, home, &s.scratch)\n", new: "\treturn []int{home}\n",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a remote execution pays one way", file: "internal/sim/sim.go",
+		old: "wan = s.fed.RoundTrip(ss.home, h.member)", new: "wan = s.fed.Penalty(ss.home, h.member)",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a cross-member migration charges no crossing", file: "internal/sim/sim.go",
+		old: "\t\textra += s.fed.RoundTrip(old.member, target.member)\n", new: "",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a degradation scales nothing", file: "internal/sim/faults.go",
+		old: "s.fed.SetPenaltyScale(d.Factor)", new: "s.fed.SetPenaltyScale(1)",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a scoped outage strikes every member", file: "internal/sim/faults.go",
+		old: "if o.Cluster != \"\" && o.Cluster != m.spec.Name {", new: "if false {",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a pooled drain retires more than decided", file: "internal/sim/fed.go",
+		old: "s.retireEmpty(s.members[dec.Member], dec.Hosts, ", new: "s.retireEmpty(s.members[dec.Member], 2, ",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "the SLO queue ignores the class", file: "internal/sim/sim.go",
+		old: "weight = ss.slo.Weight()", new: "weight = 2",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a federated run draws the Fig. 11 costs", file: "internal/sim/taskfsm.go",
+		old: "if s.cfg.Policy == PolicyNotebookOS && !s.cfg.federated {", new: "if s.cfg.Policy == PolicyNotebookOS {",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "lean reservoirs are seeded one on", file: "internal/sim/sim.go",
+		old: "sampleSeq: p.Seed + 1000,", new: "sampleSeq: p.Seed + 1001,",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a kernel scale-out grows the home member", file: "internal/sim/sim.go",
+		old: "\tif req.Fits(s.members[home].spec.HostCapacity) {\n\t\treturn home, true\n\t}\n", new: "\treturn home, true\n",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a migration scale-out grows the home member", file: "internal/sim/sim.go",
+		old: "if grow, ok := s.scaleOutMember(ss.home, req); ok &&", new: "if grow, ok := ss.home, req.Fits(s.members[ss.home].spec.HostCapacity); ok &&",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a session no member holds grows one anyway", file: "internal/sim/sim.go",
+		old: "\t\t\tgrow, ok := s.scaleOutMember(ss.home, ss.req)\n\t\t\tif !ok {\n\t\t\t\treturn\n\t\t\t}\n", new: "\t\t\tgrow, _ := s.scaleOutMember(ss.home, ss.req)\n",
 		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
 	},
 	{
