@@ -72,7 +72,9 @@ import (
 //   - crashed: no live session keeps a replica, or its reservation, on a host
 //     that has left its member.
 //   - waitq: the wait-queue holds exactly the parked tasks each home member's
-//     queue-depth gauge counts (len(waitq.q) == Σ qdepth).
+//     queue-depth gauge counts (len(waitq.q) == Σ qdepth), and each rides a
+//     machine in phaseParked that is neither on the idle list nor a busy
+//     session's current task (taskfsm.go's recycling rule).
 //   - pending: the engine's pending events are bounded by what can hold one.
 //     Per session: its end while it is live, its next arrival while tasks
 //     remain, and one phase event of its current task (a Reservation task's
@@ -483,6 +485,18 @@ func (a *auditor) audit() {
 	}
 	if n := len(s.waitq.q); n != depth {
 		a.fail(checkWaitq, "%d parked tasks; the members' queue-depth gauges sum to %d", n, depth)
+	}
+	for _, w := range s.waitq.q {
+		switch t, ok := w.waiter.(*runningTask); {
+		case !ok:
+			a.fail(checkWaitq, "a parked waiter is %T, not a task machine", w.waiter)
+		case t.phase != phaseParked:
+			a.fail(checkWaitq, "session %s's parked machine is in phase %d", t.ss.id, t.phase)
+		case slices.Contains(s.idle, t):
+			a.fail(checkWaitq, "session %s's parked machine is on the idle list", t.ss.id)
+		case slices.ContainsFunc(a.busy, func(ss *session) bool { return ss.cur == t }):
+			a.fail(checkWaitq, "session %s's parked machine is a session's current task", t.ss.id)
+		}
 	}
 	if depth > 0 {
 		a.witnessed[checkWaitq]++

@@ -7,7 +7,7 @@ import "notebookos/internal/trace"
 // calls a federated run, the shard-seed derivation and its lease-pool
 // workload's capacity mode by, and this file's only content. Nothing else in
 // the repository may use the first three (root TestConfigOptionsHaveSetters
-// checks), nothing outside this package's tests uses ShardSeed, and only
+// checks), only bench/measure.go's legacy pipeline calls ShardSeed, and only
 // bench/'s lease-summer-k2 workload sets ShardCapacity. ROADMAP item 3, the
 // benchmark change that re-points bench/ at Config, Run, Result and
 // trace.ShardSeed, deletes the file.

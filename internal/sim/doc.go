@@ -62,7 +62,7 @@
 //     trace.StreamSplit's generators with equal weights (streamParts), its
 //     own plan replaying the unsplit generator. The driver clamps the shard
 //     count to the smallest member, derives the worker plans (plan.shard:
-//     capacity split by weight, ShardSeed-derived seeds, a private
+//     capacity split by weight, trace.ShardSeed-derived seeds, a private
 //     route-policy instance each), and runs k plain runs on the goroutines of
 //     inParallel, merged with MergeResults — timelines through
 //     metrics.MergeTimelines, samples through metrics.MergeSamples (the

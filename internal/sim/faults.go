@@ -48,10 +48,10 @@ import (
 //
 // The executable form of these rules is the reference model's second part
 // (reference_faults_test.go): TestReferenceModel and FuzzConfigPlan hold
-// every single-cluster faulted run to it, fingerprint for fingerprint,
-// availability timeline and recovery charges included. It keeps today's
-// known defects as named clauses (docs/BUG_LEDGER.md rows 38, 39 and 41), so
-// a fix here changes one clause there.
+// every faulted run to it, fingerprint for fingerprint, availability
+// timeline and recovery charges included. It keeps today's known defects as
+// named clauses (docs/BUG_LEDGER.md rows 38, 39 and 41), so a fix here
+// changes one clause there.
 
 // initFaults arms the run's fault layer: the dedicated crash-path RNG,
 // the availability/recovery recorders, one event per outage window, and

@@ -250,9 +250,7 @@ func (p *plan) shard(weights []float64) []*plan {
 func floorShares(weights []float64, floor int) []int {
 	shares := trace.ProportionalShares(weights, floor, 1)
 	for i, s := range shares {
-		if s < 1 {
-			shares[i] = 1
-		}
+		shares[i] = max(s, 1)
 	}
 	return shares
 }

@@ -129,6 +129,7 @@ func TestReferenceModel(t *testing.T) {
 			"abandonments": r.Abandonments, "Reservation re-binds": m.fired["reservation re-binds"],
 			"Batch/LCP aborts": m.fired["container aborts"], "outage victims": m.fired["outage victims"],
 			"runs that lose GPU-hours": lost, "BUG_LEDGER 38": m.fired["row 38"], "BUG_LEDGER 39": m.fired["row 39"],
+			"BUG_LEDGER 42": m.fired["row 42"], "BUG_LEDGER 43": m.fired["row 43"],
 			"federations that place on every member": everyMember, "remote placements": r.RemotePlacements,
 			"remote executions": r.RemoteExecutions, "cross-member migrations": r.CrossMigrations,
 			"degraded charges": m.fired["degraded charges"], "scoped-outage victims": m.fired["scoped-outage victims"],

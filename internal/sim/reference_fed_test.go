@@ -57,8 +57,9 @@ import (
 //     fails keeps its park time and park number, and the failures stay parked
 //     in the order they were retried, ahead of the tasks parked meanwhile. At
 //     one weight that is park order. No case of TestReferenceModel reaches
-//     promotion: a task that parks again after a migration parks anew, so no
-//     wait it makes has lasted 30 minutes.
+//     promotion: a task that parks again after a migration parks anew
+//     (BUG_LEDGER 43, in part one's migrate), so no wait it makes has lasted
+//     30 minutes.
 //   - Pooled autoscaling: under PooledAutoscale each tick builds every
 //     member's federation.MemberLoad (hosts, hosts landing, GPUs per host,
 //     committed and subscribed GPUs, empty hosts) and asks

@@ -46,7 +46,9 @@ import (
 //     none, a host is provisioned unless hosts are landing there, and the
 //     task parks. After a warm container (refilled later) or a cold one and a
 //     checkpoint write and read, the replica on the host with the fewest idle
-//     GPUs moves to the target, and the task is resubmitted.
+//     GPUs moves to the target, and the task is resubmitted. The move commits
+//     nothing on the target (BUG_LEDGER 42, below), and a task that parks
+//     after it parks anew (BUG_LEDGER 43, below).
 //   - Autoscaling (§3.4.2, NotebookOS and LCP), each minute and member by
 //     member: expected = f × committed GPUs (LCP: + 0.75 per live session). A
 //     shortfall of the GPUs provisioned and landing provisions ⌈shortfall/G⌉
@@ -92,6 +94,7 @@ type refHost struct {
 	sub, replicas int             // the GPUs its replicas subscribe, and how many there are
 	commits       *resources.Pool // exclusive commitments, by session ID
 	warm          int             // warm containers
+	inbound       int             // migrations onto it whose tasks have not been resubmitted
 }
 
 // refMember is one cluster: its hosts in join order, how many ever joined,
@@ -589,6 +592,13 @@ func (m *refModel) migrate(ss *refSession, task trace.Task, submit time.Time, re
 			}
 		}
 	}
+	// BUG_LEDGER 42: a migration commits nothing on its target, so every task
+	// one drain retries can move a replica onto the same host — the one that
+	// just landed — though fewer of them fit there than move.
+	if target.inbound > 0 {
+		m.fired["row 42"]++
+	}
+	target.inbound++
 	old := ss.hosts[victim]
 	cost += m.crossing(old, target)
 	if !ss.closed { // a task that outlives its session moves alone
@@ -601,7 +611,17 @@ func (m *refModel) migrate(ss *refSession, task trace.Task, submit time.Time, re
 	m.res.Migrations++
 	m.event(Event{Kind: "kernel-migration"})
 	m.sampleSR()
-	m.after(cost+write+read, func() { m.startTask(ss, task, submit) })
+	m.after(cost+write+read, func() {
+		target.inbound--
+		parks := m.parks
+		m.startTask(ss, task, submit)
+		// BUG_LEDGER 43: a task that parks after its migration parks anew,
+		// aged from now, so the 30-minute promotion bounds one park, not the
+		// task's whole wait.
+		if m.parks > parks {
+			m.fired["row 43"]++
+		}
+	})
 	return true
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"math"
@@ -363,8 +364,9 @@ func (ss *session) must(ok bool, what string, h *host) {
 // host pairs a cluster host with the simulator's per-host state (owning
 // member, warm-container count), so the hot placement scans walk one slice
 // instead of re-fetching the host list and hitting a string-keyed map. The
-// record holds its cluster.Host by value, one allocation for both; the
-// cluster keeps &h, so a record is never copied once its host has joined.
+// record holds its cluster.Host by value and comes from its member's block
+// (member.nextHost); the cluster keeps &h, so a record is never copied once
+// its host has joined, nor reused.
 type host struct {
 	s      *sim
 	h      cluster.Host
@@ -393,6 +395,11 @@ type member struct {
 	hosts   []*host
 	bySlot  []*host
 	hostSeq int
+	// block holds the records of the member's current block of hosts, ids
+	// their IDs, host j's ending at ends[j+1] (nextHost).
+	block []host
+	ids   string
+	ends  [hostsPerBlock + 1]int
 	// pendingHosts counts servers being provisioned (scale-out latency).
 	pendingHosts int
 	// res holds the member's series and counters. A run of one member
@@ -771,8 +778,8 @@ func (s *sim) now() time.Time { return s.eng.Now() }
 // clock.
 func (s *sim) addHost(mi int) *host {
 	m := s.members[mi]
-	m.hostSeq++
-	h := &host{s: s, h: *cluster.NewHost(hostID(m.spec.Name, m.hostSeq), m.spec.HostCapacity), member: mi, warm: s.cfg.PrewarmPerHost}
+	h, id := m.nextHost()
+	*h = host{s: s, h: *cluster.NewHost(id, m.spec.HostCapacity), member: mi, warm: s.cfg.PrewarmPerHost}
 	if err := m.c.AddHost(&h.h); err != nil {
 		panic(err)
 	}
@@ -787,12 +794,39 @@ func (s *sim) addHost(mi int) *host {
 	return h
 }
 
-// hostID names slot seq of a member's host sequence as fmt's "%s-h%04d"
-// does, in one allocation. Host IDs order the cluster's rows
+// hostsPerBlock is how many host records, and IDs, a member allocates at
+// once, as trace's idsPerBlock does for session IDs. A record is never
+// reused: a block stays alive until its last host is unreachable, so a
+// crashed host's pending replacement, warm refill or crash clock stays valid.
+const hostsPerBlock = 32
+
+// nextHost is the next slot of the member's host sequence: its record, to
+// fill in, and its ID.
+func (m *member) nextHost() (*host, string) {
+	j := m.hostSeq % hostsPerBlock
+	m.hostSeq++
+	if j == 0 {
+		m.block = make([]host, hostsPerBlock)
+		m.ids = hostIDs(&m.ends, m.spec.Name, m.hostSeq)
+	}
+	return &m.block[j], m.ids[m.ends[j]:m.ends[j+1]]
+}
+
+// hostIDs names slots first to first+hostsPerBlock-1 of a member's host
+// sequence as fmt's "%s-h%04d" does, in one string, slot first+j ending at
+// ends[j+1] (ends[0] stays 0). Host IDs order the cluster's rows
 // (cluster/doc.go), so the bytes are the contract.
-func hostID(name string, seq int) string {
-	d := strconv.AppendInt(make([]byte, 0, 20), int64(seq), 10)
-	return name + "-h" + "0000"[min(len(d), 4):] + string(d)
+func hostIDs(ends *[hostsPerBlock + 1]int, name string, first int) string {
+	b := make([]byte, 0, hostsPerBlock*48)
+	for j := range hostsPerBlock {
+		b = append(append(b, name...), "-h"...)
+		for width := 1000; width > first+j && width > 1; width /= 10 {
+			b = append(b, '0')
+		}
+		b = strconv.AppendInt(b, int64(first+j), 10)
+		ends[j+1] = len(b)
+	}
+	return string(b)
 }
 
 // recordEvent appends to the Fig. 10 event record, which exists only in
@@ -964,29 +998,21 @@ func (s *sim) finishTask(ss *session, submit time.Time, interactivity time.Durat
 }
 
 // startTask runs one attempt of the policy's task pipeline; an attempt
-// that finds the cluster saturated parks on the capacity wait-queue and is
-// retried on the next Release/AddHost notification anywhere in the
-// federation. The retry closure is only built on the park path, which
-// saturation makes rare relative to task count.
+// that finds the cluster saturated parks on the capacity wait-queue, riding
+// a recycled machine in phaseParked (taskfsm.go), and is retried on the next
+// Release/AddHost notification anywhere in the federation. The home
+// member's queue-depth gauge (a RoutingSnapshot signal) counts it until a
+// retry makes progress.
 func (s *sim) startTask(ss *session, task trace.Task, submit time.Time) {
 	if s.tryTask(ss, task, submit) {
 		return
 	}
-	// Keep the home member's queue-depth gauge (a RoutingSnapshot signal)
-	// current for the park's whole lifetime.
-	home := ss.home
-	s.qdepth[home]++
+	s.qdepth[ss.home]++
 	weight := 1
 	if s.cfg.SLOAware {
 		weight = ss.slo.Weight()
 	}
-	s.waitq.Wait(weight, func() bool {
-		if !s.tryTask(ss, task, submit) {
-			return false
-		}
-		s.qdepth[home]--
-		return true
-	})
+	s.waitq.Wait(weight, reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseParked}))
 }
 
 // tryTask attempts the policy's commit-and-start step and reports whether
@@ -1107,17 +1133,20 @@ scan:
 	if target == nil || target.h.Commit(ss.id, req) != nil {
 		return false
 	}
-	var start time.Duration
-	if target.warm > 0 {
-		target.warm--
-		s.res.WarmStarts++
-		start = s.cfg.Latencies.WarmAttach(s.rng)
-	} else {
-		s.res.ColdStarts++
-		start = s.cfg.Latencies.ColdStart(s.rng)
-	}
-	s.launchContainer(ss, task, submit, target, start)
+	s.launchContainer(ss, task, submit, target, s.takeContainer(target))
 	return true
+}
+
+// takeContainer starts a container on h, a warm one from its pool if it
+// has one, else a cold one, and returns the start's cost.
+func (s *sim) takeContainer(h *host) time.Duration {
+	if h.warm > 0 {
+		h.warm--
+		s.res.WarmStarts++
+		return s.cfg.Latencies.WarmAttach(s.rng)
+	}
+	s.res.ColdStarts++
+	return s.cfg.Latencies.ColdStart(s.rng)
 }
 
 // launchContainer is the shared tail of the per-task-container pipelines
@@ -1152,27 +1181,16 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 
 	// Prefer the previous executor's host (the paper reuses the same
 	// executor for 89.45% of consecutive executions).
-	executor, last := 0, int(ss.lastExecutor)
-	if last > 0 && last <= len(ss.hosts) &&
-		ss.hosts[last-1] != nil &&
-		ss.hosts[last-1].h.CanCommit(req) {
-		executor = last
+	can := func(h *host) bool { return h != nil && h.h.CanCommit(req) }
+	last := int(ss.lastExecutor)
+	executor := last
+	if last == 0 || last > len(ss.hosts) || !can(ss.hosts[last-1]) {
+		executor = 1 + slices.IndexFunc(ss.hosts, can) // else the first replica's that can
 	}
-	if executor == 0 {
-		for i, h := range ss.hosts {
-			if h != nil && h.h.CanCommit(req) {
-				executor = i + 1
-				break
-			}
-		}
-	}
-	if executor == 0 {
+	if executor == 0 || ss.hosts[executor-1].h.Commit(ss.id, req) != nil {
 		return s.tryMigrate(ss, task, submit)
 	}
 	h := ss.hosts[executor-1]
-	if err := h.h.Commit(ss.id, req); err != nil {
-		return s.tryMigrate(ss, task, submit)
-	}
 	if migrationDelay == 0 {
 		s.res.ImmediateCommits++
 		if executor == last {
@@ -1229,17 +1247,12 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 		return false
 	}
 
-	var extra time.Duration
 	// Container: pre-warmed if the target has pool capacity, else cold.
-	if target.warm > 0 {
-		target.warm--
-		s.res.WarmStarts++
-		extra += lat.WarmAttach(s.rng)
+	warm := target.warm > 0
+	extra := s.takeContainer(target)
+	if warm {
 		// Pool replenishes in the background.
 		s.eng.DeferRunner(lat.ColdStart(s.rng), (*warmRefill)(target))
-	} else {
-		s.res.ColdStarts++
-		extra += lat.ColdStart(s.rng)
 	}
 	// Persist + restore checkpointed state through the data store.
 	wr := lat.Store.PutLatency(ss.paramBytes, s.rng)
@@ -1250,17 +1263,10 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 
 	// Move the replica: a crash-emptied slot (faults.go) is refilled
 	// first; otherwise the victim is the replica on the fullest host.
-	victim := 0
-	worst := math.MaxInt
-	for i, h := range ss.hosts {
-		if h == nil {
-			victim = i
-			break
-		}
-		if idle := h.h.IdleGPUs(); idle < worst {
-			worst = idle
-			victim = i
-		}
+	victim := slices.Index(ss.hosts, nil)
+	if victim < 0 {
+		fullest := slices.MinFunc(ss.hosts, func(a, b *host) int { return cmp.Compare(a.h.IdleGPUs(), b.h.IdleGPUs()) })
+		victim = slices.Index(ss.hosts, fullest)
 	}
 	old := ss.hosts[victim]
 	if old != nil && old.member != target.member {
@@ -1459,12 +1465,16 @@ func (l *landing) Fire() {
 }
 
 // retireEmpty walks the member's hosts in order and retires the empty ones,
-// up to n of them, until done — asked after every host tried — says so; it
-// returns how many it retired. Like emptyHosts it walks only while the
-// cluster counts a replica-free host: when none is left, none is empty.
+// unwiring each from the member and the host index, up to n of them, until
+// done — asked after every host tried — says so; it returns how many it
+// retired. Every scale-in retires through it. Like emptyHosts it walks only
+// while the cluster counts a replica-free host: when none is left, none is
+// empty.
 func (s *sim) retireEmpty(m *member, n int, done func() bool) (retired int) {
 	for i := 0; i < len(m.hosts) && retired < n && m.c.ReplicaFreeHosts() > 0; {
-		if s.removeHostIfEmpty(m, i) {
+		h := m.hosts[i]
+		if slot := h.h.Slot(); h.h.Empty() && m.c.RemoveHost(h.h.ID) == nil {
+			s.unwire(m, i, slot)
 			retired++
 		} else {
 			i++
@@ -1474,20 +1484,6 @@ func (s *sim) retireEmpty(m *member, n int, done func() bool) (retired int) {
 		}
 	}
 	return retired
-}
-
-// removeHostIfEmpty retires m.hosts[i] when it is empty, unwiring it from
-// the member and the host index; reports whether it was removed. Every
-// scale-in retires through this so the emptiness predicate and the
-// bookkeeping cannot drift apart.
-func (s *sim) removeHostIfEmpty(m *member, i int) bool {
-	h := m.hosts[i]
-	slot := h.h.Slot()
-	if !h.h.Empty() || m.c.RemoveHost(h.h.ID) != nil {
-		return false
-	}
-	s.unwire(m, i, slot)
-	return true
 }
 
 // unwire takes m.hosts[i], which has just left the cluster from table slot

@@ -19,16 +19,20 @@ import (
 // same idle list, in phaseResubmit: it fires once, when the replica has
 // moved, and resubmits the task through startTask, which draws the machine
 // that runs it. A fault restart (restartTask) does the same in phaseRestart,
-// once its backoff is over, unless the session ended meanwhile. Neither is
-// ever the session's cur, so the fault layer cannot abort them; the task they
-// carry is not in flight yet.
+// once its backoff is over, unless the session ended meanwhile. A parked
+// task (startTask) rides one in phaseParked: the wait-queue holds it, not
+// the engine, and calls its retry. None is ever the session's cur, so the
+// fault layer cannot abort them; the task they carry is not in flight yet.
 //
-// The recycling rule: only normal completion (phase 2) and a fired
-// resubmission or restart recycle. By then every phase event of the machine
-// has fired and nothing else holds it — finishTask has cleared the session's
-// handle on a completed one, and a resubmission or restart never had one — so
-// nothing can still reach it. A resubmission or restart recycles itself
-// before it calls startTask, which may draw it straight back; a restart due
+// The recycling rule: only normal completion (phase 2), a fired
+// resubmission or restart, and a parked machine's retry that made progress
+// recycle. By then every phase event of the machine has fired and nothing
+// else holds it — finishTask has cleared the session's handle on a completed
+// one, a resubmission, restart or parked task never had one, and the drain
+// drops a retry that made progress — so nothing can still reach it. A
+// resubmission or restart recycles itself before it calls startTask, which
+// may draw it straight back; a parked machine only after its retry's
+// tryTask, which must not draw it while it is still parked; a restart due
 // past the drain horizon is never armed, and its machine is left to the
 // garbage collector. An aborted machine
 // is never reused — a phase event scheduled before the abort may still sit
@@ -42,10 +46,10 @@ import (
 // reference model (reference_test.go) schedules a task's training start,
 // execution end and reply — so engine sequence numbers, and therefore
 // tie-breaks, are the model's — and draws the same latencies in the same
-// order within each phase. TestReferenceModel and FuzzConfigPlan hold a
-// single-cluster run, faulted or not, to the model (an abort's dead flag
-// is the model's too); TestGatedScenarios and TestRunnerFingerprints pin
-// every other run.
+// order within each phase. TestReferenceModel and FuzzConfigPlan hold
+// every run of every accepted config, faulted or not, to the model (an
+// abort's dead flag is the model's too); TestGatedScenarios and
+// TestRunnerFingerprints pin its outputs.
 //
 // The machine is also the fault layer's handle on an in-flight task
 // (faults.go): abort marks it dead — already-scheduled phase events no-op
@@ -76,8 +80,8 @@ type runningTask struct {
 
 // phaseResubmit marks a machine that carries a migration's restart, not a
 // task in flight; phaseRestart one that carries a fault restart through its
-// backoff.
-const phaseResubmit, phaseRestart = 3, 4
+// backoff; phaseParked one that carries a parked task on the wait-queue.
+const phaseResubmit, phaseRestart, phaseParked = 3, 4, 5
 
 func (t *runningTask) Fire() {
 	if t.dead {
@@ -136,6 +140,18 @@ func (t *runningTask) Fire() {
 			s.startTask(ss, task, submit)
 		}
 	}
+}
+
+// retry is a parked machine's attempt (startTask): once the task made
+// progress, the home member's gauge drops and, its last use over, the
+// machine goes idle.
+func (t *runningTask) retry() bool {
+	if !t.s.tryTask(t.ss, t.task, t.submit) {
+		return false
+	}
+	t.s.qdepth[t.ss.home]--
+	t.s.idle = append(t.s.idle, t)
+	return true
 }
 
 // release drops the task's exclusive commit. A Reservation task holds

@@ -8,14 +8,15 @@ import (
 	"notebookos/internal/des"
 )
 
-// capWaiter is one parked acquisition attempt. fn retries it when cluster
-// capacity may have freed up: it returns true once it has made progress
-// (committed resources or scheduled follow-up work) and should leave the
-// queue, and false to keep waiting for the next capacity notification.
-// weight (the class weight), enqNS (the park time) and seq (the arrival
-// number) are what drain orders the retries by.
+// capWaiter is one parked acquisition attempt. waiter.retry retries it when
+// cluster capacity may have freed up: it returns true once it has made
+// progress (committed resources or scheduled follow-up work) and should
+// leave the queue, and false to keep waiting for the next capacity
+// notification. The simulator's waiters are parked task machines
+// (taskfsm.go). weight (the class weight), enqNS (the park time) and seq
+// (the arrival number) are what drain orders the retries by.
 type capWaiter struct {
-	fn     func() bool
+	waiter interface{ retry() bool }
 	weight int64
 	enqNS  int64
 	seq    uint64
@@ -46,11 +47,11 @@ type capacityWaitQueue struct {
 // beyond it.
 const agingBound = int64(30 * time.Minute)
 
-// Wait parks fn with a class weight until the next capacity notification:
+// Wait parks r with a class weight until the next capacity notification:
 // heavier waiters retry first when capacity frees.
-func (w *capacityWaitQueue) Wait(weight int, fn func() bool) {
+func (w *capacityWaitQueue) Wait(weight int, r interface{ retry() bool }) {
 	w.seq++
-	w.q = append(w.q, capWaiter{fn: fn, weight: int64(weight), enqNS: w.eng.Now().UnixNano(), seq: w.seq})
+	w.q = append(w.q, capWaiter{waiter: r, weight: int64(weight), enqNS: w.eng.Now().UnixNano(), seq: w.seq})
 }
 
 // Notify schedules a drain at the current virtual time. Multiple
@@ -105,6 +106,6 @@ func (w *capacityWaitQueue) Fire() {
 		}
 		return cmp.Compare(a.seq, b.seq)
 	})
-	kept := slices.DeleteFunc(pending, func(p capWaiter) bool { return p.fn() })
+	kept := slices.DeleteFunc(pending, func(p capWaiter) bool { return p.waiter.retry() })
 	w.q = append(kept, w.q...)
 }

@@ -23,14 +23,14 @@ func newPrioHarness(eng *des.Engine) *prioHarness {
 }
 
 func (h *prioHarness) park(label string, weight int) {
-	h.wq.Wait(weight, func() bool {
+	h.wq.Wait(weight, retryFunc(func() bool {
 		if h.capacity == 0 {
 			return false
 		}
 		h.capacity--
 		h.served = append(h.served, label)
 		return true
-	})
+	}))
 }
 
 func (h *prioHarness) free(n int) {
@@ -163,7 +163,7 @@ func TestWaitQueuePriorityFailedWaitersKeepAge(t *testing.T) {
 	h := newPrioHarness(eng)
 	spawned := false
 	after(eng, 0, func() {
-		h.wq.Wait(1, func() bool {
+		h.wq.Wait(1, retryFunc(func() bool {
 			if h.capacity == 0 {
 				if !spawned {
 					spawned = true
@@ -176,7 +176,7 @@ func TestWaitQueuePriorityFailedWaitersKeepAge(t *testing.T) {
 			h.capacity--
 			h.served = append(h.served, "original")
 			return true
-		})
+		}))
 	})
 	after(eng, time.Second, func() { h.free(0) })   // drain with no capacity: original fails, spawns
 	after(eng, 2*time.Second, func() { h.free(2) }) // both served, original first

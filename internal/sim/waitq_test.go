@@ -14,6 +14,11 @@ var wqT0 = time.Date(2021, 6, 1, 0, 0, 0, 0, time.UTC)
 // after schedules fn d from now on eng, as a des.Handler.
 func after(eng *des.Engine, d time.Duration, fn func()) { eng.DeferRunner(d, des.Handler(fn)) }
 
+// retryFunc parks a closure as a waiter: its call is the retry.
+type retryFunc func() bool
+
+func (f retryFunc) retry() bool { return f() }
+
 // TestWaitQueueFIFOWakeupOrder: waiters that can all make progress retry
 // (and succeed) in arrival order within one drain.
 func TestWaitQueueFIFOWakeupOrder(t *testing.T) {
@@ -22,7 +27,7 @@ func TestWaitQueueFIFOWakeupOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 5; i++ {
 		i := i
-		wq.Wait(1, func() bool { order = append(order, i); return true })
+		wq.Wait(1, retryFunc(func() bool { order = append(order, i); return true }))
 	}
 	after(eng, time.Second, wq.Notify)
 	eng.Run()
@@ -48,14 +53,14 @@ func TestWaitQueueBlockedWaitersStayQueued(t *testing.T) {
 	var acquired []int
 	for i := 0; i < 3; i++ {
 		i := i
-		wq.Wait(1, func() bool {
+		wq.Wait(1, retryFunc(func() bool {
 			if capacity == 0 {
 				return false
 			}
 			capacity--
 			acquired = append(acquired, i)
 			return true
-		})
+		}))
 	}
 	// First notification frees one unit: only waiter 0 proceeds.
 	after(eng, time.Second, func() { capacity = 1; wq.Notify() })
@@ -81,13 +86,13 @@ func TestWaitQueueNoLostWakeups(t *testing.T) {
 	woke := false
 	after(eng, time.Second, func() {
 		// Attempt fails; park.
-		wq.Wait(1, func() bool {
+		wq.Wait(1, retryFunc(func() bool {
 			if capacity == 0 {
 				return false
 			}
 			woke = true
 			return true
-		})
+		}))
 		// Capacity frees later within the same virtual second.
 		after(eng, 0, func() { capacity = 1; wq.Notify() })
 	})
@@ -103,7 +108,7 @@ func TestWaitQueueCoalescesNotifies(t *testing.T) {
 	eng := des.New(wqT0)
 	wq := &capacityWaitQueue{eng: eng}
 	attempts := 0
-	wq.Wait(1, func() bool { attempts++; return false })
+	wq.Wait(1, retryFunc(func() bool { attempts++; return false }))
 	after(eng, time.Second, func() {
 		for i := 0; i < 10; i++ {
 			wq.Notify()
@@ -126,16 +131,16 @@ func TestWaitQueueWaitersAddedDuringDrain(t *testing.T) {
 	wq := &capacityWaitQueue{eng: eng}
 	var order []string
 	blockedOnce := false
-	wq.Wait(1, func() bool {
+	wq.Wait(1, retryFunc(func() bool {
 		if !blockedOnce {
 			blockedOnce = true
 			// Spawn a new waiter mid-drain.
-			wq.Wait(1, func() bool { order = append(order, "spawned"); return true })
+			wq.Wait(1, retryFunc(func() bool { order = append(order, "spawned"); return true }))
 			return false
 		}
 		order = append(order, "original")
 		return true
-	})
+	}))
 	after(eng, time.Second, wq.Notify)
 	after(eng, 2*time.Second, wq.Notify)
 	eng.Run()
@@ -200,7 +205,7 @@ func TestWaitQueueWeightOneIsFIFO(t *testing.T) {
 		wq := &capacityWaitQueue{eng: eng}
 		ref := &fifoRef{eng: eng}
 		sides := []*side{
-			{wait: func(fn func() bool) { wq.Wait(1, fn) }, notify: wq.Notify, parked: func() int { return len(wq.q) }},
+			{wait: func(fn func() bool) { wq.Wait(1, retryFunc(fn)) }, notify: wq.Notify, parked: func() int { return len(wq.q) }},
 			{wait: ref.Wait, notify: ref.Notify, parked: func() int { return len(ref.q) }},
 		}
 		var park func(sd *side)

@@ -33,8 +33,10 @@ type mutant struct {
 // an overlay replaces compiled sources, not the files a test reads) and the
 // decision tables' rules. Then one mutant per check of the run auditor
 // (internal/sim/audit_test.go), each killed by TestAuditedRuns naming its
-// check, and the subscription leak the seed-28 run found (docs/BUG_LEDGER.md,
-// bug 16) put back. Then the two ways a replica subscribed by count can be
+// check (waitq twice: a woken task that leaves its gauge up, and a parked
+// machine that goes idle before its retry succeeds), and the subscription
+// leak the seed-28 run found (docs/BUG_LEDGER.md, bug 16) put back. Then the
+// two ways a replica subscribed by count can be
 // miscounted: a second replica of a session on one host, which the
 // simulator's own assertion refuses (TestReplicaPlacementIsChecked), and a
 // migration that takes its replica off the wrong host, which only the
@@ -47,8 +49,10 @@ type mutant struct {
 // scoreboard's golden, which runs at full scale, the two allocation pins,
 // each given back a per-task allocation, the generator's, given back a
 // string per session ID, and the admission pin's bytes, given back a record
-// that keeps the whole lent session. Then the simulator's optimisations,
-// each killed by the reference model
+// that keeps the whole lent session. Then a member's host blocks, each
+// killed by TestHostIDMatchesSprintf: a block of IDs that starts one host
+// late, and two hosts that share one record. Then the simulator's
+// optimisations, each killed by the reference model
 // (internal/sim/reference_test.go): a chunk summary read one off, a recycled
 // task machine that keeps a field of its last task, and a host joining that
 // wakes no parked task. Then ten rules of the fault layer, each broken once
@@ -147,9 +151,15 @@ var mutants = []mutant{
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit subscriptions",
 	},
 	{
-		name: "a woken task leaves its queue-depth gauge up", file: "internal/sim/sim.go",
-		old: "\t\ts.qdepth[home]--\n", new: "",
+		name: "a woken task leaves its queue-depth gauge up", file: "internal/sim/taskfsm.go",
+		old: "\tt.s.qdepth[t.ss.home]--\n", new: "",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit waitq",
+	},
+	{
+		name: "a parked machine goes idle before its retry succeeds", file: "internal/sim/taskfsm.go",
+		old: "\tif !t.s.tryTask(t.ss, t.task, t.submit) {\n\t\treturn false\n\t}\n\tt.s.qdepth[t.ss.home]--\n\tt.s.idle = append(t.s.idle, t)\n",
+		new: "\tt.s.idle = append(t.s.idle, t)\n\tif !t.s.tryTask(t.ss, t.task, t.submit) {\n\t\treturn false\n\t}\n\tt.s.qdepth[t.ss.home]--\n",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos-heavy$", want: "parked machine is on the idle list",
 	},
 	{
 		name: "a session's end is scheduled twice", file: "internal/sim/stream.go",
@@ -205,13 +215,13 @@ var mutants = []mutant{
 		name: "every task allocates its machine", file: "internal/sim/sim.go",
 		old: "t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
 		new: "t := &runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}",
-		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 260", full: true,
+		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 186", full: true,
 	},
 	{
 		name: "a finished task's machine is not recycled", file: "internal/sim/taskfsm.go",
 		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.idle = append(s.idle, t)\n",
 		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
-		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 308", full: true,
+		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 230", full: true,
 	},
 	{
 		name: "every session ID is a string of its own", file: "internal/trace/stream.go",
@@ -221,7 +231,17 @@ var mutants = []mutant{
 	{
 		name: "the record keeps the whole lent session", file: "internal/sim/sim.go",
 		old: "\tslo   trace.SLOClass\n", new: "\tslo   trace.SLOClass\n\tspare trace.Session\n",
-		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 1.57 and 600", full: true,
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 1.35 and 600", full: true,
+	},
+	{
+		name: "an ID block starts one host late", file: "internal/sim/sim.go",
+		old: "m.ids = hostIDs(&m.ends, m.spec.Name, m.hostSeq)", new: "m.ids = hostIDs(&m.ends, m.spec.Name, m.hostSeq+1)",
+		pkg: "./internal/sim", run: "^TestHostIDMatchesSprintf$", want: `host 1 of "sim" is "sim-h0002"`,
+	},
+	{
+		name: "two hosts share one block record", file: "internal/sim/sim.go",
+		old: "return &m.block[j], ", new: "return &m.block[j/2], ",
+		pkg: "./internal/sim", run: "^TestHostIDMatchesSprintf$", want: "shares a record",
 	},
 	{
 		name: "a chunk summary counts one subscribed GPU too many", file: "internal/cluster/table.go",
