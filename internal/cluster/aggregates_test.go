@@ -12,8 +12,9 @@ import (
 
 // recount recomputes the cluster aggregates from scratch by scanning every
 // member host — the ground truth the incremental counters must track — and
-// holds each member's commitments to checkLedger.
-func recount(t *testing.T, c *Cluster) (total, subscribed, committed, replicaFree int) {
+// holds each member's commitments to checkLedger, with byHold the caller's
+// model of what each host holds by count (nil: nothing).
+func recount(t *testing.T, c *Cluster, byHold map[*Host][]resources.Spec) (total, subscribed, committed, replicaFree int) {
 	t.Helper()
 	for _, h := range c.Hosts() {
 		total += h.Capacity.GPUs
@@ -22,18 +23,22 @@ func recount(t *testing.T, c *Cluster) (total, subscribed, committed, replicaFre
 		if h.nreplicas == 0 {
 			replicaFree++
 		}
-		checkLedger(t, h)
+		checkLedger(t, h, byHold[h])
 	}
 	return
 }
 
 // checkLedger holds a host's records of its commitments to each other: the
-// pool's committed vector equals the sum of its holdings, that sum fits the
-// host's capacity, and while the host is a member its table row shows the
-// pool's committed GPUs.
-func checkLedger(t *testing.T, h *Host) bool {
+// pool's committed vector equals the sum of its named holdings and of what
+// it holds by count (counted, the caller's model), that sum fits the host's
+// capacity, and while the host is a member its table row shows the pool's
+// committed GPUs.
+func checkLedger(t *testing.T, h *Host, counted []resources.Spec) bool {
 	t.Helper()
 	pool, held := h.committed.Committed(), holdings(&h.committed)
+	for _, req := range counted {
+		held = held.Add(req)
+	}
 	if pool != held || !held.Fits(h.Capacity) || h.row != nil && h.row.CommittedGPUs() != pool.GPUs {
 		t.Errorf("%s: row %v, pool committed %v, holdings sum to %v, capacity %v", h.ID, h.row, pool, held, h.Capacity)
 		return false
@@ -62,7 +67,7 @@ func holdings(p *resources.Pool) resources.Spec {
 
 func checkAggregates(t *testing.T, c *Cluster, step string) {
 	t.Helper()
-	total, subscribed, committed, replicaFree := recount(t, c)
+	total, subscribed, committed, replicaFree := recount(t, c, nil)
 	if got := c.ReplicaFreeHosts(); got != replicaFree {
 		t.Fatalf("%s: ReplicaFreeHosts = %d, recount = %d", step, got, replicaFree)
 	}
@@ -80,9 +85,10 @@ func checkAggregates(t *testing.T, c *Cluster, step string) {
 // checkReads compares every O(1) read with a recount: each host's counters,
 // and a member's table row, against its replica list, the GPUs of the
 // replicas subscribed on it by count (byCount, the caller's model) and its
-// pool, the membership list against the ID index and against members, the
-// caller's own model of the insertion order.
-func checkReads(t *testing.T, c *Cluster, members, all []*Host, byCount map[*Host][]int) bool {
+// pool (with byHold, what the caller holds on it by count), the membership
+// list against the ID index and against members, the caller's own model of
+// the insertion order.
+func checkReads(t *testing.T, c *Cluster, members, all []*Host, byCount map[*Host][]int, byHold map[*Host][]resources.Spec) bool {
 	t.Helper()
 	ok := true
 	fail := func(format string, args ...any) {
@@ -91,7 +97,7 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host, byCount map[*Hos
 		ok = false
 	}
 	for _, h := range all {
-		if !checkLedger(t, h) {
+		if !checkLedger(t, h, byHold[h]) {
 			ok = false
 		}
 		subscribed, replicas := 0, len(h.replicas)+len(byCount[h])
@@ -135,11 +141,12 @@ func checkReads(t *testing.T, c *Cluster, members, all []*Host, byCount map[*Hos
 
 // TestAggregatesMatchRecountProperty drives a random operation sequence
 // (add/remove/crash/re-add hosts, place/remove replicas by ID and subscribe
-// and unsubscribe them by count, commit/release, on members and on detached
-// hosts alike) and asserts after every step that the O(1) incremental
-// counters, every O(1) read and the dense table with its chunk summaries
-// equal a from-scratch recount. An Unsubscribe the model says would take
-// more than the host holds by count must be refused.
+// and unsubscribe them by count, commit/release by name and hold/free by
+// count, on members and on detached hosts alike) and asserts after every
+// step that the O(1) incremental counters, every O(1) read and the dense
+// table with its chunk summaries equal a from-scratch recount. An
+// Unsubscribe the model says would take more than the host holds by count
+// must be refused, and so must a Free of more than the host holds.
 func TestAggregatesMatchRecountProperty(t *testing.T) {
 	most := 0 // the longest replica list any host reached
 	f := func(seed int64) bool {
@@ -157,7 +164,8 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 			key string
 		}
 		var replicas, commits []placement
-		byCount := map[*Host][]int{} // GPUs of each replica subscribed by count
+		byCount := map[*Host][]int{}           // GPUs of each replica subscribed by count
+		byHold := map[*Host][]resources.Spec{} // each commitment held by count
 		anyHost := func() *Host {
 			if len(all) == 0 {
 				return nil
@@ -170,7 +178,7 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 		}
 
 		for step := 0; step < 400; step++ {
-			switch op := r.Intn(11); op {
+			switch op := r.Intn(13); op {
 			case 0: // add host
 				h := NewHost(fmt.Sprintf("h%03d", len(all)+1), caps[r.Intn(len(caps))])
 				if err := c.AddHost(h); err != nil {
@@ -263,12 +271,37 @@ func TestAggregatesMatchRecountProperty(t *testing.T) {
 						return false // more GPUs than the host holds
 					}
 				}
+			case 11: // hold by count; the host decides what fits
+				if h := anyHost(); h != nil {
+					req := resources.Spec{Millicpus: 4000, MemoryMB: 16 << 10, GPUs: r.Intn(4) + 1, VRAMGB: 16}
+					fits := h.CanCommit(req)
+					if (h.Hold(req) == nil) != fits {
+						return false
+					}
+					if fits {
+						byHold[h] = append(byHold[h], req)
+					}
+				}
+			case 12: // free one held by count, or be refused more than the host holds
+				if h := anyHost(); h != nil {
+					if held := byHold[h]; len(held) > 0 {
+						if err := h.Free(held[len(held)-1]); err != nil {
+							return false
+						}
+						byHold[h] = held[:len(held)-1]
+					}
+					over := h.Committed()
+					over.GPUs++
+					if h.Free(over) == nil {
+						return false // more GPUs than the host holds
+					}
+				}
 			}
-			total, subscribed, committed, replicaFree := recount(t, c)
+			total, subscribed, committed, replicaFree := recount(t, c, byHold)
 			if c.TotalGPUs() != total || c.SubscribedGPUs() != subscribed || c.CommittedGPUs() != committed || c.ReplicaFreeHosts() != replicaFree {
 				return false
 			}
-			if checkTable(t, c, byCount); !checkReads(t, c, members, all, byCount) {
+			if checkTable(t, c, byCount); !checkReads(t, c, members, all, byCount, byHold) {
 				return false
 			}
 			for _, h := range all {
@@ -319,8 +352,8 @@ func TestAggregatesAttachDetach(t *testing.T) {
 	checkAggregates(t, c, "after detached release")
 }
 
-// TestCapacityNotifierFires: AddHost and member Release fire the
-// notifier; a detached host's Release does not.
+// TestCapacityNotifierFires: AddHost and a member's Release or Free fire
+// the notifier; a refused Free and a detached host's Release or Free do not.
 func TestCapacityNotifierFires(t *testing.T) {
 	cap8 := resources.Spec{Millicpus: 64000, MemoryMB: 488 << 10, GPUs: 8, VRAMGB: 128}
 	req := resources.Spec{Millicpus: 4000, MemoryMB: 16 << 10, GPUs: 1, VRAMGB: 16}
@@ -347,6 +380,15 @@ func TestCapacityNotifierFires(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("Release fired %d notifications, want 2", fired)
 	}
+	if err := h.Hold(req); err != nil || fired != 2 {
+		t.Fatalf("Hold: %v, fired=%d; it should not notify", err, fired)
+	}
+	if err := h.Free(req); err != nil || fired != 3 {
+		t.Fatalf("Free: %v, fired %d notifications, want 3", err, fired)
+	}
+	if err := h.Free(req); err == nil || fired != 3 {
+		t.Fatalf("a refused Free: %v, fired=%d; it must fail and not notify", err, fired)
+	}
 	if err := c.RemoveHost("n1"); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +398,13 @@ func TestCapacityNotifierFires(t *testing.T) {
 	if err := h.Release("y"); err != nil {
 		t.Fatal(err)
 	}
-	if fired != 2 {
-		t.Fatalf("detached Release fired notification (fired=%d)", fired)
+	if err := h.Hold(req); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Free(req); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 3 {
+		t.Fatalf("detached Release or Free fired notification (fired=%d)", fired)
 	}
 }

@@ -180,38 +180,43 @@ func (h *Host) SubscriptionRatio(replicasPerKernel int) float64 {
 	return float64(h.SubscribedGPUs()) / float64(g*replicasPerKernel)
 }
 
-// commitDelta lands one commit or release in the row and, while the host is
-// a member, in the cluster aggregate.
-func (h *Host) commitDelta(gpus int) {
-	if h.c != nil {
-		h.c.agg.committedGPUs += gpus
-	}
-	h.publish()
-}
-
-// Commit exclusively binds req to holder for the duration of a cell
-// execution (dynamic GPU binding, §3.3).
-func (h *Host) Commit(holder string, req resources.Spec) error {
-	if err := h.committed.Commit(holder, req); err != nil {
-		return err
-	}
-	h.commitDelta(req.GPUs)
-	return nil
-}
-
-// Release returns holder's committed resources. While the host is a
-// cluster member, a successful release also fires the cluster's capacity
+// commitDelta lands a pool call that err did not refuse — a commit (sign 1)
+// or a release (-1) of req — in the row and, while the host is a member, in
+// the cluster aggregate. A release then fires the cluster's capacity
 // notifier, so wait-queues can hand the freed capacity to queued work.
-func (h *Host) Release(holder string) error {
-	req, err := h.committed.Release(holder)
+func (h *Host) commitDelta(sign int, req resources.Spec, err error) error {
 	if err != nil {
 		return err
 	}
-	h.commitDelta(-req.GPUs)
 	if h.c != nil {
+		h.c.agg.committedGPUs += sign * req.GPUs
+	}
+	h.publish()
+	if sign < 0 && h.c != nil {
 		h.c.capacityFreed()
 	}
 	return nil
+}
+
+// Hold exclusively binds req for the duration of a cell execution (dynamic
+// GPU binding, §3.3) without naming its holder, as the simulator does: it
+// knows what each task and reservation holds, and where.
+func (h *Host) Hold(req resources.Spec) error { return h.commitDelta(1, req, h.committed.Hold(req)) }
+
+// Free returns req, held by count; it refuses more than the host holds.
+func (h *Host) Free(req resources.Spec) error { return h.commitDelta(-1, req, h.committed.Free(req)) }
+
+// Commit binds req as Hold does, under holder's name, which the host refuses
+// to hold twice; Release returns it by that name. The live control plane
+// commits by name.
+func (h *Host) Commit(holder string, req resources.Spec) error {
+	return h.commitDelta(1, req, h.committed.Commit(holder, req))
+}
+
+// Release returns holder's committed resources.
+func (h *Host) Release(holder string) error {
+	req, err := h.committed.Release(holder)
+	return h.commitDelta(-1, req, err)
 }
 
 // CanCommit reports whether req fits the host's currently idle capacity.

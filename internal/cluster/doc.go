@@ -14,11 +14,16 @@
 // names each replica (Host.PlaceReplica, Host.RemoveReplica, which refuse a
 // duplicate ID and an unknown one), and only those IDs are kept, in a list
 // a host subscribed by count never allocates. Both forms move the same
-// counters through one function.
+// counters through one function. Commitments come in the same two forms:
+// the simulator holds them by count (Host.Hold, Host.Free, which refuses to
+// free more than the host holds), knowing what each task holds and where;
+// the live control plane by holder name (Host.Commit, Host.Release), which
+// the pool keeps in a list. Both move the pool, the row and the aggregate
+// through one function.
 //
 // Cluster-wide aggregates (total / subscribed / committed GPUs, and the
 // number of hosts without a replica) are maintained incrementally: every
-// subscription and removal, Commit, Release, AddHost, and RemoveHost
+// subscription and removal, commit and release, AddHost, and RemoveHost
 // updates the counters, so TotalGPUs, SubscribedGPUs, CommittedGPUs,
 // ReplicaFreeHosts and SRLimit are O(1) instead of O(hosts) scans. The
 // invariant — counters always equal a from-scratch recount over

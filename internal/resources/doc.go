@@ -6,7 +6,7 @@
 //
 // Concurrency contract: Spec is a value and needs no lock. A Pool has none:
 // its owner serializes every call. cluster.Host owns one per host and moves
-// its committed-GPU ledger with every pool call, so Host.Commit is the
-// authority on what fits and the ledger never trails the pool; the host is
-// itself single-owner data (see package cluster).
+// its committed-GPU ledger with every pool call, so Host.Hold and
+// Host.Commit are the authority on what fits and the ledger never trails
+// the pool; the host is itself single-owner data (see package cluster).
 package resources

@@ -161,11 +161,11 @@ func TestPoolCommitRelease(t *testing.T) {
 	if got := p.Committed(); got != spec(0, 0, 4, 0) {
 		t.Fatalf("after release Committed = %v", got)
 	}
-	if _, ok := p.Holding("k1"); ok {
-		t.Fatal("k1 still holds a commitment after Release")
+	if got, err := p.Release("k2"); err != nil || got != spec(0, 0, 4, 0) {
+		t.Fatalf("Release(k2) = %v, %v", got, err)
 	}
-	if got, ok := p.Holding("k2"); !ok || got != spec(0, 0, 4, 0) {
-		t.Fatalf("Holding(k2) = %v,%v", got, ok)
+	if !p.Committed().IsZero() {
+		t.Fatalf("after both releases Committed = %v", p.Committed())
 	}
 }
 
@@ -177,8 +177,39 @@ func TestPoolDuplicateHolder(t *testing.T) {
 	if err := p.Commit("k", spec(0, 0, 1, 0)); err == nil {
 		t.Error("duplicate holder should fail")
 	}
-	if got, ok := p.Holding("k"); !ok || got != spec(0, 0, 1, 0) {
-		t.Errorf("Holding = %v,%v", got, ok)
+	if got := p.Committed(); got != spec(0, 0, 1, 0) {
+		t.Errorf("a refused duplicate moved Committed to %v", got)
+	}
+}
+
+// TestPoolHoldFreeRefusals pins what the pool refuses a commitment held by
+// count: a negative request, one past the idle capacity and a free of more
+// than is committed, each leaving the committed vector as it was.
+func TestPoolHoldFreeRefusals(t *testing.T) {
+	p := NewPool(spec(10_000, 10_000, 8, 128))
+	held := spec(1000, 1000, 4, 64)
+	if err := p.Hold(held); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"a negative hold":      func() error { return p.Hold(spec(0, 0, -1, 0)) },
+		"a hold past capacity": func() error { return p.Hold(spec(0, 0, 5, 0)) },
+		"a negative free":      func() error { return p.Free(spec(-1, 0, 0, 0)) },
+		"a free of more GPUs":  func() error { return p.Free(spec(0, 0, 5, 0)) },
+		"a free of more VRAM":  func() error { return p.Free(spec(0, 0, 1, 65)) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s was accepted", name)
+		}
+		if got := p.Committed(); got != held {
+			t.Errorf("%s moved Committed to %v, want %v", name, got, held)
+		}
+	}
+	if err := p.Free(held); err != nil || !p.Committed().IsZero() {
+		t.Errorf("freeing what was held: %v, Committed %v", err, p.Committed())
+	}
+	if err := p.Free(spec(0, 0, 1, 0)); err == nil {
+		t.Error("a free on an empty pool was accepted")
 	}
 }
 
@@ -189,16 +220,17 @@ func TestPoolRejectsNegative(t *testing.T) {
 	}
 }
 
-// Property: a random sequence of commits and releases never drives the
-// committed vector negative or past capacity, it is always the sum of what
-// the live holders hold, and every holder holds, and gets back on Release,
-// exactly what it committed.
+// Property: a random sequence of commits and releases, named and by count,
+// never drives the committed vector negative or past capacity, it is always
+// the sum of what the live holders hold, and every named holder gets back on
+// Release exactly what it committed.
 func TestPoolInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		capSpec := spec(10_000, 10_000, 8, 128)
 		p := NewPool(capSpec)
 		live := map[string]Spec{}
+		var counted []Spec
 		for i := 0; i < 200; i++ {
 			id := string(rune('a' + r.Intn(8)))
 			if want, ok := live[id]; ok && r.Intn(2) == 0 {
@@ -208,28 +240,45 @@ func TestPoolInvariantProperty(t *testing.T) {
 				delete(live, id)
 				continue
 			}
+			if n := len(counted); n > 0 && r.Intn(3) == 0 {
+				if p.Free(counted[n-1]) != nil {
+					return false
+				}
+				counted = counted[:n-1]
+				continue
+			}
 			req := Spec{
 				Millicpus: r.Int63n(4000),
 				MemoryMB:  r.Int63n(4000),
 				GPUs:      r.Intn(5),
 				VRAMGB:    float64(r.Intn(64)),
 			}
-			if _, ok := live[id]; !ok && p.CanCommit(req) {
-				if err := p.Commit(id, req); err != nil {
+			_, named := live[id]
+			switch fits := p.CanCommit(req); {
+			case r.Intn(2) == 0:
+				if (p.Hold(req) == nil) != fits {
 					return false
 				}
-				live[id] = req
+				if fits {
+					counted = append(counted, req)
+				}
+			case !named:
+				if (p.Commit(id, req) == nil) != fits {
+					return false
+				}
+				if fits {
+					live[id] = req
+				}
 			}
 			c := p.Committed()
 			if c.Validate() != nil || !c.Fits(capSpec) {
 				return false
 			}
 			var held Spec
-			for id, want := range live {
-				h, ok := p.Holding(id)
-				if !ok || h != want {
-					return false
-				}
+			for _, h := range live {
+				held = held.Add(h)
+			}
+			for _, h := range counted {
 				held = held.Add(h)
 			}
 			if held != c {

@@ -61,7 +61,13 @@ import (
 //     refuses a removal, so a later recount still finds it.
 //   - capacity: no host commits more than it has, and the committed GPUs are
 //     what the sessions hold: a Reservation session its reservation, any
-//     other session its executing task (member by member under faults).
+//     other session its executing task (member by member under faults). A
+//     host holds commitments by count (cluster.Host.Hold), naming no
+//     holder, so this also holds host by host, on the subscriptions law's
+//     cadence: each member host's committed GPUs are what the live
+//     Reservation sessions reserved there, or what the executing tasks
+//     committed on their own host (t.h) — a task that frees from another
+//     host able to give it shows only here.
 //   - ledger: the GPU-hour split reads useful = committed − lost and
 //     idle = provisioned − committed, so "lost + useful + idle ==
 //     provisioned" holds by construction. What the split needs is that the
@@ -154,13 +160,16 @@ type auditor struct {
 	gateShut, gateOpen int
 	// recountAt is the tick of the next host-by-host recount; shared counts
 	// the recounts at which some member host held replicas of two or more
-	// live sessions: where only that recount sees a replica dropped twice.
-	recountAt, shared int
+	// live sessions: where only that recount sees a replica dropped twice;
+	// sharedCommits those at which some member host held the commitments of
+	// two or more sessions: where only it sees one freed from the wrong host.
+	recountAt, shared, sharedCommits int
 }
 
-// hostSums is what the live sessions' replicas hold on one host.
+// hostSums is what the live sessions' replicas hold on one host, and what
+// the sessions and their tasks commit there.
 type hostSums struct {
-	gpus, replicas int
+	gpus, replicas, committed, commits int
 }
 
 // memberSums is what the sessions hold and train on one member.
@@ -389,7 +398,7 @@ func (a *auditor) audit() {
 		perHost++
 	}
 	subscribed, committed, training, owed, full := 0, 0, 0, 0, false
-	if s.cfg.Policy == PolicyNotebookOS && now >= a.recountAt {
+	if now >= a.recountAt {
 		a.recountHosts()
 		a.recountAt = now + 1 + live/128
 	}
@@ -521,38 +530,63 @@ func (a *auditor) audit() {
 
 // recountHosts holds each member host's subscription to what the live,
 // unclosed sessions' replicas on it hold (ends lists every session admitted
-// and not yet past its end), and counts the recount as shared when a host
-// holds two or more of them.
+// and not yet past its end), and its committed GPUs to what the live
+// Reservation sessions reserved there or the busy sessions' executing tasks
+// committed there (t.h). It counts the recount as shared when a host holds
+// replicas of two or more sessions, and its commitments as shared when a
+// host holds those of two or more.
 func (a *auditor) recountHosts() {
-	for mi, m := range a.s.members {
+	s := a.s
+	for mi, m := range s.members {
 		a.onHost[mi] = slices.Grow(a.onHost[mi][:0], len(m.bySlot))[:len(m.bySlot)]
 		clear(a.onHost[mi])
 	}
 	for _, e := range a.ends {
-		if e.v.ss.closed {
+		ss := e.v.ss
+		if ss.closed {
 			continue
 		}
-		for _, h := range e.v.ss.hosts {
-			if h != nil && a.member(h) {
-				held := &a.onHost[h.member][h.h.Slot()]
-				held.gpus += e.v.ss.req.GPUs
+		for _, h := range ss.hosts {
+			if h == nil || !a.member(h) {
+				continue
+			}
+			held := &a.onHost[h.member][h.h.Slot()]
+			if s.cfg.Policy == PolicyReservation {
+				held.committed += ss.req.GPUs
+				held.commits++
+			} else {
+				held.gpus += ss.req.GPUs
 				held.replicas++
 			}
 		}
 	}
-	shared := false
-	for mi, m := range a.s.members {
+	for _, ss := range a.busy {
+		if t := ss.cur; t != nil && s.cfg.Policy != PolicyReservation && a.member(t.h) {
+			held := &a.onHost[t.h.member][t.h.h.Slot()]
+			held.committed += taskCommit(ss, t)
+			held.commits++
+		}
+	}
+	shared, sharedCommits := false, false
+	for mi, m := range s.members {
 		for _, h := range m.hosts {
 			held := a.onHost[mi][h.h.Slot()]
 			if h.h.SubscribedGPUs() != held.gpus || h.h.NumReplicas() != held.replicas {
 				a.fail(checkSubscriptions, "host %s counts %d replicas of %d GPUs; the live sessions hold %d of %d there",
 					h.h.ID, h.h.NumReplicas(), h.h.SubscribedGPUs(), held.replicas, held.gpus)
 			}
+			if c := h.h.Committed().GPUs; c != held.committed {
+				a.fail(checkCapacity, "host %s commits %d GPUs; the sessions hold %d there in %d commitments", h.h.ID, c, held.committed, held.commits)
+			}
 			shared = shared || held.replicas > 1
+			sharedCommits = sharedCommits || held.commits > 1
 		}
 	}
 	if shared {
 		a.shared++
+	}
+	if sharedCommits {
+		a.sharedCommits++
 	}
 }
 
@@ -611,7 +645,7 @@ func TestAuditedRuns(t *testing.T) {
 		{"seed-28/saturated", Config{Trace: pool28, Policy: PolicyNotebookOS, Hosts: 6, ScaleFactor: 0.5, Seed: seed28, Faults: &heavy}},
 	}
 	var witnessed [numChecks]int
-	ran, shared := 0, 0
+	ran, shared, sharedCommits := 0, 0, 0
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ran++
@@ -639,6 +673,7 @@ func TestAuditedRuns(t *testing.T) {
 				witnessed[i] += n
 			}
 			shared += a.shared
+			sharedCommits += a.sharedCommits
 			if c.name == "scale-in-gate" && (a.gateShut == 0 || a.gateOpen == 0 || got.ScaleIns == 0 || got.HostCrashes == 0) {
 				t.Errorf("the gate read 0 at %d member ticks and more at %d, over %d scale-ins and %d host crashes: all four must occur",
 					a.gateShut, a.gateOpen, got.ScaleIns, got.HostCrashes)
@@ -656,8 +691,12 @@ func TestAuditedRuns(t *testing.T) {
 	if shared == 0 {
 		t.Error("no recount found a host holding replicas of two live sessions: the host-by-host subscriptions law never held non-vacuously")
 	}
+	if sharedCommits == 0 {
+		t.Error("no recount found a host holding the commitments of two sessions: the host-by-host capacity law never held non-vacuously")
+	}
 	t.Logf("ticks at which each check held non-vacuously: %v %v", checkNames, witnessed)
 	t.Logf("host-by-host recounts at which a host held replicas of two or more live sessions: %d", shared)
+	t.Logf("host-by-host recounts at which a host held the commitments of two or more sessions: %d", sharedCommits)
 }
 
 // ending is a live session and what it held at admission.

@@ -130,7 +130,8 @@
 //     Result.ClassDelay. The comparator is a total order (arrival sequences
 //     are unique), so every drain replays bit-for-bit.
 //   - Saturation costs O(waiters) events: the cluster's capacity notifier
-//     (Release/AddHost) wakes the wait-queue; there are no retry polls.
+//     (a Free or Release, AddHost) wakes the wait-queue; there are no
+//     retry polls.
 //   - Fault injection is opt-in and identity-preserving: Config.Faults
 //     replays a deterministic fault schedule —
 //     exponential host crash/recover churn, correlated outage windows,

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -359,16 +360,21 @@ func TestRestartPenaltyNeverWraps(t *testing.T) {
 	}
 }
 
-// TestAbortedMachineIsNeverReused pins the recycling rule of taskfsm.go, the
-// reason behind what the heavy-fault fingerprints pin as an outcome: launch
-// reuses the machines of tasks that completed, never one the fault layer
-// aborted — a phase event of its old task may still be in the heap. A summer
-// run under heavy faults is watched minute by minute: a machine seen in a
-// session's hands and later found dead was aborted; from then on it may
-// appear neither on the idle list nor in a session's hands, and — launch
-// resets the flag, abort alone sets it — it must still be dead when the run
-// ends. The run must have done both things the rule tells apart.
-func TestAbortedMachineIsNeverReused(t *testing.T) {
+// TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent pins the recycling
+// rule of taskfsm.go, the reason behind what the heavy-fault fingerprints
+// pin as an outcome: an aborted machine still has a phase event of its old
+// task in the heap, which must find it dead when it fires, not running
+// someone else's task, so it goes idle only at that fire. A summer run under
+// heavy faults is watched minute by minute:
+//   - the idle list holds each machine once, and none a session runs or the
+//     wait-queue holds (a dead fire after the machine went idle would list
+//     it twice);
+//   - a machine a session runs is alive, is that session's, and keeps its
+//     task's clock: NotebookOS starts training exactly submit+delay in and
+//     completes it Duration later, so a phase event left over from an
+//     earlier task moves a phase off that clock;
+//   - the run aborts machines and launches some of them again.
+func TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent(t *testing.T) {
 	gcfg := trace.AdobeSummerConfig(42)
 	gcfg.Duration = 4 * 24 * time.Hour
 	faults := trace.HeavyFaultProfile()
@@ -377,7 +383,8 @@ func TestAbortedMachineIsNeverReused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.close()
-	seen, aborted := map[*runningTask]bool{}, map[*runningTask]bool{}
+	seen, aborted, relaunched := map[*runningTask]bool{}, map[*runningTask]bool{}, map[*runningTask]bool{}
+	idle := map[*runningTask]bool{}
 	for at := s.start; at.Before(s.end); at = at.Add(time.Minute) {
 		s.runUntil(at)
 		for m := range seen {
@@ -385,29 +392,93 @@ func TestAbortedMachineIsNeverReused(t *testing.T) {
 				aborted[m] = true
 			}
 		}
+		clear(idle)
 		for _, m := range s.idle {
-			if m.dead || aborted[m] {
-				t.Fatalf("%v: an aborted machine is on the idle list", at)
+			if idle[m] {
+				t.Fatalf("%v: a machine is on the idle list twice", at)
+			}
+			idle[m] = true
+		}
+		for _, w := range s.waitq.q {
+			if idle[w.waiter.(*runningTask)] {
+				t.Fatalf("%v: a parked machine is on the idle list", at)
 			}
 		}
 		for _, ss := range s.live {
-			if m := ss.cur; m != nil {
-				if aborted[m] {
-					t.Fatalf("%v: session %s runs its task on a machine that was aborted", at, ss.id)
+			m := ss.cur
+			if m == nil {
+				continue
+			}
+			start := m.submit.Add(m.delay).UnixNano()
+			switch {
+			case idle[m] || m.dead || m.ss != ss:
+				t.Fatalf("%v: session %s runs its task on a machine that is idle, dead or another session's", at, ss.id)
+			case m.phase == 0 && start <= at.UnixNano():
+				t.Fatalf("%v: session %s's task is due to start at %v and has not", at, ss.id, time.Unix(0, start).UTC())
+			case m.phase > 0 && m.tstart != start:
+				t.Fatalf("%v: session %s's task started training at %v, due at %v", at, ss.id, time.Unix(0, m.tstart).UTC(), time.Unix(0, start).UTC())
+			case m.phase == 1 && m.tstart+int64(m.task.Duration) <= at.UnixNano():
+				t.Fatalf("%v: session %s's task is due to finish training at %v and has not", at, ss.id, time.Unix(0, m.tstart+int64(m.task.Duration)).UTC())
+			}
+			if aborted[m] {
+				relaunched[m] = true
+			}
+			seen[m] = true
+		}
+	}
+	if len(relaunched) == 0 {
+		t.Errorf("%d machines aborted and none launched again: the run must both abort and recycle aborted machines", len(aborted))
+	}
+	t.Logf("%d tasks completed and %d were restarted on %d machines, %d of them aborted and %d of those launched again",
+		s.res.Tasks, s.res.TaskRestarts, len(seen), len(aborted), len(relaunched))
+}
+
+// TestReservationMachineIdlesAtItsCompletion pins the one machine with two
+// phase events queued: a Reservation task schedules its training start and
+// its completion at launch, so a machine aborted before its start goes idle
+// at its completion's dead fire, not at its start's.
+func TestReservationMachineIdlesAtItsCompletion(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(67)
+	gcfg.Duration = 6 * time.Hour
+	tr := trace.MustGenerate(gcfg)
+	// A fault spec that never crashes a host keeps the live list.
+	faults := trace.FaultSpec{HostMTBFHours: 1e9, HostMTTRHours: 1}
+	s, err := simOf(Config{Trace: tr, Policy: PolicyReservation, Hosts: 30, Seed: 7, Faults: &faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	var m *runningTask
+	for _, sess := range tr.Sessions {
+		for _, task := range sess.Tasks {
+			s.runUntil(task.Submit)
+			for _, ss := range s.live {
+				if ss.cur != nil && ss.cur.phase == 0 {
+					m, ss.cur = ss.cur, nil
 				}
-				seen[m] = true
+			}
+			if m != nil {
+				break
 			}
 		}
-	}
-	for m := range aborted {
-		if !m.dead {
-			t.Fatal("a machine that was aborted has been launched again")
+		if m != nil {
+			break
 		}
 	}
-	if len(aborted) == 0 || len(seen) >= s.res.Tasks {
-		t.Errorf("%d machines aborted and %d tasks completed on %d machines: the run must both abort and recycle", len(aborted), s.res.Tasks, len(seen))
+	if m == nil {
+		t.Fatal("no Reservation task was found before its training start")
 	}
-	t.Logf("%d tasks completed and %d were restarted on %d machines, %d of them aborted", s.res.Tasks, s.res.TaskRestarts, len(seen), len(aborted))
+	m.abort()
+	start := m.submit.Add(m.delay)
+	completion := start.Add(m.task.Duration)
+	s.runUntil(start)
+	if slices.Contains(s.idle, m) {
+		t.Fatalf("the machine is idle at its start (%v), with its completion (%v) still queued", start, completion)
+	}
+	s.runUntil(completion)
+	if !slices.Contains(s.idle, m) {
+		t.Fatalf("the machine is not idle after its completion (%v) fired dead", completion)
+	}
 }
 
 // TestDegradationEpisodesHandOverInTimeOrder reads the federation's penalty

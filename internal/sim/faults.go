@@ -66,8 +66,7 @@ func (s *sim) initFaults() {
 	}
 	s.faultsOn = true
 	s.frng, s.crng = rand.New(rand.NewSource(s.cfg.Seed+3)), rand.New(randprefix.New(0))
-	s.res.Availability = metrics.NewTimeline()
-	s.res.RecoveryTime = metrics.NewSample()
+	s.res.Availability, s.res.RecoveryTime = metrics.NewTimeline(), metrics.NewSample()
 	for i, o := range f.Outages {
 		s.armFault(s.start.Add(trace.Hours(o.StartHour)), des.Handler(func() { s.outageStrike(i, o) }))
 	}

@@ -309,11 +309,12 @@ type session struct {
 	// second allocation.
 	hosts []*host
 	slots [3]*host
-	// The session ID (id) is the key of the commitment the session holds on
-	// a host: a session's tasks are strictly serialized (running + FCFS
-	// queue), so at most one is ever outstanding. Its replicas need no key:
-	// they always sit on distinct hosts (every placement excludes hosts),
-	// so a host counts them, and subscribe checks it.
+	// A session's commitments and replicas need no key: its tasks are
+	// strictly serialized (running + FCFS queue), so at most one commits at
+	// a time, and the machine that runs it knows the host and the request
+	// (runningTask.release); its replicas always sit on distinct hosts
+	// (every placement excludes hosts), so a host counts them, and subscribe
+	// checks it.
 	lastExecutor int32
 	running      bool
 	closed       bool
@@ -342,17 +343,18 @@ func (ss *session) subscribe(h *host) {
 	h.h.Subscribe(ss.req.GPUs)
 }
 
-// unsubscribe takes the session's replica off h, and uncommit returns what
-// its running task (Reservation: the session itself) committed there. Both
-// are held by construction, so a refusal means the simulator lost track of
-// a host's state — and would leave the cluster's counters, its replica-free
-// host count and its table's summaries counting something that is gone.
+// unsubscribe takes the session's replica off h, and uncommit frees req,
+// what its running task (Reservation: the session itself) committed there.
+// Both are held by construction, so a refusal means the simulator lost track
+// of a host's state — and would leave the cluster's counters, its
+// replica-free host count and its table's summaries counting something that
+// is gone.
 func (ss *session) unsubscribe(h *host) {
 	ss.must(slices.Contains(ss.hosts, h) && h.h.Unsubscribe(ss.req.GPUs) == nil, "replica not found on", h)
 }
 
-func (ss *session) uncommit(h *host) {
-	ss.must(h.h.Release(ss.id) == nil, "commitment not found on", h)
+func (ss *session) uncommit(h *host, req resources.Spec) {
+	ss.must(h.h.Free(req) == nil, "commitment not found on", h)
 }
 
 func (ss *session) must(ok bool, what string, h *host) {
@@ -557,9 +559,8 @@ func newSim(p *plan) (*sim, error) {
 	s.res.Interactivity = s.newSample()
 	s.res.TCT = s.newSample()
 	if !p.federated {
-		s.res.SyncLatency = s.newSample()
-		s.res.ReadLatency = s.newSample()
-		s.res.WriteLatency = s.newSample()
+		// Drawn left to right: each recorder keeps its lean reservoir seed.
+		s.res.SyncLatency, s.res.ReadLatency, s.res.WriteLatency = s.newSample(), s.newSample(), s.newSample()
 		s.res.StepLatency = map[Step]*metrics.Sample{}
 		for i, st := range Steps() {
 			s.steps[i] = s.newSample()
@@ -940,9 +941,8 @@ func (s *sim) reserveHost(ss *session) *host {
 		}
 		h = s.addHost(ss.home)
 	}
-	if err := h.h.Commit(ss.id, ss.req); err != nil {
-		panic(err) // a fresh host always fits a request its shape fits
-	}
+	// A fresh host always fits a request its shape fits.
+	ss.must(h.h.Hold(ss.req) == nil, "reservation refused by", h)
 	return h
 }
 
@@ -959,7 +959,7 @@ func (s *sim) sessionEnd(ss *session) {
 	switch s.cfg.Policy {
 	case PolicyReservation:
 		if len(ss.hosts) > 0 && ss.hosts[0] != nil {
-			ss.uncommit(ss.hosts[0])
+			ss.uncommit(ss.hosts[0], ss.req)
 		}
 	case PolicyNotebookOS:
 		for _, h := range ss.hosts {
@@ -1100,7 +1100,7 @@ func (s *sim) tryBatchTask(ss *session, task trace.Task, submit time.Time) bool 
 	// A batch job requests the session's full configured resources, the
 	// way a slurm submission would, not just the GPUs this task touches.
 	h := s.mostIdleHost(ss, &ss.req)
-	if h == nil || h.h.Commit(ss.id, ss.req) != nil {
+	if h == nil || h.h.Hold(ss.req) != nil {
 		return false
 	}
 	s.res.ColdStarts++
@@ -1130,7 +1130,7 @@ scan:
 			}
 		}
 	}
-	if target == nil || target.h.Commit(ss.id, req) != nil {
+	if target == nil || target.h.Hold(req) != nil {
 		return false
 	}
 	s.launchContainer(ss, task, submit, target, s.takeContainer(target))
@@ -1187,7 +1187,7 @@ func (s *sim) tryNbosTask(ss *session, task trace.Task, submit time.Time) bool {
 	if last == 0 || last > len(ss.hosts) || !can(ss.hosts[last-1]) {
 		executor = 1 + slices.IndexFunc(ss.hosts, can) // else the first replica's that can
 	}
-	if executor == 0 || ss.hosts[executor-1].h.Commit(ss.id, req) != nil {
+	if executor == 0 || ss.hosts[executor-1].h.Hold(req) != nil {
 		return s.tryMigrate(ss, task, submit)
 	}
 	h := ss.hosts[executor-1]

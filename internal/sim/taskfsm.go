@@ -24,23 +24,28 @@ import (
 // the engine, and calls its retry. None is ever the session's cur, so the
 // fault layer cannot abort them; the task they carry is not in flight yet.
 //
-// The recycling rule: only normal completion (phase 2), a fired
-// resubmission or restart, and a parked machine's retry that made progress
-// recycle. By then every phase event of the machine has fired and nothing
-// else holds it — finishTask has cleared the session's handle on a completed
-// one, a resubmission, restart or parked task never had one, and the drain
-// drops a retry that made progress — so nothing can still reach it. A
-// resubmission or restart recycles itself before it calls startTask, which
-// may draw it straight back; a parked machine only after its retry's
-// tryTask, which must not draw it while it is still parked; a restart due
-// past the drain horizon is never armed, and its machine is left to the
-// garbage collector. An aborted machine
-// is never reused — a phase event scheduled before the abort may still sit
-// in the engine's heap, and must find the machine dead when it fires, not
-// running someone else's task; it is left to the garbage collector
-// (TestAbortedMachineIsNeverReused). An idle machine keeps its last
-// session reachable until it is reused; the list is as short as the run's
-// peak of concurrent tasks.
+// The recycling rule: a machine goes idle once its last queued phase event
+// has fired and nothing else holds it. That is normal completion (phase 2),
+// a fired resubmission or restart, a parked machine's retry that made
+// progress, and an aborted machine's last dead fire. finishTask has cleared
+// the session's handle on a completed one, a resubmission, restart or
+// parked task never had one, the drain drops a retry that made progress,
+// and abortRestart clears the handle on an aborted one — so nothing can
+// still reach it. A resubmission or restart recycles itself before it calls
+// startTask, which may draw it straight back; a parked machine only after
+// its retry's tryTask, which must not draw it while it is still parked; a
+// restart due past the drain horizon is never armed, and its machine is
+// left to the garbage collector. An aborted machine was a session's cur,
+// and a cur has exactly one phase event queued, except a Reservation
+// machine aborted before its start: tryReservationTask queued its
+// completion next to its start, so it has two. Each fires dead — the
+// start's only moves the Reservation machine to phase 1 — and the last one
+// idles the machine, so no phase event of its old task can reach it once
+// launch reuses it (TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent,
+// TestReservationMachineIdlesAtItsCompletion); reuse overwrites the whole
+// struct, the dead flag included. An idle machine keeps its last session
+// reachable until it is reused; the list is as short as the run's peak of
+// concurrent tasks.
 //
 // Byte-identity contract: the machine schedules its phase events where the
 // reference model (reference_test.go) schedules a task's training start,
@@ -52,11 +57,12 @@ import (
 // TestRunnerFingerprints pin its outputs.
 //
 // The machine is also the fault layer's handle on an in-flight task
-// (faults.go): abort marks it dead — already-scheduled phase events no-op
-// when they fire — unwinds any in-progress training accounting into
-// LostGPUHours, releases the task's exclusive commit, and hands the task
-// back for checkpoint-restore resubmission. The dead flag and tstart stamp
-// cost nothing on the fault-free path and change no scheduling.
+// (faults.go): abort marks it dead — already-scheduled phase events only
+// count down to its recycling when they fire — unwinds any in-progress
+// training accounting into LostGPUHours, frees the task's exclusive commit,
+// and hands the task back for checkpoint-restore resubmission. The dead
+// flag and tstart stamp cost nothing on the fault-free path and change no
+// scheduling.
 
 // runningTask drives every policy's pipeline from the training-start event on
 // (executor or container selection, the commit, WAN charging and the delay
@@ -84,13 +90,18 @@ type runningTask struct {
 const phaseResubmit, phaseRestart, phaseParked = 3, 4, 5
 
 func (t *runningTask) Fire() {
-	if t.dead {
-		return
-	}
 	s := t.s
 	lat := &s.cfg.Latencies
-	switch t.phase {
-	case 0: // training starts
+	switch {
+	case t.dead && t.phase == 0 && s.cfg.Policy == PolicyReservation:
+		// Aborted before its start, a Reservation machine still has its
+		// completion queued, which fires dead next.
+		t.phase = 1
+	case t.dead:
+		// An aborted machine's last queued phase event has fired: nothing
+		// refers to it any more.
+		s.idle = append(s.idle, t)
+	case t.phase == 0: // training starts
 		t.phase = 1
 		t.tstart = s.now().UnixNano()
 		s.markTraining(t, 1)
@@ -100,7 +111,7 @@ func (t *runningTask) Fire() {
 			// order.
 			s.eng.DeferRunner(t.task.Duration, t)
 		}
-	case 1: // execution done
+	case t.phase == 1: // execution done
 		t.phase = 2
 		params := t.ss.paramBytes
 		var post time.Duration
@@ -122,7 +133,7 @@ func (t *runningTask) Fire() {
 			s.res.WriteLatency.Add(lat.Store.PutLatency(params, s.rng).Seconds())
 		}
 		s.eng.DeferRunner(post+ret, t)
-	case 2: // reply returned
+	case t.phase == 2: // reply returned
 		s.markTraining(t, -1)
 		t.release()
 		if s.cfg.Policy == PolicyLCP {
@@ -132,7 +143,7 @@ func (t *runningTask) Fire() {
 		// The last phase event has fired and the session has moved on: nothing
 		// refers to the machine any more.
 		s.idle = append(s.idle, t)
-	case phaseResubmit, phaseRestart: // the replica has moved, or the backoff is over
+	default: // phaseResubmit or phaseRestart: the replica has moved, or the backoff is over
 		ss, task, submit, restart := t.ss, t.task, t.submit, t.phase == phaseRestart
 		s.idle = append(s.idle, t)
 		// A session that ended during a restart's backoff takes its work with it.
@@ -154,18 +165,24 @@ func (t *runningTask) retry() bool {
 	return true
 }
 
-// release drops the task's exclusive commit. A Reservation task holds
-// none: its GPUs stay bound to the session for its whole lifetime.
+// release frees the task's exclusive commit on t.h: a Batch container's is
+// the session's whole request, a NotebookOS or LCP task's its share
+// (taskReq). A Reservation task holds none: its GPUs stay bound to the
+// session for its whole lifetime.
 func (t *runningTask) release() {
-	if t.s.cfg.Policy != PolicyReservation {
-		t.ss.uncommit(t.h)
+	switch t.s.cfg.Policy {
+	case PolicyBatch:
+		t.ss.uncommit(t.h, t.ss.req)
+	case PolicyNotebookOS, PolicyLCP:
+		t.ss.uncommit(t.h, taskReq(t.ss, t.task))
 	}
 }
 
 // abort kills the machine (executor death or quorum loss — the repair
-// logic in faults.go decides which): later Fire events no-op, any started
-// training unwinds into LostGPUHours, and the commit releases (a no-op
-// charge on a crashed host — the cluster already dropped its aggregates).
+// logic in faults.go decides which): its queued Fire events fire dead, the
+// last one idling it, any started training unwinds into LostGPUHours, and
+// the commit frees (a no-op charge on a crashed host — the cluster already
+// dropped its aggregates).
 // An LCP container does not return to the warm pool: it died with its
 // host.
 func (t *runningTask) abort() {

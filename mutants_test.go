@@ -40,7 +40,14 @@ type mutant struct {
 // miscounted: a second replica of a session on one host, which the
 // simulator's own assertion refuses (TestReplicaPlacementIsChecked), and a
 // migration that takes its replica off the wrong host, which only the
-// auditor's host-by-host recount sees. Last, the other gates: the trace and assignment goldens
+// auditor's host-by-host recount sees. Then the two ways a commitment held
+// by count can be miscounted: a NotebookOS task that frees its session's
+// whole request, which its host refuses, and a task that frees from a host
+// other than its own, which the host-by-host capacity recount sees where
+// that host can give it. Then the recycling rule of aborted task machines
+// (internal/sim/taskfsm.go): one that idles at once, which a stale phase
+// event then reaches, and a dead Reservation machine that idles at its
+// first fire, with its completion still queued. Last, the other gates: the trace and assignment goldens
 // (the trace's twice: a drain's block of session IDs that opens with the
 // previous session's ID), the two sides of trace.Source's lending contract
 // (the simulator checks arrival order against a copy taken before the pull,
@@ -100,8 +107,8 @@ var mutants = []mutant{
 		pkg: "./internal/sim", run: "^TestRetryBudgetDecisionTable$", want: "retry_decisions.golden",
 	},
 	{
-		name: "Release wakes no waiter", file: "internal/cluster/cluster.go",
-		old: "\tif h.c != nil {\n\t\th.c.capacityFreed()\n\t}\n", new: "",
+		name: "a release wakes no waiter", file: "internal/cluster/cluster.go",
+		old: "\tif sign < 0 && h.c != nil {\n\t\th.c.capacityFreed()\n\t}\n", new: "",
 		pkg: "./internal/sim", run: "^TestRunnerFingerprints$", want: "runner_fingerprints.golden",
 	},
 	{
@@ -121,7 +128,7 @@ var mutants = []mutant{
 	},
 	{
 		name: "a Batch container keeps its GPUs", file: "internal/sim/taskfsm.go",
-		old: "if t.s.cfg.Policy != PolicyReservation {", new: "if t.s.cfg.Policy != PolicyReservation && t.s.cfg.Policy != PolicyBatch {",
+		old: "\tcase PolicyBatch:\n\t\tt.ss.uncommit(t.h, t.ss.req)\n", new: "\tcase PolicyBatch:\n",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^batch$", want: "audit capacity",
 	},
 	{
@@ -149,6 +156,27 @@ var mutants = []mutant{
 		name: "a removal from the wrong host", file: "internal/sim/sim.go",
 		old: "ss.unsubscribe(old)", new: "ss.unsubscribe(ss.hosts[(victim+1)%len(ss.hosts)])",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit subscriptions",
+	},
+	{
+		name: "a NotebookOS task frees its session's whole request", file: "internal/sim/taskfsm.go",
+		old: "\tcase PolicyBatch:\n\t\tt.ss.uncommit(t.h, t.ss.req)\n\tcase PolicyNotebookOS, PolicyLCP:\n",
+		new: "\tcase PolicyBatch, PolicyNotebookOS:\n\t\tt.ss.uncommit(t.h, t.ss.req)\n\tcase PolicyLCP:\n",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "commitment not found on",
+	},
+	{
+		name: "a task frees from a host other than its own", file: "internal/sim/taskfsm.go",
+		old: "t.ss.uncommit(t.h, taskReq(t.ss, t.task))", new: "t.ss.uncommit(t.ss.hosts[0], taskReq(t.ss, t.task))",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^seed-28$/^heavy$", want: "audit capacity",
+	},
+	{
+		name: "an aborted machine idles at once", file: "internal/sim/faults.go",
+		old: "\tt.abort()\n\tss.cur = nil\n", new: "\tt.abort()\n\ts.idle = append(s.idle, t)\n\tss.cur = nil\n",
+		pkg: "./internal/sim", run: "^TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent$", want: "commitment not found on",
+	},
+	{
+		name: "a dead Reservation machine idles at its first fire", file: "internal/sim/taskfsm.go",
+		old: "case t.dead && t.phase == 0 && s.cfg.Policy == PolicyReservation:", new: "case false:",
+		pkg: "./internal/sim", run: "^TestReservationMachineIdlesAtItsCompletion$", want: "the machine is idle at its start",
 	},
 	{
 		name: "a woken task leaves its queue-depth gauge up", file: "internal/sim/taskfsm.go",
@@ -215,13 +243,13 @@ var mutants = []mutant{
 		name: "every task allocates its machine", file: "internal/sim/sim.go",
 		old: "t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
 		new: "t := &runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}",
-		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 186", full: true,
+		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 180", full: true,
 	},
 	{
 		name: "a finished task's machine is not recycled", file: "internal/sim/taskfsm.go",
 		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.idle = append(s.idle, t)\n",
 		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
-		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 230", full: true,
+		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 221", full: true,
 	},
 	{
 		name: "every session ID is a string of its own", file: "internal/trace/stream.go",
@@ -231,7 +259,7 @@ var mutants = []mutant{
 	{
 		name: "the record keeps the whole lent session", file: "internal/sim/sim.go",
 		old: "\tslo   trace.SLOClass\n", new: "\tslo   trace.SLOClass\n\tspare trace.Session\n",
-		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 1.35 and 600", full: true,
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 1.30 and 590", full: true,
 	},
 	{
 		name: "an ID block starts one host late", file: "internal/sim/sim.go",
