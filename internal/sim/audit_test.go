@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -27,6 +28,13 @@ import (
 // pull that follows every admission: the session admitted last is at the end
 // of s.live there. In a fault-free run the auditor takes it off again at once,
 // so the list stays as empty as the run would have kept it.
+//
+// A session's record retires once the session is done, zeroed, and a later
+// admission may reuse it (startNext, newSession), so the auditor books a
+// session as its record and its number among the sessions admitted into that
+// record (booked): an entry speaks for its session only while the record has
+// neither retired nor been reused since (current). A stale entry is a session
+// that is done, and counts for nothing.
 //
 // The laws, one check each (the names failures and mutants report):
 //
@@ -92,6 +100,14 @@ import (
 //     its replacement; per member, the hosts still landing. Two phase events
 //     of every aborted machine, which fire dead; the fault windows; the
 //     injector and the wait-queue's drain.
+//   - spare: every record on the spare list is retired and unreachable. It
+//     is zeroed; the session last admitted into it has ended and submitted
+//     every task; and it is not on the run's live list, nor the session of a
+//     parked machine or of a busy session's current task. A record is
+//     checked at the first tick it is found on the list, and the whole list
+//     at the horizon; and at each admission a reused record's last session
+//     must be done (a record on the list twice would be drawn while its
+//     first reuse is live).
 //
 // A failure names the check, the sim time and the event index (the engine's
 // Steps).
@@ -106,10 +122,11 @@ const (
 	checkCrashed
 	checkWaitq
 	checkPending
+	checkSpare
 	numChecks
 )
 
-var checkNames = [numChecks]string{"tasks", "counters", "subscriptions", "capacity", "ledger", "crashed", "waitq", "pending"}
+var checkNames = [numChecks]string{"tasks", "counters", "subscriptions", "capacity", "ledger", "crashed", "waitq", "pending", "spare"}
 
 // auditor steps one run and checks it after every tick.
 type auditor struct {
@@ -134,9 +151,16 @@ type auditor struct {
 	// running or queued and tasks still to submit — nothing changes such a
 	// session but that arrival — and sleeping counts them. A session leaves
 	// both once it has nothing running, queued or still to submit.
-	busy     []*session
-	asleep   ticked[*session]
+	busy     []booked
+	asleep   ticked[booked]
 	sleeping int
+	// books holds, per record, what the auditor knows of the session last
+	// admitted into it. spareSeen is how much of the spare list the spare
+	// law has checked: the list is a stack that only admissions pop, so
+	// what lies below its shortest length since the last check has not
+	// moved.
+	books     map[*session]book
+	spareSeen int
 	// dueAt counts the tasks each tick's audit first finds submitted, from
 	// tick dueNext on; submitted counts those submitted by now.
 	dueAt     []int32
@@ -202,6 +226,7 @@ func (a *auditor) run(cfg Config) (*Result, error) {
 	}
 	defer s.close()
 	a.s, a.own, a.sums, a.onHost = s, !s.faultsOn, make([]memberSums, len(s.members)), make([][]hostSums, len(s.members))
+	a.books = map[*session]book{}
 	s.faultsOn = true
 	pull := s.pull
 	s.pull = func() (*trace.Session, bool) {
@@ -213,7 +238,7 @@ func (a *auditor) run(cfg Config) (*Result, error) {
 		a.audit()
 	}
 	s.drain()
-	a.recountAt = 0
+	a.recountAt, a.spareSeen = 0, 0
 	a.audit()
 	return s.finish()
 }
@@ -242,7 +267,18 @@ func (a *auditor) admitted() {
 		s.live[n] = nil
 		s.live = s.live[:n]
 	}
-	e := ending{ss: ss}
+	bk := a.books[ss]
+	if bk.gen > 0 && (bk.end.After(s.now()) || bk.last.After(s.now())) {
+		a.fail(checkSpare, "session %s is admitted into the record of a session that ends at %v or submits a task at %v",
+			ss.id, bk.end.Sub(s.start), bk.last.Sub(s.start))
+	}
+	bk = book{gen: bk.gen + 1, end: a.yieldedEnds[0]}
+	a.spareSeen = min(a.spareSeen, len(s.spare))
+	if len(ss.tasks) > 0 {
+		bk.last = ss.tasks[len(ss.tasks)-1].Submit
+	}
+	a.books[ss] = bk
+	e := ending{booked: booked{ss, bk.gen}}
 	for _, h := range ss.hosts {
 		switch {
 		case h == nil:
@@ -265,15 +301,21 @@ func (a *auditor) admitted() {
 		a.dueAt[k]++
 	}
 	if len(ss.tasks) > 0 {
-		a.sleep(ss)
+		a.sleep(e.booked)
 	}
 }
 
 // sleep parks a session with nothing running or queued until the tick its
 // next task arrives at.
-func (a *auditor) sleep(ss *session) {
-	a.asleep.add(a.tick(ss.tasks[ss.arrived].Submit), ss)
+func (a *auditor) sleep(b booked) {
+	a.asleep.add(a.tick(b.ss.tasks[b.ss.arrived].Submit), b)
 	a.sleeping++
+}
+
+// current reports whether b still speaks for its session: the record has
+// neither retired (startNext zeroes it) nor been reused since.
+func (a *auditor) current(b booked) bool {
+	return b.ss.s != nil && a.books[b.ss].gen == b.gen
 }
 
 // tick returns the first tick instant at or after t, numbered from the run's
@@ -296,16 +338,16 @@ func (a *auditor) audit() {
 		a.submitted += int(a.dueAt[a.dueNext])
 	}
 	a.ends.take(now, func(e ending) {
-		if !e.ss.closed {
+		if a.current(e.booked) && !e.ss.closed {
 			a.fail(checkSubscriptions, "session %s is still live past its end", e.ss.id)
 		}
 		a.live--
 		a.heldSub -= e.sub
 		a.heldRes -= e.res
 	})
-	a.asleep.take(now, func(ss *session) {
+	a.asleep.take(now, func(b booked) {
 		a.sleeping--
-		a.busy = append(a.busy, ss)
+		a.busy = append(a.busy, b)
 	})
 	live := a.live
 
@@ -317,7 +359,11 @@ func (a *auditor) audit() {
 	outstanding, swallowed, perSession := 0, 0, live+a.sleeping
 	dropping := s.cfg.Policy == PolicyNotebookOS || s.cfg.Policy == PolicyReservation
 	kept := a.busy[:0]
-	for _, ss := range a.busy {
+	for _, b := range a.busy {
+		if !a.current(b) {
+			continue // retired: nothing running, queued or still to submit
+		}
+		ss := b.ss
 		running := 0
 		if ss.running {
 			running = 1
@@ -347,9 +393,9 @@ func (a *auditor) audit() {
 		}
 		switch {
 		case ss.running || ss.started < ss.arrived:
-			kept = append(kept, ss)
+			kept = append(kept, b)
 		case int(ss.arrived) < len(ss.tasks):
-			a.sleep(ss)
+			a.sleep(b)
 		}
 	}
 	clear(a.busy[len(kept):])
@@ -402,6 +448,7 @@ func (a *auditor) audit() {
 		a.recountHosts()
 		a.recountAt = now + 1 + live/128
 	}
+	a.auditSpare()
 	for mi, m := range s.members {
 		owed += m.pendingHosts + perHost*(m.hostSeq-len(m.hosts))
 		c := m.c
@@ -503,7 +550,7 @@ func (a *auditor) audit() {
 			a.fail(checkWaitq, "session %s's parked machine is in phase %d", t.ss.id, t.phase)
 		case slices.Contains(s.idle, t):
 			a.fail(checkWaitq, "session %s's parked machine is on the idle list", t.ss.id)
-		case slices.ContainsFunc(a.busy, func(ss *session) bool { return ss.cur == t }):
+		case slices.ContainsFunc(a.busy, func(b booked) bool { return b.ss.cur == t }):
 			a.fail(checkWaitq, "session %s's parked machine is a session's current task", t.ss.id)
 		}
 	}
@@ -543,7 +590,7 @@ func (a *auditor) recountHosts() {
 	}
 	for _, e := range a.ends {
 		ss := e.v.ss
-		if ss.closed {
+		if !a.current(e.v.booked) || ss.closed {
 			continue
 		}
 		for _, h := range ss.hosts {
@@ -560,10 +607,10 @@ func (a *auditor) recountHosts() {
 			}
 		}
 	}
-	for _, ss := range a.busy {
-		if t := ss.cur; t != nil && s.cfg.Policy != PolicyReservation && a.member(t.h) {
+	for _, b := range a.busy {
+		if t := b.ss.cur; t != nil && s.cfg.Policy != PolicyReservation && a.member(t.h) {
 			held := &a.onHost[t.h.member][t.h.h.Slot()]
-			held.committed += taskCommit(ss, t)
+			held.committed += taskCommit(b.ss, t)
 			held.commits++
 		}
 	}
@@ -587,6 +634,47 @@ func (a *auditor) recountHosts() {
 	}
 	if sharedCommits {
 		a.sharedCommits++
+	}
+}
+
+// auditSpare holds the records that joined the spare list since its last
+// check (all of them at the horizon) to the spare law: zeroed, the session
+// last admitted into each ended and every task of it submitted by now; and
+// no retired record — its sim is nil — on the live list, or the session of a
+// parked machine or of a busy session's current task. A record on the list
+// twice would be drawn while its first reuse is live, which admitted checks.
+func (a *auditor) auditSpare() {
+	s := a.s
+	for _, ss := range s.spare[a.spareSeen:] {
+		bk := a.books[ss]
+		switch {
+		case !reflect.ValueOf(ss).Elem().IsZero():
+			a.fail(checkSpare, "the retired record of session %q is not zeroed", ss.id)
+		case bk.gen == 0:
+			a.fail(checkSpare, "a record no session was admitted into is on the spare list")
+		case bk.end.After(s.now()) || bk.last.After(s.now()):
+			a.fail(checkSpare, "a record retired before its session's end at %v or its last submission at %v",
+				bk.end.Sub(s.start), bk.last.Sub(s.start))
+		}
+	}
+	for _, ss := range s.live {
+		if ss.s == nil {
+			a.fail(checkSpare, "the live list holds a retired record")
+		}
+	}
+	for _, w := range s.waitq.q {
+		if t, ok := w.waiter.(*runningTask); ok && t.ss.s == nil {
+			a.fail(checkSpare, "a parked task's session has retired")
+		}
+	}
+	for _, b := range a.busy {
+		if t := b.ss.cur; t != nil && t.ss.s == nil {
+			a.fail(checkSpare, "session %s runs a task of a retired record", b.ss.id)
+		}
+	}
+	a.spareSeen = len(s.spare)
+	if len(s.spare) > 0 {
+		a.witnessed[checkSpare]++
 	}
 }
 
@@ -701,8 +789,23 @@ func TestAuditedRuns(t *testing.T) {
 
 // ending is a live session and what it held at admission.
 type ending struct {
-	ss       *session
+	booked
 	sub, res int
+}
+
+// booked is a session as the auditor booked it: its record, and its number
+// among the sessions admitted into that record.
+type booked struct {
+	ss  *session
+	gen int
+}
+
+// book is what the auditor knows of the session last admitted into a
+// record: its number among the record's sessions, its end and its last
+// task's submission (zero without tasks).
+type book struct {
+	gen       int
+	end, last time.Time
 }
 
 // ticked is a min-heap of values by the tick at whose audit they fall due,

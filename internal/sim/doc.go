@@ -37,7 +37,9 @@
 //     is the only way in: one self-rescheduling event admits a session at its
 //     start (copying its ID, Request, Tasks and SLO into the session record,
 //     the only fields read after admission, since a Source lends each
-//     session only until it is pulled again), schedules its end and first
+//     session only until it is pulled again; the record is a retired one
+//     when one is spare, for a record retires, zeroed, once its session has
+//     ended and its last task is done), schedules its end and first
 //     task arrival and pulls the next from the plan's Source; the session
 //     then submits its own tasks, each arrival
 //     scheduling the next under a sequence number reserved at admission. So in

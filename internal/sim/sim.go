@@ -493,9 +493,11 @@ type sim struct {
 	reserved gpuHoursAcc
 
 	// idle holds the task state machines that completed, for launch to reuse
-	// (taskfsm.go), and landings the scale-outs that landed, for provision.
+	// (taskfsm.go), landings the scale-outs that landed, for provision, and
+	// spare the retired session records, for newSession (startNext).
 	idle     []*runningTask
 	landings []*landing
+	spare    []*session
 	// faultsOn gates the fault layer; frng feeds the crash-path draws
 	// (elections, container starts during repair) so fault handling never
 	// perturbs the scheduling RNG, and crng is the generator every host's
@@ -694,12 +696,12 @@ func (s *sim) wholeServers() bool {
 	return s.cfg.Policy == PolicyNotebookOS || s.cfg.Policy == PolicyLCP
 }
 
-// newSession admits one session: its workload assignment is the next draw
-// of the arrival-order stream and its home member the next round-robin
-// slot.
+// newSession admits one session into a retired record when there is one
+// (startNext): its workload assignment is the next draw of the arrival-order
+// stream and its home member the next round-robin slot.
 func (s *sim) newSession(sess *trace.Session) *session {
 	assig := workload.Assign(s.wr)
-	ss := &session{
+	ss := reuse(&s.spare, session{
 		s:            s,
 		id:           sess.ID,
 		req:          sess.Request,
@@ -709,7 +711,7 @@ func (s *sim) newSession(sess *trace.Session) *session {
 		datasetBytes: assig.Dataset.SizeBytes,
 		home:         s.homeSeq % len(s.members),
 		classDelay:   s.res.ClassDelay[sess.SLO.OrDefault()],
-	}
+	})
 	s.homeSeq++
 	s.members[ss.home].res.HomeSessions++
 	return ss
@@ -946,14 +948,12 @@ func (s *sim) reserveHost(ss *session) *host {
 	return h
 }
 
+// sessionEnd closes the session, the one time its end event fires. A session
+// with no task running retires here (startNext); one whose task outlives it
+// retires once that task is done.
 func (s *sim) sessionEnd(ss *session) {
-	if ss.closed {
-		return
-	}
 	ss.closed = true
-	if i := slices.Index(s.live, ss); i >= 0 {
-		s.live = slices.Delete(s.live, i, i+1)
-	}
+	s.live = slices.DeleteFunc(s.live, func(l *session) bool { return l == ss })
 	s.res.ActiveSessions.Delta(s.now(), -1)
 	s.reserved.bump(s.now().UnixNano(), -float64(ss.req.GPUs))
 	switch s.cfg.Policy {
@@ -969,21 +969,29 @@ func (s *sim) sessionEnd(ss *session) {
 		}
 		s.sampleSR()
 	}
+	if !ss.running {
+		s.startNext(ss)
+	}
 }
 
 // ---- task pipeline -----------------------------------------------------
 
 // startNext moves the session on to its next submitted task, if one is
-// waiting (see arrivals).
+// waiting (see arrivals). A session with none, closed and with every task
+// arrived, is done: nothing runs for it, nothing is queued or parked for it,
+// and no event of its is pending, so its record retires to the spare list,
+// cleared — an idle or dead-firing machine may still point at it, but never
+// reads it (taskfsm.go), and a use after retirement finds ss.s nil.
 func (s *sim) startNext(ss *session) {
-	ss.running = false
-	ss.cur = nil
-	ss.restarts = 0
+	ss.running, ss.cur, ss.restarts = false, nil, 0
 	if ss.started < ss.arrived {
 		next := ss.tasks[ss.started]
 		ss.started++
 		ss.running = true
 		s.startTask(ss, next, s.now())
+	} else if ss.closed && int(ss.arrived) == len(ss.tasks) {
+		*ss = session{}
+		s.spare = append(s.spare, ss)
 	}
 }
 
@@ -1063,7 +1071,8 @@ func (s *sim) launch(ss *session, task trace.Task, submit time.Time, h *host, de
 
 // reuse returns a pointer to v's copy in the last value of an idle list,
 // which it pops, or in a new value when the list is empty: how task state
-// machines (s.idle) and scale-out landings (s.landings) are drawn.
+// machines (s.idle), scale-out landings (s.landings) and session records
+// (s.spare) are drawn.
 func reuse[T any](idle *[]*T, v T) (t *T) {
 	if n := len(*idle) - 1; n >= 0 {
 		t, *idle = (*idle)[n], (*idle)[:n]

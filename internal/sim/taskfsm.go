@@ -43,9 +43,13 @@ import (
 // idles the machine, so no phase event of its old task can reach it once
 // launch reuses it (TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent,
 // TestReservationMachineIdlesAtItsCompletion); reuse overwrites the whole
-// struct, the dead flag included. An idle machine keeps its last session
-// reachable until it is reused; the list is as short as the run's peak of
-// concurrent tasks.
+// struct, the dead flag included. An idle machine keeps its last session's
+// record reachable until it is reused; the list is as short as the run's
+// peak of concurrent tasks. That record may have retired meanwhile
+// (startNext: zeroed, on the spare list) and been reused by a later
+// session, so neither an idle machine nor a dead-firing aborted one ever
+// reads it: a Reservation machine's dead start moves its own phase, every
+// other dead fire only idles the machine.
 //
 // Byte-identity contract: the machine schedules its phase events where the
 // reference model (reference_test.go) schedules a task's training start,

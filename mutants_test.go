@@ -34,8 +34,11 @@ type mutant struct {
 // decision tables' rules. Then one mutant per check of the run auditor
 // (internal/sim/audit_test.go), each killed by TestAuditedRuns naming its
 // check (waitq twice: a woken task that leaves its gauge up, and a parked
-// machine that goes idle before its retry succeeds), and the subscription
-// leak the seed-28 run found (docs/BUG_LEDGER.md, bug 16) put back. Then the
+// machine that goes idle before its retry succeeds; pending by a host's crash
+// clock armed twice), and the subscription leak the seed-28 run found
+// (docs/BUG_LEDGER.md, bug 16) put back. A session's end scheduled twice
+// once was pending's mutant; since a record retires zeroed, the second end
+// of an idle session dereferences its nil sim first. Then the
 // two ways a replica subscribed by count can be
 // miscounted: a second replica of a session on one host, which the
 // simulator's own assertion refuses (TestReplicaPlacementIsChecked), and a
@@ -56,7 +59,12 @@ type mutant struct {
 // scoreboard's golden, which runs at full scale, the two allocation pins,
 // each given back a per-task allocation, the generator's, given back a
 // string per session ID, and the admission pin's bytes, given back a record
-// that keeps the whole lent session. Then a member's host blocks, each
+// that keeps the whole lent session. Then the recycling of session records
+// (internal/sim/sim.go, startNext): every session that allocates its record
+// again, killed by the admission pin, and a record that retires while its
+// task still runs or before its last task arrives, each killed by
+// TestSessionRecordRetiresAfterItsLastTask, and a retired record that is not
+// zeroed, which only the auditor's spare check sees. Then a member's host blocks, each
 // killed by TestHostIDMatchesSprintf: a block of IDs that starts one host
 // late, and two hosts that share one record. Then the simulator's
 // optimisations, each killed by the reference model
@@ -190,9 +198,14 @@ var mutants = []mutant{
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos-heavy$", want: "parked machine is on the idle list",
 	},
 	{
+		name: "a host's crash clock is armed twice", file: "internal/sim/faults.go",
+		old: "\t\ts.armFault(s.now().Add(up), (*crashClock)(h))\n", new: "\t\ts.armFault(s.now().Add(up), (*crashClock)(h))\n\t\ts.armFault(s.now().Add(up), (*crashClock)(h))\n",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos-heavy$", want: "audit pending",
+	},
+	{
 		name: "a session's end is scheduled twice", file: "internal/sim/stream.go",
 		old: "\ts.eng.ScheduleRunner(in.sess.End, ss)\n", new: "\ts.eng.ScheduleRunner(in.sess.End, ss)\n\ts.eng.ScheduleRunner(in.sess.End, ss)\n",
-		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "audit pending",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos$", want: "invalid memory address or nil pointer dereference",
 	},
 	{
 		name: "the Adobe task-duration median moves", file: "internal/trace/configs.go",
@@ -259,7 +272,27 @@ var mutants = []mutant{
 	{
 		name: "the record keeps the whole lent session", file: "internal/sim/sim.go",
 		old: "\tslo   trace.SLOClass\n", new: "\tslo   trace.SLOClass\n\tspare trace.Session\n",
-		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 1.30 and 590", full: true,
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.94 and 525", full: true,
+	},
+	{
+		name: "every session allocates its record", file: "internal/sim/sim.go",
+		old: "ss := reuse(&s.spare, session{", new: "ss := new(session)\n\t*ss = (session{",
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.94 and 525", full: true,
+	},
+	{
+		name: "a record retires while its task still runs", file: "internal/sim/sim.go",
+		old: "\tif !ss.running {\n\t\ts.startNext(ss)", new: "\tif true {\n\t\ts.startNext(ss)",
+		pkg: "./internal/sim", run: "^TestSessionRecordRetiresAfterItsLastTask$", want: "session runs retired before its last task can have finished",
+	},
+	{
+		name: "a record retires before its last arrival", file: "internal/sim/sim.go",
+		old: "} else if ss.closed && int(ss.arrived) == len(ss.tasks) {", new: "} else if ss.closed {",
+		pkg: "./internal/sim", run: "^TestSessionRecordRetiresAfterItsLastTask$", want: "session late retired before its last task can have finished",
+	},
+	{
+		name: "a retired record keeps its session", file: "internal/sim/sim.go",
+		old: "\t\t*ss = session{}\n", new: "",
+		pkg: "./internal/sim", run: "^TestAuditedRuns$", want: "audit spare",
 	},
 	{
 		name: "an ID block starts one host late", file: "internal/sim/sim.go",
