@@ -13,34 +13,17 @@ import (
 // State is a container's lifecycle state.
 type State int
 
-// Container lifecycle states.
+// Container lifecycle states. The zero State is a container not yet
+// provisioned.
 const (
-	// Provisioning: the container image is being pulled/started.
-	Provisioning State = iota
 	// Warm: runtime initialized (Python + common dependencies preloaded),
 	// waiting in the pre-warm pool.
-	Warm
+	Warm State = iota + 1
 	// Running: hosting a kernel replica.
 	Running
 	// Terminated: stopped; terminal state.
 	Terminated
 )
-
-// String names the state.
-func (s State) String() string {
-	switch s {
-	case Provisioning:
-		return "provisioning"
-	case Warm:
-		return "warm"
-	case Running:
-		return "running"
-	case Terminated:
-		return "terminated"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // Container is one kernel replica container.
 type Container struct {
@@ -51,25 +34,12 @@ type Container struct {
 	state State
 }
 
-func (c *Container) setState(s State) {
-	c.mu.Lock()
-	c.state = s
-	c.mu.Unlock()
-}
-
-// currentState returns the lifecycle state.
-func (c *Container) currentState() State {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state
-}
-
 // Run transitions Warm -> Running.
 func (c *Container) Run() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.state != Warm {
-		return fmt.Errorf("container %s: cannot run from state %s", c.ID, c.state)
+		return fmt.Errorf("container %s: cannot run: not warm", c.ID)
 	}
 	c.state = Running
 	return nil
@@ -77,7 +47,9 @@ func (c *Container) Run() error {
 
 // Terminate moves the container to Terminated from any state.
 func (c *Container) Terminate() {
-	c.setState(Terminated)
+	c.mu.Lock()
+	c.state = Terminated
+	c.mu.Unlock()
 }
 
 // LatencyModel samples provisioning latencies. The paper observes that
@@ -108,9 +80,6 @@ type Provisioner struct {
 	mu      sync.Mutex
 	rng     *rand.Rand
 	counter int64
-	// metrics
-	coldStarts int64
-	warmTakes  int64
 }
 
 // NewProvisioner returns a provisioner using clock for delays.
@@ -123,7 +92,6 @@ func NewProvisioner(clock simclock.Clock, latency LatencyModel, seed int64) *Pro
 func (p *Provisioner) Provision(host string) *Container {
 	p.mu.Lock()
 	p.counter++
-	p.coldStarts++
 	id := fmt.Sprintf("ctr-%s-%d", host, p.counter)
 	delay := p.latency.ColdStart(p.rng)
 	p.mu.Unlock()
@@ -135,17 +103,9 @@ func (p *Provisioner) Provision(host string) *Container {
 // Attach pays the warm-attach latency for a pooled container.
 func (p *Provisioner) Attach() {
 	p.mu.Lock()
-	p.warmTakes++
 	delay := p.latency.WarmAttach(p.rng)
 	p.mu.Unlock()
 	p.clock.Sleep(delay)
-}
-
-// stats returns (cold starts, warm takes).
-func (p *Provisioner) stats() (cold, warm int64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.coldStarts, p.warmTakes
 }
 
 // Prewarmer keeps a fixed number of warm containers on every host, the
@@ -215,21 +175,4 @@ func (pw *Prewarmer) Take(host string) (*Container, error) {
 	}
 	pw.prov.Attach()
 	return c, nil
-}
-
-// recycle places a container back in its host's pool (NotebookOS (LCP)
-// baseline behaviour: "the container is returned to the pool rather than
-// being terminated").
-func (pw *Prewarmer) recycle(c *Container) {
-	c.setState(Warm)
-	pw.mu.Lock()
-	pw.pools[c.Host] = append(pw.pools[c.Host], c)
-	pw.mu.Unlock()
-}
-
-// available returns the number of warm containers pooled on host.
-func (pw *Prewarmer) available(host string) int {
-	pw.mu.Lock()
-	defer pw.mu.Unlock()
-	return len(pw.pools[host])
 }

@@ -13,11 +13,25 @@ func fastProv() *Provisioner {
 	return NewProvisioner(simclock.Real{}, FastLatency(), 1)
 }
 
+// stateOf reads c's lifecycle state.
+func stateOf(c *Container) State {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.state
+}
+
+// available counts the warm containers pooled on host.
+func available(pw *Prewarmer, host string) int {
+	pw.mu.Lock()
+	defer pw.mu.Unlock()
+	return len(pw.pools[host])
+}
+
 func TestContainerLifecycle(t *testing.T) {
 	p := fastProv()
 	c := p.Provision("h1")
-	if c.currentState() != Warm {
-		t.Fatalf("state = %v, want warm", c.currentState())
+	if stateOf(c) != Warm {
+		t.Fatalf("state = %v, want warm", stateOf(c))
 	}
 	if c.Host != "h1" || c.ID == "" {
 		t.Fatalf("container = %+v", c)
@@ -25,28 +39,15 @@ func TestContainerLifecycle(t *testing.T) {
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.currentState() != Running {
-		t.Fatalf("state = %v", c.currentState())
+	if stateOf(c) != Running {
+		t.Fatalf("state = %v", stateOf(c))
 	}
 	if err := c.Run(); err == nil {
 		t.Fatal("Run from Running must fail")
 	}
 	c.Terminate()
-	if c.currentState() != Terminated {
-		t.Fatalf("state = %v", c.currentState())
-	}
-}
-
-func TestStateString(t *testing.T) {
-	for s, want := range map[State]string{
-		Provisioning: "provisioning", Warm: "warm", Running: "running", Terminated: "terminated",
-	} {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q", s, s.String())
-		}
-	}
-	if State(42).String() == "" {
-		t.Error("unknown state should render")
+	if stateOf(c) != Terminated {
+		t.Fatalf("state = %v", stateOf(c))
 	}
 }
 
@@ -71,15 +72,11 @@ func TestProvisionerLatencyOnVirtualClock(t *testing.T) {
 	clock.Advance(45 * time.Second)
 	select {
 	case c := <-done:
-		if c.currentState() != Warm {
-			t.Fatalf("state = %v", c.currentState())
+		if stateOf(c) != Warm {
+			t.Fatalf("state = %v", stateOf(c))
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("provision never completed")
-	}
-	cold, warm := p.stats()
-	if cold != 1 || warm != 0 {
-		t.Fatalf("stats = %d/%d", cold, warm)
 	}
 }
 
@@ -87,25 +84,22 @@ func TestPrewarmerTakeAndRefill(t *testing.T) {
 	p := fastProv()
 	pw := NewPrewarmer(p, 2)
 	pw.WarmHost("h1")
-	if got := pw.available("h1"); got != 2 {
+	if got := available(pw, "h1"); got != 2 {
 		t.Fatalf("available = %d", got)
 	}
 	c, err := pw.Take("h1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.currentState() != Warm {
-		t.Errorf("taken container state = %v, want warm", c.currentState())
-	}
-	if _, warm := p.stats(); warm != 1 {
-		t.Errorf("warm takes = %d, want 1", warm)
+	if stateOf(c) != Warm {
+		t.Errorf("taken container state = %v, want warm", stateOf(c))
 	}
 	// Background refill restores the target size.
 	deadline := time.Now().Add(2 * time.Second)
-	for pw.available("h1") < 2 && time.Now().Before(deadline) {
+	for available(pw, "h1") < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
-	if got := pw.available("h1"); got != 2 {
+	if got := available(pw, "h1"); got != 2 {
 		t.Fatalf("available after refill = %d", got)
 	}
 }
@@ -114,23 +108,6 @@ func TestPrewarmerEmptyHost(t *testing.T) {
 	pw := NewPrewarmer(fastProv(), 1)
 	if _, err := pw.Take("unknown-host"); !errors.Is(err, ErrNoWarmContainer) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestPrewarmerReturn(t *testing.T) {
-	p := fastProv()
-	pw := NewPrewarmer(p, 0) // no auto-refill: LCP-style manual pool
-	c := p.Provision("h1")
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	pw.recycle(c)
-	if c.currentState() != Warm {
-		t.Fatalf("returned container state = %v", c.currentState())
-	}
-	got, err := pw.Take("h1")
-	if err != nil || got != c {
-		t.Fatalf("Take = %v, %v", got, err)
 	}
 }
 
@@ -145,12 +122,12 @@ func TestPrewarmerNoOverRefill(t *testing.T) {
 		}
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for pw.available("h1") < 3 && time.Now().Before(deadline) {
+	for available(pw, "h1") < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	// Allow any in-flight refills to land, then confirm no overshoot.
 	time.Sleep(50 * time.Millisecond)
-	if got := pw.available("h1"); got != 3 {
+	if got := available(pw, "h1"); got != 3 {
 		t.Fatalf("available = %d, want exactly 3", got)
 	}
 }

@@ -25,15 +25,20 @@ data = load_dataset("imdb")
 r1 = train(model, data, epochs=1, gpus=2, seconds=10)
 r2 = train(model, data, epochs=3, gpus=2, seconds=10)
 print(model.epochs_trained)
-print(r2.loss < r1.loss)
 e = evaluate(model, data)
-print(e.accuracy > 0)
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "4") || !strings.Contains(out, "True") {
+	if out != "4\n" {
 		t.Fatalf("output = %q", out)
+	}
+	loss := func(name string) float64 { return float64(in.Globals[name].(*pynb.Object).Fields["loss"].(pynb.Float)) }
+	if loss("r2") >= loss("r1") {
+		t.Errorf("loss after 4 epochs %v, after 1 %v: want it lower", loss("r2"), loss("r1"))
+	}
+	if acc := in.Globals["e"].(*pynb.Object).Fields["accuracy"].(pynb.Float); acc <= 0 {
+		t.Errorf("accuracy = %v, want > 0", acc)
 	}
 }
 
@@ -89,17 +94,16 @@ func TestScaledSecondsSaturate(t *testing.T) {
 func TestTrainDefaultDuration(t *testing.T) {
 	in := newRuntimeInterp(t)
 	// No seconds kwarg: duration derived from dataset size/epochs/gpus.
-	out, err := in.Run(`
+	_, err := in.Run(`
 m = create_model("resnet18")
 d = load_dataset("cifar10")
 r = train(m, d, epochs=1, gpus=1)
-print(r.seconds > 0)
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "True") {
-		t.Fatalf("output = %q", out)
+	if s := in.Globals["r"].(*pynb.Object).Fields["seconds"].(pynb.Float); s <= 0 {
+		t.Fatalf("seconds = %v, want > 0", s)
 	}
 }
 

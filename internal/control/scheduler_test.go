@@ -1,7 +1,9 @@
 package control
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -357,6 +359,50 @@ func TestWorkloadRuntimeTrain(t *testing.T) {
 		obj, ok := v.(*pynb.Object)
 		return ok && obj.Fields["epochs_trained"] == pynb.Int(2)
 	}, "model checkpointed to the data store")
+}
+
+// TestUntrainedModelReachesStandbys: create_model's loss is +Inf until the
+// model trains, a value JSON numbers cannot hold. Every replica, the two
+// standbys too, must still hold model after the cell that creates it.
+func TestUntrainedModelReachesStandbys(t *testing.T) {
+	sink := &replySink{}
+	gs := newGS(t, 3, func(c *Config) { c.OnReply = sink.onReply })
+	if err := gs.StartKernel("k1", "s", gpuReq(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := gs.Execute("k1", "model = create_model(\"bert\")\n"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return sink.count() == 1 }, "create_model reply")
+	gs.mu.Lock()
+	replicas := gs.kernels["k1"].k.Replicas()
+	gs.mu.Unlock()
+	holds := func(r *kernel.Replica) bool {
+		key, err := r.Checkpoint()
+		if err != nil {
+			return false
+		}
+		data, err := gs.store.Get(key)
+		if err != nil {
+			return false
+		}
+		var snap struct {
+			Globals map[string][]byte `json:"globals"`
+		}
+		if json.Unmarshal(data, &snap) != nil {
+			return false
+		}
+		v, err := pynb.DecodeValue(snap.Globals["model"])
+		if err != nil {
+			return false
+		}
+		m, ok := v.(*pynb.Object)
+		return ok && m.Fields["loss"] == pynb.Float(math.Inf(1))
+	}
+	waitFor(t, func() bool {
+		return len(replicas) == 3 && holds(replicas[0]) && holds(replicas[1]) && holds(replicas[2])
+	},
+		"every replica holding the untrained model")
 }
 
 func TestReplicaKeyAndHolder(t *testing.T) {

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -96,6 +97,47 @@ func TestStateReplicatesToStandbys(t *testing.T) {
 		}
 		return true
 	}, "state replicated to all replicas")
+}
+
+// TestBuiltinArgumentMutationReplicates: a builtin may change an argument in
+// place, as train(model, …) trains model, so a cell changes a global it never
+// assigns. The standbys must get that global too.
+func TestBuiltinArgumentMutationReplicates(t *testing.T) {
+	k := newTestKernel(t, func(c *Config) {
+		c.InstallRuntime = func(in *pynb.Interp) {
+			in.RegisterBuiltin("counter", func(*pynb.CallCtx) (pynb.Value, error) {
+				o := pynb.NewObject("Counter", 0)
+				o.Fields["n"] = pynb.Int(0)
+				return o, nil
+			})
+			in.RegisterBuiltin("bump", func(c *pynb.CallCtx) (pynb.Value, error) {
+				o := c.Args[0].(*pynb.Object)
+				o.Fields["n"] = o.Fields["n"].(pynb.Int) + 1
+				return pynb.None{}, nil
+			})
+		}
+	})
+	count := func(r *Replica) pynb.Value {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if m, ok := r.interp.Globals["m"].(*pynb.Object); ok {
+			return m.Fields["n"]
+		}
+		return nil
+	}
+	for i, cell := range []string{"m = counter()\n", "bump(m)\n"} {
+		if reply, err := k.executeCell("s", cell, testTimeout); err != nil || reply.Status != "ok" {
+			t.Fatalf("%q: %+v, %v", cell, reply, err)
+		}
+		waitFor(t, func() bool {
+			for _, r := range k.Replicas() {
+				if count(r) != pynb.Int(i) {
+					return false
+				}
+			}
+			return true
+		}, fmt.Sprintf("every replica's m.n reading %d after %q", i, cell))
+	}
 }
 
 func TestStateCarriesAcrossCells(t *testing.T) {

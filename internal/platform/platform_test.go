@@ -62,7 +62,7 @@ func TestExecuteSyncRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reply, err := p.ExecuteSync(s.ID, "x = 2 ** 6\nprint(x)\n", 30*time.Second)
+	reply, err := p.ExecuteSync(s.ID, "x = 8 * 8\nprint(x)\n", 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

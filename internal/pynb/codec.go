@@ -3,18 +3,18 @@ package pynb
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 )
 
 // wireValue is the JSON envelope for serialized values. Kernel replicas
 // serialize updated globals into Raft log entries (small values) or the
-// distributed data store (large values) using this format.
+// distributed data store (large values) using this format. A float travels
+// as its shortest decimal string in S, so ±Inf and NaN (an untrained
+// model's loss) round-trip where a JSON number cannot hold them.
 type wireValue struct {
 	T       string               `json:"t"`
 	Int     int64                `json:"i,omitempty"`
-	Float   float64              `json:"f,omitempty"`
 	Str     string               `json:"s,omitempty"`
-	Bool    bool                 `json:"b,omitempty"`
-	Elems   []json.RawMessage    `json:"e,omitempty"`
 	Class   string               `json:"c,omitempty"`
 	Payload int64                `json:"p,omitempty"`
 	Fields  map[string]wireValue `json:"fl,omitempty"`
@@ -43,23 +43,11 @@ func toWire(v Value) (wireValue, error) {
 	case Int:
 		return wireValue{T: "int", Int: int64(x)}, nil
 	case Float:
-		return wireValue{T: "float", Float: float64(x)}, nil
+		return wireValue{T: "float", Str: strconv.FormatFloat(float64(x), 'g', -1, 64)}, nil
 	case Str:
 		return wireValue{T: "str", Str: string(x)}, nil
-	case Bool:
-		return wireValue{T: "bool", Bool: bool(x)}, nil
 	case None:
 		return wireValue{T: "none"}, nil
-	case *List:
-		w := wireValue{T: "list"}
-		for _, e := range x.Elems {
-			b, err := EncodeValue(e)
-			if err != nil {
-				return wireValue{}, err
-			}
-			w.Elems = append(w.Elems, b)
-		}
-		return w, nil
 	case *Object:
 		w := wireValue{T: "obj", Class: x.Class, Payload: x.Payload, Fields: map[string]wireValue{}}
 		for k, f := range x.Fields {
@@ -80,23 +68,15 @@ func fromWire(w wireValue) (Value, error) {
 	case "int":
 		return Int(w.Int), nil
 	case "float":
-		return Float(w.Float), nil
+		f, err := strconv.ParseFloat(w.Str, 64)
+		if err != nil {
+			return nil, fmt.Errorf("pynb: decode float: %w", err)
+		}
+		return Float(f), nil
 	case "str":
 		return Str(w.Str), nil
-	case "bool":
-		return Bool(w.Bool), nil
 	case "none":
 		return None{}, nil
-	case "list":
-		lst := &List{}
-		for _, raw := range w.Elems {
-			e, err := DecodeValue(raw)
-			if err != nil {
-				return nil, err
-			}
-			lst.Elems = append(lst.Elems, e)
-		}
-		return lst, nil
 	case "obj":
 		o := NewObject(w.Class, w.Payload)
 		for k, fw := range w.Fields {

@@ -3,6 +3,7 @@ package pynb
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // SyntaxError reports a lexing or parsing failure with position.
@@ -19,10 +20,19 @@ func errAt(line, col int, format string, args ...any) error {
 	return &SyntaxError{Line: line, Col: col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Lex tokenizes source code, producing INDENT/DEDENT tokens from leading
-// whitespace the way CPython's tokenizer does.
+// unsupported refuses a construct the language leaves out, by name.
+func unsupported(line, col int, what string) error {
+	return errAt(line, col, "unsupported construct: %s", what)
+}
+
+// Lex tokenizes source code. A line that starts with whitespace outside
+// brackets is refused: the language has no blocks. So is a cell that is not
+// UTF-8, as Python refuses one: its strings could not replicate intact.
 func Lex(src string) ([]Token, error) {
-	l := &lexer{src: src, line: 1, col: 1, indents: []int{0}}
+	if !utf8.ValidString(src) {
+		return nil, errAt(1, 1, "source is not valid UTF-8")
+	}
+	l := &lexer{src: src, line: 1, col: 1}
 	if err := l.run(); err != nil {
 		return nil, err
 	}
@@ -30,141 +40,76 @@ func Lex(src string) ([]Token, error) {
 }
 
 type lexer struct {
-	src     string
-	pos     int
-	line    int
-	col     int
-	toks    []Token
-	indents []int
+	src  string
+	pos  int
+	line int
+	col  int
+	toks []Token
 	// parenDepth tracks bracket nesting: newlines inside brackets are
 	// insignificant, as in Python.
-	parenDepth  int
-	atLineStart bool
+	parenDepth int
 }
 
 func (l *lexer) run() error {
-	l.atLineStart = true
+	lineStart := true
 	for l.pos < len(l.src) {
-		if l.atLineStart && l.parenDepth == 0 {
-			if err := l.handleIndent(); err != nil {
-				return err
-			}
-			if l.pos >= len(l.src) {
-				break
-			}
-		}
 		c := l.src[l.pos]
 		switch {
 		case c == '\n':
-			l.consumeNewline()
+			if l.parenDepth == 0 {
+				// Collapse blank lines: only a line with content ends in NEWLINE.
+				if n := len(l.toks); n > 0 && l.toks[n-1].Kind != TokNewline {
+					l.emit(TokNewline, "\n")
+				}
+				lineStart = true
+			}
+			l.pos++
+			l.line++
+			l.col = 1
+			continue
 		case c == ' ' || c == '\t' || c == '\r':
 			l.advance(1)
+			continue
 		case c == '#':
 			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
 				l.advance(1)
 			}
+			continue
+		}
+		if lineStart && l.parenDepth == 0 && l.col > 1 {
+			return unsupported(l.line, l.col, "indented line")
+		}
+		lineStart = false
+		var err error
+		switch {
 		case isDigit(c):
-			if err := l.lexNumber(); err != nil {
-				return err
-			}
+			err = l.lexNumber()
 		case c == '"' || c == '\'':
-			if err := l.lexString(c); err != nil {
-				return err
-			}
+			err = l.lexString(c)
 		case isIdentStart(c):
-			l.lexIdent()
+			err = l.lexIdent()
 		default:
-			if !l.lexOperator() {
-				return errAt(l.line, l.col, "unexpected character %q", string(c))
-			}
+			err = l.lexOperator()
+		}
+		if err != nil {
+			return err
 		}
 	}
-	// Close the final line and any open indentation.
-	if len(l.toks) > 0 && l.toks[len(l.toks)-1].Kind != TokNewline {
+	if n := len(l.toks); n > 0 && l.toks[n-1].Kind != TokNewline {
 		l.emit(TokNewline, "\n")
-	}
-	for len(l.indents) > 1 {
-		l.indents = l.indents[:len(l.indents)-1]
-		l.emit(TokDedent, "")
 	}
 	l.emit(TokEOF, "")
 	return nil
 }
 
+// advance moves over n bytes of one line.
 func (l *lexer) advance(n int) {
-	for i := 0; i < n && l.pos < len(l.src); i++ {
-		if l.src[l.pos] == '\n' {
-			l.line++
-			l.col = 1
-		} else {
-			l.col++
-		}
-		l.pos++
-	}
+	l.pos += n
+	l.col += n
 }
 
 func (l *lexer) emit(kind TokKind, text string) {
 	l.toks = append(l.toks, Token{Kind: kind, Text: text, Line: l.line, Col: l.col})
-}
-
-func (l *lexer) consumeNewline() {
-	if l.parenDepth > 0 {
-		l.advance(1)
-		return
-	}
-	// Collapse blank lines: only emit NEWLINE if the line had content.
-	if len(l.toks) > 0 {
-		last := l.toks[len(l.toks)-1].Kind
-		if last != TokNewline && last != TokIndent && last != TokDedent {
-			l.emit(TokNewline, "\n")
-		}
-	}
-	l.advance(1)
-	l.atLineStart = true
-}
-
-// handleIndent measures leading spaces at a line start and emits
-// INDENT/DEDENT tokens. Tabs count as 8 columns, like CPython.
-func (l *lexer) handleIndent() error {
-	width := 0
-	for l.pos < len(l.src) {
-		switch l.src[l.pos] {
-		case ' ':
-			width++
-			l.advance(1)
-		case '\t':
-			width += 8 - width%8
-			l.advance(1)
-		case '\r':
-			l.advance(1)
-		default:
-			goto measured
-		}
-	}
-measured:
-	l.atLineStart = false
-	if l.pos >= len(l.src) {
-		return nil
-	}
-	// Blank or comment-only lines do not affect indentation.
-	if l.src[l.pos] == '\n' || l.src[l.pos] == '#' {
-		return nil
-	}
-	cur := l.indents[len(l.indents)-1]
-	switch {
-	case width > cur:
-		l.indents = append(l.indents, width)
-		l.emit(TokIndent, "")
-	case width < cur:
-		for len(l.indents) > 1 && l.indents[len(l.indents)-1] > width {
-			l.indents = l.indents[:len(l.indents)-1]
-			l.emit(TokDedent, "")
-		}
-		if l.indents[len(l.indents)-1] != width {
-			return errAt(l.line, l.col, "inconsistent dedent")
-		}
-	}
-	return nil
 }
 
 func (l *lexer) lexNumber() error {
@@ -217,12 +162,8 @@ func (l *lexer) lexString(quote byte) error {
 				b.WriteByte('\n')
 			case 't':
 				b.WriteByte('\t')
-			case '\\':
-				b.WriteByte('\\')
-			case '\'':
-				b.WriteByte('\'')
-			case '"':
-				b.WriteByte('"')
+			case '\\', '\'', '"':
+				b.WriteByte(esc)
 			default:
 				return errAt(l.line, l.col, "unknown escape \\%c", esc)
 			}
@@ -235,37 +176,40 @@ func (l *lexer) lexString(quote byte) error {
 	return errAt(startLine, startCol, "unterminated string")
 }
 
-func (l *lexer) lexIdent() {
-	startLine, startCol := l.line, l.col
+func (l *lexer) lexIdent() error {
 	start := l.pos
 	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-		l.advance(1)
+		l.pos++
 	}
 	text := l.src[start:l.pos]
-	kind := TokIdent
-	if keywords[text] {
-		kind = TokKeyword
+	if what, ok := keywords[text]; ok {
+		return unsupported(l.line, l.col, what)
 	}
-	l.toks = append(l.toks, Token{Kind: kind, Text: text, Line: startLine, Col: startCol})
+	l.emit(TokIdent, text)
+	l.col += len(text)
+	return nil
 }
 
-func (l *lexer) lexOperator() bool {
-	for _, op := range operators {
-		if strings.HasPrefix(l.src[l.pos:], op) {
-			switch op {
-			case "(", "[", "{":
-				l.parenDepth++
-			case ")", "]", "}":
-				if l.parenDepth > 0 {
-					l.parenDepth--
-				}
-			}
-			l.toks = append(l.toks, Token{Kind: TokOp, Text: op, Line: l.line, Col: l.col})
-			l.advance(len(op))
-			return true
+func (l *lexer) lexOperator() error {
+	rest := l.src[l.pos:]
+	for _, r := range refusedOps {
+		if strings.HasPrefix(rest, r.op) {
+			return unsupported(l.line, l.col, r.what)
 		}
 	}
-	return false
+	c := rest[0]
+	if strings.IndexByte(operators, c) < 0 {
+		return errAt(l.line, l.col, "unexpected character %q", rest[:1])
+	}
+	switch c {
+	case '(', '[':
+		l.parenDepth++
+	case ')', ']':
+		l.parenDepth = max(l.parenDepth-1, 0)
+	}
+	l.emit(TokOp, rest[:1])
+	l.advance(1)
+	return nil
 }
 
 func isDigit(c byte) bool      { return c >= '0' && c <= '9' }

@@ -1,8 +1,12 @@
 package pynb
 
-import (
-	"strconv"
-)
+import "strconv"
+
+// maxDepth bounds expression nesting: the parser refuses a tree deeper than
+// this, and parentheses, unary minus or call arguments nested this deep
+// (CPython refuses 200 nested parentheses), so that neither parsing nor
+// evaluation can recurse without bound.
+const maxDepth = 200
 
 // Parse lexes and parses source code into a Module.
 func Parse(src string) (*Module, error) {
@@ -11,12 +15,26 @@ func Parse(src string) (*Module, error) {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	return p.parseModule()
+	m := &Module{}
+	for !p.at(TokEOF, "") {
+		if p.accept(TokNewline, "") {
+			continue
+		}
+		s, err := p.parseStmt()
+		if err != nil {
+			return nil, err
+		}
+		m.Stmts = append(m.Stmts, s)
+	}
+	return m, nil
 }
 
 type parser struct {
 	toks []Token
 	pos  int
+	// nest counts the parseUnary calls in progress: every recursion of the
+	// expression grammar passes through one.
+	nest int
 }
 
 func (p *parser) cur() Token  { return p.toks[p.pos] }
@@ -48,424 +66,182 @@ func (p *parser) expect(kind TokKind, text string) (Token, error) {
 	return t, nil
 }
 
-func (p *parser) parseModule() (*Module, error) {
-	m := &Module{pos: pos{1, 1}}
-	for !p.at(TokEOF, "") {
-		if p.accept(TokNewline, "") {
-			continue
-		}
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		m.Stmts = append(m.Stmts, s)
+// node returns the position of an expression built at t over kids, or an
+// error if its tree would be deeper than maxDepth.
+func node(t Token, kids ...Expr) (pos, error) {
+	d := 0
+	for _, k := range kids {
+		d = max(d, k.treeDepth())
 	}
-	return m, nil
+	if d >= maxDepth {
+		return pos{}, tooDeep(t)
+	}
+	return pos{t.Line, t.Col, d + 1}, nil
 }
 
-func (p *parser) parseStmt() (Stmt, error) {
-	t := p.cur()
-	if t.Kind == TokKeyword {
-		switch t.Text {
-		case "if":
-			return p.parseIf()
-		case "for":
-			return p.parseFor()
-		case "pass":
-			p.next()
-			if _, err := p.expect(TokNewline, ""); err != nil {
-				return nil, err
-			}
-			return &PassStmt{pos{t.Line, t.Col}}, nil
-		case "break":
-			p.next()
-			if _, err := p.expect(TokNewline, ""); err != nil {
-				return nil, err
-			}
-			return &BreakStmt{pos{t.Line, t.Col}}, nil
-		case "continue":
-			p.next()
-			if _, err := p.expect(TokNewline, ""); err != nil {
-				return nil, err
-			}
-			return &ContinueStmt{pos{t.Line, t.Col}}, nil
-		}
-	}
-	return p.parseSimpleStmt()
+func tooDeep(t Token) error {
+	return errAt(t.Line, t.Col, "expression nested more than %d levels deep", maxDepth)
 }
 
-// parseSimpleStmt parses assignment or expression statements.
-func (p *parser) parseSimpleStmt() (Stmt, error) {
+// parseStmt parses `name = expr NEWLINE` or `expr NEWLINE`.
+func (p *parser) parseStmt() (*Stmt, error) {
 	t := p.cur()
-	lhs, err := p.parseExpr()
+	s := &Stmt{pos: pos{line: t.Line, col: t.Col}}
+	x, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
-	// Augmented assignment.
-	for _, op := range []string{"+=", "-=", "*=", "/="} {
-		if p.accept(TokOp, op) {
-			rhs, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := validAssignTarget(lhs); err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokNewline, ""); err != nil {
-				return nil, err
-			}
-			return &AssignStmt{pos{t.Line, t.Col}, lhs, op[:1], rhs}, nil
+	if eq := p.cur(); p.accept(TokOp, "=") {
+		name, ok := x.(*NameExpr)
+		if !ok {
+			return nil, errAt(eq.Line, eq.Col, "invalid assignment target")
+		}
+		s.Target = name.Name
+		if x, err = p.parseExpr(); err != nil {
+			return nil, err
 		}
 	}
-	if p.accept(TokOp, "=") {
-		rhs, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		if err := validAssignTarget(lhs); err != nil {
-			return nil, err
-		}
-		if _, err := p.expect(TokNewline, ""); err != nil {
-			return nil, err
-		}
-		return &AssignStmt{pos{t.Line, t.Col}, lhs, "", rhs}, nil
-	}
+	s.Value = x
 	if _, err := p.expect(TokNewline, ""); err != nil {
 		return nil, err
 	}
-	return &ExprStmt{pos{t.Line, t.Col}, lhs}, nil
-}
-
-func validAssignTarget(e Expr) error {
-	switch e.(type) {
-	case *NameExpr, *IndexExpr:
-		return nil
-	default:
-		l, c := e.Pos()
-		return errAt(l, c, "invalid assignment target")
-	}
-}
-
-func (p *parser) parseIf() (Stmt, error) {
-	t, _ := p.expect(TokKeyword, "if")
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	body, err := p.parseBlock()
-	if err != nil {
-		return nil, err
-	}
-	node := &IfStmt{pos{t.Line, t.Col}, cond, body, nil}
-	if p.at(TokKeyword, "elif") {
-		// Rewrite `elif` as `else: if ...` by patching the token.
-		p.toks[p.pos].Text = "if"
-		els, err := p.parseIf()
-		if err != nil {
-			return nil, err
-		}
-		node.Else = []Stmt{els}
-	} else if p.accept(TokKeyword, "else") {
-		els, err := p.parseBlock()
-		if err != nil {
-			return nil, err
-		}
-		node.Else = els
-	}
-	return node, nil
-}
-
-func (p *parser) parseFor() (Stmt, error) {
-	t, _ := p.expect(TokKeyword, "for")
-	name, err := p.expect(TokIdent, "")
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokKeyword, "in"); err != nil {
-		return nil, err
-	}
-	iter, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	body, err := p.parseBlock()
-	if err != nil {
-		return nil, err
-	}
-	return &ForStmt{pos{t.Line, t.Col}, name.Text, iter, body}, nil
-}
-
-// parseBlock parses `: NEWLINE INDENT stmts DEDENT`.
-func (p *parser) parseBlock() ([]Stmt, error) {
-	if _, err := p.expect(TokOp, ":"); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokNewline, ""); err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(TokIndent, ""); err != nil {
-		return nil, err
-	}
-	var body []Stmt
-	for !p.at(TokDedent, "") && !p.at(TokEOF, "") {
-		if p.accept(TokNewline, "") {
-			continue
-		}
-		s, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		body = append(body, s)
-	}
-	if _, err := p.expect(TokDedent, ""); err != nil {
-		return nil, err
-	}
-	if len(body) == 0 {
-		t := p.cur()
-		return nil, errAt(t.Line, t.Col, "empty block")
-	}
-	return body, nil
+	return s, nil
 }
 
 // Expression grammar, lowest to highest precedence:
 //
-//	or > and > not > comparison > additive > multiplicative > unary-minus
-//	> power > postfix (call, index, attribute) > atom
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(TokKeyword, "or") {
-		t := p.next()
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		l = &BoolOp{pos{t.Line, t.Col}, "or", l, r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.at(TokKeyword, "and") {
-		t := p.next()
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &BoolOp{pos{t.Line, t.Col}, "and", l, r}
-	}
-	return l, nil
-}
-
-func (p *parser) parseNot() (Expr, error) {
-	if p.at(TokKeyword, "not") {
-		t := p.next()
-		x, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryOp{pos{t.Line, t.Col}, "not", x}, nil
-	}
-	return p.parseComparison()
-}
-
-var compareOps = map[string]bool{"==": true, "!=": true, "<": true, "<=": true, ">": true, ">=": true}
-
-func (p *parser) parseComparison() (Expr, error) {
-	l, err := p.parseAdditive()
-	if err != nil {
-		return nil, err
-	}
-	if p.cur().Kind == TokOp && compareOps[p.cur().Text] {
-		t := p.next()
-		r, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &Compare{pos{t.Line, t.Col}, t.Text, l, r}, nil
-	}
-	// Membership test `x in xs` is parsed as a comparison.
-	if p.at(TokKeyword, "in") {
-		t := p.next()
-		r, err := p.parseAdditive()
-		if err != nil {
-			return nil, err
-		}
-		return &Compare{pos{t.Line, t.Col}, "in", l, r}, nil
-	}
-	return l, nil
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
+//	additive > multiplicative > unary minus > postfix (call, attribute) > atom
+func (p *parser) parseExpr() (Expr, error) {
 	l, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
+	for err == nil && (p.at(TokOp, "+") || p.at(TokOp, "-")) {
+		l, err = p.binary(l, p.parseMultiplicative)
 	}
-	for p.at(TokOp, "+") || p.at(TokOp, "-") {
-		t := p.next()
-		r, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{pos{t.Line, t.Col}, t.Text, l, r}
-	}
-	return l, nil
+	return l, err
 }
 
 func (p *parser) parseMultiplicative() (Expr, error) {
 	l, err := p.parseUnary()
+	for err == nil && (p.at(TokOp, "*") || p.at(TokOp, "/")) {
+		l, err = p.binary(l, p.parseUnary)
+	}
+	return l, err
+}
+
+// binary parses the operator at the cursor and its right operand.
+func (p *parser) binary(l Expr, operand func() (Expr, error)) (Expr, error) {
+	t := p.next()
+	r, err := operand()
 	if err != nil {
 		return nil, err
 	}
-	for p.at(TokOp, "*") || p.at(TokOp, "/") || p.at(TokOp, "//") || p.at(TokOp, "%") {
-		t := p.next()
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &BinOp{pos{t.Line, t.Col}, t.Text, l, r}
-	}
-	return l, nil
+	at, err := node(t, l, r)
+	return &BinOp{at, t.Text, l, r}, err
 }
 
 func (p *parser) parseUnary() (Expr, error) {
-	if p.at(TokOp, "-") {
-		t := p.next()
-		x, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &UnaryOp{pos{t.Line, t.Col}, "-", x}, nil
+	if p.nest++; p.nest > maxDepth {
+		return nil, tooDeep(p.cur())
 	}
-	return p.parsePower()
-}
-
-func (p *parser) parsePower() (Expr, error) {
-	l, err := p.parsePostfix()
+	defer func() { p.nest-- }()
+	if !p.at(TokOp, "-") {
+		return p.parsePostfix()
+	}
+	t := p.next()
+	x, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	if p.at(TokOp, "**") {
-		t := p.next()
-		// Exponentiation is right-associative.
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &BinOp{pos{t.Line, t.Col}, "**", l, r}, nil
-	}
-	return l, nil
+	at, err := node(t, x)
+	return &NegExpr{at, x}, err
 }
 
 func (p *parser) parsePostfix() (Expr, error) {
 	x, err := p.parseAtom()
-	if err != nil {
-		return nil, err
-	}
-	for {
+	for err == nil {
+		t := p.cur()
 		switch {
 		case p.at(TokOp, "("):
-			t := p.next()
-			call := &CallExpr{pos: pos{t.Line, t.Col}, Func: x}
-			for !p.at(TokOp, ")") {
-				// Keyword arguments look like IDENT '=' expr.
-				if p.cur().Kind == TokIdent && p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "=" {
-					name := p.next().Text
-					p.next() // '='
-					v, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					call.Kwargs = append(call.Kwargs, Kwarg{Name: name, Value: v})
-				} else {
-					if len(call.Kwargs) > 0 {
-						tt := p.cur()
-						return nil, errAt(tt.Line, tt.Col, "positional argument after keyword argument")
-					}
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					call.Args = append(call.Args, a)
-				}
-				if !p.accept(TokOp, ",") {
-					break
-				}
+			if _, ok := x.(*AttrExpr); ok {
+				return nil, unsupported(t.Line, t.Col, "method call")
 			}
-			if _, err := p.expect(TokOp, ")"); err != nil {
-				return nil, err
-			}
-			x = call
-		case p.at(TokOp, "["):
-			t := p.next()
-			i, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if _, err := p.expect(TokOp, "]"); err != nil {
-				return nil, err
-			}
-			x = &IndexExpr{pos{t.Line, t.Col}, x, i}
+			x, err = p.parseCall(x)
 		case p.at(TokOp, "."):
-			t := p.next()
-			name, err := p.expect(TokIdent, "")
-			if err != nil {
-				return nil, err
+			p.next()
+			var name Token
+			if name, err = p.expect(TokIdent, ""); err == nil {
+				var at pos
+				at, err = node(t, x)
+				x = &AttrExpr{at, x, name.Text}
 			}
-			x = &AttrExpr{pos{t.Line, t.Col}, x, name.Text}
+		case p.at(TokOp, "["):
+			return nil, unsupported(t.Line, t.Col, "indexing")
 		default:
 			return x, nil
 		}
 	}
+	return nil, err
+}
+
+// parseCall parses the argument list of a call of fn.
+func (p *parser) parseCall(fn Expr) (Expr, error) {
+	t := p.next() // '('
+	call := &CallExpr{Func: fn}
+	kids := []Expr{fn}
+	for !p.at(TokOp, ")") {
+		// Keyword arguments look like IDENT '=' expr.
+		var name string
+		if p.at(TokIdent, "") && p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "=" {
+			name = p.next().Text
+			p.next()
+		} else if len(call.Kwargs) > 0 {
+			tt := p.cur()
+			return nil, errAt(tt.Line, tt.Col, "positional argument after keyword argument")
+		}
+		v, err := p.parseExpr()
+		if err != nil {
+			return nil, err
+		}
+		if name != "" {
+			call.Kwargs = append(call.Kwargs, Kwarg{Name: name, Value: v})
+		} else {
+			call.Args = append(call.Args, v)
+		}
+		kids = append(kids, v)
+		if !p.accept(TokOp, ",") {
+			break
+		}
+	}
+	if _, err := p.expect(TokOp, ")"); err != nil {
+		return nil, err
+	}
+	var err error
+	call.pos, err = node(t, kids...)
+	return call, err
 }
 
 func (p *parser) parseAtom() (Expr, error) {
-	t := p.cur()
+	t := p.next()
+	at := pos{t.Line, t.Col, 1}
 	switch t.Kind {
 	case TokInt:
-		p.next()
 		v, err := strconv.ParseInt(t.Text, 10, 64)
 		if err != nil {
 			return nil, errAt(t.Line, t.Col, "bad integer %q", t.Text)
 		}
-		return &IntLit{pos{t.Line, t.Col}, v}, nil
+		return &IntLit{at, v}, nil
 	case TokFloat:
-		p.next()
 		v, err := strconv.ParseFloat(t.Text, 64)
 		if err != nil {
 			return nil, errAt(t.Line, t.Col, "bad float %q", t.Text)
 		}
-		return &FloatLit{pos{t.Line, t.Col}, v}, nil
+		return &FloatLit{at, v}, nil
 	case TokString:
-		p.next()
-		return &StringLit{pos{t.Line, t.Col}, t.Text}, nil
+		return &StringLit{at, t.Text}, nil
 	case TokIdent:
-		p.next()
-		return &NameExpr{pos{t.Line, t.Col}, t.Text}, nil
-	case TokKeyword:
-		switch t.Text {
-		case "True":
-			p.next()
-			return &BoolLit{pos{t.Line, t.Col}, true}, nil
-		case "False":
-			p.next()
-			return &BoolLit{pos{t.Line, t.Col}, false}, nil
-		case "None":
-			p.next()
-			return &NoneLit{pos{t.Line, t.Col}}, nil
-		}
+		return &NameExpr{at, t.Text}, nil
 	case TokOp:
 		switch t.Text {
 		case "(":
-			p.next()
 			x, err := p.parseExpr()
 			if err != nil {
 				return nil, err
@@ -475,22 +251,7 @@ func (p *parser) parseAtom() (Expr, error) {
 			}
 			return x, nil
 		case "[":
-			p.next()
-			lit := &ListLit{pos: pos{t.Line, t.Col}}
-			for !p.at(TokOp, "]") {
-				e, err := p.parseExpr()
-				if err != nil {
-					return nil, err
-				}
-				lit.Elems = append(lit.Elems, e)
-				if !p.accept(TokOp, ",") {
-					break
-				}
-			}
-			if _, err := p.expect(TokOp, "]"); err != nil {
-				return nil, err
-			}
-			return lit, nil
+			return nil, unsupported(t.Line, t.Col, "list literal")
 		}
 	}
 	return nil, errAt(t.Line, t.Col, "unexpected token %s", t)

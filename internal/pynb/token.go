@@ -9,33 +9,19 @@ type TokKind int
 const (
 	TokEOF TokKind = iota
 	TokNewline
-	TokIndent
-	TokDedent
 	TokIdent
 	TokInt
 	TokFloat
 	TokString
-	TokKeyword
 	TokOp
 )
 
-var kindNames = map[TokKind]string{
-	TokEOF:     "EOF",
-	TokNewline: "NEWLINE",
-	TokIndent:  "INDENT",
-	TokDedent:  "DEDENT",
-	TokIdent:   "IDENT",
-	TokInt:     "INT",
-	TokFloat:   "FLOAT",
-	TokString:  "STRING",
-	TokKeyword: "KEYWORD",
-	TokOp:      "OP",
-}
+var kindNames = [...]string{"EOF", "NEWLINE", "IDENT", "INT", "FLOAT", "STRING", "OP"}
 
 // String names the kind.
 func (k TokKind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("TokKind(%d)", int(k))
 }
@@ -52,20 +38,26 @@ func (t Token) String() string {
 	return fmt.Sprintf("%s(%q)@%d:%d", t.Kind, t.Text, t.Line, t.Col)
 }
 
-// keywords recognized by the lexer.
-var keywords = map[string]bool{
-	"if": true, "elif": true, "else": true, "for": true, "in": true,
-	"and": true, "or": true, "not": true,
-	"True": true, "False": true, "None": true,
-	"pass": true, "break": true, "continue": true,
+// keywords are Python's keywords the language leaves out, each with the
+// construct it opens; the lexer refuses every one.
+var keywords = map[string]string{
+	"if": "if statement", "elif": "elif clause", "else": "else clause",
+	"for": "for loop", "pass": "pass statement", "break": "break statement",
+	"continue": "continue statement", "in": "membership test (in)",
+	"and": "boolean operator (and)", "or": "boolean operator (or)", "not": "boolean operator (not)",
+	"True": "literal True", "False": "literal False", "None": "literal None",
 }
 
-// operators, longest first so the lexer can match greedily.
-var operators = []string{
-	"**", "//", "==", "!=", "<=", ">=",
-	"+=", "-=", "*=", "/=",
-	"+", "-", "*", "/", "%",
-	"<", ">", "=",
-	"(", ")", "[", "]", "{", "}",
-	",", ":", ".",
+// refusedOps are Python's operators the language leaves out, longest first
+// so "**" is not read as "*" and "<=" not as "<".
+var refusedOps = []struct{ op, what string }{
+	{"**", "operator **"}, {"//", "operator //"},
+	{"+=", "augmented assignment (+=)"}, {"-=", "augmented assignment (-=)"},
+	{"*=", "augmented assignment (*=)"}, {"/=", "augmented assignment (/=)"},
+	{"==", "comparison (==)"}, {"!=", "comparison (!=)"},
+	{"<=", "comparison (<=)"}, {">=", "comparison (>=)"},
+	{"<", "comparison (<)"}, {">", "comparison (>)"}, {"%", "operator %"},
 }
+
+// operators are the language's own, one character each.
+const operators = "+-*/=()[],."

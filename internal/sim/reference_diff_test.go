@@ -50,14 +50,18 @@ func matchReference(t *testing.T, label string, cfg Config, r *Result) *refModel
 // profiles strike after hour 4 but for crash churn, so a federation gains
 // nothing from them. Then an SLO burst (sloBurst) on two members of three
 // 4-GPU hosts, the fed-summer-c4 knobs otherwise, whose parked tasks the SLO
-// queue reorders, and a lean streamed run of 5 summer days, whose samples
-// outgrow their reservoirs. Between them the cases must exercise every rule
+// queue reorders; one member of three hosts of 8 GB a GPU (vramCapped)
+// under the SLO queue, where tasks no member's shape holds stay parked past
+// the 30-minute promotion; and a lean streamed run of 5 summer days, whose
+// samples outgrow their reservoirs. Between them the cases must exercise every rule
 // the model states; -v prints what each case did.
 func TestReferenceModel(t *testing.T) {
 	gcfg := trace.AdobeExcerptConfig(21)
 	gcfg.Duration = 4 * time.Hour
 	tr := trace.MustGenerate(gcfg)
 	small := resources.Spec{Millicpus: 32_000, MemoryMB: 244 << 10, GPUs: 4, VRAMGB: 64}
+	lowVRAM := small
+	lowVRAM.VRAMGB = 32
 	hetero := []FedClusterSpec{{Name: "half", Hosts: 12, HostCapacity: halfHost()}, {Name: "big", Hosts: 2},
 		{Name: "tiny", Hosts: 3, HostCapacity: resources.P316xlarge().Scale(0.25)}}
 	geo := federation.GeoBandedMatrix(4, 2, 5*time.Millisecond, 40*time.Millisecond)
@@ -83,6 +87,8 @@ func TestReferenceModel(t *testing.T) {
 		{"hetero-latency", Config{Trace: tr, Clusters: hetero, Route: federation.LatencyAware(0), PooledAutoscale: true, Seed: 21}},
 		{"slo-burst", Config{Trace: sloBurst(18), Clusters: []FedClusterSpec{{Name: "a", Hosts: 3, HostCapacity: small}, {Name: "b", Hosts: 3, HostCapacity: small}},
 			Route: compositeRoute(), Latency: federation.GeoBandedMatrix(2, 1, 5*time.Millisecond, 40*time.Millisecond), PooledAutoscale: true, SLOAware: true, Seed: 21}},
+		{"slo-capped", Config{Trace: vramCapped(), Clusters: []FedClusterSpec{{Name: "a", Hosts: 3, HostCapacity: lowVRAM}},
+			Route: compositeRoute(), SLOAware: true, Seed: 21}},
 	}
 	harsh := trace.FaultSpec{HostMTBFHours: 4, HostMTTRHours: 0.5, MaxRetries: 1,
 		Outages:      []trace.OutageSpec{{StartHour: 2, DurationHours: 0.5, HostFraction: 0.5}},
@@ -137,6 +143,7 @@ func TestReferenceModel(t *testing.T) {
 			"kernel scale-outs away from home":    m.fired["kernel scale-outs away from home"],
 			"migration scale-outs away from home": m.fired["migration scale-outs away from home"],
 			"SLO reorderings":                     m.fired["SLO reorderings"],
+			"SLO promotions":                      m.fired["SLO promotions"],
 			"lean runs whose reservoirs evict":    evicting,
 		} {
 			seen[what] += n
@@ -186,6 +193,31 @@ func sloBurst(n int) *trace.Trace {
 			Request: resources.Spec{Millicpus: 8000, MemoryMB: 32 << 10, GPUs: 4, VRAMGB: 64}}
 		for j := range 3 {
 			s.Tasks = append(s.Tasks, trace.Task{Submit: start.Add(10*time.Minute + time.Duration(j)*time.Hour), Duration: 50 * time.Minute, GPUs: 4})
+		}
+		tr.Sessions = append(tr.Sessions, s)
+	}
+	return tr
+}
+
+// vramCapped is four hours of sessions on hosts of 8 GB per GPU, each asking
+// for 4 GPUs and 32 GB, the SLO classes in turn. The first two train
+// 2-GPU tasks an hour apart, 50 minutes each, which fill the hosts and free
+// them in turn. The third asks a task of all 4 GPUs: a task's request
+// counts 16 GB per GPU, which no member's shape holds, so it triggers no
+// scale-out and stays parked, through every drain the other tasks' ends
+// start, past the SLO queue's 30-minute promotion.
+func vramCapped() *trace.Trace {
+	start := trace.TraceEpoch
+	tr := &trace.Trace{Name: "vram-capped", Start: start, End: start.Add(4 * time.Hour)}
+	for i := range 6 {
+		s := &trace.Session{ID: fmt.Sprintf("capped-%02d", i), SLO: trace.SLOClasses()[i%3], Start: start, End: tr.End,
+			Request: resources.Spec{Millicpus: 8000, MemoryMB: 32 << 10, GPUs: 4, VRAMGB: 32}}
+		gpus := 2
+		if i%3 == 2 {
+			gpus = 4
+		}
+		for j := range 3 {
+			s.Tasks = append(s.Tasks, trace.Task{Submit: start.Add(10*time.Minute + time.Duration(j)*time.Hour), Duration: 50 * time.Minute, GPUs: gpus})
 		}
 		tr.Sessions = append(tr.Sessions, s)
 	}

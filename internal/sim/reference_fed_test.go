@@ -56,10 +56,11 @@ import (
 //     waited×weight, the larger first; then in park order. A waiter that
 //     fails keeps its park time and park number, and the failures stay parked
 //     in the order they were retried, ahead of the tasks parked meanwhile. At
-//     one weight that is park order. No case of TestReferenceModel reaches
-//     promotion: a task that parks again after a migration parks anew
-//     (BUG_LEDGER 43, in part one's migrate), so no wait it makes has lasted
-//     30 minutes.
+//     one weight that is park order. A task that parks again after a
+//     migration parks anew (BUG_LEDGER 43, in part one's migrate), so a task
+//     that can migrate never waits 30 minutes; only a task no scale-out can
+//     help does (vramCapped), and its retries all fail, so no case yet shows
+//     promotion changing which task runs.
 //   - Pooled autoscaling: under PooledAutoscale each tick builds every
 //     member's federation.MemberLoad (hosts, hosts landing, GPUs per host,
 //     committed and subscribed GPUs, empty hosts) and asks
@@ -266,6 +267,11 @@ func (m *refModel) placeSession(ss *refSession) bool {
 func (m *refModel) drainOrder(ws []*refWaiter) {
 	waited := func(w *refWaiter) int64 { return int64(m.now.Sub(w.parked)) }
 	promoted := func(w *refWaiter) bool { return m.now.Sub(w.parked) >= 30*time.Minute }
+	for _, w := range ws {
+		if promoted(w) {
+			m.fired["SLO promotions"]++
+		}
+	}
 	parkOrder := slices.Clone(ws)
 	slices.SortFunc(ws, func(a, b *refWaiter) int {
 		if pa, pb := promoted(a), promoted(b); pa != pb {

@@ -91,8 +91,17 @@ type mutant struct {
 // Then the cluster's replica list and ID index, each
 // killed by a cluster unit test: a removal that deletes the list's last
 // entry, a placement without its duplicate check, and a join that ignores
-// the index's found flag. Last, TestRunnersConserveTasks' sharded cases and
-// the race step's TestClusterCallsUnderConcurrency.
+// the index's found flag. Then TestRunnersConserveTasks' sharded cases and
+// the race step's TestClusterCallsUnderConcurrency. Then the reference
+// model's SLO promotion turned off, which only TestReferenceModel's table of
+// the model's clauses sees (no case's outcome depends on promotion yet).
+// Last, the live
+// notebook language's three fixed defects (docs/BUG_LEDGER.md, rows 44–46):
+// a call's positional arguments left out of the replicated globals, killed
+// by a kernel test whose standbys miss a builtin's in-place change; a float
+// codec that refuses ±Inf and NaN, killed by a control test whose standbys
+// miss an untrained model; and the depth cap lifted, for a tree and for
+// nested parentheses, each killed by TestDepthCap.
 var mutants = []mutant{
 	{
 		name: "gated golden line", file: "internal/sim/gated_test.go",
@@ -469,6 +478,31 @@ var mutants = []mutant{
 		name: "ReleaseExecution skips the cluster lock", file: "internal/control/local.go",
 		old: "\tls.cl.Lock()\n\tdefer ls.cl.Unlock()\n", new: "",
 		pkg: "./internal/control", run: "^TestClusterCallsUnderConcurrency$", want: "DATA RACE", race: true,
+	},
+	{
+		name: "the reference model never promotes", file: "internal/sim/reference_fed_test.go",
+		old: "return m.now.Sub(w.parked) >= 30*time.Minute", new: "return m.now.Sub(w.parked) >= 30*time.Hour",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "no case makes SLO promotions",
+	},
+	{
+		name: "a call's arguments are not replicated", file: "internal/pynb/ast.go",
+		old: "\t\t\tfor _, a := range call.Args {\n\t\t\t\tout = appendRoot(out, a)\n\t\t\t}\n", new: "",
+		pkg: "./internal/kernel", run: "^TestBuiltinArgumentMutationReplicates$", want: `every replica's m.n reading 1 after "bump(m)\n"`,
+	},
+	{
+		name: "a non-finite float does not encode", file: "internal/pynb/codec.go",
+		old: "\tcase Float:\n", new: "\tcase Float:\n\t\tif x-x != 0 {\n\t\t\treturn wireValue{}, fmt.Errorf(\"json: unsupported value: %v\", float64(x))\n\t\t}\n",
+		pkg: "./internal/control", run: "^TestUntrainedModelReachesStandbys$", want: "every replica holding the untrained model",
+	},
+	{
+		name: "an expression tree's depth goes unchecked", file: "internal/pynb/parser.go",
+		old: "\tif d >= maxDepth {\n", new: "\tif d >= 1<<30 {\n",
+		pkg: "./internal/pynb", run: "^TestDepthCap$", want: "a tree 201 deep: <nil>, want it refused",
+	},
+	{
+		name: "parenthesized nesting goes unchecked", file: "internal/pynb/parser.go",
+		old: "if p.nest++; p.nest > maxDepth {", new: "if p.nest++; p.nest > 1<<30 {",
+		pkg: "./internal/pynb", run: "^TestDepthCap$", want: `"(" nested 200 deep: <nil>, want it refused`,
 	},
 }
 
