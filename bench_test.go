@@ -9,6 +9,7 @@ package notebookos_bench
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -162,6 +163,50 @@ func BenchmarkSelectHostsTied(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSelectStreamFleet measures one least-loaded selection (n = 3, a
+// 2-GPU request) on streamFleet, a table nobody writes that is shaped like
+// a stream run's: there the walk of the chunks' tournaments, not the
+// per-chunk skip BenchmarkSelectHostsTied's tied fleet already gets, decides
+// what a selection reads.
+func BenchmarkSelectStreamFleet(b *testing.B) {
+	c, twoGPU := streamFleet(b)
+	out := make([]*cluster.Host, 3)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := (scheduler.LeastLoaded{}).SelectInto(c, twoGPU, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// streamFleet builds 850 hosts in 27 chunks, as the stream-100k-k2 config
+// run unsharded (nine days, seed 42) stands halfway: 39 in 40 hosts with
+// nothing committed and the rest with 1 or 2 GPUs, and subscriptions spread
+// over 60 to 71 GPUs, near the watermark's 72, and a little lower the later
+// a host joined. The least loaded rows are scattered over the chunks rather
+// than tied in the first: a selection reaches 5 of the 27, as a stream
+// placement reaches 5.1 of 24.6.
+func streamFleet(b *testing.B) (*cluster.Cluster, resources.Spec) {
+	c := cluster.New(3)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 850; i++ {
+		h := cluster.NewHost(fmt.Sprintf("sim-h%04d", i+1), resources.P316xlarge())
+		if err := c.AddHost(h); err != nil {
+			b.Fatal(err)
+		}
+		if err := h.PlaceReplica("k", resources.Spec{GPUs: 60 + 3*(850-i)/850 + rng.Intn(5) + rng.Intn(5)}); err != nil {
+			b.Fatal(err)
+		}
+		if rng.Intn(40) == 0 {
+			if err := h.Commit("t", resources.Spec{GPUs: 1 + rng.Intn(2)}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	return c, resources.Spec{Millicpus: 2000, MemoryMB: 8192, GPUs: 2, VRAMGB: 32}
 }
 
 // BenchmarkPlaceCycleTied is BenchmarkSelectHostsTied with the writers'

@@ -11,9 +11,18 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
+
+	"notebookos/internal/experiments"
+	"notebookos/internal/metrics"
+	"notebookos/internal/sim"
+	"notebookos/internal/trace"
 )
 
 var (
@@ -47,6 +56,71 @@ type historyLine struct {
 	GatedPeaks map[string]int64 `json:"gated_peaks"`
 	// Tier1Seconds is each package's test wall time, to the millisecond.
 	Tier1Seconds map[string]float64 `json:"tier1_s"`
+	// Canaries holds, per canary run (canaryRuns), what three runs of it in
+	// this process took once tier-1 had passed. Older lines have none.
+	Canaries map[string]canaryTimes `json:"canaries,omitempty"`
+	// StreamPeakHeapMiB is the heap growth of one more, untimed stream-scale
+	// run under GOGC=25: the largest HeapAlloc metrics.PeakHeapDuring samples
+	// during the run, less HeapAlloc after a collection before it, in MiB.
+	// The heap, not the process's RSS, so that it reads what the simulator
+	// holds and not what the runtime kept from tier-1's logs; GOGC=25, as
+	// the benchmark's peak_heap_b_per_req and PERFORMANCE.md's stream
+	// readings are taken, so that it compares with them.
+	StreamPeakHeapMiB float64 `json:"stream_peak_heap_mib,omitempty"`
+}
+
+// canaryTimes is the median and spread (largest less smallest) of three
+// runs' wall time and user CPU time (getrusage, RUSAGE_SELF), to the
+// tenth of a millisecond.
+type canaryTimes struct {
+	WallMS       float64 `json:"wall_ms"`
+	WallSpreadMS float64 `json:"wall_spread_ms"`
+	UserMS       float64 `json:"user_ms"`
+	UserSpreadMS float64 `json:"user_spread_ms"`
+}
+
+// canaryRuns are the trajectory's canaries: the gated scenario
+// summer-10d-quick (sim.Run over ten summer days at 30 hosts, the trace
+// generated before the clock starts) and the full stream-scale experiment
+// (90 days, about a million sessions streamed onto 128 hosts).
+func canaryRuns(t *testing.T) map[string]func() {
+	summer := trace.AdobeSummerConfig(42)
+	summer.Duration = 10 * 24 * time.Hour
+	tr := trace.MustGenerate(summer)
+	return map[string]func(){
+		"summer-10d-quick": func() {
+			if _, err := sim.Run(sim.Config{Trace: tr, Policy: sim.PolicyNotebookOS, Hosts: 30, Seed: 42}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"stream-scale": func() {
+			if _, err := experiments.StreamScale(experiments.Options{}); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+}
+
+// timeCanary runs f three times and returns the median and spread of its
+// wall and user CPU times.
+func timeCanary(t *testing.T, f func()) canaryTimes {
+	userNow := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			t.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano())
+	}
+	var wall, user [3]float64
+	for i := range wall {
+		start, startUser := time.Now(), userNow()
+		f()
+		wall[i], user[i] = float64(time.Since(start))/1e6, float64(userNow()-startUser)/1e6
+	}
+	slices.Sort(wall[:])
+	slices.Sort(user[:])
+	tenth := func(ms float64) float64 { return math.Round(ms*10) / 10 }
+	return canaryTimes{WallMS: tenth(wall[1]), WallSpreadMS: tenth(wall[2] - wall[0]), UserMS: tenth(user[1]), UserSpreadMS: tenth(user[2] - user[0])}
 }
 
 // historyCounts lists, per test, the pattern its log line matches and the
@@ -67,13 +141,14 @@ var (
 	peakRe    = regexp.MustCompile(`^(\S+) (peak_\w+|retained_points)=(\d+)$`)
 )
 
-// TestHistory runs tier-1 once, with -count=1 and without -short, and
-// appends what it measured to BENCH_HISTORY.jsonl as one historyLine: the
-// trajectory of counts a change moves, one line per run, kept in the tree.
-// Run it with go test -run '^TestHistory$' -history . (about a minute on two
-// cores), adding -history-note "..." to say what the line measures; it
-// fails, and writes nothing, when tier-1 fails or a count it reads is
-// missing from a test's log.
+// TestHistory runs tier-1 once, with -count=1 and without -short, then the
+// canaries (canaryRuns) three times each in this process, and appends what
+// it measured to BENCH_HISTORY.jsonl as one historyLine: the trajectory of
+// counts and canary times a change moves, one line per run, kept in the
+// tree. Run it with go test -run '^TestHistory$' -history . (about a minute
+// and a half on two cores), adding -history-note "..." to say what the line
+// measures; it fails, and writes nothing, when tier-1 or a canary fails or
+// a count it reads is missing from a test's log.
 func TestHistory(t *testing.T) {
 	if !*runHistory {
 		t.Skip("the trajectory runs with -history")
@@ -96,6 +171,7 @@ func TestHistory(t *testing.T) {
 		AuditedTicks: map[string]int64{},
 		GatedPeaks:   map[string]int64{},
 		Tier1Seconds: map[string]float64{},
+		Canaries:     map[string]canaryTimes{},
 	}
 
 	cmd := exec.Command("go", "test", "-json", "-count=1", "./...")
@@ -161,6 +237,18 @@ func TestHistory(t *testing.T) {
 	if len(line.GatedPeaks) == 0 {
 		t.Fatal("gated_scenarios.golden holds no peak")
 	}
+
+	canaries := canaryRuns(t)
+	for name, f := range canaries {
+		line.Canaries[name] = timeCanary(t, f)
+	}
+	gc := debug.SetGCPercent(25)
+	runtime.GC()
+	var base runtime.MemStats
+	runtime.ReadMemStats(&base)
+	peak := metrics.PeakHeapDuring(canaries["stream-scale"])
+	debug.SetGCPercent(gc)
+	line.StreamPeakHeapMiB = math.Round(float64(peak-min(peak, base.HeapAlloc))/(1<<20)*10) / 10
 
 	enc, err := json.Marshal(line)
 	if err != nil {

@@ -44,7 +44,7 @@ type Host struct {
 	subscribed, nreplicas int
 	replicas              []replica
 	// While the host is a member of cluster c, row is its row of c's dense
-	// table — slot of chunk ch — where a placement scan finds its subscribed
+	// table — slot of chunk ch — where a placement finds its subscribed
 	// and committed GPUs next to every other member's; every write stores
 	// them there (publish), c's aggregates follow, and c's capacity notifier
 	// follows every Release. Outside a cluster c, ch and row are nil and
@@ -93,7 +93,7 @@ func (h *Host) count(sign int) {
 }
 
 // publish stores the host's subscribed and committed GPUs into its table
-// row while it is a member, and brings its chunk's summary up to date.
+// row while it is a member, and brings its chunk's tournaments up to date.
 func (h *Host) publish() {
 	if h.row == nil {
 		return

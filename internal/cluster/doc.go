@@ -30,18 +30,18 @@
 // the member hosts — is enforced by a property test.
 //
 // The dense host table (table.go): each member host owns one slot of a
-// cluster-owned table, and the numbers a placement scan ranks on — its
+// cluster-owned table, and the numbers a placement ranks on — its
 // subscribed and committed GPUs, plus an ordinal that sorts as its ID does —
 // live in that slot's Row, in chunks of TableChunk rows per host shape, so
-// a scan walks contiguous integers (Cluster.Table) instead of chasing one
-// pointer per host. Every chunk also carries a summary of its live rows —
-// the key of the least loaded one and the fewest subscribed GPUs
-// (Table.Summary) — which every row write keeps exact and a scan tests
-// before it reads the chunk's rows. Ordinals follow the string order of
-// host IDs, whatever order hosts join in: the simulator names hosts
-// "<member>-h%04d", which sorts as the join sequence only up to a member's
-// 9,999th host ("h10000" < "h9999"), and nothing relies on it sorting that
-// way.
+// a placement reads contiguous integers (Cluster.Table) instead of chasing
+// one pointer per host. Every chunk also carries two tournaments over its
+// live rows — by least-loaded key and by subscribed GPUs
+// (Table.Tournaments) — which every row write keeps exact and a placement
+// walks best key first, reading only the rows no node above them rules
+// out. Ordinals follow the string order of host IDs, whatever order hosts
+// join in: the simulator names hosts "<member>-h%04d", which sorts as the
+// join sequence only up to a member's 9,999th host ("h10000" < "h9999"),
+// and nothing relies on it sorting that way.
 //
 // Concurrency contract: none of it is safe for concurrent use. A Cluster,
 // its Hosts and their device pools (Host.Devices) are single-owner data,

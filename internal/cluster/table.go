@@ -14,10 +14,11 @@ import (
 const TableChunk = 32
 
 // Row is one slot of a cluster's dense host table: the per-host numbers a
-// placement scan ranks on, side by side with every other member's instead
+// placement ranks on, side by side with every other member's instead
 // of one pointer chase away inside each Host. The occupying host stores its
 // counters into its row on every write (Host.publish); the cluster sets the
-// ordinal (Cluster.rank). Both bring the row's chunk summary along (chunk).
+// ordinal (Cluster.rank). Both bring the row's chunk tournaments along
+// (chunk).
 type Row struct {
 	subscribed, committed, ord int32
 }
@@ -33,34 +34,35 @@ func (r *Row) CommittedGPUs() int { return int(r.committed) }
 // ends in "then by host ID" can end in an integer compare.
 func (r *Row) Ord() int { return int(r.ord) }
 
-// keyMax is the largest GPU count a packed key holds; larger ones read as
-// keyMax, which can make a summary flatter a row but never hide it.
-const keyMax = 1<<16 - 1
+// KeyMax is the largest GPU count a packed key holds; larger ones read as
+// KeyMax, which can make a tournament node flatter a row but never hide it.
+const KeyMax = 1<<16 - 1
 
-// loadKey packs a least-loaded key — fewest committed GPUs, then fewest
+// LoadKey packs a least-loaded key — fewest committed GPUs, then fewest
 // subscribed GPUs, then lowest ordinal — into one word that compares as the
-// key does.
-func loadKey(committed, subscribed, ord int32) uint64 {
-	return uint64(min(committed, keyMax))<<48 | uint64(min(subscribed, keyMax))<<32 | uint64(uint32(ord))
+// key does while both counts are at most KeyMax and the ordinal is not
+// negative.
+func LoadKey(committed, subscribed, ord int32) uint64 {
+	return uint64(min(committed, KeyMax))<<48 | uint64(min(subscribed, KeyMax))<<32 | uint64(uint32(ord))
 }
 
-// worstKey is the key no row has: the summary of a chunk without live rows.
-var worstKey = loadKey(math.MaxInt32, math.MaxInt32, math.MaxInt32)
+// worstKey is the key no row has: a free slot's leaf, and the root of a
+// chunk without live rows.
+var worstKey = LoadKey(math.MaxInt32, math.MaxInt32, math.MaxInt32)
 
 // chunk is TableChunk slots for hosts of one shape: their rows, which of
-// them are occupied (live), a summary of the occupied rows, and — apart from
-// the rows, so a scan's working set stays the rows — the hosts occupying
-// them.
+// them are occupied (live), two tournaments over the occupied rows, and —
+// apart from the rows, so a placement's working set stays the rows — the
+// hosts occupying them.
 //
-// The summary is the smallest key (loadKey) and the fewest subscribed GPUs
-// among the live rows, worstKey and math.MaxInt32 when there are none.
-// Within one chunk — one host shape — the key order is the order every
-// request ranks the rows in, so a placement scan that finds the best key
-// beaten, or the fewest subscribed GPUs too many, knows the same of every
-// row. They are the roots of two tournaments over the slots (keys, subs:
-// node n holds the smaller of nodes 2n and 2n+1, leaf TableChunk+i what
-// slot i's row shows while the slot is live), so a write costs the few
-// levels its row's change carries through, never a pass over the chunk.
+// The tournaments (keys, subs; Table.Tournaments) rank the live rows by key
+// (LoadKey) and by subscribed GPUs: node n holds the smaller of nodes 2n
+// and 2n+1, leaf TableChunk+i what slot i's row shows while the slot is
+// live. Within one chunk — one host shape — the key order is the order
+// every request ranks the rows in, so a placement that finds a node's key
+// beaten, or its fewest subscribed GPUs too many, knows the same of every
+// row below it. A write costs the few levels its row's change carries
+// through, never a pass over the chunk.
 type chunk struct {
 	shape int
 	live  uint32
@@ -96,16 +98,16 @@ func (ch *chunk) enter(i int, key uint64, subscribed int32) {
 func (ch *chunk) update(i int) {
 	if ch.live>>i&1 != 0 {
 		row := &ch.rows[i]
-		ch.enter(i, loadKey(row.committed, row.subscribed, row.ord), row.subscribed)
+		ch.enter(i, LoadKey(row.committed, row.subscribed, row.ord), row.subscribed)
 	}
 }
 
 // Table is a cluster's dense host table. Every chunk holds hosts of one
-// shape (capacity), so whatever a scan derives from a request and a shape
-// it derives once per chunk. Slots are numbered chunk by chunk: slot s is
-// Rows(s / TableChunk)[s % TableChunk]. A host keeps its slot for as long
-// as it is a member; a freed slot is reused by a later AddHost of the same
-// shape, which is why slot order is not insertion order.
+// shape (capacity), so whatever a placement derives from a request and a
+// shape it derives once per chunk. Slots are numbered chunk by chunk: slot
+// s is Rows(s / TableChunk)[s % TableChunk]. A host keeps its slot for as
+// long as it is a member; a freed slot is reused by a later AddHost of the
+// same shape, which is why slot order is not insertion order.
 type Table struct {
 	chunks []*chunk
 	shapes []resources.Spec
@@ -125,16 +127,17 @@ func (t *Table) Live(chunk int) uint32 { return t.chunks[chunk].live }
 // Rows returns the rows of one chunk, free slots included.
 func (t *Table) Rows(chunk int) *[TableChunk]Row { return &t.chunks[chunk].rows }
 
-// Summary returns what a chunk keeps current about its live rows: the key
-// of the least loaded one — fewest committed GPUs, then fewest subscribed
-// GPUs, then lowest ordinal: within one chunk, i.e. one host shape, the
-// order any request ranks them in as long as the shape has GPUs — and the
-// fewest subscribed GPUs any of them has. GPU counts above 65,535 read as
-// 65,535. An empty chunk reads as the worst of keys and math.MaxInt32.
-func (t *Table) Summary(chunk int) (committed, subscribed, ord, minSubscribed int) {
+// Tournaments returns a chunk's two tournaments over its slots, which
+// every row write keeps exact: node n (1 <= n < TableChunk) holds the
+// smaller of nodes 2n and 2n+1, and leaf TableChunk+i holds slot i's key
+// (LoadKey) and subscribed GPUs while the slot is live, the worst key and
+// math.MaxInt32 while it is free. Node 1 is the best key and the fewest
+// subscribed GPUs among the chunk's live rows; within one chunk, i.e. one
+// host shape, key order is the order any request ranks the rows in as long
+// as the shape has GPUs. The arrays are shared; do not modify them.
+func (t *Table) Tournaments(chunk int) (keys *[2 * TableChunk]uint64, minSubscribed *[2 * TableChunk]int32) {
 	ch := t.chunks[chunk]
-	best := ch.keys[1]
-	return int(best >> 48), int(best >> 32 & keyMax), int(uint32(best)), int(ch.subs[1])
+	return &ch.keys, &ch.subs
 }
 
 // Shapes returns the distinct host capacities the cluster has seen. The
@@ -150,7 +153,7 @@ func (c *Cluster) Table() *Table { return &c.table }
 // seat gives h a slot among those of its shape — a freed one, or the first
 // of a new chunk when none is free — ranks it at position p of byID, adds
 // its counters to the aggregates and stores them into the slot's row, which
-// enters the chunk's summary.
+// enters the chunk's tournaments.
 func (c *Cluster) seat(h *Host, p int) {
 	t := &c.table
 	shape := slices.Index(t.shapes, h.Capacity)
@@ -178,7 +181,7 @@ func (c *Cluster) seat(h *Host, p int) {
 	h.publish()
 }
 
-// unseat frees h's slot: the slot goes dead and leaves the summary, the
+// unseat frees h's slot: the slot goes dead and leaves the tournaments, the
 // host's counters leave the aggregates, and h leaves position p of byID.
 func (c *Cluster) unseat(h *Host, p int) {
 	ch, i := h.ch, h.slot%TableChunk

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"sort"
 	"testing"
 
@@ -21,9 +20,10 @@ func rowOf(c *Cluster, h *Host) *Row {
 // point between two writes: every member sits in exactly one live slot of a
 // chunk of its shape, its row equals a recount from the host's replica list
 // and pool, its replica count is its replicas by ID plus those byCount (the
-// caller's model of what it subscribed by count; nil: none), every chunk's
-// summary equals one recomputed from its occupants, and the ordinals sort
-// the members exactly as their ID strings do.
+// caller's model of what it subscribed by count; nil: none), every leaf of
+// a chunk's tournaments holds what its occupant shows (the worst values
+// when the slot is free) and every node the better of its children, and
+// the ordinals sort the members exactly as their ID strings do.
 func checkTable(t *testing.T, c *Cluster, byCount map[*Host][]int) {
 	t.Helper()
 	tab := c.Table()
@@ -31,15 +31,16 @@ func checkTable(t *testing.T, c *Cluster, byCount map[*Host][]int) {
 	live := 0
 	for j := 0; j < tab.Chunks(); j++ {
 		live += bits.OnesCount32(tab.Live(j))
-		best, minSub := [3]int{keyMax, keyMax, math.MaxInt32}, math.MaxInt32
+		keys, subs := tab.Tournaments(j)
 		for i := 0; i < TableChunk; i++ {
 			h := tab.Host(j*TableChunk + i)
+			key, sub := worstKey, int32(math.MaxInt32)
 			if h != nil {
-				key := [3]int{min(h.Committed().GPUs, keyMax), min(h.subscribed, keyMax), tab.Rows(j)[i].Ord()}
-				if slices.Compare(key[:], best[:]) < 0 {
-					best = key
-				}
-				minSub = min(minSub, h.subscribed)
+				key = LoadKey(int32(h.Committed().GPUs), int32(h.subscribed), int32(tab.Rows(j)[i].Ord()))
+				sub = int32(h.subscribed)
+			}
+			if n := TableChunk + i; keys[n] != key || subs[n] != sub {
+				t.Errorf("slot %d: leaf holds key %#x, %d subscribed; its occupant's are %#x, %d", j*TableChunk+i, keys[n], subs[n], key, sub)
 			}
 			if occupied := tab.Live(j)>>i&1 == 1; occupied != (h != nil) {
 				t.Errorf("slot %d: live bit %v, host %v", j*TableChunk+i, occupied, h)
@@ -49,9 +50,11 @@ func checkTable(t *testing.T, c *Cluster, byCount map[*Host][]int) {
 					j*TableChunk+i, h.ID, h.Slot(), h.Capacity, tab.Shapes()[tab.Shape(j)])
 			}
 		}
-		if c, s, o, m := tab.Summary(j); [3]int{c, s, o} != best || m != minSub {
-			t.Errorf("chunk %d: summary is key %v, fewest subscribed %d; its occupants' best key is %v, fewest subscribed %d",
-				j, [3]int{c, s, o}, m, best, minSub)
+		for n := TableChunk - 1; n >= 1; n-- {
+			if keys[n] != min(keys[2*n], keys[2*n+1]) || subs[n] != min(subs[2*n], subs[2*n+1]) {
+				t.Errorf("chunk %d node %d: key %#x, %d subscribed; its children's best are %#x, %d",
+					j, n, keys[n], subs[n], min(keys[2*n], keys[2*n+1]), min(subs[2*n], subs[2*n+1]))
+			}
 		}
 	}
 	if live != len(members) {

@@ -3,7 +3,6 @@ package scheduler
 import (
 	"errors"
 	"math"
-	"math/bits"
 
 	"notebookos/internal/cluster"
 	"notebookos/internal/resources"
@@ -30,7 +29,7 @@ type LeastLoaded struct {
 }
 
 // shapeTerms is what one selection resolves once per host shape, so the
-// scan over the hosts compares integers only.
+// walk over the hosts compares integers only.
 type shapeTerms struct {
 	// gpus is the shape's GPU count: idle GPUs are gpus minus committed.
 	gpus int32
@@ -147,13 +146,14 @@ func (p LeastLoaded) SelectHosts(c *cluster.Cluster, req resources.Spec, n int) 
 // SelectInto is SelectHosts into the caller's buffer: it picks len(out)
 // distinct hosts, allocating nothing up to stackSelect hosts on
 // stackShapes host shapes. It makes one pass over the cluster's dense host
-// table (cluster.Table) — chunk by chunk, scanning those whose summary does
-// not already rule every host out (turnsAway) — maintaining two partial
-// selections: hosts whose post-placement SR stays within the dynamic
-// cluster-wide limit ("balanced"), and all viable hosts as a fallback when
-// the balance rule leaves fewer than n candidates. What depends only on the
-// request and a host's shape — whether it fits, and where the watermark and
-// the limit fall — is settled once per shape before the pass.
+// table (cluster.Table), chunk by chunk, walking each chunk's tournaments
+// best key first and reading only the rows no node above them rules out
+// (pass.walk), maintaining two partial selections: hosts whose
+// post-placement SR stays within the dynamic cluster-wide limit
+// ("balanced"), and all viable hosts as a fallback when the balance rule
+// leaves fewer than n candidates. What depends only on the request and a
+// host's shape — whether it fits, and where the watermark and the limit
+// fall — is settled once per shape before the pass.
 func (p LeastLoaded) SelectInto(c *cluster.Cluster, req resources.Spec, out []*cluster.Host) error {
 	n := len(out)
 	if n == 0 {
@@ -194,14 +194,14 @@ func (p LeastLoaded) SelectInto(c *cluster.Cluster, req resources.Spec, out []*c
 	}
 	pass := pass{
 		terms:    terms,
-		reqGPUs:  int32(req.GPUs),
+		reqGPUs:  int64(req.GPUs),
 		balanced: topN{buf: scratch[:n]},
 		viable:   topN{buf: scratch[n : 2*n]},
+		cutShape: -1,
 	}
 	for j := 0; j < tab.Chunks(); j++ {
-		shape, live := int32(tab.Shape(j)), tab.Live(j)
-		if live != 0 && !pass.turnsAway(tab, j, shape) {
-			pass.scan(tab.Rows(j), live, shape, int32(j*cluster.TableChunk))
+		if tab.Live(j) != 0 {
+			pass.walk(tab, j)
 		}
 	}
 	// Prefer balanced hosts; fall back to all viable ones if the balance
@@ -222,7 +222,7 @@ func (p LeastLoaded) SelectInto(c *cluster.Cluster, req resources.Spec, out []*c
 // pass is the state of one pass over the host table.
 type pass struct {
 	terms            []shapeTerms
-	reqGPUs          int32
+	reqGPUs          int64
 	balanced, viable topN
 	// bar is the n-th best of the selection that decides as things stand,
 	// barred whether there is one yet: the balanced selection once n hosts
@@ -231,87 +231,91 @@ type pass struct {
 	// host of the pass — and until then the fallback, once it holds n.
 	bar          candidate
 	barred, full bool
+	// cut is cutoff(cutShape), kept current as the bar moves.
+	cut      uint64
+	cutShape int32
 }
 
-// beats reports whether b, the n-th best a selection already keeps, ranks
-// before a host with these keys — decided on integers alone, and exactly
-// unless the two are of different shapes, where it leaves the verdict to
-// candidate.before. Nearly every host of a pass ends here.
-func (b *candidate) beats(idle, sub, shape, ord int32) bool {
-	if idle != b.idle {
-		return idle < b.idle
-	}
-	if shape != b.shape {
-		return false
-	}
-	if sub != b.sub {
-		return sub > b.sub
-	}
-	return ord > b.ord
-}
-
-// turnsAway reports whether scan would turn every host of chunk j away as
-// the pass stands, decided on the chunk's summary (cluster.Table.Summary)
-// alone. Either none can pass the SR rules: the request does not fit the
-// shape, or the fewest subscribed GPUs among them plus the request exceed
-// the watermark — or the limit, once only balanced hosts count. Or the bar
-// beats them all: a chunk is one shape, and hosts of one shape rank by
-// committed GPUs, then subscribed GPUs, then ordinal whatever the request,
-// so a bar that beats the summary's key beats every host — unless a
-// balanced selection still short of n hosts could want one that is within
-// the limit regardless. A shape without GPUs ranks its hosts on committed
-// GPUs and ordinal alone, not in the summary's order, and is always
-// scanned. The test is exact: a pass selects the same hosts with it as
-// without.
-func (p *pass) turnsAway(tab *cluster.Table, j int, shape int32) bool {
+// cutoff folds the bar into the largest key (cluster.LoadKey) a row of this
+// shape can have and not be beaten by it: ranked after it on integers
+// alone. Against a bar of the shape, a row is beaten when it has more
+// committed GPUs, then more subscribed GPUs, then a higher ordinal — its
+// key is larger; against a bar of another shape, only when it has more
+// committed GPUs. Without a bar, on a shape without GPUs (whose rows do not
+// rank in key order), or when a count is outside what a key holds, the
+// cutoff is math.MaxUint64, which beats nothing.
+func (p *pass) cutoff(shape int32) uint64 {
 	t := &p.terms[shape]
-	if t.maxSub == math.MinInt32 {
-		return true
+	committed, sub, ord := int64(t.gpus)-int64(p.bar.idle), int64(cluster.KeyMax), int32(math.MaxInt32)
+	if p.bar.shape == shape {
+		sub, ord = int64(p.bar.sub)-p.reqGPUs, p.bar.ord
 	}
-	if t.subMask == 0 {
-		return false
+	if !p.barred || t.subMask == 0 || committed < 0 || committed > cluster.KeyMax || sub > cluster.KeyMax {
+		return math.MaxUint64
 	}
-	committed, subscribed, ord, minSub := tab.Summary(j)
-	if sub := int32(minSub) + p.reqGPUs; sub > t.maxSub {
-		return true
-	} else if sub <= t.balSub {
-		if !p.full {
-			return false
-		}
-	} else if p.full {
-		return true
-	}
-	return p.barred && p.bar.beats(t.gpus-int32(committed), int32(subscribed)+p.reqGPUs, shape, int32(ord))
+	return cluster.LoadKey(int32(committed), int32(sub), ord)
 }
 
-// scan offers the viable hosts of one chunk — hosts of one shape, in the
-// live slots of rows, the first of which is slot base — to the selections.
-// The loop is kept to what turns a host away, so that its few variables
-// stay in registers; a host that may be selected goes to consider.
-func (p *pass) scan(rows *[cluster.TableChunk]cluster.Row, live uint32, shape, base int32) {
+// walk offers the rows of chunk j that may be selected to the selections.
+// It walks the chunk's tournaments (cluster.Table.Tournaments) from the
+// root, into the child with the smaller key first, and turns a node away —
+// the rows below it with it — when the fewest subscribed GPUs below it plus
+// the request exceed the watermark, or the limit once only balanced hosts
+// count, or when the bar beats its key (cutoff) and the rows below could
+// not join a balanced selection still short of n hosts either. A node's
+// key is the best below it, so a row a node turns away is one its own test
+// would: the walk selects what a look at every row would. A leaf it
+// reaches is one row, if its slot is live, and goes to consider. The
+// arithmetic is in int64: a node without live rows below holds
+// math.MaxInt32 subscribed GPUs.
+func (p *pass) walk(tab *cluster.Table, j int) {
+	shape := int32(tab.Shape(j))
 	t := &p.terms[shape]
-	for ; live != 0; live &= live - 1 {
-		i := bits.TrailingZeros32(live) % cluster.TableChunk // live != 0, so the remainder only spares a bounds check
-		row := &rows[i]
-		sub := int32(row.SubscribedGPUs()) + p.reqGPUs
-		if sub > t.maxSub {
-			continue
+	keys, subs := tab.Tournaments(j)
+	rows, live := tab.Rows(j), tab.Live(j)
+	if shape != p.cutShape {
+		p.cut, p.cutShape = p.cutoff(shape), shape
+	}
+	lim, open := p.bounds(t)
+	var pending [5]uint // the siblings still to walk, one a level at most
+	// n < 2*TableChunk, so the remainders below only spare bounds checks.
+	for n, top := uint(1), 0; ; {
+		if sub := int64(subs[n%(2*cluster.TableChunk)]) + p.reqGPUs; sub <= lim && (keys[n%(2*cluster.TableChunk)] <= p.cut || sub <= open) {
+			if n < cluster.TableChunk {
+				next, later := 2*n, 2*n+1
+				if keys[later%(2*cluster.TableChunk)] < keys[next%(2*cluster.TableChunk)] {
+					next, later = later, next
+				}
+				pending[top], top, n = later, top+1, next
+				continue
+			}
+			if i := n % cluster.TableChunk; live>>i&1 != 0 {
+				row := &rows[i]
+				p.consider(candidate{idle: t.gpus - int32(row.CommittedGPUs()), sub: int32(sub) & t.subMask, shape: shape, ord: int32(row.Ord()), slot: int32(j*cluster.TableChunk) + int32(i)},
+					sub <= int64(t.balSub), keys[n%(2*cluster.TableChunk)] > p.cut)
+				p.cut = p.cutoff(shape)
+				lim, open = p.bounds(t)
+			}
 		}
-		inBalance := sub <= t.balSub
-		if p.full && !inBalance {
-			continue
+		if top--; top < 0 {
+			return
 		}
-		sub &= t.subMask
-		idle := t.gpus - int32(row.CommittedGPUs())
-		beaten := p.barred && p.bar.beats(idle, sub, shape, int32(row.Ord()))
-		if beaten && (p.full || !inBalance) {
-			continue
-		}
-		p.consider(candidate{idle: idle, sub: sub, shape: shape, ord: int32(row.Ord()), slot: base + int32(i)}, inBalance, beaten)
+		n = pending[top]
 	}
 }
 
-// consider offers a host scan could not turn away to the selections, and
+// bounds returns what walk's node test compares a node's fewest subscribed
+// GPUs plus the request with: above lim the node is turned away, and at
+// most open it is kept even when the bar beats its key — while the
+// balanced selection is short of n hosts, and within the limit.
+func (p *pass) bounds(t *shapeTerms) (lim, open int64) {
+	if p.full {
+		return int64(min(t.maxSub, t.balSub)), math.MinInt64
+	}
+	return int64(t.maxSub), int64(t.balSub)
+}
+
+// consider offers a host walk could not turn away to the selections, and
 // moves the bar.
 func (p *pass) consider(c candidate, inBalance, beaten bool) {
 	if inBalance {

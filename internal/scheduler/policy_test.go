@@ -3,6 +3,7 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -49,10 +50,15 @@ func TestLeastLoadedSelectsIdlest(t *testing.T) {
 	}
 }
 
+// ids returns the hosts' IDs, "no host" for a nil one: a selection that
+// returned a free slot.
 func ids(hs []*cluster.Host) []string {
 	out := make([]string, len(hs))
 	for i, h := range hs {
-		out[i] = h.ID
+		out[i] = "no host"
+		if h != nil {
+			out[i] = h.ID
+		}
 	}
 	return out
 }
@@ -133,10 +139,12 @@ func referenceLeastLoaded(c *cluster.Cluster, req resources.Spec, n int, waterma
 // on seeded random clusters of mixed host sizes — one of them without GPUs —
 // after every step of a random history: replicas placed and removed, GPUs
 // committed and released, hosts joining under IDs that rank into the middle
-// of the members, leaving by RemoveHost and CrashHost, and coming back. Every
-// tenth cluster spans five chunks or more. It requires that the trials
-// reached every branch of the selection and every kind of table upkeep a
-// chunk summary has to survive.
+// of the members, leaving by RemoveHost and CrashHost, and coming back —
+// under one of four watermarks, the last out of reach. Every tenth cluster
+// spans five chunks or more. Then a cluster at bootstrap whose free slots,
+// two of them left by CrashHost, nothing turns away. It requires that the
+// trials reached every branch of the selection, every kind of table upkeep
+// a chunk's tournaments have to survive, and a walk that meets free slots.
 func TestLeastLoadedMatchesReference(t *testing.T) {
 	sizes := []resources.Spec{
 		resources.P316xlarge(),
@@ -228,7 +236,7 @@ func TestLeastLoadedMatchesReference(t *testing.T) {
 		if c.Table().Chunks() >= 5 {
 			hit["five chunks or more"]++
 		}
-		watermark := []float64{DefaultSRHighWatermark, 1.0, 0.6}[rng.Intn(3)]
+		watermark := []float64{DefaultSRHighWatermark, 1.0, 0.6, 1e12}[rng.Intn(4)]
 		for trial := 0; trial < 16; trial++ {
 			switch op := rng.Intn(9); {
 			case trial == 0 || len(members) == 0:
@@ -296,10 +304,35 @@ func TestLeastLoadedMatchesReference(t *testing.T) {
 			}
 		}
 	}
+	// Nothing turns a free slot's leaf away when the cluster is at
+	// bootstrap (limit 0), the watermark is out of reach (maxWithin gives
+	// math.MaxInt32) and the request holds no GPUs, and with fewer members
+	// than n no bar forms: the walk reaches every leaf, live or not.
+	c := cluster.New(3)
+	for i := 0; i < 6; i++ {
+		if err := c.AddHost(cluster.NewHost(fmt.Sprintf("b%02d", i), resources.P316xlarge())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []string{"b01", "b04"} {
+		if err := c.CrashHost(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for n := 1; n <= 6; n++ {
+		want, branch := referenceLeastLoaded(c, gpuReq(0), n, 1e12)
+		got, err := LeastLoaded{SRHighWatermark: 1e12}.SelectHosts(c, gpuReq(0), n)
+		if fmt.Sprint(ids(got)) != fmt.Sprint(ids(want)) || (want == nil) != errors.Is(err, ErrInsufficientHosts) {
+			t.Fatalf("bootstrap after crashes, n %d: got %v (%v), reference %v (%s)", n, ids(got), err, ids(want), branch)
+		}
+		if c.SRLimit() == 0 && maxWithin(1e12, 8*3) == math.MaxInt32 && n > len(c.Hosts()) && c.Table().Live(0) != 1<<6-1 {
+			hit["a walk past free slots CrashHost left"]++
+		}
+	}
 	for _, name := range []string{"bootstrap", "balanced", "fallback", "insufficient",
 		"bootstrap over five chunks", "balanced over five chunks", "fallback over five chunks", "insufficient over five chunks",
 		"request fits only some hosts", "n above the stack scratch", "five chunks or more",
-		"a join shifted ordinals", "a freed slot was reused"} {
+		"a join shifted ordinals", "a freed slot was reused", "a walk past free slots CrashHost left"} {
 		if hit[name] == 0 {
 			t.Errorf("no trial exercised: %s", name)
 		}

@@ -52,7 +52,8 @@ func matchReference(t *testing.T, label string, cfg Config, r *Result) *refModel
 // 4-GPU hosts, the fed-summer-c4 knobs otherwise, whose parked tasks the SLO
 // queue reorders; one member of three hosts of 8 GB a GPU (vramCapped)
 // under the SLO queue, where tasks no member's shape holds stay parked past
-// the 30-minute promotion; and a lean streamed run of 5 summer days, whose
+// the 30-minute promotion (BUG_LEDGER 47, which must fire there); and a
+// lean streamed run of 5 summer days, whose
 // samples outgrow their reservoirs. Between them the cases must exercise every rule
 // the model states; -v prints what each case did.
 func TestReferenceModel(t *testing.T) {
@@ -113,6 +114,9 @@ func TestReferenceModel(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := matchReference(t, name, cfg, r)
+		if name == "slo-capped" && m.fired["row 47"] == 0 {
+			t.Errorf("%s: BUG_LEDGER 47 fired for no task: no task commits more VRAM than its session asked", name)
+		}
 		t.Logf("%s: %d migrations, %d scale-outs, %d scale-ins, %d warm and %d cold starts, %d executor reuses, %d parked waits, %d dropped sessions; %d crashes, %d failovers, %d restarts, %d abandonments; %d remote placements, %d remote executions, %d cross-member migrations; rules %v",
 			name, r.Migrations, r.ScaleOuts, r.ScaleIns, r.WarmStarts, r.ColdStarts, r.ExecutorReuse, m.parks, m.drops,
 			r.HostCrashes, r.Failovers, r.TaskRestarts, r.Abandonments, r.RemotePlacements, r.RemoteExecutions, r.CrossMigrations, m.fired)
@@ -135,7 +139,7 @@ func TestReferenceModel(t *testing.T) {
 			"abandonments": r.Abandonments, "Reservation re-binds": m.fired["reservation re-binds"],
 			"Batch/LCP aborts": m.fired["container aborts"], "outage victims": m.fired["outage victims"],
 			"runs that lose GPU-hours": lost, "BUG_LEDGER 38": m.fired["row 38"], "BUG_LEDGER 39": m.fired["row 39"],
-			"BUG_LEDGER 42": m.fired["row 42"], "BUG_LEDGER 43": m.fired["row 43"],
+			"BUG_LEDGER 42": m.fired["row 42"], "BUG_LEDGER 43": m.fired["row 43"], "BUG_LEDGER 47": m.fired["row 47"],
 			"federations that place on every member": everyMember, "remote placements": r.RemotePlacements,
 			"remote executions": r.RemoteExecutions, "cross-member migrations": r.CrossMigrations,
 			"degraded charges": m.fired["degraded charges"], "scoped-outage victims": m.fired["scoped-outage victims"],

@@ -38,8 +38,8 @@ import (
 //     is tried again; a session still unplaced, or whose request fits no
 //     member's shape, is dropped.
 //   - Binding (§3.2.2): a task commits min(task, reserved) GPUs, 16 GB of
-//     VRAM each, on the last executor's host if it can, else on the first
-//     replica's that can, until its reply returns.
+//     VRAM each (BUG_LEDGER 47, below), on the last executor's host if it
+//     can, else on the first replica's that can, until its reply returns.
 //   - Migration (§3.2.3): when every replica yields, a failed election is
 //     paid and the target is the most idle host outside the replicas that can
 //     commit the task, in the first member in route order that has one; with
@@ -478,9 +478,15 @@ func (m *refModel) record(stages map[Step]time.Duration) {
 // try is the policy's attempt at a task; false parks it.
 func (m *refModel) try(ss *refSession, task trace.Task, submit time.Time) bool {
 	lat := &m.p.Latencies
-	req := ss.src.Request // what a task commits: its GPUs, at most the session's, 16 GB of VRAM each
+	req := ss.src.Request // what a task commits: its GPUs, at most the session's
 	req.GPUs = min(task.GPUs, req.GPUs)
+	// BUG_LEDGER 47: a task commits 16 GB of VRAM a GPU, whatever its session
+	// asked, so a task of a session that asked for less a GPU can outgrow
+	// every host its session could place on, and park to the horizon.
 	req.VRAMGB = float64(req.GPUs) * 16
+	if req.VRAMGB > ss.src.Request.VRAMGB {
+		m.fired["row 47"]++
+	}
 	if m.p.Policy == PolicyBatch || m.p.Policy == PolicyLCP {
 		return m.container(ss, task, submit, req)
 	}

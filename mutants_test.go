@@ -68,9 +68,14 @@ type mutant struct {
 // killed by TestHostIDMatchesSprintf: a block of IDs that starts one host
 // late, and two hosts that share one record. Then the simulator's
 // optimisations, each killed by the reference model
-// (internal/sim/reference_test.go): a chunk summary read one off, a recycled
-// task machine that keeps a field of its last task, and a host joining that
-// wakes no parked task. Then ten rules of the fault layer, each broken once
+// (internal/sim/reference_test.go): a tournament node of the host table
+// read one off, a placement cutoff one subscribed GPU short, a recycled task
+// machine that keeps a field of its last task, and a host joining that
+// wakes no parked task. Then the placement walk's own guards, each killed by
+// a scheduler test: a leaf that skips its live check and a walk that prunes
+// on the bar while the balanced selection is short
+// (TestLeastLoadedMatchesReference), and a cutoff that ignores the range of
+// a packed key (TestLeastLoadedBeyondSummaryRange). Then ten rules of the fault layer, each broken once
 // and killed by the reference model's second part
 // (internal/sim/reference_faults_test.go): a failover that restarts its
 // task, an executor's death or a quorum loss that does not, quorum at half
@@ -314,8 +319,13 @@ var mutants = []mutant{
 		pkg: "./internal/sim", run: "^TestHostIDMatchesSprintf$", want: "shares a record",
 	},
 	{
-		name: "a chunk summary counts one subscribed GPU too many", file: "internal/cluster/table.go",
-		old: "int(uint32(best)), int(ch.subs[1])", new: "int(uint32(best)), int(ch.subs[1]) + 1",
+		name: "a tournament node counts one subscribed GPU too many", file: "internal/cluster/table.go",
+		old: "min(ch.subs[2*n], ch.subs[2*n+1])\n", new: "min(ch.subs[2*n], ch.subs[2*n+1]) + 1\n",
+		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "the cutoff is one subscribed GPU short", file: "internal/scheduler/policy.go",
+		old: "int64(p.bar.sub)-p.reqGPUs, p.bar.ord", new: "int64(p.bar.sub)-p.reqGPUs-1, p.bar.ord",
 		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
 	},
 	{
@@ -328,6 +338,21 @@ var mutants = []mutant{
 		name: "AddHost wakes no waiter", file: "internal/cluster/cluster.go",
 		old: "\tc.seat(h, p)\n\tc.capacityFreed()\n", new: "\tc.seat(h, p)\n",
 		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
+	},
+	{
+		name: "a leaf skips its live check", file: "internal/scheduler/policy.go",
+		old: "if i := n % cluster.TableChunk; live>>i&1 != 0 {", new: "if i := n % cluster.TableChunk; live|1 != 0 {",
+		pkg: "./internal/scheduler", run: "^TestLeastLoadedMatchesReference$", want: "no host",
+	},
+	{
+		name: "the walk prunes on the bar while the balanced selection is short", file: "internal/scheduler/policy.go",
+		old: "return int64(t.maxSub), int64(t.balSub)", new: "return int64(t.maxSub), math.MinInt64",
+		pkg: "./internal/scheduler", run: "^TestLeastLoadedMatchesReference$", want: "), reference [",
+	},
+	{
+		name: "the cutoff ignores the key's range", file: "internal/scheduler/policy.go",
+		old: " || sub > cluster.KeyMax {", new: " {",
+		pkg: "./internal/scheduler", run: "^TestLeastLoadedBeyondSummaryRange$", want: "n 1: got [h00] (<nil>), reference [h34]",
 	},
 	{
 		name: "a failover restarts the task", file: "internal/sim/faults.go",
