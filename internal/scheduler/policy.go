@@ -291,10 +291,11 @@ func (p *pass) walk(tab *cluster.Table, j int) {
 			}
 			if i := n % cluster.TableChunk; live>>i&1 != 0 {
 				row := &rows[i]
-				p.consider(candidate{idle: t.gpus - int32(row.CommittedGPUs()), sub: int32(sub) & t.subMask, shape: shape, ord: int32(row.Ord()), slot: int32(j*cluster.TableChunk) + int32(i)},
-					sub <= int64(t.balSub), keys[n%(2*cluster.TableChunk)] > p.cut)
-				p.cut = p.cutoff(shape)
-				lim, open = p.bounds(t)
+				if p.consider(candidate{idle: t.gpus - int32(row.CommittedGPUs()), sub: int32(sub) & t.subMask, shape: shape, ord: int32(row.Ord()), slot: int32(j*cluster.TableChunk) + int32(i)},
+					sub <= int64(t.balSub), keys[n%(2*cluster.TableChunk)] > p.cut) {
+					p.cut = p.cutoff(shape)
+					lim, open = p.bounds(t)
+				}
 			}
 		}
 		if top--; top < 0 {
@@ -315,20 +316,23 @@ func (p *pass) bounds(t *shapeTerms) (lim, open int64) {
 	return int64(t.maxSub), int64(t.balSub)
 }
 
-// consider offers a host walk could not turn away to the selections, and
-// moves the bar.
-func (p *pass) consider(c candidate, inBalance, beaten bool) {
+// consider offers a host walk could not turn away to the selections, moves
+// the bar, and reports whether it may have: the bar, and with it the cutoff
+// and the bounds, can move only once a selection holds n hosts.
+func (p *pass) consider(c candidate, inBalance, beaten bool) (moved bool) {
 	if inBalance {
 		p.balanced.offer(c, p.terms)
 		if t := &p.balanced; t.kept == len(t.buf) {
 			p.bar, p.barred, p.full = t.buf[t.kept-1], true, true
-			return
+			return true
 		}
 	}
 	if !beaten {
 		p.viable.offer(c, p.terms)
 		if t := &p.viable; t.kept == len(t.buf) {
 			p.bar, p.barred = t.buf[t.kept-1], true
+			return true
 		}
 	}
+	return false
 }

@@ -26,12 +26,5 @@ const (
 // scheduler passes replicas = 0 and keeps its configured floor, because a
 // failed placement there recovers by scaling back out.
 func MinHostsFloor(configured, replicas int) int {
-	floor := configured
-	if floor < replicas {
-		floor = replicas
-	}
-	if floor < 1 {
-		floor = 1
-	}
-	return floor
+	return max(configured, replicas, 1)
 }

@@ -269,8 +269,8 @@ func (a *auditor) admitted() {
 	}
 	bk := a.books[ss]
 	if bk.gen > 0 && (bk.end.After(s.now()) || bk.last.After(s.now())) {
-		a.fail(checkSpare, "session %s is admitted into the record of a session that ends at %v or submits a task at %v",
-			ss.id, bk.end.Sub(s.start), bk.last.Sub(s.start))
+		a.fail(checkSpare, "session #%d is admitted into the record of a session that ends at %v or submits a task at %v",
+			ss.seq, bk.end.Sub(s.start), bk.last.Sub(s.start))
 	}
 	bk = book{gen: bk.gen + 1, end: a.yieldedEnds[0]}
 	a.spareSeen = min(a.spareSeen, len(s.spare))
@@ -339,7 +339,7 @@ func (a *auditor) audit() {
 	}
 	a.ends.take(now, func(e ending) {
 		if a.current(e.booked) && !e.ss.closed {
-			a.fail(checkSubscriptions, "session %s is still live past its end", e.ss.id)
+			a.fail(checkSubscriptions, "session #%d is still live past its end", e.ss.seq)
 		}
 		a.live--
 		a.heldSub -= e.sub
@@ -423,7 +423,7 @@ func (a *auditor) audit() {
 					continue
 				}
 				if !a.member(h) {
-					a.fail(checkCrashed, "live session %s keeps host %s, which has left member %d", ss.id, h.h.ID, h.member)
+					a.fail(checkCrashed, "live session #%d keeps host %s, which has left member %d", ss.seq, h.h.ID, h.member)
 				}
 				switch s.cfg.Policy {
 				case PolicyNotebookOS:
@@ -547,11 +547,11 @@ func (a *auditor) audit() {
 		case !ok:
 			a.fail(checkWaitq, "a parked waiter is %T, not a task machine", w.waiter)
 		case t.phase != phaseParked:
-			a.fail(checkWaitq, "session %s's parked machine is in phase %d", t.ss.id, t.phase)
+			a.fail(checkWaitq, "session #%d's parked machine is in phase %d", t.ss.seq, t.phase)
 		case slices.Contains(s.idle, t):
-			a.fail(checkWaitq, "session %s's parked machine is on the idle list", t.ss.id)
+			a.fail(checkWaitq, "session #%d's parked machine is on the idle list", t.ss.seq)
 		case slices.ContainsFunc(a.busy, func(b booked) bool { return b.ss.cur == t }):
-			a.fail(checkWaitq, "session %s's parked machine is a session's current task", t.ss.id)
+			a.fail(checkWaitq, "session #%d's parked machine is a session's current task", t.ss.seq)
 		}
 	}
 	if depth > 0 {
@@ -649,7 +649,7 @@ func (a *auditor) auditSpare() {
 		bk := a.books[ss]
 		switch {
 		case !reflect.ValueOf(ss).Elem().IsZero():
-			a.fail(checkSpare, "the retired record of session %q is not zeroed", ss.id)
+			a.fail(checkSpare, "the retired record of session #%d is not zeroed", ss.seq)
 		case bk.gen == 0:
 			a.fail(checkSpare, "a record no session was admitted into is on the spare list")
 		case bk.end.After(s.now()) || bk.last.After(s.now()):
@@ -669,7 +669,7 @@ func (a *auditor) auditSpare() {
 	}
 	for _, b := range a.busy {
 		if t := b.ss.cur; t != nil && t.ss.s == nil {
-			a.fail(checkSpare, "session %s runs a task of a retired record", b.ss.id)
+			a.fail(checkSpare, "session #%d runs a task of a retired record", b.ss.seq)
 		}
 	}
 	a.spareSeen = len(s.spare)

@@ -35,7 +35,7 @@
 //     one session type, one host wrapper, one task state machine (taskfsm.go),
 //     one injector (stream.go) and one fault layer (faults.go). The injector
 //     is the only way in: one self-rescheduling event admits a session at its
-//     start (copying its ID, Request, Tasks and SLO into the session record,
+//     start (copying its Request, Tasks and SLO into the session record,
 //     the only fields read after admission, since a Source lends each
 //     session only until it is pulled again; the record is a retired one
 //     when one is spare, for a record retires, zeroed, once its session has

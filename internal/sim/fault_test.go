@@ -266,7 +266,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 	s.runUntil(s.start.Add(time.Minute))
 
 	task := trace.Task{Submit: s.now(), Duration: time.Hour, GPUs: 1}
-	inter := &session{id: "probe-i", slo: trace.SLOInteractive, running: true}
+	inter := &session{slo: trace.SLOInteractive, running: true}
 	s.restartTask(inter, task, s.now())
 	if s.res.TaskRestarts != 1 || s.res.Abandonments != 0 {
 		t.Fatalf("first interactive restart must be granted: restarts=%d abandoned=%d",
@@ -281,7 +281,7 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 		t.Error("abandonment with an empty queue must leave the session idle")
 	}
 
-	batch := &session{id: "probe-b", slo: trace.SLOBatch, running: true}
+	batch := &session{slo: trace.SLOBatch, running: true}
 	for i := 0; i < 3; i++ {
 		s.restartTask(batch, task, s.now())
 	}
@@ -332,7 +332,7 @@ func TestRestartPenaltyNeverWraps(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.runUntil(s.start.Add(time.Minute))
-		ss := &session{id: "probe", slo: trace.SLOBestEffort, running: true}
+		ss := &session{slo: trace.SLOBestEffort, running: true}
 		armed := 0
 		for range c.charges {
 			pending := s.eng.Len()
@@ -412,13 +412,13 @@ func TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent(t *testing.T) {
 			start := m.submit.Add(m.delay).UnixNano()
 			switch {
 			case idle[m] || m.dead || m.ss != ss:
-				t.Fatalf("%v: session %s runs its task on a machine that is idle, dead or another session's", at, ss.id)
+				t.Fatalf("%v: session #%d runs its task on a machine that is idle, dead or another session's", at, ss.seq)
 			case m.phase == 0 && start <= at.UnixNano():
-				t.Fatalf("%v: session %s's task is due to start at %v and has not", at, ss.id, time.Unix(0, start).UTC())
+				t.Fatalf("%v: session #%d's task is due to start at %v and has not", at, ss.seq, time.Unix(0, start).UTC())
 			case m.phase > 0 && m.tstart != start:
-				t.Fatalf("%v: session %s's task started training at %v, due at %v", at, ss.id, time.Unix(0, m.tstart).UTC(), time.Unix(0, start).UTC())
+				t.Fatalf("%v: session #%d's task started training at %v, due at %v", at, ss.seq, time.Unix(0, m.tstart).UTC(), time.Unix(0, start).UTC())
 			case m.phase == 1 && m.tstart+int64(m.task.Duration) <= at.UnixNano():
-				t.Fatalf("%v: session %s's task is due to finish training at %v and has not", at, ss.id, time.Unix(0, m.tstart+int64(m.task.Duration)).UTC())
+				t.Fatalf("%v: session #%d's task is due to finish training at %v and has not", at, ss.seq, time.Unix(0, m.tstart+int64(m.task.Duration)).UTC())
 			}
 			if aborted[m] {
 				relaunched[m] = true

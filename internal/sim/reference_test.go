@@ -281,7 +281,7 @@ func (m *refModel) subscribe(ss *refSession, h *refHost, sign int) {
 // release returns what ss holds on h (so it cannot fail) and, if h is still a
 // member, wakes the parked.
 func (m *refModel) release(ss *refSession, h *refHost) {
-	_, _ = h.commits.Release(ss.src.ID)
+	_, _ = h.commits.Release(ss.src.Name())
 	if slices.Contains(m.members[h.member].hosts, h) {
 		m.wake()
 	}
@@ -400,7 +400,7 @@ func (m *refModel) reserveHost(ss *refSession) *refHost {
 	if h == nil && req.Fits(m.members[ss.home].spec.HostCapacity) {
 		h = m.addHost(ss.home)
 	}
-	if h == nil || h.commits.Commit(ss.src.ID, req) != nil {
+	if h == nil || h.commits.Commit(ss.src.Name(), req) != nil {
 		return nil
 	}
 	return h
@@ -501,7 +501,7 @@ func (m *refModel) try(ss *refSession, task trace.Task, submit time.Time) bool {
 		if e := ss.lastExec; e > 0 && can(ss.hosts[e-1]) {
 			executor = e
 		}
-		if executor == 0 || ss.hosts[executor-1].commits.Commit(ss.src.ID, req) != nil {
+		if executor == 0 || ss.hosts[executor-1].commits.Commit(ss.src.Name(), req) != nil {
 			return m.migrate(ss, task, submit, req)
 		}
 		if m.now.Equal(submit) {
@@ -543,7 +543,7 @@ func (m *refModel) container(ss *refSession, task trace.Task, submit time.Time, 
 			h = c
 		}
 	}
-	if h == nil || h.commits.Commit(ss.src.ID, req) != nil {
+	if h == nil || h.commits.Commit(ss.src.Name(), req) != nil {
 		return false
 	}
 	lat, start := &m.p.Latencies, time.Duration(0)

@@ -63,7 +63,7 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 			}
 			for _, ss := range s.spare {
 				if !reflect.ValueOf(ss).Elem().IsZero() {
-					t.Fatalf("%v: a retired record still holds session %q", now, ss.id)
+					t.Fatalf("%v: a retired record still holds session #%d", now, ss.seq)
 				}
 			}
 		}
@@ -73,13 +73,14 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 			}
 		}
 	}
-	// live returns the records of the sessions now live, by ID: s.live lists
-	// them, fault-free too once faultsOn is set ahead of the first admission
-	// (as the auditor does).
-	live := func(s *sim) map[string]*session {
+	// live returns the records of the sessions of tr now live, by ID (a
+	// record's seq is its session's place in tr, from 1): s.live lists them,
+	// fault-free too once faultsOn is set ahead of the first admission (as
+	// the auditor does).
+	live := func(s *sim, tr *trace.Trace) map[string]*session {
 		m := map[string]*session{}
 		for _, ss := range s.live {
-			m[ss.id] = ss
+			m[tr.Sessions[ss.seq-1].ID] = ss
 		}
 		return m
 	}
@@ -96,7 +97,7 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 		defer s.close()
 		s.faultsOn = true
 		s.runUntil(at(time.Minute))
-		ss := live(s)
+		ss := live(s, tr)
 		runs, parked := ss["runs"], ss["parked"]
 		watch(t, s, []watched{{"runs", runs, 65 * time.Minute}, {"parked", parked, 95 * time.Minute}}, func(now time.Duration) {
 			if now != 30*time.Minute {
@@ -124,11 +125,11 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 		}
 		defer s.close()
 		s.runUntil(at(time.Minute))
-		ss := live(s)
+		ss := live(s, tr)
 		late, restarted, row39 := ss["late"], ss["restarted"], ss["row-39"]
 		abort := func(ss *session) {
 			if ss.cur == nil {
-				t.Fatalf("at %v session %s has no task in flight to abort", s.now().Sub(start), ss.id)
+				t.Fatalf("at %v session #%d has no task in flight to abort", s.now().Sub(start), ss.seq)
 			}
 			s.abortRestart(ss)
 		}

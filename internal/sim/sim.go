@@ -285,11 +285,10 @@ func (r *Result) FinalHosts() int {
 // session (Fire), so admitting one schedules its end without a closure.
 type session struct {
 	s *sim
-	// id, req, tasks and slo are the four fields of the admitted session the
+	// req, tasks and slo are the three fields of the admitted session the
 	// simulator reads past its admission, copied from the one the source
 	// lent (trace.Source lends it only until yield returns); req is what the
 	// session reserves and each of its replicas subscribes.
-	id    string
 	req   resources.Spec
 	tasks []trace.Task
 	slo   trace.SLOClass
@@ -297,8 +296,10 @@ type session struct {
 	// workload.Assign draw.
 	paramBytes, datasetBytes int64
 	// home is the member cluster the session is homed at: round-robin in
-	// arrival order, so always 0 in a single-cluster run.
-	home int
+	// arrival order, so always 0 in a single-cluster run. seq is its
+	// 1-based admission ordinal, what a panic names it by: for a generated
+	// source, the ordinal its trace.Session.Name formats.
+	home, seq int
 	// classDelay is the Result.ClassDelay sample of the session's SLO class,
 	// looked up once at admission (nil unless the run is SLOAware).
 	classDelay *metrics.Sample
@@ -359,7 +360,7 @@ func (ss *session) uncommit(h *host, req resources.Spec) {
 
 func (ss *session) must(ok bool, what string, h *host) {
 	if !ok {
-		panic(fmt.Sprintf("sim: session %s: %s host %s", ss.id, what, h.h.ID))
+		panic(fmt.Sprintf("sim: session #%d: %s host %s", ss.seq, what, h.h.ID))
 	}
 }
 
@@ -703,13 +704,13 @@ func (s *sim) newSession(sess *trace.Session) *session {
 	assig := workload.Assign(s.wr)
 	ss := reuse(&s.spare, session{
 		s:            s,
-		id:           sess.ID,
 		req:          sess.Request,
 		tasks:        sess.Tasks,
 		slo:          sess.SLO,
 		paramBytes:   assig.Model.ParamBytes,
 		datasetBytes: assig.Dataset.SizeBytes,
 		home:         s.homeSeq % len(s.members),
+		seq:          s.homeSeq + 1,
 		classDelay:   s.res.ClassDelay[sess.SLO.OrDefault()],
 	})
 	s.homeSeq++
@@ -798,9 +799,9 @@ func (s *sim) addHost(mi int) *host {
 }
 
 // hostsPerBlock is how many host records, and IDs, a member allocates at
-// once, as trace's idsPerBlock does for session IDs. A record is never
-// reused: a block stays alive until its last host is unreachable, so a
-// crashed host's pending replacement, warm refill or crash clock stays valid.
+// once. A record is never reused: a block stays alive until its last host
+// is unreachable, so a crashed host's pending replacement, warm refill or
+// crash clock stays valid.
 const hostsPerBlock = 32
 
 // nextHost is the next slot of the member's host sequence: its record, to

@@ -69,16 +69,16 @@ func (in *injector) Fire() {
 	s.eng.ScheduleRunner(in.sess.End, ss)
 	ss.seq0 = s.eng.ReserveSeq(len(ss.tasks))
 	(*arrivals)(ss).next()
-	prev := trace.Session{ID: ss.id, Start: in.sess.Start}
+	prev := *in.sess
 	if next, ok := s.pull(); ok {
 		in.arm(&prev, next)
 	}
 }
 
 // arm schedules the admission of next, the session the source just yielded,
-// after prev, the ID and start of the one it yielded before, copied ahead of
-// the pull (nil ahead of the first; in.sess may already hold next, and the
-// record keeps no start) — unless next breaks the trace.Source contract.
+// after prev, a copy of the one it yielded before, taken ahead of the pull
+// (nil ahead of the first; in.sess may already hold next, and the record
+// keeps no start) — unless next breaks the trace.Source contract.
 // The engine would clamp a late session, or a task submitted before its
 // session starts, to now and run on with a wrong time, and the arrival
 // cursor would replay unsorted tasks in slice order; stop admitting and fail
@@ -102,7 +102,7 @@ func (in *injector) arm(prev, next *trace.Session) {
 func arrivalOrder(prev, next *trace.Session) error {
 	if next.Start.Before(prev.Start) {
 		return fmt.Errorf("sim: sessions out of arrival order: %s starts at %v, before %s at %v",
-			next.ID, next.Start, prev.ID, prev.Start)
+			next.Name(), next.Start, prev.Name(), prev.Start)
 	}
 	return nil
 }
@@ -115,7 +115,7 @@ func taskOrder(sess *trace.Session) error {
 		at := sess.Tasks[i].Submit
 		if at.Before(prev) {
 			return fmt.Errorf("sim: session %s: task %d is submitted at %v, before %v: tasks must be in submission order, the first no earlier than the session's start",
-				sess.ID, i, at, prev)
+				sess.Name(), i, at, prev)
 		}
 		prev = at
 	}

@@ -155,8 +155,9 @@ func (c GenConfig) pick(r *rand.Rand) *Cohort {
 
 // Generate produces a synthetic trace from cfg: the whole-workload stream
 // (NewStreamGen(cfg, 0, 1)) collected into a slice, so the arrival process is
-// written once, in StreamGen.Sessions. The same config and seed always
-// produce the identical trace.
+// written once, in StreamGen.Sessions. Each kept session's ID is set to its
+// Name, so a materialized trace carries its IDs as strings. The same config
+// and seed always produce the identical trace.
 func Generate(cfg GenConfig) (*Trace, error) {
 	g, err := NewStreamGen(cfg, 0, 1)
 	if err != nil {
@@ -166,6 +167,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	tr.Start, tr.End = g.Window()
 	err = g.Sessions(func(s *Session) bool {
 		kept := *s
+		kept.ID = kept.Name()
 		tr.Sessions = append(tr.Sessions, &kept)
 		return true
 	})
@@ -198,11 +200,12 @@ func MustGenerate(cfg GenConfig) *Trace {
 }
 
 // genSession draws the session arriving at start into sess, overwriting
-// every field. Its tasks are appended to scratch, which the caller passes
-// empty, and copied once, at their exact length, so sess.Tasks is the
-// session's own (nil when it submits none) while the caller reuses scratch;
-// it returns scratch for the next call.
-func genSession(sess *Session, scratch []Task, cfg GenConfig, r *rand.Rand, id string, start, traceEnd time.Time) []Task {
+// every field and leaving its name zero, for the caller to set. Its tasks
+// are appended to scratch, which the caller passes empty, and copied once,
+// at their exact length, so sess.Tasks is the session's own (nil when it
+// submits none) while the caller reuses scratch; it returns scratch for the
+// next call.
+func genSession(sess *Session, scratch []Task, cfg GenConfig, r *rand.Rand, start, traceEnd time.Time) []Task {
 	co := cfg.pick(r)
 	end := start.Add(seconds(co.SessionLifetime.Sample(r)))
 	if end.After(traceEnd) {
@@ -210,7 +213,6 @@ func genSession(sess *Session, scratch []Task, cfg GenConfig, r *rand.Rand, id s
 	}
 	gpus := co.RequestGPUs.SampleInt(r)
 	*sess = Session{
-		ID:     id,
 		Cohort: co.Name,
 		SLO:    co.SLO,
 		Start:  start,

@@ -100,11 +100,11 @@ func FuzzGenConfig(f *testing.F) {
 		n := 0
 		err = g.Sessions(func(s *Session) bool {
 			if s.Start.Before(start) || !s.Start.Before(end) || s.End.Before(s.Start) || s.End.After(end) {
-				t.Fatalf("session %s spans [%v, %v], outside the window [%v, %v)", s.ID, s.Start, s.End, start, end)
+				t.Fatalf("session %s spans [%v, %v], outside the window [%v, %v)", s.Name(), s.Start, s.End, start, end)
 			}
 			for i, tk := range s.Tasks {
 				if tk.Submit.Before(s.Start) || tk.Duration <= 0 || tk.Submit.Add(tk.Duration).After(s.End) {
-					t.Fatalf("session %s [%v, %v]: task %d submitted at %v runs %v", s.ID, s.Start, s.End, i, tk.Submit, tk.Duration)
+					t.Fatalf("session %s [%v, %v]: task %d submitted at %v runs %v", s.Name(), s.Start, s.End, i, tk.Submit, tk.Duration)
 				}
 			}
 			n++

@@ -118,14 +118,14 @@ func TestScenarioStreamUnionMatchesExpectation(t *testing.T) {
 			prev := time.Time{}
 			for _, sess := range sessions {
 				if sess.Start.Before(ws) || !sess.Start.Before(we) {
-					t.Fatalf("%s: %s starts outside window", s.Name, sess.ID)
+					t.Fatalf("%s: %s starts outside window", s.Name, sess.Name())
 				}
 				if sess.Start.Before(prev) {
-					t.Fatalf("%s: %s out of order", s.Name, sess.ID)
+					t.Fatalf("%s: %s out of order", s.Name, sess.Name())
 				}
 				prev = sess.Start
 				if !names[sess.Cohort] {
-					t.Fatalf("%s: %s has unknown cohort %q", s.Name, sess.ID, sess.Cohort)
+					t.Fatalf("%s: %s has unknown cohort %q", s.Name, sess.Name(), sess.Cohort)
 				}
 			}
 		}
@@ -499,7 +499,7 @@ func TestHugeScenarioNumbersSaturate(t *testing.T) {
 		t.Fatal(err)
 	}
 	err = g.Sessions(func(sess *Session) bool {
-		t.Errorf("base_sessions_per_hour 1e-300: session %s arrives at %v; want none in [%v, %v)", sess.ID, sess.Start, cfg.Start, cfg.Start.Add(cfg.Duration))
+		t.Errorf("base_sessions_per_hour 1e-300: session %s arrives at %v; want none in [%v, %v)", sess.Name(), sess.Start, cfg.Start, cfg.Start.Add(cfg.Duration))
 		return false
 	})
 	if err != nil {

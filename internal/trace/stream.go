@@ -31,8 +31,10 @@ func splitmix64(x uint64) uint64 {
 // footprint is one session, independent of how many the window holds. Each
 // call of Sessions lends one Session, a local of that call, overwritten for
 // every arrival: a consumer that keeps a session copies *s, and the copy's
-// Tasks, allocated fresh for each session, is its own. Calls share nothing,
-// so goroutines may drain one StreamGen at once.
+// Tasks, allocated fresh for each session, is its own. A lent session's ID
+// is empty: it carries its prefix and ordinal, and Session.Name formats
+// them only for whatever prints one. Calls share nothing, so goroutines may
+// drain one StreamGen at once.
 //
 // Sharding uses exact Poisson splitting rather than generate-then-Split:
 // thinning a Poisson process with intensity rate(t) and acceptance ratio
@@ -107,14 +109,11 @@ func (g *StreamGen) Sessions(yield func(*Session) bool) error {
 	r := rand.New(rand.NewSource(g.seed))
 	end := cfg.Start.Add(cfg.Duration)
 	maxRate := cfg.MaxSessionsPerHour / float64(g.of)
-	t, id := cfg.Start, 0
-	// The one session this call lends, its task buffer and the block of
-	// IDs its ID is cut from: locals, so concurrent calls on one StreamGen
-	// share nothing.
+	t, n := cfg.Start, 0
+	// The one session this call lends and its task buffer: locals, so
+	// concurrent calls on one StreamGen share nothing.
 	var sess Session
 	var scratch []Task
-	var block string
-	var ends [idsPerBlock + 1]int
 	for {
 		t = t.Add(Hours(r.ExpFloat64() / maxRate))
 		if !t.Before(end) {
@@ -127,32 +126,11 @@ func (g *StreamGen) Sessions(yield func(*Session) bool) error {
 		if r.Float64()*cfg.MaxSessionsPerHour > rate {
 			continue // thinned
 		}
-		id++
-		i := (id - 1) % idsPerBlock
-		if i == 0 {
-			block = idBlock(&ends, g.prefix, id)
-		}
-		scratch = genSession(&sess, scratch[:0], cfg, r, block[ends[i]:ends[i+1]], t, end)
+		n++
+		scratch = genSession(&sess, scratch[:0], cfg, r, t, end)
+		sess.prefix, sess.n = g.prefix, n
 		if !yield(&sess) {
 			return nil
 		}
 	}
-}
-
-// idsPerBlock is how many session IDs one string holds: a drain formats its
-// IDs a block at a time and cuts each session's ID from its block, so it
-// allocates one string per idsPerBlock sessions rather than one per
-// session. A block stays alive until the last session holding one of its
-// IDs is gone.
-const idsPerBlock = 32
-
-// idBlock returns the IDs of sessions first to first+idsPerBlock-1 in one
-// string, ID j of the block ending at ends[j+1] (ends[0] stays 0).
-func idBlock(ends *[idsPerBlock + 1]int, name string, first int) string {
-	b := make([]byte, 0, idsPerBlock*48)
-	for j := range idsPerBlock {
-		b = sessionID(b, name, first+j)
-		ends[j+1] = len(b)
-	}
-	return string(b)
 }

@@ -29,7 +29,7 @@ func collect(t *testing.T, src Source) []*Session {
 }
 
 func sameSession(a, b *Session) bool {
-	if a.ID != b.ID || a.Cohort != b.Cohort || !a.Start.Equal(b.Start) || !a.End.Equal(b.End) ||
+	if a.Name() != b.Name() || a.Cohort != b.Cohort || !a.Start.Equal(b.Start) || !a.End.Equal(b.End) ||
 		a.Request != b.Request || len(a.Tasks) != len(b.Tasks) {
 		return false
 	}
@@ -70,8 +70,8 @@ func TestStreamGenK1ByteIdentical(t *testing.T) {
 					cfg.Name, i, got[i], tr.Sessions[i])
 			}
 		}
-		if want := fmtSessionID(cfg.Name, 1); len(got) > 0 && got[0].ID != want {
-			t.Errorf("%s: first whole-workload session is %q, want %q", cfg.Name, got[0].ID, want)
+		if want := fmtSessionID(cfg.Name, 1); len(got) > 0 && got[0].Name() != want {
+			t.Errorf("%s: first whole-workload session is %q, want %q", cfg.Name, got[0].Name(), want)
 		}
 		ws, we := g.Window()
 		if !ws.Equal(tr.Start) || !we.Equal(tr.End) {
@@ -87,8 +87,8 @@ func TestStreamGenK1ByteIdentical(t *testing.T) {
 		}
 		for i, sg := range gens {
 			first := collect(t, sg)[0]
-			if want := fmtSessionID(fmt.Sprintf("%s-p%d", cfg.Name, i), 1); first.ID != want {
-				t.Errorf("%s: shard %d's first session is %q, want %q", cfg.Name, i, first.ID, want)
+			if want := fmtSessionID(fmt.Sprintf("%s-p%d", cfg.Name, i), 1); first.Name() != want {
+				t.Errorf("%s: shard %d's first session is %q, want %q", cfg.Name, i, first.Name(), want)
 			}
 			if ss, se := sg.Window(); !ss.Equal(ws) || !se.Equal(we) {
 				t.Errorf("%s: shard %d window [%v,%v) != whole [%v,%v)", cfg.Name, i, ss, se, ws, we)
@@ -239,7 +239,7 @@ func drainLent(t *testing.T, src Source) []Session {
 	}
 	for i := range kept {
 		if !slices.Equal(kept[i].Tasks, snaps[i]) {
-			t.Errorf("session %s: its kept Tasks changed after its yield returned", kept[i].ID)
+			t.Errorf("session %s: its kept Tasks changed after its yield returned", kept[i].Name())
 			break
 		}
 	}
@@ -260,7 +260,7 @@ func TestStreamGenLendsOneSession(t *testing.T) {
 	var lent *Session
 	if err := g.Sessions(func(s *Session) bool {
 		if lent != nil && s != lent {
-			t.Fatalf("session %s is lent at %p, the one before at %p: want one Session per call", s.ID, s, lent)
+			t.Fatalf("session %s is lent at %p, the one before at %p: want one Session per call", s.Name(), s, lent)
 		}
 		lent = s
 		return true
@@ -279,7 +279,7 @@ func TestStreamGenLendsOneSession(t *testing.T) {
 		if len(kept[i].Tasks) == 0 {
 			idle++
 			if kept[i].Tasks != nil {
-				t.Errorf("session %s submits no task but has a non-nil Tasks", kept[i].ID)
+				t.Errorf("session %s submits no task but has a non-nil Tasks", kept[i].Name())
 			}
 		}
 	}
@@ -321,10 +321,10 @@ func TestStreamGenConcurrentDrains(t *testing.T) {
 }
 
 // TestStreamGenAllocations pins what draining a StreamGen costs the
-// allocator: one ID string per block of 32 sessions and one Tasks
-// slice per session that submits tasks. The rest is per drain — the random
-// source and the task buffer's growth — and does not grow with the session
-// count.
+// allocator: one Tasks slice per session that submits tasks, and nothing for
+// a session's ID, which is formatted only when something prints it. The
+// rest is per drain — the random source and the task buffer's growth — and
+// does not grow with the session count.
 func TestStreamGenAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race job runs -short, and the detector's bookkeeping allocates")
@@ -348,14 +348,11 @@ func TestStreamGenAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// The block size is written out, not read from idsPerBlock, so that a
-	// smaller block fails here.
-	const perDrain, perBlock = 8, 32
-	blocks := (sessions + perBlock - 1) / perBlock
-	extra := allocs - float64(blocks+training)
+	const perDrain = 8
+	extra := allocs - float64(training)
 	if extra < 0 || extra > perDrain {
-		t.Errorf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f beyond one ID block per %d sessions and one Tasks per training session, want 0 to %d",
-			sessions, training, allocs, extra, perBlock, perDrain)
+		t.Errorf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f beyond one Tasks per training session, want 0 to %d",
+			sessions, training, allocs, extra, perDrain)
 	} else {
 		t.Logf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f per drain", sessions, training, allocs, extra)
 	}
@@ -398,32 +395,47 @@ func TestExpectMatchesGenerate(t *testing.T) {
 	}
 }
 
-// TestSessionIDFormat pins the blocks a drain cuts its IDs from against the
-// fmt format sessionID replaced, for every id up to 1,234,567 as a drain
-// numbers them (blocks of idsPerBlock from 1, id 0 on its own), so every
-// padding width and every block boundary is covered, and for a name too long
-// for idBlock's stack buffer; and a block at one allocation, the string.
+// TestSessionIDFormat pins Name against the fmt format sessionID replaced,
+// for every ordinal up to 1,234,567, so every padding width is covered, and
+// for a long name. A streamed session's ID is empty, a set ID is what Name
+// returns, untouched and without allocating, and every session Generate
+// keeps has its streamed twin's Name as its ID.
 func TestSessionIDFormat(t *testing.T) {
 	const last = 1234567
 	for _, name := range []string{"adobe", strings.Repeat("a-long-scenario-name-", 4)} {
-		if got, want := string(sessionID(nil, name, 0)), fmtSessionID(name, 0); got != want {
-			t.Errorf("sessionID(%q, 0) = %q, want %q", name, got, want)
-		}
-		var ends [idsPerBlock + 1]int
-		for first := 1; first <= last; first += idsPerBlock {
-			block := idBlock(&ends, name, first)
-			if ends[idsPerBlock] != len(block) {
-				t.Fatalf("idBlock(%q, %d) ends at %d, its string has %d bytes", name, first, ends[idsPerBlock], len(block))
-			}
-			for i := range idsPerBlock {
-				if got, want := block[ends[i]:ends[i+1]], fmtSessionID(name, first+i); got != want {
-					t.Fatalf("idBlock(%q, %d) ID %d = %q, want %q", name, first, i, got, want)
-				}
+		s := Session{prefix: name}
+		for s.n = 0; s.n <= last; s.n++ {
+			if got, want := s.Name(), fmtSessionID(name, s.n); got != want {
+				t.Fatalf("session %d of %q is named %q, want %q", s.n, name, got, want)
 			}
 		}
 	}
-	var ends [idsPerBlock + 1]int
-	if allocs := testing.AllocsPerRun(100, func() { _ = idBlock(&ends, "million", 123457) }); allocs != 1 {
-		t.Errorf("idBlock allocates %v times per block, want 1", allocs)
+	set := Session{ID: "hand-built", prefix: "adobe", n: 7}
+	var got string
+	if allocs := testing.AllocsPerRun(100, func() { got = set.Name() }); got != set.ID || allocs != 0 {
+		t.Errorf("a session with ID %q is named %q at %v allocations, want its ID at 0", set.ID, got, allocs)
+	}
+
+	cfg := AdobeExcerptConfig(42)
+	tr := MustGenerate(cfg)
+	g, err := NewStreamGen(cfg, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	if err := g.Sessions(func(s *Session) bool {
+		if s.ID != "" {
+			t.Fatalf("streamed session %d has ID %q, want it empty", n+1, s.ID)
+		}
+		if n < len(tr.Sessions) && tr.Sessions[n].ID != s.Name() {
+			t.Fatalf("Generate's session %d has ID %q, its streamed twin is named %q", n+1, tr.Sessions[n].ID, s.Name())
+		}
+		n++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n != len(tr.Sessions) {
+		t.Fatalf("the stream yielded %d sessions, Generate %d", n, len(tr.Sessions))
 	}
 }

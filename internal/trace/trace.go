@@ -48,6 +48,21 @@ type Session struct {
 	Request resources.Spec
 	// Tasks are the session's cell task executions, in submission order.
 	Tasks []Task
+	// prefix and n name a streamed session, whose ID StreamGen leaves
+	// empty: its generator's prefix, shared by all of its sessions, and its
+	// 1-based ordinal. Name formats them only when something prints it.
+	prefix string
+	n      int
+}
+
+// Name returns the session's ID when it is set and otherwise formats a
+// streamed session's, "<prefix>-s<n>": the one reader of a session's name
+// for whatever prints it, however the session was made.
+func (s *Session) Name() string {
+	if s.ID != "" {
+		return s.ID
+	}
+	return string(sessionID(nil, s.prefix, s.n))
 }
 
 // Lifetime returns the session's total duration.
@@ -241,7 +256,7 @@ func (tr *Trace) Window(from, to time.Time) *Trace {
 		if s.Start.Before(from) || !s.Start.Before(to) {
 			continue
 		}
-		ns := &Session{ID: s.ID, Cohort: s.Cohort, SLO: s.SLO, Start: s.Start, End: s.End, Request: s.Request}
+		ns := &Session{ID: s.Name(), Cohort: s.Cohort, SLO: s.SLO, Start: s.Start, End: s.End, Request: s.Request}
 		if ns.End.After(to) {
 			ns.End = to
 		}
@@ -266,29 +281,29 @@ func (tr *Trace) Window(from, to time.Time) *Trace {
 func (tr *Trace) Validate() error {
 	for n, s := range tr.Sessions {
 		if s.End.Before(s.Start) {
-			return fmt.Errorf("trace: session %s ends before it starts", s.ID)
+			return fmt.Errorf("trace: session %s ends before it starts", s.Name())
 		}
 		if s.Start.Before(tr.Start) || s.End.After(tr.End) {
-			return fmt.Errorf("trace: session %s [%v, %v] outside the trace range [%v, %v]", s.ID, s.Start, s.End, tr.Start, tr.End)
+			return fmt.Errorf("trace: session %s [%v, %v] outside the trace range [%v, %v]", s.Name(), s.Start, s.End, tr.Start, tr.End)
 		}
 		if n > 0 && s.Start.Before(tr.Sessions[n-1].Start) {
 			return fmt.Errorf("trace: sessions out of order: %s starts at %v, before %s at %v",
-				s.ID, s.Start, tr.Sessions[n-1].ID, tr.Sessions[n-1].Start)
+				s.Name(), s.Start, tr.Sessions[n-1].Name(), tr.Sessions[n-1].Start)
 		}
 		prev := time.Time{}
 		for i, t := range s.Tasks {
 			if t.Submit.Before(s.Start) || t.Submit.After(s.End) {
-				return fmt.Errorf("trace: session %s task %d submitted outside session", s.ID, i)
+				return fmt.Errorf("trace: session %s task %d submitted outside session", s.Name(), i)
 			}
 			if t.Duration <= 0 {
-				return fmt.Errorf("trace: session %s task %d non-positive duration", s.ID, i)
+				return fmt.Errorf("trace: session %s task %d non-positive duration", s.Name(), i)
 			}
 			if t.GPUs < 0 || t.GPUs > s.Request.GPUs {
 				return fmt.Errorf("trace: session %s task %d GPUs %d exceeds request %d",
-					s.ID, i, t.GPUs, s.Request.GPUs)
+					s.Name(), i, t.GPUs, s.Request.GPUs)
 			}
 			if !prev.IsZero() && t.Submit.Before(prev) {
-				return fmt.Errorf("trace: session %s tasks out of order at %d", s.ID, i)
+				return fmt.Errorf("trace: session %s tasks out of order at %d", s.Name(), i)
 			}
 			prev = t.Submit
 		}

@@ -237,8 +237,8 @@ var mutants = []mutant{
 		pkg: "./internal/sim", run: "^TestHostileConfigs$", want: "two sessions swapped in a lending Source: accepted",
 	},
 	{
-		name: "a block hands out the previous ID at its boundary", file: "internal/trace/stream.go",
-		old: "b = sessionID(b, name, first+j)", new: "b = sessionID(b, name, first+j-1+min(j, 1))",
+		name: "Name formats the ordinal before the session's", file: "internal/trace/trace.go",
+		old: "return string(sessionID(nil, s.prefix, s.n))", new: "return string(sessionID(nil, s.prefix, s.n-1))",
 		pkg: "./internal/trace", run: "^TestTraceDigests$", want: "trace_digests.golden",
 	},
 	{
@@ -279,19 +279,19 @@ var mutants = []mutant{
 		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 221", full: true,
 	},
 	{
-		name: "every session ID is a string of its own", file: "internal/trace/stream.go",
-		old: "const idsPerBlock = 32", new: "const idsPerBlock = 1",
-		pkg: "./internal/trace", run: "^TestStreamGenAllocations$", want: "beyond one ID block per 32 sessions", full: true,
+		name: "StreamGen formats every ID eagerly", file: "internal/trace/stream.go",
+		old: "\t\tsess.prefix, sess.n = g.prefix, n\n", new: "\t\tsess.prefix, sess.n = g.prefix, n\n\t\tsess.ID = sess.Name()\n",
+		pkg: "./internal/trace", run: "^TestStreamGenAllocations$", want: "beyond one Tasks per training session", full: true,
 	},
 	{
 		name: "the record keeps the whole lent session", file: "internal/sim/sim.go",
 		old: "\tslo   trace.SLOClass\n", new: "\tslo   trace.SLOClass\n\tspare trace.Session\n",
-		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.94 and 525", full: true,
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.90 and 495", full: true,
 	},
 	{
 		name: "every session allocates its record", file: "internal/sim/sim.go",
 		old: "ss := reuse(&s.spare, session{", new: "ss := new(session)\n\t*ss = (session{",
-		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.94 and 525", full: true,
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.90 and 495", full: true,
 	},
 	{
 		name: "a record retires while its task still runs", file: "internal/sim/sim.go",
