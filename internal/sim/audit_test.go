@@ -273,7 +273,7 @@ func (a *auditor) admitted() {
 			ss.seq, bk.end.Sub(s.start), bk.last.Sub(s.start))
 	}
 	bk = book{gen: bk.gen + 1, end: a.yieldedEnds[0]}
-	a.spareSeen = min(a.spareSeen, len(s.spare))
+	a.spareSeen = min(a.spareSeen, len(s.records.idle))
 	if len(ss.tasks) > 0 {
 		bk.last = ss.tasks[len(ss.tasks)-1].Submit
 	}
@@ -548,7 +548,7 @@ func (a *auditor) audit() {
 			a.fail(checkWaitq, "a parked waiter is %T, not a task machine", w.waiter)
 		case t.phase != phaseParked:
 			a.fail(checkWaitq, "session #%d's parked machine is in phase %d", t.ss.seq, t.phase)
-		case slices.Contains(s.idle, t):
+		case slices.Contains(s.machines.idle, t):
 			a.fail(checkWaitq, "session #%d's parked machine is on the idle list", t.ss.seq)
 		case slices.ContainsFunc(a.busy, func(b booked) bool { return b.ss.cur == t }):
 			a.fail(checkWaitq, "session #%d's parked machine is a session's current task", t.ss.seq)
@@ -645,7 +645,7 @@ func (a *auditor) recountHosts() {
 // twice would be drawn while its first reuse is live, which admitted checks.
 func (a *auditor) auditSpare() {
 	s := a.s
-	for _, ss := range s.spare[a.spareSeen:] {
+	for _, ss := range s.records.idle[a.spareSeen:] {
 		bk := a.books[ss]
 		switch {
 		case !reflect.ValueOf(ss).Elem().IsZero():
@@ -672,8 +672,8 @@ func (a *auditor) auditSpare() {
 			a.fail(checkSpare, "session #%d runs a task of a retired record", b.ss.seq)
 		}
 	}
-	a.spareSeen = len(s.spare)
-	if len(s.spare) > 0 {
+	a.spareSeen = len(s.records.idle)
+	if len(s.records.idle) > 0 {
 		a.witnessed[checkSpare]++
 	}
 }

@@ -39,7 +39,9 @@
 //     the only fields read after admission, since a Source lends each
 //     session only until it is pulled again; the record is a retired one
 //     when one is spare, for a record retires, zeroed, once its session has
-//     ended and its last task is done), schedules its end and first
+//     ended and its last task is done, and otherwise the next slot of a
+//     block of 32, as task machines and landings are: sim.go, pool),
+//     schedules its end and first
 //     task arrival and pulls the next from the plan's Source; the session
 //     then submits its own tasks, each arrival
 //     scheduling the next under a sequence number reserved at admission. So in

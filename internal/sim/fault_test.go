@@ -393,7 +393,7 @@ func TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent(t *testing.T) {
 			}
 		}
 		clear(idle)
-		for _, m := range s.idle {
+		for _, m := range s.machines.idle {
 			if idle[m] {
 				t.Fatalf("%v: a machine is on the idle list twice", at)
 			}
@@ -472,11 +472,11 @@ func TestReservationMachineIdlesAtItsCompletion(t *testing.T) {
 	start := m.submit.Add(m.delay)
 	completion := start.Add(m.task.Duration)
 	s.runUntil(start)
-	if slices.Contains(s.idle, m) {
+	if slices.Contains(s.machines.idle, m) {
 		t.Fatalf("the machine is idle at its start (%v), with its completion (%v) still queued", start, completion)
 	}
 	s.runUntil(completion)
-	if !slices.Contains(s.idle, m) {
+	if !slices.Contains(s.machines.idle, m) {
 		t.Fatalf("the machine is not idle after its completion (%v) fired dead", completion)
 	}
 }

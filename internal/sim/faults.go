@@ -163,9 +163,8 @@ func (s *sim) outageStrike(idx int, o trace.OutageSpec) {
 			}
 		}
 	}
-	down := trace.Hours(o.DurationHours)
 	for _, h := range victims {
-		s.crashHost(h, down)
+		s.crashHost(h, trace.Hours(o.DurationHours))
 	}
 }
 
@@ -210,8 +209,7 @@ func (s *sim) repairNbos(ss *session, h *host) {
 	quorum := 2*alive > len(ss.hosts)
 	if lost > 0 && quorum {
 		s.res.Failovers++
-		elect := s.cfg.Latencies.Election(s.frng)
-		s.res.RecoveryTime.Add(elect.Seconds())
+		s.res.RecoveryTime.Add(s.cfg.Latencies.Election(s.frng).Seconds())
 	}
 	for i, rh := range ss.hosts {
 		if rh == nil {
@@ -289,5 +287,5 @@ func (s *sim) restartTask(ss *session, task trace.Task, submit time.Time) {
 	penalty := f.RestartPenalty(int(ss.restarts))
 	s.res.RecoveryTime.Add(penalty.Seconds())
 	// The restart rides a task machine through its backoff (taskfsm.go).
-	s.armFault(s.now().Add(penalty), reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseRestart}))
+	s.armFault(s.now().Add(penalty), s.machines.get(runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseRestart}))
 }

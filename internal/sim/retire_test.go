@@ -26,7 +26,7 @@ import (
 //     task) keeps its task running and is never retired.
 //   - Every record on the spare list, at every step of both runs, is the
 //     zero session.
-//   - stream: a 2-day million-session stream allocates exactly as many
+//   - stream: a 2-day million-session stream draws exactly as many
 //     records as were ever unretired at once, far fewer than it admits.
 func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 	start := trace.TraceEpoch
@@ -57,18 +57,18 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 				step(now)
 			}
 			for _, r := range records {
-				if slices.Contains(s.spare, r.ss) && (r.finish == 0 || now < r.finish) {
+				if slices.Contains(s.records.idle, r.ss) && (r.finish == 0 || now < r.finish) {
 					t.Fatalf("%v: session %s retired before its last task can have finished (at %v at the earliest)", now, r.name, r.finish)
 				}
 			}
-			for _, ss := range s.spare {
+			for _, ss := range s.records.idle {
 				if !reflect.ValueOf(ss).Elem().IsZero() {
 					t.Fatalf("%v: a retired record still holds session #%d", now, ss.seq)
 				}
 			}
 		}
 		for _, r := range records {
-			if on := slices.Contains(s.spare, r.ss); on != (r.finish != 0) {
+			if on := slices.Contains(s.records.idle, r.ss); on != (r.finish != 0) {
 				t.Errorf("after the drain, session %s's record is on the spare list: %v", r.name, on)
 			}
 		}
@@ -170,7 +170,7 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 			records[s.live[n]] = true
 			s.live = s.live[:n]
 			admitted++
-			peak = max(peak, len(records)-len(s.spare))
+			peak = max(peak, len(records)-len(s.records.idle))
 			return pull()
 		}
 		s.drain()

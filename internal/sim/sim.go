@@ -398,11 +398,11 @@ type member struct {
 	hosts   []*host
 	bySlot  []*host
 	hostSeq int
-	// block holds the records of the member's current block of hosts, ids
-	// their IDs, host j's ending at ends[j+1] (nextHost).
-	block []host
-	ids   string
-	ends  [hostsPerBlock + 1]int
+	// recs cuts the member's host records, perBlock at a time; ids holds the
+	// IDs of the current block, host j's ending at ends[j+1] (nextHost).
+	recs pool[host]
+	ids  string
+	ends [perBlock + 1]int
 	// pendingHosts counts servers being provisioned (scale-out latency).
 	pendingHosts int
 	// res holds the member's series and counters. A run of one member
@@ -493,12 +493,12 @@ type sim struct {
 	// lifetimes) online.
 	reserved gpuHoursAcc
 
-	// idle holds the task state machines that completed, for launch to reuse
-	// (taskfsm.go), landings the scale-outs that landed, for provision, and
-	// spare the retired session records, for newSession (startNext).
-	idle     []*runningTask
-	landings []*landing
-	spare    []*session
+	// machines recycles the task state machines (taskfsm.go), landings the
+	// scale-outs, and records the session records, whose idle list is the
+	// spare list newSession draws from (startNext).
+	machines pool[runningTask]
+	landings pool[landing]
+	records  pool[session]
 	// faultsOn gates the fault layer; frng feeds the crash-path draws
 	// (elections, container starts during repair) so fault handling never
 	// perturbs the scheduling RNG, and crng is the generator every host's
@@ -555,12 +555,9 @@ func newSim(p *plan) (*sim, error) {
 		wr:        rand.New(rand.NewSource(p.Seed + 2)),
 	}
 	s.reserved.lastNS = start.UnixNano()
-	s.res = &Result{Policy: p.Policy}
-	s.res.ActiveSessions = s.newTimeline()
-	// Lean-mode reservoir seeds follow sample creation order: Interactivity,
-	// TCT, the single-cluster samples, the per-class delays.
-	s.res.Interactivity = s.newSample()
-	s.res.TCT = s.newSample()
+	// Lean-mode reservoir seeds follow sample creation order, left to right:
+	// Interactivity, TCT, the single-cluster samples, the per-class delays.
+	s.res = &Result{Policy: p.Policy, ActiveSessions: s.newTimeline(), Interactivity: s.newSample(), TCT: s.newSample()}
 	if !p.federated {
 		// Drawn left to right: each recorder keeps its lean reservoir seed.
 		s.res.SyncLatency, s.res.ReadLatency, s.res.WriteLatency = s.newSample(), s.newSample(), s.newSample()
@@ -702,7 +699,7 @@ func (s *sim) wholeServers() bool {
 // stream and its home member the next round-robin slot.
 func (s *sim) newSession(sess *trace.Session) *session {
 	assig := workload.Assign(s.wr)
-	ss := reuse(&s.spare, session{
+	ss := s.records.get(session{
 		s:            s,
 		req:          sess.Request,
 		tasks:        sess.Tasks,
@@ -746,8 +743,7 @@ func (s *sim) finish() (*Result, error) {
 	res := s.res
 	res.ProvisionedGPUs, res.CommittedGPUs = s.members[0].res.ProvisionedGPUs, s.members[0].res.CommittedGPUs
 	if len(s.members) > 1 {
-		prov := make([]*metrics.Timeline, len(s.members))
-		comm := make([]*metrics.Timeline, len(s.members))
+		prov, comm := make([]*metrics.Timeline, len(s.members)), make([]*metrics.Timeline, len(s.members))
 		for i, m := range s.members {
 			prov[i], comm[i] = m.res.ProvisionedGPUs, m.res.CommittedGPUs
 		}
@@ -769,8 +765,7 @@ func (s *sim) finish() (*Result, error) {
 		// Each session keeps R standby replicas alive; the executor is
 		// billed as active while training. Replica-hours approximate
 		// R x session-hours.
-		sessHours := res.ActiveSessions.Integral(s.start, s.end)
-		res.StandbyReplicaHours = sessHours * float64(s.cfg.ReplicasPerKernel)
+		res.StandbyReplicaHours = res.ActiveSessions.Integral(s.start, s.end) * float64(s.cfg.ReplicasPerKernel)
 	}
 	return res, nil
 }
@@ -798,31 +793,30 @@ func (s *sim) addHost(mi int) *host {
 	return h
 }
 
-// hostsPerBlock is how many host records, and IDs, a member allocates at
-// once. A record is never reused: a block stays alive until its last host
-// is unreachable, so a crashed host's pending replacement, warm refill or
-// crash clock stays valid.
-const hostsPerBlock = 32
+// perBlock is how many records a pool, and how many host IDs a member,
+// allocates at once. A host record is never reused: its block stays alive
+// until its last host is unreachable, so a crashed host's pending
+// replacement, warm refill or crash clock stays valid.
+const perBlock = 32
 
 // nextHost is the next slot of the member's host sequence: its record, to
 // fill in, and its ID.
 func (m *member) nextHost() (*host, string) {
-	j := m.hostSeq % hostsPerBlock
+	j := m.hostSeq % perBlock
 	m.hostSeq++
 	if j == 0 {
-		m.block = make([]host, hostsPerBlock)
 		m.ids = hostIDs(&m.ends, m.spec.Name, m.hostSeq)
 	}
-	return &m.block[j], m.ids[m.ends[j]:m.ends[j+1]]
+	return m.recs.get(host{}), m.ids[m.ends[j]:m.ends[j+1]]
 }
 
-// hostIDs names slots first to first+hostsPerBlock-1 of a member's host
+// hostIDs names slots first to first+perBlock-1 of a member's host
 // sequence as fmt's "%s-h%04d" does, in one string, slot first+j ending at
 // ends[j+1] (ends[0] stays 0). Host IDs order the cluster's rows
 // (cluster/doc.go), so the bytes are the contract.
-func hostIDs(ends *[hostsPerBlock + 1]int, name string, first int) string {
-	b := make([]byte, 0, hostsPerBlock*48)
-	for j := range hostsPerBlock {
+func hostIDs(ends *[perBlock + 1]int, name string, first int) string {
+	b := make([]byte, 0, perBlock*48)
+	for j := range perBlock {
 		b = append(append(b, name...), "-h"...)
 		for width := 1000; width > first+j && width > 1; width /= 10 {
 			b = append(b, '0')
@@ -992,7 +986,7 @@ func (s *sim) startNext(ss *session) {
 		s.startTask(ss, next, s.now())
 	} else if ss.closed && int(ss.arrived) == len(ss.tasks) {
 		*ss = session{}
-		s.spare = append(s.spare, ss)
+		s.records.put(ss)
 	}
 }
 
@@ -1021,7 +1015,7 @@ func (s *sim) startTask(ss *session, task trace.Task, submit time.Time) {
 	if s.cfg.SLOAware {
 		weight = ss.slo.Weight()
 	}
-	s.waitq.Wait(weight, reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseParked}))
+	s.waitq.Wait(weight, s.machines.get(runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseParked}))
 }
 
 // tryTask attempts the policy's commit-and-start step and reports whether
@@ -1064,25 +1058,38 @@ func (s *sim) sampleSteps(first int, ds ...time.Duration) {
 // — fires first at start, when training begins; delay is the interactivity
 // delay the task will report.
 func (s *sim) launch(ss *session, task trace.Task, submit time.Time, h *host, delay time.Duration, start time.Time) *runningTask {
-	t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})
+	t := s.machines.get(runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})
 	ss.cur = t
 	s.eng.ScheduleRunner(start, t)
 	return t
 }
 
-// reuse returns a pointer to v's copy in the last value of an idle list,
-// which it pops, or in a new value when the list is empty: how task state
-// machines (s.idle), scale-out landings (s.landings) and session records
-// (s.spare) are drawn.
-func reuse[T any](idle *[]*T, v T) (t *T) {
-	if n := len(*idle) - 1; n >= 0 {
-		t, *idle = (*idle)[n], (*idle)[:n]
+// pool recycles one kind of record: task state machines, scale-out landings,
+// session records, and a member's host records, which are never put back. A
+// record put back goes on the idle list; get draws the last one put back,
+// or else the next slot of a block of perBlock, so a run allocates one block
+// per perBlock records it ever holds at once. A slot never handed out is on
+// no list, and a block stays alive while any of its records is reachable.
+type pool[T any] struct {
+	idle  []*T
+	block []T
+}
+
+// get returns a pointer to v's copy in a recycled record or a fresh slot.
+func (p *pool[T]) get(v T) (t *T) {
+	if n := len(p.idle) - 1; n >= 0 {
+		t, p.idle = p.idle[n], p.idle[:n]
 	} else {
-		t = new(T)
+		if len(p.block) == 0 {
+			p.block = make([]T, perBlock)
+		}
+		t, p.block = &p.block[0], p.block[1:]
 	}
 	*t = v
 	return t
 }
+
+func (p *pool[T]) put(t *T) { p.idle = append(p.idle, t) }
 
 // tryReservationTask: GPUs are already bound; the task starts after
 // framework overhead only, so it never parks. Both lead events (training
@@ -1301,7 +1308,7 @@ func (s *sim) tryMigrate(ss *session, task trace.Task, submit time.Time) bool {
 	s.sampleSR()
 
 	// The restart rides a task machine of its own, never ss.cur (taskfsm.go).
-	s.eng.DeferRunner(extra, reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseResubmit}))
+	s.eng.DeferRunner(extra, s.machines.get(runningTask{s: s, ss: ss, task: task, submit: submit, phase: phaseResubmit}))
 	return true
 }
 
@@ -1455,11 +1462,11 @@ func (s *sim) noteScaleIn(idx int) {
 func (s *sim) provision(idx, need int, latency time.Duration) {
 	s.members[idx].pendingHosts += need
 	s.noteScaleOut(idx)
-	s.eng.DeferRunner(latency, reuse(&s.landings, landing{s: s, idx: idx, need: need}))
+	s.eng.DeferRunner(latency, s.landings.get(landing{s: s, idx: idx, need: need}))
 }
 
 // landing is a scale-out in flight: when it fires, its hosts join member idx.
-// A landed one goes on the sim's landings list for the next provision.
+// A landed one goes back to the sim's landings pool for the next provision.
 type landing struct {
 	s         *sim
 	idx, need int
@@ -1470,7 +1477,7 @@ func (l *landing) Fire() {
 		l.s.addHost(l.idx)
 	}
 	l.s.members[l.idx].pendingHosts -= l.need
-	l.s.landings = append(l.s.landings, l)
+	l.s.landings.put(l)
 	l.s.sampleProvisioned()
 }
 

@@ -11,9 +11,10 @@ import (
 // A task's pipeline is a single struct implementing des.Runner, re-scheduled
 // phase after phase through the engine's pooled-event
 // ScheduleRunner/DeferRunner (which allocate nothing) — and itself recycled:
-// a machine whose reply returned goes on the sim's idle list and sim.launch
-// draws the next task's from there, so a run allocates as many machines as
-// it has tasks in flight at once, none per task in steady state.
+// a machine whose reply returned goes on the idle list of the sim's machine
+// pool and sim.launch draws the next task's from there, so a run draws as
+// many machines as it has tasks in flight at once, 32 to an allocation, none
+// per task in steady state.
 //
 // A migration's restart (tryMigrate) rides a machine too, drawn from the
 // same idle list, in phaseResubmit: it fires once, when the replica has
@@ -42,7 +43,7 @@ import (
 // start's only moves the Reservation machine to phase 1 — and the last one
 // idles the machine, so no phase event of its old task can reach it once
 // launch reuses it (TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent,
-// TestReservationMachineIdlesAtItsCompletion); reuse overwrites the whole
+// TestReservationMachineIdlesAtItsCompletion); pool.get overwrites the whole
 // struct, the dead flag included. An idle machine keeps its last session's
 // record reachable until it is reused; the list is as short as the run's
 // peak of concurrent tasks. That record may have retired meanwhile
@@ -104,7 +105,7 @@ func (t *runningTask) Fire() {
 	case t.dead:
 		// An aborted machine's last queued phase event has fired: nothing
 		// refers to it any more.
-		s.idle = append(s.idle, t)
+		s.machines.put(t)
 	case t.phase == 0: // training starts
 		t.phase = 1
 		t.tstart = s.now().UnixNano()
@@ -146,10 +147,10 @@ func (t *runningTask) Fire() {
 		s.finishTask(t.ss, t.submit, t.delay)
 		// The last phase event has fired and the session has moved on: nothing
 		// refers to the machine any more.
-		s.idle = append(s.idle, t)
+		s.machines.put(t)
 	default: // phaseResubmit or phaseRestart: the replica has moved, or the backoff is over
 		ss, task, submit, restart := t.ss, t.task, t.submit, t.phase == phaseRestart
-		s.idle = append(s.idle, t)
+		s.machines.put(t)
 		// A session that ended during a restart's backoff takes its work with it.
 		if !restart || !ss.closed {
 			s.startTask(ss, task, submit)
@@ -165,7 +166,7 @@ func (t *runningTask) retry() bool {
 		return false
 	}
 	t.s.qdepth[t.ss.home]--
-	t.s.idle = append(t.s.idle, t)
+	t.s.machines.put(t)
 	return true
 }
 

@@ -182,8 +182,7 @@ func Generate(cfg GenConfig) (*Trace, error) {
 // produced, built with strconv appends, without Sprintf's verb parsing and
 // interface boxing, which is measurable at million-session scale.
 func sessionID(b []byte, name string, id int) []byte {
-	b = append(b, name...)
-	b = append(b, '-', 's')
+	b = append(append(b, name...), "-s"...)
 	for width := 10_000; width > id && width > 1; width /= 10 {
 		b = append(b, '0')
 	}
@@ -201,11 +200,13 @@ func MustGenerate(cfg GenConfig) *Trace {
 
 // genSession draws the session arriving at start into sess, overwriting
 // every field and leaving its name zero, for the caller to set. Its tasks
-// are appended to scratch, which the caller passes empty, and copied once,
-// at their exact length, so sess.Tasks is the session's own (nil when it
-// submits none) while the caller reuses scratch; it returns scratch for the
-// next call.
-func genSession(sess *Session, scratch []Task, cfg GenConfig, r *rand.Rand, start, traceEnd time.Time) []Task {
+// are drawn into free, the empty unused tail of a block of tasks. A session
+// that outgrows it moves its tasks so far to a new block with room for as
+// many again plus tasksPerBlock, so a long session is copied a few times,
+// not once per block. sess.Tasks is capped at its length, so it is the
+// session's own (nil when it submits none) and an append to it reallocates.
+// It returns the unused tail for the next call.
+func genSession(sess *Session, free []Task, cfg GenConfig, r *rand.Rand, start, traceEnd time.Time) []Task {
 	co := cfg.pick(r)
 	end := start.Add(seconds(co.SessionLifetime.Sample(r)))
 	if end.After(traceEnd) {
@@ -225,7 +226,7 @@ func genSession(sess *Session, scratch []Task, cfg GenConfig, r *rand.Rand, star
 		},
 	}
 	if gpus == 0 || r.Float64() < co.PNeverTrains {
-		return scratch
+		return free
 	}
 	pBurstEnd := co.PBurstEnd
 	burstGap := co.BurstGap
@@ -243,7 +244,7 @@ func genSession(sess *Session, scratch []Task, cfg GenConfig, r *rand.Rand, star
 	// truncates to it, so it never lands after the unquantized one. With no
 	// granularity both are the identity: d >= 0, and Round and Truncate by a
 	// step <= 0 return their receiver.
-	cur := start.Add(cfg.sampleDur(r, co.ThinkTime))
+	cur, tasks := start.Add(cfg.sampleDur(r, co.ThinkTime)), free
 	for cur.Before(end) {
 		d := max(cfg.sampleDur(r, co.TaskDuration).Round(cfg.Granularity), cfg.Granularity)
 		if cur.Add(d).After(end) {
@@ -258,11 +259,10 @@ func genSession(sess *Session, scratch []Task, cfg GenConfig, r *rand.Rand, star
 		if submit.Before(start) {
 			submit = start
 		}
-		scratch = append(scratch, Task{
-			Submit:   submit,
-			Duration: d,
-			GPUs:     tg,
-		})
+		if len(tasks) == cap(tasks) {
+			tasks = append(make([]Task, 0, 2*len(tasks)+tasksPerBlock), tasks...)
+		}
+		tasks = append(tasks, Task{Submit: submit, Duration: d, GPUs: tg})
 		if !cfg.ConcurrentSubmission {
 			cur = cur.Add(d)
 		}
@@ -272,9 +272,14 @@ func genSession(sess *Session, scratch []Task, cfg GenConfig, r *rand.Rand, star
 			cur = cur.Add(cfg.sampleDur(r, co.ThinkTime))
 		}
 	}
-	sess.Tasks = append([]Task(nil), scratch...)
-	return scratch
+	if n := len(tasks); n > 0 {
+		sess.Tasks = tasks[:n:n]
+	}
+	return tasks[len(tasks):]
 }
+
+// tasksPerBlock is how many tasks StreamGen.Sessions allocates at once.
+const tasksPerBlock = 64
 
 func (c GenConfig) sampleDur(r *rand.Rand, s Sampler) time.Duration {
 	return max(seconds(s.Sample(r)), 0)

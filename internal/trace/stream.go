@@ -28,13 +28,13 @@ func splitmix64(x uint64) uint64 {
 // StreamGen is a Source that synthesizes shard i-of-k of a generated
 // workload on the fly: sessions are built one at a time inside Sessions and
 // lent to the consumer, so the full trace never exists in memory — peak
-// footprint is one session, independent of how many the window holds. Each
-// call of Sessions lends one Session, a local of that call, overwritten for
-// every arrival: a consumer that keeps a session copies *s, and the copy's
-// Tasks, allocated fresh for each session, is its own. A lent session's ID
-// is empty: it carries its prefix and ordinal, and Session.Name formats
-// them only for whatever prints one. Calls share nothing, so goroutines may
-// drain one StreamGen at once.
+// footprint is one session and one block of tasks, independent of how many
+// the window holds. Each call of Sessions lends one Session, a local of that
+// call, overwritten for every arrival: a consumer that keeps a session copies
+// *s, and the copy's Tasks, cut from a block of tasksPerBlock and capped at
+// its length, is its own. A lent session's ID is empty: it carries its
+// prefix and ordinal, and Session.Name formats them only for whatever prints
+// one. Calls share nothing, so goroutines may drain one StreamGen at once.
 //
 // Sharding uses exact Poisson splitting rather than generate-then-Split:
 // thinning a Poisson process with intensity rate(t) and acceptance ratio
@@ -110,10 +110,10 @@ func (g *StreamGen) Sessions(yield func(*Session) bool) error {
 	end := cfg.Start.Add(cfg.Duration)
 	maxRate := cfg.MaxSessionsPerHour / float64(g.of)
 	t, n := cfg.Start, 0
-	// The one session this call lends and its task buffer: locals, so
-	// concurrent calls on one StreamGen share nothing.
+	// The one session this call lends and the unused tail of its task block:
+	// locals, so concurrent calls on one StreamGen share nothing.
 	var sess Session
-	var scratch []Task
+	var free []Task
 	for {
 		t = t.Add(Hours(r.ExpFloat64() / maxRate))
 		if !t.Before(end) {
@@ -127,7 +127,7 @@ func (g *StreamGen) Sessions(yield func(*Session) bool) error {
 			continue // thinned
 		}
 		n++
-		scratch = genSession(&sess, scratch[:0], cfg, r, t, end)
+		free = genSession(&sess, free, cfg, r, t, end)
 		sess.prefix, sess.n = g.prefix, n
 		if !yield(&sess) {
 			return nil

@@ -249,8 +249,9 @@ func drainLent(t *testing.T, src Source) []Session {
 // TestStreamGenLendsOneSession pins StreamGen.Sessions' side of the Source
 // contract: one *Session per call, overwritten for every arrival, whose Tasks
 // are each session's own — a copy of *s kept past its yield still holds the
-// session as lent, and the copies are the sessions Generate collects. A
-// session that submits no task has nil Tasks.
+// session as lent, and the copies are the sessions Generate collects. Tasks
+// is cut from a block shared with later sessions, so its capacity is its
+// length. A session that submits no task has nil Tasks.
 func TestStreamGenLendsOneSession(t *testing.T) {
 	cfg := quickSummer(42)
 	g, err := NewStreamGen(cfg, 0, 1)
@@ -281,6 +282,9 @@ func TestStreamGenLendsOneSession(t *testing.T) {
 			if kept[i].Tasks != nil {
 				t.Errorf("session %s submits no task but has a non-nil Tasks", kept[i].Name())
 			}
+		}
+		if n := len(kept[i].Tasks); cap(kept[i].Tasks) != n {
+			t.Fatalf("session %s keeps %d tasks with capacity %d: an append would write into the next session's", kept[i].Name(), n, cap(kept[i].Tasks))
 		}
 	}
 	if idle == 0 || idle == len(kept) {
@@ -321,10 +325,12 @@ func TestStreamGenConcurrentDrains(t *testing.T) {
 }
 
 // TestStreamGenAllocations pins what draining a StreamGen costs the
-// allocator: one Tasks slice per session that submits tasks, and nothing for
-// a session's ID, which is formatted only when something prints it. The
-// rest is per drain — the random source and the task buffer's growth — and
-// does not grow with the session count.
+// allocator: one block per tasksPerBlock tasks, however many sessions submit
+// them (a session that outgrows its block moves to a new one, which takes at
+// least tasksPerBlock new tasks; this drain's sessions are short, so exactly
+// that many), and nothing for a session's ID, which is
+// formatted only when something prints it. The rest is per drain — the
+// random source — and does not grow with the session count.
 func TestStreamGenAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race job runs -short, and the detector's bookkeeping allocates")
@@ -335,26 +341,27 @@ func TestStreamGenAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sessions, training int
+	var sessions, training, tasks int
 	allocs := testing.AllocsPerRun(3, func() {
-		sessions, training = 0, 0
+		sessions, training, tasks = 0, 0, 0
 		if err := g.Sessions(func(s *Session) bool {
 			sessions++
 			if s.Tasks != nil {
 				training++
+				tasks += len(s.Tasks)
 			}
 			return true
 		}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	const perDrain = 8
-	extra := allocs - float64(training)
-	if extra < 0 || extra > perDrain {
-		t.Errorf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f beyond one Tasks per training session, want 0 to %d",
-			sessions, training, allocs, extra, perDrain)
+	const perDrain = 3
+	blocks := (tasks + tasksPerBlock - 1) / tasksPerBlock
+	if extra := allocs - float64(blocks); extra < 0 || extra > perDrain {
+		t.Errorf("a drain of %d sessions, %d with tasks, allocated %.0f times for %d tasks: %.0f beyond one per block of %d tasks, want 0 to %d",
+			sessions, training, allocs, tasks, extra, tasksPerBlock, perDrain)
 	} else {
-		t.Logf("a drain of %d sessions, %d with tasks, allocated %.0f times: %.0f per drain", sessions, training, allocs, extra)
+		t.Logf("a drain of %d sessions, %d with tasks, allocated %.0f times for %d tasks: %d blocks and %.0f per drain", sessions, training, allocs, tasks, blocks, extra)
 	}
 }
 

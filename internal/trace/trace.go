@@ -230,8 +230,7 @@ func spanTimeline(n int, spans func(add spanFunc)) *metrics.Timeline {
 // UtilizationCDF returns the cluster GPU-utilization sample (solid series of
 // Fig. 2(c)): utilized/reserved sampled every step across the trace.
 func (tr *Trace) UtilizationCDF(step time.Duration) *metrics.Sample {
-	res := tr.ReservedGPUs()
-	util := tr.UtilizedGPUs()
+	res, util := tr.ReservedGPUs(), tr.UtilizedGPUs()
 	s := metrics.NewSample()
 	for t := tr.Start; t.Before(tr.End); t = t.Add(step) {
 		r := res.At(t)

@@ -50,23 +50,27 @@ type mutant struct {
 // that host can give it. Then the recycling rule of aborted task machines
 // (internal/sim/taskfsm.go): one that idles at once, which a stale phase
 // event then reaches, and a dead Reservation machine that idles at its
-// first fire, with its completion still queued. Last, the other gates: the trace and assignment goldens
-// (the trace's twice: a drain's block of session IDs that opens with the
-// previous session's ID), the two sides of trace.Source's lending contract
-// (the simulator checks arrival order against a copy taken before the pull,
-// the generator does not lend its task buffer), the three parsing checks of
-// the root package, and the five gates that skip under -short: the paper
-// scoreboard's golden, which runs at full scale, the two allocation pins,
-// each given back a per-task allocation, the generator's, given back a
-// string per session ID, and the admission pin's bytes, given back a record
-// that keeps the whole lent session. Then the recycling of session records
-// (internal/sim/sim.go, startNext): every session that allocates its record
-// again, killed by the admission pin, and a record that retires while its
-// task still runs or before its last task arrives, each killed by
-// TestSessionRecordRetiresAfterItsLastTask, and a retired record that is not
-// zeroed, which only the auditor's spare check sees. Then a member's host blocks, each
-// killed by TestHostIDMatchesSprintf: a block of IDs that starts one host
-// late, and two hosts that share one record. Then the simulator's
+// first fire, with its completion still queued. Last, the other gates: the
+// trace and assignment goldens (the trace's twice: a session named with the
+// previous session's ordinal), the sides of trace.Source's lending contract
+// (the simulator checks arrival order against a copy taken before the pull;
+// the generator neither lends its task block's start to the next session
+// nor leaves a kept Tasks the block's spare capacity), the three parsing
+// checks of the root package, and the five gates that skip under -short:
+// the paper scoreboard's golden, which runs at full scale, the two
+// allocation pins, given back a per-task allocation (the summer pin) and a
+// finished task's machine left unrecycled (the 10-day task budget), the
+// generator's, given back a string per session ID, and the admission pin's
+// bytes, given back a record that keeps the whole lent session. Then the
+// recycling of session records (internal/sim/sim.go, startNext): every
+// session that allocates its record again, killed by the admission pin, and
+// a record that retires while its task still runs or before its last task
+// arrives, each killed by TestSessionRecordRetiresAfterItsLastTask, and a
+// retired record that is not zeroed, which only the auditor's spare check
+// sees. Then a member's host blocks, each killed by
+// TestHostIDMatchesSprintf: a block of IDs that starts one host late, two
+// hosts that share one record, and a pool that hands one block slot out
+// twice, whose first victims are a member's host records. Then the simulator's
 // optimisations, each killed by the reference model
 // (internal/sim/reference_test.go): a tournament node of the host table
 // read one off, a placement cutoff one subscribed GPU short, a recycled task
@@ -192,7 +196,7 @@ var mutants = []mutant{
 	},
 	{
 		name: "an aborted machine idles at once", file: "internal/sim/faults.go",
-		old: "\tt.abort()\n\tss.cur = nil\n", new: "\tt.abort()\n\ts.idle = append(s.idle, t)\n\tss.cur = nil\n",
+		old: "\tt.abort()\n\tss.cur = nil\n", new: "\tt.abort()\n\ts.machines.put(t)\n\tss.cur = nil\n",
 		pkg: "./internal/sim", run: "^TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent$", want: "commitment not found on",
 	},
 	{
@@ -207,8 +211,8 @@ var mutants = []mutant{
 	},
 	{
 		name: "a parked machine goes idle before its retry succeeds", file: "internal/sim/taskfsm.go",
-		old: "\tif !t.s.tryTask(t.ss, t.task, t.submit) {\n\t\treturn false\n\t}\n\tt.s.qdepth[t.ss.home]--\n\tt.s.idle = append(t.s.idle, t)\n",
-		new: "\tt.s.idle = append(t.s.idle, t)\n\tif !t.s.tryTask(t.ss, t.task, t.submit) {\n\t\treturn false\n\t}\n\tt.s.qdepth[t.ss.home]--\n",
+		old: "\tif !t.s.tryTask(t.ss, t.task, t.submit) {\n\t\treturn false\n\t}\n\tt.s.qdepth[t.ss.home]--\n\tt.s.machines.put(t)\n",
+		new: "\tt.s.machines.put(t)\n\tif !t.s.tryTask(t.ss, t.task, t.submit) {\n\t\treturn false\n\t}\n\tt.s.qdepth[t.ss.home]--\n",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$/^stepping$/^notebookos-heavy$", want: "parked machine is on the idle list",
 	},
 	{
@@ -243,8 +247,13 @@ var mutants = []mutant{
 	},
 	{
 		name: "genSession lends its task buffer", file: "internal/trace/gen.go",
-		old: "sess.Tasks = append([]Task(nil), scratch...)", new: "sess.Tasks = scratch",
+		old: "return tasks[len(tasks):]", new: "return tasks[:0]",
 		pkg: "./internal/trace", run: "^TestStreamGenLendsOneSession$", want: "its kept Tasks changed after its yield returned",
+	},
+	{
+		name: "a streamed session's Tasks keeps the block's spare capacity", file: "internal/trace/gen.go",
+		old: "sess.Tasks = tasks[:n:n]", new: "sess.Tasks = tasks",
+		pkg: "./internal/trace", run: "^TestStreamGenLendsOneSession$", want: "an append would write into the next session's",
 	},
 	{
 		name: "an exported func nobody calls", file: "internal/trace/configs.go",
@@ -268,30 +277,30 @@ var mutants = []mutant{
 	},
 	{
 		name: "every task allocates its machine", file: "internal/sim/sim.go",
-		old: "t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
+		old: "t := s.machines.get(runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
 		new: "t := &runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}",
-		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 180", full: true,
+		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 145", full: true,
 	},
 	{
 		name: "a finished task's machine is not recycled", file: "internal/sim/taskfsm.go",
-		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.idle = append(s.idle, t)\n",
+		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.machines.put(t)\n",
 		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
-		pkg: "./internal/sim", run: "^TestFaultedRunAllocations$", want: "landed at 221", full: true,
+		pkg: "./internal/sim", run: "^TestTaskAllocationBudget$", want: "budget 0.0104", full: true,
 	},
 	{
 		name: "StreamGen formats every ID eagerly", file: "internal/trace/stream.go",
 		old: "\t\tsess.prefix, sess.n = g.prefix, n\n", new: "\t\tsess.prefix, sess.n = g.prefix, n\n\t\tsess.ID = sess.Name()\n",
-		pkg: "./internal/trace", run: "^TestStreamGenAllocations$", want: "beyond one Tasks per training session", full: true,
+		pkg: "./internal/trace", run: "^TestStreamGenAllocations$", want: "beyond one per block of 64 tasks", full: true,
 	},
 	{
 		name: "the record keeps the whole lent session", file: "internal/sim/sim.go",
 		old: "\tslo   trace.SLOClass\n", new: "\tslo   trace.SLOClass\n\tspare trace.Session\n",
-		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.90 and 495", full: true,
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.13 and 495", full: true,
 	},
 	{
 		name: "every session allocates its record", file: "internal/sim/sim.go",
-		old: "ss := reuse(&s.spare, session{", new: "ss := new(session)\n\t*ss = (session{",
-		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.90 and 495", full: true,
+		old: "ss := s.records.get(session{", new: "ss := new(session)\n\t*ss = (session{",
+		pkg: "./internal/sim", run: "^TestAdmissionAllocationBudget$", want: "budgets 0.13 and 495", full: true,
 	},
 	{
 		name: "a record retires while its task still runs", file: "internal/sim/sim.go",
@@ -309,13 +318,18 @@ var mutants = []mutant{
 		pkg: "./internal/sim", run: "^TestAuditedRuns$", want: "audit spare",
 	},
 	{
+		name: "a pool hands one block slot out twice", file: "internal/sim/sim.go",
+		old: "t, p.block = &p.block[0], p.block[1:]", new: "t = &p.block[0]",
+		pkg: "./internal/sim", run: "^TestHostIDMatchesSprintf$", want: "shares a record",
+	},
+	{
 		name: "an ID block starts one host late", file: "internal/sim/sim.go",
 		old: "m.ids = hostIDs(&m.ends, m.spec.Name, m.hostSeq)", new: "m.ids = hostIDs(&m.ends, m.spec.Name, m.hostSeq+1)",
 		pkg: "./internal/sim", run: "^TestHostIDMatchesSprintf$", want: `host 1 of "sim" is "sim-h0002"`,
 	},
 	{
 		name: "two hosts share one block record", file: "internal/sim/sim.go",
-		old: "return &m.block[j], ", new: "return &m.block[j/2], ",
+		old: "\treturn m.recs.get(host{}), ", new: "\th := m.recs.get(host{})\n\tif j%2 == 0 {\n\t\tm.recs.put(h)\n\t}\n\treturn h, ",
 		pkg: "./internal/sim", run: "^TestHostIDMatchesSprintf$", want: "shares a record",
 	},
 	{
@@ -330,8 +344,8 @@ var mutants = []mutant{
 	},
 	{
 		name: "a recycled task machine keeps its last delay", file: "internal/sim/sim.go",
-		old: "t := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
-		new: "stale := delay\n\tif n := len(s.idle); n > 0 {\n\t\tstale = s.idle[n-1].delay\n\t}\n\tt := reuse(&s.idle, runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: stale})",
+		old: "t := s.machines.get(runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
+		new: "stale := delay\n\tif n := len(s.machines.idle); n > 0 {\n\t\tstale = s.machines.idle[n-1].delay\n\t}\n\tt := s.machines.get(runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: stale})",
 		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
 	},
 	{
@@ -376,7 +390,7 @@ var mutants = []mutant{
 	},
 	{
 		name: "a failover's election draws from the scheduling stream", file: "internal/sim/faults.go",
-		old: "elect := s.cfg.Latencies.Election(s.frng)", new: "elect := s.cfg.Latencies.Election(s.rng)",
+		old: "s.RecoveryTime.Add(s.cfg.Latencies.Election(s.frng)", new: "s.RecoveryTime.Add(s.cfg.Latencies.Election(s.rng)",
 		pkg: "./internal/sim", run: "^TestReferenceModel$", want: "differ from the reference model",
 	},
 	{
