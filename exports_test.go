@@ -29,7 +29,7 @@ var exportsAllowed = map[string]string{
 	"federation.ScaleNone":           "the iota zero value of ScaleAction: a ScaleDecision that scales nothing has it without naming it",
 	"randprefix.Source.Int63":        "rand.Source's method: math/rand's Rand calls it for every Int63, Float64 and ExpFloat64 draw",
 	"sim.LegacySplit":                "the iota zero value of ShardCapacity: every config that leaves ShardCapacity unset has it without naming it",
-	"simclock.NewVirtual":            "the live half's test clock: the container tests drive provisioning latency on it, and a live-vs-sim replayer (ROADMAP 5(b)) needs it",
+	"simclock.NewVirtual":            "the live half's test clock: the container tests drive provisioning latency on it",
 	"simclock.Virtual.Advance":       "the live half's test clock: how a test moves a Virtual clock's time",
 	"simclock.Virtual.PendingTimers": "the live half's test clock: how a test waits until a goroutine sleeps on a Virtual clock",
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,7 +13,6 @@ import (
 	"notebookos/internal/jupyter"
 	"notebookos/internal/kernel"
 	"notebookos/internal/pynb"
-	"notebookos/internal/raft"
 	"notebookos/internal/resources"
 	"notebookos/internal/scheduler"
 	"notebookos/internal/simclock"
@@ -28,9 +28,12 @@ type Event struct {
 
 // Stats aggregates Global Scheduler counters reported in §5.3.2.
 type Stats struct {
+	// Executions counts the cells submitted; a migration's resubmission is
+	// not a second one.
 	Executions int64
 	// ImmediateCommits counts executions where GPUs were committed to a
-	// replica at submission (the paper reports 89.6 %).
+	// replica at submission (the paper reports 89.6 %), as the simulator
+	// counts them: a task committed only after a migration is not one.
 	ImmediateCommits int64
 	// ExecutorReuse counts executions served by the same replica as the
 	// previous execution of that kernel (the paper reports 89.45 %).
@@ -43,6 +46,13 @@ type Stats struct {
 
 // scaleFactor is f in the auto-scaler's expected-capacity formula (§3.4.2).
 const scaleFactor = 1.05
+
+// A migration searches for a target this many times, this far apart,
+// scaling out once after the first miss (§3.2.3).
+const (
+	migrationRetries    = 3
+	migrationRetryDelay = 100 * time.Millisecond
+)
 
 // Config configures the Global Scheduler.
 type Config struct {
@@ -66,21 +76,9 @@ type Config struct {
 	InstallRuntime func(in *pynb.Interp)
 	// KernelTickInterval is the Raft tick period inside kernels.
 	KernelTickInterval time.Duration
-	// NetMaxDelay bounds replica P2P latency.
-	NetMaxDelay time.Duration
-	// MigrationRetries bounds target-search attempts per migration.
-	MigrationRetries int
-	// MigrationRetryDelay separates migration target searches.
-	MigrationRetryDelay time.Duration
 	// Seed makes behaviour deterministic.
 	Seed int64
-	// Logger receives diagnostics; may be nil.
-	Logger raft.Logger
 }
-
-type nopLogger struct{}
-
-func (nopLogger) Logf(string, ...any) {}
 
 type pendingExec struct {
 	msg     jupyter.Message
@@ -93,11 +91,12 @@ type kernelState struct {
 	req     resources.Spec
 	k       *kernel.Kernel
 
-	mu           sync.Mutex
-	hosts        map[int]*cluster.Host // replica number -> host
+	mu sync.Mutex
+	// hosts[i] hosts replica i+1: every walk over the replicas goes in
+	// replica order, so a tie goes to the lowest replica.
+	hosts        [kernel.Replicas]*cluster.Host
 	pending      map[uint64]*pendingExec
 	lastExecutor int
-	migrating    map[uint64]bool
 }
 
 // GlobalScheduler is NotebookOS's control plane (paper §3.1): it creates
@@ -139,15 +138,6 @@ func New(cfg Config) (*GlobalScheduler, error) {
 	}
 	if r := cfg.Cluster.ReplicasPerKernel(); r != kernel.Replicas {
 		return nil, fmt.Errorf("scheduler: cluster places %d replicas per kernel, kernels run %d", r, kernel.Replicas)
-	}
-	if cfg.MigrationRetries <= 0 {
-		cfg.MigrationRetries = 3
-	}
-	if cfg.MigrationRetryDelay <= 0 {
-		cfg.MigrationRetryDelay = 100 * time.Millisecond
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = nopLogger{}
 	}
 	gs := &GlobalScheduler{
 		cfg:   cfg,
@@ -268,16 +258,12 @@ func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.S
 	}
 
 	ks := &kernelState{
-		id:        kernelID,
-		session:   session,
-		req:       req,
-		hosts:     map[int]*cluster.Host{},
-		pending:   map[uint64]*pendingExec{},
-		migrating: map[uint64]bool{},
+		id:      kernelID,
+		session: session,
+		req:     req,
+		pending: map[uint64]*pendingExec{},
 	}
-	for i, h := range hosts {
-		ks.hosts[i+1] = h
-	}
+	copy(ks.hosts[:], hosts)
 	k, err := kernel.New(kernel.Config{
 		ID:    kernelID,
 		Store: gs.store,
@@ -292,10 +278,8 @@ func (gs *GlobalScheduler) StartKernel(kernelID, session string, req resources.S
 			}()
 		},
 		InstallRuntime: gs.cfg.InstallRuntime,
-		NetMaxDelay:    gs.cfg.NetMaxDelay,
 		TickInterval:   gs.cfg.KernelTickInterval,
 		Seed:           gs.cfg.Seed + int64(len(kernelID))*17,
-		Logger:         gs.cfg.Logger,
 	})
 	if err != nil {
 		return err
@@ -350,9 +334,7 @@ func (gs *GlobalScheduler) ScaleOut(n int) {
 	for i := 0; i < n; i++ {
 		h := cluster.NewHost(gs.hostID(), resources.P316xlarge())
 		gs.cl.Lock()
-		if err := gs.cfg.Cluster.AddHost(h); err != nil {
-			gs.cfg.Logger.Logf("scheduler: scale-out add host: %v", err)
-		} else {
+		if gs.cfg.Cluster.AddHost(h) == nil {
 			gs.attachHost(h)
 		}
 		gs.cl.Unlock()
@@ -375,10 +357,9 @@ func (gs *GlobalScheduler) StopKernel(kernelID string) error {
 	ks.k.Stop()
 	ks.mu.Lock()
 	hosts := ks.hosts
-	ks.hosts = map[int]*cluster.Host{}
 	ks.mu.Unlock()
 	for i, h := range hosts {
-		key := replicaKey(kernelID, i)
+		key := replicaKey(kernelID, i+1)
 		if ls, ok := gs.Local(h.ID); ok {
 			ls.UnregisterReplica(key)
 		}
@@ -417,30 +398,20 @@ func (gs *GlobalScheduler) Execute(kernelID, code string) (term uint64, msgID st
 // non-zero, pins the executor (used after migrations).
 func (gs *GlobalScheduler) dispatch(ks *kernelState, term uint64, msg jupyter.Message, forcedExecutor int) error {
 	ks.mu.Lock()
-	replicaHosts := make(map[int]*cluster.Host, len(ks.hosts))
-	for i, h := range ks.hosts {
-		replicaHosts[i] = h
-	}
+	replicaHosts := ks.hosts
 	last := ks.lastExecutor
 	ks.mu.Unlock()
 
 	// Designate the executor: prefer the forced one, then the previous
 	// executor's replica if its host has capacity (executor reuse), then
-	// any replica whose host can commit immediately.
+	// the lowest replica whose host can commit immediately.
 	executor := forcedExecutor
 	gs.cl.Lock()
-	if executor == 0 && last != 0 {
-		if h, ok := replicaHosts[last]; ok && h.CanCommit(ks.req) {
-			executor = last
-		}
+	if executor == 0 && last != 0 && replicaHosts[last-1].CanCommit(ks.req) {
+		executor = last
 	}
 	if executor == 0 {
-		for i := 1; i <= len(replicaHosts); i++ {
-			if h, ok := replicaHosts[i]; ok && h.CanCommit(ks.req) {
-				executor = i
-				break
-			}
-		}
+		executor = 1 + slices.IndexFunc(replicaHosts[:], func(h *cluster.Host) bool { return h.CanCommit(ks.req) })
 	}
 	gs.cl.Unlock()
 
@@ -448,29 +419,32 @@ func (gs *GlobalScheduler) dispatch(ks *kernelState, term uint64, msg jupyter.Me
 	ks.pending[term] = &pendingExec{msg: msg}
 	ks.mu.Unlock()
 
-	gs.mu.Lock()
-	gs.stats.Executions++
-	if executor != 0 {
-		gs.stats.ImmediateCommits++
-		if executor == last && last != 0 {
-			gs.stats.ExecutorReuse++
+	if forcedExecutor == 0 {
+		gs.mu.Lock()
+		gs.stats.Executions++
+		if executor != 0 {
+			gs.stats.ImmediateCommits++
+			if executor == last {
+				gs.stats.ExecutorReuse++
+			}
 		}
+		gs.mu.Unlock()
 	}
-	gs.mu.Unlock()
 
 	var firstErr error
 	for i, h := range replicaHosts {
+		replica := i + 1
 		ls, ok := gs.Local(h.ID)
 		if !ok {
 			firstErr = fmt.Errorf("scheduler: no local scheduler for host %s", h.ID)
 			continue
 		}
 		m := msg
-		if executor != 0 && i != executor {
+		if executor != 0 && replica != executor {
 			m = m.AsYield(executor)
 			m = m.WithMeta(jupyter.MetaElectionTermID, fmt.Sprint(term))
 		}
-		if _, err := ls.ForwardExecute(replicaKey(ks.id, i), execHolder(ks.id, i, term), m, ks.req); err != nil && firstErr == nil {
+		if _, err := ls.ForwardExecute(replicaKey(ks.id, replica), execHolder(ks.id, replica, term), m, ks.req); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -488,7 +462,7 @@ func (gs *GlobalScheduler) handleReply(ks *kernelState, replica int, msg jupyter
 	term := uint64(content.ExecutionCount)
 
 	ks.mu.Lock()
-	h := ks.hosts[replica]
+	h := ks.hosts[replica-1]
 	pend := ks.pending[term]
 	var deliver bool
 	if pend != nil && !content.Yielded && !pend.replied {
@@ -498,26 +472,20 @@ func (gs *GlobalScheduler) handleReply(ks *kernelState, replica int, msg jupyter
 	}
 	ks.mu.Unlock()
 
-	if h != nil {
-		if ls, ok := gs.Local(h.ID); ok {
-			ls.ReleaseExecution(execHolder(ks.id, replica, term))
-		}
+	if ls, ok := gs.Local(h.ID); ok {
+		ls.ReleaseExecution(execHolder(ks.id, replica, term))
 	}
 	if deliver && gs.cfg.OnReply != nil {
 		gs.cfg.OnReply(ks.session, msg)
 	}
 }
 
-// handleAllYield reacts to a failed election (§3.2.3): migrate one of the
-// kernel's replicas to a server with sufficient idle resources, then
-// resubmit the execution pinned to the migrated replica.
+// handleAllYield reacts to a failed election (§3.2.3), which the kernel
+// reports once per term: migrate one of the kernel's replicas to a server
+// with sufficient idle resources, then resubmit the execution pinned to the
+// migrated replica.
 func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 	ks.mu.Lock()
-	if ks.migrating[term] {
-		ks.mu.Unlock()
-		return
-	}
-	ks.migrating[term] = true
 	pend := ks.pending[term]
 	ks.mu.Unlock()
 	if pend == nil {
@@ -535,7 +503,7 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 
 	oldKey := replicaKey(ks.id, victim)
 	ks.mu.Lock()
-	oldHost := ks.hosts[victim]
+	oldHost := ks.hosts[victim-1]
 	ks.mu.Unlock()
 
 	// Provision the destination container (pre-warmed when available), then
@@ -555,15 +523,13 @@ func (gs *GlobalScheduler) handleAllYield(ks *kernelState, term uint64) {
 		return
 	}
 	// Update routing: old host loses the replica, target gains it.
-	if oldHost != nil {
-		if oldLS, ok := gs.Local(oldHost.ID); ok {
-			oldLS.UnregisterReplica(oldKey)
-		}
-		gs.removeReplica(oldHost, oldKey)
+	if oldLS, ok := gs.Local(oldHost.ID); ok {
+		oldLS.UnregisterReplica(oldKey)
 	}
+	gs.removeReplica(oldHost, oldKey)
 	ls.RegisterReplica(oldKey, newReplica.HandleRequest)
 	ks.mu.Lock()
-	ks.hosts[victim] = target
+	ks.hosts[victim-1] = target
 	ks.mu.Unlock()
 
 	gs.mu.Lock()
@@ -587,33 +553,31 @@ func (gs *GlobalScheduler) removeReplica(h *cluster.Host, key string) {
 }
 
 // findMigration picks the replica to move and a destination host with
-// idle resources, retrying per the configured policy, and subscribes the
+// idle resources, retrying migrationRetries times, and subscribes the
 // replica on the destination in the critical section that chose it, so a
 // scale-in cannot retire the host in between. The destination must be able
 // to immediately and exclusively commit the request.
 func (gs *GlobalScheduler) findMigration(ks *kernelState) (victim int, target *cluster.Host) {
-	for attempt := 0; attempt < gs.cfg.MigrationRetries; attempt++ {
+	for attempt := 0; attempt < migrationRetries; attempt++ {
 		ks.mu.Lock()
+		hosts := ks.hosts
+		ks.mu.Unlock()
 		gs.cl.Lock()
-		hosting := map[string]bool{}
-		for _, h := range ks.hosts {
-			hosting[h.ID] = true
-		}
-		// Victim: the replica on the host with the fewest idle GPUs.
+		// Victim: the replica on the host with the fewest idle GPUs, the
+		// lowest such replica on a tie.
 		victim = 0
 		worstIdle := math.MaxInt
-		for i, h := range ks.hosts {
+		for i, h := range hosts {
 			if idle := h.IdleGPUs(); idle < worstIdle {
 				worstIdle = idle
-				victim = i
+				victim = i + 1
 			}
 		}
-		ks.mu.Unlock()
 
 		best := (*cluster.Host)(nil)
 		bestIdle := -1
 		for _, h := range gs.cfg.Cluster.Hosts() {
-			if hosting[h.ID] {
+			if slices.Contains(hosts[:], h) {
 				continue
 			}
 			if !h.CanCommit(ks.req) {
@@ -636,7 +600,7 @@ func (gs *GlobalScheduler) findMigration(ks *kernelState) (victim int, target *c
 		if attempt == 0 {
 			gs.ScaleOut(1)
 		}
-		time.Sleep(gs.cfg.MigrationRetryDelay)
+		time.Sleep(migrationRetryDelay)
 	}
 	return 0, nil
 }

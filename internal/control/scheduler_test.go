@@ -37,12 +37,10 @@ func newGS(t *testing.T, hosts int, opts ...func(*Config)) *GlobalScheduler {
 	c := newCluster(t, hosts)
 	rt := NewRuntime(0.001)
 	cfg := Config{
-		Cluster:             c,
-		KernelTickInterval:  4 * time.Millisecond,
-		NetMaxDelay:         time.Millisecond,
-		Seed:                5,
-		InstallRuntime:      rt.Install,
-		MigrationRetryDelay: 20 * time.Millisecond,
+		Cluster:            c,
+		KernelTickInterval: 4 * time.Millisecond,
+		Seed:               5,
+		InstallRuntime:     rt.Install,
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -212,8 +210,10 @@ func TestMigrationOnSaturatedHosts(t *testing.T) {
 	if got.Status != "ok" {
 		t.Fatalf("reply = %+v", got)
 	}
-	if gs.Stats().Migrations != 1 {
-		t.Fatalf("migrations = %d, want 1", gs.Stats().Migrations)
+	// The resubmission after the migration is neither a second execution
+	// nor an immediate commit.
+	if st := gs.Stats(); st.Migrations != 1 || st.Executions != 1 || st.ImmediateCommits != 0 {
+		t.Fatalf("stats = %+v, want one execution, migrated, and no immediate commit", st)
 	}
 	// The migrated replica now lives on the fourth (previously empty) host.
 	if !read(gs, func(c *cluster.Cluster) bool { return c.Hosts()[3].NumReplicas() > 0 }) {
@@ -221,13 +221,65 @@ func TestMigrationOnSaturatedHosts(t *testing.T) {
 	}
 }
 
+// TestMigrationVictimTiesGoToLowestReplica: a failed election migrates the
+// replica on the host with the fewest idle GPUs, and on a tie the lowest
+// replica, as the simulator's tryMigrate does. Twenty 8-GPU kernels sit on
+// hosts of their own, each replica host blocked by one committed GPU, so
+// every kernel's election fails with three replica hosts of seven idle GPUs
+// each, and every migration must move replica 1. A victim drawn in map order
+// picks replica 1 all twenty times once in 3^20.
+func TestMigrationVictimTiesGoToLowestReplica(t *testing.T) {
+	const kernels = 20
+	sink := &replySink{}
+	gs := newGS(t, 5*kernels, func(c *Config) { c.OnReply = sink.onReply })
+	for k := range kernels {
+		id := fmt.Sprintf("k%d", k)
+		if err := gs.StartKernel(id, id, gpuReq(8)); err != nil {
+			t.Fatal(err)
+		}
+		gs.mu.Lock()
+		ks := gs.kernels[id]
+		gs.mu.Unlock()
+		gs.WithCluster(func(*cluster.Cluster) {
+			for _, h := range ks.hosts {
+				// A host two kernels share refuses the second blocker.
+				if err := h.Commit("blocker", gpuReq(1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	for k := range kernels {
+		if _, _, err := gs.Execute(fmt.Sprintf("k%d", k), "v = 1\n"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return sink.count() == kernels }, "every kernel's reply after its migration")
+	sink.mu.Lock()
+	for _, r := range sink.replies {
+		if r.Status != "ok" {
+			t.Errorf("reply = %+v", r)
+		}
+	}
+	sink.mu.Unlock()
+	// A kernel whose target another kernel's resubmission took first
+	// migrates again from no tie: its first migration is the tie.
+	first := map[string]string{}
+	for _, e := range gs.Events() {
+		if id, _, _ := strings.Cut(e.Detail, " "); e.Kind == scheduler.EventMigration && first[id] == "" {
+			first[id] = e.Detail
+		}
+	}
+	for k := range kernels {
+		if d := first[fmt.Sprintf("k%d", k)]; !strings.Contains(d, " r1 -> ") {
+			t.Errorf("k%d's first migration is %q, want replica 1 moved off a three-way tie", k, d)
+		}
+	}
+}
+
 func TestMigrationAbortsWithoutTarget(t *testing.T) {
 	sink := &replySink{}
-	gs := newGS(t, 3, func(c *Config) {
-		c.OnReply = sink.onReply
-		c.MigrationRetries = 2
-		c.MigrationRetryDelay = 10 * time.Millisecond
-	})
+	gs := newGS(t, 3, func(c *Config) { c.OnReply = sink.onReply })
 	if err := gs.StartKernel("k1", "s", gpuReq(8)); err != nil {
 		t.Fatal(err)
 	}

@@ -29,17 +29,14 @@ type Config struct {
 	OnAllYield AllYieldFunc
 	// InstallRuntime installs notebook builtins into each replica.
 	InstallRuntime func(in *pynb.Interp)
-	// NetMaxDelay bounds the simulated P2P link latency between replicas.
-	NetMaxDelay time.Duration
 	// TickInterval is the Raft tick period.
 	TickInterval time.Duration
-	// LargeObjectThreshold is the inline-vs-pointer state cutoff.
-	LargeObjectThreshold int64
 	// Seed randomizes Raft timeouts deterministically.
 	Seed int64
-	// Logger receives diagnostics (may be nil).
-	Logger raft.Logger
 }
+
+// netMaxDelay bounds the simulated P2P link latency between replicas.
+const netMaxDelay = 2 * time.Millisecond
 
 // Kernel is a NotebookOS distributed kernel: R replicas connected by a
 // peer-to-peer network running Raft (paper §3.2.2).
@@ -74,7 +71,7 @@ func New(cfg Config) (*Kernel, error) {
 	}
 	k := &Kernel{
 		cfg:       cfg,
-		net:       raft.NewLocalNetwork(0, cfg.NetMaxDelay, cfg.Seed+7),
+		net:       raft.NewLocalNetwork(0, netMaxDelay, cfg.Seed+7),
 		replicas:  map[int]*Replica{},
 		raftIDs:   map[int]raft.NodeID{},
 		gen:       1,
@@ -112,12 +109,10 @@ func (k *Kernel) startReplica(num int, id raft.NodeID, peers []raft.NodeID) (*Re
 		OnReply: func(msg jupyter.Message) {
 			k.deliverReply(num, msg)
 		},
-		OnAllYield:           k.handleAllYield,
-		LargeObjectThreshold: k.cfg.LargeObjectThreshold,
-		InstallRuntime:       k.cfg.InstallRuntime,
-		TickInterval:         k.cfg.TickInterval,
-		Seed:                 k.cfg.Seed + int64(num)*13,
-		Logger:               k.cfg.Logger,
+		OnAllYield:     k.handleAllYield,
+		InstallRuntime: k.cfg.InstallRuntime,
+		TickInterval:   k.cfg.TickInterval,
+		Seed:           k.cfg.Seed + int64(num)*13,
 	})
 	if err != nil {
 		return nil, err
@@ -330,14 +325,16 @@ func (k *Kernel) proposeConfChange(cc raft.ConfChange, skip int, deadline time.T
 	backoff := 20 * time.Millisecond
 	for time.Now().Before(deadline) {
 		// Propose via every live replica; follower proposals are forwarded
-		// to the Raft leader and may be dropped, hence the verify loop.
+		// to the Raft leader and may be dropped, hence the verify loop. A
+		// proposal made while no replica led (the replaced one did) is lost,
+		// so the loop gives up on it after a few election timeouts.
 		for _, r := range k.Replicas() {
 			if r.ID() == skip {
 				continue
 			}
 			_ = r.Node().ProposeConfChange(cc)
 		}
-		settle := time.Now().Add(500 * time.Millisecond)
+		settle := time.Now().Add(100 * time.Millisecond)
 		for time.Now().Before(settle) {
 			for _, r := range k.Replicas() {
 				if r.ID() == skip {

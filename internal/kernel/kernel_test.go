@@ -20,7 +20,6 @@ func newTestKernel(t *testing.T, opts ...func(*Config)) *Kernel {
 		ID:           "k1",
 		Store:        store.NewMem(),
 		TickInterval: 4 * time.Millisecond,
-		NetMaxDelay:  time.Millisecond,
 		Seed:         11,
 	}
 	for _, o := range opts {
@@ -167,11 +166,14 @@ func TestLargeObjectGoesToStore(t *testing.T) {
 	st := store.NewMem()
 	k := newTestKernel(t, func(c *Config) {
 		c.Store = st
-		c.LargeObjectThreshold = 64 // tiny threshold: strings overflow it
+		c.InstallRuntime = func(in *pynb.Interp) {
+			in.RegisterBuiltin("weights", func(*pynb.CallCtx) (pynb.Value, error) {
+				return pynb.NewObject("Tensor", largeObjectThreshold), nil
+			})
+		}
 	})
-	// A string exceeding the threshold must be checkpointed, not inlined.
-	code := "blob = \"" + strings.Repeat("m", 256) + "\"\n"
-	if _, err := k.executeCell("s", code, testTimeout); err != nil {
+	// An object past the threshold must be checkpointed, not inlined.
+	if _, err := k.executeCell("s", "blob = weights()\n", testTimeout); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
@@ -184,7 +186,7 @@ func TestLargeObjectGoesToStore(t *testing.T) {
 			if !ok {
 				return false
 			}
-			if s, ok := v.(pynb.Str); !ok || len(s) != 256 {
+			if o, ok := v.(*pynb.Object); !ok || o.Payload != largeObjectThreshold {
 				return false
 			}
 		}

@@ -12,9 +12,9 @@ import (
 	"notebookos/internal/store"
 )
 
-// DefaultLargeObjectThreshold splits small globals (replicated inline via
-// Raft) from large ones (checkpointed to the data store): 1 MiB.
-const DefaultLargeObjectThreshold = 1 << 20
+// largeObjectThreshold splits small globals (replicated inline via Raft)
+// from large ones (checkpointed to the data store): 1 MiB.
+const largeObjectThreshold = 1 << 20
 
 // ReplyFunc delivers an execute_reply toward the replica's Local Scheduler.
 type ReplyFunc func(msg jupyter.Message)
@@ -42,8 +42,6 @@ type ReplicaConfig struct {
 	// OnAllYield is invoked when an election fails with all replicas
 	// yielding (may be nil).
 	OnAllYield AllYieldFunc
-	// LargeObjectThreshold overrides DefaultLargeObjectThreshold when >0.
-	LargeObjectThreshold int64
 	// InstallRuntime is called with the replica's interpreter at startup
 	// so the notebook runtime (control.Runtime.Install) can add builtins.
 	InstallRuntime func(in *pynb.Interp)
@@ -51,8 +49,6 @@ type ReplicaConfig struct {
 	TickInterval time.Duration
 	// Seed randomizes Raft election timeouts.
 	Seed int64
-	// Logger receives diagnostics (may be nil).
-	Logger raft.Logger
 }
 
 type election struct {
@@ -94,10 +90,6 @@ type Replica struct {
 	wg sync.WaitGroup
 }
 
-type nopLogger struct{}
-
-func (nopLogger) Logf(string, ...any) {}
-
 // NewReplica creates and starts a replica.
 func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.KernelID == "" || cfg.Replica <= 0 {
@@ -106,14 +98,8 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if cfg.OnReply == nil {
 		return nil, fmt.Errorf("kernel: config requires OnReply")
 	}
-	if cfg.LargeObjectThreshold <= 0 {
-		cfg.LargeObjectThreshold = DefaultLargeObjectThreshold
-	}
 	if cfg.TickInterval <= 0 {
 		cfg.TickInterval = 10 * time.Millisecond
-	}
-	if cfg.Logger == nil {
-		cfg.Logger = nopLogger{}
 	}
 	r := &Replica{
 		cfg:       cfg,
@@ -131,7 +117,6 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 		Transport: cfg.Transport,
 		Apply:     r.apply,
 		Seed:      cfg.Seed,
-		Logger:    cfg.Logger,
 	})
 	if err != nil {
 		return nil, err
@@ -242,7 +227,6 @@ func (r *Replica) proposeWithRetry(data []byte, timeout time.Duration) {
 			return
 		}
 		if time.Now().After(deadline) {
-			r.cfg.Logger.Logf("kernel %s r%d: proposal timed out: %v", r.cfg.KernelID, r.cfg.Replica, err)
 			return
 		}
 		time.Sleep(backoff)
@@ -260,7 +244,6 @@ func (r *Replica) apply(e raft.Entry) {
 	}
 	op, err := DecodeOp(e.Data)
 	if err != nil {
-		r.cfg.Logger.Logf("kernel %s r%d: %v", r.cfg.KernelID, r.cfg.Replica, err)
 		return
 	}
 	switch op.Kind {
@@ -397,7 +380,7 @@ func (r *Replica) replicateState(term uint64, assigned []string) {
 			// "state of external processes cannot be synchronized".
 			continue
 		}
-		if val.SizeBytes() < r.cfg.LargeObjectThreshold {
+		if val.SizeBytes() < largeObjectThreshold {
 			op := Op{Kind: OpState, Term: term, Replica: r.cfg.Replica, VarName: name, Value: data}
 			r.markSyncStart(term, name)
 			r.proposeWithRetry(op.Encode(), 30*time.Second)
@@ -408,8 +391,7 @@ func (r *Replica) replicateState(term uint64, assigned []string) {
 		r.wg.Add(1)
 		go func(name, key string, size int64, data []byte) {
 			defer r.wg.Done()
-			if err := r.cfg.Store.Put(key, data); err != nil {
-				r.cfg.Logger.Logf("kernel %s r%d: checkpoint %s: %v", r.cfg.KernelID, r.cfg.Replica, key, err)
+			if r.cfg.Store.Put(key, data) != nil {
 				return
 			}
 			op := Op{Kind: OpStatePtr, Term: term, Replica: r.cfg.Replica, VarName: name, Key: key, Size: size}
@@ -457,7 +439,6 @@ func (r *Replica) applyDone(op Op) {
 	}
 	reply, err := msg.Child(jupyter.MsgExecuteReply, content)
 	if err != nil {
-		r.cfg.Logger.Logf("kernel %s r%d: build reply: %v", r.cfg.KernelID, r.cfg.Replica, err)
 		return
 	}
 	r.cfg.OnReply(reply)
@@ -477,7 +458,6 @@ func (r *Replica) applyState(op Op) {
 	}
 	val, err := pynb.DecodeValue(op.Value)
 	if err != nil {
-		r.cfg.Logger.Logf("kernel %s r%d: apply state %s: %v", r.cfg.KernelID, r.cfg.Replica, op.VarName, err)
 		return
 	}
 	r.mu.Lock()
@@ -496,12 +476,10 @@ func (r *Replica) applyStatePtr(op Op) {
 		defer r.wg.Done()
 		data, err := r.cfg.Store.Get(op.Key)
 		if err != nil {
-			r.cfg.Logger.Logf("kernel %s r%d: fetch %s: %v", r.cfg.KernelID, r.cfg.Replica, op.Key, err)
 			return
 		}
 		val, err := pynb.DecodeValue(data)
 		if err != nil {
-			r.cfg.Logger.Logf("kernel %s r%d: decode %s: %v", r.cfg.KernelID, r.cfg.Replica, op.Key, err)
 			return
 		}
 		r.mu.Lock()

@@ -102,7 +102,6 @@ func New(cfg Config) (*Platform, error) {
 		AutoscaleInterval: cfg.AutoscaleInterval,
 		OnReply:           p.fanOut,
 		InstallRuntime:    control.NewRuntime(cfg.TimeScale).Install,
-		NetMaxDelay:       2 * time.Millisecond,
 		Seed:              cfg.Seed,
 	})
 	if err != nil {

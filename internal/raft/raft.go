@@ -115,15 +115,6 @@ type Transport interface {
 	Send(m Message)
 }
 
-// Logger receives diagnostic output.
-type Logger interface {
-	Logf(format string, args ...any)
-}
-
-type nopLogger struct{}
-
-func (nopLogger) Logf(string, ...any) {}
-
 // Errors returned by proposal paths.
 var (
 	ErrStopped     = errors.New("raft: node stopped")
@@ -145,8 +136,6 @@ type Config struct {
 	Apply func(e Entry)
 	// Seed randomizes election timeouts deterministically. Zero uses 1.
 	Seed int64
-	// Logger receives diagnostics; nil discards them.
-	Logger Logger
 }
 
 func (c *Config) withDefaults() error {
@@ -164,9 +153,6 @@ func (c *Config) withDefaults() error {
 	}
 	if !found {
 		return fmt.Errorf("raft: ID %q not in peers %v", c.ID, c.Peers)
-	}
-	if c.Logger == nil {
-		c.Logger = nopLogger{}
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -498,7 +484,6 @@ func (n *Node) campaign() {
 	n.votes = map[NodeID]bool{n.id: true}
 	n.electionElapsed = 0
 	n.resetRandomizedTimeout()
-	n.cfg.Logger.Logf("raft %s: campaigning at term %d", n.id, n.term)
 	if n.quorumReached(n.votes) {
 		n.becomeLeader()
 		return
@@ -525,7 +510,6 @@ func (n *Node) becomeLeader() {
 		n.match[p] = 0
 	}
 	n.match[n.id] = n.log.lastIndex()
-	n.cfg.Logger.Logf("raft %s: became leader at term %d", n.id, n.term)
 	// Re-arm the single-conf-change guard if an uncommitted membership
 	// change is still in our log from a previous leader.
 	n.pendingConf = false
@@ -673,9 +657,9 @@ func (n *Node) handleProp(m Message) {
 		}
 		return
 	}
-	if err := n.appendAsLeader(m.PropType, m.PropData); err != nil {
-		n.cfg.Logger.Logf("raft %s: forwarded proposal rejected: %v", n.id, err)
-	}
+	// A forwarded proposal the leader refuses is dropped; the proposer
+	// retries.
+	_ = n.appendAsLeader(m.PropType, m.PropData)
 }
 
 // broadcastAppend sends AppendEntries (or heartbeats) to all peers.
@@ -755,7 +739,6 @@ func (n *Node) advanceCommit(c uint64) {
 func (n *Node) applyConfChange(e Entry) {
 	cc, err := decodeConfChange(e.Data)
 	if err != nil {
-		n.cfg.Logger.Logf("raft %s: bad conf change at %d: %v", n.id, e.Index, err)
 		return
 	}
 	switch cc.Type {
@@ -771,11 +754,9 @@ func (n *Node) applyConfChange(e Entry) {
 		delete(n.peers, cc.Node)
 		if cc.Node == n.id {
 			n.removed = true
-			n.cfg.Logger.Logf("raft %s: removed from configuration", n.id)
 		}
 	}
 	n.pendingConf = false
-	n.cfg.Logger.Logf("raft %s: conf change applied: %+v peers=%d", n.id, cc, len(n.peers))
 }
 
 func (n *Node) enqueueApply(e Entry) {

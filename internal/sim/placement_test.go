@@ -275,3 +275,69 @@ func pinRunAllocations(t *testing.T, faults *trace.FaultSpec, landed float64) {
 	}
 	t.Logf("%.0f allocations (%s)", allocs, runs)
 }
+
+// TestMachinePoolCutsBlocksForPeakOnly: the task machine pool cuts a new
+// block of perBlock machines only when every machine it cut before is in
+// flight, so a 1-day summer run cuts ⌈peak tasks in flight / perBlock⌉
+// blocks, with one of slack for a peak that rises and falls between two
+// samples. A block is 32 records, so the 1-day allocation pins see a task
+// machine the run never puts back only by a few allocations: the day's 443
+// tasks leak 14 blocks, 10 allocations past the summer pin's landing and
+// inside the faulted pin's 5 %.
+// The run is stepped one simulated second at a time. A task is in flight
+// while its session runs it (startNext), whatever its phase; the sessions
+// are the records the injector admits, taken off the live list as the run
+// auditor does. A block is known by the address of its last slot, which
+// the pool's slicing from the front leaves in place; the drained run must
+// have put back every machine it cut, which also shows that no block went
+// unseen between two samples.
+func TestMachinePoolCutsBlocksForPeakOnly(t *testing.T) {
+	gcfg := trace.AdobeSummerConfig(42)
+	gcfg.Duration = 24 * time.Hour
+	p, err := Config{Trace: trace.MustGenerate(gcfg), Policy: PolicyNotebookOS, Hosts: 30, Seed: 42}.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSim(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	records := map[*session]bool{}
+	s.faultsOn = true
+	pull := s.pull
+	s.pull = func() (*trace.Session, bool) {
+		if n := len(s.live) - 1; n >= 0 {
+			records[s.live[n]] = true
+			s.live[n], s.live = nil, s.live[:n]
+		}
+		return pull()
+	}
+	pool := &s.machines
+	blocks, peak := 0, 0
+	var lastSlot *runningTask
+	for at := s.start; !at.After(s.horizon()); at = at.Add(time.Second) {
+		s.runUntil(at)
+		if b := pool.block; len(b) > 0 && &b[len(b)-1] != lastSlot {
+			blocks, lastSlot = blocks+1, &b[len(b)-1]
+		}
+		inFlight := 0
+		for ss := range records {
+			if ss.running {
+				inFlight++
+			}
+		}
+		peak = max(peak, inFlight)
+	}
+	res, err := s.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cut := blocks*perBlock - len(pool.block); len(pool.idle) != cut {
+		t.Errorf("the drained run put back %d of the %d task machines it cut", len(pool.idle), cut)
+	}
+	if want := (peak+perBlock-1)/perBlock + 1; blocks > want {
+		t.Errorf("the machine pool cut %d blocks for %d tasks, at most %d in flight: want at most %d", blocks, res.Tasks, peak, want)
+	}
+	t.Logf("%d blocks for %d tasks, at most %d in flight", blocks, res.Tasks, peak)
+}

@@ -59,8 +59,8 @@ type mutant struct {
 // checks of the root package, and the five gates that skip under -short:
 // the paper scoreboard's golden, which runs at full scale, the two
 // allocation pins, given back a per-task allocation (the summer pin) and a
-// finished task's machine left unrecycled (the 10-day task budget), the
-// generator's, given back a string per session ID, and the admission pin's
+// finished task's machine left unrecycled (the 10-day task budget; a second
+// entry holds the 1-day run's machine pool to its blocks), the generator's, given back a string per session ID, and the admission pin's
 // bytes, given back a record that keeps the whole lent session. Then the
 // recycling of session records (internal/sim/sim.go, startNext): every
 // session that allocates its record again, killed by the admission pin, and
@@ -110,7 +110,12 @@ type mutant struct {
 // by a kernel test whose standbys miss a builtin's in-place change; a float
 // codec that refuses ±Inf and NaN, killed by a control test whose standbys
 // miss an untrained model; and the depth cap lifted, for a tree and for
-// nested parentheses, each killed by TestDepthCap.
+// nested parentheses, each killed by TestDepthCap. Then the live control
+// plane: a config field nobody sets (TestConfigOptionsHaveSetters, parsed), a
+// migration victim tie that goes to the highest replica
+// (TestMigrationVictimTiesGoToLowestReplica), and replicas numbered against
+// LeastLoaded's order, which no control test sees and the lockstep replay of
+// the simulator's sessions does (TestLiveControlPlaneReplaysSim).
 var mutants = []mutant{
 	{
 		name: "gated golden line", file: "internal/sim/gated_test.go",
@@ -286,6 +291,12 @@ var mutants = []mutant{
 		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.machines.put(t)\n",
 		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
 		pkg: "./internal/sim", run: "^TestTaskAllocationBudget$", want: "budget 0.0104", full: true,
+	},
+	{
+		name: "a finished task's machine is not recycled, on the 1-day run", file: "internal/sim/taskfsm.go",
+		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.machines.put(t)\n",
+		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
+		pkg: "./internal/sim", run: "^TestMachinePoolCutsBlocksForPeakOnly$", want: "the machine pool cut 14 blocks for 443 tasks",
 	},
 	{
 		name: "StreamGen formats every ID eagerly", file: "internal/trace/stream.go",
@@ -542,6 +553,22 @@ var mutants = []mutant{
 		name: "parenthesized nesting goes unchecked", file: "internal/pynb/parser.go",
 		old: "if p.nest++; p.nest > maxDepth {", new: "if p.nest++; p.nest > 1<<30 {",
 		pkg: "./internal/pynb", run: "^TestDepthCap$", want: `"(" nested 200 deep: <nil>, want it refused`,
+	},
+	{
+		name: "a live config field nobody sets", file: "internal/control/global.go",
+		old: "\t// Seed makes behaviour deterministic.\n\tSeed int64\n}", new: "\t// Seed makes behaviour deterministic.\n\tSeed int64\n\t// Verbose is set by no caller.\n\tVerbose bool\n}",
+		pkg: ".", run: "^TestConfigOptionsHaveSetters$", want: "control.Config.Verbose is set by no caller", parsed: true,
+	},
+	{
+		name: "a migration victim tie goes to the highest replica", file: "internal/control/global.go",
+		old: "if idle := h.IdleGPUs(); idle < worstIdle {", new: "if idle := h.IdleGPUs(); idle <= worstIdle {",
+		pkg: "./internal/control", run: "^TestMigrationVictimTiesGoToLowestReplica$", want: "want replica 1 moved off a three-way tie",
+	},
+	{
+		name: "replicas numbered against LeastLoaded's order", file: "internal/control/global.go",
+		old: "\t\thosts, err := scheduler.LeastLoaded{}.SelectHosts(gs.cfg.Cluster, req, kernel.Replicas)\n",
+		new: "\t\thosts, err := scheduler.LeastLoaded{}.SelectHosts(gs.cfg.Cluster, req, kernel.Replicas)\n\t\tslices.Reverse(hosts)\n",
+		pkg: "./internal/sim", run: "^TestLiveControlPlaneReplaysSim$", want: "untied: ", full: true,
 	},
 }
 

@@ -85,6 +85,93 @@ func TestConfigOptionsHaveSetters(t *testing.T) {
 			t.Errorf("sim.%s is set by no command, experiment, example, benchmark or test: make it a constant", key)
 		}
 	}
+	liveConfigsHaveSetters(t)
+}
+
+// liveConfigs are the live half's configs, by package directory.
+var liveConfigs = map[string][]string{
+	"internal/control":  {"Config"},
+	"internal/kernel":   {"Config", "ReplicaConfig"},
+	"internal/raft":     {"Config"},
+	"internal/platform": {"Config"},
+}
+
+// liveConfigsHaveSetters holds the live half's configs to the same rule:
+// every exported field is set by some file of the live packages or of a
+// package that imports one (commands, examples, the gateway, tests). A
+// config passes fields down to the next one (control's to kernel's,
+// kernel's to the replica's and raft's), so a key whose value selects a
+// field of the same name only forwards it and sets nothing, and neither
+// does an assignment in a live package's non-test file, which fills in a
+// default.
+func liveConfigsHaveSetters(t *testing.T) {
+	fset := token.NewFileSet()
+	fields := map[string]token.Position{}
+	set := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if strings.HasPrefix(d.Name(), ".") && path != "." {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, test := filepath.ToSlash(filepath.Dir(path)), strings.HasSuffix(path, "_test.go")
+		types, live := liveConfigs[dir]
+		if live && !test {
+			own := map[string]token.Position{}
+			collectStructFields(fset, file, own, types...)
+			for key, pos := range own {
+				fields[filepath.Base(dir)+"."+key] = pos
+			}
+		}
+		uses := live
+		for _, imp := range file.Imports {
+			if p, _ := strconv.Unquote(imp.Path.Value); liveConfigs[strings.TrimPrefix(p, "notebookos/")] != nil {
+				uses = true
+			}
+		}
+		if !uses {
+			return nil
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				key, ok := n.Key.(*ast.Ident)
+				if sel, fwd := n.Value.(*ast.SelectorExpr); ok && !(fwd && sel.Sel.Name == key.Name) {
+					set[key.Name] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok && (test || !live) {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fields) < 20 {
+		t.Fatalf("found only %d live config fields: the scan is looking in the wrong place", len(fields))
+	}
+	for key, pos := range fields {
+		if name := key[strings.LastIndex(key, ".")+1:]; !set[name] {
+			t.Errorf("%s: %s is set by no caller but a default or a forward: make it a constant", pos, key)
+		}
+	}
 }
 
 // collectStructFields records, as "Type.Field" at its position, the exported
