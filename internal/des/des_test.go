@@ -2,6 +2,7 @@ package des
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -198,8 +199,8 @@ func TestReservePreservesBehavior(t *testing.T) {
 }
 
 // TestArenaPooledEventsRecycle: far more Schedule calls than the peak
-// pending count must not grow allocations linearly — fired events return
-// to the arena-backed free list and are reused.
+// pending count must not grow the heap with them — a fired event's slot is
+// reused by the next one scheduled.
 func TestArenaPooledEventsRecycle(t *testing.T) {
 	e := New(t0)
 	fired := 0
@@ -215,10 +216,46 @@ func TestArenaPooledEventsRecycle(t *testing.T) {
 	if fired != 10000 {
 		t.Fatalf("fired = %d", fired)
 	}
-	// Peak pending was 1, so the free list must have stayed at the first
-	// arena block's size rather than growing with the 10k schedules.
-	if len(e.free) > 64 {
-		t.Fatalf("free list grew to %d; pooled events are not recycling", len(e.free))
+	// Peak pending was 1, so the heap must have stayed small rather than
+	// growing with the 10k schedules.
+	if c := cap(e.pq); c > 64 {
+		t.Fatalf("heap capacity grew to %d; fired events' slots are not reused", c)
+	}
+}
+
+// TestClockKeepsStartLocation: the clock reads in the Location New was
+// given, whatever Location a scheduled time carries; an event scheduled at
+// the same instant in another Location fires at that instant, and in
+// scheduling order among its ties.
+func TestClockKeepsStartLocation(t *testing.T) {
+	east := time.FixedZone("UTC+9", 9*3600)
+	start := t0.In(east)
+	e := New(start)
+	var order []int
+	var at []time.Time
+	fire := func(i int) Handler {
+		return func() { order, at = append(order, i), append(at, e.Now()) }
+	}
+	e.Schedule(t0.Add(time.Minute), fire(0))                                         // UTC
+	e.Schedule(t0.Add(time.Minute).In(east), fire(1))                                // the same instant, UTC+9
+	e.Schedule(t0.Add(30*time.Second).In(time.FixedZone("UTC-5", -5*3600)), fire(2)) // earlier, UTC-5
+	e.Schedule(t0.Add(time.Minute).In(time.FixedZone("", -3600)), fire(3))           // a tie again, UTC-1
+	if e.Now().Location() != east || !e.Now().Equal(t0) {
+		t.Fatalf("Now = %v before any event, want %v", e.Now(), start)
+	}
+	e.Run()
+	if !slices.Equal(order, []int{2, 0, 1, 3}) {
+		t.Fatalf("order = %v, want [2 0 1 3]", order)
+	}
+	want := []time.Duration{30 * time.Second, time.Minute, time.Minute, time.Minute}
+	for i, a := range at {
+		if a.Location() != east || a.Sub(t0) != want[i] {
+			t.Fatalf("event %d fired at %v, want +%v in %v", order[i], a, want[i], east)
+		}
+	}
+	e.RunUntil(t0.Add(time.Hour).In(time.UTC))
+	if e.Now().Location() != east || e.Now().Sub(t0) != time.Hour {
+		t.Fatalf("Now = %v after RunUntil, want +1h in %v", e.Now(), east)
 	}
 }
 

@@ -8,8 +8,8 @@ import (
 
 // The firing order is the engine's contract: least (time, sequence number)
 // first, where a sequence number is drawn when an event is scheduled — or
-// reserved ahead of time and spent later. This file checks the 4-ary heap,
-// the event pool and the reserved numbers against the slowest honest
+// reserved ahead of time and spent later. This file checks the 4-ary heap
+// and the reserved numbers against the slowest honest
 // implementation of that sentence.
 
 // scheduler is what a fuzz program drives: Engine's scheduling surface.
