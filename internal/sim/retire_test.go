@@ -180,3 +180,56 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 		t.Logf("%d sessions admitted into %d records", admitted, len(records))
 	})
 }
+
+// TestSessionRecordDropsItsTasksAtTheLastStart pins when a record lets go of
+// its session's tasks (startNext): it holds all of them, as admitted, until
+// the last one starts, and from then on none — a nil slice, so a record
+// whose last task runs on, or whose session outlives its tasks, pins nothing
+// of the block the source cut them from. Every record a 12-hour stream
+// admits is checked at every minute, and both sides of the law must be seen.
+func TestSessionRecordDropsItsTasksAtTheLastStart(t *testing.T) {
+	gcfg := trace.MillionSessionConfig(42)
+	gcfg.Duration = 12 * time.Hour
+	src, err := trace.NewStreamGen(gcfg, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := simOf(Config{Source: src, Policy: PolicyNotebookOS, Hosts: 128, LeanMetrics: true, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.close()
+	s.faultsOn = true
+	// admitted holds each record's task count at its latest admission.
+	admitted := map[*session]int{}
+	pull := s.pull
+	s.pull = func() (*trace.Session, bool) {
+		n := len(s.live) - 1
+		admitted[s.live[n]] = len(s.live[n].tasks)
+		s.live = s.live[:n]
+		return pull()
+	}
+	holding, dropped := 0, 0
+	for at := s.start; !at.After(s.horizon()); at = at.Add(time.Minute) {
+		s.runUntil(at)
+		for ss, n := range admitted {
+			switch {
+			case ss.s == nil || n == 0:
+			case int(ss.started) == n:
+				if ss.tasks != nil {
+					t.Fatalf("%v: session #%d has started all %d of its tasks, and its record still holds %d of capacity %d",
+						at.Sub(s.start), ss.seq, n, len(ss.tasks), cap(ss.tasks))
+				}
+				dropped++
+			case len(ss.tasks) != n:
+				t.Fatalf("%v: session #%d has started %d of its %d tasks, and its record holds %d", at.Sub(s.start), ss.seq, ss.started, n, len(ss.tasks))
+			default:
+				holding++
+			}
+		}
+	}
+	if holding == 0 || dropped == 0 {
+		t.Errorf("records seen holding their tasks %d times and past their last start %d times; want both", holding, dropped)
+	}
+	t.Logf("%d records; seen holding their tasks %d times, past their last start %d times", len(admitted), holding, dropped)
+}

@@ -288,7 +288,8 @@ type session struct {
 	// req, tasks and slo are the three fields of the admitted session the
 	// simulator reads past its admission, copied from the one the source
 	// lent (trace.Source lends it only until yield returns); req is what the
-	// session reserves and each of its replicas subscribes.
+	// session reserves and each of its replicas subscribes. tasks goes nil
+	// once the last task has started (startNext).
 	req   resources.Spec
 	tasks []trace.Task
 	slo   trace.SLOClass
@@ -716,11 +717,10 @@ func (s *sim) newSession(sess *trace.Session) *session {
 }
 
 // close releases the source's iterator; safe on any sim and safe to call
-// more than once.
+// more than once, as iter.Pull's stop is.
 func (s *sim) close() {
 	if s.stopPull != nil {
 		s.stopPull()
-		s.stopPull = nil
 	}
 }
 
@@ -972,19 +972,23 @@ func (s *sim) sessionEnd(ss *session) {
 // ---- task pipeline -----------------------------------------------------
 
 // startNext moves the session on to its next submitted task, if one is
-// waiting (see arrivals). A session with none, closed and with every task
-// arrived, is done: nothing runs for it, nothing is queued or parked for it,
-// and no event of its is pending, so its record retires to the spare list,
-// cleared — an idle or dead-firing machine may still point at it, but never
-// reads it (taskfsm.go), and a use after retirement finds ss.s nil.
+// waiting (see arrivals). Starting the last one drops the record's task
+// slice, which nothing reads again, so that the record no longer pins the
+// source's block the slice was cut from: the slice is empty exactly when
+// every task has started. A session with none waiting, closed and with every
+// task started, is done: nothing runs for it, nothing is queued or parked
+// for it, and no event of its is pending, so its record retires to the spare
+// list, cleared — an idle or dead-firing machine may still point at it, but
+// never reads it (taskfsm.go), and a use after retirement finds ss.s nil.
 func (s *sim) startNext(ss *session) {
 	ss.running, ss.cur, ss.restarts = false, nil, 0
 	if ss.started < ss.arrived {
 		next := ss.tasks[ss.started]
-		ss.started++
-		ss.running = true
+		if ss.started, ss.running = ss.started+1, true; int(ss.started) == len(ss.tasks) {
+			ss.tasks = nil
+		}
 		s.startTask(ss, next, s.now())
-	} else if ss.closed && int(ss.arrived) == len(ss.tasks) {
+	} else if ss.closed && len(ss.tasks) == 0 {
 		*ss = session{}
 		s.records.put(ss)
 	}

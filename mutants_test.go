@@ -65,9 +65,12 @@ type mutant struct {
 // recycling of session records (internal/sim/sim.go, startNext): every
 // session that allocates its record again, killed by the admission pin, and
 // a record that retires while its task still runs or before its last task
-// arrives, each killed by TestSessionRecordRetiresAfterItsLastTask, and a
-// retired record that is not zeroed, which only the auditor's spare check
-// sees. Then a member's host blocks, each killed by
+// arrives, each killed by TestSessionRecordRetiresAfterItsLastTask, a record
+// that keeps its task slice, emptied, after its last task starts, killed by
+// TestSessionRecordDropsItsTasksAtTheLastStart, and a retired record that is
+// not zeroed, which only the auditor's spare check sees. Then the event
+// queue's order without its sequence tie-break (internal/des), killed by
+// TestTieBreakIsFIFO. Then a member's host blocks, each killed by
 // TestHostIDMatchesSprintf: a block of IDs that starts one host late, two
 // hosts that share one record, and a pool that hands one block slot out
 // twice, whose first victims are a member's host records. Then the simulator's
@@ -320,13 +323,23 @@ var mutants = []mutant{
 	},
 	{
 		name: "a record retires before its last arrival", file: "internal/sim/sim.go",
-		old: "} else if ss.closed && int(ss.arrived) == len(ss.tasks) {", new: "} else if ss.closed {",
+		old: "} else if ss.closed && len(ss.tasks) == 0 {", new: "} else if ss.closed {",
 		pkg: "./internal/sim", run: "^TestSessionRecordRetiresAfterItsLastTask$", want: "session late retired before its last task can have finished",
+	},
+	{
+		name: "a record keeps its tasks after the last start", file: "internal/sim/sim.go",
+		old: "\t\t\tss.tasks = nil\n", new: "\t\t\tss.tasks = ss.tasks[:0]\n",
+		pkg: "./internal/sim", run: "^TestSessionRecordDropsItsTasksAtTheLastStart$", want: "and its record still holds 0 of capacity",
 	},
 	{
 		name: "a retired record keeps its session", file: "internal/sim/sim.go",
 		old: "\t\t*ss = session{}\n", new: "",
 		pkg: "./internal/sim", run: "^TestAuditedRuns$", want: "audit spare",
+	},
+	{
+		name: "the event queue drops its tie-break", file: "internal/des/des.go",
+		old: "\treturn a.seq < b.seq\n", new: "\treturn false\n",
+		pkg: "./internal/des", run: "^TestTieBreakIsFIFO$", want: "tie order =",
 	},
 	{
 		name: "a pool hands one block slot out twice", file: "internal/sim/sim.go",
