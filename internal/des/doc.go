@@ -24,16 +24,17 @@
 //     time, or goroutine interleaving; one Engine is never shared between
 //     goroutines.
 //
-// Internally the ready queue is a hand-rolled 4-ary heap keyed by an
-// int64-nanosecond (time, sequence) pair. No scheduling call returns a
-// handle, so a fired event can be reused: every call (ScheduleRunner,
-// ScheduleRunnerSeq and DeferRunner — one body,
-// Engine.schedule) takes its event from a pool refilled in geometrically
-// growing arena blocks (O(log peak) allocations for any pending-event
-// peak). FuzzEngineOrder holds all of it to a reference that scans a slice
-// for the least (time, sequence). Engine.Reserve
-// pre-sizes both the heap and the arena from a caller's peak hint, for a
-// client that knows its pending-event peak ahead of time; internal/sim does
-// not (its pending events follow the work in flight) and grows both on
-// demand.
+// Internally the ready queue is a hand-rolled 4-ary heap of events held by
+// value, each an int64-nanosecond (time, sequence) key and its Runner, so a
+// compare reads both keys in place and scheduling allocates nothing once the
+// heap's slice has grown to the pending-event peak. Every scheduling call
+// (ScheduleRunner, ScheduleRunnerSeq and DeferRunner) has one body,
+// Engine.schedule, and a fired event's slot is zeroed, so the slice's spare
+// capacity pins no Runner. The clock keeps the start New was given: Now is
+// that start advanced by the elapsed nanoseconds, in its Location.
+// FuzzEngineOrder holds the order to a reference that scans a slice for the
+// least (time, sequence). Engine.Reserve only pre-sizes the heap from a
+// caller's peak hint, for a client that knows its pending-event peak ahead
+// of time; internal/sim does not (its pending events follow the work in
+// flight) and grows the heap on demand.
 package des

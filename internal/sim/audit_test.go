@@ -274,6 +274,8 @@ func (a *auditor) admitted() {
 	}
 	bk = book{gen: bk.gen + 1, end: a.yieldedEnds[0]}
 	a.spareSeen = min(a.spareSeen, len(s.records.idle))
+	// No task has arrived yet, so the record still holds every task: it
+	// drops the slice only when the last one starts (startNext).
 	if len(ss.tasks) > 0 {
 		bk.last = ss.tasks[len(ss.tasks)-1].Submit
 	}
@@ -373,6 +375,9 @@ func (a *auditor) audit() {
 		} else {
 			outstanding += int(ss.arrived-ss.started) + running
 		}
+		// A record whose last task has started holds no tasks (startNext);
+		// every task has arrived by then, so the empty slice reads as no
+		// arrival left, which is so.
 		if int(ss.arrived) < len(ss.tasks) {
 			perSession++ // its next arrival
 		}

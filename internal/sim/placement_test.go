@@ -152,7 +152,7 @@ func TestAdmissionAllocationBudget(t *testing.T) {
 // task a closure, 0.027 while a host's first commit allocated a holder
 // list, 0.0244 while every session allocated its record, and 0.0189 while
 // every record a pool holds at once was an allocation of its own.
-// What is left is per run (recorders, hosts, the event arena) and per
+// What is left is per run (recorders, hosts, the event heap) and per
 // record in use at once.
 func TestTaskAllocationBudget(t *testing.T) {
 	if testing.Short() {
@@ -228,9 +228,10 @@ func TestHostIDMatchesSprintf(t *testing.T) {
 // left it at 180: six of the day's 34 sessions reuse a record, and the
 // spare list, which the drain grows to the 28 records, costs six. It read
 // 180 until pooled records came 32 to a block: the day's task machines,
-// landings and session records now cost a block each, or a few.
+// landings and session records now cost a block each, or a few. It read 145
+// while the engine drew its events from a pool of arena blocks.
 func TestSummerRunAllocations(t *testing.T) {
-	pinRunAllocations(t, nil, 145)
+	pinRunAllocations(t, nil, 143)
 }
 
 // TestFaultedRunAllocations is its sibling under the heavy fault profile,
@@ -244,11 +245,12 @@ func TestSummerRunAllocations(t *testing.T) {
 // IDs, 308 while every host join allocated its record and its ID and
 // every parked task a closure, and 230 while an aborted task machine was
 // never reused and a host's first commit allocated a holder list. Recycling
-// session records left it at 221, as it left its sibling at 180, and
-// cutting pooled records 32 to a block at 186.
+// session records left it at 221, as it left its sibling at 180, cutting
+// pooled records 32 to a block at 186, and holding the engine's events by
+// value, without a pool, at 184.
 func TestFaultedRunAllocations(t *testing.T) {
 	faults := trace.HeavyFaultProfile()
-	pinRunAllocations(t, &faults, 186)
+	pinRunAllocations(t, &faults, 184)
 }
 
 // pinRunAllocations fails when one 1-day summer Run under faults (nil: none)

@@ -9,10 +9,10 @@ import (
 // Task state machine
 //
 // A task's pipeline is a single struct implementing des.Runner, re-scheduled
-// phase after phase through the engine's pooled-event
-// ScheduleRunner/DeferRunner (which allocate nothing) — and itself recycled:
-// a machine whose reply returned goes on the idle list of the sim's machine
-// pool and sim.launch draws the next task's from there, so a run draws as
+// phase after phase through the engine's ScheduleRunner/DeferRunner (which
+// allocate nothing) — and itself recycled: a machine whose reply returned
+// goes on the idle list of the sim's machine pool and sim.launch draws the
+// next task's from there, so a run draws as
 // many machines as it has tasks in flight at once, 32 to an allocation, none
 // per task in steady state.
 //
