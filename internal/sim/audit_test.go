@@ -219,20 +219,15 @@ func (a *auditor) run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.Source = endQueue{p.Source, &a.yieldedEnds}
+	p.Source = endQueue{Source: p.Source, ends: &a.yieldedEnds}
 	s, err := newSim(p)
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
 	a.s, a.own, a.sums, a.onHost = s, !s.faultsOn, make([]memberSums, len(s.members)), make([][]hostSums, len(s.members))
 	a.books = map[*session]book{}
 	s.faultsOn = true
-	pull := s.pull
-	s.pull = func() (*trace.Session, bool) {
-		a.admitted()
-		return pull()
-	}
+	s.cur = hookCursor{s.cur, a.admitted}
 	for at := s.start; at.Before(s.horizon()); at = at.Add(autoscaleInterval) {
 		s.runUntil(at)
 		a.audit()
@@ -243,18 +238,38 @@ func (a *auditor) run(cfg Config) (*Result, error) {
 	return s.finish()
 }
 
-// endQueue is a trace.Source that appends the End of each session its
-// source yields to *ends, for the auditor to book at admission.
+// endQueue is a trace.Source whose cursor appends the End of each session
+// its source's cursor yields to *ends, for the auditor to book at admission.
 type endQueue struct {
 	trace.Source
+	trace.Cursor
 	ends *[]time.Time
 }
 
-func (q endQueue) Sessions(yield func(*trace.Session) bool) error {
-	return q.Source.Sessions(func(sess *trace.Session) bool {
+func (q endQueue) Open() trace.Cursor {
+	q.Cursor = q.Source.Open()
+	return q
+}
+
+func (q endQueue) Next() (*trace.Session, bool) {
+	sess, ok := q.Cursor.Next()
+	if ok {
 		*q.ends = append(*q.ends, sess.End)
-		return yield(sess)
-	})
+	}
+	return sess, ok
+}
+
+// hookCursor is a trace.Cursor that calls before ahead of every Next. The
+// injector pulls the next session right after it admits one, so a test that
+// wraps a built sim's cursor in one hooks every admission.
+type hookCursor struct {
+	trace.Cursor
+	before func()
+}
+
+func (c hookCursor) Next() (*trace.Session, bool) {
+	c.before()
+	return c.Cursor.Next()
 }
 
 // admitted takes the session the injector has just admitted, the last one on

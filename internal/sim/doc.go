@@ -36,13 +36,14 @@
 //     one injector (stream.go) and one fault layer (faults.go). The injector
 //     is the only way in: one self-rescheduling event admits a session at its
 //     start (copying its Request, Tasks and SLO into the session record,
-//     the only fields read after admission, since a Source lends each
-//     session only until it is pulled again; the record is a retired one
+//     the only fields read after admission, since a Source's cursor lends
+//     each session only until the next Next; the record is a retired one
 //     when one is spare, for a record retires, zeroed, once its session has
 //     ended and its last task is done, and otherwise the next slot of a
 //     block of 32, as task machines and landings are: sim.go, pool),
 //     schedules its end and first
-//     task arrival and pulls the next from the plan's Source; the session
+//     task arrival and pulls the next from the cursor the run opened on the
+//     plan's Source (no coroutine: the injector calls Next); the session
 //     then submits its own tasks, each arrival
 //     scheduling the next under a sequence number reserved at admission. So in
 //     every run pending events track concurrency rather than workload size,
@@ -63,7 +64,7 @@
 //     RunSharded hands it trace.Split's parts with their reserved-GPU-hour
 //     weights (traceParts(cfg.Trace): the splitter is the one reader of a
 //     *trace.Trace past plan.defaults); RunStreamSharded hands it
-//     trace.StreamSplit's generators with equal weights (streamParts), its
+//     the k trace.StreamGen shards with equal weights (streamParts), its
 //     own plan replaying the unsplit generator. The driver clamps the shard
 //     count to the smallest member, derives the worker plans (plan.shard:
 //     capacity split by weight, trace.ShardSeed-derived seeds, a private

@@ -262,7 +262,6 @@ func TestRetryBudgetAbandonsBySLOClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.close()
 	s.runUntil(s.start.Add(time.Minute))
 
 	task := trace.Task{Submit: s.now(), Duration: time.Hour, GPUs: 1}
@@ -356,7 +355,6 @@ func TestRestartPenaltyNeverWraps(t *testing.T) {
 		if armed != due {
 			t.Errorf("%s: %d restarts armed, but %d of the charges fall within the horizon", c.name, armed, due)
 		}
-		s.close()
 	}
 }
 
@@ -382,7 +380,6 @@ func TestAbortedMachineIsReusedOnlyAfterItsLastQueuedEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.close()
 	seen, aborted, relaunched := map[*runningTask]bool{}, map[*runningTask]bool{}, map[*runningTask]bool{}
 	idle := map[*runningTask]bool{}
 	for at := s.start; at.Before(s.end); at = at.Add(time.Minute) {
@@ -447,7 +444,6 @@ func TestReservationMachineIdlesAtItsCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.close()
 	var m *runningTask
 	for _, sess := range tr.Sessions {
 		for _, task := range sess.Tasks {
@@ -500,7 +496,6 @@ func TestDegradationEpisodesHandOverInTimeOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.close()
 	want := map[float64]time.Duration{5.5: 25, 6.5: 100, 7.5: 100, 8: 200, 8.5: 200, 9: 25, 9.5: 25}
 	got := map[float64]time.Duration{}
 	for h := range want {

@@ -202,12 +202,13 @@ func runnerCases(t *testing.T) []runnerCase {
 	// count drains what a run replays: the trace, or its streamed workload.
 	count := func(srcs ...trace.Source) (sessions, tasks int) {
 		for _, src := range srcs {
-			if err := src.Sessions(func(s *trace.Session) bool {
-				sessions++
-				tasks += len(s.Tasks)
-				return true
-			}); err != nil {
+			all, err := sessionsOf(src)
+			if err != nil {
 				t.Fatal(err)
+			}
+			sessions += len(all)
+			for _, s := range all {
+				tasks += len(s.Tasks)
 			}
 		}
 		return sessions, tasks

@@ -228,7 +228,6 @@ func newReplay(t *testing.T, tr *trace.Trace, cfg Config) *lockstep {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(s.close)
 	r := &lockstep{
 		t: t, tr: tr, s: s, rows: replayRows(),
 		adj:   map[string]resources.Spec{},
@@ -236,13 +235,9 @@ func newReplay(t *testing.T, tr *trace.Trace, cfg Config) *lockstep {
 		replies: map[string]jupyter.ExecuteReplyContent{},
 	}
 	// Admissions land on s.live, where admitted finds them (as the run
-	// auditor does); the wrapped pull follows every admission.
+	// auditor does); the wrapped cursor's Next follows every admission.
 	s.faultsOn = true
-	pull := s.pull
-	s.pull = func() (*trace.Session, bool) {
-		r.admitted()
-		return pull()
-	}
+	s.cur = hookCursor{s.cur, r.admitted}
 	// The live hosts are named as the simulator names them: a host's ID
 	// order breaks placement ties (cluster/doc.go).
 	c := cluster.New(s.cfg.ReplicasPerKernel)

@@ -191,8 +191,8 @@ func referenceRun(p *plan) *refModel {
 			m.addHost(i)
 		}
 	}
-	var sessions []trace.Session
-	if err := p.Source.Sessions(func(s *trace.Session) bool { sessions = append(sessions, *s); return true }); err != nil {
+	sessions, err := sessionsOf(p.Source)
+	if err != nil {
 		panic(err)
 	}
 	m.admit(sessions, 0)

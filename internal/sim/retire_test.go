@@ -94,7 +94,6 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.close()
 		s.faultsOn = true
 		s.runUntil(at(time.Minute))
 		ss := live(s, tr)
@@ -123,7 +122,6 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.close()
 		s.runUntil(at(time.Minute))
 		ss := live(s, tr)
 		late, restarted, row39 := ss["late"], ss["restarted"], ss["row-39"]
@@ -161,18 +159,15 @@ func TestSessionRecordRetiresAfterItsLastTask(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer s.close()
 		s.faultsOn = true
 		records, admitted, peak := map[*session]bool{}, 0, 0
-		pull := s.pull
-		s.pull = func() (*trace.Session, bool) {
+		s.cur = hookCursor{s.cur, func() {
 			n := len(s.live) - 1
 			records[s.live[n]] = true
 			s.live = s.live[:n]
 			admitted++
 			peak = max(peak, len(records)-len(s.records.idle))
-			return pull()
-		}
+		}}
 		s.drain()
 		if len(records) != peak || 4*len(records) > admitted {
 			t.Errorf("%d sessions admitted into %d records; at most %d were unretired at once", admitted, len(records), peak)
@@ -198,17 +193,14 @@ func TestSessionRecordDropsItsTasksAtTheLastStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.close()
 	s.faultsOn = true
 	// admitted holds each record's task count at its latest admission.
 	admitted := map[*session]int{}
-	pull := s.pull
-	s.pull = func() (*trace.Session, bool) {
+	s.cur = hookCursor{s.cur, func() {
 		n := len(s.live) - 1
 		admitted[s.live[n]] = len(s.live[n].tasks)
 		s.live = s.live[:n]
-		return pull()
-	}
+	}}
 	holding, dropped := 0, 0
 	for at := s.start; !at.After(s.horizon()); at = at.Add(time.Minute) {
 		s.runUntil(at)

@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"iter"
 	"math"
 	"math/rand"
 	"slices"
@@ -287,7 +286,7 @@ type session struct {
 	s *sim
 	// req, tasks and slo are the three fields of the admitted session the
 	// simulator reads past its admission, copied from the one the source
-	// lent (trace.Source lends it only until yield returns); req is what the
+	// lent (a trace.Cursor lends it only until the next Next); req is what the
 	// session reserves and each of its replicas subscribes. tasks goes nil
 	// once the last task has started (startNext).
 	req   resources.Spec
@@ -483,13 +482,11 @@ type sim struct {
 	// the admitted-session count behind round-robin home assignment.
 	wr      *rand.Rand
 	homeSeq int
-	// pull yields the source's next session to the injector (stream.go);
-	// stopPull releases the iterator (see close); srcErr holds what fails the
-	// run from finish: the source's iteration error once the stream is
-	// exhausted, or the injector's on a session that goes back in time.
-	pull     func() (*trace.Session, bool)
-	stopPull func()
-	srcErr   error
+	// cur is the pass over the source the injector pulls from (pull);
+	// srcErr holds what fails the run from finish: the cursor's error once it
+	// is exhausted, or the injector's on a session that goes back in time.
+	cur    trace.Cursor
+	srcErr error
 	// reserved integrates reserved GPUs (session request sizes over session
 	// lifetimes) online.
 	reserved gpuHoursAcc
@@ -528,7 +525,6 @@ func (p *plan) run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer s.close()
 	s.drain()
 	return s.finish()
 }
@@ -538,7 +534,7 @@ func (p *plan) run() (*Result, error) {
 // none of the single-cluster recorders), the latency matrix, and — as the
 // plan says — the per-class recorders of an SLO-aware run and the pooled
 // autoscaler. The caller runs the engine (drain) and collects the result with
-// finish. Pair with close.
+// finish.
 func newSim(p *plan) (*sim, error) {
 	start, end := p.Source.Window()
 	eng := des.New(start)
@@ -679,9 +675,7 @@ func (s *sim) build() error {
 	// start materializes it, schedules its end and first task arrival, and
 	// pulls the next one — pending-event count tracks concurrency, not
 	// workload size.
-	s.pull, s.stopPull = iter.Pull(func(yield func(*trace.Session) bool) {
-		s.srcErr = cfg.Source.Sessions(yield)
-	})
+	s.cur = cfg.Source.Open()
 	if first, ok := s.pull(); ok {
 		(&injector{s: s}).arm(nil, first)
 	}
@@ -716,12 +710,14 @@ func (s *sim) newSession(sess *trace.Session) *session {
 	return ss
 }
 
-// close releases the source's iterator; safe on any sim and safe to call
-// more than once, as iter.Pull's stop is.
-func (s *sim) close() {
-	if s.stopPull != nil {
-		s.stopPull()
+// pull takes the next session from the source's cursor; once the cursor is
+// exhausted, its error is the run's.
+func (s *sim) pull() (*trace.Session, bool) {
+	next, ok := s.cur.Next()
+	if !ok {
+		s.srcErr = s.cur.Err()
 	}
+	return next, ok
 }
 
 // drain runs the simulation to the horizon, a day past the window's end,

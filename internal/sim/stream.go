@@ -89,7 +89,6 @@ func (in *injector) arm(prev, next *trace.Session) {
 		err = arrivalOrder(prev, next)
 	}
 	if err != nil {
-		in.s.close()
 		in.s.srcErr = err
 		return
 	}
@@ -183,17 +182,17 @@ func RunStreamSharded(gcfg trace.GenConfig, cfg Config, shards int) (*Result, er
 	return p.runSharded(shards, streamParts(gcfg))
 }
 
-// streamParts is the streaming split of gcfg: trace.StreamSplit's k
-// generators, with equal weights — the exact-splitting invariant that
-// every streaming shard has identical expected load.
+// streamParts is the streaming split of gcfg: the k Poisson-split shard
+// generators, with equal weights — the exact-splitting invariant that every
+// streaming shard has identical expected load.
 func streamParts(gcfg trace.GenConfig) func(k int) ([]part, error) {
 	return func(k int) ([]part, error) {
-		gens, err := trace.StreamSplit(gcfg, k)
-		if err != nil {
-			return nil, err
-		}
-		parts := make([]part, len(gens))
-		for i, g := range gens {
+		parts := make([]part, k)
+		for i := range parts {
+			g, err := trace.NewStreamGen(gcfg, i, k)
+			if err != nil {
+				return nil, err
+			}
 			parts[i] = part{g, 1}
 		}
 		return parts, nil

@@ -42,20 +42,68 @@ func TestStreamingMatchesMaterialized(t *testing.T) {
 	}
 }
 
-// lendingSource is a trace.Source that lends one Session, as
-// trace.StreamGen does, and scribbles over it as soon as each yield returns —
-// zero times, a junk ID, no tasks — so a consumer that kept the pointer
-// instead of copying *s replays the scribble.
+// lendingSource is a trace.Source whose cursor lends one Session, as
+// trace.StreamGen's does, and scribbles over it at every Next — zero times, a
+// junk ID, no tasks — before it copies the next session in, so a consumer
+// that kept the pointer instead of copying *s replays the scribble or the
+// next session.
 type lendingSource struct{ trace.Source }
 
-func (l lendingSource) Sessions(yield func(*trace.Session) bool) error {
-	var lent trace.Session
-	return l.Source.Sessions(func(s *trace.Session) bool {
-		lent = *s
-		more := yield(&lent)
-		lent = trace.Session{ID: "scribbled"}
-		return more
-	})
+func (l lendingSource) Open() trace.Cursor { return &lendingCursor{Cursor: l.Source.Open()} }
+
+type lendingCursor struct {
+	trace.Cursor
+	lent trace.Session
+}
+
+func (c *lendingCursor) Next() (*trace.Session, bool) {
+	c.lent = trace.Session{ID: "scribbled"}
+	s, ok := c.Cursor.Next()
+	if !ok {
+		return nil, false
+	}
+	c.lent = *s
+	return &c.lent, true
+}
+
+// TestRunFailsWithItsSourceError: a source whose cursor fails mid-window —
+// a generator whose intensity leaves [0, MaxSessionsPerHour] halfway through
+// — fails the run with the cursor's error, the one trace.Generate returns
+// for the same config, and the run returns no result, run plainly or
+// audited.
+func TestRunFailsWithItsSourceError(t *testing.T) {
+	gcfg := trace.AdobeExcerptConfig(42)
+	cut, base := gcfg.Duration/2, gcfg.SessionsPerHour
+	gcfg.SessionsPerHour = func(e time.Duration) float64 {
+		if e >= cut {
+			return -1
+		}
+		return base(e)
+	}
+	_, want := trace.Generate(gcfg)
+	if want == nil || !strings.Contains(want.Error(), "SessionsPerHour is -1") {
+		t.Fatalf("Generate fails with %v, want the rate named", want)
+	}
+	src, err := trace.NewStreamGen(gcfg, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(Config) (*Result, error){"plain": Run, "audited": audited(t)} {
+		res, err := run(Config{Source: src, Policy: PolicyNotebookOS, Hosts: 30, Seed: 42})
+		if res != nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("%s: the run returned %v, %v; want no result and %v", name, res != nil, err, want)
+		}
+	}
+}
+
+// sessionsOf drains one cursor of src, copying each session it lends.
+func sessionsOf(src trace.Source) ([]trace.Session, error) {
+	var out []trace.Session
+	c := src.Open()
+	for s, ok := c.Next(); ok; s, ok = c.Next() {
+		out = append(out, *s)
+	}
+	return out, c.Err()
 }
 
 // TestLendingSourceMatchesTrace: a run over a source that lends one Session
@@ -145,7 +193,6 @@ func TestEveryRunAdmitsLazily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.close()
 	upFront := 2*len(tr.Sessions) + tr.NumTasks()
 	built := s.eng.Len()
 	if built > 6 {

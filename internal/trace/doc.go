@@ -26,21 +26,22 @@
 // spikes, over weighted user cohorts with their own — optionally
 // heavy-tailed (Pareto, log-normal) — distributions, all as plain JSON
 // data. A spec compiles to an ordinary GenConfig, so Generate, the
-// streaming StreamGen/StreamSplit path, and the analytic Expect all
+// streaming StreamGen path, and the analytic Expect all
 // consume it unchanged, and the generators are pinned by statistical
 // tests against the spec's own analytic forms (ArrivalSpec.
 // ExpectedArrivals, the samplers' closed-form quantiles).
 //
-// There is one arrival loop: StreamGen.Sessions, a thinned non-homogeneous
-// Poisson process that builds a session at a time. Generate collects the
-// whole-workload stream (NewStreamGen(cfg, 0, 1)) into a Trace;
+// There is one arrival loop: the Next of StreamGen's cursor, a thinned
+// non-homogeneous Poisson process that builds a session at a time. Generate
+// collects the whole-workload stream (NewStreamGen(cfg, 0, 1)) into a Trace;
 // testdata/trace_digests.golden pins what it emits for the paper's configs
 // and the built-in scenarios. Source is the interface a replay pulls
-// sessions through — Window, Sessions, Expect, what the simulator calls and
-// no more — implemented by StreamGen and by (*Trace).AsSource. Its contract
-// is non-decreasing Start order, each session lent only until yield returns
-// (StreamGen reuses one); the simulator checks the order as it pulls, and
-// Trace.Validate checks it for a materialized trace.
+// sessions through — Window, Open, Expect, what the simulator calls and no
+// more — implemented by StreamGen and by (*Trace).AsSource. Open hands out a
+// Cursor, which the consumer pulls: Next until it returns false, then Err.
+// Its contract is non-decreasing Start order, each session lent only until
+// the next Next (StreamGen's cursor reuses one); the simulator checks the
+// order as it pulls, and Trace.Validate checks it for a materialized trace.
 //
 // Cohorts optionally carry an SLOClass ("interactive", "batch",
 // "best-effort" — each a scheduling weight plus a max-queue-delay

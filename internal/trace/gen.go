@@ -155,9 +155,9 @@ func (c GenConfig) pick(r *rand.Rand) *Cohort {
 
 // Generate produces a synthetic trace from cfg: the whole-workload stream
 // (NewStreamGen(cfg, 0, 1)) collected into a slice, so the arrival process is
-// written once, in StreamGen.Sessions. Each kept session's ID is set to its
-// Name, so a materialized trace carries its IDs as strings. The same config
-// and seed always produce the identical trace.
+// written once, in the StreamGen cursor's Next. Each kept session's ID is set
+// to its Name, so a materialized trace carries its IDs as strings. The same
+// config and seed always produce the identical trace.
 func Generate(cfg GenConfig) (*Trace, error) {
 	g, err := NewStreamGen(cfg, 0, 1)
 	if err != nil {
@@ -165,13 +165,13 @@ func Generate(cfg GenConfig) (*Trace, error) {
 	}
 	tr := &Trace{Name: cfg.Name}
 	tr.Start, tr.End = g.Window()
-	err = g.Sessions(func(s *Session) bool {
+	c := g.Open()
+	for s, ok := c.Next(); ok; s, ok = c.Next() {
 		kept := *s
 		kept.ID = kept.Name()
 		tr.Sessions = append(tr.Sessions, &kept)
-		return true
-	})
-	if err != nil {
+	}
+	if err := c.Err(); err != nil {
 		return nil, err
 	}
 	return tr, nil
@@ -278,7 +278,7 @@ func genSession(sess *Session, free []Task, cfg GenConfig, r *rand.Rand, start, 
 	return tasks[len(tasks):]
 }
 
-// tasksPerBlock is how many tasks StreamGen.Sessions allocates at once.
+// tasksPerBlock is how many tasks a StreamGen cursor allocates at once.
 const tasksPerBlock = 64
 
 func (c GenConfig) sampleDur(r *rand.Rand, s Sampler) time.Duration {

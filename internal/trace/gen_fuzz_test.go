@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzGenConfig holds GenConfig's one validation pass (validate, run by
-// Generate, NewStreamGen and StreamSplit) and the arrival loop behind it to
+// Generate and NewStreamGen) and the arrival loop behind it to
 // their contract: no panic; every error names a GenConfig or Cohort field;
 // and a config they accept yields sessions inside its window, each with its
 // tasks inside the session, at a peak rate whose candidate gaps advance the
@@ -98,7 +98,7 @@ func FuzzGenConfig(f *testing.F) {
 		}
 		start, end := g.Window()
 		n := 0
-		err = g.Sessions(func(s *Session) bool {
+		err = each(g, func(s *Session) bool {
 			if s.Start.Before(start) || !s.Start.Before(end) || s.End.Before(s.Start) || s.End.After(end) {
 				t.Fatalf("session %s spans [%v, %v], outside the window [%v, %v)", s.Name(), s.Start, s.End, start, end)
 			}

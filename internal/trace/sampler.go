@@ -114,6 +114,9 @@ type Fixed float64
 // Sample implements Sampler.
 func (f Fixed) Sample(*rand.Rand) float64 { return float64(f) }
 
+// Value returns the p-th quantile, the value itself.
+func (f Fixed) Value(float64) float64 { return float64(f) }
+
 // Uniform samples uniformly from [Lo, Hi).
 type Uniform struct {
 	Lo, Hi float64
@@ -124,6 +127,9 @@ func (u Uniform) Sample(r *rand.Rand) float64 {
 	return u.Lo + float64(r.Float64()*(u.Hi-u.Lo))
 }
 
+// Value returns the p-th quantile: Lo + p*(Hi-Lo).
+func (u Uniform) Value(p float64) float64 { return u.Lo + float64(p*(u.Hi-u.Lo)) }
+
 // Exponential samples an exponential distribution with the given mean.
 type Exponential struct {
 	MeanVal float64
@@ -133,6 +139,9 @@ type Exponential struct {
 func (e Exponential) Sample(r *rand.Rand) float64 {
 	return r.ExpFloat64() * e.MeanVal
 }
+
+// Value returns the p-th quantile: -mean*ln(1-p).
+func (e Exponential) Value(p float64) float64 { return -e.MeanVal * math.Log(1-p) }
 
 // LogNormal samples a log-normal distribution with parameters Mu and Sigma
 // (of the underlying normal).
@@ -236,8 +245,8 @@ func (iw *IntWeights) Prob(v int) float64 {
 	return sum / iw.total
 }
 
-// quantiler is a sampler with a quantile function: Quantile, LogNormal and
-// Pareto.
+// quantiler is a sampler with a quantile function: every Sampler of the
+// package has one.
 type quantiler interface {
 	Value(p float64) float64
 }

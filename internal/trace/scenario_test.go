@@ -99,10 +99,7 @@ func TestScenarioStreamUnionMatchesExpectation(t *testing.T) {
 			t.Fatalf("%s: %v", s.Name, err)
 		}
 		const k = 4
-		gens, err := StreamSplit(cfg, k)
-		if err != nil {
-			t.Fatalf("%s: StreamSplit: %v", s.Name, err)
-		}
+		gens := split(t, cfg, k)
 		names := map[string]bool{}
 		for _, c := range s.Cohorts {
 			names[c.Name] = true
@@ -498,7 +495,7 @@ func TestHugeScenarioNumbersSaturate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = g.Sessions(func(sess *Session) bool {
+	err = each(g, func(sess *Session) bool {
 		t.Errorf("base_sessions_per_hour 1e-300: session %s arrives at %v; want none in [%v, %v)", sess.Name(), sess.Start, cfg.Start, cfg.Start.Add(cfg.Duration))
 		return false
 	})

@@ -7,11 +7,11 @@ import (
 )
 
 // Source is a workload the simulator can replay without holding it in
-// memory: sessions are emitted lazily, one at a time, in non-decreasing
-// Start order. A Source is deterministic — iterating it twice yields the
-// identical session sequence — which is what lets sharded runs and CI
-// baselines reproduce bit-for-bit. The interface is what the simulator
-// calls, nothing more.
+// memory: each pass over it is a Cursor, which hands out sessions lazily, one
+// at a time, in non-decreasing Start order. A Source is deterministic — every
+// cursor it opens yields the identical session sequence — which is what lets
+// sharded runs and CI baselines reproduce bit-for-bit. The interface is what
+// the simulator calls, nothing more.
 //
 // Two implementations exist: (*Trace).AsSource adapts a materialized trace,
 // and StreamGen synthesizes one shard of a generated workload on the fly so
@@ -19,22 +19,32 @@ import (
 type Source interface {
 	// Window returns the workload's [start, end) time range.
 	Window() (start, end time.Time)
-	// Sessions iterates the workload's sessions in non-decreasing Start
-	// order, stopping early if yield returns false. The order is the
-	// consumer's to check as it pulls: the simulator fails a run whose source
-	// yields a session that starts before the one it yielded last. A
-	// session's Tasks are in submission order, the first no earlier than
-	// Start — the simulator submits them one after the other, each scheduled
-	// when the one before arrives, and fails the run on a session that breaks
-	// this, naming it and the task (Trace.Validate makes the same checks). The
-	// yielded *Session is valid until yield returns: the Source may reuse it
-	// for the next session, so a consumer that keeps a session copies *s. The
-	// copy's Tasks stay valid. A consumer that keeps only the sessions alive
-	// holds memory proportional to concurrent sessions, not total sessions.
-	Sessions(yield func(*Session) bool) error
+	// Open starts a pass over the workload's sessions. Passes share nothing,
+	// so goroutines may each drain their own.
+	Open() Cursor
 	// Expect returns sizing expectations for the workload, used for
 	// pre-allocation hints and proportional capacity shares.
 	Expect() Expectation
+}
+
+// Cursor is one pass over a Source's sessions, pulled by its consumer.
+//
+// Next returns the next session in non-decreasing Start order, or false once
+// the window is done or the source failed; after that it keeps returning
+// false, and Err says why: nil at the end of the window, or the failure. The
+// order is the consumer's to check as it pulls: the simulator fails a run
+// whose source yields a session that starts before the one it yielded last.
+// A session's Tasks are in submission order, the first no earlier than Start
+// — the simulator submits them one after the other, each scheduled when the
+// one before arrives, and fails the run on a session that breaks this,
+// naming it and the task (Trace.Validate makes the same checks). The
+// *Session Next returns is valid until the next call of Next: the cursor may
+// reuse it for the next session, so a consumer that keeps a session copies
+// *s. The copy's Tasks stay valid. A consumer that keeps only the sessions
+// alive holds memory proportional to concurrent sessions, not total sessions.
+type Cursor interface {
+	Next() (*Session, bool)
+	Err() error
 }
 
 // Expectation summarizes a workload's expected size. For a materialized
@@ -52,22 +62,29 @@ type Expectation struct {
 	ReservedGPUHours float64
 }
 
-// AsSource adapts the materialized trace to the Source interface. The
-// iteration yields the trace's own *Session pointers in trace order
-// (Generate, Split and Window all keep arrival order).
+// AsSource adapts the materialized trace to the Source interface. Its
+// cursors yield the trace's own *Session pointers in trace order (Generate,
+// Split and Window all keep arrival order).
 func (tr *Trace) AsSource() Source { return traceSource{tr} }
 
 type traceSource struct{ tr *Trace }
 
 func (s traceSource) Window() (time.Time, time.Time) { return s.tr.Start, s.tr.End }
-func (s traceSource) Sessions(yield func(*Session) bool) error {
-	for _, sess := range s.tr.Sessions {
-		if !yield(sess) {
-			return nil
-		}
+func (s traceSource) Open() Cursor                   { return &traceCursor{s.tr.Sessions} }
+
+// traceCursor yields the sessions left of a materialized trace.
+type traceCursor struct{ left []*Session }
+
+func (c *traceCursor) Next() (*Session, bool) {
+	if len(c.left) == 0 {
+		return nil, false
 	}
-	return nil
+	s := c.left[0]
+	c.left = c.left[1:]
+	return s, true
 }
+
+func (c *traceCursor) Err() error { return nil }
 
 func (s traceSource) Expect() Expectation {
 	var gpuh float64
@@ -199,35 +216,20 @@ func (c GenConfig) Expect(shards int) Expectation {
 }
 
 // samplerGrid returns n deterministic representative draws of s: an
-// inverse-CDF midpoint grid for the samplers with a closed (or tabulated)
-// quantile function, a fixed-seed Monte Carlo draw otherwise. Deterministic
-// so the expectations — and the capacity plans built from them — are a pure
-// function of the config.
+// inverse-CDF midpoint grid for the samplers with a quantile function, a
+// fixed-seed Monte Carlo draw otherwise. Deterministic so the expectations —
+// and the capacity plans built from them — are a pure function of the config.
 func samplerGrid(s Sampler, n int) []float64 {
 	out := make([]float64, n)
-	p := func(i int) float64 { return (float64(i) + 0.5) / float64(n) }
-	switch v := s.(type) {
-	case Fixed:
+	if q, ok := s.(quantiler); ok {
 		for i := range out {
-			out[i] = float64(v)
+			out[i] = q.Value((float64(i) + 0.5) / float64(n))
 		}
-	case Uniform:
-		for i := range out {
-			out[i] = v.Lo + float64(p(i)*(v.Hi-v.Lo))
-		}
-	case Exponential:
-		for i := range out {
-			out[i] = -v.MeanVal * math.Log(1-p(i))
-		}
-	case quantiler:
-		for i := range out {
-			out[i] = v.Value(p(i))
-		}
-	default:
-		r := rand.New(rand.NewSource(1))
-		for i := range out {
-			out[i] = s.Sample(r)
-		}
+		return out
+	}
+	r := rand.New(rand.NewSource(1))
+	for i := range out {
+		out[i] = s.Sample(r)
 	}
 	return out
 }

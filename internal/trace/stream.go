@@ -26,15 +26,15 @@ func splitmix64(x uint64) uint64 {
 }
 
 // StreamGen is a Source that synthesizes shard i-of-k of a generated
-// workload on the fly: sessions are built one at a time inside Sessions and
-// lent to the consumer, so the full trace never exists in memory — peak
+// workload on the fly: its cursor builds sessions one at a time and lends
+// them to the consumer, so the full trace never exists in memory — peak
 // footprint is one session and one block of tasks, independent of how many
-// the window holds. Each call of Sessions lends one Session, a local of that
-// call, overwritten for every arrival: a consumer that keeps a session copies
-// *s, and the copy's Tasks, cut from a block of tasksPerBlock and capped at
-// its length, is its own. A lent session's ID is empty: it carries its
-// prefix and ordinal, and Session.Name formats them only for whatever prints
-// one. Calls share nothing, so goroutines may drain one StreamGen at once.
+// the window holds. Each cursor lends one Session of its own, overwritten for
+// every arrival: a consumer that keeps a session copies *s, and the copy's
+// Tasks, cut from a block of tasksPerBlock and capped at its length, is its
+// own. A lent session's ID is empty: it carries its prefix and ordinal, and
+// Session.Name formats them only for whatever prints one. Cursors share
+// nothing, so goroutines may drain one StreamGen at once.
 //
 // Sharding uses exact Poisson splitting rather than generate-then-Split:
 // thinning a Poisson process with intensity rate(t) and acceptance ratio
@@ -76,21 +76,6 @@ func NewStreamGen(cfg GenConfig, shard, of int) (*StreamGen, error) {
 	return g, nil
 }
 
-// StreamSplit returns the k Poisson-split shard sources of the workload cfg
-// generates (k <= 1 returns the single whole-workload source).
-func StreamSplit(cfg GenConfig, k int) ([]*StreamGen, error) {
-	k = max(k, 1)
-	out := make([]*StreamGen, k)
-	for i := range out {
-		g, err := NewStreamGen(cfg, i, k)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = g
-	}
-	return out, nil
-}
-
 // Window implements Source.
 func (g *StreamGen) Window() (time.Time, time.Time) {
 	return g.cfg.Start, g.cfg.Start.Add(g.cfg.Duration)
@@ -100,37 +85,62 @@ func (g *StreamGen) Window() (time.Time, time.Time) {
 // across the shard count.
 func (g *StreamGen) Expect() Expectation { return g.cfg.Expect(g.of) }
 
-// Sessions implements Source: non-homogeneous Poisson arrivals by thinning,
-// the one arrival loop of the package, with the candidate rate divided by the
+// Open implements Source: a cursor at the start of the window.
+func (g *StreamGen) Open() Cursor {
+	start, end := g.Window()
+	return &streamCursor{g: g, r: rand.New(rand.NewSource(g.seed)), t: start, end: end}
+}
+
+// Sessions yields the sessions of one cursor to yield, stopping early if
+// yield returns false, and returns the cursor's error.
+func (g *StreamGen) Sessions(yield func(*Session) bool) error {
+	c := g.Open()
+	for s, ok := c.Next(); ok && yield(s); s, ok = c.Next() {
+	}
+	return c.Err()
+}
+
+// streamCursor is one pass of a StreamGen: the arrival loop's state between
+// the sessions it lends. t is the last candidate arrival, n the sessions
+// lent so far, sess the one lent last and free the unused tail of its task
+// block.
+type streamCursor struct {
+	g      *StreamGen
+	r      *rand.Rand
+	t, end time.Time
+	n      int
+	sess   Session
+	free   []Task
+	err    error
+}
+
+// Next implements Cursor: non-homogeneous Poisson arrivals by thinning, the
+// one arrival loop of the package, with the candidate rate divided by the
 // shard count. The acceptance test compares against the undivided
 // MaxSessionsPerHour because the ratio (rate/k)/(max/k) equals rate/max.
-func (g *StreamGen) Sessions(yield func(*Session) bool) error {
-	cfg := g.cfg
-	r := rand.New(rand.NewSource(g.seed))
-	end := cfg.Start.Add(cfg.Duration)
-	maxRate := cfg.MaxSessionsPerHour / float64(g.of)
-	t, n := cfg.Start, 0
-	// The one session this call lends and the unused tail of its task block:
-	// locals, so concurrent calls on one StreamGen share nothing.
-	var sess Session
-	var free []Task
-	for {
-		t = t.Add(Hours(r.ExpFloat64() / maxRate))
-		if !t.Before(end) {
-			return nil
+func (c *streamCursor) Next() (*Session, bool) {
+	cfg := &c.g.cfg
+	maxRate := cfg.MaxSessionsPerHour / float64(c.g.of)
+	for c.err == nil {
+		c.t = c.t.Add(Hours(c.r.ExpFloat64() / maxRate))
+		if !c.t.Before(c.end) {
+			break
 		}
-		rate := cfg.SessionsPerHour(t.Sub(cfg.Start))
+		rate := cfg.SessionsPerHour(c.t.Sub(cfg.Start))
 		if !(rate >= 0 && rate <= cfg.MaxSessionsPerHour) {
-			return fmt.Errorf("trace: SessionsPerHour is %v at %v, outside [0, MaxSessionsPerHour %v]", rate, t.Sub(cfg.Start), cfg.MaxSessionsPerHour)
+			c.err = fmt.Errorf("trace: SessionsPerHour is %v at %v, outside [0, MaxSessionsPerHour %v]", rate, c.t.Sub(cfg.Start), cfg.MaxSessionsPerHour)
+			break
 		}
-		if r.Float64()*cfg.MaxSessionsPerHour > rate {
+		if c.r.Float64()*cfg.MaxSessionsPerHour > rate {
 			continue // thinned
 		}
-		n++
-		free = genSession(&sess, free, cfg, r, t, end)
-		sess.prefix, sess.n = g.prefix, n
-		if !yield(&sess) {
-			return nil
-		}
+		c.n++
+		c.free = genSession(&c.sess, c.free, *cfg, c.r, c.t, c.end)
+		c.sess.prefix, c.sess.n = c.g.prefix, c.n
+		return &c.sess, true
 	}
+	return nil, false
 }
+
+// Err implements Cursor.
+func (c *streamCursor) Err() error { return c.err }

@@ -14,12 +14,35 @@ func fmtSessionID(name string, id int) string {
 	return fmt.Sprintf("%s-s%05d", name, id)
 }
 
+// each yields the sessions of one cursor of src to yield, stopping early if
+// yield returns false, and returns the cursor's error.
+func each(src Source, yield func(*Session) bool) error {
+	c := src.Open()
+	for s, ok := c.Next(); ok && yield(s); s, ok = c.Next() {
+	}
+	return c.Err()
+}
+
+// split returns the k Poisson-split shard generators of the workload cfg
+// generates.
+func split(t *testing.T, cfg GenConfig, k int) []*StreamGen {
+	t.Helper()
+	gens := make([]*StreamGen, k)
+	for i := range gens {
+		var err error
+		if gens[i], err = NewStreamGen(cfg, i, k); err != nil {
+			t.Fatalf("%s: NewStreamGen(%d of %d): %v", cfg.Name, i, k, err)
+		}
+	}
+	return gens
+}
+
 // collect drains a Source into a slice.
 func collect(t *testing.T, src Source) []*Session {
 	t.Helper()
 	var out []*Session
-	if err := src.Sessions(func(s *Session) bool {
-		kept := *s // the source lends s until this returns
+	if err := each(src, func(s *Session) bool {
+		kept := *s // the source lends s until the next Next
 		out = append(out, &kept)
 		return true
 	}); err != nil {
@@ -81,11 +104,7 @@ func TestStreamGenK1ByteIdentical(t *testing.T) {
 			t.Errorf("%s: %v", cfg.Name, err)
 		}
 
-		gens, err := StreamSplit(cfg, 2)
-		if err != nil {
-			t.Fatalf("%s: StreamSplit: %v", cfg.Name, err)
-		}
-		for i, sg := range gens {
+		for i, sg := range split(t, cfg, 2) {
 			first := collect(t, sg)[0]
 			if want := fmtSessionID(fmt.Sprintf("%s-p%d", cfg.Name, i), 1); first.Name() != want {
 				t.Errorf("%s: shard %d's first session is %q, want %q", cfg.Name, i, first.Name(), want)
@@ -121,7 +140,7 @@ func TestTraceAsSource(t *testing.T) {
 	tr := MustGenerate(AdobeExcerptConfig(42))
 	src := tr.AsSource()
 	var got []*Session // the pointers themselves: the adapter lends the trace's own
-	if err := src.Sessions(func(s *Session) bool {
+	if err := each(src, func(s *Session) bool {
 		got = append(got, s)
 		return true
 	}); err != nil {
@@ -157,10 +176,7 @@ func TestTraceAsSource(t *testing.T) {
 func TestStreamSplitUnionConsistent(t *testing.T) {
 	cfg := scaled(quickSummer(42), 25)
 	const k = 4
-	gens, err := StreamSplit(cfg, k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gens := split(t, cfg, k)
 	var uSessions, uTasks int
 	var uGPUh float64
 	perShard := make([]int, k)
@@ -229,7 +245,7 @@ func drainLent(t *testing.T, src Source) []Session {
 	t.Helper()
 	var kept []Session
 	var snaps [][]Task
-	if err := src.Sessions(func(s *Session) bool {
+	if err := each(src, func(s *Session) bool {
 		kept = append(kept, *s)
 		snaps = append(snaps, slices.Clone(s.Tasks))
 		return true
@@ -246,8 +262,8 @@ func drainLent(t *testing.T, src Source) []Session {
 	return kept
 }
 
-// TestStreamGenLendsOneSession pins StreamGen.Sessions' side of the Source
-// contract: one *Session per call, overwritten for every arrival, whose Tasks
+// TestStreamGenLendsOneSession pins the StreamGen cursor's side of the Source
+// contract: one *Session per cursor, overwritten for every arrival, whose Tasks
 // are each session's own — a copy of *s kept past its yield still holds the
 // session as lent, and the copies are the sessions Generate collects. Tasks
 // is cut from a block shared with later sessions, so its capacity is its
@@ -259,9 +275,9 @@ func TestStreamGenLendsOneSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lent *Session
-	if err := g.Sessions(func(s *Session) bool {
+	if err := each(g, func(s *Session) bool {
 		if lent != nil && s != lent {
-			t.Fatalf("session %s is lent at %p, the one before at %p: want one Session per call", s.Name(), s, lent)
+			t.Fatalf("session %s is lent at %p, the one before at %p: want one Session per cursor", s.Name(), s, lent)
 		}
 		lent = s
 		return true
@@ -292,8 +308,55 @@ func TestStreamGenLendsOneSession(t *testing.T) {
 	}
 }
 
+// TestStreamGenStopsAtABadRate: an intensity that leaves [0,
+// MaxSessionsPerHour] mid-window ends the stream at the first candidate
+// arrival past that point. The cursor yields the sessions that arrived
+// before it, the whole workload's, then false, and false again; Err names
+// the rate, and Generate fails with the same error.
+func TestStreamGenStopsAtABadRate(t *testing.T) {
+	cfg := AdobeExcerptConfig(42)
+	whole := MustGenerate(cfg)
+	cut, base := cfg.Duration/2, cfg.SessionsPerHour
+	cfg.SessionsPerHour = func(e time.Duration) float64 {
+		if e >= cut {
+			return -1
+		}
+		return base(e)
+	}
+	g, err := NewStreamGen(cfg, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := g.Open()
+	n := 0
+	for s, ok := c.Next(); ok; s, ok = c.Next() {
+		if n >= len(whole.Sessions) || !sameSession(s, whole.Sessions[n]) {
+			t.Fatalf("session %d is %+v, not the whole workload's", n, *s)
+		}
+		n++
+	}
+	want := 0
+	for _, s := range whole.Sessions {
+		if s.Start.Sub(cfg.Start) < cut {
+			want++
+		}
+	}
+	if n != want || want == 0 {
+		t.Errorf("the cursor yielded %d sessions, want the %d that start before %v", n, want, cut)
+	}
+	if s, ok := c.Next(); ok {
+		t.Errorf("Next yielded %s after it returned false", s.Name())
+	}
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "SessionsPerHour is -1 at") {
+		t.Fatalf("Err is %v, want it to name the rate -1", err)
+	}
+	if _, err := Generate(cfg); err == nil || err.Error() != c.Err().Error() {
+		t.Errorf("Generate fails with %v, want %v", err, c.Err())
+	}
+}
+
 // TestStreamGenConcurrentDrains drains one StreamGen from two goroutines at
-// once. Each call lends its own Session and builds tasks in its own buffer,
+// once. Each cursor lends its own Session and builds tasks in its own buffer,
 // so the race detector (the -race -short job) sees no shared write, and both
 // drains yield the sessions of a drain on its own.
 func TestStreamGenConcurrentDrains(t *testing.T) {
@@ -330,7 +393,9 @@ func TestStreamGenConcurrentDrains(t *testing.T) {
 // least tasksPerBlock new tasks; this drain's sessions are short, so exactly
 // that many), and nothing for a session's ID, which is
 // formatted only when something prints it. The rest is per drain — the
-// random source — and does not grow with the session count.
+// random source, its Rand and the cursor, which holds the lent session — and
+// does not grow with the session count. The drain is StreamGen.Sessions, the
+// loop the benchmark's trace layer times.
 func TestStreamGenAllocations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the race job runs -short, and the detector's bookkeeping allocates")
@@ -430,7 +495,7 @@ func TestSessionIDFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	if err := g.Sessions(func(s *Session) bool {
+	if err := each(g, func(s *Session) bool {
 		if s.ID != "" {
 			t.Fatalf("streamed session %d has ID %q, want it empty", n+1, s.ID)
 		}

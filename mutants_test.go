@@ -53,8 +53,8 @@ type mutant struct {
 // first fire, with its completion still queued. Last, the other gates: the
 // trace and assignment goldens (the trace's twice: a session named with the
 // previous session's ordinal), the sides of trace.Source's lending contract
-// (the simulator checks arrival order against a copy taken before the pull;
-// the generator neither lends its task block's start to the next session
+// (the simulator checks arrival order against a copy taken before the pull,
+// and fails the run with the cursor's error at its end; the generator neither lends its task block's start to the next session
 // nor leaves a kept Tasks the block's spare capacity), the three parsing
 // checks of the root package, and the five gates that skip under -short:
 // the paper scoreboard's golden, which runs at full scale, the two
@@ -254,6 +254,11 @@ var mutants = []mutant{
 		pkg: "./internal/trace", run: "^TestTraceDigests$", want: "trace_digests.golden",
 	},
 	{
+		name: "the cursor's error is dropped at exhaustion", file: "internal/sim/sim.go",
+		old: "s.srcErr = s.cur.Err()", new: "_ = s.cur.Err()",
+		pkg: "./internal/sim", run: "^TestRunFailsWithItsSourceError$", want: "want no result and trace: SessionsPerHour is -1",
+	},
+	{
 		name: "genSession lends its task buffer", file: "internal/trace/gen.go",
 		old: "return tasks[len(tasks):]", new: "return tasks[:0]",
 		pkg: "./internal/trace", run: "^TestStreamGenLendsOneSession$", want: "its kept Tasks changed after its yield returned",
@@ -287,13 +292,13 @@ var mutants = []mutant{
 		name: "every task allocates its machine", file: "internal/sim/sim.go",
 		old: "t := s.machines.get(runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay})",
 		new: "t := &runningTask{s: s, ss: ss, task: task, submit: submit, h: h, delay: delay}",
-		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 143", full: true,
+		pkg: "./internal/sim", run: "^TestSummerRunAllocations$", want: "landed at 131", full: true,
 	},
 	{
 		name: "a finished task's machine is not recycled", file: "internal/sim/taskfsm.go",
 		old: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n\t\t// The last phase event has fired and the session has moved on: nothing\n\t\t// refers to the machine any more.\n\t\ts.machines.put(t)\n",
 		new: "\t\ts.finishTask(t.ss, t.submit, t.delay)\n",
-		pkg: "./internal/sim", run: "^TestTaskAllocationBudget$", want: "budget 0.0104", full: true,
+		pkg: "./internal/sim", run: "^TestTaskAllocationBudget$", want: "budget 0.0092", full: true,
 	},
 	{
 		name: "a finished task's machine is not recycled, on the 1-day run", file: "internal/sim/taskfsm.go",
@@ -303,7 +308,7 @@ var mutants = []mutant{
 	},
 	{
 		name: "StreamGen formats every ID eagerly", file: "internal/trace/stream.go",
-		old: "\t\tsess.prefix, sess.n = g.prefix, n\n", new: "\t\tsess.prefix, sess.n = g.prefix, n\n\t\tsess.ID = sess.Name()\n",
+		old: "\t\tc.sess.prefix, c.sess.n = c.g.prefix, c.n\n", new: "\t\tc.sess.prefix, c.sess.n = c.g.prefix, c.n\n\t\tc.sess.ID = c.sess.Name()\n",
 		pkg: "./internal/trace", run: "^TestStreamGenAllocations$", want: "beyond one per block of 64 tasks", full: true,
 	},
 	{
